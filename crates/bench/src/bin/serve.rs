@@ -14,8 +14,6 @@
 //! #                       ^ just the fault-recovery (auto re-prefill) sweep
 //! cargo run --release -p ft-bench --bin serve -- --smoke --latency-only
 //! #                       ^ just the priority-scheduling latency sweep
-//! cargo run --release -p ft-bench --bin serve -- --smoke --fused-only
-//! #                       ^ just the fused multi-row sweep-kernel report
 //! cargo run --release -p ft-bench --bin serve -- --smoke --spec-only
 //! #                       ^ just the speculative draft/verify/rollback sweep
 //! cargo run --release -p ft-bench --bin serve -- --smoke --shard-only
@@ -70,13 +68,9 @@
 //! `Batch`-class under priority scheduling.
 
 use ft_bench::{banner, has_flag, HarnessArgs, TextTable};
-use ft_core::backend::AttentionBackend;
 use ft_core::efta::EftaOptions;
-use ft_core::kv::KvCache;
 use ft_core::protect::DEFAULT_APPROX_TOL;
-use ft_core::serve::{StreamId, StreamSlice};
-use ft_num::rng::normal_tensor_f16;
-use ft_num::Tensor4F16;
+use ft_core::serve::StreamId;
 use ft_sim::{BerInjector, FaultInjector, FaultSite, NoFaults};
 use ft_transformer::{
     BackendKind, DraftSource, Engine, EngineConfig, EngineEvent, FinishReason, Fleet, FleetConfig,
@@ -174,10 +168,6 @@ fn main() {
     }
     if has_flag("--latency-only") {
         latency_sweep(&model, &prompts_for, smoke);
-        return;
-    }
-    if has_flag("--fused-only") {
-        fused_sweep(&model, &prompts_for, sched_cfg, new_tokens, smoke);
         return;
     }
     if has_flag("--spec-only") {
@@ -324,7 +314,6 @@ fn main() {
         bounded_memory_sweep(&model, &prompts_for, sched_cfg, smoke);
         recovery_sweep(&model, &prompts_for, sched_cfg, smoke);
         latency_sweep(&model, &prompts_for, smoke);
-        fused_sweep(&model, &prompts_for, sched_cfg, new_tokens, smoke);
         spec_sweep(smoke);
         shard_sweep(&model, &prompts_for, sched_cfg, smoke);
     }
@@ -653,140 +642,6 @@ fn spec_sweep(smoke: bool) {
         "hard-asserted: bit-identity at every rate, >= 1.3x plain at accept >= 0.75, \
          >= 1.0x plain-decode baseline at accept 0 (same-engine ratio {:.2}x)",
         floor_ratio.expect("rate 0 measured")
-    );
-}
-
-/// The fused multi-row sweep report (standalone via `--fused-only`): the
-/// tiled `(stream, slot)` kernel versus the per-row `(stream, row, slot)`
-/// fan-out it replaced.
-///
-/// Two layers, both hard-asserted:
-/// * **Model gate** — a serving session (which now runs fused sweeps under
-///   every chunked prefill and batched decode) must reproduce sequential
-///   token-at-a-time decode, token for token.
-/// * **Kernel gate** — at every chunk width the fused EFTA sweep's rows
-///   are bit-identical to the per-row oracle's, and at chunk width ≥ 8 the
-///   fused sweep must not be slower (it verifies each attended cache
-///   block once per tile where the oracle re-verifies per row).
-///
-/// The printed acceptance line tracks the ≥ 1.5× chunked-prefill target
-/// at chunk width ≥ 8.
-fn fused_sweep(
-    model: &TransformerModel,
-    prompts_for: &dyn Fn(usize) -> Vec<Vec<u32>>,
-    sched_cfg: SchedulerConfig,
-    new_tokens: usize,
-    smoke: bool,
-) {
-    println!("\nfused multi-row sweep (shared-verification tiles vs per-row fan-out):");
-
-    // Model-level token gate: the scheduler's fused sweeps vs the
-    // pre-scheduler sequential loop.
-    let n = if smoke { 4 } else { 8 };
-    let prompts = prompts_for(n);
-    let mut session = model.serve_with(sched_cfg);
-    let ids: Vec<_> = prompts
-        .iter()
-        .map(|p| session.submit_request(GenerationRequest::new(p.clone(), new_tokens)))
-        .collect();
-    let finished = session.run(&NoFaults);
-    for (i, id) in ids.iter().enumerate() {
-        let f = finished.iter().find(|f| f.id == *id).expect("finished");
-        assert_eq!(
-            f.tokens,
-            sequential_generate(model, &prompts[i], new_tokens),
-            "stream {i}: fused serving diverged from sequential decode"
-        );
-    }
-    println!("model gate: {n} fused-sweep streams == sequential decode (hard-asserted)");
-
-    // Kernel-level wall-clock: one batch of chunked-prefill streams, swept
-    // by both paths across chunk widths.
-    const HEADS: usize = 4;
-    const DIM: usize = 32;
-    let scale = 1.0 / (DIM as f32).sqrt();
-    let (streams, cache_len, iters) = if smoke {
-        (6usize, 48usize, 6u32)
-    } else {
-        (64, 96, 24)
-    };
-    let kind = BackendKind::Efta(EftaOptions::optimized());
-    let caches: Vec<KvCache> = (0..streams)
-        .map(|s| {
-            let mut cache = KvCache::new(1, HEADS, DIM, 16, 8, scale);
-            let k = normal_tensor_f16(100 + s as u64, 1, HEADS, cache_len, DIM, 0.6);
-            let v = normal_tensor_f16(700 + s as u64, 1, HEADS, cache_len, DIM, 0.8);
-            assert!(cache.append(&k, &v).clean());
-            cache
-        })
-        .collect();
-
-    let mut table = TextTable::new(&["chunk", "per-row rows/s", "fused rows/s", "speedup"]);
-    let mut speedup_at_wide = None;
-    for &c in &[1usize, 4, 8, 16] {
-        let chunks: Vec<Tensor4F16> = (0..streams)
-            .map(|s| normal_tensor_f16(1300 + s as u64, 1, HEADS, c, DIM, 0.6))
-            .collect();
-        let slices: Vec<StreamSlice<'_>> = (0..streams)
-            .map(|s| StreamSlice {
-                stream: StreamId(s as u64),
-                cache: &caches[s],
-                q: &chunks[s],
-                window: None,
-            })
-            .collect();
-
-        // Warm both paths and hard-assert bit-identity while at it.
-        let fused = kind.decode_sweep(&slices, &NoFaults, None);
-        let per_row = kind
-            .try_decode_sweep_per_row(&slices, &NoFaults, None)
-            .expect("per-row oracle sweep");
-        for (f, p) in fused.iter().zip(&per_row) {
-            assert_eq!(
-                f.o.max_abs_diff(&p.o),
-                0.0,
-                "chunk {c}: fused sweep must be bit-identical to per-row"
-            );
-        }
-
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(
-                kind.try_decode_sweep_per_row(&slices, &NoFaults, None)
-                    .unwrap(),
-            );
-        }
-        let t_per_row = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(kind.decode_sweep(&slices, &NoFaults, None));
-        }
-        let t_fused = t0.elapsed().as_secs_f64();
-
-        let rows = (streams * c * iters as usize) as f64;
-        let speedup = t_per_row / t_fused;
-        if c >= 8 {
-            // Hard assert: shared verification must not lose to the per-row
-            // fan-out once chunks amortise it.
-            assert!(
-                t_fused <= t_per_row,
-                "chunk {c}: fused sweep slower than per-row ({t_fused:.3}s vs {t_per_row:.3}s)"
-            );
-            speedup_at_wide = Some(speedup_at_wide.unwrap_or(0.0f64).max(speedup));
-        }
-        table.row(&[
-            format!("{c}"),
-            format!("{:.0}", rows / t_per_row),
-            format!("{:.0}", rows / t_fused),
-            format!("{speedup:.2}x"),
-        ]);
-    }
-    print!("{}", table.render());
-    let s = speedup_at_wide.expect("chunk >= 8 measured");
-    println!(
-        "fused chunked-prefill speedup at chunk width >= 8: {s:.2}x over \
-         {streams} streams x {cache_len} cached rows (acceptance >= 1.5x) -> {}",
-        if s >= 1.5 { "PASS" } else { "FAIL" }
     );
 }
 

@@ -83,8 +83,8 @@ impl HarnessArgs {
                 // Binary-specific switches (parsed by the binaries via
                 // `has_flag`); listed here so the shared parser does not
                 // warn about them.
-                "--bounded-only" | "--recovery-only" | "--latency-only" | "--fused-only"
-                | "--spec-only" | "--shard-only" => {}
+                "--bounded-only" | "--recovery-only" | "--latency-only" | "--spec-only"
+                | "--shard-only" => {}
                 other => {
                     eprintln!("ignoring unknown argument {other}");
                 }

@@ -262,9 +262,10 @@ pub trait AttentionBackend: Sync {
     /// ([`KvCache::evict_front`](crate::kv::KvCache::evict_front)):
     /// windowed or evicted decode is bit-identical to decoding against a
     /// fresh cache holding only the attended blocks (pinned for every
-    /// [`BackendKind`] by `tests/eviction_equivalence.rs`). Both shared
-    /// decode bodies implement this; a backend with its own decode path
-    /// must preserve the invariant.
+    /// [`BackendKind`] by `tests/eviction_equivalence.rs`). The shared
+    /// sweep body behind [`reference_decode`] and
+    /// [`efta_decode`](crate::decode::efta_decode) implements this; a
+    /// backend with its own decode path must preserve the invariant.
     ///
     /// [`reference_decode`]: crate::decode::reference_decode
     fn try_decode(&self, req: &DecodeRequest<'_>) -> Result<AttentionOutput, BackendError> {
@@ -620,30 +621,6 @@ impl BackendKind {
             .map(|n| n.parse().expect("canonical name parses"))
             .collect()
     }
-
-    /// Per-row oracle variant of
-    /// [`try_decode_sweep`](AttentionBackend::try_decode_sweep): the
-    /// original `(stream, row, slot)` fan-out, with every chunk row
-    /// re-reading (and, under EFTA, re-verifying) its attended cache
-    /// blocks itself. Output rows are bit-identical to the fused tile
-    /// sweep on every backend — this is the baseline the fused kernel's
-    /// equivalence suite and the serve bench's `--fused-only` report
-    /// measure against.
-    pub fn try_decode_sweep_per_row(
-        &self,
-        slices: &[crate::serve::StreamSlice<'_>],
-        injector: &dyn FaultInjector,
-        thresholds: Option<Thresholds>,
-    ) -> Result<Vec<crate::serve::StreamSweepOutput>, BackendError> {
-        match self {
-            BackendKind::Reference | BackendKind::Flash | BackendKind::Decoupled(_) => {
-                crate::serve::sweep_unprotected_per_row(slices, injector)
-            }
-            BackendKind::Efta(options) => {
-                crate::serve::sweep_efta_per_row(slices, injector, thresholds, options)
-            }
-        }
-    }
 }
 
 /// A backend name [`BackendKind::from_str`] did not recognise.
@@ -726,7 +703,7 @@ impl AttentionBackend for BackendKind {
             BackendKind::Reference | BackendKind::Flash | BackendKind::Decoupled(_) => {
                 crate::decode::reference_decode(req)
             }
-            BackendKind::Efta(options) => EftaBackend { options: *options }.try_decode(req),
+            BackendKind::Efta(options) => crate::decode::efta_decode(req, options),
         }
     }
 
@@ -741,7 +718,7 @@ impl AttentionBackend for BackendKind {
                 crate::serve::sweep_unprotected(slices, injector)
             }
             BackendKind::Efta(options) => {
-                EftaBackend { options: *options }.try_decode_sweep(slices, injector, thresholds)
+                crate::serve::sweep_efta(slices, injector, thresholds, options)
             }
         }
     }

@@ -1,13 +1,13 @@
-//! Single-query incremental decode over a [`KvCache`].
+//! Incremental decode over a [`KvCache`].
 //!
 //! Autoregressive serving computes, per step, the attention of **one** new
-//! query row against every cached K/V row. This module provides the two
-//! decode kernels behind [`AttentionBackend::try_decode`]:
+//! query row against every cached K/V row. This module provides the
+//! request type and the two tile kernels of that computation:
 //!
-//! * [`reference_decode`] — unprotected online-softmax single-query
-//!   attention reading the cache raw (what every backend without its own
-//!   protected decode path runs);
-//! * [`efta_decode`] — the EFTA-protected variant: cached K/V blocks are
+//! * `reference_decode_tile` — unprotected online-softmax attention
+//!   reading the cache raw (what every backend without its own protected
+//!   decode path runs);
+//! * `efta_decode_tile` — the EFTA-protected variant: cached K/V blocks are
 //!   re-verified on read against their append-time checksums (SEUs that
 //!   landed in cache-resident state between steps are corrected, not just
 //!   faults inside the GEMM), GEMM I + subtract + EXP are covered by the
@@ -21,13 +21,15 @@
 //! so the encode cost is amortised over every decode step that reuses the
 //! block.
 //!
-//! Both kernels are built from per-slot bodies that accept a *visible
-//! length* — the causal prefix of the cache a query row may attend to. The
-//! single-query entry points use the full cache; the multi-stream serving
-//! sweep in [`crate::serve`] reuses the same bodies for chunked prefill,
-//! where a chunk's interior rows see only their own prefix of the trailing
-//! block (whose checksums are then re-encoded on the fly over the visible
-//! rows, exactly as the prefill kernel encodes per call).
+//! Both kernels take a *visible length* — the causal prefix of the cache a
+//! query row may attend to — and are called from exactly one place, the
+//! `(stream, slot)` sweep in [`crate::serve`]. Single-query decode
+//! ([`efta_decode`] / [`reference_decode`], behind
+//! [`AttentionBackend::try_decode`]) is that sweep over one one-row slice;
+//! chunked prefill is the same sweep over `c`-row slices, where a chunk's
+//! interior rows see only their own prefix of the trailing block (whose
+//! checksums are then re-encoded on the fly over the visible rows, exactly
+//! as the prefill kernel encodes per call).
 //!
 //! The same visible-length machinery is what makes speculative decoding
 //! ([`SpeculationPolicy`](crate::serve::SpeculationPolicy)) free at this
@@ -61,8 +63,9 @@
 //! [`AttentionBackend::try_decode`]: crate::backend::AttentionBackend::try_decode
 
 use crate::backend::BackendError;
-use crate::efta::{EftaOptions, GemmProtection, SoftmaxProtection};
+use crate::efta::{EftaOptions, SoftmaxProtection};
 use crate::kv::KvCache;
+use crate::serve::{sweep_tiles, StreamId, StreamSlice};
 use crate::snvr::{restrict_row_max, restrict_rowsum, Restriction};
 use crate::types::{AttentionOutput, FtCounters, PhaseBreakdown};
 use ft_abft::propagate::{residue_counts, transport_subtract_max, verify_products};
@@ -72,13 +75,11 @@ use ft_abft::strided::{
 };
 use ft_abft::thresholds::Thresholds;
 use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
-use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
 use ft_sim::{
     gemm_flops, gemm_nn_inj, gemm_nt, gemm_nt_inj, FaultInjector, FaultSite, GemmCtx, NoFaults,
     OpCoord,
 };
-use rayon::prelude::*;
 
 static NO_FAULTS: NoFaults = NoFaults;
 
@@ -171,40 +172,6 @@ impl core::fmt::Debug for DecodeRequest<'_> {
     }
 }
 
-/// Analytic kernel statistics of one decode step over `attended` cached
-/// rows (shape-derived, like [`crate::efta::analytic_stats`]): reads the
-/// attended blocks once, writes one row, two rank-1 GEMMs per attended
-/// column. `attended` is the resident length for full-cache decode, the
-/// window span for windowed decode.
-pub(crate) fn decode_stats(cache: &KvCache, attended: usize, protected: bool) -> KernelStats {
-    let slots = cache.num_slots() as u64;
-    let len = attended as u64;
-    let blocks = attended.div_ceil(cache.block()) as u64;
-    let d = cache.dim() as u64;
-    let mut stats = KernelStats {
-        launches: 1,
-        hbm_read: slots * 2 * len * d * 2,
-        hbm_written: slots * d * 2,
-        tc_flops: slots * 2 * gemm_flops(1, attended, cache.dim()),
-        fp32_flops: slots * 4 * len,
-        sfu_ops: slots * len,
-        serial_flops: 0,
-    };
-    if protected {
-        // Like the prefill cost model (`efta::analytic_stats`), a checksum
-        // operand narrower than 8 still occupies one 8-wide MMA tile on
-        // tensor cores, so the modeled width floors at 8 regardless of the
-        // configured stride or a ragged block's narrower fold.
-        let s = cache.stride().max(8) as u64;
-        // Stored-checksum GEMMs (no encode: amortised at append) plus the
-        // product check and final output verification.
-        stats.tc_flops += slots * 2 * 2 * gemm_flops(1, s as usize, cache.dim());
-        stats.serial_flops += slots * (len + 2 * d + 4 * blocks);
-        stats.hbm_read += slots * 4 * (blocks * s * d) / 2;
-    }
-    stats
-}
-
 /// Number of cache blocks a `vis`-row causal prefix touches.
 pub(crate) fn vis_blocks(cache: &KvCache, vis: usize) -> usize {
     vis.div_ceil(cache.block())
@@ -238,8 +205,7 @@ pub(crate) fn vis_block_rows(cache: &KvCache, b: usize, vis: usize) -> usize {
 /// over that row's own attended prefix (row `r` sees `len − c + r + 1`
 /// rows under its window), and cache payload + checksum read traffic is
 /// charged **once per attended block** — the union of the rows' attended
-/// spans — matching the fused kernel's verify-once reads. Replaces the old
-/// `per_row × c` roofline, which billed every chunk row the full cache.
+/// spans — matching the tile kernel's verify-once reads.
 pub(crate) fn sweep_tile_stats(
     cache: &KvCache,
     c: usize,
@@ -262,8 +228,11 @@ pub(crate) fn sweep_tile_stats(
     stats.hbm_read = slots * 2 * union_rows * d * 2;
     stats.hbm_written = slots * c as u64 * d * 2;
     if protected {
-        // Checksum operands read once per attended block (see
-        // `decode_stats` for the width-8 MMA tile floor).
+        // Checksum operands read once per attended block. Like the
+        // prefill cost model (`efta::analytic_stats`), a checksum operand
+        // narrower than 8 still occupies one 8-wide MMA tile on tensor
+        // cores, so the modeled width floors at 8 regardless of the
+        // configured stride or a ragged block's narrower fold.
         let s = cache.stride().max(8) as u64;
         stats.hbm_read += slots * 4 * (union_blocks * s * d) / 2;
     }
@@ -283,37 +252,18 @@ pub(crate) fn sweep_tile_stats(
     stats
 }
 
-/// Unprotected single-query decode of one `(batch, head)` slot against the
-/// first `vis` cached rows (optionally restricted to a sliding `window` of
-/// the most recent rows): raw cache reads, online softmax, no checks.
-///
-/// `q_raw` is the unscaled `1 × dim` query row; `step` namespaces fault
-/// coordinates. [`reference_decode`] calls this with `vis = cache.len()`;
-/// the per-row oracle sweep calls it per chunk row with that row's causal
-/// prefix. A one-row tile of [`reference_decode_tile`], so the per-row and
-/// fused paths share one kernel body.
-pub(crate) fn reference_decode_slot(
-    cache: &KvCache,
-    slot: usize,
-    vis: usize,
-    step: usize,
-    q_raw: &MatrixF32,
-    inj: &dyn FaultInjector,
-    window: Option<usize>,
-) -> MatrixF32 {
-    reference_decode_tile(cache, slot, vis, step, q_raw, inj, window)
-}
-
 /// Unprotected multi-row decode tile of one `(batch, head)` slot: chunk
 /// row `r` of the `c × dim` unscaled query chunk `q_chunk` attends the
-/// causal prefix `0 .. vis0 + r` at fault-coordinate step `step0 + r` —
-/// the fused form of `c` [`reference_decode_slot`] calls.
+/// causal prefix `0 .. vis0 + r` (optionally restricted to a sliding
+/// `window` of the most recent rows) at fault-coordinate step `step0 + r`:
+/// raw cache reads, online softmax, no checks.
 ///
 /// The tile iterates **block-major**: each attended cache block is read
 /// once and every tile row's online-softmax update against it runs before
 /// the next block is touched. Per row, the update sequence (ascending
-/// block order over exactly that row's attended blocks) is unchanged, so
-/// the output is bit-identical to the per-row path.
+/// block order over exactly that row's attended blocks) is the one a
+/// one-row tile over that row's own prefix runs, so a chunk's output is
+/// bit-identical to feeding its rows token by token.
 pub(crate) fn reference_decode_tile(
     cache: &KvCache,
     slot: usize,
@@ -326,8 +276,7 @@ pub(crate) fn reference_decode_tile(
     let d = cache.dim();
     let c = q_chunk.rows();
     let scale = cache.scale();
-    // Per-row scaled query rows, hoisted out of the block loop (the old
-    // per-row fan-out allocated these once per work unit).
+    // Per-row scaled query rows, hoisted out of the block loop.
     let q_rows: Vec<MatrixF32> = (0..c)
         .map(|r| Matrix::from_fn(1, d, |_, j| q_chunk.get(r, j) * scale))
         .collect();
@@ -378,10 +327,10 @@ pub(crate) fn reference_decode_tile(
     out
 }
 
-/// EFTA-protected single-query decode of one slot against the first `vis`
-/// cached rows, optionally restricted to a sliding `window` (the per-slot
-/// body of [`efta_decode`], shared with the multi-stream sweep in
-/// [`crate::serve`]).
+/// EFTA-protected multi-row decode tile of one slot: chunk row `r` of the
+/// `c × dim` unscaled query chunk attends the causal prefix
+/// `0 .. vis0 + r` (optionally restricted to a sliding `window`) at
+/// fault-coordinate step `step0 + r`.
 ///
 /// Fully visible blocks reuse the cache's stored append-time checksums; a
 /// partially visible trailing block (a chunked-prefill row's causal
@@ -393,43 +342,17 @@ pub(crate) fn reference_decode_tile(
 /// block instead of 0 — the same iteration a fresh cache holding only
 /// those blocks would run, so the output is bit-identical to decoding
 /// against that fresh cache.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn efta_decode_slot(
-    cache: &KvCache,
-    slot: usize,
-    vis: usize,
-    step: usize,
-    q_raw: &MatrixF32,
-    inj: &dyn FaultInjector,
-    thr: &Thresholds,
-    opts: &EftaOptions,
-    counters: &FtCounters,
-    window: Option<usize>,
-) -> MatrixF32 {
-    efta_decode_tile(
-        cache, slot, vis, step, q_raw, inj, thr, opts, counters, window,
-    )
-}
-
-/// EFTA-protected multi-row decode tile of one slot: chunk row `r` of the
-/// `c × dim` unscaled query chunk attends the causal prefix
-/// `0 .. vis0 + r` at fault-coordinate step `step0 + r` — the fused form
-/// of `c` [`efta_decode_slot`] calls, and the kernel body both share
-/// (`efta_decode_slot` is the one-row tile).
 ///
 /// **Verify-once invariant:** the tile iterates block-major, reading each
 /// attended cache block through [`KvCache::verified_block`] exactly once;
 /// the corrected payload, stored checksum operands, and max-norm snapshot
 /// are then exposed to every tile row attending the block, and the block's
 /// verification outcome lands in `counters` once — not once per attending
-/// row. Rows whose causal frontier cuts the block mid-way truncate the
-/// shared verified payload and re-encode checksum operands over their
-/// visible rows, exactly as the per-row path does, so fused output stays
-/// bit-identical.
+/// row.
 ///
-/// Per row, the accumulation order over its attended blocks is unchanged
-/// (ascending block index, one multi-accumulator state per row carried
-/// across the shared block loop), so every row reproduces its standalone
+/// Per row, the accumulation order over its attended blocks is ascending
+/// block index, one multi-accumulator state per row carried across the
+/// shared block loop, so every row reproduces its standalone one-row
 /// decode bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn efta_decode_tile(
@@ -449,8 +372,7 @@ pub(crate) fn efta_decode_tile(
     let scale = cache.scale();
     // Output-checksum width: the V column fold is over `dim`.
     let so = cache.stride().min(d);
-    // Per-row scaled queries and norms, hoisted out of the block loop (the
-    // old per-row fan-out allocated these once per work unit).
+    // Per-row scaled queries and norms, hoisted out of the block loop.
     let q_rows: Vec<MatrixF32> = (0..c)
         .map(|r| Matrix::from_fn(1, d, |_, j| q_chunk.get(r, j) * scale))
         .collect();
@@ -795,98 +717,31 @@ pub(crate) fn efta_decode_tile(
 ///
 /// [`try_decode`]: crate::backend::AttentionBackend::try_decode
 pub fn reference_decode(req: &DecodeRequest<'_>) -> Result<AttentionOutput, BackendError> {
-    let cache = req.cache;
-    let rows: Vec<MatrixF32> = (0..cache.num_slots())
-        .into_par_iter()
-        .map(|slot| {
-            let q_raw = req.q.slot_flat(slot).to_f32();
-            reference_decode_slot(
-                cache,
-                slot,
-                cache.len(),
-                req.step,
-                &q_raw,
-                req.injector,
-                req.window,
-            )
-        })
-        .collect();
-    let o = Tensor4F32::from_slots(cache.batch(), cache.heads(), 1, cache.dim(), rows);
-    let mut timeline = Timeline::new();
-    let attended = attended_rows(cache, cache.len(), req.window);
-    timeline.push("decode", decode_stats(cache, attended, false));
-    Ok(AttentionOutput {
-        o,
-        timeline,
-        report: Default::default(),
-        phases: PhaseBreakdown::default(),
-    })
+    efta_decode(req, &EftaOptions::unprotected())
 }
 
 /// EFTA-protected single-query decode (see the module docs for the
-/// protection layout). Degenerates to [`reference_decode`] when `opts`
-/// disables both GEMM and softmax protection.
+/// protection layout): the serving sweep over one one-row slice, with the
+/// request's explicit step as the fault-coordinate namespace. Reads
+/// unprotected when `opts` disables both GEMM and softmax protection or
+/// the cache is [`Raw`](crate::protect::ProtectionLevel::Raw).
 pub fn efta_decode(
     req: &DecodeRequest<'_>,
     opts: &EftaOptions,
 ) -> Result<AttentionOutput, BackendError> {
-    if opts.gemm == GemmProtection::Unprotected && opts.softmax == SoftmaxProtection::Unprotected {
-        return reference_decode(req);
-    }
-    if !req.cache.protection().encodes_metadata() {
-        // A Raw cache stores no checksum operands, so the protected tile
-        // has nothing to verify against (and no GEMM checksum operands to
-        // reuse): the stream opted out — read it unprotected.
-        return reference_decode(req);
-    }
-    if opts.gemm == GemmProtection::Traditional {
-        return Err(BackendError::Unsupported(
-            "decode reuses the cache's strided append-time checksums; the traditional \
-             element scheme has no cached operands to reuse"
-                .into(),
-        ));
-    }
-    let cache = req.cache;
-    let thr = req.thresholds.unwrap_or(opts.thresholds);
-    let counters = FtCounters::new();
-    // Corruption permanently absorbed by an append-time re-encode leaves
-    // every per-read report clean; surface the cache's sticky damage count
-    // on every step so the re-prefill signal cannot be missed. The count
-    // is scoped to the attended window: a mark on a block the query can no
-    // longer reach cannot influence this or any future output, so it must
-    // not keep tainting the stream (recovery policies key off this field).
-    FtCounters::add(
-        &counters.cache_uncorrectable,
-        cache.poisoned_attended(req.window),
-    );
-
-    let rows: Vec<MatrixF32> = (0..cache.num_slots())
-        .into_par_iter()
-        .map(|slot| {
-            let q_raw = req.q.slot_flat(slot).to_f32();
-            efta_decode_slot(
-                cache,
-                slot,
-                cache.len(),
-                req.step,
-                &q_raw,
-                req.injector,
-                &thr,
-                opts,
-                &counters,
-                req.window,
-            )
-        })
-        .collect();
-
-    let o = Tensor4F32::from_slots(cache.batch(), cache.heads(), 1, cache.dim(), rows);
-    let mut timeline = Timeline::new();
-    let attended = attended_rows(cache, cache.len(), req.window);
-    timeline.push("decode", decode_stats(cache, attended, true));
+    let slice = StreamSlice {
+        stream: StreamId(0),
+        cache: req.cache,
+        q: req.q,
+        window: req.window,
+    };
+    let out = sweep_tiles(&[slice], Some(req.step), req.injector, req.thresholds, opts)?
+        .pop()
+        .expect("one slice in, one output out");
     Ok(AttentionOutput {
-        o,
-        timeline,
-        report: counters.snapshot(),
+        o: out.o,
+        timeline: out.timeline,
+        report: out.report,
         phases: PhaseBreakdown::default(),
     })
 }
@@ -989,13 +844,13 @@ mod tests {
             for slot in 0..2 {
                 let q_raw = qt.slot_flat(slot).to_f32();
                 let got_ref =
-                    reference_decode_slot(&long, slot, vis, vis - 1, &q_raw, &NoFaults, None);
+                    reference_decode_tile(&long, slot, vis, vis - 1, &q_raw, &NoFaults, None);
                 assert_eq!(
                     got_ref.max_abs_diff(want_ref.o.slot_flat(slot)),
                     0.0,
                     "vis {vis} slot {slot}: limited reference decode drifted"
                 );
-                let got_efta = efta_decode_slot(
+                let got_efta = efta_decode_tile(
                     &long,
                     slot,
                     vis,

@@ -143,41 +143,12 @@ pub fn analytic_timeline(cfg: &AttentionConfig, protect: bool) -> Timeline {
     timeline
 }
 
-/// Run the decoupled fault-tolerant attention pipeline.
+/// Decoupled pipeline body; [`crate::backend::DecoupledBackend`] is the
+/// public entry point.
 ///
 /// `device` provides the simulated HBM; the S and P tensors are reserved on
 /// it and the run fails with [`OomError`] exactly where the paper's baseline
-/// does. Pass [`Device::a100_40gb`] for the paper's card.
-///
-/// Compatibility shim: new code should go through the unified API —
-/// `BackendKind::Decoupled(opts)` with
-/// [`crate::backend::AttentionRequest::with_device`] and
-/// [`crate::backend::AttentionBackend::try_run`].
-#[doc(hidden)]
-pub fn decoupled_ft_attention<I: FaultInjector>(
-    cfg: &AttentionConfig,
-    q: &Tensor4F16,
-    k: &Tensor4F16,
-    v: &Tensor4F16,
-    inj: &I,
-    opts: &DecoupledOptions,
-    device: &Device,
-) -> Result<AttentionOutput, OomError> {
-    use crate::backend::{AttentionBackend, AttentionRequest, BackendError, DecoupledBackend};
-    DecoupledBackend { options: *opts }
-        .try_run(
-            &AttentionRequest::new(*cfg, q, k, v)
-                .with_injector(inj)
-                .with_device(device),
-        )
-        .map_err(|e| match e {
-            BackendError::Oom(oom) => oom,
-            other => panic!("decoupled attention failed: {other}"),
-        })
-}
-
-/// Decoupled pipeline body; [`crate::backend::DecoupledBackend`] is the
-/// public entry point.
+/// does.
 pub(crate) fn decoupled_forward<I: FaultInjector>(
     cfg: &AttentionConfig,
     q: &Tensor4F16,
@@ -413,7 +384,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::reference_attention;
+    use crate::reference::reference_forward;
     use ft_num::rng::normal_tensor_f16;
     use ft_sim::{NoFaults, OpCoord, SeuInjector};
 
@@ -429,7 +400,7 @@ mod tests {
         let cfg = AttentionConfig::new(1, 2, 64, 32).with_block(32);
         let (q, k, v) = qkv(&cfg, 70);
         let dev = Device::a100_40gb();
-        let out = decoupled_ft_attention(
+        let out = decoupled_forward(
             &cfg,
             &q,
             &k,
@@ -439,7 +410,7 @@ mod tests {
             &dev,
         )
         .unwrap();
-        let reference = reference_attention(&cfg, &q, &k, &v);
+        let reference = reference_forward(&cfg, &q, &k, &v);
         // S and P round-trip through FP16 in HBM, so tolerance is FP16-ish.
         let diff = out.o.max_abs_diff(&reference);
         assert!(diff < 5e-3, "diff {diff}");
@@ -451,7 +422,7 @@ mod tests {
         let cfg = AttentionConfig::new(1, 2, 128, 32).with_block(64);
         let (q, k, v) = qkv(&cfg, 71);
         let dev = Device::a100_40gb();
-        let out = decoupled_ft_attention(
+        let out = decoupled_forward(
             &cfg,
             &q,
             &k,
@@ -486,7 +457,7 @@ mod tests {
         let cfg = AttentionConfig::new(1, 1, 64, 32).with_block(32);
         let (q, k, v) = qkv(&cfg, 72);
         let dev = Device::a100_40gb();
-        let clean = decoupled_ft_attention(
+        let clean = decoupled_forward(
             &cfg,
             &q,
             &k,
@@ -501,8 +472,7 @@ mod tests {
         let inj = SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(0, 10, 20, 0), 30)
             .at_chain_step(15);
         let out =
-            decoupled_ft_attention(&cfg, &q, &k, &v, &inj, &DecoupledOptions::default(), &dev)
-                .unwrap();
+            decoupled_forward(&cfg, &q, &k, &v, &inj, &DecoupledOptions::default(), &dev).unwrap();
         assert_eq!(inj.fired(), 1);
         assert!(out.report.gemm1_detected > 0, "{:?}", out.report);
         assert!(out.o.max_abs_diff(&clean.o) < 5e-2);
@@ -513,7 +483,7 @@ mod tests {
         let cfg = AttentionConfig::new(1, 1, 64, 32).with_block(32);
         let (q, k, v) = qkv(&cfg, 73);
         let dev = Device::a100_40gb();
-        let clean = decoupled_ft_attention(
+        let clean = decoupled_forward(
             &cfg,
             &q,
             &k,
@@ -525,8 +495,7 @@ mod tests {
         .unwrap();
         let inj = SeuInjector::new(FaultSite::ExpUnit, OpCoord::new(0, 5, 9, 0), 28);
         let out =
-            decoupled_ft_attention(&cfg, &q, &k, &v, &inj, &DecoupledOptions::default(), &dev)
-                .unwrap();
+            decoupled_forward(&cfg, &q, &k, &v, &inj, &DecoupledOptions::default(), &dev).unwrap();
         assert!(inj.fired() >= 1);
         assert!(out.report.dmr_retries > 0, "{:?}", out.report);
         assert!(out.o.max_abs_diff(&clean.o) < 5e-2);
@@ -537,7 +506,7 @@ mod tests {
         let cfg = AttentionConfig::new(1, 1, 64, 32).with_block(32);
         let (q, k, v) = qkv(&cfg, 74);
         let dev = Device::a100_40gb();
-        let clean = decoupled_ft_attention(
+        let clean = decoupled_forward(
             &cfg,
             &q,
             &k,
@@ -550,8 +519,7 @@ mod tests {
         let inj = SeuInjector::new(FaultSite::GemmIiAccum, OpCoord::new(0, 7, 11, 0), 30)
             .at_chain_step(30);
         let out =
-            decoupled_ft_attention(&cfg, &q, &k, &v, &inj, &DecoupledOptions::default(), &dev)
-                .unwrap();
+            decoupled_forward(&cfg, &q, &k, &v, &inj, &DecoupledOptions::default(), &dev).unwrap();
         assert_eq!(inj.fired(), 1);
         assert!(out.report.gemm2_detected > 0, "{:?}", out.report);
         assert!(out.o.max_abs_diff(&clean.o) < 5e-2);
@@ -562,7 +530,7 @@ mod tests {
         let cfg = AttentionConfig::new(1, 2, 64, 32).with_block(32);
         let (q, k, v) = qkv(&cfg, 75);
         let dev = Device::a100_40gb();
-        let _ = decoupled_ft_attention(
+        let _ = decoupled_forward(
             &cfg,
             &q,
             &k,

@@ -39,8 +39,7 @@ use ft_num::{block_starts, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
 use ft_sim::{
-    gemm_flops, gemm_nn_inj, gemm_nt, gemm_nt_inj, FaultInjector, FaultSite, GemmCtx, NoFaults,
-    OpCoord,
+    gemm_flops, gemm_nn_inj, gemm_nt, gemm_nt_inj, FaultInjector, FaultSite, GemmCtx, OpCoord,
 };
 use rayon::prelude::*;
 use std::time::Instant;
@@ -1012,39 +1011,12 @@ pub(crate) fn efta_forward<I: FaultInjector>(
     }
 }
 
-/// Run the fused EFTA kernel.
-///
-/// Compatibility shim: new code should go through the unified API —
-/// `BackendKind::Efta(opts)` and [`crate::backend::AttentionBackend::run`].
-#[doc(hidden)]
-pub fn efta_attention<I: FaultInjector>(
-    cfg: &AttentionConfig,
-    q: &Tensor4F16,
-    k: &Tensor4F16,
-    v: &Tensor4F16,
-    inj: &I,
-    opts: &EftaOptions,
-) -> AttentionOutput {
-    use crate::backend::{AttentionBackend, AttentionRequest, EftaBackend};
-    EftaBackend { options: *opts }.run(&AttentionRequest::new(*cfg, q, k, v).with_injector(inj))
-}
-
-/// Convenience: fault-free EFTA with the optimised options.
-pub fn efta_attention_clean(
-    cfg: &AttentionConfig,
-    q: &Tensor4F16,
-    k: &Tensor4F16,
-    v: &Tensor4F16,
-) -> AttentionOutput {
-    efta_attention(cfg, q, k, v, &NoFaults, &EftaOptions::optimized())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::reference_attention;
+    use crate::reference::reference_forward;
     use ft_num::rng::normal_tensor_f16;
-    use ft_sim::SeuInjector;
+    use ft_sim::{NoFaults, SeuInjector};
 
     fn qkv(cfg: &AttentionConfig, seed: u64) -> (Tensor4F16, Tensor4F16, Tensor4F16) {
         let q = normal_tensor_f16(seed, cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, 0.6);
@@ -1061,8 +1033,8 @@ mod tests {
     fn clean_efta_matches_reference() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 50);
-        let out = efta_attention_clean(&cfg, &q, &k, &v);
-        let reference = reference_attention(&cfg, &q, &k, &v);
+        let out = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());
+        let reference = reference_forward(&cfg, &q, &k, &v);
         let diff = out.o.max_abs_diff(&reference);
         assert!(diff < 2e-3, "diff {diff}");
         assert!(out.report.clean(), "{:?}", out.report);
@@ -1072,8 +1044,8 @@ mod tests {
     fn clean_efta_per_step_matches_reference() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 51);
-        let out = efta_attention(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::per_step());
-        let reference = reference_attention(&cfg, &q, &k, &v);
+        let out = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::per_step());
+        let reference = reference_forward(&cfg, &q, &k, &v);
         assert!(out.o.max_abs_diff(&reference) < 2e-3);
         assert!(out.report.clean(), "{:?}", out.report);
     }
@@ -1087,8 +1059,8 @@ mod tests {
             EftaOptions::per_step().with_softmax(SoftmaxProtection::Dmr),
             EftaOptions::unprotected(),
         ] {
-            let out = efta_attention(&cfg, &q, &k, &v, &NoFaults, &opts);
-            let reference = reference_attention(&cfg, &q, &k, &v);
+            let out = efta_forward(&cfg, &q, &k, &v, &NoFaults, &opts);
+            let reference = reference_forward(&cfg, &q, &k, &v);
             assert!(
                 out.o.max_abs_diff(&reference) < 2e-3,
                 "opts {opts:?}: diff {}",
@@ -1102,14 +1074,14 @@ mod tests {
     fn gemm1_seu_is_detected_and_corrected() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 53);
-        let clean = efta_attention_clean(&cfg, &q, &k, &v);
+        let clean = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());
         // Exponent-bit flip in the GEMM I accumulator of element (5, 40)
         // of slot 1 (data pass of block 1: iter 3).
         // Setting exponent bit 30 of a sub-2.0 accumulator produces a
         // ~2^128× error: unmissable at any sane threshold.
         let inj = SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(1, 5, 40, 3), 30)
             .at_chain_step(20);
-        let out = efta_attention(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
+        let out = efta_forward(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
         assert_eq!(inj.fired(), 1, "fault must fire");
         // Depending on the corrupted accumulator's sign the error is caught
         // by the product check (negative-huge) or by the max-plausibility
@@ -1124,9 +1096,9 @@ mod tests {
     fn exp_seu_is_detected_and_recomputed() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 54);
-        let clean = efta_attention_clean(&cfg, &q, &k, &v);
+        let clean = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());
         let inj = SeuInjector::new(FaultSite::ExpUnit, OpCoord::new(0, 3, 17, 0), 27);
-        let out = efta_attention(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
+        let out = efta_forward(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
         assert_eq!(inj.fired(), 1);
         assert!(out.report.exp_detected > 0, "{:?}", out.report);
         assert!(out.report.exp_recomputed > 0, "{:?}", out.report);
@@ -1137,10 +1109,10 @@ mod tests {
     fn gemm2_seu_is_detected_and_corrected() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 55);
-        let clean = efta_attention_clean(&cfg, &q, &k, &v);
+        let clean = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());
         let inj = SeuInjector::new(FaultSite::GemmIiAccum, OpCoord::new(1, 9, 5, 3), 30)
             .at_chain_step(10);
-        let out = efta_attention(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
+        let out = efta_forward(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
         assert_eq!(inj.fired(), 1);
         assert!(out.report.gemm2_detected > 0, "{:?}", out.report);
         let diff = out.o.max_abs_diff(&clean.o);
@@ -1179,7 +1151,7 @@ mod tests {
     fn sum_reduce_seu_is_range_restricted() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 56);
-        let clean = efta_attention_clean(&cfg, &q, &k, &v);
+        let clean = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());
         // Blow the rowsum far past the ℓ ≤ seq_len bound.
         let inj = ScaleFault {
             site: FaultSite::SumReduce,
@@ -1187,7 +1159,7 @@ mod tests {
             scale: 1e6,
             fired: std::sync::atomic::AtomicU64::new(0),
         };
-        let out = efta_attention(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
+        let out = efta_forward(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
         assert_eq!(inj.fired(), 1);
         assert!(out.report.sum_restricted > 0, "{:?}", out.report);
         // ℓ is replaced by the lower-bound approximation, which rescales
@@ -1240,7 +1212,7 @@ mod tests {
             scale: 1.3,
             fired: std::sync::atomic::AtomicU64::new(0),
         };
-        let out = efta_attention(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
+        let out = efta_forward(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
         assert_eq!(inj.fired(), 1);
         assert!(!out.o.has_non_finite());
         // Row 7's weights are uniformly rescaled: ordering preserved.
@@ -1255,14 +1227,14 @@ mod tests {
         // Cauchy–Schwarz restriction catches it (extension; DESIGN.md §4).
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 62);
-        let clean = efta_attention_clean(&cfg, &q, &k, &v);
+        let clean = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());
         let inj = ScaleFault {
             site: FaultSite::MaxReduce,
             coord: OpCoord::new(0, 3, 0, 0),
             scale: 1e20,
             fired: std::sync::atomic::AtomicU64::new(0),
         };
-        let out = efta_attention(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
+        let out = efta_forward(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
         assert_eq!(inj.fired(), 1);
         assert!(out.report.max_restricted > 0, "{:?}", out.report);
         assert!(out.o.max_abs_diff(&clean.o) < 5e-2);
@@ -1273,10 +1245,10 @@ mod tests {
     fn max_reduce_seu_cancels_or_is_restricted() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 57);
-        let clean = efta_attention_clean(&cfg, &q, &k, &v);
+        let clean = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());
         // Flip the max downward (sign bit): dangerous direction → restricted.
         let inj = SeuInjector::new(FaultSite::MaxReduce, OpCoord::new(0, 2, 0, 0), 31);
-        let out = efta_attention(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
+        let out = efta_forward(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
         assert_eq!(inj.fired(), 1);
         assert!(!out.o.has_non_finite());
         let diff = out.o.max_abs_diff(&clean.o);
@@ -1287,10 +1259,10 @@ mod tests {
     fn normalize_seu_is_caught_by_final_check() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 58);
-        let clean = efta_attention_clean(&cfg, &q, &k, &v);
+        let clean = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());
         // Corrupt one normalised output element (post-divide).
         let inj = SeuInjector::new(FaultSite::Normalize, OpCoord::new(0, 4, 9, 1000), 29);
-        let out = efta_attention(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
+        let out = efta_forward(&cfg, &q, &k, &v, &inj, &EftaOptions::optimized());
         assert_eq!(inj.fired(), 1);
         assert!(out.report.gemm2_detected > 0, "{:?}", out.report);
         assert!(out.o.max_abs_diff(&clean.o) < 5e-2);
@@ -1300,11 +1272,11 @@ mod tests {
     fn unprotected_efta_lets_faults_through() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 59);
-        let clean = efta_attention_clean(&cfg, &q, &k, &v);
+        let clean = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());
         // Column 40 lives in block j=1, whose data GEMM runs as iter 3.
         let inj = SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(0, 5, 40, 3), 30)
             .at_chain_step(20);
-        let out = efta_attention(&cfg, &q, &k, &v, &inj, &EftaOptions::unprotected());
+        let out = efta_forward(&cfg, &q, &k, &v, &inj, &EftaOptions::unprotected());
         assert_eq!(inj.fired(), 1);
         assert!(out.report.clean());
         // The corruption reaches the output.
@@ -1315,8 +1287,8 @@ mod tests {
     fn stats_reflect_single_launch_and_protection_overhead() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 60);
-        let protected = efta_attention_clean(&cfg, &q, &k, &v);
-        let bare = efta_attention(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::unprotected());
+        let protected = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());
+        let bare = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::unprotected());
         assert_eq!(protected.timeline.total().launches, 1);
         assert!(protected.timeline.total().tc_flops > bare.timeline.total().tc_flops);
         assert!(protected.timeline.total().serial_flops > bare.timeline.total().serial_flops);

@@ -93,21 +93,6 @@ pub(crate) fn finalize(state: &mut OnlineState) {
     }
 }
 
-/// Flash attention forward pass (no protection).
-///
-/// Compatibility shim: new code should go through the unified API —
-/// `BackendKind::Flash` and [`crate::backend::AttentionBackend::run`].
-#[doc(hidden)]
-pub fn flash_attention(
-    cfg: &AttentionConfig,
-    q: &Tensor4F16,
-    k: &Tensor4F16,
-    v: &Tensor4F16,
-) -> AttentionOutput {
-    use crate::backend::{AttentionBackend, AttentionRequest, FlashBackend};
-    FlashBackend.run(&AttentionRequest::new(*cfg, q, k, v))
-}
-
 /// Flash kernel body; [`crate::backend::FlashBackend`] is the public entry
 /// point.
 pub(crate) fn flash_forward(
@@ -190,7 +175,7 @@ pub(crate) fn flash_forward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::reference_attention;
+    use crate::reference::reference_forward;
     use ft_num::rng::normal_tensor_f16;
     use proptest::prelude::*;
 
@@ -205,8 +190,8 @@ mod tests {
     fn matches_reference_attention() {
         let cfg = AttentionConfig::new(2, 2, 96, 32).with_block(32);
         let (q, k, v) = qkv(&cfg, 42);
-        let flash = flash_attention(&cfg, &q, &k, &v);
-        let reference = reference_attention(&cfg, &q, &k, &v);
+        let flash = flash_forward(&cfg, &q, &k, &v);
+        let reference = reference_forward(&cfg, &q, &k, &v);
         let diff = flash.o.max_abs_diff(&reference);
         assert!(diff < 5e-5, "flash vs reference diff {diff}");
     }
@@ -215,8 +200,8 @@ mod tests {
     fn matches_reference_with_ragged_last_block() {
         let cfg = AttentionConfig::new(1, 2, 50, 16).with_block(16);
         let (q, k, v) = qkv(&cfg, 7);
-        let flash = flash_attention(&cfg, &q, &k, &v);
-        let reference = reference_attention(&cfg, &q, &k, &v);
+        let flash = flash_forward(&cfg, &q, &k, &v);
+        let reference = reference_forward(&cfg, &q, &k, &v);
         assert!(flash.o.max_abs_diff(&reference) < 5e-5);
     }
 
@@ -226,8 +211,8 @@ mod tests {
             .with_block(16)
             .with_causal(true);
         let (q, k, v) = qkv(&cfg, 8);
-        let flash = flash_attention(&cfg, &q, &k, &v);
-        let reference = reference_attention(&cfg, &q, &k, &v);
+        let flash = flash_forward(&cfg, &q, &k, &v);
+        let reference = reference_forward(&cfg, &q, &k, &v);
         assert!(flash.o.max_abs_diff(&reference) < 5e-5);
     }
 
@@ -235,7 +220,7 @@ mod tests {
     fn single_kernel_launch_and_linear_writes() {
         let cfg = AttentionConfig::new(1, 4, 128, 32).with_block(64);
         let (q, k, v) = qkv(&cfg, 9);
-        let out = flash_attention(&cfg, &q, &k, &v);
+        let out = flash_forward(&cfg, &q, &k, &v);
         let total = out.timeline.total();
         assert_eq!(total.launches, 1);
         // Writes are O(seq·d), NOT O(seq²).
@@ -256,8 +241,8 @@ mod tests {
             let dim = 1usize << dim_pow;
             let cfg = AttentionConfig::new(1, 1, seq, dim).with_block(block);
             let (q, k, v) = qkv(&cfg, seed);
-            let flash = flash_attention(&cfg, &q, &k, &v);
-            let reference = reference_attention(&cfg, &q, &k, &v);
+            let flash = flash_forward(&cfg, &q, &k, &v);
+            let reference = reference_forward(&cfg, &q, &k, &v);
             prop_assert!(flash.o.max_abs_diff(&reference) < 1e-4);
         }
     }

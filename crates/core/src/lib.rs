@@ -69,11 +69,9 @@
 //! [`DecodeScheduler`] slot table, chunked-prefill
 //! admission, and the batched
 //! [`try_decode_sweep`](backend::AttentionBackend::try_decode_sweep) that
-//! multiplexes every stream's `(row, slot)` work units through one fan-out
-//! while attributing fault events to per-stream [`FtReport`]s.
-//!
-//! The pre-API free functions (`efta_attention` & friends) remain as
-//! hidden shims delegating to the trait.
+//! multiplexes every stream's `(stream, slot)` tiles through one fan-out
+//! while attributing fault events to per-stream [`FtReport`]s. Single-step
+//! decode is that same sweep over one one-row slice.
 
 #![warn(missing_docs)]
 
@@ -112,12 +110,3 @@ pub use serve::{
     StreamSweepOutput,
 };
 pub use types::{AttentionOutput, FtReport, PhaseBreakdown};
-
-#[doc(hidden)]
-pub use decoupled::decoupled_ft_attention;
-#[doc(hidden)]
-pub use efta::{efta_attention, efta_attention_clean};
-#[doc(hidden)]
-pub use flash::flash_attention;
-#[doc(hidden)]
-pub use reference::reference_attention;

@@ -60,24 +60,6 @@ pub fn reference_attention_slot(
     gemm_nn(&s, v)
 }
 
-/// Exact attention over a full `batch × heads × seq × dim` problem.
-///
-/// Compatibility shim: new code should go through the unified API —
-/// `BackendKind::Reference` and [`crate::backend::AttentionBackend::run`]
-/// (whose [`crate::types::AttentionOutput::o`] is this tensor).
-#[doc(hidden)]
-pub fn reference_attention(
-    cfg: &AttentionConfig,
-    q: &Tensor4F16,
-    k: &Tensor4F16,
-    v: &Tensor4F16,
-) -> Tensor4F32 {
-    use crate::backend::{AttentionBackend, AttentionRequest, ReferenceBackend};
-    ReferenceBackend
-        .run(&AttentionRequest::new(*cfg, q, k, v))
-        .o
-}
-
 /// Reference kernel body; [`crate::backend::ReferenceBackend`] is the
 /// public entry point.
 pub(crate) fn reference_forward(
@@ -163,7 +145,7 @@ mod tests {
         for i in 0..8 {
             v.slot_mut(0, 0).set(i, i, ft_num::F16::ONE);
         }
-        let o = reference_attention(&cfg, &q, &k, &v);
+        let o = reference_forward(&cfg, &q, &k, &v);
         for i in 0..8 {
             let sum: f32 = o.slot(0, 0).row(i).iter().sum();
             assert!((sum - 1.0).abs() < 1e-4, "row {i} sums to {sum}");
@@ -176,7 +158,7 @@ mod tests {
         let q = normal_tensor_f16(3, 2, 2, 16, 8, 0.5);
         let k = normal_tensor_f16(4, 2, 2, 16, 8, 0.5);
         let v = normal_tensor_f16(5, 2, 2, 16, 8, 1.0);
-        let o = reference_attention(&cfg, &q, &k, &v);
+        let o = reference_forward(&cfg, &q, &k, &v);
         // Each output element lies within [min V col, max V col].
         for slot in 0..4 {
             let vm = v.slot_flat(slot).to_f32();

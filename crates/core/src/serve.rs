@@ -11,8 +11,7 @@
 //!   chunk for a stream still consuming its prompt); row `r` attends the
 //!   causal prefix `0 .. cache.len() − c + r + 1` of that stream's own
 //!   [`KvCache`].
-//! * [`sweep_unprotected`] / [`sweep_efta`] — the batched multi-stream
-//!   extensions of [`reference_decode`] / [`efta_decode`]: every
+//! * [`sweep_unprotected`] / [`sweep_efta`] — the one decode path: every
 //!   `(stream, slot)` **tile** of every slice is flattened into **one**
 //!   parallel sweep. A tile spans all of its stream's chunk rows, reads
 //!   and verifies each attended cache block once, and runs every row's
@@ -20,12 +19,12 @@
 //!   prefill pays block verification once per sweep instead of once per
 //!   row. Fault events are accumulated into per-stream [`FtReport`]s — a
 //!   cache hit on stream 3 lands in stream 3's report, not in a global
-//!   blur — with per-block cache events attributed once per sweep. The
-//!   numerics are the single-stream kernels' own per-slot bodies run
-//!   row-major inside the tile, so a scheduled stream is bit-identical to
-//!   the same stream decoded alone (the per-row fan-out survives as
-//!   [`sweep_unprotected_per_row`] / [`sweep_efta_per_row`], the oracle
-//!   the fused path is tested against).
+//!   blur — with per-block cache events attributed once per sweep. Each
+//!   row's accumulation order inside the tile is the one a one-row tile
+//!   over its own causal prefix runs, so a scheduled stream is
+//!   bit-identical to the same stream decoded alone — and single-query
+//!   decode ([`reference_decode`] / [`efta_decode`]) *is* this sweep over
+//!   one one-row slice.
 //! * [`DecodeScheduler`] — the continuous-batching slot table: streams are
 //!   admitted into free slots between sweeps (prompts consumed in
 //!   prefill-chunk bites so a long prompt never stalls the batch), each
@@ -82,16 +81,13 @@
 //! [`efta_decode`]: crate::decode::efta_decode
 
 use crate::backend::BackendError;
-use crate::decode::{
-    efta_decode_slot, efta_decode_tile, reference_decode_slot, reference_decode_tile,
-    sweep_tile_stats,
-};
+use crate::decode::{efta_decode_tile, reference_decode_tile, sweep_tile_stats};
 use crate::efta::{EftaOptions, GemmProtection, SoftmaxProtection};
 use crate::kv::KvCache;
 use crate::protect::ProtectionLevel;
 use crate::types::{FtCounters, FtReport};
 use ft_abft::thresholds::Thresholds;
-use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
+use ft_num::{MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::FaultInjector;
 use rayon::prelude::*;
@@ -194,252 +190,128 @@ fn tile_units(slices: &[StreamSlice<'_>]) -> Vec<(usize, usize)> {
     units
 }
 
-/// Flattened per-row work units of the oracle sweeps:
-/// `(slice index, chunk row, slot)`.
-fn row_work_units(slices: &[StreamSlice<'_>]) -> Vec<(usize, usize, usize)> {
-    let mut units = Vec::new();
-    for (si, s) in slices.iter().enumerate() {
-        for row in 0..s.q.seq() {
-            for slot in 0..s.cache.num_slots() {
-                units.push((si, row, slot));
-            }
-        }
-    }
-    units
-}
-
-/// Regroup flat per-row outputs (in `row_work_units` order) into per-tile
-/// `c × dim` matrices (in `tile_units` order), the shape [`assemble`]
-/// consumes.
-fn rows_to_tiles(slices: &[StreamSlice<'_>], rows: Vec<MatrixF32>) -> Vec<MatrixF32> {
-    let mut tiles = Vec::new();
-    let mut off = 0;
-    for s in slices {
-        let (c, ns, d) = (s.q.seq(), s.cache.num_slots(), s.cache.dim());
-        for slot in 0..ns {
-            tiles.push(Matrix::from_fn(c, d, |r, j| {
-                rows[off + r * ns + slot].get(0, j)
-            }));
-        }
-        off += c * ns;
-    }
-    tiles
-}
-
 /// Reassemble per-tile `c × dim` outputs (in `tile_units` order) into
-/// per-stream output tensors, with an exact per-row attended census for
-/// each stream's kernel stats (see
+/// per-stream output tensors, with each stream's fault ledger and an exact
+/// per-row attended census for its kernel stats (see
 /// [`sweep_tile_stats`](crate::decode::sweep_tile_stats) — chunk rows are
 /// charged their own causal prefix, and shared block reads are charged
-/// once per tile, not once per row).
+/// once per tile, not once per row). A slice without a ledger read
+/// unprotected: clean report, no checksum-operand traffic.
 fn assemble(
     slices: &[StreamSlice<'_>],
     tiles: Vec<MatrixF32>,
-    reports: Vec<FtReport>,
-    protected: bool,
+    counters: &[Option<FtCounters>],
 ) -> Vec<StreamSweepOutput> {
     let mut out = Vec::with_capacity(slices.len());
     let mut tiles = tiles.into_iter();
-    for (s, report) in slices.iter().zip(reports) {
+    for (s, counters) in slices.iter().zip(counters) {
         let (c, ns, d) = (s.q.seq(), s.cache.num_slots(), s.cache.dim());
         let mats: Vec<MatrixF32> = tiles.by_ref().take(ns).collect();
         let mut timeline = Timeline::new();
-        timeline.push("decode", sweep_tile_stats(s.cache, c, s.window, protected));
+        timeline.push(
+            "decode",
+            sweep_tile_stats(s.cache, c, s.window, counters.is_some()),
+        );
         out.push(StreamSweepOutput {
             stream: s.stream,
             o: Tensor4F32::from_slots(s.cache.batch(), s.cache.heads(), c, d, mats),
-            report,
+            report: counters
+                .as_ref()
+                .map(FtCounters::snapshot)
+                .unwrap_or_default(),
             timeline,
         });
     }
     out
 }
 
-/// Unprotected batched sweep: one fused multi-row tile per
-/// `(stream, slot)` work unit, each tile reading every attended cache
-/// block once and running all chunk rows' online-softmax accumulation
-/// against it (see `ft_core::decode::reference_decode_tile` — row
-/// outputs are bit-identical to the per-row oracle
-/// [`sweep_unprotected_per_row`]). The default
+/// Unprotected batched sweep: one multi-row tile per `(stream, slot)` work
+/// unit, each tile reading every attended cache block once and running all
+/// chunk rows' online-softmax accumulation against it (see
+/// `ft_core::decode::reference_decode_tile`). The default
 /// [`try_decode_sweep`](crate::backend::AttentionBackend::try_decode_sweep)
 /// path for backends without a protected decode variant.
 pub fn sweep_unprotected(
     slices: &[StreamSlice<'_>],
     inj: &dyn FaultInjector,
 ) -> Result<Vec<StreamSweepOutput>, BackendError> {
-    validate(slices);
-    let tiles: Vec<MatrixF32> = tile_units(slices)
-        .into_par_iter()
-        .map(|(si, slot)| {
-            let s = &slices[si];
-            let base = s.base();
-            let q_chunk = s.q.slot_flat(slot).to_f32();
-            reference_decode_tile(s.cache, slot, base + 1, base, &q_chunk, inj, s.window)
-        })
-        .collect();
-    let reports = vec![FtReport::default(); slices.len()];
-    Ok(assemble(slices, tiles, reports, false))
+    sweep_tiles(slices, None, inj, None, &EftaOptions::unprotected())
 }
 
-/// Per-row oracle for [`sweep_unprotected`]: the original
-/// `(stream, row, slot)` fan-out, each unit decoding one chunk row alone.
-/// Kept (and exported) as the equivalence baseline the fused tile sweep is
-/// tested and benchmarked against — it re-reads every attended cache block
-/// once **per row**, which is exactly the cost the fused sweep amortises.
-pub fn sweep_unprotected_per_row(
-    slices: &[StreamSlice<'_>],
-    inj: &dyn FaultInjector,
-) -> Result<Vec<StreamSweepOutput>, BackendError> {
-    validate(slices);
-    let rows: Vec<MatrixF32> = row_work_units(slices)
-        .into_par_iter()
-        .map(|(si, row, slot)| {
-            let s = &slices[si];
-            let base = s.base();
-            let q_raw = chunk_row(s.q, slot, row);
-            reference_decode_slot(
-                s.cache,
-                slot,
-                base + row + 1,
-                base + row,
-                &q_raw,
-                inj,
-                s.window,
-            )
-        })
-        .collect();
-    let reports = vec![FtReport::default(); slices.len()];
-    let tiles = rows_to_tiles(slices, rows);
-    Ok(assemble(slices, tiles, reports, false))
-}
-
-/// EFTA-protected batched sweep: the multi-stream extension of
-/// [`efta_decode`](crate::decode::efta_decode), fused into one multi-row
-/// tile per `(stream, slot)` work unit. Each tile verifies every attended
-/// cache block of its stream **once** per sweep
-/// ([`KvCache::verified_block`]), exposes the corrected payload and stored
-/// checksum operands to all chunk rows, and runs the protected per-row
-/// pipeline against the shared buffer; fault events land in that stream's
-/// [`FtReport`] only, with per-block cache events attributed once per
-/// sweep (see [`sweep_efta_per_row`] for the row-granular oracle, which
-/// attributes per attending row). Row outputs are bit-identical to the
-/// oracle on every backend.
+/// EFTA-protected batched sweep: one multi-row tile per `(stream, slot)`
+/// work unit. Each tile verifies every attended cache block of its stream
+/// **once** per sweep ([`KvCache::verified_block`]), exposes the corrected
+/// payload and stored checksum operands to all chunk rows, and runs the
+/// protected per-row pipeline against the shared buffer; fault events land
+/// in that stream's [`FtReport`] only, with per-block cache events
+/// attributed once per sweep. Reads unprotected when `opts` disables both
+/// GEMM and softmax protection; a
+/// [`Raw`](crate::protect::ProtectionLevel::Raw) stream's slice (alone)
+/// reads unprotected inside the same sweep.
 pub fn sweep_efta(
     slices: &[StreamSlice<'_>],
     inj: &dyn FaultInjector,
     thresholds: Option<Thresholds>,
     opts: &EftaOptions,
 ) -> Result<Vec<StreamSweepOutput>, BackendError> {
-    let (thr, counters) = match efta_sweep_prologue(slices, thresholds, opts)? {
-        Some(state) => state,
-        None => return sweep_unprotected(slices, inj),
-    };
+    sweep_tiles(slices, None, inj, thresholds, opts)
+}
+
+/// The one decode body: every `(stream, slot)` tile of every slice through
+/// one parallel fan-out. Chunk row `r` of a slice attends the causal prefix
+/// `0 .. base + r + 1` at fault-coordinate step `step0 + r`, where `step0`
+/// defaults to the slice's `base` (the sweep convention) and single-query
+/// decode passes its request's explicit
+/// [`DecodeRequest::step`](crate::decode::DecodeRequest::step).
+pub(crate) fn sweep_tiles(
+    slices: &[StreamSlice<'_>],
+    step0: Option<usize>,
+    inj: &dyn FaultInjector,
+    thresholds: Option<Thresholds>,
+    opts: &EftaOptions,
+) -> Result<Vec<StreamSweepOutput>, BackendError> {
+    let counters = efta_sweep_prologue(slices, opts)?;
+    let thr = thresholds.unwrap_or(opts.thresholds);
     let tiles: Vec<MatrixF32> = tile_units(slices)
         .into_par_iter()
         .map(|(si, slot)| {
             let s = &slices[si];
             let base = s.base();
+            let step0 = step0.unwrap_or(base);
             let q_chunk = s.q.slot_flat(slot).to_f32();
-            if !s.cache.protection().encodes_metadata() {
-                // A Raw stream's cache stores no checksum operands, so the
-                // protected tile has nothing to verify or reuse: that
-                // slice (alone) reads unprotected inside the same sweep.
-                return reference_decode_tile(
+            match &counters[si] {
+                Some(counters) => efta_decode_tile(
                     s.cache,
                     slot,
                     base + 1,
-                    base,
+                    step0,
                     &q_chunk,
                     inj,
+                    &thr,
+                    opts,
+                    counters,
                     s.window,
-                );
+                ),
+                None => {
+                    reference_decode_tile(s.cache, slot, base + 1, step0, &q_chunk, inj, s.window)
+                }
             }
-            efta_decode_tile(
-                s.cache,
-                slot,
-                base + 1,
-                base,
-                &q_chunk,
-                inj,
-                &thr,
-                opts,
-                &counters[si],
-                s.window,
-            )
         })
         .collect();
-    let reports = counters.iter().map(FtCounters::snapshot).collect();
-    Ok(assemble(slices, tiles, reports, true))
+    Ok(assemble(slices, tiles, &counters))
 }
 
-/// Per-row oracle for [`sweep_efta`]: the original `(stream, row, slot)`
-/// fan-out through the single-row protected body. Every row re-verifies
-/// each attended cache block itself, so a resident cache fault is counted
-/// once per *attending row* in the stream's report — the row-granular
-/// attribution the fused sweep collapses to once per sweep. Output rows
-/// are bit-identical to [`sweep_efta`]; only the counting granularity
-/// (and the redundant re-verification cost) differ.
-pub fn sweep_efta_per_row(
-    slices: &[StreamSlice<'_>],
-    inj: &dyn FaultInjector,
-    thresholds: Option<Thresholds>,
-    opts: &EftaOptions,
-) -> Result<Vec<StreamSweepOutput>, BackendError> {
-    let (thr, counters) = match efta_sweep_prologue(slices, thresholds, opts)? {
-        Some(state) => state,
-        None => return sweep_unprotected_per_row(slices, inj),
-    };
-    let rows: Vec<MatrixF32> = row_work_units(slices)
-        .into_par_iter()
-        .map(|(si, row, slot)| {
-            let s = &slices[si];
-            let base = s.base();
-            let q_raw = chunk_row(s.q, slot, row);
-            if !s.cache.protection().encodes_metadata() {
-                // Raw slices read unprotected (see `sweep_efta`).
-                return reference_decode_slot(
-                    s.cache,
-                    slot,
-                    base + row + 1,
-                    base + row,
-                    &q_raw,
-                    inj,
-                    s.window,
-                );
-            }
-            efta_decode_slot(
-                s.cache,
-                slot,
-                base + row + 1,
-                base + row,
-                &q_raw,
-                inj,
-                &thr,
-                opts,
-                &counters[si],
-                s.window,
-            )
-        })
-        .collect();
-    let reports = counters.iter().map(FtCounters::snapshot).collect();
-    let tiles = rows_to_tiles(slices, rows);
-    Ok(assemble(slices, tiles, reports, true))
-}
-
-/// Shared entry checks of the protected sweeps: option fallbacks,
-/// validation, threshold resolution, and per-stream counters pre-seeded
-/// with each cache's window-scoped sticky poison count. Returns `None`
-/// when the options disable protection (callers degrade to their
-/// unprotected variant).
-#[allow(clippy::type_complexity)]
+/// Entry checks and the per-slice protection decision of a sweep. A slice
+/// runs the protected tile — `Some` fault ledger, pre-seeded with its
+/// cache's window-scoped sticky poison count — when the options protect
+/// *and* its cache stores checksum metadata; it reads unprotected (`None`)
+/// when the options disable both GEMM and softmax protection, or when its
+/// cache is [`Raw`](ProtectionLevel::Raw): a Raw stream stores no checksum
+/// operands, so the protected tile has nothing to verify or reuse.
 fn efta_sweep_prologue(
     slices: &[StreamSlice<'_>],
-    thresholds: Option<Thresholds>,
     opts: &EftaOptions,
-) -> Result<Option<(Thresholds, Vec<FtCounters>)>, BackendError> {
-    if opts.gemm == GemmProtection::Unprotected && opts.softmax == SoftmaxProtection::Unprotected {
-        return Ok(None);
-    }
+) -> Result<Vec<Option<FtCounters>>, BackendError> {
     if opts.gemm == GemmProtection::Traditional {
         return Err(BackendError::Unsupported(
             "decode reuses the cache's strided append-time checksums; the traditional \
@@ -448,25 +320,27 @@ fn efta_sweep_prologue(
         ));
     }
     validate(slices);
-    let thr = thresholds.unwrap_or(opts.thresholds);
-    let counters: Vec<FtCounters> = slices.iter().map(|_| FtCounters::new()).collect();
-    for (s, c) in slices.iter().zip(&counters) {
-        // Sticky unrepairable damage is per stream: surface it in that
-        // stream's report every sweep, scoped to the blocks the stream's
-        // window can still attend (see `KvCache::poisoned_attended` — a
-        // mark behind the window cannot reach any future token, so it must
-        // not trip the engine's re-prefill trigger).
-        FtCounters::add(&c.cache_uncorrectable, s.cache.poisoned_attended(s.window));
-    }
-    Ok(Some((thr, counters)))
-}
-
-/// Extract chunk row `row` of slot `slot` as an unscaled `1 × dim` f32 row
-/// (per-row-oracle path only; the fused tiles convert each slot's whole
-/// chunk once instead of allocating per row).
-fn chunk_row(q: &Tensor4F16, slot: usize, row: usize) -> MatrixF32 {
-    let m = q.slot_flat(slot);
-    Matrix::from_fn(1, q.dim(), |_, j| m.get(row, j).to_f32())
+    let protects =
+        opts.gemm != GemmProtection::Unprotected || opts.softmax != SoftmaxProtection::Unprotected;
+    Ok(slices
+        .iter()
+        .map(|s| {
+            (protects && s.cache.protection().encodes_metadata()).then(|| {
+                let counters = FtCounters::new();
+                // Sticky unrepairable damage is per stream: surface it in
+                // that stream's report every sweep, scoped to the blocks
+                // the stream's window can still attend (see
+                // `KvCache::poisoned_attended` — a mark behind the window
+                // cannot reach any future token, so it must not trip the
+                // engine's re-prefill trigger).
+                FtCounters::add(
+                    &counters.cache_uncorrectable,
+                    s.cache.poisoned_attended(s.window),
+                );
+                counters
+            })
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------------

@@ -82,42 +82,6 @@ impl TransformerBlock {
         (h, report)
     }
 
-    /// Incremental-decode forward over a single `1 × hidden` token row,
-    /// attending through `cache` instead of re-running the full sequence
-    /// (restricted to the attention module's sliding window, when set).
-    pub fn forward_decode<I: FaultInjector>(
-        &self,
-        x: &MatrixF32,
-        cache: &mut KvCache,
-        inj: &I,
-        layer_idx: usize,
-        thresholds: &Thresholds,
-    ) -> (MatrixF32, BlockReport) {
-        let mut report = BlockReport::default();
-
-        let mut normed = x.clone();
-        self.ln1.forward(&mut normed);
-        let (attn, mha_rep) =
-            self.mha
-                .forward_decode(&normed, cache, inj, layer_idx * 2, thresholds);
-        report.mha = mha_rep;
-        let mut h = x.clone();
-        for (v, a) in h.row_mut(0).iter_mut().zip(attn.row(0)) {
-            *v += a;
-        }
-
-        let mut normed2 = h.clone();
-        self.ln2.forward(&mut normed2);
-        let (ff, ffn_rep) = self
-            .ffn
-            .forward(&normed2, inj, layer_idx * 2 + 1, thresholds);
-        report.ffn = ffn_rep;
-        for (v, f) in h.row_mut(0).iter_mut().zip(ff.row(0)) {
-            *v += f;
-        }
-        (h, report)
-    }
-
     /// Continuous-batching decode forward: each stream contributes a
     /// `c × hidden` activation chunk attending through its own cache; the
     /// attention fan-out is shared across streams (see

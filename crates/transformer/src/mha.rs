@@ -5,7 +5,6 @@ use crate::linear::{Linear, LinearReport};
 use ft_abft::thresholds::Thresholds;
 use ft_core::backend::{AttentionBackend, AttentionRequest};
 use ft_core::config::AttentionConfig;
-use ft_core::decode::DecodeRequest;
 use ft_core::serve::{StreamId, StreamSlice};
 use ft_core::types::FtReport;
 use ft_num::{Matrix, MatrixF32, Tensor4F16};
@@ -44,9 +43,9 @@ pub struct MultiHeadAttention {
     /// property: the batched serving path
     /// ([`forward_decode_batch`](MultiHeadAttention::forward_decode_batch))
     /// takes one window per stream (resolved by the engine from each
-    /// `GenerationRequest`, with this field as the default), and only the
-    /// single-stream [`forward_decode`](MultiHeadAttention::forward_decode)
-    /// still reads it directly. Decode-only: the prefill path ignores it.
+    /// `GenerationRequest`, with this field as the default); single-stream
+    /// `TransformerModel::decode_step` feeds this field as its one
+    /// stream's window. Decode-only: the prefill path ignores it.
     pub window: Option<usize>,
     /// Rows per KV-cache block ([`KvCache::block`]); also the granularity
     /// of sliding-window eviction. Defaults to the paper's 64-row CTA
@@ -164,66 +163,6 @@ impl MultiHeadAttention {
             ft_abft::strided::DEFAULT_STRIDE,
             1.0 / (hd as f32).sqrt(),
         )
-    }
-
-    /// One incremental-decode step over a `1 × hidden` activation row:
-    /// project Q/K/V for the new token, append K/V to `cache`, and attend
-    /// the query over the whole cache through the backend's
-    /// [`try_decode`](AttentionBackend::try_decode) path — O(cache len)
-    /// work instead of the O(seq²) full prefill.
-    pub fn forward_decode<I: FaultInjector>(
-        &self,
-        x: &MatrixF32,
-        cache: &mut KvCache,
-        inj: &I,
-        layer_slot: usize,
-        thresholds: &Thresholds,
-    ) -> (MatrixF32, MhaReport) {
-        assert_eq!(x.rows(), 1, "decode processes one token row at a time");
-        let mut report = MhaReport::default();
-
-        let (q, r1) = self.wq.forward(x, inj, layer_slot * 8, thresholds);
-        let (k, r2) = self.wk.forward(x, inj, layer_slot * 8 + 1, thresholds);
-        let (v, r3) = self.wv.forward(x, inj, layer_slot * 8 + 2, thresholds);
-        for r in [r1, r2, r3] {
-            report.projections.detected += r.detected;
-            report.projections.corrected += r.corrected;
-            report.projections.recomputed += r.recomputed;
-        }
-
-        let qt = self.split_heads(&q);
-        // Storage eviction happens *before* the append (on the pre-chunk
-        // length), so the new row's attention window never reaches behind
-        // the eviction frontier.
-        let evicted = match self.window {
-            Some(w) => cache.enforce_window(w) as u64,
-            None => 0,
-        };
-        let heal = cache.append(&self.split_heads(&k), &self.split_heads(&v));
-        let step = cache.len() - 1;
-        let req = DecodeRequest::new(cache, &qt)
-            .with_injector(inj)
-            .with_thresholds(*thresholds)
-            .at_step(step)
-            .with_window(self.window);
-        let out = self.kernel.decode(&req);
-        report.attention = out.report;
-        report.attention.cache_detected += heal.detected;
-        report.attention.cache_corrected += heal.corrected;
-        report.attention.cache_evicted_blocks += evicted;
-        // heal.uncorrectable is deliberately NOT added: append already
-        // folded it into the cache's sticky `poisoned` counter, which the
-        // protected decode surfaces as cache_uncorrectable every step —
-        // adding it here would double-count the same physical event.
-
-        let merged = self.merge_heads(&out.o);
-        let (y, r4) = self
-            .wo
-            .forward(&merged, inj, layer_slot * 8 + 3, thresholds);
-        report.projections.detected += r4.detected;
-        report.projections.corrected += r4.corrected;
-        report.projections.recomputed += r4.recomputed;
-        (y, report)
     }
 
     /// One continuous-batching sweep over many streams' activations: per

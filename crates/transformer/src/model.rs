@@ -363,7 +363,9 @@ impl TransformerModel {
     /// One incremental-decode step: embed `token` at the cache's next
     /// position, run every block through its KV cache, and return the
     /// `1 × vocab` logits row. O(cache len) attention and O(1) projection
-    /// work — versus a full prefill per token.
+    /// work — versus a full prefill per token. This is the serving sweep
+    /// with one stream feeding one row: stream 0 of
+    /// [`serve_expose_step`] is this step's exposure lattice exactly.
     ///
     /// Before computing, all cached state is exposed to the injector at
     /// [`ft_sim::FaultSite::KvCache`]: cache-resident SEUs accumulate
@@ -375,26 +377,19 @@ impl TransformerModel {
         cache: &mut ModelKvCache,
         inj: &I,
     ) -> (MatrixF32, ModelReport) {
-        assert_eq!(
-            cache.layers.len(),
-            self.blocks.len(),
-            "cache does not belong to this model"
-        );
-        let pos = cache.positions;
-        let mut h = self.embed.forward_at(&[token], pos);
-        let mut report = ModelReport::default();
-        let layers = self.blocks.len();
-        for (l, (block, layer_cache)) in self.blocks.iter().zip(&mut cache.layers).enumerate() {
-            // Distinct exposure step per (position, layer): stateless-hash
-            // injectors would otherwise fire bit-identical fault patterns
-            // in every layer's cache.
-            layer_cache.expose(inj, (pos * layers + l) as u64);
-            let (next, rep) = block.forward_decode(&h, layer_cache, inj, l, &self.thresholds);
-            h = next;
-            report.absorb_layer(&rep);
-        }
-        self.final_norm.forward(&mut h);
-        cache.positions += 1;
+        let feed = SweepFeed {
+            stream: StreamId(0),
+            tokens: vec![token],
+            sample_rows: 1,
+            speculate: 0,
+            window: self.window(),
+            protection: cache.protection(),
+        };
+        let (h, mut report, _) = self
+            .run_sweep(&[feed], &mut [cache], inj)
+            .pop()
+            .expect("one feed in, one result out");
+        let h = h.expect("the feed asked for its one row");
         let (logits, head_rep) = self
             .lm_head
             .forward(&h, inj, usize::MAX / 2, &self.thresholds);
