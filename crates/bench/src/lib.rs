@@ -66,7 +66,10 @@ impl HarnessArgs {
                     out.scale = 1.0;
                 }
                 "--smoke" => {
+                    // The sequence sweep floors at 64 rows, so 1/128 is
+                    // the smallest scale that still runs every row.
                     out.smoke = true;
+                    out.scale = 1.0 / 128.0;
                 }
                 "--scale" => {
                     i += 1;

@@ -7,19 +7,26 @@
 //! * `reference_decode_tile` — unprotected online-softmax attention
 //!   reading the cache raw (what every backend without its own protected
 //!   decode path runs);
-//! * `efta_decode_tile` — the EFTA-protected variant: cached K/V blocks are
-//!   re-verified on read against their append-time checksums (SEUs that
-//!   landed in cache-resident state between steps are corrected, not just
-//!   faults inside the GEMM), GEMM I + subtract + EXP are covered by the
-//!   transported product check, the rowsum is SNVR-range-restricted, and
-//!   output checksums `O_c1`/`O_c2` ride the online-softmax rescaling state
-//!   across cache-block steps to one final post-loop verification — the
-//!   prefill kernel's Algorithm 1 restructured around a 1-row tile.
+//! * `efta_decode_tile` — the EFTA-protected variant. It has no protected
+//!   arithmetic of its own: every row runs the one Algorithm 1 block step
+//!   in [`crate::efta`], exactly as a prefill row does, under the same
+//!   [`EftaOptions`]. What the tile adds around that step is what is
+//!   genuinely decode's: block-major reads through
+//!   [`KvCache::verified_block`], which re-verify cached K/V against their
+//!   append-time checksums once per tile (SEUs that landed in
+//!   cache-resident state between steps are corrected, not just faults
+//!   inside the GEMM) and keep that cache ledger; each row's attended block
+//!   range under its causal prefix and window; the operands of a partially
+//!   visible frontier block; and a recomputation fallback that re-reads
+//!   verified blocks.
 //!
-//! The checksum GEMM operands are **not** re-encoded per call the way the
-//! prefill kernel must: they are the cache's stored append-time checksums,
-//! so the encode cost is amortised over every decode step that reuses the
-//! block.
+//! Operands are the only thing that differs from prefill. The checksum GEMM
+//! operands and the max-norm bound are **not** re-encoded per call the way
+//! the prefill kernel must: they are the cache's stored append-time values
+//! (unrounded, where prefill rounds its per-call encodes through FP16), so
+//! the encode cost is amortised over every decode step that reuses the
+//! block. The traditional element scheme has no cached operands, so decode
+//! rejects it as unsupported.
 //!
 //! Both kernels take a *visible length* — the causal prefix of the cache a
 //! query row may attend to — and are called from exactly one place, the
@@ -63,23 +70,15 @@
 //! [`AttentionBackend::try_decode`]: crate::backend::AttentionBackend::try_decode
 
 use crate::backend::BackendError;
-use crate::efta::{EftaOptions, SoftmaxProtection};
+use crate::efta::{max_row_norm, BlockOperands, EftaOptions, GemmProtection, Kernel, RowState};
 use crate::kv::KvCache;
 use crate::serve::{sweep_tiles, StreamId, StreamSlice};
-use crate::snvr::{restrict_row_max, restrict_rowsum, Restriction};
 use crate::types::{AttentionOutput, FtCounters, PhaseBreakdown};
-use ft_abft::propagate::{residue_counts, transport_subtract_max, verify_products};
-use ft_abft::strided::{
-    correct_strided, encode_cols_strided, encode_rows_strided, strided_sums, strided_sums_weighted,
-    StridedChecksums, StridedMismatch,
-};
+use ft_abft::strided::{encode_cols_strided, encode_rows_strided};
 use ft_abft::thresholds::Thresholds;
 use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::device::KernelStats;
-use ft_sim::{
-    gemm_flops, gemm_nn_inj, gemm_nt, gemm_nt_inj, FaultInjector, FaultSite, GemmCtx, NoFaults,
-    OpCoord,
-};
+use ft_sim::{gemm_flops, gemm_nt_inj, FaultInjector, FaultSite, GemmCtx, NoFaults};
 
 static NO_FAULTS: NoFaults = NoFaults;
 
@@ -330,7 +329,9 @@ pub(crate) fn reference_decode_tile(
 /// EFTA-protected multi-row decode tile of one slot: chunk row `r` of the
 /// `c × dim` unscaled query chunk attends the causal prefix
 /// `0 .. vis0 + r` (optionally restricted to a sliding `window`) at
-/// fault-coordinate step `step0 + r`.
+/// fault-coordinate step `step0 + r`. The tile supplies operands and one
+/// 1-row [`RowState`] per chunk row; every protected operation is the
+/// shared step's.
 ///
 /// Fully visible blocks reuse the cache's stored append-time checksums; a
 /// partially visible trailing block (a chunked-prefill row's causal
@@ -351,9 +352,8 @@ pub(crate) fn reference_decode_tile(
 /// row.
 ///
 /// Per row, the accumulation order over its attended blocks is ascending
-/// block index, one multi-accumulator state per row carried across the
-/// shared block loop, so every row reproduces its standalone one-row
-/// decode bit for bit.
+/// block index, one state per row carried across the shared block loop, so
+/// every row reproduces its standalone one-row decode bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn efta_decode_tile(
     cache: &KvCache,
@@ -362,7 +362,6 @@ pub(crate) fn efta_decode_tile(
     step0: usize,
     q_chunk: &MatrixF32,
     inj: &dyn FaultInjector,
-    thr: &Thresholds,
     opts: &EftaOptions,
     counters: &FtCounters,
     window: Option<usize>,
@@ -370,35 +369,36 @@ pub(crate) fn efta_decode_tile(
     let d = cache.dim();
     let c = q_chunk.rows();
     let scale = cache.scale();
-    // Output-checksum width: the V column fold is over `dim`.
-    let so = cache.stride().min(d);
-    // Per-row scaled queries and norms, hoisted out of the block loop.
+    let protected = opts.gemm != GemmProtection::Unprotected;
+    let kernel = Kernel {
+        opts,
+        inj: &inj,
+        counters,
+        timers: None,
+        slot,
+    };
+    // Per-row scaled queries, hoisted out of the block loop.
     let q_rows: Vec<MatrixF32> = (0..c)
         .map(|r| Matrix::from_fn(1, d, |_, j| q_chunk.get(r, j) * scale))
         .collect();
-    let q_norms: Vec<f32> = q_rows
-        .iter()
-        .map(|q| q.row(0).iter().map(|x| x * x).sum::<f32>().sqrt())
-        .collect();
-
-    // Per-row online-softmax accumulators, carried across the shared
-    // block loop (the tile's multi-accumulator inner state).
-    let mut m = vec![f32::NEG_INFINITY; c];
-    let mut ell = vec![0.0f32; c];
-    let mut o: Vec<MatrixF32> = (0..c).map(|_| Matrix::zeros(1, d)).collect();
-    let mut o_c1: Vec<MatrixF32> = (0..c).map(|_| Matrix::zeros(1, so)).collect();
-    let mut o_c2: Vec<MatrixF32> = (0..c).map(|_| Matrix::zeros(1, so)).collect();
     // Row r's attended block range [b0[r], nb[r]); both bounds are
     // non-decreasing in r, so the union is [b0[0], nb[c-1]).
     let b0: Vec<usize> = (0..c)
         .map(|r| window_start_block(cache, vis0 + r, window))
         .collect();
     let nb: Vec<usize> = (0..c).map(|r| vis_blocks(cache, vis0 + r)).collect();
-    let mut max_hist: Vec<Vec<f32>> = (0..c).map(|r| Vec::with_capacity(nb[r] - b0[r])).collect();
-    let mut damaged = vec![false; c];
+    // The rowsum upper bound is the number of rows actually attended — the
+    // window span under sliding-window decode, not the full prefix. The V
+    // column fold (output-checksum width) is over `dim`.
+    let mut states: Vec<RowState<'_>> = (0..c)
+        .map(|r| {
+            let vis = vis0 + r;
+            let attended = vis - b0[r] * cache.block();
+            RowState::new(&q_rows[r], step0 + r, vis, attended, cache.stride().min(d))
+        })
+        .collect();
 
     for jb in b0[0]..nb[c - 1] {
-        let c0 = jb * cache.block();
         // ---- Verified cache read: once per (tile, block) --------
         let vb = cache.verified_block(slot, jb);
         for rep in [vb.k_report, vb.v_report] {
@@ -413,299 +413,52 @@ pub(crate) fn efta_decode_tile(
             if jb < b0[r] || jb >= nb[r] {
                 continue;
             }
-            if block_damaged {
-                damaged[r] = true;
-            }
-            let (vis, step) = (vis0 + r, step0 + r);
-            let q_blk = &q_rows[r];
-            let rows = vis_block_rows(cache, jb, vis);
-            let full = rows == vb.k.rows();
-            let (kt, vt);
-            let (k_blk, v_blk): (&MatrixF32, &MatrixF32) = if full {
-                (&vb.k, &vb.v)
-            } else {
-                kt = vb.k.block(0, 0, rows, d);
-                vt = vb.v.block(0, 0, rows, d);
-                (&kt, &vt)
-            };
+            states[r].damaged |= block_damaged;
+            let rows = vis_block_rows(cache, jb, vis0 + r);
             // Stored operands for fully visible blocks; a partial causal
             // frontier re-encodes over the visible rows (same loop, same
             // data → the exact operands a `vis`-row cache would store).
-            let (kcs_owned, vcs_owned);
-            let (kcs, vcs): (&StridedChecksums, &StridedChecksums) = if full {
-                (vb.k_cs, vb.v_cs)
+            let (kt, vt, cs_owned);
+            let (k, v, checksums, k_max_norm) = if rows == vb.k.rows() {
+                (&vb.k, &vb.v, (vb.k_cs, vb.v_cs), vb.k_max_norm)
             } else {
-                kcs_owned = encode_rows_strided(k_blk, cache.stride().min(rows), false);
-                vcs_owned = encode_cols_strided(v_blk, cache.stride().min(d), false);
-                (&kcs_owned, &vcs_owned)
-            };
-            let k_max_norm = if full {
-                vb.k_max_norm
-            } else {
-                (0..rows)
-                    .map(|kr| k_blk.row(kr).iter().map(|x| x * x).sum::<f32>().sqrt())
-                    .fold(0.0f32, f32::max)
-            };
-            let bc = k_blk.rows();
-            let sb = kcs.stride;
-
-            // ---- GEMM I + stored-checksum GEMMs ---------------------
-            let ctx = |it: usize, col_off: usize| {
-                GemmCtx::new(FaultSite::GemmIAccum, slot)
-                    .at(step, col_off)
-                    .iter(3 * jb + it)
-            };
-            let mut s_blk = gemm_nt_inj(q_blk, k_blk, &inj, ctx(0, c0));
-            let s_c1 = gemm_nt_inj(q_blk, &kcs.w1, &inj, ctx(1, vis + c0));
-            let s_c2 = gemm_nt_inj(q_blk, &kcs.w2, &inj, ctx(2, vis + c0));
-
-            // ---- Reduce max + SNVR restriction ----------------------
-            let mut bm = s_blk
-                .row(0)
-                .iter()
-                .cloned()
-                .fold(f32::NEG_INFINITY, f32::max);
-            bm = inj.corrupt_f32(FaultSite::MaxReduce, OpCoord::new(slot, step, jb, 0), bm);
-            if let Restriction::Repaired { repaired } = restrict_row_max(s_blk.row(0), bm) {
-                bm = repaired;
-                FtCounters::add(&counters.max_restricted, 1);
-            }
-            // Cauchy–Schwarz plausibility bound unmasks a positive-huge
-            // hijack (same extension as the prefill kernel). The K row
-            // norm is snapshotted at append time, not rescanned here.
-            if bm > q_norms[r] * k_max_norm * 1.05 + 1e-3 || !bm.is_finite() {
-                let (mut arg, mut best) = (0usize, f32::NEG_INFINITY);
-                for (j, &v) in s_blk.row(0).iter().enumerate() {
-                    if v > best || !v.is_finite() {
-                        best = v;
-                        arg = j;
-                    }
-                }
-                let mut acc = 0.0f32;
-                for (a, b) in q_blk.row(0).iter().zip(k_blk.row(arg)) {
-                    acc += a * b;
-                }
-                if s_blk.get(0, arg) != acc {
-                    s_blk.set(0, arg, acc);
-                    FtCounters::add(&counters.gemm1_corrected, 1);
-                }
-                bm = s_blk
-                    .row(0)
-                    .iter()
-                    .cloned()
-                    .fold(f32::NEG_INFINITY, f32::max);
-                FtCounters::add(&counters.max_restricted, 1);
-            }
-            let m_new = m[r].max(bm);
-
-            // ---- Subtract + EXP -------------------------------------
-            let mut p: MatrixF32 = Matrix::zeros(1, bc);
-            for j in 0..bc {
-                let diff = inj.corrupt_f32(
-                    FaultSite::Subtract,
-                    OpCoord::new(slot, step, c0 + j, jb),
-                    s_blk.get(0, j) - m_new,
+                kt = vb.k.block(0, 0, rows, d);
+                vt = vb.v.block(0, 0, rows, d);
+                cs_owned = (
+                    encode_rows_strided(&kt, cache.stride().min(rows), false),
+                    encode_cols_strided(&vt, cache.stride().min(d), false),
                 );
-                let e = inj.corrupt_f32(
-                    FaultSite::ExpUnit,
-                    OpCoord::new(slot, step, c0 + j, jb),
-                    diff.exp(),
-                );
-                p.set(0, j, e);
-            }
-
-            // ---- Product check: GEMM I ∪ subtract ∪ EXP -------------
-            if opts.softmax == SoftmaxProtection::Snvr {
-                let counts = residue_counts(bc, sb);
-                let mut tc1 = s_c1.clone();
-                transport_subtract_max(&mut tc1, &[m_new], &counts);
-                let p_c1 = ft_abft::propagate::transport_exp(&tc1);
-                let mismatches = verify_products(&p, &p_c1, sb, thr.exp_product);
-                if !mismatches.is_empty() {
-                    FtCounters::add(&counters.exp_detected, mismatches.len() as u64);
-                    let classify_floor = thr.gemm.abs_floor.max(1e-2);
-                    let sums1 = strided_sums(&s_blk, sb);
-                    let sums2 = strided_sums_weighted(&s_blk, sb);
-                    let mut linear = Vec::new();
-                    let mut exp_only = Vec::new();
-                    for mm in &mismatches {
-                        let d1 = sums1.get(0, mm.t) - s_c1.get(0, mm.t);
-                        if d1.abs() > classify_floor || !d1.is_finite() {
-                            linear.push(StridedMismatch {
-                                i: 0,
-                                t: mm.t,
-                                delta1: d1,
-                                delta2: sums2.get(0, mm.t) - s_c2.get(0, mm.t),
-                            });
-                        } else {
-                            exp_only.push(mm.t);
-                        }
-                    }
-                    if !linear.is_empty() {
-                        let rep = correct_strided(&mut s_blk, &linear, sb);
-                        for loc in &rep.corrected {
-                            let mut acc = 0.0f32;
-                            for (a, b) in q_blk.row(0).iter().zip(k_blk.row(loc.col)) {
-                                acc += a * b;
-                            }
-                            s_blk.set(0, loc.col, acc);
-                        }
-                        FtCounters::add(&counters.gemm1_detected, rep.detections as u64);
-                        FtCounters::add(&counters.gemm1_corrected, rep.corrected.len() as u64);
-                        if rep.uncorrectable > 0 {
-                            s_blk = gemm_nt(q_blk, k_blk);
-                            FtCounters::add(&counters.gemm1_recomputed, rep.uncorrectable as u64);
-                        }
-                        for mm in &linear {
-                            let mut col = mm.t;
-                            while col < bc {
-                                p.set(0, col, (s_blk.get(0, col) - m_new).exp());
-                                col += sb;
-                            }
-                        }
-                    }
-                    for t in exp_only {
-                        let mut col = t;
-                        while col < bc {
-                            p.set(0, col, (s_blk.get(0, col) - m_new).exp());
-                            col += sb;
-                        }
-                        FtCounters::add(&counters.exp_recomputed, 1);
-                    }
-                }
-            }
-
-            // ---- Rowsum + rescale state -----------------------------
-            let factor = if m[r].is_finite() {
-                (m[r] - m_new).exp()
-            } else {
-                0.0
+                (&kt, &vt, (&cs_owned.0, &cs_owned.1), max_row_norm(&kt))
             };
-            let factor =
-                inj.corrupt_f32(FaultSite::Rescale, OpCoord::new(slot, step, jb, 2), factor);
-            let mut rs = 0.0f32;
-            for &e in p.row(0) {
-                rs += e;
-            }
-            let rs = inj.corrupt_f32(FaultSite::SumReduce, OpCoord::new(slot, step, jb, 1), rs);
-            ell[r] = factor * ell[r] + rs;
-            m[r] = m_new;
-            max_hist[r].push(bm);
-
-            // ---- GEMM II: data + stored-checksum operands -----------
-            let p16 = p.to_f16().to_f32();
-            let ctx2 = |it: usize, col_off: usize| {
-                GemmCtx::new(FaultSite::GemmIiAccum, slot)
-                    .at(step, col_off)
-                    .iter(3 * jb + it)
-            };
-            let pv = gemm_nn_inj(&p16, v_blk, &inj, ctx2(0, 0));
-            let pc1 = gemm_nn_inj(&p16, &vcs.w1, &inj, ctx2(1, d));
-            let pc2 = gemm_nn_inj(&p16, &vcs.w2, &inj, ctx2(2, d));
-            for (col, (ov, &dv)) in o[r].row_mut(0).iter_mut().zip(pv.row(0)).enumerate() {
-                let scaled = inj.corrupt_f32(
-                    FaultSite::Rescale,
-                    OpCoord::new(slot, step, col, 4000 + jb),
-                    factor * *ov,
-                );
-                *ov = scaled + dv;
-            }
-            for (ov, &dv) in o_c1[r].row_mut(0).iter_mut().zip(pc1.row(0)) {
-                *ov = factor * *ov + dv;
-            }
-            for (ov, &dv) in o_c2[r].row_mut(0).iter_mut().zip(pc2.row(0)) {
-                *ov = factor * *ov + dv;
-            }
+            states[r].step(
+                &kernel,
+                &BlockOperands {
+                    k,
+                    v,
+                    checksums: protected.then_some(checksums),
+                    k_max_norm,
+                    jb,
+                    c0: jb * cache.block(),
+                },
+            );
         }
     }
 
     let mut out = Matrix::zeros(c, d);
-    for r in 0..c {
-        let (vis, step) = (vis0 + r, step0 + r);
-        let o = &mut o[r];
-        let mut ell = ell[r];
-
-        // ---- Post-loop SNVR rowsum restriction ----------------------
-        if opts.softmax == SoftmaxProtection::Snvr {
-            // The rowsum upper bound is the number of rows actually
-            // attended — the window span under sliding-window decode, not
-            // the full prefix.
-            let n_rows = vis - b0[r] * cache.block();
-            if let Restriction::Repaired { repaired } =
-                restrict_rowsum(ell, &max_hist[r], m[r], n_rows)
-            {
-                ell = repaired;
-                FtCounters::add(&counters.sum_restricted, 1);
-            }
-        }
-
-        // ---- Normalise (output + checksums) -------------------------
-        let inv = inj.corrupt_f32(
-            FaultSite::Normalize,
-            OpCoord::new(slot, step, 0, 999),
-            1.0 / ell,
-        );
-        for (col, v) in o.row_mut(0).iter_mut().enumerate() {
-            *v = inj.corrupt_f32(
-                FaultSite::Normalize,
-                OpCoord::new(slot, step, col, 1000),
-                *v * inv,
-            );
-        }
-        for v in o_c1[r].row_mut(0).iter_mut().chain(o_c2[r].row_mut(0)) {
-            *v *= inv;
-        }
-
-        // ---- Final unified output verification ----------------------
-        let sums1 = strided_sums(o, so);
-        let sums2 = strided_sums_weighted(o, so);
-        let mut mismatches = Vec::new();
-        for t in 0..so {
-            if thr.output.detects(sums1.get(0, t), o_c1[r].get(0, t)) {
-                mismatches.push(StridedMismatch {
-                    i: 0,
-                    t,
-                    delta1: sums1.get(0, t) - o_c1[r].get(0, t),
-                    delta2: sums2.get(0, t) - o_c2[r].get(0, t),
-                });
-            }
-        }
-        if !mismatches.is_empty() {
-            let rep = correct_strided(o, &mismatches, so);
-            FtCounters::add(&counters.gemm2_detected, rep.detections as u64);
-            FtCounters::add(&counters.gemm2_corrected, rep.corrected.len() as u64);
-            let catastrophic = rep.corrected.iter().any(|l| {
-                !l.delta.is_finite()
-                    || l.delta.abs() > 1e3 * (o_c1[r].get(0, l.col % so).abs() + 1.0)
-            });
-            if rep.uncorrectable > 0 || catastrophic {
-                FtCounters::add(&counters.gemm2_recomputed, rep.uncorrectable.max(1) as u64);
-                damaged[r] = true;
-            }
-        }
-
-        if damaged[r] {
-            // Recomputation fallback over verified reads: clean online
-            // softmax of the visible prefix (cache-uncorrectable damage
-            // stays in the data, but the report carries that signal). Rare
-            // path — re-reads per row rather than keeping every attended
-            // block resident for the whole tile.
-            let mut state = crate::flash::OnlineState::new(1, d);
-            for jb in b0[r]..nb[r] {
-                let rows = vis_block_rows(cache, jb, vis);
-                let (mut k_blk, _) = cache.read_k_verified(slot, jb);
-                let (mut v_blk, _) = cache.read_v_verified(slot, jb);
-                if rows < k_blk.rows() {
-                    k_blk = k_blk.block(0, 0, rows, d);
-                    v_blk = v_blk.block(0, 0, rows, d);
-                }
-                let s_blk = gemm_nt(&q_rows[r], &k_blk);
-                crate::flash::online_update(&mut state, &s_blk, &v_blk);
-            }
-            crate::flash::finalize(&mut state);
-            *o = state.o;
-        }
-        out.row_mut(r).copy_from_slice(o.row(0));
+    for (r, state) in states.into_iter().enumerate() {
+        // Recomputation fallback over verified reads: clean online softmax
+        // of the visible prefix (cache-uncorrectable damage stays in the
+        // data, but the report carries that signal). Rare path — re-reads
+        // per row rather than keeping every attended block resident for
+        // the whole tile.
+        let reread = (b0[r]..nb[r]).map(|jb| {
+            let rows = vis_block_rows(cache, jb, vis0 + r);
+            let (k_blk, _) = cache.read_k_verified(slot, jb);
+            let (v_blk, _) = cache.read_v_verified(slot, jb);
+            (k_blk.block(0, 0, rows, d), v_blk.block(0, 0, rows, d))
+        });
+        out.row_mut(r)
+            .copy_from_slice(state.finish(&kernel, reread).row(0));
     }
     out
 }
@@ -772,8 +525,10 @@ pub fn causal_reference_rows(
 mod tests {
     use super::*;
     use crate::backend::{AttentionBackend, BackendKind};
+    use crate::config::AttentionConfig;
+    use crate::efta::{efta_forward, SoftmaxProtection};
     use ft_num::rng::normal_tensor_f16;
-    use ft_sim::SeuInjector;
+    use ft_sim::{OpCoord, SeuInjector};
 
     fn workload(seq: usize, dim: usize, seed: u64) -> (Tensor4F16, Tensor4F16, Tensor4F16) {
         let q = normal_tensor_f16(seed, 1, 2, seq, dim, 0.6);
@@ -857,7 +612,6 @@ mod tests {
                     vis - 1,
                     &q_raw,
                     &NoFaults,
-                    &Thresholds::calibrated(),
                     &EftaOptions::optimized(),
                     &counters,
                     None,
@@ -888,6 +642,63 @@ mod tests {
         assert_eq!(inj.fired(), 1);
         assert!(out.report.total_detected() > 0, "{:?}", out.report);
         assert!(out.o.max_abs_diff(&clean.o) < 5e-2);
+    }
+
+    #[test]
+    fn same_seu_same_ledger_in_prefill_and_decode() {
+        // Prefill and decode step the same Algorithm 1: one SEU on the last
+        // row yields one fault ledger, whichever kernel computes that row.
+        // High exponent bits keep every verdict far from its threshold, so
+        // the one legitimate operand difference (prefill rounds checksum
+        // operands through FP16, the cache stores them unrounded) cannot
+        // flip one.
+        let seq = 32;
+        let cfg = AttentionConfig::new(1, 2, seq, 16).with_block(16);
+        let (q, k, v) = workload(seq, 16, 76);
+        let options = [
+            EftaOptions::optimized(),
+            EftaOptions::per_step(),
+            EftaOptions {
+                softmax: SoftmaxProtection::Unprotected,
+                ..EftaOptions::optimized()
+            },
+        ];
+        // (site, column coordinate, iteration coordinate, bit, chain step)
+        // of a fault on row `seq − 1` of slot 1, second column block.
+        let last = seq - 1;
+        let sites = [
+            (FaultSite::GemmIAccum, 21, 3, 30, Some(8)),
+            (FaultSite::MaxReduce, 1, 0, 30, None),
+            (FaultSite::ExpUnit, 21, 1, 30, None),
+            (FaultSite::SumReduce, 1, 1, 29, None),
+            (FaultSite::GemmIiAccum, 5, 3, 30, Some(5)),
+            (FaultSite::Normalize, 9, 1000, 29, None),
+        ];
+        for opts in &options {
+            let mut cache = KvCache::new(1, 2, 16, cfg.block, opts.stride, cfg.scale);
+            fill(&mut cache, &k, &v, seq);
+            let qt = q_row(&q, last);
+            for (site, j, it, bit, chain) in sites {
+                let seu = || {
+                    let inj = SeuInjector::new(site, OpCoord::new(1, last, j, it), bit);
+                    match chain {
+                        Some(step) => inj.at_chain_step(step),
+                        None => inj,
+                    }
+                };
+                let (pre_inj, dec_inj) = (seu(), seu());
+                let prefill = efta_forward(&cfg, &q, &k, &v, &pre_inj, opts);
+                let req = DecodeRequest::new(&cache, &qt)
+                    .at_step(last)
+                    .with_injector(&dec_inj);
+                let decode = efta_decode(&req, opts).unwrap();
+                assert_eq!((pre_inj.fired(), dec_inj.fired()), (1, 1), "{site:?}");
+                assert_eq!(
+                    prefill.report, decode.report,
+                    "{site:?} under {opts:?}: prefill vs decode ledger"
+                );
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,10 @@ use ft_sim::{gemm_flops, gemm_nn_inj, gemm_nt, gemm_nt_inj, FaultInjector, Fault
 use rayon::prelude::*;
 use std::time::Instant;
 
+/// Checksum vectors are FP16 tensor-core operands: every encode rounds them
+/// through binary16.
+const QUANTIZE_CHECKSUMS: bool = true;
+
 /// Options for the decoupled pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct DecoupledOptions {
@@ -30,8 +34,6 @@ pub struct DecoupledOptions {
     pub thresholds: Thresholds,
     /// DMR settings for the softmax kernel.
     pub dmr: DmrConfig,
-    /// Quantise checksum vectors through binary16.
-    pub quantize_checksums: bool,
     /// Apply fault tolerance. `false` runs the same three-kernel pipeline
     /// without checksums or DMR — the "Baseline" bars of Fig. 9.
     pub protect: bool,
@@ -50,7 +52,6 @@ impl Default for DecoupledOptions {
                 ..Thresholds::calibrated()
             },
             dmr: DmrConfig::default(),
-            quantize_checksums: true,
             protect: true,
         }
     }
@@ -196,7 +197,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                 let q_blk = q_scaled.block(r0, 0, b, d);
                 // Column checksums of S_ij come from encoding Q's rows.
                 let q_aug = if opts.protect {
-                    let q_cs = encode_cols(&q_blk, opts.quantize_checksums);
+                    let q_cs = encode_cols(&q_blk, QUANTIZE_CHECKSUMS);
                     augment_rows(&q_blk, &q_cs)
                 } else {
                     q_blk.clone()
@@ -205,7 +206,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                     let k_blk = km.block(c0, 0, b, d);
                     // Row checksums of S_ij come from encoding K's rows.
                     let k_aug = if opts.protect {
-                        let k_cs = encode_cols(&k_blk, opts.quantize_checksums);
+                        let k_cs = encode_cols(&k_blk, QUANTIZE_CHECKSUMS);
                         augment_rows(&k_blk, &k_cs)
                     } else {
                         k_blk.clone()
@@ -312,7 +313,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                 let p_blk = p_mat.block(r0, 0, b, cfg.seq);
                 let p_aug = if opts.protect {
                     let t0 = Instant::now();
-                    let p_cs = encode_cols(&p_blk, opts.quantize_checksums);
+                    let p_cs = encode_cols(&p_blk, QUANTIZE_CHECKSUMS);
                     let aug = augment_rows(&p_blk, &p_cs);
                     PhaseTimers::add(&timers.gemm2_protect, t0.elapsed().as_nanos() as u64);
                     aug

@@ -1,26 +1,36 @@
 //! End-to-end fault tolerant attention (EFTA) — the paper's contribution
 //! (§3.2–3.4, Algorithm 1).
 //!
-//! One fused kernel computes flash attention *and* its fault tolerance:
+//! One fused kernel computes flash attention *and* its fault tolerance, and
+//! this module holds it exactly once: a row state (`RowState`: `m`, `ℓ`,
+//! `O`, the output checksums `O_c1`/`O_c2`, the block-max history and a
+//! damage flag for a tile of query rows) with two methods.
 //!
-//! * **GEMM I + subtraction + EXP** are protected by strided tensor
-//!   checksums with checksum reuse: `S_c1` from the checksum GEMM is carried
-//!   through the max subtraction and exponential, and a single product check
-//!   verifies all three steps (Algorithm 1 lines 9–16).
-//! * **reduce-max / reduce-sum** are protected by selective neuron value
-//!   restriction: the max must bound its block, the rowsum must lie in
-//!   `[Σ exp(m_k − m), n]` (lines 22–24).
-//! * **GEMM II + rescale + normalise** carry output checksums `O_c1`/`O_c2`
-//!   through the online-softmax rescales and the final normalisation, and a
-//!   single post-loop check locates and corrects errors (lines 18–20 and
-//!   25–29).
+//! * `RowState::step` is one inner iteration of Algorithm 1 against one K/V
+//!   block and its checksum operands. **Lines 9–16:** GEMM I and its
+//!   checksum GEMMs; reduce-max under selective neuron value restriction
+//!   (the max must bound its block); subtract + EXP, with `S_c1` carried
+//!   through both so a single product check verifies GEMM I, subtraction
+//!   and exponential together (checksum reuse). **Lines 18–20:** rowsum,
+//!   then GEMM II with `O_c1`/`O_c2` riding the online-softmax rescale.
+//! * `RowState::finish` closes the tile. **Lines 22–24:** the rowsum
+//!   restriction `Σ exp(m_k − m) ≤ ℓ ≤ n`. **Lines 25–29:** normalise `O`
+//!   and its checksums, one output check that locates and corrects, and the
+//!   "needs recompute" verdict — served by a clean online-softmax pass over
+//!   the same blocks.
+//!
+//! Two kernels call it. Prefill (`efta_forward`, below) steps a B-row state
+//! per (slot, row block) and encodes each column block's checksum operands
+//! per call, through FP16; the decode tile ([`crate::decode`]) steps one
+//! 1-row state per chunk row over operands the KV cache stored at append
+//! time. Operands, fault coordinates and the rowsum bound `n` are inputs to
+//! the step; nothing else differs between the two.
 //!
 //! [`VerifyMode::PerStep`] is the unoptimised "EFTA" of Tables 1–2 (verify
 //! after every operation); [`VerifyMode::Unified`] is the optimised "EFTA-o"
 //! with the reordered, batched verification described above. The
 //! [`GemmProtection`] and [`SoftmaxProtection`] knobs select the comparators
-//! of Figs. 11 and 13 (traditional element ABFT, DMR) inside the same fused
-//! kernel.
+//! of Figs. 11 and 13 (traditional element ABFT, DMR) inside the same step.
 
 // Index-based loops are kept deliberately: they mirror the thread/lane
 // structure of the GPU kernels this module models.
@@ -29,12 +39,12 @@
 use crate::config::AttentionConfig;
 use crate::snvr::{restrict_row_max, restrict_rowsum, Restriction};
 use crate::types::{AttentionOutput, FtCounters, PhaseTimers};
-use ft_abft::propagate::{residue_counts, transport_subtract_max, verify_products};
+use ft_abft::propagate::{residue_counts, transport_exp, transport_subtract_max, verify_products};
 use ft_abft::strided::{
     correct_strided, encode_cols_strided, encode_rows_strided, strided_sums, strided_sums_weighted,
     StridedChecksums, StridedMismatch,
 };
-use ft_abft::thresholds::Thresholds;
+use ft_abft::thresholds::{Check, Thresholds};
 use ft_num::{block_starts, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
@@ -42,6 +52,7 @@ use ft_sim::{
     gemm_flops, gemm_nn_inj, gemm_nt, gemm_nt_inj, FaultInjector, FaultSite, GemmCtx, OpCoord,
 };
 use rayon::prelude::*;
+use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 
 /// Protection scheme for the two GEMMs (Fig. 11 comparison).
@@ -92,9 +103,6 @@ pub struct EftaOptions {
     pub stride: usize,
     /// Detection thresholds.
     pub thresholds: Thresholds,
-    /// Quantise checksum operands through binary16 (the FP16 tensor-core
-    /// operand path). Disable only in exact-algebra tests.
-    pub quantize_checksums: bool,
 }
 
 impl EftaOptions {
@@ -107,7 +115,6 @@ impl EftaOptions {
             verify: VerifyMode::Unified,
             stride: 8,
             thresholds: Thresholds::calibrated(),
-            quantize_checksums: true,
         }
     }
 
@@ -126,35 +133,8 @@ impl EftaOptions {
         EftaOptions {
             gemm: GemmProtection::Unprotected,
             softmax: SoftmaxProtection::Unprotected,
-            verify: VerifyMode::Unified,
-            stride: 8,
-            thresholds: Thresholds::calibrated(),
-            quantize_checksums: true,
+            ..Self::optimized()
         }
-    }
-
-    /// Replace the GEMM protection.
-    pub fn with_gemm(mut self, g: GemmProtection) -> Self {
-        self.gemm = g;
-        self
-    }
-
-    /// Replace the softmax protection.
-    pub fn with_softmax(mut self, s: SoftmaxProtection) -> Self {
-        self.softmax = s;
-        self
-    }
-
-    /// Replace the verification mode.
-    pub fn with_verify(mut self, v: VerifyMode) -> Self {
-        self.verify = v;
-        self
-    }
-
-    /// Replace the thresholds.
-    pub fn with_thresholds(mut self, t: Thresholds) -> Self {
-        self.thresholds = t;
-        self
     }
 
     /// Replace the checksum stride.
@@ -172,6 +152,10 @@ fn effective_stride(opts: &EftaOptions) -> usize {
     }
 }
 
+/// Prefill's checksum operands feed the FP16 tensor-core operand path, so
+/// every per-call encode rounds them through binary16.
+const QUANTIZE_CHECKSUMS: bool = true;
+
 /// Encode K-row checksums for GEMM I under the configured scheme.
 /// Traditional encoding pays the inter-thread gather (emulated by an
 /// explicit transpose round-trip).
@@ -182,9 +166,9 @@ fn encode_k(opts: &EftaOptions, k_blk: &MatrixF32, stride: usize) -> StridedChec
             // and the result is scattered back — the communication the
             // strided design eliminates.
             let gathered = k_blk.transpose().transpose();
-            encode_rows_strided(&gathered, 1, opts.quantize_checksums)
+            encode_rows_strided(&gathered, 1, QUANTIZE_CHECKSUMS)
         }
-        _ => encode_rows_strided(k_blk, stride, opts.quantize_checksums),
+        _ => encode_rows_strided(k_blk, stride, QUANTIZE_CHECKSUMS),
     }
 }
 
@@ -193,9 +177,9 @@ fn encode_v(opts: &EftaOptions, v_blk: &MatrixF32) -> StridedChecksums {
     match opts.gemm {
         GemmProtection::Traditional => {
             let gathered = v_blk.transpose().transpose();
-            encode_cols_strided(&gathered, 1, opts.quantize_checksums)
+            encode_cols_strided(&gathered, 1, QUANTIZE_CHECKSUMS)
         }
-        _ => encode_cols_strided(v_blk, opts.stride, opts.quantize_checksums),
+        _ => encode_cols_strided(v_blk, opts.stride, QUANTIZE_CHECKSUMS),
     }
 }
 
@@ -214,191 +198,294 @@ fn scheme_sums(opts: &EftaOptions, c: &MatrixF32, s: usize) -> (MatrixF32, Matri
     }
 }
 
-struct RowBlockResult {
-    slot: usize,
-    r0: usize,
-    o: MatrixF32,
-}
-
-/// Per-(slot, row-block) worker state shared across the inner loop.
-struct Worker<'a, I: FaultInjector> {
-    cfg: &'a AttentionConfig,
-    opts: &'a EftaOptions,
-    inj: &'a I,
-    counters: &'a FtCounters,
-    timers: &'a PhaseTimers,
-}
-
-impl<I: FaultInjector> Worker<'_, I> {
-    /// Recompute located S elements exactly (a d-MAC dot product each).
-    /// Checksum *location* is exact, but delta-subtraction cannot restore a
-    /// value swamped by a 2^100-scale corruption (the delta's f32 ulp
-    /// exceeds the true value), so located elements are recomputed instead.
-    fn repair_s_elements(
-        q_blk: &MatrixF32,
-        k_blk: &MatrixF32,
-        s_blk: &mut MatrixF32,
-        locs: &[ft_abft::element::ErrorLoc],
-    ) {
-        for loc in locs {
-            let mut acc = 0.0f32;
-            for (a, b) in q_blk.row(loc.row).iter().zip(k_blk.row(loc.col)) {
-                acc += a * b;
+/// Every (row, residue class) where the strided sums of `c` leave its
+/// carried checksum results `(c1, c2)` by more than row `i`'s `chk(i)`.
+fn checksum_mismatches(
+    opts: &EftaOptions,
+    c: &MatrixF32,
+    (c1, c2): (&MatrixF32, &MatrixF32),
+    s: usize,
+    chk: impl Fn(usize) -> Check,
+) -> Vec<StridedMismatch> {
+    let (sums1, sums2) = scheme_sums(opts, c, s);
+    let mut out = Vec::new();
+    for i in 0..c.rows() {
+        let chk = chk(i);
+        for t in 0..s {
+            if chk.detects(sums1.get(i, t), c1.get(i, t)) {
+                out.push(StridedMismatch {
+                    i,
+                    t,
+                    delta1: sums1.get(i, t) - c1.get(i, t),
+                    delta2: sums2.get(i, t) - c2.get(i, t),
+                });
             }
-            s_blk.set(loc.row, loc.col, acc);
+        }
+    }
+    out
+}
+
+fn row_max(row: &[f32]) -> f32 {
+    row.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// Ascending-order f32 sum (the rowsum's arithmetic order is pinned by the
+/// bit-identity suites).
+fn row_sum(row: &[f32]) -> f32 {
+    row.iter().fold(0.0f32, |acc, &e| acc + e)
+}
+
+/// Largest Euclidean row norm of a K block: with the query row norms it
+/// gives the Cauchy–Schwarz bound `|S[i][j]| ≤ |q_i|·|k_j|` the SNVR
+/// max-plausibility restriction checks.
+pub(crate) fn max_row_norm(k_blk: &MatrixF32) -> f32 {
+    (0..k_blk.rows())
+        .map(|j| k_blk.row(j).iter().map(|x| x * x).sum::<f32>().sqrt())
+        .fold(0.0f32, f32::max)
+}
+
+/// One S element recomputed exactly (a d-MAC dot product). Checksum
+/// *location* is exact, but delta-subtraction cannot restore a value swamped
+/// by a 2^100-scale corruption (the delta's f32 ulp exceeds the true value),
+/// so located elements are recomputed instead.
+fn exact_s(q: &MatrixF32, k_blk: &MatrixF32, row: usize, col: usize) -> f32 {
+    let mut acc = 0.0f32;
+    for (a, b) in q.row(row).iter().zip(k_blk.row(col)) {
+        acc += a * b;
+    }
+    acc
+}
+
+/// Phase stopwatch: `to` charges the time since the previous mark to one
+/// phase. Without timers (decode) it never reads the clock.
+struct Lap<'a>(Option<(&'a PhaseTimers, Instant)>);
+
+impl<'a> Lap<'a> {
+    fn start(timers: Option<&'a PhaseTimers>) -> Self {
+        Lap(timers.map(|t| (t, Instant::now())))
+    }
+
+    fn to(&mut self, phase: fn(&PhaseTimers) -> &AtomicU64) {
+        if let Some((timers, since)) = &mut self.0 {
+            let now = Instant::now();
+            PhaseTimers::add(phase(timers), (now - *since).as_nanos() as u64);
+            *since = now;
+        }
+    }
+}
+
+/// What one kernel call fixes for every step of one `(batch, head)` slot.
+pub(crate) struct Kernel<'a, I: FaultInjector> {
+    pub opts: &'a EftaOptions,
+    pub inj: &'a I,
+    pub counters: &'a FtCounters,
+    /// Prefill's phase timers; decode passes `None`.
+    pub timers: Option<&'a PhaseTimers>,
+    pub slot: usize,
+}
+
+/// One K/V column block as an inner iteration of Algorithm 1 consumes it:
+/// sliced from the call's tensors and encoded per call in prefill, read from
+/// the KV cache in decode.
+pub(crate) struct BlockOperands<'a> {
+    pub k: &'a MatrixF32,
+    pub v: &'a MatrixF32,
+    /// GEMM I / GEMM II checksum operands `(k_cs, v_cs)`; `None` under
+    /// [`GemmProtection::Unprotected`].
+    pub checksums: Option<(&'a StridedChecksums, &'a StridedChecksums)>,
+    /// [`max_row_norm`] of `k` (read under SNVR only).
+    pub k_max_norm: f32,
+    /// Block index: the iteration id of fault coordinates.
+    pub jb: usize,
+    /// Global column of the block's first K row.
+    pub c0: usize,
+}
+
+/// Algorithm 1's per-tile state for `q.rows()` query rows.
+pub(crate) struct RowState<'a> {
+    /// Scaled query rows.
+    q: &'a MatrixF32,
+    q_norms: Vec<f32>,
+    /// Fault-coordinate row of `q`'s row 0 (global row in prefill, decode
+    /// step in decode).
+    row0: usize,
+    /// Column base of the checksum GEMMs' fault coordinates: past every
+    /// data column the rows can see.
+    cs_col0: usize,
+    /// Rows attended — the rowsum's upper bound.
+    n: usize,
+    m: Vec<f32>,
+    ell: Vec<f32>,
+    o: MatrixF32,
+    o_c1: MatrixF32,
+    o_c2: MatrixF32,
+    /// Per-row history of block maxima (SNVR rowsum bounds).
+    max_hist: Vec<Vec<f32>>,
+    /// Damage no checksum can repair: `finish` recomputes the tile.
+    pub damaged: bool,
+}
+
+impl<'a> RowState<'a> {
+    /// Fresh state; `so` is the width of the output checksums.
+    pub(crate) fn new(q: &'a MatrixF32, row0: usize, cs_col0: usize, n: usize, so: usize) -> Self {
+        let (rows, d) = q.shape();
+        RowState {
+            q,
+            q_norms: (0..rows)
+                .map(|i| q.row(i).iter().map(|x| x * x).sum::<f32>().sqrt())
+                .collect(),
+            row0,
+            cs_col0,
+            n,
+            m: vec![f32::NEG_INFINITY; rows],
+            ell: vec![0.0; rows],
+            o: Matrix::zeros(rows, d),
+            o_c1: Matrix::zeros(rows, so),
+            o_c2: Matrix::zeros(rows, so),
+            max_hist: vec![Vec::new(); rows],
+            damaged: false,
         }
     }
 
-    /// Execute one row block; returns its unnormalised-then-normalised O.
-    #[allow(clippy::too_many_lines)]
-    fn run(
+    /// Correct S from located linear mismatches: located elements are
+    /// recomputed exactly, and an unlocatable one recomputes the block.
+    fn repair_s<I: FaultInjector>(
         &self,
-        slot: usize,
-        r0: usize,
-        q_blk: &MatrixF32,
-        km: &MatrixF32,
-        vm: &MatrixF32,
-    ) -> MatrixF32 {
-        let cfg = self.cfg;
-        let opts = self.opts;
-        let inj = self.inj;
-        let b = cfg.block;
-        let d = cfg.head_dim;
-        let rows = q_blk.rows();
-        let s = effective_stride(opts);
-        let protected = opts.gemm != GemmProtection::Unprotected;
+        kn: &Kernel<'_, I>,
+        k_blk: &MatrixF32,
+        s_blk: &mut MatrixF32,
+        mismatches: &[StridedMismatch],
+        se: usize,
+    ) {
+        let rep = correct_strided(s_blk, mismatches, se);
+        for loc in &rep.corrected {
+            s_blk.set(loc.row, loc.col, exact_s(self.q, k_blk, loc.row, loc.col));
+        }
+        FtCounters::add(&kn.counters.gemm1_detected, rep.detections as u64);
+        FtCounters::add(&kn.counters.gemm1_corrected, rep.corrected.len() as u64);
+        if rep.uncorrectable > 0 {
+            *s_blk = gemm_nt(self.q, k_blk);
+            FtCounters::add(&kn.counters.gemm1_recomputed, rep.uncorrectable as u64);
+        }
+    }
+
+    /// Check O against `O_c1`/`O_c2`, correct what locates, and flag the
+    /// tile for recomputation otherwise. While O is still `unnormalised`
+    /// its magnitude (and the checksum rounding noise) grows with the
+    /// running rowsum, so the detection floor scales with ℓ.
+    fn verify_output<I: FaultInjector>(&mut self, kn: &Kernel<'_, I>, unnormalised: bool) {
+        let RowState {
+            o,
+            o_c1,
+            o_c2,
+            ell,
+            damaged,
+            ..
+        } = self;
+        let s = o_c1.cols();
+        let out = kn.opts.thresholds.output;
+        let mismatches = checksum_mismatches(kn.opts, o, (o_c1, o_c2), s, |i| {
+            if unnormalised {
+                Check::new(out.rel, out.abs_floor * (1.0 + ell[i].abs()))
+            } else {
+                out
+            }
+        });
+        if mismatches.is_empty() {
+            return;
+        }
+        let rep = correct_strided(o, &mismatches, s);
+        FtCounters::add(&kn.counters.gemm2_detected, rep.detections as u64);
+        FtCounters::add(&kn.counters.gemm2_corrected, rep.corrected.len() as u64);
+        // A delta so large it swamps f32 cannot restore the true value by
+        // subtraction — recompute the tile.
+        let catastrophic = rep.corrected.iter().any(|l| {
+            !l.delta.is_finite() || l.delta.abs() > 1e3 * (o_c1.get(l.row, l.col % s).abs() + 1.0)
+        });
+        if rep.uncorrectable > 0 || catastrophic {
+            FtCounters::add(
+                &kn.counters.gemm2_recomputed,
+                rep.uncorrectable.max(1) as u64,
+            );
+            *damaged = true;
+        }
+    }
+
+    /// One inner iteration of Algorithm 1 (lines 9–20) against `blk`.
+    #[allow(clippy::too_many_lines)]
+    pub(crate) fn step<I: FaultInjector>(&mut self, kn: &Kernel<'_, I>, blk: &BlockOperands<'_>) {
+        let (opts, inj, slot, counters) = (kn.opts, kn.inj, kn.slot, kn.counters);
+        let thr = &opts.thresholds;
+        let q = self.q;
+        let (rows, d) = q.shape();
+        let bc = blk.k.rows();
+        let (jb, c0, row0) = (blk.jb, blk.c0, self.row0);
+        let traditional = opts.gemm == GemmProtection::Traditional;
         let snvr = opts.softmax == SoftmaxProtection::Snvr;
         let dmr = opts.softmax == SoftmaxProtection::Dmr;
         let per_step = opts.verify == VerifyMode::PerStep;
+        let mut lap = Lap::start(kn.timers);
 
-        let mut m = vec![f32::NEG_INFINITY; rows];
-        let mut ell = vec![0.0f32; rows];
-        let mut o: MatrixF32 = Matrix::zeros(rows, d);
-        // Cauchy–Schwarz row norms of (scaled) Q: |S[i][j]| ≤ |q_i|·|k_j|.
-        // Used by the SNVR max-plausibility restriction (see below).
-        let q_norms: Vec<f32> = (0..rows)
-            .map(|i| q_blk.row(i).iter().map(|x| x * x).sum::<f32>().sqrt())
+        // ---- GEMM I ------------------------------------------------
+        let gemm1 = |w: &MatrixF32, col0: usize, it: usize| {
+            let ctx = GemmCtx::new(FaultSite::GemmIAccum, slot)
+                .at(row0, col0)
+                .iter(3 * jb + it);
+            gemm_nt_inj(q, w, inj, ctx)
+        };
+        let mut s_blk = gemm1(blk.k, c0, 0);
+        lap.to(|t| &t.gemm1);
+
+        // ---- GEMM I protection: checksum GEMMs ----------------------
+        // `se` is the S-side checksum width: a ragged final block folds at
+        // fewer rows than the stride, the traditional scheme at 1.
+        let s_cs = blk.checksums.map(|(kcs, _)| {
+            // Traditional 1-wide checksums are padded to the 8-wide MMA
+            // tile a tensor core must dedicate to them anyway — their
+            // checksum GEMM costs the same as the strided design's, plus
+            // the gather; this is the hardware economics of Fig. 11.
+            let checksum_gemm = |w: &MatrixF32, it: usize| {
+                if traditional {
+                    let padded = Matrix::vstack(&[w, &Matrix::zeros(7, w.cols())]);
+                    gemm1(&padded, self.cs_col0 + c0, it).block(0, 0, rows, 1)
+                } else {
+                    gemm1(w, self.cs_col0 + c0, it)
+                }
+            };
+            (
+                checksum_gemm(&kcs.w1, 1),
+                checksum_gemm(&kcs.w2, 2),
+                kcs.stride,
+            )
+        });
+        if let (true, Some((c1, c2, se))) = (per_step, &s_cs) {
+            // "EFTA": verify the GEMM result immediately.
+            let mismatches = checksum_mismatches(opts, &s_blk, (c1, c2), *se, |_| thr.gemm);
+            if !mismatches.is_empty() {
+                self.repair_s(kn, blk.k, &mut s_blk, &mismatches, *se);
+            }
+        }
+        lap.to(|t| &t.gemm1_protect);
+
+        // ---- Softmax: reduce max ------------------------------------
+        let mut blk_max: Vec<f32> = (0..rows)
+            .map(|i| {
+                let coord = OpCoord::new(slot, row0 + i, jb, 0);
+                inj.corrupt_f32(FaultSite::MaxReduce, coord, row_max(s_blk.row(i)))
+            })
             .collect();
-        let mut o_c1: MatrixF32 = Matrix::zeros(rows, s);
-        let mut o_c2: MatrixF32 = Matrix::zeros(rows, s);
-        // Per-row history of block maxima (SNVR rowsum bounds).
-        let mut max_hist: Vec<Vec<f32>> = vec![Vec::with_capacity(cfg.num_blocks()); rows];
-        let mut needs_recompute = false;
+        lap.to(|t| &t.softmax);
 
-        for (jb, c0) in block_starts(cfg.seq, b).enumerate() {
-            let k_blk = km.block(c0, 0, b, d);
-            let v_blk = vm.block(c0, 0, b, d);
-            let bc = k_blk.rows();
-            // A ragged final block may hold fewer rows than the checksum
-            // stride; its S-side checksums fold at the narrower width.
-            let sb = s.min(bc);
-
-            // ---- GEMM I ------------------------------------------------
-            let t0 = Instant::now();
-            let mut s_blk = gemm_nt_inj(
-                q_blk,
-                &k_blk,
-                inj,
-                GemmCtx::new(FaultSite::GemmIAccum, slot)
-                    .at(r0, c0)
-                    .iter(3 * jb),
-            );
-            PhaseTimers::add(&self.timers.gemm1, t0.elapsed().as_nanos() as u64);
-
-            // ---- GEMM I protection: encode + checksum GEMM --------------
-            let mut s_c1 = None;
-            let mut s_c2 = None;
-            if protected {
-                let t0 = Instant::now();
-                let kcs = encode_k(opts, &k_blk, sb);
-                // Traditional 1-wide checksums are padded to the 8-wide MMA
-                // tile a tensor core must dedicate to them anyway — their
-                // checksum GEMM costs the same as the strided design's, plus
-                // the gather; this is the hardware economics of Fig. 11.
-                let checksum_gemm = |w: &MatrixF32, it: usize| {
-                    let ctx = GemmCtx::new(FaultSite::GemmIAccum, slot)
-                        .at(r0, cfg.seq + c0)
-                        .iter(3 * jb + it);
-                    if opts.gemm == GemmProtection::Traditional {
-                        let zero = Matrix::zeros(7, w.cols());
-                        let padded = Matrix::vstack(&[w, &zero]);
-                        let full = gemm_nt_inj(q_blk, &padded, inj, ctx);
-                        full.block(0, 0, rows, 1)
-                    } else {
-                        gemm_nt_inj(q_blk, w, inj, ctx)
-                    }
-                };
-                let c1 = checksum_gemm(&kcs.w1, 1);
-                let c2 = checksum_gemm(&kcs.w2, 2);
-                if per_step {
-                    // "EFTA": verify the GEMM result immediately.
-                    let sbe = if opts.gemm == GemmProtection::Traditional {
-                        1
-                    } else {
-                        sb
-                    };
-                    let (sums1, sums2) = scheme_sums(opts, &s_blk, sbe);
-                    let mut mismatches = Vec::new();
-                    for i in 0..rows {
-                        for t in 0..sbe {
-                            if opts.thresholds.gemm.detects(sums1.get(i, t), c1.get(i, t)) {
-                                mismatches.push(StridedMismatch {
-                                    i,
-                                    t,
-                                    delta1: sums1.get(i, t) - c1.get(i, t),
-                                    delta2: sums2.get(i, t) - c2.get(i, t),
-                                });
-                            }
-                        }
-                    }
-                    if !mismatches.is_empty() {
-                        let rep = correct_strided(&mut s_blk, &mismatches, sbe);
-                        Self::repair_s_elements(q_blk, &k_blk, &mut s_blk, &rep.corrected);
-                        FtCounters::add(&self.counters.gemm1_detected, rep.detections as u64);
-                        FtCounters::add(&self.counters.gemm1_corrected, rep.corrected.len() as u64);
-                        if rep.uncorrectable > 0 {
-                            // Recompute the whole block cleanly.
-                            s_blk = gemm_nt(q_blk, &k_blk);
-                            FtCounters::add(
-                                &self.counters.gemm1_recomputed,
-                                rep.uncorrectable as u64,
-                            );
-                        }
-                    }
-                }
-                s_c1 = Some(c1);
-                s_c2 = Some(c2);
-                PhaseTimers::add(&self.timers.gemm1_protect, t0.elapsed().as_nanos() as u64);
-            }
-
-            // ---- Softmax: reduce max ------------------------------------
-            let t0 = Instant::now();
-            let mut m_new = vec![0.0f32; rows];
-            let mut blk_max = vec![0.0f32; rows];
-            for i in 0..rows {
-                let mut bm = f32::NEG_INFINITY;
-                for &v in s_blk.row(i) {
-                    bm = bm.max(v);
-                }
-                bm = inj.corrupt_f32(FaultSite::MaxReduce, OpCoord::new(slot, r0 + i, jb, 0), bm);
-                blk_max[i] = bm;
-                m_new[i] = m[i].max(bm);
-            }
-            PhaseTimers::add(&self.timers.softmax, t0.elapsed().as_nanos() as u64);
-
-            // Max protection.
-            let t0 = Instant::now();
+        // Max protection.
+        for i in 0..rows {
             if snvr {
                 // Case 1: restrict — a max below its block's true max risks
                 // exp overflow; repair by recomputing.
-                for i in 0..rows {
-                    if let Restriction::Repaired { repaired } =
-                        restrict_row_max(s_blk.row(i), blk_max[i])
-                    {
-                        blk_max[i] = repaired;
-                        m_new[i] = m[i].max(repaired);
-                        FtCounters::add(&self.counters.max_restricted, 1);
-                    }
+                if let Restriction::Repaired { repaired } =
+                    restrict_row_max(s_blk.row(i), blk_max[i])
+                {
+                    blk_max[i] = repaired;
+                    FtCounters::add(&counters.max_restricted, 1);
                 }
                 // Extension beyond the paper (DESIGN.md §4): a huge
                 // *positive* GEMM error becomes the row max, after which
@@ -407,475 +494,276 @@ impl<I: FaultInjector> Worker<'_, I> {
                 // Cauchy–Schwarz bound |S[i][j]| ≤ |q_i|·|k_j| is cheap to
                 // maintain and unmasks the hijack; the offending element
                 // (the argmax) is recomputed exactly.
-                let k_max_norm = (0..bc)
-                    .map(|j| k_blk.row(j).iter().map(|x| x * x).sum::<f32>().sqrt())
-                    .fold(0.0f32, f32::max);
-                for i in 0..rows {
-                    let bound = q_norms[i] * k_max_norm * 1.05 + 1e-3;
-                    if blk_max[i] > bound || !blk_max[i].is_finite() {
-                        let (mut arg, mut best) = (0usize, f32::NEG_INFINITY);
-                        for (j, &v) in s_blk.row(i).iter().enumerate() {
-                            if v > best || !v.is_finite() {
-                                best = v;
-                                arg = j;
-                            }
+                let bound = self.q_norms[i] * blk.k_max_norm * 1.05 + 1e-3;
+                if blk_max[i] > bound || !blk_max[i].is_finite() {
+                    let (mut arg, mut best) = (0usize, f32::NEG_INFINITY);
+                    for (j, &v) in s_blk.row(i).iter().enumerate() {
+                        if v > best || !v.is_finite() {
+                            best = v;
+                            arg = j;
                         }
-                        let before = s_blk.get(i, arg);
-                        Self::repair_s_elements(
-                            q_blk,
-                            &k_blk,
-                            &mut s_blk,
-                            &[ft_abft::element::ErrorLoc {
-                                row: i,
-                                col: arg,
-                                delta: best,
-                            }],
-                        );
-                        if s_blk.get(i, arg) != before {
-                            // The argmax itself was the corrupted element.
-                            FtCounters::add(&self.counters.gemm1_corrected, 1);
-                        }
-                        let bm = s_blk
-                            .row(i)
-                            .iter()
-                            .cloned()
-                            .fold(f32::NEG_INFINITY, f32::max);
-                        blk_max[i] = bm;
-                        m_new[i] = m[i].max(bm);
-                        FtCounters::add(&self.counters.max_restricted, 1);
                     }
+                    let exact = exact_s(q, blk.k, i, arg);
+                    if s_blk.get(i, arg) != exact {
+                        // The argmax itself was the corrupted element.
+                        s_blk.set(i, arg, exact);
+                        FtCounters::add(&counters.gemm1_corrected, 1);
+                    }
+                    blk_max[i] = row_max(s_blk.row(i));
+                    FtCounters::add(&counters.max_restricted, 1);
                 }
             } else if dmr {
                 // Recompute the max a second time and compare.
-                for i in 0..rows {
-                    let mut bm2 = f32::NEG_INFINITY;
-                    for &v in s_blk.row(i) {
-                        bm2 = bm2.max(v);
+                let coord = OpCoord::new(slot, row0 + i, jb, 1);
+                let bm2 = inj.corrupt_f32(FaultSite::MaxReduce, coord, row_max(s_blk.row(i)));
+                if blk_max[i] != bm2 {
+                    // Third execution, fault-free arbitration.
+                    blk_max[i] = row_max(s_blk.row(i));
+                    FtCounters::add(&counters.dmr_retries, 1);
+                }
+            }
+        }
+        let m_new: Vec<f32> = (0..rows).map(|i| self.m[i].max(blk_max[i])).collect();
+        lap.to(|t| &t.softmax_protect);
+
+        // ---- Softmax: subtract + EXP --------------------------------
+        let mut p: MatrixF32 = Matrix::zeros(rows, bc);
+        for i in 0..rows {
+            let prow = p.row_mut(i);
+            for (j, &sv) in s_blk.row(i).iter().enumerate() {
+                let coord = OpCoord::new(slot, row0 + i, c0 + j, jb);
+                let diff = inj.corrupt_f32(FaultSite::Subtract, coord, sv - m_new[i]);
+                prow[j] = inj.corrupt_f32(FaultSite::ExpUnit, coord, diff.exp());
+            }
+        }
+        lap.to(|t| &t.softmax);
+
+        // ---- Softmax protection: product check / DMR ----------------
+        if let (true, Some((c1, c2, se))) = (snvr, &s_cs) {
+            // Checksum reuse: transport S_c1 through subtraction + exp
+            // and verify GEMM I + subtract + exp in one product check.
+            let se = *se;
+            let mut tc1 = c1.clone();
+            transport_subtract_max(&mut tc1, &m_new, &residue_counts(bc, se));
+            let mismatches = verify_products(&p, &transport_exp(&tc1), se, thr.exp_product);
+            if !mismatches.is_empty() {
+                FtCounters::add(&counters.exp_detected, mismatches.len() as u64);
+                // Case 2: the product check already established an error
+                // in GEMM I ∪ subtract ∪ EXP; classify via the *linear*
+                // S invariant. The classifier floor sits above the
+                // FP16-checksum quantisation noise so a clean S (EXP
+                // fault) is not "corrected" into a corrupted one.
+                let classify_floor = thr.gemm.abs_floor.max(1e-2);
+                let (sums1, sums2) = scheme_sums(opts, &s_blk, se);
+                let mut linear = Vec::new();
+                for mm in &mismatches {
+                    let d1 = sums1.get(mm.i, mm.t) - c1.get(mm.i, mm.t);
+                    if d1.abs() > classify_floor || !d1.is_finite() {
+                        linear.push(StridedMismatch {
+                            i: mm.i,
+                            t: mm.t,
+                            delta1: d1,
+                            delta2: sums2.get(mm.i, mm.t) - c2.get(mm.i, mm.t),
+                        });
+                    } else {
+                        // EXP fault: S is clean, recomputing P suffices.
+                        FtCounters::add(&counters.exp_recomputed, 1);
                     }
-                    bm2 = inj.corrupt_f32(
-                        FaultSite::MaxReduce,
-                        OpCoord::new(slot, r0 + i, jb, 1),
-                        bm2,
-                    );
-                    if blk_max[i] != bm2 {
-                        FtCounters::add(&self.counters.dmr_retries, 1);
-                        // Third execution, fault-free arbitration.
-                        let mut bm3 = f32::NEG_INFINITY;
-                        for &v in s_blk.row(i) {
-                            bm3 = bm3.max(v);
-                        }
-                        blk_max[i] = bm3;
-                        m_new[i] = m[i].max(bm3);
+                }
+                if !linear.is_empty() {
+                    self.repair_s(kn, blk.k, &mut s_blk, &linear, se);
+                }
+                // Recompute every flagged residue class of P from the
+                // (now corrected) S.
+                for mm in &mismatches {
+                    for col in (mm.t..bc).step_by(se) {
+                        p.set(mm.i, col, (s_blk.get(mm.i, col) - m_new[mm.i]).exp());
                     }
                 }
             }
-            PhaseTimers::add(&self.timers.softmax_protect, t0.elapsed().as_nanos() as u64);
-
-            // ---- Softmax: subtract + EXP --------------------------------
-            let t0 = Instant::now();
-            let mut p: MatrixF32 = Matrix::zeros(rows, bc);
+        } else if dmr {
+            // Second replica of subtract+exp, compare, arbitrate.
+            let mut disagreements = 0u64;
             for i in 0..rows {
-                let gi = r0 + i;
                 let mi = m_new[i];
-                let prow = p.row_mut(i);
                 for (j, &sv) in s_blk.row(i).iter().enumerate() {
-                    let diff = inj.corrupt_f32(
-                        FaultSite::Subtract,
-                        OpCoord::new(slot, gi, c0 + j, jb),
-                        sv - mi,
-                    );
-                    let e = inj.corrupt_f32(
-                        FaultSite::ExpUnit,
-                        OpCoord::new(slot, gi, c0 + j, jb),
-                        diff.exp(),
-                    );
-                    prow[j] = e;
-                }
-            }
-            PhaseTimers::add(&self.timers.softmax, t0.elapsed().as_nanos() as u64);
-
-            // ---- Softmax protection: product check / DMR ----------------
-            let t0 = Instant::now();
-            if snvr && protected {
-                // Checksum reuse: transport S_c1 through subtraction + exp
-                // and verify GEMM I + subtract + exp in one product check.
-                let se = if opts.gemm == GemmProtection::Traditional {
-                    1
-                } else {
-                    sb
-                };
-                let counts = residue_counts(bc, se);
-                let mut tc1 = s_c1.clone().expect("protected");
-                transport_subtract_max(&mut tc1, &m_new, &counts);
-                let p_c1 = ft_abft::propagate::transport_exp(&tc1);
-                let mismatches = verify_products(&p, &p_c1, se, opts.thresholds.exp_product);
-                if !mismatches.is_empty() {
-                    FtCounters::add(&self.counters.exp_detected, mismatches.len() as u64);
-                    // Case 2: the product check already established an error
-                    // in GEMM I ∪ subtract ∪ EXP; classify via the *linear*
-                    // S invariant. The classifier floor sits above the
-                    // FP16-checksum quantisation noise so a clean S (EXP
-                    // fault) is not "corrected" into a corrupted one.
-                    let classify_floor = opts.thresholds.gemm.abs_floor.max(1e-2);
-                    let (sums1, sums2) = scheme_sums(opts, &s_blk, se);
-                    let c1 = s_c1.as_ref().expect("protected");
-                    let c2 = s_c2.as_ref().expect("protected");
-                    let mut linear = Vec::new();
-                    let mut exp_only = Vec::new();
-                    for mm in &mismatches {
-                        let d1 = sums1.get(mm.i, mm.t) - c1.get(mm.i, mm.t);
-                        if d1.abs() > classify_floor || !d1.is_finite() {
-                            linear.push(StridedMismatch {
-                                i: mm.i,
-                                t: mm.t,
-                                delta1: d1,
-                                delta2: sums2.get(mm.i, mm.t) - c2.get(mm.i, mm.t),
-                            });
-                        } else {
-                            exp_only.push((mm.i, mm.t));
-                        }
-                    }
-                    if !linear.is_empty() {
-                        let rep = correct_strided(&mut s_blk, &linear, se);
-                        Self::repair_s_elements(q_blk, &k_blk, &mut s_blk, &rep.corrected);
-                        FtCounters::add(&self.counters.gemm1_detected, rep.detections as u64);
-                        FtCounters::add(&self.counters.gemm1_corrected, rep.corrected.len() as u64);
-                        if rep.uncorrectable > 0 {
-                            s_blk = gemm_nt(q_blk, &k_blk);
-                            FtCounters::add(
-                                &self.counters.gemm1_recomputed,
-                                rep.uncorrectable as u64,
-                            );
-                        }
-                        // Recompute the affected residue classes of P from
-                        // the corrected S.
-                        for mm in &linear {
-                            let mut col = mm.t;
-                            while col < bc {
-                                let e = (s_blk.get(mm.i, col) - m_new[mm.i]).exp();
-                                p.set(mm.i, col, e);
-                                col += se;
-                            }
-                        }
-                    }
-                    for (i, t) in exp_only {
-                        // EXP fault: recompute the residue class cleanly.
-                        let mut col = t;
-                        while col < bc {
-                            let e = (s_blk.get(i, col) - m_new[i]).exp();
-                            p.set(i, col, e);
-                            col += se;
-                        }
-                        FtCounters::add(&self.counters.exp_recomputed, 1);
-                    }
-                }
-            } else if dmr {
-                // Second replica of subtract+exp, compare, arbitrate.
-                let mut disagreements = 0u64;
-                for i in 0..rows {
-                    let gi = r0 + i;
-                    let mi = m_new[i];
-                    for (j, &sv) in s_blk.row(i).iter().enumerate() {
-                        let diff2 = inj.corrupt_f32(
-                            FaultSite::Subtract,
-                            OpCoord::new(slot, gi, c0 + j, 1000 + jb),
-                            sv - mi,
-                        );
-                        let e2 = inj.corrupt_f32(
-                            FaultSite::ExpUnit,
-                            OpCoord::new(slot, gi, c0 + j, 1000 + jb),
-                            diff2.exp(),
-                        );
-                        let e1 = p.get(i, j);
-                        if (e1 - e2).abs() > 1e-6 * e1.abs().max(e2.abs()).max(1e-12) {
-                            // Third, fault-free execution arbitrates.
-                            p.set(i, j, (sv - mi).exp());
-                            disagreements += 1;
-                        }
-                    }
-                }
-                FtCounters::add(&self.counters.dmr_retries, disagreements);
-            }
-            PhaseTimers::add(&self.timers.softmax_protect, t0.elapsed().as_nanos() as u64);
-
-            // ---- Softmax: rowsum + rescale factors ----------------------
-            let t0 = Instant::now();
-            let mut factors = vec![0.0f32; rows];
-            let mut rowsums = vec![0.0f32; rows];
-            for i in 0..rows {
-                let gi = r0 + i;
-                let factor = if m[i].is_finite() {
-                    (m[i] - m_new[i]).exp()
-                } else {
-                    0.0
-                };
-                let factor =
-                    inj.corrupt_f32(FaultSite::Rescale, OpCoord::new(slot, gi, jb, 2), factor);
-                let mut rs = 0.0f32;
-                for &e in p.row(i) {
-                    rs += e;
-                }
-                let rs = inj.corrupt_f32(FaultSite::SumReduce, OpCoord::new(slot, gi, jb, 1), rs);
-                ell[i] = factor * ell[i] + rs;
-                factors[i] = factor;
-                rowsums[i] = rs;
-                m[i] = m_new[i];
-                max_hist[i].push(blk_max[i]);
-            }
-            PhaseTimers::add(&self.timers.softmax, t0.elapsed().as_nanos() as u64);
-
-            // DMR protects the rowsum with a second summation.
-            if dmr {
-                let t0 = Instant::now();
-                let mut disagreements = 0u64;
-                for i in 0..rows {
-                    let gi = r0 + i;
-                    let mut rs2 = 0.0f32;
-                    for &e in p.row(i) {
-                        rs2 += e;
-                    }
-                    let rs2 = inj.corrupt_f32(
-                        FaultSite::SumReduce,
-                        OpCoord::new(slot, gi, jb, 2001),
-                        rs2,
-                    );
-                    if (rowsums[i] - rs2).abs() > 1e-5 * rowsums[i].abs().max(rs2.abs()) {
-                        // Third, fault-free execution arbitrates; redo the
-                        // ℓ update with the arbitrated sum.
-                        let mut rs3 = 0.0f32;
-                        for &e in p.row(i) {
-                            rs3 += e;
-                        }
-                        ell[i] = ell[i] - rowsums[i] + rs3;
-                        rowsums[i] = rs3;
+                    let coord = OpCoord::new(slot, row0 + i, c0 + j, 1000 + jb);
+                    let diff2 = inj.corrupt_f32(FaultSite::Subtract, coord, sv - mi);
+                    let e2 = inj.corrupt_f32(FaultSite::ExpUnit, coord, diff2.exp());
+                    let e1 = p.get(i, j);
+                    if (e1 - e2).abs() > 1e-6 * e1.abs().max(e2.abs()).max(1e-12) {
+                        // Third, fault-free execution arbitrates.
+                        p.set(i, j, (sv - mi).exp());
                         disagreements += 1;
                     }
                 }
-                FtCounters::add(&self.counters.dmr_retries, disagreements);
-                PhaseTimers::add(&self.timers.softmax_protect, t0.elapsed().as_nanos() as u64);
             }
+            FtCounters::add(&counters.dmr_retries, disagreements);
+        }
+        lap.to(|t| &t.softmax_protect);
 
+        // ---- Softmax: rowsum + rescale factors ----------------------
+        let mut factors = vec![0.0f32; rows];
+        let mut rowsums = vec![0.0f32; rows];
+        for i in 0..rows {
+            let gi = row0 + i;
+            let factor = if self.m[i].is_finite() {
+                (self.m[i] - m_new[i]).exp()
+            } else {
+                0.0
+            };
+            let factor = inj.corrupt_f32(FaultSite::Rescale, OpCoord::new(slot, gi, jb, 2), factor);
+            let rs = row_sum(p.row(i));
+            let rs = inj.corrupt_f32(FaultSite::SumReduce, OpCoord::new(slot, gi, jb, 1), rs);
+            self.ell[i] = factor * self.ell[i] + rs;
+            factors[i] = factor;
+            rowsums[i] = rs;
+            self.m[i] = m_new[i];
+            self.max_hist[i].push(blk_max[i]);
+        }
+        lap.to(|t| &t.softmax);
+
+        for i in 0..rows {
+            if dmr {
+                // DMR protects the rowsum with a second summation.
+                let rs2 = row_sum(p.row(i));
+                let coord = OpCoord::new(slot, row0 + i, jb, 2001);
+                let rs2 = inj.corrupt_f32(FaultSite::SumReduce, coord, rs2);
+                if (rowsums[i] - rs2).abs() > 1e-5 * rowsums[i].abs().max(rs2.abs()) {
+                    // Third, fault-free execution arbitrates; redo the
+                    // ℓ update with the arbitrated sum.
+                    let rs3 = row_sum(p.row(i));
+                    self.ell[i] = self.ell[i] - rowsums[i] + rs3;
+                    FtCounters::add(&counters.dmr_retries, 1);
+                }
+            }
             // Per-step rowsum restriction ("EFTA" checks every iteration).
             if per_step && snvr {
-                let t0 = Instant::now();
-                for i in 0..rows {
-                    if let Restriction::Repaired { .. } =
-                        restrict_rowsum(ell[i], &max_hist[i], m[i], cfg.seq)
-                    {
-                        // Recompute the rowsum cleanly and redo the update.
-                        let mut rs = 0.0f32;
-                        for &e in p.row(i) {
-                            rs += e;
-                        }
-                        // ℓ may already be poisoned from the corrupted
-                        // accumulate; rebuild from the restriction bound.
-                        let lower: f32 = max_hist[i].iter().map(|&mk| (mk - m[i]).exp()).sum();
-                        ell[i] = (lower - (blk_max[i] - m[i]).exp()).max(0.0) + rs;
-                        FtCounters::add(&self.counters.sum_restricted, 1);
-                    }
+                let (hist, m) = (&self.max_hist[i], self.m[i]);
+                if restrict_rowsum(self.ell[i], hist, m, self.n).repaired() {
+                    // ℓ may already be poisoned from the corrupted
+                    // accumulate: rebuild it from the restriction bound of
+                    // the earlier blocks plus a clean rowsum of this one.
+                    let lower: f32 = hist.iter().map(|&mk| (mk - m).exp()).sum();
+                    let rs = row_sum(p.row(i));
+                    self.ell[i] = (lower - (blk_max[i] - m).exp()).max(0.0) + rs;
+                    FtCounters::add(&counters.sum_restricted, 1);
                 }
-                PhaseTimers::add(&self.timers.softmax_protect, t0.elapsed().as_nanos() as u64);
-            }
-
-            // ---- GEMM II + rescale --------------------------------------
-            let t0 = Instant::now();
-            // P is quantised to FP16 to feed the second tensor-core GEMM.
-            let p16 = p.to_f16().to_f32();
-            let pv = gemm_nn_inj(
-                &p16,
-                &v_blk,
-                inj,
-                GemmCtx::new(FaultSite::GemmIiAccum, slot)
-                    .at(r0, 0)
-                    .iter(3 * jb),
-            );
-            for i in 0..rows {
-                let f = factors[i];
-                let gi = r0 + i;
-                for (col, (ov, &dv)) in o.row_mut(i).iter_mut().zip(pv.row(i)).enumerate() {
-                    let scaled = inj.corrupt_f32(
-                        FaultSite::Rescale,
-                        OpCoord::new(slot, gi, col, 4000 + jb),
-                        f * *ov,
-                    );
-                    *ov = scaled + dv;
-                }
-            }
-            PhaseTimers::add(&self.timers.gemm2, t0.elapsed().as_nanos() as u64);
-
-            // ---- GEMM II protection -------------------------------------
-            if protected {
-                let t0 = Instant::now();
-                let vcs = encode_v(opts, &v_blk);
-                // Traditional checksums pay the full 8-wide MMA tile too.
-                let checksum_gemm2 = |w: &MatrixF32, it: usize| {
-                    let ctx = GemmCtx::new(FaultSite::GemmIiAccum, slot)
-                        .at(r0, d)
-                        .iter(3 * jb + it);
-                    if opts.gemm == GemmProtection::Traditional {
-                        let zero = Matrix::zeros(w.rows(), 7);
-                        let padded = Matrix::hstack(&[w, &zero]);
-                        let full = gemm_nn_inj(&p16, &padded, inj, ctx);
-                        full.block(0, 0, rows, 1)
-                    } else {
-                        gemm_nn_inj(&p16, w, inj, ctx)
-                    }
-                };
-                let pc1 = checksum_gemm2(&vcs.w1, 1);
-                let pc2 = checksum_gemm2(&vcs.w2, 2);
-                for i in 0..rows {
-                    let f = factors[i];
-                    for (ov, &dv) in o_c1.row_mut(i).iter_mut().zip(pc1.row(i)) {
-                        *ov = f * *ov + dv;
-                    }
-                    for (ov, &dv) in o_c2.row_mut(i).iter_mut().zip(pc2.row(i)) {
-                        *ov = f * *ov + dv;
-                    }
-                }
-                if per_step {
-                    // Verify the accumulated O invariant now. O is still
-                    // unnormalised, so its magnitude (and the checksum
-                    // rounding noise) grows with the running rowsum — the
-                    // detection floor scales accordingly.
-                    let (sums1, sums2) = scheme_sums(opts, &o, s);
-                    let mut mismatches = Vec::new();
-                    for i in 0..rows {
-                        let chk_i = ft_abft::thresholds::Check::new(
-                            opts.thresholds.output.rel,
-                            opts.thresholds.output.abs_floor * (1.0 + ell[i].abs()),
-                        );
-                        for t in 0..s {
-                            if chk_i.detects(sums1.get(i, t), o_c1.get(i, t)) {
-                                mismatches.push(StridedMismatch {
-                                    i,
-                                    t,
-                                    delta1: sums1.get(i, t) - o_c1.get(i, t),
-                                    delta2: sums2.get(i, t) - o_c2.get(i, t),
-                                });
-                            }
-                        }
-                    }
-                    if !mismatches.is_empty() {
-                        let rep = correct_strided(&mut o, &mismatches, s);
-                        FtCounters::add(&self.counters.gemm2_detected, rep.detections as u64);
-                        FtCounters::add(&self.counters.gemm2_corrected, rep.corrected.len() as u64);
-                        // A delta so large it swamps f32 cannot restore the
-                        // true value by subtraction — recompute the block.
-                        let catastrophic = rep.corrected.iter().any(|l| {
-                            !l.delta.is_finite()
-                                || l.delta.abs() > 1e3 * (o_c1.get(l.row, l.col % s).abs() + 1.0)
-                        });
-                        if rep.uncorrectable > 0 || catastrophic {
-                            FtCounters::add(
-                                &self.counters.gemm2_recomputed,
-                                rep.uncorrectable.max(1) as u64,
-                            );
-                            needs_recompute = true;
-                        }
-                    }
-                }
-                PhaseTimers::add(&self.timers.gemm2_protect, t0.elapsed().as_nanos() as u64);
             }
         }
+        lap.to(|t| &t.softmax_protect);
 
-        // ---- Post-loop: SNVR rowsum restriction (unified) ---------------
-        if snvr && !per_step {
-            let t0 = Instant::now();
-            for i in 0..rows {
+        // ---- GEMM II + rescale --------------------------------------
+        // P is quantised to FP16 to feed the second tensor-core GEMM.
+        let p16 = p.to_f16().to_f32();
+        let gemm2 = |w: &MatrixF32, col0: usize, it: usize| {
+            let ctx = GemmCtx::new(FaultSite::GemmIiAccum, slot)
+                .at(row0, col0)
+                .iter(3 * jb + it);
+            gemm_nn_inj(&p16, w, inj, ctx)
+        };
+        let pv = gemm2(blk.v, 0, 0);
+        for i in 0..rows {
+            let f = factors[i];
+            for (col, (ov, &dv)) in self.o.row_mut(i).iter_mut().zip(pv.row(i)).enumerate() {
+                let coord = OpCoord::new(slot, row0 + i, col, 4000 + jb);
+                *ov = inj.corrupt_f32(FaultSite::Rescale, coord, f * *ov) + dv;
+            }
+        }
+        lap.to(|t| &t.gemm2);
+
+        // ---- GEMM II protection: O_c1/O_c2 ride the rescale ---------
+        if let Some((_, vcs)) = blk.checksums {
+            // Traditional checksums pay the full 8-wide MMA tile too.
+            let checksum_gemm = |w: &MatrixF32, it: usize| {
+                if traditional {
+                    let padded = Matrix::hstack(&[w, &Matrix::zeros(w.rows(), 7)]);
+                    gemm2(&padded, d, it).block(0, 0, rows, 1)
+                } else {
+                    gemm2(w, d, it)
+                }
+            };
+            let pcs = [checksum_gemm(&vcs.w1, 1), checksum_gemm(&vcs.w2, 2)];
+            for (o_c, pc) in [&mut self.o_c1, &mut self.o_c2].into_iter().zip(&pcs) {
+                for i in 0..rows {
+                    for (ov, &dv) in o_c.row_mut(i).iter_mut().zip(pc.row(i)) {
+                        *ov = factors[i] * *ov + dv;
+                    }
+                }
+            }
+            if per_step {
+                self.verify_output(kn, true);
+            }
+        }
+        lap.to(|t| &t.gemm2_protect);
+    }
+
+    /// Close the tile (Algorithm 1 lines 22–29) and return its normalised
+    /// O. `blocks` replays the attended `(K, V)` blocks for the clean
+    /// recomputation fallback; it is consumed only when damage no checksum
+    /// could repair was flagged.
+    pub(crate) fn finish<I: FaultInjector>(
+        mut self,
+        kn: &Kernel<'_, I>,
+        blocks: impl Iterator<Item = (MatrixF32, MatrixF32)>,
+    ) -> MatrixF32 {
+        let (opts, inj, slot) = (kn.opts, kn.inj, kn.slot);
+        let protected = opts.gemm != GemmProtection::Unprotected;
+        let mut lap = Lap::start(kn.timers);
+
+        // ---- SNVR rowsum restriction (unified) ----------------------
+        if opts.softmax == SoftmaxProtection::Snvr && opts.verify == VerifyMode::Unified {
+            for i in 0..self.ell.len() {
                 if let Restriction::Repaired { repaired } =
-                    restrict_rowsum(ell[i], &max_hist[i], m[i], cfg.seq)
+                    restrict_rowsum(self.ell[i], &self.max_hist[i], self.m[i], self.n)
                 {
                     // Optimised EFTA replaces ℓ with the approximation
                     // Σ_k exp(m_k − m) instead of recomputing.
-                    ell[i] = repaired;
-                    FtCounters::add(&self.counters.sum_restricted, 1);
+                    self.ell[i] = repaired;
+                    FtCounters::add(&kn.counters.sum_restricted, 1);
                 }
             }
-            PhaseTimers::add(&self.timers.softmax_protect, t0.elapsed().as_nanos() as u64);
         }
+        lap.to(|t| &t.softmax_protect);
 
-        // ---- Normalise O (and checksums) ---------------------------------
-        let t0 = Instant::now();
-        for i in 0..rows {
-            let gi = r0 + i;
+        // ---- Normalise O (and checksums) ----------------------------
+        for i in 0..self.ell.len() {
+            let gi = self.row0 + i;
             let inv = inj.corrupt_f32(
                 FaultSite::Normalize,
                 OpCoord::new(slot, gi, 0, 999),
-                1.0 / ell[i],
+                1.0 / self.ell[i],
             );
-            for (col, v) in o.row_mut(i).iter_mut().enumerate() {
-                *v = inj.corrupt_f32(
-                    FaultSite::Normalize,
-                    OpCoord::new(slot, gi, col, 1000),
-                    *v * inv,
-                );
+            for (col, v) in self.o.row_mut(i).iter_mut().enumerate() {
+                let coord = OpCoord::new(slot, gi, col, 1000);
+                *v = inj.corrupt_f32(FaultSite::Normalize, coord, *v * inv);
             }
             if protected {
-                for v in o_c1.row_mut(i) {
-                    *v *= inv;
-                }
-                for v in o_c2.row_mut(i) {
+                let (c1, c2) = (self.o_c1.row_mut(i), self.o_c2.row_mut(i));
+                for v in c1.iter_mut().chain(c2) {
                     *v *= inv;
                 }
             }
         }
-        PhaseTimers::add(&self.timers.gemm2, t0.elapsed().as_nanos() as u64);
+        lap.to(|t| &t.gemm2);
 
-        // ---- Final unified output verification ---------------------------
+        // ---- Unified output verification ----------------------------
         if protected {
-            let t0 = Instant::now();
-            let (sums1, sums2) = scheme_sums(opts, &o, s);
-            let mut mismatches = Vec::new();
-            for i in 0..rows {
-                for t in 0..s {
-                    if opts
-                        .thresholds
-                        .output
-                        .detects(sums1.get(i, t), o_c1.get(i, t))
-                    {
-                        mismatches.push(StridedMismatch {
-                            i,
-                            t,
-                            delta1: sums1.get(i, t) - o_c1.get(i, t),
-                            delta2: sums2.get(i, t) - o_c2.get(i, t),
-                        });
-                    }
-                }
-            }
-            if !mismatches.is_empty() {
-                let rep = correct_strided(&mut o, &mismatches, s);
-                FtCounters::add(&self.counters.gemm2_detected, rep.detections as u64);
-                FtCounters::add(&self.counters.gemm2_corrected, rep.corrected.len() as u64);
-                let catastrophic = rep.corrected.iter().any(|l| {
-                    !l.delta.is_finite()
-                        || l.delta.abs() > 1e3 * (o_c1.get(l.row, l.col % s).abs() + 1.0)
-                });
-                if rep.uncorrectable > 0 || catastrophic {
-                    FtCounters::add(
-                        &self.counters.gemm2_recomputed,
-                        rep.uncorrectable.max(1) as u64,
-                    );
-                    needs_recompute = true;
-                }
-            }
-            PhaseTimers::add(&self.timers.gemm2_protect, t0.elapsed().as_nanos() as u64);
+            self.verify_output(kn, false);
         }
+        lap.to(|t| &t.gemm2_protect);
 
-        if needs_recompute {
-            // Uncorrectable damage: recompute the whole row block cleanly
-            // (the paper's recomputation fallback).
-            let mut state = crate::flash::OnlineState::new(rows, d);
-            for c0 in block_starts(cfg.seq, b) {
-                let k_blk = km.block(c0, 0, b, d);
-                let v_blk = vm.block(c0, 0, b, d);
-                let s_blk = gemm_nt(q_blk, &k_blk);
-                crate::flash::online_update(&mut state, &s_blk, &v_blk);
-            }
-            crate::flash::finalize(&mut state);
-            o = state.o;
+        if !self.damaged {
+            return self.o;
         }
-
-        o
+        // Uncorrectable damage: recompute the whole tile cleanly (the
+        // paper's recomputation fallback).
+        let mut state = crate::flash::OnlineState::new(self.q.rows(), self.q.cols());
+        for (k_blk, v_blk) in blocks {
+            crate::flash::online_update(&mut state, &gemm_nt(self.q, &k_blk), &v_blk);
+        }
+        crate::flash::finalize(&mut state);
+        state.o
     }
 }
 
@@ -968,36 +856,65 @@ pub(crate) fn efta_forward<I: FaultInjector>(
     let timers = PhaseTimers::new();
     let b = cfg.block;
     let d = cfg.head_dim;
+    let s = effective_stride(opts);
+    let protected = opts.gemm != GemmProtection::Unprotected;
+    let snvr = opts.softmax == SoftmaxProtection::Snvr;
 
+    // All (slot, row-block) pairs are independent CTAs.
     let tasks: Vec<(usize, usize)> = (0..cfg.num_slots())
         .flat_map(|s| block_starts(cfg.seq, b).map(move |r0| (s, r0)))
         .collect();
 
-    let worker = Worker {
-        cfg,
-        opts,
-        inj,
-        counters: &counters,
-        timers: &timers,
-    };
-
-    let results: Vec<RowBlockResult> = tasks
+    let results: Vec<(usize, usize, MatrixF32)> = tasks
         .into_par_iter()
         .map(|(slot, r0)| {
-            let qm = q.slot_flat(slot);
             let km = k.slot_flat(slot).to_f32();
             let vm = v.slot_flat(slot).to_f32();
-            let q_raw = qm.block(r0, 0, b, d).to_f32();
+            let q_raw = q.slot_flat(slot).block(r0, 0, b, d).to_f32();
             let q_blk = Matrix::from_fn(q_raw.rows(), d, |i, j| q_raw.get(i, j) * cfg.scale);
-            let o = worker.run(slot, r0, &q_blk, &km, &vm);
-            RowBlockResult { slot, r0, o }
+            let kernel = Kernel {
+                opts,
+                inj,
+                counters: &counters,
+                timers: Some(&timers),
+                slot,
+            };
+            let blocks = || {
+                block_starts(cfg.seq, b).map(|c0| (km.block(c0, 0, b, d), vm.block(c0, 0, b, d)))
+            };
+            let mut state = RowState::new(&q_blk, r0, cfg.seq, cfg.seq, s);
+            for (jb, (k_blk, v_blk)) in blocks().enumerate() {
+                // Checksum operands are encoded per (row block, column
+                // block), as the fused GPU kernel does. A ragged final
+                // block may hold fewer rows than the checksum stride; its
+                // S-side checksums fold at the narrower width.
+                let mut lap = Lap::start(kernel.timers);
+                let k_cs = protected.then(|| encode_k(opts, &k_blk, s.min(k_blk.rows())));
+                lap.to(|t| &t.gemm1_protect);
+                let v_cs = protected.then(|| encode_v(opts, &v_blk));
+                lap.to(|t| &t.gemm2_protect);
+                let k_max_norm = if snvr { max_row_norm(&k_blk) } else { 0.0 };
+                lap.to(|t| &t.softmax_protect);
+                state.step(
+                    &kernel,
+                    &BlockOperands {
+                        k: &k_blk,
+                        v: &v_blk,
+                        checksums: k_cs.as_ref().zip(v_cs.as_ref()),
+                        k_max_norm,
+                        jb,
+                        c0: jb * b,
+                    },
+                );
+            }
+            (slot, r0, state.finish(&kernel, blocks()))
         })
         .collect();
 
     let mut o = Tensor4F32::zeros(cfg.batch, cfg.heads, cfg.seq, cfg.head_dim);
-    for r in results {
-        let (bi, h) = o.unflatten(r.slot);
-        o.slot_mut(bi, h).set_block(r.r0, 0, &r.o);
+    for (slot, r0, o_blk) in results {
+        let (bi, h) = o.unflatten(slot);
+        o.slot_mut(bi, h).set_block(r0, 0, &o_blk);
     }
 
     let mut timeline = Timeline::new();
@@ -1055,8 +972,14 @@ mod tests {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 52);
         for opts in [
-            EftaOptions::per_step().with_gemm(GemmProtection::Traditional),
-            EftaOptions::per_step().with_softmax(SoftmaxProtection::Dmr),
+            EftaOptions {
+                gemm: GemmProtection::Traditional,
+                ..EftaOptions::per_step()
+            },
+            EftaOptions {
+                softmax: SoftmaxProtection::Dmr,
+                ..EftaOptions::per_step()
+            },
             EftaOptions::unprotected(),
         ] {
             let out = efta_forward(&cfg, &q, &k, &v, &NoFaults, &opts);

@@ -271,7 +271,10 @@ pub(crate) fn sweep_tiles(
     opts: &EftaOptions,
 ) -> Result<Vec<StreamSweepOutput>, BackendError> {
     let counters = efta_sweep_prologue(slices, opts)?;
-    let thr = thresholds.unwrap_or(opts.thresholds);
+    let opts = &EftaOptions {
+        thresholds: thresholds.unwrap_or(opts.thresholds),
+        ..*opts
+    };
     let tiles: Vec<MatrixF32> = tile_units(slices)
         .into_par_iter()
         .map(|(si, slot)| {
@@ -287,7 +290,6 @@ pub(crate) fn sweep_tiles(
                     step0,
                     &q_chunk,
                     inj,
-                    &thr,
                     opts,
                     counters,
                     s.window,
