@@ -108,7 +108,7 @@ fn main() {
             .with_bit_range(27, 32);
         let (tokens, rep) = efta.generate(&prompt, new_tokens, &inj);
         fired += inj.fired();
-        detected += rep.total_detected;
+        detected += rep.total_detected();
         matched += u64::from(tokens == clean_tokens);
     }
     println!(

@@ -88,7 +88,7 @@ fn main() {
             pct(det_ovh),
             ms(t_correct),
             pct(corr_ovh),
-            rep.total_repaired.to_string(),
+            rep.total_repaired().to_string(),
         ]);
     }
     println!("{}", table.render());

@@ -903,8 +903,9 @@ pub struct StreamState {
     pub recoveries: u32,
     /// Why the stream retired (set at retirement; `None` while live).
     pub finish: Option<FinishReason>,
-    /// Fault events attributed to this stream across every sweep it took
-    /// part in (attention-kernel events, including cache residency).
+    /// The stream's one fault ledger: every sweep it took part in, every
+    /// protected site, folded with [`FtReport::accumulate`]; it travels
+    /// with the state through parking, recovery and migration.
     pub report: FtReport,
     /// Scheduling class, as resolved at submission.
     pub priority: Priority,
@@ -1379,7 +1380,7 @@ impl DecodeScheduler {
         assert!(s.inflight, "{stream}: record without a planned sweep");
         debug_assert!(accepted <= drafted, "cannot accept more than was drafted");
         s.inflight = false;
-        s.report = s.report.merged(report);
+        s.report.accumulate(report);
         s.generated.extend_from_slice(emitted);
         if drafted > 0 {
             s.spec_drafted += drafted as u64;
@@ -1410,7 +1411,7 @@ impl DecodeScheduler {
     /// so the next plans feed it back through chunked prefill and decode
     /// resumes where it left off. Returns the 1-based attempt number.
     ///
-    /// The sweep's fault report is still merged: the detection that
+    /// The sweep's fault ledger is still folded in: the detection that
     /// triggered the recovery is part of the stream's history.
     pub fn requeue(&mut self, stream: StreamId, report: &FtReport) -> u32 {
         self.requeue_suffix(stream, report, 0)
@@ -1432,7 +1433,7 @@ impl DecodeScheduler {
             "cannot keep more rows than the history holds"
         );
         s.inflight = false;
-        s.report = s.report.merged(report);
+        s.report.accumulate(report);
         s.fed = keep;
         s.prefill_len = s.total();
         s.recovery_fed += s.prefill_len - keep;
@@ -1519,7 +1520,7 @@ impl DecodeScheduler {
         let idx = self.active_index(stream);
         let s = &mut self.active[idx];
         s.inflight = false;
-        s.report = s.report.merged(report);
+        s.report.accumulate(report);
         s.finish = Some(reason);
         self.finished.push(self.active.remove(idx));
     }

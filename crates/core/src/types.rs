@@ -1,4 +1,21 @@
-//! Shared output and accounting types for all attention kernels.
+//! Shared output and accounting types: the attention kernels' outputs and
+//! [`FtReport`], the one fault ledger every protected site reports in.
+//!
+//! | site                   | detected          | corrected          | recomputed / restricted            |
+//! |------------------------|-------------------|--------------------|------------------------------------|
+//! | GEMM I (QKᵀ)           | `gemm1_detected`  | `gemm1_corrected`  | `gemm1_recomputed`                 |
+//! | subtract / EXP         | `exp_detected`    |                    | `exp_recomputed`                   |
+//! | reduce-max, rowsum     | = restricted      |                    | `max_restricted`, `sum_restricted` |
+//! | GEMM II, rescale, norm | `gemm2_detected`  | `gemm2_corrected`  | `gemm2_recomputed`                 |
+//! | DMR replicas           | `dmr_retries`     |                    |                                    |
+//! | KV-cache residency     | `cache_detected`  | `cache_corrected`  | none: `cache_uncorrectable`        |
+//! | linear layers          | `linear_detected` | `linear_corrected` | `linear_recomputed`                |
+//! | activation             | = restricted      |                    | `activation_restricted`            |
+//!
+//! `cache_tolerated` and `cache_evicted_blocks` are policy events, not
+//! faults. Ledgers combine by exactly two folds: [`FtReport::merged`] for
+//! distinct physical sources inside one sweep (slots, layers, streams,
+//! shards) and [`FtReport::accumulate`] for successive sweeps of one stream.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use ft_num::Tensor4F32;
@@ -71,10 +88,10 @@ impl FtCounters {
             cache_corrected: self.cache_corrected.load(Ordering::Relaxed),
             cache_uncorrectable: self.cache_uncorrectable.load(Ordering::Relaxed),
             cache_tolerated: self.cache_tolerated.load(Ordering::Relaxed),
-            // Eviction is a storage policy executed by the cache owner
-            // (the attention module), not by the kernels these counters
-            // instrument; it lands in reports via field updates upstream.
-            cache_evicted_blocks: 0,
+            // Eviction is a storage policy executed by the cache owner and
+            // linear / activation events are counted by their layers, not by
+            // the kernels these counters instrument; both join upstream.
+            ..FtReport::default()
         }
     }
 
@@ -86,7 +103,8 @@ impl FtCounters {
     }
 }
 
-/// Plain-data snapshot of [`FtCounters`].
+/// The fault ledger: plain-data event counts of every protected site (the
+/// [module table](self)); kernels fill theirs via [`FtCounters::snapshot`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FtReport {
     /// Checksum mismatches detected on GEMM I (QKᵀ).
@@ -131,6 +149,14 @@ pub struct FtReport {
     /// serving reports show when (and how often) a stream's history was
     /// trimmed.
     pub cache_evicted_blocks: u64,
+    /// Strided-ABFT mismatches detected on a protected linear layer's GEMM.
+    pub linear_detected: u64,
+    /// Linear-layer elements located and recomputed exactly.
+    pub linear_corrected: u64,
+    /// Linear-layer mismatches not located (row block recomputed wholesale).
+    pub linear_recomputed: u64,
+    /// Activation outputs found outside the theoretical range and repaired.
+    pub activation_restricted: u64,
 }
 
 impl FtReport {
@@ -143,6 +169,8 @@ impl FtReport {
             + self.gemm2_detected
             + self.dmr_retries
             + self.cache_detected
+            + self.linear_detected
+            + self.activation_restricted
     }
 
     /// Total repair actions (corrections + recomputations + restrictions).
@@ -155,6 +183,9 @@ impl FtReport {
             + self.gemm2_corrected
             + self.gemm2_recomputed
             + self.cache_corrected
+            + self.linear_corrected
+            + self.linear_recomputed
+            + self.activation_restricted
     }
 
     /// True when nothing fired *and* no unrepairable cache damage is on
@@ -164,7 +195,8 @@ impl FtReport {
         self.total_detected() == 0 && self.cache_uncorrectable == 0
     }
 
-    /// Field-wise sum with another report (batched/multi-run aggregation).
+    /// Field-wise sum with another report: the fold for **distinct physical
+    /// sources inside one sweep** (slots, layers, streams, shards).
     pub fn merged(&self, other: &FtReport) -> FtReport {
         FtReport {
             gemm1_detected: self.gemm1_detected + other.gemm1_detected,
@@ -183,7 +215,42 @@ impl FtReport {
             cache_uncorrectable: self.cache_uncorrectable + other.cache_uncorrectable,
             cache_tolerated: self.cache_tolerated + other.cache_tolerated,
             cache_evicted_blocks: self.cache_evicted_blocks + other.cache_evicted_blocks,
+            linear_detected: self.linear_detected + other.linear_detected,
+            linear_corrected: self.linear_corrected + other.linear_corrected,
+            linear_recomputed: self.linear_recomputed + other.linear_recomputed,
+            activation_restricted: self.activation_restricted + other.activation_restricted,
         }
+    }
+
+    /// Multi-*step* aggregation: fold one sweep's ledger into the running
+    /// ledger of the **same stream**.
+    ///
+    /// The counter mixing is deliberately non-uniform, and the asymmetry is
+    /// load-bearing:
+    ///
+    /// * every event field counts **fresh events** — each step's alarms
+    ///   fired exactly once — so they sum.
+    /// * `cache_uncorrectable` is a **sticky level**, not an event count:
+    ///   the protected decode path re-surfaces a cache's surviving damage
+    ///   count on *every* subsequent step (so the re-prefill signal cannot
+    ///   be missed), which means summing across steps would count one
+    ///   physical poisoning event once per step it was re-reported.
+    ///   `.max()` folds the re-reports idempotently while still growing
+    ///   when new damage raises the per-step level.
+    ///
+    /// Within one step, per-**layer** levels are summed by
+    /// [`merged`](FtReport::merged): two layers poisoned in the same step
+    /// are two distinct physical events, and the step-level count of 2 then
+    /// rides through `.max()` unchanged — neither dropped nor
+    /// double-counted (pinned by the
+    /// `two_layer_poison_is_counted_once_across_steps` regression test).
+    /// The residual approximation: damage retired (evicted/recovered) and
+    /// *then* re-introduced at a lower level is absorbed by the max — the
+    /// level history, not the event census, is what this field reports.
+    pub fn accumulate(&mut self, step: &FtReport) {
+        let level = self.cache_uncorrectable.max(step.cache_uncorrectable);
+        *self = self.merged(step);
+        self.cache_uncorrectable = level;
     }
 }
 
@@ -304,6 +371,33 @@ mod tests {
         assert_eq!(r.total_repaired(), 2);
         assert!(!r.clean());
         assert!(FtReport::default().clean());
+    }
+
+    #[test]
+    fn two_layer_poison_is_counted_once_across_steps() {
+        // Regression for the merged/accumulate mixing contract:
+        // cache_uncorrectable sums across layers within one step (two
+        // poisoned layers = two physical events) but folds by max across
+        // steps (the sticky level is re-reported every step).
+        let layer = FtReport {
+            cache_uncorrectable: 1,
+            cache_detected: 1,
+            ..FtReport::default()
+        };
+        let step = layer.merged(&layer);
+        assert_eq!(
+            step.cache_uncorrectable, 2,
+            "two layers poisoned in one step are two events"
+        );
+        let mut stream = FtReport::default();
+        for _ in 0..5 {
+            stream.accumulate(&step);
+        }
+        assert_eq!(
+            stream.cache_uncorrectable, 2,
+            "five re-reports of the same sticky level must not compound"
+        );
+        assert_eq!(stream.cache_detected, 10, "event fields still sum");
     }
 
     #[test]

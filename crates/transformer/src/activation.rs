@@ -7,6 +7,7 @@
 //! result is necessarily a computational error and is repaired by
 //! recomputation (here: clamping to the recomputed true value).
 
+use ft_core::types::FtReport;
 use ft_sim::{FaultInjector, FaultSite, OpCoord};
 
 /// Supported activation functions.
@@ -47,15 +48,9 @@ impl Activation {
     }
 }
 
-/// Outcome of a range-restricted activation pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ActivationReport {
-    /// Values found outside the theoretical range and repaired.
-    pub restricted: u64,
-}
-
 /// Apply `act` element-wise to `x` in place with fault injection at the
-/// activation unit and range restriction on the results.
+/// activation unit and range restriction on the results (counted as the
+/// returned ledger's `activation_restricted`).
 ///
 /// `slot` identifies the layer for fault coordinates; `max_abs_input` bounds
 /// the input (callers can pass the actual block max).
@@ -66,10 +61,10 @@ pub fn apply_restricted<I: FaultInjector>(
     slot: usize,
     row: usize,
     max_abs_input: f32,
-) -> ActivationReport {
+) -> FtReport {
     let (lo, hi) = act.output_range(max_abs_input);
     let slack = 1e-3 * max_abs_input.max(1.0);
-    let mut report = ActivationReport::default();
+    let mut report = FtReport::default();
     for (j, v) in x.iter_mut().enumerate() {
         let input = *v;
         let out = inj.corrupt_f32(
@@ -82,7 +77,7 @@ pub fn apply_restricted<I: FaultInjector>(
         } else {
             // Out of theoretical range: recompute (fault-free unit).
             *v = act.apply(input);
-            report.restricted += 1;
+            report.activation_restricted += 1;
         }
     }
     report
@@ -119,7 +114,7 @@ mod tests {
         let mut x = vec![-2.0, -0.5, 0.0, 0.7, 3.0];
         let max_in = 3.0;
         let rep = apply_restricted(Activation::Gelu, &mut x, &NoFaults, 0, 0, max_in);
-        assert_eq!(rep.restricted, 0);
+        assert_eq!(rep.activation_restricted, 0);
         assert!(x.iter().all(|v| *v >= GELU_MIN - 1e-3 && *v <= max_in));
     }
 
@@ -129,7 +124,7 @@ mod tests {
         // Exponent-bit corruption of the activation output at column 3.
         let inj = SeuInjector::new(FaultSite::Activation, OpCoord::new(0, 0, 3, 0), 30);
         let rep = apply_restricted(Activation::Relu, &mut x, &inj, 0, 0, 1.0);
-        assert_eq!(rep.restricted, 1);
+        assert_eq!(rep.activation_restricted, 1);
         // Repaired to the true ReLU value.
         assert_eq!(x[3], 0.5);
     }
@@ -141,7 +136,7 @@ mod tests {
         let mut x = vec![0.5f32; 4];
         let inj = SeuInjector::new(FaultSite::Activation, OpCoord::new(0, 0, 1, 0), 18);
         let rep = apply_restricted(Activation::Relu, &mut x, &inj, 0, 0, 1.0);
-        assert_eq!(rep.restricted, 0);
+        assert_eq!(rep.activation_restricted, 0);
         assert_ne!(x[1], 0.5);
         assert!(x[1] >= 0.0 && x[1] <= 1.0);
     }

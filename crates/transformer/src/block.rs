@@ -1,10 +1,11 @@
 //! A pre-norm transformer block: `x + MHA(LN(x))`, then `x + FFN(LN(x))`.
 
-use crate::ffn::{FeedForward, FfnReport};
-use crate::mha::{BackendKind, KvCache, MhaReport, MultiHeadAttention};
+use crate::ffn::FeedForward;
+use crate::mha::{BackendKind, KvCache, MultiHeadAttention};
 use crate::norm::LayerNorm;
 use ft_abft::thresholds::Thresholds;
 use ft_core::serve::StreamId;
+use ft_core::types::FtReport;
 use ft_num::MatrixF32;
 use ft_sim::FaultInjector;
 
@@ -19,15 +20,6 @@ pub struct TransformerBlock {
     pub ln2: LayerNorm,
     /// Feed-forward network.
     pub ffn: FeedForward,
-}
-
-/// FT events of one block forward.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BlockReport {
-    /// Attention-module events.
-    pub mha: MhaReport,
-    /// Feed-forward events.
-    pub ffn: FfnReport,
 }
 
 impl TransformerBlock {
@@ -54,32 +46,27 @@ impl TransformerBlock {
         inj: &I,
         layer_idx: usize,
         thresholds: &Thresholds,
-    ) -> (MatrixF32, BlockReport) {
-        let mut report = BlockReport::default();
-
+    ) -> (MatrixF32, FtReport) {
         let mut normed = x.clone();
         self.ln1.forward(&mut normed);
         let (attn, mha_rep) = self.mha.forward(&normed, inj, layer_idx * 2, thresholds);
-        report.mha = mha_rep;
         let mut h = x.clone();
         for i in 0..h.rows() {
             for (v, a) in h.row_mut(i).iter_mut().zip(attn.row(i)) {
                 *v += a;
             }
         }
-
         let mut normed2 = h.clone();
         self.ln2.forward(&mut normed2);
         let (ff, ffn_rep) = self
             .ffn
             .forward(&normed2, inj, layer_idx * 2 + 1, thresholds);
-        report.ffn = ffn_rep;
         for i in 0..h.rows() {
             for (v, f) in h.row_mut(i).iter_mut().zip(ff.row(i)) {
                 *v += f;
             }
         }
-        (h, report)
+        (h, mha_rep.merged(&ffn_rep))
     }
 
     /// Continuous-batching decode forward: each stream contributes a
@@ -90,8 +77,7 @@ impl TransformerBlock {
     /// `i`'s sliding attention window (a per-stream request property):
     /// that stream's cache is front-evicted before its chunk is appended
     /// and each of its rows attends only its window — eviction counts land
-    /// in that stream's [`BlockReport`]
-    /// (`mha.attention.cache_evicted_blocks`).
+    /// in that stream's ledger (`cache_evicted_blocks`).
     #[allow(clippy::too_many_arguments)]
     pub fn forward_decode_batch<I: FaultInjector>(
         &self,
@@ -102,7 +88,7 @@ impl TransformerBlock {
         inj: &I,
         layer_idx: usize,
         thresholds: &Thresholds,
-    ) -> Vec<(MatrixF32, BlockReport)> {
+    ) -> Vec<(MatrixF32, FtReport)> {
         let normed: Vec<MatrixF32> = xs
             .iter()
             .map(|x| {
@@ -139,13 +125,7 @@ impl TransformerBlock {
                         *v += f;
                     }
                 }
-                (
-                    h,
-                    BlockReport {
-                        mha: mha_rep,
-                        ffn: ffn_rep,
-                    },
-                )
+                (h, mha_rep.merged(&ffn_rep))
             })
             .collect()
     }
@@ -193,7 +173,7 @@ mod tests {
         let x = normal_matrix_f16(&mut rng, 32, 64, 1.0).to_f32();
         let (yf, _) = flash_blk.forward(&x, &NoFaults, 0, &Thresholds::calibrated());
         let (ye, rep) = efta_blk.forward(&x, &NoFaults, 0, &Thresholds::calibrated());
-        assert!(rep.mha.attention.clean());
+        assert!(rep.clean());
         assert!(yf.max_abs_diff(&ye) < 1e-2);
     }
 }

@@ -1,9 +1,10 @@
 //! Feed-forward module: ABFT linear → range-restricted activation → ABFT
 //! linear (paper Fig. 1, "Feed Forward Fault Tolerance").
 
-use crate::activation::{apply_restricted, Activation, ActivationReport};
-use crate::linear::{Linear, LinearReport};
+use crate::activation::{apply_restricted, Activation};
+use crate::linear::Linear;
 use ft_abft::thresholds::Thresholds;
+use ft_core::types::FtReport;
 use ft_num::MatrixF32;
 use ft_sim::FaultInjector;
 
@@ -17,15 +18,6 @@ pub struct FeedForward {
     pub down: Linear,
     /// Activation between them.
     pub activation: Activation,
-}
-
-/// FT events of one FFN forward.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FfnReport {
-    /// Aggregated projection report.
-    pub projections: LinearReport,
-    /// Activation restriction events.
-    pub activation: ActivationReport,
 }
 
 impl FeedForward {
@@ -45,28 +37,22 @@ impl FeedForward {
         inj: &I,
         layer_slot: usize,
         thresholds: &Thresholds,
-    ) -> (MatrixF32, FfnReport) {
-        let mut report = FfnReport::default();
-        let (mut h, r1) = self.up.forward(x, inj, layer_slot * 8 + 4, thresholds);
-        report.projections = r1;
+    ) -> (MatrixF32, FtReport) {
+        let (mut h, mut report) = self.up.forward(x, inj, layer_slot * 8 + 4, thresholds);
         // Range-restricted activation, row by row.
         for i in 0..h.rows() {
             let max_in = h.row(i).iter().map(|v| v.abs()).fold(0.0f32, f32::max);
-            let rep = apply_restricted(
+            report = report.merged(&apply_restricted(
                 self.activation,
                 h.row_mut(i),
                 inj,
                 layer_slot * 8 + 5,
                 i,
                 max_in,
-            );
-            report.activation.restricted += rep.restricted;
+            ));
         }
         let (y, r2) = self.down.forward(&h, inj, layer_slot * 8 + 6, thresholds);
-        report.projections.detected += r2.detected;
-        report.projections.corrected += r2.corrected;
-        report.projections.recomputed += r2.recomputed;
-        (y, report)
+        (y, report.merged(&r2))
     }
 }
 
@@ -83,8 +69,7 @@ mod tests {
         let x = normal_matrix_f16(&mut rng, 16, 32, 1.0).to_f32();
         let (y, rep) = ffn.forward(&x, &NoFaults, 0, &Thresholds::calibrated());
         assert_eq!(y.shape(), (16, 32));
-        assert_eq!(rep.projections, LinearReport::default());
-        assert_eq!(rep.activation.restricted, 0);
+        assert_eq!(rep, FtReport::default());
     }
 
     #[test]
@@ -97,7 +82,7 @@ mod tests {
         let inj = SeuInjector::new(FaultSite::Activation, OpCoord::new(21, 3, 10, 0), 30);
         let (dirty, rep) = ffn.forward(&x, &inj, 2, &Thresholds::calibrated());
         assert_eq!(inj.fired(), 1);
-        assert_eq!(rep.activation.restricted, 1);
+        assert_eq!(rep.activation_restricted, 1);
         assert!(dirty.max_abs_diff(&clean) < 1e-4);
     }
 
@@ -111,7 +96,7 @@ mod tests {
             .at_chain_step(10);
         let (dirty, rep) = ffn.forward(&x, &inj, 0, &Thresholds::calibrated());
         assert_eq!(inj.fired(), 1);
-        assert!(rep.projections.corrected > 0, "{rep:?}");
+        assert!(rep.linear_corrected > 0, "{rep:?}");
         assert!(dirty.max_abs_diff(&clean) < 1e-2);
     }
 }

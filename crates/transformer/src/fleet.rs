@@ -14,8 +14,8 @@
 //!  StreamHandle ◀── bounded per-stream channel ◀──────  event routing
 //!
 //!  ragged tails: an idle shard posts "hungry"; a loaded shard parks one
-//!  stream, routes its Preempted event, and ships scheduler state +
-//!  report + outbox over the migration board; the thief re-admits it
+//!  stream, routes its Preempted event, and ships scheduler state (fault
+//!  ledger included) + outbox over the migration board; the thief re-admits it
 //!  through chunked re-prefill (bit-identical to a never-migrated run).
 //! ```
 //!
@@ -30,15 +30,15 @@
 //!   migrated stream keeps its identity.
 //! * **Bit-identical migration.** Only *pending* (queued or parked)
 //!   streams migrate; a parked stream has no cache, so the move ships
-//!   scheduler state + accumulated report and the thief rebuilds the
+//!   the scheduler state, which carries the fault ledger, and the thief rebuilds the
 //!   cache by chunked re-prefill — the same machinery preemption uses,
 //!   already pinned bit-identical by the preemption suite.
 //! * **Lossless roll-up.** Every token, detection, repair, recovery,
 //!   park, and speculation count lands in exactly one
 //!   [`ShardReport`]; [`FleetReport::total`] is a plain sum. Event-level
 //!   counters (tokens, recoveries, parks) are attributed to the shard
-//!   where they happened; stream-level ledgers (fault reports,
-//!   speculation) to the shard that retired the stream.
+//!   where they happened; stream-level ledgers (the [`FtReport`] fault
+//!   ledger, speculation) to the shard that retired the stream.
 //! * **Composable parallelism.** Each shard thread caps the rayon-shim
 //!   fan-out of its own sweeps to `cores / workers` (override:
 //!   [`FleetConfig::shard_threads`], or the `FT_RAYON_WORKERS`
@@ -46,8 +46,9 @@
 //!   at about one thread per core instead of multiplying.
 
 use crate::engine::{EngineConfig, StreamHandle};
-use crate::model::{ModelReport, ServeSession, TransformerModel};
+use crate::model::{ServeSession, TransformerModel};
 use ft_core::serve::{EngineEvent, GenerationRequest, Priority, StreamId, StreamState};
+use ft_core::types::FtReport;
 use ft_sim::{FaultInjector, NoFaults};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -139,12 +140,10 @@ pub struct ShardReport {
     pub migrations_in: u64,
     /// Streams shipped to the migration board.
     pub migrations_out: u64,
-    /// Sum of retired streams' detected fault counts (model-wide).
-    pub detected: u64,
-    /// Sum of retired streams' repaired fault counts (model-wide).
-    pub repaired: u64,
-    /// Sum of retired streams' uncorrectable cache detections.
-    pub cache_uncorrectable: u64,
+    /// Retired streams' fault ledgers, [`merged`](FtReport::merged): the
+    /// per-shard per-site table (`cache_uncorrectable` sums each retired
+    /// stream's peak attended poison level).
+    pub faults: FtReport,
     /// History tokens re-fed by retired streams' recoveries.
     pub recovery_fed: u64,
     /// Speculative tokens drafted by retired streams.
@@ -160,9 +159,7 @@ pub struct ShardReport {
 impl ShardReport {
     fn fold_finished(&mut self, f: &crate::model::FinishedStream) {
         self.streams_finished += 1;
-        self.detected += f.report.total_detected;
-        self.repaired += f.report.total_repaired;
-        self.cache_uncorrectable += f.report.cache_uncorrectable;
+        self.faults = self.faults.merged(&f.attention);
         self.recovery_fed += f.recovery_fed as u64;
         self.spec_drafted += f.spec_drafted;
         self.spec_accepted += f.spec_accepted;
@@ -176,9 +173,7 @@ impl ShardReport {
         self.preemptions += other.preemptions;
         self.migrations_in += other.migrations_in;
         self.migrations_out += other.migrations_out;
-        self.detected += other.detected;
-        self.repaired += other.repaired;
-        self.cache_uncorrectable += other.cache_uncorrectable;
+        self.faults = self.faults.merged(&other.faults);
         self.recovery_fed += other.recovery_fed;
         self.spec_drafted += other.spec_drafted;
         self.spec_accepted += other.spec_accepted;
@@ -201,9 +196,9 @@ impl fmt::Display for ShardReport {
             self.preemptions,
             self.migrations_in,
             self.migrations_out,
-            self.detected,
-            self.repaired,
-            self.cache_uncorrectable,
+            self.faults.total_detected(),
+            self.faults.total_repaired(),
+            self.faults.cache_uncorrectable,
             self.spec_accepted,
             self.spec_drafted,
             self.peak_cache_bytes,
@@ -315,12 +310,11 @@ impl Outbox {
 }
 
 /// A parked/queued stream in flight between shards: scheduler state (the
-/// full ledger — tokens, recoveries, priority, speculation counters),
-/// the accumulated model report, and the consumer's outbox. No cache —
-/// the thief rebuilds it by chunked re-prefill.
+/// full ledger — tokens, recoveries, priority, speculation counters and
+/// the stream's one fault ledger, `state.report`) and the consumer's
+/// outbox. No cache — the thief rebuilds it by chunked re-prefill.
 struct Migrant {
     state: StreamState,
-    report: ModelReport,
     outbox: Outbox,
 }
 
@@ -700,7 +694,7 @@ fn worker_loop(
                     shared.loads[me.0].fetch_add(m.outbox.projection, Ordering::Relaxed);
                     report.migrations_in += 1;
                     outboxes.insert(m.state.id.0, m.outbox);
-                    session.adopt_stream(m.state, m.report);
+                    session.adopt_stream(m.state);
                     publish(&shared, me, &report);
                     continue;
                 }
@@ -828,8 +822,7 @@ fn worker_loop(
 /// Export one stream to the migration board: pick a victim (queue tail
 /// first — it has no cache to drop — else park the newest active
 /// stream), route the park's `Preempted` event to the victim's own
-/// outbox *before* the move, and ship scheduler state + model report +
-/// outbox.
+/// outbox *before* the move, and ship scheduler state + outbox.
 fn donate(
     me: ShardId,
     session: &mut ServeSession<Arc<TransformerModel>>,
@@ -850,22 +843,22 @@ fn donate(
     // The park (if any) queued a Preempted event; route it into the
     // victim's outbox so it travels with the stream, in order.
     route(session.drain_events(), outboxes, report);
-    let Some((state, model_report)) = session.extract_stream(victim) else {
+    let Some(state) = session.extract_stream(victim) else {
         return;
     };
     let Some(outbox) = outboxes.remove(&victim.0) else {
         // Unreachable in practice: every accepted stream has an outbox
         // until it retires. Re-adopt rather than lose the stream.
-        session.adopt_stream(state, model_report);
+        session.adopt_stream(state);
         return;
     };
     shared.loads[me.0].fetch_sub(outbox.projection, Ordering::Relaxed);
     report.migrations_out += 1;
-    shared.board.lock().unwrap().push_back(Migrant {
-        state,
-        report: model_report,
-        outbox,
-    });
+    shared
+        .board
+        .lock()
+        .unwrap()
+        .push_back(Migrant { state, outbox });
 }
 
 /// Route a batch of session events into the per-stream outboxes and count

@@ -27,6 +27,12 @@
 //! token-at-a-time loop. The pre-cache prefill-per-token baseline survives
 //! as [`TransformerModel::generate_prefill`].
 //!
+//! Every layer — [`Linear`], [`activation::apply_restricted`],
+//! [`FeedForward`], [`MultiHeadAttention`], [`TransformerBlock`], the model
+//! and the session — reports its fault events in one vocabulary, the
+//! [`FtReport`] ledger of `ft-core`; a stream's ledger lives in its
+//! scheduler state and comes back on [`FinishedStream`].
+//!
 //! On top of the pull-mode session sits the push-based serving loop
 //! ([`Engine`], [`crate::engine`]): an owned session on a dedicated worker
 //! thread, a [`Priority`]-classed run queue with aging, preemption through
@@ -69,9 +75,8 @@ pub use ft_core::serve::{
     DraftSource, EngineEvent, FinishReason, GenerationRequest, Priority, RecoveryPolicy,
     SamplingMode, SchedulerConfig, SpeculationPolicy, StreamId,
 };
+pub use ft_core::types::FtReport;
 pub use linear::{Linear, LinearProtection};
-pub use mha::{BackendKind, KvCache, MhaReport, MultiHeadAttention};
-pub use model::{
-    serve_expose_step, FinishedStream, ModelKvCache, ModelReport, ServeSession, TransformerModel,
-};
+pub use mha::{BackendKind, KvCache, MultiHeadAttention};
+pub use model::{serve_expose_step, FinishedStream, ModelKvCache, ServeSession, TransformerModel};
 pub use norm::LayerNorm;

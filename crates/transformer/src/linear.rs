@@ -8,6 +8,7 @@ use ft_abft::strided::{
     correct_strided, encode_rows_strided, strided_sums, strided_sums_weighted, StridedMismatch,
 };
 use ft_abft::thresholds::Thresholds;
+use ft_core::types::FtReport;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
 use ft_num::{block_starts, Matrix, MatrixF16, MatrixF32};
 use ft_sim::{gemm_nt, gemm_nt_inj, FaultInjector, FaultSite, GemmCtx};
@@ -31,17 +32,6 @@ pub struct Linear {
     pub bias: Vec<f32>,
     /// Protection applied on forward passes.
     pub protection: LinearProtection,
-}
-
-/// Fault-tolerance statistics of one forward pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinearReport {
-    /// Checksum mismatches detected.
-    pub detected: u64,
-    /// Elements located and recomputed.
-    pub corrected: u64,
-    /// Blocks recomputed wholesale.
-    pub recomputed: u64,
 }
 
 impl Linear {
@@ -74,26 +64,26 @@ impl Linear {
     /// Forward pass: `Y = X·Wᵀ + b`, protected per `self.protection`.
     ///
     /// `layer_slot` namespaces fault coordinates; `thresholds.gemm` is the
-    /// detection criterion.
+    /// detection criterion. Events land in the ledger's `linear_*` fields.
     pub fn forward<I: FaultInjector>(
         &self,
         x: &MatrixF32,
         inj: &I,
         layer_slot: usize,
         thresholds: &Thresholds,
-    ) -> (MatrixF32, LinearReport) {
+    ) -> (MatrixF32, FtReport) {
         assert_eq!(x.cols(), self.in_features(), "input feature mismatch");
         let w = self.weight.to_f32();
         let out_f = self.out_features();
         let stride = 8.min(out_f).max(1);
         let block = 64usize;
 
-        let results: Vec<(usize, MatrixF32, LinearReport)> = block_starts(x.rows(), block)
+        let results: Vec<(usize, MatrixF32, FtReport)> = block_starts(x.rows(), block)
             .collect::<Vec<_>>()
             .into_par_iter()
             .map(|r0| {
                 let x_blk = x.block(r0, 0, block, x.cols());
-                let mut report = LinearReport::default();
+                let mut report = FtReport::default();
                 let mut y = gemm_nt_inj(
                     &x_blk,
                     &w,
@@ -144,12 +134,12 @@ impl Linear {
                             }
                             y.set(loc.row, loc.col, acc);
                         }
-                        report.detected += rep.detections as u64;
-                        report.corrected += rep.corrected.len() as u64;
                         if rep.uncorrectable > 0 {
                             y = gemm_nt(&x_blk, &w);
-                            report.recomputed += rep.uncorrectable as u64;
                         }
+                        report.linear_detected = rep.detections as u64;
+                        report.linear_corrected = rep.corrected.len() as u64;
+                        report.linear_recomputed = rep.uncorrectable as u64;
                     }
                 }
                 // Bias.
@@ -163,12 +153,10 @@ impl Linear {
             .collect();
 
         let mut out = Matrix::zeros(x.rows(), out_f);
-        let mut total = LinearReport::default();
+        let mut total = FtReport::default();
         for (r0, y, rep) in results {
             out.set_block(r0, 0, &y);
-            total.detected += rep.detected;
-            total.corrected += rep.corrected;
-            total.recomputed += rep.recomputed;
+            total = total.merged(&rep);
         }
         (out, total)
     }
@@ -185,7 +173,7 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let x = normal_matrix_f16(&mut rng, 80, 32, 1.0).to_f32();
         let (y, rep) = layer.forward(&x, &NoFaults, 0, &Thresholds::calibrated());
-        assert_eq!(rep, LinearReport::default());
+        assert_eq!(rep, FtReport::default());
         let w = layer.weight.to_f32();
         let expect = gemm_nt(&x, &w);
         assert!(y.max_abs_diff(&expect) < 1e-6);
@@ -212,8 +200,8 @@ mod tests {
             .at_chain_step(30);
         let (dirty, rep) = layer.forward(&x, &inj, 7, &Thresholds::calibrated());
         assert_eq!(inj.fired(), 1);
-        assert!(rep.detected > 0);
-        assert!(rep.corrected > 0);
+        assert!(rep.linear_detected > 0);
+        assert!(rep.linear_corrected > 0);
         assert!(
             dirty.max_abs_diff(&clean) < 1e-3,
             "diff {}",
@@ -230,7 +218,7 @@ mod tests {
         let inj = SeuInjector::new(FaultSite::LinearAccum, OpCoord::new(7, 10, 20, 0), 30)
             .at_chain_step(30);
         let (dirty, rep) = layer.forward(&x, &inj, 7, &Thresholds::calibrated());
-        assert_eq!(rep, LinearReport::default());
+        assert_eq!(rep, FtReport::default());
         assert!(dirty.max_abs_diff(&clean) > 1.0);
     }
 
@@ -242,6 +230,6 @@ mod tests {
         let x = normal_matrix_f16(&mut rng, 70, 16, 1.0).to_f32();
         let (y, rep) = layer.forward(&x, &NoFaults, 0, &Thresholds::calibrated());
         assert_eq!(y.shape(), (70, 4));
-        assert_eq!(rep, LinearReport::default());
+        assert_eq!(rep, FtReport::default());
     }
 }

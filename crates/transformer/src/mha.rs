@@ -1,7 +1,7 @@
 //! Multi-head attention wiring the Q/K/V/O projections around any
 //! [`AttentionBackend`] from `ft-core`, selected by [`BackendKind`].
 
-use crate::linear::{Linear, LinearReport};
+use crate::linear::Linear;
 use ft_abft::thresholds::Thresholds;
 use ft_core::backend::{AttentionBackend, AttentionRequest};
 use ft_core::config::AttentionConfig;
@@ -57,15 +57,6 @@ pub struct MultiHeadAttention {
 /// The paper's CTA tile: default rows per KV-cache block.
 pub const DEFAULT_CACHE_BLOCK: usize = 64;
 
-/// FT events of one MHA forward.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MhaReport {
-    /// Aggregated projection-layer report.
-    pub projections: LinearReport,
-    /// Attention-kernel report.
-    pub attention: FtReport,
-}
-
 impl MultiHeadAttention {
     /// Random MHA (seeded) for `hidden = heads × head_dim`.
     pub fn random(seed: u64, hidden: usize, heads: usize, kernel: BackendKind) -> Self {
@@ -108,26 +99,21 @@ impl MultiHeadAttention {
         })
     }
 
-    /// Forward pass over `seq × hidden` activations.
+    /// Forward pass over `seq × hidden` activations. The returned ledger
+    /// is the attention kernel's plus the four projections'.
     pub fn forward<I: FaultInjector>(
         &self,
         x: &MatrixF32,
         inj: &I,
         layer_slot: usize,
         thresholds: &Thresholds,
-    ) -> (MatrixF32, MhaReport) {
+    ) -> (MatrixF32, FtReport) {
         let (seq, hidden) = x.shape();
         let hd = hidden / self.heads;
-        let mut report = MhaReport::default();
 
         let (q, r1) = self.wq.forward(x, inj, layer_slot * 8, thresholds);
         let (k, r2) = self.wk.forward(x, inj, layer_slot * 8 + 1, thresholds);
         let (v, r3) = self.wv.forward(x, inj, layer_slot * 8 + 2, thresholds);
-        for r in [r1, r2, r3] {
-            report.projections.detected += r.detected;
-            report.projections.corrected += r.corrected;
-            report.projections.recomputed += r.recomputed;
-        }
 
         let qt = self.split_heads(&q);
         let kt = self.split_heads(&k);
@@ -139,16 +125,13 @@ impl MultiHeadAttention {
         let out = self
             .kernel
             .run(&AttentionRequest::new(cfg, &qt, &kt, &vt).with_injector(inj));
-        report.attention = out.report;
 
         let merged = self.merge_heads(&out.o);
         let (y, r4) = self
             .wo
             .forward(&merged, inj, layer_slot * 8 + 3, thresholds);
-        report.projections.detected += r4.detected;
-        report.projections.corrected += r4.corrected;
-        report.projections.recomputed += r4.recomputed;
-        (y, report)
+        let projections = r1.merged(&r2).merged(&r3).merged(&r4);
+        (y, out.report.merged(&projections))
     }
 
     /// Fresh per-layer KV cache matching this module's head geometry and
@@ -190,33 +173,33 @@ impl MultiHeadAttention {
         inj: &I,
         layer_slot: usize,
         thresholds: &Thresholds,
-    ) -> Vec<(MatrixF32, MhaReport)> {
+    ) -> Vec<(MatrixF32, FtReport)> {
         assert_eq!(xs.len(), caches.len());
         assert_eq!(xs.len(), streams.len());
         assert_eq!(xs.len(), windows.len());
-        let mut reports: Vec<MhaReport> = vec![MhaReport::default(); xs.len()];
+        let mut reports = Vec::with_capacity(xs.len());
         let mut qts = Vec::with_capacity(xs.len());
-        let mut heals = Vec::with_capacity(xs.len());
-        let mut evictions = Vec::with_capacity(xs.len());
         for (i, x) in xs.iter().enumerate() {
             let (q, r1) = self.wq.forward(x, inj, layer_slot * 8, thresholds);
             let (k, r2) = self.wk.forward(x, inj, layer_slot * 8 + 1, thresholds);
             let (v, r3) = self.wv.forward(x, inj, layer_slot * 8 + 2, thresholds);
-            for r in [r1, r2, r3] {
-                reports[i].projections.detected += r.detected;
-                reports[i].projections.corrected += r.corrected;
-                reports[i].projections.recomputed += r.recomputed;
-            }
+            let mut report = r1.merged(&r2).merged(&r3);
             qts.push(self.split_heads(&q));
             // Evict on the pre-chunk length: every chunk row's causal
             // window still finds its blocks resident (see
             // `KvCache::enforce_window`). Per stream: each stream's own
             // request window governs its storage.
-            evictions.push(match windows[i] {
-                Some(w) => caches[i].enforce_window(w) as u64,
-                None => 0,
-            });
-            heals.push(caches[i].append(&self.split_heads(&k), &self.split_heads(&v)));
+            if let Some(w) = windows[i] {
+                report.cache_evicted_blocks = caches[i].enforce_window(w) as u64;
+            }
+            // The one `KvReadReport` → ledger conversion. heal.uncorrectable
+            // is deliberately NOT taken: append already folded it into the
+            // cache's sticky `poisoned` counter, which the protected sweep
+            // re-surfaces as cache_uncorrectable — it would double-count.
+            let heal = caches[i].append(&self.split_heads(&k), &self.split_heads(&v));
+            report.cache_detected = heal.detected;
+            report.cache_corrected = heal.corrected;
+            reports.push(report);
         }
         let slices: Vec<StreamSlice<'_>> = qts
             .iter()
@@ -233,23 +216,11 @@ impl MultiHeadAttention {
         outs.into_iter()
             .enumerate()
             .map(|(i, out)| {
-                let mut report = reports[i];
-                report.attention = out.report;
-                report.attention.cache_detected += heals[i].detected;
-                report.attention.cache_corrected += heals[i].corrected;
-                report.attention.cache_evicted_blocks += evictions[i];
-                // heal.uncorrectable is deliberately NOT added: append
-                // already folded it into the cache's sticky `poisoned`
-                // counter, which the protected sweep re-surfaces as
-                // cache_uncorrectable — adding it here would double-count.
                 let merged = self.merge_heads(&out.o);
                 let (y, r4) = self
                     .wo
                     .forward(&merged, inj, layer_slot * 8 + 3, thresholds);
-                report.projections.detected += r4.detected;
-                report.projections.corrected += r4.corrected;
-                report.projections.recomputed += r4.recomputed;
-                (y, report)
+                (y, reports[i].merged(&out.report).merged(&r4))
             })
             .collect()
     }
@@ -285,7 +256,7 @@ mod tests {
         };
         let (yf, _) = flash.forward(&x, &NoFaults, 0, &Thresholds::calibrated());
         let (ye, rep) = efta.forward(&x, &NoFaults, 0, &Thresholds::calibrated());
-        assert!(rep.attention.clean(), "{:?}", rep.attention);
+        assert!(rep.clean(), "{rep:?}");
         let diff = yf.max_abs_diff(&ye);
         assert!(diff < 1e-2, "kernel mismatch {diff}");
     }

@@ -1,6 +1,6 @@
 //! Full transformer model: embeddings → blocks → final norm → LM head.
 
-use crate::block::{BlockReport, TransformerBlock};
+use crate::block::TransformerBlock;
 use crate::configs::ModelConfig;
 use crate::embed::Embedding;
 use crate::linear::{Linear, LinearProtection};
@@ -32,53 +32,6 @@ pub struct TransformerModel {
     pub lm_head: Linear,
     /// Detection thresholds used by all protected layers.
     pub thresholds: Thresholds,
-}
-
-/// Aggregated FT events of one forward pass.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ModelReport {
-    /// Sum over blocks.
-    pub total_detected: u64,
-    /// Sum over blocks.
-    pub total_repaired: u64,
-    /// Unrepairable cache-resident damage events seen by the decode path
-    /// (sticky: once a cache is poisoned every later step re-reports it).
-    /// Non-zero means the only true recovery is re-prefilling the stream —
-    /// serving layers must check this, not just detected/repaired.
-    pub cache_uncorrectable: u64,
-}
-
-impl ModelReport {
-    /// Multi-*step* aggregation: fold one step's (or sweep's) report into a
-    /// stream or session total.
-    ///
-    /// The counter mixing is deliberately non-uniform, and the asymmetry is
-    /// load-bearing:
-    ///
-    /// * `total_detected` / `total_repaired` count **fresh events** — each
-    ///   step's alarms fired exactly once — so they sum.
-    /// * `cache_uncorrectable` is a **sticky level**, not an event count:
-    ///   the protected decode path re-surfaces a cache's surviving damage
-    ///   count on *every* subsequent step (so the re-prefill signal cannot
-    ///   be missed), which means summing across steps would count one
-    ///   physical poisoning event once per step it was re-reported.
-    ///   `.max()` folds the re-reports idempotently while still growing
-    ///   when new damage raises the per-step level.
-    ///
-    /// Within one step, per-**layer** counts are summed by the private
-    /// `absorb_layer` fold: two layers poisoned in the same step are two
-    /// distinct physical events, and the step-level
-    /// count of 2 then rides through `.max()` unchanged — neither dropped
-    /// nor double-counted (pinned by the
-    /// `two_layer_poison_is_counted_once_across_steps` regression test).
-    /// The residual approximation: damage retired (evicted/recovered) and
-    /// *then* re-introduced at a lower level is absorbed by the max — the
-    /// level history, not the event census, is what this field reports.
-    pub fn accumulate(&mut self, other: &ModelReport) {
-        self.total_detected += other.total_detected;
-        self.total_repaired += other.total_repaired;
-        self.cache_uncorrectable = self.cache_uncorrectable.max(other.cache_uncorrectable);
-    }
 }
 
 /// Per-layer KV caches plus the number of token positions fed so far — the
@@ -256,14 +209,12 @@ impl TransformerModel {
     }
 
     /// Forward pass: token ids → logits (`seq × vocab`).
-    pub fn forward<I: FaultInjector>(&self, tokens: &[u32], inj: &I) -> (MatrixF32, ModelReport) {
-        let (h, mut report) = self.forward_hidden(tokens, inj);
+    pub fn forward<I: FaultInjector>(&self, tokens: &[u32], inj: &I) -> (MatrixF32, FtReport) {
+        let (h, report) = self.forward_hidden(tokens, inj);
         let (logits, head_rep) = self
             .lm_head
             .forward(&h, inj, usize::MAX / 2, &self.thresholds);
-        report.total_detected += head_rep.detected;
-        report.total_repaired += head_rep.corrected + head_rep.recomputed;
-        (logits, report)
+        (logits, report.merged(&head_rep))
     }
 
     /// Forward pass up to the final hidden states (`seq × hidden`),
@@ -273,13 +224,13 @@ impl TransformerModel {
         &self,
         tokens: &[u32],
         inj: &I,
-    ) -> (MatrixF32, ModelReport) {
+    ) -> (MatrixF32, FtReport) {
         let mut h = self.embed.forward(tokens);
-        let mut report = ModelReport::default();
+        let mut report = FtReport::default();
         for (l, block) in self.blocks.iter().enumerate() {
             let (next, rep) = block.forward(&h, inj, l, &self.thresholds);
             h = next;
-            report.absorb_layer(&rep);
+            report = report.merged(&rep);
         }
         self.final_norm.forward(&mut h);
         (h, report)
@@ -376,7 +327,7 @@ impl TransformerModel {
         token: u32,
         cache: &mut ModelKvCache,
         inj: &I,
-    ) -> (MatrixF32, ModelReport) {
+    ) -> (MatrixF32, FtReport) {
         let feed = SweepFeed {
             stream: StreamId(0),
             tokens: vec![token],
@@ -385,7 +336,7 @@ impl TransformerModel {
             window: self.window(),
             protection: cache.protection(),
         };
-        let (h, mut report, _) = self
+        let (h, report) = self
             .run_sweep(&[feed], &mut [cache], inj)
             .pop()
             .expect("one feed in, one result out");
@@ -393,9 +344,7 @@ impl TransformerModel {
         let (logits, head_rep) = self
             .lm_head
             .forward(&h, inj, usize::MAX / 2, &self.thresholds);
-        report.total_detected += head_rep.detected;
-        report.total_repaired += head_rep.corrected + head_rep.recomputed;
-        (logits, report)
+        (logits, report.merged(&head_rep))
     }
 
     /// Greedy generation over the checksummed KV-cache decode path — the
@@ -414,7 +363,7 @@ impl TransformerModel {
         prompt: &[u32],
         new_tokens: usize,
         inj: &I,
-    ) -> (Vec<u32>, ModelReport) {
+    ) -> (Vec<u32>, FtReport) {
         assert!(!prompt.is_empty(), "generation needs at least one token");
         let mut session = self.serve();
         let id = session.submit_request(GenerationRequest::new(prompt.to_vec(), new_tokens));
@@ -423,7 +372,7 @@ impl TransformerModel {
             .into_iter()
             .find(|f| f.id == id)
             .expect("the submitted stream finishes");
-        (stream.tokens, stream.report)
+        (stream.tokens, stream.attention)
     }
 
     /// Greedy generation by full re-prefill each step — the pre-KV-cache
@@ -437,9 +386,9 @@ impl TransformerModel {
         prompt: &[u32],
         new_tokens: usize,
         inj: &I,
-    ) -> (Vec<u32>, ModelReport) {
+    ) -> (Vec<u32>, FtReport) {
         let mut tokens = prompt.to_vec();
-        let mut report = ModelReport::default();
+        let mut report = FtReport::default();
         for _ in 0..new_tokens {
             if tokens.len() >= self.config.max_seq {
                 break;
@@ -536,9 +485,9 @@ impl TransformerModel {
     ///
     /// `feeds[i]` must pair with `caches[i]`. Returns, per stream, the
     /// final-normed hidden rows of the feed's last `sample_rows` positions
-    /// (`sample_rows × hidden`, if the feed asked for any), the sweep's
-    /// model-level report, and the attention-level [`FtReport`] attributed
-    /// to that stream alone. The vocab-wide LM head is deliberately *not*
+    /// (`sample_rows × hidden`, if the feed asked for any) and the sweep's
+    /// fault ledger attributed to that stream alone (every layer's sites,
+    /// layers [`merged`](FtReport::merged)). The vocab-wide LM head is deliberately *not*
     /// run here: the engine evaluates it lazily, row by row, stopping at
     /// the first rejected draft — under speculation the head cost per
     /// *emitted* token then matches plain decode exactly, and only the
@@ -548,7 +497,7 @@ impl TransformerModel {
         feeds: &[SweepFeed],
         caches: &mut [&mut ModelKvCache],
         inj: &I,
-    ) -> Vec<(Option<MatrixF32>, ModelReport, FtReport)> {
+    ) -> Vec<(Option<MatrixF32>, FtReport)> {
         let layers = self.blocks.len();
         for (_, c) in feeds.iter().zip(&*caches) {
             assert_eq!(
@@ -565,8 +514,7 @@ impl TransformerModel {
             .zip(&base_pos)
             .map(|(f, &pos)| self.embed.forward_at(&f.tokens, pos))
             .collect();
-        let mut reports = vec![ModelReport::default(); feeds.len()];
-        let mut attn_reports = vec![FtReport::default(); feeds.len()];
+        let mut reports = vec![FtReport::default(); feeds.len()];
         for (l, block) in self.blocks.iter().enumerate() {
             let mut layer_caches: Vec<&mut KvCache> =
                 caches.iter_mut().map(|c| &mut c.layers[l]).collect();
@@ -587,8 +535,7 @@ impl TransformerModel {
             );
             for (i, (h, rep)) in outs.into_iter().enumerate() {
                 hs[i] = h;
-                attn_reports[i] = attn_reports[i].merged(&rep.mha.attention);
-                reports[i].absorb_layer(&rep);
+                reports[i] = reports[i].merged(&rep);
             }
         }
         for (c, f) in caches.iter_mut().zip(feeds) {
@@ -611,7 +558,7 @@ impl TransformerModel {
                 } else {
                     None
                 };
-                (rows, reports[i], attn_reports[i])
+                (rows, reports[i])
             })
             .collect()
     }
@@ -667,11 +614,12 @@ pub struct FinishedStream {
     pub id: StreamId,
     /// Prompt followed by the sampled continuation.
     pub tokens: Vec<u32>,
-    /// Model-level fault accounting accumulated over the stream's sweeps
-    /// (projections, attention, FFN, LM head).
-    pub report: ModelReport,
-    /// Attention-kernel fault history attributed to this stream alone —
-    /// per-stream cache detected/corrected/uncorrectable counts included.
+    /// The stream's one fault ledger ([`StreamState::report`]): every
+    /// protected site — projections, attention, cache residency, FFN, LM
+    /// head — attributed to this stream alone; `cache_uncorrectable` is the
+    /// peak attended level. Still named `attention` only because
+    /// `ftbench/src/tracing.rs` reads `f.attention.cache_*` and `ftbench/`
+    /// is frozen outside `benchmark` PRs; the rename belongs to the next one.
     pub attention: FtReport,
     /// Why the stream retired. On [`FinishReason::AbortedPoisoned`] the
     /// token history may be wrong from the last poisoned position onward.
@@ -740,7 +688,6 @@ pub struct ServeSession<M: core::borrow::Borrow<TransformerModel> = TransformerM
     model: M,
     scheduler: DecodeScheduler,
     caches: Vec<(StreamId, ModelKvCache)>,
-    reports: Vec<(StreamId, ModelReport)>,
     finished: Vec<FinishedStream>,
     events: Vec<EngineEvent>,
     recoveries: u64,
@@ -777,7 +724,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
             model,
             scheduler,
             caches: Vec::new(),
-            reports: Vec::new(),
             finished: Vec::new(),
             events: Vec::new(),
             recoveries: 0,
@@ -842,7 +788,7 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         std::mem::take(&mut self.events)
     }
 
-    fn sweep_inner<I: FaultInjector>(&mut self, inj: &I) -> usize {
+    fn sweep_inner<I: FaultInjector>(&mut self, inj: &I) {
         // Report the live footprint so memory-budget admission sees what
         // the resident streams actually occupy.
         self.scheduler.note_bytes(self.cache_bytes());
@@ -852,20 +798,14 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         self.absorb_park_resume();
         if plan.is_empty() {
             self.collect_finished();
-            return 0;
+            return;
         }
         for item in &plan {
-            // Cache and report existence are tracked separately: a stream
-            // resuming from a park gets a fresh cache but keeps the model
-            // report it accumulated before parking.
             if !self.caches.iter().any(|(id, _)| *id == item.stream) {
                 self.caches.push((
                     item.stream,
                     self.model.borrow().new_cache_with(item.protection),
                 ));
-            }
-            if !self.reports.iter().any(|(id, _)| *id == item.stream) {
-                self.reports.push((item.stream, ModelReport::default()));
             }
         }
         // Pair feeds with caches in storage order (plan order and storage
@@ -888,45 +828,41 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         }
         debug_assert_eq!(feeds.len(), plan.len());
         let results = self.model.borrow().run_sweep(&feeds, &mut cache_refs, inj);
-        let n = feeds.len();
         self.peak_cache_bytes = self.peak_cache_bytes.max(self.cache_bytes());
         let split = self.cache_breakdown();
         if split.total_bytes() > self.peak_cache_breakdown.total_bytes() {
             self.peak_cache_breakdown = split;
         }
-        for (feed, (rows, rep, attn)) in feeds.iter().zip(results) {
+        for (feed, (rows, mut ledger)) in feeds.iter().zip(results) {
             let id = feed.stream;
-            let entry = self
-                .reports
-                .iter_mut()
-                .find(|(rid, _)| *rid == id)
-                .expect("report entry exists for every planned stream");
-            entry.1.accumulate(&rep);
-            if attn.total_detected() > 0 {
+            if ledger.total_detected() > 0 {
                 self.events.push(EngineEvent::FaultCorrected {
                     stream: id,
-                    detected: attn.total_detected(),
-                    repaired: attn.total_repaired(),
+                    detected: ledger.total_detected(),
+                    repaired: ledger.total_repaired(),
                 });
             }
-            if attn.cache_evicted_blocks > 0 {
+            if ledger.cache_evicted_blocks > 0 {
                 self.events.push(EngineEvent::EvictedBlocks {
                     stream: id,
-                    blocks: attn.cache_evicted_blocks,
+                    blocks: ledger.cache_evicted_blocks,
                 });
             }
+            let cache = &mut self
+                .caches
+                .iter_mut()
+                .find(|(cid, _)| *cid == id)
+                .expect("planned stream has a cache")
+                .1;
             // Poison trigger, scoped to the stream's attended window: the
             // sticky per-block marks work for every backend (append-time
-            // laundering needs no protected kernel), and the sweep report
+            // laundering needs no protected kernel), and the sweep ledger
             // adds the EFTA read path's live uncorrectable detections.
             // Marks behind the window — and marks retired by eviction,
             // which leave with their block — must not trigger.
-            let sticky = self
-                .caches
-                .iter()
-                .find(|(cid, _)| *cid == id)
-                .map_or(0, |(_, c)| c.poisoned_attended(feed.window));
-            let poisoned = sticky.max(attn.cache_uncorrectable);
+            let poisoned = cache
+                .poisoned_attended(feed.window)
+                .max(ledger.cache_uncorrectable);
             if poisoned > 0 {
                 self.events.push(EngineEvent::CachePoisoned {
                     stream: id,
@@ -944,60 +880,43 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
                 state.total(),
             );
             match recovery {
-                RecoveryPolicy::ReprefillBounded { max_attempts } if poisoned > 0 => {
+                RecoveryPolicy::ReprefillBounded { max_attempts }
+                | RecoveryPolicy::ReprefillPartial { max_attempts }
+                    if poisoned > 0 =>
+                {
                     // Whatever this sweep produced was computed over
                     // damaged state — a sampled token must not enter the
-                    // history. Either give up (budget spent) or drop the
-                    // cache and replay the emitted history.
+                    // history. Either give up (budget spent) or rebuild the
+                    // cache from the emitted history.
                     if attempts >= max_attempts {
-                        self.scheduler
-                            .abort(id, &attn, FinishReason::AbortedPoisoned { attempts });
+                        self.scheduler.abort(
+                            id,
+                            &ledger,
+                            FinishReason::AbortedPoisoned { attempts },
+                        );
                     } else {
-                        let attempt = self.scheduler.requeue(id, &attn);
-                        self.recoveries += 1;
-                        self.events.push(EngineEvent::Recovering {
-                            stream: id,
-                            attempt,
-                        });
-                        let slot = self
-                            .caches
-                            .iter_mut()
-                            .find(|(cid, _)| *cid == id)
-                            .expect("planned stream has a cache");
-                        slot.1 = self.model.borrow().new_cache_with(feed.protection);
-                    }
-                }
-                RecoveryPolicy::ReprefillPartial { max_attempts } if poisoned > 0 => {
-                    // Same discard rule as the bounded policy — whatever
-                    // this sweep produced was computed over damaged state —
-                    // but the rollback primitive localizes the damage:
-                    // truncate to the last clean boundary before the first
-                    // poisoned attended block and replay only the suffix,
-                    // O(window) recovery cost instead of O(history).
-                    if attempts >= max_attempts {
-                        self.scheduler
-                            .abort(id, &attn, FinishReason::AbortedPoisoned { attempts });
-                    } else {
-                        let slot = self
-                            .caches
-                            .iter_mut()
-                            .find(|(cid, _)| *cid == id)
-                            .expect("planned stream has a cache");
-                        let target = slot
-                            .1
-                            .rollback_target(feed.window, position.saturating_sub(1));
+                        // The partial policy localizes the damage first:
+                        // truncate to the last clean boundary before the
+                        // first poisoned attended block and replay only the
+                        // suffix — O(window) recovery, not O(history).
+                        let target = match recovery {
+                            RecoveryPolicy::ReprefillPartial { .. } => {
+                                cache.rollback_target(feed.window, position.saturating_sub(1))
+                            }
+                            _ => None,
+                        };
                         let attempt = if let Some(p) = target {
                             // The boundary-heal report is discarded:
                             // read-time verification already counted the
                             // evidence, and surviving marks stay sticky.
-                            let _ = slot.1.truncate_to(CacheMark::at(p));
-                            self.scheduler.requeue_suffix(id, &attn, p)
+                            let _ = cache.truncate_to(CacheMark::at(p));
+                            self.scheduler.requeue_suffix(id, &ledger, p)
                         } else {
-                            // Damage not block-localized, or the rebuilt
-                            // suffix would attend evicted or still-poisoned
-                            // rows: fall back to the full replay.
-                            slot.1 = self.model.borrow().new_cache_with(feed.protection);
-                            self.scheduler.requeue(id, &attn)
+                            // Bounded policy, damage not block-localized, or
+                            // a suffix that would attend evicted or still-
+                            // poisoned rows: fresh cache, full replay.
+                            *cache = self.model.borrow().new_cache_with(feed.protection);
+                            self.scheduler.requeue(id, &ledger)
                         };
                         self.recoveries += 1;
                         self.events.push(EngineEvent::Recovering {
@@ -1008,13 +927,12 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
                 }
                 _ => {
                     if feed.sample_rows == 0 {
-                        self.scheduler.record(id, None, &attn);
+                        self.scheduler.record(id, None, &ledger);
                         continue;
                     }
                     let rows = rows.expect("sampling feed returns hidden rows");
                     let drafts = &feed.tokens[feed.tokens.len() - feed.speculate..];
                     let model = self.model.borrow();
-                    let mut head_rep = ModelReport::default();
                     let mut emitted: Vec<u32> = Vec::with_capacity(feed.sample_rows);
                     let mut accepted = 0usize;
                     for j in 0..feed.sample_rows {
@@ -1024,12 +942,13 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
                         // exactly plain decode's, and only the fused
                         // attention/FFN sweep is amortized across rows.
                         let row = Matrix::from_fn(1, rows.cols(), |_, c| rows.get(j, c));
-                        let (logits, hr) =
+                        let (logits, head_rep) =
                             model
                                 .lm_head
                                 .forward(&row, inj, usize::MAX / 2, &model.thresholds);
-                        head_rep.total_detected += hr.detected;
-                        head_rep.total_repaired += hr.corrected + hr.recomputed;
+                        // The sweep's FaultCorrected event is already out:
+                        // head detections reach the stream ledger only.
+                        ledger = ledger.merged(&head_rep);
                         let t = sample_token(sampling, &logits, id, position + j);
                         emitted.push(t);
                         self.events.push(EngineEvent::TokenEmitted {
@@ -1047,35 +966,23 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
                         // cache again trails the emitted history by exactly
                         // one row — by construction the next sweep starts
                         // from state bit-identical to plain decode's.
-                        let slot = self
-                            .caches
-                            .iter_mut()
-                            .find(|(cid, _)| *cid == id)
-                            .expect("planned stream has a cache");
-                        let _ = slot.1.truncate_to(CacheMark::at(position + accepted));
+                        let _ = cache.truncate_to(CacheMark::at(position + accepted));
                     }
-                    let entry = self
-                        .reports
-                        .iter_mut()
-                        .find(|(rid, _)| *rid == id)
-                        .expect("report entry exists for every planned stream");
-                    entry.1.accumulate(&head_rep);
                     if feed.speculate == 0 {
-                        self.scheduler.record(id, Some(emitted[0]), &attn);
+                        self.scheduler.record(id, Some(emitted[0]), &ledger);
                     } else {
                         self.scheduler.record_speculative(
                             id,
                             &emitted,
                             feed.speculate,
                             accepted,
-                            &attn,
+                            &ledger,
                         );
                     }
                 }
             }
         }
         self.collect_finished();
-        n
     }
 
     /// Sweep until every submitted stream has retired, then drain them
@@ -1135,24 +1042,18 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     /// Remove a *pending* stream for adoption by another session (work
     /// migration between fleet shards). Active streams must be
     /// [`park_stream`](ServeSession::park_stream)ed first — a parked
-    /// stream has no cache, so only scheduler state and the accumulated
-    /// [`ModelReport`] travel; the adopting shard rebuilds the cache by
+    /// stream has no cache, so only the scheduler state (fault ledger
+    /// included) travels; the adopting shard rebuilds the cache by
     /// chunked re-prefill, bit-identical to a never-migrated run. Route
     /// [`drain_events`](ServeSession::drain_events) before extracting so
     /// the park's `Preempted` event is not lost with the stream.
-    pub fn extract_stream(&mut self, stream: StreamId) -> Option<(StreamState, ModelReport)> {
+    pub fn extract_stream(&mut self, stream: StreamId) -> Option<StreamState> {
         let state = self.scheduler.extract_pending(stream)?;
         debug_assert!(
             !self.caches.iter().any(|(id, _)| *id == stream),
             "a pending stream cannot hold a cache"
         );
-        let report = self
-            .reports
-            .iter()
-            .position(|(id, _)| *id == stream)
-            .map(|i| self.reports.remove(i).1)
-            .unwrap_or_default();
-        Some((state, report))
+        Some(state)
     }
 
     /// Adopt a stream extracted from another session: the receiving half
@@ -1160,11 +1061,8 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     /// joins the queue and re-prefills its history on the next planned
     /// sweep; if it was parked on the donor, admission here emits the
     /// [`EngineEvent::Resumed`] the park promised.
-    pub fn adopt_stream(&mut self, state: StreamState, report: ModelReport) {
-        let id = state.id;
+    pub fn adopt_stream(&mut self, state: StreamState) {
         self.scheduler.adopt_pending(state);
-        debug_assert!(!self.reports.iter().any(|(rid, _)| *rid == id));
-        self.reports.push((id, report));
     }
 
     /// Total park transitions (preemption + backpressure) across the
@@ -1187,8 +1085,8 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     }
 
     /// Turn the scheduler's park/resume transitions into session state:
-    /// a parked stream's cache is dropped (its model report survives for
-    /// the resume), and both directions surface as typed events.
+    /// a parked stream's cache is dropped (its fault ledger stays in the
+    /// scheduler state), and both directions surface as typed events.
     fn absorb_park_resume(&mut self) {
         for id in self.scheduler.drain_parked() {
             self.caches.retain(|(cid, _)| *cid != id);
@@ -1268,12 +1166,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
 
     fn collect_finished(&mut self) {
         for s in self.scheduler.take_finished() {
-            let report = self
-                .reports
-                .iter()
-                .position(|(id, _)| *id == s.id)
-                .map(|i| self.reports.remove(i).1)
-                .unwrap_or_default();
             self.caches.retain(|(id, _)| *id != s.id);
             let reason = s.finish.unwrap_or(FinishReason::MaxTokens);
             self.events.push(EngineEvent::Finished {
@@ -1283,7 +1175,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
             self.finished.push(FinishedStream {
                 id: s.id,
                 tokens: s.tokens(),
-                report,
                 attention: s.report,
                 finish: reason,
                 recoveries: s.recoveries,
@@ -1353,30 +1244,6 @@ fn argmax(row: &[f32]) -> usize {
     best
 }
 
-impl ModelReport {
-    /// Per-*layer* aggregation within one step: every counter sums,
-    /// `cache_uncorrectable` included — each layer's sticky level is a
-    /// distinct physical cache's damage, so a step that sees two poisoned
-    /// layers reports level 2. Across steps the re-reported levels are then
-    /// folded by [`accumulate`](ModelReport::accumulate)'s max, not
-    /// re-summed.
-    fn absorb_layer(&mut self, rep: &BlockReport) {
-        self.total_detected += rep.mha.projections.detected
-            + rep.mha.attention.total_detected()
-            + rep.ffn.projections.detected
-            + rep.ffn.activation.restricted;
-        self.total_repaired += rep.mha.projections.corrected
-            + rep.mha.projections.recomputed
-            + rep.mha.attention.total_repaired()
-            + rep.ffn.projections.corrected
-            + rep.ffn.projections.recomputed
-            + rep.ffn.activation.restricted;
-        // Summed across the layers of one step; across steps the sticky
-        // re-reports are folded by `accumulate`'s max, not re-summed.
-        self.cache_uncorrectable += rep.mha.attention.cache_uncorrectable;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1403,7 +1270,7 @@ mod tests {
         let (l2, _) = model.forward(&tokens, &NoFaults);
         assert_eq!(l1.shape(), (16, 101));
         assert_eq!(l1, l2);
-        assert_eq!(rep.total_detected, 0);
+        assert_eq!(rep.total_detected(), 0);
     }
 
     #[test]
@@ -1426,7 +1293,7 @@ mod tests {
         let tokens: Vec<u32> = (0..24).map(|i| i * 3 % 101).collect();
         let (lf, _) = flash.forward(&tokens, &NoFaults);
         let (le, rep) = efta.forward(&tokens, &NoFaults);
-        assert_eq!(rep.total_detected, 0);
+        assert_eq!(rep.total_detected(), 0);
         assert!(lf.max_abs_diff(&le) < 0.05, "diff {}", lf.max_abs_diff(&le));
     }
 
@@ -1466,7 +1333,7 @@ mod tests {
         model: &TransformerModel,
         prefix: &[u32],
         cache: &mut ModelKvCache,
-    ) -> (MatrixF32, ModelReport) {
+    ) -> (MatrixF32, FtReport) {
         let mut out = None;
         for &t in &prefix[cache.positions()..] {
             out = Some(model.decode_step(t, cache, &NoFaults));
@@ -1506,7 +1373,7 @@ mod tests {
         let prompt = [3u32, 9, 27, 81, 40];
         let (tf, _) = flash.generate(&prompt, 4, &NoFaults);
         let (te, rep) = efta.generate(&prompt, 4, &NoFaults);
-        assert_eq!(rep.total_detected, 0, "clean decode must raise no alarms");
+        assert_eq!(rep.total_detected(), 0, "clean decode must raise no alarms");
         assert_eq!(tf, te, "EFTA decode tokens must match flash decode");
     }
 
@@ -1527,7 +1394,7 @@ mod tests {
         let (dirty, rep) = model.generate(&prompt, 4, &inj);
         assert!(inj.fired() > 0, "exposure must hit the cache");
         assert!(
-            rep.total_detected > 0,
+            rep.total_detected() > 0,
             "cache checksums must notice: {rep:?}"
         );
         assert_eq!(clean, dirty, "decode output must be fault-free");
@@ -1624,34 +1491,6 @@ mod tests {
     }
 
     #[test]
-    fn two_layer_poison_is_counted_once_across_steps() {
-        // Regression for the accumulate/absorb_layer mixing contract:
-        // cache_uncorrectable sums across layers within one step (two
-        // poisoned layers = two physical events) but folds by max across
-        // steps (the sticky level is re-reported every step).
-        let layer_rep = |uncorrectable: u64| {
-            let mut b = BlockReport::default();
-            b.mha.attention.cache_uncorrectable = uncorrectable;
-            b
-        };
-        let mut step = ModelReport::default();
-        step.absorb_layer(&layer_rep(1));
-        step.absorb_layer(&layer_rep(1));
-        assert_eq!(
-            step.cache_uncorrectable, 2,
-            "two layers poisoned in one step are two events"
-        );
-        let mut stream = ModelReport::default();
-        for _ in 0..5 {
-            stream.accumulate(&step);
-        }
-        assert_eq!(
-            stream.cache_uncorrectable, 2,
-            "five re-reports of the same sticky level must not compound"
-        );
-    }
-
-    #[test]
     fn topk_sampling_is_deterministic_and_k1_is_greedy() {
         use ft_core::serve::{GenerationRequest, SamplingMode};
         let model =
@@ -1738,8 +1577,8 @@ mod tests {
             SeuInjector::new(FaultSite::LinearAccum, OpCoord::new(0, 3, 7, 0), 30).at_chain_step(5);
         let (dirty, rep) = model.forward_hidden(&tokens, &inj);
         assert_eq!(inj.fired(), 1);
-        assert!(rep.total_detected > 0);
-        assert!(rep.total_repaired > 0);
+        assert!(rep.total_detected() > 0);
+        assert!(rep.total_repaired() > 0);
         assert!(
             dirty.max_abs_diff(&clean) < 0.05,
             "diff {}",

@@ -82,8 +82,8 @@ fn main() {
         "protected + BER:   {:?}  (faults fired {}, detected {}, repaired {})",
         &tokens_ft[prompt.len()..],
         inj.fired(),
-        report.total_detected,
-        report.total_repaired
+        report.total_detected(),
+        report.total_repaired()
     );
 
     // Unprotected model under the same fire. Its reference decode reads

@@ -350,12 +350,45 @@ fn recovery_policy_none_reports_but_never_reprefills() {
         "the sticky signal must ride the stream report: {:?}",
         f.attention
     );
-    assert!(
-        f.report.cache_uncorrectable >= 1,
-        "…and the model-level report: {:?}",
-        f.report
+    assert_eq!(
+        f.attention.cache_uncorrectable, 1,
+        "…as the peak attended level, counted once — not once per sweep \
+         that re-surfaced it: {:?}",
+        f.attention
     );
     assert_eq!(f.tokens.len(), 13 + 6);
+}
+
+/// One ledger, every site: a corrected fault *outside* the attention
+/// kernel — an SEU in the layer-0 query projection's accumulator, repaired
+/// by the strided ABFT of `Linear::forward` — lands in the stream's ledger
+/// and is announced by the same `FaultCorrected` event an attention repair
+/// raises. (Row 5 only exists in the 13-row prefill sweep, so it fires
+/// once.)
+#[test]
+fn corrected_projection_fault_is_announced_and_lands_on_the_stream_ledger() {
+    let model = TransformerModel::random(46, tiny(64), BackendKind::Flash).with_causal(true);
+    let run = |inj: &dyn FaultInjector| {
+        let mut session = model.serve();
+        let id = session.submit_request(GenerationRequest::new(prompt(13, 5), 6));
+        let (finished, events) = run_with_events(&mut session, &inj);
+        (finished.into_iter().find(|f| f.id == id).unwrap(), events)
+    };
+    let (clean, _) = run(&NoFaults);
+    let inj =
+        SeuInjector::new(FaultSite::LinearAccum, OpCoord::new(0, 5, 3, 0), 30).at_chain_step(5);
+    let (f, events) = run(&inj);
+    assert_eq!(inj.fired(), 1);
+    assert!(f.attention.linear_detected >= 1, "{:?}", f.attention);
+    assert!(
+        events.iter().any(|e| matches!(
+            e,
+            EngineEvent::FaultCorrected { stream, detected, .. }
+                if *stream == f.id && *detected >= 1
+        )),
+        "a repaired projection fault must raise FaultCorrected: {events:?}"
+    );
+    assert_eq!(f.tokens, clean.tokens, "the repair is exact enough");
 }
 
 /// Recovery composes with the rest of the engine: a poisoned stream

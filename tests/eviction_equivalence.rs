@@ -291,7 +291,12 @@ fn windowed_scheduled_streams_match_windowed_stepwise_decode() {
                 "backend {kind}, stream {i} (prompt {len}): windowed \
                  scheduled decode diverged from the stepwise oracle"
             );
-            assert_eq!(f.report.total_detected, 0, "{kind}/{i}: {:?}", f.report);
+            assert_eq!(
+                f.attention.total_detected(),
+                0,
+                "{kind}/{i}: {:?}",
+                f.attention
+            );
             any_evicted += f.attention.cache_evicted_blocks;
         }
         assert!(

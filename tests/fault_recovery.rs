@@ -94,7 +94,7 @@ fn transformer_forward_recovers_from_attention_seu() {
         cfg.layers as u64,
         "one fault per layer's attention"
     );
-    assert!(rep.total_repaired > 0);
+    assert!(rep.total_repaired() > 0);
     let diff = dirty.max_abs_diff(&clean);
     assert!(diff < 0.05, "residual {diff}");
 }

@@ -68,6 +68,14 @@ fn assert_lossless(report: &FleetReport, want_streams: u64, want_tokens: u64) {
         total.migrations_in, total.migrations_out,
         "every exported stream is adopted: {report}"
     );
+    let faults = report
+        .shards
+        .iter()
+        .fold(Default::default(), |acc, s| s.faults.merged(&acc));
+    assert_eq!(
+        total.faults, faults,
+        "the fault ledger rolls up as a pure sum: {report}"
+    );
 }
 
 /// A 3-shard fleet serves mixed-length streams bit-identically to the
@@ -415,7 +423,7 @@ fn seu_on_migrated_streams_rebuilt_cache_recovers_with_right_attribution() {
                 "the recovery is attributed to the adopting shard: {report}"
             );
             assert!(
-                thief.cache_uncorrectable >= 1,
+                thief.faults.cache_uncorrectable >= 1,
                 "the uncorrectable detection rides the owning stream's \
                  report onto the thief's ledger: {report}"
             );
@@ -423,7 +431,7 @@ fn seu_on_migrated_streams_rebuilt_cache_recovers_with_right_attribution() {
                 donor.recoveries, 0,
                 "the donor's ledger stays clean: {report}"
             );
-            assert_eq!(donor.cache_uncorrectable, 0, "{report}");
+            assert_eq!(donor.faults.cache_uncorrectable, 0, "{report}");
             observed = true;
             break;
         }

@@ -148,10 +148,10 @@ fn protection_survives_work_stealing_migration() {
     let mut thief = model.serve_with(sched());
     for (i, &id) in ids.iter().enumerate() {
         assert!(donor.park_stream(id), "stream {i} was active to park");
-        let (state, report) = donor
+        let state = donor
             .extract_stream(id)
             .expect("a parked stream is pending and extractable");
-        thief.adopt_stream(state, report);
+        thief.adopt_stream(state);
     }
     assert!(donor.idle(), "the donor gave every stream away");
     while !thief.idle() {

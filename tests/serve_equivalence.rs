@@ -56,9 +56,10 @@ fn scheduled_streams_match_independent_decode() {
                 "backend {kind}, stream {i} (prompt {len}): scheduled tokens diverged"
             );
             assert_eq!(
-                f.report.total_detected, 0,
+                f.attention.total_detected(),
+                0,
                 "backend {kind}, stream {i}: clean run raised alarms: {:?}",
-                f.report
+                f.attention
             );
             assert!(f.attention.clean(), "{kind}/{i}: {:?}", f.attention);
         }
@@ -170,6 +171,6 @@ fn generate_is_the_one_stream_special_case() {
     let finished = session.run(&NoFaults);
     let f = finished.iter().find(|f| f.id == id).unwrap();
     assert_eq!(f.tokens, tokens);
-    assert_eq!(f.report.total_detected, report.total_detected);
+    assert_eq!(f.attention.total_detected(), report.total_detected());
     assert_eq!(tokens, stepwise_generate(&model, &p, 6));
 }

@@ -296,7 +296,7 @@ fn seu_in_a_rolled_back_draft_row_leaves_no_trace_after_truncation() {
     let (_, detour_rep) = model.decode_step(91, &mut spec_cache, &inj);
     assert_eq!(inj.fired(), 1, "the SEU must land in the drafted row");
     assert!(
-        detour_rep.total_detected >= 1,
+        detour_rep.total_detected() >= 1,
         "the flip is seen while the detour runs: {detour_rep:?}"
     );
 
@@ -315,7 +315,7 @@ fn seu_in_a_rolled_back_draft_row_leaves_no_trace_after_truncation() {
         let (a, ra) = model.decode_step(t, &mut plain_cache, &NoFaults);
         let (b, rb) = model.decode_step(t, &mut spec_cache, &NoFaults);
         assert_eq!(a, b, "the rolled-back SEU left a trace in the logits");
-        assert_eq!(rb.total_detected, ra.total_detected);
+        assert_eq!(rb.total_detected(), ra.total_detected());
         assert_eq!(rb.cache_uncorrectable, 0);
         logits = Some(a);
     }
