@@ -60,7 +60,7 @@
 //! other wall-clock gates.
 //!
 //! The latency sweep (standalone via `--latency-only`) drives the
-//! push-based `Engine` with a bursty mixed-class trace — a wall of long
+//! push-based one-worker `Fleet` with a bursty mixed-class trace — a wall of long
 //! `Batch` generations, then `Latency`/`Normal` arrivals mid-flight — and
 //! reports p50/p99 time-to-first-token and mean inter-token gap per
 //! priority class, for the priority+preemption run and a FIFO
@@ -73,7 +73,7 @@ use ft_core::protect::DEFAULT_APPROX_TOL;
 use ft_core::serve::StreamId;
 use ft_sim::{BerInjector, FaultInjector, FaultSite, NoFaults};
 use ft_transformer::{
-    BackendKind, DraftSource, Engine, EngineConfig, EngineEvent, FinishReason, Fleet, FleetConfig,
+    BackendKind, DraftSource, EngineConfig, EngineEvent, FinishReason, Fleet, FleetConfig,
     FleetReport, GenerationRequest, ModelConfig, Priority, ProtectionLevel, RecoveryPolicy,
     RouterPolicy, SchedulerConfig, SpeculationPolicy, TransformerModel,
 };
@@ -895,7 +895,7 @@ fn run_trace(
     engine_cfg: EngineConfig,
     honor_classes: bool,
 ) -> (Vec<StreamTrace>, f64) {
-    let engine = Engine::spawn(model.clone(), engine_cfg);
+    let engine = Fleet::spawn(model.clone(), FleetConfig::single(engine_cfg));
     let t0 = Instant::now();
     let mut consumers = Vec::new();
     let mut burst_started = false;

@@ -86,6 +86,7 @@ use crate::efta::{EftaOptions, GemmProtection, SoftmaxProtection};
 use crate::kv::KvCache;
 use crate::protect::ProtectionLevel;
 use crate::types::{FtCounters, FtReport};
+use core::cmp::Reverse;
 use ft_abft::thresholds::Thresholds;
 use ft_num::{MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
@@ -938,9 +939,10 @@ pub struct StreamState {
     /// The stream sits in the run queue because it was parked mid-decode
     /// (its cache is gone); re-admission surfaces a resume transition.
     parked: bool,
-    /// Backpressure hold: the stream keeps its slot and cache but is not
-    /// fed (its consumer cannot absorb more events right now).
-    held: bool,
+    /// The driver's one backpressure fact
+    /// ([`DecodeScheduler::set_blocked`]): the consumer still owes a drain
+    /// of events this stream already produced.
+    blocked: bool,
     /// Consecutive verify sweeps that accepted zero drafts (the backoff
     /// clock of [`SpeculationPolicy::backoff_after`]).
     spec_zero_streak: u32,
@@ -978,6 +980,16 @@ impl StreamState {
 
     fn done(&self) -> bool {
         self.total() >= self.max_total
+    }
+
+    /// The one park-victim filter (preemption, backpressure, export). A
+    /// stream still mid-(re-)prefill is never a victim: parking it would
+    /// discard every fed row before it sampled anything, so a perpetually
+    /// outranked or blocked stream could be re-admitted and re-parked
+    /// forever without emitting a token. Completing the prefill first pins
+    /// at least one sampled token per admission cycle.
+    fn parkable(&self) -> bool {
+        !self.inflight && !self.done() && !self.prefilling()
     }
 
     fn finish_reason(&self) -> FinishReason {
@@ -1125,7 +1137,7 @@ impl DecodeScheduler {
             inflight: false,
             queued_at: self.tick,
             parked: false,
-            held: false,
+            blocked: false,
             spec_zero_streak: 0,
             spec_off: false,
         });
@@ -1171,20 +1183,28 @@ impl DecodeScheduler {
     }
 
     /// Plan the next sweep: sort the run queue by effective priority
-    /// (class plus deadline-aware aging, FIFO within a class), optionally
-    /// park one active stream to make room for a blocked higher-class
-    /// arrival ([`SchedulerConfig::preempt`]), admit pending streams into
-    /// free slots (gated by [`SchedulerConfig::memory_budget`] when set),
-    /// retire streams whose budget is already met, and hand every active
-    /// non-[`hold`] stream its next chunk (marking it in-flight until
-    /// [`record`]ed).
+    /// (class plus deadline-aware aging, FIFO within a class), park at most
+    /// one active stream to make room for the stream heading the queue,
+    /// admit pending streams into free slots (gated by
+    /// [`SchedulerConfig::memory_budget`] when set), retire streams whose
+    /// budget is already met, and hand every active stream its next chunk
+    /// (marking it in-flight until [`record`]ed).
+    ///
+    /// This is the only place a stream's lifecycle is decided. A stream
+    /// reported [blocked](DecodeScheduler::set_blocked) finishes a prefill
+    /// it has started but is not fed a sampling sweep; it is not admitted
+    /// (blocked streams sort behind unblocked ones and admission stops at
+    /// the first); and it is the first park victim — ahead of class, with
+    /// or without [`SchedulerConfig::preempt`] — when an unblocked stream
+    /// heads the queue and cannot be admitted for slots or bytes. So no
+    /// stream is re-admitted while its consumer owes a drain, and what a
+    /// stream emits between two drains is bounded by one admission cycle.
     ///
     /// An empty plan means the scheduler is [`idle`](DecodeScheduler::idle),
-    /// every active stream is awaiting its record, or every active stream
-    /// is held.
+    /// every active stream is awaiting its record, or every stream is
+    /// blocked.
     ///
     /// [`record`]: DecodeScheduler::record
-    /// [`hold`]: DecodeScheduler::hold
     pub fn plan(&mut self) -> Vec<PlanItem> {
         self.tick += 1;
         // Project the footprint each stream is *committed* to, not just
@@ -1211,57 +1231,52 @@ impl DecodeScheduler {
             let materialized = s.materialized().min(cap);
             target.saturating_sub(materialized) as u64 * bpt
         };
-        // Run-queue order: effective (aged) priority first, submission
-        // order within a class. Stable sort keeps FIFO ties honest.
+        // Run-queue order: unblocked before blocked, then effective (aged)
+        // priority, submission order within a class.
         let aging = self.cfg.priority_aging;
         let tick = self.tick;
         let score =
             |s: &StreamState| aged_score(s.priority, tick.saturating_sub(s.queued_at), aging);
-        self.pending
-            .make_contiguous()
-            .sort_by(|a, b| score(b).cmp(&score(a)).then(a.id.cmp(&b.id)));
+        self.pending.make_contiguous().sort_by(|a, b| {
+            (a.blocked.cmp(&b.blocked))
+                .then(score(b).cmp(&score(a)))
+                .then(a.id.cmp(&b.id))
+        });
         let mut projected = self.noted_bytes + self.active.iter().map(remainder).sum::<u64>();
-        // Preemption: when the head of the run queue outranks an active
-        // stream and cannot be admitted (slot table full, or the byte
-        // budget is exhausted), park the weakest active stream — lowest
-        // class, least progress to throw away, newest submission — so the
-        // higher class gets its slot *this* plan. At most one park per
-        // plan keeps the table from thrashing under a burst, and a stream
-        // still mid-(re-)prefill is never a victim: parking it would
-        // discard every fed row before it sampled anything, so a
-        // perpetually-outranked stream could be re-admitted and re-parked
-        // forever without emitting a token. Requiring the prefill to
-        // complete first pins a minimum of one sampled token per
-        // admission cycle, which makes priority livelock impossible.
-        if self.cfg.preempt {
-            if let Some(front) = self.pending.front() {
-                let front_score = score(front);
-                let slots_full = self.active.len() >= self.cfg.max_active;
-                let budget_blocked = match self.cfg.memory_budget {
-                    None => false,
-                    Some(b) => !self.active.is_empty() && projected + remainder(front) > b,
-                };
-                if slots_full || budget_blocked {
-                    let victim = self
-                        .active
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| !s.inflight && !s.done() && !s.prefilling())
-                        .min_by_key(|(_, s)| {
-                            (s.priority, s.materialized(), core::cmp::Reverse(s.id))
-                        })
-                        .map(|(i, _)| i);
-                    if let Some(i) = victim {
-                        if (self.active[i].priority as u64) < front_score {
-                            projected = projected.saturating_sub(remainder(&self.active[i]));
-                            self.park_index(i);
-                        }
+        // Park one stream when the (unblocked) head of the run queue cannot
+        // be admitted — slot table full, or the byte budget exhausted — so
+        // it gets its slot *this* plan: a blocked stream if there is one,
+        // else, under `cfg.preempt`, the weakest stream the head strictly
+        // outranks — lowest class, least progress to throw away, newest
+        // submission. At most one park per plan keeps the table from
+        // thrashing under a burst; `parkable` keeps park/resume from
+        // livelocking.
+        let front = self.pending.front().filter(|s| !s.blocked);
+        if let Some((front_score, front_cost)) = front.map(|s| (score(s), remainder(s))) {
+            let slots_full = self.active.len() >= self.cfg.max_active;
+            let budget_blocked = match self.cfg.memory_budget {
+                None => false,
+                Some(b) => !self.active.is_empty() && projected + front_cost > b,
+            };
+            if slots_full || budget_blocked {
+                let victim = self
+                    .active
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.parkable())
+                    .min_by_key(|(_, s)| (!s.blocked, s.priority, s.materialized(), Reverse(s.id)))
+                    .map(|(i, _)| i);
+                if let Some(i) = victim {
+                    let v = &self.active[i];
+                    if v.blocked || (self.cfg.preempt && (v.priority as u64) < front_score) {
+                        projected = projected.saturating_sub(remainder(v));
+                        self.park_index(i);
                     }
                 }
             }
         }
         while self.active.len() < self.cfg.max_active {
-            let Some(next) = self.pending.front() else {
+            let Some(next) = self.pending.front().filter(|s| !s.blocked) else {
                 break;
             };
             let cost = remainder(next);
@@ -1296,7 +1311,7 @@ impl DecodeScheduler {
         let chunk = self.cfg.prefill_chunk;
         let mut items = Vec::new();
         for s in &mut self.active {
-            if s.inflight || s.held {
+            if s.inflight || (s.blocked && !s.prefilling()) {
                 continue;
             }
             let (feed, sample, speculate) = if s.prefilling() {
@@ -1451,8 +1466,9 @@ impl DecodeScheduler {
     /// under deterministic sampling.
     ///
     /// Returns `false` (a no-op) when the stream is not active, is awaiting
-    /// its [`record`](DecodeScheduler::record), or is already done — the
-    /// serving loop's park decisions race benignly with retirement.
+    /// its [`record`](DecodeScheduler::record), or is already done. For
+    /// drivers that stage a park themselves; the serving loop leaves victims
+    /// to [`plan`](DecodeScheduler::plan) and [`export`](DecodeScheduler::export).
     pub fn park(&mut self, stream: StreamId) -> bool {
         let Some(i) = self.active.iter().position(|s| s.id == stream) else {
             return false;
@@ -1470,34 +1486,19 @@ impl DecodeScheduler {
         s.prefill_len = s.total();
         s.preemptions += 1;
         s.parked = true;
-        s.held = false;
         s.queued_at = self.tick;
         self.parked_log.push(s.id);
         self.pending.push_back(s);
     }
 
-    /// Backpressure hold: keep the stream's slot and cache but stop
-    /// feeding it (its consumer cannot absorb more events). Returns `false`
-    /// when the stream is not active or already held.
-    pub fn hold(&mut self, stream: StreamId) -> bool {
-        match self.active.iter_mut().find(|s| s.id == stream) {
-            Some(s) if !s.held => {
-                s.held = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Lift a backpressure [`hold`](DecodeScheduler::hold). Returns `false`
-    /// when the stream is not active or was not held.
-    pub fn release(&mut self, stream: StreamId) -> bool {
-        match self.active.iter_mut().find(|s| s.id == stream) {
-            Some(s) if s.held => {
-                s.held = false;
-                true
-            }
-            _ => false,
+    /// The driver's one backpressure fact about a stream: whether its
+    /// consumer still owes a drain of events it already produced.
+    /// [`plan`](DecodeScheduler::plan) owns every consequence. A no-op for
+    /// a stream that is neither active nor queued.
+    pub fn set_blocked(&mut self, stream: StreamId, blocked: bool) {
+        let mut live = self.active.iter_mut().chain(self.pending.iter_mut());
+        if let Some(s) = live.find(|s| s.id == stream) {
+            s.blocked = blocked;
         }
     }
 
@@ -1553,17 +1554,22 @@ impl DecodeScheduler {
         std::mem::take(&mut self.finished)
     }
 
-    /// Ids of the streams waiting in the run queue, in queue order. Parked
-    /// streams appear here too — they wait for re-admission exactly like
-    /// fresh submissions.
-    pub fn pending_ids(&self) -> Vec<StreamId> {
-        self.pending.iter().map(|s| s.id).collect()
-    }
-
-    /// Ids of the streams currently holding decode slots, in admission
-    /// order.
-    pub fn active_ids(&self) -> Vec<StreamId> {
-        self.active.iter().map(|s| s.id).collect()
+    /// Give one stream away to [`adopt_pending`](DecodeScheduler::adopt_pending)
+    /// elsewhere (work migration): the last unblocked stream of the run
+    /// queue — it holds no cache — else the newest active stream that
+    /// [`plan`](DecodeScheduler::plan) could park, parked first (so it shows
+    /// in [`drain_parked`](DecodeScheduler::drain_parked)). Never a blocked
+    /// stream: the adopting shard could not feed it either.
+    pub fn export(&mut self) -> Option<StreamState> {
+        if let Some(i) = self.pending.iter().rposition(|s| !s.blocked) {
+            return self.pending.remove(i);
+        }
+        let i = self
+            .active
+            .iter()
+            .rposition(|s| s.parkable() && !s.blocked)?;
+        self.park_index(i);
+        self.pending.pop_back()
     }
 
     /// Remove a *pending* stream so another scheduler can adopt it (work
@@ -2181,7 +2187,7 @@ mod tests {
     }
 
     #[test]
-    fn hold_keeps_the_slot_but_stops_feeding_until_release() {
+    fn blocked_stream_keeps_its_slot_but_is_not_fed_until_unblocked() {
         let mut sched = DecodeScheduler::new(SchedulerConfig {
             max_active: 2,
             prefill_chunk: 8,
@@ -2193,17 +2199,127 @@ mod tests {
         assert_eq!(plan.len(), 2);
         sched.record(a, Some(10), &FtReport::default());
         sched.record(b, Some(20), &FtReport::default());
-        assert!(sched.hold(a));
-        assert!(!sched.hold(a), "double hold is a no-op");
+        sched.set_blocked(a, true);
+        sched.set_blocked(StreamId(99), true); // unknown stream: no-op
         let plan = sched.plan();
-        assert_eq!(plan.len(), 1, "held stream keeps its slot but is not fed");
+        assert_eq!(
+            plan.len(),
+            1,
+            "blocked stream keeps its slot but is not fed"
+        );
         assert_eq!(plan[0].stream, b);
+        assert!(sched.drain_parked().is_empty(), "nobody waits for the slot");
         sched.record(b, Some(21), &FtReport::default());
-        assert!(sched.release(a));
-        assert!(!sched.release(a), "double release is a no-op");
+        sched.set_blocked(a, false);
         let plan = sched.plan();
-        assert_eq!(plan.len(), 2, "released stream is fed again");
+        assert_eq!(plan.len(), 2, "unblocked stream is fed again");
         assert!(plan.iter().any(|p| p.stream == a));
+    }
+
+    #[test]
+    fn blocked_stream_mid_prefill_is_fed_until_it_samples_then_parked_first() {
+        // One slot, a 20-token prompt in chunks of 8; the consumer blocks
+        // after the first chunk while a Latency stream waits for the slot.
+        let mut sched = DecodeScheduler::new(SchedulerConfig {
+            max_active: 1,
+            prefill_chunk: 8,
+            ..Default::default() // preempt off: the blocked park needs no option
+        });
+        let a = sched.submit_request(GenerationRequest::new((0..20).collect(), 3));
+        let plan = sched.plan();
+        assert_eq!((plan[0].feed.len(), plan[0].sample), (8, false));
+        sched.record(a, None, &FtReport::default());
+        sched.set_blocked(a, true);
+        let b = sched
+            .submit_request(GenerationRequest::new(vec![2], 3).with_priority(Priority::Latency));
+        for want in [(8, false), (4, true)] {
+            let plan = sched.plan();
+            assert_eq!(plan.len(), 1);
+            assert_eq!(plan[0].stream, a, "a started prefill is finished");
+            assert_eq!((plan[0].feed.len(), plan[0].sample), want);
+            assert!(sched.drain_parked().is_empty(), "never parked mid-prefill");
+            sched.record(a, plan[0].sample.then_some(10), &FtReport::default());
+        }
+        // It has sampled: now it gives way, and stays out while blocked.
+        let plan = sched.plan();
+        assert_eq!(sched.drain_parked(), vec![a]);
+        assert_eq!(plan.len(), 1);
+        assert_eq!(plan[0].stream, b);
+        for t in 20..23 {
+            sched.record(b, Some(t), &FtReport::default());
+            assert!(sched.plan().iter().all(|p| p.stream == b));
+        }
+        assert!(
+            sched.plan().is_empty(),
+            "slot free, but `a` is still blocked"
+        );
+        assert!(sched.drain_resumed().is_empty());
+        sched.set_blocked(a, false);
+        assert_eq!(sched.plan()[0].stream, a);
+        assert_eq!(sched.drain_resumed(), vec![a]);
+    }
+
+    #[test]
+    fn blocked_pending_stream_is_skipped_for_an_unblocked_one_behind_it() {
+        let mut sched = DecodeScheduler::new(SchedulerConfig {
+            max_active: 1,
+            ..Default::default()
+        });
+        let a = sched
+            .submit_request(GenerationRequest::new(vec![1], 1).with_priority(Priority::Latency));
+        let b =
+            sched.submit_request(GenerationRequest::new(vec![2], 1).with_priority(Priority::Batch));
+        sched.set_blocked(a, true);
+        let plan = sched.plan();
+        assert_eq!(plan.len(), 1);
+        assert_eq!(
+            plan[0].stream, b,
+            "class and arrival order yield to blocked"
+        );
+        sched.record(b, Some(20), &FtReport::default());
+        assert!(sched.plan().is_empty(), "admission stops at a blocked head");
+        sched.set_blocked(a, false);
+        assert_eq!(sched.plan()[0].stream, a);
+    }
+
+    #[test]
+    fn export_gives_the_unblocked_tail_else_parks_an_eligible_active_stream() {
+        let mut sched = DecodeScheduler::new(SchedulerConfig {
+            max_active: 2,
+            prefill_chunk: 8,
+            ..Default::default()
+        });
+        let a = sched.submit_request(GenerationRequest::new(vec![1], 4));
+        let b = sched.submit_request(GenerationRequest::new((0..20).collect(), 4));
+        let c = sched.submit_request(GenerationRequest::new(vec![3], 4));
+        let d = sched.submit_request(GenerationRequest::new(vec![4], 4));
+        sched.plan(); // a samples, b is mid-prefill, c and d queue
+        sched.record(a, Some(10), &FtReport::default());
+        sched.record(b, None, &FtReport::default());
+        sched.set_blocked(d, true);
+        let tail = sched.export().expect("c is queued and unblocked");
+        assert_eq!(tail.id, c, "the blocked tail is passed over");
+        assert!(
+            sched.drain_parked().is_empty(),
+            "a queued stream has no cache"
+        );
+        // Queue: only blocked `d`. Active: `a` (sampled), `b` (mid-prefill,
+        // newer). The newest *eligible* stream is `a`.
+        let parked = sched.export().expect("a is eligible");
+        assert_eq!(parked.id, a);
+        assert_eq!(sched.drain_parked(), vec![a], "the driver drops its cache");
+        assert_eq!((parked.fed, parked.preemptions), (0, 1));
+        assert!(sched.export().is_none(), "d blocked, b mid-prefill");
+        assert_eq!((sched.active_len(), sched.pending_len()), (1, 1));
+        // Once `b` has sampled it is eligible — unless its consumer is stuck.
+        for sampled in [None, Some(20)] {
+            sched.plan();
+            sched.record(b, sampled, &FtReport::default());
+        }
+        sched.set_blocked(b, true);
+        assert!(sched.export().is_none(), "every candidate blocked");
+        sched.set_blocked(b, false);
+        assert_eq!(sched.export().map(|s| s.id), Some(b));
     }
 
     #[test]
@@ -2357,14 +2473,14 @@ mod tests {
         donor.plan();
         donor.record(a, Some(9), &FtReport::default());
         assert!(donor.extract_pending(a).is_none(), "active ≠ extractable");
-        assert_eq!(donor.pending_ids(), vec![b]);
-        assert_eq!(donor.active_ids(), vec![a]);
+        assert_eq!((donor.pending_len(), donor.active_len()), (1, 1));
+        assert!(donor.active_stream(a).is_some());
 
         let moved = donor.extract_pending(b).expect("b is queued");
         assert_eq!(donor.pending_len(), 0);
         let mut thief = DecodeScheduler::new(one_slot);
         thief.adopt_pending(moved);
-        assert_eq!(thief.pending_ids(), vec![b]);
+        assert_eq!(thief.pending_len(), 1);
         // The local allocator skipped past the adopted id.
         let c = thief.submit_request(GenerationRequest::new(vec![6], 1));
         assert!(c.0 > b.0, "adoption bumps the id allocator");
@@ -2393,5 +2509,208 @@ mod tests {
         let mut moved = other.extract_pending(id).unwrap();
         moved.id = a;
         sched.adopt_pending(moved);
+    }
+
+    // -----------------------------------------------------------------
+    // Step-driven liveness: the shard worker's pump over the real
+    // scheduler, with the model sweep replaced by a counter and the
+    // consumer by a function — no thread, no clock.
+    // -----------------------------------------------------------------
+
+    #[derive(Clone, Copy, Debug)]
+    enum Ev {
+        Resumed,
+        Token,
+        Preempted,
+        Finished,
+    }
+
+    /// What one stream may leave undelivered between two drains when no
+    /// fault fires and nothing speculates: `Resumed`, the one sampled
+    /// token, then `Preempted` or `Finished` — the fault-free instance of
+    /// the bound `ft_transformer`'s outbox asserts on every push.
+    const BACKLOG_BOUND: usize = 3;
+
+    /// The eight requests of `tests/engine_loop.rs`'s bursty gate test.
+    fn gate_requests() -> Vec<GenerationRequest> {
+        use Priority::{Batch as B, Latency as L, Normal as N};
+        [B, N, L, N, B, L, N, B]
+            .iter()
+            .enumerate()
+            .map(|(i, &class)| GenerationRequest::new(vec![1; 10 + i], 6).with_priority(class))
+            .collect()
+    }
+
+    /// One shard's pump. Per stream: the bounded channel a consumer pops
+    /// from and the backlog (outbox) behind it. The pump reports one fact
+    /// per stream — backlog non-empty — and obeys the plan.
+    struct Pump {
+        sched: DecodeScheduler,
+        capacity: usize,
+        channel: Vec<VecDeque<Ev>>,
+        backlog: Vec<VecDeque<Ev>>,
+        /// Tokens / `Finished` the consumer has popped.
+        got: Vec<usize>,
+        finished: Vec<bool>,
+        emitted: Vec<usize>,
+        parks: Vec<usize>,
+        /// Tokens sampled since the stream last took a slot.
+        sampled_this_admission: Vec<usize>,
+    }
+
+    impl Pump {
+        fn new(max_active: usize, capacity: usize) -> Pump {
+            let mut sched = DecodeScheduler::new(SchedulerConfig {
+                max_active,
+                prefill_chunk: 8,
+                memory_budget: Some(10_000),
+                preempt: true,
+                priority_aging: Some(4),
+            });
+            sched.set_bytes_per_token(256);
+            let n = gate_requests()
+                .into_iter()
+                .map(|r| sched.submit_request(r))
+                .count();
+            Pump {
+                sched,
+                capacity,
+                channel: vec![VecDeque::new(); n],
+                backlog: vec![VecDeque::new(); n],
+                got: vec![0; n],
+                finished: vec![false; n],
+                emitted: vec![0; n],
+                parks: vec![0; n],
+                sampled_this_admission: vec![0; n],
+            }
+        }
+
+        fn flush(&mut self, i: usize) {
+            while self.channel[i].len() < self.capacity {
+                let Some(ev) = self.backlog[i].pop_front() else {
+                    break;
+                };
+                self.channel[i].push_back(ev);
+            }
+        }
+
+        fn push(&mut self, id: StreamId, ev: Ev) {
+            let i = id.0 as usize;
+            self.backlog[i].push_back(ev);
+            self.flush(i);
+            assert!(
+                self.backlog[i].len() <= BACKLOG_BOUND,
+                "{id}: backlog {:?}",
+                self.backlog[i]
+            );
+        }
+
+        /// One worker iteration: flush, report, plan, "sweep", route.
+        fn work(&mut self) {
+            let n = self.channel.len();
+            for i in 0..n {
+                self.flush(i);
+                self.sched
+                    .set_blocked(StreamId(i as u64), !self.backlog[i].is_empty());
+            }
+            let live = self.sched.active.iter().map(|s| s.materialized() as u64);
+            self.sched.note_bytes(live.sum::<u64>() * 256);
+            let mid_prefill: Vec<StreamId> = (self.sched.active.iter())
+                .filter(|s| s.prefilling())
+                .map(|s| s.id)
+                .collect();
+            let plan = self.sched.plan();
+            for id in self.sched.drain_parked() {
+                let i = id.0 as usize;
+                assert!(!mid_prefill.contains(&id), "{id} parked mid-prefill");
+                assert!(
+                    self.sampled_this_admission[i] >= 1,
+                    "{id} lost its slot before it sampled"
+                );
+                self.sampled_this_admission[i] = 0;
+                self.parks[i] += 1;
+                self.push(id, Ev::Preempted);
+            }
+            for id in self.sched.drain_resumed() {
+                self.push(id, Ev::Resumed);
+            }
+            for item in plan {
+                let i = item.stream.0 as usize;
+                self.sched
+                    .record(item.stream, item.sample.then_some(7), &FtReport::default());
+                if item.sample {
+                    self.sampled_this_admission[i] += 1;
+                    self.emitted[i] += 1;
+                    self.push(item.stream, Ev::Token);
+                }
+            }
+            for s in self.sched.take_finished() {
+                self.push(s.id, Ev::Finished);
+            }
+        }
+
+        /// The consumer takes one event of stream `i`, if one is ready.
+        fn consume(&mut self, i: usize) {
+            match self.channel[i].pop_front() {
+                Some(Ev::Token) => self.got[i] += 1,
+                Some(Ev::Finished) => self.finished[i] = true,
+                _ => {}
+            }
+        }
+    }
+
+    /// `engine_loop::bursty_arrivals_…` without the threads: 8 mixed-class
+    /// streams, 2 slots, one-event channels, a byte budget of about two
+    /// caches, a consumer that drains the lowest unfinished stream only.
+    /// Under a policy that parks a blocked stream mid-re-prefill, or
+    /// re-admits it while its consumer still owes a drain, this never
+    /// terminates (park/resume events alone keep the channel full).
+    #[test]
+    fn bursty_arrivals_with_full_channels_finish_in_bounded_steps() {
+        let mut pump = Pump::new(2, 1);
+        let mut steps = 0;
+        while let Some(i) = pump.finished.iter().position(|&f| !f) {
+            steps += 1;
+            assert!(steps <= 250, "stream{i} stalled at {} tokens", pump.got[i]);
+            pump.work();
+            pump.consume(i);
+        }
+        assert_eq!(pump.got, vec![6; 8]);
+        assert!(pump.sched.idle());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Any slot count, channel size and drain order, with one consumer
+        /// that never drains at all: every other stream finishes, and the
+        /// stuck one costs a bounded number of parks — at most one per
+        /// token it emitted — and a bounded backlog (asserted per push).
+        #[test]
+        fn one_stuck_consumer_never_stalls_the_others(
+            slots in 1usize..4,
+            capacity in 1usize..5,
+            stuck in 0usize..8,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut pump = Pump::new(slots, capacity);
+            let mut rng = seed;
+            let mut steps = 0;
+            while (0..8).any(|i| i != stuck && !pump.finished[i]) {
+                steps += 1;
+                proptest::prop_assert!(steps <= 1000, "stalled: got {:?}", pump.got);
+                pump.work();
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let i = (rng >> 33) as usize % 8;
+                if i != stuck {
+                    pump.consume(i);
+                }
+            }
+            for i in (0..8).filter(|&i| i != stuck) {
+                proptest::prop_assert_eq!(pump.got[i], 6);
+            }
+            proptest::prop_assert_eq!(pump.got[stuck], 0);
+            proptest::prop_assert!(pump.parks[stuck] <= pump.emitted[stuck]);
+        }
     }
 }

@@ -1,49 +1,38 @@
-//! Push-based serving loop: a [`ServeSession`](crate::model::ServeSession)
-//! on a dedicated worker thread, driven by submissions instead of polled
-//! sweeps.
+//! Push-based serving: the per-shard configuration ([`EngineConfig`]) and
+//! the consumer's side of a stream ([`StreamHandle`]).
 //!
 //! The pull-mode [`ServeSession`](crate::model::ServeSession) makes the
-//! *caller* the event loop: it
-//! must call `sweep_events` in a loop and dispatch the events itself, and
-//! every stream it submitted advances in lock step with that loop. This
-//! module inverts the control flow — [`Engine::spawn`] moves an owned
-//! session onto a worker thread, [`Engine::submit`] hands back a
-//! [`StreamHandle`] whose [`EngineEvent`]s arrive over a bounded per-stream
-//! channel, and the worker sweeps continuously on its own:
+//! *caller* the event loop. A [`Fleet`](crate::Fleet) inverts the control
+//! flow: each worker thread owns a session and sweeps continuously on its
+//! own, [`Fleet::submit`](crate::Fleet::submit) hands back a
+//! [`StreamHandle`], and the stream's [`EngineEvent`]s arrive over a
+//! bounded per-stream channel (loop diagram: [`crate::fleet`]).
 //!
-//! ```text
-//!  caller threads                     worker thread
-//!  ──────────────                     ─────────────────────────────────
-//!  Engine::submit ──┐                 loop {
-//!    (alloc id,     │  mpsc::channel    drain submissions → scheduler
-//!     make handle)  ├─────────────────▶ flush per-stream outboxes
-//!                   │                   park consumers stuck too long
-//!  StreamHandle ◀───┘                   sweep_events(injector)
-//!    .recv()  ◀── bounded sync_channel  route events → outboxes
-//!    .wait()                          }
-//! ```
-//!
-//! Three policies make it a *server* rather than a threaded loop:
+//! Three policies make it a *server* rather than a threaded loop, and all
+//! three live in one place — the scheduler's
+//! [`plan`](ft_core::serve::DecodeScheduler::plan):
 //!
 //! * **Priority classes.** Every request carries a [`Priority`]
 //!   (`Latency` / `Normal` / `Batch`); the scheduler's run queue admits
 //!   by class with deadline-aware aging
 //!   ([`SchedulerConfig::priority_aging`]), so batch work cannot starve
 //!   and latency work does not queue behind it.
-//! * **Preemption.** With [`SchedulerConfig::preempt`] on (the engine
-//!   default), a blocked higher-class arrival parks the weakest active
-//!   stream: its cache is dropped, its emitted tokens are kept, and it
-//!   resumes later through the same chunked re-prefill path recovery
-//!   uses — so a preempted stream's output is bit-identical to an
-//!   uninterrupted run ([`EngineEvent::Preempted`] / `Resumed` mark the
+//! * **Preemption.** With [`SchedulerConfig::preempt`] on (the
+//!   [`EngineConfig`] default), a blocked higher-class arrival parks the
+//!   weakest active stream: its cache is dropped, its emitted tokens are
+//!   kept, and it resumes later through the same chunked re-prefill path
+//!   recovery uses — so a preempted stream's output is bit-identical to
+//!   an uninterrupted run ([`EngineEvent::Preempted`] / `Resumed` mark the
 //!   transitions).
 //! * **Backpressure.** Per-stream channels are bounded
 //!   ([`EngineConfig::channel_capacity`]). A full channel never blocks
-//!   the sweep: the stream's events buffer in a worker-side outbox, the
-//!   stream itself is first *held* (keeps slot + cache, stops being fed)
-//!   and, after [`EngineConfig::park_after_held_sweeps`] sweeps with a
-//!   still-stuck consumer while others wait for a slot, *parked* — the
-//!   slot and cache bytes go to streams whose consumers are keeping up.
+//!   the sweep: the stream's events buffer in a worker-side outbox, and
+//!   the worker reports the stream *blocked* until the outbox is empty
+//!   again. A blocked stream finishes a prefill it has started, is then
+//!   not sampled, not re-admitted once parked, and first to give its slot
+//!   and cache bytes to a waiting stream whose consumer keeps up — so an
+//!   outbox holds at most one admission cycle's events and park/resume
+//!   cannot livelock.
 //!
 //! Speculative decoding composes transparently with all three: a request
 //! carrying a [`SpeculationPolicy`](ft_core::serve::SpeculationPolicy)
@@ -52,26 +41,14 @@
 //! per sweep (the commit) while rejected drafts are rolled back before
 //! anything reaches the channel — consumers never see a retracted token.
 //!
-//! Since the shard-parallel refactor, `Engine` is the `workers = 1`
-//! special case of the [`Fleet`]: same worker loop, same
-//! handles, one shard, no migration. Multi-core serving wants
-//! [`Fleet::spawn`](crate::Fleet::spawn) instead.
-//!
 //! No async runtime: plain `std::thread` + `std::sync::mpsc`, per the
 //! repo's no-new-dependencies policy.
 
-use crate::fleet::{Fleet, FleetConfig, RouterPolicy};
-use crate::model::TransformerModel;
-use ft_core::serve::{
-    EngineEvent, FinishReason, GenerationRequest, Priority, SchedulerConfig, StreamId,
-};
-use ft_sim::{FaultInjector, NoFaults};
+use ft_core::serve::{EngineEvent, FinishReason, Priority, SchedulerConfig, StreamId};
 use std::sync::mpsc::Receiver;
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Sizing and policy knobs of an [`Engine`] (and of each shard of a
-/// [`Fleet`]).
+/// Sizing and policy knobs of each shard of a [`Fleet`](crate::Fleet).
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Scheduler sizing handed to the worker's [`ServeSession`]. The
@@ -82,13 +59,9 @@ pub struct EngineConfig {
     /// [`ServeSession`]: crate::model::ServeSession
     pub scheduler: SchedulerConfig,
     /// Bound of each stream's event channel. A full channel parks events
-    /// in a worker-side outbox (and eventually the stream itself) instead
-    /// of blocking the sweep.
+    /// in a worker-side outbox (and the scheduler stops producing for the
+    /// stream) instead of blocking the sweep.
     pub channel_capacity: usize,
-    /// Sweeps a stream may sit *held* (slot kept, not fed) with a stuck
-    /// consumer before the worker parks it — but only while other streams
-    /// are waiting for a slot. `0` parks at the first blocked sweep.
-    pub park_after_held_sweeps: u32,
 }
 
 impl Default for EngineConfig {
@@ -100,108 +73,25 @@ impl Default for EngineConfig {
                 ..SchedulerConfig::default()
             },
             channel_capacity: 64,
-            park_after_held_sweeps: 4,
         }
-    }
-}
-
-/// Handle to a serving loop running on its own worker thread.
-///
-/// Submissions are non-blocking from any number of caller threads (the
-/// handle allocates the [`StreamId`] locally, so it is known before the
-/// worker sees the request). Dropping the engine hangs up the submission
-/// channel; the worker finishes the streams it already has — delivering
-/// into whatever [`StreamHandle`]s are still alive — and exits, so handles
-/// outlive the engine. Dropping a `StreamHandle` early discards that
-/// stream's remaining events (the stream itself still runs to completion).
-///
-/// ```no_run
-/// use ft_transformer::{
-///     BackendKind, Engine, EngineConfig, GenerationRequest, ModelConfig, Priority,
-///     TransformerModel,
-/// };
-///
-/// let cfg = ModelConfig {
-///     name: "doc",
-///     layers: 1,
-///     heads: 2,
-///     hidden: 16,
-///     ffn_dim: 32,
-///     vocab: 31,
-///     max_seq: 32,
-/// };
-/// let model = TransformerModel::random(7, cfg, BackendKind::Flash).with_causal(true);
-/// let engine = Engine::spawn(model, EngineConfig::default());
-/// let handle = engine
-///     .submit(GenerationRequest::new(vec![1, 2, 3], 8).with_priority(Priority::Latency));
-/// for event in handle.iter() {
-///     println!("{event}"); // stream0 token=…, stream0 finished: max-tokens
-/// }
-/// ```
-pub struct Engine {
-    fleet: Fleet,
-}
-
-impl Engine {
-    /// Spawn the serving loop over an owned model with no fault injection.
-    pub fn spawn(model: TransformerModel, cfg: EngineConfig) -> Engine {
-        Engine::spawn_with(model, cfg, Arc::new(NoFaults))
-    }
-
-    /// Spawn the serving loop with a shared fault injector: every sweep
-    /// exposes cache-resident state and kernel operations to `inj`, and
-    /// per-request [`RecoveryPolicy`](ft_core::serve::RecoveryPolicy)
-    /// handling (including re-prefill after park/resume) runs unchanged on
-    /// the worker.
-    pub fn spawn_with(
-        model: TransformerModel,
-        cfg: EngineConfig,
-        inj: Arc<dyn FaultInjector + Send + Sync>,
-    ) -> Engine {
-        Engine {
-            fleet: Fleet::spawn_with(
-                model,
-                FleetConfig {
-                    workers: 1,
-                    router: RouterPolicy::LeastLoaded,
-                    engine: cfg,
-                    steal: false,
-                    // One worker is the whole fleet: its sweeps may use
-                    // every core, exactly as before the shard refactor.
-                    shard_threads: Some(0),
-                },
-                inj,
-            ),
-        }
-    }
-
-    /// Submit a request and get the stream's event handle. The request's
-    /// own [`GenerationRequest::priority`] is honored; `max_new_tokens`
-    /// clamping and model-default window resolution happen on the worker,
-    /// exactly as in [`ServeSession::submit_request`].
-    ///
-    /// [`ServeSession::submit_request`]: crate::model::ServeSession::submit_request
-    pub fn submit(&self, req: GenerationRequest) -> StreamHandle {
-        self.fleet.submit(req)
-    }
-
-    /// [`submit`](Engine::submit) with an explicit priority class
-    /// (overrides whatever the request carried).
-    pub fn submit_with_priority(&self, req: GenerationRequest, priority: Priority) -> StreamHandle {
-        self.fleet.submit_with_priority(req, priority)
-    }
-
-    /// Hang up the submission channel and wait for the worker to finish
-    /// every stream it already has. Only call after draining (or dropping)
-    /// all handles — a blocked consumer would leave the worker, and hence
-    /// this join, waiting on it.
-    pub fn shutdown(self) {
-        self.fleet.shutdown();
     }
 }
 
 /// The receiving side of one stream: yields the stream's [`EngineEvent`]s
-/// in order, ending after [`EngineEvent::Finished`].
+/// in order, ending after [`EngineEvent::Finished`]. Dropping a handle
+/// early discards that stream's remaining events (the stream itself still
+/// runs to completion).
+///
+/// ```no_run
+/// # use ft_transformer::{Fleet, GenerationRequest, Priority};
+/// # fn demo(fleet: &Fleet) {
+/// let handle =
+///     fleet.submit(GenerationRequest::new(vec![1, 2, 3], 8).with_priority(Priority::Latency));
+/// for event in handle.iter() {
+///     println!("{event}"); // stream0 token=…, stream0 finished: max-tokens
+/// }
+/// # }
+/// ```
 pub struct StreamHandle {
     id: StreamId,
     priority: Priority,
@@ -209,8 +99,8 @@ pub struct StreamHandle {
 }
 
 impl StreamHandle {
-    /// Bind a handle to its worker-side event channel — the
-    /// router/engine submission path's half of the pair.
+    /// Bind a handle to its worker-side event channel — the router's
+    /// half of the pair.
     pub(crate) fn attach(id: StreamId, priority: Priority, events: Receiver<EngineEvent>) -> Self {
         StreamHandle {
             id,

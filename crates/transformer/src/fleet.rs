@@ -13,18 +13,22 @@
 //!                 ──▶ per-shard mpsc ────────────────▶  chosen shard
 //!  StreamHandle ◀── bounded per-stream channel ◀──────  event routing
 //!
-//!  ragged tails: an idle shard posts "hungry"; a loaded shard parks one
-//!  stream, routes its Preempted event, and ships scheduler state (fault
-//!  ledger included) + outbox over the migration board; the thief re-admits it
-//!  through chunked re-prefill (bit-identical to a never-migrated run).
+//!  ragged tails: an idle shard posts "hungry"; a loaded shard asks its
+//!  scheduler for one stream to give away, routes its Preempted event (if it
+//!  held a slot), and ships scheduler state (fault ledger included) + outbox
+//!  over the migration board; the thief re-admits it through chunked
+//!  re-prefill (bit-identical to a never-migrated run).
 //! ```
 //!
 //! Design invariants:
 //!
-//! * **Same handle API.** [`Fleet::submit`] returns the exact
-//!   [`StreamHandle`] the single-worker [`Engine`](crate::Engine) hands
-//!   out — callers cannot tell how many shards serve them. `Engine` *is*
-//!   the `workers = 1` fleet.
+//! * **One entry point.** [`Fleet::submit`] is the only way into a serving
+//!   loop and its [`StreamHandle`] the only way out — callers cannot tell
+//!   how many shards serve them ([`FleetConfig::single`]: one).
+//! * **The worker is a pump.** It reports one fact per stream — its
+//!   consumer owes a drain ([`ServeSession::set_blocked`]); which stream is
+//!   fed, admitted, parked or exported is decided in one place,
+//!   [`DecodeScheduler::plan`](ft_core::serve::DecodeScheduler::plan).
 //! * **Fleet-unique ids.** One shared atomic allocator hands out
 //!   [`StreamId`]s before routing, so ids are unique across shards and a
 //!   migrated stream keeps its identity.
@@ -47,7 +51,9 @@
 
 use crate::engine::{EngineConfig, StreamHandle};
 use crate::model::{ServeSession, TransformerModel};
-use ft_core::serve::{EngineEvent, GenerationRequest, Priority, StreamId, StreamState};
+use ft_core::serve::{
+    EngineEvent, GenerationRequest, Priority, RecoveryPolicy, StreamId, StreamState,
+};
 use ft_core::types::FtReport;
 use ft_sim::{FaultInjector, NoFaults};
 use std::collections::{BTreeMap, VecDeque};
@@ -86,12 +92,12 @@ pub enum RouterPolicy {
 #[derive(Clone, Copy, Debug)]
 pub struct FleetConfig {
     /// Shard worker threads. The default is the machine's available
-    /// parallelism; `1` reproduces the classic [`Engine`](crate::Engine).
+    /// parallelism; see [`FleetConfig::single`] for one.
     pub workers: usize,
     /// Admission routing policy.
     pub router: RouterPolicy,
-    /// Per-shard serving-loop knobs (scheduler sizing, channel capacity,
-    /// backpressure park threshold) — every shard runs the same config.
+    /// Per-shard serving-loop knobs (scheduler sizing, channel capacity)
+    /// — every shard runs the same config.
     pub engine: EngineConfig,
     /// Allow idle shards to steal parked/queued streams from loaded ones.
     /// Migration is bit-identical (park + chunked re-prefill); disable it
@@ -102,6 +108,20 @@ pub struct FleetConfig {
     /// oversubscribe; CI containers can also cap process-wide via the
     /// `FT_RAYON_WORKERS` environment variable.
     pub shard_threads: Option<usize>,
+}
+
+impl FleetConfig {
+    /// The one-worker fleet: a single serving loop whose sweeps may use
+    /// every core. Nothing to route between and nothing to steal from.
+    pub fn single(engine: EngineConfig) -> FleetConfig {
+        FleetConfig {
+            workers: 1,
+            router: RouterPolicy::LeastLoaded,
+            engine,
+            steal: false,
+            shard_threads: Some(0), // 0 = no cap
+        }
+    }
 }
 
 impl Default for FleetConfig {
@@ -246,6 +266,37 @@ impl fmt::Display for FleetReport {
     }
 }
 
+/// Why [`Fleet::try_submit`] refused a request. Checked on the submitting
+/// thread: a request a shard cannot serve never reaches one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The prompt has no token to prefill.
+    EmptyPrompt,
+    /// The prompt alone exceeds the model's context.
+    PromptTooLong {
+        /// Prompt tokens submitted.
+        len: usize,
+        /// The model's `max_seq`.
+        max_seq: usize,
+    },
+    /// A sliding window of zero rows attends nothing.
+    ZeroWindow,
+}
+
+impl fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SubmitError::EmptyPrompt => write!(f, "a stream needs at least one prompt token"),
+            SubmitError::PromptTooLong { len, max_seq } => {
+                write!(f, "prompt of {len} tokens exceeds max_seq {max_seq}")
+            }
+            SubmitError::ZeroWindow => write!(f, "a zero-row window cannot serve decode"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
+
 /// A request plus the router's pre-allocated id, event sender, and
 /// projected cache footprint, as shipped over a shard's submission
 /// channel.
@@ -265,13 +316,39 @@ enum Command {
 struct Outbox {
     tx: SyncSender<EngineEvent>,
     buf: VecDeque<EngineEvent>,
-    held_sweeps: u32,
+    /// See [`Outbox::bound`].
+    bound: usize,
     finished: bool,
     dead: bool,
     projection: u64,
 }
 
 impl Outbox {
+    /// Most events `buf` can hold. The scheduler stops producing for a
+    /// stream whose backlog is non-empty, so between a plan that saw it
+    /// empty and the next drain a stream emits one admission cycle's events:
+    ///
+    /// * `Resumed`, if that plan admitted it;
+    /// * per sweep up to four lifecycle events (`FaultCorrected`,
+    ///   `EvictedBlocks`, `CachePoisoned`, `Recovering`): that plan's sweep,
+    ///   then — blocked — only the sweeps finishing the prefill it is in,
+    ///   `⌈total / prefill_chunk⌉`, restarted by ≤ `max_attempts` recoveries;
+    /// * the `1 + draft_len` tokens of the one sweep that samples (a
+    ///   blocked stream past its prefill is not fed again);
+    /// * `Finished`, or the `Preempted` of the park a blocked stream is
+    ///   first in line for — after which it waits, silent, unadmitted.
+    fn bound(req: &GenerationRequest, max_seq: usize, prefill_chunk: usize) -> usize {
+        let total = (req.prompt.len().saturating_add(req.max_new_tokens)).min(max_seq);
+        let attempts = match req.recovery {
+            RecoveryPolicy::None => 0,
+            RecoveryPolicy::ReprefillBounded { max_attempts }
+            | RecoveryPolicy::ReprefillPartial { max_attempts } => max_attempts as usize,
+        };
+        let sweeps = 1 + (1 + attempts) * total.div_ceil(prefill_chunk);
+        let draft_len = req.speculation.as_ref().map_or(0, |sp| sp.draft_len);
+        1 + 4 * sweeps + (1 + draft_len) + 1
+    }
+
     /// Push as much buffered backlog into the channel as fits.
     fn flush(&mut self) {
         while let Some(&ev) = self.buf.front() {
@@ -306,6 +383,13 @@ impl Outbox {
         }
         self.buf.push_back(ev);
         self.flush();
+        assert!(
+            self.buf.len() <= self.bound,
+            "{}: {} undelivered events exceed one admission cycle's {}",
+            ev.stream(),
+            self.buf.len(),
+            self.bound
+        );
     }
 }
 
@@ -336,8 +420,8 @@ struct FleetShared {
 }
 
 /// Handle to a sharded serving fleet: N worker threads behind one
-/// admission router. Same submission/consumption contract as
-/// [`Engine`](crate::Engine) — see the module docs for the invariants.
+/// admission router — see the module docs for the invariants.
+/// Submissions are non-blocking from any number of caller threads.
 ///
 /// ```no_run
 /// use ft_transformer::{
@@ -474,11 +558,31 @@ impl Fleet {
         self.txs.len()
     }
 
-    /// Submit a request and get the stream's event handle — the same
-    /// [`StreamHandle`] the single-worker engine returns. The router
+    /// Submit a request and get the stream's event handle. The router
     /// allocates a fleet-unique [`StreamId`], projects the request's
-    /// cache footprint, and forwards to the chosen shard.
+    /// cache footprint, and forwards to the chosen shard. Panics on a
+    /// request [`try_submit`](Fleet::try_submit) refuses.
     pub fn submit(&self, req: GenerationRequest) -> StreamHandle {
+        self.try_submit(req)
+            .unwrap_or_else(|e| panic!("Fleet::submit: {e}"))
+    }
+
+    /// [`submit`](Fleet::submit), refusing — here, on the caller's thread —
+    /// a request no shard could serve: the session's own asserts would
+    /// take down the shard and strand every stream it owns.
+    pub fn try_submit(&self, req: GenerationRequest) -> Result<StreamHandle, SubmitError> {
+        if req.prompt.is_empty() {
+            return Err(SubmitError::EmptyPrompt);
+        }
+        if req.prompt.len() > self.max_seq {
+            return Err(SubmitError::PromptTooLong {
+                len: req.prompt.len(),
+                max_seq: self.max_seq,
+            });
+        }
+        if req.window == Some(0) {
+            return Err(SubmitError::ZeroWindow);
+        }
         let id = StreamId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let priority = req.priority;
@@ -499,7 +603,7 @@ impl Fleet {
                 projection,
             })
             .expect("shard worker alive while the fleet is alive");
-        StreamHandle::attach(id, priority, handle_rx)
+        Ok(StreamHandle::attach(id, priority, handle_rx))
     }
 
     /// [`submit`](Fleet::submit) with an explicit priority class
@@ -513,7 +617,7 @@ impl Fleet {
     /// sliding window (plus one evictable block of slack) when it has
     /// one.
     fn project(&self, req: &GenerationRequest) -> u64 {
-        let prompt = req.prompt.len().min(self.max_seq);
+        let prompt = req.prompt.len(); // ≤ max_seq: `try_submit` checked
         let rows = prompt + req.max_new_tokens.min(self.max_seq - prompt);
         let rows = match req.window.or(self.default_window) {
             Some(w) => rows.min(w + self.window_slack),
@@ -606,14 +710,14 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One shard's serving loop. The single-worker case (`steal = false`)
-/// is exactly the classic engine loop; with stealing on, an idle shard
-/// advertises on `shared.hungry`, loaded shards export one pending or
-/// parked stream at a time over `shared.board`, and every idle shard —
-/// donor included — adopts from the board, so a migrant is never
-/// stranded. Runs until the submission channel is hung up, every owned
-/// stream has finished with its events delivered (or its consumer gone),
-/// and the board is empty.
+/// One shard's serving loop — a pump: submissions in, one blocked/unblocked
+/// fact per stream to the session, sweep, events out. It decides nothing
+/// about any stream's lifecycle. With stealing on, an idle shard
+/// advertises on `shared.hungry`, loaded shards export one stream at a
+/// time over `shared.board`, and every idle shard — donor included —
+/// adopts from the board, so a migrant is never stranded. Runs until the
+/// submission channel is hung up, every owned stream has finished with
+/// its events delivered (or its consumer gone), and the board is empty.
 fn worker_loop(
     me: ShardId,
     model: Arc<TransformerModel>,
@@ -623,6 +727,7 @@ fn worker_loop(
     rx: Receiver<Command>,
     shared: Arc<FleetShared>,
 ) -> ShardReport {
+    let max_seq = model.config.max_seq;
     let mut session: ServeSession<Arc<TransformerModel>> = ServeSession::new(model, cfg.scheduler);
     let inj: &(dyn FaultInjector + Send + Sync) = &*inj;
     let mut outboxes: BTreeMap<u64, Outbox> = BTreeMap::new();
@@ -641,13 +746,14 @@ fn worker_loop(
             events,
             projection,
         } = cmd;
+        let bound = Outbox::bound(&req, max_seq, cfg.scheduler.prefill_chunk);
         session.submit_request_with_id(req, id);
         outboxes.insert(
             id.0,
             Outbox {
                 tx: events,
                 buf: VecDeque::new(),
-                held_sweeps: 0,
+                bound,
                 finished: false,
                 dead: false,
                 projection,
@@ -663,18 +769,11 @@ fn worker_loop(
                 Err(TryRecvError::Disconnected) => open = false,
             }
         }
-        // Retry blocked backlogs; consumers that caught up get their
-        // stream fed again.
-        let mut caught_up = Vec::new();
+        // Retry backlogs, and tell the scheduler which consumers still
+        // owe a drain; the next plan acts on it.
         for (id, ob) in outboxes.iter_mut() {
             ob.flush();
-            if !ob.blocked() && ob.held_sweeps > 0 {
-                ob.held_sweeps = 0;
-                caught_up.push(StreamId(*id));
-            }
-        }
-        for id in caught_up {
-            session.release_stream(id);
+            session.set_blocked(StreamId(*id), ob.blocked());
         }
         // Retired-and-delivered (or abandoned) streams need no routing.
         // An abandoned (dead) outbox stays until its stream retires — it
@@ -722,8 +821,8 @@ fn worker_loop(
                         Err(RecvTimeoutError::Disconnected) => open = false,
                     }
                 } else {
-                    // Single-shard fleet (the classic engine): nothing can
-                    // migrate, so block until the next submission.
+                    // Nothing can migrate in: block until the next
+                    // submission.
                     match rx.recv() {
                         Ok(cmd) => accept(cmd, &mut session, &mut outboxes),
                         Err(_) => {
@@ -753,8 +852,7 @@ fn worker_loop(
             hungry_marked = false;
         }
         // Work export: a hungry shard exists and the board is clear —
-        // park one stream (queue tail first; else the newest active
-        // stream) and post it. Keep at least one stream for ourselves.
+        // post one stream. Keep at least one for ourselves.
         if steal
             && shared.hungry.load(Ordering::Relaxed) > 0
             && session.active_streams() + session.pending_streams() >= 2
@@ -762,41 +860,9 @@ fn worker_loop(
         {
             donate(me, &mut session, &mut outboxes, &mut report, &shared);
         }
-        // Backpressure park: a stream whose consumer has been stuck for
-        // enough sweeps gives its slot (and cache bytes) to waiting work.
-        if session.pending_streams() > 0 {
-            let stuck: Vec<StreamId> = outboxes
-                .iter()
-                .filter(|(_, ob)| {
-                    ob.blocked() && !ob.finished && ob.held_sweeps >= cfg.park_after_held_sweeps
-                })
-                .map(|(&id, _)| StreamId(id))
-                .collect();
-            for id in stuck {
-                if session.park_stream(id) {
-                    if let Some(ob) = outboxes.get_mut(&id.0) {
-                        ob.held_sweeps = 0;
-                    }
-                }
-            }
-        }
         let events = session.sweep_events(&inj);
         let swept = !events.is_empty();
         route(events, &mut outboxes, &mut report);
-        // Streams whose consumers still lag get held: slot and cache stay,
-        // but no further tokens are generated for them.
-        let mut lagging = Vec::new();
-        for (id, ob) in outboxes.iter_mut() {
-            if ob.blocked() && !ob.finished {
-                ob.held_sweeps += 1;
-                lagging.push(StreamId(*id));
-            }
-        }
-        for id in lagging {
-            // Tolerant no-op when the stream is pending (parked) or
-            // already retired.
-            session.hold_stream(id);
-        }
         // Fold retirements into the shard ledger and release their
         // routing projections.
         for f in session.take_finished() {
@@ -812,16 +878,15 @@ fn worker_loop(
         report.peak_cache_bytes = session.peak_cache_bytes();
         publish(&shared, me, &report);
         if !swept {
-            // Every feedable stream is held or awaiting its consumer:
-            // yield briefly instead of spinning on empty plans.
+            // Every stream is waiting on its consumer: yield briefly
+            // instead of spinning on empty plans.
             thread::sleep(Duration::from_micros(200));
         }
     }
 }
 
-/// Export one stream to the migration board: pick a victim (queue tail
-/// first — it has no cache to drop — else park the newest active
-/// stream), route the park's `Preempted` event to the victim's own
+/// Export the stream the scheduler gives away to the migration board:
+/// route its park's `Preempted` event (if it held a slot) to its own
 /// outbox *before* the move, and ship scheduler state + outbox.
 fn donate(
     me: ShardId,
@@ -830,23 +895,11 @@ fn donate(
     report: &mut ShardReport,
     shared: &FleetShared,
 ) {
-    let victim = match session.pending_stream_ids().last() {
-        Some(&id) => Some(id),
-        None => session
-            .active_stream_ids()
-            .iter()
-            .rev()
-            .copied()
-            .find(|&id| session.park_stream(id)),
-    };
-    let Some(victim) = victim else { return };
-    // The park (if any) queued a Preempted event; route it into the
-    // victim's outbox so it travels with the stream, in order.
-    route(session.drain_events(), outboxes, report);
-    let Some(state) = session.extract_stream(victim) else {
+    let Some(state) = session.export_stream() else {
         return;
     };
-    let Some(outbox) = outboxes.remove(&victim.0) else {
+    route(session.drain_events(), outboxes, report);
+    let Some(outbox) = outboxes.remove(&state.id.0) else {
         // Unreachable in practice: every accepted stream has an outbox
         // until it retires. Re-adopt rather than lose the stream.
         session.adopt_stream(state);

@@ -33,20 +33,18 @@
 //! [`FtReport`] ledger of `ft-core`; a stream's ledger lives in its
 //! scheduler state and comes back on [`FinishedStream`].
 //!
-//! On top of the pull-mode session sits the push-based serving loop
-//! ([`Engine`], [`crate::engine`]): an owned session on a dedicated worker
-//! thread, a [`Priority`]-classed run queue with aging, preemption through
-//! the bit-identical re-prefill path, and bounded per-stream event
-//! channels ([`StreamHandle`]) with backpressure that holds or parks slow
-//! consumers' streams instead of stalling the sweep.
-//!
-//! For multi-core serving, [`Fleet`] ([`crate::fleet`]) shards that loop:
-//! N worker threads each own a scheduler + session over one shared model,
-//! behind an admission router (least-loaded or consistent-hash) that
-//! allocates fleet-unique stream ids and returns the same
-//! [`StreamHandle`]s; idle shards steal parked streams bit-identically,
-//! and per-shard [`ShardReport`]s roll up losslessly into a
-//! [`FleetReport`]. [`Engine`] is the `workers = 1` case.
+//! On top of the pull-mode session sits the push-based serving loop,
+//! [`Fleet`] ([`crate::fleet`], [`crate::engine`]): N worker threads each
+//! own a scheduler + session over one shared model, with a
+//! [`Priority`]-classed run queue with aging, preemption through the
+//! bit-identical re-prefill path, and bounded per-stream event channels
+//! ([`StreamHandle`]) whose backpressure stops the scheduler producing
+//! for a slow consumer's stream instead of stalling the sweep. An
+//! admission router (least-loaded or consistent-hash) validates requests,
+//! allocates fleet-unique stream ids and returns the handles; idle shards
+//! steal streams bit-identically, and per-shard [`ShardReport`]s roll up
+//! losslessly into a [`FleetReport`]. [`FleetConfig::single`] is the
+//! one-worker case.
 
 #![warn(missing_docs)]
 
@@ -66,9 +64,9 @@ pub use activation::Activation;
 pub use block::TransformerBlock;
 pub use configs::ModelConfig;
 pub use embed::Embedding;
-pub use engine::{Engine, EngineConfig, StreamHandle, StreamOutcome};
+pub use engine::{EngineConfig, StreamHandle, StreamOutcome};
 pub use ffn::FeedForward;
-pub use fleet::{Fleet, FleetConfig, FleetReport, RouterPolicy, ShardId, ShardReport};
+pub use fleet::{Fleet, FleetConfig, FleetReport, RouterPolicy, ShardId, ShardReport, SubmitError};
 pub use ft_core::kv::SizeBreakdown;
 pub use ft_core::protect::ProtectionLevel;
 pub use ft_core::serve::{

@@ -470,7 +470,7 @@ impl TransformerModel {
 
     /// Open a serving session that *owns* the model — the `Send` form a
     /// push-based serving loop moves onto its worker thread (see
-    /// [`Engine`](crate::engine::Engine)). Scheduling behavior is identical
+    /// [`Fleet`](crate::fleet::Fleet)). Scheduling behavior is identical
     /// to [`serve_with`](TransformerModel::serve_with); clone the model
     /// first if the caller needs to keep using it.
     pub fn into_serve(self, cfg: SchedulerConfig) -> ServeSession<TransformerModel> {
@@ -780,9 +780,10 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
 
     /// Drain the events queued since the last
     /// [`sweep_events`](ServeSession::sweep_events) without sweeping —
-    /// park/resume transitions driven from outside a sweep (backpressure,
-    /// work migration) queue their events here, and the serving loop must
-    /// route them before shipping a stream elsewhere.
+    /// park transitions driven from outside a sweep (an explicit
+    /// [`park_stream`](ServeSession::park_stream), work migration) queue
+    /// their events here, and the serving loop must route them before
+    /// shipping a stream elsewhere.
     pub fn drain_events(&mut self) -> Vec<EngineEvent> {
         self.absorb_park_resume();
         std::mem::take(&mut self.events)
@@ -1002,41 +1003,28 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     /// re-prefill path. Emits [`EngineEvent::Preempted`] (in the next
     /// [`sweep_events`](ServeSession::sweep_events) batch) on success.
     /// Returns `false` — a no-op — when the stream is not active, is
-    /// mid-sweep, or is already done; the serving loop's backpressure
-    /// decisions race benignly with retirement.
+    /// mid-sweep, or is already done.
     pub fn park_stream(&mut self, stream: StreamId) -> bool {
         let parked = self.scheduler.park(stream);
         self.absorb_park_resume();
         parked
     }
 
-    /// Backpressure hold: keep the stream's slot and cache but stop
-    /// feeding it until [`release_stream`](ServeSession::release_stream).
-    /// Returns `false` when the stream is not active or already held.
-    pub fn hold_stream(&mut self, stream: StreamId) -> bool {
-        self.scheduler.hold(stream)
+    /// Report whether `stream`'s consumer still owes a drain of events it
+    /// already produced — the serving loop's one backpressure fact, read by
+    /// the next sweep's plan ([`DecodeScheduler::set_blocked`]).
+    pub fn set_blocked(&mut self, stream: StreamId, blocked: bool) {
+        self.scheduler.set_blocked(stream, blocked);
     }
 
-    /// Lift a backpressure hold. Returns `false` when the stream is not
-    /// active or was not held.
-    pub fn release_stream(&mut self, stream: StreamId) -> bool {
-        self.scheduler.release(stream)
-    }
-
-    /// True while `stream` holds a decode slot (planned, held, or awaiting
-    /// its record — parked and retired streams are not active).
-    pub fn is_active(&self, stream: StreamId) -> bool {
-        self.scheduler.active_stream(stream).is_some()
-    }
-
-    /// Ids of the streams waiting for a slot, in queue order.
-    pub fn pending_stream_ids(&self) -> Vec<StreamId> {
-        self.scheduler.pending_ids()
-    }
-
-    /// Ids of the streams holding slots, in admission order.
-    pub fn active_stream_ids(&self) -> Vec<StreamId> {
-        self.scheduler.active_ids()
+    /// Give one stream away for adoption by another session (work
+    /// migration); the scheduler picks it ([`DecodeScheduler::export`]). If
+    /// it held a slot it is parked first: route the `Preempted` waiting in
+    /// [`drain_events`](ServeSession::drain_events) before moving it.
+    pub fn export_stream(&mut self) -> Option<StreamState> {
+        let state = self.scheduler.export()?;
+        self.absorb_park_resume();
+        Some(state)
     }
 
     /// Remove a *pending* stream for adoption by another session (work

@@ -1,4 +1,4 @@
-//! Push-based serving-loop suite: the `Engine` worker thread must deliver
+//! Push-based serving-loop suite: a one-worker `Fleet` must deliver
 //! every stream's events over its bounded channel with output equal to
 //! the stepwise decode oracle, stay live under bursty arrivals with a
 //! tight memory budget and full channels (no deadlock, no dropped
@@ -10,8 +10,8 @@ mod common;
 use common::{prompt, stepwise_generate, tiny_config};
 use ft_transformer_suite::attention::efta::EftaOptions;
 use ft_transformer_suite::transformer::{
-    BackendKind, Engine, EngineConfig, EngineEvent, FinishReason, GenerationRequest, Priority,
-    SchedulerConfig, StreamHandle, TransformerModel,
+    BackendKind, EngineConfig, EngineEvent, FinishReason, Fleet, FleetConfig, GenerationRequest,
+    Priority, SchedulerConfig, StreamHandle, SubmitError, TransformerModel,
 };
 use std::time::{Duration, Instant};
 
@@ -30,8 +30,11 @@ fn oracle(model: &TransformerModel, p: &[u32], new_tokens: usize) -> Vec<u32> {
     stepwise_generate(model, p, new_tokens)[p.len()..].to_vec()
 }
 
-/// Drain a handle with a wall-clock deadline so a liveness bug fails the
-/// test instead of hanging it. Returns (tokens, finish, preemptions).
+/// Drain a handle to `Finished`. Returns (tokens, finish, preemptions).
+/// The deadline is a watchdog only — it turns a hang into a failure;
+/// liveness itself is proven without a clock by the step-driven
+/// `bursty_arrivals_with_full_channels_finish_in_bounded_steps` and its
+/// property in `ft-core`'s scheduler tests.
 fn drain_by(handle: &StreamHandle, deadline: Instant) -> (Vec<u32>, Option<FinishReason>, u32) {
     let mut tokens = Vec::new();
     let mut preemptions = 0;
@@ -54,6 +57,55 @@ fn drain_by(handle: &StreamHandle, deadline: Instant) -> (Vec<u32>, Option<Finis
     }
 }
 
+/// The bursty shape: 8 mixed-class streams (prompt `10 + i`, 6 new tokens).
+const BURSTY_CLASSES: [Priority; 8] = [
+    Priority::Batch,
+    Priority::Normal,
+    Priority::Latency,
+    Priority::Normal,
+    Priority::Batch,
+    Priority::Latency,
+    Priority::Normal,
+    Priority::Batch,
+];
+
+fn bursty_jobs() -> Vec<(Vec<u32>, usize)> {
+    (0..BURSTY_CLASSES.len())
+        .map(|i| (prompt(10 + i, i), 6))
+        .collect()
+}
+
+fn bursty_config() -> EngineConfig {
+    EngineConfig {
+        scheduler: SchedulerConfig {
+            max_active: 2,
+            prefill_chunk: 8,
+            memory_budget: Some(10_000),
+            preempt: true,
+            priority_aging: Some(4),
+        },
+        channel_capacity: 1,
+    }
+}
+
+/// Spawn the bursty fleet — 2 slots, a budget of roughly two streams' caches
+/// (bytes/token = 4 · hidden · layers = 256) and one-event channels, so
+/// nearly every stream's consumer lags: maximum scheduler churn — and
+/// submit the burst. Returns the handles and each stream's oracle tokens.
+fn spawn_bursty(model: TransformerModel) -> (Fleet, Vec<StreamHandle>, Vec<Vec<u32>>) {
+    let jobs = bursty_jobs();
+    let want = jobs.iter().map(|(p, n)| oracle(&model, p, *n)).collect();
+    let engine = Fleet::spawn(model, FleetConfig::single(bursty_config()));
+    let handles = jobs
+        .iter()
+        .zip(&BURSTY_CLASSES)
+        .map(|((p, n), &class)| {
+            engine.submit(GenerationRequest::new(p.clone(), *n).with_priority(class))
+        })
+        .collect();
+    (engine, handles, want)
+}
+
 /// Streams submitted through the engine deliver, over their channels, the
 /// same tokens the stepwise decode oracle produces, ending in `Finished:
 /// max-tokens` — the push-mode loop is output-equivalent to pull-mode.
@@ -67,16 +119,16 @@ fn engine_handles_deliver_oracle_tokens() {
             .collect();
     let want: Vec<Vec<u32>> = jobs.iter().map(|(p, n)| oracle(&model, p, *n)).collect();
 
-    let engine = Engine::spawn(
+    let engine = Fleet::spawn(
         model,
-        EngineConfig {
+        FleetConfig::single(EngineConfig {
             scheduler: SchedulerConfig {
                 max_active: 2,
                 prefill_chunk: 8,
                 ..Default::default()
             },
             ..Default::default()
-        },
+        }),
     );
     let handles: Vec<_> = jobs
         .iter()
@@ -102,50 +154,93 @@ fn engine_handles_deliver_oracle_tokens() {
 /// dropped: every stream reaches `Finished` with oracle-exact tokens.
 #[test]
 fn bursty_arrivals_with_full_channels_and_tight_budget_all_finish() {
-    let model = tiny_model(62, 96);
-    let classes = [
-        Priority::Batch,
-        Priority::Normal,
-        Priority::Latency,
-        Priority::Normal,
-        Priority::Batch,
-        Priority::Latency,
-        Priority::Normal,
-        Priority::Batch,
-    ];
-    let jobs: Vec<(Vec<u32>, usize)> = (0..classes.len()).map(|i| (prompt(10 + i, i), 6)).collect();
-    let want: Vec<Vec<u32>> = jobs.iter().map(|(p, n)| oracle(&model, p, *n)).collect();
-
-    // 2 slots, a budget of roughly two streams' caches (bytes/token =
-    // 4 · hidden · layers = 256), one-event channels, and instant parking
-    // of any stream whose consumer lags — maximum scheduler churn.
-    let engine = Engine::spawn(
-        model,
-        EngineConfig {
-            scheduler: SchedulerConfig {
-                max_active: 2,
-                prefill_chunk: 8,
-                memory_budget: Some(10_000),
-                preempt: true,
-                priority_aging: Some(4),
-            },
-            channel_capacity: 1,
-            park_after_held_sweeps: 1,
-        },
-    );
-    let handles: Vec<_> = jobs
-        .iter()
-        .zip(&classes)
-        .map(|((p, n), &class)| {
-            engine.submit(GenerationRequest::new(p.clone(), *n).with_priority(class))
-        })
-        .collect();
+    let (_engine, handles, want) = spawn_bursty(tiny_model(62, 96));
     let deadline = Instant::now() + Duration::from_secs(60);
     for (i, h) in handles.iter().enumerate() {
         let (tokens, finish, _) = drain_by(h, deadline);
         assert_eq!(tokens, want[i], "stream {i} diverged under pressure");
         assert_eq!(finish, Some(FinishReason::MaxTokens), "stream {i}");
     }
+}
+
+/// The same burst with one consumer that holds its handle and never reads
+/// it. Its stream must cost the others nothing but a bounded number of
+/// parks: the seven drained streams finish oracle-exact, the stuck one is
+/// parked at most once per token it emitted (its outbox would otherwise
+/// trip the worker's length assert), and dropping the stuck handle lets
+/// the stream run out and `shutdown` return.
+#[test]
+fn a_consumer_that_never_reads_costs_the_others_only_bounded_parks() {
+    const STUCK: usize = 2;
+    let (engine, handles, want) = spawn_bursty(tiny_model(62, 96));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut drained_parks = 0;
+    for (i, h) in handles.iter().enumerate().filter(|(i, _)| *i != STUCK) {
+        let (tokens, finish, parks) = drain_by(h, deadline);
+        assert_eq!(
+            tokens, want[i],
+            "stream {i} diverged beside a stuck consumer"
+        );
+        assert_eq!(finish, Some(FinishReason::MaxTokens), "stream {i}");
+        drained_parks += u64::from(parks);
+    }
+    drop(handles);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(engine.shutdown()));
+    let total = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("shutdown returns once the stuck handle is dropped")
+        .total();
+    assert_eq!(
+        total.streams_finished, 8,
+        "the abandoned stream still retires"
+    );
+    assert_eq!(total.tokens_emitted, 8 * 6);
+    let stuck_parks = total.preemptions - drained_parks;
+    assert!(
+        stuck_parks <= 6,
+        "stuck stream parked {stuck_parks} times for 6 tokens"
+    );
+}
+
+/// A request no shard could serve is refused on the submitting thread —
+/// the shard never sees it, so the fleet keeps serving.
+#[test]
+fn a_malformed_request_is_refused_without_touching_the_shard() {
+    let model = tiny_model(64, 32);
+    let good = prompt(9, 0);
+    let want = oracle(&model, &good, 4);
+    let engine = Fleet::spawn(model, FleetConfig::single(EngineConfig::default()));
+    let refused = |req: GenerationRequest| engine.try_submit(req).err();
+    assert_eq!(
+        refused(GenerationRequest::new(vec![], 4)),
+        Some(SubmitError::EmptyPrompt)
+    );
+    let too_long = SubmitError::PromptTooLong {
+        len: 33,
+        max_seq: 32,
+    };
+    assert_eq!(
+        refused(GenerationRequest::new(prompt(33, 1), 4)),
+        Some(too_long)
+    );
+    assert_eq!(
+        too_long.to_string(),
+        "prompt of 33 tokens exceeds max_seq 32"
+    );
+    // `with_window(0)` asserts; the field itself is public.
+    let zero_window = GenerationRequest {
+        window: Some(0),
+        ..GenerationRequest::new(good.clone(), 4)
+    };
+    assert_eq!(refused(zero_window), Some(SubmitError::ZeroWindow));
+    let outcome = engine
+        .try_submit(GenerationRequest::new(good, 4))
+        .expect("a well-formed request is accepted")
+        .wait();
+    assert_eq!(outcome.tokens, want, "the shard survived the bad requests");
+    assert_eq!(outcome.finish, Some(FinishReason::MaxTokens));
+    assert_eq!(engine.shutdown().streams_submitted, 1);
 }
 
 /// A `Latency` arrival parks long-running `Batch` work (observable as
@@ -162,9 +257,9 @@ fn latency_arrival_preempts_batch_work_without_changing_output() {
         .collect();
     let urgent_want = oracle(&model, &urgent_prompt, 4);
 
-    let engine = Engine::spawn(
+    let engine = Fleet::spawn(
         model,
-        EngineConfig {
+        FleetConfig::single(EngineConfig {
             scheduler: SchedulerConfig {
                 max_active: 1,
                 prefill_chunk: 16,
@@ -172,7 +267,7 @@ fn latency_arrival_preempts_batch_work_without_changing_output() {
                 ..Default::default()
             },
             ..Default::default()
-        },
+        }),
     );
     let batch_handles: Vec<_> = batch_prompts
         .iter()

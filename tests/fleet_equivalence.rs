@@ -15,7 +15,7 @@ use ft_transformer_suite::attention::efta::EftaOptions;
 use ft_transformer_suite::num::F16;
 use ft_transformer_suite::sim::{FaultInjector, FaultSite, OpCoord, SeuInjector};
 use ft_transformer_suite::transformer::{
-    serve_expose_step, Engine, EngineConfig, FinishReason, Fleet, FleetConfig, FleetReport,
+    serve_expose_step, EngineConfig, FinishReason, Fleet, FleetConfig, FleetReport,
     GenerationRequest, ModelConfig, RecoveryPolicy, RouterPolicy, ShardId, StreamId,
     TransformerModel,
 };
@@ -88,7 +88,7 @@ fn fleet_matches_single_engine_on_every_backend() {
     for kind in BackendKind::all() {
         let model = TransformerModel::random(61, tiny(96), kind).with_causal(true);
 
-        let engine = Engine::spawn(model.clone(), EngineConfig::default());
+        let engine = Fleet::spawn(model.clone(), FleetConfig::single(EngineConfig::default()));
         let engine_handles: Vec<_> = lens
             .iter()
             .enumerate()
