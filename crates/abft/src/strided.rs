@@ -193,9 +193,23 @@ pub fn verify_strided(
     out
 }
 
-/// Locate each mismatch's corrupted element via the weighted/plain ratio and
+/// The locate rule: a single error in group `l` perturbs a lane's plain
+/// checksum by `Δ1` and its weighted one by `(l+1)·Δ1`, so
+/// `l = round(Δ2/Δ1) − 1`. `None` when the ratio is non-finite, a quarter
+/// or more from an integer (multi-error aliasing), or names a group below
+/// zero. The result is unbounded above (a wildly corrupted ratio saturates
+/// the cast): callers test `t + s·l` against their extent with checked
+/// arithmetic.
+pub fn locate_group(delta1: f32, delta2: f32) -> Option<usize> {
+    let ratio = delta2 / delta1;
+    let nearest = ratio.round();
+    (ratio.is_finite() && (ratio - nearest).abs() < 0.25 && nearest >= 1.0)
+        .then(|| nearest as usize - 1)
+}
+
+/// Locate each mismatch's corrupted element via [`locate_group`] and
 /// correct it in place. Mismatches whose ratio does not identify a valid
-/// group are counted `uncorrectable` (the caller recomputes).
+/// column are counted `uncorrectable` (the caller recomputes).
 pub fn correct_strided(c: &mut MatrixF32, mismatches: &[StridedMismatch], s: usize) -> AbftReport {
     let n = c.cols();
     let mut report = AbftReport {
@@ -203,21 +217,11 @@ pub fn correct_strided(c: &mut MatrixF32, mismatches: &[StridedMismatch], s: usi
         ..Default::default()
     };
     for m in mismatches {
-        let ratio = m.delta2 / m.delta1;
-        // Reject: non-finite ratio, ratio far from an integer (multi-error
-        // aliasing), or out-of-range column. A wildly corrupted ratio can
-        // saturate the float→int cast, so the column is computed with
-        // checked arithmetic rather than trusted to stay in range.
-        let l0 = ratio.round() as i64 - 1;
-        let col = (s as i64)
-            .checked_mul(l0)
-            .and_then(|x| x.checked_add(m.t as i64));
-        let plausible = ratio.is_finite()
-            && (ratio - ratio.round()).abs() < 0.25
-            && l0 >= 0
-            && col.is_some_and(|c| (0..n as i64).contains(&c));
-        if plausible {
-            let col = col.expect("checked above") as usize;
+        let col = locate_group(m.delta1, m.delta2)
+            .and_then(|l| s.checked_mul(l))
+            .and_then(|off| off.checked_add(m.t))
+            .filter(|&col| col < n);
+        if let Some(col) = col {
             let fixed = c.get(m.i, col) - m.delta1;
             c.set(m.i, col, fixed);
             report.corrected.push(ErrorLoc {
@@ -337,6 +341,30 @@ mod tests {
         assert_eq!(rep.detections, 1);
         assert_eq!(rep.uncorrectable, 1);
         assert!(rep.corrected.is_empty());
+    }
+
+    #[test]
+    fn locate_rule_survives_wild_ratios() {
+        assert_eq!(locate_group(2.0, 6.0), Some(2));
+        assert_eq!(locate_group(2.0, 3.0), None, "ratio 1.5: aliased pair");
+        assert_eq!(locate_group(2.0, 0.0), None, "group below zero");
+        assert_eq!(locate_group(0.0, 1.0), None);
+        assert_eq!(locate_group(f32::NAN, 1.0), None);
+        // Finite but far outside any index type: no overflow on the way to
+        // rejection, in `locate_group` or in the caller's column arithmetic.
+        assert_eq!(locate_group(1.0, -1e30), None);
+        assert!(locate_group(1.0, 1e30).is_some());
+        let mut c = MatrixF32::zeros(1, 16);
+        for delta2 in [-1e30, 1e30] {
+            let wild = StridedMismatch {
+                i: 0,
+                t: 3,
+                delta1: 1.0,
+                delta2,
+            };
+            let rep = correct_strided(&mut c, &[wild], 8);
+            assert_eq!((rep.corrected.len(), rep.uncorrectable), (0, 1));
+        }
     }
 
     #[test]

@@ -240,8 +240,14 @@ fn row_sum(row: &[f32]) -> f32 {
 /// max-plausibility restriction checks.
 pub(crate) fn max_row_norm(k_blk: &MatrixF32) -> f32 {
     (0..k_blk.rows())
-        .map(|j| k_blk.row(j).iter().map(|x| x * x).sum::<f32>().sqrt())
+        .map(|j| row_norm(k_blk.row(j)))
         .fold(0.0f32, f32::max)
+}
+
+/// Euclidean norm of one K row — the one summation order every holder of a
+/// max-norm bound uses (the cache folds it in row by row).
+pub(crate) fn row_norm(row: &[f32]) -> f32 {
+    row.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
 /// One S element recomputed exactly (a d-MAC dot product). Checksum

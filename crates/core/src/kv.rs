@@ -25,6 +25,25 @@
 //! surface is the FP16 payload, targeted through [`KvCache::expose`] with
 //! [`FaultSite::KvCache`].
 //!
+//! # Writers
+//!
+//! A block's payload, checksum operands and max-norm change through two
+//! mutations, and every writer is built from them:
+//!
+//! * **`push_row`** folds one new row in. The checksums are per-lane
+//!   *sums*, so a row costs one add per lane, made in the order of the
+//!   from-scratch encoder (`KvBlock::encode`, kept as the oracle the fold
+//!   is tested against): O(row), bit-identical, stored rows never read back.
+//! * **`heal`** is the verifying read in front of a write: re-fold the
+//!   resident rows and compare every lane of both operands of both
+//!   families with the stored bits. All equal means `stored ==
+//!   encode(payload)` and nothing is touched; otherwise locate/correct
+//!   under the level's tolerance, poison the block for what cannot be
+//!   located, and re-encode over the healed rows.
+//!
+//! [`KvCache::append`] heals the ragged trailing block once per call, then
+//! pushes; [`KvCache::truncate_to`] heals, then re-encodes a row prefix.
+//!
 //! # Eviction
 //!
 //! The per-block layout exists so bounded-memory serving is cheap:
@@ -45,9 +64,8 @@
 //! and truncating back to it drops whole tail blocks O(1) (checksums,
 //! max-norm, and poison marks retire with each dropped block, exactly as
 //! in front eviction) and re-encodes the one ragged boundary block over
-//! its surviving rows — the append path's still-filling re-encode run in
-//! reverse, verify-and-heal first so damage is never baked into the fresh
-//! checksums. The re-encoded block is bit-identical to what a cache that
+//! its surviving rows — healed first, so damage is never baked into the
+//! fresh checksums. The re-encoded block is bit-identical to what a cache that
 //! never grew past the mark would store, which is what lets speculative
 //! decode append provisional rows, verify them in one fused sweep, and
 //! roll back the rejected suffix without perturbing later tokens. A mark
@@ -75,9 +93,10 @@
 //! assert_eq!((report.detected, report.corrected, report.uncorrectable), (1, 1, 0));
 //! ```
 
+use crate::efta::{max_row_norm, row_norm};
 use crate::protect::ProtectionLevel;
-use ft_abft::strided::{encode_cols_strided, encode_rows_strided, StridedChecksums};
-use ft_num::{MatrixF16, MatrixF32, Tensor4F16};
+use ft_abft::strided::{encode_cols_strided, encode_rows_strided, locate_group, StridedChecksums};
+use ft_num::{MatrixF16, MatrixF32, Tensor4F16, F16};
 use ft_sim::{FaultInjector, FaultSite, OpCoord};
 
 /// Verification criterion for cache reads: the stored checksum and the
@@ -88,6 +107,9 @@ use ft_sim::{FaultInjector, FaultSite, OpCoord};
 const READ_CHECK_FLOOR: f32 = 1e-6;
 
 /// One cached block: up to `block` rows of K and V plus their checksums.
+/// Unless the payload was corrupted in place ([`KvCache::expose`]), the
+/// stored operands and max-norm are bit-for-bit what `encode` computes from
+/// the stored payload: `push_row` preserves that, `heal` restores it.
 #[derive(Clone, Debug)]
 struct KvBlock {
     /// Cached key rows (FP16 payload, the fault surface).
@@ -112,97 +134,120 @@ struct KvBlock {
     poisoned: u64,
 }
 
-/// Zero-size checksum operands for [`ProtectionLevel::Raw`] blocks: no
-/// metadata is stored, so `checksum_bytes()` naturally reports 0, and the
-/// verify paths (which a `Raw` cache never takes) have nothing to compare.
-fn empty_checksums() -> StridedChecksums {
-    StridedChecksums {
-        w1: MatrixF32::zeros(0, 0),
-        w2: MatrixF32::zeros(0, 0),
-        stride: 1,
-        groups: 0,
-    }
-}
-
 impl KvBlock {
-    fn encode(k: &MatrixF16, v: &MatrixF16, stride: usize) -> Self {
-        let kf = k.to_f32();
-        let vf = v.to_f32();
-        // Row-fold stride adapts to ragged (still-filling) blocks; the
-        // column fold is over `dim`, which never changes.
-        let sk = stride.min(kf.rows());
-        let sv = stride.min(vf.cols());
-        let k_max_norm = (0..kf.rows())
-            .map(|r| kf.row(r).iter().map(|x| x * x).sum::<f32>().sqrt())
-            .fold(0.0f32, f32::max);
+    /// A block with no rows yet. Without `metadata` ([`ProtectionLevel::Raw`])
+    /// the operands stay 0 × 0: no checksum bytes, no lanes to verify.
+    fn empty(dim: usize, stride: usize, metadata: bool) -> Self {
+        let lanes = |cols: usize| MatrixF32::zeros(0, if metadata { cols } else { 0 });
+        let operands = |cols: usize| StridedChecksums {
+            w1: lanes(cols),
+            w2: lanes(cols),
+            stride: 1,
+            groups: 0,
+        };
         KvBlock {
-            k_cs: encode_rows_strided(&kf, sk, false),
-            v_cs: encode_cols_strided(&vf, sv, false),
-            k: k.clone(),
-            v: v.clone(),
-            k_max_norm,
-            poisoned: 0,
-        }
-    }
-
-    /// An unprotected block: payload only, no checksums or max-norm
-    /// snapshot ([`ProtectionLevel::Raw`]).
-    fn encode_raw(k: &MatrixF16, v: &MatrixF16) -> Self {
-        KvBlock {
-            k_cs: empty_checksums(),
-            v_cs: empty_checksums(),
-            k: k.clone(),
-            v: v.clone(),
+            k: MatrixF16::zeros(0, dim),
+            v: MatrixF16::zeros(0, dim),
+            k_cs: operands(dim),
+            v_cs: operands(stride.min(dim)),
             k_max_norm: 0.0,
             poisoned: 0,
         }
     }
 
-    /// Extend a still-filling block by one row *without* re-encoding from
-    /// the stored payload ([`ProtectionLevel::Lazy`]): the new row's
-    /// contribution is folded into the existing checksum operands with the
-    /// exact accumulation order a full re-encode over clean rows would
-    /// use, so the operands stay bit-identical to `Full`'s — but stored
-    /// rows are never read back, so corruption already resident in the
-    /// block is neither healed nor laundered: it stays detectable and is
-    /// caught at the next attended (verified) read.
-    fn extend_lazy(&mut self, k1: &MatrixF16, v1: &MatrixF16, stride: usize) {
-        let rows = self.k.rows();
-        let kx = k1.to_f32();
-        let vx = v1.to_f32();
-        if rows < stride {
-            // Sub-stride block: the adaptive row-fold width equals the row
-            // count, so both old and new operands are identity copies of
-            // the (clean-at-encode-time) rows — extend by stacking.
-            self.k_cs = StridedChecksums {
-                w1: MatrixF32::vstack(&[&self.k_cs.w1, &kx]),
-                w2: MatrixF32::vstack(&[&self.k_cs.w2, &kx]),
-                stride: rows + 1,
-                groups: 1,
-            };
-        } else {
-            // Full-width fold: the new (last) row lands in lane
-            // `rows % stride`, group `rows / stride`, and the full encode
-            // would add its contribution last — same order, same bits.
-            let (t, l) = (rows % stride, rows / stride);
-            for c in 0..kx.cols() {
-                let x = kx.get(0, c);
-                self.k_cs.w1.set(t, c, self.k_cs.w1.get(t, c) + x);
-                self.k_cs
-                    .w2
-                    .set(t, c, self.k_cs.w2.get(t, c) + (l + 1) as f32 * x);
-            }
-            self.k_cs.groups = (rows + 1).div_ceil(stride);
+    /// The from-scratch encoder: the oracle `push_row` is tested against,
+    /// and how an existing block whose operands can no longer be trusted,
+    /// or whose rows were cut, is rebuilt — carrying the mark `poisoned`.
+    fn encode(k: &MatrixF16, v: &MatrixF16, stride: usize, poisoned: u64) -> Self {
+        let (kf, vf) = (k.to_f32(), v.to_f32());
+        KvBlock {
+            // Row-fold stride adapts to ragged (still-filling) blocks; the
+            // column fold is over `dim`, which never changes.
+            k_cs: encode_rows_strided(&kf, stride.min(kf.rows()), false),
+            v_cs: encode_cols_strided(&vf, stride.min(vf.cols()), false),
+            k: k.clone(),
+            v: v.clone(),
+            k_max_norm: max_row_norm(&kf),
+            poisoned,
         }
-        // The column fold gives every payload row its own checksum row, so
-        // appending is a per-row encode of just the new row.
-        let row_cs = encode_cols_strided(&vx, self.v_cs.stride, false);
-        self.v_cs.w1 = MatrixF32::vstack(&[&self.v_cs.w1, &row_cs.w1]);
-        self.v_cs.w2 = MatrixF32::vstack(&[&self.v_cs.w2, &row_cs.w2]);
-        let norm = kx.row(0).iter().map(|x| x * x).sum::<f32>().sqrt();
-        self.k_max_norm = self.k_max_norm.max(norm);
-        self.k = MatrixF16::vstack(&[&self.k, k1]);
-        self.v = MatrixF16::vstack(&[&self.v, v1]);
+    }
+
+    /// Append one row — how every row enters the cache. Payload, operands
+    /// and max-norm grow in place, each lane by the additions `encode` over
+    /// the extended block makes, in its order: bit-identical to a re-encode
+    /// of clean rows. Stored rows are not read back, so resident corruption
+    /// is neither healed nor laundered: the next verifying read sees it.
+    fn push_row(&mut self, k: &[F16], v: &[F16], stride: usize, metadata: bool) {
+        let rows = self.k.rows();
+        self.k.push_row(k);
+        self.v.push_row(v);
+        if !metadata {
+            return;
+        }
+        // K, row-folded: the new row is lane `t`, group `l`. A block shorter
+        // than the stride folds at its row count, so the row opens a lane —
+        // from zero, like the encoder's accumulator (`0.0 + -0.0`, no copy).
+        let (t, l) = (rows % stride, rows / stride);
+        let kx: Vec<f32> = k.iter().map(|x| x.to_f32()).collect();
+        if l == 0 {
+            let zero = vec![0.0; kx.len()];
+            self.k_cs.w1.push_row(&zero);
+            self.k_cs.w2.push_row(&zero);
+        }
+        (self.k_cs.stride, self.k_cs.groups) = (stride.min(rows + 1), l + 1);
+        let (w1, w2) = (self.k_cs.w1.row_mut(t), self.k_cs.w2.row_mut(t));
+        for (c, &x) in kx.iter().enumerate() {
+            w1[c] += x;
+            w2[c] += (l + 1) as f32 * x;
+        }
+        self.k_max_norm = self.k_max_norm.max(row_norm(&kx));
+        // V, column-folded: every payload row has a checksum row of its own.
+        let sv = self.v_cs.w1.cols();
+        let (mut s1, mut s2) = (vec![0.0f32; sv], vec![0.0f32; sv]);
+        for (c, x) in v.iter().map(|x| x.to_f32()).enumerate() {
+            s1[c % sv] += x;
+            s2[c % sv] += (c / sv + 1) as f32 * x;
+        }
+        self.v_cs.w1.push_row(&s1);
+        self.v_cs.w2.push_row(&s2);
+        (self.v_cs.stride, self.v_cs.groups) = (sv, v.len().div_ceil(sv));
+    }
+
+    /// The verifying read in front of a write. Re-fold the resident rows
+    /// and compare every lane of both operands of both families with the
+    /// stored bits (`w2` too: damage that cancels in a lane's plain sum, or
+    /// hides under the read-check floor, still moves what a re-encode
+    /// stores). All equal: the block is what `encode` would rebuild, and
+    /// nothing is touched. Otherwise locate and correct under `tol`, write
+    /// the re-quantised payload back and re-encode — destroying the
+    /// evidence of what could not be located, so that count joins the
+    /// sticky poison mark here, once. Returns the verification report.
+    fn heal(&mut self, stride: usize, tol: Option<f32>) -> KvReadReport {
+        let k_fresh = encode_rows_strided(&self.k.to_f32(), self.k_cs.stride, false);
+        let v_fresh = encode_cols_strided(&self.v.to_f32(), self.v_cs.stride, false);
+        if same_bits(&k_fresh, &self.k_cs) && same_bits(&v_fresh, &self.v_cs) {
+            return KvReadReport::default();
+        }
+        let (kf, k_report) = verify(&self.k, &self.k_cs, Fold::Rows, tol);
+        let (vf, v_report) = verify(&self.v, &self.v_cs, Fold::Cols, tol);
+        let report = k_report.merged(&v_report);
+        let poisoned = self.poisoned + report.uncorrectable;
+        *self = KvBlock::encode(&kf.to_f16(), &vf.to_f16(), stride, poisoned);
+        report
+    }
+
+    /// Cut the block back to its first `rows` rows and re-encode over
+    /// exactly those (the row-fold stride adapts): what a cache that never
+    /// grew past them would store. The poison mark stays — unlocatable
+    /// damage cannot be pinned to a row, so every survivor stays suspect.
+    fn keep_rows(&mut self, rows: usize, stride: usize, metadata: bool) {
+        let k = self.k.block(0, 0, rows, self.k.cols());
+        let v = self.v.block(0, 0, rows, self.v.cols());
+        if metadata {
+            *self = KvBlock::encode(&k, &v, stride, self.poisoned);
+        } else {
+            (self.k, self.v) = (k, v);
+        }
     }
 }
 
@@ -561,12 +606,15 @@ impl KvCache {
     }
 
     /// Append `n` new token rows per slot (`k`/`v` are
-    /// `batch × heads × n × dim`; decode appends `n = 1`). The trailing
-    /// (possibly ragged) block's checksums are re-encoded — *after* the
-    /// stored rows are verified against the old checksums and healed, so a
-    /// corruption that landed in the still-filling block is repaired rather
-    /// than silently baked into the fresh encoding. Returns the integrity
-    /// report of that pre-append verification.
+    /// `batch × heads × n × dim`; decode appends `n = 1`). Every row enters
+    /// by `push_row`'s fold: the encode is paid once per row, never again
+    /// per block. A trailing block that is ragged on entry is first read
+    /// back and verified (`heal`), so corruption that landed in it is
+    /// repaired, or poisons it, instead of being folded under;
+    /// [`Lazy`](ProtectionLevel::Lazy) leaves that to the next attended
+    /// read. Once per call verifies what once per row would: rows this call
+    /// pushes cannot be exposed before it returns, and what the fold writes
+    /// re-folds to the stored bits. Returns that verification's report.
     pub fn append(&mut self, k: &Tensor4F16, v: &Tensor4F16) -> KvReadReport {
         for (name, t) in [("k", k), ("v", v)] {
             assert_eq!(
@@ -578,50 +626,21 @@ impl KvCache {
         let n = k.seq();
         assert_eq!(v.seq(), n, "k/v row counts differ");
         let mut report = KvReadReport::default();
-        let (level, tol) = (self.level, self.level.tolerance());
-        for slot in 0..self.num_slots() {
-            let km = k.slot_flat(slot);
-            let vm = v.slot_flat(slot);
+        let (level, stride) = (self.level, self.stride);
+        let metadata = level.encodes_metadata();
+        let ragged = !self.len.is_multiple_of(self.block);
+        for (slot, blocks) in self.slots.iter_mut().enumerate() {
+            if ragged && metadata && !level.defers_append_heal() {
+                let last = blocks.last_mut().expect("ragged trailing block resident");
+                report = report.merged(&last.heal(stride, level.tolerance()));
+            }
+            let (km, vm) = (k.slot_flat(slot), v.slot_flat(slot));
             for r in 0..n {
-                let row = self.len + r;
-                let (blocks, block, stride) = (&mut self.slots[slot], self.block, self.stride);
-                let k1 = km.block(r, 0, 1, self.dim);
-                let v1 = vm.block(r, 0, 1, self.dim);
-                if row.is_multiple_of(block) {
-                    // Open a fresh block with this single row.
-                    blocks.push(if level.encodes_metadata() {
-                        KvBlock::encode(&k1, &v1, stride)
-                    } else {
-                        KvBlock::encode_raw(&k1, &v1)
-                    });
-                } else if !level.encodes_metadata() {
-                    // Raw: extend the payload, no metadata to maintain.
-                    let last = blocks.last_mut().expect("non-empty trailing block");
-                    last.k = MatrixF16::vstack(&[&last.k, &k1]);
-                    last.v = MatrixF16::vstack(&[&last.v, &v1]);
-                } else if level.defers_append_heal() {
-                    // Lazy: fold the new row into the stored operands
-                    // without reading the payload back — the heal this
-                    // skips is deferred to the next attended read.
-                    let last = blocks.last_mut().expect("non-empty trailing block");
-                    last.extend_lazy(&k1, &v1, stride);
-                } else {
-                    let last = blocks.last_mut().expect("non-empty trailing block");
-                    let mut kf = last.k.to_f32();
-                    let mut vf = last.v.to_f32();
-                    let heal = verify_rows(&mut kf, &last.k_cs, tol)
-                        .merged(&verify_cols(&mut vf, &last.v_cs, tol));
-                    report = report.merged(&heal);
-                    let k_new = MatrixF16::vstack(&[&kf.to_f16(), &k1]);
-                    let v_new = MatrixF16::vstack(&[&vf.to_f16(), &v1]);
-                    // Re-encoding stamps clean checksums over rows the
-                    // verification could not restore — fold that into the
-                    // block's sticky poison mark before the evidence is
-                    // destroyed (count once, at launder time).
-                    let poisoned = last.poisoned + heal.uncorrectable;
-                    *last = KvBlock::encode(&k_new, &v_new, stride);
-                    last.poisoned = poisoned;
+                if (self.len + r).is_multiple_of(self.block) {
+                    blocks.push(KvBlock::empty(self.dim, stride, metadata));
                 }
+                let last = blocks.last_mut().expect("trailing block just opened");
+                last.push_row(km.row(r), vm.row(r), stride, metadata);
             }
         }
         self.len += n;
@@ -736,26 +755,19 @@ impl KvCache {
         CacheMark { len: self.len }
     }
 
-    /// Roll the tail back to `mark`: drop every block past it O(1) and
-    /// re-encode the one ragged boundary block over its surviving rows —
-    /// the mirror image of [`evict_front`](KvCache::evict_front) at the
-    /// tail, and of the append path's still-filling re-encode in reverse.
-    ///
-    /// Contract, block by block:
+    /// Roll the tail back to `mark` — the mirror image of
+    /// [`evict_front`](KvCache::evict_front) at the tail. Block by block:
     /// * **whole tail blocks** are dropped with no re-encode; their
     ///   checksums, max-norm snapshots, and sticky poison marks retire
     ///   with them (damage confined to rolled-back rows leaves no trace —
     ///   the rows it could have tainted no longer exist);
     /// * the **ragged boundary block** (when `mark` lands mid-block) is
-    ///   verified and healed against its stored checksums *first*, then
-    ///   re-encoded over the surviving row prefix: checksums and the
-    ///   max-norm snapshot are recomputed over exactly those rows, so the
-    ///   block is bit-identical to one in a cache that never grew past the
-    ///   mark. Unlocatable damage found by the heal folds into the block's
-    ///   sticky poison mark before the evidence is destroyed, and an
-    ///   existing mark on the block survives: the damaged row cannot be
-    ///   located, so every surviving row stays suspect (conservative —
-    ///   see [`poisoned`](KvCache::poisoned));
+    ///   healed against its stored checksums *first* — the `heal` an append
+    ///   runs, poison accounting included — then re-encoded from scratch
+    ///   over the surviving rows, so it is bit-identical to one in a cache
+    ///   that never grew past the mark. A poison mark on the block
+    ///   survives: the damaged row cannot be located, so every surviving
+    ///   row stays suspect (see [`poisoned`](KvCache::poisoned));
     /// * a mark behind the eviction frontier (`mark.position() <
     ///   start()`) is **rejected with a hard assert**: those rows were
     ///   evicted and no tail operation can restore them. Truncating
@@ -780,48 +792,23 @@ impl KvCache {
         if mark.len == self.len {
             return report;
         }
-        let keep_blocks = mark.len.div_ceil(self.block);
-        let keep_resident = keep_blocks - self.start_block();
-        let ragged = !mark.len.is_multiple_of(self.block);
-        // Rows surviving in the boundary block when the mark is ragged.
-        let boundary_rows = mark.len - keep_blocks.saturating_sub(1) * self.block;
-        let (stride, dim) = (self.stride, self.dim);
-        let (level, tol) = (self.level, self.level.tolerance());
+        let keep_resident = mark.len.div_ceil(self.block) - self.start_block();
+        // Rows the mark leaves in its own block (none on a block boundary).
+        let boundary_rows = mark.len % self.block;
+        let (level, stride) = (self.level, self.stride);
         for blocks in &mut self.slots {
             blocks.truncate(keep_resident);
-            if !ragged {
+            if boundary_rows == 0 {
                 continue;
             }
             let last = blocks.last_mut().expect("ragged boundary block resident");
-            if last.k.rows() <= boundary_rows {
-                continue;
+            // Heal before the old checksums are replaced, at every level
+            // that has any (`Lazy` too): re-encoding a prefix of unverified
+            // payload would launder resident damage for good.
+            if level.encodes_metadata() {
+                report = report.merged(&last.heal(stride, level.tolerance()));
             }
-            if !level.encodes_metadata() {
-                // Raw: drop the rolled-back row suffix, nothing to encode.
-                last.k = last.k.block(0, 0, boundary_rows, dim);
-                last.v = last.v.block(0, 0, boundary_rows, dim);
-                continue;
-            }
-            // Mirror of the append path's ragged re-encode: verify and
-            // heal the whole stored block against the old checksums, keep
-            // the surviving row prefix, re-encode checksums and max-norm
-            // over exactly those rows (the stride adapts via
-            // `KvBlock::encode`, matching what a never-extended cache
-            // would store), and fold unlocatable damage into the sticky
-            // poison mark before the re-encode destroys its evidence.
-            // (`Lazy` takes this verified path too: a rollback re-encode
-            // from raw payload would launder resident damage for good,
-            // which only `Raw` — which has no checksums at all — accepts.)
-            let mut kf = last.k.to_f32();
-            let mut vf = last.v.to_f32();
-            let heal = verify_rows(&mut kf, &last.k_cs, tol)
-                .merged(&verify_cols(&mut vf, &last.v_cs, tol));
-            report = report.merged(&heal);
-            let k_keep = kf.to_f16().block(0, 0, boundary_rows, dim);
-            let v_keep = vf.to_f16().block(0, 0, boundary_rows, dim);
-            let poisoned = last.poisoned + heal.uncorrectable;
-            *last = KvBlock::encode(&k_keep, &v_keep, stride);
-            last.poisoned = poisoned;
+            last.keep_rows(boundary_rows, stride, level.encodes_metadata());
         }
         self.len = mark.len;
         report
@@ -884,23 +871,19 @@ impl KvCache {
     /// see [`scrub`](KvCache::scrub) for in-place repair).
     pub fn read_k_verified(&self, slot: usize, b: usize) -> (MatrixF32, KvReadReport) {
         let blk = &self.slots[slot][self.resident_index(b)];
-        let mut kf = blk.k.to_f32();
         if !self.level.encodes_metadata() {
-            return (kf, KvReadReport::default());
+            return (blk.k.to_f32(), KvReadReport::default());
         }
-        let report = verify_rows(&mut kf, &blk.k_cs, self.level.tolerance());
-        (kf, report)
+        verify(&blk.k, &blk.k_cs, Fold::Rows, self.level.tolerance())
     }
 
     /// Verified read of V block `b` (column-folded checksums).
     pub fn read_v_verified(&self, slot: usize, b: usize) -> (MatrixF32, KvReadReport) {
         let blk = &self.slots[slot][self.resident_index(b)];
-        let mut vf = blk.v.to_f32();
         if !self.level.encodes_metadata() {
-            return (vf, KvReadReport::default());
+            return (blk.v.to_f32(), KvReadReport::default());
         }
-        let report = verify_cols(&mut vf, &blk.v_cs, self.level.tolerance());
-        (vf, report)
+        verify(&blk.v, &blk.v_cs, Fold::Cols, self.level.tolerance())
     }
 
     /// Verify block `b` of slot `slot` **once** and expose everything a
@@ -923,13 +906,11 @@ impl KvCache {
         );
         let tol = self.level.tolerance();
         let blk = &self.slots[slot][self.resident_index(b)];
-        let mut kf = blk.k.to_f32();
-        let k_report = verify_rows(&mut kf, &blk.k_cs, tol);
-        let mut vf = blk.v.to_f32();
-        let v_report = verify_cols(&mut vf, &blk.v_cs, tol);
+        let (k, k_report) = verify(&blk.k, &blk.k_cs, Fold::Rows, tol);
+        let (v, v_report) = verify(&blk.v, &blk.v_cs, Fold::Cols, tol);
         VerifiedBlock {
-            k: kf,
-            v: vf,
+            k,
+            v,
             k_cs: &blk.k_cs,
             v_cs: &blk.v_cs,
             k_max_norm: blk.k_max_norm,
@@ -1013,10 +994,7 @@ impl KvCache {
                 let uncorrectable = krep.uncorrectable + vrep.uncorrectable;
                 if uncorrectable > 0 {
                     let blk = &mut self.slots[slot][bi];
-                    let poisoned = blk.poisoned + uncorrectable;
-                    let (k16, v16) = (blk.k.clone(), blk.v.clone());
-                    *blk = KvBlock::encode(&k16, &v16, stride);
-                    blk.poisoned = poisoned;
+                    *blk = KvBlock::encode(&blk.k, &blk.v, stride, blk.poisoned + uncorrectable);
                 }
                 total = total.merged(&krep).merged(&vrep);
             }
@@ -1025,28 +1003,57 @@ impl KvCache {
     }
 }
 
-/// Verify a K-style block against row-folded checksums; corrects `m` in
-/// place. A corrupted `m[r][c]` shows up in lane `(r mod s, c)` of `w1`
-/// with delta `Δ` and in `w2` with `(l+1)·Δ`, locating the group `l` and
-/// hence the row. With `tol = Some(t)` (approximate protection),
-/// residuals `|Δ| ≤ t` above the floor are tolerated: counted, left
-/// uncorrected, never escalated to locate/correct or uncorrectable.
-fn verify_rows(m: &mut MatrixF32, cs: &StridedChecksums, tol: Option<f32>) -> KvReadReport {
-    let fresh = encode_rows_strided(m, cs.stride, false);
+/// Checksum lanes as raw bits, the way they are compared: a clean block
+/// re-folds to the exact same f32s (same loop over the same values) — the
+/// NaN lanes of an appended Inf/NaN row too, which `==` would fail against
+/// themselves and so read as permanent damage — and `-0.0` is not `0.0`.
+fn bits(m: &MatrixF32) -> impl Iterator<Item = u32> + '_ {
+    m.as_slice().iter().map(|x| x.to_bits())
+}
+
+/// Bit-for-bit equality of both operands.
+fn same_bits(a: &StridedChecksums, b: &StridedChecksums) -> bool {
+    bits(&a.w1).eq(bits(&b.w1)) && bits(&a.w2).eq(bits(&b.w2))
+}
+
+/// The axis a block's checksums fold: K rows (`w1[t][c] = Σ_l K[t+s·l][c]`)
+/// or V columns (`w1[r][t] = Σ_l V[r][t+s·l]`).
+#[derive(Clone, Copy)]
+enum Fold {
+    Rows,
+    Cols,
+}
+
+/// Verified f32 copy of a block's payload: re-fold it, compare with the
+/// stored checksums, correct the copy. A corrupted element perturbs one
+/// lane — `w1` by `Δ`, `w2` by `(l+1)·Δ` — which locates its group `l`,
+/// hence the element `s·l` further along the fold axis. With
+/// `tol = Some(t)` (approximate protection), residuals `|Δ| ≤ t` above the
+/// floor are tolerated: counted, left uncorrected, never escalated.
+fn verify(
+    payload: &MatrixF16,
+    cs: &StridedChecksums,
+    axis: Fold,
+    tol: Option<f32>,
+) -> (MatrixF32, KvReadReport) {
+    let mut m = payload.to_f32();
+    let fresh = match axis {
+        Fold::Rows => encode_rows_strided(&m, cs.stride, false),
+        Fold::Cols => encode_cols_strided(&m, cs.stride, false),
+    };
     let mut report = KvReadReport::default();
-    let s = cs.stride;
-    for t in 0..fresh.w1.rows() {
-        for c in 0..fresh.w1.cols() {
-            // Bit-equality first: a clean block re-folds to the exact same
-            // f32s (same loop over the same values), non-finite payloads
-            // included — an appended Inf/NaN row makes both sums NaN with
-            // identical bits, which must *not* read as permanent damage
-            // (the old `d1 = NaN` path flagged a false uncorrectable on
-            // every read and poisoned the cache at the next append).
-            if fresh.w1.get(t, c).to_bits() == cs.w1.get(t, c).to_bits() {
+    // The clean read leaves here: every attended block of every sweep takes
+    // it, and inside the loop below it pays for locate/correct's registers.
+    if bits(&fresh.w1).eq(bits(&cs.w1)) {
+        return (m, report);
+    }
+    for i in 0..fresh.w1.rows() {
+        for j in 0..fresh.w1.cols() {
+            // The clean lanes of a damaged block, NaN ones included.
+            if fresh.w1.get(i, j).to_bits() == cs.w1.get(i, j).to_bits() {
                 continue;
             }
-            let d1 = fresh.w1.get(t, c) - cs.w1.get(t, c);
+            let d1 = fresh.w1.get(i, j) - cs.w1.get(i, j);
             if d1.abs() <= READ_CHECK_FLOOR {
                 continue;
             }
@@ -1055,70 +1062,23 @@ fn verify_rows(m: &mut MatrixF32, cs: &StridedChecksums, tol: Option<f32>) -> Kv
                 continue;
             }
             report.detected += 1;
-            let d2 = fresh.w2.get(t, c) - cs.w2.get(t, c);
-            match locate_group(d1, d2, cs.groups) {
-                Some(l) if t + s * l < m.rows() => {
-                    let row = t + s * l;
-                    m.set(row, c, m.get(row, c) - d1);
-                    report.corrected += 1;
-                }
-                _ => report.uncorrectable += 1,
+            let d2 = fresh.w2.get(i, j) - cs.w2.get(i, j);
+            let hit = locate_group(d1, d2)
+                .and_then(|l| cs.stride.checked_mul(l))
+                .and_then(|off| match axis {
+                    Fold::Rows => Some((i.checked_add(off)?, j)),
+                    Fold::Cols => Some((i, j.checked_add(off)?)),
+                })
+                .filter(|&(r, c)| r < m.rows() && c < m.cols());
+            if let Some((r, c)) = hit {
+                m.set(r, c, m.get(r, c) - d1);
+                report.corrected += 1;
+            } else {
+                report.uncorrectable += 1;
             }
         }
     }
-    report
-}
-
-/// Verify a V-style block against column-folded checksums; corrects `m` in
-/// place (same ratio location, along the row; same `tol` semantics as
-/// [`verify_rows`]).
-fn verify_cols(m: &mut MatrixF32, cs: &StridedChecksums, tol: Option<f32>) -> KvReadReport {
-    let fresh = encode_cols_strided(m, cs.stride, false);
-    let mut report = KvReadReport::default();
-    let s = cs.stride;
-    for r in 0..fresh.w1.rows() {
-        for t in 0..fresh.w1.cols() {
-            // Bit-equality covers non-finite payloads (see `verify_rows`).
-            if fresh.w1.get(r, t).to_bits() == cs.w1.get(r, t).to_bits() {
-                continue;
-            }
-            let d1 = fresh.w1.get(r, t) - cs.w1.get(r, t);
-            if d1.abs() <= READ_CHECK_FLOOR {
-                continue;
-            }
-            if tol.is_some_and(|tol| d1.abs() <= tol) {
-                report.tolerated += 1;
-                continue;
-            }
-            report.detected += 1;
-            let d2 = fresh.w2.get(r, t) - cs.w2.get(r, t);
-            match locate_group(d1, d2, cs.groups) {
-                Some(l) if t + s * l < m.cols() => {
-                    let col = t + s * l;
-                    m.set(r, col, m.get(r, col) - d1);
-                    report.corrected += 1;
-                }
-                _ => report.uncorrectable += 1,
-            }
-        }
-    }
-    report
-}
-
-/// Locate the folded group from the weighted/plain delta ratio
-/// (`Δ2/Δ1 = l + 1` for a single error in group `l`); `None` when the
-/// ratio is implausible (multi-error aliasing, non-finite).
-fn locate_group(d1: f32, d2: f32, groups: usize) -> Option<usize> {
-    let ratio = d2 / d1;
-    if !ratio.is_finite() || (ratio - ratio.round()).abs() >= 0.25 {
-        return None;
-    }
-    let l = ratio.round() as i64 - 1;
-    if l >= 0 && (l as usize) < groups {
-        Some(l as usize)
-    } else {
-        None
-    }
+    (m, report)
 }
 
 #[cfg(test)]
@@ -1708,41 +1668,194 @@ mod protect_tests {
     use crate::protect::ProtectionLevel;
     use ft_num::rng::normal_tensor_f16;
     use ft_sim::SeuInjector;
+    use proptest::prelude::*;
+
+    fn token(t: usize) -> (Tensor4F16, Tensor4F16) {
+        (
+            normal_tensor_f16(100 + t as u64, 1, 2, 1, 16, 0.6),
+            normal_tensor_f16(500 + t as u64, 1, 2, 1, 16, 0.8),
+        )
+    }
 
     fn filled_level(tokens: usize, block: usize, level: ProtectionLevel) -> KvCache {
         let mut cache = KvCache::new(1, 2, 16, block, 8, 0.25).with_protection(level);
         for t in 0..tokens {
-            let k = normal_tensor_f16(100 + t as u64, 1, 2, 1, 16, 0.6);
-            let v = normal_tensor_f16(500 + t as u64, 1, 2, 1, 16, 0.8);
+            let (k, v) = token(t);
             cache.append(&k, &v);
         }
         cache
     }
 
-    #[test]
-    fn lazy_append_matches_full_bit_for_bit() {
-        // Lazy's incremental checksum extension must replay Full's
-        // accumulation order exactly: identical payload, both checksum
-        // families, and max-norm snapshots, across ragged and whole
-        // blocks (21 rows = 8 + 8 + 5).
-        let full = filled_level(21, 8, ProtectionLevel::Full);
-        let lazy = filled_level(21, 8, ProtectionLevel::Lazy);
-        for slot in 0..2 {
-            for b in 0..full.num_blocks() {
-                assert_eq!(full.read_k_raw(slot, b), lazy.read_k_raw(slot, b));
-                assert_eq!(full.read_v_raw(slot, b), lazy.read_v_raw(slot, b));
-                assert_eq!(full.k_checksums(slot, b).w1, lazy.k_checksums(slot, b).w1);
-                assert_eq!(full.k_checksums(slot, b).w2, lazy.k_checksums(slot, b).w2);
-                assert_eq!(full.v_checksums(slot, b).w1, lazy.v_checksums(slot, b).w1);
-                assert_eq!(full.v_checksums(slot, b).w2, lazy.v_checksums(slot, b).w2);
-                assert_eq!(
-                    full.k_max_norm(slot, b).to_bits(),
-                    lazy.k_max_norm(slot, b).to_bits(),
-                    "max-norm s{slot} b{b}",
-                );
+    /// `to_bits` comparison of everything two blocks store: payload, both
+    /// operands, stride and group count of both families, max-norm, poison.
+    fn assert_blocks_same_bits(a: &KvBlock, b: &KvBlock, what: &str) {
+        let payload = |m: &MatrixF16| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            (a.k.shape(), payload(&a.k)),
+            (b.k.shape(), payload(&b.k)),
+            "K {what}"
+        );
+        assert_eq!(
+            (a.v.shape(), payload(&a.v)),
+            (b.v.shape(), payload(&b.v)),
+            "V {what}"
+        );
+        for (x, y, family) in [(&a.k_cs, &b.k_cs, "K"), (&a.v_cs, &b.v_cs, "V")] {
+            assert_eq!(
+                (x.stride, x.groups, x.w1.shape(), x.w2.shape()),
+                (y.stride, y.groups, y.w1.shape(), y.w2.shape()),
+                "{family} fold geometry {what}",
+            );
+            assert!(same_bits(x, y), "{family} operands {what}: {x:?} vs {y:?}");
+        }
+        assert_eq!(
+            a.k_max_norm.to_bits(),
+            b.k_max_norm.to_bits(),
+            "max-norm {what}"
+        );
+        assert_eq!(a.poisoned, b.poisoned, "poison mark {what}");
+    }
+
+    fn assert_caches_same_bits(a: &KvCache, b: &KvCache) {
+        assert_eq!((a.len(), a.start()), (b.len(), b.start()));
+        for (slot, (xs, ys)) in a.slots.iter().zip(&b.slots).enumerate() {
+            assert_eq!(xs.len(), ys.len(), "resident blocks of slot {slot}");
+            for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
+                assert_blocks_same_bits(x, y, &format!("slot {slot} block {i} at len {}", a.len()));
             }
         }
-        assert_eq!(full.checksum_bytes(), lazy.checksum_bytes());
+    }
+
+    /// Every resident block stores what the from-scratch encoder computes
+    /// from its payload.
+    fn assert_matches_oracle(cache: &KvCache) {
+        for (i, blk) in cache.slots.iter().flatten().enumerate() {
+            let oracle = KvBlock::encode(&blk.k, &blk.v, cache.stride, blk.poisoned);
+            assert_blocks_same_bits(blk, &oracle, &format!("block {i} at len {}", cache.len()));
+        }
+    }
+
+    #[test]
+    fn lazy_append_matches_full_bit_for_bit() {
+        // The incremental fold must replay the from-scratch encoder's
+        // accumulation order exactly, at every length: sub-stride blocks
+        // (8), two whole groups (16), a ragged last group (24) and the
+        // paper's 64-row tile, all at stride 8. After every append `Full`
+        // and `Lazy` store the same bits, and those are the oracle's.
+        for block in [8, 16, 24, 64] {
+            let mut full = KvCache::new(1, 2, 16, block, 8, 0.25);
+            let mut lazy = full.clone().with_protection(ProtectionLevel::Lazy);
+            for t in 0..2 * block + 5 {
+                let (k, v) = token(t);
+                assert!(full.append(&k, &v).clean() && lazy.append(&k, &v).clean());
+                assert_caches_same_bits(&full, &lazy);
+                assert_matches_oracle(&lazy);
+            }
+            assert_eq!(full.checksum_bytes(), lazy.checksum_bytes());
+        }
+    }
+
+    #[test]
+    fn negative_zero_elements_fold_like_the_encoder() {
+        // `F16::from_f32` rounds any tiny negative activation to -0.0. The
+        // encoder's accumulators start from zero, so it stores
+        // `0.0 + -0.0 = +0.0`; a fold that *copies* the row into a fresh
+        // lane stores the sign bit instead. Rows 0 (opens the block), 1
+        // (opens a lane) and `stride` (first add into a lane) carry one.
+        let caches = [ProtectionLevel::Full, ProtectionLevel::Lazy].map(|level| {
+            let mut cache = KvCache::new(1, 2, 16, 16, 8, 0.25).with_protection(level);
+            for t in 0..12 {
+                let (mut k, mut v) = token(t);
+                if [0, 1, 8].contains(&t) {
+                    for m in k.slots_mut().iter_mut().chain(v.slots_mut()) {
+                        m.set(0, 3, F16::from_f32(-0.0));
+                    }
+                }
+                cache.append(&k, &v);
+                assert_matches_oracle(&cache);
+                if t == 1 {
+                    let lanes = cache.k_checksums(0, 0);
+                    assert_eq!(lanes.w1.get(1, 3).to_bits(), 0, "{level}: w1 of row 1");
+                    assert_eq!(lanes.w2.get(1, 3).to_bits(), 0, "{level}: w2 of row 1");
+                }
+            }
+            cache
+        });
+        assert_caches_same_bits(&caches[0], &caches[1]);
+    }
+
+    /// Adds 2.0 to `K[0][4]` and `K[8][4]` of slot 0: equal deltas in two
+    /// groups of one stride-8 lane (ratio 1.5) — detectable, unlocatable.
+    struct AliasedPair;
+
+    impl FaultInjector for AliasedPair {
+        fn corrupt_f32(&self, _: FaultSite, _: OpCoord, value: f32) -> f32 {
+            value
+        }
+        fn corrupt_f16(&self, _: FaultSite, at: OpCoord, value: F16) -> F16 {
+            if (at.slot, at.j, at.k) == (0, 4, 0) && (at.i == 0 || at.i == 8) {
+                F16::from_f32(value.to_f32() + 2.0)
+            } else {
+                value
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One c-row append is c one-row appends, also over a ragged
+        /// trailing block that `expose` hit first: the damage is read
+        /// once, before the first new row, either way — same summed
+        /// report, same stored bits, same poison.
+        #[test]
+        fn chunk_append_equals_row_appends_over_an_exposed_ragged_block(
+            block in prop::sample::select(vec![16usize, 24]),
+            base in 9usize..16,
+            c in 1usize..20,
+            approximate in prop::bool::ANY,
+            aliased in prop::bool::ANY,
+        ) {
+            let level = if approximate {
+                ProtectionLevel::Approximate { tol: 0.05 }
+            } else {
+                ProtectionLevel::Full
+            };
+            let mut chunked = filled_level(base, block, level);
+            if aliased {
+                chunked.expose(&AliasedPair, 0);
+            } else {
+                let seu = SeuInjector::new(FaultSite::KvCache, OpCoord::new(1, 5, 2, 1), 13);
+                chunked.expose(&seu, 0);
+                prop_assert_eq!(seu.fired(), 1);
+            }
+            let mut by_row = chunked.clone();
+
+            let k = normal_tensor_f16(900, 1, 2, c, 16, 0.6);
+            let v = normal_tensor_f16(901, 1, 2, c, 16, 0.8);
+            let chunk_report = chunked.append(&k, &v);
+            let mut row_report = KvReadReport::default();
+            for r in 0..c {
+                let row = |t: &Tensor4F16| {
+                    Tensor4F16::from_fn(1, 2, 1, 16, |_, h, _, col| t.slot(0, h).get(r, col))
+                };
+                row_report = row_report.merged(&by_row.append(&row(&k), &row(&v)));
+            }
+
+            prop_assert_eq!(chunk_report, row_report);
+            assert_caches_same_bits(&chunked, &by_row);
+            assert_matches_oracle(&chunked);
+            if aliased {
+                prop_assert!(chunk_report.uncorrectable >= 1, "{:?}", chunk_report);
+                prop_assert!(chunked.poisoned() >= 1, "an unlocatable pair must poison");
+            } else {
+                prop_assert_eq!(
+                    (chunk_report.detected, chunk_report.corrected, chunk_report.uncorrectable),
+                    (1, 1, 0)
+                );
+                prop_assert_eq!(chunked.poisoned(), 0);
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Graded protection policy for cache-resident K/V state.
 //!
 //! Every stream today pays the [`Full`](ProtectionLevel::Full) price:
-//! FP32 strided checksums encoded on append and verified on every
+//! FP32 strided checksums folded in on append and verified on every
 //! attended read. That metadata rivals the FP16 payload at small head
 //! dims, and ApproxABFT/ALBERTA-style results show selective or
 //! approximate protection recovers most of the resilience at a fraction
@@ -14,10 +14,12 @@
 //! The lattice, strongest to weakest:
 //!
 //! ```text
-//!        Full            encode on append, verify every attended read,
-//!         │              locate/correct or poison     (legacy, default)
-//!        Lazy            same metadata; append-time ragged-block heal
-//!         │              deferred to attended reads
+//!        Full            fold each row in on append, behind one verifying
+//!         │              read of the ragged trailing block per append;
+//!         │              verify every attended read, locate/correct or
+//!         │              poison                                 (default)
+//!        Lazy            same metadata, same fold; that pre-append read
+//!         │              is left to the next attended read
 //!   Approximate{tol}     verify, but residuals |d1| ≤ tol are tolerated
 //!         │              (counted, not corrected, never poison)
 //!        Raw             no checksums, no max-norms, raw reads,
@@ -32,7 +34,11 @@
 //!   ([`size_breakdown`](crate::kv::KvCache::size_breakdown)) and never
 //!   set sticky poison, so no recovery policy ever fires for them.
 //! * `Lazy`/`Approximate` carry the same metadata bytes as `Full`; only
-//!   the verify policy differs.
+//!   the verify policy differs. `Full` and `Lazy` write rows by the same
+//!   incremental fold ([`KvCache::append`](crate::kv::KvCache::append)) and
+//!   differ by exactly one branch: whether an append first reads the ragged
+//!   trailing block back and heals it. (Whether the lattice needs both
+//!   rungs is a question for the metadata-diet work, not settled here.)
 
 use core::fmt;
 use core::str::FromStr;
@@ -47,13 +53,15 @@ pub const DEFAULT_APPROX_TOL: f32 = 1e-2;
 /// See the [module docs](self) for the exact semantics of each rung.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum ProtectionLevel {
-    /// Encode on append, verify on every attended read, locate/correct
-    /// or poison. Bit-identical to the pre-lattice legacy behaviour.
+    /// Fold checksums in on append — after one verifying read of the
+    /// ragged trailing block — and verify on every attended read,
+    /// locate/correct or poison. Bit-identical to the pre-lattice legacy
+    /// behaviour.
     #[default]
     Full,
-    /// Same metadata as `Full`, but the append-time heal of a ragged
-    /// trailing block is deferred: damage in an unfinished block is
-    /// caught at the next attended read instead of at append.
+    /// `Full` minus the pre-append verifying read, and nothing else:
+    /// damage in an unfinished block is caught at the next attended read
+    /// instead of at append.
     Lazy,
     /// Verify as `Full`, but checksum residuals with `|d1| <= tol` are
     /// *tolerated*: counted in the `cache_tolerated` ledger and left in

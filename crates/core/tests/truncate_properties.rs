@@ -99,7 +99,7 @@ proptest! {
     #[test]
     fn interleaved_append_truncate_evict_matches_straight_line_replay(
         seed in 0u64..1_000_000,
-        block in prop::sample::select(vec![4usize, 8]),
+        block in prop::sample::select(vec![4usize, 8, 16, 24]),
         ops in 6usize..22,
     ) {
         let mut cache = fresh(block);

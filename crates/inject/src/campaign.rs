@@ -7,9 +7,7 @@
 //! algebra the kernels use — so millions of checksum lanes can be evaluated
 //! quickly.
 
-use ft_abft::strided::{
-    correct_strided, encode_rows_strided, strided_sums, strided_sums_weighted, StridedMismatch,
-};
+use ft_abft::strided::{correct_strided, encode_rows_strided, strided_sums, verify_strided};
 use ft_abft::thresholds::Check;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
 use ft_num::MatrixF32;
@@ -125,21 +123,7 @@ fn coverage_trial(seed: u64, ber: f64, s: usize, shape: GemmShape, chk: Check) -
     // relative criterion on the fold is blind to element-scale errors —
     // the absolute noise floor is the scheme's true resolving power.
     let chk = Check::new(0.0, chk.abs_floor.max(noise_floor));
-    let sums1 = strided_sums(&dirty, s);
-    let sums2 = strided_sums_weighted(&dirty, s);
-    let mut mismatches = Vec::new();
-    for i in 0..shape.br {
-        for t in 0..s {
-            if chk.detects(sums1.get(i, t), c1.get(i, t)) {
-                mismatches.push(StridedMismatch {
-                    i,
-                    t,
-                    delta1: sums1.get(i, t) - c1.get(i, t),
-                    delta2: sums2.get(i, t) - c2.get(i, t),
-                });
-            }
-        }
-    }
+    let mismatches = verify_strided(&dirty, &c1, &c2, s, chk);
     let rep = correct_strided(&mut dirty, &mismatches, s);
     // Located elements are recomputed exactly (as the kernels do).
     for loc in &rep.corrected {

@@ -155,6 +155,14 @@ impl<T: Copy + Default> Matrix<T> {
         }
     }
 
+    /// Append one row in place. The storage grows like a `Vec`, so
+    /// [`len`](Matrix::len) — never the capacity — is the logical size.
+    pub fn push_row(&mut self, row: &[T]) {
+        assert_eq!(row.len(), self.cols, "push_row column mismatch");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
     /// Stack matrices vertically (same column count).
     pub fn vstack(parts: &[&Matrix<T>]) -> Matrix<T> {
         assert!(!parts.is_empty());
@@ -370,6 +378,9 @@ mod tests {
         assert_eq!(v.shape(), (3, 3));
         assert_eq!(v.get(2, 1), 101.0);
         assert_eq!(v.get(1, 2), 5.0);
+        let mut pushed = a.clone();
+        pushed.push_row(b.row(0));
+        assert_eq!(pushed, v, "push_row is the one-row vstack, in place");
         let c = MatrixF32::from_fn(2, 2, |r, _| r as f32 * 10.0);
         let h = Matrix::hstack(&[&a, &c]);
         assert_eq!(h.shape(), (2, 5));

@@ -4,9 +4,7 @@
 //! Protection": the same tensor-checksum scheme as attention GEMM I is
 //! applied per 64-row block of X, with located elements recomputed exactly.
 
-use ft_abft::strided::{
-    correct_strided, encode_rows_strided, strided_sums, strided_sums_weighted, StridedMismatch,
-};
+use ft_abft::strided::{correct_strided, encode_rows_strided, verify_strided};
 use ft_abft::thresholds::Thresholds;
 use ft_core::types::FtReport;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
@@ -109,21 +107,7 @@ impl Linear {
                             .at(r0, out_f)
                             .iter(2),
                     );
-                    let sums1 = strided_sums(&y, stride);
-                    let sums2 = strided_sums_weighted(&y, stride);
-                    let mut mismatches = Vec::new();
-                    for i in 0..y.rows() {
-                        for t in 0..stride {
-                            if thresholds.gemm.detects(sums1.get(i, t), y_c1.get(i, t)) {
-                                mismatches.push(StridedMismatch {
-                                    i,
-                                    t,
-                                    delta1: sums1.get(i, t) - y_c1.get(i, t),
-                                    delta2: sums2.get(i, t) - y_c2.get(i, t),
-                                });
-                            }
-                        }
-                    }
+                    let mismatches = verify_strided(&y, &y_c1, &y_c2, stride, thresholds.gemm);
                     if !mismatches.is_empty() {
                         let rep = correct_strided(&mut y, &mismatches, stride);
                         // Located elements are recomputed exactly.
