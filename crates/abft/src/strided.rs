@@ -122,28 +122,26 @@ pub fn encode_cols_strided(v: &MatrixF32, s: usize, quantize: bool) -> StridedCh
 /// Strided column sums of `c`: `out[i][t] = Σ_l c[i][t + s·l]` — the
 /// "intra-thread addition" a lane performs over its own registers.
 pub fn strided_sums(c: &MatrixF32, s: usize) -> MatrixF32 {
-    let (m, n) = c.shape();
-    let mut out = Matrix::zeros(m, s);
-    for i in 0..m {
-        let row = c.row(i);
-        let orow = out.row_mut(i);
-        for (j, &v) in row.iter().enumerate() {
-            orow[j % s] += v;
-        }
-    }
-    let _ = n;
-    out
+    fold_groups(c, s, |_, v| v)
 }
 
 /// Weighted strided sums: `out[i][t] = Σ_l (l+1)·c[i][t + s·l]`.
 pub fn strided_sums_weighted(c: &MatrixF32, s: usize) -> MatrixF32 {
-    let (m, _n) = c.shape();
-    let mut out = Matrix::zeros(m, s);
-    for i in 0..m {
-        let row = c.row(i);
+    fold_groups(c, s, |w, v| w * v)
+}
+
+/// `out[i][t] = Σ_l term(l+1, c[i][t + s·l])`, each lane summed in
+/// ascending `l` from `0.0`. Walking a row one group of `s` columns at a
+/// time keeps every lane's order while the lanes update side by side.
+fn fold_groups(c: &MatrixF32, s: usize, term: impl Fn(f32, f32) -> f32) -> MatrixF32 {
+    let mut out = Matrix::zeros(c.rows(), s);
+    for i in 0..c.rows() {
         let orow = out.row_mut(i);
-        for (j, &v) in row.iter().enumerate() {
-            orow[j % s] += (j / s + 1) as f32 * v;
+        for (l, group) in c.row(i).chunks(s).enumerate() {
+            let w = (l + 1) as f32;
+            for (o, &v) in orow.iter_mut().zip(group) {
+                *o += term(w, v);
+            }
         }
     }
     out
@@ -431,6 +429,25 @@ mod tests {
             prop_assert_eq!(rep.corrected.len(), 1);
             prop_assert_eq!((rep.corrected[0].row, rep.corrected[0].col), (row, col));
             prop_assert!(s_mat.max_abs_diff(&truth) < 2e-2);
+        }
+
+        #[test]
+        fn prop_group_fold_is_the_per_element_definition_bit_for_bit(
+            rows in 1usize..6,
+            cols in 1usize..70,
+            s in 1usize..9,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = rng_from_seed(seed);
+            let m = normal_matrix_f16(&mut rng, rows, cols, 3.0).to_f32();
+            let (mut want1, mut want2) = (MatrixF32::zeros(rows, s), MatrixF32::zeros(rows, s));
+            for (i, j, v) in m.iter_indexed() {
+                want1.set(i, j % s, want1.get(i, j % s) + v);
+                want2.set(i, j % s, want2.get(i, j % s) + (j / s + 1) as f32 * v);
+            }
+            let bits = |x: &MatrixF32| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&strided_sums(&m, s)), bits(&want1));
+            prop_assert_eq!(bits(&strided_sums_weighted(&m, s)), bits(&want2));
         }
 
         #[test]

@@ -399,6 +399,10 @@ impl FaultInjector for SlotOffsetInjector<'_> {
     fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: ft_num::F16) -> ft_num::F16 {
         self.inner.corrupt_f16(site, self.shift(coord), value)
     }
+    fn corrupt_f16_row(&self, site: FaultSite, slot: u64, i: u64, k: u64, row: &mut [ft_num::F16]) {
+        self.inner
+            .corrupt_f16_row(site, slot + self.offset, i, k, row)
+    }
     fn decide_chain(&self, site: FaultSite, coord: OpCoord, k_len: usize) -> Option<ChainFault> {
         self.inner.decide_chain(site, self.shift(coord), k_len)
     }
@@ -407,6 +411,9 @@ impl FaultInjector for SlotOffsetInjector<'_> {
     }
     fn is_noop(&self) -> bool {
         self.inner.is_noop()
+    }
+    fn may_fire(&self, site: FaultSite) -> bool {
+        self.inner.may_fire(site)
     }
 }
 
@@ -835,6 +842,30 @@ mod tests {
         assert_eq!(inj.fired(), 1, "slot-remapped fault must fire once");
         assert!(out.report.total_detected() > 0, "{:?}", out.report);
         assert!(out.o.max_abs_diff(&clean.o) < 5e-2);
+    }
+
+    #[test]
+    fn slot_offset_injector_forwards_may_fire_and_rows() {
+        use ft_sim::BerInjector;
+        let seu = SeuInjector::new(FaultSite::KvCache, OpCoord::new(3, 5, 2, 7), 14);
+        let shifted = SlotOffsetInjector {
+            inner: &seu,
+            offset: 3,
+        };
+        assert!(shifted.may_fire(FaultSite::KvCache));
+        assert!(!shifted.may_fire(FaultSite::LinearAccum));
+        // Slot 0 of the sub-request is slot 3 of the batched coordinates.
+        let mut row = [ft_num::F16::ONE; 4];
+        shifted.corrupt_f16_row(FaultSite::KvCache, 0, 5, 7, &mut row);
+        assert_eq!(seu.fired(), 1);
+        assert_eq!(row[2], ft_num::F16::ONE.flip_bit(14));
+        let restricted = BerInjector::new(1, 0.5).with_sites(&[FaultSite::ExpUnit]);
+        let shifted = SlotOffsetInjector {
+            inner: &restricted,
+            offset: 1,
+        };
+        assert!(shifted.may_fire(FaultSite::ExpUnit));
+        assert!(!shifted.may_fire(FaultSite::KvCache));
     }
 
     #[test]

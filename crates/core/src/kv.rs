@@ -97,7 +97,7 @@ use crate::efta::{max_row_norm, row_norm};
 use crate::protect::ProtectionLevel;
 use ft_abft::strided::{encode_cols_strided, encode_rows_strided, locate_group, StridedChecksums};
 use ft_num::{MatrixF16, MatrixF32, Tensor4F16, F16};
-use ft_sim::{FaultInjector, FaultSite, OpCoord};
+use ft_sim::{FaultInjector, FaultSite};
 
 /// Verification criterion for cache reads: the stored checksum and the
 /// re-folded sum are computed by the *same* loop over the same f32 values,
@@ -923,9 +923,11 @@ impl KvCache {
     /// element is offered to `inj` at [`FaultSite::KvCache`] with coordinate
     /// `(slot, global_row, col, 2·step + which)` (`which` = 0 for K, 1 for
     /// V). `step` keeps repeated exposure of the same element across decode
-    /// steps from re-deriving the same stateless-hash decision.
+    /// steps from re-deriving the same stateless-hash decision. Rows are
+    /// offered whole ([`FaultInjector::corrupt_f16_row`]), and an injector
+    /// that cannot fire at the site is not asked at all.
     pub fn expose(&mut self, inj: &dyn FaultInjector, step: u64) {
-        if inj.is_noop() {
+        if !inj.may_fire(FaultSite::KvCache) {
             return;
         }
         let block = self.block;
@@ -939,19 +941,14 @@ impl KvCache {
                 for which in 0..2u64 {
                     let m = if which == 0 { &mut blk.k } else { &mut blk.v };
                     for r in 0..m.rows() {
-                        for c in 0..m.cols() {
-                            let coord = OpCoord {
-                                slot: slot as u64,
-                                i: (b * block + r) as u64,
-                                j: c as u64,
-                                k: 2 * step + which,
-                            };
-                            let old = m.get(r, c);
-                            let new = inj.corrupt_f16(FaultSite::KvCache, coord, old);
-                            if new != old {
-                                m.set(r, c, new);
-                            }
-                        }
+                        let i = (b * block + r) as u64;
+                        inj.corrupt_f16_row(
+                            FaultSite::KvCache,
+                            slot as u64,
+                            i,
+                            2 * step + which,
+                            m.row_mut(r),
+                        );
                     }
                 }
             }
@@ -1085,7 +1082,7 @@ fn verify(
 mod tests {
     use super::*;
     use ft_num::rng::normal_tensor_f16;
-    use ft_sim::{BerInjector, NoFaults, SeuInjector};
+    use ft_sim::{BerInjector, NoFaults, OpCoord, SeuInjector};
 
     fn append_token(cache: &mut KvCache, t: usize) -> KvReadReport {
         let k = normal_tensor_f16(100 + t as u64, 1, 2, 1, 16, 0.6);
@@ -1667,7 +1664,7 @@ mod protect_tests {
     use super::*;
     use crate::protect::ProtectionLevel;
     use ft_num::rng::normal_tensor_f16;
-    use ft_sim::SeuInjector;
+    use ft_sim::{OpCoord, SeuInjector};
     use proptest::prelude::*;
 
     fn token(t: usize) -> (Tensor4F16, Tensor4F16) {

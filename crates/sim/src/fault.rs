@@ -135,13 +135,24 @@ fn mix(mut z: u64) -> u64 {
 /// Stateless hash of (seed, site, coord) → u64.
 #[inline]
 fn coord_hash(seed: u64, site: FaultSite, c: OpCoord) -> u64 {
+    coord_hash_tail(coord_hash_prefix(seed, site, c.slot, c.i), c.j, c.k)
+}
+
+/// The `(seed, site, slot, i)` prefix of [`coord_hash`]: a row of
+/// coordinates sharing it hashes each element with only the tail.
+#[inline]
+fn coord_hash_prefix(seed: u64, site: FaultSite, slot: u64, i: u64) -> u64 {
     let mut h = seed ^ 0x5851_F42D_4C95_7F2D;
     h = mix(h.wrapping_add(site.id().wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-    h = mix(h ^ c.slot.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    h = mix(h ^ c.i.wrapping_mul(0xA076_1D64_78BD_642F));
-    h = mix(h ^ c.j.wrapping_mul(0xE703_7ED1_A0B4_28DB));
-    h = mix(h ^ c.k.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
-    h
+    h = mix(h ^ slot.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+    mix(h ^ i.wrapping_mul(0xA076_1D64_78BD_642F))
+}
+
+/// The `(j, k)` tail of [`coord_hash`] over a prefix.
+#[inline]
+fn coord_hash_tail(prefix: u64, j: u64, k: u64) -> u64 {
+    let h = mix(prefix ^ j.wrapping_mul(0xE703_7ED1_A0B4_28DB));
+    mix(h ^ k.wrapping_mul(0x8EBC_6AF0_9C88_C6E3))
 }
 
 /// A fault fired inside an accumulation chain: after FMA step `step`, bit
@@ -164,6 +175,31 @@ pub trait FaultInjector: Sync {
     /// Possibly corrupt an f16 result produced at `site`/`coord`.
     fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: F16) -> F16;
 
+    /// Offer a row of stored f16 values to [`corrupt_f16`] in place: element
+    /// `j` of `row` sits at `OpCoord { slot, i, j, k }`. Cache exposure
+    /// calls this once per resident row instead of once per element.
+    ///
+    /// The default is exactly the per-element loop in column order; an
+    /// override must make the same decisions (same bits, same
+    /// [`fired`](FaultInjector::fired) count) — it may only do them faster,
+    /// e.g. by hashing the coordinate prefix the row shares once.
+    ///
+    /// [`corrupt_f16`]: FaultInjector::corrupt_f16
+    fn corrupt_f16_row(&self, site: FaultSite, slot: u64, i: u64, k: u64, row: &mut [F16]) {
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = self.corrupt_f16(
+                site,
+                OpCoord {
+                    slot,
+                    i,
+                    j: j as u64,
+                    k,
+                },
+                *v,
+            );
+        }
+    }
+
     /// Decide whether the accumulation chain of length `k_len` producing
     /// output element `coord` suffers a fault, and where.
     ///
@@ -185,6 +221,21 @@ pub trait FaultInjector: Sync {
     /// True when the injector can never fire (lets hot loops skip hashing).
     fn is_noop(&self) -> bool {
         false
+    }
+
+    /// False only when no query at `site` can ever fire, so a kernel may
+    /// skip asking: the injected GEMMs run their clean kernel and make the
+    /// per-chain [`decide_chain`](FaultInjector::decide_chain) queries only
+    /// when this is true, and cache exposure returns early on
+    /// `!may_fire(FaultSite::KvCache)`.
+    ///
+    /// Must be conservative: `true` is always correct, `false` promises that
+    /// every query at `site` returns the clean value with no side effect
+    /// (no [`fired`](FaultInjector::fired) count). The default is
+    /// `!is_noop()`.
+    fn may_fire(&self, site: FaultSite) -> bool {
+        let _ = site;
+        !self.is_noop()
     }
 }
 
@@ -285,6 +336,10 @@ impl FaultInjector for SeuInjector {
     fn fired(&self) -> u64 {
         self.fired.load(Ordering::Relaxed)
     }
+
+    fn may_fire(&self, site: FaultSite) -> bool {
+        site == self.site
+    }
 }
 
 /// Per-operation bit-error-rate injector (Fig. 12 regime).
@@ -347,7 +402,12 @@ impl BerInjector {
         if !self.eligible(site) {
             return None;
         }
-        let h = coord_hash(self.seed, site, coord);
+        self.draw(coord_hash(self.seed, site, coord))
+    }
+
+    /// The per-operation draw on a coordinate hash `h`.
+    #[inline]
+    fn draw(&self, h: u64) -> Option<u64> {
         // Compare the top 53 bits against ber as a dyadic fraction.
         let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         if u < self.ber {
@@ -381,6 +441,22 @@ impl FaultInjector for BerInjector {
         }
     }
 
+    /// The per-operation draw per element with the row's
+    /// `(seed, site, slot, i)` hash prefix computed once: the same hash
+    /// function, so the same draws as the default loop.
+    fn corrupt_f16_row(&self, site: FaultSite, slot: u64, i: u64, k: u64, row: &mut [F16]) {
+        if !self.may_fire(site) {
+            return;
+        }
+        let prefix = coord_hash_prefix(self.seed, site, slot, i);
+        for (j, v) in row.iter_mut().enumerate() {
+            if let Some(sel) = self.draw(coord_hash_tail(prefix, j as u64, k)) {
+                self.fired.fetch_add(1, Ordering::Relaxed);
+                *v = v.flip_bit((sel % 16) as u32);
+            }
+        }
+    }
+
     fn decide_chain(&self, site: FaultSite, coord: OpCoord, k_len: usize) -> Option<ChainFault> {
         if !self.eligible(site) || self.ber <= 0.0 {
             return None;
@@ -409,6 +485,10 @@ impl FaultInjector for BerInjector {
     fn is_noop(&self) -> bool {
         self.ber <= 0.0
     }
+
+    fn may_fire(&self, site: FaultSite) -> bool {
+        self.ber > 0.0 && self.eligible(site)
+    }
 }
 
 /// Blanket impl so `&I` can be passed where an injector is expected.
@@ -418,6 +498,12 @@ impl<I: FaultInjector + ?Sized> FaultInjector for &I {
     }
     fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: F16) -> F16 {
         (**self).corrupt_f16(site, coord, value)
+    }
+    fn corrupt_f16_row(&self, site: FaultSite, slot: u64, i: u64, k: u64, row: &mut [F16]) {
+        (**self).corrupt_f16_row(site, slot, i, k, row)
+    }
+    fn may_fire(&self, site: FaultSite) -> bool {
+        (**self).may_fire(site)
     }
     fn decide_chain(&self, site: FaultSite, coord: OpCoord, k_len: usize) -> Option<ChainFault> {
         (**self).decide_chain(site, coord, k_len)
@@ -540,6 +626,91 @@ mod tests {
         let c = OpCoord::new(0, 0, 0, 0);
         assert_eq!(inj.corrupt_f32(FaultSite::GemmIAccum, c, 1.0), 1.0);
         assert_ne!(inj.corrupt_f32(FaultSite::ExpUnit, c, 1.0), 1.0);
+    }
+
+    /// An injector that implements only the required methods, so every
+    /// provided method runs its default.
+    struct Defaults<'a>(&'a BerInjector);
+
+    impl FaultInjector for Defaults<'_> {
+        fn corrupt_f32(&self, site: FaultSite, coord: OpCoord, value: f32) -> f32 {
+            self.0.corrupt_f32(site, coord, value)
+        }
+        fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: F16) -> F16 {
+            self.0.corrupt_f16(site, coord, value)
+        }
+        fn fired(&self) -> u64 {
+            self.0.fired()
+        }
+    }
+
+    /// `inj` behind the `&I` blanket impl.
+    fn by_ref<I: FaultInjector>(inj: &I) -> impl FaultInjector + '_ {
+        inj
+    }
+
+    #[test]
+    fn may_fire_truth_table() {
+        let all = FaultSite::ALL;
+        assert!(all.iter().all(|&s| !NoFaults.may_fire(s)));
+        let seu = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 0, 0, 0), 3);
+        for s in all {
+            assert_eq!(seu.may_fire(s), s == FaultSite::KvCache, "{s:?}");
+            assert_eq!(by_ref(&seu).may_fire(s), seu.may_fire(s), "&I forwards");
+        }
+        let ber = BerInjector::new(1, 1e-3);
+        assert!(all.iter().all(|&s| ber.may_fire(s)));
+        let zero = BerInjector::new(1, 0.0);
+        assert!(all.iter().all(|&s| !zero.may_fire(s)));
+        let restricted = BerInjector::new(1, 1e-3).with_sites(&[FaultSite::ExpUnit]);
+        for s in all {
+            assert_eq!(restricted.may_fire(s), s == FaultSite::ExpUnit, "{s:?}");
+            assert_eq!(by_ref(&restricted).may_fire(s), restricted.may_fire(s));
+        }
+        // The default is `!is_noop()`: conservative at every site.
+        assert!(all.iter().all(|&s| Defaults(&restricted).may_fire(s)));
+        assert!(all.iter().all(|&s| Defaults(&zero).may_fire(s)));
+    }
+
+    #[test]
+    fn ber_row_override_matches_default_per_element_loop() {
+        let mut state = 0x1234_5678u64;
+        let mut next = || {
+            state = mix(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            state
+        };
+        let sites = [FaultSite::KvCache, FaultSite::ExpUnit];
+        for (ber, restrict) in [(1e-3, false), (1e-1, false), (1e-1, true)] {
+            let build = || {
+                let inj = BerInjector::new(42, ber);
+                if restrict {
+                    inj.with_sites(&sites)
+                } else {
+                    inj
+                }
+            };
+            let (fast, slow) = (build(), build());
+            for _ in 0..200 {
+                let site = FaultSite::ALL[(next() % 11) as usize];
+                let (slot, i, k) = (next() % 64, next() % 4096, next() % 1000);
+                let len = (next() % 80) as usize;
+                let row: Vec<F16> = (0..len).map(|_| F16(next() as u16)).collect();
+                let (mut a, mut b) = (row.clone(), row);
+                fast.corrupt_f16_row(site, slot, i, k, &mut a);
+                Defaults(&slow).corrupt_f16_row(site, slot, i, k, &mut b);
+                assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
+            }
+            assert_eq!(fast.fired(), slow.fired(), "ber {ber}");
+            assert!(fast.fired() > 0, "ber {ber}: the test must exercise fires");
+            // `&I` forwards to the override.
+            let mut row = vec![F16::ONE; 64];
+            let before = fast.fired();
+            by_ref(&fast).corrupt_f16_row(FaultSite::KvCache, 1, 2, 3, &mut row);
+            let mut expect = vec![F16::ONE; 64];
+            Defaults(&slow).corrupt_f16_row(FaultSite::KvCache, 1, 2, 3, &mut expect);
+            assert_eq!(row, expect);
+            assert_eq!(fast.fired() - before, slow.fired() - before);
+        }
     }
 
     #[test]

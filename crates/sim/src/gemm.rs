@@ -12,7 +12,12 @@
 //! injector *once* whether a transient fault occurs and at which FMA step;
 //! the accumulator bit-flips mid-chain and the corrupted partial sum
 //! propagates through the remaining FMAs, exactly like a transient fault in
-//! a tensor-core accumulator.
+//! a tensor-core accumulator. The injected GEMMs run the clean kernel
+//! first; then, unless the injector cannot fire at the context's site
+//! ([`FaultInjector::may_fire`]), they make the per-chain queries in
+//! row-major order and recompute only the chains that fire. A recomputed
+//! chain starts from `0.0` and adds in ascending k like the clean one, so
+//! the result is bit-identical to running every chain individually.
 
 use crate::fault::{FaultInjector, FaultSite, OpCoord};
 use ft_num::{Matrix, MatrixF32};
@@ -95,18 +100,9 @@ pub fn gemm_nt_inj<I: FaultInjector>(
     inj: &I,
     ctx: GemmCtx,
 ) -> MatrixF32 {
-    if inj.is_noop() {
-        return gemm_nt(a, b);
-    }
-    assert_eq!(a.cols(), b.cols(), "inner dims (k) must match");
-    let k_len = a.cols();
-    Matrix::from_fn(a.rows(), b.rows(), |i, j| {
-        let coord = OpCoord::new(ctx.slot, ctx.row_off + i, ctx.col_off + j, ctx.iter);
-        match inj.decide_chain(ctx.site, coord, k_len) {
-            None => dot_plain(a.row(i), b.row(j)),
-            Some(f) => dot_faulty(a.row(i), b.row(j), f.step, f.bit),
-        }
-    })
+    let mut c = gemm_nt(a, b);
+    recompute_fired(&mut c, a, inj, ctx, |j, col| col.copy_from_slice(b.row(j)));
+    c
 }
 
 /// `C = A · B` (row-major; the PV shape). No fault injection.
@@ -115,6 +111,25 @@ pub fn gemm_nn(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
     let (m, n) = (a.rows(), b.cols());
     let k_len = a.cols();
     let mut c = Matrix::zeros(m, n);
+    if n == 8 {
+        // An 8-wide product — a stride-8 checksum operand — keeps its output
+        // row in registers for the whole k loop (the loop below would
+        // round-trip it through memory once per k, ~4× slower at this
+        // width). Same ascending-k chain per element from `0.0`.
+        for (a_row, c_row) in (0..m)
+            .map(|i| a.row(i))
+            .zip(c.as_mut_slice().chunks_exact_mut(8))
+        {
+            let mut acc = [0.0f32; 8];
+            for (&aik, b_row) in a_row.iter().zip(b.as_slice().chunks_exact(8)) {
+                for (s, &bv) in acc.iter_mut().zip(b_row) {
+                    *s += aik * bv;
+                }
+            }
+            c_row.copy_from_slice(&acc);
+        }
+        return c;
+    }
     // k-outer over rows of B keeps B accesses row-contiguous; accumulation
     // per output element is still ascending-k (each k adds once).
     for i in 0..m {
@@ -131,44 +146,47 @@ pub fn gemm_nn(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
 }
 
 /// `C = A · B` with fault injection under `ctx`.
-///
-/// Falls back to a per-element loop so a chain fault can corrupt the
-/// accumulator at its exact FMA step.
 pub fn gemm_nn_inj<I: FaultInjector>(
     a: &MatrixF32,
     b: &MatrixF32,
     inj: &I,
     ctx: GemmCtx,
 ) -> MatrixF32 {
-    if inj.is_noop() {
-        return gemm_nn(a, b);
+    let mut c = gemm_nn(a, b);
+    recompute_fired(&mut c, a, inj, ctx, |j, col| {
+        for (k, v) in col.iter_mut().enumerate() {
+            *v = b.get(k, j);
+        }
+    });
+    c
+}
+
+/// The fault path shared by both injected GEMMs, run over the clean
+/// product `c = A·op(B)`: unless `inj` cannot fire at `ctx.site`, ask
+/// [`FaultInjector::decide_chain`] once per output element in row-major
+/// order and recompute each chain that fires with the flip at its step.
+/// `b_col(j, buf)` writes the `k`-vector of `op(B)` feeding column `j`.
+fn recompute_fired<I: FaultInjector>(
+    c: &mut MatrixF32,
+    a: &MatrixF32,
+    inj: &I,
+    ctx: GemmCtx,
+    b_col: impl Fn(usize, &mut [f32]),
+) {
+    if !inj.may_fire(ctx.site) {
+        return;
     }
-    assert_eq!(a.cols(), b.rows(), "inner dims (k) must match");
     let k_len = a.cols();
-    Matrix::from_fn(a.rows(), b.cols(), |i, j| {
-        let coord = OpCoord::new(ctx.slot, ctx.row_off + i, ctx.col_off + j, ctx.iter);
-        let fault = inj.decide_chain(ctx.site, coord, k_len);
-        let a_row = a.row(i);
-        match fault {
-            None => {
-                let mut acc = 0.0f32;
-                for (k, &av) in a_row.iter().enumerate() {
-                    acc += av * b.get(k, j);
-                }
-                acc
-            }
-            Some(f) => {
-                let mut acc = 0.0f32;
-                for (k, &av) in a_row.iter().enumerate() {
-                    acc += av * b.get(k, j);
-                    if k == f.step {
-                        acc = f32::from_bits(acc.to_bits() ^ (1u32 << f.bit));
-                    }
-                }
-                acc
+    let mut col = vec![0.0f32; k_len];
+    for i in 0..c.rows() {
+        for j in 0..c.cols() {
+            let coord = OpCoord::new(ctx.slot, ctx.row_off + i, ctx.col_off + j, ctx.iter);
+            if let Some(f) = inj.decide_chain(ctx.site, coord, k_len) {
+                b_col(j, &mut col);
+                c.set(i, j, dot_faulty(a.row(i), &col, f.step, f.bit));
             }
         }
-    })
+    }
 }
 
 /// FLOPs of an M×N×K GEMM (multiply + add).
@@ -285,6 +303,114 @@ mod tests {
         let c1 = gemm_nt(&a, &b);
         let c2 = gemm_nt_inj(&a, &b, &NoFaults, GemmCtx::new(FaultSite::GemmIAccum, 0));
         assert_eq!(c1, c2);
+    }
+
+    /// The per-element `gemm_nt_inj` loop the clean-then-recompute path
+    /// replaced, kept as the oracle it is pinned against.
+    fn gemm_nt_inj_reference<I: FaultInjector>(
+        a: &MatrixF32,
+        b: &MatrixF32,
+        inj: &I,
+        ctx: GemmCtx,
+    ) -> MatrixF32 {
+        let k_len = a.cols();
+        Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+            let coord = OpCoord::new(ctx.slot, ctx.row_off + i, ctx.col_off + j, ctx.iter);
+            match inj.decide_chain(ctx.site, coord, k_len) {
+                None => dot_plain(a.row(i), b.row(j)),
+                Some(f) => dot_faulty(a.row(i), b.row(j), f.step, f.bit),
+            }
+        })
+    }
+
+    /// The per-element strided `gemm_nn_inj` loop, likewise.
+    fn gemm_nn_inj_reference<I: FaultInjector>(
+        a: &MatrixF32,
+        b: &MatrixF32,
+        inj: &I,
+        ctx: GemmCtx,
+    ) -> MatrixF32 {
+        let k_len = a.cols();
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            let coord = OpCoord::new(ctx.slot, ctx.row_off + i, ctx.col_off + j, ctx.iter);
+            let fault = inj.decide_chain(ctx.site, coord, k_len);
+            let mut acc = 0.0f32;
+            for (k, &av) in a.row(i).iter().enumerate() {
+                acc += av * b.get(k, j);
+                if let Some(f) = fault.filter(|f| f.step == k) {
+                    acc = f32::from_bits(acc.to_bits() ^ (1u32 << f.bit));
+                }
+            }
+            acc
+        })
+    }
+
+    fn assert_bits_eq(x: &MatrixF32, y: &MatrixF32, what: &str) {
+        assert_eq!(x.shape(), y.shape(), "{what}");
+        let same = x
+            .as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .all(|(p, q)| p.to_bits() == q.to_bits());
+        assert!(same, "{what}: bits differ");
+    }
+
+    /// Run both injected GEMMs and their references under fresh injectors
+    /// from `make`; assert equal bits and `fired()`; return the fired count.
+    fn check_against_reference<I: FaultInjector>(
+        make: impl Fn() -> I,
+        a: &MatrixF32,
+        bt: &MatrixF32,
+        ctx: GemmCtx,
+        what: &str,
+    ) -> u64 {
+        let (fast, slow) = (make(), make());
+        let got = gemm_nt_inj(a, bt, &fast, ctx);
+        assert_bits_eq(&got, &gemm_nt_inj_reference(a, bt, &slow, ctx), what);
+        assert_eq!(fast.fired(), slow.fired(), "nt {what}");
+        let b = bt.transpose();
+        let got = gemm_nn_inj(a, &b, &fast, ctx);
+        assert_bits_eq(&got, &gemm_nn_inj_reference(a, &b, &slow, ctx), what);
+        assert_eq!(fast.fired(), slow.fired(), "nn {what}");
+        fast.fired()
+    }
+
+    #[test]
+    fn injected_gemms_match_per_element_reference() {
+        // Ragged shapes and the 8-wide register path, at a nonzero origin
+        // and iteration, under every injector regime: an SEU (hit, and aimed
+        // at another site), BER over all sites, and a site-restricted BER
+        // whose `may_fire` is false here.
+        let site = FaultSite::LinearAccum;
+        let ctx = GemmCtx::new(site, 3).at(64, 8).iter(2);
+        let mut ber_fired = 0;
+        for (s, (m, k, n)) in [
+            (1, 1, 1),
+            (3, 17, 5),
+            (16, 32, 16),
+            (70, 24, 9),
+            (9, 40, 8),
+            (5, 64, 131),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut rng = rng_from_seed(40 + s as u64);
+            let a = normal_matrix_f16(&mut rng, m, k, 1.0).to_f32();
+            let bt = normal_matrix_f16(&mut rng, n, k, 1.0).to_f32();
+            let what = format!("{m}x{k}x{n}");
+            let hit = OpCoord::new(3, 64 + m / 2, 8 + n / 2, 2);
+            let seu = || SeuInjector::new(site, hit, 27).at_chain_step(k as u32 / 2);
+            let fired = check_against_reference(seu, &a, &bt, ctx, &format!("seu {what}"));
+            assert_eq!(fired, 2, "the SEU hits once per GEMM");
+            let miss = || SeuInjector::new(FaultSite::ExpUnit, hit, 27);
+            assert_eq!(check_against_reference(miss, &a, &bt, ctx, &what), 0);
+            let ber = || BerInjector::new(9, 1e-3);
+            ber_fired += check_against_reference(ber, &a, &bt, ctx, &format!("ber {what}"));
+            let restricted = || BerInjector::new(9, 0.5).with_sites(&[FaultSite::ExpUnit]);
+            assert_eq!(check_against_reference(restricted, &a, &bt, ctx, &what), 0);
+        }
+        assert!(ber_fired > 0, "BER must exercise the recompute path");
     }
 
     #[test]

@@ -16,6 +16,7 @@ use ft_core::serve::{
 use ft_core::types::FtReport;
 use ft_num::{Matrix, MatrixF32};
 use ft_sim::FaultInjector;
+use rayon::prelude::*;
 
 /// A complete transformer for inference experiments.
 #[derive(Clone, Debug)]
@@ -183,27 +184,54 @@ impl ModelKvCache {
 
 impl TransformerModel {
     /// Random model (seeded) with every block using `kernel`.
+    ///
+    /// The embedding, each block and the LM head draw from their own seeds,
+    /// so they are built in parallel and reassembled in order — the same
+    /// weights as building them one after another.
     pub fn random(seed: u64, config: ModelConfig, kernel: BackendKind) -> Self {
-        let blocks = (0..config.layers)
-            .map(|l| {
-                TransformerBlock::random(
-                    seed + 1000 * (l as u64 + 1),
+        enum Part {
+            Embed(Embedding),
+            Block(Box<TransformerBlock>),
+            Head(Linear),
+        }
+        let parts: Vec<Part> = (0..config.layers + 2)
+            .into_par_iter()
+            .map(|p| match p {
+                0 => Part::Embed(Embedding::random(
+                    seed,
+                    config.vocab,
+                    config.hidden,
+                    config.max_seq,
+                )),
+                // The LM head is a huge vocab-wide projection; the paper
+                // protects the transformer layers, so it stays unprotected.
+                1 => Part::Head(
+                    Linear::random(seed + 7, config.hidden, config.vocab)
+                        .with_protection(LinearProtection::None),
+                ),
+                p => Part::Block(Box::new(TransformerBlock::random(
+                    seed + 1000 * (p as u64 - 1),
                     config.hidden,
                     config.heads,
                     config.ffn_dim,
                     kernel,
-                )
+                ))),
             })
             .collect();
+        let (mut embed, mut lm_head, mut blocks) = (None, None, Vec::new());
+        for part in parts {
+            match part {
+                Part::Embed(e) => embed = Some(e),
+                Part::Head(h) => lm_head = Some(h),
+                Part::Block(b) => blocks.push(*b),
+            }
+        }
         TransformerModel {
             config,
-            embed: Embedding::random(seed, config.vocab, config.hidden, config.max_seq),
+            embed: embed.expect("part 0 is the embedding"),
             blocks,
             final_norm: LayerNorm::new(config.hidden),
-            // The LM head is a huge vocab-wide projection; the paper
-            // protects the transformer layers, so it stays unprotected.
-            lm_head: Linear::random(seed + 7, config.hidden, config.vocab)
-                .with_protection(LinearProtection::None),
+            lm_head: lm_head.expect("part 1 is the LM head"),
             thresholds: Thresholds::calibrated(),
         }
     }
@@ -1247,6 +1275,35 @@ mod tests {
             ffn_dim: 64,
             vocab: 101,
             max_seq: 64,
+        }
+    }
+
+    #[test]
+    fn parallel_construction_equals_each_part_built_alone() {
+        let (seed, cfg) = (5, tiny_config());
+        let model = TransformerModel::random(seed, cfg, BackendKind::Flash);
+        let embed = Embedding::random(seed, cfg.vocab, cfg.hidden, cfg.max_seq);
+        assert_eq!(model.embed.table, embed.table);
+        let head = Linear::random(seed + 7, cfg.hidden, cfg.vocab);
+        assert_eq!(model.lm_head.weight(), head.weight());
+        assert_eq!(model.lm_head.protection, LinearProtection::None);
+        assert_eq!(model.blocks.len(), cfg.layers);
+        for (l, got) in model.blocks.iter().enumerate() {
+            let seed = seed + 1000 * (l as u64 + 1);
+            let want =
+                TransformerBlock::random(seed, cfg.hidden, cfg.heads, cfg.ffn_dim, got.mha.kernel);
+            let linears = |b: &TransformerBlock| {
+                [
+                    &b.mha.wq,
+                    &b.mha.wk,
+                    &b.mha.wv,
+                    &b.mha.wo,
+                    &b.ffn.up,
+                    &b.ffn.down,
+                ]
+                .map(|lin| (lin.weight().clone(), lin.bias.clone()))
+            };
+            assert_eq!(linears(got), linears(&want), "block {l}");
         }
     }
 
