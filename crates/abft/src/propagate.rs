@@ -56,15 +56,18 @@ pub fn transport_exp(check: &MatrixF32) -> MatrixF32 {
     Matrix::from_fn(check.rows(), check.cols(), |i, t| check.get(i, t).exp())
 }
 
-/// Strided *products* of `p`: `out[i][t] = ∏_l p[i][t + s·l]`.
+/// Strided *products* of `p`: `out[i][t] = ∏_l p[i][t + s·l]`, each lane
+/// multiplied in ascending `l` from `1.0`. Walking a row one group of `s`
+/// columns at a time keeps every lane's order while the lanes update side
+/// by side.
 pub fn strided_products(p: &MatrixF32, s: usize) -> MatrixF32 {
-    let (m, _) = p.shape();
-    let mut out = Matrix::from_fn(m, s, |_, _| 1.0f32);
-    for i in 0..m {
-        let row = p.row(i);
+    let mut out = Matrix::from_fn(p.rows(), s, |_, _| 1.0f32);
+    for i in 0..p.rows() {
         let orow = out.row_mut(i);
-        for (j, &v) in row.iter().enumerate() {
-            orow[j % s] *= v;
+        for group in p.row(i).chunks(s) {
+            for (o, &v) in orow.iter_mut().zip(group) {
+                *o *= v;
+            }
         }
     }
     out
@@ -138,6 +141,7 @@ mod tests {
     use crate::thresholds::rel_diff;
     use ft_num::rng::{normal_matrix_f16, rng_from_seed};
     use ft_sim::gemm_nt;
+    use proptest::prelude::*;
 
     #[test]
     fn residue_counts_exact() {
@@ -220,6 +224,29 @@ mod tests {
         let p = MatrixF32::from_fn(4, 16, |i, j| 0.1 + 0.01 * (i * 16 + j) as f32);
         let check = strided_products(&p, 8);
         assert!(verify_products(&p, &check, 8, Check::new(1e-6, 0.0)).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_group_products_are_the_per_element_definition_bit_for_bit(
+            rows in 1usize..6,
+            cols in 1usize..70,
+            s in 1usize..9,
+            seed in 0u64..1000,
+        ) {
+            // Factors near 1, like exponentials of a stabilised row.
+            let mut rng = rng_from_seed(seed);
+            let noise = normal_matrix_f16(&mut rng, rows, cols, 0.3).to_f32();
+            let p = MatrixF32::from_fn(rows, cols, |i, j| 1.0 + noise.get(i, j));
+            let mut want = Matrix::from_fn(rows, s, |_, _| 1.0f32);
+            for (i, j, v) in p.iter_indexed() {
+                want.set(i, j % s, want.get(i, j % s) * v);
+            }
+            let bits = |x: &MatrixF32| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&strided_products(&p, s)), bits(&want));
+        }
     }
 
     #[test]

@@ -83,39 +83,23 @@ pub fn encode_rows_strided(k: &MatrixF32, s: usize, quantize: bool) -> StridedCh
 }
 
 /// Fold the **columns** of `v` (a `B × d` block) in stride-`s` groups:
-/// output operands are `B × s`. Used for GEMM II (PV).
+/// output operands are `B × s`. Used for GEMM II (PV). The fold is the
+/// verification-side one ([`strided_sums`], [`strided_sums_weighted`]), so
+/// encode and verify sum every lane in the same order.
 pub fn encode_cols_strided(v: &MatrixF32, s: usize, quantize: bool) -> StridedChecksums {
-    let (b, d) = v.shape();
+    let d = v.cols();
     assert!(s > 0 && s <= d, "stride {s} out of range for {d} cols");
-    let groups = d.div_ceil(s);
-    let mut w1 = Matrix::zeros(b, s);
-    let mut w2 = Matrix::zeros(b, s);
-    for r in 0..b {
-        for t in 0..s {
-            let mut s1 = 0.0f32;
-            let mut s2 = 0.0f32;
-            for l in 0..groups {
-                let col = t + s * l;
-                if col >= d {
-                    break;
-                }
-                let x = v.get(r, col);
-                s1 += x;
-                s2 += (l + 1) as f32 * x;
-            }
-            if quantize {
-                s1 = quantize_f32(s1);
-                s2 = quantize_f32(s2);
-            }
-            w1.set(r, t, s1);
-            w2.set(r, t, s2);
+    let (mut w1, mut w2) = (strided_sums(v, s), strided_sums_weighted(v, s));
+    if quantize {
+        for x in w1.as_mut_slice().iter_mut().chain(w2.as_mut_slice()) {
+            *x = quantize_f32(*x);
         }
     }
     StridedChecksums {
         w1,
         w2,
         stride: s,
-        groups,
+        groups: d.div_ceil(s),
     }
 }
 
@@ -448,6 +432,10 @@ mod tests {
             let bits = |x: &MatrixF32| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&strided_sums(&m, s)), bits(&want1));
             prop_assert_eq!(bits(&strided_sums_weighted(&m, s)), bits(&want2));
+            if s <= cols {
+                let cs = encode_cols_strided(&m, s, false);
+                prop_assert_eq!((bits(&cs.w1), bits(&cs.w2)), (bits(&want1), bits(&want2)));
+            }
         }
 
         #[test]

@@ -28,6 +28,14 @@
 //! block. The traditional element scheme has no cached operands, so decode
 //! rejects it as unsupported.
 //!
+//! GEMM I reads K k-major (`Kᵀ`, `dim × rows`), the layout whose one-row
+//! product runs as register panels: both tiles transpose each attended
+//! block once per `(tile, block)`, right after its verified (or raw) read
+//! (the protected tile its stored K checksum pair too), and every chunk
+//! row's one-row GEMMs — and a partially visible frontier's leading
+//! columns — read that one `Kᵀ`. Each score is still the one ascending-k
+//! chain of `q · k_j`, so the layout changes no bit.
+//!
 //! Both kernels take a *visible length* — the causal prefix of the cache a
 //! query row may attend to — and are called from exactly one place, the
 //! `(stream, slot)` sweep in [`crate::serve`]. Single-query decode
@@ -70,7 +78,9 @@
 //! [`AttentionBackend::try_decode`]: crate::backend::AttentionBackend::try_decode
 
 use crate::backend::BackendError;
-use crate::efta::{max_row_norm, BlockOperands, EftaOptions, GemmProtection, Kernel, RowState};
+use crate::efta::{
+    k_major, max_row_norm, BlockOperands, EftaOptions, GemmProtection, Kernel, RowState,
+};
 use crate::kv::KvCache;
 use crate::serve::{sweep_tiles, StreamId, StreamSlice};
 use crate::types::{AttentionOutput, FtCounters, PhaseBreakdown};
@@ -78,7 +88,7 @@ use ft_abft::strided::{encode_cols_strided, encode_rows_strided};
 use ft_abft::thresholds::Thresholds;
 use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::device::KernelStats;
-use ft_sim::{gemm_flops, gemm_nt_inj, FaultInjector, FaultSite, GemmCtx, NoFaults};
+use ft_sim::{gemm_flops, gemm_nn_inj, FaultInjector, FaultSite, GemmCtx, NoFaults};
 
 static NO_FAULTS: NoFaults = NoFaults;
 
@@ -291,7 +301,7 @@ pub(crate) fn reference_decode_tile(
     let nb: Vec<usize> = (0..c).map(|r| vis_blocks(cache, vis0 + r)).collect();
     for jb in b0[0]..nb[c - 1] {
         let c0 = jb * cache.block();
-        let k_full = cache.read_k_raw(slot, jb);
+        let kt_full = cache.read_k_raw(slot, jb).transpose();
         let v_full = cache.read_v_raw(slot, jb);
         for r in 0..c {
             if jb < b0[r] || jb >= nb[r] {
@@ -299,17 +309,17 @@ pub(crate) fn reference_decode_tile(
             }
             let (vis, step) = (vis0 + r, step0 + r);
             let rows = vis_block_rows(cache, jb, vis);
-            let (kt, vt);
-            let (k_blk, v_blk) = if rows < k_full.rows() {
-                kt = k_full.block(0, 0, rows, d);
-                vt = v_full.block(0, 0, rows, d);
-                (&kt, &vt)
+            let (kt_part, v_part);
+            let (kt, v_blk) = if rows < v_full.rows() {
+                kt_part = kt_full.block(0, 0, d, rows);
+                v_part = v_full.block(0, 0, rows, d);
+                (&kt_part, &v_part)
             } else {
-                (&k_full, &v_full)
+                (&kt_full, &v_full)
             };
-            let s_blk = gemm_nt_inj(
+            let s_blk = gemm_nn_inj(
                 &q_rows[r],
-                k_blk,
+                kt,
                 &inj,
                 GemmCtx::new(FaultSite::GemmIAccum, slot)
                     .at(step, c0)
@@ -408,6 +418,10 @@ pub(crate) fn efta_decode_tile(
             FtCounters::add(&counters.cache_tolerated, rep.tolerated);
         }
         let block_damaged = vb.k_report.uncorrectable + vb.v_report.uncorrectable > 0;
+        // GEMM I's k-major operands, built once per (tile, block) and read
+        // by every chunk row's one-row GEMMs.
+        let kt_full = vb.k.transpose();
+        let k_cs_full = protected.then(|| k_major(vb.k_cs));
 
         for r in 0..c {
             if jb < b0[r] || jb >= nb[r] {
@@ -418,24 +432,31 @@ pub(crate) fn efta_decode_tile(
             // Stored operands for fully visible blocks; a partial causal
             // frontier re-encodes over the visible rows (same loop, same
             // data → the exact operands a `vis`-row cache would store).
-            let (kt, vt, cs_owned);
-            let (k, v, checksums, k_max_norm) = if rows == vb.k.rows() {
-                (&vb.k, &vb.v, (vb.k_cs, vb.v_cs), vb.k_max_norm)
+            let (kt_part, v_part, cs_owned);
+            let (kt, v, checksums, k_max_norm) = if rows == vb.k.rows() {
+                let checksums = k_cs_full.as_ref().map(|k_cs| (k_cs, vb.v_cs));
+                (&kt_full, &vb.v, checksums, vb.k_max_norm)
             } else {
-                kt = vb.k.block(0, 0, rows, d);
-                vt = vb.v.block(0, 0, rows, d);
+                let k_part = vb.k.block(0, 0, rows, d);
+                kt_part = kt_full.block(0, 0, d, rows);
+                v_part = vb.v.block(0, 0, rows, d);
                 cs_owned = (
-                    encode_rows_strided(&kt, cache.stride().min(rows), false),
-                    encode_cols_strided(&vt, cache.stride().min(d), false),
+                    k_major(&encode_rows_strided(
+                        &k_part,
+                        cache.stride().min(rows),
+                        false,
+                    )),
+                    encode_cols_strided(&v_part, cache.stride().min(d), false),
                 );
-                (&kt, &vt, (&cs_owned.0, &cs_owned.1), max_row_norm(&kt))
+                let checksums = protected.then_some((&cs_owned.0, &cs_owned.1));
+                (&kt_part, &v_part, checksums, max_row_norm(&k_part))
             };
             states[r].step(
                 &kernel,
                 &BlockOperands {
-                    k,
+                    kt,
                     v,
-                    checksums: protected.then_some(checksums),
+                    checksums,
                     k_max_norm,
                     jb,
                     c0: jb * cache.block(),
@@ -455,7 +476,10 @@ pub(crate) fn efta_decode_tile(
             let rows = vis_block_rows(cache, jb, vis0 + r);
             let (k_blk, _) = cache.read_k_verified(slot, jb);
             let (v_blk, _) = cache.read_v_verified(slot, jb);
-            (k_blk.block(0, 0, rows, d), v_blk.block(0, 0, rows, d))
+            (
+                k_blk.block(0, 0, rows, d).transpose(),
+                v_blk.block(0, 0, rows, d),
+            )
         });
         out.row_mut(r)
             .copy_from_slice(state.finish(&kernel, reread).row(0));
@@ -666,12 +690,19 @@ mod tests {
         // (site, column coordinate, iteration coordinate, bit, chain step)
         // of a fault on row `seq − 1` of slot 1, second column block.
         let last = seq - 1;
+        // Every per-element site the step offers values to only when the
+        // injector can fire there (Subtract, ExpUnit, the O rescale,
+        // Normalize) is hit once per kernel, next to its per-row sibling.
         let sites = [
             (FaultSite::GemmIAccum, 21, 3, 30, Some(8)),
             (FaultSite::MaxReduce, 1, 0, 30, None),
+            (FaultSite::Subtract, 21, 1, 30, None),
             (FaultSite::ExpUnit, 21, 1, 30, None),
             (FaultSite::SumReduce, 1, 1, 29, None),
+            (FaultSite::Rescale, 1, 2, 30, None),
+            (FaultSite::Rescale, 5, 4001, 30, None),
             (FaultSite::GemmIiAccum, 5, 3, 30, Some(5)),
+            (FaultSite::Normalize, 0, 999, 29, None),
             (FaultSite::Normalize, 9, 1000, 29, None),
         ];
         for opts in &options {

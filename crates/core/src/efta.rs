@@ -20,11 +20,12 @@
 //!   the same blocks.
 //!
 //! Two kernels call it. Prefill (`efta_forward`, below) steps a B-row state
-//! per (slot, row block) and encodes each column block's checksum operands
-//! per call, through FP16; the decode tile ([`crate::decode`]) steps one
-//! 1-row state per chunk row over operands the KV cache stored at append
-//! time. Operands, fault coordinates and the rowsum bound `n` are inputs to
-//! the step; nothing else differs between the two.
+//! per (slot, row block) over operands it prepares once per slot per call —
+//! each column block's `Kᵀ` and V in f32, checksum operands (encoded
+//! through FP16) and max-norm; the decode tile ([`crate::decode`]) steps
+//! one 1-row state per chunk row over operands the KV cache stored at
+//! append time. Operands, fault coordinates and the rowsum bound `n` are
+//! inputs to the step; nothing else differs between the two.
 //!
 //! [`VerifyMode::PerStep`] is the unoptimised "EFTA" of Tables 1–2 (verify
 //! after every operation); [`VerifyMode::Unified`] is the optimised "EFTA-o"
@@ -45,12 +46,10 @@ use ft_abft::strided::{
     StridedChecksums, StridedMismatch,
 };
 use ft_abft::thresholds::{Check, Thresholds};
-use ft_num::{block_starts, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
+use ft_num::{block_starts, quantize_f32, Matrix, MatrixF16, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
-use ft_sim::{
-    gemm_flops, gemm_nn_inj, gemm_nt, gemm_nt_inj, FaultInjector, FaultSite, GemmCtx, OpCoord,
-};
+use ft_sim::{gemm_flops, gemm_nn, gemm_nn_inj, FaultInjector, FaultSite, GemmCtx, OpCoord};
 use rayon::prelude::*;
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
@@ -235,6 +234,17 @@ fn row_sum(row: &[f32]) -> f32 {
     row.iter().fold(0.0f32, |acc, &e| acc + e)
 }
 
+/// K-row checksum operands transposed to GEMM I's k-major layout
+/// (`w1`/`w2` become `d × s`, like `Kᵀ`); stride and group count unchanged.
+pub(crate) fn k_major(cs: &StridedChecksums) -> StridedChecksums {
+    StridedChecksums {
+        w1: cs.w1.transpose(),
+        w2: cs.w2.transpose(),
+        stride: cs.stride,
+        groups: cs.groups,
+    }
+}
+
 /// Largest Euclidean row norm of a K block: with the query row norms it
 /// gives the Cauchy–Schwarz bound `|S[i][j]| ≤ |q_i|·|k_j|` the SNVR
 /// max-plausibility restriction checks.
@@ -250,16 +260,17 @@ pub(crate) fn row_norm(row: &[f32]) -> f32 {
     row.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
-/// One S element recomputed exactly (a d-MAC dot product). Checksum
-/// *location* is exact, but delta-subtraction cannot restore a value swamped
-/// by a 2^100-scale corruption (the delta's f32 ulp exceeds the true value),
-/// so located elements are recomputed instead.
-fn exact_s(q: &MatrixF32, k_blk: &MatrixF32, row: usize, col: usize) -> f32 {
-    let mut acc = 0.0f32;
-    for (a, b) in q.row(row).iter().zip(k_blk.row(col)) {
-        acc += a * b;
-    }
-    acc
+/// One S element recomputed exactly (a d-MAC dot product over column `col`
+/// of `Kᵀ`: GEMM I's chain for that element). Checksum *location* is exact,
+/// but delta-subtraction cannot restore a value swamped by a 2^100-scale
+/// corruption (the delta's f32 ulp exceeds the true value), so located
+/// elements are recomputed instead.
+fn exact_s(q: &MatrixF32, kt: &MatrixF32, row: usize, col: usize) -> f32 {
+    let k_col = kt.as_slice()[col..].iter().step_by(kt.cols());
+    q.row(row)
+        .iter()
+        .zip(k_col)
+        .fold(0.0f32, |acc, (a, b)| acc + a * b)
 }
 
 /// Phase stopwatch: `to` charges the time since the previous mark to one
@@ -291,15 +302,17 @@ pub(crate) struct Kernel<'a, I: FaultInjector> {
 }
 
 /// One K/V column block as an inner iteration of Algorithm 1 consumes it:
-/// sliced from the call's tensors and encoded per call in prefill, read from
-/// the KV cache in decode.
+/// prepared once per slot per call in prefill, read from the KV cache in
+/// decode.
 pub(crate) struct BlockOperands<'a> {
-    pub k: &'a MatrixF32,
+    /// The K block transposed (`d × rows`): GEMM I's k-major operand.
+    pub kt: &'a MatrixF32,
     pub v: &'a MatrixF32,
     /// GEMM I / GEMM II checksum operands `(k_cs, v_cs)`; `None` under
-    /// [`GemmProtection::Unprotected`].
+    /// [`GemmProtection::Unprotected`]. `k_cs` is k-major like `kt` (its
+    /// `w1`/`w2` are `d × s`, see [`k_major`]).
     pub checksums: Option<(&'a StridedChecksums, &'a StridedChecksums)>,
-    /// [`max_row_norm`] of `k` (read under SNVR only).
+    /// [`max_row_norm`] of the K block (read under SNVR only).
     pub k_max_norm: f32,
     /// Block index: the iteration id of fault coordinates.
     pub jb: usize,
@@ -358,19 +371,19 @@ impl<'a> RowState<'a> {
     fn repair_s<I: FaultInjector>(
         &self,
         kn: &Kernel<'_, I>,
-        k_blk: &MatrixF32,
+        kt: &MatrixF32,
         s_blk: &mut MatrixF32,
         mismatches: &[StridedMismatch],
         se: usize,
     ) {
         let rep = correct_strided(s_blk, mismatches, se);
         for loc in &rep.corrected {
-            s_blk.set(loc.row, loc.col, exact_s(self.q, k_blk, loc.row, loc.col));
+            s_blk.set(loc.row, loc.col, exact_s(self.q, kt, loc.row, loc.col));
         }
         FtCounters::add(&kn.counters.gemm1_detected, rep.detections as u64);
         FtCounters::add(&kn.counters.gemm1_corrected, rep.corrected.len() as u64);
         if rep.uncorrectable > 0 {
-            *s_blk = gemm_nt(self.q, k_blk);
+            *s_blk = gemm_nn(self.q, kt);
             FtCounters::add(&kn.counters.gemm1_recomputed, rep.uncorrectable as u64);
         }
     }
@@ -424,7 +437,7 @@ impl<'a> RowState<'a> {
         let thr = &opts.thresholds;
         let q = self.q;
         let (rows, d) = q.shape();
-        let bc = blk.k.rows();
+        let bc = blk.kt.cols();
         let (jb, c0, row0) = (blk.jb, blk.c0, self.row0);
         let traditional = opts.gemm == GemmProtection::Traditional;
         let snvr = opts.softmax == SoftmaxProtection::Snvr;
@@ -437,9 +450,9 @@ impl<'a> RowState<'a> {
             let ctx = GemmCtx::new(FaultSite::GemmIAccum, slot)
                 .at(row0, col0)
                 .iter(3 * jb + it);
-            gemm_nt_inj(q, w, inj, ctx)
+            gemm_nn_inj(q, w, inj, ctx)
         };
-        let mut s_blk = gemm1(blk.k, c0, 0);
+        let mut s_blk = gemm1(blk.kt, c0, 0);
         lap.to(|t| &t.gemm1);
 
         // ---- GEMM I protection: checksum GEMMs ----------------------
@@ -452,7 +465,7 @@ impl<'a> RowState<'a> {
             // the gather; this is the hardware economics of Fig. 11.
             let checksum_gemm = |w: &MatrixF32, it: usize| {
                 if traditional {
-                    let padded = Matrix::vstack(&[w, &Matrix::zeros(7, w.cols())]);
+                    let padded = Matrix::hstack(&[w, &Matrix::zeros(w.rows(), 7)]);
                     gemm1(&padded, self.cs_col0 + c0, it).block(0, 0, rows, 1)
                 } else {
                     gemm1(w, self.cs_col0 + c0, it)
@@ -468,7 +481,7 @@ impl<'a> RowState<'a> {
             // "EFTA": verify the GEMM result immediately.
             let mismatches = checksum_mismatches(opts, &s_blk, (c1, c2), *se, |_| thr.gemm);
             if !mismatches.is_empty() {
-                self.repair_s(kn, blk.k, &mut s_blk, &mismatches, *se);
+                self.repair_s(kn, blk.kt, &mut s_blk, &mismatches, *se);
             }
         }
         lap.to(|t| &t.gemm1_protect);
@@ -509,7 +522,7 @@ impl<'a> RowState<'a> {
                             arg = j;
                         }
                     }
-                    let exact = exact_s(q, blk.k, i, arg);
+                    let exact = exact_s(q, blk.kt, i, arg);
                     if s_blk.get(i, arg) != exact {
                         // The argmax itself was the corrupted element.
                         s_blk.set(i, arg, exact);
@@ -533,13 +546,23 @@ impl<'a> RowState<'a> {
         lap.to(|t| &t.softmax_protect);
 
         // ---- Softmax: subtract + EXP --------------------------------
+        // Per-element fault sites are offered every value only when the
+        // injector can fire at one; otherwise the loop is the plain
+        // arithmetic those calls would have returned unchanged.
         let mut p: MatrixF32 = Matrix::zeros(rows, bc);
+        let exp_sites = inj.may_fire(FaultSite::Subtract) || inj.may_fire(FaultSite::ExpUnit);
         for i in 0..rows {
             let prow = p.row_mut(i);
-            for (j, &sv) in s_blk.row(i).iter().enumerate() {
-                let coord = OpCoord::new(slot, row0 + i, c0 + j, jb);
-                let diff = inj.corrupt_f32(FaultSite::Subtract, coord, sv - m_new[i]);
-                prow[j] = inj.corrupt_f32(FaultSite::ExpUnit, coord, diff.exp());
+            if exp_sites {
+                for (j, &sv) in s_blk.row(i).iter().enumerate() {
+                    let coord = OpCoord::new(slot, row0 + i, c0 + j, jb);
+                    let diff = inj.corrupt_f32(FaultSite::Subtract, coord, sv - m_new[i]);
+                    prow[j] = inj.corrupt_f32(FaultSite::ExpUnit, coord, diff.exp());
+                }
+            } else {
+                for (pv, &sv) in prow.iter_mut().zip(s_blk.row(i)) {
+                    *pv = (sv - m_new[i]).exp();
+                }
             }
         }
         lap.to(|t| &t.softmax);
@@ -577,7 +600,7 @@ impl<'a> RowState<'a> {
                     }
                 }
                 if !linear.is_empty() {
-                    self.repair_s(kn, blk.k, &mut s_blk, &linear, se);
+                    self.repair_s(kn, blk.kt, &mut s_blk, &linear, se);
                 }
                 // Recompute every flagged residue class of P from the
                 // (now corrected) S.
@@ -660,20 +683,31 @@ impl<'a> RowState<'a> {
         lap.to(|t| &t.softmax_protect);
 
         // ---- GEMM II + rescale --------------------------------------
-        // P is quantised to FP16 to feed the second tensor-core GEMM.
-        let p16 = p.to_f16().to_f32();
+        // P is quantised to FP16 (in place: it has no later reader) to feed
+        // the second tensor-core GEMM.
+        for v in p.as_mut_slice() {
+            *v = quantize_f32(*v);
+        }
         let gemm2 = |w: &MatrixF32, col0: usize, it: usize| {
             let ctx = GemmCtx::new(FaultSite::GemmIiAccum, slot)
                 .at(row0, col0)
                 .iter(3 * jb + it);
-            gemm_nn_inj(&p16, w, inj, ctx)
+            gemm_nn_inj(&p, w, inj, ctx)
         };
         let pv = gemm2(blk.v, 0, 0);
+        let rescale_site = inj.may_fire(FaultSite::Rescale);
         for i in 0..rows {
             let f = factors[i];
-            for (col, (ov, &dv)) in self.o.row_mut(i).iter_mut().zip(pv.row(i)).enumerate() {
-                let coord = OpCoord::new(slot, row0 + i, col, 4000 + jb);
-                *ov = inj.corrupt_f32(FaultSite::Rescale, coord, f * *ov) + dv;
+            let o_row = self.o.row_mut(i).iter_mut().zip(pv.row(i));
+            if rescale_site {
+                for (col, (ov, &dv)) in o_row.enumerate() {
+                    let coord = OpCoord::new(slot, row0 + i, col, 4000 + jb);
+                    *ov = inj.corrupt_f32(FaultSite::Rescale, coord, f * *ov) + dv;
+                }
+            } else {
+                for (ov, &dv) in o_row {
+                    *ov = f * *ov + dv;
+                }
             }
         }
         lap.to(|t| &t.gemm2);
@@ -705,7 +739,7 @@ impl<'a> RowState<'a> {
     }
 
     /// Close the tile (Algorithm 1 lines 22–29) and return its normalised
-    /// O. `blocks` replays the attended `(K, V)` blocks for the clean
+    /// O. `blocks` replays the attended `(Kᵀ, V)` blocks for the clean
     /// recomputation fallback; it is consumed only when damage no checksum
     /// could repair was flagged.
     pub(crate) fn finish<I: FaultInjector>(
@@ -733,6 +767,7 @@ impl<'a> RowState<'a> {
         lap.to(|t| &t.softmax_protect);
 
         // ---- Normalise O (and checksums) ----------------------------
+        let normalize_site = inj.may_fire(FaultSite::Normalize);
         for i in 0..self.ell.len() {
             let gi = self.row0 + i;
             let inv = inj.corrupt_f32(
@@ -740,9 +775,15 @@ impl<'a> RowState<'a> {
                 OpCoord::new(slot, gi, 0, 999),
                 1.0 / self.ell[i],
             );
-            for (col, v) in self.o.row_mut(i).iter_mut().enumerate() {
-                let coord = OpCoord::new(slot, gi, col, 1000);
-                *v = inj.corrupt_f32(FaultSite::Normalize, coord, *v * inv);
+            if normalize_site {
+                for (col, v) in self.o.row_mut(i).iter_mut().enumerate() {
+                    let coord = OpCoord::new(slot, gi, col, 1000);
+                    *v = inj.corrupt_f32(FaultSite::Normalize, coord, *v * inv);
+                }
+            } else {
+                for v in self.o.row_mut(i) {
+                    *v *= inv;
+                }
             }
             if protected {
                 let (c1, c2) = (self.o_c1.row_mut(i), self.o_c2.row_mut(i));
@@ -765,8 +806,8 @@ impl<'a> RowState<'a> {
         // Uncorrectable damage: recompute the whole tile cleanly (the
         // paper's recomputation fallback).
         let mut state = crate::flash::OnlineState::new(self.q.rows(), self.q.cols());
-        for (k_blk, v_blk) in blocks {
-            crate::flash::online_update(&mut state, &gemm_nt(self.q, &k_blk), &v_blk);
+        for (kt, v_blk) in blocks {
+            crate::flash::online_update(&mut state, &gemm_nn(self.q, &kt), &v_blk);
         }
         crate::flash::finalize(&mut state);
         state.o
@@ -840,8 +881,80 @@ pub fn analytic_stats(cfg: &AttentionConfig, opts: &EftaOptions) -> KernelStats 
     stats
 }
 
+/// One column block of a prefill slot, prepared once per call and read by
+/// every row block's step.
+struct PreparedBlock {
+    kt: MatrixF32,
+    v: MatrixF32,
+    checksums: Option<(StridedChecksums, StridedChecksums)>,
+    k_max_norm: f32,
+}
+
+impl PreparedBlock {
+    /// Decode and prepare the column block at row `c0` of one slot, charging
+    /// each preparation to the phase whose operand it is. The row-major K
+    /// block is needed only to prepare the others.
+    fn new(
+        opts: &EftaOptions,
+        k: &MatrixF16,
+        v: &MatrixF16,
+        c0: usize,
+        b: usize,
+        timers: &PhaseTimers,
+    ) -> Self {
+        let d = k.cols();
+        let k_blk = k.block(c0, 0, b, d).to_f32();
+        let v_blk = v.block(c0, 0, b, d).to_f32();
+        let protected = opts.gemm != GemmProtection::Unprotected;
+        // A ragged final block may hold fewer rows than the checksum
+        // stride; its S-side checksums fold at the narrower width.
+        let s = effective_stride(opts).min(k_blk.rows());
+        let mut lap = Lap::start(Some(timers));
+        let kt = k_blk.transpose();
+        lap.to(|t| &t.gemm1);
+        let k_cs = protected.then(|| k_major(&encode_k(opts, &k_blk, s)));
+        lap.to(|t| &t.gemm1_protect);
+        let v_cs = protected.then(|| encode_v(opts, &v_blk));
+        lap.to(|t| &t.gemm2_protect);
+        let k_max_norm = if opts.softmax == SoftmaxProtection::Snvr {
+            max_row_norm(&k_blk)
+        } else {
+            0.0
+        };
+        lap.to(|t| &t.softmax_protect);
+        PreparedBlock {
+            kt,
+            v: v_blk,
+            checksums: k_cs.zip(v_cs),
+            k_max_norm,
+        }
+    }
+
+    fn operands(&self, jb: usize, c0: usize) -> BlockOperands<'_> {
+        BlockOperands {
+            kt: &self.kt,
+            v: &self.v,
+            checksums: self.checksums.as_ref().map(|(k_cs, v_cs)| (k_cs, v_cs)),
+            k_max_norm: self.k_max_norm,
+            jb,
+            c0,
+        }
+    }
+}
+
 /// Fused EFTA kernel body; [`crate::backend::EftaBackend`] is the public
 /// entry point.
+///
+/// Two parallel regions: each `(batch, head)` slot first prepares its
+/// column blocks once (`Kᵀ` and V in f32, checksum operands, max-norm),
+/// then every `(slot, row block)` pair runs as its own task against the
+/// shared prepared blocks, so the fan-out is not capped at the slot
+/// count. The preparation of every slot is live during the second region.
+/// On the GPU every (slot, row block) CTA encodes its own checksum
+/// operands, since CTAs cannot share registers; [`analytic_stats`] keeps
+/// modelling that kernel. On the CPU the same functions of the same data
+/// are computed once, so the values — and every output bit — are those of
+/// a per-(row block, column block) encode.
 pub(crate) fn efta_forward<I: FaultInjector>(
     cfg: &AttentionConfig,
     q: &Tensor4F16,
@@ -863,21 +976,26 @@ pub(crate) fn efta_forward<I: FaultInjector>(
     let b = cfg.block;
     let d = cfg.head_dim;
     let s = effective_stride(opts);
-    let protected = opts.gemm != GemmProtection::Unprotected;
-    let snvr = opts.softmax == SoftmaxProtection::Snvr;
+
+    let prepared: Vec<Vec<PreparedBlock>> = (0..cfg.num_slots())
+        .into_par_iter()
+        .map(|slot| {
+            let (k_slot, v_slot) = (k.slot_flat(slot), v.slot_flat(slot));
+            block_starts(cfg.seq, b)
+                .map(|c0| PreparedBlock::new(opts, k_slot, v_slot, c0, b, &timers))
+                .collect()
+        })
+        .collect();
 
     // All (slot, row-block) pairs are independent CTAs.
     let tasks: Vec<(usize, usize)> = (0..cfg.num_slots())
-        .flat_map(|s| block_starts(cfg.seq, b).map(move |r0| (s, r0)))
+        .flat_map(|slot| block_starts(cfg.seq, b).map(move |r0| (slot, r0)))
         .collect();
 
     let results: Vec<(usize, usize, MatrixF32)> = tasks
         .into_par_iter()
         .map(|(slot, r0)| {
-            let km = k.slot_flat(slot).to_f32();
-            let vm = v.slot_flat(slot).to_f32();
-            let q_raw = q.slot_flat(slot).block(r0, 0, b, d).to_f32();
-            let q_blk = Matrix::from_fn(q_raw.rows(), d, |i, j| q_raw.get(i, j) * cfg.scale);
+            let blocks = &prepared[slot];
             let kernel = Kernel {
                 opts,
                 inj,
@@ -885,35 +1003,14 @@ pub(crate) fn efta_forward<I: FaultInjector>(
                 timers: Some(&timers),
                 slot,
             };
-            let blocks = || {
-                block_starts(cfg.seq, b).map(|c0| (km.block(c0, 0, b, d), vm.block(c0, 0, b, d)))
-            };
+            let q_raw = q.slot_flat(slot).block(r0, 0, b, d).to_f32();
+            let q_blk = Matrix::from_fn(q_raw.rows(), d, |i, j| q_raw.get(i, j) * cfg.scale);
             let mut state = RowState::new(&q_blk, r0, cfg.seq, cfg.seq, s);
-            for (jb, (k_blk, v_blk)) in blocks().enumerate() {
-                // Checksum operands are encoded per (row block, column
-                // block), as the fused GPU kernel does. A ragged final
-                // block may hold fewer rows than the checksum stride; its
-                // S-side checksums fold at the narrower width.
-                let mut lap = Lap::start(kernel.timers);
-                let k_cs = protected.then(|| encode_k(opts, &k_blk, s.min(k_blk.rows())));
-                lap.to(|t| &t.gemm1_protect);
-                let v_cs = protected.then(|| encode_v(opts, &v_blk));
-                lap.to(|t| &t.gemm2_protect);
-                let k_max_norm = if snvr { max_row_norm(&k_blk) } else { 0.0 };
-                lap.to(|t| &t.softmax_protect);
-                state.step(
-                    &kernel,
-                    &BlockOperands {
-                        k: &k_blk,
-                        v: &v_blk,
-                        checksums: k_cs.as_ref().zip(v_cs.as_ref()),
-                        k_max_norm,
-                        jb,
-                        c0: jb * b,
-                    },
-                );
+            for (jb, blk) in blocks.iter().enumerate() {
+                state.step(&kernel, &blk.operands(jb, jb * b));
             }
-            (slot, r0, state.finish(&kernel, blocks()))
+            let replay = blocks.iter().map(|blk| (blk.kt.clone(), blk.v.clone()));
+            (slot, r0, state.finish(&kernel, replay))
         })
         .collect();
 

@@ -137,10 +137,22 @@ impl F16 {
 
     /// Exact widening conversion to `f32` (every binary16 value is
     /// representable in binary32).
+    ///
+    /// Normal values (exponent field 1..=30) take one integer add: shifting
+    /// the 15 magnitude bits up by 13 lines the 10 mantissa bits up with
+    /// binary32's 23 and the 5 exponent bits with the low bits of its 8, and
+    /// adding `(127 − 15) << 23` rebiases the exponent. No normal binary16
+    /// exponent can carry out of binary32's exponent field, so the result is
+    /// the value exactly. Zeros, subnormals, infinities and NaNs take the
+    /// field-by-field path.
     pub fn to_f32(self) -> f32 {
-        let sign = ((self.0 & 0x8000) as u32) << 16;
-        let exp = ((self.0 >> MANTISSA_BITS) & 0x1F) as u32;
-        let man = (self.0 & 0x03FF) as u32;
+        let h = self.0 as u32;
+        let sign = (h & 0x8000) << 16;
+        let exp = (h >> MANTISSA_BITS) & 0x1F;
+        if exp != 0 && exp != 0x1F {
+            return f32::from_bits(sign | (((h & 0x7FFF) << 13) + 0x3800_0000));
+        }
+        let man = h & 0x03FF;
         let bits = match (exp, man) {
             (0, 0) => sign, // signed zero
             (0, _) => {
@@ -150,9 +162,9 @@ impl F16 {
                 let man32 = (man << (23 - msb)) & 0x007F_FFFF;
                 sign | exp32 | man32
             }
-            (0x1F, 0) => sign | 0x7F80_0000, // infinity
-            (0x1F, _) => sign | 0x7FC0_0000 | (man << 13), // NaN (quiet)
-            _ => sign | ((exp + 127 - 15) << 23) | (man << 13),
+            // Exponent field 0x1F from here on.
+            (_, 0) => sign | 0x7F80_0000,          // infinity
+            _ => sign | 0x7FC0_0000 | (man << 13), // NaN (quiet)
         };
         f32::from_bits(bits)
     }
@@ -316,8 +328,23 @@ impl Sum for F16 {
 
 /// Round an `f32` through binary16 and back: the quantisation a value
 /// suffers when it is stored to an FP16 register or HBM tensor.
+///
+/// Inputs whose result is a normal binary16 (`2⁻¹⁴ ≤ |v| < 65520`) round in
+/// place: binary32 and binary16 share the leading mantissa bits, so
+/// round-to-nearest-even to 10 of binary32's 23 bits is adding `0x0FFF`
+/// plus the lowest kept bit and clearing the 13 dropped ones — a tie
+/// carries only when the kept mantissa is odd. A carry out of the mantissa
+/// steps the exponent exactly as binary16 rounding does, and below 65520 it
+/// can never reach the sign or produce an exponent binary16 lacks. The
+/// result is the same `f32` as the round trip through [`F16`]; every other
+/// input (subnormal results, overflow to infinity, NaN) takes that round
+/// trip.
 #[inline]
 pub fn quantize_f32(v: f32) -> f32 {
+    let bits = v.to_bits();
+    if (0x3880_0000..0x477F_F000).contains(&(bits & 0x7FFF_FFFF)) {
+        return f32::from_bits((bits + 0x0FFF + ((bits >> 13) & 1)) & !0x1FFF);
+    }
     F16::from_f32(v).to_f32()
 }
 
@@ -356,6 +383,85 @@ mod tests {
             }
         }
         sign | best
+    }
+
+    /// The field-by-field widening `to_f32` ran before its normal-range
+    /// fast path, kept as the oracle that path is pinned against.
+    fn to_f32_by_fields(h: F16) -> f32 {
+        let sign = ((h.0 & 0x8000) as u32) << 16;
+        let exp = ((h.0 >> MANTISSA_BITS) & 0x1F) as u32;
+        let man = (h.0 & 0x03FF) as u32;
+        let bits = match (exp, man) {
+            (0, 0) => sign,
+            (0, _) => {
+                let msb = 31 - man.leading_zeros();
+                sign | ((msb + 103) << 23) | ((man << (23 - msb)) & 0x007F_FFFF)
+            }
+            (0x1F, 0) => sign | 0x7F80_0000,
+            (0x1F, _) => sign | 0x7FC0_0000 | (man << 13),
+            _ => sign | ((exp + 127 - 15) << 23) | (man << 13),
+        };
+        f32::from_bits(bits)
+    }
+
+    #[test]
+    fn to_f32_matches_field_by_field_conversion_on_every_pattern() {
+        for bits in 0..=u16::MAX {
+            let h = F16(bits);
+            assert_eq!(
+                h.to_f32().to_bits(),
+                to_f32_by_fields(h).to_bits(),
+                "{bits:#06x}"
+            );
+        }
+    }
+
+    /// `quantize_f32` must return the round trip through `F16` bit for bit.
+    fn assert_quantize_exact(bits: u32) {
+        let v = f32::from_bits(bits);
+        assert_eq!(
+            quantize_f32(v).to_bits(),
+            F16::from_f32(v).to_f32().to_bits(),
+            "{bits:#010x}"
+        );
+    }
+
+    #[test]
+    fn quantize_fast_path_is_exact_at_its_boundaries() {
+        let positive = [
+            0x387F_FFFF, // just below 2^-14: the last subnormal-result input
+            0x3880_0000, // 2^-14: the first fast-path input
+            0x477F_EFFF, // just below 65520: rounds down to 65504
+            0x477F_F000, // 65520: the tie that rounds to infinity
+            0x3F80_1000, // 1 + 2^-11: tie with an even kept mantissa, down
+            0x3F80_3000, // 1 + 3·2^-11: tie with an odd kept mantissa, up
+            0x3F80_0FFF, // just below a tie
+            0x3F80_1001, // just above a tie
+            0x3FFF_F000, // a tie carrying into the exponent (to 2.0)
+            0x0000_0000, // zero
+            0x7F80_0000, // infinity
+            0x7FC0_0000, // NaN payloads: quiet,
+            0x7F80_0001, // signalling,
+            0x7FBF_FFFF, // full,
+            0x7FC0_2000, // and one the binary16 keeps
+            0x0000_0001, // binary32 subnormals
+            0x007F_FFFF,
+            0x3300_0000, // half the smallest binary16 subnormal: tie to zero
+            0x3300_0001, // just above it
+            0x3880_1000, // a tie at the bottom of the normal range
+        ];
+        for bits in positive {
+            assert_quantize_exact(bits);
+            assert_quantize_exact(bits | 0x8000_0000);
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive over all 2^32 inputs, ~35 s in release"]
+    fn quantize_fast_path_is_exact_on_every_input() {
+        for bits in 0..=u32::MAX {
+            assert_quantize_exact(bits);
+        }
     }
 
     #[test]
@@ -557,6 +663,12 @@ mod tests {
         fn prop_quantize_idempotent(v in -65000.0f32..65000.0) {
             let q = quantize_f32(v);
             prop_assert_eq!(quantize_f32(q).to_bits(), q.to_bits());
+        }
+
+        #[test]
+        fn prop_quantize_is_the_f16_round_trip(bits in 0u32..u32::MAX, v in -70000.0f32..70000.0) {
+            assert_quantize_exact(bits);
+            assert_quantize_exact(v.to_bits());
         }
 
         #[test]

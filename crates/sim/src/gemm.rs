@@ -8,6 +8,29 @@
 //! `m16n8k16` atoms via [`crate::tiled::tiled_gemm_exec`] (a property pinned
 //! by tests).
 //!
+//! **The chain contract.** Every output element is one *chain*: it starts
+//! at `0.0` and adds `a[i][k]·b[k][j]` for ascending k, one rounding per
+//! product and one per addition, never fused into an FMA — exactly
+//! `dot_plain`. The kernels below may *interleave* independent chains
+//! (that is where their speed comes from) but never reorder, split or
+//! reassociate the additions within one, so every layout and loop order
+//! here produces the same bits, and the path-vs-path bit-identity suites
+//! hold by construction rather than by tolerance.
+//!
+//! **Register panels.** The kernels keep an `MR × NR` (4 × 8) block of
+//! chains in registers and walk k once for all of them: per k they read
+//! `MR` elements of A and one `NR`-wide row of a k-major *panel* of op(B),
+//! `panel[j0 + k·ld + j]`. [`gemm_nn`] reads its panels straight out of B
+//! (row stride `ld = n`); [`gemm_nt`] first packs each 8 rows of B into a
+//! contiguous `k × 8` panel (`ld = 8`), unless A has fewer than `MR` rows
+//! to share it, in which case each element is one `dot_plain`. Rows left
+//! over below a full group run one-row kernels — 32 columns wide for
+//! `gemm_nn`, whose one-row products (decode GEMVs) have no other rows to
+//! share a panel with (`NR_ROW` gives the measurement) — and columns left
+//! over below a full panel run single chains. A product of fewer than `MR` rows and at least
+//! `STREAM_MIN_N` columns instead streams rows of B into the output row
+//! (`c[i][·] += a[i][k]·b[k][·]` per k), which measured faster there.
+//!
 //! Fault injection: each output element's accumulation chain asks the
 //! injector *once* whether a transient fault occurs and at which FMA step;
 //! the accumulator bit-flips mid-chain and the corrupted partial sum
@@ -87,10 +110,110 @@ fn dot_faulty(a_row: &[f32], b_row: &[f32], step: usize, bit: u32) -> f32 {
     acc
 }
 
+/// Rows of A one register micro-kernel carries.
+const MR: usize = 4;
+/// Columns of one register panel.
+const NR: usize = 8;
+/// Columns the one-row `gemm_nn` kernel carries before falling back to
+/// `NR`-wide panels. One row has no other rows to share a panel with, so an
+/// 8-wide panel leaves too few independent chains to cover the add latency.
+/// Measured (one row, 2-vCPU x86-64, µs, 32- then 8-wide vs 8-wide only):
+/// k = 64, n = 64 0.35 vs 0.98; k = 256, n = 256 5.2 vs 9.5; k = 1024,
+/// n = 256 23 vs 44.
+const NR_ROW: usize = 32;
+/// Width from which a product of fewer than `MR` rows streams rows of B
+/// instead of running one-row register panels. Measured (k = 256, one
+/// row): streaming 24 vs 27 µs at n = 1024 and 358 vs 407 µs at n = 8192,
+/// while panels win 0.31 vs 0.52 µs at n = 64 and 4.9 vs 6.2 µs at n = 256.
+/// From `MR` rows up, the `MR × NR` panels beat streaming at every width
+/// measured (1.3–1.7× at n = 1024 and 8192).
+const STREAM_MIN_N: usize = 1024;
+
+/// `R × W` chains in registers over the whole k range: chain `(r, j)`
+/// accumulates `a[r][k] · panel[j0 + k·ld + j]` for ascending k from `0.0`
+/// — `dot_plain`'s chain, `R · W` of them side by side.
+#[inline(always)]
+fn micro<const R: usize, const W: usize>(
+    a: [&[f32]; R],
+    panel: &[f32],
+    ld: usize,
+    j0: usize,
+) -> [[f32; W]; R] {
+    let k_len = a[0].len();
+    assert!(a.iter().all(|row| row.len() == k_len));
+    let mut acc = [[0.0f32; W]; R];
+    for k in 0..k_len {
+        let at = j0 + k * ld;
+        let b: &[f32; W] = panel[at..at + W].try_into().expect("a panel row is W wide");
+        for (acc_r, a_r) in acc.iter_mut().zip(&a) {
+            let av = a_r[k];
+            for (s, &bv) in acc_r.iter_mut().zip(b) {
+                *s += av * bv;
+            }
+        }
+    }
+    acc
+}
+
+/// `c[rows][j0 .. j0 + NR] = A[rows] · panel` (panel columns from `p0`):
+/// groups of `MR` rows, then one row at a time.
+fn rows_times_panel(
+    a: &MatrixF32,
+    rows: core::ops::Range<usize>,
+    (panel, ld, p0): (&[f32], usize, usize),
+    c: &mut MatrixF32,
+    j0: usize,
+) {
+    let mut i = rows.start;
+    while i + MR <= rows.end {
+        let acc = micro::<MR, NR>(core::array::from_fn(|r| a.row(i + r)), panel, ld, p0);
+        for (r, acc_r) in acc.iter().enumerate() {
+            c.row_mut(i + r)[j0..j0 + NR].copy_from_slice(acc_r);
+        }
+        i += MR;
+    }
+    for i in i..rows.end {
+        let [acc] = micro::<1, NR>([a.row(i)], panel, ld, p0);
+        c.row_mut(i)[j0..j0 + NR].copy_from_slice(&acc);
+    }
+}
+
+/// Column `j` of `a_row · B` for row-major `B` with row stride `ld`: one
+/// chain read down the column.
+fn column_chain(a_row: &[f32], b: &[f32], ld: usize, j: usize) -> f32 {
+    let column = b.iter().skip(j).step_by(ld);
+    a_row
+        .iter()
+        .zip(column)
+        .fold(0.0f32, |acc, (x, y)| acc + x * y)
+}
+
 /// `C = A · Bᵀ` (both row-major; the QKᵀ shape). No fault injection.
 pub fn gemm_nt(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
     assert_eq!(a.cols(), b.cols(), "inner dims (k) must match");
-    Matrix::from_fn(a.rows(), b.rows(), |i, j| dot_plain(a.row(i), b.row(j)))
+    let (m, n, k_len) = (a.rows(), b.rows(), a.cols());
+    if m < MR {
+        // Too few rows to repay packing a panel: one chain per element.
+        return Matrix::from_fn(m, n, |i, j| dot_plain(a.row(i), b.row(j)));
+    }
+    let mut c = Matrix::zeros(m, n);
+    let full = n - n % NR;
+    let mut panel = vec![0.0f32; k_len * NR];
+    for j0 in (0..full).step_by(NR) {
+        for jj in 0..NR {
+            let lane = panel.iter_mut().skip(jj).step_by(NR);
+            for (p, &v) in lane.zip(b.row(j0 + jj)) {
+                *p = v;
+            }
+        }
+        rows_times_panel(a, 0..m, (&panel, NR, 0), &mut c, j0);
+    }
+    for i in 0..m {
+        for j in full..n {
+            c.set(i, j, dot_plain(a.row(i), b.row(j)));
+        }
+    }
+    c
 }
 
 /// `C = A · Bᵀ` with fault injection under `ctx`.
@@ -109,37 +232,45 @@ pub fn gemm_nt_inj<I: FaultInjector>(
 pub fn gemm_nn(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
     assert_eq!(a.cols(), b.rows(), "inner dims (k) must match");
     let (m, n) = (a.rows(), b.cols());
-    let k_len = a.cols();
     let mut c = Matrix::zeros(m, n);
-    if n == 8 {
-        // An 8-wide product — a stride-8 checksum operand — keeps its output
-        // row in registers for the whole k loop (the loop below would
-        // round-trip it through memory once per k, ~4× slower at this
-        // width). Same ascending-k chain per element from `0.0`.
-        for (a_row, c_row) in (0..m)
-            .map(|i| a.row(i))
-            .zip(c.as_mut_slice().chunks_exact_mut(8))
-        {
-            let mut acc = [0.0f32; 8];
-            for (&aik, b_row) in a_row.iter().zip(b.as_slice().chunks_exact(8)) {
-                for (s, &bv) in acc.iter_mut().zip(b_row) {
-                    *s += aik * bv;
+    let bs = b.as_slice();
+    if m < MR && n >= STREAM_MIN_N {
+        // k-outer over rows of B keeps B accesses row-contiguous; each
+        // output element still adds once per k, in ascending k.
+        for i in 0..m {
+            let c_row = c.row_mut(i);
+            for (&aik, b_row) in a.row(i).iter().zip(bs.chunks_exact(n)) {
+                for (cv, &bv) in c_row.iter_mut().zip(b_row) {
+                    *cv += aik * bv;
                 }
             }
-            c_row.copy_from_slice(&acc);
         }
         return c;
     }
-    // k-outer over rows of B keeps B accesses row-contiguous; accumulation
-    // per output element is still ascending-k (each k adds once).
-    for i in 0..m {
+    let (grouped, full) = (m - m % MR, n - n % NR);
+    for j0 in (0..full).step_by(NR) {
+        rows_times_panel(a, 0..grouped, (bs, n, j0), &mut c, j0);
+    }
+    for i in 0..grouped {
+        for j in full..n {
+            c.set(i, j, column_chain(a.row(i), bs, n, j));
+        }
+    }
+    for i in grouped..m {
         let a_row = a.row(i);
-        let c_row = c.row_mut(i);
-        for (k, &aik) in a_row.iter().enumerate().take(k_len) {
-            let b_row = b.row(k);
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += aik * bv;
-            }
+        let mut j0 = 0;
+        while j0 + NR_ROW <= n {
+            let [acc] = micro::<1, NR_ROW>([a_row], bs, n, j0);
+            c.row_mut(i)[j0..j0 + NR_ROW].copy_from_slice(&acc);
+            j0 += NR_ROW;
+        }
+        while j0 + NR <= n {
+            let [acc] = micro::<1, NR>([a_row], bs, n, j0);
+            c.row_mut(i)[j0..j0 + NR].copy_from_slice(&acc);
+            j0 += NR;
+        }
+        for j in j0..n {
+            c.set(i, j, column_chain(a_row, bs, n, j));
         }
     }
     c
@@ -411,6 +542,31 @@ mod tests {
             assert_eq!(check_against_reference(restricted, &a, &bt, ctx, &what), 0);
         }
         assert!(ber_fired > 0, "BER must exercise the recompute path");
+    }
+
+    #[test]
+    fn panel_kernels_match_per_element_chains() {
+        // Every path of both kernels: row groups and left-over rows, full
+        // panels and ragged tail columns, the one-row 32-wide panels and
+        // the streaming branch. Full-precision operands, so products round
+        // too and any reordering inside a chain would show in the bits.
+        let operand = |rows: usize, cols: usize, seed: usize| {
+            MatrixF32::from_fn(rows, cols, |i, j| {
+                ((i * 7919 + j * 104_729 + seed) as f32).sin()
+            })
+        };
+        for m in [1usize, 3, 64, 70] {
+            for n in [1usize, 7, 8, 9, 64, 131, 300, STREAM_MIN_N + 3] {
+                for k in [0usize, 1, 17, 64] {
+                    let a = operand(m, k, 1);
+                    let bt = operand(n, k, 2);
+                    let want = Matrix::from_fn(m, n, |i, j| dot_plain(a.row(i), bt.row(j)));
+                    let what = format!("{m}x{k}x{n}");
+                    assert_bits_eq(&gemm_nt(&a, &bt), &want, &format!("nt {what}"));
+                    assert_bits_eq(&gemm_nn(&a, &bt.transpose()), &want, &format!("nn {what}"));
+                }
+            }
+        }
     }
 
     #[test]
