@@ -27,9 +27,19 @@
 //! over below a full group run one-row kernels — 32 columns wide for
 //! `gemm_nn`, whose one-row products (decode GEMVs) have no other rows to
 //! share a panel with (`NR_ROW` gives the measurement) — and columns left
-//! over below a full panel run single chains. A product of fewer than `MR` rows and at least
-//! `STREAM_MIN_N` columns instead streams rows of B into the output row
-//! (`c[i][·] += a[i][k]·b[k][·]` per k), which measured faster there.
+//! over below a full panel run single chains.
+//!
+//! **Packed static operands.** [`gemm_nn`] reads B in place, so each k-step
+//! of a panel lands `n` floats past the last: at the LM head's n = 8192
+//! that is 32 KiB per step and a cache miss per panel row. An operand that
+//! outlives many products — a layer weight, never a per-call activation or
+//! cache block — is worth packing once: [`PackedB`] stores a k-major
+//! `k × n` operand as ⌈n/8⌉ contiguous `k × 8` panels (the last one
+//! zero-padded), so [`gemm_packed`] reads every panel front to back. Row
+//! groups run the same `MR × NR` micro-kernel over one panel; rows left
+//! over run one row against `NR_ROW / NR` adjacent panels (32 chains).
+//! Packing a per-call operand costs a full copy for one use; `gemm_nn` and
+//! `gemm_nt` stay the kernels for those.
 //!
 //! Fault injection: each output element's accumulation chain asks the
 //! injector *once* whether a transient fault occurs and at which FMA step;
@@ -121,13 +131,6 @@ const NR: usize = 8;
 /// k = 64, n = 64 0.35 vs 0.98; k = 256, n = 256 5.2 vs 9.5; k = 1024,
 /// n = 256 23 vs 44.
 const NR_ROW: usize = 32;
-/// Width from which a product of fewer than `MR` rows streams rows of B
-/// instead of running one-row register panels. Measured (k = 256, one
-/// row): streaming 24 vs 27 µs at n = 1024 and 358 vs 407 µs at n = 8192,
-/// while panels win 0.31 vs 0.52 µs at n = 64 and 4.9 vs 6.2 µs at n = 256.
-/// From `MR` rows up, the `MR × NR` panels beat streaming at every width
-/// measured (1.3–1.7× at n = 1024 and 8192).
-const STREAM_MIN_N: usize = 1024;
 
 /// `R × W` chains in registers over the whole k range: chain `(r, j)`
 /// accumulates `a[r][k] · panel[j0 + k·ld + j]` for ascending k from `0.0`
@@ -234,19 +237,6 @@ pub fn gemm_nn(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
     let (m, n) = (a.rows(), b.cols());
     let mut c = Matrix::zeros(m, n);
     let bs = b.as_slice();
-    if m < MR && n >= STREAM_MIN_N {
-        // k-outer over rows of B keeps B accesses row-contiguous; each
-        // output element still adds once per k, in ascending k.
-        for i in 0..m {
-            let c_row = c.row_mut(i);
-            for (&aik, b_row) in a.row(i).iter().zip(bs.chunks_exact(n)) {
-                for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += aik * bv;
-                }
-            }
-        }
-        return c;
-    }
     let (grouped, full) = (m - m % MR, n - n % NR);
     for j0 in (0..full).step_by(NR) {
         rows_times_panel(a, 0..grouped, (bs, n, j0), &mut c, j0);
@@ -292,7 +282,134 @@ pub fn gemm_nn_inj<I: FaultInjector>(
     c
 }
 
-/// The fault path shared by both injected GEMMs, run over the clean
+/// A static k-major operand `B` (`k × n`) packed once for [`gemm_packed`]:
+/// ⌈n/8⌉ contiguous `k × 8` panels, panel `p` holding columns
+/// `8p .. 8p + 8` with element `(k, j)` at `panels[p·k·8 + k·8 + j mod 8]`.
+/// Columns past `n` in the last panel are zero and never reach an output.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedB {
+    /// Pack the k-major operand `b` (`k × n`).
+    pub fn new(b: &MatrixF32) -> Self {
+        let (k, n) = b.shape();
+        let mut panels = vec![0.0f32; n.div_ceil(NR) * k * NR];
+        if k > 0 {
+            for (p, panel) in panels.chunks_exact_mut(k * NR).enumerate() {
+                let j0 = p * NR;
+                let w = NR.min(n - j0);
+                for (dst, kk) in panel.chunks_exact_mut(NR).zip(0..k) {
+                    dst[..w].copy_from_slice(&b.row(kk)[j0..j0 + w]);
+                }
+            }
+        }
+        PackedB { k, n, panels }
+    }
+
+    /// Inner dimension `k` (rows of the unpacked operand).
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Output width `n` (columns of the unpacked operand).
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+
+    /// Column `j` of the unpacked operand, in ascending k.
+    pub fn column(&self, j: usize) -> impl Iterator<Item = f32> + '_ {
+        assert!(j < self.n, "column {j} of a {}-wide operand", self.n);
+        let base = (j / NR) * self.k * NR + j % NR;
+        (0..self.k).map(move |kk| self.panels[base + kk * NR])
+    }
+}
+
+/// One row of A against `P` adjacent packed `k × NR` panels (`panels` holds
+/// them back to back): `P · NR` chains, each `dot_plain`'s.
+#[inline(always)]
+fn micro_panels<const P: usize>(a_row: &[f32], panels: &[f32]) -> [[f32; NR]; P] {
+    let span = a_row.len() * NR;
+    let panels: [&[f32]; P] = core::array::from_fn(|p| &panels[p * span..(p + 1) * span]);
+    let mut acc = [[0.0f32; NR]; P];
+    for (k, &av) in a_row.iter().enumerate() {
+        for (acc_p, panel) in acc.iter_mut().zip(&panels) {
+            let b: &[f32; NR] = panel[k * NR..k * NR + NR]
+                .try_into()
+                .expect("a panel row is NR wide");
+            for (s, &bv) in acc_p.iter_mut().zip(b) {
+                *s += av * bv;
+            }
+        }
+    }
+    acc
+}
+
+/// `C = A · B` for a packed static operand. No fault injection.
+pub fn gemm_packed(a: &MatrixF32, b: &PackedB) -> MatrixF32 {
+    assert_eq!(a.cols(), b.k, "inner dims (k) must match");
+    let (m, n) = (a.rows(), b.n);
+    let mut c = Matrix::zeros(m, n);
+    if b.k == 0 {
+        return c; // every chain is empty: 0.0
+    }
+    let span = b.k * NR;
+    let grouped = m - m % MR;
+    for (p, panel) in b.panels.chunks_exact(span).enumerate() {
+        let j0 = p * NR;
+        let w = NR.min(n - j0);
+        for i in (0..grouped).step_by(MR) {
+            let acc = micro::<MR, NR>(core::array::from_fn(|r| a.row(i + r)), panel, NR, 0);
+            for (r, acc_r) in acc.iter().enumerate() {
+                c.row_mut(i + r)[j0..j0 + w].copy_from_slice(&acc_r[..w]);
+            }
+        }
+    }
+    // Chains past `n` (the zero padding) are computed and dropped here.
+    fn store(out: &mut [f32], acc: &[[f32; NR]]) {
+        for (dst, acc) in out.chunks_mut(NR).zip(acc) {
+            dst.copy_from_slice(&acc[..dst.len()]);
+        }
+    }
+    const QUAD: usize = NR_ROW / NR;
+    for i in grouped..m {
+        let a_row = a.row(i);
+        for (q, panels) in b.panels.chunks(QUAD * span).enumerate() {
+            let out = &mut c.row_mut(i)[q * NR_ROW..];
+            if panels.len() == QUAD * span {
+                store(out, &micro_panels::<QUAD>(a_row, panels));
+            } else {
+                for (p, panel) in panels.chunks_exact(span).enumerate() {
+                    store(&mut out[p * NR..], &micro_panels::<1>(a_row, panel));
+                }
+            }
+        }
+    }
+    c
+}
+
+/// `C = A · B` for a packed static operand, with fault injection under
+/// `ctx`: the coordinates and draws of [`gemm_nn_inj`] on the unpacked
+/// operand.
+pub fn gemm_packed_inj<I: FaultInjector>(
+    a: &MatrixF32,
+    b: &PackedB,
+    inj: &I,
+    ctx: GemmCtx,
+) -> MatrixF32 {
+    let mut c = gemm_packed(a, b);
+    recompute_fired(&mut c, a, inj, ctx, |j, col| {
+        for (v, x) in col.iter_mut().zip(b.column(j)) {
+            *v = x;
+        }
+    });
+    c
+}
+
+/// The fault path shared by the injected GEMMs, run over the clean
 /// product `c = A·op(B)`: unless `inj` cannot fire at `ctx.site`, ask
 /// [`FaultInjector::decide_chain`] once per output element in row-major
 /// order and recompute each chain that fires with the flip at its step.
@@ -487,7 +604,9 @@ mod tests {
     }
 
     /// Run both injected GEMMs and their references under fresh injectors
-    /// from `make`; assert equal bits and `fired()`; return the fired count.
+    /// from `make`, and the packed one against `gemm_nn_inj` on the
+    /// unpacked operand; assert equal bits and `fired()`; return the fired
+    /// count of the first pair.
     fn check_against_reference<I: FaultInjector>(
         make: impl Fn() -> I,
         a: &MatrixF32,
@@ -503,6 +622,10 @@ mod tests {
         let got = gemm_nn_inj(a, &b, &fast, ctx);
         assert_bits_eq(&got, &gemm_nn_inj_reference(a, &b, &slow, ctx), what);
         assert_eq!(fast.fired(), slow.fired(), "nn {what}");
+        let (packed, unpacked) = (make(), make());
+        let got = gemm_packed_inj(a, &PackedB::new(&b), &packed, ctx);
+        assert_bits_eq(&got, &gemm_nn_inj(a, &b, &unpacked, ctx), what);
+        assert_eq!(packed.fired(), unpacked.fired(), "packed {what}");
         fast.fired()
     }
 
@@ -546,24 +669,29 @@ mod tests {
 
     #[test]
     fn panel_kernels_match_per_element_chains() {
-        // Every path of both kernels: row groups and left-over rows, full
-        // panels and ragged tail columns, the one-row 32-wide panels and
-        // the streaming branch. Full-precision operands, so products round
-        // too and any reordering inside a chain would show in the bits.
+        // Every path of the three kernels: row groups and left-over rows,
+        // full panels and ragged tail columns, the one-row 32-wide panels
+        // (and, packed, a ragged group of fewer than four panels) at widths
+        // up to past the LM head's panel count. Full-precision operands, so
+        // products round too and any reordering inside a chain would show
+        // in the bits.
         let operand = |rows: usize, cols: usize, seed: usize| {
             MatrixF32::from_fn(rows, cols, |i, j| {
                 ((i * 7919 + j * 104_729 + seed) as f32).sin()
             })
         };
-        for m in [1usize, 3, 64, 70] {
-            for n in [1usize, 7, 8, 9, 64, 131, 300, STREAM_MIN_N + 3] {
-                for k in [0usize, 1, 17, 64] {
+        for m in [1usize, 2, 3, 4, 5, 8, 64, 70] {
+            for n in [1usize, 4, 7, 8, 9, 31, 33, 64, 131, 300, 1027] {
+                for k in [0usize, 1, 17, 64, 256] {
                     let a = operand(m, k, 1);
                     let bt = operand(n, k, 2);
                     let want = Matrix::from_fn(m, n, |i, j| dot_plain(a.row(i), bt.row(j)));
                     let what = format!("{m}x{k}x{n}");
+                    let b = bt.transpose();
                     assert_bits_eq(&gemm_nt(&a, &bt), &want, &format!("nt {what}"));
-                    assert_bits_eq(&gemm_nn(&a, &bt.transpose()), &want, &format!("nn {what}"));
+                    assert_bits_eq(&gemm_nn(&a, &b), &want, &format!("nn {what}"));
+                    let packed = gemm_packed(&a, &PackedB::new(&b));
+                    assert_bits_eq(&packed, &want, &format!("packed {what}"));
                 }
             }
         }

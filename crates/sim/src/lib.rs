@@ -31,4 +31,7 @@ pub use device::{Device, Hbm, KernelStats, OomError, StatsCollector};
 pub use fault::{
     BerInjector, ChainFault, FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector,
 };
-pub use gemm::{gemm_flops, gemm_nn, gemm_nn_inj, gemm_nt, gemm_nt_inj, GemmCtx};
+pub use gemm::{
+    gemm_flops, gemm_nn, gemm_nn_inj, gemm_nt, gemm_nt_inj, gemm_packed, gemm_packed_inj, GemmCtx,
+    PackedB,
+};

@@ -8,15 +8,18 @@
 //! encode the weight-side checksum offline — everything `forward` needs
 //! from it is prepared **once**, in the constructor: `Wᵀ` decoded from FP16
 //! to FP32 in k-major layout (`in × out`), and W's two strided row-checksum
-//! operands (`encode_rows_strided(W, s, true)`) transposed to `in × s`.
-//! `forward` then runs three k-major GEMMs ([`gemm_nn_inj`]) per row block
-//! and never touches the FP16 weight.
+//! operands (`encode_rows_strided(W, s, true)`) transposed to `in × s`, all
+//! three then panel-packed ([`PackedB`]: contiguous `in × 8` panels, so a
+//! product reads each panel front to back instead of striding `out` floats
+//! per k-step). `forward` runs three packed GEMMs ([`gemm_packed_inj`]) per
+//! row block and never touches the FP16 weight; the packed panels are the
+//! only FP32 copy.
 //!
-//! Bit identity with the per-call decode + `gemm_nt` it replaced: `gemm_nn`
-//! over `Bᵀ` produces each output element by the same ascending-k chain from
-//! `0.0` as `gemm_nt` over `B` (pinned by
-//! `ft_sim::gemm` `gemm_nn_matches_nt_on_transposed_operand`), and the
-//! prepared checksum operands are the very values the per-call encode made.
+//! Bit identity with the per-call decode + `gemm_nt` it replaced: every
+//! kernel in `ft_sim::gemm` produces each output element by the same
+//! ascending-k chain from `0.0` (pinned there against a per-element
+//! `dot_plain` oracle for all three layouts), and the prepared checksum
+//! operands are the very values the per-call encode made.
 //!
 //! Because the checksums are no longer re-derived from the weight each call,
 //! a flip in the resident `Wᵀ` is now *detected* (the old re-encode folded it
@@ -30,7 +33,7 @@ use ft_abft::thresholds::Thresholds;
 use ft_core::types::FtReport;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
 use ft_num::{block_starts, Matrix, MatrixF16, MatrixF32};
-use ft_sim::{gemm_nn, gemm_nn_inj, FaultInjector, FaultSite, GemmCtx};
+use ft_sim::{gemm_packed, gemm_packed_inj, FaultInjector, FaultSite, GemmCtx, PackedB};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -47,7 +50,8 @@ pub enum LinearProtection {
 ///
 /// The FP16 weight is private (read it with [`weight`](Linear::weight)) so
 /// the operands prepared from it at construction — `Wᵀ` in FP32 and the
-/// transposed strided checksum pair, see the module docs — cannot go stale.
+/// transposed strided checksum pair, all panel-packed, see the module docs
+/// — cannot go stale.
 /// `Clone` shares them.
 #[derive(Clone, Debug)]
 pub struct Linear {
@@ -61,16 +65,17 @@ pub struct Linear {
     pub protection: LinearProtection,
 }
 
-/// The static operands of one [`Linear`], all k-major (`in × ·`).
+/// The static operands of one [`Linear`], all k-major (`in × ·`) and
+/// panel-packed.
 #[derive(Clone, Debug)]
 struct Prepared {
     /// `Wᵀ` in FP32, `in × out`.
-    wt: MatrixF32,
+    wt: PackedB,
     /// Plain strided row-checksum of W, transposed: `in × s` with the
     /// stride `s = min(8, out)`.
-    w1t: MatrixF32,
+    w1t: PackedB,
     /// Group-weighted strided row-checksum of W, transposed: `in × s`.
-    w2t: MatrixF32,
+    w2t: PackedB,
 }
 
 impl Prepared {
@@ -80,9 +85,9 @@ impl Prepared {
         // Fold W's rows (the output dimension) at the stride.
         let cs = encode_rows_strided(&w, stride, true);
         Prepared {
-            wt: w.transpose(),
-            w1t: cs.w1.transpose(),
-            w2t: cs.w2.transpose(),
+            wt: PackedB::new(&w.transpose()),
+            w1t: PackedB::new(&cs.w1.transpose()),
+            w2t: PackedB::new(&cs.w2.transpose()),
         }
     }
 }
@@ -145,24 +150,23 @@ impl Linear {
                 let x_blk = x.block(r0, 0, block, x.cols());
                 let mut report = FtReport::default();
                 let ctx = GemmCtx::new(FaultSite::LinearAccum, layer_slot);
-                let mut y = gemm_nn_inj(&x_blk, wt, inj, ctx.at(r0, 0));
+                let mut y = gemm_packed_inj(&x_blk, wt, inj, ctx.at(r0, 0));
                 if self.protection == LinearProtection::StridedAbft {
-                    let y_c1 = gemm_nn_inj(&x_blk, w1t, inj, ctx.at(r0, out_f).iter(1));
-                    let y_c2 = gemm_nn_inj(&x_blk, w2t, inj, ctx.at(r0, out_f).iter(2));
+                    let y_c1 = gemm_packed_inj(&x_blk, w1t, inj, ctx.at(r0, out_f).iter(1));
+                    let y_c2 = gemm_packed_inj(&x_blk, w2t, inj, ctx.at(r0, out_f).iter(2));
                     let mismatches = verify_strided(&y, &y_c1, &y_c2, stride, thresholds.gemm);
                     if !mismatches.is_empty() {
                         let rep = correct_strided(&mut y, &mismatches, stride);
                         // Located elements are recomputed exactly: the same
                         // ascending-k chain over column `col` of Wᵀ.
                         for loc in &rep.corrected {
-                            let mut acc = 0.0f32;
-                            for (k, a) in x_blk.row(loc.row).iter().enumerate() {
-                                acc += a * wt.get(k, loc.col);
-                            }
+                            let column = wt.column(loc.col);
+                            let acc = (x_blk.row(loc.row).iter().zip(column))
+                                .fold(0.0f32, |acc, (a, w)| acc + a * w);
                             y.set(loc.row, loc.col, acc);
                         }
                         if rep.uncorrectable > 0 {
-                            y = gemm_nn(&x_blk, wt);
+                            y = gemm_packed(&x_blk, wt);
                         }
                         report.linear_detected = rep.detections as u64;
                         report.linear_corrected = rep.corrected.len() as u64;
@@ -255,10 +259,10 @@ mod tests {
         let w = layer.weight().to_f32();
         let cs = encode_rows_strided(&w, 8, true);
         let p = &layer.prepared;
-        assert_eq!(p.wt.shape(), (24, 20));
-        assert_eq!(p.wt, w.transpose());
-        assert_eq!(p.w1t, cs.w1.transpose());
-        assert_eq!(p.w2t, cs.w2.transpose());
+        assert_eq!((p.wt.rows(), p.wt.cols()), (24, 20));
+        assert_eq!(p.wt, PackedB::new(&w.transpose()));
+        assert_eq!(p.w1t, PackedB::new(&cs.w1.transpose()));
+        assert_eq!(p.w2t, PackedB::new(&cs.w2.transpose()));
         assert!(Arc::ptr_eq(&layer.prepared, &layer.clone().prepared));
     }
 
@@ -274,10 +278,10 @@ mod tests {
         let mut rng = rng_from_seed(5);
         let x = normal_matrix_f16(&mut rng, 64, 64, 1.0).to_f32();
         let mut prepared = (*layer.prepared).clone();
-        let v = prepared.wt.get(10, 20);
-        prepared
-            .wt
-            .set(10, 20, f32::from_bits(v.to_bits() ^ (1 << 30)));
+        let mut wt = layer.weight().to_f32().transpose();
+        let v = wt.get(10, 20);
+        wt.set(10, 20, f32::from_bits(v.to_bits() ^ (1 << 30)));
+        prepared.wt = PackedB::new(&wt);
         layer.prepared = Arc::new(prepared);
         let (_, rep) = layer.forward(&x, &NoFaults, 0, &Thresholds::calibrated());
         assert!(rep.linear_detected >= 1, "{rep:?}");
