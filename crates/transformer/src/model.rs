@@ -15,7 +15,7 @@ use ft_core::serve::{
 };
 use ft_core::types::FtReport;
 use ft_num::{Matrix, MatrixF32};
-use ft_sim::FaultInjector;
+use ft_sim::{FaultInjector, FaultSite};
 use rayon::prelude::*;
 
 /// A complete transformer for inference experiments.
@@ -515,11 +515,10 @@ impl TransformerModel {
     /// final-normed hidden rows of the feed's last `sample_rows` positions
     /// (`sample_rows × hidden`, if the feed asked for any) and the sweep's
     /// fault ledger attributed to that stream alone (every layer's sites,
-    /// layers [`merged`](FtReport::merged)). The vocab-wide LM head is deliberately *not*
-    /// run here: the engine evaluates it lazily, row by row, stopping at
-    /// the first rejected draft — under speculation the head cost per
-    /// *emitted* token then matches plain decode exactly, and only the
-    /// attention/FFN sweep is amortized across the drafted rows.
+    /// layers [`merged`](FtReport::merged)). The vocab-wide LM head is not
+    /// run here: the session runs it once over every stream's sample rows
+    /// (`ServeSession::batched_head`), or per row where faults can reach
+    /// it.
     fn run_sweep<I: FaultInjector>(
         &self,
         feeds: &[SweepFeed],
@@ -575,8 +574,8 @@ impl TransformerModel {
             .map(|(i, f)| {
                 let rows = if f.sample_rows > 0 {
                     // Only the chunk's trailing sample rows are normed and
-                    // handed to the engine's lazy head loop; the interior
-                    // prefill rows never pay the vocab-wide head.
+                    // handed to the session's head; the interior prefill
+                    // rows never pay the vocab-wide head.
                     let h = &hs[i];
                     debug_assert!(f.sample_rows <= h.rows(), "more sample rows than fed rows");
                     let base = h.rows() - f.sample_rows;
@@ -862,8 +861,12 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         if split.total_bytes() > self.peak_cache_breakdown.total_bytes() {
             self.peak_cache_breakdown = split;
         }
+        let head = self.batched_head(&results, inj);
+        let mut head_row = 0;
         for (feed, (rows, mut ledger)) in feeds.iter().zip(results) {
             let id = feed.stream;
+            let at = head_row;
+            head_row += feed.sample_rows;
             if ledger.total_detected() > 0 {
                 self.events.push(EngineEvent::FaultCorrected {
                     stream: id,
@@ -965,20 +968,29 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
                     let mut emitted: Vec<u32> = Vec::with_capacity(feed.sample_rows);
                     let mut accepted = 0usize;
                     for j in 0..feed.sample_rows {
-                        // Lazy vocab-wide head: one row per *emitted* token,
-                        // stopping at the first rejected draft — under
-                        // speculation the head cost per emitted token is
-                        // exactly plain decode's, and only the fused
-                        // attention/FFN sweep is amortized across rows.
-                        let row = Matrix::from_fn(1, rows.cols(), |_, c| rows.get(j, c));
-                        let (logits, head_rep) =
-                            model
-                                .lm_head
-                                .forward(&row, inj, usize::MAX / 2, &model.thresholds);
-                        // The sweep's FaultCorrected event is already out:
-                        // head detections reach the stream ledger only.
-                        ledger = ledger.merged(&head_rep);
-                        let t = sample_token(sampling, &logits, id, position + j);
+                        let t = match &head {
+                            Some(logits) => {
+                                sample_token(sampling, logits.row(at + j), id, position + j)
+                            }
+                            None => {
+                                // Per-row head where faults can reach it,
+                                // stopping at the first rejected draft: the
+                                // injector is queried for the logits of
+                                // emitted tokens only.
+                                let row = Matrix::from_fn(1, rows.cols(), |_, c| rows.get(j, c));
+                                let (logits, head_rep) = model.lm_head.forward(
+                                    &row,
+                                    inj,
+                                    usize::MAX / 2,
+                                    &model.thresholds,
+                                );
+                                // The sweep's FaultCorrected event is already
+                                // out: head detections reach the stream
+                                // ledger only.
+                                ledger = ledger.merged(&head_rep);
+                                sample_token(sampling, logits.row(0), id, position + j)
+                            }
+                        };
                         emitted.push(t);
                         self.events.push(EngineEvent::TokenEmitted {
                             stream: id,
@@ -1012,6 +1024,39 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
             }
         }
         self.collect_finished();
+    }
+
+    /// The vocab-wide LM head once per sweep: every sampling row of every
+    /// feed stacked into one GEMM, so the head's packed weight streams
+    /// through the cache once per sweep instead of once per emitted token.
+    /// Row `r` of the result is bit-identical to a one-row forward of
+    /// stacked row `r` (every logit is the same chain). `None` — evaluate
+    /// per row instead — when no feed samples, and when the head could
+    /// fire or keep a ledger: BER draws, `fired()` and head detections then
+    /// stay per (stream, row). Under speculation, rows past a rejected
+    /// draft are computed here and dropped.
+    fn batched_head<I: FaultInjector>(
+        &self,
+        results: &[(Option<MatrixF32>, FtReport)],
+        inj: &I,
+    ) -> Option<MatrixF32> {
+        let model = self.model.borrow();
+        if inj.may_fire(FaultSite::LinearAccum)
+            || model.lm_head.protection != LinearProtection::None
+        {
+            return None;
+        }
+        let rows: Vec<&MatrixF32> = results.iter().filter_map(|(r, _)| r.as_ref()).collect();
+        if rows.is_empty() {
+            return None;
+        }
+        let (logits, _) = model.lm_head.forward(
+            &Matrix::vstack(&rows),
+            inj,
+            usize::MAX / 2,
+            &model.thresholds,
+        );
+        Some(logits)
     }
 
     /// Sweep until every submitted stream has retired, then drain them
@@ -1204,12 +1249,11 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     }
 }
 
-/// Pick the next token from a `1 × vocab` logits row per the stream's
+/// Pick the next token from one row of logits per the stream's
 /// [`SamplingMode`]. Deterministic in every mode, and keyed by the token's
 /// absolute position so a re-prefill recovery re-draws exactly the tokens
 /// it replays.
-fn sample_token(mode: SamplingMode, logits: &MatrixF32, stream: StreamId, position: usize) -> u32 {
-    let row = logits.row(0);
+fn sample_token(mode: SamplingMode, row: &[f32], stream: StreamId, position: usize) -> u32 {
     match mode {
         SamplingMode::Greedy => argmax(row) as u32,
         SamplingMode::TopK { k, seed } => {
@@ -1556,6 +1600,69 @@ mod tests {
         assert_eq!(k4a, k4b, "sampling is stateless-deterministic");
         let k4c = run(SamplingMode::TopK { k: 4, seed: 8 });
         assert_eq!(k4a.len(), k4c.len());
+    }
+
+    #[test]
+    fn one_head_gemm_per_sweep_matches_per_row_heads() {
+        use ft_core::serve::{SamplingMode, SpeculationPolicy};
+        // vocab 101: the head's last packed panel is zero-padded.
+        let model =
+            TransformerModel::random(16, tiny_config(), BackendKind::Flash).with_causal(true);
+        let hidden = model
+            .forward_hidden(&[7, 1, 8, 2, 8, 1, 8, 2, 8], &NoFaults)
+            .0;
+        let (stacked, _) = model
+            .lm_head
+            .forward(&hidden, &NoFaults, 0, &model.thresholds);
+        for r in 0..hidden.rows() {
+            let row = hidden.block(r, 0, 1, hidden.cols());
+            let (one, _) = model.lm_head.forward(&row, &NoFaults, 0, &model.thresholds);
+            let same = one.row(0).iter().zip(stacked.row(r));
+            assert!(
+                same.into_iter().all(|(a, b)| a.to_bits() == b.to_bits()),
+                "row {r}"
+            );
+        }
+
+        let prompt = |salt: u32| {
+            (0..6 + salt)
+                .map(|i| (i * 7 + salt) % 5)
+                .collect::<Vec<_>>()
+        };
+        let requests = [
+            GenerationRequest::new(prompt(0), 9),
+            GenerationRequest::new(prompt(1), 9)
+                .with_sampling(SamplingMode::TopK { k: 5, seed: 3 }),
+            GenerationRequest::new(prompt(2), 9).with_speculation(SpeculationPolicy::new(3)),
+            GenerationRequest::new(prompt(3), 9)
+                .with_sampling(SamplingMode::TopK { k: 3, seed: 9 }),
+        ];
+        let mut session = model.serve_with(SchedulerConfig {
+            max_active: 4,
+            ..Default::default()
+        });
+        let ids: Vec<StreamId> = requests
+            .iter()
+            .map(|r| session.submit_request(r.clone()))
+            .collect();
+        let finished = session.run(&NoFaults);
+        // The oracle: each stream alone, under an injector that may fire at
+        // `LinearAccum` (so the head runs per row) but matches no chain.
+        let miss = SeuInjector::new(FaultSite::LinearAccum, OpCoord::new(usize::MAX, 0, 0, 0), 3);
+        for (id, req) in ids.iter().zip(&requests) {
+            let mut alone = model.serve();
+            alone.submit_request_with_id(req.clone(), *id);
+            let want = alone.run(&miss).pop().expect("one stream").tokens;
+            let got = &finished
+                .iter()
+                .find(|f| f.id == *id)
+                .expect("retired")
+                .tokens;
+            assert_eq!(got, &want, "{id}");
+        }
+        assert_eq!(miss.fired(), 0);
+        let spec = finished.iter().find(|f| f.id == ids[2]).expect("retired");
+        assert!(spec.spec_drafted > 0, "the speculative stream drafted");
     }
 
     #[test]
