@@ -58,7 +58,7 @@ use ft_core::types::FtReport;
 use ft_sim::{FaultInjector, NoFaults};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -400,6 +400,9 @@ impl Outbox {
 struct Migrant {
     state: StreamState,
     outbox: Outbox,
+    /// The donor, which may take the stream back only when no peer is
+    /// hungry ([`may_adopt`]).
+    from: ShardId,
 }
 
 /// State shared by the router and every shard worker.
@@ -407,12 +410,15 @@ struct FleetShared {
     /// Projected cache bytes per shard (admission-time projections, held
     /// until the stream retires or migrates away).
     loads: Vec<AtomicU64>,
-    /// Idle shards currently advertising for work (advisory — donors
-    /// check it before parking anything).
-    hungry: AtomicUsize,
+    /// Per shard: idle and advertising for work. The shard sets and clears
+    /// its own flag; the router clears it when it routes work there.
+    /// Advisory, like `loads` (a stale read can delay or misdirect one
+    /// export, never lose or duplicate a stream — the board is under its
+    /// mutex), so both are `Relaxed`.
+    hungry: Vec<AtomicBool>,
     /// The migration board: parked streams awaiting adoption. Any idle
-    /// worker (including the donor, if the thief left) claims from here,
-    /// so no migrant is ever stranded.
+    /// worker claims from here — the donor only when no peer is hungry
+    /// ([`may_adopt`]) — so no migrant is ever stranded.
     board: Mutex<VecDeque<Migrant>>,
     /// Live per-shard ledgers, refreshed every worker-loop iteration —
     /// the source of [`Fleet::report`] snapshots.
@@ -499,7 +505,7 @@ impl Fleet {
         let window_slack = model.blocks.first().map_or(0, |b| b.mha.cache_block);
         let shared = Arc::new(FleetShared {
             loads: (0..cfg.workers).map(|_| AtomicU64::new(0)).collect(),
-            hungry: AtomicUsize::new(0),
+            hungry: (0..cfg.workers).map(|_| AtomicBool::new(false)).collect(),
             board: Mutex::new(VecDeque::new()),
             live: (0..cfg.workers)
                 .map(|s| {
@@ -592,6 +598,7 @@ impl Fleet {
             RouterPolicy::ConsistentHash => self.hash_shard(&req.prompt),
         };
         self.shared.loads[shard].fetch_add(projection, Ordering::Relaxed);
+        self.shared.hungry[shard].store(false, Ordering::Relaxed);
         let (events, handle_rx) = mpsc::sync_channel(self.capacity);
         self.txs[shard]
             .as_ref()
@@ -714,8 +721,9 @@ fn mix64(mut x: u64) -> u64 {
 /// fact per stream to the session, sweep, events out. It decides nothing
 /// about any stream's lifecycle. With stealing on, an idle shard
 /// advertises on `shared.hungry`, loaded shards export one stream at a
-/// time over `shared.board`, and every idle shard — donor included —
-/// adopts from the board, so a migrant is never stranded. Runs until the
+/// time over `shared.board` ([`export_wanted`]), and every idle shard
+/// adopts from the board — a donor its own export only when no peer is
+/// hungry ([`may_adopt`]) — so a migrant is never stranded. Runs until the
 /// submission channel is hung up, every owned stream has finished with
 /// its events delivered (or its consumer gone), and the board is empty.
 fn worker_loop(
@@ -736,7 +744,7 @@ fn worker_loop(
         ..ShardReport::default()
     };
     let mut open = true;
-    let mut hungry_marked = false;
+    let set_hungry = |hungry: bool| shared.hungry[me.0].store(hungry, Ordering::Relaxed);
     let accept = |cmd: Command,
                   session: &mut ServeSession<Arc<TransformerModel>>,
                   outboxes: &mut BTreeMap<u64, Outbox>| {
@@ -780,16 +788,20 @@ fn worker_loop(
         // still carries the stream's routing projection.
         outboxes.retain(|_, ob| !(ob.finished && (ob.dead || ob.buf.is_empty())));
         if session.idle() {
-            // Idle shard: adopt a migrant if one is posted. Any idle
-            // worker claims — including a donor whose thief already left
-            // — so the board always drains.
+            // Idle shard: adopt a migrant if one is posted and the rule
+            // lets this shard have it.
             if steal {
-                let migrant = shared.board.lock().unwrap().pop_front();
+                let peer_hungry = (shared.hungry.iter().enumerate())
+                    .any(|(s, h)| s != me.0 && h.load(Ordering::Relaxed));
+                let migrant = {
+                    let mut board = shared.board.lock().unwrap();
+                    let at = board
+                        .iter()
+                        .position(|m| may_adopt(me, m.from, peer_hungry));
+                    at.and_then(|i| board.remove(i))
+                };
                 if let Some(m) = migrant {
-                    if hungry_marked {
-                        shared.hungry.fetch_sub(1, Ordering::Relaxed);
-                        hungry_marked = false;
-                    }
+                    set_hungry(false);
                     shared.loads[me.0].fetch_add(m.outbox.projection, Ordering::Relaxed);
                     report.migrations_in += 1;
                     outboxes.insert(m.state.id.0, m.outbox);
@@ -800,21 +812,18 @@ fn worker_loop(
             }
             if outboxes.is_empty() {
                 if !open {
-                    if hungry_marked {
-                        shared.hungry.fetch_sub(1, Ordering::Relaxed);
-                    }
+                    set_hungry(false);
                     report.peak_cache_bytes = session.peak_cache_bytes();
                     publish(&shared, me, &report);
                     return report;
                 }
                 if steal {
-                    // Advertise for work, then poll submissions and the
-                    // board together (a board post cannot wake a blocked
-                    // recv).
-                    if !hungry_marked {
-                        shared.hungry.fetch_add(1, Ordering::Relaxed);
-                        hungry_marked = true;
-                    }
+                    // Advertise for work (again, if the router cleared the
+                    // flag for a submission not yet received — the load it
+                    // added keeps donors off), then poll submissions and
+                    // the board together (a board post cannot wake a
+                    // blocked recv).
+                    set_hungry(true);
                     match rx.recv_timeout(Duration::from_millis(1)) {
                         Ok(cmd) => accept(cmd, &mut session, &mut outboxes),
                         Err(RecvTimeoutError::Timeout) => {}
@@ -847,19 +856,7 @@ fn worker_loop(
             }
             continue;
         }
-        if hungry_marked {
-            shared.hungry.fetch_sub(1, Ordering::Relaxed);
-            hungry_marked = false;
-        }
-        // Work export: a hungry shard exists and the board is clear —
-        // post one stream. Keep at least one for ourselves.
-        if steal
-            && shared.hungry.load(Ordering::Relaxed) > 0
-            && session.active_streams() + session.pending_streams() >= 2
-            && shared.board.lock().unwrap().is_empty()
-        {
-            donate(me, &mut session, &mut outboxes, &mut report, &shared);
-        }
+        set_hungry(false);
         let events = session.sweep_events(&inj);
         let swept = !events.is_empty();
         route(events, &mut outboxes, &mut report);
@@ -874,6 +871,21 @@ fn worker_loop(
                 ob.finished = true;
             }
             report.fold_finished(&f);
+        }
+        // Work export, decided on the state this sweep left (its
+        // retirements gone, its arrivals served once where the router put
+        // them): a peer with nothing in flight is hungry and the board is
+        // clear — post one stream. Keep at least one for ourselves.
+        if steal
+            && session.active_streams() + session.pending_streams() >= 2
+            && export_wanted(
+                me,
+                (shared.hungry.iter().zip(&shared.loads))
+                    .map(|(h, l)| (h.load(Ordering::Relaxed), l.load(Ordering::Relaxed))),
+            )
+            && shared.board.lock().unwrap().is_empty()
+        {
+            donate(me, &mut session, &mut outboxes, &mut report, &shared);
         }
         report.peak_cache_bytes = session.peak_cache_bytes();
         publish(&shared, me, &report);
@@ -907,11 +919,29 @@ fn donate(
     };
     shared.loads[me.0].fetch_sub(outbox.projection, Ordering::Relaxed);
     report.migrations_out += 1;
-    shared
-        .board
-        .lock()
-        .unwrap()
-        .push_back(Migrant { state, outbox });
+    shared.board.lock().unwrap().push_back(Migrant {
+        state,
+        outbox,
+        from: me,
+    });
+}
+
+/// The export rule, over every shard's `(hungry, load)`: post a stream
+/// only for a peer that is hungry **and** has no load routed to it. The
+/// router clears a shard's flag when it routes there, but the shard can
+/// re-mark itself before it has received that work; the load the router
+/// added first still shows the work in flight, so a donor never hands a
+/// stream to a shard already busy with its own.
+fn export_wanted(me: ShardId, shards: impl IntoIterator<Item = (bool, u64)>) -> bool {
+    (shards.into_iter().enumerate()).any(|(s, (hungry, load))| s != me.0 && hungry && load == 0)
+}
+
+/// The adopt rule: an idle shard takes a migrant it exported itself only
+/// when no peer is hungry. A hungry peer polls the board and will take it,
+/// so a steal is never undone by its donor; with no peer hungry the donor
+/// takes it back, so the board always drains.
+fn may_adopt(me: ShardId, from: ShardId, peer_hungry: bool) -> bool {
+    from != me || !peer_hungry
 }
 
 /// Route a batch of session events into the per-stream outboxes and count
@@ -978,6 +1008,36 @@ mod tests {
         assert!(text.contains("shard1:"), "{text}");
         assert!(text.contains("3 streams submitted"), "{text}");
         assert!(text.contains("total:"), "{text}");
+    }
+
+    #[test]
+    fn export_goes_only_to_a_hungry_peer_with_nothing_in_flight() {
+        // Shard 1 idles and advertises; shard 0 is loaded.
+        let mut shards = [(false, 4096u64), (true, 0)];
+        assert!(export_wanted(ShardId(0), shards));
+        assert!(!export_wanted(ShardId(1), shards), "never to itself");
+        // The router routes a stream to shard 1: load first, then the flag.
+        shards[1] = (false, 512);
+        assert!(!export_wanted(ShardId(0), shards));
+        // Shard 1 polls again before its channel delivers the stream and
+        // re-marks itself; the load still says work is in flight.
+        shards[1].0 = true;
+        assert!(!export_wanted(ShardId(0), shards));
+        // It serves and retires the stream: hungry with nothing in flight.
+        shards[1].1 = 0;
+        assert!(export_wanted(ShardId(0), shards));
+    }
+
+    #[test]
+    fn a_donor_takes_back_its_export_only_when_no_peer_is_hungry() {
+        // Shard 0 exported for hungry shard 1, then went idle itself
+        // before shard 1 polled the board: it must leave the migrant.
+        assert!(!may_adopt(ShardId(0), ShardId(0), true));
+        assert!(may_adopt(ShardId(1), ShardId(0), true));
+        // Shard 1 got other work meanwhile and is no longer hungry: the
+        // donor takes the stream back, so the board drains.
+        assert!(may_adopt(ShardId(0), ShardId(0), false));
+        assert!(may_adopt(ShardId(1), ShardId(0), false));
     }
 
     #[test]
