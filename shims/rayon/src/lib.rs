@@ -55,10 +55,21 @@ fn env_workers() -> usize {
     })
 }
 
+/// `available_parallelism`, read once: on Linux every call re-reads the
+/// cgroup CPU quota files (13–20 µs on a 2-vCPU container), and a serving
+/// sweep enters a parallel region per `Linear` call.
+fn cores() -> usize {
+    use std::sync::OnceLock;
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 fn worker_count() -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = cores();
     let capped = match env_workers() {
         0 => cores,
         env => cores.min(env),
