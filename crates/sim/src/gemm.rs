@@ -37,7 +37,7 @@
 //! `k × n` operand as ⌈n/8⌉ contiguous `k × 8` panels (the last one
 //! zero-padded), so [`gemm_packed`] reads every panel front to back. Row
 //! groups run the same `MR × NR` micro-kernel over one panel; rows left
-//! over run one row against `NR_ROW / NR` adjacent panels (32 chains).
+//! over run one row against `QUAD` adjacent panels (`NR_ROW` chains).
 //! Packing a per-call operand costs a full copy for one use; `gemm_nn` and
 //! `gemm_nt` stay the kernels for those.
 //!
@@ -328,13 +328,16 @@ impl PackedB {
     }
 }
 
-/// One row of A against `P` adjacent packed `k × NR` panels (`panels` holds
-/// them back to back): `P · NR` chains, each `dot_plain`'s.
+/// Packed panels one row of A runs against at once: `NR_ROW` chains.
+const QUAD: usize = NR_ROW / NR;
+
+/// One row of A against `QUAD` adjacent packed `k × NR` panels (`panels`
+/// holds them back to back): `NR_ROW` chains, each `dot_plain`'s.
 #[inline(always)]
-fn micro_panels<const P: usize>(a_row: &[f32], panels: &[f32]) -> [[f32; NR]; P] {
+fn micro_quad(a_row: &[f32], panels: &[f32]) -> [[f32; NR]; QUAD] {
     let span = a_row.len() * NR;
-    let panels: [&[f32]; P] = core::array::from_fn(|p| &panels[p * span..(p + 1) * span]);
-    let mut acc = [[0.0f32; NR]; P];
+    let panels: [&[f32]; QUAD] = core::array::from_fn(|p| &panels[p * span..(p + 1) * span]);
+    let mut acc = [[0.0f32; NR]; QUAD];
     for (k, &av) in a_row.iter().enumerate() {
         for (acc_p, panel) in acc.iter_mut().zip(&panels) {
             let b: &[f32; NR] = panel[k * NR..k * NR + NR]
@@ -356,34 +359,31 @@ pub fn gemm_packed(a: &MatrixF32, b: &PackedB) -> MatrixF32 {
     if b.k == 0 {
         return c; // every chain is empty: 0.0
     }
-    let span = b.k * NR;
-    let grouped = m - m % MR;
-    for (p, panel) in b.panels.chunks_exact(span).enumerate() {
-        let j0 = p * NR;
-        let w = NR.min(n - j0);
-        for i in (0..grouped).step_by(MR) {
-            let acc = micro::<MR, NR>(core::array::from_fn(|r| a.row(i + r)), panel, NR, 0);
-            for (r, acc_r) in acc.iter().enumerate() {
-                c.row_mut(i + r)[j0..j0 + w].copy_from_slice(&acc_r[..w]);
-            }
-        }
-    }
     // Chains past `n` (the zero padding) are computed and dropped here.
     fn store(out: &mut [f32], acc: &[[f32; NR]]) {
         for (dst, acc) in out.chunks_mut(NR).zip(acc) {
             dst.copy_from_slice(&acc[..dst.len()]);
         }
     }
-    const QUAD: usize = NR_ROW / NR;
+    let span = b.k * NR;
+    let grouped = m - m % MR;
+    for (p, panel) in b.panels.chunks_exact(span).enumerate() {
+        for i in (0..grouped).step_by(MR) {
+            let acc = micro::<MR, NR>(core::array::from_fn(|r| a.row(i + r)), panel, NR, 0);
+            for (r, acc_r) in acc.iter().enumerate() {
+                store(&mut c.row_mut(i + r)[p * NR..], &[*acc_r]);
+            }
+        }
+    }
     for i in grouped..m {
         let a_row = a.row(i);
         for (q, panels) in b.panels.chunks(QUAD * span).enumerate() {
             let out = &mut c.row_mut(i)[q * NR_ROW..];
             if panels.len() == QUAD * span {
-                store(out, &micro_panels::<QUAD>(a_row, panels));
+                store(out, &micro_quad(a_row, panels));
             } else {
                 for (p, panel) in panels.chunks_exact(span).enumerate() {
-                    store(&mut out[p * NR..], &micro_panels::<1>(a_row, panel));
+                    store(&mut out[p * NR..], &micro::<1, NR>([a_row], panel, NR, 0));
                 }
             }
         }
