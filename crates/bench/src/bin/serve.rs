@@ -503,9 +503,10 @@ fn timed<R: PartialEq + std::fmt::Debug>(reps: u32, f: impl Fn() -> R) -> (R, f6
 /// an evenly-spaced fraction of entries corrupted forces each accept rate
 /// exactly. The model is sized to be verification-dominated (long history,
 /// modest vocab): the speedup mechanism is the fused multi-row sweep
-/// verifying each attended cache block once per tile, while the lazy
-/// per-row LM head keeps head cost per *emitted* token identical to plain
-/// decode.
+/// verifying each attended cache block once per tile. The LM head runs
+/// once per sweep over every draft row (rows past a rejected draft are
+/// computed and dropped); the modest vocab keeps that work small next to
+/// verification.
 ///
 /// Hard asserts:
 /// * emitted tokens bit-identical to plain decode at every forced rate
