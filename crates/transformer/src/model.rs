@@ -1604,7 +1604,7 @@ mod tests {
 
     #[test]
     fn one_head_gemm_per_sweep_matches_per_row_heads() {
-        use ft_core::serve::{SamplingMode, SpeculationPolicy};
+        use ft_core::serve::{DraftSource, SamplingMode, SpeculationPolicy};
         // vocab 101: the head's last packed panel is zero-padded.
         let model =
             TransformerModel::random(16, tiny_config(), BackendKind::Flash).with_causal(true);
@@ -1624,19 +1624,33 @@ mod tests {
             );
         }
 
+        // The oracle: each stream alone, under an injector that may fire at
+        // `LinearAccum` (so the head runs per row) but matches no chain.
+        let miss = SeuInjector::new(FaultSite::LinearAccum, OpCoord::new(usize::MAX, 0, 0, 0), 3);
+        let alone = |req: &GenerationRequest, id: StreamId| {
+            let mut session = model.serve();
+            session.submit_request_with_id(req.clone(), id);
+            session.run(&miss).pop().expect("one stream").tokens
+        };
         let prompt = |salt: u32| {
             (0..6 + salt)
                 .map(|i| (i * 7 + salt) % 5)
                 .collect::<Vec<_>>()
         };
-        let requests = [
+        let mut requests = [
             GenerationRequest::new(prompt(0), 9),
             GenerationRequest::new(prompt(1), 9)
                 .with_sampling(SamplingMode::TopK { k: 5, seed: 3 }),
-            GenerationRequest::new(prompt(2), 9).with_speculation(SpeculationPolicy::new(3)),
+            GenerationRequest::new(prompt(2), 9),
             GenerationRequest::new(prompt(3), 9)
                 .with_sampling(SamplingMode::TopK { k: 3, seed: 9 }),
         ];
+        // Stream 2 drafts its own continuation, so every draft is accepted
+        // and each sweep samples all of its stacked rows.
+        let script = alone(&requests[2], StreamId(2))[prompt(2).len()..].to_vec();
+        requests[2] = requests[2]
+            .clone()
+            .with_speculation(SpeculationPolicy::new(3).with_source(DraftSource::Scripted(script)));
         let mut session = model.serve_with(SchedulerConfig {
             max_active: 4,
             ..Default::default()
@@ -1645,24 +1659,18 @@ mod tests {
             .iter()
             .map(|r| session.submit_request(r.clone()))
             .collect();
+        assert_eq!(ids[2], StreamId(2));
         let finished = session.run(&NoFaults);
-        // The oracle: each stream alone, under an injector that may fire at
-        // `LinearAccum` (so the head runs per row) but matches no chain.
-        let miss = SeuInjector::new(FaultSite::LinearAccum, OpCoord::new(usize::MAX, 0, 0, 0), 3);
         for (id, req) in ids.iter().zip(&requests) {
-            let mut alone = model.serve();
-            alone.submit_request_with_id(req.clone(), *id);
-            let want = alone.run(&miss).pop().expect("one stream").tokens;
-            let got = &finished
-                .iter()
-                .find(|f| f.id == *id)
-                .expect("retired")
-                .tokens;
-            assert_eq!(got, &want, "{id}");
+            let got = &finished.iter().find(|f| f.id == *id).expect("retired");
+            assert_eq!(got.tokens, alone(req, *id), "{id}");
         }
         assert_eq!(miss.fired(), 0);
         let spec = finished.iter().find(|f| f.id == ids[2]).expect("retired");
-        assert!(spec.spec_drafted > 0, "the speculative stream drafted");
+        assert!(
+            spec.spec_accepted > 0,
+            "the speculative stream accepted drafts"
+        );
     }
 
     #[test]
