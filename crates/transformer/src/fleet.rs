@@ -418,11 +418,64 @@ struct FleetShared {
     hungry: Vec<AtomicBool>,
     /// The migration board: parked streams awaiting adoption. Any idle
     /// worker claims from here — the donor only when no peer is hungry
-    /// ([`may_adopt`]) — so no migrant is ever stranded.
+    /// ([`may_adopt`]) — so no migrant is ever stranded
+    /// ([`board_step`](FleetShared::board_step)).
     board: Mutex<VecDeque<Migrant>>,
     /// Live per-shard ledgers, refreshed every worker-loop iteration —
     /// the source of [`Fleet::report`] snapshots.
     live: Vec<Mutex<ShardReport>>,
+}
+
+/// What an idle shard does after one look at the migration board.
+enum BoardStep {
+    /// Serve this migrant.
+    Adopt(Box<Migrant>),
+    /// Nothing to adopt and nothing left to do: leave the loop.
+    Exit,
+    /// Nothing to adopt now; keep polling.
+    Stay,
+}
+
+impl FleetShared {
+    fn new(workers: usize) -> FleetShared {
+        FleetShared {
+            loads: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            hungry: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            board: Mutex::new(VecDeque::new()),
+            live: (0..workers)
+                .map(|s| {
+                    Mutex::new(ShardReport {
+                        shard: ShardId(s),
+                        ..ShardReport::default()
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    /// One look at the board by idle shard `me`: claim the first migrant
+    /// [`may_adopt`] gives it. A `done` shard — channel hung up, every
+    /// stream delivered — first clears its hungry flag, so a donor holding
+    /// its own export back for this shard takes it back, and exits only
+    /// when the board is empty. A hungry flag therefore always belongs to
+    /// a shard that will look at the board again, and every migrant is
+    /// adopted by a live shard.
+    fn board_step(&self, me: ShardId, done: bool) -> BoardStep {
+        if done {
+            self.hungry[me.0].store(false, Ordering::Relaxed);
+        }
+        let peer_hungry =
+            (self.hungry.iter().enumerate()).any(|(s, h)| s != me.0 && h.load(Ordering::Relaxed));
+        let mut board = self.board.lock().unwrap();
+        match board
+            .iter()
+            .position(|m| may_adopt(me, m.from, peer_hungry))
+        {
+            Some(i) => BoardStep::Adopt(Box::new(board.remove(i).expect("position is in range"))),
+            None if done && board.is_empty() => BoardStep::Exit,
+            None => BoardStep::Stay,
+        }
+    }
 }
 
 /// Handle to a sharded serving fleet: N worker threads behind one
@@ -503,19 +556,7 @@ impl Fleet {
         let model = Arc::new(model);
         let bytes_per_token = (4 * model.config.hidden * model.config.layers) as u64;
         let window_slack = model.blocks.first().map_or(0, |b| b.mha.cache_block);
-        let shared = Arc::new(FleetShared {
-            loads: (0..cfg.workers).map(|_| AtomicU64::new(0)).collect(),
-            hungry: (0..cfg.workers).map(|_| AtomicBool::new(false)).collect(),
-            board: Mutex::new(VecDeque::new()),
-            live: (0..cfg.workers)
-                .map(|s| {
-                    Mutex::new(ShardReport {
-                        shard: ShardId(s),
-                        ..ShardReport::default()
-                    })
-                })
-                .collect(),
-        });
+        let shared = Arc::new(FleetShared::new(cfg.workers));
         let cores = thread::available_parallelism().map_or(1, |n| n.get());
         let sweep_workers = cfg
             .shard_threads
@@ -725,7 +766,8 @@ fn mix64(mut x: u64) -> u64 {
 /// adopts from the board — a donor its own export only when no peer is
 /// hungry ([`may_adopt`]) — so a migrant is never stranded. Runs until the
 /// submission channel is hung up, every owned stream has finished with
-/// its events delivered (or its consumer gone), and the board is empty.
+/// its events delivered (or its consumer gone), and the board is empty
+/// ([`FleetShared::board_step`]).
 fn worker_loop(
     me: ShardId,
     model: Arc<TransformerModel>,
@@ -789,18 +831,11 @@ fn worker_loop(
         outboxes.retain(|_, ob| !(ob.finished && (ob.dead || ob.buf.is_empty())));
         if session.idle() {
             // Idle shard: adopt a migrant if one is posted and the rule
-            // lets this shard have it.
-            if steal {
-                let peer_hungry = (shared.hungry.iter().enumerate())
-                    .any(|(s, h)| s != me.0 && h.load(Ordering::Relaxed));
-                let migrant = {
-                    let mut board = shared.board.lock().unwrap();
-                    let at = board
-                        .iter()
-                        .position(|m| may_adopt(me, m.from, peer_hungry));
-                    at.and_then(|i| board.remove(i))
-                };
-                if let Some(m) = migrant {
+            // lets this shard have it; leave once nothing is left anywhere.
+            // (Without stealing the board stays empty.)
+            let done = !open && outboxes.is_empty();
+            match shared.board_step(me, done) {
+                BoardStep::Adopt(m) => {
                     set_hungry(false);
                     shared.loads[me.0].fetch_add(m.outbox.projection, Ordering::Relaxed);
                     report.migrations_in += 1;
@@ -809,14 +844,20 @@ fn worker_loop(
                     publish(&shared, me, &report);
                     continue;
                 }
-            }
-            if outboxes.is_empty() {
-                if !open {
-                    set_hungry(false);
+                BoardStep::Exit => {
                     report.peak_cache_bytes = session.peak_cache_bytes();
                     publish(&shared, me, &report);
                     return report;
                 }
+                BoardStep::Stay if done => {
+                    // This shard's own export, held back for a hungry
+                    // peer: wait until the peer takes it or leaves.
+                    thread::sleep(Duration::from_millis(1));
+                    continue;
+                }
+                BoardStep::Stay => {}
+            }
+            if outboxes.is_empty() {
                 if steal {
                     // Advertise for work (again, if the router cleared the
                     // flag for a submission not yet received — the load it
@@ -834,11 +875,7 @@ fn worker_loop(
                     // submission.
                     match rx.recv() {
                         Ok(cmd) => accept(cmd, &mut session, &mut outboxes),
-                        Err(_) => {
-                            report.peak_cache_bytes = session.peak_cache_bytes();
-                            publish(&shared, me, &report);
-                            return report;
-                        }
+                        Err(_) => open = false,
                     }
                 }
                 continue;
@@ -1038,6 +1075,79 @@ mod tests {
         // donor takes the stream back, so the board drains.
         assert!(may_adopt(ShardId(0), ShardId(0), false));
         assert!(may_adopt(ShardId(1), ShardId(0), false));
+    }
+
+    /// A migrant of one queued stream, exported by shard `from`.
+    fn migrant(from: usize) -> Migrant {
+        let mut sched = ft_core::serve::DecodeScheduler::new(Default::default());
+        sched.submit_request(GenerationRequest::new(vec![1, 2], 1));
+        let (tx, _) = mpsc::sync_channel(1);
+        Migrant {
+            state: sched.export().expect("a queued stream exports"),
+            outbox: Outbox {
+                tx,
+                buf: VecDeque::new(),
+                bound: 1,
+                finished: false,
+                dead: false,
+                projection: 0,
+            },
+            from: ShardId(from),
+        }
+    }
+
+    #[test]
+    fn a_leaving_shard_never_strands_a_migrant() {
+        // Shard 1 is hungry; loaded shard 0 reads its flag and decides to
+        // export.
+        let shared = FleetShared::new(2);
+        shared.hungry[1].store(true, Ordering::Relaxed);
+        let flags = (shared.hungry.iter().zip(&shared.loads))
+            .map(|(h, l)| (h.load(Ordering::Relaxed), l.load(Ordering::Relaxed)));
+        assert!(export_wanted(ShardId(0), flags));
+        // Shard 1 loses its channel and looks at the still-empty board. It
+        // clears its flag first, so nothing can be held back for it.
+        assert!(matches!(
+            shared.board_step(ShardId(1), true),
+            BoardStep::Exit
+        ));
+        assert!(!shared.hungry[1].load(Ordering::Relaxed));
+        // Shard 0 posts anyway (it read the flag before the clear), then
+        // finishes its last stream and leaves too: with no peer hungry it
+        // takes its export back instead of exiting over it.
+        shared.board.lock().unwrap().push_back(migrant(0));
+        let BoardStep::Adopt(m) = shared.board_step(ShardId(0), true) else {
+            panic!("the donor must take back an export no live peer wants");
+        };
+        assert_eq!(m.from, ShardId(0));
+        assert!(matches!(
+            shared.board_step(ShardId(0), true),
+            BoardStep::Exit
+        ));
+    }
+
+    #[test]
+    fn a_donor_waits_for_a_hungry_peer_before_leaving() {
+        // Shard 0 exported for hungry shard 1 and has nothing else left:
+        // it may neither take the stream back nor exit over it.
+        let shared = FleetShared::new(2);
+        shared.hungry[1].store(true, Ordering::Relaxed);
+        shared.board.lock().unwrap().push_back(migrant(0));
+        assert!(matches!(
+            shared.board_step(ShardId(0), true),
+            BoardStep::Stay
+        ));
+        // Shard 1 loses its channel before its next poll; leaving, it
+        // still adopts the migrant rather than exit over it.
+        let BoardStep::Adopt(m) = shared.board_step(ShardId(1), true) else {
+            panic!("a leaving shard must adopt a peer's export");
+        };
+        assert_eq!(m.from, ShardId(0));
+        assert!(!shared.hungry[1].load(Ordering::Relaxed));
+        assert!(matches!(
+            shared.board_step(ShardId(0), true),
+            BoardStep::Exit
+        ));
     }
 
     #[test]
