@@ -861,7 +861,7 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         if split.total_bytes() > self.peak_cache_breakdown.total_bytes() {
             self.peak_cache_breakdown = split;
         }
-        let head = self.batched_head(&results, inj);
+        let head = self.batched_head(&feeds, &results, inj);
         let mut head_row = 0;
         for (feed, (rows, mut ledger)) in feeds.iter().zip(results) {
             let id = feed.stream;
@@ -1034,9 +1034,11 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     /// per row instead — when no feed samples, and when the head could
     /// fire or keep a ledger: BER draws, `fired()` and head detections then
     /// stay per (stream, row). Under speculation, rows past a rejected
-    /// draft are computed here and dropped.
+    /// draft are computed here and dropped. Feed `f` owns the next
+    /// `f.sample_rows` stacked rows — the offsets `sweep_inner` reads.
     fn batched_head<I: FaultInjector>(
         &self,
+        feeds: &[SweepFeed],
         results: &[(Option<MatrixF32>, FtReport)],
         inj: &I,
     ) -> Option<MatrixF32> {
@@ -1046,7 +1048,14 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         {
             return None;
         }
-        let rows: Vec<&MatrixF32> = results.iter().filter_map(|(r, _)| r.as_ref()).collect();
+        let rows: Vec<&MatrixF32> = (feeds.iter().zip(results))
+            .filter(|(f, _)| f.sample_rows > 0)
+            .map(|(f, (rows, _))| {
+                let rows = rows.as_ref().expect("sampling feed returns hidden rows");
+                assert_eq!(rows.rows(), f.sample_rows, "{}: sampled rows", f.stream);
+                rows
+            })
+            .collect();
         if rows.is_empty() {
             return None;
         }
