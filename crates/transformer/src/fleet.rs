@@ -62,7 +62,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Identity of one fleet shard (worker thread). Displays as `shardN`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -758,6 +758,31 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// How long an idle shard, woken by a submission, keeps receiving before it
+/// sweeps: submissions sent together — a burst, a closed loop's wave — then
+/// enter the same first sweep. Without the wait the first one races the
+/// caller's next `submit` into a sweep of its own, and the rest of the
+/// burst waits that sweep out or not, depending on thread wake-up order.
+/// Each arrival restarts the wait, up to [`GATHER_MAX`] in all.
+const ARRIVAL_GAP: Duration = Duration::from_micros(200);
+/// Upper bound on an idle shard's whole gathering wait, so a steady stream
+/// of submissions cannot hold its first sweep back.
+const GATHER_MAX: Duration = Duration::from_millis(2);
+
+/// Receive the rest of a burst after an idle shard took its first
+/// submission: every command that arrives within [`ARRIVAL_GAP`] of the
+/// last one, for at most [`GATHER_MAX`]. A hang-up ends the wait; the
+/// loop's next drain sees it.
+fn gather(rx: &Receiver<Command>, mut accept: impl FnMut(Command)) {
+    let deadline = Instant::now() + GATHER_MAX;
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        match rx.recv_timeout(left.min(ARRIVAL_GAP)) {
+            Ok(cmd) => accept(cmd),
+            Err(_) => return,
+        }
+    }
+}
+
 /// One shard's serving loop — a pump: submissions in, one blocked/unblocked
 /// fact per stream to the session, sweep, events out. It decides nothing
 /// about any stream's lifecycle. With stealing on, an idle shard
@@ -809,6 +834,13 @@ fn worker_loop(
                 projection,
             },
         );
+    };
+    // An idle shard's wake-up submission, and the rest of its burst.
+    let admit = |cmd: Command,
+                 session: &mut ServeSession<Arc<TransformerModel>>,
+                 outboxes: &mut BTreeMap<u64, Outbox>| {
+        accept(cmd, session, outboxes);
+        gather(&rx, |cmd| accept(cmd, session, outboxes));
     };
     loop {
         // Drain submissions without blocking the sweep cadence.
@@ -866,7 +898,7 @@ fn worker_loop(
                     // blocked recv).
                     set_hungry(true);
                     match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok(cmd) => accept(cmd, &mut session, &mut outboxes),
+                        Ok(cmd) => admit(cmd, &mut session, &mut outboxes),
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => open = false,
                     }
@@ -874,7 +906,7 @@ fn worker_loop(
                     // Nothing can migrate in: block until the next
                     // submission.
                     match rx.recv() {
-                        Ok(cmd) => accept(cmd, &mut session, &mut outboxes),
+                        Ok(cmd) => admit(cmd, &mut session, &mut outboxes),
                         Err(_) => open = false,
                     }
                 }
@@ -884,7 +916,7 @@ fn worker_loop(
             // their final events yet: wait on them (and on new work).
             if open {
                 match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(cmd) => accept(cmd, &mut session, &mut outboxes),
+                    Ok(cmd) => admit(cmd, &mut session, &mut outboxes),
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => open = false,
                 }
@@ -1148,6 +1180,34 @@ mod tests {
             shared.board_step(ShardId(0), true),
             BoardStep::Exit
         ));
+    }
+
+    #[test]
+    fn an_idle_shard_gathers_a_burst_before_it_sweeps() {
+        let submit = |tx: &Sender<Command>, id: u64| {
+            let (events, _) = mpsc::sync_channel(1);
+            tx.send(Command::Submit {
+                id: StreamId(id),
+                req: GenerationRequest::new(vec![1, 2], 1),
+                events,
+                projection: 0,
+            })
+            .unwrap();
+        };
+        let ids = |rx: &Receiver<Command>| {
+            let mut got = Vec::new();
+            gather(rx, |Command::Submit { id, .. }| got.push(id.0));
+            got
+        };
+        // The rest of a burst already queued behind the wake-up submission:
+        // all of it is taken, in order, with the caller still connected.
+        let (tx, rx) = mpsc::channel();
+        (1..4).for_each(|id| submit(&tx, id));
+        assert_eq!(ids(&rx), [1, 2, 3]);
+        // A hang-up ends the wait once the queue is drained.
+        submit(&tx, 4);
+        drop(tx);
+        assert_eq!(ids(&rx), [4]);
     }
 
     #[test]
