@@ -16,8 +16,6 @@
 //! #                       ^ just the priority-scheduling latency sweep
 //! cargo run --release -p ft-bench --bin serve -- --smoke --spec-only
 //! #                       ^ just the speculative draft/verify/rollback sweep
-//! cargo run --release -p ft-bench --bin serve -- --smoke --shard-only
-//! #                       ^ just the shard-parallel fleet scaling curve
 //! ```
 //!
 //! Reported, per stream count, over a mixed-prompt-length workload:
@@ -49,16 +47,6 @@
 //! speculation (backoff converging to plain decode) must stay ≥ 1.0× the
 //! plain-decode baseline.
 //!
-//! The shard sweep (standalone via `--shard-only`) runs the same mixed
-//! workload through the multi-worker [`Fleet`] at 1, 2, and 4 shard
-//! workers and reports the scaling curve (workers × streams → aggregate
-//! tokens/sec). Hard asserts: per-stream tokens bit-identical across
-//! every worker count, and a lossless `FleetReport` roll-up (sum of
-//! per-shard counters == fleet counters). On hosts with ≥ 4 cores the
-//! 4-worker aggregate must beat the 1-worker run by ≥ 1.5× (hard
-//! assert); on smaller hosts the ratio is printed PASS/FAIL like the
-//! other wall-clock gates.
-//!
 //! The latency sweep (standalone via `--latency-only`) drives the
 //! push-based one-worker `Fleet` with a bursty mixed-class trace — a wall of long
 //! `Batch` generations, then `Latency`/`Normal` arrivals mid-flight — and
@@ -70,12 +58,11 @@
 use ft_bench::{banner, has_flag, HarnessArgs, TextTable};
 use ft_core::efta::EftaOptions;
 use ft_core::protect::DEFAULT_APPROX_TOL;
-use ft_core::serve::StreamId;
 use ft_sim::{BerInjector, FaultInjector, FaultSite, NoFaults};
 use ft_transformer::{
     BackendKind, DraftSource, EngineConfig, EngineEvent, FinishReason, Fleet, FleetConfig,
-    FleetReport, GenerationRequest, ModelConfig, Priority, ProtectionLevel, RecoveryPolicy,
-    RouterPolicy, SchedulerConfig, SpeculationPolicy, TransformerModel,
+    GenerationRequest, ModelConfig, Priority, ProtectionLevel, RecoveryPolicy, SchedulerConfig,
+    SpeculationPolicy, TransformerModel,
 };
 use std::time::{Duration, Instant};
 
@@ -172,10 +159,6 @@ fn main() {
     }
     if has_flag("--spec-only") {
         spec_sweep(smoke);
-        return;
-    }
-    if has_flag("--shard-only") {
-        shard_sweep(&model, &prompts_for, sched_cfg, smoke);
         return;
     }
 
@@ -315,168 +298,7 @@ fn main() {
         recovery_sweep(&model, &prompts_for, sched_cfg, smoke);
         latency_sweep(&model, &prompts_for, smoke);
         spec_sweep(smoke);
-        shard_sweep(&model, &prompts_for, sched_cfg, smoke);
     }
-}
-
-/// The shard-parallel scaling sweep (standalone via `--shard-only`):
-/// the same mixed-length workload through a [`Fleet`] of 1, 2, and 4
-/// shard workers, each worker owning its own scheduler + session over
-/// the shared model behind the least-loaded admission router.
-///
-/// Hard asserts, at every worker count:
-/// * per-stream tokens bit-identical to the 1-worker run (sharding and
-///   work-stealing must be invisible in the output);
-/// * fleet-wide stream ids unique;
-/// * lossless [`FleetReport`] roll-up — the sum of per-shard
-///   `tokens_emitted` equals the tokens the consumers actually received,
-///   and every submitted stream retires on exactly one shard.
-///
-/// The scaling gate — 4-worker aggregate tokens/sec ≥ 1.5× 1-worker —
-/// is a hard assert on hosts with ≥ 4 cores (the serving sweep is
-/// dominated by the vocab-wide LM head, whose single-row evaluation is
-/// serial per stream, so independent shards genuinely widen it) and a
-/// printed PASS/FAIL on smaller hosts, like the other wall-clock gates.
-fn shard_sweep(
-    model: &TransformerModel,
-    prompts_for: &dyn Fn(usize) -> Vec<Vec<u32>>,
-    sched_cfg: SchedulerConfig,
-    smoke: bool,
-) {
-    println!("\nshard-parallel fleet (workers x streams -> aggregate tokens/sec):");
-    let (n, gen_tokens) = if smoke { (16usize, 3usize) } else { (64, 8) };
-    let prompts = prompts_for(n);
-    let engine_cfg = EngineConfig {
-        scheduler: SchedulerConfig {
-            preempt: true,
-            priority_aging: Some(64),
-            ..sched_cfg
-        },
-        ..Default::default()
-    };
-
-    let run = |workers: usize| -> (Vec<Vec<u32>>, f64, FleetReport) {
-        let fleet = Fleet::spawn(
-            model.clone(),
-            FleetConfig {
-                workers,
-                router: RouterPolicy::LeastLoaded,
-                engine: engine_cfg,
-                steal: true,
-                shard_threads: None,
-            },
-        );
-        let t0 = Instant::now();
-        let consumers: Vec<_> = prompts
-            .iter()
-            .map(|p| {
-                let h = fleet.submit(GenerationRequest::new(p.clone(), gen_tokens));
-                std::thread::spawn(move || (h.id(), h.wait().tokens))
-            })
-            .collect();
-        let mut out: Vec<(StreamId, Vec<u32>)> = consumers
-            .into_iter()
-            .map(|c| c.join().expect("consumer thread"))
-            .collect();
-        let wall = t0.elapsed().as_secs_f64();
-        let report = fleet.shutdown();
-
-        out.sort_by_key(|(id, _)| id.0);
-        let mut ids: Vec<u64> = out.iter().map(|(id, _)| id.0).collect();
-        ids.dedup();
-        assert_eq!(ids.len(), n, "{workers} workers: stream ids must be unique");
-        let tokens: Vec<Vec<u32>> = out.into_iter().map(|(_, t)| t).collect();
-
-        // Lossless roll-up: per-shard counters must sum to what the
-        // consumers actually observed, with every stream on one shard.
-        let total = report.total();
-        let emitted: u64 = tokens.iter().map(|t| t.len() as u64).sum();
-        assert_eq!(report.streams_submitted, n as u64, "{report}");
-        assert_eq!(total.streams_finished, n as u64, "{report}");
-        assert_eq!(
-            total.tokens_emitted, emitted,
-            "{workers} workers: shard token counters must sum to the \
-             delivered total: {report}"
-        );
-        let mut finished = total.finished_streams.clone();
-        finished.dedup();
-        assert_eq!(
-            finished.len(),
-            n,
-            "{workers} workers: every stream retires on exactly one shard: {report}"
-        );
-        (tokens, wall, report)
-    };
-
-    let mut table = TextTable::new(&[
-        "workers",
-        "streams",
-        "agg tok/s",
-        "speedup",
-        "migrations",
-        "shard streams",
-    ]);
-    let mut baseline: Option<(Vec<Vec<u32>>, f64)> = None;
-    let mut speedup_at_4 = None;
-    for &workers in &[1usize, 2, 4] {
-        let (tokens, wall, report) = run(workers);
-        match &baseline {
-            None => baseline = Some((tokens, wall)),
-            Some((want, _)) => {
-                for (i, (got, want)) in tokens.iter().zip(want).enumerate() {
-                    assert_eq!(
-                        got, want,
-                        "{workers} workers, stream {i}: sharded output diverged \
-                         from the 1-worker run"
-                    );
-                }
-            }
-        }
-        let total = report.total();
-        let tps = total.tokens_emitted as f64 / wall;
-        let base_wall = baseline.as_ref().expect("baseline recorded").1;
-        let speedup = base_wall / wall;
-        if workers == 4 {
-            speedup_at_4 = Some(speedup);
-        }
-        let per_shard: Vec<String> = report
-            .shards
-            .iter()
-            .map(|s| format!("{}", s.streams_finished))
-            .collect();
-        table.row(&[
-            format!("{workers}"),
-            format!("{n}"),
-            format!("{tps:.1}"),
-            format!("{speedup:.2}x"),
-            format!("{}", total.migrations_in),
-            per_shard.join("/"),
-        ]);
-    }
-    print!("{}", table.render());
-
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let s = speedup_at_4.expect("4-worker run measured");
-    println!(
-        "4-worker speedup at {n} streams: {s:.2}x on {cores} cores \
-         (acceptance >= 1.5x with >= 4 cores) -> {}",
-        if s >= 1.5 { "PASS" } else { "FAIL" }
-    );
-    if cores >= 4 {
-        // With real parallelism available the scaling win is load-bearing:
-        // gate it hard, like the equivalence halves above.
-        assert!(
-            s >= 1.5,
-            "4 workers must beat 1 worker by >= 1.5x at {n} streams on \
-             {cores} cores (got {s:.2}x)"
-        );
-    } else {
-        println!("(fewer than 4 cores: scaling gate reported, not asserted)");
-    }
-    println!(
-        "hard-asserted: bit-identical streams across worker counts, unique \
-         fleet-wide ids, lossless per-shard report roll-up"
-    );
 }
 
 /// Run `f` `reps` times, hard-asserting determinism, and return its result

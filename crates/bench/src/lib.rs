@@ -86,8 +86,7 @@ impl HarnessArgs {
                 // Binary-specific switches (parsed by the binaries via
                 // `has_flag`); listed here so the shared parser does not
                 // warn about them.
-                "--bounded-only" | "--recovery-only" | "--latency-only" | "--spec-only"
-                | "--shard-only" => {}
+                "--bounded-only" | "--recovery-only" | "--latency-only" | "--spec-only" => {}
                 other => {
                     eprintln!("ignoring unknown argument {other}");
                 }

@@ -179,8 +179,11 @@ pub struct StreamOutcome {
     /// Sampled continuation tokens, in emission order (the prompt is not
     /// echoed).
     pub tokens: Vec<u32>,
-    /// Terminal reason; `None` only if the engine was torn down before the
-    /// stream finished.
+    /// Terminal reason; `None` only if the shard serving the stream
+    /// panicked (or every shard had when it was submitted): the handle then
+    /// ends without [`EngineEvent::Finished`] instead of waiting forever.
+    /// Dropping or shutting down the [`Fleet`](crate::Fleet) never cuts a
+    /// stream short.
     pub finish: Option<FinishReason>,
     /// Re-prefill recovery attempts observed ([`EngineEvent::Recovering`]).
     pub recoveries: u32,

@@ -1,23 +1,22 @@
 //! Shard-parallel serving fleet: N worker threads, each owning its own
 //! [`DecodeScheduler`](ft_core::serve::DecodeScheduler) + [`ServeSession`]
-//! over one shared [`TransformerModel`], behind a shared admission router.
+//! over one shared [`TransformerModel`], behind one admission router.
 //!
 //! ```text
-//!  caller threads                router                 shard workers
-//!  ──────────────        ─────────────────────          ──────────────────
-//!  Fleet::submit ──▶ alloc global StreamId (atomic)     shard0: scheduler+
-//!                    project cache bytes                  session, sweeps
-//!                    pick shard:                        shard1:    "
-//!                      LeastLoaded (projected bytes)      ⋮
-//!                      ConsistentHash (prompt affinity) shardN-1:  "
-//!                 ──▶ per-shard mpsc ────────────────▶  chosen shard
-//!  StreamHandle ◀── bounded per-stream channel ◀──────  event routing
+//!  caller threads           the board: one Mutex + one Condvar         shard threads
+//!  ──────────────      ─────────────────────────────────────────      ───────────────
+//!  Fleet::submit ──▶ id (atomic), projection, outbox
+//!                ──▶ least-loaded live shard, in one critical     ──▶ pump: Shard::step
+//!                    section: inbox push, load += projection,         until it says Wait,
+//!                    hungry = false; notify_all                       then one wait_timeout
+//!  StreamHandle ◀── bounded per-stream channel ◀──────────────────  event routing
 //!
-//!  ragged tails: an idle shard posts "hungry"; a loaded shard asks its
-//!  scheduler for one stream to give away, routes its Preempted event (if it
-//!  held a slot), and ships scheduler state (fault ledger included) + outbox
-//!  over the migration board; the thief re-admits it through chunked
-//!  re-prefill (bit-identical to a never-migrated run).
+//!  ragged tails: an idle shard with an empty inbox marks itself hungry; a
+//!  loaded shard asks its scheduler for one stream to give away, routes its
+//!  Preempted event (if it held a slot), and posts scheduler state (fault
+//!  ledger included) + outbox as a migrant on the board; the thief
+//!  re-admits it through chunked re-prefill (bit-identical to a
+//!  never-migrated run).
 //! ```
 //!
 //! Design invariants:
@@ -25,7 +24,12 @@
 //! * **One entry point.** [`Fleet::submit`] is the only way into a serving
 //!   loop and its [`StreamHandle`] the only way out — callers cannot tell
 //!   how many shards serve them ([`FleetConfig::single`]: one).
-//! * **The worker is a pump.** It reports one fact per stream — its
+//! * **One lock, one wait.** Every fact a routing or stealing decision
+//!   reads — inboxes, loads, hungry flags, migrants, `open` — sits on one
+//!   `Board` behind one mutex, never held across a sweep. A shard's
+//!   `Shard::step` never blocks; its pump is the only code that waits,
+//!   on the board's condition variable.
+//! * **The shard is a pump.** It reports one fact per stream — its
 //!   consumer owes a drain ([`ServeSession::set_blocked`]); which stream is
 //!   fed, admitted, parked or exported is decided in one place,
 //!   [`DecodeScheduler::plan`](ft_core::serve::DecodeScheduler::plan).
@@ -43,24 +47,25 @@
 //!   counters (tokens, recoveries, parks) are attributed to the shard
 //!   where they happened; stream-level ledgers (the [`FtReport`] fault
 //!   ledger, speculation) to the shard that retired the stream.
+//! * **No caller waits on a dead shard.** A shard that panics leaves the
+//!   board on its way out: its routed submissions and its streams' handles
+//!   end without [`EngineEvent::Finished`], later submissions go to the
+//!   live shards, and [`Fleet::shutdown`] re-raises the panic.
 //! * **Composable parallelism.** Each shard thread caps the rayon-shim
-//!   fan-out of its own sweeps to `cores / workers` (override:
-//!   [`FleetConfig::shard_threads`], or the `FT_RAYON_WORKERS`
-//!   environment variable process-wide), so shards × sweep-workers stays
-//!   at about one thread per core instead of multiplying.
+//!   fan-out of its own sweeps to `max(1, cores / workers)`, so shards ×
+//!   sweep-workers stays at about one thread per core instead of
+//!   multiplying.
 
 use crate::engine::{EngineConfig, StreamHandle};
 use crate::model::{ServeSession, TransformerModel};
-use ft_core::serve::{
-    EngineEvent, GenerationRequest, Priority, RecoveryPolicy, StreamId, StreamState,
-};
+use ft_core::serve::{EngineEvent, GenerationRequest, RecoveryPolicy, StreamId, StreamState};
 use ft_core::types::FtReport;
 use ft_sim::{FaultInjector, NoFaults};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -74,28 +79,12 @@ impl fmt::Display for ShardId {
     }
 }
 
-/// Admission routing policy of a [`Fleet`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouterPolicy {
-    /// Route each request to the shard with the smallest projected cache
-    /// footprint (sum of the admission-projection bytes of the streams it
-    /// owns). Best aggregate balance; no placement affinity.
-    LeastLoaded,
-    /// Route by consistent hash of the prompt tokens: identical prompts
-    /// land on the same shard (prefix/session affinity), and adding
-    /// shards only remaps `1/N` of the keyspace. Load can be ragged —
-    /// work stealing covers the tails.
-    ConsistentHash,
-}
-
 /// Sizing and policy knobs of a [`Fleet`].
 #[derive(Clone, Copy, Debug)]
 pub struct FleetConfig {
     /// Shard worker threads. The default is the machine's available
     /// parallelism; see [`FleetConfig::single`] for one.
     pub workers: usize,
-    /// Admission routing policy.
-    pub router: RouterPolicy,
     /// Per-shard serving-loop knobs (scheduler sizing, channel capacity)
     /// — every shard runs the same config.
     pub engine: EngineConfig,
@@ -103,11 +92,6 @@ pub struct FleetConfig {
     /// Migration is bit-identical (park + chunked re-prefill); disable it
     /// to pin streams to their routed shard.
     pub steal: bool,
-    /// Rayon-shim worker cap set on each shard thread for its sweeps.
-    /// `None` derives `max(1, cores / workers)` so the fleet does not
-    /// oversubscribe; CI containers can also cap process-wide via the
-    /// `FT_RAYON_WORKERS` environment variable.
-    pub shard_threads: Option<usize>,
 }
 
 impl FleetConfig {
@@ -116,10 +100,8 @@ impl FleetConfig {
     pub fn single(engine: EngineConfig) -> FleetConfig {
         FleetConfig {
             workers: 1,
-            router: RouterPolicy::LeastLoaded,
             engine,
             steal: false,
-            shard_threads: Some(0), // 0 = no cap
         }
     }
 }
@@ -128,10 +110,8 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             workers: thread::available_parallelism().map_or(1, |n| n.get()),
-            router: RouterPolicy::LeastLoaded,
             engine: EngineConfig::default(),
             steal: true,
-            shard_threads: None,
         }
     }
 }
@@ -297,16 +277,12 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A request plus the router's pre-allocated id, event sender, and
-/// projected cache footprint, as shipped over a shard's submission
-/// channel.
-enum Command {
-    Submit {
-        id: StreamId,
-        req: GenerationRequest,
-        events: SyncSender<EngineEvent>,
-        projection: u64,
-    },
+/// A request on its way to a shard: the router's pre-allocated id and the
+/// stream's outbox, both made on the submitting thread.
+struct Submission {
+    id: StreamId,
+    req: GenerationRequest,
+    outbox: Outbox,
 }
 
 /// Worker-side event queue of one stream: everything the bounded channel
@@ -324,6 +300,17 @@ struct Outbox {
 }
 
 impl Outbox {
+    fn new(tx: SyncSender<EngineEvent>, bound: usize, projection: u64) -> Outbox {
+        Outbox {
+            tx,
+            buf: VecDeque::new(),
+            bound,
+            finished: false,
+            dead: false,
+            projection,
+        }
+    }
+
     /// Most events `buf` can hold. The scheduler stops producing for a
     /// stream whose backlog is non-empty, so between a plan that saw it
     /// empty and the next drain a stream emits one admission cycle's events:
@@ -405,25 +392,29 @@ struct Migrant {
     from: ShardId,
 }
 
-/// State shared by the router and every shard worker.
-struct FleetShared {
+/// Everything the submitting threads and the shards decide on, behind
+/// [`FleetShared::board`]'s one lock. Nobody holds the lock across a sweep.
+struct Board {
+    /// Per shard: submissions routed there and not yet taken. `None` once
+    /// the shard has left, which takes it out of routing.
+    inboxes: Vec<Option<Vec<Submission>>>,
     /// Projected cache bytes per shard (admission-time projections, held
     /// until the stream retires or migrates away).
-    loads: Vec<AtomicU64>,
-    /// Per shard: idle and advertising for work. The shard sets and clears
-    /// its own flag; the router clears it when it routes work there.
-    /// Advisory, like `loads` (a stale read can delay or misdirect one
-    /// export, never lose or duplicate a stream — the board is under its
-    /// mutex), so both are `Relaxed`.
-    hungry: Vec<AtomicBool>,
-    /// The migration board: parked streams awaiting adoption. Any idle
-    /// worker claims from here — the donor only when no peer is hungry
-    /// ([`may_adopt`]) — so no migrant is ever stranded
-    /// ([`board_step`](FleetShared::board_step)).
-    board: Mutex<VecDeque<Migrant>>,
-    /// Live per-shard ledgers, refreshed every worker-loop iteration —
-    /// the source of [`Fleet::report`] snapshots.
-    live: Vec<Mutex<ShardReport>>,
+    loads: Vec<u64>,
+    /// Per shard: idle and advertising for work. A shard sets its own flag
+    /// only with an empty inbox and every routing there clears it, so a
+    /// hungry shard has nothing in flight.
+    hungry: Vec<bool>,
+    /// Parked streams awaiting adoption ([`Board::board_step`]).
+    migrants: VecDeque<Migrant>,
+    /// Submissions may still arrive: the fleet is not shut down.
+    open: bool,
+    /// Bumped by every change a shard may act on other than a submission
+    /// routed to it: a post, an adoption, a leaving shard, the shutdown,
+    /// and a routing that ends a peer's hunger. A pump waits only while
+    /// this is unchanged and its own inbox is empty, so a burst routed to
+    /// one shard does not run a step on every other.
+    changes: u64,
 }
 
 /// What an idle shard does after one look at the migration board.
@@ -432,16 +423,113 @@ enum BoardStep {
     Adopt(Box<Migrant>),
     /// Nothing to adopt and nothing left to do: leave the loop.
     Exit,
-    /// Nothing to adopt now; keep polling.
+    /// Nothing to adopt now; wait for a change.
     Stay,
+}
+
+impl Board {
+    fn new(workers: usize) -> Board {
+        Board {
+            inboxes: (0..workers).map(|_| Some(Vec::new())).collect(),
+            loads: vec![0; workers],
+            hungry: vec![false; workers],
+            migrants: VecDeque::new(),
+            open: true,
+            changes: 0,
+        }
+    }
+
+    /// The live shard with the smallest projected load (the first on ties).
+    fn least_loaded(&self) -> Option<usize> {
+        (0..self.loads.len())
+            .filter(|&s| self.inboxes[s].is_some())
+            .min_by_key(|&s| self.loads[s])
+    }
+
+    /// Hand `sub` to shard `s`: its load, its inbox, and — in the same
+    /// critical section — the end of its hunger, which is news to a donor
+    /// holding an export back for it.
+    fn route(&mut self, s: usize, sub: Submission) {
+        self.loads[s] += sub.outbox.projection;
+        if std::mem::take(&mut self.hungry[s]) {
+            self.changes += 1;
+        }
+        self.inboxes[s]
+            .as_mut()
+            .expect("routing picks a live shard")
+            .push(sub);
+    }
+
+    /// Submissions routed to shard `me` and not yet taken.
+    fn routed(&self, me: ShardId) -> usize {
+        self.inboxes[me.0].as_ref().map_or(0, Vec::len)
+    }
+
+    fn peer_hungry(&self, me: ShardId) -> bool {
+        (self.hungry.iter().enumerate()).any(|(s, &h)| s != me.0 && h)
+    }
+
+    /// The export rule: post a stream only for a hungry peer — which has
+    /// nothing in flight — and only while no migrant is already waiting.
+    fn export_wanted(&self, me: ShardId) -> bool {
+        self.migrants.is_empty() && self.peer_hungry(me)
+    }
+
+    /// One look at the board by idle shard `me`: claim the first migrant
+    /// [`may_adopt`] gives it. A `done` shard — shut down, every stream
+    /// delivered — first clears its hungry flag, so a donor holding its
+    /// own export back for this shard takes it back, and exits only when
+    /// the board is empty. A hungry flag therefore always belongs to a
+    /// shard that will look at the board again, and every migrant is
+    /// adopted by a live shard.
+    fn board_step(&mut self, me: ShardId, done: bool) -> BoardStep {
+        if done {
+            self.hungry[me.0] = false;
+        }
+        let peer_hungry = self.peer_hungry(me);
+        match (self.migrants.iter()).position(|m| may_adopt(me, m.from, peer_hungry)) {
+            Some(i) => {
+                let m = self.migrants.remove(i).expect("position is in range");
+                self.hungry[me.0] = false;
+                self.loads[me.0] += m.outbox.projection;
+                BoardStep::Adopt(Box::new(m))
+            }
+            None if done && self.migrants.is_empty() => BoardStep::Exit,
+            None => BoardStep::Stay,
+        }
+    }
+
+    /// Take shard `me` out of the fleet: out of routing and off the hungry
+    /// list. Returns what was still routed to it.
+    fn leave(&mut self, me: ShardId) -> Option<Vec<Submission>> {
+        self.hungry[me.0] = false;
+        self.inboxes[me.0].take()
+    }
+}
+
+/// The adopt rule: an idle shard takes a migrant it exported itself only
+/// when no peer is hungry. A hungry peer looks at the board again and will
+/// take it, so a steal is never undone by its donor; with no peer hungry
+/// the donor takes it back, so the board always drains.
+fn may_adopt(me: ShardId, from: ShardId, peer_hungry: bool) -> bool {
+    from != me || !peer_hungry
+}
+
+/// State shared by the router and every shard.
+struct FleetShared {
+    board: Mutex<Board>,
+    /// Signalled on every [`Board::changes`] bump and every routing.
+    wake: Condvar,
+    /// Live per-shard ledgers, refreshed every step — the source of
+    /// [`Fleet::report`] snapshots.
+    live: Vec<Mutex<ShardReport>>,
 }
 
 impl FleetShared {
     fn new(workers: usize) -> FleetShared {
         FleetShared {
-            loads: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            hungry: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-            board: Mutex::new(VecDeque::new()),
+            board: Mutex::new(Board::new(workers)),
+            wake: Condvar::new(),
             live: (0..workers)
                 .map(|s| {
                     Mutex::new(ShardReport {
@@ -453,28 +541,18 @@ impl FleetShared {
         }
     }
 
-    /// One look at the board by idle shard `me`: claim the first migrant
-    /// [`may_adopt`] gives it. A `done` shard — channel hung up, every
-    /// stream delivered — first clears its hungry flag, so a donor holding
-    /// its own export back for this shard takes it back, and exits only
-    /// when the board is empty. A hungry flag therefore always belongs to
-    /// a shard that will look at the board again, and every migrant is
-    /// adopted by a live shard.
-    fn board_step(&self, me: ShardId, done: bool) -> BoardStep {
-        if done {
-            self.hungry[me.0].store(false, Ordering::Relaxed);
-        }
-        let peer_hungry =
-            (self.hungry.iter().enumerate()).any(|(s, h)| s != me.0 && h.load(Ordering::Relaxed));
-        let mut board = self.board.lock().unwrap();
-        match board
-            .iter()
-            .position(|m| may_adopt(me, m.from, peer_hungry))
-        {
-            Some(i) => BoardStep::Adopt(Box::new(board.remove(i).expect("position is in range"))),
-            None if done && board.is_empty() => BoardStep::Exit,
-            None => BoardStep::Stay,
-        }
+    /// Lock the board. No session code runs under the lock, so a shard
+    /// that panics never leaves it half-updated and poisoning is ignored.
+    fn board(&self) -> MutexGuard<'_, Board> {
+        self.board.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Record a change waiting shards may act on, release the lock, and
+    /// wake them.
+    fn notify(&self, mut board: MutexGuard<'_, Board>) {
+        board.changes += 1;
+        drop(board);
+        self.wake.notify_all();
     }
 }
 
@@ -506,23 +584,16 @@ impl FleetShared {
 /// println!("{report}");
 /// ```
 pub struct Fleet {
-    txs: Vec<Option<Sender<Command>>>,
     workers: Vec<Option<thread::JoinHandle<ShardReport>>>,
     shared: Arc<FleetShared>,
-    next_id: Arc<AtomicU64>,
+    next_id: AtomicU64,
     submitted: AtomicU64,
-    capacity: usize,
-    router: RouterPolicy,
-    ring: Vec<(u64, usize)>,
+    engine: EngineConfig,
     bytes_per_token: u64,
     window_slack: usize,
     max_seq: usize,
     default_window: Option<usize>,
 }
-
-/// Hash points per shard on the consistent-hash ring. Enough that the
-/// keyspace split stays within a few percent of even.
-const VNODES: usize = 16;
 
 impl Fleet {
     /// Spawn the fleet over an owned model with no fault injection.
@@ -544,57 +615,39 @@ impl Fleet {
             cfg.engine.channel_capacity > 0,
             "a stream needs event capacity"
         );
-        // The whole point of the refactor: the model, the sessions, and
-        // the injector all cross thread boundaries. Pin it at compile
-        // time so a future field can't silently break the fleet.
-        fn assert_send_sync<T: Send + Sync>() {}
-        fn assert_send<T: Send>() {}
-        assert_send_sync::<TransformerModel>();
-        assert_send::<ServeSession<Arc<TransformerModel>>>();
-        assert_send::<Migrant>();
-
         let model = Arc::new(model);
-        let bytes_per_token = (4 * model.config.hidden * model.config.layers) as u64;
-        let window_slack = model.blocks.first().map_or(0, |b| b.mha.cache_block);
         let shared = Arc::new(FleetShared::new(cfg.workers));
         let cores = thread::available_parallelism().map_or(1, |n| n.get());
-        let sweep_workers = cfg
-            .shard_threads
-            .unwrap_or_else(|| (cores / cfg.workers).max(1));
-        let mut txs = Vec::with_capacity(cfg.workers);
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for s in 0..cfg.workers {
-            let (tx, rx) = mpsc::channel();
-            let model = Arc::clone(&model);
-            let inj = Arc::clone(&inj);
-            let shared = Arc::clone(&shared);
-            let steal = cfg.steal && cfg.workers > 1;
-            let engine_cfg = cfg.engine;
-            let worker = thread::Builder::new()
-                .name(format!("ft-serve-{}", ShardId(s)))
-                .spawn(move || {
-                    rayon::set_thread_workers(sweep_workers);
-                    worker_loop(ShardId(s), model, engine_cfg, steal, inj, rx, shared)
-                })
-                .expect("spawn shard worker thread");
-            txs.push(Some(tx));
-            workers.push(Some(worker));
-        }
-        let mut ring: Vec<(u64, usize)> = (0..cfg.workers)
-            .flat_map(|s| (0..VNODES).map(move |v| (mix64((s as u64) << 32 | v as u64), s)))
+        let sweep_workers = (cores / cfg.workers).max(1);
+        let steal = cfg.steal && cfg.workers > 1;
+        let workers = (0..cfg.workers)
+            .map(|s| {
+                let shard = Shard::new(
+                    ShardId(s),
+                    Arc::clone(&model),
+                    cfg.engine,
+                    Arc::clone(&inj),
+                    steal,
+                );
+                let shared = Arc::clone(&shared);
+                let worker = thread::Builder::new()
+                    .name(format!("ft-serve-{}", ShardId(s)))
+                    .spawn(move || {
+                        rayon::set_thread_workers(sweep_workers);
+                        pump(shard, &shared)
+                    })
+                    .expect("spawn shard worker thread");
+                Some(worker)
+            })
             .collect();
-        ring.sort_unstable();
         Fleet {
-            txs,
             workers,
             shared,
-            next_id: Arc::new(AtomicU64::new(0)),
+            next_id: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
-            capacity: cfg.engine.channel_capacity,
-            router: cfg.router,
-            ring,
-            bytes_per_token,
-            window_slack,
+            engine: cfg.engine,
+            bytes_per_token: (4 * model.config.hidden * model.config.layers) as u64,
+            window_slack: model.blocks.first().map_or(0, |b| b.mha.cache_block),
             max_seq: model.config.max_seq,
             default_window: model.window(),
         }
@@ -602,7 +655,7 @@ impl Fleet {
 
     /// Shards in the fleet.
     pub fn workers(&self) -> usize {
-        self.txs.len()
+        self.workers.len()
     }
 
     /// Submit a request and get the stream's event handle. The router
@@ -632,32 +685,19 @@ impl Fleet {
         }
         let id = StreamId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        let priority = req.priority;
-        let projection = self.project(&req);
-        let shard = match self.router {
-            RouterPolicy::LeastLoaded => self.least_loaded(),
-            RouterPolicy::ConsistentHash => self.hash_shard(&req.prompt),
-        };
-        self.shared.loads[shard].fetch_add(projection, Ordering::Relaxed);
-        self.shared.hungry[shard].store(false, Ordering::Relaxed);
-        let (events, handle_rx) = mpsc::sync_channel(self.capacity);
-        self.txs[shard]
-            .as_ref()
-            .expect("submission channels open while the fleet is alive")
-            .send(Command::Submit {
-                id,
-                req,
-                events,
-                projection,
-            })
-            .expect("shard worker alive while the fleet is alive");
-        Ok(StreamHandle::attach(id, priority, handle_rx))
-    }
-
-    /// [`submit`](Fleet::submit) with an explicit priority class
-    /// (overrides whatever the request carried).
-    pub fn submit_with_priority(&self, req: GenerationRequest, priority: Priority) -> StreamHandle {
-        self.submit(req.with_priority(priority))
+        let (tx, events) = mpsc::sync_channel(self.engine.channel_capacity);
+        let handle = StreamHandle::attach(id, req.priority, events);
+        let bound = Outbox::bound(&req, self.max_seq, self.engine.scheduler.prefill_chunk);
+        let outbox = Outbox::new(tx, bound, self.project(&req));
+        let mut board = self.shared.board();
+        // With every shard gone the submission drops here, and its handle
+        // ends without `Finished` instead of waiting forever.
+        if let Some(s) = board.least_loaded() {
+            board.route(s, Submission { id, req, outbox });
+            drop(board);
+            self.shared.wake.notify_all();
+        }
+        Ok(handle)
     }
 
     /// Admission projection: the same FP16 K+V payload estimate the
@@ -674,28 +714,6 @@ impl Fleet {
         (rows as u64).max(1) * self.bytes_per_token
     }
 
-    fn least_loaded(&self) -> usize {
-        let mut best = 0usize;
-        let mut best_load = u64::MAX;
-        for (s, load) in self.shared.loads.iter().enumerate() {
-            let l = load.load(Ordering::Relaxed);
-            if l < best_load {
-                best_load = l;
-                best = s;
-            }
-        }
-        best
-    }
-
-    fn hash_shard(&self, prompt: &[u32]) -> usize {
-        let mut key = 0xA076_1D64_78BD_642Fu64;
-        for &t in prompt {
-            key = mix64(key ^ t as u64);
-        }
-        let i = self.ring.partition_point(|&(p, _)| p < key);
-        self.ring[i % self.ring.len()].1
-    }
-
     /// Snapshot the live per-shard ledgers without stopping the fleet.
     /// Counters are monotone; a snapshot taken mid-sweep lags that sweep.
     pub fn report(&self) -> FleetReport {
@@ -710,15 +728,21 @@ impl Fleet {
         }
     }
 
-    /// Hang up the submission channels, wait for every shard to finish
-    /// the streams it owns, and fold the final per-shard ledgers into the
-    /// fleet report. Only call after draining (or dropping) all handles —
-    /// a blocked consumer would leave its shard, and hence this join,
-    /// waiting on it.
+    /// Close the board to submissions and wake every shard: each finishes
+    /// the streams it owns and leaves once the board is empty.
+    fn close(&self) {
+        let mut board = self.shared.board();
+        board.open = false;
+        self.shared.notify(board);
+    }
+
+    /// Close the fleet, wait for every shard to finish the streams it
+    /// owns, and fold the final per-shard ledgers into the fleet report.
+    /// Re-raises a shard's panic. Only call after draining (or dropping)
+    /// all handles — a blocked consumer would leave its shard, and hence
+    /// this join, waiting on it.
     pub fn shutdown(mut self) -> FleetReport {
-        for tx in &mut self.txs {
-            *tx = None;
-        }
+        self.close();
         let shards = self
             .workers
             .iter_mut()
@@ -737,28 +761,14 @@ impl Fleet {
 }
 
 impl Drop for Fleet {
-    /// Hang up the submission channels and detach: shards finish their
-    /// remaining streams in the background (handles stay valid) and exit.
+    /// Close the fleet and detach: shards finish their remaining streams
+    /// in the background (handles stay valid) and exit.
     fn drop(&mut self) {
-        for tx in &mut self.txs {
-            *tx = None;
-        }
-        for w in &mut self.workers {
-            drop(w.take());
-        }
+        self.close();
     }
 }
 
-/// SplitMix64 — the same mixer the deterministic sampler uses, local so
-/// the router cannot drift from a private helper elsewhere.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// How long an idle shard, woken by a submission, keeps receiving before it
+/// How long an idle shard, woken by a submission, keeps gathering before it
 /// sweeps: submissions sent together — a burst, a closed loop's wave — then
 /// enter the same first sweep. Without the wait the first one races the
 /// caller's next `submit` into a sweep of its own, and the rest of the
@@ -768,249 +778,265 @@ const ARRIVAL_GAP: Duration = Duration::from_micros(200);
 /// Upper bound on an idle shard's whole gathering wait, so a steady stream
 /// of submissions cannot hold its first sweep back.
 const GATHER_MAX: Duration = Duration::from_millis(2);
+/// How long an idle shard whose streams all retired waits on consumers
+/// that have not absorbed their final events (handles do not notify).
+const UNDELIVERED_POLL: Duration = Duration::from_millis(1);
+/// How long a shard whose every stream waits on its consumer yields
+/// instead of spinning on empty plans.
+const BLOCKED_POLL: Duration = Duration::from_micros(200);
 
-/// Receive the rest of a burst after an idle shard took its first
-/// submission: every command that arrives within [`ARRIVAL_GAP`] of the
-/// last one, for at most [`GATHER_MAX`]. A hang-up ends the wait; the
-/// loop's next drain sees it.
-fn gather(rx: &Receiver<Command>, mut accept: impl FnMut(Command)) {
-    let deadline = Instant::now() + GATHER_MAX;
-    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
-        match rx.recv_timeout(left.min(ARRIVAL_GAP)) {
-            Ok(cmd) => accept(cmd),
-            Err(_) => return,
-        }
-    }
+/// What a shard's pump does after one [`Shard::step`].
+#[derive(Debug, PartialEq)]
+enum Next {
+    /// Step again at once.
+    Again,
+    /// Wait for a change on the board, or at most this long.
+    Wait(Option<Duration>),
+    /// The shard is done: leave.
+    Exit,
 }
 
-/// One shard's serving loop — a pump: submissions in, one blocked/unblocked
-/// fact per stream to the session, sweep, events out. It decides nothing
-/// about any stream's lifecycle. With stealing on, an idle shard
-/// advertises on `shared.hungry`, loaded shards export one stream at a
-/// time over `shared.board` ([`export_wanted`]), and every idle shard
-/// adopts from the board — a donor its own export only when no peer is
-/// hungry ([`may_adopt`]) — so a migrant is never stranded. Runs until the
-/// submission channel is hung up, every owned stream has finished with
-/// its events delivered (or its consumer gone), and the board is empty
-/// ([`FleetShared::board_step`]).
-fn worker_loop(
+/// One shard's own serving state; everything it shares is on the board.
+/// Stepped by its thread's [`pump`], or by hand.
+struct Shard {
     me: ShardId,
-    model: Arc<TransformerModel>,
-    cfg: EngineConfig,
-    steal: bool,
+    session: ServeSession<Arc<TransformerModel>>,
     inj: Arc<dyn FaultInjector + Send + Sync>,
-    rx: Receiver<Command>,
-    shared: Arc<FleetShared>,
-) -> ShardReport {
-    let max_seq = model.config.max_seq;
-    let mut session: ServeSession<Arc<TransformerModel>> = ServeSession::new(model, cfg.scheduler);
-    let inj: &(dyn FaultInjector + Send + Sync) = &*inj;
-    let mut outboxes: BTreeMap<u64, Outbox> = BTreeMap::new();
-    let mut report = ShardReport {
-        shard: me,
-        ..ShardReport::default()
-    };
-    let mut open = true;
-    let set_hungry = |hungry: bool| shared.hungry[me.0].store(hungry, Ordering::Relaxed);
-    let accept = |cmd: Command,
-                  session: &mut ServeSession<Arc<TransformerModel>>,
-                  outboxes: &mut BTreeMap<u64, Outbox>| {
-        let Command::Submit {
-            id,
-            req,
-            events,
-            projection,
-        } = cmd;
-        let bound = Outbox::bound(&req, max_seq, cfg.scheduler.prefill_chunk);
-        session.submit_request_with_id(req, id);
-        outboxes.insert(
-            id.0,
-            Outbox {
-                tx: events,
-                buf: VecDeque::new(),
-                bound,
-                finished: false,
-                dead: false,
-                projection,
+    outboxes: BTreeMap<u64, Outbox>,
+    report: ShardReport,
+    steal: bool,
+    /// [`Board::changes`] when this step took its inbox: the pump waits
+    /// only while the board still reads so and nothing new is routed here,
+    /// so no wake-up is lost.
+    seen: u64,
+}
+
+impl Shard {
+    fn new(
+        me: ShardId,
+        model: Arc<TransformerModel>,
+        cfg: EngineConfig,
+        inj: Arc<dyn FaultInjector + Send + Sync>,
+        steal: bool,
+    ) -> Shard {
+        Shard {
+            me,
+            session: ServeSession::new(model, cfg.scheduler),
+            inj,
+            outboxes: BTreeMap::new(),
+            report: ShardReport {
+                shard: me,
+                ..ShardReport::default()
             },
-        );
-    };
-    // An idle shard's wake-up submission, and the rest of its burst.
-    let admit = |cmd: Command,
-                 session: &mut ServeSession<Arc<TransformerModel>>,
-                 outboxes: &mut BTreeMap<u64, Outbox>| {
-        accept(cmd, session, outboxes);
-        gather(&rx, |cmd| accept(cmd, session, outboxes));
-    };
-    loop {
-        // Drain submissions without blocking the sweep cadence.
-        while open {
-            match rx.try_recv() {
-                Ok(cmd) => accept(cmd, &mut session, &mut outboxes),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => open = false,
-            }
+            steal,
+            seen: 0,
+        }
+    }
+
+    /// One turn of the serving loop; never blocks. Submissions in, one
+    /// blocked/unblocked fact per stream to the session, sweep, events
+    /// out. It decides nothing about any stream's lifecycle. With stealing
+    /// on, an idle shard advertises on the board's hungry flags, a loaded
+    /// one exports one stream at a time ([`Board::export_wanted`]), and
+    /// every idle shard adopts from the board ([`Board::board_step`]). Says
+    /// [`Next::Exit`] once the fleet is closed, every owned stream has
+    /// finished with its events delivered (or its consumer gone), and the
+    /// board is empty.
+    fn step(&mut self, shared: &FleetShared) -> Next {
+        let arrivals = {
+            let mut board = shared.board();
+            self.seen = board.changes;
+            std::mem::take(
+                board.inboxes[self.me.0]
+                    .as_mut()
+                    .expect("a stepping shard is live"),
+            )
+        };
+        for Submission { id, req, outbox } in arrivals {
+            self.session.submit_request_with_id(req, id);
+            self.outboxes.insert(id.0, outbox);
         }
         // Retry backlogs, and tell the scheduler which consumers still
         // owe a drain; the next plan acts on it.
-        for (id, ob) in outboxes.iter_mut() {
+        for (id, ob) in self.outboxes.iter_mut() {
             ob.flush();
-            session.set_blocked(StreamId(*id), ob.blocked());
+            self.session.set_blocked(StreamId(*id), ob.blocked());
         }
         // Retired-and-delivered (or abandoned) streams need no routing.
         // An abandoned (dead) outbox stays until its stream retires — it
         // still carries the stream's routing projection.
-        outboxes.retain(|_, ob| !(ob.finished && (ob.dead || ob.buf.is_empty())));
-        if session.idle() {
-            // Idle shard: adopt a migrant if one is posted and the rule
-            // lets this shard have it; leave once nothing is left anywhere.
-            // (Without stealing the board stays empty.)
-            let done = !open && outboxes.is_empty();
-            match shared.board_step(me, done) {
-                BoardStep::Adopt(m) => {
-                    set_hungry(false);
-                    shared.loads[me.0].fetch_add(m.outbox.projection, Ordering::Relaxed);
-                    report.migrations_in += 1;
-                    outboxes.insert(m.state.id.0, m.outbox);
-                    session.adopt_stream(m.state);
-                    publish(&shared, me, &report);
-                    continue;
-                }
-                BoardStep::Exit => {
-                    report.peak_cache_bytes = session.peak_cache_bytes();
-                    publish(&shared, me, &report);
-                    return report;
-                }
-                BoardStep::Stay if done => {
-                    // This shard's own export, held back for a hungry
-                    // peer: wait until the peer takes it or leaves.
-                    thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
-                BoardStep::Stay => {}
-            }
-            if outboxes.is_empty() {
-                if steal {
-                    // Advertise for work (again, if the router cleared the
-                    // flag for a submission not yet received — the load it
-                    // added keeps donors off), then poll submissions and
-                    // the board together (a board post cannot wake a
-                    // blocked recv).
-                    set_hungry(true);
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok(cmd) => admit(cmd, &mut session, &mut outboxes),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => open = false,
-                    }
-                } else {
-                    // Nothing can migrate in: block until the next
-                    // submission.
-                    match rx.recv() {
-                        Ok(cmd) => admit(cmd, &mut session, &mut outboxes),
-                        Err(_) => open = false,
-                    }
-                }
-                continue;
-            }
-            // All streams retired but some consumers have not absorbed
-            // their final events yet: wait on them (and on new work).
-            if open {
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(cmd) => admit(cmd, &mut session, &mut outboxes),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => open = false,
-                }
-            } else {
-                thread::sleep(Duration::from_millis(1));
-            }
-            continue;
+        self.outboxes
+            .retain(|_, ob| !(ob.finished && (ob.dead || ob.buf.is_empty())));
+        if self.session.idle() {
+            return self.idle_step(shared);
         }
-        set_hungry(false);
-        let events = session.sweep_events(&inj);
+        let inj: &(dyn FaultInjector + Send + Sync) = &*self.inj;
+        let events = self.session.sweep_events(&inj);
         let swept = !events.is_empty();
-        route(events, &mut outboxes, &mut report);
+        route(events, &mut self.outboxes, &mut self.report);
         // Fold retirements into the shard ledger and release their
         // routing projections.
-        for f in session.take_finished() {
-            if let Some(ob) = outboxes.get_mut(&f.id.0) {
-                shared.loads[me.0].fetch_sub(ob.projection, Ordering::Relaxed);
-                ob.projection = 0;
+        let mut released = 0;
+        for f in self.session.take_finished() {
+            if let Some(ob) = self.outboxes.get_mut(&f.id.0) {
+                released += std::mem::take(&mut ob.projection);
                 // A dead outbox never sees its Finished event; mark it
                 // done here so the retain above can drop it.
                 ob.finished = true;
             }
-            report.fold_finished(&f);
+            self.report.fold_finished(&f);
         }
         // Work export, decided on the state this sweep left (its
         // retirements gone, its arrivals served once where the router put
-        // them): a peer with nothing in flight is hungry and the board is
-        // clear — post one stream. Keep at least one for ourselves.
-        if steal
-            && session.active_streams() + session.pending_streams() >= 2
-            && export_wanted(
-                me,
-                (shared.hungry.iter().zip(&shared.loads))
-                    .map(|(h, l)| (h.load(Ordering::Relaxed), l.load(Ordering::Relaxed))),
-            )
-            && shared.board.lock().unwrap().is_empty()
-        {
-            donate(me, &mut session, &mut outboxes, &mut report, &shared);
+        // them). Keep at least one stream for ourselves.
+        let export = {
+            let mut board = shared.board();
+            board.loads[self.me.0] -= released;
+            self.steal
+                && self.session.active_streams() + self.session.pending_streams() >= 2
+                && board.export_wanted(self.me)
+        };
+        if let Some(m) = export.then(|| self.export()).flatten() {
+            let mut board = shared.board();
+            board.loads[self.me.0] -= m.outbox.projection;
+            board.migrants.push_back(m);
+            shared.notify(board);
         }
-        report.peak_cache_bytes = session.peak_cache_bytes();
-        publish(&shared, me, &report);
-        if !swept {
-            // Every stream is waiting on its consumer: yield briefly
-            // instead of spinning on empty plans.
-            thread::sleep(Duration::from_micros(200));
+        self.report.peak_cache_bytes = self.session.peak_cache_bytes();
+        publish(shared, self.me, &self.report);
+        if swept {
+            Next::Again
+        } else {
+            // Every stream is waiting on its consumer.
+            Next::Wait(Some(BLOCKED_POLL))
+        }
+    }
+
+    /// An idle shard's one look at the board: adopt a migrant if the rule
+    /// lets it, leave once nothing is left anywhere, else advertise for
+    /// work and wait. (Without stealing the board stays empty.)
+    fn idle_step(&mut self, shared: &FleetShared) -> Next {
+        let mut board = shared.board();
+        let routed = board.routed(self.me);
+        let done = !board.open && routed == 0 && self.outboxes.is_empty();
+        match board.board_step(self.me, done) {
+            BoardStep::Adopt(m) => {
+                shared.notify(board);
+                self.report.migrations_in += 1;
+                self.outboxes.insert(m.state.id.0, m.outbox);
+                self.session.adopt_stream(m.state);
+                publish(shared, self.me, &self.report);
+                Next::Again
+            }
+            BoardStep::Exit => {
+                drop(board);
+                self.report.peak_cache_bytes = self.session.peak_cache_bytes();
+                publish(shared, self.me, &self.report);
+                Next::Exit
+            }
+            // This shard's own export, held back for a hungry peer: wait
+            // until the peer takes it or leaves.
+            BoardStep::Stay if done => Next::Wait(None),
+            BoardStep::Stay if self.outboxes.is_empty() => {
+                if self.steal && routed == 0 {
+                    board.hungry[self.me.0] = true;
+                }
+                Next::Wait(None)
+            }
+            // Every stream retired but some consumers have not absorbed
+            // their final events yet: wait on them (and on new work).
+            BoardStep::Stay => Next::Wait(Some(UNDELIVERED_POLL)),
+        }
+    }
+
+    /// Give away the stream the scheduler picks: route its park's
+    /// `Preempted` event (if it held a slot) to its own outbox *before*
+    /// the move, then pack scheduler state + outbox.
+    fn export(&mut self) -> Option<Migrant> {
+        let state = self.session.export_stream()?;
+        route(
+            self.session.drain_events(),
+            &mut self.outboxes,
+            &mut self.report,
+        );
+        let Some(outbox) = self.outboxes.remove(&state.id.0) else {
+            // Unreachable in practice: every accepted stream has an outbox
+            // until it retires. Re-adopt rather than lose the stream.
+            self.session.adopt_stream(state);
+            return None;
+        };
+        self.report.migrations_out += 1;
+        Some(Migrant {
+            state,
+            outbox,
+            from: self.me,
+        })
+    }
+}
+
+/// Takes a shard off the board when its pump returns or unwinds: drops
+/// what is still routed to it, clears its hungry flag, and wakes the rest.
+/// Runs before the shard itself drops, so no handle of the shard's ends
+/// while the shard can still be routed to.
+struct Leave<'a> {
+    shard: Shard,
+    shared: &'a FleetShared,
+}
+
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        let mut board = self.shared.board();
+        let routed = board.leave(self.shard.me);
+        self.shared.notify(board);
+        drop(routed);
+    }
+}
+
+/// One shard thread: step until [`Next::Exit`]. The only code that waits
+/// — on the board, until a change the step has not seen or the step's
+/// timeout — and, for an idle shard woken with a submission, on the rest
+/// of its burst ([`gather`]).
+fn pump(shard: Shard, shared: &FleetShared) -> ShardReport {
+    let mut leave = Leave { shard, shared };
+    let shard = &mut leave.shard;
+    loop {
+        let timeout = match shard.step(shared) {
+            Next::Again => continue,
+            Next::Exit => return std::mem::take(&mut shard.report),
+            Next::Wait(timeout) => timeout,
+        };
+        let seen = shard.seen;
+        let (board, _) = shared
+            .wake
+            .wait_timeout_while(shared.board(), timeout.unwrap_or(Duration::MAX), |b| {
+                b.changes == seen && b.routed(shard.me) == 0
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if shard.session.idle() && board.routed(shard.me) > 0 {
+            gather(shared, board, shard.me);
         }
     }
 }
 
-/// Export the stream the scheduler gives away to the migration board:
-/// route its park's `Preempted` event (if it held a slot) to its own
-/// outbox *before* the move, and ship scheduler state + outbox.
-fn donate(
-    me: ShardId,
-    session: &mut ServeSession<Arc<TransformerModel>>,
-    outboxes: &mut BTreeMap<u64, Outbox>,
-    report: &mut ShardReport,
-    shared: &FleetShared,
-) {
-    let Some(state) = session.export_stream() else {
-        return;
-    };
-    route(session.drain_events(), outboxes, report);
-    let Some(outbox) = outboxes.remove(&state.id.0) else {
-        // Unreachable in practice: every accepted stream has an outbox
-        // until it retires. Re-adopt rather than lose the stream.
-        session.adopt_stream(state);
-        return;
-    };
-    shared.loads[me.0].fetch_sub(outbox.projection, Ordering::Relaxed);
-    report.migrations_out += 1;
-    shared.board.lock().unwrap().push_back(Migrant {
-        state,
-        outbox,
-        from: me,
-    });
-}
-
-/// The export rule, over every shard's `(hungry, load)`: post a stream
-/// only for a peer that is hungry **and** has no load routed to it. The
-/// router clears a shard's flag when it routes there, but the shard can
-/// re-mark itself before it has received that work; the load the router
-/// added first still shows the work in flight, so a donor never hands a
-/// stream to a shard already busy with its own.
-fn export_wanted(me: ShardId, shards: impl IntoIterator<Item = (bool, u64)>) -> bool {
-    (shards.into_iter().enumerate()).any(|(s, (hungry, load))| s != me.0 && hungry && load == 0)
-}
-
-/// The adopt rule: an idle shard takes a migrant it exported itself only
-/// when no peer is hungry. A hungry peer polls the board and will take it,
-/// so a steal is never undone by its donor; with no peer hungry the donor
-/// takes it back, so the board always drains.
-fn may_adopt(me: ShardId, from: ShardId, peer_hungry: bool) -> bool {
-    from != me || !peer_hungry
+/// Wait for the rest of a burst after an idle shard found its first
+/// submission: every one that arrives within [`ARRIVAL_GAP`] of the last,
+/// for at most [`GATHER_MAX`]. The shutdown ends the wait; the next step
+/// takes them all.
+fn gather(shared: &FleetShared, mut board: MutexGuard<'_, Board>, me: ShardId) {
+    let deadline = Instant::now() + GATHER_MAX;
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        let seen = board.routed(me);
+        let (next, wait) = shared
+            .wake
+            .wait_timeout_while(board, left.min(ARRIVAL_GAP), |b| {
+                b.open && b.routed(me) == seen
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if wait.timed_out() || !next.open {
+            return;
+        }
+        board = next;
+    }
 }
 
 /// Route a batch of session events into the per-stream outboxes and count
@@ -1038,6 +1064,10 @@ fn publish(shared: &FleetShared, me: ShardId, report: &ShardReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BackendKind, FinishReason, ModelConfig, StreamOutcome};
+    use ft_core::efta::EftaOptions;
+    use ft_num::F16;
+    use ft_sim::{FaultSite, OpCoord, SeuInjector};
 
     #[test]
     fn shard_and_report_display() {
@@ -1079,34 +1109,22 @@ mod tests {
         assert!(text.contains("total:"), "{text}");
     }
 
-    #[test]
-    fn export_goes_only_to_a_hungry_peer_with_nothing_in_flight() {
-        // Shard 1 idles and advertises; shard 0 is loaded.
-        let mut shards = [(false, 4096u64), (true, 0)];
-        assert!(export_wanted(ShardId(0), shards));
-        assert!(!export_wanted(ShardId(1), shards), "never to itself");
-        // The router routes a stream to shard 1: load first, then the flag.
-        shards[1] = (false, 512);
-        assert!(!export_wanted(ShardId(0), shards));
-        // Shard 1 polls again before its channel delivers the stream and
-        // re-marks itself; the load still says work is in flight.
-        shards[1].0 = true;
-        assert!(!export_wanted(ShardId(0), shards));
-        // It serves and retires the stream: hungry with nothing in flight.
-        shards[1].1 = 0;
-        assert!(export_wanted(ShardId(0), shards));
-    }
-
-    #[test]
-    fn a_donor_takes_back_its_export_only_when_no_peer_is_hungry() {
-        // Shard 0 exported for hungry shard 1, then went idle itself
-        // before shard 1 polled the board: it must leave the migrant.
-        assert!(!may_adopt(ShardId(0), ShardId(0), true));
-        assert!(may_adopt(ShardId(1), ShardId(0), true));
-        // Shard 1 got other work meanwhile and is no longer hungry: the
-        // donor takes the stream back, so the board drains.
-        assert!(may_adopt(ShardId(0), ShardId(0), false));
-        assert!(may_adopt(ShardId(1), ShardId(0), false));
+    /// A submission of `req` as stream `id`, and its handle. Channels hold
+    /// every event of the tests' streams, so no shard stepped on the test
+    /// thread ever waits on a consumer.
+    fn submission(id: u64, req: GenerationRequest) -> (Submission, StreamHandle) {
+        let (tx, events) = mpsc::sync_channel(256);
+        let handle = StreamHandle::attach(StreamId(id), req.priority, events);
+        let bound = Outbox::bound(&req, 64, 16);
+        let outbox = Outbox::new(tx, bound, 1 + id);
+        (
+            Submission {
+                id: StreamId(id),
+                req,
+                outbox,
+            },
+            handle,
+        )
     }
 
     /// A migrant of one queued stream, exported by shard `from`.
@@ -1116,44 +1134,66 @@ mod tests {
         let (tx, _) = mpsc::sync_channel(1);
         Migrant {
             state: sched.export().expect("a queued stream exports"),
-            outbox: Outbox {
-                tx,
-                buf: VecDeque::new(),
-                bound: 1,
-                finished: false,
-                dead: false,
-                projection: 0,
-            },
+            outbox: Outbox::new(tx, 1, 0),
             from: ShardId(from),
         }
     }
 
     #[test]
+    fn export_goes_only_to_a_hungry_peer_and_routing_ends_hunger() {
+        // Shard 1 idles and advertises; shard 0 is loaded.
+        let mut board = Board::new(2);
+        board.hungry[1] = true;
+        assert!(board.export_wanted(ShardId(0)));
+        assert!(!board.export_wanted(ShardId(1)), "never to itself");
+        // Routing a stream to shard 1 clears its flag in the same critical
+        // section, so no export heads for a shard with work in flight.
+        let (sub, _handle) = submission(0, GenerationRequest::new(vec![1, 2], 1));
+        board.route(1, sub);
+        assert!(!board.hungry[1]);
+        assert_eq!(board.routed(ShardId(1)), 1);
+        assert!(!board.export_wanted(ShardId(0)));
+        // One migrant at a time.
+        board.hungry[1] = true;
+        board.migrants.push_back(migrant(0));
+        assert!(!board.export_wanted(ShardId(0)));
+    }
+
+    #[test]
+    fn a_donor_takes_back_its_export_only_when_no_peer_is_hungry() {
+        // Shard 0 exported for hungry shard 1, then went idle itself
+        // before shard 1 looked at the board: it must leave the migrant.
+        assert!(!may_adopt(ShardId(0), ShardId(0), true));
+        assert!(may_adopt(ShardId(1), ShardId(0), true));
+        // Shard 1 got other work meanwhile and is no longer hungry: the
+        // donor takes the stream back, so the board drains.
+        assert!(may_adopt(ShardId(0), ShardId(0), false));
+        assert!(may_adopt(ShardId(1), ShardId(0), false));
+    }
+
+    #[test]
     fn a_leaving_shard_never_strands_a_migrant() {
-        // Shard 1 is hungry; loaded shard 0 reads its flag and decides to
-        // export.
-        let shared = FleetShared::new(2);
-        shared.hungry[1].store(true, Ordering::Relaxed);
-        let flags = (shared.hungry.iter().zip(&shared.loads))
-            .map(|(h, l)| (h.load(Ordering::Relaxed), l.load(Ordering::Relaxed)));
-        assert!(export_wanted(ShardId(0), flags));
-        // Shard 1 loses its channel and looks at the still-empty board. It
-        // clears its flag first, so nothing can be held back for it.
+        // Loaded shard 0 posts a stream for hungry shard 1, and the fleet
+        // shuts down with shard 0 done: while shard 1 is hungry the donor
+        // may neither take the stream back nor exit over it.
+        let mut board = Board::new(2);
+        board.hungry[1] = true;
+        board.migrants.push_back(migrant(0));
         assert!(matches!(
-            shared.board_step(ShardId(1), true),
-            BoardStep::Exit
+            board.board_step(ShardId(0), true),
+            BoardStep::Stay
         ));
-        assert!(!shared.hungry[1].load(Ordering::Relaxed));
-        // Shard 0 posts anyway (it read the flag before the clear), then
-        // finishes its last stream and leaves too: with no peer hungry it
-        // takes its export back instead of exiting over it.
-        shared.board.lock().unwrap().push_back(migrant(0));
-        let BoardStep::Adopt(m) = shared.board_step(ShardId(0), true) else {
+        // Shard 1 leaves without looking at the board (its pump unwound).
+        // Leaving clears its flag, so the donor takes its export back
+        // instead of waiting for a peer that is gone, then exits.
+        assert!(board.leave(ShardId(1)).is_some());
+        assert_eq!(board.least_loaded(), Some(0), "out of routing");
+        let BoardStep::Adopt(m) = board.board_step(ShardId(0), true) else {
             panic!("the donor must take back an export no live peer wants");
         };
         assert_eq!(m.from, ShardId(0));
         assert!(matches!(
-            shared.board_step(ShardId(0), true),
+            board.board_step(ShardId(0), true),
             BoardStep::Exit
         ));
     }
@@ -1162,77 +1202,271 @@ mod tests {
     fn a_donor_waits_for_a_hungry_peer_before_leaving() {
         // Shard 0 exported for hungry shard 1 and has nothing else left:
         // it may neither take the stream back nor exit over it.
-        let shared = FleetShared::new(2);
-        shared.hungry[1].store(true, Ordering::Relaxed);
-        shared.board.lock().unwrap().push_back(migrant(0));
+        let mut board = Board::new(2);
+        board.hungry[1] = true;
+        board.migrants.push_back(migrant(0));
         assert!(matches!(
-            shared.board_step(ShardId(0), true),
+            board.board_step(ShardId(0), true),
             BoardStep::Stay
         ));
-        // Shard 1 loses its channel before its next poll; leaving, it
-        // still adopts the migrant rather than exit over it.
-        let BoardStep::Adopt(m) = shared.board_step(ShardId(1), true) else {
+        // Shard 1 is shut down before its next look; leaving, it still
+        // adopts the migrant rather than exit over it.
+        let BoardStep::Adopt(m) = board.board_step(ShardId(1), true) else {
             panic!("a leaving shard must adopt a peer's export");
         };
         assert_eq!(m.from, ShardId(0));
-        assert!(!shared.hungry[1].load(Ordering::Relaxed));
+        assert!(!board.hungry[1]);
         assert!(matches!(
-            shared.board_step(ShardId(0), true),
+            board.board_step(ShardId(0), true),
             BoardStep::Exit
         ));
     }
 
     #[test]
-    fn an_idle_shard_gathers_a_burst_before_it_sweeps() {
-        let submit = |tx: &Sender<Command>, id: u64| {
-            let (events, _) = mpsc::sync_channel(1);
-            tx.send(Command::Submit {
-                id: StreamId(id),
-                req: GenerationRequest::new(vec![1, 2], 1),
-                events,
-                projection: 0,
+    fn an_idle_shard_gathers_until_a_quiet_gap_or_the_shutdown() {
+        let shared = FleetShared::new(1);
+        let mut board = shared.board();
+        let handles: Vec<_> = (0..3)
+            .map(|id| {
+                let (sub, h) = submission(id, GenerationRequest::new(vec![1, 2], 1));
+                board.route(0, sub);
+                h
             })
-            .unwrap();
+            .collect();
+        // Nothing more arrives: the gather waits out one full gap (no one
+        // notifies this board, so the wait cannot end early) and leaves
+        // the burst, in order, to the next step.
+        let start = Instant::now();
+        gather(&shared, board, ShardId(0));
+        assert!(start.elapsed() >= ARRIVAL_GAP);
+        let ids = |shared: &FleetShared| -> Vec<u64> {
+            let board = shared.board();
+            let inbox = board.inboxes[0].as_ref().expect("live");
+            inbox.iter().map(|s| s.id.0).collect()
         };
-        let ids = |rx: &Receiver<Command>| {
-            let mut got = Vec::new();
-            gather(rx, |Command::Submit { id, .. }| got.push(id.0));
-            got
+        assert_eq!(ids(&shared), [0, 1, 2]);
+        // A closed board ends the wait at once.
+        shared.board().open = false;
+        gather(&shared, shared.board(), ShardId(0));
+        assert_eq!(ids(&shared), [0, 1, 2]);
+        drop(handles);
+    }
+
+    fn tiny_model(seed: u64) -> TransformerModel {
+        let cfg = ModelConfig {
+            name: "fleet-tiny",
+            layers: 2,
+            heads: 4,
+            hidden: 32,
+            ffn_dim: 64,
+            vocab: 101,
+            max_seq: 64,
         };
-        // The rest of a burst already queued behind the wake-up submission:
-        // all of it is taken, in order, with the caller still connected.
-        let (tx, rx) = mpsc::channel();
-        (1..4).for_each(|id| submit(&tx, id));
-        assert_eq!(ids(&rx), [1, 2, 3]);
-        // A hang-up ends the wait once the queue is drained.
-        submit(&tx, 4);
-        drop(tx);
-        assert_eq!(ids(&rx), [4]);
+        TransformerModel::random(seed, cfg, BackendKind::Efta(EftaOptions::optimized()))
+            .with_causal(true)
+            .with_cache_block(16)
+    }
+
+    fn prompt(len: usize) -> Vec<u32> {
+        (0..len).map(|t| (t * 13 % 101) as u32).collect()
+    }
+
+    /// Continuation `model.generate` samples after `p`.
+    fn generated(model: &TransformerModel, p: &[u32], new_tokens: usize) -> Vec<u32> {
+        model.generate(p, new_tokens, &NoFaults).0[p.len()..].to_vec()
+    }
+
+    /// Two shards over one board, stepped by hand on the test thread: no
+    /// pump and no waits, so each interleaving is the one written down.
+    struct Stepped {
+        shared: FleetShared,
+        shards: Vec<Shard>,
+    }
+
+    impl Stepped {
+        fn new(model: &TransformerModel, inj: Arc<dyn FaultInjector + Send + Sync>) -> Stepped {
+            let model = Arc::new(model.clone());
+            Stepped {
+                shared: FleetShared::new(2),
+                shards: (0..2)
+                    .map(|s| {
+                        Shard::new(
+                            ShardId(s),
+                            Arc::clone(&model),
+                            EngineConfig::default(),
+                            Arc::clone(&inj),
+                            true,
+                        )
+                    })
+                    .collect(),
+            }
+        }
+
+        fn submit(&self, shard: usize, id: u64, req: GenerationRequest) -> StreamHandle {
+            let (sub, handle) = submission(id, req);
+            self.shared.board().route(shard, sub);
+            handle
+        }
+
+        fn step(&mut self, shard: usize) -> Next {
+            self.shards[shard].step(&self.shared)
+        }
+
+        /// Shut the fleet down and step the shards in turn until both
+        /// have left; their final ledgers.
+        fn shutdown(mut self) -> Vec<ShardReport> {
+            self.shared.board().open = false;
+            let mut live = [true, true];
+            for _ in 0..10_000 {
+                for (s, live) in live.iter_mut().enumerate() {
+                    *live = *live && self.shards[s].step(&self.shared) != Next::Exit;
+                }
+                if live == [false, false] {
+                    return self.shards.into_iter().map(|s| s.report).collect();
+                }
+            }
+            panic!("the shards did not leave: {live:?}");
+        }
+    }
+
+    /// Shard 1 finds nothing routed to it and advertises; shard 0 takes two
+    /// long streams, prefills both in one sweep, then sees the hungry peer
+    /// and exports its newest active stream — parked mid-flight, with one
+    /// token emitted — onto the board.
+    fn steal_midflight(fleet: &mut Stepped) {
+        assert_eq!(fleet.step(1), Next::Wait(None));
+        assert!(fleet.shared.board().hungry[1]);
+        assert_eq!(fleet.step(0), Next::Again);
+        let board = fleet.shared.board();
+        assert_eq!(board.migrants.len(), 1, "one stream posted");
+        assert_eq!(board.migrants[0].state.id, StreamId(1));
+    }
+
+    /// The thief and the donor of the one migration.
+    fn thief_and_donor(reports: &[ShardReport]) -> (&ShardReport, &ShardReport) {
+        let total = FleetReport {
+            shards: reports.to_vec(),
+            streams_submitted: 2,
+        }
+        .total();
+        assert_eq!(
+            (total.migrations_in, total.migrations_out),
+            (1, 1),
+            "exactly one migration"
+        );
+        let thief = reports.iter().find(|s| s.migrations_in == 1).unwrap();
+        let donor = reports.iter().find(|s| s.migrations_out == 1).unwrap();
+        assert_ne!(thief.shard, donor.shard);
+        (thief, donor)
     }
 
     #[test]
-    fn consistent_hash_ring_is_stable_and_complete() {
-        // Every shard owns part of the keyspace, identical prompts map to
-        // identical shards, and different prompts spread.
-        let mut ring: Vec<(u64, usize)> = (0..4usize)
-            .flat_map(|s| (0..VNODES).map(move |v| (mix64((s as u64) << 32 | v as u64), s)))
-            .collect();
-        ring.sort_unstable();
-        let fleet_shards = |prompt: &[u32]| {
-            let mut key = 0xA076_1D64_78BD_642Fu64;
-            for &t in prompt {
-                key = mix64(key ^ t as u64);
-            }
-            let i = ring.partition_point(|&(p, _)| p < key);
-            ring[i % ring.len()].1
-        };
-        let mut hit = [false; 4];
-        for p in 0..256u32 {
-            let prompt = [p, p.wrapping_mul(7), 3];
-            let s = fleet_shards(&prompt);
-            assert_eq!(s, fleet_shards(&prompt), "stable routing");
-            hit[s] = true;
+    fn a_midflight_steal_is_bit_identical() {
+        let model = tiny_model(63);
+        let (long, new) = (prompt(13), 30);
+        let want = generated(&model, &long, new);
+        let mut fleet = Stepped::new(&model, Arc::new(NoFaults));
+        let a1 = fleet.submit(0, 0, GenerationRequest::new(long.clone(), new));
+        let a2 = fleet.submit(0, 1, GenerationRequest::new(long.clone(), new));
+        steal_midflight(&mut fleet);
+        let reports = fleet.shutdown();
+        let (thief, donor) = thief_and_donor(&reports);
+        assert_eq!(
+            thief.finished_streams,
+            [StreamId(1)],
+            "the victim retires on the thief"
+        );
+        assert_eq!(donor.finished_streams, [StreamId(0)]);
+        assert_eq!(
+            (donor.preemptions, thief.preemptions),
+            (1, 0),
+            "the export park is on the donor's ledger"
+        );
+        let (a1, a2): (StreamOutcome, StreamOutcome) = (a1.wait(), a2.wait());
+        assert_eq!(a1.tokens, want);
+        assert_eq!(a2.tokens, want, "the migrated stream diverged");
+        assert_eq!(a2.preemptions, 1, "the victim was active when parked");
+        assert_eq!(
+            (a1.finish, a2.finish),
+            (Some(FinishReason::MaxTokens), Some(FinishReason::MaxTokens))
+        );
+        let tokens = (a1.tokens.len() + a2.tokens.len()) as u64;
+        assert_eq!(donor.tokens_emitted + thief.tokens_emitted, tokens);
+    }
+
+    /// Two aliased SEUs (rows `base` and `base + 8` of one column — a
+    /// shared stride-8 checksum lane) delivered at one exposure step: the
+    /// next append's verification detects the damage and cannot locate it.
+    struct PairInjector(SeuInjector, SeuInjector);
+
+    impl PairInjector {
+        fn aliased_k_rows(step: u64, col: usize, base: u64) -> Self {
+            let coord = |row: u64| OpCoord {
+                slot: 0,
+                i: row,
+                j: col as u64,
+                k: 2 * step, // `which` = 0: the K payload
+            };
+            PairInjector(
+                SeuInjector::new(FaultSite::KvCache, coord(base), 13),
+                SeuInjector::new(FaultSite::KvCache, coord(base + 8), 13),
+            )
         }
-        assert!(hit.iter().all(|&h| h), "every shard owns keyspace: {hit:?}");
+    }
+
+    impl FaultInjector for PairInjector {
+        fn corrupt_f32(&self, site: FaultSite, coord: OpCoord, value: f32) -> f32 {
+            self.1
+                .corrupt_f32(site, coord, self.0.corrupt_f32(site, coord, value))
+        }
+        fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: F16) -> F16 {
+            self.1
+                .corrupt_f16(site, coord, self.0.corrupt_f16(site, coord, value))
+        }
+        fn fired(&self) -> u64 {
+            self.0.fired() + self.1.fired()
+        }
+    }
+
+    #[test]
+    fn an_seu_on_a_stolen_streams_rebuilt_cache_recovers_on_the_thief() {
+        let model = tiny_model(64);
+        let (long, new) = (prompt(13), 40);
+        let want = generated(&model, &long, new);
+        // Arm the victim's decode sweep at position 47 — token 35 of 40,
+        // long after the thief rebuilt its 14-row cache — and flip rows
+        // 32/40, the aliased pair inside the ragged block (rows 32–46) that
+        // sweep appends into: the append detects, cannot locate, poisons.
+        let inj = Arc::new(PairInjector::aliased_k_rows(
+            crate::serve_expose_step(StreamId(1), 47, 2, 0),
+            3,
+            32,
+        ));
+        let mut fleet = Stepped::new(&model, inj.clone());
+        let a1 = fleet.submit(0, 0, GenerationRequest::new(long.clone(), new));
+        let a2 = fleet.submit(
+            0,
+            1,
+            GenerationRequest::new(long.clone(), new)
+                .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 3 }),
+        );
+        steal_midflight(&mut fleet);
+        let reports = fleet.shutdown();
+        let (thief, donor) = thief_and_donor(&reports);
+        assert_eq!(inj.fired(), 2, "both aliased flips land");
+        assert_eq!(thief.finished_streams, [StreamId(1)]);
+        assert_eq!(thief.recoveries, 1, "the recovery ran on the thief");
+        assert!(
+            thief.faults.cache_uncorrectable >= 1,
+            "the uncorrectable detection rides the stream's ledger to the thief"
+        );
+        assert_eq!(donor.recoveries, 0, "the donor stays clean");
+        assert_eq!(donor.faults.cache_uncorrectable, 0);
+        let (a1, a2) = (a1.wait(), a2.wait());
+        assert_eq!(a2.tokens, want, "recovery on the stolen stream diverged");
+        assert_eq!(a2.recoveries, 1);
+        assert_eq!(a2.finish, Some(FinishReason::Recovered));
+        assert_eq!(a1.tokens, want);
+        assert_eq!(a1.recoveries, 0);
     }
 }

@@ -39,10 +39,10 @@
 //! [`Priority`]-classed run queue with aging, preemption through the
 //! bit-identical re-prefill path, and bounded per-stream event channels
 //! ([`StreamHandle`]) whose backpressure stops the scheduler producing
-//! for a slow consumer's stream instead of stalling the sweep. An
-//! admission router (least-loaded or consistent-hash) validates requests,
-//! allocates fleet-unique stream ids and returns the handles; idle shards
-//! steal streams bit-identically, and per-shard [`ShardReport`]s roll up
+//! for a slow consumer's stream instead of stalling the sweep. A
+//! least-loaded admission router validates requests, allocates
+//! fleet-unique stream ids and returns the handles; idle shards steal
+//! streams bit-identically, and per-shard [`ShardReport`]s roll up
 //! losslessly into a [`FleetReport`]. [`FleetConfig::single`] is the
 //! one-worker case.
 
@@ -66,7 +66,7 @@ pub use configs::ModelConfig;
 pub use embed::Embedding;
 pub use engine::{EngineConfig, StreamHandle, StreamOutcome};
 pub use ffn::FeedForward;
-pub use fleet::{Fleet, FleetConfig, FleetReport, RouterPolicy, ShardId, ShardReport, SubmitError};
+pub use fleet::{Fleet, FleetConfig, FleetReport, ShardId, ShardReport, SubmitError};
 pub use ft_core::kv::SizeBreakdown;
 pub use ft_core::protect::ProtectionLevel;
 pub use ft_core::serve::{

@@ -40,21 +40,6 @@ pub fn set_thread_workers(n: usize) {
     THREAD_WORKERS.with(|w| w.set(n));
 }
 
-/// Process-wide default worker cap from the `FT_RAYON_WORKERS` environment
-/// variable, read once. `0`, unset, or unparsable means "no cap" (use
-/// every available core). CI's small containers set this to keep the
-/// bench's fleet workers × sweep workers within their cpuset.
-fn env_workers() -> usize {
-    use std::sync::OnceLock;
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("FT_RAYON_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    })
-}
-
 /// `available_parallelism`, read once: on Linux every call re-reads the
 /// cgroup CPU quota files (13–20 µs on a 2-vCPU container), and a serving
 /// sweep enters a parallel region per `Linear` call.
@@ -69,14 +54,9 @@ fn cores() -> usize {
 }
 
 fn worker_count() -> usize {
-    let cores = cores();
-    let capped = match env_workers() {
-        0 => cores,
-        env => cores.min(env),
-    };
     match THREAD_WORKERS.with(Cell::get) {
-        0 => capped,
-        cap => capped.min(cap),
+        0 => cores(),
+        cap => cores().min(cap),
     }
 }
 

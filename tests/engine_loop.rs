@@ -285,10 +285,8 @@ fn latency_arrival_preempts_batch_work_without_changing_output() {
         EngineEvent::TokenEmitted { token, .. } => token,
         other => panic!("expected the first event to be a token, got {other}"),
     };
-    let urgent = engine.submit_with_priority(
-        GenerationRequest::new(urgent_prompt.clone(), 4),
-        Priority::Latency,
-    );
+    let urgent = engine
+        .submit(GenerationRequest::new(urgent_prompt.clone(), 4).with_priority(Priority::Latency));
 
     let urgent_outcome = urgent.wait();
     assert_eq!(urgent_outcome.tokens, urgent_want, "urgent stream diverged");

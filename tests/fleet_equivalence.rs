@@ -2,23 +2,22 @@
 //! router must be **invisible in the output** — every stream's tokens
 //! bit-identical to a single-engine (and independent-decode) run on every
 //! `BackendKind` — with fleet-unique stream ids under concurrent
-//! submission, a mid-flight steal/migration that stays bit-identical, and
-//! an SEU landing on a migrated stream's rebuilt cache that is recovered
-//! *and attributed* to the owning stream on the adopting shard. The
-//! per-shard ledgers must roll up losslessly.
+//! submission, and a shard that panics must neither hang nor panic a
+//! caller. The per-shard ledgers must roll up losslessly. Steals are
+//! proven step by step, without threads, by the unit tests in
+//! `crates/transformer/src/fleet.rs`.
 
 mod common;
 
 use common::{prompt, stepwise_generate, tiny_config};
 use ft_transformer_suite::attention::backend::BackendKind;
-use ft_transformer_suite::attention::efta::EftaOptions;
 use ft_transformer_suite::num::F16;
-use ft_transformer_suite::sim::{FaultInjector, FaultSite, OpCoord, SeuInjector};
+use ft_transformer_suite::sim::{FaultInjector, FaultSite, OpCoord};
 use ft_transformer_suite::transformer::{
     serve_expose_step, EngineConfig, FinishReason, Fleet, FleetConfig, FleetReport,
-    GenerationRequest, ModelConfig, RecoveryPolicy, RouterPolicy, ShardId, StreamId,
-    TransformerModel,
+    GenerationRequest, ModelConfig, ShardId, StreamId, TransformerModel,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn tiny(max_seq: usize) -> ModelConfig {
@@ -31,13 +30,11 @@ fn oracle(model: &TransformerModel, p: &[u32], new_tokens: usize) -> Vec<u32> {
     stepwise_generate(model, p, new_tokens)[p.len()..].to_vec()
 }
 
-fn fleet_cfg(workers: usize, router: RouterPolicy) -> FleetConfig {
+fn fleet_cfg(workers: usize) -> FleetConfig {
     FleetConfig {
         workers,
-        router,
         engine: EngineConfig::default(),
         steal: true,
-        shard_threads: None,
     }
 }
 
@@ -97,7 +94,7 @@ fn fleet_matches_single_engine_on_every_backend() {
         let engine_out: Vec<_> = engine_handles.into_iter().map(|h| h.wait()).collect();
         engine.shutdown();
 
-        let fleet = Fleet::spawn(model.clone(), fleet_cfg(3, RouterPolicy::LeastLoaded));
+        let fleet = Fleet::spawn(model.clone(), fleet_cfg(3));
         let fleet_handles: Vec<_> = lens
             .iter()
             .enumerate()
@@ -137,7 +134,7 @@ fn concurrent_submissions_get_unique_ids_across_shards() {
     let threads = 4usize;
     let per_thread = 8usize;
     let model = TransformerModel::random(62, tiny(64), BackendKind::Flash).with_causal(true);
-    let fleet = Fleet::spawn(model.clone(), fleet_cfg(4, RouterPolicy::LeastLoaded));
+    let fleet = Fleet::spawn(model.clone(), fleet_cfg(4));
 
     let results: Vec<(StreamId, Vec<u32>, Vec<u32>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -193,251 +190,61 @@ fn concurrent_submissions_get_unique_ids_across_shards() {
     );
 }
 
-/// Find a prompt salt whose consistent-hash shard differs from `salt0`'s,
-/// by probing single-stream fleets through the public API (the ring is an
-/// implementation detail). Deterministic for a fixed model/config.
-fn other_shard_salt(model: &TransformerModel, len: usize, salt0: usize) -> usize {
-    let shard_of = |salt: usize| -> usize {
-        let fleet = Fleet::spawn(
-            model.clone(),
-            FleetConfig {
-                steal: false,
-                ..fleet_cfg(2, RouterPolicy::ConsistentHash)
-            },
-        );
-        let h = fleet.submit(GenerationRequest::new(prompt(len, salt), 1));
-        h.wait();
-        let report = fleet.shutdown();
-        report
-            .shards
-            .iter()
-            .position(|s| s.streams_finished == 1)
-            .expect("the probe stream retired on some shard")
-    };
-    let home = shard_of(salt0);
-    (1..64)
-        .find(|&salt| shard_of(salt0 + salt) != home)
-        .map(|salt| salt0 + salt)
-        .expect("some prompt hashes to the other shard")
-}
+/// Panics whichever shard exposes one stream's cache at one sweep.
+struct PanicAt(u64);
 
-/// Mid-flight steal: two long same-prompt streams pin to one
-/// consistent-hash shard; the other shard drains its short stream, goes
-/// hungry, and steals one *active* stream (park → board → adopt →
-/// chunked re-prefill). The migrated stream's tokens stay bit-identical,
-/// and the ledgers attribute the park to the donor and the adoption to
-/// the thief. Migration timing is scheduling-dependent, so the run
-/// retries until a mid-flight steal is observed; bit-identity is asserted
-/// on every attempt.
-#[test]
-fn midflight_migration_is_bit_identical() {
-    let model = TransformerModel::random(63, tiny(64), BackendKind::Efta(EftaOptions::optimized()))
-        .with_causal(true)
-        .with_cache_block(16);
-    let long_prompt = prompt(13, 0);
-    let long_new = 30;
-    let short_salt = other_shard_salt(&model, 9, 0);
-    let short_prompt = prompt(9, short_salt);
-    let want_long = oracle(&model, &long_prompt, long_new);
-    let want_short = oracle(&model, &short_prompt, 3);
-
-    let mut observed_midflight = false;
-    for attempt in 0..10 {
-        let fleet = Fleet::spawn(model.clone(), fleet_cfg(2, RouterPolicy::ConsistentHash));
-        // Same prompt → same shard: a1/a2 pin together, the short stream
-        // hashes to the other shard by construction.
-        let a1 = fleet.submit(GenerationRequest::new(long_prompt.clone(), long_new));
-        let a2 = fleet.submit(GenerationRequest::new(long_prompt.clone(), long_new));
-        let b = fleet.submit(GenerationRequest::new(short_prompt.clone(), 3));
-        assert_eq!((a1.id().0, a2.id().0, b.id().0), (0, 1, 2));
-        let (a1, a2, b) = (a1.wait(), a2.wait(), b.wait());
-        let report = fleet.shutdown();
-
-        // Output equivalence holds whether or not a migration happened.
-        assert_eq!(a1.tokens, want_long, "attempt {attempt}: a1 diverged");
-        assert_eq!(a2.tokens, want_long, "attempt {attempt}: a2 diverged");
-        assert_eq!(b.tokens, want_short, "attempt {attempt}: b diverged");
-        let tokens = (a1.tokens.len() + a2.tokens.len() + b.tokens.len()) as u64;
-        assert_lossless(&report, 3, tokens);
-
-        let total = report.total();
-        if total.migrations_out == 1 && a2.preemptions >= 1 {
-            // Mid-flight: the victim was *active* (decoding) when parked
-            // for export, so its Preempted/Resumed pair is visible on the
-            // handle and the thief rebuilt its cache by re-prefill.
-            let thief = report
-                .shards
-                .iter()
-                .find(|s| s.migrations_in == 1)
-                .expect("some shard adopted the migrant");
-            let donor = report
-                .shards
-                .iter()
-                .find(|s| s.migrations_out == 1)
-                .expect("some shard exported the migrant");
-            assert_ne!(thief.shard, donor.shard, "{report}");
-            assert!(
-                thief.finished_streams.contains(&StreamId(1)),
-                "the stolen stream must retire on the adopting shard: {report}"
-            );
-            assert!(
-                donor.preemptions >= 1,
-                "the export park is attributed to the donor: {report}"
-            );
-            observed_midflight = true;
-            break;
-        }
-    }
-    assert!(
-        observed_midflight,
-        "no attempt produced a mid-flight steal (migration of an active stream)"
-    );
-}
-
-/// Two aliased SEUs (rows 0 and 8 of one column — a shared stride-8
-/// checksum lane) delivered at one exposure step: the deterministic
-/// unlocatable-damage recipe from the recovery suite.
-struct PairInjector(SeuInjector, SeuInjector);
-
-impl PairInjector {
-    /// Alias rows `base` and `base + 8` of one column — both must sit in
-    /// the ragged tail block at the armed step, where the next append's
-    /// verification detects (and fails to locate) the damage.
-    fn aliased_k_rows(step: u64, col: usize, base: u64) -> Self {
-        let coord = |row: u64| OpCoord {
-            slot: 0,
-            i: row,
-            j: col as u64,
-            k: 2 * step, // `which` = 0: the K payload
-        };
-        PairInjector(
-            SeuInjector::new(FaultSite::KvCache, coord(base), 13),
-            SeuInjector::new(FaultSite::KvCache, coord(base + 8), 13),
-        )
-    }
-}
-
-impl FaultInjector for PairInjector {
-    fn corrupt_f32(&self, site: FaultSite, coord: OpCoord, value: f32) -> f32 {
-        self.1
-            .corrupt_f32(site, coord, self.0.corrupt_f32(site, coord, value))
+impl FaultInjector for PanicAt {
+    fn corrupt_f32(&self, _: FaultSite, _: OpCoord, value: f32) -> f32 {
+        value
     }
     fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: F16) -> F16 {
-        self.1
-            .corrupt_f16(site, coord, self.0.corrupt_f16(site, coord, value))
-    }
-    fn fired(&self) -> u64 {
-        self.0.fired() + self.1.fired()
+        if site == FaultSite::KvCache && coord.k / 2 == self.0 {
+            panic!("injected shard failure");
+        }
+        value
     }
 }
 
-/// An SEU landing on a *migrated* stream's rebuilt cache is detected,
-/// re-prefilled, and corrected bit-identically on the adopting shard —
-/// and the recovery is attributed to the owning stream on that shard
-/// (the other shard's ledger stays clean). The fault flips two aliased
-/// rows of the ragged tail block right before a decode append into that
-/// block: the append's verification detects the damage, cannot locate
-/// it, and the attended-window check poisons the block.
+/// A shard that panics mid-sweep takes only its own streams down: their
+/// handles end without `Finished` instead of hanging, the peer shard's
+/// streams match the oracle, a later submission is served by the live
+/// shard, and `shutdown` re-raises the panic.
 #[test]
-fn seu_on_migrated_streams_rebuilt_cache_recovers_with_right_attribution() {
-    let model = TransformerModel::random(64, tiny(64), BackendKind::Efta(EftaOptions::optimized()))
-        .with_causal(true)
-        .with_cache_block(16);
-    let long_prompt = prompt(13, 0);
-    let long_new = 40;
-    let short_salt = other_shard_salt(&model, 9, 0);
-    let short_prompt = prompt(9, short_salt);
-    let want_long = oracle(&model, &long_prompt, long_new);
-    // The steal victim is the donor's newest stream: submission order
-    // makes that StreamId(1). Arm the decode sweep at position 47 — token
-    // 34 of 40, long after the early steal, so the exposure lands on the
-    // thief's *rebuilt* cache — and flip rows 32/40, the stride-8 aliased
-    // pair inside the ragged block (rows 32–46) that sweep appends into.
-    // The thief's chunked re-prefill cannot swallow the armed step: the
-    // steal happens with far fewer than 34 tokens emitted, so the rebuilt
-    // cache ends well below row 47 and position 47 runs as an ordinary
-    // per-position decode append.
-    let step = serve_expose_step(StreamId(1), 47, 2, 0);
-
-    let mut observed = false;
-    for attempt in 0..10 {
-        let inj = Arc::new(PairInjector::aliased_k_rows(step, 3, 32));
-        let fleet = Fleet::spawn_with(
-            model.clone(),
-            fleet_cfg(2, RouterPolicy::ConsistentHash),
-            inj.clone(),
-        );
-        let a1 = fleet.submit(GenerationRequest::new(long_prompt.clone(), long_new));
-        let a2 = fleet.submit(
-            GenerationRequest::new(long_prompt.clone(), long_new)
-                .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 3 }),
-        );
-        let b = fleet.submit(GenerationRequest::new(short_prompt.clone(), 3));
-        assert_eq!((a1.id().0, a2.id().0, b.id().0), (0, 1, 2));
-        let (a1, a2, b) = (a1.wait(), a2.wait(), b.wait());
-        let report = fleet.shutdown();
-
-        // Recovery equivalence holds whether or not the steal happened.
-        assert_eq!(
-            inj.fired(),
-            2,
-            "attempt {attempt}: both aliased flips must land"
-        );
-        assert_eq!(
-            a2.tokens, want_long,
-            "attempt {attempt}: recovery on the migrated stream diverged \
-             from the undamaged run"
-        );
-        assert_eq!(a2.recoveries, 1, "attempt {attempt}: one re-prefill");
-        assert_eq!(
-            a2.finish,
-            Some(FinishReason::Recovered),
-            "attempt {attempt}"
-        );
-        assert_eq!(a1.tokens, want_long, "attempt {attempt}: a1 stays clean");
-        assert_eq!(a1.recoveries, 0, "attempt {attempt}");
-        assert_eq!(b.recoveries, 0, "attempt {attempt}");
-        let tokens = (a1.tokens.len() + a2.tokens.len() + b.tokens.len()) as u64;
-        assert_lossless(&report, 3, tokens);
-
-        if report.total().migrations_out == 1 && a2.preemptions >= 1 {
-            // The fault hit the rebuilt cache on the adopting shard:
-            // recovery and uncorrectable-detection land in that shard's
-            // ledger, attributed to the stream that retired there.
-            let thief = report
-                .shards
-                .iter()
-                .find(|s| s.migrations_in == 1)
-                .expect("some shard adopted the migrant");
-            let donor = report
-                .shards
-                .iter()
-                .find(|s| s.migrations_out == 1)
-                .expect("some shard exported the migrant");
-            assert!(
-                thief.finished_streams.contains(&StreamId(1)),
-                "the migrated stream retires on the thief: {report}"
-            );
-            assert!(
-                thief.recoveries >= 1,
-                "the recovery is attributed to the adopting shard: {report}"
-            );
-            assert!(
-                thief.faults.cache_uncorrectable >= 1,
-                "the uncorrectable detection rides the owning stream's \
-                 report onto the thief's ledger: {report}"
-            );
-            assert_eq!(
-                donor.recoveries, 0,
-                "the donor's ledger stays clean: {report}"
-            );
-            assert_eq!(donor.faults.cache_uncorrectable, 0, "{report}");
-            observed = true;
-            break;
-        }
-    }
-    assert!(
-        observed,
-        "no attempt landed the SEU on a mid-flight-migrated stream"
+fn a_panicked_shard_never_hangs_or_panics_a_caller() {
+    let model = TransformerModel::random(65, tiny(64), BackendKind::Flash).with_causal(true);
+    // Stream 0's second decode sweep (position 10) exposes its cache.
+    let inj = Arc::new(PanicAt(serve_expose_step(StreamId(0), 10, 2, 0)));
+    // One-event channels: the peer's consumer holds off below, so the peer
+    // cannot retire and shard 1 keeps its load.
+    let cfg = FleetConfig {
+        workers: 2,
+        engine: EngineConfig {
+            channel_capacity: 1,
+            ..EngineConfig::default()
+        },
+        steal: false,
+    };
+    let fleet = Fleet::spawn_with(model.clone(), cfg, inj);
+    // Least-loaded routing: stream 0 to shard 0, stream 1 to shard 1.
+    let victim = fleet.submit(GenerationRequest::new(prompt(9, 0), 8));
+    let peer = fleet.submit(GenerationRequest::new(prompt(9, 1), 8));
+    let victim = victim.wait();
+    assert_eq!(
+        victim.finish, None,
+        "the dead shard's stream ends unfinished"
+    );
+    // Both shards carry one stream's projected load, and ties go to
+    // shard 0: only a router that dropped the dead shard serves this.
+    let later = fleet.submit(GenerationRequest::new(prompt(9, 2), 8)).wait();
+    assert_eq!(later.tokens, oracle(&model, &prompt(9, 2), 8));
+    assert_eq!(later.finish, Some(FinishReason::MaxTokens));
+    let peer = peer.wait();
+    assert_eq!(peer.tokens, oracle(&model, &prompt(9, 1), 8));
+    assert_eq!(peer.finish, Some(FinishReason::MaxTokens));
+    let payload = catch_unwind(AssertUnwindSafe(|| fleet.shutdown()))
+        .expect_err("shutdown re-raises the shard's panic");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"injected shard failure")
     );
 }
