@@ -7,16 +7,11 @@
 //! * [`AttentionRequest`] — one request type carrying the configuration,
 //!   the Q/K/V operands, a fault-injector handle, and optional per-request
 //!   overrides (detection thresholds, simulated device);
-//! * [`AttentionBackend`] — one trait every kernel family implements:
-//!   [`ReferenceBackend`], [`FlashBackend`], [`DecoupledBackend`],
-//!   [`EftaBackend`];
-//! * [`BackendKind`] — a registry enum selecting a backend *by name*
-//!   (`FromStr`/`Display`), so benches, fault campaigns and CLIs can sweep
-//!   protection pipelines from a string;
-//! * [`AttentionBackend::run_batched`] — a default method that fans a
-//!   request out over its `(batch, head)` slots with rayon, remapping
-//!   fault-injection coordinates so a campaign targeting slot *s* of the
-//!   batched problem hits the same computation in the split one.
+//! * [`AttentionBackend`] — one trait for prefill, decode and the batched
+//!   decode sweep, implemented once, by [`BackendKind`];
+//! * [`BackendKind`] — every kernel family as one enum variant, selectable
+//!   *by name* (`FromStr`/`Display`), so benches, fault campaigns and CLIs
+//!   can sweep protection pipelines from a string.
 //!
 //! ```
 //! use ft_core::backend::{AttentionBackend, AttentionRequest, BackendKind};
@@ -39,11 +34,10 @@ use crate::decoupled::DecoupledOptions;
 use crate::efta::EftaOptions;
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
 use ft_abft::thresholds::Thresholds;
-use ft_num::{Tensor4F16, Tensor4F32};
+use ft_num::Tensor4F16;
 use ft_sim::cost::Timeline;
 use ft_sim::device::{Device, KernelStats, OomError};
-use ft_sim::{gemm_flops, ChainFault, FaultInjector, FaultSite, NoFaults, OpCoord};
-use rayon::prelude::*;
+use ft_sim::{gemm_flops, FaultInjector, NoFaults};
 use std::fmt;
 use std::str::FromStr;
 
@@ -166,11 +160,12 @@ impl From<OomError> for BackendError {
     }
 }
 
-/// An attention kernel family behind the unified request type.
+/// An attention kernel family behind the unified request type, implemented
+/// by [`BackendKind`].
 ///
-/// Implementations must be cheap to construct and [`Sync`]: a backend is a
-/// *strategy*, not a resource — all per-run state lives in the request and
-/// the returned [`AttentionOutput`].
+/// A backend is a *strategy*, not a resource: cheap to construct and
+/// [`Sync`], with all per-run state in the request and the returned
+/// [`AttentionOutput`].
 pub trait AttentionBackend: Sync {
     /// Stable human-readable name (matches [`BackendKind`]'s `Display`).
     fn name(&self) -> &'static str;
@@ -189,73 +184,13 @@ pub trait AttentionBackend: Sync {
         }
     }
 
-    /// Run the request as independent per-`(batch, head)` sub-requests in
-    /// parallel and reassemble the output.
-    ///
-    /// Backends whose kernels already parallelise internally (flash, EFTA)
-    /// gain nothing from this, but it gives every backend — including
-    /// future ones that are sequential per head — a uniform scale-out path,
-    /// and it is the seam a batching server schedules across. Fault
-    /// coordinates are remapped so an injector aimed at slot `s` of the
-    /// batched request fires in the matching sub-request. The first slot
-    /// failure (e.g. decoupled OOM) aborts the batch and is returned.
-    fn try_run_batched(&self, req: &AttentionRequest<'_>) -> Result<AttentionOutput, BackendError> {
-        let cfg = req.cfg;
-        let slots = cfg.num_slots();
-        if slots <= 1 {
-            return self.try_run(req);
-        }
-        let results: Vec<Result<AttentionOutput, BackendError>> = (0..slots)
-            .into_par_iter()
-            .map(|slot| {
-                let sub_cfg = AttentionConfig {
-                    batch: 1,
-                    heads: 1,
-                    ..cfg
-                };
-                let q = single_slot(req.q, slot);
-                let k = single_slot(req.k, slot);
-                let v = single_slot(req.v, slot);
-                let injector = SlotOffsetInjector {
-                    inner: req.injector,
-                    offset: slot as u64,
-                };
-                let sub = AttentionRequest {
-                    cfg: sub_cfg,
-                    q: &q,
-                    k: &k,
-                    v: &v,
-                    injector: &injector,
-                    device: req.device,
-                    thresholds: req.thresholds,
-                };
-                self.try_run(&sub)
-            })
-            .collect();
-        let mut outputs = Vec::with_capacity(slots);
-        for result in results {
-            outputs.push(result?);
-        }
-        Ok(merge_slot_outputs(&cfg, outputs))
-    }
-
-    /// [`try_run_batched`](AttentionBackend::try_run_batched), panicking on
-    /// [`BackendError`].
-    fn run_batched(&self, req: &AttentionRequest<'_>) -> AttentionOutput {
-        match self.try_run_batched(req) {
-            Ok(out) => out,
-            Err(e) => panic!("{} backend failed: {e}", self.name()),
-        }
-    }
-
     /// One incremental-decode step: attend the request's single query row
     /// over its [`KvCache`](crate::kv::KvCache) and return a
     /// `batch × heads × 1 × dim` output.
     ///
-    /// The default is the unprotected [`reference_decode`] — every backend
-    /// can serve decode traffic, but only backends with a protected decode
-    /// variant (EFTA) override this to verify cache-resident state and the
-    /// decode arithmetic itself.
+    /// Every backend serves decode traffic; only EFTA kinds protect it,
+    /// verifying cache-resident state and the decode arithmetic itself.
+    /// The others run the unprotected [`reference_decode`].
     ///
     /// Every implementation must honour the request's sliding-window knob
     /// ([`DecodeRequest::window`]) and front-evicted caches
@@ -264,13 +199,10 @@ pub trait AttentionBackend: Sync {
     /// fresh cache holding only the attended blocks (pinned for every
     /// [`BackendKind`] by `tests/eviction_equivalence.rs`). The shared
     /// sweep body behind [`reference_decode`] and
-    /// [`efta_decode`](crate::decode::efta_decode) implements this; a
-    /// backend with its own decode path must preserve the invariant.
+    /// [`efta_decode`](crate::decode::efta_decode) implements this.
     ///
     /// [`reference_decode`]: crate::decode::reference_decode
-    fn try_decode(&self, req: &DecodeRequest<'_>) -> Result<AttentionOutput, BackendError> {
-        crate::decode::reference_decode(req)
-    }
+    fn try_decode(&self, req: &DecodeRequest<'_>) -> Result<AttentionOutput, BackendError>;
 
     /// [`try_decode`](AttentionBackend::try_decode), panicking on
     /// [`BackendError`].
@@ -288,10 +220,8 @@ pub trait AttentionBackend: Sync {
     /// it across its rows, and fault events are attributed to per-stream
     /// [`FtReport`]s (see [`crate::serve`]).
     ///
-    /// The default is the unprotected sweep; backends with a protected
-    /// decode variant (EFTA) override it, exactly mirroring
-    /// [`try_decode`](AttentionBackend::try_decode) — including the
-    /// per-slice sliding-window knob
+    /// Protection mirrors [`try_decode`](AttentionBackend::try_decode)
+    /// exactly — including the per-slice sliding-window knob
     /// ([`StreamSlice::window`](crate::serve::StreamSlice::window)) and
     /// front-evicted caches.
     ///
@@ -307,10 +237,7 @@ pub trait AttentionBackend: Sync {
         slices: &[crate::serve::StreamSlice<'_>],
         injector: &dyn FaultInjector,
         thresholds: Option<Thresholds>,
-    ) -> Result<Vec<crate::serve::StreamSweepOutput>, BackendError> {
-        let _ = thresholds;
-        crate::serve::sweep_unprotected(slices, injector)
-    }
+    ) -> Result<Vec<crate::serve::StreamSweepOutput>, BackendError>;
 
     /// [`try_decode_sweep`](AttentionBackend::try_decode_sweep), panicking
     /// on [`BackendError`].
@@ -327,272 +254,12 @@ pub trait AttentionBackend: Sync {
     }
 }
 
-/// Extract one `(batch, head)` slot as a standalone 1×1 tensor.
-fn single_slot(t: &Tensor4F16, slot: usize) -> Tensor4F16 {
-    Tensor4F16::from_slots(1, 1, t.seq(), t.dim(), vec![t.slot_flat(slot).clone()])
-}
-
-/// Reassemble per-slot outputs into one batched [`AttentionOutput`].
-///
-/// Timelines merge *per kernel label*: slots execute as CTAs of the same
-/// grid, so within one kernel their traffic and FLOPs add while launches do
-/// not — but distinct kernels (the decoupled pipeline's three) stay
-/// distinct records, preserving the sequential-kernel roofline model and
-/// label-based timeline queries.
-fn merge_slot_outputs(cfg: &AttentionConfig, outputs: Vec<AttentionOutput>) -> AttentionOutput {
-    let mut report = FtReport::default();
-    let mut phases = PhaseBreakdown::default();
-    let mut labels: Vec<String> = Vec::new();
-    let mut merged: Vec<KernelStats> = Vec::new();
-    let mut slot_mats = Vec::with_capacity(outputs.len());
-    for out in outputs {
-        report = report.merged(&out.report);
-        phases = phases.merged(&out.phases);
-        for (label, stats) in out.timeline.records() {
-            match labels.iter().position(|l| l == label) {
-                Some(i) => {
-                    merged[i] = KernelStats {
-                        launches: merged[i].launches.max(stats.launches),
-                        ..merged[i].merge(stats)
-                    };
-                }
-                None => {
-                    labels.push(label.clone());
-                    merged.push(*stats);
-                }
-            }
-        }
-        slot_mats.push(out.o.slot_flat(0).clone());
-    }
-    let o = Tensor4F32::from_slots(cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, slot_mats);
-    let mut timeline = Timeline::new();
-    for (label, stats) in labels.into_iter().zip(merged) {
-        timeline.push(label, stats);
-    }
-    AttentionOutput {
-        o,
-        timeline,
-        report,
-        phases,
-    }
-}
-
-/// Wrapper shifting `OpCoord::slot` so sub-request kernels (which see slot
-/// 0) consult the caller's injector at the original batched coordinates.
-struct SlotOffsetInjector<'a> {
-    inner: &'a dyn FaultInjector,
-    offset: u64,
-}
-
-impl SlotOffsetInjector<'_> {
-    #[inline]
-    fn shift(&self, mut coord: OpCoord) -> OpCoord {
-        coord.slot += self.offset;
-        coord
-    }
-}
-
-impl FaultInjector for SlotOffsetInjector<'_> {
-    fn corrupt_f32(&self, site: FaultSite, coord: OpCoord, value: f32) -> f32 {
-        self.inner.corrupt_f32(site, self.shift(coord), value)
-    }
-    fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: ft_num::F16) -> ft_num::F16 {
-        self.inner.corrupt_f16(site, self.shift(coord), value)
-    }
-    fn corrupt_f16_row(&self, site: FaultSite, slot: u64, i: u64, k: u64, row: &mut [ft_num::F16]) {
-        self.inner
-            .corrupt_f16_row(site, slot + self.offset, i, k, row)
-    }
-    fn decide_chain(&self, site: FaultSite, coord: OpCoord, k_len: usize) -> Option<ChainFault> {
-        self.inner.decide_chain(site, self.shift(coord), k_len)
-    }
-    fn fired(&self) -> u64 {
-        self.inner.fired()
-    }
-    fn is_noop(&self) -> bool {
-        self.inner.is_noop()
-    }
-    fn may_fire(&self, site: FaultSite) -> bool {
-        self.inner.may_fire(site)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The four kernel families.
-// ---------------------------------------------------------------------------
-
-/// Naive exact attention — the correctness oracle.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReferenceBackend;
-
-impl AttentionBackend for ReferenceBackend {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
-
-    fn try_run(&self, req: &AttentionRequest<'_>) -> Result<AttentionOutput, BackendError> {
-        let o = crate::reference::reference_forward(&req.cfg, req.q, req.k, req.v);
-        // The oracle is not a performance subject, but give it an honest
-        // analytic footprint: one launch materialising S and P row-wise.
-        let cfg = &req.cfg;
-        let slots = cfg.num_slots() as u64;
-        let seq2 = (cfg.seq * cfg.seq) as u64;
-        let stats = KernelStats {
-            launches: 1,
-            hbm_read: slots * 3 * (cfg.seq * cfg.head_dim * 2) as u64,
-            hbm_written: slots * (cfg.seq * cfg.head_dim * 2) as u64,
-            tc_flops: slots * 2 * gemm_flops(cfg.seq, cfg.seq, cfg.head_dim),
-            fp32_flops: slots * 4 * seq2,
-            sfu_ops: slots * seq2,
-            serial_flops: 0,
-        };
-        let mut timeline = Timeline::new();
-        timeline.push("reference", stats);
-        Ok(AttentionOutput {
-            o,
-            timeline,
-            report: FtReport::default(),
-            phases: PhaseBreakdown::default(),
-        })
-    }
-}
-
-/// Tiled online-softmax flash attention — the unprotected baseline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FlashBackend;
-
-impl AttentionBackend for FlashBackend {
-    fn name(&self) -> &'static str {
-        "flash"
-    }
-
-    fn try_run(&self, req: &AttentionRequest<'_>) -> Result<AttentionOutput, BackendError> {
-        Ok(crate::flash::flash_forward(&req.cfg, req.q, req.k, req.v))
-    }
-}
-
-/// The traditional three-kernel ABFT + DMR pipeline (paper §3.1).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DecoupledBackend {
-    /// Protection options (thresholds, DMR settings, baseline switch).
-    pub options: DecoupledOptions,
-}
-
-impl AttentionBackend for DecoupledBackend {
-    fn name(&self) -> &'static str {
-        if self.options.protect {
-            "decoupled"
-        } else {
-            "decoupled-baseline"
-        }
-    }
-
-    fn try_run(&self, req: &AttentionRequest<'_>) -> Result<AttentionOutput, BackendError> {
-        if req.cfg.causal {
-            return Err(BackendError::Unsupported(
-                "the decoupled pipeline protects unmasked attention only".into(),
-            ));
-        }
-        let mut opts = self.options;
-        if let Some(t) = req.thresholds {
-            opts.thresholds = t;
-        }
-        let fallback;
-        let device = match req.device {
-            Some(d) => d,
-            None => {
-                fallback = Device::a100_40gb();
-                &fallback
-            }
-        };
-        crate::decoupled::decoupled_forward(
-            &req.cfg,
-            req.q,
-            req.k,
-            req.v,
-            &req.injector,
-            &opts,
-            device,
-        )
-        .map_err(BackendError::from)
-    }
-}
-
-/// The fused end-to-end fault tolerant attention kernel (paper §3.2–3.4).
-#[derive(Clone, Copy, Debug)]
-pub struct EftaBackend {
-    /// Protection options (GEMM/softmax scheme, verification mode, stride).
-    pub options: EftaOptions,
-}
-
-impl Default for EftaBackend {
-    fn default() -> Self {
-        EftaBackend {
-            options: EftaOptions::optimized(),
-        }
-    }
-}
-
-impl AttentionBackend for EftaBackend {
-    fn name(&self) -> &'static str {
-        use crate::efta::{GemmProtection, SoftmaxProtection, VerifyMode};
-        if self.options.gemm == GemmProtection::Unprotected
-            && self.options.softmax == SoftmaxProtection::Unprotected
-        {
-            "efta-unprotected"
-        } else if self.options.verify == VerifyMode::Unified {
-            "efta-o"
-        } else {
-            "efta"
-        }
-    }
-
-    fn try_run(&self, req: &AttentionRequest<'_>) -> Result<AttentionOutput, BackendError> {
-        if req.cfg.causal {
-            return Err(BackendError::Unsupported(
-                "EFTA protects unmasked attention (the paper's setting)".into(),
-            ));
-        }
-        if req.cfg.seq < self.options.stride {
-            return Err(BackendError::Unsupported(format!(
-                "sequence length {} shorter than checksum stride {}",
-                req.cfg.seq, self.options.stride
-            )));
-        }
-        let mut opts = self.options;
-        if let Some(t) = req.thresholds {
-            opts.thresholds = t;
-        }
-        Ok(crate::efta::efta_forward(
-            &req.cfg,
-            req.q,
-            req.k,
-            req.v,
-            &req.injector,
-            &opts,
-        ))
-    }
-
-    fn try_decode(&self, req: &DecodeRequest<'_>) -> Result<AttentionOutput, BackendError> {
-        // efta_decode resolves req.thresholds itself.
-        crate::decode::efta_decode(req, &self.options)
-    }
-
-    fn try_decode_sweep(
-        &self,
-        slices: &[crate::serve::StreamSlice<'_>],
-        injector: &dyn FaultInjector,
-        thresholds: Option<Thresholds>,
-    ) -> Result<Vec<crate::serve::StreamSweepOutput>, BackendError> {
-        crate::serve::sweep_efta(slices, injector, thresholds, &self.options)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The registry.
 // ---------------------------------------------------------------------------
 
-/// Every attention kernel family, selectable by name.
+/// Every attention kernel family, selectable by name: the one
+/// [`AttentionBackend`].
 ///
 /// `FromStr` accepts the canonical names listed in [`BackendKind::NAMES`]
 /// (case-insensitive) plus a few aliases; `Display` emits the canonical
@@ -627,6 +294,17 @@ impl BackendKind {
             .iter()
             .map(|n| n.parse().expect("canonical name parses"))
             .collect()
+    }
+
+    /// The options decode runs under: an EFTA kind protects decode with its
+    /// own options; every other kind reads the cache unprotected (the
+    /// decoupled pipeline's three-kernel O(n²) structure has no incremental
+    /// form).
+    fn decode_options(&self) -> EftaOptions {
+        match self {
+            BackendKind::Efta(options) => *options,
+            _ => EftaOptions::unprotected(),
+        }
     }
 }
 
@@ -685,33 +363,114 @@ impl fmt::Display for BackendKind {
 
 impl AttentionBackend for BackendKind {
     fn name(&self) -> &'static str {
+        use crate::efta::{GemmProtection, SoftmaxProtection, VerifyMode};
         match self {
-            BackendKind::Reference => ReferenceBackend.name(),
-            BackendKind::Flash => FlashBackend.name(),
-            BackendKind::Decoupled(options) => DecoupledBackend { options: *options }.name(),
-            BackendKind::Efta(options) => EftaBackend { options: *options }.name(),
+            BackendKind::Reference => "reference",
+            BackendKind::Flash => "flash",
+            BackendKind::Decoupled(options) if options.protect => "decoupled",
+            BackendKind::Decoupled(_) => "decoupled-baseline",
+            BackendKind::Efta(options)
+                if options.gemm == GemmProtection::Unprotected
+                    && options.softmax == SoftmaxProtection::Unprotected =>
+            {
+                "efta-unprotected"
+            }
+            BackendKind::Efta(options) if options.verify == VerifyMode::Unified => "efta-o",
+            BackendKind::Efta(_) => "efta",
         }
     }
 
     fn try_run(&self, req: &AttentionRequest<'_>) -> Result<AttentionOutput, BackendError> {
+        let cfg = &req.cfg;
         match self {
-            BackendKind::Reference => ReferenceBackend.try_run(req),
-            BackendKind::Flash => FlashBackend.try_run(req),
-            BackendKind::Decoupled(options) => DecoupledBackend { options: *options }.try_run(req),
-            BackendKind::Efta(options) => EftaBackend { options: *options }.try_run(req),
+            BackendKind::Reference => {
+                let o = crate::reference::reference_forward(cfg, req.q, req.k, req.v);
+                // The oracle is not a performance subject, but give it an
+                // honest analytic footprint: one launch materialising S and
+                // P row-wise.
+                let slots = cfg.num_slots() as u64;
+                let seq2 = (cfg.seq * cfg.seq) as u64;
+                let mut timeline = Timeline::new();
+                timeline.push(
+                    "reference",
+                    KernelStats {
+                        launches: 1,
+                        hbm_read: slots * 3 * (cfg.seq * cfg.head_dim * 2) as u64,
+                        hbm_written: slots * (cfg.seq * cfg.head_dim * 2) as u64,
+                        tc_flops: slots * 2 * gemm_flops(cfg.seq, cfg.seq, cfg.head_dim),
+                        fp32_flops: slots * 4 * seq2,
+                        sfu_ops: slots * seq2,
+                        serial_flops: 0,
+                    },
+                );
+                Ok(AttentionOutput {
+                    o,
+                    timeline,
+                    report: FtReport::default(),
+                    phases: PhaseBreakdown::default(),
+                })
+            }
+            BackendKind::Flash => Ok(crate::flash::flash_forward(cfg, req.q, req.k, req.v)),
+            BackendKind::Decoupled(options) => {
+                if cfg.causal {
+                    return Err(BackendError::Unsupported(
+                        "the decoupled pipeline protects unmasked attention only".into(),
+                    ));
+                }
+                let opts = DecoupledOptions {
+                    thresholds: req.thresholds.unwrap_or(options.thresholds),
+                    ..*options
+                };
+                let fallback;
+                let device = match req.device {
+                    Some(d) => d,
+                    None => {
+                        fallback = Device::a100_40gb();
+                        &fallback
+                    }
+                };
+                crate::decoupled::decoupled_forward(
+                    cfg,
+                    req.q,
+                    req.k,
+                    req.v,
+                    &req.injector,
+                    &opts,
+                    device,
+                )
+                .map_err(BackendError::from)
+            }
+            BackendKind::Efta(options) => {
+                if cfg.causal {
+                    return Err(BackendError::Unsupported(
+                        "EFTA protects unmasked attention (the paper's setting)".into(),
+                    ));
+                }
+                if cfg.seq < options.stride {
+                    return Err(BackendError::Unsupported(format!(
+                        "sequence length {} shorter than checksum stride {}",
+                        cfg.seq, options.stride
+                    )));
+                }
+                let opts = EftaOptions {
+                    thresholds: req.thresholds.unwrap_or(options.thresholds),
+                    ..*options
+                };
+                Ok(crate::efta::efta_forward(
+                    cfg,
+                    req.q,
+                    req.k,
+                    req.v,
+                    &req.injector,
+                    &opts,
+                ))
+            }
         }
     }
 
     fn try_decode(&self, req: &DecodeRequest<'_>) -> Result<AttentionOutput, BackendError> {
-        match self {
-            // The decoupled pipeline's three-kernel O(n²) structure has no
-            // incremental form; like reference and flash it serves decode
-            // through the shared unprotected path.
-            BackendKind::Reference | BackendKind::Flash | BackendKind::Decoupled(_) => {
-                crate::decode::reference_decode(req)
-            }
-            BackendKind::Efta(options) => crate::decode::efta_decode(req, options),
-        }
+        // efta_decode resolves req.thresholds itself.
+        crate::decode::efta_decode(req, &self.decode_options())
     }
 
     fn try_decode_sweep(
@@ -720,14 +479,7 @@ impl AttentionBackend for BackendKind {
         injector: &dyn FaultInjector,
         thresholds: Option<Thresholds>,
     ) -> Result<Vec<crate::serve::StreamSweepOutput>, BackendError> {
-        match self {
-            BackendKind::Reference | BackendKind::Flash | BackendKind::Decoupled(_) => {
-                crate::serve::sweep_unprotected(slices, injector)
-            }
-            BackendKind::Efta(options) => {
-                crate::serve::sweep_efta(slices, injector, thresholds, options)
-            }
-        }
+        crate::serve::sweep_efta(slices, injector, thresholds, &self.decode_options())
     }
 }
 
@@ -735,7 +487,6 @@ impl AttentionBackend for BackendKind {
 mod tests {
     use super::*;
     use ft_num::rng::normal_tensor_f16;
-    use ft_sim::SeuInjector;
 
     fn workload(cfg: &AttentionConfig, seed: u64) -> (Tensor4F16, Tensor4F16, Tensor4F16) {
         let q = normal_tensor_f16(seed, cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, 0.6);
@@ -789,83 +540,6 @@ mod tests {
             let diff = out.o.max_abs_diff(&reference);
             assert!(diff < tol, "{kind}: diff {diff} exceeds {tol}");
         }
-    }
-
-    #[test]
-    fn run_batched_matches_run() {
-        let cfg = AttentionConfig::new(2, 3, 48, 16).with_block(16);
-        let (q, k, v) = workload(&cfg, 91);
-        for kind in ["flash", "efta-o", "decoupled"] {
-            let kind: BackendKind = kind.parse().unwrap();
-            let req = AttentionRequest::new(cfg, &q, &k, &v);
-            let whole = kind.run(&req);
-            let split = kind.run_batched(&req);
-            let diff = split.o.max_abs_diff(&whole.o);
-            assert!(diff < 1e-6, "{kind}: batched diff {diff}");
-            assert_eq!(split.report, whole.report);
-            // Per-label timeline merging: same kernel records, same
-            // aggregate stats, so the sequential-kernel roofline model sees
-            // the identical computation either way.
-            assert_eq!(
-                split.timeline.records().len(),
-                whole.timeline.records().len(),
-                "{kind}: batched run must keep per-kernel records"
-            );
-            assert_eq!(split.timeline.total(), whole.timeline.total(), "{kind}");
-        }
-    }
-
-    #[test]
-    fn try_run_batched_surfaces_per_slot_errors() {
-        // A device too small for even one slot: the batched path must
-        // return the OOM as a value, exactly like the unbatched one.
-        let cfg = AttentionConfig::new(2, 2, 128, 32).with_block(32);
-        let (q, k, v) = workload(&cfg, 96);
-        let tiny = Device::with_capacity(1 << 14);
-        let err = BackendKind::Decoupled(DecoupledOptions::default())
-            .try_run_batched(&AttentionRequest::new(cfg, &q, &k, &v).with_device(&tiny))
-            .unwrap_err();
-        assert!(matches!(err, BackendError::Oom(_)), "{err}");
-    }
-
-    #[test]
-    fn run_batched_remaps_injector_slots() {
-        // An SEU aimed at slot 3 of the batched request must fire exactly
-        // once in the split execution too, and be repaired the same way.
-        let cfg = AttentionConfig::new(2, 2, 64, 32).with_block(32);
-        let (q, k, v) = workload(&cfg, 92);
-        let kind = BackendKind::Efta(EftaOptions::optimized());
-        let clean = kind.run(&AttentionRequest::new(cfg, &q, &k, &v));
-        let inj = SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(3, 5, 40, 3), 30)
-            .at_chain_step(20);
-        let out = kind.run_batched(&AttentionRequest::new(cfg, &q, &k, &v).with_injector(&inj));
-        assert_eq!(inj.fired(), 1, "slot-remapped fault must fire once");
-        assert!(out.report.total_detected() > 0, "{:?}", out.report);
-        assert!(out.o.max_abs_diff(&clean.o) < 5e-2);
-    }
-
-    #[test]
-    fn slot_offset_injector_forwards_may_fire_and_rows() {
-        use ft_sim::BerInjector;
-        let seu = SeuInjector::new(FaultSite::KvCache, OpCoord::new(3, 5, 2, 7), 14);
-        let shifted = SlotOffsetInjector {
-            inner: &seu,
-            offset: 3,
-        };
-        assert!(shifted.may_fire(FaultSite::KvCache));
-        assert!(!shifted.may_fire(FaultSite::LinearAccum));
-        // Slot 0 of the sub-request is slot 3 of the batched coordinates.
-        let mut row = [ft_num::F16::ONE; 4];
-        shifted.corrupt_f16_row(FaultSite::KvCache, 0, 5, 7, &mut row);
-        assert_eq!(seu.fired(), 1);
-        assert_eq!(row[2], ft_num::F16::ONE.flip_bit(14));
-        let restricted = BerInjector::new(1, 0.5).with_sites(&[FaultSite::ExpUnit]);
-        let shifted = SlotOffsetInjector {
-            inner: &restricted,
-            offset: 1,
-        };
-        assert!(shifted.may_fire(FaultSite::ExpUnit));
-        assert!(!shifted.may_fire(FaultSite::KvCache));
     }
 
     #[test]

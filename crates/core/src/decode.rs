@@ -83,7 +83,7 @@ use crate::efta::{
 };
 use crate::kv::KvCache;
 use crate::serve::{sweep_tiles, StreamId, StreamSlice};
-use crate::types::{AttentionOutput, FtCounters, PhaseBreakdown};
+use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
 use ft_abft::strided::{encode_cols_strided, encode_rows_strided};
 use ft_abft::thresholds::Thresholds;
 use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
@@ -358,8 +358,8 @@ pub(crate) fn reference_decode_tile(
 /// attended cache block through [`KvCache::verified_block`] exactly once;
 /// the corrected payload, stored checksum operands, and max-norm snapshot
 /// are then exposed to every tile row attending the block, and the block's
-/// verification outcome lands in `counters` once — not once per attending
-/// row.
+/// verification outcome lands in the returned tile ledger once — not once
+/// per attending row. The ledger also folds every row's own events.
 ///
 /// Per row, the accumulation order over its attended blocks is ascending
 /// block index, one state per row carried across the shared block loop, so
@@ -373,9 +373,8 @@ pub(crate) fn efta_decode_tile(
     q_chunk: &MatrixF32,
     inj: &dyn FaultInjector,
     opts: &EftaOptions,
-    counters: &FtCounters,
     window: Option<usize>,
-) -> MatrixF32 {
+) -> (MatrixF32, FtReport) {
     let d = cache.dim();
     let c = q_chunk.rows();
     let scale = cache.scale();
@@ -383,10 +382,10 @@ pub(crate) fn efta_decode_tile(
     let kernel = Kernel {
         opts,
         inj: &inj,
-        counters,
-        timers: None,
+        timed: false,
         slot,
     };
+    let mut report = FtReport::default();
     // Per-row scaled queries, hoisted out of the block loop.
     let q_rows: Vec<MatrixF32> = (0..c)
         .map(|r| Matrix::from_fn(1, d, |_, j| q_chunk.get(r, j) * scale))
@@ -412,10 +411,10 @@ pub(crate) fn efta_decode_tile(
         // ---- Verified cache read: once per (tile, block) --------
         let vb = cache.verified_block(slot, jb);
         for rep in [vb.k_report, vb.v_report] {
-            FtCounters::add(&counters.cache_detected, rep.detected);
-            FtCounters::add(&counters.cache_corrected, rep.corrected);
-            FtCounters::add(&counters.cache_uncorrectable, rep.uncorrectable);
-            FtCounters::add(&counters.cache_tolerated, rep.tolerated);
+            report.cache_detected += rep.detected;
+            report.cache_corrected += rep.corrected;
+            report.cache_uncorrectable += rep.uncorrectable;
+            report.cache_tolerated += rep.tolerated;
         }
         let block_damaged = vb.k_report.uncorrectable + vb.v_report.uncorrectable > 0;
         // GEMM I's k-major operands, built once per (tile, block) and read
@@ -481,10 +480,11 @@ pub(crate) fn efta_decode_tile(
                 v_blk.block(0, 0, rows, d),
             )
         });
-        out.row_mut(r)
-            .copy_from_slice(state.finish(&kernel, reread).row(0));
+        let (o, row_report, _) = state.finish(&kernel, reread);
+        out.row_mut(r).copy_from_slice(o.row(0));
+        report = report.merged(&row_report);
     }
-    out
+    (out, report)
 }
 
 /// Unprotected single-query decode: raw cache reads, online softmax, no
@@ -619,7 +619,6 @@ mod tests {
             let req = DecodeRequest::new(&short, &qt).at_step(vis - 1);
             let want_ref = reference_decode(&req).unwrap();
             let want_efta = efta_decode(&req, &EftaOptions::optimized()).unwrap();
-            let counters = FtCounters::new();
             for slot in 0..2 {
                 let q_raw = qt.slot_flat(slot).to_f32();
                 let got_ref =
@@ -629,7 +628,7 @@ mod tests {
                     0.0,
                     "vis {vis} slot {slot}: limited reference decode drifted"
                 );
-                let got_efta = efta_decode_tile(
+                let (got_efta, report) = efta_decode_tile(
                     &long,
                     slot,
                     vis,
@@ -637,16 +636,15 @@ mod tests {
                     &q_raw,
                     &NoFaults,
                     &EftaOptions::optimized(),
-                    &counters,
                     None,
                 );
+                assert!(report.clean());
                 assert_eq!(
                     got_efta.max_abs_diff(want_efta.o.slot_flat(slot)),
                     0.0,
                     "vis {vis} slot {slot}: limited EFTA decode drifted"
                 );
             }
-            assert!(counters.snapshot().clean());
         }
     }
 

@@ -13,7 +13,7 @@
 
 use crate::config::AttentionConfig;
 use crate::dmr::{dmr_row_softmax, DmrConfig};
-use crate::types::{AttentionOutput, FtCounters, PhaseTimers};
+use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
 use ft_abft::element::{augment_rows, encode_cols, verify_correct_by_cols, verify_correct_by_rows};
 use ft_abft::thresholds::Thresholds;
 use ft_num::{block_starts, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
@@ -144,12 +144,34 @@ pub fn analytic_timeline(cfg: &AttentionConfig, protect: bool) -> Timeline {
     timeline
 }
 
-/// Decoupled pipeline body; [`crate::backend::DecoupledBackend`] is the
+/// One slot task's result: its matrix, fault ledger and phase times.
+type SlotResult = (MatrixF32, FtReport, PhaseBreakdown);
+
+/// The matrices of one kernel's slot tasks, in slot order, with every
+/// task's ledger and phase times folded into the running totals.
+fn fold_slots(
+    results: Vec<SlotResult>,
+    report: &mut FtReport,
+    phases: &mut PhaseBreakdown,
+) -> Vec<MatrixF32> {
+    results
+        .into_iter()
+        .map(|(m, task_report, task_phases)| {
+            *report = report.merged(&task_report);
+            *phases = phases.merged(&task_phases);
+            m
+        })
+        .collect()
+}
+
+/// Decoupled pipeline body;
+/// [`BackendKind::Decoupled`](crate::backend::BackendKind::Decoupled) is the
 /// public entry point.
 ///
 /// `device` provides the simulated HBM; the S and P tensors are reserved on
 /// it and the run fails with [`OomError`] exactly where the paper's baseline
-/// does.
+/// does. Each kernel runs one task per slot; every task returns its own
+/// fault ledger and phase times.
 pub(crate) fn decoupled_forward<I: FaultInjector>(
     cfg: &AttentionConfig,
     q: &Tensor4F16,
@@ -163,8 +185,8 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
         !cfg.causal,
         "the decoupled baseline protects unmasked attention"
     );
-    let counters = FtCounters::new();
-    let timers = PhaseTimers::new();
+    let mut report = FtReport::default();
+    let mut phases = PhaseBreakdown::default();
     let b = cfg.block;
     let d = cfg.head_dim;
     let nb = cfg.num_blocks();
@@ -185,10 +207,11 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
     let slots = cfg.num_slots();
 
     // ---- Kernel I: ABFT-GEMM S = Q·Kᵀ ---------------------------------
-    let k1_start = Instant::now();
-    let s_tensors: Vec<MatrixF32> = (0..slots)
+    let s_tasks: Vec<SlotResult> = (0..slots)
         .into_par_iter()
         .map(|slot| {
+            let mut report = FtReport::default();
+            let mut phases = PhaseBreakdown::default();
             let qm = q.slot_flat(slot).to_f32();
             let km = k.slot_flat(slot).to_f32();
             let q_scaled = Matrix::from_fn(qm.rows(), qm.cols(), |i, j| qm.get(i, j) * cfg.scale);
@@ -220,7 +243,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                             .at(r0, c0)
                             .iter(ib * nb + jb),
                     );
-                    PhaseTimers::add(&timers.gemm1, t0.elapsed().as_nanos() as u64);
+                    phases.gemm1 += t0.elapsed().as_secs_f64();
 
                     if !opts.protect {
                         s_full.set_block(r0, c0, &full);
@@ -246,36 +269,32 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                         }
                         s_blk.set(loc.row, loc.col, acc);
                     }
-                    FtCounters::add(
-                        &counters.gemm1_detected,
-                        (rep_c.detections + rep_r.detections) as u64,
-                    );
-                    FtCounters::add(
-                        &counters.gemm1_corrected,
-                        (rep_c.corrected.len() + rep_r.corrected.len()) as u64,
-                    );
+                    report.gemm1_detected += (rep_c.detections + rep_r.detections) as u64;
+                    report.gemm1_corrected +=
+                        (rep_c.corrected.len() + rep_r.corrected.len()) as u64;
                     let uncorrectable = rep_c.uncorrectable + rep_r.uncorrectable;
                     if uncorrectable > 0 {
                         // Recompute the block without protection mishaps.
                         s_blk = gemm_nt(&q_blk, &k_blk);
-                        FtCounters::add(&counters.gemm1_recomputed, uncorrectable as u64);
+                        report.gemm1_recomputed += uncorrectable as u64;
                     }
-                    PhaseTimers::add(&timers.gemm1_protect, t0.elapsed().as_nanos() as u64);
+                    phases.gemm1_protect += t0.elapsed().as_secs_f64();
                     s_full.set_block(r0, c0, &s_blk);
                 }
             }
             // Stored to HBM in FP32 accumulator precision.
-            s_full
+            (s_full, report, phases)
         })
         .collect();
-    let k1_time = k1_start.elapsed();
+    let s_tensors = fold_slots(s_tasks, &mut report, &mut phases);
 
     // ---- Kernel II: DMR row softmax ------------------------------------
-    let k2_start = Instant::now();
-    let p_tensors: Vec<MatrixF32> = s_tensors
+    let p_tasks: Vec<SlotResult> = s_tensors
         .into_par_iter()
         .enumerate()
         .map(|(slot, s_mat)| {
+            let mut report = FtReport::default();
+            let mut phases = PhaseBreakdown::default();
             let mut p_full = Matrix::zeros(cfg.seq, cfg.seq);
             for r0 in block_starts(cfg.seq, b) {
                 let mut s_blk = s_mat.block(r0, 0, b, cfg.seq);
@@ -283,30 +302,31 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                     let t0 = Instant::now();
                     let (p_blk, outcome) = dmr_row_softmax(&s_blk, inj, slot, r0, &opts.dmr);
                     // First replica is "compute", the rest is protection.
-                    let elapsed = t0.elapsed().as_nanos() as u64;
-                    let per_exec = elapsed / outcome.executions as u64;
-                    PhaseTimers::add(&timers.softmax, per_exec);
-                    PhaseTimers::add(&timers.softmax_protect, elapsed - per_exec);
-                    FtCounters::add(&counters.dmr_retries, outcome.retries as u64);
+                    let elapsed = t0.elapsed().as_secs_f64();
+                    let per_exec = elapsed / outcome.executions as f64;
+                    phases.softmax += per_exec;
+                    phases.softmax_protect += elapsed - per_exec;
+                    report.dmr_retries += outcome.retries as u64;
                     p_full.set_block(r0, 0, &p_blk);
                 } else {
                     let t0 = Instant::now();
                     crate::reference::row_softmax(&mut s_blk);
-                    PhaseTimers::add(&timers.softmax, t0.elapsed().as_nanos() as u64);
+                    phases.softmax += t0.elapsed().as_secs_f64();
                     p_full.set_block(r0, 0, &s_blk);
                 }
             }
-            p_full.to_f16().to_f32()
+            (p_full.to_f16().to_f32(), report, phases)
         })
         .collect();
-    let k2_time = k2_start.elapsed();
+    let p_tensors = fold_slots(p_tasks, &mut report, &mut phases);
 
     // ---- Kernel III: ABFT-GEMM O = P·V ----------------------------------
-    let k3_start = Instant::now();
-    let o_slots: Vec<MatrixF32> = p_tensors
+    let o_tasks: Vec<SlotResult> = p_tensors
         .into_par_iter()
         .enumerate()
         .map(|(slot, p_mat)| {
+            let mut report = FtReport::default();
+            let mut phases = PhaseBreakdown::default();
             let vm = v.slot_flat(slot).to_f32();
             let mut o_full = Matrix::zeros(cfg.seq, d);
             for (ib, r0) in block_starts(cfg.seq, b).enumerate() {
@@ -315,7 +335,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                     let t0 = Instant::now();
                     let p_cs = encode_cols(&p_blk, QUANTIZE_CHECKSUMS);
                     let aug = augment_rows(&p_blk, &p_cs);
-                    PhaseTimers::add(&timers.gemm2_protect, t0.elapsed().as_nanos() as u64);
+                    phases.gemm2_protect += t0.elapsed().as_secs_f64();
                     aug
                 } else {
                     p_blk.clone()
@@ -330,7 +350,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                         .at(r0, 0)
                         .iter(ib),
                 );
-                PhaseTimers::add(&timers.gemm2, t0.elapsed().as_nanos() as u64);
+                phases.gemm2 += t0.elapsed().as_secs_f64();
 
                 if !opts.protect {
                     o_full.set_block(r0, 0, &full);
@@ -349,36 +369,31 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                     }
                     o_blk.set(loc.row, loc.col, acc);
                 }
-                FtCounters::add(&counters.gemm2_detected, rep.detections as u64);
-                FtCounters::add(&counters.gemm2_corrected, rep.corrected.len() as u64);
+                report.gemm2_detected += rep.detections as u64;
+                report.gemm2_corrected += rep.corrected.len() as u64;
                 if rep.uncorrectable > 0 {
                     let clean = ft_sim::gemm_nn(&p_blk, &vm);
                     o_blk = clean;
-                    FtCounters::add(&counters.gemm2_recomputed, rep.uncorrectable as u64);
+                    report.gemm2_recomputed += rep.uncorrectable as u64;
                 }
-                PhaseTimers::add(&timers.gemm2_protect, t0.elapsed().as_nanos() as u64);
+                phases.gemm2_protect += t0.elapsed().as_secs_f64();
                 o_full.set_block(r0, 0, &o_blk);
             }
-            o_full
+            (o_full, report, phases)
         })
         .collect();
-    let k3_time = k3_start.elapsed();
+    let o_slots = fold_slots(o_tasks, &mut report, &mut phases);
 
     drop(s_alloc);
     drop(p_alloc);
 
     let o = Tensor4F32::from_slots(cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, o_slots);
 
-    let timeline = analytic_timeline(cfg, opts.protect);
-
-    // Record the real kernel wall-clock spans too (sequential pipeline).
-    let _ = (k1_time, k2_time, k3_time);
-
     Ok(AttentionOutput {
         o,
-        timeline,
-        report: counters.snapshot(),
-        phases: timers.snapshot_secs(),
+        timeline: analytic_timeline(cfg, opts.protect),
+        report,
+        phases,
     })
 }
 

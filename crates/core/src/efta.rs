@@ -3,8 +3,9 @@
 //!
 //! One fused kernel computes flash attention *and* its fault tolerance, and
 //! this module holds it exactly once: a row state (`RowState`: `m`, `ℓ`,
-//! `O`, the output checksums `O_c1`/`O_c2`, the block-max history and a
-//! damage flag for a tile of query rows) with two methods.
+//! `O`, the output checksums `O_c1`/`O_c2`, the block-max history, a
+//! damage flag, and the tile's own fault ledger and phase times for a tile
+//! of query rows) with two methods.
 //!
 //! * `RowState::step` is one inner iteration of Algorithm 1 against one K/V
 //!   block and its checksum operands. **Lines 9–16:** GEMM I and its
@@ -17,7 +18,8 @@
 //!   restriction `Σ exp(m_k − m) ≤ ℓ ≤ n`. **Lines 25–29:** normalise `O`
 //!   and its checksums, one output check that locates and corrects, and the
 //!   "needs recompute" verdict — served by a clean online-softmax pass over
-//!   the same blocks.
+//!   the same blocks. It returns `O` with the tile's ledger, which the
+//!   caller folds with [`FtReport::merged`].
 //!
 //! Two kernels call it. Prefill (`efta_forward`, below) steps a B-row state
 //! per (slot, row block) over operands it prepares once per slot per call —
@@ -39,7 +41,7 @@
 
 use crate::config::AttentionConfig;
 use crate::snvr::{restrict_row_max, restrict_rowsum, Restriction};
-use crate::types::{AttentionOutput, FtCounters, PhaseTimers};
+use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
 use ft_abft::propagate::{residue_counts, transport_exp, transport_subtract_max, verify_products};
 use ft_abft::strided::{
     correct_strided, encode_cols_strided, encode_rows_strided, strided_sums, strided_sums_weighted,
@@ -51,7 +53,6 @@ use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
 use ft_sim::{gemm_flops, gemm_nn, gemm_nn_inj, FaultInjector, FaultSite, GemmCtx, OpCoord};
 use rayon::prelude::*;
-use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 
 /// Protection scheme for the two GEMMs (Fig. 11 comparison).
@@ -274,18 +275,18 @@ fn exact_s(q: &MatrixF32, kt: &MatrixF32, row: usize, col: usize) -> f32 {
 }
 
 /// Phase stopwatch: `to` charges the time since the previous mark to one
-/// phase. Without timers (decode) it never reads the clock.
-struct Lap<'a>(Option<(&'a PhaseTimers, Instant)>);
+/// phase. Untimed (decode) it never reads the clock.
+struct Lap(Option<Instant>);
 
-impl<'a> Lap<'a> {
-    fn start(timers: Option<&'a PhaseTimers>) -> Self {
-        Lap(timers.map(|t| (t, Instant::now())))
+impl Lap {
+    fn start(timed: bool) -> Self {
+        Lap(timed.then(Instant::now))
     }
 
-    fn to(&mut self, phase: fn(&PhaseTimers) -> &AtomicU64) {
-        if let Some((timers, since)) = &mut self.0 {
+    fn to(&mut self, phase: &mut f64) {
+        if let Some(since) = &mut self.0 {
             let now = Instant::now();
-            PhaseTimers::add(phase(timers), (now - *since).as_nanos() as u64);
+            *phase += (now - *since).as_secs_f64();
             *since = now;
         }
     }
@@ -295,9 +296,8 @@ impl<'a> Lap<'a> {
 pub(crate) struct Kernel<'a, I: FaultInjector> {
     pub opts: &'a EftaOptions,
     pub inj: &'a I,
-    pub counters: &'a FtCounters,
-    /// Prefill's phase timers; decode passes `None`.
-    pub timers: Option<&'a PhaseTimers>,
+    /// Prefill times its phases; decode does not.
+    pub timed: bool,
     pub slot: usize,
 }
 
@@ -342,6 +342,10 @@ pub(crate) struct RowState<'a> {
     max_hist: Vec<Vec<f32>>,
     /// Damage no checksum can repair: `finish` recomputes the tile.
     pub damaged: bool,
+    /// This tile's fault events.
+    report: FtReport,
+    /// This tile's phase times (zero when untimed).
+    phases: PhaseBreakdown,
 }
 
 impl<'a> RowState<'a> {
@@ -363,14 +367,15 @@ impl<'a> RowState<'a> {
             o_c2: Matrix::zeros(rows, so),
             max_hist: vec![Vec::new(); rows],
             damaged: false,
+            report: FtReport::default(),
+            phases: PhaseBreakdown::default(),
         }
     }
 
     /// Correct S from located linear mismatches: located elements are
     /// recomputed exactly, and an unlocatable one recomputes the block.
-    fn repair_s<I: FaultInjector>(
-        &self,
-        kn: &Kernel<'_, I>,
+    fn repair_s(
+        &mut self,
         kt: &MatrixF32,
         s_blk: &mut MatrixF32,
         mismatches: &[StridedMismatch],
@@ -380,11 +385,11 @@ impl<'a> RowState<'a> {
         for loc in &rep.corrected {
             s_blk.set(loc.row, loc.col, exact_s(self.q, kt, loc.row, loc.col));
         }
-        FtCounters::add(&kn.counters.gemm1_detected, rep.detections as u64);
-        FtCounters::add(&kn.counters.gemm1_corrected, rep.corrected.len() as u64);
+        self.report.gemm1_detected += rep.detections as u64;
+        self.report.gemm1_corrected += rep.corrected.len() as u64;
         if rep.uncorrectable > 0 {
             *s_blk = gemm_nn(self.q, kt);
-            FtCounters::add(&kn.counters.gemm1_recomputed, rep.uncorrectable as u64);
+            self.report.gemm1_recomputed += rep.uncorrectable as u64;
         }
     }
 
@@ -399,6 +404,7 @@ impl<'a> RowState<'a> {
             o_c2,
             ell,
             damaged,
+            report,
             ..
         } = self;
         let s = o_c1.cols();
@@ -414,18 +420,15 @@ impl<'a> RowState<'a> {
             return;
         }
         let rep = correct_strided(o, &mismatches, s);
-        FtCounters::add(&kn.counters.gemm2_detected, rep.detections as u64);
-        FtCounters::add(&kn.counters.gemm2_corrected, rep.corrected.len() as u64);
+        report.gemm2_detected += rep.detections as u64;
+        report.gemm2_corrected += rep.corrected.len() as u64;
         // A delta so large it swamps f32 cannot restore the true value by
         // subtraction — recompute the tile.
         let catastrophic = rep.corrected.iter().any(|l| {
             !l.delta.is_finite() || l.delta.abs() > 1e3 * (o_c1.get(l.row, l.col % s).abs() + 1.0)
         });
         if rep.uncorrectable > 0 || catastrophic {
-            FtCounters::add(
-                &kn.counters.gemm2_recomputed,
-                rep.uncorrectable.max(1) as u64,
-            );
+            report.gemm2_recomputed += rep.uncorrectable.max(1) as u64;
             *damaged = true;
         }
     }
@@ -433,7 +436,7 @@ impl<'a> RowState<'a> {
     /// One inner iteration of Algorithm 1 (lines 9–20) against `blk`.
     #[allow(clippy::too_many_lines)]
     pub(crate) fn step<I: FaultInjector>(&mut self, kn: &Kernel<'_, I>, blk: &BlockOperands<'_>) {
-        let (opts, inj, slot, counters) = (kn.opts, kn.inj, kn.slot, kn.counters);
+        let (opts, inj, slot) = (kn.opts, kn.inj, kn.slot);
         let thr = &opts.thresholds;
         let q = self.q;
         let (rows, d) = q.shape();
@@ -443,7 +446,7 @@ impl<'a> RowState<'a> {
         let snvr = opts.softmax == SoftmaxProtection::Snvr;
         let dmr = opts.softmax == SoftmaxProtection::Dmr;
         let per_step = opts.verify == VerifyMode::PerStep;
-        let mut lap = Lap::start(kn.timers);
+        let mut lap = Lap::start(kn.timed);
 
         // ---- GEMM I ------------------------------------------------
         let gemm1 = |w: &MatrixF32, col0: usize, it: usize| {
@@ -453,7 +456,7 @@ impl<'a> RowState<'a> {
             gemm_nn_inj(q, w, inj, ctx)
         };
         let mut s_blk = gemm1(blk.kt, c0, 0);
-        lap.to(|t| &t.gemm1);
+        lap.to(&mut self.phases.gemm1);
 
         // ---- GEMM I protection: checksum GEMMs ----------------------
         // `se` is the S-side checksum width: a ragged final block folds at
@@ -481,10 +484,10 @@ impl<'a> RowState<'a> {
             // "EFTA": verify the GEMM result immediately.
             let mismatches = checksum_mismatches(opts, &s_blk, (c1, c2), *se, |_| thr.gemm);
             if !mismatches.is_empty() {
-                self.repair_s(kn, blk.kt, &mut s_blk, &mismatches, *se);
+                self.repair_s(blk.kt, &mut s_blk, &mismatches, *se);
             }
         }
-        lap.to(|t| &t.gemm1_protect);
+        lap.to(&mut self.phases.gemm1_protect);
 
         // ---- Softmax: reduce max ------------------------------------
         let mut blk_max: Vec<f32> = (0..rows)
@@ -493,7 +496,7 @@ impl<'a> RowState<'a> {
                 inj.corrupt_f32(FaultSite::MaxReduce, coord, row_max(s_blk.row(i)))
             })
             .collect();
-        lap.to(|t| &t.softmax);
+        lap.to(&mut self.phases.softmax);
 
         // Max protection.
         for i in 0..rows {
@@ -504,7 +507,7 @@ impl<'a> RowState<'a> {
                     restrict_row_max(s_blk.row(i), blk_max[i])
                 {
                     blk_max[i] = repaired;
-                    FtCounters::add(&counters.max_restricted, 1);
+                    self.report.max_restricted += 1;
                 }
                 // Extension beyond the paper (DESIGN.md §4): a huge
                 // *positive* GEMM error becomes the row max, after which
@@ -526,10 +529,10 @@ impl<'a> RowState<'a> {
                     if s_blk.get(i, arg) != exact {
                         // The argmax itself was the corrupted element.
                         s_blk.set(i, arg, exact);
-                        FtCounters::add(&counters.gemm1_corrected, 1);
+                        self.report.gemm1_corrected += 1;
                     }
                     blk_max[i] = row_max(s_blk.row(i));
-                    FtCounters::add(&counters.max_restricted, 1);
+                    self.report.max_restricted += 1;
                 }
             } else if dmr {
                 // Recompute the max a second time and compare.
@@ -538,12 +541,12 @@ impl<'a> RowState<'a> {
                 if blk_max[i] != bm2 {
                     // Third execution, fault-free arbitration.
                     blk_max[i] = row_max(s_blk.row(i));
-                    FtCounters::add(&counters.dmr_retries, 1);
+                    self.report.dmr_retries += 1;
                 }
             }
         }
         let m_new: Vec<f32> = (0..rows).map(|i| self.m[i].max(blk_max[i])).collect();
-        lap.to(|t| &t.softmax_protect);
+        lap.to(&mut self.phases.softmax_protect);
 
         // ---- Softmax: subtract + EXP --------------------------------
         // Per-element fault sites are offered every value only when the
@@ -565,7 +568,7 @@ impl<'a> RowState<'a> {
                 }
             }
         }
-        lap.to(|t| &t.softmax);
+        lap.to(&mut self.phases.softmax);
 
         // ---- Softmax protection: product check / DMR ----------------
         if let (true, Some((c1, c2, se))) = (snvr, &s_cs) {
@@ -576,7 +579,7 @@ impl<'a> RowState<'a> {
             transport_subtract_max(&mut tc1, &m_new, &residue_counts(bc, se));
             let mismatches = verify_products(&p, &transport_exp(&tc1), se, thr.exp_product);
             if !mismatches.is_empty() {
-                FtCounters::add(&counters.exp_detected, mismatches.len() as u64);
+                self.report.exp_detected += mismatches.len() as u64;
                 // Case 2: the product check already established an error
                 // in GEMM I ∪ subtract ∪ EXP; classify via the *linear*
                 // S invariant. The classifier floor sits above the
@@ -596,11 +599,11 @@ impl<'a> RowState<'a> {
                         });
                     } else {
                         // EXP fault: S is clean, recomputing P suffices.
-                        FtCounters::add(&counters.exp_recomputed, 1);
+                        self.report.exp_recomputed += 1;
                     }
                 }
                 if !linear.is_empty() {
-                    self.repair_s(kn, blk.kt, &mut s_blk, &linear, se);
+                    self.repair_s(blk.kt, &mut s_blk, &linear, se);
                 }
                 // Recompute every flagged residue class of P from the
                 // (now corrected) S.
@@ -627,9 +630,9 @@ impl<'a> RowState<'a> {
                     }
                 }
             }
-            FtCounters::add(&counters.dmr_retries, disagreements);
+            self.report.dmr_retries += disagreements;
         }
-        lap.to(|t| &t.softmax_protect);
+        lap.to(&mut self.phases.softmax_protect);
 
         // ---- Softmax: rowsum + rescale factors ----------------------
         let mut factors = vec![0.0f32; rows];
@@ -650,7 +653,7 @@ impl<'a> RowState<'a> {
             self.m[i] = m_new[i];
             self.max_hist[i].push(blk_max[i]);
         }
-        lap.to(|t| &t.softmax);
+        lap.to(&mut self.phases.softmax);
 
         for i in 0..rows {
             if dmr {
@@ -663,7 +666,7 @@ impl<'a> RowState<'a> {
                     // ℓ update with the arbitrated sum.
                     let rs3 = row_sum(p.row(i));
                     self.ell[i] = self.ell[i] - rowsums[i] + rs3;
-                    FtCounters::add(&counters.dmr_retries, 1);
+                    self.report.dmr_retries += 1;
                 }
             }
             // Per-step rowsum restriction ("EFTA" checks every iteration).
@@ -676,11 +679,11 @@ impl<'a> RowState<'a> {
                     let lower: f32 = hist.iter().map(|&mk| (mk - m).exp()).sum();
                     let rs = row_sum(p.row(i));
                     self.ell[i] = (lower - (blk_max[i] - m).exp()).max(0.0) + rs;
-                    FtCounters::add(&counters.sum_restricted, 1);
+                    self.report.sum_restricted += 1;
                 }
             }
         }
-        lap.to(|t| &t.softmax_protect);
+        lap.to(&mut self.phases.softmax_protect);
 
         // ---- GEMM II + rescale --------------------------------------
         // P is quantised to FP16 (in place: it has no later reader) to feed
@@ -710,7 +713,7 @@ impl<'a> RowState<'a> {
                 }
             }
         }
-        lap.to(|t| &t.gemm2);
+        lap.to(&mut self.phases.gemm2);
 
         // ---- GEMM II protection: O_c1/O_c2 ride the rescale ---------
         if let Some((_, vcs)) = blk.checksums {
@@ -735,21 +738,21 @@ impl<'a> RowState<'a> {
                 self.verify_output(kn, true);
             }
         }
-        lap.to(|t| &t.gemm2_protect);
+        lap.to(&mut self.phases.gemm2_protect);
     }
 
     /// Close the tile (Algorithm 1 lines 22–29) and return its normalised
-    /// O. `blocks` replays the attended `(Kᵀ, V)` blocks for the clean
-    /// recomputation fallback; it is consumed only when damage no checksum
-    /// could repair was flagged.
+    /// O with the tile's fault ledger and phase times. `blocks` replays the
+    /// attended `(Kᵀ, V)` blocks for the clean recomputation fallback; it is
+    /// consumed only when damage no checksum could repair was flagged.
     pub(crate) fn finish<I: FaultInjector>(
         mut self,
         kn: &Kernel<'_, I>,
         blocks: impl Iterator<Item = (MatrixF32, MatrixF32)>,
-    ) -> MatrixF32 {
+    ) -> (MatrixF32, FtReport, PhaseBreakdown) {
         let (opts, inj, slot) = (kn.opts, kn.inj, kn.slot);
         let protected = opts.gemm != GemmProtection::Unprotected;
-        let mut lap = Lap::start(kn.timers);
+        let mut lap = Lap::start(kn.timed);
 
         // ---- SNVR rowsum restriction (unified) ----------------------
         if opts.softmax == SoftmaxProtection::Snvr && opts.verify == VerifyMode::Unified {
@@ -760,11 +763,11 @@ impl<'a> RowState<'a> {
                     // Optimised EFTA replaces ℓ with the approximation
                     // Σ_k exp(m_k − m) instead of recomputing.
                     self.ell[i] = repaired;
-                    FtCounters::add(&kn.counters.sum_restricted, 1);
+                    self.report.sum_restricted += 1;
                 }
             }
         }
-        lap.to(|t| &t.softmax_protect);
+        lap.to(&mut self.phases.softmax_protect);
 
         // ---- Normalise O (and checksums) ----------------------------
         let normalize_site = inj.may_fire(FaultSite::Normalize);
@@ -792,16 +795,16 @@ impl<'a> RowState<'a> {
                 }
             }
         }
-        lap.to(|t| &t.gemm2);
+        lap.to(&mut self.phases.gemm2);
 
         // ---- Unified output verification ----------------------------
         if protected {
             self.verify_output(kn, false);
         }
-        lap.to(|t| &t.gemm2_protect);
+        lap.to(&mut self.phases.gemm2_protect);
 
         if !self.damaged {
-            return self.o;
+            return (self.o, self.report, self.phases);
         }
         // Uncorrectable damage: recompute the whole tile cleanly (the
         // paper's recomputation fallback).
@@ -810,7 +813,7 @@ impl<'a> RowState<'a> {
             crate::flash::online_update(&mut state, &gemm_nn(self.q, &kt), &v_blk);
         }
         crate::flash::finalize(&mut state);
-        state.o
+        (state.o, self.report, self.phases)
     }
 }
 
@@ -900,7 +903,7 @@ impl PreparedBlock {
         v: &MatrixF16,
         c0: usize,
         b: usize,
-        timers: &PhaseTimers,
+        phases: &mut PhaseBreakdown,
     ) -> Self {
         let d = k.cols();
         let k_blk = k.block(c0, 0, b, d).to_f32();
@@ -909,19 +912,19 @@ impl PreparedBlock {
         // A ragged final block may hold fewer rows than the checksum
         // stride; its S-side checksums fold at the narrower width.
         let s = effective_stride(opts).min(k_blk.rows());
-        let mut lap = Lap::start(Some(timers));
+        let mut lap = Lap::start(true);
         let kt = k_blk.transpose();
-        lap.to(|t| &t.gemm1);
+        lap.to(&mut phases.gemm1);
         let k_cs = protected.then(|| k_major(&encode_k(opts, &k_blk, s)));
-        lap.to(|t| &t.gemm1_protect);
+        lap.to(&mut phases.gemm1_protect);
         let v_cs = protected.then(|| encode_v(opts, &v_blk));
-        lap.to(|t| &t.gemm2_protect);
+        lap.to(&mut phases.gemm2_protect);
         let k_max_norm = if opts.softmax == SoftmaxProtection::Snvr {
             max_row_norm(&k_blk)
         } else {
             0.0
         };
-        lap.to(|t| &t.softmax_protect);
+        lap.to(&mut phases.softmax_protect);
         PreparedBlock {
             kt,
             v: v_blk,
@@ -942,14 +945,16 @@ impl PreparedBlock {
     }
 }
 
-/// Fused EFTA kernel body; [`crate::backend::EftaBackend`] is the public
-/// entry point.
+/// Fused EFTA kernel body; [`BackendKind::Efta`](crate::backend::BackendKind::Efta)
+/// is the public entry point.
 ///
 /// Two parallel regions: each `(batch, head)` slot first prepares its
 /// column blocks once (`Kᵀ` and V in f32, checksum operands, max-norm),
 /// then every `(slot, row block)` pair runs as its own task against the
 /// shared prepared blocks, so the fan-out is not capped at the slot
 /// count. The preparation of every slot is live during the second region.
+/// Every task returns its own fault ledger and phase times, folded after
+/// the region.
 /// On the GPU every (slot, row block) CTA encodes its own checksum
 /// operands, since CTAs cannot share registers; [`analytic_stats`] keeps
 /// modelling that kernel. On the CPU the same functions of the same data
@@ -971,19 +976,20 @@ pub(crate) fn efta_forward<I: FaultInjector>(
         cfg.seq >= opts.stride,
         "sequence shorter than checksum stride"
     );
-    let counters = FtCounters::new();
-    let timers = PhaseTimers::new();
     let b = cfg.block;
     let d = cfg.head_dim;
     let s = effective_stride(opts);
 
-    let prepared: Vec<Vec<PreparedBlock>> = (0..cfg.num_slots())
+    let (prepared, prepare_phases): (Vec<Vec<PreparedBlock>>, Vec<PhaseBreakdown>) = (0..cfg
+        .num_slots())
         .into_par_iter()
         .map(|slot| {
             let (k_slot, v_slot) = (k.slot_flat(slot), v.slot_flat(slot));
-            block_starts(cfg.seq, b)
-                .map(|c0| PreparedBlock::new(opts, k_slot, v_slot, c0, b, &timers))
-                .collect()
+            let mut phases = PhaseBreakdown::default();
+            let blocks = block_starts(cfg.seq, b)
+                .map(|c0| PreparedBlock::new(opts, k_slot, v_slot, c0, b, &mut phases))
+                .collect();
+            (blocks, phases)
         })
         .collect();
 
@@ -992,15 +998,14 @@ pub(crate) fn efta_forward<I: FaultInjector>(
         .flat_map(|slot| block_starts(cfg.seq, b).map(move |r0| (slot, r0)))
         .collect();
 
-    let results: Vec<(usize, usize, MatrixF32)> = tasks
+    let results: Vec<(usize, usize, (MatrixF32, FtReport, PhaseBreakdown))> = tasks
         .into_par_iter()
         .map(|(slot, r0)| {
             let blocks = &prepared[slot];
             let kernel = Kernel {
                 opts,
                 inj,
-                counters: &counters,
-                timers: Some(&timers),
+                timed: true,
                 slot,
             };
             let q_raw = q.slot_flat(slot).block(r0, 0, b, d).to_f32();
@@ -1015,9 +1020,15 @@ pub(crate) fn efta_forward<I: FaultInjector>(
         .collect();
 
     let mut o = Tensor4F32::zeros(cfg.batch, cfg.heads, cfg.seq, cfg.head_dim);
-    for (slot, r0, o_blk) in results {
+    let mut report = FtReport::default();
+    let mut phases = prepare_phases
+        .iter()
+        .fold(PhaseBreakdown::default(), |acc, p| acc.merged(p));
+    for (slot, r0, (o_blk, task_report, task_phases)) in results {
         let (bi, h) = o.unflatten(slot);
         o.slot_mut(bi, h).set_block(r0, 0, &o_blk);
+        report = report.merged(&task_report);
+        phases = phases.merged(&task_phases);
     }
 
     let mut timeline = Timeline::new();
@@ -1026,8 +1037,8 @@ pub(crate) fn efta_forward<I: FaultInjector>(
     AttentionOutput {
         o,
         timeline,
-        report: counters.snapshot(),
-        phases: timers.snapshot_secs(),
+        report,
+        phases,
     }
 }
 

@@ -93,8 +93,8 @@ pub(crate) fn finalize(state: &mut OnlineState) {
     }
 }
 
-/// Flash kernel body; [`crate::backend::FlashBackend`] is the public entry
-/// point.
+/// Flash kernel body; [`BackendKind::Flash`](crate::backend::BackendKind::Flash)
+/// is the public entry point.
 pub(crate) fn flash_forward(
     cfg: &AttentionConfig,
     q: &Tensor4F16,

@@ -7,9 +7,9 @@
 //!
 //! ## The unified backend API
 //!
-//! Every kernel family is a strategy behind one trait: build an
-//! [`AttentionRequest`], pick a
-//! [`BackendKind`] — by variant or by name — and
+//! Every kernel family is a variant of [`BackendKind`], the one
+//! implementation of the [`AttentionBackend`] trait: build an
+//! [`AttentionRequest`], pick a kind — by variant or by name — and
 //! [`run`](backend::AttentionBackend::run) it:
 //!
 //! ```
@@ -40,16 +40,16 @@
 //!
 //! ## The kernel families
 //!
-//! * [`backend::ReferenceBackend`] (`"reference"`) — naive exact attention,
+//! * [`BackendKind::Reference`] (`"reference"`) — naive exact attention,
 //!   the correctness oracle ([`mod@reference`]);
-//! * [`backend::FlashBackend`] (`"flash"`) — tiled online-softmax flash
+//! * [`BackendKind::Flash`] (`"flash"`) — tiled online-softmax flash
 //!   attention, the unprotected baseline ([`flash`]);
-//! * [`backend::DecoupledBackend`] (`"decoupled"`) — the traditional
+//! * [`BackendKind::Decoupled`] (`"decoupled"`) — the traditional
 //!   three-kernel ABFT + DMR pipeline with O(n²) HBM materialisation
 //!   (§3.1, [`decoupled`]); the only backend that can legitimately fail
 //!   (OOM), surfaced through
 //!   [`try_run`](backend::AttentionBackend::try_run);
-//! * [`backend::EftaBackend`] (`"efta"`, `"efta-o"`) — the fused
+//! * [`BackendKind::Efta`] (`"efta"`, `"efta-o"`) — the fused
 //!   single-kernel EFTA with hybrid strided-ABFT + SNVR protection and
 //!   per-step or unified verification (§3.2–3.4, Algorithm 1, [`efta`]);
 //! * [`dmr`] / [`snvr`] — the softmax protection schemes compared in
@@ -60,8 +60,8 @@
 //! Serving traffic decodes one token at a time over cached K/V. The
 //! checksum-protected store is [`kv::KvCache`]; a
 //! [`DecodeRequest`] runs one step through
-//! [`try_decode`](backend::AttentionBackend::try_decode) on any backend —
-//! EFTA's variant re-verifies cache-resident state on read and carries its
+//! [`try_decode`](backend::AttentionBackend::try_decode) on any kind —
+//! an EFTA kind re-verifies cache-resident state on read and carries its
 //! output checksums across the online-softmax rescales ([`decode`]).
 //!
 //! Under multi-user traffic, many streams share one kernel sweep:
@@ -89,10 +89,7 @@ pub mod serve;
 pub mod snvr;
 pub mod types;
 
-pub use backend::{
-    AttentionBackend, AttentionRequest, BackendError, BackendKind, DecoupledBackend, EftaBackend,
-    FlashBackend, ReferenceBackend,
-};
+pub use backend::{AttentionBackend, AttentionRequest, BackendError, BackendKind};
 pub use config::AttentionConfig;
 pub use decode::DecodeRequest;
 pub use decoupled::{

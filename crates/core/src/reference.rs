@@ -60,7 +60,8 @@ pub fn reference_attention_slot(
     gemm_nn(&s, v)
 }
 
-/// Reference kernel body; [`crate::backend::ReferenceBackend`] is the
+/// Reference kernel body;
+/// [`BackendKind::Reference`](crate::backend::BackendKind::Reference) is the
 /// public entry point.
 pub(crate) fn reference_forward(
     cfg: &AttentionConfig,

@@ -11,9 +11,9 @@
 //!   chunk for a stream still consuming its prompt); row `r` attends the
 //!   causal prefix `0 .. cache.len() − c + r + 1` of that stream's own
 //!   [`KvCache`].
-//! * [`sweep_unprotected`] / [`sweep_efta`] — the one decode path: every
-//!   `(stream, slot)` **tile** of every slice is flattened into **one**
-//!   parallel sweep. A tile spans all of its stream's chunk rows, reads
+//! * [`sweep_efta`] — the one decode path, under protecting and
+//!   unprotected options alike: every `(stream, slot)` **tile** of every
+//!   slice is flattened into **one** parallel sweep. A tile spans all of its stream's chunk rows, reads
 //!   and verifies each attended cache block once, and runs every row's
 //!   online-softmax accumulation against the shared buffer — chunked
 //!   prefill pays block verification once per sweep instead of once per
@@ -85,7 +85,7 @@ use crate::decode::{efta_decode_tile, reference_decode_tile, sweep_tile_stats};
 use crate::efta::{EftaOptions, GemmProtection, SoftmaxProtection};
 use crate::kv::KvCache;
 use crate::protect::ProtectionLevel;
-use crate::types::{FtCounters, FtReport};
+use crate::types::FtReport;
 use core::cmp::Reverse;
 use ft_abft::thresholds::Thresholds;
 use ft_num::{MatrixF32, Tensor4F16, Tensor4F32};
@@ -191,64 +191,64 @@ fn tile_units(slices: &[StreamSlice<'_>]) -> Vec<(usize, usize)> {
     units
 }
 
-/// Reassemble per-tile `c × dim` outputs (in `tile_units` order) into
-/// per-stream output tensors, with each stream's fault ledger and an exact
-/// per-row attended census for its kernel stats (see
+/// Reassemble per-tile `c × dim` outputs and ledgers (in `tile_units`
+/// order) into per-stream output tensors, with each stream's fault ledger
+/// and an exact per-row attended census for its kernel stats (see
 /// [`sweep_tile_stats`](crate::decode::sweep_tile_stats) — chunk rows are
 /// charged their own causal prefix, and shared block reads are charged
-/// once per tile, not once per row). A slice without a ledger read
-/// unprotected: clean report, no checksum-operand traffic.
+/// once per tile, not once per row). An unprotected slice has a clean
+/// report and no checksum-operand traffic.
+///
+/// A protected slice's ledger is seeded once — not once per tile — with
+/// its cache's sticky unrepairable damage, scoped to the blocks the
+/// stream's window can still attend (see `KvCache::poisoned_attended`: a
+/// mark behind the window cannot reach any future token, so it must not
+/// trip the engine's re-prefill trigger).
 fn assemble(
     slices: &[StreamSlice<'_>],
-    tiles: Vec<MatrixF32>,
-    counters: &[Option<FtCounters>],
+    tiles: Vec<(MatrixF32, FtReport)>,
+    protected: &[bool],
 ) -> Vec<StreamSweepOutput> {
     let mut out = Vec::with_capacity(slices.len());
     let mut tiles = tiles.into_iter();
-    for (s, counters) in slices.iter().zip(counters) {
+    for (s, &protected) in slices.iter().zip(protected) {
         let (c, ns, d) = (s.q.seq(), s.cache.num_slots(), s.cache.dim());
-        let mats: Vec<MatrixF32> = tiles.by_ref().take(ns).collect();
+        let mut report = FtReport {
+            cache_uncorrectable: if protected {
+                s.cache.poisoned_attended(s.window)
+            } else {
+                0
+            },
+            ..FtReport::default()
+        };
+        let mut mats = Vec::with_capacity(ns);
+        for (mat, tile_report) in tiles.by_ref().take(ns) {
+            mats.push(mat);
+            report = report.merged(&tile_report);
+        }
         let mut timeline = Timeline::new();
-        timeline.push(
-            "decode",
-            sweep_tile_stats(s.cache, c, s.window, counters.is_some()),
-        );
+        timeline.push("decode", sweep_tile_stats(s.cache, c, s.window, protected));
         out.push(StreamSweepOutput {
             stream: s.stream,
             o: Tensor4F32::from_slots(s.cache.batch(), s.cache.heads(), c, d, mats),
-            report: counters
-                .as_ref()
-                .map(FtCounters::snapshot)
-                .unwrap_or_default(),
+            report,
             timeline,
         });
     }
     out
 }
 
-/// Unprotected batched sweep: one multi-row tile per `(stream, slot)` work
-/// unit, each tile reading every attended cache block once and running all
-/// chunk rows' online-softmax accumulation against it (see
-/// `ft_core::decode::reference_decode_tile`). The default
-/// [`try_decode_sweep`](crate::backend::AttentionBackend::try_decode_sweep)
-/// path for backends without a protected decode variant.
-pub fn sweep_unprotected(
-    slices: &[StreamSlice<'_>],
-    inj: &dyn FaultInjector,
-) -> Result<Vec<StreamSweepOutput>, BackendError> {
-    sweep_tiles(slices, None, inj, None, &EftaOptions::unprotected())
-}
-
-/// EFTA-protected batched sweep: one multi-row tile per `(stream, slot)`
-/// work unit. Each tile verifies every attended cache block of its stream
-/// **once** per sweep ([`KvCache::verified_block`]), exposes the corrected
-/// payload and stored checksum operands to all chunk rows, and runs the
-/// protected per-row pipeline against the shared buffer; fault events land
-/// in that stream's [`FtReport`] only, with per-block cache events
-/// attributed once per sweep. Reads unprotected when `opts` disables both
-/// GEMM and softmax protection; a
-/// [`Raw`](crate::protect::ProtectionLevel::Raw) stream's slice (alone)
-/// reads unprotected inside the same sweep.
+/// Batched sweep: one multi-row tile per `(stream, slot)` work unit. Under
+/// protecting options each tile verifies every attended cache block of its
+/// stream **once** per sweep ([`KvCache::verified_block`]), exposes the
+/// corrected payload and stored checksum operands to all chunk rows, and
+/// runs the protected per-row pipeline against the shared buffer; fault
+/// events land in that stream's [`FtReport`] only, with per-block cache
+/// events attributed once per sweep. When `opts` disables both GEMM and
+/// softmax protection every tile reads the cache raw and runs plain online
+/// softmax (see `ft_core::decode::reference_decode_tile`), ignoring
+/// `thresholds`; a [`Raw`](crate::protect::ProtectionLevel::Raw) stream's
+/// slice (alone) reads unprotected inside a protected sweep.
 pub fn sweep_efta(
     slices: &[StreamSlice<'_>],
     inj: &dyn FaultInjector,
@@ -271,20 +271,20 @@ pub(crate) fn sweep_tiles(
     thresholds: Option<Thresholds>,
     opts: &EftaOptions,
 ) -> Result<Vec<StreamSweepOutput>, BackendError> {
-    let counters = efta_sweep_prologue(slices, opts)?;
+    let protected = efta_sweep_prologue(slices, opts)?;
     let opts = &EftaOptions {
         thresholds: thresholds.unwrap_or(opts.thresholds),
         ..*opts
     };
-    let tiles: Vec<MatrixF32> = tile_units(slices)
+    let tiles: Vec<(MatrixF32, FtReport)> = tile_units(slices)
         .into_par_iter()
         .map(|(si, slot)| {
             let s = &slices[si];
             let base = s.base();
             let step0 = step0.unwrap_or(base);
             let q_chunk = s.q.slot_flat(slot).to_f32();
-            match &counters[si] {
-                Some(counters) => efta_decode_tile(
+            if protected[si] {
+                efta_decode_tile(
                     s.cache,
                     slot,
                     base + 1,
@@ -292,29 +292,28 @@ pub(crate) fn sweep_tiles(
                     &q_chunk,
                     inj,
                     opts,
-                    counters,
                     s.window,
-                ),
-                None => {
-                    reference_decode_tile(s.cache, slot, base + 1, step0, &q_chunk, inj, s.window)
-                }
+                )
+            } else {
+                let o =
+                    reference_decode_tile(s.cache, slot, base + 1, step0, &q_chunk, inj, s.window);
+                (o, FtReport::default())
             }
         })
         .collect();
-    Ok(assemble(slices, tiles, &counters))
+    Ok(assemble(slices, tiles, &protected))
 }
 
 /// Entry checks and the per-slice protection decision of a sweep. A slice
-/// runs the protected tile — `Some` fault ledger, pre-seeded with its
-/// cache's window-scoped sticky poison count — when the options protect
-/// *and* its cache stores checksum metadata; it reads unprotected (`None`)
-/// when the options disable both GEMM and softmax protection, or when its
-/// cache is [`Raw`](ProtectionLevel::Raw): a Raw stream stores no checksum
-/// operands, so the protected tile has nothing to verify or reuse.
+/// runs the protected tile when the options protect *and* its cache stores
+/// checksum metadata; it reads unprotected when the options disable both
+/// GEMM and softmax protection, or when its cache is
+/// [`Raw`](ProtectionLevel::Raw): a Raw stream stores no checksum operands,
+/// so the protected tile has nothing to verify or reuse.
 fn efta_sweep_prologue(
     slices: &[StreamSlice<'_>],
     opts: &EftaOptions,
-) -> Result<Vec<Option<FtCounters>>, BackendError> {
+) -> Result<Vec<bool>, BackendError> {
     if opts.gemm == GemmProtection::Traditional {
         return Err(BackendError::Unsupported(
             "decode reuses the cache's strided append-time checksums; the traditional \
@@ -327,22 +326,7 @@ fn efta_sweep_prologue(
         opts.gemm != GemmProtection::Unprotected || opts.softmax != SoftmaxProtection::Unprotected;
     Ok(slices
         .iter()
-        .map(|s| {
-            (protects && s.cache.protection().encodes_metadata()).then(|| {
-                let counters = FtCounters::new();
-                // Sticky unrepairable damage is per stream: surface it in
-                // that stream's report every sweep, scoped to the blocks
-                // the stream's window can still attend (see
-                // `KvCache::poisoned_attended` — a mark behind the window
-                // cannot reach any future token, so it must not trip the
-                // engine's re-prefill trigger).
-                FtCounters::add(
-                    &counters.cache_uncorrectable,
-                    s.cache.poisoned_attended(s.window),
-                );
-                counters
-            })
-        })
+        .map(|s| protects && s.cache.protection().encodes_metadata())
         .collect())
 }
 
@@ -829,8 +813,8 @@ pub struct SchedulerConfig {
     /// projection fits the budget — the live bytes reported via
     /// [`DecodeScheduler::note_bytes`] plus every active and candidate
     /// stream's still-unmaterialized token budget (prompt +
-    /// `max_new_tokens`, capped by the sliding window's resident bound
-    /// when [`DecodeScheduler::set_projection_cap`] is set). This is an
+    /// `max_new_tokens`, capped for a windowed stream by its window's
+    /// resident bound, see [`DecodeScheduler::set_window_slack`]). This is an
     /// admission *throttle* over driver-supplied estimates, not a hard
     /// cap: the per-token estimate typically counts payload only (live
     /// totals also carry checksum metadata) and chunked prefill
@@ -1046,11 +1030,6 @@ pub struct DecodeScheduler {
     /// Driver-supplied estimate of cache bytes one token occupies (for
     /// projecting a pending stream's prompt cost at admission time).
     bytes_per_token: u64,
-    /// Driver-supplied cap on the tokens a stream can keep resident (a
-    /// sliding window bounds the footprint regardless of prompt length).
-    /// Global fallback for streams without their own window; windowed
-    /// streams derive a per-stream cap of `window + window_slack`.
-    projection_cap: Option<usize>,
     /// Driver-supplied slack (in rows) added to a stream's window when
     /// deriving its per-stream projection cap — block-granular eviction
     /// keeps up to one extra block resident, so the driver passes the
@@ -1164,18 +1143,10 @@ impl DecodeScheduler {
         self.bytes_per_token = bytes;
     }
 
-    /// Cap the token count used in admission projections: under
-    /// sliding-window serving a stream's resident footprint is bounded by
+    /// Rows added to a windowed stream's window to cap the token count of
+    /// its admission projection: its resident footprint is bounded by
     /// roughly `window + cache_block` rows however long its prompt, so
-    /// projecting the full prompt length would over-throttle admission.
-    /// Global fallback — streams whose [`GenerationRequest::window`] is set
-    /// derive their own cap (`window +`
-    /// [`set_window_slack`](DecodeScheduler::set_window_slack)).
-    pub fn set_projection_cap(&mut self, tokens: usize) {
-        self.projection_cap = Some(tokens);
-    }
-
-    /// Rows added to a windowed stream's per-stream projection cap
+    /// projecting the full prompt length would over-throttle admission
     /// (block-granular eviction keeps up to one extra block resident; the
     /// driver passes the cache block size).
     pub fn set_window_slack(&mut self, rows: usize) {
@@ -1220,13 +1191,12 @@ impl DecodeScheduler {
             "memory_budget admission needs set_bytes_per_token (and note_bytes \
              each sweep) — with a zero per-token estimate the budget is inert"
         );
-        let global_cap = self.projection_cap.unwrap_or(usize::MAX);
         let slack = self.window_slack;
         let bpt = self.bytes_per_token;
         let remainder = |s: &StreamState| {
-            // Per-stream cap from the request's own window; global
-            // fallback for full-attention streams.
-            let cap = s.window.map_or(global_cap, |w| w + slack);
+            // Per-stream cap from the request's own window; full-attention
+            // streams project their whole budget.
+            let cap = s.window.map_or(usize::MAX, |w| w + slack);
             let target = s.max_total.min(cap);
             let materialized = s.materialized().min(cap);
             target.saturating_sub(materialized) as u64 * bpt
@@ -1894,30 +1864,6 @@ mod tests {
         let plan = sched.plan();
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].stream, c);
-    }
-
-    #[test]
-    fn projection_cap_bounds_windowed_admission_estimates() {
-        // A sliding window bounds each stream's resident footprint, so
-        // long prompts must not be projected at full length.
-        let mut sched = DecodeScheduler::new(SchedulerConfig {
-            max_active: 4,
-            prefill_chunk: 4,
-            memory_budget: Some(100),
-            ..Default::default()
-        });
-        sched.set_bytes_per_token(10);
-        sched.set_projection_cap(3); // window: ≤ 3 resident tokens/stream
-        for _ in 0..3 {
-            // A 40-token prompt, capped cost 30.
-            sched.submit_request(GenerationRequest::new(vec![0; 40], 1));
-        }
-        let plan = sched.plan();
-        assert_eq!(
-            plan.len(),
-            3,
-            "capped projections (3 × 30 bytes) all fit the 100-byte budget"
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Shared output and accounting types: the attention kernels' outputs and
-//! [`FtReport`], the one fault ledger every protected site reports in.
+//! [`FtReport`], the one fault ledger every protected site returns.
 //!
 //! | site                   | detected          | corrected          | recomputed / restricted            |
 //! |------------------------|-------------------|--------------------|------------------------------------|
@@ -14,97 +14,16 @@
 //!
 //! `cache_tolerated` and `cache_evicted_blocks` are policy events, not
 //! faults. Ledgers combine by exactly two folds: [`FtReport::merged`] for
-//! distinct physical sources inside one sweep (slots, layers, streams,
-//! shards) and [`FtReport::accumulate`] for successive sweeps of one stream.
+//! distinct physical sources inside one sweep (kernel tasks, slots, layers,
+//! streams, shards) and [`FtReport::accumulate`] for successive sweeps of
+//! one stream.
 
-use core::sync::atomic::{AtomicU64, Ordering};
 use ft_num::Tensor4F32;
 use ft_sim::cost::Timeline;
 
-/// Fault-tolerance event counters accumulated during one kernel run.
-///
-/// Thread-safe: kernels update these from rayon workers; campaigns read the
-/// totals afterwards.
-#[derive(Debug, Default)]
-pub struct FtCounters {
-    /// Checksum mismatches detected on GEMM I (QKᵀ).
-    pub gemm1_detected: AtomicU64,
-    /// GEMM I errors corrected via checksums.
-    pub gemm1_corrected: AtomicU64,
-    /// GEMM I mismatches that required recomputation.
-    pub gemm1_recomputed: AtomicU64,
-    /// Product-check mismatches attributed to subtraction/EXP.
-    pub exp_detected: AtomicU64,
-    /// EXP errors repaired by recomputation.
-    pub exp_recomputed: AtomicU64,
-    /// Reduce-max range violations repaired.
-    pub max_restricted: AtomicU64,
-    /// Rowsum (ℓ) range violations repaired (restriction / approximation).
-    pub sum_restricted: AtomicU64,
-    /// Checksum mismatches detected on GEMM II / rescale / normalise.
-    pub gemm2_detected: AtomicU64,
-    /// GEMM II errors corrected via checksums.
-    pub gemm2_corrected: AtomicU64,
-    /// GEMM II mismatches that required recomputation.
-    pub gemm2_recomputed: AtomicU64,
-    /// DMR disagreement events (decoupled / DMR-softmax paths).
-    pub dmr_retries: AtomicU64,
-    /// Checksum mismatches detected on cache-resident K/V state at read.
-    pub cache_detected: AtomicU64,
-    /// Cache-resident errors located and corrected on read.
-    pub cache_corrected: AtomicU64,
-    /// Cache-resident mismatches that could not be located (the original
-    /// data is gone — unlike GEMM faults there is nothing to recompute
-    /// from, so these are surfaced for the serving layer to re-prefill).
-    pub cache_uncorrectable: AtomicU64,
-    /// Cache-resident checksum residuals absorbed without correction
-    /// under [`ProtectionLevel::Approximate`](crate::protect::ProtectionLevel):
-    /// above the read-check floor but within the stream's tolerance, so
-    /// no locate/correct ran and nothing was poisoned.
-    pub cache_tolerated: AtomicU64,
-}
-
-impl FtCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Immutable snapshot.
-    pub fn snapshot(&self) -> FtReport {
-        FtReport {
-            gemm1_detected: self.gemm1_detected.load(Ordering::Relaxed),
-            gemm1_corrected: self.gemm1_corrected.load(Ordering::Relaxed),
-            gemm1_recomputed: self.gemm1_recomputed.load(Ordering::Relaxed),
-            exp_detected: self.exp_detected.load(Ordering::Relaxed),
-            exp_recomputed: self.exp_recomputed.load(Ordering::Relaxed),
-            max_restricted: self.max_restricted.load(Ordering::Relaxed),
-            sum_restricted: self.sum_restricted.load(Ordering::Relaxed),
-            gemm2_detected: self.gemm2_detected.load(Ordering::Relaxed),
-            gemm2_corrected: self.gemm2_corrected.load(Ordering::Relaxed),
-            gemm2_recomputed: self.gemm2_recomputed.load(Ordering::Relaxed),
-            dmr_retries: self.dmr_retries.load(Ordering::Relaxed),
-            cache_detected: self.cache_detected.load(Ordering::Relaxed),
-            cache_corrected: self.cache_corrected.load(Ordering::Relaxed),
-            cache_uncorrectable: self.cache_uncorrectable.load(Ordering::Relaxed),
-            cache_tolerated: self.cache_tolerated.load(Ordering::Relaxed),
-            // Eviction is a storage policy executed by the cache owner and
-            // linear / activation events are counted by their layers, not by
-            // the kernels these counters instrument; both join upstream.
-            ..FtReport::default()
-        }
-    }
-
-    /// Bump a counter by `n` (convenience for call sites).
-    pub fn add(counter: &AtomicU64, n: u64) {
-        if n > 0 {
-            counter.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-}
-
 /// The fault ledger: plain-data event counts of every protected site (the
-/// [module table](self)); kernels fill theirs via [`FtCounters::snapshot`].
+/// [module table](self)). Every parallel task owns one and returns it; the
+/// caller folds them with [`merged`](FtReport::merged).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FtReport {
     /// Checksum mismatches detected on GEMM I (QKᵀ).
@@ -254,52 +173,9 @@ impl FtReport {
     }
 }
 
-/// Per-phase wall-clock accumulators (nanoseconds, summed across rayon
-/// workers) powering the overhead-breakdown figures.
-#[derive(Debug, Default)]
-pub struct PhaseTimers {
-    /// GEMM I compute.
-    pub gemm1: AtomicU64,
-    /// GEMM I protection (checksum encode + verify + correct).
-    pub gemm1_protect: AtomicU64,
-    /// Softmax compute (max, subtract, exp, sums, rescale).
-    pub softmax: AtomicU64,
-    /// Softmax protection (DMR replicas or SNVR checks).
-    pub softmax_protect: AtomicU64,
-    /// GEMM II compute.
-    pub gemm2: AtomicU64,
-    /// GEMM II protection.
-    pub gemm2_protect: AtomicU64,
-}
-
-impl PhaseTimers {
-    /// Fresh zeroed timers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `nanos` to a phase accumulator.
-    pub fn add(phase: &AtomicU64, nanos: u64) {
-        phase.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Snapshot in seconds: (gemm1, gemm1_prot, softmax, softmax_prot,
-    /// gemm2, gemm2_prot).
-    pub fn snapshot_secs(&self) -> PhaseBreakdown {
-        let f = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64 * 1e-9;
-        PhaseBreakdown {
-            gemm1: f(&self.gemm1),
-            gemm1_protect: f(&self.gemm1_protect),
-            softmax: f(&self.softmax),
-            softmax_protect: f(&self.softmax_protect),
-            gemm2: f(&self.gemm2),
-            gemm2_protect: f(&self.gemm2_protect),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`PhaseTimers`] in seconds of accumulated worker
-/// time.
+/// Per-phase wall-clock time powering the overhead-breakdown figures, in
+/// seconds of worker time: each parallel task times its own phases and the
+/// caller folds them with [`merged`](PhaseBreakdown::merged).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// GEMM I compute seconds.
@@ -327,7 +203,7 @@ impl PhaseBreakdown {
         self.gemm1 + self.softmax + self.gemm2
     }
 
-    /// Field-wise sum with another breakdown (batched aggregation).
+    /// Field-wise sum with another breakdown (one task's into the total).
     pub fn merged(&self, other: &PhaseBreakdown) -> PhaseBreakdown {
         PhaseBreakdown {
             gemm1: self.gemm1 + other.gemm1,
@@ -358,22 +234,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_snapshot_round_trip() {
-        let c = FtCounters::new();
-        FtCounters::add(&c.gemm1_detected, 3);
-        FtCounters::add(&c.exp_recomputed, 2);
-        FtCounters::add(&c.sum_restricted, 0); // no-op
-        let r = c.snapshot();
-        assert_eq!(r.gemm1_detected, 3);
-        assert_eq!(r.exp_recomputed, 2);
-        assert_eq!(r.sum_restricted, 0);
-        assert_eq!(r.total_detected(), 3);
-        assert_eq!(r.total_repaired(), 2);
-        assert!(!r.clean());
-        assert!(FtReport::default().clean());
-    }
-
-    #[test]
     fn two_layer_poison_is_counted_once_across_steps() {
         // Regression for the merged/accumulate mixing contract:
         // cache_uncorrectable sums across layers within one step (two
@@ -401,14 +261,16 @@ mod tests {
     }
 
     #[test]
-    fn phase_timers_accumulate() {
-        let t = PhaseTimers::new();
-        PhaseTimers::add(&t.gemm1, 1_000_000_000);
-        PhaseTimers::add(&t.gemm1_protect, 500_000_000);
-        PhaseTimers::add(&t.softmax_protect, 250_000_000);
-        let b = t.snapshot_secs();
-        assert!((b.gemm1 - 1.0).abs() < 1e-9);
-        assert!((b.protect_total() - 0.75).abs() < 1e-9);
-        assert!((b.compute_total() - 1.0).abs() < 1e-9);
+    fn phase_breakdowns_merge() {
+        let task = PhaseBreakdown {
+            gemm1: 0.5,
+            gemm1_protect: 0.25,
+            softmax_protect: 0.125,
+            ..PhaseBreakdown::default()
+        };
+        let b = task.merged(&task);
+        assert_eq!(b.gemm1, 1.0);
+        assert_eq!(b.protect_total(), 0.75);
+        assert_eq!(b.compute_total(), 1.0);
     }
 }

@@ -1,5 +1,5 @@
 //! Unified-API integration suite: the cross-backend equivalence matrix,
-//! registry round-trips, block-size policy, and batched execution.
+//! registry round-trips, block-size policy, and exact fault ledgers.
 //!
 //! This is the contract the `AttentionBackend` redesign exists to enforce:
 //! every backend in the registry computes the *same attention* as the
@@ -11,9 +11,14 @@ use ft_transformer_suite::attention::backend::{
     AttentionBackend, AttentionRequest, BackendError, BackendKind,
 };
 use ft_transformer_suite::attention::config::AttentionConfig;
+use ft_transformer_suite::attention::kv::KvCache;
+use ft_transformer_suite::attention::serve::{StreamId, StreamSlice};
+use ft_transformer_suite::attention::types::{FtReport, PhaseBreakdown};
 use ft_transformer_suite::num::rng::normal_tensor_f16;
-use ft_transformer_suite::num::Tensor4F16;
-use ft_transformer_suite::sim::{FaultInjector, FaultSite, OpCoord, SeuInjector};
+use ft_transformer_suite::num::{Tensor4F16, F16};
+use ft_transformer_suite::sim::{
+    ChainFault, FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector,
+};
 
 fn workload(cfg: &AttentionConfig, seed: u64) -> (Tensor4F16, Tensor4F16, Tensor4F16) {
     let q = normal_tensor_f16(seed, cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, 0.6);
@@ -111,23 +116,176 @@ fn auto_block_handles_extreme_sequences() {
     }
 }
 
-#[test]
-fn run_batched_agrees_with_run_and_remaps_faults() {
-    let cfg = AttentionConfig::new(2, 2, 64, 32).with_block(32);
-    let (q, k, v) = workload(&cfg, 777);
-    let kind: BackendKind = "efta-o".parse().unwrap();
-    let req = AttentionRequest::new(cfg, &q, &k, &v);
-    let whole = kind.run(&req);
-    let split = kind.run_batched(&req);
-    assert!(split.o.max_abs_diff(&whole.o) < 1e-6);
+/// Several single-event upsets at once: every query is offered to each
+/// upset in turn, so each fires at its own coordinate exactly as it would
+/// alone.
+struct Upsets(Vec<SeuInjector>);
 
-    // A fault aimed at batched slot 2 fires exactly once after the split.
-    let inj =
-        SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(2, 5, 40, 3), 30).at_chain_step(20);
-    let out = kind.run_batched(&AttentionRequest::new(cfg, &q, &k, &v).with_injector(&inj));
-    assert_eq!(inj.fired(), 1);
-    assert!(out.report.total_detected() > 0, "{:?}", out.report);
-    assert!(out.o.max_abs_diff(&whole.o) < 5e-2);
+impl FaultInjector for Upsets {
+    fn corrupt_f32(&self, site: FaultSite, coord: OpCoord, value: f32) -> f32 {
+        self.0
+            .iter()
+            .fold(value, |v, seu| seu.corrupt_f32(site, coord, v))
+    }
+    fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: F16) -> F16 {
+        self.0
+            .iter()
+            .fold(value, |v, seu| seu.corrupt_f16(site, coord, v))
+    }
+    fn decide_chain(&self, site: FaultSite, coord: OpCoord, k_len: usize) -> Option<ChainFault> {
+        self.0
+            .iter()
+            .find_map(|seu| seu.decide_chain(site, coord, k_len))
+    }
+    fn fired(&self) -> u64 {
+        self.0.iter().map(SeuInjector::fired).sum()
+    }
+    fn may_fire(&self, site: FaultSite) -> bool {
+        self.0.iter().any(|seu| seu.may_fire(site))
+    }
+}
+
+fn assert_phases_populated(name: &str, phases: &PhaseBreakdown) {
+    let fields = [
+        ("gemm1", phases.gemm1),
+        ("gemm1_protect", phases.gemm1_protect),
+        ("softmax", phases.softmax),
+        ("softmax_protect", phases.softmax_protect),
+        ("gemm2", phases.gemm2),
+        ("gemm2_protect", phases.gemm2_protect),
+    ];
+    for (field, secs) in fields {
+        assert!(secs > 0.0, "{name}: phase {field} not recorded: {phases:?}");
+    }
+}
+
+/// Exact ledger of an `efta-o` prefill whose upsets land in three distinct
+/// `(slot, row-block)` tasks of a 2 × 2-head request: a GEMM I chain, a
+/// GEMM II chain and one EXP unit. Concurrent tasks each keep their own
+/// counts; the whole report must equal the recorded literal.
+#[test]
+fn efta_prefill_ledger_is_exact_across_concurrent_tasks() {
+    let cfg = AttentionConfig::new(2, 2, 64, 32).with_block(32);
+    let (q, k, v) = workload(&cfg, 4242);
+    let inj = Upsets(vec![
+        // slot 1, row block 0, column block 1 (data pass: iter 3).
+        SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(1, 5, 40, 3), 30).at_chain_step(20),
+        // slot 3, row block 32, column block 1 (data pass: iter 3).
+        SeuInjector::new(FaultSite::GemmIiAccum, OpCoord::new(3, 40, 5, 3), 30).at_chain_step(10),
+        // slot 2, row block 0, column block 0.
+        SeuInjector::new(FaultSite::ExpUnit, OpCoord::new(2, 3, 17, 0), 27),
+    ]);
+    let kind: BackendKind = "efta-o".parse().unwrap();
+    let out = kind.run(&AttentionRequest::new(cfg, &q, &k, &v).with_injector(&inj));
+    assert_eq!(inj.fired(), 3, "every upset must land");
+    assert_eq!(
+        out.report,
+        FtReport {
+            gemm1_detected: 1,
+            gemm1_corrected: 1,
+            exp_detected: 2,
+            exp_recomputed: 1,
+            gemm2_detected: 1,
+            gemm2_corrected: 1,
+            gemm2_recomputed: 1,
+            ..FtReport::default()
+        }
+    );
+    assert_phases_populated("efta-o", &out.phases);
+}
+
+/// Exact ledger of the decoupled pipeline with one GEMM I and one GEMM II
+/// upset in different slot tasks.
+#[test]
+fn decoupled_ledger_is_exact_across_slot_tasks() {
+    let cfg = AttentionConfig::new(1, 2, 64, 32).with_block(32);
+    let (q, k, v) = workload(&cfg, 4343);
+    let inj = Upsets(vec![
+        SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(0, 10, 20, 0), 30).at_chain_step(15),
+        SeuInjector::new(FaultSite::GemmIiAccum, OpCoord::new(1, 7, 11, 0), 30).at_chain_step(30),
+    ]);
+    let kind: BackendKind = "decoupled".parse().unwrap();
+    let out = kind.run(&AttentionRequest::new(cfg, &q, &k, &v).with_injector(&inj));
+    assert_eq!(inj.fired(), 2, "every upset must land");
+    assert_eq!(
+        out.report,
+        FtReport {
+            gemm1_detected: 2,
+            gemm1_recomputed: 2,
+            gemm2_detected: 1,
+            gemm2_corrected: 1,
+            ..FtReport::default()
+        }
+    );
+    assert_phases_populated("decoupled", &out.phases);
+}
+
+/// Exact per-stream ledgers of a 3-stream `efta-o` decode sweep: stream 0
+/// is clean, stream 1 carries a correctable cache flip under a 3-row chunk,
+/// and stream 2 a scrubbed (sticky-poisoned) block beside a fresh flip. The
+/// poison count is surfaced once per stream, however many head tiles the
+/// stream spans.
+#[test]
+fn decode_sweep_ledgers_are_exact_per_stream() {
+    const DIM: usize = 16;
+    let cache_over = |seed: u64, len: usize| {
+        let mut cache = KvCache::new(1, 2, DIM, 16, 8, 0.25);
+        for t in 0..len as u64 {
+            let k = normal_tensor_f16(seed + t, 1, 2, 1, DIM, 0.6);
+            let v = normal_tensor_f16(seed + 500 + t, 1, 2, 1, DIM, 0.8);
+            assert!(cache.append(&k, &v).clean());
+        }
+        cache
+    };
+    let expose = |cache: &mut KvCache, slot, row, col, which| {
+        let seu = SeuInjector::new(FaultSite::KvCache, OpCoord::new(slot, row, col, which), 14);
+        cache.expose(&seu, 0);
+        assert_eq!(seu.fired(), 1, "the cache upset must land");
+    };
+    let clean = cache_over(100, 13);
+    let mut flipped = cache_over(200, 20);
+    expose(&mut flipped, 1, 3, 5, 0);
+    let mut poisoned = cache_over(300, 21);
+    // Rows 0 and 8 share a stride-8 checksum lane: the pair cannot be
+    // located, so the scrub folds it into the block's sticky mark.
+    expose(&mut poisoned, 0, 0, 4, 0);
+    expose(&mut poisoned, 0, 8, 4, 0);
+    poisoned.scrub();
+    assert_eq!(poisoned.poisoned(), 1, "the aliased pair must poison");
+    expose(&mut poisoned, 1, 6, 2, 0);
+
+    let qs = [
+        normal_tensor_f16(110, 1, 2, 1, DIM, 0.6),
+        normal_tensor_f16(210, 1, 2, 3, DIM, 0.6),
+        normal_tensor_f16(310, 1, 2, 1, DIM, 0.6),
+    ];
+    let slices: Vec<StreamSlice<'_>> = [&clean, &flipped, &poisoned]
+        .into_iter()
+        .zip(&qs)
+        .enumerate()
+        .map(|(i, (cache, q))| StreamSlice {
+            stream: StreamId(i as u64),
+            cache,
+            q,
+            window: None,
+        })
+        .collect();
+    let kind: BackendKind = "efta-o".parse().unwrap();
+    let reports: Vec<FtReport> = kind
+        .decode_sweep(&slices, &NoFaults, None)
+        .into_iter()
+        .map(|out| out.report)
+        .collect();
+    let cache = |detected, corrected, uncorrectable| FtReport {
+        cache_detected: detected,
+        cache_corrected: corrected,
+        cache_uncorrectable: uncorrectable,
+        ..FtReport::default()
+    };
+    assert_eq!(
+        reports,
+        vec![cache(0, 0, 0), cache(1, 1, 0), cache(1, 1, 1)]
+    );
 }
 
 #[test]
