@@ -49,24 +49,23 @@ pub struct StridedChecksums {
 ///
 /// `quantize` rounds the encoded operands through binary16, modelling their
 /// storage as FP16 tensor-core operands.
+///
+/// Rows are added whole, in order: row `r` goes into lane `r mod s`, so
+/// every lane element sums its group's values in ascending `l` from `0.0`
+/// while a row's `d` columns update side by side.
 pub fn encode_rows_strided(k: &MatrixF32, s: usize, quantize: bool) -> StridedChecksums {
     let (b, d) = k.shape();
     assert!(s > 0 && s <= b, "stride {s} out of range for {b} rows");
     let groups = b.div_ceil(s);
     let mut w1 = Matrix::zeros(s, d);
     let mut w2 = Matrix::zeros(s, d);
-    for t in 0..s {
-        for l in 0..groups {
-            let row = t + s * l;
-            if row >= b {
-                break;
-            }
-            let wl = (l + 1) as f32;
-            for c in 0..d {
-                let v = k.get(row, c);
-                w1.set(t, c, w1.get(t, c) + v);
-                w2.set(t, c, w2.get(t, c) + wl * v);
-            }
+    for r in 0..b {
+        let (t, wl) = (r % s, (r / s + 1) as f32);
+        for (acc, &v) in w1.row_mut(t).iter_mut().zip(k.row(r)) {
+            *acc += v;
+        }
+        for (acc, &v) in w2.row_mut(t).iter_mut().zip(k.row(r)) {
+            *acc += wl * v;
         }
     }
     if quantize {
@@ -434,6 +433,10 @@ mod tests {
             prop_assert_eq!(bits(&strided_sums_weighted(&m, s)), bits(&want2));
             if s <= cols {
                 let cs = encode_cols_strided(&m, s, false);
+                prop_assert_eq!((bits(&cs.w1), bits(&cs.w2)), (bits(&want1), bits(&want2)));
+                // The row fold of `mᵀ` is the column fold of `m`, transposed.
+                let cs = encode_rows_strided(&m.transpose(), s, false);
+                let (want1, want2) = (want1.transpose(), want2.transpose());
                 prop_assert_eq!((bits(&cs.w1), bits(&cs.w2)), (bits(&want1), bits(&want2)));
             }
         }

@@ -43,8 +43,9 @@
 //! [`AttentionBackend::try_decode`]) is that sweep over one one-row slice;
 //! chunked prefill is the same sweep over `c`-row slices, where a chunk's
 //! interior rows see only their own prefix of the trailing block (whose
-//! checksums are then re-encoded on the fly over the visible rows, exactly
-//! as the prefill kernel encodes per call).
+//! checksum operands are then folded over the visible rows of its verified
+//! copy, once per tile, exactly as a cache holding that prefix stores
+//! them).
 //!
 //! The same visible-length machinery is what makes speculative decoding
 //! ([`SpeculationPolicy`](crate::serve::SpeculationPolicy)) free at this
@@ -79,12 +80,12 @@
 
 use crate::backend::BackendError;
 use crate::efta::{
-    k_major, max_row_norm, BlockOperands, EftaOptions, GemmProtection, Kernel, RowState,
+    k_major, row_norm, BlockOperands, EftaOptions, GemmProtection, Kernel, RowState,
 };
 use crate::kv::KvCache;
 use crate::serve::{sweep_tiles, StreamId, StreamSlice};
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
-use ft_abft::strided::{encode_cols_strided, encode_rows_strided};
+use ft_abft::strided::{encode_cols_strided, StridedChecksums};
 use ft_abft::thresholds::Thresholds;
 use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::device::KernelStats;
@@ -336,6 +337,81 @@ pub(crate) fn reference_decode_tile(
     out
 }
 
+/// The checksum operands and max-norm of a partially visible frontier
+/// block — the block a chunk row's causal prefix ends inside — built from
+/// the block's verified copy once per `(tile, block)` and grown as the
+/// chunk reveals its rows. Every prefix gets the operands a cache holding
+/// only that prefix would store, bit for bit:
+///
+/// * K's lanes fold one row at a time like `KvBlock::push_row` (row `j`
+///   into lane `j mod s`, each lane in ascending group order from `0.0`),
+///   kept k-major (`d × s`) as GEMM I reads them. A prefix shorter than the
+///   stride folds at its row count, one row per lane: its leading lanes.
+/// * V's column fold is row-local, so one fold of the whole verified block
+///   serves every prefix by its leading rows.
+/// * The max-norm is a running max over the folded rows.
+struct Frontier {
+    /// Lanes of the K fold: the stride, or the block's rows if fewer.
+    lanes: usize,
+    /// K rows folded so far.
+    rows: usize,
+    /// K lanes, k-major (`d × lanes`): lane `t` is column `t`.
+    k_w1: MatrixF32,
+    k_w2: MatrixF32,
+    /// The whole verified block's V fold.
+    v_cs: StridedChecksums,
+    k_max_norm: f32,
+}
+
+impl Frontier {
+    /// An empty K fold and the V fold of the verified block `v`, at the
+    /// cache's `stride`.
+    fn new(v: &MatrixF32, stride: usize) -> Self {
+        let (rows, d) = v.shape();
+        let lanes = stride.min(rows);
+        Frontier {
+            lanes,
+            rows: 0,
+            k_w1: Matrix::zeros(d, lanes),
+            k_w2: Matrix::zeros(d, lanes),
+            v_cs: encode_cols_strided(v, stride.min(d), false),
+            k_max_norm: 0.0,
+        }
+    }
+
+    /// `(k_cs, v_cs, k_max_norm)` of the first `rows` rows of the verified
+    /// block whose K copy is `k`, after folding the rows revealed since the
+    /// last call (`rows` never decreases across calls).
+    fn prefix(&mut self, k: &MatrixF32, rows: usize) -> (StridedChecksums, StridedChecksums, f32) {
+        let s = self.lanes;
+        let (w1, w2) = (&mut self.k_w1, &mut self.k_w2);
+        for j in self.rows..rows {
+            let (t, wl) = (j % s, (j / s + 1) as f32);
+            for (c, &x) in k.row(j).iter().enumerate() {
+                w1.set(c, t, w1.get(c, t) + x);
+                w2.set(c, t, w2.get(c, t) + wl * x);
+            }
+            self.k_max_norm = self.k_max_norm.max(row_norm(k.row(j)));
+        }
+        self.rows = self.rows.max(rows);
+        let (d, lanes) = (k.cols(), s.min(rows));
+        let k_cs = StridedChecksums {
+            w1: w1.block(0, 0, d, lanes),
+            w2: w2.block(0, 0, d, lanes),
+            stride: lanes,
+            groups: rows.div_ceil(lanes),
+        };
+        let (sv, groups) = (self.v_cs.stride, self.v_cs.groups);
+        let v_cs = StridedChecksums {
+            w1: self.v_cs.w1.block(0, 0, rows, sv),
+            w2: self.v_cs.w2.block(0, 0, rows, sv),
+            stride: sv,
+            groups,
+        };
+        (k_cs, v_cs, self.k_max_norm)
+    }
+}
+
 /// EFTA-protected multi-row decode tile of one slot: chunk row `r` of the
 /// `c × dim` unscaled query chunk attends the causal prefix
 /// `0 .. vis0 + r` (optionally restricted to a sliding `window`) at
@@ -346,8 +422,9 @@ pub(crate) fn reference_decode_tile(
 /// Fully visible blocks reuse the cache's stored append-time checksums; a
 /// partially visible trailing block (a chunked-prefill row's causal
 /// frontier) is read through the full block's verification, truncated, and
-/// its checksum operands re-encoded over the visible rows — the same
-/// values the cache itself would have stored at length `vis`, so chunked
+/// its checksum operands folded over the visible rows by one `Frontier`
+/// per `(tile, block)` — the same values the cache itself would have
+/// stored at length `vis`, so chunked
 /// prefill is bit-identical to feeding the chunk token by token. Windowed
 /// and front-evicted caches start the block loop at the window's first
 /// block instead of 0 — the same iteration a fresh cache holding only
@@ -421,6 +498,7 @@ pub(crate) fn efta_decode_tile(
         // by every chunk row's one-row GEMMs.
         let kt_full = vb.k.transpose();
         let k_cs_full = protected.then(|| k_major(vb.k_cs));
+        let mut frontier: Option<Frontier> = None;
 
         for r in 0..c {
             if jb < b0[r] || jb >= nb[r] {
@@ -429,26 +507,21 @@ pub(crate) fn efta_decode_tile(
             states[r].damaged |= block_damaged;
             let rows = vis_block_rows(cache, jb, vis0 + r);
             // Stored operands for fully visible blocks; a partial causal
-            // frontier re-encodes over the visible rows (same loop, same
-            // data → the exact operands a `vis`-row cache would store).
+            // frontier's are folded over the visible rows (the exact
+            // operands a `vis`-row cache would store).
             let (kt_part, v_part, cs_owned);
             let (kt, v, checksums, k_max_norm) = if rows == vb.k.rows() {
                 let checksums = k_cs_full.as_ref().map(|k_cs| (k_cs, vb.v_cs));
                 (&kt_full, &vb.v, checksums, vb.k_max_norm)
             } else {
-                let k_part = vb.k.block(0, 0, rows, d);
                 kt_part = kt_full.block(0, 0, d, rows);
                 v_part = vb.v.block(0, 0, rows, d);
-                cs_owned = (
-                    k_major(&encode_rows_strided(
-                        &k_part,
-                        cache.stride().min(rows),
-                        false,
-                    )),
-                    encode_cols_strided(&v_part, cache.stride().min(d), false),
-                );
+                let (k_cs, v_cs, k_max_norm) = frontier
+                    .get_or_insert_with(|| Frontier::new(&vb.v, cache.stride()))
+                    .prefix(&vb.k, rows);
+                cs_owned = (k_cs, v_cs);
                 let checksums = protected.then_some((&cs_owned.0, &cs_owned.1));
-                (&kt_part, &v_part, checksums, max_row_norm(&k_part))
+                (&kt_part, &v_part, checksums, k_max_norm)
             };
             states[r].step(
                 &kernel,
@@ -550,7 +623,8 @@ mod tests {
     use super::*;
     use crate::backend::{AttentionBackend, BackendKind};
     use crate::config::AttentionConfig;
-    use crate::efta::{efta_forward, SoftmaxProtection};
+    use crate::efta::{efta_forward, max_row_norm, SoftmaxProtection};
+    use ft_abft::strided::encode_rows_strided;
     use ft_num::rng::normal_tensor_f16;
     use ft_sim::{OpCoord, SeuInjector};
 
@@ -643,6 +717,50 @@ mod tests {
                     got_efta.max_abs_diff(want_efta.o.slot_flat(slot)),
                     0.0,
                     "vis {vis} slot {slot}: limited EFTA decode drifted"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frontier_fold_is_the_prefix_encode_of_the_verified_copy() {
+        // Every prefix of a full 16-row block (shorter than, equal to and
+        // longer than the stride) and of a ragged 4-row block (shorter than
+        // the stride) gets, bit for bit, what the from-scratch encoders give
+        // over that prefix of the verified copy. The full block's copy was
+        // corrected after a K and a V flip, so the fold must read the
+        // corrected rows, not the stored ones.
+        let (_, k, v) = workload(20, 16, 77);
+        let mut cache = KvCache::new(1, 2, 16, 16, 8, 0.25);
+        fill(&mut cache, &k, &v, 20);
+        for (row, col, which) in [(5, 3, 0), (9, 2, 1)] {
+            let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, row, col, which), 14);
+            cache.expose(&inj, 0);
+            assert_eq!(inj.fired(), 1);
+        }
+        let bits = |m: &MatrixF32| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let operands = |cs: &StridedChecksums| (bits(&cs.w1), bits(&cs.w2), cs.stride, cs.groups);
+        for jb in 0..2 {
+            let vb = cache.verified_block(0, jb);
+            if jb == 0 {
+                assert_eq!((vb.k_report.corrected, vb.v_report.corrected), (1, 1));
+                assert_ne!(bits(&vb.k), bits(&cache.read_k_raw(0, jb)));
+                assert_ne!(bits(&vb.v), bits(&cache.read_v_raw(0, jb)));
+            }
+            let (rows, d) = vb.k.shape();
+            let mut frontier = Frontier::new(&vb.v, cache.stride());
+            for p in 1..=rows {
+                let (k_cs, v_cs, k_max_norm) = frontier.prefix(&vb.k, p);
+                let (k_part, v_part) = (vb.k.block(0, 0, p, d), vb.v.block(0, 0, p, d));
+                let want_k = k_major(&encode_rows_strided(&k_part, cache.stride().min(p), false));
+                let want_v = encode_cols_strided(&v_part, cache.stride().min(d), false);
+                let what = format!("block {jb}, prefix {p}");
+                assert_eq!(operands(&k_cs), operands(&want_k), "K {what}");
+                assert_eq!(operands(&v_cs), operands(&want_v), "V {what}");
+                assert_eq!(
+                    k_max_norm.to_bits(),
+                    max_row_norm(&k_part).to_bits(),
+                    "{what}"
                 );
             }
         }

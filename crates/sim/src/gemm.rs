@@ -17,17 +17,29 @@
 //! here produces the same bits, and the path-vs-path bit-identity suites
 //! hold by construction rather than by tolerance.
 //!
-//! **Register panels.** The kernels keep an `MR × NR` (4 × 8) block of
+//! **Register panels.** The kernels keep an `MR × NR` (4 × 16) block of
 //! chains in registers and walk k once for all of them: per k they read
 //! `MR` elements of A and one `NR`-wide row of a k-major *panel* of op(B),
-//! `panel[j0 + k·ld + j]`. [`gemm_nn`] reads its panels straight out of B
-//! (row stride `ld = n`); [`gemm_nt`] first packs each 8 rows of B into a
-//! contiguous `k × 8` panel (`ld = 8`), unless A has fewer than `MR` rows
-//! to share it, in which case each element is one `dot_plain`. Rows left
-//! over below a full group run one-row kernels — 32 columns wide for
-//! `gemm_nn`, whose one-row products (decode GEMVs) have no other rows to
-//! share a panel with (`NR_ROW` gives the measurement) — and columns left
-//! over below a full panel run single chains.
+//! `panel[j0 + k·ld + j]`. At the x86-64-v3 build floor (8-lane vectors) a
+//! 16-wide row is two vectors, so a group keeps eight vector chains in
+//! flight, enough to cover the add latency. [`gemm_nn`] reads its panels
+//! straight out of B (row stride `ld = n`); [`gemm_nt`] first packs each 16
+//! rows of B into a contiguous `k × 16` panel (`ld = 16`), unless A has
+//! fewer than `MR` rows to share it, in which case each element is one
+//! `dot_plain`. Past the last full panel, 8–15 leftover columns run one
+//! 8-wide panel (so the 8-wide checksum GEMMs keep a kernel of their own
+//! shape) and fewer run single chains. Rows left over below a full group
+//! run one-row kernels; `gemm_nn`'s one-row products (decode GEMVs) have no
+//! other rows to share a panel with, so they run 64 columns wide, then 32,
+//! then 8, then single chains.
+//!
+//! Measured at the floor (2-vCPU x86-64, µs, min of six alternating runs,
+//! `m×k×n`, 4 × 8 panels → 4 × 16): `gemm_nn` 16×64×64 2.81 → 2.31,
+//! 64×64×64 10.8 → 8.9, 4×256×256 12.5 → 10.1, 8×256×1024 117 → 93;
+//! `gemm_nt` 16×64×64 4.7 → 3.0, 4×256×256 43 → 23, 8×256×1024 215 → 125,
+//! where most of the gain is the packing, which gathers one contiguous
+//! panel row at a time instead of scattering one B row across the panel.
+//! `NR_ROW` gives the one-row measurement.
 //!
 //! **Packed static operands.** [`gemm_nn`] reads B in place, so each k-step
 //! of a panel lands `n` floats past the last: at the LM head's n = 8192
@@ -36,8 +48,9 @@
 //! cache block — is worth packing once: [`PackedB`] stores a k-major
 //! `k × n` operand as ⌈n/8⌉ contiguous `k × 8` panels (the last one
 //! zero-padded), so [`gemm_packed`] reads every panel front to back. Row
-//! groups run the same `MR × NR` micro-kernel over one panel; rows left
-//! over run one row against `QUAD` adjacent panels (`NR_ROW` chains).
+//! groups run an `MR × 8` micro-kernel over one panel; rows left over run
+//! one row against `QUAD` adjacent panels (32 chains). `QUAD` records why
+//! these panels stayed 8 wide at the floor.
 //! Packing a per-call operand costs a full copy for one use; `gemm_nn` and
 //! `gemm_nt` stay the kernels for those.
 //!
@@ -122,15 +135,24 @@ fn dot_faulty(a_row: &[f32], b_row: &[f32], step: usize, bit: u32) -> f32 {
 
 /// Rows of A one register micro-kernel carries.
 const MR: usize = 4;
-/// Columns of one register panel.
-const NR: usize = 8;
+/// Columns of one register panel: two 8-lane vectors per row at the
+/// x86-64-v3 build floor, so a row group keeps eight vector chains in
+/// flight.
+const NR: usize = 16;
+/// Columns of the narrow panel: the 8–15 columns left over past the last
+/// full `NR` panel, so the 8-wide checksum GEMMs run one.
+const NR_NARROW: usize = 8;
+/// Columns of one [`PackedB`] panel (`QUAD` records why 8, not 16).
+const NP: usize = 8;
 /// Columns the one-row `gemm_nn` kernel carries before falling back to
-/// `NR`-wide panels. One row has no other rows to share a panel with, so an
-/// 8-wide panel leaves too few independent chains to cover the add latency.
-/// Measured (one row, 2-vCPU x86-64, µs, 32- then 8-wide vs 8-wide only):
-/// k = 64, n = 64 0.35 vs 0.98; k = 256, n = 256 5.2 vs 9.5; k = 1024,
-/// n = 256 23 vs 44.
-const NR_ROW: usize = 32;
+/// `NR_ROW / 2`- and then `NR_NARROW`-wide panels. One row has no other rows
+/// to share a panel with, so it needs a wider panel to keep enough
+/// independent chains in flight to cover the add latency: 64 columns are
+/// eight 8-lane vectors. Measured at the floor (one row, 2-vCPU x86-64,
+/// µs, 32- then 8-wide → 64, 32, then 8-wide): k = 64, n = 64
+/// 0.243 → 0.199; k = 256, n = 256 4.8 → 4.2; k = 1024, n = 256
+/// 19.9 → 16.8; k = 256, n = 1024 24.0 → 18.6.
+const NR_ROW: usize = 64;
 
 /// `R × W` chains in registers over the whole k range: chain `(r, j)`
 /// accumulates `a[r][k] · panel[j0 + k·ld + j]` for ascending k from `0.0`
@@ -158,9 +180,9 @@ fn micro<const R: usize, const W: usize>(
     acc
 }
 
-/// `c[rows][j0 .. j0 + NR] = A[rows] · panel` (panel columns from `p0`):
+/// `c[rows][j0 .. j0 + W] = A[rows] · panel` (panel columns from `p0`):
 /// groups of `MR` rows, then one row at a time.
-fn rows_times_panel(
+fn rows_times_panel<const W: usize>(
     a: &MatrixF32,
     rows: core::ops::Range<usize>,
     (panel, ld, p0): (&[f32], usize, usize),
@@ -169,15 +191,51 @@ fn rows_times_panel(
 ) {
     let mut i = rows.start;
     while i + MR <= rows.end {
-        let acc = micro::<MR, NR>(core::array::from_fn(|r| a.row(i + r)), panel, ld, p0);
+        let acc = micro::<MR, W>(core::array::from_fn(|r| a.row(i + r)), panel, ld, p0);
         for (r, acc_r) in acc.iter().enumerate() {
-            c.row_mut(i + r)[j0..j0 + NR].copy_from_slice(acc_r);
+            c.row_mut(i + r)[j0..j0 + W].copy_from_slice(acc_r);
         }
         i += MR;
     }
     for i in i..rows.end {
-        let [acc] = micro::<1, NR>([a.row(i)], panel, ld, p0);
-        c.row_mut(i)[j0..j0 + NR].copy_from_slice(&acc);
+        let [acc] = micro::<1, W>([a.row(i)], panel, ld, p0);
+        c.row_mut(i)[j0..j0 + W].copy_from_slice(&acc);
+    }
+}
+
+/// `C[.., j0 .. j0 + W] = A · Bᵀ` over a `k × W` panel packed from rows
+/// `j0 .. j0 + W` of B into `panel`.
+fn nt_panel<const W: usize>(
+    a: &MatrixF32,
+    b: &MatrixF32,
+    j0: usize,
+    panel: &mut [f32],
+    c: &mut MatrixF32,
+) {
+    let panel = &mut panel[..a.cols() * W];
+    let rows: [&[f32]; W] = core::array::from_fn(|jj| b.row(j0 + jj));
+    for (kk, dst) in panel.chunks_exact_mut(W).enumerate() {
+        for (p, row) in dst.iter_mut().zip(&rows) {
+            *p = row[kk];
+        }
+    }
+    rows_times_panel::<W>(a, 0..a.rows(), (panel, W, 0), c, j0);
+}
+
+/// One row of A against `W`-wide panels read in place from row-major `B`
+/// (`ld` columns wide), from column `*j0` while a full panel fits; `*j0`
+/// ends at the first column left over.
+fn row_panels<const W: usize>(
+    a_row: &[f32],
+    b: &[f32],
+    ld: usize,
+    c_row: &mut [f32],
+    j0: &mut usize,
+) {
+    while *j0 + W <= ld {
+        let [acc] = micro::<1, W>([a_row], b, ld, *j0);
+        c_row[*j0..*j0 + W].copy_from_slice(&acc);
+        *j0 += W;
     }
 }
 
@@ -200,19 +258,18 @@ pub fn gemm_nt(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
         return Matrix::from_fn(m, n, |i, j| dot_plain(a.row(i), b.row(j)));
     }
     let mut c = Matrix::zeros(m, n);
-    let full = n - n % NR;
     let mut panel = vec![0.0f32; k_len * NR];
-    for j0 in (0..full).step_by(NR) {
-        for jj in 0..NR {
-            let lane = panel.iter_mut().skip(jj).step_by(NR);
-            for (p, &v) in lane.zip(b.row(j0 + jj)) {
-                *p = v;
-            }
-        }
-        rows_times_panel(a, 0..m, (&panel, NR, 0), &mut c, j0);
+    let mut j0 = 0;
+    while j0 + NR <= n {
+        nt_panel::<NR>(a, b, j0, &mut panel, &mut c);
+        j0 += NR;
+    }
+    if j0 + NR_NARROW <= n {
+        nt_panel::<NR_NARROW>(a, b, j0, &mut panel, &mut c);
+        j0 += NR_NARROW;
     }
     for i in 0..m {
-        for j in full..n {
+        for j in j0..n {
             c.set(i, j, dot_plain(a.row(i), b.row(j)));
         }
     }
@@ -237,30 +294,29 @@ pub fn gemm_nn(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
     let (m, n) = (a.rows(), b.cols());
     let mut c = Matrix::zeros(m, n);
     let bs = b.as_slice();
-    let (grouped, full) = (m - m % MR, n - n % NR);
-    for j0 in (0..full).step_by(NR) {
-        rows_times_panel(a, 0..grouped, (bs, n, j0), &mut c, j0);
+    let grouped = m - m % MR;
+    let mut j0 = 0;
+    while j0 + NR <= n {
+        rows_times_panel::<NR>(a, 0..grouped, (bs, n, j0), &mut c, j0);
+        j0 += NR;
+    }
+    if j0 + NR_NARROW <= n {
+        rows_times_panel::<NR_NARROW>(a, 0..grouped, (bs, n, j0), &mut c, j0);
+        j0 += NR_NARROW;
     }
     for i in 0..grouped {
-        for j in full..n {
+        for j in j0..n {
             c.set(i, j, column_chain(a.row(i), bs, n, j));
         }
     }
     for i in grouped..m {
-        let a_row = a.row(i);
+        let (a_row, c_row) = (a.row(i), c.row_mut(i));
         let mut j0 = 0;
-        while j0 + NR_ROW <= n {
-            let [acc] = micro::<1, NR_ROW>([a_row], bs, n, j0);
-            c.row_mut(i)[j0..j0 + NR_ROW].copy_from_slice(&acc);
-            j0 += NR_ROW;
-        }
-        while j0 + NR <= n {
-            let [acc] = micro::<1, NR>([a_row], bs, n, j0);
-            c.row_mut(i)[j0..j0 + NR].copy_from_slice(&acc);
-            j0 += NR;
-        }
-        for j in j0..n {
-            c.set(i, j, column_chain(a_row, bs, n, j));
+        row_panels::<NR_ROW>(a_row, bs, n, c_row, &mut j0);
+        row_panels::<{ NR_ROW / 2 }>(a_row, bs, n, c_row, &mut j0);
+        row_panels::<NR_NARROW>(a_row, bs, n, c_row, &mut j0);
+        for (j, out) in c_row.iter_mut().enumerate().skip(j0) {
+            *out = column_chain(a_row, bs, n, j);
         }
     }
     c
@@ -297,12 +353,12 @@ impl PackedB {
     /// Pack the k-major operand `b` (`k × n`).
     pub fn new(b: &MatrixF32) -> Self {
         let (k, n) = b.shape();
-        let mut panels = vec![0.0f32; n.div_ceil(NR) * k * NR];
+        let mut panels = vec![0.0f32; n.div_ceil(NP) * k * NP];
         if k > 0 {
-            for (p, panel) in panels.chunks_exact_mut(k * NR).enumerate() {
-                let j0 = p * NR;
-                let w = NR.min(n - j0);
-                for (dst, kk) in panel.chunks_exact_mut(NR).zip(0..k) {
+            for (p, panel) in panels.chunks_exact_mut(k * NP).enumerate() {
+                let j0 = p * NP;
+                let w = NP.min(n - j0);
+                for (dst, kk) in panel.chunks_exact_mut(NP).zip(0..k) {
                     dst[..w].copy_from_slice(&b.row(kk)[j0..j0 + w]);
                 }
             }
@@ -323,31 +379,43 @@ impl PackedB {
     /// Column `j` of the unpacked operand, in ascending k.
     pub fn column(&self, j: usize) -> impl Iterator<Item = f32> + '_ {
         assert!(j < self.n, "column {j} of a {}-wide operand", self.n);
-        let base = (j / NR) * self.k * NR + j % NR;
-        (0..self.k).map(move |kk| self.panels[base + kk * NR])
+        let base = (j / NP) * self.k * NP + j % NP;
+        (0..self.k).map(move |kk| self.panels[base + kk * NP])
     }
 }
 
-/// Packed panels one row of A runs against at once: `NR_ROW` chains.
-/// Measured (one row, 2-vCPU x86-64, µs, `micro_quad` vs `micro::<1, NR>`
-/// per panel): k = 256, n = 8192 285 vs 332; k = 256, n = 1024 18 vs 29;
-/// k = 1024, n = 256 18 vs 28; k = 256, n = 256 4.7 vs 7.6. Packing
-/// 32-wide panels instead (so `micro::<1, NR_ROW>` reads them) ties on one
-/// row but slows the 4-row groups at n = 8192 from 635 to 750.
-const QUAD: usize = NR_ROW / NR;
+/// Packed panels one row of A runs against at once: `QUAD · NP` chains.
+/// Measured (one row, 2-vCPU x86-64, SSE2 build, µs, `micro_quad` vs
+/// `micro::<1, NP>` per panel): k = 256, n = 8192 285 vs 332; k = 256,
+/// n = 1024 18 vs 29; k = 1024, n = 256 18 vs 28; k = 256, n = 256 4.7 vs
+/// 7.6. Packing 32-wide panels instead (so `micro::<1, 32>` reads them)
+/// ties on one row but slows the 4-row groups at n = 8192 from 635 to 750.
+///
+/// Re-measured at the x86-64-v3 floor against 16-wide panels (`MR × 16`
+/// groups, one row against four panels: 64 chains), µs, min of six
+/// alternating runs, `m×k×n`, 8 → 16 wide. LM head: 1×256×8192 307 → 311,
+/// 4×256×8192 399 → 392, 8×256×8192 743 → 682. FFN: 1×256×1024
+/// 13.4 → 12.2, 8×256×1024 82 → 70, 1×1024×256 17.0 → 15.9, 8×1024×256
+/// 74 → 64. QKV: 1×256×256 3.33 → 3.17, 8×256×256 19.3 → 17.7. End to end,
+/// `decode_steady` (10 alternating 20 s pairs) read 4558 → 4853 tok/s in
+/// the medians but won only 8 of 10 pairs, short of the 9-in-10 rule for
+/// a gain, and its `ft_time_ratio` rose 1.31 → 1.35 in every pair (the
+/// 8-wide checksum operands would pad to a full 16-wide panel, doubling
+/// their MACs). So the panels stay 8 wide.
+const QUAD: usize = 4;
 
-/// One row of A against `QUAD` adjacent packed `k × NR` panels (`panels`
-/// holds them back to back): `NR_ROW` chains, each `dot_plain`'s.
+/// One row of A against `QUAD` adjacent packed `k × NP` panels (`panels`
+/// holds them back to back): `QUAD · NP` chains, each `dot_plain`'s.
 #[inline(always)]
-fn micro_quad(a_row: &[f32], panels: &[f32]) -> [[f32; NR]; QUAD] {
-    let span = a_row.len() * NR;
+fn micro_quad(a_row: &[f32], panels: &[f32]) -> [[f32; NP]; QUAD] {
+    let span = a_row.len() * NP;
     let panels: [&[f32]; QUAD] = core::array::from_fn(|p| &panels[p * span..(p + 1) * span]);
-    let mut acc = [[0.0f32; NR]; QUAD];
+    let mut acc = [[0.0f32; NP]; QUAD];
     for (k, &av) in a_row.iter().enumerate() {
         for (acc_p, panel) in acc.iter_mut().zip(&panels) {
-            let b: &[f32; NR] = panel[k * NR..k * NR + NR]
+            let b: &[f32; NP] = panel[k * NP..k * NP + NP]
                 .try_into()
-                .expect("a panel row is NR wide");
+                .expect("a panel row is NP wide");
             for (s, &bv) in acc_p.iter_mut().zip(b) {
                 *s += av * bv;
             }
@@ -365,30 +433,30 @@ pub fn gemm_packed(a: &MatrixF32, b: &PackedB) -> MatrixF32 {
         return c; // every chain is empty: 0.0
     }
     // Chains past `n` (the zero padding) are computed and dropped here.
-    fn store(out: &mut [f32], acc: &[[f32; NR]]) {
-        for (dst, acc) in out.chunks_mut(NR).zip(acc) {
+    fn store(out: &mut [f32], acc: &[[f32; NP]]) {
+        for (dst, acc) in out.chunks_mut(NP).zip(acc) {
             dst.copy_from_slice(&acc[..dst.len()]);
         }
     }
-    let span = b.k * NR;
+    let span = b.k * NP;
     let grouped = m - m % MR;
     for (p, panel) in b.panels.chunks_exact(span).enumerate() {
         for i in (0..grouped).step_by(MR) {
-            let acc = micro::<MR, NR>(core::array::from_fn(|r| a.row(i + r)), panel, NR, 0);
+            let acc = micro::<MR, NP>(core::array::from_fn(|r| a.row(i + r)), panel, NP, 0);
             for (r, acc_r) in acc.iter().enumerate() {
-                store(&mut c.row_mut(i + r)[p * NR..], &[*acc_r]);
+                store(&mut c.row_mut(i + r)[p * NP..], &[*acc_r]);
             }
         }
     }
     for i in grouped..m {
         let a_row = a.row(i);
         for (q, panels) in b.panels.chunks(QUAD * span).enumerate() {
-            let out = &mut c.row_mut(i)[q * NR_ROW..];
+            let out = &mut c.row_mut(i)[q * QUAD * NP..];
             if panels.len() == QUAD * span {
                 store(out, &micro_quad(a_row, panels));
             } else {
                 for (p, panel) in panels.chunks_exact(span).enumerate() {
-                    store(&mut out[p * NR..], &micro::<1, NR>([a_row], panel, NR, 0));
+                    store(&mut out[p * NP..], &micro::<1, NP>([a_row], panel, NP, 0));
                 }
             }
         }
@@ -636,7 +704,7 @@ mod tests {
 
     #[test]
     fn injected_gemms_match_per_element_reference() {
-        // Ragged shapes and the 8-wide register path, at a nonzero origin
+        // Ragged shapes and the register panels, at a nonzero origin
         // and iteration, under every injector regime: an SEU (hit, and aimed
         // at another site), BER over all sites, and a site-restricted BER
         // whose `may_fire` is false here.
@@ -675,18 +743,21 @@ mod tests {
     #[test]
     fn panel_kernels_match_per_element_chains() {
         // Every path of the three kernels: row groups and left-over rows,
-        // full panels and ragged tail columns, the one-row 32-wide panels
-        // (and, packed, a ragged group of fewer than four panels) at widths
-        // up to past the LM head's panel count. Full-precision operands, so
-        // products round too and any reordering inside a chain would show
-        // in the bits.
+        // 16-wide panels, the narrow 8-wide one and ragged tail columns,
+        // the one-row 64-, 32- and 8-wide panels (a width on each side of
+        // every panel boundary), and, packed, a ragged group of fewer than
+        // four panels, at widths up to past the LM head's panel count.
+        // Full-precision operands, so products round too and any reordering
+        // inside a chain would show in the bits.
         let operand = |rows: usize, cols: usize, seed: usize| {
             MatrixF32::from_fn(rows, cols, |i, j| {
                 ((i * 7919 + j * 104_729 + seed) as f32).sin()
             })
         };
-        for m in [1usize, 2, 3, 4, 5, 8, 64, 70] {
-            for n in [1usize, 4, 7, 8, 9, 31, 33, 64, 131, 300, 1027] {
+        for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 64, 70] {
+            for n in [
+                1usize, 4, 7, 8, 9, 15, 16, 17, 24, 31, 33, 48, 63, 64, 65, 72, 129, 131, 300, 1027,
+            ] {
                 for k in [0usize, 1, 17, 64, 256] {
                     let a = operand(m, k, 1);
                     let bt = operand(n, k, 2);
