@@ -20,6 +20,19 @@
 //!   visible frontier block; and a recomputation fallback that re-reads
 //!   verified blocks.
 //!
+//! **Row groups.** Both tiles walk the attended blocks once and, per block,
+//! split the chunk rows attending it into two contiguous ranges: the
+//! frontier rows, whose causal prefix ends inside the block, and the rows
+//! that see it whole. A frontier row steps alone over its own visible
+//! prefix (in the protected tile also its own prefix's checksum operands).
+//! The rows that see the block whole share one step: GEMM I, the checksum
+//! GEMMs and GEMM II run once for the group, so a 16-row chunk's 8-wide
+//! checksum GEMMs are 16-row GEMMs rather than sixteen GEMVs. Each element
+//! is still its one chain, and everything row-specific stays per row: the
+//! fault coordinates (a row's checksum-GEMM chains draw past its own `vis`
+//! columns), the SNVR bound, the checks and repairs, and the recomputation
+//! of a damaged row.
+//!
 //! Operands are the only thing that differs from prefill. The checksum GEMM
 //! operands and the max-norm bound are **not** re-encoded per call the way
 //! the prefill kernel must: they are the cache's stored append-time values
@@ -28,12 +41,12 @@
 //! block. The traditional element scheme has no cached operands, so decode
 //! rejects it as unsupported.
 //!
-//! GEMM I reads K k-major (`Kᵀ`, `dim × rows`), the layout whose one-row
-//! product runs as register panels: both tiles transpose each attended
-//! block once per `(tile, block)`, right after its verified (or raw) read
-//! (the protected tile its stored K checksum pair too), and every chunk
-//! row's one-row GEMMs — and a partially visible frontier's leading
-//! columns — read that one `Kᵀ`. Each score is still the one ascending-k
+//! GEMM I reads K k-major (`Kᵀ`, `dim × rows`), the layout whose product
+//! runs as register panels: both tiles transpose each attended block once
+//! per `(tile, block)`, right after its verified (or raw) read (the
+//! protected tile its stored K checksum pair too), and every step against
+//! the block — a partially visible frontier's leading columns included —
+//! reads that one `Kᵀ`. Each score is still the one ascending-k
 //! chain of `q · k_j`, so the layout changes no bit.
 //!
 //! Both kernels take a *visible length* — the causal prefix of the cache a
@@ -80,7 +93,7 @@
 
 use crate::backend::BackendError;
 use crate::efta::{
-    k_major, row_norm, BlockOperands, EftaOptions, GemmProtection, Kernel, RowState,
+    k_major, row_norm, BlockOperands, DamageGroup, EftaOptions, GemmProtection, Kernel, RowState,
 };
 use crate::kv::KvCache;
 use crate::serve::{sweep_tiles, StreamId, StreamSlice};
@@ -90,6 +103,7 @@ use ft_abft::thresholds::Thresholds;
 use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::device::KernelStats;
 use ft_sim::{gemm_flops, gemm_nn_inj, FaultInjector, FaultSite, GemmCtx, NoFaults};
+use std::ops::Range;
 
 static NO_FAULTS: NoFaults = NoFaults;
 
@@ -262,6 +276,41 @@ pub(crate) fn sweep_tile_stats(
     stats
 }
 
+/// The chunk rows attending block `jb`, as two contiguous ranges: the
+/// frontier rows whose causal prefix ends inside the block (each sees its
+/// own prefix of it), then the rows that see it whole. Chunk row `r`
+/// attends blocks `b0[r] .. nb[r]`, and both bounds are non-decreasing in
+/// `r`, so the attending rows are contiguous; a row's visible share of the
+/// block grows with `r`, so the whole-block rows are their suffix.
+fn attending_rows(
+    cache: &KvCache,
+    vis0: usize,
+    (b0, nb): (&[usize], &[usize]),
+    jb: usize,
+) -> (Range<usize>, Range<usize>) {
+    let lo = nb.partition_point(|&n| n <= jb);
+    let hi = b0.partition_point(|&b| b <= jb).max(lo);
+    let whole = (lo..hi)
+        .find(|&r| vis_block_rows(cache, jb, vis0 + r) == cache.block_rows(jb))
+        .unwrap_or(hi);
+    (lo..whole, whole..hi)
+}
+
+/// Each chunk row's attended block range `[b0[r], nb[r])` under its causal
+/// prefix `vis0 + r` and `window`.
+fn attended_blocks(
+    cache: &KvCache,
+    vis0: usize,
+    c: usize,
+    window: Option<usize>,
+) -> (Vec<usize>, Vec<usize>) {
+    let b0 = (0..c)
+        .map(|r| window_start_block(cache, vis0 + r, window))
+        .collect();
+    let nb = (0..c).map(|r| vis_blocks(cache, vis0 + r)).collect();
+    (b0, nb)
+}
+
 /// Unprotected multi-row decode tile of one `(batch, head)` slot: chunk
 /// row `r` of the `c × dim` unscaled query chunk `q_chunk` attends the
 /// causal prefix `0 .. vis0 + r` (optionally restricted to a sliding
@@ -269,11 +318,13 @@ pub(crate) fn sweep_tile_stats(
 /// raw cache reads, online softmax, no checks.
 ///
 /// The tile iterates **block-major**: each attended cache block is read
-/// once and every tile row's online-softmax update against it runs before
-/// the next block is touched. Per row, the update sequence (ascending
-/// block order over exactly that row's attended blocks) is the one a
-/// one-row tile over that row's own prefix runs, so a chunk's output is
-/// bit-identical to feeding its rows token by token.
+/// once, and the rows that attend it update against it before the next
+/// block is touched — frontier rows one at a time over their visible
+/// prefix, the rows that see the block whole as one row group sharing its
+/// GEMM. Per row, the update sequence (ascending block order over exactly
+/// that row's attended blocks) is the one a one-row tile over that row's
+/// own prefix runs, and every score is the same chain, so a chunk's output
+/// is bit-identical to feeding its rows token by token.
 pub(crate) fn reference_decode_tile(
     cache: &KvCache,
     slot: usize,
@@ -286,55 +337,39 @@ pub(crate) fn reference_decode_tile(
     let d = cache.dim();
     let c = q_chunk.rows();
     let scale = cache.scale();
-    // Per-row scaled query rows, hoisted out of the block loop.
-    let q_rows: Vec<MatrixF32> = (0..c)
-        .map(|r| Matrix::from_fn(1, d, |_, j| q_chunk.get(r, j) * scale))
-        .collect();
-    let mut states: Vec<crate::flash::OnlineState> = (0..c)
-        .map(|_| crate::flash::OnlineState::new(1, d))
-        .collect();
-    // Row r's attended block range [b0[r], nb[r]); both bounds are
-    // non-decreasing in r (later rows see more), so the union is
-    // [b0[0], nb[c-1]).
-    let b0: Vec<usize> = (0..c)
-        .map(|r| window_start_block(cache, vis0 + r, window))
-        .collect();
-    let nb: Vec<usize> = (0..c).map(|r| vis_blocks(cache, vis0 + r)).collect();
+    let q = Matrix::from_fn(c, d, |r, j| q_chunk.get(r, j) * scale);
+    let mut state = crate::flash::OnlineState::new(c, d);
+    let (b0, nb) = attended_blocks(cache, vis0, c, window);
     for jb in b0[0]..nb[c - 1] {
         let c0 = jb * cache.block();
         let kt_full = cache.read_k_raw(slot, jb).transpose();
         let v_full = cache.read_v_raw(slot, jb);
-        for r in 0..c {
-            if jb < b0[r] || jb >= nb[r] {
-                continue;
-            }
-            let (vis, step) = (vis0 + r, step0 + r);
-            let rows = vis_block_rows(cache, jb, vis);
-            let (kt_part, v_part);
-            let (kt, v_blk) = if rows < v_full.rows() {
-                kt_part = kt_full.block(0, 0, d, rows);
-                v_part = v_full.block(0, 0, rows, d);
-                (&kt_part, &v_part)
+        let (frontier, whole) = attending_rows(cache, vis0, (&b0, &nb), jb);
+        let mut update = |rows: Range<usize>, kt: &MatrixF32, v: &MatrixF32| {
+            let q_part;
+            let q_rows = if rows.len() == c {
+                &q
             } else {
-                (&kt_full, &v_full)
+                q_part = q.block(rows.start, 0, rows.len(), d);
+                &q_part
             };
-            let s_blk = gemm_nn_inj(
-                &q_rows[r],
-                kt,
-                &inj,
-                GemmCtx::new(FaultSite::GemmIAccum, slot)
-                    .at(step, c0)
-                    .iter(3 * jb),
-            );
-            crate::flash::online_update(&mut states[r], &s_blk, v_blk);
+            let ctx = GemmCtx::new(FaultSite::GemmIAccum, slot)
+                .at(step0 + rows.start, c0)
+                .iter(3 * jb);
+            let s_blk = gemm_nn_inj(q_rows, kt, &inj, ctx);
+            crate::flash::online_update(&mut state, rows.start, &s_blk, v);
+        };
+        for r in frontier {
+            let seen = vis_block_rows(cache, jb, vis0 + r);
+            let (kt, v) = (kt_full.block(0, 0, d, seen), v_full.block(0, 0, seen, d));
+            update(r..r + 1, &kt, &v);
+        }
+        if !whole.is_empty() {
+            update(whole, &kt_full, &v_full);
         }
     }
-    let mut out = Matrix::zeros(c, d);
-    for (r, state) in states.iter_mut().enumerate() {
-        crate::flash::finalize(state);
-        out.row_mut(r).copy_from_slice(state.o.row(0));
-    }
-    out
+    crate::flash::finalize(&mut state);
+    state.o
 }
 
 /// The checksum operands and max-norm of a partially visible frontier
@@ -416,8 +451,16 @@ impl Frontier {
 /// `c × dim` unscaled query chunk attends the causal prefix
 /// `0 .. vis0 + r` (optionally restricted to a sliding `window`) at
 /// fault-coordinate step `step0 + r`. The tile supplies operands and one
-/// 1-row [`RowState`] per chunk row; every protected operation is the
-/// shared step's.
+/// `c`-row [`RowState`] with per-row damage ([`DamageGroup::Row`]); every
+/// protected operation is the shared step's.
+///
+/// **Row groups.** Per attended block, the rows that see the block whole
+/// take one multi-row step: its GEMM I, checksum GEMMs and GEMM II run
+/// once for the group, each row still one chain per element, and each
+/// row's checksum-GEMM chains draw faults past its own visible columns.
+/// Partially visible frontier rows step one at a time, because their
+/// checksum operands depend on their own prefix. Checks, repairs and the
+/// recomputation fallback stay per row.
 ///
 /// Fully visible blocks reuse the cache's stored append-time checksums; a
 /// partially visible trailing block (a chunked-prefill row's causal
@@ -439,8 +482,8 @@ impl Frontier {
 /// per attending row. The ledger also folds every row's own events.
 ///
 /// Per row, the accumulation order over its attended blocks is ascending
-/// block index, one state per row carried across the shared block loop, so
-/// every row reproduces its standalone one-row decode bit for bit.
+/// block index, so every row reproduces its standalone one-row decode bit
+/// for bit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn efta_decode_tile(
     cache: &KvCache,
@@ -463,26 +506,17 @@ pub(crate) fn efta_decode_tile(
         slot,
     };
     let mut report = FtReport::default();
-    // Per-row scaled queries, hoisted out of the block loop.
-    let q_rows: Vec<MatrixF32> = (0..c)
-        .map(|r| Matrix::from_fn(1, d, |_, j| q_chunk.get(r, j) * scale))
-        .collect();
-    // Row r's attended block range [b0[r], nb[r]); both bounds are
-    // non-decreasing in r, so the union is [b0[0], nb[c-1]).
-    let b0: Vec<usize> = (0..c)
-        .map(|r| window_start_block(cache, vis0 + r, window))
-        .collect();
-    let nb: Vec<usize> = (0..c).map(|r| vis_blocks(cache, vis0 + r)).collect();
-    // The rowsum upper bound is the number of rows actually attended — the
-    // window span under sliding-window decode, not the full prefix. The V
-    // column fold (output-checksum width) is over `dim`.
-    let mut states: Vec<RowState<'_>> = (0..c)
-        .map(|r| {
-            let vis = vis0 + r;
-            let attended = vis - b0[r] * cache.block();
-            RowState::new(&q_rows[r], step0 + r, vis, attended, cache.stride().min(d))
-        })
-        .collect();
+    let q = Matrix::from_fn(c, d, |r, j| q_chunk.get(r, j) * scale);
+    let (b0, nb) = attended_blocks(cache, vis0, c, window);
+    // Per row: the checksum GEMMs' fault columns start past the `vis`
+    // columns it sees, and the rowsum upper bound is the number of rows
+    // actually attended — the window span under sliding-window decode, not
+    // the full prefix. The V column fold (output-checksum width) is over
+    // `dim`.
+    let cs_col0: Vec<usize> = (0..c).map(|r| vis0 + r).collect();
+    let attended = (0..c).map(|r| vis0 + r - b0[r] * cache.block()).collect();
+    let so = cache.stride().min(d);
+    let mut state = RowState::new(&q, step0, cs_col0, attended, so, DamageGroup::Row);
 
     for jb in b0[0]..nb[c - 1] {
         // ---- Verified cache read: once per (tile, block) --------
@@ -493,58 +527,57 @@ pub(crate) fn efta_decode_tile(
             report.cache_uncorrectable += rep.uncorrectable;
             report.cache_tolerated += rep.tolerated;
         }
-        let block_damaged = vb.k_report.uncorrectable + vb.v_report.uncorrectable > 0;
+        let (frontier_rows, whole) = attending_rows(cache, vis0, (&b0, &nb), jb);
+        if vb.k_report.uncorrectable + vb.v_report.uncorrectable > 0 {
+            state.mark_damaged(frontier_rows.start..whole.end);
+        }
         // GEMM I's k-major operands, built once per (tile, block) and read
-        // by every chunk row's one-row GEMMs.
+        // by every step against the block — a frontier row's leading
+        // columns included.
         let kt_full = vb.k.transpose();
-        let k_cs_full = protected.then(|| k_major(vb.k_cs));
+        let c0 = jb * cache.block();
+        // A partial causal frontier's operands are folded over each row's
+        // visible rows (the exact operands a `vis`-row cache would store).
         let mut frontier: Option<Frontier> = None;
-
-        for r in 0..c {
-            if jb < b0[r] || jb >= nb[r] {
-                continue;
-            }
-            states[r].damaged |= block_damaged;
+        for r in frontier_rows {
             let rows = vis_block_rows(cache, jb, vis0 + r);
-            // Stored operands for fully visible blocks; a partial causal
-            // frontier's are folded over the visible rows (the exact
-            // operands a `vis`-row cache would store).
-            let (kt_part, v_part, cs_owned);
-            let (kt, v, checksums, k_max_norm) = if rows == vb.k.rows() {
-                let checksums = k_cs_full.as_ref().map(|k_cs| (k_cs, vb.v_cs));
-                (&kt_full, &vb.v, checksums, vb.k_max_norm)
-            } else {
-                kt_part = kt_full.block(0, 0, d, rows);
-                v_part = vb.v.block(0, 0, rows, d);
-                let (k_cs, v_cs, k_max_norm) = frontier
-                    .get_or_insert_with(|| Frontier::new(&vb.v, cache.stride()))
-                    .prefix(&vb.k, rows);
-                cs_owned = (k_cs, v_cs);
-                let checksums = protected.then_some((&cs_owned.0, &cs_owned.1));
-                (&kt_part, &v_part, checksums, k_max_norm)
+            let (kt, v) = (kt_full.block(0, 0, d, rows), vb.v.block(0, 0, rows, d));
+            let (k_cs, v_cs, k_max_norm) = frontier
+                .get_or_insert_with(|| Frontier::new(&vb.v, cache.stride()))
+                .prefix(&vb.k, rows);
+            let blk = BlockOperands {
+                kt: &kt,
+                v: &v,
+                checksums: protected.then_some((&k_cs, &v_cs)),
+                k_max_norm,
+                jb,
+                c0,
             };
-            states[r].step(
-                &kernel,
-                &BlockOperands {
-                    kt,
-                    v,
-                    checksums,
-                    k_max_norm,
-                    jb,
-                    c0: jb * cache.block(),
-                },
-            );
+            state.step(&kernel, &blk, r..r + 1);
+        }
+        // The rows that see the block whole: one step, stored operands.
+        if !whole.is_empty() {
+            let k_cs = protected.then(|| k_major(vb.k_cs));
+            let blk = BlockOperands {
+                kt: &kt_full,
+                v: &vb.v,
+                checksums: k_cs.as_ref().map(|k_cs| (k_cs, vb.v_cs)),
+                k_max_norm: vb.k_max_norm,
+                jb,
+                c0,
+            };
+            state.step(&kernel, &blk, whole);
         }
     }
 
-    let mut out = Matrix::zeros(c, d);
-    for (r, state) in states.into_iter().enumerate() {
-        // Recomputation fallback over verified reads: clean online softmax
-        // of the visible prefix (cache-uncorrectable damage stays in the
-        // data, but the report carries that signal). Rare path — re-reads
-        // per row rather than keeping every attended block resident for
-        // the whole tile.
-        let reread = (b0[r]..nb[r]).map(|jb| {
+    // Recomputation fallback over verified reads: clean online softmax of
+    // a damaged row's visible prefix (cache-uncorrectable damage stays in
+    // the data, but the report carries that signal). Rare path — re-reads
+    // per row rather than keeping every attended block resident for the
+    // whole tile.
+    let reread = |rows: Range<usize>| {
+        let r = rows.start;
+        (b0[r]..nb[r]).map(move |jb| {
             let rows = vis_block_rows(cache, jb, vis0 + r);
             let (k_blk, _) = cache.read_k_verified(slot, jb);
             let (v_blk, _) = cache.read_v_verified(slot, jb);
@@ -552,12 +585,10 @@ pub(crate) fn efta_decode_tile(
                 k_blk.block(0, 0, rows, d).transpose(),
                 v_blk.block(0, 0, rows, d),
             )
-        });
-        let (o, row_report, _) = state.finish(&kernel, reread);
-        out.row_mut(r).copy_from_slice(o.row(0));
-        report = report.merged(&row_report);
-    }
-    (out, report)
+        })
+    };
+    let (o, tile_report, _) = state.finish(&kernel, reread);
+    (o, report.merged(&tile_report))
 }
 
 /// Unprotected single-query decode: raw cache reads, online softmax, no
@@ -762,6 +793,103 @@ mod tests {
                     max_row_norm(&k_part).to_bits(),
                     "{what}"
                 );
+            }
+        }
+    }
+
+    /// Two SEUs through one injector.
+    struct Both(SeuInjector, SeuInjector);
+
+    impl FaultInjector for Both {
+        fn corrupt_f32(&self, site: FaultSite, coord: OpCoord, value: f32) -> f32 {
+            let value = self.0.corrupt_f32(site, coord, value);
+            self.1.corrupt_f32(site, coord, value)
+        }
+        fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: ft_num::F16) -> ft_num::F16 {
+            let value = self.0.corrupt_f16(site, coord, value);
+            self.1.corrupt_f16(site, coord, value)
+        }
+        fn decide_chain(
+            &self,
+            site: FaultSite,
+            coord: OpCoord,
+            k_len: usize,
+        ) -> Option<ft_sim::ChainFault> {
+            let first = self.0.decide_chain(site, coord, k_len);
+            first.or(self.1.decide_chain(site, coord, k_len))
+        }
+        fn fired(&self) -> u64 {
+            self.0.fired() + self.1.fired()
+        }
+        fn may_fire(&self, site: FaultSite) -> bool {
+            self.0.may_fire(site) || self.1.may_fire(site)
+        }
+    }
+
+    #[test]
+    fn row_group_steps_match_one_row_tiles_under_faults() {
+        // A 16-row chunk (cache rows 21..37, 8-row blocks, window 20):
+        // every attended block has frontier rows stepping alone and a group
+        // seeing it whole, and rows leave the window one block at a time.
+        // One SEU hits a middle row's checksum-GEMM chain — row 8 (vis 30)
+        // sees block 2 whole, so its column is vis + c0 + t — and one hits
+        // a GEMM II chain of the group seeing block 3 whole. The chunk tile
+        // must give the output, ledger and fired count of 16 one-row tiles.
+        let (q, k, v) = workload(37, 16, 78);
+        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+        fill(&mut cache, &k, &v, 37);
+        let (base, c, step0, window) = (21, 16, 500, Some(20));
+        let (vis_8, jb) = (base + 1 + 8, 2);
+        let checksum_chain = OpCoord::new(1, step0 + 8, vis_8 + jb * 8 + 3, 3 * jb + 1);
+        let gemm2_chain = OpCoord::new(0, step0 + 12, 5, 3 * 3);
+        let inj = || {
+            Both(
+                SeuInjector::new(FaultSite::GemmIAccum, checksum_chain, 30).at_chain_step(9),
+                SeuInjector::new(FaultSite::GemmIiAccum, gemm2_chain, 30).at_chain_step(4),
+            )
+        };
+        for opts in [EftaOptions::optimized(), EftaOptions::per_step()] {
+            for slot in 0..2 {
+                let chunk = q.slot_flat(slot).block(base, 0, c, 16).to_f32();
+                let (chunk_inj, row_inj) = (inj(), inj());
+                let (got, got_report) = efta_decode_tile(
+                    &cache,
+                    slot,
+                    base + 1,
+                    step0,
+                    &chunk,
+                    &chunk_inj,
+                    &opts,
+                    window,
+                );
+                let mut want_report = FtReport::default();
+                for r in 0..c {
+                    let row = chunk.block(r, 0, 1, 16);
+                    let vis = base + 1 + r;
+                    let (o, rep) = efta_decode_tile(
+                        &cache,
+                        slot,
+                        vis,
+                        step0 + r,
+                        &row,
+                        &row_inj,
+                        &opts,
+                        window,
+                    );
+                    let bits = |m: &MatrixF32| {
+                        m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        bits(&got.block(r, 0, 1, 16)),
+                        bits(&o),
+                        "slot {slot} row {r}"
+                    );
+                    want_report = want_report.merged(&rep);
+                }
+                assert_eq!(got_report, want_report, "slot {slot} under {opts:?}");
+                assert_eq!(chunk_inj.fired(), row_inj.fired(), "slot {slot}");
+                assert_eq!(chunk_inj.fired(), 1, "one SEU aims at each slot");
+                assert!(got_report.total_detected() > 0, "{got_report:?}");
             }
         }
     }

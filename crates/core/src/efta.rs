@@ -7,8 +7,9 @@
 //! damage flag, and the tile's own fault ledger and phase times for a tile
 //! of query rows) with two methods.
 //!
-//! * `RowState::step` is one inner iteration of Algorithm 1 against one K/V
-//!   block and its checksum operands. **Lines 9–16:** GEMM I and its
+//! * `RowState::step` is one inner iteration of Algorithm 1 for a
+//!   contiguous range of the tile's rows against one K/V block and its
+//!   checksum operands. **Lines 9–16:** GEMM I and its
 //!   checksum GEMMs; reduce-max under selective neuron value restriction
 //!   (the max must bound its block); subtract + EXP, with `S_c1` carried
 //!   through both so a single product check verifies GEMM I, subtraction
@@ -24,9 +25,12 @@
 //! Two kernels call it. Prefill (`efta_forward`, below) steps a B-row state
 //! per (slot, row block) over operands it prepares once per slot per call —
 //! each column block's `Kᵀ` and V in f32, checksum operands (encoded
-//! through FP16) and max-norm; the decode tile ([`crate::decode`]) steps
-//! one 1-row state per chunk row over operands the KV cache stored at
-//! append time. Operands, fault coordinates and the rowsum bound `n` are
+//! through FP16) and max-norm — every row against every block, with
+//! unrepairable damage recomputing the whole tile; the decode tile
+//! ([`crate::decode`]) steps one `c`-row state over operands the KV cache
+//! stored at append time, one row group per attended block, with damage
+//! recomputing the damaged row alone. Operands, fault coordinates, each
+//! row's rowsum bound `n` and the reach of damage (`DamageGroup`) are
 //! inputs to the step; nothing else differs between the two.
 //!
 //! [`VerifyMode::PerStep`] is the unoptimised "EFTA" of Tables 1–2 (verify
@@ -51,8 +55,12 @@ use ft_abft::thresholds::{Check, Thresholds};
 use ft_num::{block_starts, quantize_f32, Matrix, MatrixF16, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
-use ft_sim::{gemm_flops, gemm_nn, gemm_nn_inj, FaultInjector, FaultSite, GemmCtx, OpCoord};
+use ft_sim::{
+    gemm_flops, gemm_nn, gemm_nn_fault_pass, gemm_nn_inj, FaultInjector, FaultSite, GemmCtx,
+    OpCoord,
+};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Protection scheme for the two GEMMs (Fig. 11 comparison).
@@ -198,26 +206,35 @@ fn scheme_sums(opts: &EftaOptions, c: &MatrixF32, s: usize) -> (MatrixF32, Matri
     }
 }
 
-/// Every (row, residue class) where the strided sums of `c` leave its
-/// carried checksum results `(c1, c2)` by more than row `i`'s `chk(i)`.
+/// Every (row, residue class) of rows `rows` where the strided sums of `c`
+/// leave its carried checksum results `(c1, c2)` by more than row `i`'s
+/// `chk(i)`.
 fn checksum_mismatches(
     opts: &EftaOptions,
     c: &MatrixF32,
     (c1, c2): (&MatrixF32, &MatrixF32),
     s: usize,
+    rows: Range<usize>,
     chk: impl Fn(usize) -> Check,
 ) -> Vec<StridedMismatch> {
+    let part;
+    let c = if rows.len() == c.rows() {
+        c
+    } else {
+        part = c.block(rows.start, 0, rows.len(), c.cols());
+        &part
+    };
     let (sums1, sums2) = scheme_sums(opts, c, s);
     let mut out = Vec::new();
-    for i in 0..c.rows() {
+    for (k, i) in rows.enumerate() {
         let chk = chk(i);
         for t in 0..s {
-            if chk.detects(sums1.get(i, t), c1.get(i, t)) {
+            if chk.detects(sums1.get(k, t), c1.get(i, t)) {
                 out.push(StridedMismatch {
                     i,
                     t,
-                    delta1: sums1.get(i, t) - c1.get(i, t),
-                    delta2: sums2.get(i, t) - c2.get(i, t),
+                    delta1: sums1.get(k, t) - c1.get(i, t),
+                    delta2: sums2.get(k, t) - c2.get(i, t),
                 });
             }
         }
@@ -320,7 +337,34 @@ pub(crate) struct BlockOperands<'a> {
     pub c0: usize,
 }
 
+/// How far damage no checksum can repair spreads: what a recomputation
+/// fallback recomputes, and what an unlocatable GEMM I mismatch
+/// recomputes S for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum DamageGroup {
+    /// The whole tile: prefill's `(slot, row block)` CTA.
+    Tile,
+    /// The row alone: each decode row attends its own prefix.
+    Row,
+}
+
+/// `mismatches` (row-major) split into damage groups: all of them for a
+/// tile-wide group, else one run per row.
+fn damage_groups(group: DamageGroup, mismatches: &[StridedMismatch]) -> Vec<&[StridedMismatch]> {
+    match group {
+        DamageGroup::Tile => vec![mismatches],
+        DamageGroup::Row => mismatches.chunk_by(|a, b| a.i == b.i).collect(),
+    }
+}
+
 /// Algorithm 1's per-tile state for `q.rows()` query rows.
+///
+/// A step advances any contiguous row range against one block, so rows
+/// that attend a block alike share its GEMMs (the decode tile's row
+/// groups). What differs between rows is per row: the SNVR rowsum bound
+/// `n` (the rows that row attends), the checksum GEMMs' fault-coordinate
+/// column base `cs_col0` (past the columns that row sees), and the damage
+/// flag, whose reach is the state's [`DamageGroup`].
 pub(crate) struct RowState<'a> {
     /// Scaled query rows.
     q: &'a MatrixF32,
@@ -328,11 +372,11 @@ pub(crate) struct RowState<'a> {
     /// Fault-coordinate row of `q`'s row 0 (global row in prefill, decode
     /// step in decode).
     row0: usize,
-    /// Column base of the checksum GEMMs' fault coordinates: past every
-    /// data column the rows can see.
-    cs_col0: usize,
-    /// Rows attended — the rowsum's upper bound.
-    n: usize,
+    /// Per row: column base of the checksum GEMMs' fault coordinates, past
+    /// every data column the row can see.
+    cs_col0: Vec<usize>,
+    /// Per row: rows attended — the rowsum's upper bound.
+    n: Vec<usize>,
     m: Vec<f32>,
     ell: Vec<f32>,
     o: MatrixF32,
@@ -340,8 +384,10 @@ pub(crate) struct RowState<'a> {
     o_c2: MatrixF32,
     /// Per-row history of block maxima (SNVR rowsum bounds).
     max_hist: Vec<Vec<f32>>,
-    /// Damage no checksum can repair: `finish` recomputes the tile.
-    pub damaged: bool,
+    /// Per row: damage no checksum can repair, so `finish` recomputes the
+    /// row's damage group.
+    damaged: Vec<bool>,
+    group: DamageGroup,
     /// This tile's fault events.
     report: FtReport,
     /// This tile's phase times (zero when untimed).
@@ -349,9 +395,18 @@ pub(crate) struct RowState<'a> {
 }
 
 impl<'a> RowState<'a> {
-    /// Fresh state; `so` is the width of the output checksums.
-    pub(crate) fn new(q: &'a MatrixF32, row0: usize, cs_col0: usize, n: usize, so: usize) -> Self {
+    /// Fresh state; `so` is the width of the output checksums, `cs_col0`
+    /// and `n` hold one entry per row.
+    pub(crate) fn new(
+        q: &'a MatrixF32,
+        row0: usize,
+        cs_col0: Vec<usize>,
+        n: Vec<usize>,
+        so: usize,
+        group: DamageGroup,
+    ) -> Self {
         let (rows, d) = q.shape();
+        assert_eq!((cs_col0.len(), n.len()), (rows, rows), "one bound per row");
         RowState {
             q,
             q_norms: (0..rows)
@@ -366,82 +421,115 @@ impl<'a> RowState<'a> {
             o_c1: Matrix::zeros(rows, so),
             o_c2: Matrix::zeros(rows, so),
             max_hist: vec![Vec::new(); rows],
-            damaged: false,
+            damaged: vec![false; rows],
+            group,
             report: FtReport::default(),
             phases: PhaseBreakdown::default(),
         }
     }
 
+    /// Flag `rows` as damaged (the whole tile under a tile-wide group).
+    pub(crate) fn mark_damaged(&mut self, rows: Range<usize>) {
+        let rows = match self.group {
+            DamageGroup::Tile => 0..self.damaged.len(),
+            DamageGroup::Row => rows,
+        };
+        self.damaged[rows].fill(true);
+    }
+
     /// Correct S from located linear mismatches: located elements are
-    /// recomputed exactly, and an unlocatable one recomputes the block.
+    /// recomputed exactly, and an unlocatable one recomputes its damage
+    /// group's rows of the block. `q` holds S's query rows.
     fn repair_s(
         &mut self,
+        q: &MatrixF32,
         kt: &MatrixF32,
         s_blk: &mut MatrixF32,
         mismatches: &[StridedMismatch],
         se: usize,
     ) {
-        let rep = correct_strided(s_blk, mismatches, se);
-        for loc in &rep.corrected {
-            s_blk.set(loc.row, loc.col, exact_s(self.q, kt, loc.row, loc.col));
-        }
-        self.report.gemm1_detected += rep.detections as u64;
-        self.report.gemm1_corrected += rep.corrected.len() as u64;
-        if rep.uncorrectable > 0 {
-            *s_blk = gemm_nn(self.q, kt);
-            self.report.gemm1_recomputed += rep.uncorrectable as u64;
-        }
-    }
-
-    /// Check O against `O_c1`/`O_c2`, correct what locates, and flag the
-    /// tile for recomputation otherwise. While O is still `unnormalised`
-    /// its magnitude (and the checksum rounding noise) grows with the
-    /// running rowsum, so the detection floor scales with ℓ.
-    fn verify_output<I: FaultInjector>(&mut self, kn: &Kernel<'_, I>, unnormalised: bool) {
-        let RowState {
-            o,
-            o_c1,
-            o_c2,
-            ell,
-            damaged,
-            report,
-            ..
-        } = self;
-        let s = o_c1.cols();
-        let out = kn.opts.thresholds.output;
-        let mismatches = checksum_mismatches(kn.opts, o, (o_c1, o_c2), s, |i| {
-            if unnormalised {
-                Check::new(out.rel, out.abs_floor * (1.0 + ell[i].abs()))
-            } else {
-                out
+        for group in damage_groups(self.group, mismatches) {
+            let rep = correct_strided(s_blk, group, se);
+            for loc in &rep.corrected {
+                s_blk.set(loc.row, loc.col, exact_s(q, kt, loc.row, loc.col));
             }
-        });
-        if mismatches.is_empty() {
-            return;
-        }
-        let rep = correct_strided(o, &mismatches, s);
-        report.gemm2_detected += rep.detections as u64;
-        report.gemm2_corrected += rep.corrected.len() as u64;
-        // A delta so large it swamps f32 cannot restore the true value by
-        // subtraction — recompute the tile.
-        let catastrophic = rep.corrected.iter().any(|l| {
-            !l.delta.is_finite() || l.delta.abs() > 1e3 * (o_c1.get(l.row, l.col % s).abs() + 1.0)
-        });
-        if rep.uncorrectable > 0 || catastrophic {
-            report.gemm2_recomputed += rep.uncorrectable.max(1) as u64;
-            *damaged = true;
+            self.report.gemm1_detected += rep.detections as u64;
+            self.report.gemm1_corrected += rep.corrected.len() as u64;
+            if rep.uncorrectable > 0 {
+                match self.group {
+                    DamageGroup::Tile => *s_blk = gemm_nn(q, kt),
+                    DamageGroup::Row => {
+                        let i = group[0].i;
+                        let row = gemm_nn(&q.block(i, 0, 1, q.cols()), kt);
+                        s_blk.row_mut(i).copy_from_slice(row.row(0));
+                    }
+                }
+                self.report.gemm1_recomputed += rep.uncorrectable as u64;
+            }
         }
     }
 
-    /// One inner iteration of Algorithm 1 (lines 9–20) against `blk`.
+    /// Check rows `rows` of O against `O_c1`/`O_c2`, correct what locates,
+    /// and flag the damage group for recomputation otherwise. While O is
+    /// still `unnormalised` its magnitude (and the checksum rounding noise)
+    /// grows with the running rowsum, so the detection floor scales with ℓ.
+    fn verify_output<I: FaultInjector>(
+        &mut self,
+        kn: &Kernel<'_, I>,
+        unnormalised: bool,
+        rows: Range<usize>,
+    ) {
+        let s = self.o_c1.cols();
+        let out = kn.opts.thresholds.output;
+        let ell = &self.ell;
+        let mismatches =
+            checksum_mismatches(kn.opts, &self.o, (&self.o_c1, &self.o_c2), s, rows, |i| {
+                if unnormalised {
+                    Check::new(out.rel, out.abs_floor * (1.0 + ell[i].abs()))
+                } else {
+                    out
+                }
+            });
+        for group in damage_groups(self.group, &mismatches) {
+            let rep = correct_strided(&mut self.o, group, s);
+            self.report.gemm2_detected += rep.detections as u64;
+            self.report.gemm2_corrected += rep.corrected.len() as u64;
+            // A delta so large it swamps f32 cannot restore the true value
+            // by subtraction — recompute the group.
+            let catastrophic = rep.corrected.iter().any(|l| {
+                !l.delta.is_finite()
+                    || l.delta.abs() > 1e3 * (self.o_c1.get(l.row, l.col % s).abs() + 1.0)
+            });
+            if rep.uncorrectable > 0 || catastrophic {
+                self.report.gemm2_recomputed += rep.uncorrectable.max(1) as u64;
+                self.mark_damaged(group[0].i..group[0].i + 1);
+            }
+        }
+    }
+
+    /// One inner iteration of Algorithm 1 (lines 9–20) of rows `rows`
+    /// against `blk`.
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn step<I: FaultInjector>(&mut self, kn: &Kernel<'_, I>, blk: &BlockOperands<'_>) {
+    pub(crate) fn step<I: FaultInjector>(
+        &mut self,
+        kn: &Kernel<'_, I>,
+        blk: &BlockOperands<'_>,
+        rows: Range<usize>,
+    ) {
         let (opts, inj, slot) = (kn.opts, kn.inj, kn.slot);
         let thr = &opts.thresholds;
-        let q = self.q;
-        let (rows, d) = q.shape();
+        let q_part;
+        let q = if rows.len() == self.q.rows() {
+            self.q
+        } else {
+            q_part = self.q.block(rows.start, 0, rows.len(), self.q.cols());
+            &q_part
+        };
+        // Step row `i` is state row `ra + i` at coordinate row `row0 + i`.
+        let (nr, d) = q.shape();
+        let (ra, row0) = (rows.start, self.row0 + rows.start);
         let bc = blk.kt.cols();
-        let (jb, c0, row0) = (blk.jb, blk.c0, self.row0);
+        let (jb, c0) = (blk.jb, blk.c0);
         let traditional = opts.gemm == GemmProtection::Traditional;
         let snvr = opts.softmax == SoftmaxProtection::Snvr;
         let dmr = opts.softmax == SoftmaxProtection::Dmr;
@@ -449,19 +537,31 @@ impl<'a> RowState<'a> {
         let mut lap = Lap::start(kn.timed);
 
         // ---- GEMM I ------------------------------------------------
-        let gemm1 = |w: &MatrixF32, col0: usize, it: usize| {
-            let ctx = GemmCtx::new(FaultSite::GemmIAccum, slot)
-                .at(row0, col0)
-                .iter(3 * jb + it);
-            gemm_nn_inj(q, w, inj, ctx)
+        let ctx1 = |row: usize, col0: usize, it: usize| {
+            GemmCtx::new(FaultSite::GemmIAccum, slot)
+                .at(row, col0)
+                .iter(3 * jb + it)
         };
-        let mut s_blk = gemm1(blk.kt, c0, 0);
+        let mut s_blk = gemm_nn_inj(q, blk.kt, inj, ctx1(row0, c0, 0));
         lap.to(&mut self.phases.gemm1);
 
         // ---- GEMM I protection: checksum GEMMs ----------------------
         // `se` is the S-side checksum width: a ragged final block folds at
-        // fewer rows than the stride, the traditional scheme at 1.
+        // fewer rows than the stride, the traditional scheme at 1. The
+        // rows share one clean product; each row's chains draw faults past
+        // its own visible columns.
+        let cs_col0 = &self.cs_col0[rows.clone()];
         let s_cs = blk.checksums.map(|(kcs, _)| {
+            let checksum_gemm = |w: &MatrixF32, it: usize| {
+                let mut c = gemm_nn(q, w);
+                if inj.may_fire(FaultSite::GemmIAccum) {
+                    for (i, &col0) in cs_col0.iter().enumerate() {
+                        let ctx = ctx1(row0 + i, col0 + c0, it);
+                        gemm_nn_fault_pass(&mut c, q, i..i + 1, w, inj, ctx);
+                    }
+                }
+                c
+            };
             // Traditional 1-wide checksums are padded to the 8-wide MMA
             // tile a tensor core must dedicate to them anyway — their
             // checksum GEMM costs the same as the strided design's, plus
@@ -469,9 +569,9 @@ impl<'a> RowState<'a> {
             let checksum_gemm = |w: &MatrixF32, it: usize| {
                 if traditional {
                     let padded = Matrix::hstack(&[w, &Matrix::zeros(w.rows(), 7)]);
-                    gemm1(&padded, self.cs_col0 + c0, it).block(0, 0, rows, 1)
+                    checksum_gemm(&padded, it).block(0, 0, nr, 1)
                 } else {
-                    gemm1(w, self.cs_col0 + c0, it)
+                    checksum_gemm(w, it)
                 }
             };
             (
@@ -482,15 +582,15 @@ impl<'a> RowState<'a> {
         });
         if let (true, Some((c1, c2, se))) = (per_step, &s_cs) {
             // "EFTA": verify the GEMM result immediately.
-            let mismatches = checksum_mismatches(opts, &s_blk, (c1, c2), *se, |_| thr.gemm);
+            let mismatches = checksum_mismatches(opts, &s_blk, (c1, c2), *se, 0..nr, |_| thr.gemm);
             if !mismatches.is_empty() {
-                self.repair_s(blk.kt, &mut s_blk, &mismatches, *se);
+                self.repair_s(q, blk.kt, &mut s_blk, &mismatches, *se);
             }
         }
         lap.to(&mut self.phases.gemm1_protect);
 
         // ---- Softmax: reduce max ------------------------------------
-        let mut blk_max: Vec<f32> = (0..rows)
+        let mut blk_max: Vec<f32> = (0..nr)
             .map(|i| {
                 let coord = OpCoord::new(slot, row0 + i, jb, 0);
                 inj.corrupt_f32(FaultSite::MaxReduce, coord, row_max(s_blk.row(i)))
@@ -499,7 +599,7 @@ impl<'a> RowState<'a> {
         lap.to(&mut self.phases.softmax);
 
         // Max protection.
-        for i in 0..rows {
+        for i in 0..nr {
             if snvr {
                 // Case 1: restrict — a max below its block's true max risks
                 // exp overflow; repair by recomputing.
@@ -516,7 +616,7 @@ impl<'a> RowState<'a> {
                 // Cauchy–Schwarz bound |S[i][j]| ≤ |q_i|·|k_j| is cheap to
                 // maintain and unmasks the hijack; the offending element
                 // (the argmax) is recomputed exactly.
-                let bound = self.q_norms[i] * blk.k_max_norm * 1.05 + 1e-3;
+                let bound = self.q_norms[ra + i] * blk.k_max_norm * 1.05 + 1e-3;
                 if blk_max[i] > bound || !blk_max[i].is_finite() {
                     let (mut arg, mut best) = (0usize, f32::NEG_INFINITY);
                     for (j, &v) in s_blk.row(i).iter().enumerate() {
@@ -545,16 +645,16 @@ impl<'a> RowState<'a> {
                 }
             }
         }
-        let m_new: Vec<f32> = (0..rows).map(|i| self.m[i].max(blk_max[i])).collect();
+        let m_new: Vec<f32> = (0..nr).map(|i| self.m[ra + i].max(blk_max[i])).collect();
         lap.to(&mut self.phases.softmax_protect);
 
         // ---- Softmax: subtract + EXP --------------------------------
         // Per-element fault sites are offered every value only when the
         // injector can fire at one; otherwise the loop is the plain
         // arithmetic those calls would have returned unchanged.
-        let mut p: MatrixF32 = Matrix::zeros(rows, bc);
+        let mut p: MatrixF32 = Matrix::zeros(nr, bc);
         let exp_sites = inj.may_fire(FaultSite::Subtract) || inj.may_fire(FaultSite::ExpUnit);
-        for i in 0..rows {
+        for i in 0..nr {
             let prow = p.row_mut(i);
             if exp_sites {
                 for (j, &sv) in s_blk.row(i).iter().enumerate() {
@@ -603,7 +703,7 @@ impl<'a> RowState<'a> {
                     }
                 }
                 if !linear.is_empty() {
-                    self.repair_s(blk.kt, &mut s_blk, &linear, se);
+                    self.repair_s(q, blk.kt, &mut s_blk, &linear, se);
                 }
                 // Recompute every flagged residue class of P from the
                 // (now corrected) S.
@@ -616,7 +716,7 @@ impl<'a> RowState<'a> {
         } else if dmr {
             // Second replica of subtract+exp, compare, arbitrate.
             let mut disagreements = 0u64;
-            for i in 0..rows {
+            for i in 0..nr {
                 let mi = m_new[i];
                 for (j, &sv) in s_blk.row(i).iter().enumerate() {
                     let coord = OpCoord::new(slot, row0 + i, c0 + j, 1000 + jb);
@@ -635,27 +735,28 @@ impl<'a> RowState<'a> {
         lap.to(&mut self.phases.softmax_protect);
 
         // ---- Softmax: rowsum + rescale factors ----------------------
-        let mut factors = vec![0.0f32; rows];
-        let mut rowsums = vec![0.0f32; rows];
-        for i in 0..rows {
-            let gi = row0 + i;
-            let factor = if self.m[i].is_finite() {
-                (self.m[i] - m_new[i]).exp()
+        let mut factors = vec![0.0f32; nr];
+        let mut rowsums = vec![0.0f32; nr];
+        for i in 0..nr {
+            let (r, gi) = (ra + i, row0 + i);
+            let factor = if self.m[r].is_finite() {
+                (self.m[r] - m_new[i]).exp()
             } else {
                 0.0
             };
             let factor = inj.corrupt_f32(FaultSite::Rescale, OpCoord::new(slot, gi, jb, 2), factor);
             let rs = row_sum(p.row(i));
             let rs = inj.corrupt_f32(FaultSite::SumReduce, OpCoord::new(slot, gi, jb, 1), rs);
-            self.ell[i] = factor * self.ell[i] + rs;
+            self.ell[r] = factor * self.ell[r] + rs;
             factors[i] = factor;
             rowsums[i] = rs;
-            self.m[i] = m_new[i];
-            self.max_hist[i].push(blk_max[i]);
+            self.m[r] = m_new[i];
+            self.max_hist[r].push(blk_max[i]);
         }
         lap.to(&mut self.phases.softmax);
 
-        for i in 0..rows {
+        for i in 0..nr {
+            let r = ra + i;
             if dmr {
                 // DMR protects the rowsum with a second summation.
                 let rs2 = row_sum(p.row(i));
@@ -665,20 +766,20 @@ impl<'a> RowState<'a> {
                     // Third, fault-free execution arbitrates; redo the
                     // ℓ update with the arbitrated sum.
                     let rs3 = row_sum(p.row(i));
-                    self.ell[i] = self.ell[i] - rowsums[i] + rs3;
+                    self.ell[r] = self.ell[r] - rowsums[i] + rs3;
                     self.report.dmr_retries += 1;
                 }
             }
             // Per-step rowsum restriction ("EFTA" checks every iteration).
             if per_step && snvr {
-                let (hist, m) = (&self.max_hist[i], self.m[i]);
-                if restrict_rowsum(self.ell[i], hist, m, self.n).repaired() {
+                let (hist, m) = (&self.max_hist[r], self.m[r]);
+                if restrict_rowsum(self.ell[r], hist, m, self.n[r]).repaired() {
                     // ℓ may already be poisoned from the corrupted
                     // accumulate: rebuild it from the restriction bound of
                     // the earlier blocks plus a clean rowsum of this one.
                     let lower: f32 = hist.iter().map(|&mk| (mk - m).exp()).sum();
                     let rs = row_sum(p.row(i));
-                    self.ell[i] = (lower - (blk_max[i] - m).exp()).max(0.0) + rs;
+                    self.ell[r] = (lower - (blk_max[i] - m).exp()).max(0.0) + rs;
                     self.report.sum_restricted += 1;
                 }
             }
@@ -699,9 +800,9 @@ impl<'a> RowState<'a> {
         };
         let pv = gemm2(blk.v, 0, 0);
         let rescale_site = inj.may_fire(FaultSite::Rescale);
-        for i in 0..rows {
+        for i in 0..nr {
             let f = factors[i];
-            let o_row = self.o.row_mut(i).iter_mut().zip(pv.row(i));
+            let o_row = self.o.row_mut(ra + i).iter_mut().zip(pv.row(i));
             if rescale_site {
                 for (col, (ov, &dv)) in o_row.enumerate() {
                     let coord = OpCoord::new(slot, row0 + i, col, 4000 + jb);
@@ -721,44 +822,50 @@ impl<'a> RowState<'a> {
             let checksum_gemm = |w: &MatrixF32, it: usize| {
                 if traditional {
                     let padded = Matrix::hstack(&[w, &Matrix::zeros(w.rows(), 7)]);
-                    gemm2(&padded, d, it).block(0, 0, rows, 1)
+                    gemm2(&padded, d, it).block(0, 0, nr, 1)
                 } else {
                     gemm2(w, d, it)
                 }
             };
             let pcs = [checksum_gemm(&vcs.w1, 1), checksum_gemm(&vcs.w2, 2)];
             for (o_c, pc) in [&mut self.o_c1, &mut self.o_c2].into_iter().zip(&pcs) {
-                for i in 0..rows {
-                    for (ov, &dv) in o_c.row_mut(i).iter_mut().zip(pc.row(i)) {
+                for i in 0..nr {
+                    for (ov, &dv) in o_c.row_mut(ra + i).iter_mut().zip(pc.row(i)) {
                         *ov = factors[i] * *ov + dv;
                     }
                 }
             }
             if per_step {
-                self.verify_output(kn, true);
+                self.verify_output(kn, true, rows);
             }
         }
         lap.to(&mut self.phases.gemm2_protect);
     }
 
     /// Close the tile (Algorithm 1 lines 22–29) and return its normalised
-    /// O with the tile's fault ledger and phase times. `blocks` replays the
-    /// attended `(Kᵀ, V)` blocks for the clean recomputation fallback; it is
-    /// consumed only when damage no checksum could repair was flagged.
-    pub(crate) fn finish<I: FaultInjector>(
+    /// O with the tile's fault ledger and phase times. `replay(rows)`
+    /// yields the `(Kᵀ, V)` blocks rows `rows` attend, for the clean
+    /// recomputation fallback; it is called once per damage group that
+    /// damage no checksum could repair was flagged in.
+    pub(crate) fn finish<I, R>(
         mut self,
         kn: &Kernel<'_, I>,
-        blocks: impl Iterator<Item = (MatrixF32, MatrixF32)>,
-    ) -> (MatrixF32, FtReport, PhaseBreakdown) {
+        mut replay: impl FnMut(Range<usize>) -> R,
+    ) -> (MatrixF32, FtReport, PhaseBreakdown)
+    where
+        I: FaultInjector,
+        R: IntoIterator<Item = (MatrixF32, MatrixF32)>,
+    {
         let (opts, inj, slot) = (kn.opts, kn.inj, kn.slot);
         let protected = opts.gemm != GemmProtection::Unprotected;
+        let rows = self.ell.len();
         let mut lap = Lap::start(kn.timed);
 
         // ---- SNVR rowsum restriction (unified) ----------------------
         if opts.softmax == SoftmaxProtection::Snvr && opts.verify == VerifyMode::Unified {
-            for i in 0..self.ell.len() {
+            for i in 0..rows {
                 if let Restriction::Repaired { repaired } =
-                    restrict_rowsum(self.ell[i], &self.max_hist[i], self.m[i], self.n)
+                    restrict_rowsum(self.ell[i], &self.max_hist[i], self.m[i], self.n[i])
                 {
                     // Optimised EFTA replaces ℓ with the approximation
                     // Σ_k exp(m_k − m) instead of recomputing.
@@ -771,7 +878,7 @@ impl<'a> RowState<'a> {
 
         // ---- Normalise O (and checksums) ----------------------------
         let normalize_site = inj.may_fire(FaultSite::Normalize);
-        for i in 0..self.ell.len() {
+        for i in 0..rows {
             let gi = self.row0 + i;
             let inv = inj.corrupt_f32(
                 FaultSite::Normalize,
@@ -799,21 +906,28 @@ impl<'a> RowState<'a> {
 
         // ---- Unified output verification ----------------------------
         if protected {
-            self.verify_output(kn, false);
+            self.verify_output(kn, false, 0..rows);
         }
         lap.to(&mut self.phases.gemm2_protect);
 
-        if !self.damaged {
-            return (self.o, self.report, self.phases);
-        }
-        // Uncorrectable damage: recompute the whole tile cleanly (the
+        // Uncorrectable damage: recompute each damaged group cleanly (the
         // paper's recomputation fallback).
-        let mut state = crate::flash::OnlineState::new(self.q.rows(), self.q.cols());
-        for (kt, v_blk) in blocks {
-            crate::flash::online_update(&mut state, &gemm_nn(self.q, &kt), &v_blk);
+        let damaged = (0..rows).filter(|&i| self.damaged[i]);
+        let groups: Vec<Range<usize>> = match self.group {
+            DamageGroup::Tile => damaged.take(1).map(|_| 0..rows).collect(),
+            DamageGroup::Row => damaged.map(|i| i..i + 1).collect(),
+        };
+        for group in groups {
+            let (r0, len, d) = (group.start, group.len(), self.q.cols());
+            let q = self.q.block(r0, 0, len, d);
+            let mut state = crate::flash::OnlineState::new(len, d);
+            for (kt, v_blk) in replay(group) {
+                crate::flash::online_update(&mut state, 0, &gemm_nn(&q, &kt), &v_blk);
+            }
+            crate::flash::finalize(&mut state);
+            self.o.set_block(r0, 0, &state.o);
         }
-        crate::flash::finalize(&mut state);
-        (state.o, self.report, self.phases)
+        (self.o, self.report, self.phases)
     }
 }
 
@@ -1010,11 +1124,13 @@ pub(crate) fn efta_forward<I: FaultInjector>(
             };
             let q_raw = q.slot_flat(slot).block(r0, 0, b, d).to_f32();
             let q_blk = Matrix::from_fn(q_raw.rows(), d, |i, j| q_raw.get(i, j) * cfg.scale);
-            let mut state = RowState::new(&q_blk, r0, cfg.seq, cfg.seq, s);
+            let rows = q_blk.rows();
+            let bound = vec![cfg.seq; rows];
+            let mut state = RowState::new(&q_blk, r0, bound.clone(), bound, s, DamageGroup::Tile);
             for (jb, blk) in blocks.iter().enumerate() {
-                state.step(&kernel, &blk.operands(jb, jb * b));
+                state.step(&kernel, &blk.operands(jb, jb * b), 0..rows);
             }
-            let replay = blocks.iter().map(|blk| (blk.kt.clone(), blk.v.clone()));
+            let replay = |_| blocks.iter().map(|blk| (blk.kt.clone(), blk.v.clone()));
             (slot, r0, state.finish(&kernel, replay))
         })
         .collect();

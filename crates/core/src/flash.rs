@@ -37,27 +37,30 @@ impl OnlineState {
     }
 }
 
-/// One inner iteration of the online-softmax update for a score block
-/// `s_blk` (rows × bc) and value block `v_blk` (bc × d):
-/// new maxima, rescale factors, exp block P, rowsum update and O update.
-/// Returns P for reuse by callers that need it.
+/// One inner iteration of the online-softmax update of state rows
+/// `r0 .. r0 + s_blk.rows()` for a score block `s_blk` (rows × bc) and
+/// value block `v_blk` (bc × d): new maxima, rescale factors, exp block P,
+/// rowsum update and O update. Rows are independent, so a row range
+/// updated together is bit-identical to its rows updated one at a time.
 pub(crate) fn online_update(
     state: &mut OnlineState,
+    r0: usize,
     s_blk: &MatrixF32,
     v_blk: &MatrixF32,
-) -> MatrixF32 {
+) {
     let rows = s_blk.rows();
     let mut p = Matrix::zeros(rows, s_blk.cols());
     let mut factors = vec![0.0f32; rows];
     for i in 0..rows {
+        let r = r0 + i;
         let blk_max = s_blk
             .row(i)
             .iter()
             .cloned()
             .fold(f32::NEG_INFINITY, f32::max);
-        let m_new = state.m[i].max(blk_max);
-        let factor = if state.m[i].is_finite() {
-            (state.m[i] - m_new).exp()
+        let m_new = state.m[r].max(blk_max);
+        let factor = if state.m[r].is_finite() {
+            (state.m[r] - m_new).exp()
         } else {
             0.0
         };
@@ -68,19 +71,18 @@ pub(crate) fn online_update(
             prow[j] = e;
             rowsum += e;
         }
-        state.ell[i] = factor * state.ell[i] + rowsum;
-        state.m[i] = m_new;
+        state.ell[r] = factor * state.ell[r] + rowsum;
+        state.m[r] = m_new;
         factors[i] = factor;
     }
     // O = diag(factor)·O + P·V.
     let pv = gemm_nn(&p, v_blk);
     for i in 0..rows {
         let f = factors[i];
-        for (o, &d) in state.o.row_mut(i).iter_mut().zip(pv.row(i)) {
+        for (o, &d) in state.o.row_mut(r0 + i).iter_mut().zip(pv.row(i)) {
             *o = f * *o + d;
         }
     }
-    p
 }
 
 /// Finalise: O = diag(1/ℓ)·O.
@@ -136,7 +138,7 @@ pub(crate) fn flash_forward(
                         }
                     }
                 }
-                online_update(&mut state, &s_blk, &v_blk);
+                online_update(&mut state, 0, &s_blk, &v_blk);
             }
             finalize(&mut state);
             (slot, r0, state.o)

@@ -328,23 +328,45 @@ impl Sum for F16 {
 /// Round an `f32` through binary16 and back: the quantisation a value
 /// suffers when it is stored to an FP16 register or HBM tensor.
 ///
-/// Inputs whose result is a normal binary16 (`2⁻¹⁴ ≤ |v| < 65520`) round in
-/// place: binary32 and binary16 share the leading mantissa bits, so
-/// round-to-nearest-even to 10 of binary32's 23 bits is adding `0x0FFF`
-/// plus the lowest kept bit and clearing the 13 dropped ones — a tie
-/// carries only when the kept mantissa is odd. A carry out of the mantissa
-/// steps the exponent exactly as binary16 rounding does, and below 65520 it
-/// can never reach the sign or produce an exponent binary16 lacks. The
-/// result is the same `f32` as the round trip through [`F16`]; every other
-/// input (subnormal results, overflow to infinity, NaN) takes that round
-/// trip.
+/// Branch-free, so a loop over a slice of them vectorises (the decode and
+/// prefill tiles round every softmax numerator P through it). Every input
+/// class computes its candidate and the magnitude selects one; the sign is
+/// OR'd in last:
+///
+/// * results in binary16's normal range (`2⁻¹⁴ ≤ |v| < 65520`) round in
+///   place: binary32 and binary16 share the leading mantissa bits, so
+///   round-to-nearest-even to 10 of binary32's 23 bits is adding `0x0FFF`
+///   plus the lowest kept bit and clearing the 13 dropped ones (a tie
+///   carries only when the kept mantissa is odd, and a carry out of the
+///   mantissa steps the exponent exactly as binary16 rounding does);
+/// * below `2⁻¹⁴` the result is a multiple of binary16's subnormal step
+///   `2⁻²⁴`: `(|v| + 0.75) − 0.75` rounds `|v|` to nearest-even at that
+///   step, since the sum lies in `[0.75, 1)` where binary32's step is
+///   `2⁻²⁴`, and the subtraction is exact (a result of `2⁻¹⁴` is the
+///   carry into the smallest normal, as in binary16);
+/// * `65520 ≤ |v|` overflows to infinity;
+/// * NaN keeps its top 10 payload bits, quieted.
+///
+/// The result is the `f32` of the round trip through [`F16`], bit for bit
+/// on all 2³² inputs (pinned by an exhaustive test).
 #[inline]
 pub fn quantize_f32(v: f32) -> f32 {
     let bits = v.to_bits();
-    if (0x3880_0000..0x477F_F000).contains(&(bits & 0x7FFF_FFFF)) {
-        return f32::from_bits((bits + 0x0FFF + ((bits >> 13) & 1)) & !0x1FFF);
-    }
-    F16::from_f32(v).to_f32()
+    let sign = bits & 0x8000_0000;
+    let magnitude = bits & 0x7FFF_FFFF;
+    let normal = (magnitude + 0x0FFF + ((magnitude >> 13) & 1)) & !0x1FFF;
+    let subnormal = ((f32::from_bits(magnitude) + 0.75) - 0.75).to_bits();
+    let nan = (magnitude & !0x1FFF) | 0x0040_0000;
+    let rounded = if magnitude < 0x3880_0000 {
+        subnormal
+    } else if magnitude < 0x477F_F000 {
+        normal
+    } else if magnitude <= 0x7F80_0000 {
+        0x7F80_0000
+    } else {
+        nan
+    };
+    f32::from_bits(sign | rounded)
 }
 
 #[cfg(test)]
@@ -426,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn quantize_fast_path_is_exact_at_its_boundaries() {
+    fn quantize_is_exact_at_its_boundaries() {
         let positive = [
             0x387F_FFFF, // just below 2^-14: the last subnormal-result input
             0x3880_0000, // 2^-14: the first fast-path input
@@ -457,7 +479,7 @@ mod tests {
 
     #[test]
     #[ignore = "exhaustive over all 2^32 inputs, ~35 s in release"]
-    fn quantize_fast_path_is_exact_on_every_input() {
+    fn quantize_is_exact_on_every_input() {
         for bits in 0..=u32::MAX {
             assert_quantize_exact(bits);
         }

@@ -47,10 +47,12 @@
 //! outlives many products — a layer weight, never a per-call activation or
 //! cache block — is worth packing once: [`PackedB`] stores a k-major
 //! `k × n` operand as ⌈n/8⌉ contiguous `k × 8` panels (the last one
-//! zero-padded), so [`gemm_packed`] reads every panel front to back. Row
-//! groups run an `MR × 8` micro-kernel over one panel; rows left over run
-//! one row against `QUAD` adjacent panels (32 chains). `QUAD` records why
-//! these panels stayed 8 wide at the floor.
+//! zero-padded), so [`gemm_packed`] reads every panel front to back, once
+//! for all rows of A: per group of `QUAD` panels, each `MR`-row group runs
+//! against `PAIR` panels at a time (64 chains), and the one to three rows
+//! left over past the last group run together against all `QUAD` (up to 96
+//! chains). `QUAD` records why these panels stayed 8 wide at the floor and
+//! what sharing them across left-over rows bought.
 //! Packing a per-call operand costs a full copy for one use; `gemm_nn` and
 //! `gemm_nt` stay the kernels for those.
 //!
@@ -66,6 +68,7 @@
 //! the result is bit-identical to running every chain individually.
 
 use crate::fault::{FaultInjector, FaultSite, OpCoord};
+use core::ops::Range;
 use ft_num::{Matrix, MatrixF32};
 
 /// Context identifying where in the enclosing computation a GEMM runs, so
@@ -184,7 +187,7 @@ fn micro<const R: usize, const W: usize>(
 /// groups of `MR` rows, then one row at a time.
 fn rows_times_panel<const W: usize>(
     a: &MatrixF32,
-    rows: core::ops::Range<usize>,
+    rows: Range<usize>,
     (panel, ld, p0): (&[f32], usize, usize),
     c: &mut MatrixF32,
     j0: usize,
@@ -284,7 +287,9 @@ pub fn gemm_nt_inj<I: FaultInjector>(
     ctx: GemmCtx,
 ) -> MatrixF32 {
     let mut c = gemm_nt(a, b);
-    recompute_fired(&mut c, a, inj, ctx, |j, col| col.copy_from_slice(b.row(j)));
+    recompute_fired(&mut c, a, 0..a.rows(), inj, ctx, |j, col| {
+        col.copy_from_slice(b.row(j))
+    });
     c
 }
 
@@ -330,12 +335,29 @@ pub fn gemm_nn_inj<I: FaultInjector>(
     ctx: GemmCtx,
 ) -> MatrixF32 {
     let mut c = gemm_nn(a, b);
-    recompute_fired(&mut c, a, inj, ctx, |j, col| {
+    gemm_nn_fault_pass(&mut c, a, 0..a.rows(), b, inj, ctx);
+    c
+}
+
+/// The fault pass of [`gemm_nn_inj`] alone, over rows `rows` of a clean
+/// product `c = A · B` computed with other rows: chain `(i, j)` for `i` in
+/// `rows` draws at coordinate `(ctx.row_off + i − rows.start, ctx.col_off +
+/// j)`, as row `i − rows.start` of a `gemm_nn_inj` under `ctx` would. So
+/// rows whose coordinates differ (each its own column base, say) share one
+/// clean product and keep their own draws.
+pub fn gemm_nn_fault_pass<I: FaultInjector>(
+    c: &mut MatrixF32,
+    a: &MatrixF32,
+    rows: Range<usize>,
+    b: &MatrixF32,
+    inj: &I,
+    ctx: GemmCtx,
+) {
+    recompute_fired(c, a, rows, inj, ctx, |j, col| {
         for (k, v) in col.iter_mut().enumerate() {
             *v = b.get(k, j);
         }
     });
-    c
 }
 
 /// A static k-major operand `B` (`k × n`) packed once for [`gemm_packed`]:
@@ -385,8 +407,8 @@ impl PackedB {
 }
 
 /// Packed panels one row of A runs against at once: `QUAD · NP` chains.
-/// Measured (one row, 2-vCPU x86-64, SSE2 build, µs, `micro_quad` vs
-/// `micro::<1, NP>` per panel): k = 256, n = 8192 285 vs 332; k = 256,
+/// Measured (one row, 2-vCPU x86-64, SSE2 build, µs, four panels at once
+/// vs one at a time): k = 256, n = 8192 285 vs 332; k = 256,
 /// n = 1024 18 vs 29; k = 1024, n = 256 18 vs 28; k = 256, n = 256 4.7 vs
 /// 7.6. Packing 32-wide panels instead (so `micro::<1, 32>` reads them)
 /// ties on one row but slows the 4-row groups at n = 8192 from 635 to 750.
@@ -402,26 +424,94 @@ impl PackedB {
 /// a gain, and its `ft_time_ratio` rose 1.31 → 1.35 in every pair (the
 /// 8-wide checksum operands would pad to a full 16-wide panel, doubling
 /// their MACs). So the panels stay 8 wide.
+///
+/// Rows left over past the last `MR` group used to run one at a time
+/// against `QUAD` panels, each streaming the whole operand again; now they
+/// share each read of the `QUAD` panels (`R · QUAD · NP` chains, R ≤ 3),
+/// and the `MR`-row groups run in the same pass over the panels. Measured
+/// at the floor (2-vCPU x86-64, µs, min of five alternating runs, `m×k×n`,
+/// before → after): LM head 2×256×8192 674 → 364, 3×256×8192 998 → 381,
+/// 5×256×8192 878 → 498; FFN 2×256×1024 32.8 → 25.7, 3×256×1024
+/// 53.2 → 35.4, 2×1024×256 31.6 → 20.1, 3×1024×256 46.9 → 32.5; QKV
+/// 2×256×256 8.1 → 5.2, 3×256×256 12.6 → 8.0. One row is unchanged
+/// (1×256×8192 334 → 368 and 1×256×256 4.3 → 4.1, within this host's
+/// spread).
 const QUAD: usize = 4;
 
-/// One row of A against `QUAD` adjacent packed `k × NP` panels (`panels`
-/// holds them back to back): `QUAD · NP` chains, each `dot_plain`'s.
+/// Packed panels one `MR`-row group runs against at once: `MR · PAIR · NP`
+/// chains, eight 8-lane vectors, where one panel (four vectors) left each
+/// add waiting on the last. Measured with the left-over rows above, µs,
+/// `m×k×n`, one panel → `PAIR`: 4×256×8192 549 → 428, 8×256×8192
+/// 855 → 819, 16×256×8192 1731 → 1392; 4×256×1024 46.3 → 41.9;
+/// 4×1024×256 46.2 → 41.7; 4×256×256 10.9 → 9.8, 8×256×256 26.2 → 19.9.
+const PAIR: usize = 2;
+
+/// `R` rows of A against `P` adjacent packed `k × NP` panels (`panels`
+/// holds them back to back): `R · P · NP` chains, each `dot_plain`'s.
 #[inline(always)]
-fn micro_quad(a_row: &[f32], panels: &[f32]) -> [[f32; NP]; QUAD] {
-    let span = a_row.len() * NP;
-    let panels: [&[f32]; QUAD] = core::array::from_fn(|p| &panels[p * span..(p + 1) * span]);
-    let mut acc = [[0.0f32; NP]; QUAD];
-    for (k, &av) in a_row.iter().enumerate() {
-        for (acc_p, panel) in acc.iter_mut().zip(&panels) {
+fn micro_panels<const R: usize, const P: usize>(
+    a: [&[f32]; R],
+    panels: &[f32],
+) -> [[[f32; NP]; P]; R] {
+    let k_len = a[0].len();
+    assert!(a.iter().all(|row| row.len() == k_len));
+    let span = k_len * NP;
+    let panels: [&[f32]; P] = core::array::from_fn(|p| &panels[p * span..(p + 1) * span]);
+    let mut acc = [[[0.0f32; NP]; P]; R];
+    for k in 0..k_len {
+        let av: [f32; R] = core::array::from_fn(|r| a[r][k]);
+        for (p, panel) in panels.iter().enumerate() {
             let b: &[f32; NP] = panel[k * NP..k * NP + NP]
                 .try_into()
                 .expect("a panel row is NP wide");
-            for (s, &bv) in acc_p.iter_mut().zip(b) {
-                *s += av * bv;
+            for (acc_r, &av) in acc.iter_mut().zip(&av) {
+                for (s, &bv) in acc_r[p].iter_mut().zip(b) {
+                    *s += av * bv;
+                }
             }
         }
     }
     acc
+}
+
+/// Rows `i0 .. i0 + R` of `C = A · B` over the packed panels `panels`
+/// (`span` floats each) whose first column is `j0`: `P` panels at a time,
+/// then a ragged rest one panel at a time.
+fn rows_times_panels<const R: usize, const P: usize>(
+    a: &MatrixF32,
+    i0: usize,
+    (panels, span): (&[f32], usize),
+    c: &mut MatrixF32,
+    j0: usize,
+) {
+    let rows: [&[f32]; R] = core::array::from_fn(|r| a.row(i0 + r));
+    let mut store = |j: usize, acc: &[[[f32; NP]; P]; R]| {
+        for (r, acc_r) in acc.iter().enumerate() {
+            store_panels(&mut c.row_mut(i0 + r)[j..], acc_r);
+        }
+    };
+    let mut j = j0;
+    let mut groups = panels.chunks_exact(P * span);
+    for group in &mut groups {
+        store(j, &micro_panels::<R, P>(rows, group));
+        j += P * NP;
+    }
+    for panel in groups.remainder().chunks_exact(span) {
+        let acc = micro_panels::<R, 1>(rows, panel);
+        for (r, [acc_r]) in acc.iter().enumerate() {
+            store_panels(&mut c.row_mut(i0 + r)[j..], &[*acc_r]);
+        }
+        j += NP;
+    }
+}
+
+/// Store consecutive `NP`-wide panel results into an output row. Chains
+/// past its end (a packed operand's zero padding) are computed and
+/// dropped here.
+fn store_panels(out: &mut [f32], acc: &[[f32; NP]]) {
+    for (dst, acc) in out.chunks_mut(NP).zip(acc) {
+        dst.copy_from_slice(&acc[..dst.len()]);
+    }
 }
 
 /// `C = A · B` for a packed static operand. No fault injection.
@@ -432,33 +522,21 @@ pub fn gemm_packed(a: &MatrixF32, b: &PackedB) -> MatrixF32 {
     if b.k == 0 {
         return c; // every chain is empty: 0.0
     }
-    // Chains past `n` (the zero padding) are computed and dropped here.
-    fn store(out: &mut [f32], acc: &[[f32; NP]]) {
-        for (dst, acc) in out.chunks_mut(NP).zip(acc) {
-            dst.copy_from_slice(&acc[..dst.len()]);
-        }
-    }
+    // One pass over the panels, `QUAD` at a time, for every row: each
+    // `MR`-row group runs `PAIR` panels at a time, the rows left over past
+    // the last group all `QUAD` together.
     let span = b.k * NP;
     let grouped = m - m % MR;
-    for (p, panel) in b.panels.chunks_exact(span).enumerate() {
+    for (q, quad) in b.panels.chunks(QUAD * span).enumerate() {
+        let (panels, j0) = ((quad, span), q * QUAD * NP);
         for i in (0..grouped).step_by(MR) {
-            let acc = micro::<MR, NP>(core::array::from_fn(|r| a.row(i + r)), panel, NP, 0);
-            for (r, acc_r) in acc.iter().enumerate() {
-                store(&mut c.row_mut(i + r)[p * NP..], &[*acc_r]);
-            }
+            rows_times_panels::<MR, PAIR>(a, i, panels, &mut c, j0);
         }
-    }
-    for i in grouped..m {
-        let a_row = a.row(i);
-        for (q, panels) in b.panels.chunks(QUAD * span).enumerate() {
-            let out = &mut c.row_mut(i)[q * QUAD * NP..];
-            if panels.len() == QUAD * span {
-                store(out, &micro_quad(a_row, panels));
-            } else {
-                for (p, panel) in panels.chunks_exact(span).enumerate() {
-                    store(&mut out[p * NP..], &micro::<1, NP>([a_row], panel, NP, 0));
-                }
-            }
+        match m - grouped {
+            1 => rows_times_panels::<1, QUAD>(a, grouped, panels, &mut c, j0),
+            2 => rows_times_panels::<2, QUAD>(a, grouped, panels, &mut c, j0),
+            3 => rows_times_panels::<3, QUAD>(a, grouped, panels, &mut c, j0),
+            _ => {}
         }
     }
     c
@@ -474,22 +552,42 @@ pub fn gemm_packed_inj<I: FaultInjector>(
     ctx: GemmCtx,
 ) -> MatrixF32 {
     let mut c = gemm_packed(a, b);
-    recompute_fired(&mut c, a, inj, ctx, |j, col| {
+    gemm_packed_fault_pass(&mut c, a, 0..a.rows(), b, inj, ctx);
+    c
+}
+
+/// The fault pass of [`gemm_packed_inj`] alone, over rows `rows` of a
+/// clean product `c = A · B` computed with other rows: chain `(i, j)` for
+/// `i` in `rows` draws at coordinate `(ctx.row_off + i − rows.start,
+/// ctx.col_off + j)`, as row `i − rows.start` of a `gemm_packed_inj` under
+/// `ctx` would. So rows stacked from several callers share one pass over
+/// `B` and keep their own draws.
+pub fn gemm_packed_fault_pass<I: FaultInjector>(
+    c: &mut MatrixF32,
+    a: &MatrixF32,
+    rows: Range<usize>,
+    b: &PackedB,
+    inj: &I,
+    ctx: GemmCtx,
+) {
+    recompute_fired(c, a, rows, inj, ctx, |j, col| {
         for (v, x) in col.iter_mut().zip(b.column(j)) {
             *v = x;
         }
     });
-    c
 }
 
-/// The fault path shared by the injected GEMMs, run over the clean
-/// product `c = A·op(B)`: unless `inj` cannot fire at `ctx.site`, ask
-/// [`FaultInjector::decide_chain`] once per output element in row-major
-/// order and recompute each chain that fires with the flip at its step.
-/// `b_col(j, buf)` writes the `k`-vector of `op(B)` feeding column `j`.
+/// The fault path shared by the injected GEMMs, run over rows `rows` of
+/// the clean product `c = A·op(B)`: unless `inj` cannot fire at
+/// `ctx.site`, ask [`FaultInjector::decide_chain`] once per output element
+/// in row-major order, row `i` at coordinate row `ctx.row_off + i −
+/// rows.start`, and recompute each chain that fires with the flip at its
+/// step. `b_col(j, buf)` writes the `k`-vector of `op(B)` feeding column
+/// `j`.
 fn recompute_fired<I: FaultInjector>(
     c: &mut MatrixF32,
     a: &MatrixF32,
+    rows: Range<usize>,
     inj: &I,
     ctx: GemmCtx,
     b_col: impl Fn(usize, &mut [f32]),
@@ -499,9 +597,10 @@ fn recompute_fired<I: FaultInjector>(
     }
     let k_len = a.cols();
     let mut col = vec![0.0f32; k_len];
-    for i in 0..c.rows() {
+    for i in rows.clone() {
         for j in 0..c.cols() {
-            let coord = OpCoord::new(ctx.slot, ctx.row_off + i, ctx.col_off + j, ctx.iter);
+            let row = ctx.row_off + i - rows.start;
+            let coord = OpCoord::new(ctx.slot, row, ctx.col_off + j, ctx.iter);
             if let Some(f) = inj.decide_chain(ctx.site, coord, k_len) {
                 b_col(j, &mut col);
                 c.set(i, j, dot_faulty(a.row(i), &col, f.step, f.bit));
@@ -741,8 +840,45 @@ mod tests {
     }
 
     #[test]
+    fn stacked_fault_passes_match_per_segment_injection() {
+        // Segments of several callers stacked into one A: one clean product
+        // plus a fault pass per segment, each at its own origin, draws and
+        // repairs exactly what a separate injected GEMM per segment does.
+        let mut rng = rng_from_seed(61);
+        let segments = [3usize, 1, 5, 4];
+        let m: usize = segments.iter().sum();
+        let a = normal_matrix_f16(&mut rng, m, 40, 1.0).to_f32();
+        let b = normal_matrix_f16(&mut rng, 40, 37, 1.0).to_f32();
+        let packed = PackedB::new(&b);
+        let ctx = |s: usize| GemmCtx::new(FaultSite::LinearAccum, 5).at(8 * s, 3).iter(1);
+        let (stacked_inj, split_inj) = (BerInjector::new(3, 2e-3), BerInjector::new(3, 2e-3));
+        let mut nn = gemm_nn(&a, &b);
+        let mut packed_c = gemm_packed(&a, &packed);
+        let mut start = 0;
+        for (s, &len) in segments.iter().enumerate() {
+            let rows = start..start + len;
+            gemm_nn_fault_pass(&mut nn, &a, rows.clone(), &b, &stacked_inj, ctx(s));
+            gemm_packed_fault_pass(&mut packed_c, &a, rows, &packed, &stacked_inj, ctx(s));
+            let seg = a.block(start, 0, len, a.cols());
+            let want_nn = gemm_nn_inj(&seg, &b, &split_inj, ctx(s));
+            let want_packed = gemm_packed_inj(&seg, &packed, &split_inj, ctx(s));
+            let what = format!("segment {s}");
+            assert_bits_eq(&nn.block(start, 0, len, b.cols()), &want_nn, &what);
+            assert_bits_eq(
+                &packed_c.block(start, 0, len, b.cols()),
+                &want_packed,
+                &what,
+            );
+            start += len;
+        }
+        assert_eq!(stacked_inj.fired(), split_inj.fired());
+        assert!(stacked_inj.fired() > 0, "the BER rate must fire");
+    }
+
+    #[test]
     fn panel_kernels_match_per_element_chains() {
-        // Every path of the three kernels: row groups and left-over rows,
+        // Every path of the three kernels: row groups and left-over rows
+        // (packed, 1–3 left-over rows sharing one read of each panel group),
         // 16-wide panels, the narrow 8-wide one and ragged tail columns,
         // the one-row 64-, 32- and 8-wide panels (a width on each side of
         // every panel boundary), and, packed, a ragged group of fewer than

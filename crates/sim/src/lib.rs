@@ -32,6 +32,6 @@ pub use fault::{
     BerInjector, ChainFault, FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector,
 };
 pub use gemm::{
-    gemm_flops, gemm_nn, gemm_nn_inj, gemm_nt, gemm_nt_inj, gemm_packed, gemm_packed_inj, GemmCtx,
-    PackedB,
+    gemm_flops, gemm_nn, gemm_nn_fault_pass, gemm_nn_inj, gemm_nt, gemm_nt_inj, gemm_packed,
+    gemm_packed_fault_pass, gemm_packed_inj, GemmCtx, PackedB,
 };

@@ -50,55 +50,41 @@ impl TransformerBlock {
         let mut normed = x.clone();
         self.ln1.forward(&mut normed);
         let (attn, mha_rep) = self.mha.forward(&normed, inj, layer_idx * 2, thresholds);
-        let mut h = x.clone();
-        for i in 0..h.rows() {
-            for (v, a) in h.row_mut(i).iter_mut().zip(attn.row(i)) {
-                *v += a;
-            }
-        }
-        let mut normed2 = h.clone();
-        self.ln2.forward(&mut normed2);
-        let (ff, ffn_rep) = self
-            .ffn
-            .forward(&normed2, inj, layer_idx * 2 + 1, thresholds);
-        for i in 0..h.rows() {
-            for (v, f) in h.row_mut(i).iter_mut().zip(ff.row(i)) {
-                *v += f;
-            }
-        }
+        let (h, mut reports) = self.residual_ffn(x, &attn, &[x.rows()], inj, layer_idx, thresholds);
+        let ffn_rep = reports.pop().expect("one segment, one ledger");
         (h, mha_rep.merged(&ffn_rep))
     }
 
-    /// Continuous-batching decode forward: each stream contributes a
-    /// `c × hidden` activation chunk attending through its own cache; the
-    /// attention fan-out is shared across streams (see
-    /// [`MultiHeadAttention::forward_decode_batch`]), everything row-wise
-    /// (norms, residuals, FFN) runs per stream. `windows[i]` is stream
-    /// `i`'s sliding attention window (a per-stream request property):
-    /// that stream's cache is front-evicted before its chunk is appended
-    /// and each of its rows attends only its window — eviction counts land
-    /// in that stream's ledger (`cache_evicted_blocks`).
+    /// Continuous-batching decode forward over many streams' activation
+    /// chunks stacked into `x` (stream `i` owns the next `segments[i]`
+    /// rows, each attending through its own cache). Norms and residuals
+    /// are row-wise over the stack; every projection runs once over it
+    /// (see [`MultiHeadAttention::forward_decode_batch`] and
+    /// [`FeedForward::forward_stacked`]), with each stream's rows in their
+    /// own fault namespace; the attention fan-out is shared across streams.
+    /// `windows[i]` is stream `i`'s sliding attention window (a per-stream
+    /// request property): that stream's cache is front-evicted before its
+    /// chunk is appended and each of its rows attends only its window —
+    /// eviction counts land in that stream's ledger
+    /// (`cache_evicted_blocks`). Returns the stacked output and one ledger
+    /// per stream.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_decode_batch<I: FaultInjector>(
         &self,
-        xs: &[MatrixF32],
+        x: &MatrixF32,
+        segments: &[usize],
         caches: &mut [&mut KvCache],
         streams: &[StreamId],
         windows: &[Option<usize>],
         inj: &I,
         layer_idx: usize,
         thresholds: &Thresholds,
-    ) -> Vec<(MatrixF32, FtReport)> {
-        let normed: Vec<MatrixF32> = xs
-            .iter()
-            .map(|x| {
-                let mut n = x.clone();
-                self.ln1.forward(&mut n);
-                n
-            })
-            .collect();
-        let attn = self.mha.forward_decode_batch(
+    ) -> (MatrixF32, Vec<FtReport>) {
+        let mut normed = x.clone();
+        self.ln1.forward(&mut normed);
+        let (attn, mha_reps) = self.mha.forward_decode_batch(
             &normed,
+            segments,
             caches,
             streams,
             windows,
@@ -106,28 +92,37 @@ impl TransformerBlock {
             layer_idx * 2,
             thresholds,
         );
-        xs.iter()
-            .zip(attn)
-            .map(|(x, (a, mha_rep))| {
-                let mut h = x.clone();
-                for i in 0..h.rows() {
-                    for (v, av) in h.row_mut(i).iter_mut().zip(a.row(i)) {
-                        *v += av;
-                    }
-                }
-                let mut normed2 = h.clone();
-                self.ln2.forward(&mut normed2);
-                let (ff, ffn_rep) = self
-                    .ffn
-                    .forward(&normed2, inj, layer_idx * 2 + 1, thresholds);
-                for i in 0..h.rows() {
-                    for (v, f) in h.row_mut(i).iter_mut().zip(ff.row(i)) {
-                        *v += f;
-                    }
-                }
-                (h, mha_rep.merged(&ffn_rep))
-            })
-            .collect()
+        let (h, ffn_reps) = self.residual_ffn(x, &attn, segments, inj, layer_idx, thresholds);
+        let reports = mha_reps.iter().zip(&ffn_reps).map(|(a, f)| a.merged(f));
+        (h, reports.collect())
+    }
+
+    /// `h = x + attn`, then `h + FFN(LN(h))` over stacked segments.
+    fn residual_ffn<I: FaultInjector>(
+        &self,
+        x: &MatrixF32,
+        attn: &MatrixF32,
+        segments: &[usize],
+        inj: &I,
+        layer_idx: usize,
+        thresholds: &Thresholds,
+    ) -> (MatrixF32, Vec<FtReport>) {
+        let mut h = x.clone();
+        add_rows(&mut h, attn);
+        let mut normed = h.clone();
+        self.ln2.forward(&mut normed);
+        let (ff, reports) =
+            self.ffn
+                .forward_stacked(&normed, segments, inj, layer_idx * 2 + 1, thresholds);
+        add_rows(&mut h, &ff);
+        (h, reports)
+    }
+}
+
+/// `into += from`, element-wise.
+fn add_rows(into: &mut MatrixF32, from: &MatrixF32) {
+    for (v, a) in into.as_mut_slice().iter_mut().zip(from.as_slice()) {
+        *v += a;
     }
 }
 

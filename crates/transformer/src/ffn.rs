@@ -38,21 +38,46 @@ impl FeedForward {
         layer_slot: usize,
         thresholds: &Thresholds,
     ) -> (MatrixF32, FtReport) {
-        let (mut h, mut report) = self.up.forward(x, inj, layer_slot * 8 + 4, thresholds);
+        let (y, mut reports) = self.forward_stacked(x, &[x.rows()], inj, layer_slot, thresholds);
+        (y, reports.pop().expect("one segment, one ledger"))
+    }
+
+    /// [`forward`](FeedForward::forward) over the rows of several callers
+    /// stacked into one `x` (segment `s` is the next `segments[s]` rows):
+    /// each projection runs once over the stack
+    /// ([`Linear::forward_stacked`]), and every activation keeps its row
+    /// *within its segment* as its fault coordinate. Returns the stacked
+    /// output and one ledger per segment.
+    pub fn forward_stacked<I: FaultInjector>(
+        &self,
+        x: &MatrixF32,
+        segments: &[usize],
+        inj: &I,
+        layer_slot: usize,
+        thresholds: &Thresholds,
+    ) -> (MatrixF32, Vec<FtReport>) {
+        let (mut h, mut reports) =
+            self.up
+                .forward_stacked(x, segments, inj, layer_slot * 8 + 4, thresholds);
         // Range-restricted activation, row by row.
-        for i in 0..h.rows() {
-            let max_in = h.row(i).iter().map(|v| v.abs()).fold(0.0f32, f32::max);
-            report = report.merged(&apply_restricted(
-                self.activation,
-                h.row_mut(i),
-                inj,
-                layer_slot * 8 + 5,
-                i,
-                max_in,
-            ));
+        let mut start = 0;
+        for (report, &rows) in reports.iter_mut().zip(segments) {
+            for i in 0..rows {
+                let row = h.row_mut(start + i);
+                let max_in = row.iter().map(|v| v.abs()).fold(0.0f32, f32::max);
+                let slot = layer_slot * 8 + 5;
+                let rep = apply_restricted(self.activation, row, inj, slot, i, max_in);
+                *report = report.merged(&rep);
+            }
+            start += rows;
         }
-        let (y, r2) = self.down.forward(&h, inj, layer_slot * 8 + 6, thresholds);
-        (y, report.merged(&r2))
+        let (y, down) =
+            self.down
+                .forward_stacked(&h, segments, inj, layer_slot * 8 + 6, thresholds);
+        for (report, rep) in reports.iter_mut().zip(&down) {
+            *report = report.merged(rep);
+        }
+        (y, reports)
     }
 }
 

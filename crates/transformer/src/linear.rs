@@ -11,9 +11,17 @@
 //! operands (`encode_rows_strided(W, s, true)`) transposed to `in × s`, all
 //! three then panel-packed ([`PackedB`]: contiguous `in × 8` panels, so a
 //! product reads each panel front to back instead of striding `out` floats
-//! per k-step). `forward` runs three packed GEMMs ([`gemm_packed_inj`]) per
-//! row block and never touches the FP16 weight; the packed panels are the
-//! only FP32 copy.
+//! per k-step). `forward` runs three packed GEMMs ([`gemm_packed`], each
+//! followed by its fault pass) per row block and never touches the FP16
+//! weight; the packed panels are the only FP32 copy.
+//!
+//! A serving sweep stacks every stream's rows and calls
+//! [`Linear::forward_stacked`] once per linear per sweep: one pass over the
+//! panels for all streams, in work units of up to 64 stacked rows. Each
+//! stream is still protected as its own `forward` call would protect it:
+//! its chains draw faults at their rows within the stream, it is verified
+//! and repaired in its own 64-row blocks, and its events land in its own
+//! ledger. [`Linear::forward`] is the one-segment case.
 //!
 //! Bit identity with the per-call decode + `gemm_nt` it replaced: every
 //! kernel in `ft_sim::gemm` produces each output element by the same
@@ -28,12 +36,12 @@
 //! memory as a fault site, with a verify-on-read or scrub, is ROADMAP's
 //! open item.
 
-use ft_abft::strided::{correct_strided, encode_rows_strided, verify_strided};
+use ft_abft::strided::{correct_strided, encode_rows_strided, verify_strided, StridedMismatch};
 use ft_abft::thresholds::Thresholds;
 use ft_core::types::FtReport;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
 use ft_num::{block_starts, Matrix, MatrixF16, MatrixF32};
-use ft_sim::{gemm_packed, gemm_packed_inj, FaultInjector, FaultSite, GemmCtx, PackedB};
+use ft_sim::{gemm_packed, gemm_packed_fault_pass, FaultInjector, FaultSite, GemmCtx, PackedB};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -137,66 +145,179 @@ impl Linear {
         layer_slot: usize,
         thresholds: &Thresholds,
     ) -> (MatrixF32, FtReport) {
-        assert_eq!(x.cols(), self.in_features(), "input feature mismatch");
-        let Prepared { wt, w1t, w2t } = &*self.prepared;
-        let stride = w1t.cols();
-        let out_f = self.out_features();
-        let block = 64usize;
-
-        let results: Vec<(usize, MatrixF32, FtReport)> = block_starts(x.rows(), block)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|r0| {
-                let x_blk = x.block(r0, 0, block, x.cols());
-                let mut report = FtReport::default();
-                let ctx = GemmCtx::new(FaultSite::LinearAccum, layer_slot);
-                let mut y = gemm_packed_inj(&x_blk, wt, inj, ctx.at(r0, 0));
-                if self.protection == LinearProtection::StridedAbft {
-                    let y_c1 = gemm_packed_inj(&x_blk, w1t, inj, ctx.at(r0, out_f).iter(1));
-                    let y_c2 = gemm_packed_inj(&x_blk, w2t, inj, ctx.at(r0, out_f).iter(2));
-                    let mismatches = verify_strided(&y, &y_c1, &y_c2, stride, thresholds.gemm);
-                    if !mismatches.is_empty() {
-                        let rep = correct_strided(&mut y, &mismatches, stride);
-                        // Located elements are recomputed exactly: the same
-                        // ascending-k chain over column `col` of Wᵀ.
-                        for loc in &rep.corrected {
-                            let column = wt.column(loc.col);
-                            let acc = (x_blk.row(loc.row).iter().zip(column))
-                                .fold(0.0f32, |acc, (a, w)| acc + a * w);
-                            y.set(loc.row, loc.col, acc);
-                        }
-                        if rep.uncorrectable > 0 {
-                            y = gemm_packed(&x_blk, wt);
-                        }
-                        report.linear_detected = rep.detections as u64;
-                        report.linear_corrected = rep.corrected.len() as u64;
-                        report.linear_recomputed = rep.uncorrectable as u64;
-                    }
-                }
-                // Bias.
-                for i in 0..y.rows() {
-                    for (v, b) in y.row_mut(i).iter_mut().zip(&self.bias) {
-                        *v += b;
-                    }
-                }
-                (r0, y, report)
-            })
-            .collect();
-
-        let mut out = Matrix::zeros(x.rows(), out_f);
-        let mut total = FtReport::default();
-        for (r0, y, rep) in results {
-            out.set_block(r0, 0, &y);
-            total = total.merged(&rep);
-        }
-        (out, total)
+        let (y, mut reports) = self.forward_stacked(x, &[x.rows()], inj, layer_slot, thresholds);
+        (y, reports.pop().expect("one segment, one ledger"))
     }
+
+    /// [`forward`](Linear::forward) over the rows of several callers
+    /// stacked into one `x`: segment `s` is the next `segments[s]` rows.
+    /// Returns the stacked `Y` and one ledger per segment.
+    ///
+    /// Every segment gets exactly what its own `forward` call would give:
+    /// its rows' products are the same chains (the stack only lets them
+    /// share panel reads), each chain draws faults at its row *within its
+    /// segment*, each segment is verified and repaired in its own 64-row
+    /// blocks (an unlocatable mismatch recomputes that block of that
+    /// segment and nothing else), and its events land in its own ledger.
+    pub fn forward_stacked<I: FaultInjector>(
+        &self,
+        x: &MatrixF32,
+        segments: &[usize],
+        inj: &I,
+        layer_slot: usize,
+        thresholds: &Thresholds,
+    ) -> (MatrixF32, Vec<FtReport>) {
+        assert_eq!(x.cols(), self.in_features(), "input feature mismatch");
+        assert_eq!(
+            segments.iter().sum::<usize>(),
+            x.rows(),
+            "segments must cover x"
+        );
+        let units = work_units(segments);
+        let results: Vec<(MatrixF32, Vec<FtReport>)> = (units.iter().collect::<Vec<_>>())
+            .into_par_iter()
+            .map(|unit| self.unit_forward(x, unit, inj, layer_slot, thresholds))
+            .collect();
+        let mut out = Matrix::zeros(x.rows(), self.out_features());
+        let mut reports = vec![FtReport::default(); segments.len()];
+        for (unit, (y, unit_reports)) in units.iter().zip(results) {
+            out.set_block(unit[0].start, 0, &y);
+            for (b, rep) in unit.iter().zip(&unit_reports) {
+                reports[b.segment] = reports[b.segment].merged(rep);
+            }
+        }
+        (out, reports)
+    }
+
+    /// One work unit of the stacked `x`: the clean products of its rows,
+    /// then per segment block the fault pass at that block's own
+    /// coordinates, the strided check, located recomputes, and the bias.
+    /// Returns the unit's output rows and one ledger per block.
+    fn unit_forward<I: FaultInjector>(
+        &self,
+        x: &MatrixF32,
+        unit: &[SegmentBlock],
+        inj: &I,
+        layer_slot: usize,
+        thresholds: &Thresholds,
+    ) -> (MatrixF32, Vec<FtReport>) {
+        let unit0 = unit[0].start;
+        let rows = unit.iter().map(|b| b.len).sum();
+        let x_part;
+        let x_unit = if rows == x.rows() {
+            x
+        } else {
+            x_part = x.block(unit0, 0, rows, x.cols());
+            &x_part
+        };
+        let Prepared { wt, w1t, w2t } = &*self.prepared;
+        let (stride, out_f) = (w1t.cols(), self.out_features());
+        let local = |b: &SegmentBlock| b.start - unit0..b.start - unit0 + b.len;
+        let ctx = GemmCtx::new(FaultSite::LinearAccum, layer_slot);
+        let mut y = gemm_packed(x_unit, wt);
+        for b in unit {
+            gemm_packed_fault_pass(&mut y, x_unit, local(b), wt, inj, ctx.at(b.r0, 0));
+        }
+        let mut reports = vec![FtReport::default(); unit.len()];
+        if self.protection == LinearProtection::StridedAbft {
+            let checksum = |w: &PackedB, it: usize| {
+                let mut c = gemm_packed(x_unit, w);
+                for b in unit {
+                    let ctx = ctx.at(b.r0, out_f).iter(it);
+                    gemm_packed_fault_pass(&mut c, x_unit, local(b), w, inj, ctx);
+                }
+                c
+            };
+            let (y_c1, y_c2) = (checksum(w1t, 1), checksum(w2t, 2));
+            // Rows are checked independently, so one check of the unit finds
+            // every block's mismatches; each block then repairs its own.
+            let mismatches = verify_strided(&y, &y_c1, &y_c2, stride, thresholds.gemm);
+            for (b, report) in unit.iter().zip(&mut reports) {
+                let rows = local(b);
+                let block: Vec<StridedMismatch> = (mismatches.iter())
+                    .filter(|m| rows.contains(&m.i))
+                    .copied()
+                    .collect();
+                if block.is_empty() {
+                    continue;
+                }
+                let rep = correct_strided(&mut y, &block, stride);
+                // Located elements are recomputed exactly: the same
+                // ascending-k chain over column `col` of Wᵀ.
+                for loc in &rep.corrected {
+                    let column = wt.column(loc.col);
+                    let acc = (x_unit.row(loc.row).iter().zip(column))
+                        .fold(0.0f32, |acc, (a, w)| acc + a * w);
+                    y.set(loc.row, loc.col, acc);
+                }
+                if rep.uncorrectable > 0 {
+                    let x_blk = x_unit.block(rows.start, 0, rows.len(), x_unit.cols());
+                    y.set_block(rows.start, 0, &gemm_packed(&x_blk, wt));
+                }
+                report.linear_detected = rep.detections as u64;
+                report.linear_corrected = rep.corrected.len() as u64;
+                report.linear_recomputed = rep.uncorrectable as u64;
+            }
+        }
+        // Bias.
+        for i in 0..y.rows() {
+            for (v, b) in y.row_mut(i).iter_mut().zip(&self.bias) {
+                *v += b;
+            }
+        }
+        (y, reports)
+    }
+}
+
+/// Rows per block a segment is verified (and wholesale recomputed) in, and
+/// the most rows one work unit stacks.
+const BLOCK: usize = 64;
+
+/// One 64-row block of one segment of a stacked input.
+#[derive(Clone, Copy, Debug)]
+struct SegmentBlock {
+    segment: usize,
+    /// First stacked row.
+    start: usize,
+    /// Its row within the segment: the fault coordinates' row origin.
+    r0: usize,
+    len: usize,
+}
+
+/// The stacked input's segment blocks, in order, packed into work units of
+/// at most [`BLOCK`] rows: one decode row per stream stacks into a single
+/// unit, a long prefill splits into one unit per block. Units run in
+/// parallel; each streams the weight panels once for all its rows.
+fn work_units(segments: &[usize]) -> Vec<Vec<SegmentBlock>> {
+    let mut units: Vec<Vec<SegmentBlock>> = Vec::new();
+    let (mut start, mut unit_rows) = (0, 0);
+    for (segment, &rows) in segments.iter().enumerate() {
+        for r0 in block_starts(rows, BLOCK) {
+            let len = BLOCK.min(rows - r0);
+            if units.is_empty() || unit_rows + len > BLOCK {
+                units.push(Vec::new());
+                unit_rows = 0;
+            }
+            units
+                .last_mut()
+                .expect("a unit is open")
+                .push(SegmentBlock {
+                    segment,
+                    start,
+                    r0,
+                    len,
+                });
+            unit_rows += len;
+            start += len;
+        }
+    }
+    units
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_sim::{gemm_nt, NoFaults, OpCoord, SeuInjector};
+    use ft_sim::{gemm_nt, BerInjector, NoFaults, OpCoord, SeuInjector};
 
     #[test]
     fn forward_matches_plain_gemm_when_clean() {
@@ -209,6 +330,38 @@ mod tests {
         let expect = gemm_nt(&x, &w);
         assert!(y.max_abs_diff(&expect) < 1e-6);
         assert_eq!(y.shape(), (80, 48));
+    }
+
+    #[test]
+    fn stacked_forward_is_each_segments_own_forward() {
+        // Segments that share a work unit, one that spills into the next,
+        // and one longer than a block, under BER faults dense enough to
+        // locate, miss and recompute: the stack gives every segment the
+        // bits, fired count and ledger of its own `forward` call.
+        let layer = Linear::random(21, 32, 40);
+        let segments = [1usize, 3, 70, 1, 60, 5];
+        let rows: usize = segments.iter().sum();
+        let mut rng = rng_from_seed(22);
+        let x = normal_matrix_f16(&mut rng, rows, 32, 1.0).to_f32();
+        let th = Thresholds::calibrated();
+        let (stacked_inj, split_inj) = (BerInjector::new(5, 2e-3), BerInjector::new(5, 2e-3));
+        let (y, reports) = layer.forward_stacked(&x, &segments, &stacked_inj, 9, &th);
+        let mut start = 0;
+        for (s, &len) in segments.iter().enumerate() {
+            let seg = x.block(start, 0, len, 32);
+            let (want, want_report) = layer.forward(&seg, &split_inj, 9, &th);
+            let got = y.block(start, 0, len, 40);
+            let bits = |m: &MatrixF32| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "segment {s}");
+            assert_eq!(reports[s], want_report, "segment {s}");
+            start += len;
+        }
+        assert_eq!(stacked_inj.fired(), split_inj.fired());
+        let total = reports.iter().fold(FtReport::default(), |a, r| a.merged(r));
+        assert!(
+            total.linear_corrected > 0 && total.linear_recomputed > 0,
+            "{total:?}"
+        );
     }
 
     #[test]

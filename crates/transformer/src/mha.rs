@@ -9,6 +9,7 @@ use ft_core::serve::{StreamId, StreamSlice};
 use ft_core::types::FtReport;
 use ft_num::{Matrix, MatrixF32, Tensor4F16};
 use ft_sim::FaultInjector;
+use std::ops::Range;
 
 pub use ft_core::backend::BackendKind;
 pub use ft_core::kv::KvCache;
@@ -74,29 +75,33 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Split `seq × hidden` activations into a `1 × heads × seq × head_dim`
-    /// FP16 tensor (the attention kernel's operand precision).
-    fn split_heads(&self, x: &MatrixF32) -> Tensor4F16 {
-        let (seq, hidden) = x.shape();
-        let hd = hidden / self.heads;
-        let mut t = Tensor4F16::zeros(1, self.heads, seq, hd);
+    /// Split rows `rows` of `· × hidden` activations into a
+    /// `1 × heads × rows.len() × head_dim` FP16 tensor (the attention
+    /// kernel's operand precision).
+    fn split_heads(&self, x: &MatrixF32, rows: Range<usize>) -> Tensor4F16 {
+        let hd = x.cols() / self.heads;
+        let mut t = Tensor4F16::zeros(1, self.heads, rows.len(), hd);
         for h in 0..self.heads {
             let slot = t.slot_mut(0, h);
-            for i in 0..seq {
+            for (i, r) in rows.clone().enumerate() {
                 for j in 0..hd {
-                    slot.set(i, j, ft_num::F16::from_f32(x.get(i, h * hd + j)));
+                    slot.set(i, j, ft_num::F16::from_f32(x.get(r, h * hd + j)));
                 }
             }
         }
         t
     }
 
-    /// Merge a `1 × heads × seq × head_dim` tensor back to `seq × hidden`.
-    fn merge_heads(&self, t: &ft_num::Tensor4F32) -> MatrixF32 {
+    /// Merge a `1 × heads × seq × head_dim` tensor back into rows
+    /// `start .. start + seq` of `· × hidden` activations.
+    fn merge_heads(&self, t: &ft_num::Tensor4F32, out: &mut MatrixF32, start: usize) {
         let (seq, hd) = (t.seq(), t.dim());
-        Matrix::from_fn(seq, self.heads * hd, |i, j| {
-            t.slot(0, j / hd).get(i, j % hd)
-        })
+        for h in 0..self.heads {
+            let slot = t.slot(0, h);
+            for i in 0..seq {
+                out.row_mut(start + i)[h * hd..(h + 1) * hd].copy_from_slice(slot.row(i));
+            }
+        }
     }
 
     /// Forward pass over `seq × hidden` activations. The returned ledger
@@ -115,9 +120,9 @@ impl MultiHeadAttention {
         let (k, r2) = self.wk.forward(x, inj, layer_slot * 8 + 1, thresholds);
         let (v, r3) = self.wv.forward(x, inj, layer_slot * 8 + 2, thresholds);
 
-        let qt = self.split_heads(&q);
-        let kt = self.split_heads(&k);
-        let vt = self.split_heads(&v);
+        let qt = self.split_heads(&q, 0..seq);
+        let kt = self.split_heads(&k, 0..seq);
+        let vt = self.split_heads(&v, 0..seq);
         let cfg = AttentionConfig::new(1, self.heads, seq, hd)
             .with_auto_block()
             .with_causal(self.causal);
@@ -126,7 +131,8 @@ impl MultiHeadAttention {
             .kernel
             .run(&AttentionRequest::new(cfg, &qt, &kt, &vt).with_injector(inj));
 
-        let merged = self.merge_heads(&out.o);
+        let mut merged = Matrix::zeros(seq, hidden);
+        self.merge_heads(&out.o, &mut merged, 0);
         let (y, r4) = self
             .wo
             .forward(&merged, inj, layer_slot * 8 + 3, thresholds);
@@ -148,14 +154,19 @@ impl MultiHeadAttention {
         )
     }
 
-    /// One continuous-batching sweep over many streams' activations: per
-    /// stream, project Q/K/V for its chunk (`c × hidden` rows — one row for
-    /// a decoding stream, a prefill chunk otherwise) and append K/V to that
-    /// stream's cache; then attend every stream's rows through the
+    /// One continuous-batching sweep over many streams' activations,
+    /// stacked into `x`: stream `i` owns the next `segments[i]` rows (one
+    /// row for a decoding stream, a prefill chunk otherwise). Q/K/V are
+    /// projected once over the whole stack, each stream appends its K/V
+    /// rows to its own cache, every stream's rows attend through the
     /// backend's batched
-    /// [`try_decode_sweep`](AttentionBackend::try_decode_sweep) — one
-    /// kernel fan-out shared by all streams, with fault events attributed
-    /// per stream.
+    /// [`try_decode_sweep`](AttentionBackend::try_decode_sweep) (one
+    /// kernel fan-out shared by all streams), and the output projection
+    /// runs once over the stacked attention rows. Returns the stacked
+    /// output and one ledger per stream: the projections keep each
+    /// stream's rows in their own fault namespace and ledger
+    /// ([`Linear::forward_stacked`]), so every stream sees exactly the
+    /// events its own per-stream projections would.
     ///
     /// `windows[i]` is stream `i`'s sliding attention window (a per-stream
     /// request property; the serving engine resolves it from each
@@ -166,25 +177,31 @@ impl MultiHeadAttention {
     #[allow(clippy::too_many_arguments)]
     pub fn forward_decode_batch<I: FaultInjector>(
         &self,
-        xs: &[MatrixF32],
+        x: &MatrixF32,
+        segments: &[usize],
         caches: &mut [&mut KvCache],
         streams: &[StreamId],
         windows: &[Option<usize>],
         inj: &I,
         layer_slot: usize,
         thresholds: &Thresholds,
-    ) -> Vec<(MatrixF32, FtReport)> {
-        assert_eq!(xs.len(), caches.len());
-        assert_eq!(xs.len(), streams.len());
-        assert_eq!(xs.len(), windows.len());
-        let mut reports = Vec::with_capacity(xs.len());
-        let mut qts = Vec::with_capacity(xs.len());
-        for (i, x) in xs.iter().enumerate() {
-            let (q, r1) = self.wq.forward(x, inj, layer_slot * 8, thresholds);
-            let (k, r2) = self.wk.forward(x, inj, layer_slot * 8 + 1, thresholds);
-            let (v, r3) = self.wv.forward(x, inj, layer_slot * 8 + 2, thresholds);
-            let mut report = r1.merged(&r2).merged(&r3);
-            qts.push(self.split_heads(&q));
+    ) -> (MatrixF32, Vec<FtReport>) {
+        assert_eq!(segments.len(), caches.len());
+        assert_eq!(segments.len(), streams.len());
+        assert_eq!(segments.len(), windows.len());
+        let project =
+            |w: &Linear, slot: usize| w.forward_stacked(x, segments, inj, slot, thresholds);
+        let (q, rq) = project(&self.wq, layer_slot * 8);
+        let (k, rk) = project(&self.wk, layer_slot * 8 + 1);
+        let (v, rv) = project(&self.wv, layer_slot * 8 + 2);
+        let mut reports = Vec::with_capacity(segments.len());
+        let mut qts = Vec::with_capacity(segments.len());
+        let mut start = 0;
+        for (i, &c) in segments.iter().enumerate() {
+            let rows = start..start + c;
+            start += c;
+            let mut report = rq[i].merged(&rk[i]).merged(&rv[i]);
+            qts.push(self.split_heads(&q, rows.clone()));
             // Evict on the pre-chunk length: every chunk row's causal
             // window still finds its blocks resident (see
             // `KvCache::enforce_window`). Per stream: each stream's own
@@ -196,7 +213,10 @@ impl MultiHeadAttention {
             // is deliberately NOT taken: append already folded it into the
             // cache's sticky `poisoned` counter, which the protected sweep
             // re-surfaces as cache_uncorrectable — it would double-count.
-            let heal = caches[i].append(&self.split_heads(&k), &self.split_heads(&v));
+            let heal = caches[i].append(
+                &self.split_heads(&k, rows.clone()),
+                &self.split_heads(&v, rows),
+            );
             report.cache_detected = heal.detected;
             report.cache_corrected = heal.corrected;
             reports.push(report);
@@ -213,16 +233,20 @@ impl MultiHeadAttention {
             .collect();
         let outs = self.kernel.decode_sweep(&slices, inj, Some(*thresholds));
         drop(slices);
-        outs.into_iter()
-            .enumerate()
-            .map(|(i, out)| {
-                let merged = self.merge_heads(&out.o);
-                let (y, r4) = self
-                    .wo
-                    .forward(&merged, inj, layer_slot * 8 + 3, thresholds);
-                (y, reports[i].merged(&out.report).merged(&r4))
-            })
-            .collect()
+        let mut merged = Matrix::zeros(x.rows(), x.cols());
+        let mut start = 0;
+        for (report, out) in reports.iter_mut().zip(&outs) {
+            self.merge_heads(&out.o, &mut merged, start);
+            start += out.o.seq();
+            *report = report.merged(&out.report);
+        }
+        let (y, ro) =
+            self.wo
+                .forward_stacked(&merged, segments, inj, layer_slot * 8 + 3, thresholds);
+        for (report, r4) in reports.iter_mut().zip(&ro) {
+            *report = report.merged(r4);
+        }
+        (y, reports)
     }
 }
 
@@ -238,9 +262,10 @@ mod tests {
         let mha = MultiHeadAttention::random(1, 32, 4, BackendKind::Flash);
         let mut rng = rng_from_seed(2);
         let x = normal_matrix_f16(&mut rng, 16, 32, 1.0).to_f32();
-        let t = mha.split_heads(&x);
+        let t = mha.split_heads(&x, 0..16);
         assert_eq!((t.heads(), t.seq(), t.dim()), (4, 16, 8));
-        let back = mha.merge_heads(&t.to_f32());
+        let mut back = MatrixF32::zeros(16, 32);
+        mha.merge_heads(&t.to_f32(), &mut back, 0);
         // Values passed through FP16 once, inputs were already FP16-exact.
         assert!(back.max_abs_diff(&x) < 1e-6);
     }

@@ -536,11 +536,16 @@ impl TransformerModel {
         let streams: Vec<StreamId> = feeds.iter().map(|f| f.stream).collect();
         let windows: Vec<Option<usize>> = feeds.iter().map(|f| f.window).collect();
         let base_pos: Vec<usize> = caches.iter().map(|c| c.positions).collect();
-        let mut hs: Vec<MatrixF32> = feeds
+        // Every stream's rows stacked once: each layer's projections run
+        // over the whole stack, each stream owning the next `segments[i]`
+        // rows.
+        let segments: Vec<usize> = feeds.iter().map(|f| f.tokens.len()).collect();
+        let embedded: Vec<MatrixF32> = feeds
             .iter()
             .zip(&base_pos)
             .map(|(f, &pos)| self.embed.forward_at(&f.tokens, pos))
             .collect();
+        let mut h = Matrix::vstack(&embedded.iter().collect::<Vec<_>>());
         let mut reports = vec![FtReport::default(); feeds.len()];
         for (l, block) in self.blocks.iter().enumerate() {
             let mut layer_caches: Vec<&mut KvCache> =
@@ -551,8 +556,9 @@ impl TransformerModel {
                 // not fire identical patterns in every stream's cache.
                 lc.expose(inj, serve_expose_step(streams[i], base_pos[i], layers, l));
             }
-            let outs = block.forward_decode_batch(
-                &hs,
+            let (next, layer_reports) = block.forward_decode_batch(
+                &h,
+                &segments,
                 &mut layer_caches,
                 &streams,
                 &windows,
@@ -560,25 +566,29 @@ impl TransformerModel {
                 l,
                 &self.thresholds,
             );
-            for (i, (h, rep)) in outs.into_iter().enumerate() {
-                hs[i] = h;
-                reports[i] = reports[i].merged(&rep);
+            h = next;
+            for (report, rep) in reports.iter_mut().zip(&layer_reports) {
+                *report = report.merged(rep);
             }
         }
         for (c, f) in caches.iter_mut().zip(feeds) {
             c.positions += f.tokens.len();
         }
+        let mut end = 0;
         feeds
             .iter()
             .enumerate()
             .map(|(i, f)| {
+                end += f.tokens.len();
                 let rows = if f.sample_rows > 0 {
                     // Only the chunk's trailing sample rows are normed and
                     // handed to the session's head; the interior prefill
                     // rows never pay the vocab-wide head.
-                    let h = &hs[i];
-                    debug_assert!(f.sample_rows <= h.rows(), "more sample rows than fed rows");
-                    let base = h.rows() - f.sample_rows;
+                    debug_assert!(
+                        f.sample_rows <= segments[i],
+                        "more sample rows than fed rows"
+                    );
+                    let base = end - f.sample_rows;
                     let mut m = Matrix::from_fn(f.sample_rows, h.cols(), |r, j| h.get(base + r, j));
                     self.final_norm.forward(&mut m);
                     Some(m)
