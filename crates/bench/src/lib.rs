@@ -143,12 +143,6 @@ impl HarnessArgs {
     }
 }
 
-/// True when `name` (e.g. `"--bounded-only"`) appears on the command line
-/// — binary-specific switches beyond the shared [`HarnessArgs`] set.
-pub fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 /// Generate a seeded attention workload for `cfg`.
 pub fn attention_workload(
     cfg: &AttentionConfig,

@@ -69,6 +69,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
+// Why `try_submit` refused a request: defined beside
+// `GenerationRequest::check`, which makes the decision.
+pub use ft_core::serve::SubmitError;
+
 /// Identity of one fleet shard (worker thread). Displays as `shardN`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub usize);
@@ -245,37 +249,6 @@ impl fmt::Display for FleetReport {
         write!(f, "  total: {}", self.total())
     }
 }
-
-/// Why [`Fleet::try_submit`] refused a request. Checked on the submitting
-/// thread: a request a shard cannot serve never reaches one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The prompt has no token to prefill.
-    EmptyPrompt,
-    /// The prompt alone exceeds the model's context.
-    PromptTooLong {
-        /// Prompt tokens submitted.
-        len: usize,
-        /// The model's `max_seq`.
-        max_seq: usize,
-    },
-    /// A sliding window of zero rows attends nothing.
-    ZeroWindow,
-}
-
-impl fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SubmitError::EmptyPrompt => write!(f, "a stream needs at least one prompt token"),
-            SubmitError::PromptTooLong { len, max_seq } => {
-                write!(f, "prompt of {len} tokens exceeds max_seq {max_seq}")
-            }
-            SubmitError::ZeroWindow => write!(f, "a zero-row window cannot serve decode"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
 
 /// A request on its way to a shard: the router's pre-allocated id and the
 /// stream's outbox, both made on the submitting thread.
@@ -668,21 +641,11 @@ impl Fleet {
     }
 
     /// [`submit`](Fleet::submit), refusing — here, on the caller's thread —
-    /// a request no shard could serve: the session's own asserts would
-    /// take down the shard and strand every stream it owns.
+    /// a request no shard could serve ([`GenerationRequest::check`]): the
+    /// session panics on the same check, which would take down the shard
+    /// and strand every stream it owns.
     pub fn try_submit(&self, req: GenerationRequest) -> Result<StreamHandle, SubmitError> {
-        if req.prompt.is_empty() {
-            return Err(SubmitError::EmptyPrompt);
-        }
-        if req.prompt.len() > self.max_seq {
-            return Err(SubmitError::PromptTooLong {
-                len: req.prompt.len(),
-                max_seq: self.max_seq,
-            });
-        }
-        if req.window == Some(0) {
-            return Err(SubmitError::ZeroWindow);
-        }
+        req.check(self.max_seq)?;
         let id = StreamId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let (tx, events) = mpsc::sync_channel(self.engine.channel_capacity);

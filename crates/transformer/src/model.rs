@@ -1,4 +1,16 @@
 //! Full transformer model: embeddings → blocks → final norm → LM head.
+//!
+//! Three concerns, one file each: the model and its batched sweep
+//! ([`TransformerModel`], this file), one stream's per-layer caches
+//! ([`ModelKvCache`], `cache.rs`), and the continuous-batching serving
+//! session that drives the sweep ([`ServeSession`] and
+//! [`FinishedStream`], `session.rs`).
+
+mod cache;
+mod session;
+
+pub use cache::ModelKvCache;
+pub use session::{FinishedStream, ServeSession};
 
 use crate::block::TransformerBlock;
 use crate::configs::ModelConfig;
@@ -7,15 +19,11 @@ use crate::linear::{Linear, LinearProtection};
 use crate::mha::{BackendKind, KvCache};
 use crate::norm::LayerNorm;
 use ft_abft::thresholds::Thresholds;
-use ft_core::kv::{CacheMark, KvReadReport, SizeBreakdown};
 use ft_core::protect::ProtectionLevel;
-use ft_core::serve::{
-    DecodeScheduler, EngineEvent, FinishReason, GenerationRequest, RecoveryPolicy, SamplingMode,
-    SchedulerConfig, StreamId, StreamState,
-};
+use ft_core::serve::{GenerationRequest, SchedulerConfig, StreamId};
 use ft_core::types::FtReport;
 use ft_num::{Matrix, MatrixF32};
-use ft_sim::{FaultInjector, FaultSite};
+use ft_sim::FaultInjector;
 use rayon::prelude::*;
 
 /// A complete transformer for inference experiments.
@@ -33,153 +41,6 @@ pub struct TransformerModel {
     pub lm_head: Linear,
     /// Detection thresholds used by all protected layers.
     pub thresholds: Thresholds,
-}
-
-/// Per-layer KV caches plus the number of token positions fed so far — the
-/// whole mutable state of one decode stream.
-#[derive(Clone, Debug)]
-pub struct ModelKvCache {
-    /// One checksummed [`KvCache`] per transformer block.
-    pub layers: Vec<KvCache>,
-    /// Tokens decoded into the caches so far (the next token's position).
-    pub positions: usize,
-}
-
-impl ModelKvCache {
-    /// Tokens fed so far.
-    pub fn positions(&self) -> usize {
-        self.positions
-    }
-
-    /// Total FP16 payload bytes across layers.
-    pub fn size_bytes(&self) -> u64 {
-        self.layers.iter().map(KvCache::size_bytes).sum()
-    }
-
-    /// Total FP32 checksum-metadata bytes across layers.
-    pub fn checksum_bytes(&self) -> u64 {
-        self.layers.iter().map(KvCache::checksum_bytes).sum()
-    }
-
-    /// Byte footprint split into payload vs protection metadata, summed
-    /// across layers (see [`KvCache::size_breakdown`]).
-    pub fn size_breakdown(&self) -> SizeBreakdown {
-        self.layers
-            .iter()
-            .map(KvCache::size_breakdown)
-            .fold(SizeBreakdown::default(), |acc, b| acc.merged(&b))
-    }
-
-    /// The graded protection level this stream's caches were created at
-    /// (every layer shares it — see
-    /// [`TransformerModel::new_cache_with`]).
-    pub fn protection(&self) -> ProtectionLevel {
-        self.layers
-            .first()
-            .map(|c| c.protection())
-            .unwrap_or_default()
-    }
-
-    /// Sticky unrepairable-damage count across layers (see
-    /// [`KvCache::poisoned`]): non-zero means this stream's cached state is
-    /// permanently wrong and the only recovery is a fresh prefill. Works
-    /// for every backend, including the unprotected decode paths that
-    /// never report cache events.
-    pub fn poisoned(&self) -> u64 {
-        self.layers.iter().map(KvCache::poisoned).sum()
-    }
-
-    /// Sticky unrepairable-damage count restricted, per layer, to the
-    /// blocks a decode step at the current length would attend under
-    /// `window` (see [`KvCache::poisoned_attended`]) — the serving
-    /// engine's re-prefill trigger: damage that slid behind the attention
-    /// window can no longer reach a future token and must not trigger
-    /// recovery (it is retired outright once eviction drops its block).
-    /// Like [`poisoned`](ModelKvCache::poisoned), works for every backend.
-    pub fn poisoned_attended(&self, window: Option<usize>) -> u64 {
-        self.layers
-            .iter()
-            .map(|c| c.poisoned_attended(window))
-            .sum()
-    }
-
-    /// Checkpoint the current length for a later
-    /// [`truncate_to`](ModelKvCache::truncate_to) — every layer shares the
-    /// same logical length, so one [`CacheMark`] covers them all.
-    pub fn checkpoint(&self) -> CacheMark {
-        CacheMark::at(self.positions)
-    }
-
-    /// Roll every layer's cache back to `mark` (see
-    /// [`KvCache::truncate_to`]) and rewind `positions` to match. The
-    /// merged boundary-heal report is returned for callers that audit it;
-    /// the serving engine discards it — correction evidence was already
-    /// counted when the rows were read, and anything unlocatable is
-    /// carried by the surviving blocks' sticky poison marks.
-    pub fn truncate_to(&mut self, mark: CacheMark) -> KvReadReport {
-        let mut report = KvReadReport::default();
-        for c in &mut self.layers {
-            report = report.merged(&c.truncate_to(mark));
-        }
-        self.positions = mark.position();
-        report
-    }
-
-    /// Earliest attended block carrying a sticky poison mark in *any*
-    /// layer (see [`KvCache::first_poisoned_attended_block`]) — the
-    /// damage-localization query behind
-    /// [`RecoveryPolicy::ReprefillPartial`]. Layers share geometry,
-    /// length, and eviction schedule, so block indices are comparable
-    /// across them.
-    pub fn first_poisoned_attended_block(&self, window: Option<usize>) -> Option<usize> {
-        self.layers
-            .iter()
-            .filter_map(|c| c.first_poisoned_attended_block(window))
-            .min()
-    }
-
-    /// Partial-recovery rollback target: the row count `p` to
-    /// [`truncate_to`](ModelKvCache::truncate_to) so that the first
-    /// poisoned attended block is dropped and re-prefilling rows
-    /// `p..` rebuilds a provably clean suffix. `upper` bounds the target
-    /// at the last row the caller can re-feed (the emitted history's
-    /// final row — anything past it is provisional speculation state).
-    ///
-    /// Returns `None` — fall back to a full re-prefill — when any of the
-    /// viability conditions fail:
-    /// * no layer localizes the damage to a block (live uncorrectable
-    ///   reads without a sticky mark cannot be rolled back surgically),
-    /// * the target would keep nothing (the poisoned block is the first
-    ///   attended block, or sits at the eviction frontier),
-    /// * the first re-fed row's attention window reaches behind the
-    ///   eviction frontier (the rows it must attend no longer exist), or
-    /// * a block the rebuilt suffix will attend is itself poisoned
-    ///   (partial recovery would re-trigger forever on the same mark).
-    pub fn rollback_target(&self, window: Option<usize>, upper: usize) -> Option<usize> {
-        let lc = self.layers.first()?;
-        let (block, start) = (lc.block(), lc.start());
-        let fpb = self.first_poisoned_attended_block(window)?;
-        let p = (fpb * block).min(upper);
-        if p == 0 || p <= start {
-            return None;
-        }
-        // First re-fed row (position p, visible length p + 1): every row
-        // it attends must still be resident after the truncation.
-        let r0 = match window {
-            Some(w) if p + 1 > w => p + 1 - w,
-            _ => 0,
-        };
-        if r0 < start {
-            return None;
-        }
-        // Every block any re-fed row can attend must be clean — windows
-        // only move forward, so length p + 1 attends the earliest set.
-        let kept = p.div_ceil(block);
-        if (r0 / block..kept).any(|b| self.layers.iter().any(|c| c.block_poisoned(b) > 0)) {
-            return None;
-        }
-        Some(p)
-    }
 }
 
 impl TransformerModel {
@@ -433,8 +294,8 @@ impl TransformerModel {
     /// [`ServeSession::submit_request`] (or, with a caller-allocated id,
     /// [`ServeSession::submit_request_with_id`]) and drive them with
     /// [`ServeSession::sweep_events`] — each sweep emits the typed
-    /// [`EngineEvent`] lifecycle — or fire-and-forget with
-    /// [`ServeSession::run`].
+    /// [`EngineEvent`](ft_core::serve::EngineEvent) lifecycle — or
+    /// fire-and-forget with [`ServeSession::run`].
     ///
     /// ```
     /// use ft_sim::NoFaults;
@@ -505,20 +366,20 @@ impl TransformerModel {
         ServeSession::new(self, cfg)
     }
 
-    /// One batched decode sweep over many streams: per stream, embed its
-    /// fed tokens at the cache's next positions; per layer, expose every
-    /// stream's cache to the injector (the between-sweep residency window)
-    /// and run the shared multi-stream attention fan-out; finally run the
-    /// LM head on the rows that sample a token.
+    /// One batched decode sweep over many streams — the session's third
+    /// phase: per stream, embed its fed tokens at the cache's next
+    /// positions; per layer, expose every stream's cache to the injector
+    /// (the between-sweep residency window) and run the shared
+    /// multi-stream attention fan-out; finally norm the rows that sample a
+    /// token.
     ///
     /// `feeds[i]` must pair with `caches[i]`. Returns, per stream, the
     /// final-normed hidden rows of the feed's last `sample_rows` positions
     /// (`sample_rows × hidden`, if the feed asked for any) and the sweep's
     /// fault ledger attributed to that stream alone (every layer's sites,
     /// layers [`merged`](FtReport::merged)). The vocab-wide LM head is not
-    /// run here: the session runs it once over every stream's sample rows
-    /// (`ServeSession::batched_head`), or per row where faults can reach
-    /// it.
+    /// run here: the session's `head` phase runs it once over every
+    /// stream's sample rows, or per row where faults can reach it.
     fn run_sweep<I: FaultInjector>(
         &self,
         feeds: &[SweepFeed],
@@ -641,673 +502,6 @@ pub fn serve_expose_step(stream: StreamId, pos: usize, layers: usize, layer: usi
         "position × layers exceeds the per-stream exposure namespace"
     );
     (stream.0 << 20) + local
-}
-
-/// A retired serving stream: its full token history, fault accounting, and
-/// lifecycle outcome.
-#[derive(Clone, Debug)]
-pub struct FinishedStream {
-    /// Stream identity (as returned by [`ServeSession::submit_request`]).
-    pub id: StreamId,
-    /// Prompt followed by the sampled continuation.
-    pub tokens: Vec<u32>,
-    /// The stream's one fault ledger ([`StreamState::report`]): every
-    /// protected site — projections, attention, cache residency, FFN, LM
-    /// head — attributed to this stream alone; `cache_uncorrectable` is the
-    /// peak attended level. Still named `attention` only because
-    /// `ftbench/src/tracing.rs` reads `f.attention.cache_*` and `ftbench/`
-    /// is frozen outside `benchmark` PRs; the rename belongs to the next one.
-    pub attention: FtReport,
-    /// Why the stream retired. On [`FinishReason::AbortedPoisoned`] the
-    /// token history may be wrong from the last poisoned position onward.
-    pub finish: FinishReason,
-    /// Re-prefill recovery attempts this stream went through (aborted
-    /// streams carry the attempts they consumed; [`finish`] says whether
-    /// they ultimately succeeded).
-    ///
-    /// [`finish`]: FinishedStream::finish
-    pub recoveries: u32,
-    /// Times the stream was parked (preemption or backpressure) and
-    /// resumed through re-prefill. Not a fault: a preempted-and-resumed
-    /// stream's tokens are bit-identical to an uninterrupted run.
-    pub preemptions: u32,
-    /// History tokens the recovery requeues scheduled for re-feeding: full
-    /// re-prefills count the whole history, partial re-prefills only the
-    /// suffix past the truncation point — the measurable saving of
-    /// [`RecoveryPolicy::ReprefillPartial`].
-    pub recovery_fed: usize,
-    /// Provisional tokens drafted across the stream's verify sweeps
-    /// (zero unless the request carried a
-    /// [`SpeculationPolicy`](ft_core::serve::SpeculationPolicy)).
-    pub spec_drafted: u64,
-    /// Drafted tokens that verified against the engine's own samples and
-    /// were committed — `spec_accepted / spec_drafted` is the stream's
-    /// realized acceptance rate.
-    pub spec_accepted: u64,
-    /// The graded cache-protection level the stream ran at — every cache
-    /// the engine built for it (admission, recovery re-prefill, migration
-    /// re-adoption) was created at this level.
-    pub protection: ProtectionLevel,
-}
-
-/// A continuous-batching serving session over one [`TransformerModel`]:
-/// many generation streams, each with its own per-layer [`ModelKvCache`],
-/// request configuration ([`GenerationRequest`]: per-stream window,
-/// sampling mode, recovery policy), and fault history, multiplexed through
-/// shared batched decode sweeps that emit typed [`EngineEvent`]s.
-///
-/// ```text
-/// submit_request ─▶ scheduler slot table ─▶ sweep: embed → layers (shared
-///   attention fan-out, per-stream windows) → LM head + per-stream
-///   sampling ─▶ events: TokenEmitted / FaultCorrected / EvictedBlocks
-///                        / CachePoisoned → Recovering (drop cache,
-///                          re-prefill history) or Finished(AbortedPoisoned)
-///   ─▶ retire finished streams with a FinishReason
-/// ```
-///
-/// The recovery half is the paper's detect → correct → **recover** story
-/// closed end to end: when a stream's attended window carries unrepairable
-/// cache damage and its request asked for
-/// [`RecoveryPolicy::ReprefillBounded`], the engine discards the suspect
-/// sweep output, drops the stream's cache, replays its prompt *plus every
-/// already-emitted token* through chunked prefill, and resumes decoding —
-/// deterministic sampling makes a successful recovery bit-identical to an
-/// undamaged run (pinned by `tests/engine_recovery.rs`).
-///
-/// [`TransformerModel::generate`] is the one-stream special case.
-///
-/// The session is generic over model *ownership*: `M` is anything that
-/// borrows a [`TransformerModel`] — `&TransformerModel` for the classic
-/// in-thread session ([`TransformerModel::serve`]), or the model itself
-/// for the owned, `Send` session a serving loop moves onto its worker
-/// thread ([`TransformerModel::into_serve`]).
-pub struct ServeSession<M: core::borrow::Borrow<TransformerModel> = TransformerModel> {
-    model: M,
-    scheduler: DecodeScheduler,
-    caches: Vec<(StreamId, ModelKvCache)>,
-    finished: Vec<FinishedStream>,
-    events: Vec<EngineEvent>,
-    recoveries: u64,
-    preemptions: u64,
-    peak_cache_bytes: u64,
-    peak_cache_breakdown: SizeBreakdown,
-}
-
-impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
-    /// Open a session over `model` (borrowed or owned) with the given
-    /// scheduler sizing — the common constructor behind
-    /// [`TransformerModel::serve_with`] and
-    /// [`TransformerModel::into_serve`].
-    pub fn new(model: M, cfg: SchedulerConfig) -> Self {
-        let (bytes_per_token, block) = {
-            let m: &TransformerModel = model.borrow();
-            // Projection for admission: FP16 K+V payload per token per
-            // layer (2 tensors × hidden × 2 bytes); checksum metadata
-            // rides along in the noted totals once streams are resident.
-            (
-                (4 * m.config.hidden * m.config.layers) as u64,
-                m.blocks.first().map_or(0, |b| b.mha.cache_block),
-            )
-        };
-        let mut scheduler = DecodeScheduler::new(cfg);
-        scheduler.set_bytes_per_token(bytes_per_token);
-        // Under a sliding window a stream keeps at most ~window +
-        // cache_block rows resident however long its prompt — the window
-        // is a per-request property now, so the scheduler derives each
-        // windowed stream's projection cap itself; we supply the
-        // block-granularity slack (one partially evictable block).
-        scheduler.set_window_slack(block);
-        ServeSession {
-            model,
-            scheduler,
-            caches: Vec::new(),
-            finished: Vec::new(),
-            events: Vec::new(),
-            recoveries: 0,
-            preemptions: 0,
-            peak_cache_bytes: 0,
-            peak_cache_breakdown: SizeBreakdown::default(),
-        }
-    }
-    /// Submit a typed [`GenerationRequest`]. `max_new_tokens` is clamped to
-    /// the model's `max_seq`; a request without its own window inherits the
-    /// model default ([`TransformerModel::with_window`]). The stream joins
-    /// the next sweep with a free slot — mid-flight, without stalling
-    /// streams already decoding.
-    pub fn submit_request(&mut self, req: GenerationRequest) -> StreamId {
-        let req = self.resolve_request(req);
-        self.scheduler.submit_request(req)
-    }
-
-    /// [`submit_request`](ServeSession::submit_request) with a
-    /// caller-chosen [`StreamId`]: the serving loop allocates ids on the
-    /// submitting thread and replays them here in whatever order its
-    /// submission channel delivers them. Panics if `id` is already known
-    /// to the session's scheduler.
-    pub fn submit_request_with_id(&mut self, req: GenerationRequest, id: StreamId) -> StreamId {
-        let req = self.resolve_request(req);
-        self.scheduler.submit_request_with_id(req, id)
-    }
-
-    /// Clamp the token budget to the model's `max_seq` and resolve the
-    /// model-default window for requests without their own.
-    fn resolve_request(&self, mut req: GenerationRequest) -> GenerationRequest {
-        let model = self.model.borrow();
-        assert!(!req.prompt.is_empty(), "a stream needs at least one token");
-        assert!(
-            req.prompt.len() <= model.config.max_seq,
-            "prompt exceeds max_seq"
-        );
-        req.max_new_tokens = req
-            .max_new_tokens
-            .min(model.config.max_seq - req.prompt.len());
-        req.window = req.window.or(model.window());
-        req
-    }
-
-    /// Run one batched sweep and return its typed [`EngineEvent`]s: plan
-    /// (admitting pending streams), feed every active stream its next
-    /// chunk through the shared fan-out, sample where due (per-stream
-    /// [`SamplingMode`]), apply each stream's [`RecoveryPolicy`] to
-    /// poisoned caches, and retire finished streams.
-    pub fn sweep_events<I: FaultInjector>(&mut self, inj: &I) -> Vec<EngineEvent> {
-        self.sweep_inner(inj);
-        std::mem::take(&mut self.events)
-    }
-
-    /// Drain the events queued since the last
-    /// [`sweep_events`](ServeSession::sweep_events) without sweeping —
-    /// park transitions driven from outside a sweep (an explicit
-    /// [`park_stream`](ServeSession::park_stream), work migration) queue
-    /// their events here, and the serving loop must route them before
-    /// shipping a stream elsewhere.
-    pub fn drain_events(&mut self) -> Vec<EngineEvent> {
-        self.absorb_park_resume();
-        std::mem::take(&mut self.events)
-    }
-
-    fn sweep_inner<I: FaultInjector>(&mut self, inj: &I) {
-        // Report the live footprint so memory-budget admission sees what
-        // the resident streams actually occupy.
-        self.scheduler.note_bytes(self.cache_bytes());
-        let plan = self.scheduler.plan();
-        // Planning may have parked or resumed streams (preemption);
-        // absorb those transitions before feeding anything.
-        self.absorb_park_resume();
-        if plan.is_empty() {
-            self.collect_finished();
-            return;
-        }
-        for item in &plan {
-            if !self.caches.iter().any(|(id, _)| *id == item.stream) {
-                self.caches.push((
-                    item.stream,
-                    self.model.borrow().new_cache_with(item.protection),
-                ));
-            }
-        }
-        // Pair feeds with caches in storage order (plan order and storage
-        // order both follow admission, but matching by id keeps the sweep
-        // correct under any future scheduling policy).
-        let mut feeds: Vec<SweepFeed> = Vec::with_capacity(plan.len());
-        let mut cache_refs: Vec<&mut ModelKvCache> = Vec::with_capacity(plan.len());
-        for (id, cache) in self.caches.iter_mut() {
-            if let Some(item) = plan.iter().find(|it| it.stream == *id) {
-                feeds.push(SweepFeed {
-                    stream: *id,
-                    tokens: item.feed.clone(),
-                    sample_rows: if item.sample { 1 + item.speculate } else { 0 },
-                    speculate: item.speculate,
-                    window: item.window,
-                    protection: item.protection,
-                });
-                cache_refs.push(cache);
-            }
-        }
-        debug_assert_eq!(feeds.len(), plan.len());
-        let results = self.model.borrow().run_sweep(&feeds, &mut cache_refs, inj);
-        self.peak_cache_bytes = self.peak_cache_bytes.max(self.cache_bytes());
-        let split = self.cache_breakdown();
-        if split.total_bytes() > self.peak_cache_breakdown.total_bytes() {
-            self.peak_cache_breakdown = split;
-        }
-        let head = self.batched_head(&feeds, &results, inj);
-        let mut head_row = 0;
-        for (feed, (rows, mut ledger)) in feeds.iter().zip(results) {
-            let id = feed.stream;
-            let at = head_row;
-            head_row += feed.sample_rows;
-            if ledger.total_detected() > 0 {
-                self.events.push(EngineEvent::FaultCorrected {
-                    stream: id,
-                    detected: ledger.total_detected(),
-                    repaired: ledger.total_repaired(),
-                });
-            }
-            if ledger.cache_evicted_blocks > 0 {
-                self.events.push(EngineEvent::EvictedBlocks {
-                    stream: id,
-                    blocks: ledger.cache_evicted_blocks,
-                });
-            }
-            let cache = &mut self
-                .caches
-                .iter_mut()
-                .find(|(cid, _)| *cid == id)
-                .expect("planned stream has a cache")
-                .1;
-            // Poison trigger, scoped to the stream's attended window: the
-            // sticky per-block marks work for every backend (append-time
-            // laundering needs no protected kernel), and the sweep ledger
-            // adds the EFTA read path's live uncorrectable detections.
-            // Marks behind the window — and marks retired by eviction,
-            // which leave with their block — must not trigger.
-            let poisoned = cache
-                .poisoned_attended(feed.window)
-                .max(ledger.cache_uncorrectable);
-            if poisoned > 0 {
-                self.events.push(EngineEvent::CachePoisoned {
-                    stream: id,
-                    events: poisoned,
-                });
-            }
-            let state = self
-                .scheduler
-                .active_stream(id)
-                .expect("planned stream is active");
-            let (recovery, attempts, sampling, position) = (
-                state.recovery,
-                state.recoveries,
-                state.sampling,
-                state.total(),
-            );
-            match recovery {
-                RecoveryPolicy::ReprefillBounded { max_attempts }
-                | RecoveryPolicy::ReprefillPartial { max_attempts }
-                    if poisoned > 0 =>
-                {
-                    // Whatever this sweep produced was computed over
-                    // damaged state — a sampled token must not enter the
-                    // history. Either give up (budget spent) or rebuild the
-                    // cache from the emitted history.
-                    if attempts >= max_attempts {
-                        self.scheduler.abort(
-                            id,
-                            &ledger,
-                            FinishReason::AbortedPoisoned { attempts },
-                        );
-                    } else {
-                        // The partial policy localizes the damage first:
-                        // truncate to the last clean boundary before the
-                        // first poisoned attended block and replay only the
-                        // suffix — O(window) recovery, not O(history).
-                        let target = match recovery {
-                            RecoveryPolicy::ReprefillPartial { .. } => {
-                                cache.rollback_target(feed.window, position.saturating_sub(1))
-                            }
-                            _ => None,
-                        };
-                        let attempt = if let Some(p) = target {
-                            // The boundary-heal report is discarded:
-                            // read-time verification already counted the
-                            // evidence, and surviving marks stay sticky.
-                            let _ = cache.truncate_to(CacheMark::at(p));
-                            self.scheduler.requeue_suffix(id, &ledger, p)
-                        } else {
-                            // Bounded policy, damage not block-localized, or
-                            // a suffix that would attend evicted or still-
-                            // poisoned rows: fresh cache, full replay.
-                            *cache = self.model.borrow().new_cache_with(feed.protection);
-                            self.scheduler.requeue(id, &ledger)
-                        };
-                        self.recoveries += 1;
-                        self.events.push(EngineEvent::Recovering {
-                            stream: id,
-                            attempt,
-                        });
-                    }
-                }
-                _ => {
-                    if feed.sample_rows == 0 {
-                        self.scheduler.record(id, None, &ledger);
-                        continue;
-                    }
-                    let rows = rows.expect("sampling feed returns hidden rows");
-                    let drafts = &feed.tokens[feed.tokens.len() - feed.speculate..];
-                    let model = self.model.borrow();
-                    let mut emitted: Vec<u32> = Vec::with_capacity(feed.sample_rows);
-                    let mut accepted = 0usize;
-                    for j in 0..feed.sample_rows {
-                        let t = match &head {
-                            Some(logits) => {
-                                sample_token(sampling, logits.row(at + j), id, position + j)
-                            }
-                            None => {
-                                // Per-row head where faults can reach it,
-                                // stopping at the first rejected draft: the
-                                // injector is queried for the logits of
-                                // emitted tokens only.
-                                let row = Matrix::from_fn(1, rows.cols(), |_, c| rows.get(j, c));
-                                let (logits, head_rep) = model.lm_head.forward(
-                                    &row,
-                                    inj,
-                                    usize::MAX / 2,
-                                    &model.thresholds,
-                                );
-                                // The sweep's FaultCorrected event is already
-                                // out: head detections reach the stream
-                                // ledger only.
-                                ledger = ledger.merged(&head_rep);
-                                sample_token(sampling, logits.row(0), id, position + j)
-                            }
-                        };
-                        emitted.push(t);
-                        self.events.push(EngineEvent::TokenEmitted {
-                            stream: id,
-                            token: t,
-                        });
-                        if j < drafts.len() && t == drafts[j] {
-                            accepted += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    if accepted < feed.speculate {
-                        // Roll the rejected provisional rows back so the
-                        // cache again trails the emitted history by exactly
-                        // one row — by construction the next sweep starts
-                        // from state bit-identical to plain decode's.
-                        let _ = cache.truncate_to(CacheMark::at(position + accepted));
-                    }
-                    if feed.speculate == 0 {
-                        self.scheduler.record(id, Some(emitted[0]), &ledger);
-                    } else {
-                        self.scheduler.record_speculative(
-                            id,
-                            &emitted,
-                            feed.speculate,
-                            accepted,
-                            &ledger,
-                        );
-                    }
-                }
-            }
-        }
-        self.collect_finished();
-    }
-
-    /// The vocab-wide LM head once per sweep: every sampling row of every
-    /// feed stacked into one GEMM, so the head's packed weight streams
-    /// through the cache once per sweep instead of once per emitted token.
-    /// Row `r` of the result is bit-identical to a one-row forward of
-    /// stacked row `r` (every logit is the same chain). `None` — evaluate
-    /// per row instead — when no feed samples, and when the head could
-    /// fire or keep a ledger: BER draws, `fired()` and head detections then
-    /// stay per (stream, row). Under speculation, rows past a rejected
-    /// draft are computed here and dropped. Feed `f` owns the next
-    /// `f.sample_rows` stacked rows — the offsets `sweep_inner` reads.
-    fn batched_head<I: FaultInjector>(
-        &self,
-        feeds: &[SweepFeed],
-        results: &[(Option<MatrixF32>, FtReport)],
-        inj: &I,
-    ) -> Option<MatrixF32> {
-        let model = self.model.borrow();
-        if inj.may_fire(FaultSite::LinearAccum)
-            || model.lm_head.protection != LinearProtection::None
-        {
-            return None;
-        }
-        let rows: Vec<&MatrixF32> = (feeds.iter().zip(results))
-            .filter(|(f, _)| f.sample_rows > 0)
-            .map(|(f, (rows, _))| {
-                let rows = rows.as_ref().expect("sampling feed returns hidden rows");
-                assert_eq!(rows.rows(), f.sample_rows, "{}: sampled rows", f.stream);
-                rows
-            })
-            .collect();
-        if rows.is_empty() {
-            return None;
-        }
-        let (logits, _) = model.lm_head.forward(
-            &Matrix::vstack(&rows),
-            inj,
-            usize::MAX / 2,
-            &model.thresholds,
-        );
-        Some(logits)
-    }
-
-    /// Sweep until every submitted stream has retired, then drain them
-    /// (ordered by stream id). Events are discarded sweep by sweep — drive
-    /// the session with [`sweep_events`](ServeSession::sweep_events) to
-    /// observe the lifecycle.
-    pub fn run<I: FaultInjector>(&mut self, inj: &I) -> Vec<FinishedStream> {
-        while !self.scheduler.idle() {
-            self.sweep_inner(inj);
-            self.events.clear();
-        }
-        self.take_finished()
-    }
-
-    /// Park an active stream: drop its cache, keep its emitted tokens, and
-    /// requeue it to be resumed later through the bit-identical chunked
-    /// re-prefill path. Emits [`EngineEvent::Preempted`] (in the next
-    /// [`sweep_events`](ServeSession::sweep_events) batch) on success.
-    /// Returns `false` — a no-op — when the stream is not active, is
-    /// mid-sweep, or is already done.
-    pub fn park_stream(&mut self, stream: StreamId) -> bool {
-        let parked = self.scheduler.park(stream);
-        self.absorb_park_resume();
-        parked
-    }
-
-    /// Report whether `stream`'s consumer still owes a drain of events it
-    /// already produced — the serving loop's one backpressure fact, read by
-    /// the next sweep's plan ([`DecodeScheduler::set_blocked`]).
-    pub fn set_blocked(&mut self, stream: StreamId, blocked: bool) {
-        self.scheduler.set_blocked(stream, blocked);
-    }
-
-    /// Give one stream away for adoption by another session (work
-    /// migration); the scheduler picks it ([`DecodeScheduler::export`]). If
-    /// it held a slot it is parked first: route the `Preempted` waiting in
-    /// [`drain_events`](ServeSession::drain_events) before moving it.
-    pub fn export_stream(&mut self) -> Option<StreamState> {
-        let state = self.scheduler.export()?;
-        self.absorb_park_resume();
-        Some(state)
-    }
-
-    /// Remove a *pending* stream for adoption by another session (work
-    /// migration between fleet shards). Active streams must be
-    /// [`park_stream`](ServeSession::park_stream)ed first — a parked
-    /// stream has no cache, so only the scheduler state (fault ledger
-    /// included) travels; the adopting shard rebuilds the cache by
-    /// chunked re-prefill, bit-identical to a never-migrated run. Route
-    /// [`drain_events`](ServeSession::drain_events) before extracting so
-    /// the park's `Preempted` event is not lost with the stream.
-    pub fn extract_stream(&mut self, stream: StreamId) -> Option<StreamState> {
-        let state = self.scheduler.extract_pending(stream)?;
-        debug_assert!(
-            !self.caches.iter().any(|(id, _)| *id == stream),
-            "a pending stream cannot hold a cache"
-        );
-        Some(state)
-    }
-
-    /// Adopt a stream extracted from another session: the receiving half
-    /// of [`extract_stream`](ServeSession::extract_stream). The stream
-    /// joins the queue and re-prefills its history on the next planned
-    /// sweep; if it was parked on the donor, admission here emits the
-    /// [`EngineEvent::Resumed`] the park promised.
-    pub fn adopt_stream(&mut self, state: StreamState) {
-        self.scheduler.adopt_pending(state);
-    }
-
-    /// Total park transitions (preemption + backpressure) across the
-    /// session; per-stream counts ride on [`FinishedStream::preemptions`].
-    pub fn preemptions(&self) -> u64 {
-        self.preemptions
-    }
-
-    /// The protection level of `stream`'s *resident* cache — `None` while
-    /// the stream holds no cache (pending, parked, or retired). Every
-    /// cache the session builds for a stream — admission, re-prefill
-    /// recovery, park/resume, migration re-adoption — must come back at
-    /// the level its [`GenerationRequest`] asked for; this is the
-    /// introspection hook the protection-survival suite pins that with.
-    pub fn stream_cache_protection(&self, stream: StreamId) -> Option<ProtectionLevel> {
-        self.caches
-            .iter()
-            .find(|(id, _)| *id == stream)
-            .map(|(_, c)| c.protection())
-    }
-
-    /// Turn the scheduler's park/resume transitions into session state:
-    /// a parked stream's cache is dropped (its fault ledger stays in the
-    /// scheduler state), and both directions surface as typed events.
-    fn absorb_park_resume(&mut self) {
-        for id in self.scheduler.drain_parked() {
-            self.caches.retain(|(cid, _)| *cid != id);
-            self.preemptions += 1;
-            self.events.push(EngineEvent::Preempted { stream: id });
-        }
-        for id in self.scheduler.drain_resumed() {
-            self.events.push(EngineEvent::Resumed { stream: id });
-        }
-    }
-
-    /// Total re-prefill recovery attempts across the session — the
-    /// serving report's headline recovery count. Attempts by streams that
-    /// later aborted are included; per-stream detail (attempts + outcome)
-    /// rides on [`FinishedStream::recoveries`] / [`FinishedStream::finish`].
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries
-    }
-
-    /// True when no stream is active or queued.
-    pub fn idle(&self) -> bool {
-        self.scheduler.idle()
-    }
-
-    /// Streams currently holding decode slots.
-    pub fn active_streams(&self) -> usize {
-        self.scheduler.active_len()
-    }
-
-    /// Streams waiting for a free slot.
-    pub fn pending_streams(&self) -> usize {
-        self.scheduler.pending_len()
-    }
-
-    /// Current total cache footprint across resident streams: FP16 K/V
-    /// payload plus FP32 checksum metadata, all layers.
-    pub fn cache_bytes(&self) -> u64 {
-        self.caches
-            .iter()
-            .map(|(_, c)| c.size_bytes() + c.checksum_bytes())
-            .sum()
-    }
-
-    /// Largest [`cache_bytes`](ServeSession::cache_bytes) observed after
-    /// any sweep — the bounded-memory serving metric: under a sliding
-    /// window this flattens instead of growing with generated length.
-    pub fn peak_cache_bytes(&self) -> u64 {
-        self.peak_cache_bytes
-    }
-
-    /// The footprint split at the peak-occupancy sweep (sampled at the
-    /// same instant as [`peak_cache_bytes`](ServeSession::peak_cache_bytes),
-    /// before that sweep's retiring streams drop their caches): how much
-    /// of the peak was FP16 payload vs FP32 protection metadata.
-    pub fn peak_cache_breakdown(&self) -> SizeBreakdown {
-        self.peak_cache_breakdown
-    }
-
-    /// Current cache footprint split into FP16 payload vs FP32 protection
-    /// metadata, summed over resident streams (see
-    /// [`ModelKvCache::size_breakdown`]) — how the graded protection
-    /// lattice's byte overhead shows up in a live session.
-    pub fn cache_breakdown(&self) -> SizeBreakdown {
-        self.caches
-            .iter()
-            .map(|(_, c)| c.size_breakdown())
-            .fold(SizeBreakdown::default(), |acc, b| acc.merged(&b))
-    }
-
-    /// Drain retired streams, ordered by stream id.
-    pub fn take_finished(&mut self) -> Vec<FinishedStream> {
-        self.collect_finished();
-        let mut out = std::mem::take(&mut self.finished);
-        out.sort_by_key(|f| f.id);
-        out
-    }
-
-    fn collect_finished(&mut self) {
-        for s in self.scheduler.take_finished() {
-            self.caches.retain(|(id, _)| *id != s.id);
-            let reason = s.finish.unwrap_or(FinishReason::MaxTokens);
-            self.events.push(EngineEvent::Finished {
-                stream: s.id,
-                reason,
-            });
-            self.finished.push(FinishedStream {
-                id: s.id,
-                tokens: s.tokens(),
-                attention: s.report,
-                finish: reason,
-                recoveries: s.recoveries,
-                preemptions: s.preemptions,
-                recovery_fed: s.recovery_fed,
-                spec_drafted: s.spec_drafted,
-                spec_accepted: s.spec_accepted,
-                protection: s.protection,
-            });
-        }
-    }
-}
-
-/// Pick the next token from one row of logits per the stream's
-/// [`SamplingMode`]. Deterministic in every mode, and keyed by the token's
-/// absolute position so a re-prefill recovery re-draws exactly the tokens
-/// it replays.
-fn sample_token(mode: SamplingMode, row: &[f32], stream: StreamId, position: usize) -> u32 {
-    match mode {
-        SamplingMode::Greedy => argmax(row) as u32,
-        SamplingMode::TopK { k, seed } => {
-            let k = k.clamp(1, row.len());
-            // Partition the k largest to the front, then order only those
-            // k — O(V + k log k) on the per-token hot path instead of a
-            // full vocab sort. The comparator is total (ties to the lower
-            // index), so the selected set and order are identical to a
-            // full sort's first k.
-            let cmp = |a: &usize, b: &usize| {
-                row[*b]
-                    .partial_cmp(&row[*a])
-                    .unwrap_or(core::cmp::Ordering::Equal)
-                    .then(a.cmp(b))
-            };
-            let mut idx: Vec<usize> = (0..row.len()).collect();
-            if k < idx.len() {
-                idx.select_nth_unstable_by(k - 1, cmp);
-                idx.truncate(k);
-            }
-            idx.sort_unstable_by(cmp);
-            let h = mix64(
-                seed ^ stream.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ (position as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93),
-            );
-            idx[(h % k as u64) as usize] as u32
-        }
-    }
-}
-
-/// SplitMix64 finaliser (the stateless draw behind [`SamplingMode::TopK`]).
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Index of the largest logit.

@@ -19,6 +19,9 @@
 //!   bit-identical to the full re-prefill with strictly fewer re-fed
 //!   tokens when the poison sits near the tail, and falling back to the
 //!   full replay when the poisoned block is the first attended one.
+//! * under a random cache-resident BER ladder on a GPT-2-shaped model,
+//!   `ReprefillBounded` retires every stream at every rung and the ladder
+//!   runs at least one recovery.
 
 mod common;
 
@@ -26,7 +29,9 @@ use common::{prompt, tiny_config};
 use ft_transformer_suite::attention::backend::BackendKind;
 use ft_transformer_suite::attention::efta::EftaOptions;
 use ft_transformer_suite::num::F16;
-use ft_transformer_suite::sim::{FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector};
+use ft_transformer_suite::sim::{
+    BerInjector, FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector,
+};
 use ft_transformer_suite::transformer::{
     serve_expose_step, EngineEvent, FinishReason, FinishedStream, GenerationRequest, ModelConfig,
     RecoveryPolicy, SchedulerConfig, ServeSession, StreamId, TransformerModel,
@@ -540,5 +545,54 @@ fn partial_reprefill_falls_back_to_full_when_first_attended_block_is_poisoned() 
     assert!(
         partial.recovery_fed > p.len(),
         "full history = prompt + committed tokens"
+    );
+}
+
+/// Cache-resident BER high enough to poison caches (aliased multi-bit hits
+/// that checksum location cannot untangle) on a GPT-2-shaped model, with
+/// every stream asking for `ReprefillBounded`: bounded recovery never
+/// wedges the session — every stream retires at every rung — and the
+/// ladder really exercises recovery. Random draws, not scripted pairs:
+/// the one whole-session recovery run under a BER ladder.
+#[test]
+fn ber_ladder_with_bounded_recovery_finishes_every_stream() {
+    let cfg = ModelConfig::gpt2().scaled(96, 2);
+    let model = TransformerModel::random(11, cfg, BackendKind::Efta(EftaOptions::optimized()))
+        .with_causal(true)
+        .with_cache_block(16);
+    let prompts: Vec<Vec<u32>> = (0..4)
+        .map(|i| {
+            let len = [12, 6, 9, 4][i % 4];
+            (0..len)
+                .map(|t| ((t * 97 + i * 131) % cfg.vocab) as u32)
+                .collect()
+        })
+        .collect();
+    let sched = SchedulerConfig {
+        max_active: 16,
+        prefill_chunk: 16,
+        ..Default::default()
+    };
+    let mut recoveries = 0;
+    for (rung, ber) in [2e-3, 8e-3].into_iter().enumerate() {
+        let inj = BerInjector::new(7000 + rung as u64, ber).with_sites(&[FaultSite::KvCache]);
+        let mut session = model.serve_with(sched);
+        for p in &prompts {
+            session.submit_request(
+                GenerationRequest::new(p.clone(), 6)
+                    .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 2 }),
+            );
+        }
+        let (finished, _) = run_with_events(&mut session, &inj);
+        assert_eq!(
+            finished.len(),
+            prompts.len(),
+            "every stream must finish under BER {ber}"
+        );
+        recoveries += session.recoveries();
+    }
+    assert!(
+        recoveries > 0,
+        "the BER ladder must trigger at least one re-prefill recovery"
     );
 }
