@@ -26,15 +26,6 @@ pub struct ColChecksums {
     pub c2: Vec<f32>,
 }
 
-/// Row-checksum vectors of a K×N matrix B (to be appended as columns).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RowChecksums {
-    /// Plain sums: `r1[k] = Σ_j B[k][j]`.
-    pub r1: Vec<f32>,
-    /// Weighted sums: `r2[k] = Σ_j (j+1)·B[k][j]`.
-    pub r2: Vec<f32>,
-}
-
 /// Encode the column checksums of `a` (weights 1 and `i+1`).
 pub fn encode_cols(a: &MatrixF32, quantize: bool) -> ColChecksums {
     let (m, k) = a.shape();
@@ -55,25 +46,6 @@ pub fn encode_cols(a: &MatrixF32, quantize: bool) -> ColChecksums {
     ColChecksums { c1, c2 }
 }
 
-/// Encode the row checksums of `b` (weights 1 and `j+1`).
-pub fn encode_rows(b: &MatrixF32, quantize: bool) -> RowChecksums {
-    let (k, n) = b.shape();
-    let mut r1 = vec![0.0f32; k];
-    let mut r2 = vec![0.0f32; k];
-    for i in 0..k {
-        let mut s1 = 0.0f32;
-        let mut s2 = 0.0f32;
-        for (j, &v) in b.row(i).iter().enumerate() {
-            s1 += v;
-            s2 += (j + 1) as f32 * v;
-        }
-        r1[i] = if quantize { quantize_f32(s1) } else { s1 };
-        r2[i] = if quantize { quantize_f32(s2) } else { s2 };
-    }
-    let _ = n;
-    RowChecksums { r1, r2 }
-}
-
 /// A with its two checksum rows appended: `(M+2) × K`.
 pub fn augment_rows(a: &MatrixF32, cs: &ColChecksums) -> MatrixF32 {
     let (m, k) = a.shape();
@@ -84,20 +56,6 @@ pub fn augment_rows(a: &MatrixF32, cs: &ColChecksums) -> MatrixF32 {
             cs.c1[j]
         } else {
             cs.c2[j]
-        }
-    })
-}
-
-/// B with its two checksum columns appended: `K × (N+2)`.
-pub fn augment_cols(b: &MatrixF32, cs: &RowChecksums) -> MatrixF32 {
-    let (k, n) = b.shape();
-    Matrix::from_fn(k, n + 2, |i, j| {
-        if j < n {
-            b.get(i, j)
-        } else if j == n {
-            cs.r1[i]
-        } else {
-            cs.r2[i]
         }
     })
 }
@@ -346,11 +304,6 @@ mod tests {
         let aug = augment_rows(&a, &cs);
         assert_eq!(aug.shape(), (6, 6));
         assert_eq!(aug.get(4, 0), 0.0 + 6.0 + 12.0 + 18.0);
-        let b = MatrixF32::from_fn(3, 4, |i, j| (i + j) as f32);
-        let rs = encode_rows(&b, false);
-        let augb = augment_cols(&b, &rs);
-        assert_eq!(augb.shape(), (3, 6));
-        assert_eq!(augb.get(0, 4), 0.0 + 1.0 + 2.0 + 3.0);
     }
 
     #[test]

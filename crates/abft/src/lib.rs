@@ -21,6 +21,6 @@ pub mod propagate;
 pub mod strided;
 pub mod thresholds;
 
-pub use element::{AbftReport, ColChecksums, ErrorLoc, RowChecksums};
+pub use element::{AbftReport, ColChecksums, ErrorLoc};
 pub use strided::{StridedChecksums, StridedMismatch, DEFAULT_STRIDE};
 pub use thresholds::{rel_diff, Thresholds};

@@ -110,30 +110,6 @@ pub fn verify_products(
     out
 }
 
-/// Row-wise rescale: `mat[i][*] *= factors[i]`. Applied identically to `O`
-/// and `O_c1` so the strided-sum invariant survives the online-softmax
-/// rescale (Algorithm 1 lines 18–20).
-pub fn rescale_rows(mat: &mut MatrixF32, factors: &[f32]) {
-    assert_eq!(mat.rows(), factors.len());
-    for i in 0..mat.rows() {
-        let f = factors[i];
-        for v in mat.row_mut(i) {
-            *v *= f;
-        }
-    }
-}
-
-/// Row-wise normalisation: `mat[i][*] /= ell[i]` (Algorithm 1 line 25).
-pub fn normalize_rows(mat: &mut MatrixF32, ell: &[f32]) {
-    assert_eq!(mat.rows(), ell.len());
-    for i in 0..mat.rows() {
-        let inv = 1.0 / ell[i];
-        for v in mat.row_mut(i) {
-            *v *= inv;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,27 +172,6 @@ mod tests {
         let mism = verify_products(&p_bad, &p_c1, 8, Check::new(1e-3, 0.0));
         assert_eq!(mism.len(), 1);
         assert_eq!((mism[0].i, mism[0].t), (3, 5));
-    }
-
-    #[test]
-    fn rescale_and_normalize_commute_with_strided_sums() {
-        let mut rng = rng_from_seed(31);
-        let o = normal_matrix_f16(&mut rng, 8, 32, 1.0).to_f32();
-        let factors: Vec<f32> = (0..8).map(|i| 0.5 + i as f32 * 0.1).collect();
-        let ell: Vec<f32> = (0..8).map(|i| 1.0 + i as f32).collect();
-
-        // Path A: fold then transform.
-        let mut folded = strided_sums(&o, 8);
-        rescale_rows(&mut folded, &factors);
-        normalize_rows(&mut folded, &ell);
-
-        // Path B: transform then fold.
-        let mut full = o.clone();
-        rescale_rows(&mut full, &factors);
-        normalize_rows(&mut full, &ell);
-        let folded_b = strided_sums(&full, 8);
-
-        assert!(folded.max_abs_diff(&folded_b) < 1e-4);
     }
 
     #[test]

@@ -217,18 +217,6 @@ pub fn correct_strided(c: &mut MatrixF32, mismatches: &[StridedMismatch], s: usi
     report
 }
 
-/// End-to-end helper: verify `c` against checksum results and correct.
-pub fn verify_and_correct_strided(
-    c: &mut MatrixF32,
-    check1: &MatrixF32,
-    check2: &MatrixF32,
-    s: usize,
-    chk: Check,
-) -> AbftReport {
-    let mismatches = verify_strided(c, check1, check2, s, chk);
-    correct_strided(c, &mismatches, s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,6 +232,18 @@ mod tests {
         let s_c1 = gemm_nt(q, &cs.w1);
         let s_c2 = gemm_nt(q, &cs.w2);
         (s_mat, s_c1, s_c2)
+    }
+
+    /// Verify `c` against its checksum results, then correct it in place.
+    fn verify_and_correct(
+        c: &mut MatrixF32,
+        check1: &MatrixF32,
+        check2: &MatrixF32,
+        s: usize,
+        chk: Check,
+    ) -> AbftReport {
+        let mismatches = verify_strided(c, check1, check2, s, chk);
+        correct_strided(c, &mismatches, s)
     }
 
     #[test]
@@ -281,7 +281,7 @@ mod tests {
         let truth = s_mat.clone();
         // Column 19 = residue 3, group 2 (l0 = 2, ratio 3).
         s_mat.set(6, 19, s_mat.get(6, 19) + 4.0);
-        let rep = verify_and_correct_strided(&mut s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0));
+        let rep = verify_and_correct(&mut s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0));
         assert_eq!(rep.detections, 1);
         assert_eq!(rep.corrected.len(), 1);
         assert_eq!((rep.corrected[0].row, rep.corrected[0].col), (6, 19));
@@ -301,7 +301,7 @@ mod tests {
             let col = t + 8 * (t % 4); // residues 0..8, varying groups
             s_mat.set(9, col, s_mat.get(9, col) + 3.0 + t as f32);
         }
-        let rep = verify_and_correct_strided(&mut s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0));
+        let rep = verify_and_correct(&mut s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0));
         assert_eq!(rep.corrected.len(), 8);
         assert_eq!(rep.uncorrectable, 0);
         assert!(s_mat.max_abs_diff(&truth) < 1e-2);
@@ -318,7 +318,7 @@ mod tests {
         // implausible, counted uncorrectable.
         s_mat.set(2, 3, s_mat.get(2, 3) + 5.0);
         s_mat.set(2, 11, s_mat.get(2, 11) + 5.0);
-        let rep = verify_and_correct_strided(&mut s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0));
+        let rep = verify_and_correct(&mut s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0));
         assert_eq!(rep.detections, 1);
         assert_eq!(rep.uncorrectable, 1);
         assert!(rep.corrected.is_empty());
@@ -408,7 +408,7 @@ mod tests {
             let truth = s_mat.clone();
             let e = if sign { magnitude } else { -magnitude };
             s_mat.set(row, col, s_mat.get(row, col) + e);
-            let rep = verify_and_correct_strided(&mut s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0));
+            let rep = verify_and_correct(&mut s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0));
             prop_assert_eq!(rep.corrected.len(), 1);
             prop_assert_eq!((rep.corrected[0].row, rep.corrected[0].col), (row, col));
             prop_assert!(s_mat.max_abs_diff(&truth) < 2e-2);

@@ -87,16 +87,6 @@ impl Thresholds {
             output: Check::new(0.05, 0.0),
         }
     }
-
-    /// Tight thresholds for exact-algebra unit tests (checksums not
-    /// quantised, so rounding noise is f32-level).
-    pub fn strict() -> Self {
-        Thresholds {
-            gemm: Check::new(1e-3, 1e-5),
-            exp_product: Check::new(1e-4, 0.0),
-            output: Check::new(1e-3, 1e-5),
-        }
-    }
 }
 
 #[cfg(test)]

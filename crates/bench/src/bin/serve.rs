@@ -26,17 +26,9 @@ use ft_transformer::{
 };
 use std::time::Instant;
 
-/// Index of the largest logit.
+/// Index of the first largest logit (the rows here hold no NaN).
 fn argmax(row: &[f32]) -> u32 {
-    let mut best = 0usize;
-    let mut best_v = f32::NEG_INFINITY;
-    for (i, &v) in row.iter().enumerate() {
-        if v > best_v {
-            best_v = v;
-            best = i;
-        }
-    }
-    best as u32
+    (0..row.len()).fold(0, |best, i| if row[i] > row[best] { i } else { best }) as u32
 }
 
 /// The pre-scheduler serving strategy: requests decoded one after another,
@@ -45,20 +37,11 @@ fn argmax(row: &[f32]) -> u32 {
 fn sequential_generate(model: &TransformerModel, prompt: &[u32], new_tokens: usize) -> Vec<u32> {
     let mut cache = model.new_cache();
     let mut tokens = prompt.to_vec();
-    let mut logits = None;
-    for &t in prompt {
-        let (l, _) = model.decode_step(t, &mut cache, &NoFaults);
-        logits = Some(l);
-    }
-    for i in 0..new_tokens {
-        if tokens.len() >= model.config.max_seq {
-            break;
-        }
-        let next = argmax(logits.as_ref().expect("prompt fed").row(0));
-        tokens.push(next);
-        if i + 1 < new_tokens && tokens.len() < model.config.max_seq {
-            let (l, _) = model.decode_step(next, &mut cache, &NoFaults);
-            logits = Some(l);
+    let end = (prompt.len() + new_tokens).min(model.config.max_seq);
+    for fed in 0..end - 1 {
+        let (logits, _) = model.decode_step(tokens[fed], &mut cache, &NoFaults);
+        if fed + 1 == tokens.len() {
+            tokens.push(argmax(logits.row(0)));
         }
     }
     tokens
@@ -73,19 +56,25 @@ fn main() {
     spec_sweep(args.smoke);
 }
 
-/// Run `f` `reps` times, hard-asserting determinism, and return its result
-/// with the minimum wall time (min-of-reps filters scheduler noise).
-fn timed<R: PartialEq + std::fmt::Debug>(reps: u32, f: impl Fn() -> R) -> (R, f64) {
-    let t0 = Instant::now();
-    let out = f();
-    let mut best = t0.elapsed().as_secs_f64();
-    for _ in 1..reps {
-        let t0 = Instant::now();
-        let again = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        assert_eq!(again, out, "timing reps must be deterministic");
+/// One decode run's result: tokens, drafted, accepted.
+type Run = (Vec<u32>, u64, u64);
+
+/// Run each of `runs` `reps` times, interleaved (one rep of each in turn,
+/// so both sides of a ratio see the same host load), hard-asserting
+/// determinism, and return each one's result with its minimum wall time
+/// (min-of-reps filters scheduler noise).
+fn timed_interleaved<const N: usize>(reps: u32, runs: [&dyn Fn() -> Run; N]) -> [(Run, f64); N] {
+    let mut best: [(Option<Run>, f64); N] = std::array::from_fn(|_| (None, f64::INFINITY));
+    for _ in 0..reps {
+        for (f, (first, t_min)) in runs.iter().zip(&mut best) {
+            let t0 = Instant::now();
+            let got = f();
+            *t_min = t_min.min(t0.elapsed().as_secs_f64());
+            let first = first.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, first, "timing reps must be deterministic");
+        }
     }
-    (out, best)
+    best.map(|(run, t)| (run.expect("reps >= 1"), t))
 }
 
 /// The speculative-decoding sweep: draft-then-verify decode with
@@ -140,7 +129,7 @@ fn spec_sweep(smoke: bool) {
         prefill_chunk: 16,
         ..Default::default()
     };
-    let run_with = |speculation: Option<SpeculationPolicy>| {
+    let run_with = |speculation: Option<SpeculationPolicy>| -> Run {
         let mut session = model.serve_with(sched);
         let mut req = GenerationRequest::new(prompt.clone(), gen_tokens);
         if let Some(policy) = speculation {
@@ -150,16 +139,12 @@ fn spec_sweep(smoke: bool) {
         let f = session.run(&NoFaults).into_iter().next().expect("finished");
         (f.tokens, f.spec_drafted, f.spec_accepted)
     };
+    let plain = || run_with(None);
+    let sequential = || -> Run { (sequential_generate(&model, &prompt, gen_tokens), 0, 0) };
 
-    let ((plain_tokens, _, _), t_plain) = timed(reps, || run_with(None));
+    // Greedy plain decode is the token oracle the scripts are built from.
+    let (plain_tokens, _, _) = plain();
     let oracle: Vec<u32> = plain_tokens[prompt_len..].to_vec();
-    let (seq_tokens, t_seq) = timed(reps, || sequential_generate(&model, &prompt, gen_tokens));
-    assert_eq!(
-        seq_tokens, plain_tokens,
-        "plain scheduled decode must match the sequential baseline"
-    );
-    let plain_tps = gen_tokens as f64 / t_plain;
-    let seq_tps = gen_tokens as f64 / t_seq;
 
     let mut table = TextTable::new(&[
         "forced accept",
@@ -191,11 +176,21 @@ fn spec_sweep(smoke: bool) {
         let policy = SpeculationPolicy::new(draft_len)
             .with_source(DraftSource::Scripted(script))
             .with_backoff(Some(2));
-        let ((tokens, drafted, accepted), t_spec) = timed(reps, || run_with(Some(policy.clone())));
+        let spec = || run_with(Some(policy.clone()));
+        // Plain, sequential and speculative reps alternate, so every gated
+        // ratio compares runs made under the same host load.
+        let [(_, t_plain), ((seq_tokens, _, _), t_seq), ((tokens, drafted, accepted), t_spec)] =
+            timed_interleaved(reps, [&plain, &sequential, &spec]);
+        assert_eq!(
+            seq_tokens, plain_tokens,
+            "plain scheduled decode must match the sequential baseline"
+        );
         assert_eq!(
             tokens, plain_tokens,
             "forced accept {rate}: speculative decode must be bit-identical to plain decode"
         );
+        let plain_tps = gen_tokens as f64 / t_plain;
+        let seq_tps = gen_tokens as f64 / t_seq;
         let spec_tps = gen_tokens as f64 / t_spec;
         let speedup = spec_tps / plain_tps;
         if rate >= 0.75 {
@@ -230,7 +225,7 @@ fn spec_sweep(smoke: bool) {
     print!("{}", table.render());
     println!(
         "draft_len {draft_len}, zero-accept backoff after 2 sweeps; prompt {prompt_len}, \
-         {gen_tokens} new tokens, min of {reps} reps"
+         {gen_tokens} new tokens, min of {reps} interleaved reps each"
     );
     println!(
         "hard-asserted: bit-identity at every rate, >= 1.3x plain at accept >= 0.75, \

@@ -188,20 +188,19 @@ pub trait AttentionBackend: Sync {
     /// over its [`KvCache`](crate::kv::KvCache) and return a
     /// `batch × heads × 1 × dim` output.
     ///
-    /// Every backend serves decode traffic; only EFTA kinds protect it,
-    /// verifying cache-resident state and the decode arithmetic itself.
-    /// The others run the unprotected [`reference_decode`].
+    /// Every backend serves decode traffic through
+    /// [`efta_decode`](crate::decode::efta_decode); only EFTA kinds protect
+    /// it, verifying cache-resident state and the decode arithmetic itself.
+    /// The others run it [`unprotected`](EftaOptions::unprotected): raw
+    /// cache reads, no checks — the baseline that *visibly corrupts* when
+    /// cached state is hit.
     ///
     /// Every implementation must honour the request's sliding-window knob
     /// ([`DecodeRequest::window`]) and front-evicted caches
     /// ([`KvCache::evict_front`](crate::kv::KvCache::evict_front)):
     /// windowed or evicted decode is bit-identical to decoding against a
     /// fresh cache holding only the attended blocks (pinned for every
-    /// [`BackendKind`] by `tests/eviction_equivalence.rs`). The shared
-    /// sweep body behind [`reference_decode`] and
-    /// [`efta_decode`](crate::decode::efta_decode) implements this.
-    ///
-    /// [`reference_decode`]: crate::decode::reference_decode
+    /// [`BackendKind`] by `tests/eviction_equivalence.rs`).
     fn try_decode(&self, req: &DecodeRequest<'_>) -> Result<AttentionOutput, BackendError>;
 
     /// [`try_decode`](AttentionBackend::try_decode), panicking on

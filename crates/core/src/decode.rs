@@ -52,13 +52,12 @@
 //! Both kernels take a *visible length* — the causal prefix of the cache a
 //! query row may attend to — and are called from exactly one place, the
 //! `(stream, slot)` sweep in [`crate::serve`]. Single-query decode
-//! ([`efta_decode`] / [`reference_decode`], behind
-//! [`AttentionBackend::try_decode`]) is that sweep over one one-row slice;
-//! chunked prefill is the same sweep over `c`-row slices, where a chunk's
-//! interior rows see only their own prefix of the trailing block (whose
-//! checksum operands are then folded over the visible rows of its verified
-//! copy, once per tile, exactly as a cache holding that prefix stores
-//! them).
+//! ([`efta_decode`], behind [`AttentionBackend::try_decode`]) is that sweep
+//! over one one-row slice; chunked prefill is the same sweep over `c`-row
+//! slices, where a chunk's interior rows see only their own prefix of the
+//! trailing block (whose checksum operands are then folded over the visible
+//! rows of its verified copy, once per tile, exactly as a cache holding that
+//! prefix stores them).
 //!
 //! The same visible-length machinery is what makes speculative decoding
 //! ([`SpeculationPolicy`](crate::serve::SpeculationPolicy)) free at this
@@ -591,16 +590,6 @@ pub(crate) fn efta_decode_tile(
     (o, report.merged(&tile_report))
 }
 
-/// Unprotected single-query decode: raw cache reads, online softmax, no
-/// checks. The default [`try_decode`] path for backends without a protected
-/// decode variant — and the baseline that *visibly corrupts* when cached
-/// state is hit.
-///
-/// [`try_decode`]: crate::backend::AttentionBackend::try_decode
-pub fn reference_decode(req: &DecodeRequest<'_>) -> Result<AttentionOutput, BackendError> {
-    efta_decode(req, &EftaOptions::unprotected())
-}
-
 /// EFTA-protected single-query decode (see the module docs for the
 /// protection layout): the serving sweep over one one-row slice, with the
 /// request's explicit step as the fault-coordinate namespace. Reads
@@ -687,7 +676,7 @@ mod tests {
             fill(&mut cache, &k, &v, t + 1);
             let qt = q_row(&q, t);
             let req = DecodeRequest::new(&cache, &qt).at_step(t);
-            let reference = reference_decode(&req).unwrap();
+            let reference = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
             let efta = efta_decode(&req, &EftaOptions::optimized()).unwrap();
             assert!(efta.report.clean(), "step {t}: {:?}", efta.report);
             for slot in 0..2 {
@@ -722,7 +711,7 @@ mod tests {
             fill(&mut short, &k, &v, vis);
             let qt = q_row(&q, vis - 1);
             let req = DecodeRequest::new(&short, &qt).at_step(vis - 1);
-            let want_ref = reference_decode(&req).unwrap();
+            let want_ref = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
             let want_efta = efta_decode(&req, &EftaOptions::optimized()).unwrap();
             for slot in 0..2 {
                 let q_raw = qt.slot_flat(slot).to_f32();
@@ -998,7 +987,7 @@ mod tests {
         assert!(protected.report.cache_corrected > 0);
         assert!(protected.o.max_abs_diff(&clean.o) < 5e-2);
 
-        let bare = reference_decode(&req).unwrap();
+        let bare = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
         assert!(bare.report.clean());
         assert!(
             bare.o.max_abs_diff(&clean.o) > 1e-2,
@@ -1015,7 +1004,7 @@ mod tests {
         let qt = q_row(&q, 11);
         let req = DecodeRequest::new(&cache, &qt).at_step(11);
         let a = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
-        let b = reference_decode(&req).unwrap();
+        let b = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
         assert_eq!(a.o.max_abs_diff(&b.o), 0.0);
     }
 
@@ -1026,7 +1015,7 @@ mod tests {
         fill(&mut cache, &k, &v, 10);
         let qt = q_row(&q, 9);
         let req = DecodeRequest::new(&cache, &qt).at_step(9);
-        let oracle = reference_decode(&req).unwrap();
+        let oracle = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
         for kind in BackendKind::all() {
             let out = kind
                 .try_decode(&req)

@@ -168,27 +168,26 @@ pub enum DraftSource {
 }
 
 /// Speculative-decoding knob of a [`GenerationRequest`]: draft-then-verify
-/// multi-token decode over the checksum-protected cache.
-///
-/// Each decode sweep feeds the last sampled token *plus* up to `draft_len`
-/// provisional tokens from the draft source as one fused multi-row chunk
-/// (the visible-length tiles — each row attends exactly its own causal
-/// prefix). Row `i`'s logits are sampled with the plain position-keyed
-/// rule and compared against draft `i + 1`: the accepted prefix plus one
-/// corrected/bonus token is committed, and `KvCache::truncate_to` rolls
-/// the rejected rows back before the next sweep. The emitted stream is
-/// **bit-identical to plain decode by construction** — speculation moves
-/// throughput, never tokens.
+/// multi-token decode over the checksum-protected cache. Each decode sweep
+/// feeds the last sampled token *plus* up to `draft_len` provisional tokens
+/// from the draft source as one multi-row chunk, each row attending exactly
+/// its own causal prefix. Row `i`'s logits are sampled with the plain
+/// position-keyed rule and checked against draft `i + 1`; the accepted
+/// prefix plus one corrected/bonus token is committed and
+/// `KvCache::truncate_to` rolls the rest back, so the emitted stream is
+/// **bit-identical to plain decode by construction**. The LM head runs on
+/// every drafted row: under faults the rows past a rejected draft still
+/// draw (and count in `fired()`), but their logits and head ledgers are
+/// dropped.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpeculationPolicy {
     /// Provisional tokens drafted per decode sweep (≥ 1; each sweep clamps
     /// it so the committed run cannot overshoot the token budget).
     pub draft_len: usize,
     /// Stop speculating for the stream after this many *consecutive*
-    /// verify sweeps that accepted zero drafts (`None` = never back off).
-    /// With the backoff engaged, a hostile accept rate degrades to plain
-    /// decode instead of paying draft-width sweeps forever — this is what
-    /// pins the serve bench's ≥ 1.0× floor at forced accept-rate 0.
+    /// verify sweeps that accepted zero drafts (`None` = never back off),
+    /// so a hostile accept rate degrades to plain decode instead of paying
+    /// draft-width sweeps forever (the serve bench's accept-0 floor).
     pub backoff_after: Option<u32>,
     /// Draft source.
     pub source: DraftSource,

@@ -677,30 +677,14 @@ impl DecodeScheduler {
         s.recoveries
     }
 
-    /// Park an active stream: give up its slot, drop the materialized-cache
-    /// claim (the caller must drop the cache itself — see
-    /// [`drain_parked`](DecodeScheduler::drain_parked)), and requeue it
+    /// Park active stream `i`: give up its slot, drop the
+    /// materialized-cache claim (the caller must drop the cache itself —
+    /// see [`drain_parked`](DecodeScheduler::drain_parked)), and requeue it
     /// with its emitted history as the new prefill source, exactly like a
     /// recovery [`requeue`](DecodeScheduler::requeue) but without touching
     /// the recovery accounting. Resumption replays the history through
     /// chunked re-prefill, which is bit-identical to the uninterrupted run
     /// under deterministic sampling.
-    ///
-    /// Returns `false` (a no-op) when the stream is not active, is awaiting
-    /// its [`record`](DecodeScheduler::record), or is already done. For
-    /// callers that stage a park themselves; the serving loop leaves victims
-    /// to [`plan`](DecodeScheduler::plan) and [`export`](DecodeScheduler::export).
-    pub fn park(&mut self, stream: StreamId) -> bool {
-        let Some(i) = self.active.iter().position(|s| s.id == stream) else {
-            return false;
-        };
-        if self.active[i].inflight || self.active[i].done() {
-            return false;
-        }
-        self.park_index(i);
-        true
-    }
-
     fn park_index(&mut self, i: usize) {
         let mut s = self.active.remove(i);
         s.fed = 0;
@@ -793,26 +777,16 @@ impl DecodeScheduler {
         self.pending.pop_back()
     }
 
-    /// Remove a *pending* stream so another scheduler can adopt it (work
-    /// migration between shards). Only queued streams can be extracted —
-    /// an active stream must be [`park`](DecodeScheduler::park)ed first,
-    /// which resets its prefill bookkeeping so the whole emitted history
-    /// replays through chunked re-prefill on the adopting shard. The
-    /// extracted state carries every ledger (tokens, recoveries,
-    /// preemptions, speculation counters, fault report), so attribution
-    /// follows the stream. Returns `None` when the stream is not pending.
-    pub fn extract_pending(&mut self, stream: StreamId) -> Option<StreamState> {
-        let i = self.pending.iter().position(|s| s.id == stream)?;
-        self.pending.remove(i)
-    }
-
-    /// Adopt a stream extracted from another scheduler (the receiving half
-    /// of [`extract_pending`](DecodeScheduler::extract_pending)). The id
-    /// must be unknown here — fleet-wide unique ids are the router's job —
-    /// and the local id allocator is bumped past it so local submissions
-    /// can never collide. Queue aging restarts on the local tick; if the
-    /// stream was parked on the donor, its re-admission here still logs a
-    /// resume.
+    /// Adopt a stream [`export`](DecodeScheduler::export)ed by another
+    /// scheduler (work migration between shards). The state carries every
+    /// ledger (tokens, recoveries, preemptions, speculation counters, fault
+    /// report), so attribution follows the stream, and a stream parked on
+    /// the way out replays its whole emitted history through chunked
+    /// re-prefill here. The id must be unknown here — fleet-wide unique ids
+    /// are the router's job — and the local id allocator is bumped past it
+    /// so local submissions can never collide. Queue aging restarts on the
+    /// local tick; if the stream was parked on the donor, its re-admission
+    /// here still logs a resume.
     pub fn adopt_pending(&mut self, mut s: StreamState) {
         let id = s.id;
         assert!(
@@ -1354,16 +1328,24 @@ mod tests {
     }
 
     #[test]
-    fn park_refuses_inflight_and_unknown_streams() {
+    fn export_never_parks_an_inflight_or_finished_stream() {
         let mut sched = DecodeScheduler::new(SchedulerConfig::default());
         let a = sched.submit_request(GenerationRequest::new(vec![1], 2));
-        assert!(!sched.park(a), "pending, not active");
+        let b = sched.submit_request(GenerationRequest::new(vec![2], 1));
         sched.plan();
-        assert!(!sched.park(a), "in-flight streams cannot be parked");
+        assert!(
+            sched.export().is_none(),
+            "in-flight streams cannot be parked"
+        );
         sched.record(a, Some(10), &FtReport::default());
-        assert!(sched.park(a));
+        sched.record(b, Some(20), &FtReport::default());
+        let parked = sched.export().expect("a sampled and has budget left");
+        assert_eq!(parked.id, a, "b met its budget");
         assert_eq!(sched.drain_parked(), vec![a]);
-        assert!(!sched.park(StreamId(99)), "unknown stream");
+        assert!(
+            sched.export().is_none(),
+            "a finished stream cannot be parked"
+        );
     }
 
     #[test]
@@ -1492,7 +1474,7 @@ mod tests {
     }
 
     #[test]
-    fn extract_and_adopt_move_a_pending_stream_between_schedulers() {
+    fn export_and_adopt_move_a_pending_stream_between_schedulers() {
         let one_slot = SchedulerConfig {
             max_active: 1,
             preempt: true,
@@ -1503,11 +1485,12 @@ mod tests {
         let b = donor.submit_request(GenerationRequest::new(vec![3, 4, 5], 2));
         donor.plan();
         donor.record(a, Some(9), &FtReport::default());
-        assert!(donor.extract_pending(a).is_none(), "active ≠ extractable");
         assert_eq!((donor.pending_len(), donor.active_len()), (1, 1));
-        assert!(donor.active_stream(a).is_some());
 
-        let moved = donor.extract_pending(b).expect("b is queued");
+        let moved = donor.export().expect("b is queued");
+        assert_eq!(moved.id, b, "the queued stream goes before a park");
+        assert!(donor.drain_parked().is_empty(), "nothing was parked");
+        assert!(donor.active_stream(a).is_some());
         assert_eq!(donor.pending_len(), 0);
         let mut thief = DecodeScheduler::new(one_slot);
         thief.adopt_pending(moved);
@@ -1537,7 +1520,8 @@ mod tests {
         let mut other = DecodeScheduler::new(SchedulerConfig::default());
         let id = other.submit_request(GenerationRequest::new(vec![2], 1));
         // Force the same id as `a` to provoke the collision guard.
-        let mut moved = other.extract_pending(id).unwrap();
+        let mut moved = other.export().unwrap();
+        assert_eq!(moved.id, id);
         moved.id = a;
         sched.adopt_pending(moved);
     }

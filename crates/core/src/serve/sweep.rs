@@ -19,10 +19,9 @@
 //!   once per sweep. Each row's accumulation order inside the tile is the
 //!   one a one-row tile over its own causal prefix runs, so a scheduled
 //!   stream is bit-identical to the same stream decoded alone — and
-//!   single-query decode ([`reference_decode`] / [`efta_decode`]) *is* this
-//!   sweep over one one-row slice.
+//!   single-query decode ([`efta_decode`]) *is* this sweep over one one-row
+//!   slice.
 //!
-//! [`reference_decode`]: crate::decode::reference_decode
 //! [`efta_decode`]: crate::decode::efta_decode
 
 use super::request::StreamId;

@@ -168,12 +168,6 @@ impl F16 {
         f32::from_bits(sign | bits)
     }
 
-    /// Convert from `f64` (via `f32`, double rounding is acceptable here as
-    /// workloads are generated in f32 space).
-    pub fn from_f64(value: f64) -> Self {
-        Self::from_f32(value as f32)
-    }
-
     /// Widening conversion to `f64`.
     pub fn to_f64(self) -> f64 {
         self.to_f32() as f64

@@ -43,17 +43,6 @@ impl<T: Copy + Default> Matrix<T> {
         Matrix { rows, cols, data }
     }
 
-    /// Build from a flat row-major vector; panics if the length mismatches.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "matrix data length {} != {rows}x{cols}",
-            data.len()
-        );
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -94,11 +83,6 @@ impl<T: Copy + Default> Matrix<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Consume into the flat storage vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 
     /// Borrow one row as a slice.
@@ -235,22 +219,6 @@ impl MatrixF32 {
             .fold(0.0, f32::max)
     }
 
-    /// Max relative element-wise difference, with an absolute floor to avoid
-    /// blowing up near zero.
-    pub fn max_rel_diff(&self, other: &MatrixF32) -> f32 {
-        assert_eq!(self.shape(), other.shape());
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs() / a.abs().max(b.abs()).max(1e-6))
-            .fold(0.0, f32::max)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
@@ -367,7 +335,6 @@ mod tests {
         let mut b = a.clone();
         b.set(1, 1, 1.5);
         assert_eq!(a.max_abs_diff(&b), 0.5);
-        assert!((a.max_rel_diff(&b) - 0.5 / 1.5).abs() < 1e-6);
     }
 
     #[test]

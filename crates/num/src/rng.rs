@@ -2,12 +2,12 @@
 //!
 //! Every experiment in the harness must be reproducible from a single u64
 //! seed. This module centralises the RNG plumbing: matrices/tensors of
-//! standard-normal or uniform values at a chosen scale, quantised through
-//! binary16 so operands are exactly representable at the precision the
-//! kernels consume.
+//! standard-normal values at a chosen scale, quantised through binary16 so
+//! operands are exactly representable at the precision the kernels
+//! consume.
 
 use crate::f16::F16;
-use crate::matrix::{MatrixF16, MatrixF32};
+use crate::matrix::MatrixF16;
 use crate::tensor::Tensor4F16;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,22 +41,6 @@ pub fn sample_normal(rng: &mut SmallRng) -> f32 {
 /// Random normal matrix, scaled by `scale`, values quantised through f16.
 pub fn normal_matrix_f16(rng: &mut SmallRng, rows: usize, cols: usize, scale: f32) -> MatrixF16 {
     MatrixF16::from_fn(rows, cols, |_, _| F16::from_f32(sample_normal(rng) * scale))
-}
-
-/// Random normal matrix in f32.
-pub fn normal_matrix_f32(rng: &mut SmallRng, rows: usize, cols: usize, scale: f32) -> MatrixF32 {
-    MatrixF32::from_fn(rows, cols, |_, _| sample_normal(rng) * scale)
-}
-
-/// Random uniform matrix on `[lo, hi)` quantised through f16.
-pub fn uniform_matrix_f16(
-    rng: &mut SmallRng,
-    rows: usize,
-    cols: usize,
-    lo: f32,
-    hi: f32,
-) -> MatrixF16 {
-    MatrixF16::from_fn(rows, cols, |_, _| F16::from_f32(rng.gen_range(lo..hi)))
 }
 
 /// Random normal attention tensor `batch × heads × seq × dim`; the usual
@@ -115,15 +99,5 @@ mod tests {
     fn tensor_generator_uses_requested_shape() {
         let t = normal_tensor_f16(1, 2, 3, 16, 8, 0.5);
         assert_eq!((t.batch(), t.heads(), t.seq(), t.dim()), (2, 3, 16, 8));
-    }
-
-    #[test]
-    fn uniform_matrix_respects_bounds() {
-        let mut rng = rng_from_seed(5);
-        let m = uniform_matrix_f16(&mut rng, 16, 16, -2.0, 2.0);
-        for (_, _, v) in m.iter_indexed() {
-            let f = v.to_f32();
-            assert!((-2.0..=2.0).contains(&f));
-        }
     }
 }

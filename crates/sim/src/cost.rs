@@ -67,11 +67,6 @@ impl CostModel {
         let serial = stats.serial_flops as f64 / (self.fp32_peak_flops * self.efficiency);
         stats.launches as f64 * self.kernel_launch + mem.max(compute) + serial
     }
-
-    /// Time in milliseconds (the unit the paper's tables use).
-    pub fn kernel_time_ms(&self, stats: &KernelStats) -> f64 {
-        self.kernel_time(stats) * 1e3
-    }
 }
 
 /// A labelled sequence of kernel executions; the unit of comparison between
@@ -107,16 +102,6 @@ impl Timeline {
     /// Total simulated time under `model`: kernels execute sequentially.
     pub fn simulated_time(&self, model: &CostModel) -> f64 {
         self.records.iter().map(|(_, s)| model.kernel_time(s)).sum()
-    }
-
-    /// Simulated time of records whose label contains `needle` — used for
-    /// the overhead breakdown of Fig. 10.
-    pub fn simulated_time_matching(&self, model: &CostModel, needle: &str) -> f64 {
-        self.records
-            .iter()
-            .filter(|(l, _)| l.contains(needle))
-            .map(|(_, s)| model.kernel_time(s))
-            .sum()
     }
 }
 
@@ -189,16 +174,11 @@ mod tests {
     }
 
     #[test]
-    fn timeline_total_and_matching() {
+    fn timeline_total_sums_every_record() {
         let mut t = Timeline::new();
         t.push("gemm1/protect", stats(1, 10, 10, 100));
         t.push("softmax", stats(1, 20, 20, 0));
         t.push("gemm2/protect", stats(1, 30, 30, 300));
         assert_eq!(t.total().hbm_read, 60);
-        let m = CostModel::a100_pcie_40gb();
-        let protect = t.simulated_time_matching(&m, "protect");
-        let all = t.simulated_time(&m);
-        assert!(protect < all);
-        assert!(protect > 0.0);
     }
 }

@@ -1,18 +1,18 @@
-//! Simulated GPU device: HBM with capacity + traffic accounting, kernel
-//! launch bookkeeping.
+//! Simulated GPU device: HBM with capacity accounting, and the per-kernel
+//! statistics record.
 //!
 //! The paper's performance story is architectural, not micro-architectural:
 //! the decoupled baseline launches three kernels and moves the O(n²) S and P
 //! tensors through HBM, the fused EFTA kernel launches once and keeps score
-//! tiles on chip. `Device` measures exactly those quantities — bytes
-//! read/written to HBM, peak residency against a 40 GB capacity (the OOM in
-//! Fig. 9), and kernel launches — so the cost model can turn any kernel run
-//! into simulated A100 time.
+//! tiles on chip. Each kernel's census reports exactly those quantities as
+//! a [`KernelStats`] — bytes read/written to HBM, FLOPs per unit, kernel
+//! launches — so the cost model can turn any kernel run into simulated A100
+//! time; [`Hbm`] tracks peak residency against a 40 GB capacity (the OOM in
+//! Fig. 9).
 //!
-//! Counters are atomics: kernels update them from rayon workers.
+//! Residency counters are atomics: kernels allocate from rayon workers.
 
 use core::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Error returned when an allocation exceeds simulated HBM capacity.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,84 +76,6 @@ impl KernelStats {
     /// Total HBM traffic.
     pub fn hbm_total(&self) -> u64 {
         self.hbm_read + self.hbm_written
-    }
-}
-
-/// Thread-safe accumulator for [`KernelStats`], updated by parallel workers.
-#[derive(Debug, Default)]
-pub struct StatsCollector {
-    launches: AtomicU64,
-    hbm_read: AtomicU64,
-    hbm_written: AtomicU64,
-    tc_flops: AtomicU64,
-    fp32_flops: AtomicU64,
-    sfu_ops: AtomicU64,
-    serial_flops: AtomicU64,
-}
-
-impl StatsCollector {
-    /// Fresh zeroed collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one kernel launch.
-    pub fn launch(&self) {
-        self.launches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an HBM read of `bytes`.
-    pub fn read(&self, bytes: u64) {
-        self.hbm_read.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record an HBM write of `bytes`.
-    pub fn write(&self, bytes: u64) {
-        self.hbm_written.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record tensor-core FLOPs.
-    pub fn tc(&self, flops: u64) {
-        self.tc_flops.fetch_add(flops, Ordering::Relaxed);
-    }
-
-    /// Record FP32 CUDA-core FLOPs.
-    pub fn fp32(&self, flops: u64) {
-        self.fp32_flops.fetch_add(flops, Ordering::Relaxed);
-    }
-
-    /// Record SFU (exponential) operations.
-    pub fn sfu(&self, ops: u64) {
-        self.sfu_ops.fetch_add(ops, Ordering::Relaxed);
-    }
-
-    /// Record serialized (non-overlapping) FP32 work.
-    pub fn serial(&self, flops: u64) {
-        self.serial_flops.fetch_add(flops, Ordering::Relaxed);
-    }
-
-    /// Snapshot the accumulated stats.
-    pub fn snapshot(&self) -> KernelStats {
-        KernelStats {
-            launches: self.launches.load(Ordering::Relaxed),
-            hbm_read: self.hbm_read.load(Ordering::Relaxed),
-            hbm_written: self.hbm_written.load(Ordering::Relaxed),
-            tc_flops: self.tc_flops.load(Ordering::Relaxed),
-            fp32_flops: self.fp32_flops.load(Ordering::Relaxed),
-            sfu_ops: self.sfu_ops.load(Ordering::Relaxed),
-            serial_flops: self.serial_flops.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.launches.store(0, Ordering::Relaxed);
-        self.hbm_read.store(0, Ordering::Relaxed);
-        self.hbm_written.store(0, Ordering::Relaxed);
-        self.tc_flops.store(0, Ordering::Relaxed);
-        self.fp32_flops.store(0, Ordering::Relaxed);
-        self.sfu_ops.store(0, Ordering::Relaxed);
-        self.serial_flops.store(0, Ordering::Relaxed);
     }
 }
 
@@ -236,13 +158,11 @@ impl Drop for Allocation<'_> {
     }
 }
 
-/// A simulated device: HBM plus a stats collector.
+/// A simulated device: its HBM.
 #[derive(Debug)]
 pub struct Device {
     /// High-bandwidth memory model.
     pub hbm: Hbm,
-    /// Kernel statistics collector.
-    pub stats: Arc<StatsCollector>,
 }
 
 /// 40 GB, the A100-PCIE card in the paper's testbed.
@@ -258,7 +178,6 @@ impl Device {
     pub fn with_capacity(capacity: u64) -> Self {
         Device {
             hbm: Hbm::new(capacity),
-            stats: Arc::new(StatsCollector::new()),
         }
     }
 }
@@ -304,26 +223,6 @@ mod tests {
         let _p = p.unwrap();
         // Q,K,V,O + checksums push it over: another S-sized scratch fails.
         assert!(dev.hbm.alloc(s_bytes).is_err());
-    }
-
-    #[test]
-    fn stats_collector_accumulates_and_snapshots() {
-        let s = StatsCollector::new();
-        s.launch();
-        s.launch();
-        s.read(100);
-        s.write(50);
-        s.tc(1_000);
-        s.fp32(10);
-        s.sfu(5);
-        let snap = s.snapshot();
-        assert_eq!(snap.launches, 2);
-        assert_eq!(snap.hbm_read, 100);
-        assert_eq!(snap.hbm_written, 50);
-        assert_eq!(snap.hbm_total(), 150);
-        assert_eq!(snap.tc_flops, 1_000);
-        s.reset();
-        assert_eq!(s.snapshot(), KernelStats::default());
     }
 
     #[test]

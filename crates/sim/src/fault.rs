@@ -218,11 +218,6 @@ pub trait FaultInjector: Sync {
         0
     }
 
-    /// True when the injector can never fire (lets hot loops skip hashing).
-    fn is_noop(&self) -> bool {
-        false
-    }
-
     /// False only when no query at `site` can ever fire, so a kernel may
     /// skip asking: the injected GEMMs run their clean kernel and make the
     /// per-chain [`decide_chain`](FaultInjector::decide_chain) queries only
@@ -231,11 +226,11 @@ pub trait FaultInjector: Sync {
     ///
     /// Must be conservative: `true` is always correct, `false` promises that
     /// every query at `site` returns the clean value with no side effect
-    /// (no [`fired`](FaultInjector::fired) count). The default is
-    /// `!is_noop()`.
+    /// (no [`fired`](FaultInjector::fired) count). The default is `true`
+    /// at every site.
     fn may_fire(&self, site: FaultSite) -> bool {
         let _ = site;
-        !self.is_noop()
+        true
     }
 }
 
@@ -253,8 +248,8 @@ impl FaultInjector for NoFaults {
         value
     }
     #[inline]
-    fn is_noop(&self) -> bool {
-        true
+    fn may_fire(&self, _: FaultSite) -> bool {
+        false
     }
 }
 
@@ -482,10 +477,6 @@ impl FaultInjector for BerInjector {
         self.fired.load(Ordering::Relaxed)
     }
 
-    fn is_noop(&self) -> bool {
-        self.ber <= 0.0
-    }
-
     fn may_fire(&self, site: FaultSite) -> bool {
         self.ber > 0.0 && self.eligible(site)
     }
@@ -511,9 +502,6 @@ impl<I: FaultInjector + ?Sized> FaultInjector for &I {
     fn fired(&self) -> u64 {
         (**self).fired()
     }
-    fn is_noop(&self) -> bool {
-        (**self).is_noop()
-    }
 }
 
 #[cfg(test)]
@@ -526,7 +514,7 @@ mod tests {
         let c = OpCoord::new(0, 1, 2, 3);
         assert_eq!(inj.corrupt_f32(FaultSite::ExpUnit, c, 1.5), 1.5);
         assert_eq!(inj.corrupt_f16(FaultSite::ExpUnit, c, F16::ONE), F16::ONE);
-        assert!(inj.is_noop());
+        assert!(FaultSite::ALL.iter().all(|&s| !inj.may_fire(s)));
         assert_eq!(inj.fired(), 0);
     }
 
@@ -563,7 +551,7 @@ mod tests {
             let v = inj.corrupt_f32(FaultSite::ExpUnit, OpCoord::new(0, i, 0, 0), 1.0);
             assert_eq!(v, 1.0);
         }
-        assert!(inj.is_noop());
+        assert!(FaultSite::ALL.iter().all(|&s| !inj.may_fire(s)));
     }
 
     #[test]
@@ -667,7 +655,7 @@ mod tests {
             assert_eq!(restricted.may_fire(s), s == FaultSite::ExpUnit, "{s:?}");
             assert_eq!(by_ref(&restricted).may_fire(s), restricted.may_fire(s));
         }
-        // The default is `!is_noop()`: conservative at every site.
+        // The default is `true`: conservative at every site.
         assert!(all.iter().all(|&s| Defaults(&restricted).may_fire(s)));
         assert!(all.iter().all(|&s| Defaults(&zero).may_fire(s)));
     }

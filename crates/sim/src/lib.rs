@@ -27,7 +27,7 @@ pub mod mma;
 pub mod tiled;
 
 pub use cost::{CostModel, Timeline};
-pub use device::{Device, Hbm, KernelStats, OomError, StatsCollector};
+pub use device::{Device, Hbm, KernelStats, OomError};
 pub use fault::{
     BerInjector, ChainFault, FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector,
 };

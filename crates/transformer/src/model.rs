@@ -357,15 +357,6 @@ impl TransformerModel {
         ServeSession::new(self, cfg)
     }
 
-    /// Open a serving session that *owns* the model — the `Send` form a
-    /// push-based serving loop moves onto its worker thread (see
-    /// [`Fleet`](crate::fleet::Fleet)). Scheduling behavior is identical
-    /// to [`serve_with`](TransformerModel::serve_with); clone the model
-    /// first if the caller needs to keep using it.
-    pub fn into_serve(self, cfg: SchedulerConfig) -> ServeSession<TransformerModel> {
-        ServeSession::new(self, cfg)
-    }
-
     /// One batched decode sweep over many streams — the session's third
     /// phase: per stream, embed its fed tokens at the cache's next
     /// positions; per layer, expose every stream's cache to the injector
@@ -379,7 +370,7 @@ impl TransformerModel {
     /// fault ledger attributed to that stream alone (every layer's sites,
     /// layers [`merged`](FtReport::merged)). The vocab-wide LM head is not
     /// run here: the session's `head` phase runs it once over every
-    /// stream's sample rows, or per row where faults can reach it.
+    /// stream's sample rows.
     fn run_sweep<I: FaultInjector>(
         &self,
         feeds: &[SweepFeed],
@@ -521,7 +512,8 @@ fn argmax(row: &[f32]) -> usize {
 mod tests {
     use super::*;
     use ft_core::efta::EftaOptions;
-    use ft_sim::{FaultSite, NoFaults, OpCoord, SeuInjector};
+    use ft_num::F16;
+    use ft_sim::{BerInjector, ChainFault, FaultSite, NoFaults, OpCoord, SeuInjector};
 
     fn tiny_config() -> ModelConfig {
         ModelConfig {
@@ -838,7 +830,8 @@ mod tests {
         }
 
         // The oracle: each stream alone, under an injector that may fire at
-        // `LinearAccum` (so the head runs per row) but matches no chain.
+        // `LinearAccum` (so every head row takes its fault pass) but matches
+        // no chain.
         let miss = SeuInjector::new(FaultSite::LinearAccum, OpCoord::new(usize::MAX, 0, 0, 0), 3);
         let alone = |req: &GenerationRequest, id: StreamId| {
             let mut session = model.serve();
@@ -883,6 +876,112 @@ mod tests {
         assert!(
             spec.spec_accepted > 0,
             "the speculative stream accepted drafts"
+        );
+    }
+
+    /// `inj` with the LM head's fault coordinates (slot `usize::MAX / 2`)
+    /// masked out: every other draw is `inj`'s.
+    struct NotHead<'a>(&'a BerInjector);
+
+    impl NotHead<'_> {
+        fn head(coord: OpCoord) -> bool {
+            coord.slot == (usize::MAX / 2) as u64
+        }
+    }
+
+    impl FaultInjector for NotHead<'_> {
+        fn corrupt_f32(&self, site: FaultSite, coord: OpCoord, value: f32) -> f32 {
+            if Self::head(coord) {
+                value
+            } else {
+                self.0.corrupt_f32(site, coord, value)
+            }
+        }
+        fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: F16) -> F16 {
+            if Self::head(coord) {
+                value
+            } else {
+                self.0.corrupt_f16(site, coord, value)
+            }
+        }
+        fn decide_chain(
+            &self,
+            site: FaultSite,
+            coord: OpCoord,
+            k_len: usize,
+        ) -> Option<ChainFault> {
+            (!Self::head(coord))
+                .then(|| self.0.decide_chain(site, coord, k_len))
+                .flatten()
+        }
+        fn may_fire(&self, site: FaultSite) -> bool {
+            self.0.may_fire(site)
+        }
+    }
+
+    #[test]
+    fn protected_head_keeps_every_stream_ledger_under_ber() {
+        use ft_core::serve::SamplingMode;
+        let mut model =
+            TransformerModel::random(17, tiny_config(), BackendKind::Flash).with_causal(true);
+        model.lm_head = model.lm_head.with_protection(LinearProtection::StridedAbft);
+        // Every head row draws at `(usize::MAX / 2, row 0)`, so the head's
+        // draws repeat across rows: the rate is high enough that some of
+        // its few distinct chains fire.
+        let ber = || BerInjector::new(29, 2e-3).with_sites(&[FaultSite::LinearAccum]);
+        // Serve `reqs` in one session; returns the retired streams and the
+        // most streams any sweep carried.
+        let serve = |reqs: &[(StreamId, GenerationRequest)], inj: &dyn FaultInjector| {
+            let mut session = model.serve_with(SchedulerConfig {
+                max_active: 4,
+                ..Default::default()
+            });
+            for (id, req) in reqs {
+                session.submit_request_with_id(req.clone(), *id);
+            }
+            let mut widest = 0;
+            while !session.idle() {
+                session.sweep_events(&inj);
+                widest = widest.max(session.active_streams());
+            }
+            (session.take_finished(), widest)
+        };
+        let reqs: Vec<(StreamId, GenerationRequest)> = (0..4u32)
+            .map(|s| {
+                let prompt = (0..5 + s).map(|i| (i * 11 + s) % 101).collect();
+                let req = GenerationRequest::new(prompt, 8);
+                let req = if s == 1 {
+                    req.with_sampling(SamplingMode::TopK { k: 4, seed: 5 })
+                } else {
+                    req
+                };
+                (StreamId(u64::from(s)), req)
+            })
+            .collect();
+
+        let (together, widest) = serve(&reqs, &ber());
+        assert!(widest >= 3, "at least three streams share a sweep");
+        for (f, req) in together.iter().zip(&reqs) {
+            let (alone, _) = serve(std::slice::from_ref(req), &ber());
+            assert_eq!(f.id, req.0);
+            assert_eq!(f.tokens, alone[0].tokens, "{}: tokens", f.id);
+            assert_eq!(f.attention, alone[0].attention, "{}: ledger", f.id);
+        }
+
+        // The same run with the head's draws masked: the same tokens, and
+        // strictly fewer linear detections — the difference is the head's.
+        let linear =
+            |fs: &[FinishedStream]| -> u64 { fs.iter().map(|f| f.attention.linear_detected).sum() };
+        let inj = ber();
+        let (masked, _) = serve(&reqs, &NotHead(&inj));
+        for (a, b) in together.iter().zip(&masked) {
+            assert_eq!(a.tokens, b.tokens, "{}: the protected head repairs", a.id);
+        }
+        assert!(
+            linear(&together) > linear(&masked),
+            "the protected head detected faults: {} vs {} without head draws",
+            linear(&together),
+            linear(&masked)
         );
     }
 

@@ -5,7 +5,6 @@
 //! [`ServeSession`].
 
 use super::{argmax, ModelKvCache, SweepFeed, TransformerModel};
-use crate::linear::LinearProtection;
 use ft_core::kv::{CacheMark, SizeBreakdown};
 use ft_core::protect::ProtectionLevel;
 use ft_core::serve::{
@@ -14,8 +13,7 @@ use ft_core::serve::{
 };
 use ft_core::types::FtReport;
 use ft_num::{Matrix, MatrixF32};
-use ft_sim::{FaultInjector, FaultSite};
-use std::borrow::Cow;
+use ft_sim::FaultInjector;
 
 /// A retired serving stream: its full token history, fault accounting, and
 /// lifecycle outcome.
@@ -76,7 +74,7 @@ pub struct FinishedStream {
 ///   feed       pair plan items with caches
 ///   run_sweep  embed → layers (shared attention fan-out, per-stream
 ///              windows) → final norm of the sampling rows
-///   head       LM head over every sampling row (or per row)
+///   head       LM head over every sampling row: one GEMM, one ledger per row
 ///   settle     events: FaultCorrected / EvictedBlocks / CachePoisoned
 ///              → RecoveryPolicy::decide: Recovering (truncate or drop
 ///                the cache, re-prefill history), Finished(AbortedPoisoned),
@@ -94,13 +92,19 @@ pub struct FinishedStream {
 /// successful recovery bit-identical to an undamaged run (pinned by
 /// `tests/engine_recovery.rs`).
 ///
+/// The LM head is fault-passed and verified on every sampling row a sweep
+/// computes. Under speculation that includes the rows past a rejected
+/// draft: their fault draws happen (and count in
+/// [`fired`](FaultInjector::fired)), but their tokens are never sampled
+/// and their head ledgers are dropped along with their logits.
+///
 /// [`TransformerModel::generate`] is the one-stream special case.
 ///
 /// The session is generic over model *ownership*: `M` is anything that
 /// borrows a [`TransformerModel`] — `&TransformerModel` for the classic
-/// in-thread session ([`TransformerModel::serve`]), or the model itself
-/// for the owned, `Send` session a serving loop moves onto its worker
-/// thread ([`TransformerModel::into_serve`]).
+/// in-thread session ([`TransformerModel::serve`]), or a shared
+/// `Arc<TransformerModel>` for the `Send` session a serving loop moves onto
+/// its worker thread ([`Fleet`](crate::fleet::Fleet)).
 pub struct ServeSession<M: core::borrow::Borrow<TransformerModel> = TransformerModel> {
     model: M,
     scheduler: DecodeScheduler,
@@ -115,9 +119,8 @@ pub struct ServeSession<M: core::borrow::Borrow<TransformerModel> = TransformerM
 
 impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     /// Open a session over `model` (borrowed or owned) with the given
-    /// scheduler sizing — the common constructor behind
-    /// [`TransformerModel::serve_with`] and
-    /// [`TransformerModel::into_serve`].
+    /// scheduler sizing — the constructor behind
+    /// [`TransformerModel::serve_with`].
     pub fn new(model: M, cfg: SchedulerConfig) -> Self {
         let (bytes_per_token, block) = {
             let m: &TransformerModel = model.borrow();
@@ -195,11 +198,12 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     }
 
     /// Drain the events queued since the last
-    /// [`sweep_events`](ServeSession::sweep_events) without sweeping —
-    /// park transitions driven from outside a sweep (an explicit
-    /// [`park_stream`](ServeSession::park_stream), work migration) queue
-    /// their events here, and the serving loop must route them before
-    /// shipping a stream elsewhere.
+    /// [`sweep_events`](ServeSession::sweep_events) without sweeping — a
+    /// park driven from outside a sweep ([`export_stream`], work migration)
+    /// queues its `Preempted` here, and the serving loop must route it
+    /// before shipping the stream elsewhere.
+    ///
+    /// [`export_stream`]: ServeSession::export_stream
     pub fn drain_events(&mut self) -> Vec<EngineEvent> {
         self.absorb_park_resume();
         std::mem::take(&mut self.events)
@@ -224,7 +228,8 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
             let (feeds, slots) = self.feed(plan);
             let results = self.run_sweep(&feeds, &slots, inj);
             let head = self.head(&feeds, &results, inj);
-            self.settle(&feeds, &slots, results, &head, inj);
+            let ledgers = results.into_iter().map(|(_, ledger)| ledger).collect();
+            self.settle(&feeds, &slots, ledgers, &head);
         }
         self.collect_finished();
     }
@@ -296,25 +301,19 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     /// Phase 4: the vocab-wide LM head once per sweep — every sampling row
     /// of every feed stacked into one GEMM, so the head's packed weight
     /// streams through the cache once per sweep instead of once per emitted
-    /// token. Row `r` of the result is bit-identical to a one-row forward
-    /// of stacked row `r` (every logit is the same chain). [`Head::PerRow`]
-    /// — evaluate per row instead — when no feed samples, and when the head
-    /// could fire or keep a ledger: BER draws, `fired()` and head
-    /// detections then stay per (stream, row). Under speculation, rows past
-    /// a rejected draft are computed here and dropped. Feed `f` owns the
-    /// next `f.sample_rows` stacked rows — the offsets `settle` reads.
+    /// token. Each row is its own one-row segment of
+    /// [`Linear::forward_stacked`](crate::linear::Linear::forward_stacked):
+    /// its logits, fault draws (at `(usize::MAX / 2, row 0)`), verify,
+    /// repair and ledger are exactly a one-row `forward` of that row. Feed
+    /// `f` owns the next `f.sample_rows` rows — the offsets `settle` reads —
+    /// and a sweep that samples nothing runs no head.
     fn head<I: FaultInjector>(
         &self,
         feeds: &[SweepFeed],
         results: &[(Option<MatrixF32>, FtReport)],
         inj: &I,
-    ) -> Head {
+    ) -> (MatrixF32, Vec<FtReport>) {
         let model = self.model.borrow();
-        if inj.may_fire(FaultSite::LinearAccum)
-            || model.lm_head.protection != LinearProtection::None
-        {
-            return Head::PerRow;
-        }
         let rows: Vec<&MatrixF32> = (feeds.iter().zip(results))
             .filter(|(f, _)| f.sample_rows > 0)
             .map(|(f, (rows, _))| {
@@ -324,15 +323,13 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
             })
             .collect();
         if rows.is_empty() {
-            return Head::PerRow;
+            return (Matrix::zeros(0, model.lm_head.out_features()), Vec::new());
         }
-        let (logits, _) = model.lm_head.forward(
-            &Matrix::vstack(&rows),
-            inj,
-            usize::MAX / 2,
-            &model.thresholds,
-        );
-        Head::Stacked(logits)
+        let stack = Matrix::vstack(&rows);
+        let segments = vec![1; stack.rows()];
+        model
+            .lm_head
+            .forward_stacked(&stack, &segments, inj, usize::MAX / 2, &model.thresholds)
     }
 
     /// Phase 5: per stream, in feed order — the sweep's events and poison
@@ -347,16 +344,15 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     ///
     /// [`announce`]: ServeSession::announce
     /// [`emit`]: ServeSession::emit
-    fn settle<I: FaultInjector>(
+    fn settle(
         &mut self,
         feeds: &[SweepFeed],
         slots: &[usize],
-        results: Vec<(Option<MatrixF32>, FtReport)>,
-        head: &Head,
-        inj: &I,
+        ledgers: Vec<FtReport>,
+        head: &(MatrixF32, Vec<FtReport>),
     ) {
         let mut head_row = 0;
-        for ((feed, &slot), (rows, ledger)) in feeds.iter().zip(slots).zip(results) {
+        for ((feed, &slot), ledger) in feeds.iter().zip(slots).zip(ledgers) {
             let (id, at) = (feed.stream, head_row);
             head_row += feed.sample_rows;
             let poisoned = self.announce(feed, slot, &ledger);
@@ -372,7 +368,7 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
                 .flatten();
             let attempt = match policy.decide(attempts, poisoned, target) {
                 RecoveryAction::Continue => {
-                    self.emit(feed, slot, at, (rows, ledger), head, inj);
+                    self.emit(feed, slot, at, ledger, head);
                     continue;
                 }
                 RecoveryAction::Abort { attempts } => {
@@ -439,16 +435,17 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
 
     /// Settle a stream that continues: sample each of its head rows
     /// (stacked from row `at`) in order, stopping at the first rejected
-    /// draft, roll the rejected provisional rows back, and record what was
-    /// committed together with the stream's `ledger` for the sweep.
-    fn emit<I: FaultInjector>(
+    /// draft, merging each sampled row's head ledger into the stream's
+    /// `ledger` for the sweep (the sweep's `FaultCorrected` event is already
+    /// out), roll the rejected provisional rows back, and record what was
+    /// committed.
+    fn emit(
         &mut self,
         feed: &SweepFeed,
         slot: usize,
         at: usize,
-        (rows, mut ledger): (Option<MatrixF32>, FtReport),
-        head: &Head,
-        inj: &I,
+        mut ledger: FtReport,
+        (logits, head_ledgers): &(MatrixF32, Vec<FtReport>),
     ) {
         let id = feed.stream;
         if feed.sample_rows == 0 {
@@ -460,13 +457,12 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
             .active_stream(id)
             .expect("planned stream is active");
         let (sampling, position) = (state.sampling, state.total());
-        let rows = rows.expect("sampling feed returns hidden rows");
         let drafts = &feed.tokens[feed.tokens.len() - feed.speculate..];
         let mut emitted: Vec<u32> = Vec::with_capacity(feed.sample_rows);
         let mut accepted = 0usize;
         for j in 0..feed.sample_rows {
-            let logits = head.logits(self.model.borrow(), &rows, at, j, inj, &mut ledger);
-            let t = sample_token(sampling, &logits, id, position + j);
+            ledger = ledger.merged(&head_ledgers[at + j]);
+            let t = sample_token(sampling, logits.row(at + j), id, position + j);
             emitted.push(t);
             self.events.push(EngineEvent::TokenEmitted {
                 stream: id,
@@ -495,18 +491,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         }
     }
 
-    /// Park an active stream: drop its cache, keep its emitted tokens, and
-    /// requeue it to be resumed later through the bit-identical chunked
-    /// re-prefill path. Emits [`EngineEvent::Preempted`] (in the next
-    /// [`sweep_events`](ServeSession::sweep_events) batch) on success.
-    /// Returns `false` — a no-op — when the stream is not active, is
-    /// mid-sweep, or is already done.
-    pub fn park_stream(&mut self, stream: StreamId) -> bool {
-        let parked = self.scheduler.park(stream);
-        self.absorb_park_resume();
-        parked
-    }
-
     /// Report whether `stream`'s consumer still owes a drain of events it
     /// already produced — the serving loop's one backpressure fact, read by
     /// the next sweep's plan ([`DecodeScheduler::set_blocked`]).
@@ -524,27 +508,12 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         Some(state)
     }
 
-    /// Remove a *pending* stream for adoption by another session (work
-    /// migration between fleet shards). Active streams must be
-    /// [`park_stream`](ServeSession::park_stream)ed first — a parked
-    /// stream has no cache, so only the scheduler state (fault ledger
-    /// included) travels; the adopting shard rebuilds the cache by
-    /// chunked re-prefill, bit-identical to a never-migrated run. Route
-    /// [`drain_events`](ServeSession::drain_events) before extracting so
-    /// the park's `Preempted` event is not lost with the stream.
-    pub fn extract_stream(&mut self, stream: StreamId) -> Option<StreamState> {
-        let state = self.scheduler.extract_pending(stream)?;
-        debug_assert!(
-            !self.caches.iter().any(|(id, _)| *id == stream),
-            "a pending stream cannot hold a cache"
-        );
-        Some(state)
-    }
-
-    /// Adopt a stream extracted from another session: the receiving half
-    /// of [`extract_stream`](ServeSession::extract_stream). The stream
-    /// joins the queue and re-prefills its history on the next planned
-    /// sweep; if it was parked on the donor, admission here emits the
+    /// Adopt a stream another session gave away: the receiving half of
+    /// [`export_stream`](ServeSession::export_stream). Only the scheduler
+    /// state (fault ledger included) travels; the stream joins the queue
+    /// and rebuilds its cache by chunked re-prefill of its history on the
+    /// next planned sweep, bit-identical to a never-migrated run. If it was
+    /// parked on the donor, admission here emits the
     /// [`EngineEvent::Resumed`] the park promised.
     pub fn adopt_stream(&mut self, state: StreamState) {
         self.scheduler.adopt_pending(state);
@@ -669,47 +638,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
                 spec_accepted: s.spec_accepted,
                 protection: s.protection,
             });
-        }
-    }
-}
-
-/// The LM head's share of one sweep: what the `head` phase hands `settle`.
-enum Head {
-    /// Every sampling row's logits from one stacked GEMM; feed `f` owns
-    /// the next `f.sample_rows` rows.
-    Stacked(MatrixF32),
-    /// The head runs one row at a time, in emission order, stopping at the
-    /// first rejected draft: the injector is queried for the logits of
-    /// emitted tokens only.
-    PerRow,
-}
-
-impl Head {
-    /// Logits of sampling row `j` of the feed whose head rows start at
-    /// stacked row `at` (`rows`: that feed's normed hidden rows). Per row,
-    /// the head runs on that row alone, and its detections reach the
-    /// stream's `ledger` only — the sweep's `FaultCorrected` event is
-    /// already out.
-    fn logits<I: FaultInjector>(
-        &self,
-        model: &TransformerModel,
-        rows: &MatrixF32,
-        at: usize,
-        j: usize,
-        inj: &I,
-        ledger: &mut FtReport,
-    ) -> Cow<'_, [f32]> {
-        match self {
-            Head::Stacked(logits) => Cow::Borrowed(logits.row(at + j)),
-            Head::PerRow => {
-                let row = Matrix::from_fn(1, rows.cols(), |_, c| rows.get(j, c));
-                let (logits, head_rep) =
-                    model
-                        .lm_head
-                        .forward(&row, inj, usize::MAX / 2, &model.thresholds);
-                *ledger = ledger.merged(&head_rep);
-                Cow::Owned(logits.into_vec())
-            }
         }
     }
 }

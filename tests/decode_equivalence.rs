@@ -95,7 +95,7 @@ fn every_backend_decodes_equal_to_causal_prefill_ragged_and_even() {
 }
 
 #[test]
-fn cached_kv_fault_corrected_by_efta_but_corrupts_reference_decode() {
+fn cached_kv_fault_corrected_by_efta_but_corrupts_reference_backend() {
     let steps = 20;
     let (q, k, v) = workload(steps, 0xFA17);
     let mut cache = KvCache::new(1, HEADS, DIM, 8, 8, SCALE);

@@ -12,11 +12,12 @@ mod common;
 use common::{prompt, tiny_config};
 use ft_transformer_suite::attention::efta::EftaOptions;
 use ft_transformer_suite::attention::protect::{ProtectionLevel, DEFAULT_APPROX_TOL};
+use ft_transformer_suite::attention::serve::StreamState;
 use ft_transformer_suite::num::F16;
 use ft_transformer_suite::sim::{FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector};
 use ft_transformer_suite::transformer::{
-    serve_expose_step, BackendKind, FinishReason, GenerationRequest, ModelConfig, RecoveryPolicy,
-    SchedulerConfig, ServeSession, StreamId, TransformerModel,
+    serve_expose_step, BackendKind, EngineEvent, FinishReason, GenerationRequest, ModelConfig,
+    RecoveryPolicy, SchedulerConfig, ServeSession, StreamId, TransformerModel,
 };
 
 fn tiny(max_seq: usize) -> ModelConfig {
@@ -60,9 +61,43 @@ fn assert_resident_levels<M: std::borrow::Borrow<TransformerModel>>(
     }
 }
 
+/// Give every stream away through the session's one migration door,
+/// [`ServeSession::export_stream`]: each held a slot, so each is parked on
+/// the way out (its cache dropped, its `Preempted` queued in
+/// `drain_events`). Returns the exported states in export order.
+fn export_all<M: std::borrow::Borrow<TransformerModel>>(
+    session: &mut ServeSession<M>,
+    ids: &[StreamId],
+) -> Vec<StreamState> {
+    let states: Vec<StreamState> = ids
+        .iter()
+        .map(|_| session.export_stream().expect("an active stream to export"))
+        .collect();
+    assert!(session.export_stream().is_none(), "every stream is out");
+    let preempted: Vec<StreamId> = (session.drain_events().into_iter())
+        .filter_map(|e| match e {
+            EngineEvent::Preempted { stream } => Some(stream),
+            _ => None,
+        })
+        .collect();
+    let mut exported: Vec<StreamId> = states.iter().map(|s| s.id).collect();
+    assert_eq!(preempted, exported, "each export parks its stream");
+    exported.sort();
+    assert_eq!(exported, ids, "each stream is exported once");
+    for (i, &id) in ids.iter().enumerate() {
+        assert_eq!(
+            session.stream_cache_protection(id),
+            None,
+            "stream {i}: a parked stream holds no cache"
+        );
+    }
+    states
+}
+
 /// Parking a stream drops its cache; the resume re-prefill must rebuild it
 /// at the stream's own level, and the interruption stays invisible in the
-/// tokens at every rung of the lattice.
+/// tokens at every rung of the lattice. The streams park by leaving
+/// through `export_stream` and resume by being adopted back.
 #[test]
 fn protection_survives_park_and_resume() {
     let model = TransformerModel::random(71, tiny(96), BackendKind::Efta(EftaOptions::optimized()))
@@ -90,18 +125,20 @@ fn protection_survives_park_and_resume() {
         session.sweep_events(&NoFaults);
         assert_resident_levels(&session, &ids, &levels);
     }
-    for (i, &id) in ids.iter().enumerate() {
-        assert!(session.park_stream(id), "stream {i} was active to park");
-        assert_eq!(
-            session.stream_cache_protection(id),
-            None,
-            "stream {i}: a parked stream holds no cache"
-        );
+    for state in export_all(&mut session, &ids) {
+        session.adopt_stream(state);
     }
+    let mut resumed = Vec::new();
     while !session.idle() {
-        session.sweep_events(&NoFaults);
+        for e in session.sweep_events(&NoFaults) {
+            if let EngineEvent::Resumed { stream } = e {
+                resumed.push(stream);
+            }
+        }
         assert_resident_levels(&session, &ids, &levels);
     }
+    resumed.sort();
+    assert_eq!(resumed, ids, "every parked stream resumes once");
     let finished = session.take_finished();
     assert_eq!(finished.len(), levels.len());
     for (i, ((f, c), &l)) in finished.iter().zip(&clean).zip(&levels).enumerate() {
@@ -146,11 +183,7 @@ fn protection_survives_work_stealing_migration() {
         donor.sweep_events(&NoFaults);
     }
     let mut thief = model.serve_with(sched());
-    for (i, &id) in ids.iter().enumerate() {
-        assert!(donor.park_stream(id), "stream {i} was active to park");
-        let state = donor
-            .extract_stream(id)
-            .expect("a parked stream is pending and extractable");
+    for state in export_all(&mut donor, &ids) {
         thief.adopt_stream(state);
     }
     assert!(donor.idle(), "the donor gave every stream away");
