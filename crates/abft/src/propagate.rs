@@ -18,7 +18,7 @@
 // structure of the GPU kernels this module models.
 #![allow(clippy::needless_range_loop)]
 
-use crate::strided::StridedMismatch;
+use crate::strided::{fold_row, StridedMismatch};
 use crate::thresholds::Check;
 use ft_num::{Matrix, MatrixF32};
 
@@ -57,18 +57,12 @@ pub fn transport_exp(check: &MatrixF32) -> MatrixF32 {
 }
 
 /// Strided *products* of `p`: `out[i][t] = ∏_l p[i][t + s·l]`, each lane
-/// multiplied in ascending `l` from `1.0`. Walking a row one group of `s`
-/// columns at a time keeps every lane's order while the lanes update side
-/// by side.
+/// multiplied in ascending `l` from `1.0`, one row at a time through
+/// [`fold_row`].
 pub fn strided_products(p: &MatrixF32, s: usize) -> MatrixF32 {
     let mut out = Matrix::from_fn(p.rows(), s, |_, _| 1.0f32);
     for i in 0..p.rows() {
-        let orow = out.row_mut(i);
-        for group in p.row(i).chunks(s) {
-            for (o, &v) in orow.iter_mut().zip(group) {
-                *o *= v;
-            }
-        }
+        fold_row(p.row(i), out.row_mut(i), |acc, _, v| acc * v);
     }
     out
 }

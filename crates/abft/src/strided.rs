@@ -114,20 +114,52 @@ pub fn strided_sums_weighted(c: &MatrixF32, s: usize) -> MatrixF32 {
 }
 
 /// `out[i][t] = Σ_l term(l+1, c[i][t + s·l])`, each lane summed in
-/// ascending `l` from `0.0`. Walking a row one group of `s` columns at a
-/// time keeps every lane's order while the lanes update side by side.
-fn fold_groups(c: &MatrixF32, s: usize, term: impl Fn(f32, f32) -> f32) -> MatrixF32 {
+/// ascending `l` from `0.0`, one row at a time through [`fold_row`].
+fn fold_groups(c: &MatrixF32, s: usize, term: impl Fn(f32, f32) -> f32 + Copy) -> MatrixF32 {
     let mut out = Matrix::zeros(c.rows(), s);
     for i in 0..c.rows() {
-        let orow = out.row_mut(i);
-        for (l, group) in c.row(i).chunks(s).enumerate() {
+        fold_row(c.row(i), out.row_mut(i), |acc, w, v| acc + term(w, v));
+    }
+    out
+}
+
+/// Fold `row` into `lanes` one group of `s = lanes.len()` columns at a
+/// time, in ascending group order: lane `t` becomes `op(lane, l + 1, x)`
+/// for each `x = row[t + s·l]`. Every lane keeps its own order while the
+/// lanes update side by side — the strided checksum folds (`op` adding a
+/// weighted term) and the strided products (`op` multiplying) of one row.
+/// Eight lanes are accumulated in one register-resident array.
+pub fn fold_row(row: &[f32], lanes: &mut [f32], op: impl Fn(f32, f32, f32) -> f32 + Copy) {
+    fn groups<const S: usize>(
+        row: &[f32],
+        lanes: &mut [f32; S],
+        op: impl Fn(f32, f32, f32) -> f32,
+    ) {
+        let mut acc = *lanes;
+        let mut chunks = row.chunks_exact(S);
+        for (l, group) in (&mut chunks).enumerate() {
             let w = (l + 1) as f32;
-            for (o, &v) in orow.iter_mut().zip(group) {
-                *o += term(w, v);
+            for (a, &x) in acc.iter_mut().zip(group) {
+                *a = op(*a, w, x);
+            }
+        }
+        let w = (row.len() / S + 1) as f32;
+        for (a, &x) in acc.iter_mut().zip(chunks.remainder()) {
+            *a = op(*a, w, x);
+        }
+        *lanes = acc;
+    }
+    match <&mut [f32; 8]>::try_from(&mut *lanes) {
+        Ok(lanes) => groups(row, lanes, op),
+        Err(_) => {
+            for (l, group) in row.chunks(lanes.len()).enumerate() {
+                let w = (l + 1) as f32;
+                for (a, &x) in lanes.iter_mut().zip(group) {
+                    *a = op(*a, w, x);
+                }
             }
         }
     }
-    out
 }
 
 /// One strided-checksum mismatch: row `i`, residue class `t`.

@@ -20,16 +20,20 @@
 //!   visible frontier block; and a recomputation fallback that re-reads
 //!   verified blocks.
 //!
-//! **Row groups.** Both tiles walk the attended blocks once and, per block,
-//! split the chunk rows attending it into two contiguous ranges: the
-//! frontier rows, whose causal prefix ends inside the block, and the rows
-//! that see it whole. A frontier row steps alone over its own visible
-//! prefix (in the protected tile also its own prefix's checksum operands).
-//! The rows that see the block whole share one step: GEMM I, the checksum
-//! GEMMs and GEMM II run once for the group, so a 16-row chunk's 8-wide
-//! checksum GEMMs are 16-row GEMMs rather than sixteen GEMVs. Each element
-//! is still its one chain, and everything row-specific stays per row: the
-//! fault coordinates (a row's checksum-GEMM chains draw past its own `vis`
+//! **Row groups.** Both tiles walk the attended blocks once and give each
+//! block exactly one step (one online update in the unprotected tile)
+//! covering every chunk row that attends it: the frontier rows, whose
+//! causal prefix ends inside the block, then the rows that see it whole.
+//! GEMM I is one product against the block's `Kᵀ` and GEMM II runs once
+//! for the group, so a 16-row chunk's products are 16-row GEMMs rather
+//! than sixteen GEMVs; the whole-block rows share one pair of checksum
+//! GEMMs, and each frontier row runs its own prefix operand's GEMV. Each
+//! element is still its one chain, and everything row-specific stays per
+//! row: the visible width `w_r` that row `r`'s fault pass and every
+//! reduction read (a masked column is never offered to the injector,
+//! never summed, never multiplied in — GEMM II runs one product over the
+//! columns every row sees, then each row's own tail), the fault
+//! coordinates (a row's checksum-GEMM chains draw past its own `vis`
 //! columns), the SNVR bound, the checks and repairs, and the recomputation
 //! of a damaged row.
 //!
@@ -44,10 +48,10 @@
 //! GEMM I reads K k-major (`Kᵀ`, `dim × rows`), the layout whose product
 //! runs as register panels: both tiles transpose each attended block once
 //! per `(tile, block)`, right after its verified (or raw) read (the
-//! protected tile its stored K checksum pair too), and every step against
-//! the block — a partially visible frontier's leading columns included —
-//! reads that one `Kᵀ`. Each score is still the one ascending-k
-//! chain of `q · k_j`, so the layout changes no bit.
+//! protected tile its stored K checksum pair too), and the one step
+//! against the block reads that one `Kᵀ` — the frontier rows included, no
+//! column copied per row. Each score is still the one ascending-k chain of
+//! `q · k_j`, so the layout changes no bit.
 //!
 //! Both kernels take a *visible length* — the causal prefix of the cache a
 //! query row may attend to — and are called from exactly one place, the
@@ -56,8 +60,8 @@
 //! over one one-row slice; chunked prefill is the same sweep over `c`-row
 //! slices, where a chunk's interior rows see only their own prefix of the
 //! trailing block (whose checksum operands are then folded over the visible
-//! rows of its verified copy, once per tile, exactly as a cache holding that
-//! prefix stores them).
+//! rows of its verified copy, once per tile for every such row, exactly as
+//! a cache holding that prefix stores them).
 //!
 //! The same visible-length machinery is what makes speculative decoding
 //! ([`SpeculationPolicy`](crate::serve::SpeculationPolicy)) free at this
@@ -92,16 +96,16 @@
 
 use crate::backend::BackendError;
 use crate::efta::{
-    k_major, row_norm, BlockOperands, DamageGroup, EftaOptions, GemmProtection, Kernel, RowState,
+    k_major, BlockOperands, DamageGroup, EftaOptions, Frontier, GemmProtection, Kernel, RowState,
 };
+use crate::flash::ragged_fault_pass;
 use crate::kv::KvCache;
 use crate::serve::{sweep_tiles, StreamId, StreamSlice};
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
-use ft_abft::strided::{encode_cols_strided, StridedChecksums};
 use ft_abft::thresholds::Thresholds;
 use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::device::KernelStats;
-use ft_sim::{gemm_flops, gemm_nn_inj, FaultInjector, FaultSite, GemmCtx, NoFaults};
+use ft_sim::{gemm_flops, gemm_nn, FaultInjector, FaultSite, GemmCtx, NoFaults};
 use std::ops::Range;
 
 static NO_FAULTS: NoFaults = NoFaults;
@@ -317,13 +321,15 @@ fn attended_blocks(
 /// raw cache reads, online softmax, no checks.
 ///
 /// The tile iterates **block-major**: each attended cache block is read
-/// once, and the rows that attend it update against it before the next
-/// block is touched — frontier rows one at a time over their visible
-/// prefix, the rows that see the block whole as one row group sharing its
-/// GEMM. Per row, the update sequence (ascending block order over exactly
-/// that row's attended blocks) is the one a one-row tile over that row's
-/// own prefix runs, and every score is the same chain, so a chunk's output
-/// is bit-identical to feeding its rows token by token.
+/// once, and every row that attends it updates against it in one online
+/// update before the next block is touched — the frontier rows over their
+/// visible prefix, the rest over the whole block: one GEMM I against the
+/// block's `Kᵀ` whose fault pass and reductions read each row's visible
+/// columns only, and GEMM II chains over exactly those columns. Per row,
+/// the update sequence (ascending block order over exactly that row's
+/// attended blocks) is the one a one-row tile over that row's own prefix
+/// runs, and every score is the same chain, so a chunk's output is
+/// bit-identical to feeding its rows token by token.
 pub(crate) fn reference_decode_tile(
     cache: &KvCache,
     slot: usize,
@@ -340,110 +346,28 @@ pub(crate) fn reference_decode_tile(
     let mut state = crate::flash::OnlineState::new(c, d);
     let (b0, nb) = attended_blocks(cache, vis0, c, window);
     for jb in b0[0]..nb[c - 1] {
-        let c0 = jb * cache.block();
-        let kt_full = cache.read_k_raw(slot, jb).transpose();
-        let v_full = cache.read_v_raw(slot, jb);
+        let kt = cache.read_k_raw(slot, jb).transpose();
+        let v = cache.read_v_raw(slot, jb);
         let (frontier, whole) = attending_rows(cache, vis0, (&b0, &nb), jb);
-        let mut update = |rows: Range<usize>, kt: &MatrixF32, v: &MatrixF32| {
-            let q_part;
-            let q_rows = if rows.len() == c {
-                &q
-            } else {
-                q_part = q.block(rows.start, 0, rows.len(), d);
-                &q_part
-            };
-            let ctx = GemmCtx::new(FaultSite::GemmIAccum, slot)
-                .at(step0 + rows.start, c0)
-                .iter(3 * jb);
-            let s_blk = gemm_nn_inj(q_rows, kt, &inj, ctx);
-            crate::flash::online_update(&mut state, rows.start, &s_blk, v);
+        let rows = frontier.start..whole.end;
+        let q_part;
+        let q_rows = if rows.len() == c {
+            &q
+        } else {
+            q_part = q.block(rows.start, 0, rows.len(), d);
+            &q_part
         };
-        for r in frontier {
-            let seen = vis_block_rows(cache, jb, vis0 + r);
-            let (kt, v) = (kt_full.block(0, 0, d, seen), v_full.block(0, 0, seen, d));
-            update(r..r + 1, &kt, &v);
-        }
-        if !whole.is_empty() {
-            update(whole, &kt_full, &v_full);
-        }
+        let width = |i: usize| vis_block_rows(cache, jb, vis0 + rows.start + i);
+        let ctx = GemmCtx::new(FaultSite::GemmIAccum, slot)
+            .at(step0 + rows.start, jb * cache.block())
+            .iter(3 * jb);
+        let mut s_blk = gemm_nn(q_rows, &kt);
+        let n = rows.len();
+        ragged_fault_pass(&mut s_blk, q_rows, 0..n, &kt, |i| (d, width(i)), &inj, ctx);
+        crate::flash::online_update(&mut state, rows.start, &s_blk, &v, width);
     }
     crate::flash::finalize(&mut state);
     state.o
-}
-
-/// The checksum operands and max-norm of a partially visible frontier
-/// block — the block a chunk row's causal prefix ends inside — built from
-/// the block's verified copy once per `(tile, block)` and grown as the
-/// chunk reveals its rows. Every prefix gets the operands a cache holding
-/// only that prefix would store, bit for bit:
-///
-/// * K's lanes fold one row at a time like `KvBlock::push_row` (row `j`
-///   into lane `j mod s`, each lane in ascending group order from `0.0`),
-///   kept k-major (`d × s`) as GEMM I reads them. A prefix shorter than the
-///   stride folds at its row count, one row per lane: its leading lanes.
-/// * V's column fold is row-local, so one fold of the whole verified block
-///   serves every prefix by its leading rows.
-/// * The max-norm is a running max over the folded rows.
-struct Frontier {
-    /// Lanes of the K fold: the stride, or the block's rows if fewer.
-    lanes: usize,
-    /// K rows folded so far.
-    rows: usize,
-    /// K lanes, k-major (`d × lanes`): lane `t` is column `t`.
-    k_w1: MatrixF32,
-    k_w2: MatrixF32,
-    /// The whole verified block's V fold.
-    v_cs: StridedChecksums,
-    k_max_norm: f32,
-}
-
-impl Frontier {
-    /// An empty K fold and the V fold of the verified block `v`, at the
-    /// cache's `stride`.
-    fn new(v: &MatrixF32, stride: usize) -> Self {
-        let (rows, d) = v.shape();
-        let lanes = stride.min(rows);
-        Frontier {
-            lanes,
-            rows: 0,
-            k_w1: Matrix::zeros(d, lanes),
-            k_w2: Matrix::zeros(d, lanes),
-            v_cs: encode_cols_strided(v, stride.min(d), false),
-            k_max_norm: 0.0,
-        }
-    }
-
-    /// `(k_cs, v_cs, k_max_norm)` of the first `rows` rows of the verified
-    /// block whose K copy is `k`, after folding the rows revealed since the
-    /// last call (`rows` never decreases across calls).
-    fn prefix(&mut self, k: &MatrixF32, rows: usize) -> (StridedChecksums, StridedChecksums, f32) {
-        let s = self.lanes;
-        let (w1, w2) = (&mut self.k_w1, &mut self.k_w2);
-        for j in self.rows..rows {
-            let (t, wl) = (j % s, (j / s + 1) as f32);
-            for (c, &x) in k.row(j).iter().enumerate() {
-                w1.set(c, t, w1.get(c, t) + x);
-                w2.set(c, t, w2.get(c, t) + wl * x);
-            }
-            self.k_max_norm = self.k_max_norm.max(row_norm(k.row(j)));
-        }
-        self.rows = self.rows.max(rows);
-        let (d, lanes) = (k.cols(), s.min(rows));
-        let k_cs = StridedChecksums {
-            w1: w1.block(0, 0, d, lanes),
-            w2: w2.block(0, 0, d, lanes),
-            stride: lanes,
-            groups: rows.div_ceil(lanes),
-        };
-        let (sv, groups) = (self.v_cs.stride, self.v_cs.groups);
-        let v_cs = StridedChecksums {
-            w1: self.v_cs.w1.block(0, 0, rows, sv),
-            w2: self.v_cs.w2.block(0, 0, rows, sv),
-            stride: sv,
-            groups,
-        };
-        (k_cs, v_cs, self.k_max_norm)
-    }
 }
 
 /// EFTA-protected multi-row decode tile of one slot: chunk row `r` of the
@@ -453,24 +377,19 @@ impl Frontier {
 /// `c`-row [`RowState`] with per-row damage ([`DamageGroup::Row`]); every
 /// protected operation is the shared step's.
 ///
-/// **Row groups.** Per attended block, the rows that see the block whole
-/// take one multi-row step: its GEMM I, checksum GEMMs and GEMM II run
-/// once for the group, each row still one chain per element, and each
-/// row's checksum-GEMM chains draw faults past its own visible columns.
-/// Partially visible frontier rows step one at a time, because their
-/// checksum operands depend on their own prefix. Checks, repairs and the
-/// recomputation fallback stay per row.
-///
-/// Fully visible blocks reuse the cache's stored append-time checksums; a
-/// partially visible trailing block (a chunked-prefill row's causal
-/// frontier) is read through the full block's verification, truncated, and
-/// its checksum operands folded over the visible rows by one `Frontier`
-/// per `(tile, block)` — the same values the cache itself would have
-/// stored at length `vis`, so chunked
-/// prefill is bit-identical to feeding the chunk token by token. Windowed
-/// and front-evicted caches start the block loop at the window's first
-/// block instead of 0 — the same iteration a fresh cache holding only
-/// those blocks would run, so the output is bit-identical to decoding
+/// **Row groups.** Each attended block takes exactly one step, covering
+/// every chunk row that attends it: GEMM I and GEMM II run once for the
+/// group, the rows that see the block whole share one pair of checksum
+/// GEMMs over the stored operands, and each row still reads only its own
+/// visible columns and draws its own faults. The partially visible
+/// frontier rows carry their own prefix operands, built for all of them at
+/// once by one [`Frontier`] per `(tile, block)` from the block's verified
+/// copy: the values the cache itself would have stored at that row's
+/// length, so chunked prefill is bit-identical to feeding the chunk token
+/// by token. Checks, repairs and the recomputation fallback stay per row.
+/// Windowed and front-evicted caches start the block loop at the window's
+/// first block instead of 0 — the same iteration a fresh cache holding
+/// only those blocks would run, so the output is bit-identical to decoding
 /// against that fresh cache.
 ///
 /// **Verify-once invariant:** the tile iterates block-major, reading each
@@ -527,46 +446,32 @@ pub(crate) fn efta_decode_tile(
             report.cache_tolerated += rep.tolerated;
         }
         let (frontier_rows, whole) = attending_rows(cache, vis0, (&b0, &nb), jb);
+        let rows = frontier_rows.start..whole.end;
         if vb.k_report.uncorrectable + vb.v_report.uncorrectable > 0 {
-            state.mark_damaged(frontier_rows.start..whole.end);
+            state.mark_damaged(rows.clone());
         }
         // GEMM I's k-major operands, built once per (tile, block) and read
-        // by every step against the block — a frontier row's leading
-        // columns included.
-        let kt_full = vb.k.transpose();
-        let c0 = jb * cache.block();
+        // by the one step against the block.
+        let kt = vb.k.transpose();
+        let k_cs = protected.then(|| k_major(vb.k_cs));
         // A partial causal frontier's operands are folded over each row's
         // visible rows (the exact operands a `vis`-row cache would store).
-        let mut frontier: Option<Frontier> = None;
-        for r in frontier_rows {
-            let rows = vis_block_rows(cache, jb, vis0 + r);
-            let (kt, v) = (kt_full.block(0, 0, d, rows), vb.v.block(0, 0, rows, d));
-            let (k_cs, v_cs, k_max_norm) = frontier
-                .get_or_insert_with(|| Frontier::new(&vb.v, cache.stride()))
-                .prefix(&vb.k, rows);
-            let blk = BlockOperands {
-                kt: &kt,
-                v: &v,
-                checksums: protected.then_some((&k_cs, &v_cs)),
-                k_max_norm,
-                jb,
-                c0,
-            };
-            state.step(&kernel, &blk, r..r + 1);
-        }
-        // The rows that see the block whole: one step, stored operands.
-        if !whole.is_empty() {
-            let k_cs = protected.then(|| k_major(vb.k_cs));
-            let blk = BlockOperands {
-                kt: &kt_full,
-                v: &vb.v,
-                checksums: k_cs.as_ref().map(|k_cs| (k_cs, vb.v_cs)),
-                k_max_norm: vb.k_max_norm,
-                jb,
-                c0,
-            };
-            state.step(&kernel, &blk, whole);
-        }
+        let width = |r: usize| vis_block_rows(cache, jb, vis0 + r);
+        let frontier = (!frontier_rows.is_empty()).then(|| {
+            let widths = width(frontier_rows.start)..width(frontier_rows.end - 1) + 1;
+            let q = q.block(frontier_rows.start, 0, frontier_rows.len(), d);
+            Frontier::new(&q, (&vb.k, &kt, &vb.v), cache.stride(), widths)
+        });
+        let blk = BlockOperands {
+            kt: &kt,
+            v: &vb.v,
+            checksums: k_cs.as_ref().map(|k_cs| (k_cs, vb.v_cs)),
+            k_max_norm: vb.k_max_norm,
+            jb,
+            c0: jb * cache.block(),
+            frontier: frontier.as_ref(),
+        };
+        state.step(&kernel, &blk, rows);
     }
 
     // Recomputation fallback over verified reads: clean online softmax of
@@ -643,10 +548,11 @@ mod tests {
     use super::*;
     use crate::backend::{AttentionBackend, BackendKind};
     use crate::config::AttentionConfig;
-    use crate::efta::{efta_forward, max_row_norm, SoftmaxProtection};
-    use ft_abft::strided::encode_rows_strided;
+    use crate::efta::{efta_forward, max_row_norm, SoftmaxProtection, VerifyMode};
+    use ft_abft::strided::{encode_cols_strided, encode_rows_strided, StridedChecksums};
     use ft_num::rng::normal_tensor_f16;
-    use ft_sim::{OpCoord, SeuInjector};
+    use ft_num::F16;
+    use ft_sim::{BerInjector, OpCoord, SeuInjector};
 
     fn workload(seq: usize, dim: usize, seed: u64) -> (Tensor4F16, Tensor4F16, Tensor4F16) {
         let q = normal_tensor_f16(seed, 1, 2, seq, dim, 0.6);
@@ -747,10 +653,12 @@ mod tests {
         // Every prefix of a full 16-row block (shorter than, equal to and
         // longer than the stride) and of a ragged 4-row block (shorter than
         // the stride) gets, bit for bit, what the from-scratch encoders give
-        // over that prefix of the verified copy. The full block's copy was
+        // over that prefix of the verified copy: its V operand and max-norm,
+        // and the checksum GEMM results of its K operand (`q · w1`,
+        // `q · w2`, as `gemm_nn` computes them). The full block's copy was
         // corrected after a K and a V flip, so the fold must read the
         // corrected rows, not the stored ones.
-        let (_, k, v) = workload(20, 16, 77);
+        let (q, k, v) = workload(20, 16, 77);
         let mut cache = KvCache::new(1, 2, 16, 16, 8, 0.25);
         fill(&mut cache, &k, &v, 20);
         for (row, col, which) in [(5, 3, 0), (9, 2, 1)] {
@@ -768,14 +676,22 @@ mod tests {
                 assert_ne!(bits(&vb.v), bits(&cache.read_v_raw(0, jb)));
             }
             let (rows, d) = vb.k.shape();
-            let mut frontier = Frontier::new(&vb.v, cache.stride());
+            let q = q.slot_flat(0).block(0, 0, rows, d).to_f32();
+            let kt = vb.k.transpose();
+            let frontier = Frontier::new(&q, (&vb.k, &kt, &vb.v), cache.stride(), 1..rows + 1);
             for p in 1..=rows {
-                let (k_cs, v_cs, k_max_norm) = frontier.prefix(&vb.k, p);
+                let (s_cs, v_cs, k_max_norm) = frontier.prefix(p - 1);
                 let (k_part, v_part) = (vb.k.block(0, 0, p, d), vb.v.block(0, 0, p, d));
                 let want_k = k_major(&encode_rows_strided(&k_part, cache.stride().min(p), false));
                 let want_v = encode_cols_strided(&v_part, cache.stride().min(d), false);
+                let q_row = q.block(p - 1, 0, 1, d);
+                let want_s = (gemm_nn(&q_row, &want_k.w1), gemm_nn(&q_row, &want_k.w2));
                 let what = format!("block {jb}, prefix {p}");
-                assert_eq!(operands(&k_cs), operands(&want_k), "K {what}");
+                assert_eq!(
+                    (bits(&s_cs.0), bits(&s_cs.1)),
+                    (bits(&want_s.0), bits(&want_s.1)),
+                    "K {what}"
+                );
                 assert_eq!(operands(&v_cs), operands(&want_v), "V {what}");
                 assert_eq!(
                     k_max_norm.to_bits(),
@@ -879,6 +795,197 @@ mod tests {
                 assert_eq!(chunk_inj.fired(), row_inj.fired(), "slot {slot}");
                 assert_eq!(chunk_inj.fired(), 1, "one SEU aims at each slot");
                 assert!(got_report.total_detected() > 0, "{got_report:?}");
+            }
+        }
+    }
+
+    /// The bits of a matrix, NaN payloads included.
+    fn bits(m: &MatrixF32) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A 16-row chunk over 16-row blocks at stride 8 (cache rows 30..46):
+    /// row 0 sees block 1 to its 15th row, and every row but the last sees
+    /// the fresh block 2 only in part — rows 2..9 through prefixes of 1..7
+    /// rows, shorter than the stride. Cache row 40, a later chunk row,
+    /// holds ±Inf in V, which no row that does not see it may ever
+    /// multiply in. Returns the caches holding the first `len` rows for
+    /// `len` = 1..=46 (the last is the chunk's), the query chunk of each
+    /// slot and the chunk's first visible length.
+    fn ragged_chunk() -> (Vec<KvCache>, [MatrixF32; 2], usize) {
+        let (q, k, mut v) = workload(46, 16, 79);
+        for m in v.slots_mut() {
+            m.set(40, 3, F16::from_f32(f32::INFINITY));
+            m.set(40, 7, F16::from_f32(f32::NEG_INFINITY));
+        }
+        let mut cache = KvCache::new(1, 2, 16, 16, 8, 0.25);
+        let caches = (1..=46)
+            .map(|len| {
+                fill(&mut cache, &k, &v, len);
+                cache.clone()
+            })
+            .collect();
+        let chunk = |slot| q.slot_flat(slot).block(30, 0, 16, 16).to_f32();
+        (caches, [chunk(0), chunk(1)], 31)
+    }
+
+    /// Every option set the protected decode tile accepts.
+    fn decode_option_sets() -> Vec<EftaOptions> {
+        let mut sets = Vec::new();
+        for gemm in [GemmProtection::Strided, GemmProtection::Unprotected] {
+            for softmax in [
+                SoftmaxProtection::Snvr,
+                SoftmaxProtection::Dmr,
+                SoftmaxProtection::Unprotected,
+            ] {
+                for verify in [VerifyMode::Unified, VerifyMode::PerStep] {
+                    if gemm == GemmProtection::Strided || softmax != SoftmaxProtection::Unprotected
+                    {
+                        sets.push(EftaOptions {
+                            gemm,
+                            softmax,
+                            verify,
+                            ..EftaOptions::optimized()
+                        });
+                    }
+                }
+            }
+        }
+        sets
+    }
+
+    #[test]
+    fn ragged_row_group_matches_one_row_tiles_under_ber_at_every_site() {
+        // Every option set the protected tile accepts, under one BER
+        // injector over every site it queries. The one step per attended
+        // block must give each chunk row the output bits, the whole ledger
+        // and the fault draws of a one-row tile over a cache that holds
+        // exactly that row's prefix — where every attended block is whole,
+        // so no frontier machinery is involved.
+        let (caches, chunks, vis0) = ragged_chunk();
+        let (cache, step0) = (&caches[45], 900);
+        let option_sets = decode_option_sets();
+        assert_eq!(option_sets.len(), 10);
+        let mut fired = 0;
+        for opts in &option_sets {
+            for (slot, chunk) in chunks.iter().enumerate() {
+                for window in [None, Some(20)] {
+                    let what = format!("slot {slot}, window {window:?}, {opts:?}");
+                    let inj = || BerInjector::new(33, 2e-3);
+                    let (chunk_inj, row_inj) = (inj(), inj());
+                    let (got, got_report) =
+                        efta_decode_tile(cache, slot, vis0, step0, chunk, &chunk_inj, opts, window);
+                    let mut want_report = FtReport::default();
+                    for r in 0..chunk.rows() {
+                        let (row, short) = (chunk.block(r, 0, 1, 16), &caches[vis0 + r - 1]);
+                        let (o, rep) = efta_decode_tile(
+                            short,
+                            slot,
+                            vis0 + r,
+                            step0 + r,
+                            &row,
+                            &row_inj,
+                            opts,
+                            window,
+                        );
+                        assert_eq!(bits(&got.block(r, 0, 1, 16)), bits(&o), "row {r}, {what}");
+                        want_report = want_report.merged(&rep);
+                    }
+                    assert_eq!(got_report, want_report, "{what}");
+                    assert_eq!(chunk_inj.fired(), row_inj.fired(), "{what}");
+                    assert!(
+                        got.block(0, 0, 10, 16)
+                            .as_slice()
+                            .iter()
+                            .all(|x| x.is_finite()),
+                        "{what}"
+                    );
+                    fired += chunk_inj.fired();
+                }
+            }
+        }
+        assert!(fired > 1000, "the campaign must fire: {fired}");
+    }
+
+    #[test]
+    fn ragged_row_group_reads_a_corrected_frontier_once() {
+        // An SEU in K of the frontier block 2, under BER at every site:
+        // each row's prefix operands are folded from the verified
+        // (corrected) copy, as a one-row tile over the same cache folds
+        // them, and the read is attributed once per tile rather than once
+        // per attending row.
+        let (mut caches, chunks, vis0) = ragged_chunk();
+        let cache = &mut caches[45];
+        let seu = SeuInjector::new(FaultSite::KvCache, OpCoord::new(1, 35, 5, 0), 14);
+        cache.expose(&seu, 0);
+        assert_eq!(seu.fired(), 1);
+        for opts in &decode_option_sets() {
+            let inj = || BerInjector::new(35, 2e-3);
+            let (chunk_inj, row_inj) = (inj(), inj());
+            let chunk = &chunks[1];
+            let (got, got_report) =
+                efta_decode_tile(cache, 1, vis0, 0, chunk, &chunk_inj, opts, None);
+            let mut want_report = FtReport::default();
+            for r in 0..chunk.rows() {
+                let row = chunk.block(r, 0, 1, 16);
+                let (o, rep) = efta_decode_tile(cache, 1, vis0 + r, r, &row, &row_inj, opts, None);
+                assert_eq!(bits(&got.block(r, 0, 1, 16)), bits(&o), "row {r}, {opts:?}");
+                want_report = want_report.merged(&rep);
+            }
+            let without_cache_reads = |r: FtReport| FtReport {
+                cache_detected: 0,
+                cache_corrected: 0,
+                ..r
+            };
+            assert_eq!(
+                without_cache_reads(got_report),
+                without_cache_reads(want_report)
+            );
+            assert_eq!(
+                (got_report.cache_detected, got_report.cache_corrected),
+                (1, 1)
+            );
+            assert_eq!(chunk_inj.fired(), row_inj.fired(), "{opts:?}");
+        }
+    }
+
+    #[test]
+    fn ragged_reference_tile_matches_one_row_tiles() {
+        // The unprotected tile's one online update per attended block,
+        // under BER on GEMM I (the one site it queries): every row's bits
+        // are those of a one-row tile over a cache holding exactly its
+        // prefix, and no row short of cache row 40 sees its ±Inf.
+        let (caches, chunks, vis0) = ragged_chunk();
+        for (slot, chunk) in chunks.iter().enumerate() {
+            for window in [None, Some(20)] {
+                let inj = || BerInjector::new(34, 5e-3).with_sites(&[FaultSite::GemmIAccum]);
+                let (chunk_inj, row_inj) = (inj(), inj());
+                let got =
+                    reference_decode_tile(&caches[45], slot, vis0, 700, chunk, &chunk_inj, window);
+                for r in 0..chunk.rows() {
+                    let (row, short) = (chunk.block(r, 0, 1, 16), &caches[vis0 + r - 1]);
+                    let o = reference_decode_tile(
+                        short,
+                        slot,
+                        vis0 + r,
+                        700 + r,
+                        &row,
+                        &row_inj,
+                        window,
+                    );
+                    assert_eq!(
+                        bits(&got.block(r, 0, 1, 16)),
+                        bits(&o),
+                        "slot {slot} row {r}"
+                    );
+                }
+                assert_eq!(chunk_inj.fired(), row_inj.fired());
+                assert!(chunk_inj.fired() > 0);
+                assert!(got
+                    .block(0, 0, 10, 16)
+                    .as_slice()
+                    .iter()
+                    .all(|x| x.is_finite()));
             }
         }
     }

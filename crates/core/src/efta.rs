@@ -28,10 +28,12 @@
 //! through FP16) and max-norm — every row against every block, with
 //! unrepairable damage recomputing the whole tile; the decode tile
 //! ([`crate::decode`]) steps one `c`-row state over operands the KV cache
-//! stored at append time, one row group per attended block, with damage
-//! recomputing the damaged row alone. Operands, fault coordinates, each
-//! row's rowsum bound `n` and the reach of damage (`DamageGroup`) are
-//! inputs to the step; nothing else differs between the two.
+//! stored at append time, one step per attended block covering every row
+//! that attends it, with damage recomputing the damaged row alone.
+//! Operands (a decode step's frontier rows see a prefix of the block,
+//! `Frontier`), fault coordinates, each row's rowsum bound `n` and the
+//! reach of damage (`DamageGroup`) are inputs to the step; nothing else
+//! differs between the two.
 //!
 //! [`VerifyMode::PerStep`] is the unoptimised "EFTA" of Tables 1–2 (verify
 //! after every operation); [`VerifyMode::Unified`] is the optimised "EFTA-o"
@@ -44,21 +46,18 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::config::AttentionConfig;
+use crate::flash::{ragged_fault_pass, ragged_product};
 use crate::snvr::{restrict_row_max, restrict_rowsum, Restriction};
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
-use ft_abft::propagate::{residue_counts, transport_exp, transport_subtract_max, verify_products};
 use ft_abft::strided::{
-    correct_strided, encode_cols_strided, encode_rows_strided, strided_sums, strided_sums_weighted,
-    StridedChecksums, StridedMismatch,
+    correct_strided, encode_cols_strided, encode_rows_strided, fold_row, strided_sums,
+    strided_sums_weighted, StridedChecksums, StridedMismatch,
 };
 use ft_abft::thresholds::{Check, Thresholds};
 use ft_num::{block_starts, quantize_f32, Matrix, MatrixF16, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
-use ft_sim::{
-    gemm_flops, gemm_nn, gemm_nn_fault_pass, gemm_nn_inj, FaultInjector, FaultSite, GemmCtx,
-    OpCoord,
-};
+use ft_sim::{gemm_flops, gemm_nn, gemm_nn_fault_pass, FaultInjector, FaultSite, GemmCtx, OpCoord};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
@@ -206,40 +205,97 @@ fn scheme_sums(opts: &EftaOptions, c: &MatrixF32, s: usize) -> (MatrixF32, Matri
     }
 }
 
-/// Every (row, residue class) of rows `rows` where the strided sums of `c`
-/// leave its carried checksum results `(c1, c2)` by more than row `i`'s
-/// `chk(i)`.
+/// Every (row, residue class) of rows `rows` of `c` where the strided sums
+/// of row `i`'s first `w` columns at stride `s`, `(w, s) = shape(i)`, leave
+/// its carried checksum results `(c1, c2)` by more than `chk(i)`.
 fn checksum_mismatches(
     opts: &EftaOptions,
     c: &MatrixF32,
     (c1, c2): (&MatrixF32, &MatrixF32),
-    s: usize,
     rows: Range<usize>,
+    shape: impl Fn(usize) -> (usize, usize),
     chk: impl Fn(usize) -> Check,
 ) -> Vec<StridedMismatch> {
-    let part;
-    let c = if rows.len() == c.rows() {
-        c
-    } else {
-        part = c.block(rows.start, 0, rows.len(), c.cols());
-        &part
-    };
-    let (sums1, sums2) = scheme_sums(opts, c, s);
     let mut out = Vec::new();
-    for (k, i) in rows.enumerate() {
-        let chk = chk(i);
-        for t in 0..s {
-            if chk.detects(sums1.get(k, t), c1.get(i, t)) {
-                out.push(StridedMismatch {
-                    i,
-                    t,
-                    delta1: sums1.get(k, t) - c1.get(i, t),
-                    delta2: sums2.get(k, t) - c2.get(i, t),
-                });
+    for (run, (w, s)) in runs(rows, shape) {
+        let part;
+        let c_run = if run == (0..c.rows()) && w == c.cols() {
+            c
+        } else {
+            part = c.block(run.start, 0, run.len(), w);
+            &part
+        };
+        let (sums1, sums2) = scheme_sums(opts, c_run, s);
+        for (k, i) in run.enumerate() {
+            let chk = chk(i);
+            for t in 0..s {
+                if chk.detects(sums1.get(k, t), c1.get(i, t)) {
+                    out.push(StridedMismatch {
+                        i,
+                        t,
+                        delta1: sums1.get(k, t) - c1.get(i, t),
+                        delta2: sums2.get(k, t) - c2.get(i, t),
+                    });
+                }
             }
         }
     }
     out
+}
+
+/// `rows` cut into maximal runs of rows with equal `key`.
+fn runs<K: PartialEq + Copy>(
+    rows: Range<usize>,
+    key: impl Fn(usize) -> K,
+) -> impl Iterator<Item = (Range<usize>, K)> {
+    let mut start = rows.start;
+    core::iter::from_fn(move || {
+        let k = (start < rows.end).then(|| key(start))?;
+        let end = (start + 1..rows.end)
+            .find(|&i| key(i) != k)
+            .unwrap_or(rows.end);
+        let run = start..end;
+        start = end;
+        Some((run, k))
+    })
+}
+
+/// Row `i`'s product check (Algorithm 1 line 13): its carried GEMM I
+/// checksum `c1` (one value per residue class of its `se = c1.len()`
+/// lanes), transported through the subtraction of the row max `m` and the
+/// exponential, against the strided products of its `p` — the arithmetic
+/// of `ft_abft::propagate`'s `transport_subtract_max`, `transport_exp` and
+/// `verify_products` over one row, lane for lane, without their matrices.
+/// `prods` is scratch of at least `se` lanes. Appends the row's mismatches
+/// to `out`.
+fn product_mismatches(
+    i: usize,
+    (p, c1): (&[f32], &[f32]),
+    m: f32,
+    chk: Check,
+    prods: &mut [f32],
+    out: &mut Vec<StridedMismatch>,
+) {
+    let se = c1.len();
+    let prods = &mut prods[..se];
+    prods.fill(1.0);
+    fold_row(p, prods, |acc, _, x| acc * x);
+    for (t, (&c, &got)) in c1.iter().zip(prods.iter()).enumerate() {
+        let count = p.len().saturating_sub(t).div_ceil(se);
+        let want = (c - count as f32 * m).exp();
+        if chk.detects(got, want) {
+            out.push(StridedMismatch {
+                i,
+                t,
+                delta1: got - want,
+                delta2: if want != 0.0 {
+                    got / want
+                } else {
+                    f32::INFINITY
+                },
+            });
+        }
+    }
 }
 
 fn row_max(row: &[f32]) -> f32 {
@@ -268,14 +324,14 @@ pub(crate) fn k_major(cs: &StridedChecksums) -> StridedChecksums {
 /// max-plausibility restriction checks.
 pub(crate) fn max_row_norm(k_blk: &MatrixF32) -> f32 {
     (0..k_blk.rows())
-        .map(|j| row_norm(k_blk.row(j)))
+        .map(|j| row_norm(k_blk.row(j).iter().copied()))
         .fold(0.0f32, f32::max)
 }
 
 /// Euclidean norm of one K row — the one summation order every holder of a
 /// max-norm bound uses (the cache folds it in row by row).
-pub(crate) fn row_norm(row: &[f32]) -> f32 {
-    row.iter().map(|x| x * x).sum::<f32>().sqrt()
+pub(crate) fn row_norm(row: impl IntoIterator<Item = f32>) -> f32 {
+    row.into_iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
 /// One S element recomputed exactly (a d-MAC dot product over column `col`
@@ -325,9 +381,9 @@ pub(crate) struct BlockOperands<'a> {
     /// The K block transposed (`d × rows`): GEMM I's k-major operand.
     pub kt: &'a MatrixF32,
     pub v: &'a MatrixF32,
-    /// GEMM I / GEMM II checksum operands `(k_cs, v_cs)`; `None` under
-    /// [`GemmProtection::Unprotected`]. `k_cs` is k-major like `kt` (its
-    /// `w1`/`w2` are `d × s`, see [`k_major`]).
+    /// GEMM I / GEMM II checksum operands `(k_cs, v_cs)` of the whole
+    /// block; `None` under [`GemmProtection::Unprotected`]. `k_cs` is
+    /// k-major like `kt` (its `w1`/`w2` are `d × s`, see [`k_major`]).
     pub checksums: Option<(&'a StridedChecksums, &'a StridedChecksums)>,
     /// [`max_row_norm`] of the K block (read under SNVR only).
     pub k_max_norm: f32,
@@ -335,6 +391,163 @@ pub(crate) struct BlockOperands<'a> {
     pub jb: usize,
     /// Global column of the block's first K row.
     pub c0: usize,
+    /// The step's leading rows that see only a prefix of the block (a
+    /// decode chunk's causal frontier), with their own operands; `None`
+    /// when every row sees the block whole.
+    pub frontier: Option<&'a Frontier<'a>>,
+}
+
+impl BlockOperands<'_> {
+    /// Leading step rows in the frontier.
+    fn frontier_rows(&self) -> usize {
+        self.frontier.map_or(0, |f| f.widths.len())
+    }
+
+    /// Columns step row `i` sees: a frontier row its prefix, any other row
+    /// the whole block.
+    fn width(&self, i: usize) -> usize {
+        match self.frontier {
+            Some(f) if i < f.widths.len() => f.widths.start + i,
+            _ => self.kt.cols(),
+        }
+    }
+
+    /// The max-norm bound of what step row `i` sees.
+    fn max_norm(&self, i: usize) -> f32 {
+        match self.frontier {
+            Some(f) if i < f.widths.len() => f.k_max_norm[i],
+            _ => self.k_max_norm,
+        }
+    }
+}
+
+/// The operands of a step's frontier — its leading rows, row `i` seeing
+/// only the first `widths.start + i` rows of the block (a decode chunk's
+/// rows whose causal prefix ends inside it) — built from the block's
+/// verified copy once per `(tile, block)` for every frontier row at once.
+/// Each prefix's operands are the ones a cache holding only that prefix
+/// would store, bit for bit:
+///
+/// * K's lanes fold one row at a time like `KvBlock::push_row` (row `j`
+///   into lane `j mod s`, each lane in ascending group order from `0.0`);
+///   a prefix shorter than the stride folds at its row count, one row per
+///   lane: its leading lanes. A row's GEMM I checksum GEMV against its own
+///   prefix operand (`S_c1 = q·w1`, `S_c2 = q·w2`, each lane one
+///   ascending-k chain) runs as the fold reaches that prefix, so no prefix
+///   operand is ever copied; the fault path rebuilds one on demand.
+/// * V's column fold is row-local, so one fold of the whole verified block
+///   serves every prefix by its leading rows.
+/// * The max-norm is a running max over the folded rows.
+pub(crate) struct Frontier<'a> {
+    /// Visible rows of the frontier's first row; each next row sees one
+    /// more.
+    widths: Range<usize>,
+    /// Lanes of the K fold: the stride, or the block's rows if fewer.
+    lanes: usize,
+    /// The verified K block the prefixes fold.
+    k: &'a MatrixF32,
+    /// Per frontier row, its `S_c1` / `S_c2` (the leading
+    /// [`lanes`](Frontier::lanes) columns).
+    s_c1: MatrixF32,
+    s_c2: MatrixF32,
+    /// Per frontier row, the max-norm of its prefix.
+    k_max_norm: Vec<f32>,
+    /// The whole verified block's V fold.
+    v_cs: StridedChecksums,
+}
+
+impl<'a> Frontier<'a> {
+    /// The frontier of the verified block `(k, v)` (with `kt = kᵀ`) at the
+    /// cache's `stride` whose rows, with scaled queries `q` (one per
+    /// width), see the prefixes `widths`, each shorter than the block.
+    pub(crate) fn new(
+        q: &MatrixF32,
+        (k, kt, v): (&'a MatrixF32, &MatrixF32, &MatrixF32),
+        stride: usize,
+        widths: Range<usize>,
+    ) -> Self {
+        let (rows, d) = k.shape();
+        let lanes = stride.min(rows);
+        // The running fold, k-major (`d × lanes`) as GEMM I reads it. The
+        // whole groups ahead of the first prefix fold a group at a time off
+        // `kᵀ` (lane `t` of group `l` is row `l·lanes + t`, so every lane
+        // still adds its rows in ascending order); the rest row by row.
+        let (mut w1, mut w2) = (Matrix::zeros(d, lanes), Matrix::zeros(d, lanes));
+        let bulk = widths.start / lanes * lanes;
+        for (l, j0) in (0..bulk).step_by(lanes).enumerate() {
+            let wl = (l + 1) as f32;
+            for c in 0..d {
+                let group = &kt.row(c)[j0..j0 + lanes];
+                for (a, &x) in w1.row_mut(c).iter_mut().zip(group) {
+                    *a += x;
+                }
+                for (b, &x) in w2.row_mut(c).iter_mut().zip(group) {
+                    *b += wl * x;
+                }
+            }
+        }
+        let norm_of = |j: usize| row_norm(k.row(j).iter().copied());
+        let mut norm = (0..bulk).fold(0.0f32, |m, j| m.max(norm_of(j)));
+        let (mut s_c1, mut s_c2) = (
+            Matrix::zeros(q.rows(), lanes),
+            Matrix::zeros(q.rows(), lanes),
+        );
+        let mut k_max_norm = Vec::with_capacity(widths.len());
+        let mut folded = bulk;
+        for (i, width) in widths.clone().enumerate() {
+            for j in folded..width {
+                let (t, wl) = (j % lanes, (j / lanes + 1) as f32);
+                for (c, &x) in k.row(j).iter().enumerate() {
+                    w1.row_mut(c)[t] += x;
+                    w2.row_mut(c)[t] += wl * x;
+                }
+                norm = norm.max(norm_of(j));
+            }
+            folded = width;
+            let q_i = q.block(i, 0, 1, d);
+            s_c1.set_block(i, 0, &gemm_nn(&q_i, &w1));
+            s_c2.set_block(i, 0, &gemm_nn(&q_i, &w2));
+            k_max_norm.push(norm);
+        }
+        Frontier {
+            widths,
+            lanes,
+            k,
+            s_c1,
+            s_c2,
+            k_max_norm,
+            v_cs: encode_cols_strided(v, stride.min(d), false),
+        }
+    }
+
+    /// Lanes of frontier row `i`'s K operand (its S checksum width).
+    fn lanes(&self, i: usize) -> usize {
+        self.lanes.min(self.widths.start + i)
+    }
+
+    /// Frontier row `i`'s checksum GEMM results `(S_c1, S_c2)`, its V
+    /// operand and its max-norm.
+    #[cfg(test)]
+    pub(crate) fn prefix(&self, i: usize) -> ((MatrixF32, MatrixF32), StridedChecksums, f32) {
+        let (rows, lanes) = (self.widths.start + i, self.lanes(i));
+        let s_cs = (
+            self.s_c1.block(i, 0, 1, lanes),
+            self.s_c2.block(i, 0, 1, lanes),
+        );
+        let v_cs = StridedChecksums {
+            w1: self.v_cs.w1.block(0, 0, rows, self.v_cs.stride),
+            w2: self.v_cs.w2.block(0, 0, rows, self.v_cs.stride),
+            ..self.v_cs
+        };
+        (s_cs, v_cs, self.k_max_norm[i])
+    }
+
+    /// Frontier row `i`'s K operand, k-major as GEMM I reads it: the
+    /// from-scratch row encode of its prefix, which the fold reproduces.
+    fn k_operand(&self, i: usize) -> StridedChecksums {
+        let prefix = self.k.block(0, 0, self.widths.start + i, self.k.cols());
+        k_major(&encode_rows_strided(&prefix, self.lanes(i), false))
+    }
 }
 
 /// How far damage no checksum can repair spreads: what a recomputation
@@ -439,17 +652,35 @@ impl<'a> RowState<'a> {
 
     /// Correct S from located linear mismatches: located elements are
     /// recomputed exactly, and an unlocatable one recomputes its damage
-    /// group's rows of the block. `q` holds S's query rows.
+    /// group's rows of the block. `q` holds S's query rows; row `i` of S
+    /// sees its first `w` columns with `se`-wide checksums, `(w, se) =
+    /// shape(i)`, so a located column past them is unlocatable.
     fn repair_s(
         &mut self,
         q: &MatrixF32,
         kt: &MatrixF32,
         s_blk: &mut MatrixF32,
         mismatches: &[StridedMismatch],
-        se: usize,
+        shape: impl Fn(usize) -> (usize, usize),
     ) {
         for group in damage_groups(self.group, mismatches) {
-            let rep = correct_strided(s_blk, group, se);
+            let i = group[0].i;
+            let (w, se) = shape(i);
+            let rep = if w == s_blk.cols() {
+                correct_strided(s_blk, group, se)
+            } else {
+                // A frontier row (a row damage group): locate within its
+                // own columns.
+                let mut row = s_blk.block(i, 0, 1, w);
+                let local: Vec<_> = group
+                    .iter()
+                    .map(|m| StridedMismatch { i: 0, ..*m })
+                    .collect();
+                let mut rep = correct_strided(&mut row, &local, se);
+                rep.corrected.iter_mut().for_each(|loc| loc.row = i);
+                s_blk.set_block(i, 0, &row);
+                rep
+            };
             for loc in &rep.corrected {
                 s_blk.set(loc.row, loc.col, exact_s(q, kt, loc.row, loc.col));
             }
@@ -459,7 +690,6 @@ impl<'a> RowState<'a> {
                 match self.group {
                     DamageGroup::Tile => *s_blk = gemm_nn(q, kt),
                     DamageGroup::Row => {
-                        let i = group[0].i;
                         let row = gemm_nn(&q.block(i, 0, 1, q.cols()), kt);
                         s_blk.row_mut(i).copy_from_slice(row.row(0));
                     }
@@ -479,17 +709,23 @@ impl<'a> RowState<'a> {
         unnormalised: bool,
         rows: Range<usize>,
     ) {
-        let s = self.o_c1.cols();
+        let (d, s) = (self.o.cols(), self.o_c1.cols());
         let out = kn.opts.thresholds.output;
         let ell = &self.ell;
-        let mismatches =
-            checksum_mismatches(kn.opts, &self.o, (&self.o_c1, &self.o_c2), s, rows, |i| {
+        let mismatches = checksum_mismatches(
+            kn.opts,
+            &self.o,
+            (&self.o_c1, &self.o_c2),
+            rows,
+            |_| (d, s),
+            |i| {
                 if unnormalised {
                     Check::new(out.rel, out.abs_floor * (1.0 + ell[i].abs()))
                 } else {
                     out
                 }
-            });
+            },
+        );
         for group in damage_groups(self.group, &mismatches) {
             let rep = correct_strided(&mut self.o, group, s);
             self.report.gemm2_detected += rep.detections as u64;
@@ -508,7 +744,13 @@ impl<'a> RowState<'a> {
     }
 
     /// One inner iteration of Algorithm 1 (lines 9–20) of rows `rows`
-    /// against `blk`.
+    /// against `blk`. Row `i` of the step reads only the first
+    /// `blk.width(i)` columns of the block: its fault pass, every per-row
+    /// reduction (max, the SNVR bound and argmax, subtract/exp, rowsum, the
+    /// checksum lane sums and the product check) and its GEMM II chains.
+    /// GEMM I is one clean product for every row; the whole-block rows
+    /// share one pair of checksum GEMMs, and each frontier row runs its own
+    /// prefix operand's GEMV.
     #[allow(clippy::too_many_lines)]
     pub(crate) fn step<I: FaultInjector>(
         &mut self,
@@ -528,8 +770,9 @@ impl<'a> RowState<'a> {
         // Step row `i` is state row `ra + i` at coordinate row `row0 + i`.
         let (nr, d) = q.shape();
         let (ra, row0) = (rows.start, self.row0 + rows.start);
-        let bc = blk.kt.cols();
         let (jb, c0) = (blk.jb, blk.c0);
+        let nf = blk.frontier_rows();
+        let width = |i: usize| blk.width(i);
         let traditional = opts.gemm == GemmProtection::Traditional;
         let snvr = opts.softmax == SoftmaxProtection::Snvr;
         let dmr = opts.softmax == SoftmaxProtection::Dmr;
@@ -542,22 +785,51 @@ impl<'a> RowState<'a> {
                 .at(row, col0)
                 .iter(3 * jb + it)
         };
-        let mut s_blk = gemm_nn_inj(q, blk.kt, inj, ctx1(row0, c0, 0));
+        let mut s_blk = gemm_nn(q, blk.kt);
+        let shape1 = |i| (d, width(i));
+        ragged_fault_pass(&mut s_blk, q, 0..nr, blk.kt, shape1, inj, ctx1(row0, c0, 0));
         lap.to(&mut self.phases.gemm1);
 
         // ---- GEMM I protection: checksum GEMMs ----------------------
-        // `se` is the S-side checksum width: a ragged final block folds at
-        // fewer rows than the stride, the traditional scheme at 1. The
-        // rows share one clean product; each row's chains draw faults past
-        // its own visible columns.
+        // `se` is the S-side checksum width: a ragged final block or a
+        // frontier prefix folds at fewer rows than the stride, the
+        // traditional scheme at 1. The whole-block rows share one clean
+        // product, each frontier row runs its own prefix operand; each
+        // row's chains draw faults past its own visible columns.
         let cs_col0 = &self.cs_col0[rows.clone()];
         let s_cs = blk.checksums.map(|(kcs, _)| {
             let checksum_gemm = |w: &MatrixF32, it: usize| {
-                let mut c = gemm_nn(q, w);
+                let mut c = match nf {
+                    0 => gemm_nn(q, w),
+                    _ => {
+                        let mut c = Matrix::zeros(nr, w.cols());
+                        if nf < nr {
+                            c.set_block(nf, 0, &gemm_nn(&q.block(nf, 0, nr - nf, d), w));
+                        }
+                        c
+                    }
+                };
+                if let Some(f) = blk.frontier {
+                    let own = if it == 1 { &f.s_c1 } else { &f.s_c2 };
+                    for i in 0..nf {
+                        let lanes = f.lanes(i);
+                        c.row_mut(i)[..lanes].copy_from_slice(&own.row(i)[..lanes]);
+                    }
+                }
                 if inj.may_fire(FaultSite::GemmIAccum) {
                     for (i, &col0) in cs_col0.iter().enumerate() {
                         let ctx = ctx1(row0 + i, col0 + c0, it);
-                        gemm_nn_fault_pass(&mut c, q, i..i + 1, w, inj, ctx);
+                        match blk.frontier {
+                            Some(f) if i < nf => {
+                                let own = f.k_operand(i);
+                                let own = if it == 1 { &own.w1 } else { &own.w2 };
+                                let (mut c_i, q_i) =
+                                    (c.block(i, 0, 1, own.cols()), q.block(i, 0, 1, d));
+                                gemm_nn_fault_pass(&mut c_i, &q_i, 0..1, own, inj, ctx);
+                                c.set_block(i, 0, &c_i);
+                            }
+                            _ => gemm_nn_fault_pass(&mut c, q, i..i + 1, w, inj, ctx),
+                        }
                     }
                 }
                 c
@@ -580,11 +852,18 @@ impl<'a> RowState<'a> {
                 kcs.stride,
             )
         });
-        if let (true, Some((c1, c2, se))) = (per_step, &s_cs) {
+        // Row `i`'s S checksum geometry: (visible columns, checksum width).
+        let se_whole = s_cs.as_ref().map_or(0, |cs| cs.2);
+        let shape = |i: usize| match blk.frontier {
+            Some(f) if i < nf => (width(i), f.lanes(i)),
+            _ => (width(i), se_whole),
+        };
+        if let (true, Some((c1, c2, _))) = (per_step, &s_cs) {
             // "EFTA": verify the GEMM result immediately.
-            let mismatches = checksum_mismatches(opts, &s_blk, (c1, c2), *se, 0..nr, |_| thr.gemm);
+            let mismatches =
+                checksum_mismatches(opts, &s_blk, (c1, c2), 0..nr, shape, |_| thr.gemm);
             if !mismatches.is_empty() {
-                self.repair_s(q, blk.kt, &mut s_blk, &mismatches, *se);
+                self.repair_s(q, blk.kt, &mut s_blk, &mismatches, shape);
             }
         }
         lap.to(&mut self.phases.gemm1_protect);
@@ -593,18 +872,20 @@ impl<'a> RowState<'a> {
         let mut blk_max: Vec<f32> = (0..nr)
             .map(|i| {
                 let coord = OpCoord::new(slot, row0 + i, jb, 0);
-                inj.corrupt_f32(FaultSite::MaxReduce, coord, row_max(s_blk.row(i)))
+                let max = row_max(&s_blk.row(i)[..width(i)]);
+                inj.corrupt_f32(FaultSite::MaxReduce, coord, max)
             })
             .collect();
         lap.to(&mut self.phases.softmax);
 
         // Max protection.
         for i in 0..nr {
+            let seen = width(i);
             if snvr {
                 // Case 1: restrict — a max below its block's true max risks
                 // exp overflow; repair by recomputing.
                 if let Restriction::Repaired { repaired } =
-                    restrict_row_max(s_blk.row(i), blk_max[i])
+                    restrict_row_max(&s_blk.row(i)[..seen], blk_max[i])
                 {
                     blk_max[i] = repaired;
                     self.report.max_restricted += 1;
@@ -616,10 +897,10 @@ impl<'a> RowState<'a> {
                 // Cauchy–Schwarz bound |S[i][j]| ≤ |q_i|·|k_j| is cheap to
                 // maintain and unmasks the hijack; the offending element
                 // (the argmax) is recomputed exactly.
-                let bound = self.q_norms[ra + i] * blk.k_max_norm * 1.05 + 1e-3;
+                let bound = self.q_norms[ra + i] * blk.max_norm(i) * 1.05 + 1e-3;
                 if blk_max[i] > bound || !blk_max[i].is_finite() {
                     let (mut arg, mut best) = (0usize, f32::NEG_INFINITY);
-                    for (j, &v) in s_blk.row(i).iter().enumerate() {
+                    for (j, &v) in s_blk.row(i)[..seen].iter().enumerate() {
                         if v > best || !v.is_finite() {
                             best = v;
                             arg = j;
@@ -631,16 +912,17 @@ impl<'a> RowState<'a> {
                         s_blk.set(i, arg, exact);
                         self.report.gemm1_corrected += 1;
                     }
-                    blk_max[i] = row_max(s_blk.row(i));
+                    blk_max[i] = row_max(&s_blk.row(i)[..seen]);
                     self.report.max_restricted += 1;
                 }
             } else if dmr {
                 // Recompute the max a second time and compare.
                 let coord = OpCoord::new(slot, row0 + i, jb, 1);
-                let bm2 = inj.corrupt_f32(FaultSite::MaxReduce, coord, row_max(s_blk.row(i)));
+                let bm2 = row_max(&s_blk.row(i)[..seen]);
+                let bm2 = inj.corrupt_f32(FaultSite::MaxReduce, coord, bm2);
                 if blk_max[i] != bm2 {
                     // Third execution, fault-free arbitration.
-                    blk_max[i] = row_max(s_blk.row(i));
+                    blk_max[i] = row_max(&s_blk.row(i)[..seen]);
                     self.report.dmr_retries += 1;
                 }
             }
@@ -651,19 +933,20 @@ impl<'a> RowState<'a> {
         // ---- Softmax: subtract + EXP --------------------------------
         // Per-element fault sites are offered every value only when the
         // injector can fire at one; otherwise the loop is the plain
-        // arithmetic those calls would have returned unchanged.
-        let mut p: MatrixF32 = Matrix::zeros(nr, bc);
+        // arithmetic those calls would have returned unchanged. A column
+        // past a row's width stays 0 and is never read.
+        let mut p: MatrixF32 = Matrix::zeros(nr, blk.kt.cols());
         let exp_sites = inj.may_fire(FaultSite::Subtract) || inj.may_fire(FaultSite::ExpUnit);
         for i in 0..nr {
-            let prow = p.row_mut(i);
+            let (prow, srow) = (p.row_mut(i), &s_blk.row(i)[..width(i)]);
             if exp_sites {
-                for (j, &sv) in s_blk.row(i).iter().enumerate() {
+                for (j, &sv) in srow.iter().enumerate() {
                     let coord = OpCoord::new(slot, row0 + i, c0 + j, jb);
                     let diff = inj.corrupt_f32(FaultSite::Subtract, coord, sv - m_new[i]);
                     prow[j] = inj.corrupt_f32(FaultSite::ExpUnit, coord, diff.exp());
                 }
             } else {
-                for (pv, &sv) in prow.iter_mut().zip(s_blk.row(i)) {
+                for (pv, &sv) in prow.iter_mut().zip(srow) {
                     *pv = (sv - m_new[i]).exp();
                 }
             }
@@ -671,31 +954,35 @@ impl<'a> RowState<'a> {
         lap.to(&mut self.phases.softmax);
 
         // ---- Softmax protection: product check / DMR ----------------
-        if let (true, Some((c1, c2, se))) = (snvr, &s_cs) {
+        if let (true, Some((c1, c2, _))) = (snvr, &s_cs) {
             // Checksum reuse: transport S_c1 through subtraction + exp
             // and verify GEMM I + subtract + exp in one product check.
-            let se = *se;
-            let mut tc1 = c1.clone();
-            transport_subtract_max(&mut tc1, &m_new, &residue_counts(bc, se));
-            let mismatches = verify_products(&p, &transport_exp(&tc1), se, thr.exp_product);
+            let (mut mismatches, mut prods) = (Vec::new(), vec![1.0; c1.cols()]);
+            for i in 0..nr {
+                let (w, se) = shape(i);
+                let row = (&p.row(i)[..w], &c1.row(i)[..se]);
+                let chk = thr.exp_product;
+                product_mismatches(i, row, m_new[i], chk, &mut prods, &mut mismatches);
+            }
+            self.report.exp_detected += mismatches.len() as u64;
             if !mismatches.is_empty() {
-                self.report.exp_detected += mismatches.len() as u64;
                 // Case 2: the product check already established an error
-                // in GEMM I ∪ subtract ∪ EXP; classify via the *linear*
-                // S invariant. The classifier floor sits above the
-                // FP16-checksum quantisation noise so a clean S (EXP
-                // fault) is not "corrected" into a corrupted one.
+                // in GEMM I ∪ subtract ∪ EXP; classify via the *linear* S
+                // invariant of the flagged row's own columns. The
+                // classifier floor sits above the FP16-checksum
+                // quantisation noise so a clean S (EXP fault) is not
+                // "corrected" into a corrupted one.
                 let classify_floor = thr.gemm.abs_floor.max(1e-2);
-                let (sums1, sums2) = scheme_sums(opts, &s_blk, se);
                 let mut linear = Vec::new();
                 for mm in &mismatches {
-                    let d1 = sums1.get(mm.i, mm.t) - c1.get(mm.i, mm.t);
+                    let (w, se) = shape(mm.i);
+                    let (sums1, sums2) = scheme_sums(opts, &s_blk.block(mm.i, 0, 1, w), se);
+                    let d1 = sums1.get(0, mm.t) - c1.get(mm.i, mm.t);
                     if d1.abs() > classify_floor || !d1.is_finite() {
                         linear.push(StridedMismatch {
-                            i: mm.i,
-                            t: mm.t,
                             delta1: d1,
-                            delta2: sums2.get(mm.i, mm.t) - c2.get(mm.i, mm.t),
+                            delta2: sums2.get(0, mm.t) - c2.get(mm.i, mm.t),
+                            ..*mm
                         });
                     } else {
                         // EXP fault: S is clean, recomputing P suffices.
@@ -703,12 +990,13 @@ impl<'a> RowState<'a> {
                     }
                 }
                 if !linear.is_empty() {
-                    self.repair_s(q, blk.kt, &mut s_blk, &linear, se);
+                    self.repair_s(q, blk.kt, &mut s_blk, &linear, shape);
                 }
                 // Recompute every flagged residue class of P from the
                 // (now corrected) S.
                 for mm in &mismatches {
-                    for col in (mm.t..bc).step_by(se) {
+                    let (w, se) = shape(mm.i);
+                    for col in (mm.t..w).step_by(se) {
                         p.set(mm.i, col, (s_blk.get(mm.i, col) - m_new[mm.i]).exp());
                     }
                 }
@@ -718,7 +1006,8 @@ impl<'a> RowState<'a> {
             let mut disagreements = 0u64;
             for i in 0..nr {
                 let mi = m_new[i];
-                for (j, &sv) in s_blk.row(i).iter().enumerate() {
+                for j in 0..width(i) {
+                    let sv = s_blk.get(i, j);
                     let coord = OpCoord::new(slot, row0 + i, c0 + j, 1000 + jb);
                     let diff2 = inj.corrupt_f32(FaultSite::Subtract, coord, sv - mi);
                     let e2 = inj.corrupt_f32(FaultSite::ExpUnit, coord, diff2.exp());
@@ -745,7 +1034,7 @@ impl<'a> RowState<'a> {
                 0.0
             };
             let factor = inj.corrupt_f32(FaultSite::Rescale, OpCoord::new(slot, gi, jb, 2), factor);
-            let rs = row_sum(p.row(i));
+            let rs = row_sum(&p.row(i)[..width(i)]);
             let rs = inj.corrupt_f32(FaultSite::SumReduce, OpCoord::new(slot, gi, jb, 1), rs);
             self.ell[r] = factor * self.ell[r] + rs;
             factors[i] = factor;
@@ -756,16 +1045,16 @@ impl<'a> RowState<'a> {
         lap.to(&mut self.phases.softmax);
 
         for i in 0..nr {
-            let r = ra + i;
+            let (r, prow) = (ra + i, &p.row(i)[..width(i)]);
             if dmr {
                 // DMR protects the rowsum with a second summation.
-                let rs2 = row_sum(p.row(i));
+                let rs2 = row_sum(prow);
                 let coord = OpCoord::new(slot, row0 + i, jb, 2001);
                 let rs2 = inj.corrupt_f32(FaultSite::SumReduce, coord, rs2);
                 if (rowsums[i] - rs2).abs() > 1e-5 * rowsums[i].abs().max(rs2.abs()) {
                     // Third, fault-free execution arbitrates; redo the
                     // ℓ update with the arbitrated sum.
-                    let rs3 = row_sum(p.row(i));
+                    let rs3 = row_sum(prow);
                     self.ell[r] = self.ell[r] - rowsums[i] + rs3;
                     self.report.dmr_retries += 1;
                 }
@@ -778,7 +1067,7 @@ impl<'a> RowState<'a> {
                     // accumulate: rebuild it from the restriction bound of
                     // the earlier blocks plus a clean rowsum of this one.
                     let lower: f32 = hist.iter().map(|&mk| (mk - m).exp()).sum();
-                    let rs = row_sum(p.row(i));
+                    let rs = row_sum(prow);
                     self.ell[r] = (lower - (blk_max[i] - m).exp()).max(0.0) + rs;
                     self.report.sum_restricted += 1;
                 }
@@ -788,17 +1077,20 @@ impl<'a> RowState<'a> {
 
         // ---- GEMM II + rescale --------------------------------------
         // P is quantised to FP16 (in place: it has no later reader) to feed
-        // the second tensor-core GEMM.
+        // the second tensor-core GEMM. Row `i`'s chains run over exactly
+        // its `width(i)` columns.
         for v in p.as_mut_slice() {
             *v = quantize_f32(*v);
         }
-        let gemm2 = |w: &MatrixF32, col0: usize, it: usize| {
+        let gemm2 = |rows: Range<usize>, w: &MatrixF32, col0: usize, it: usize| {
             let ctx = GemmCtx::new(FaultSite::GemmIiAccum, slot)
-                .at(row0, col0)
+                .at(row0 + rows.start, col0)
                 .iter(3 * jb + it);
-            gemm_nn_inj(&p, w, inj, ctx)
+            let mut c = ragged_product(&p, rows.clone(), w, width);
+            ragged_fault_pass(&mut c, &p, rows, w, |i| (width(i), w.cols()), inj, ctx);
+            c
         };
-        let pv = gemm2(blk.v, 0, 0);
+        let pv = gemm2(0..nr, blk.v, 0, 0);
         let rescale_site = inj.may_fire(FaultSite::Rescale);
         for i in 0..nr {
             let f = factors[i];
@@ -818,16 +1110,26 @@ impl<'a> RowState<'a> {
 
         // ---- GEMM II protection: O_c1/O_c2 ride the rescale ---------
         if let Some((_, vcs)) = blk.checksums {
-            // Traditional checksums pay the full 8-wide MMA tile too.
-            let checksum_gemm = |w: &MatrixF32, it: usize| {
+            // The frontier rows read the verified block's own V fold, the
+            // whole-block rows the stored one. Traditional checksums pay
+            // the full 8-wide MMA tile too.
+            let checksum_gemm = |cs: &StridedChecksums, rows: Range<usize>, it: usize| {
+                let w = if it == 1 { &cs.w1 } else { &cs.w2 };
                 if traditional {
                     let padded = Matrix::hstack(&[w, &Matrix::zeros(w.rows(), 7)]);
-                    gemm2(&padded, d, it).block(0, 0, nr, 1)
+                    gemm2(rows.clone(), &padded, d, it).block(0, 0, rows.len(), 1)
                 } else {
-                    gemm2(w, d, it)
+                    gemm2(rows, w, d, it)
                 }
             };
-            let pcs = [checksum_gemm(&vcs.w1, 1), checksum_gemm(&vcs.w2, 2)];
+            let pcs = [1, 2].map(|it| match blk.frontier {
+                None => checksum_gemm(vcs, 0..nr, it),
+                Some(f) if nf == nr => checksum_gemm(&f.v_cs, 0..nr, it),
+                Some(f) => Matrix::vstack(&[
+                    &checksum_gemm(&f.v_cs, 0..nf, it),
+                    &checksum_gemm(vcs, nf..nr, it),
+                ]),
+            });
             for (o_c, pc) in [&mut self.o_c1, &mut self.o_c2].into_iter().zip(&pcs) {
                 for i in 0..nr {
                     for (ov, &dv) in o_c.row_mut(ra + i).iter_mut().zip(pc.row(i)) {
@@ -922,7 +1224,9 @@ impl<'a> RowState<'a> {
             let q = self.q.block(r0, 0, len, d);
             let mut state = crate::flash::OnlineState::new(len, d);
             for (kt, v_blk) in replay(group) {
-                crate::flash::online_update(&mut state, 0, &gemm_nn(&q, &kt), &v_blk);
+                crate::flash::online_update(&mut state, 0, &gemm_nn(&q, &kt), &v_blk, |_| {
+                    kt.cols()
+                });
             }
             crate::flash::finalize(&mut state);
             self.o.set_block(r0, 0, &state.o);
@@ -1055,6 +1359,7 @@ impl PreparedBlock {
             k_max_norm: self.k_max_norm,
             jb,
             c0,
+            frontier: None,
         }
     }
 }
@@ -1174,6 +1479,41 @@ mod tests {
 
     fn small_cfg() -> AttentionConfig {
         AttentionConfig::new(1, 2, 64, 32).with_block(32)
+    }
+
+    #[test]
+    fn row_product_check_is_the_matrix_pipeline() {
+        // `product_mismatches` replays `transport_subtract_max` →
+        // `transport_exp` → `verify_products` over one row: the same
+        // mismatches, deltas bit for bit, at every width and lane count a
+        // step meets (a frontier prefix shorter than the stride included),
+        // on clean rows and on rows with a corrupted or non-finite score.
+        use ft_abft::propagate::{
+            residue_counts, transport_exp, transport_subtract_max, verify_products,
+        };
+        let chk = Thresholds::calibrated().exp_product;
+        for (w, se) in [(64, 8), (20, 8), (8, 8), (5, 5), (1, 1), (37, 3)] {
+            let s = Matrix::from_fn(4, w, |i, j| ((i * 31 + j * 7) % 17) as f32 * 0.3 - 2.0);
+            let m: Vec<f32> = (0..4).map(|i| row_max(s.row(i))).collect();
+            let mut p = Matrix::from_fn(4, w, |i, j| (s.get(i, j) - m[i]).exp());
+            let c1 = Matrix::from_fn(4, se, |i, t| (t..w).step_by(se).map(|j| s.get(i, j)).sum());
+            p.set(1, w / 2, p.get(1, w / 2) * 3.0);
+            p.set(2, w - 1, f32::NAN);
+            let mut tc1 = c1.clone();
+            transport_subtract_max(&mut tc1, &m, &residue_counts(w, se));
+            let want = verify_products(&p, &transport_exp(&tc1), se, chk);
+            let (mut got, mut prods) = (Vec::new(), vec![0.0; se]);
+            for i in 0..4 {
+                product_mismatches(i, (p.row(i), c1.row(i)), m[i], chk, &mut prods, &mut got);
+            }
+            let key = |v: &[StridedMismatch]| {
+                v.iter()
+                    .map(|mm| (mm.i, mm.t, mm.delta1.to_bits(), mm.delta2.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(key(&got), key(&want), "width {w}, lanes {se}");
+            assert!(!want.is_empty());
+        }
     }
 
     #[test]

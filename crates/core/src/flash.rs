@@ -14,8 +14,9 @@ use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
 use ft_num::{block_starts, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
-use ft_sim::{gemm_flops, gemm_nn, gemm_nt};
+use ft_sim::{gemm_flops, gemm_nn, gemm_nn_fault_pass, gemm_nt, FaultInjector, GemmCtx};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// State of one row-block's online softmax accumulation.
 pub(crate) struct OnlineState {
@@ -39,25 +40,27 @@ impl OnlineState {
 
 /// One inner iteration of the online-softmax update of state rows
 /// `r0 .. r0 + s_blk.rows()` for a score block `s_blk` (rows × bc) and
-/// value block `v_blk` (bc × d): new maxima, rescale factors, exp block P,
-/// rowsum update and O update. Rows are independent, so a row range
-/// updated together is bit-identical to its rows updated one at a time.
+/// value block `v_blk` (bc × d), row `i` over its first `w(i)` columns
+/// (`w` non-decreasing; a causal chunk's frontier rows see a prefix of the
+/// block): new maxima, rescale factors, exp block P, rowsum update and O
+/// update. A column past a row's width never enters its max, sum or
+/// product. Rows are independent, so a row range updated together is
+/// bit-identical to its rows updated one at a time, each against its own
+/// `w(i)` columns.
 pub(crate) fn online_update(
     state: &mut OnlineState,
     r0: usize,
     s_blk: &MatrixF32,
     v_blk: &MatrixF32,
+    w: impl Fn(usize) -> usize,
 ) {
     let rows = s_blk.rows();
     let mut p = Matrix::zeros(rows, s_blk.cols());
     let mut factors = vec![0.0f32; rows];
     for i in 0..rows {
         let r = r0 + i;
-        let blk_max = s_blk
-            .row(i)
-            .iter()
-            .cloned()
-            .fold(f32::NEG_INFINITY, f32::max);
+        let s_row = &s_blk.row(i)[..w(i)];
+        let blk_max = s_row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let m_new = state.m[r].max(blk_max);
         let factor = if state.m[r].is_finite() {
             (state.m[r] - m_new).exp()
@@ -66,7 +69,7 @@ pub(crate) fn online_update(
         };
         let mut rowsum = 0.0f32;
         let prow = p.row_mut(i);
-        for (j, &s) in s_blk.row(i).iter().enumerate() {
+        for (j, &s) in s_row.iter().enumerate() {
             let e = (s - m_new).exp();
             prow[j] = e;
             rowsum += e;
@@ -76,11 +79,80 @@ pub(crate) fn online_update(
         factors[i] = factor;
     }
     // O = diag(factor)·O + P·V.
-    let pv = gemm_nn(&p, v_blk);
+    let pv = ragged_product(&p, 0..rows, v_blk, w);
     for i in 0..rows {
         let f = factors[i];
         for (o, &d) in state.o.row_mut(r0 + i).iter_mut().zip(pv.row(i)) {
             *o = f * *o + d;
+        }
+    }
+}
+
+/// Rows `rows` of `a · b` in which row `i` runs every chain over exactly
+/// its first `w(i)` columns of `a` (rows of `b`), `w` non-decreasing: one
+/// GEMM over the `w(rows.start)` columns every row sees, then each row
+/// continues its chains in ascending order over its own tail. Every
+/// element is the one ascending-k chain from `0.0` that row `i` alone
+/// against the first `w(i)` rows of `b` computes, and a column past a
+/// row's width — whose `b` row may hold a later chunk row's ±Inf, so that
+/// `0 · Inf` would be NaN — is never multiplied in.
+pub(crate) fn ragged_product(
+    a: &MatrixF32,
+    rows: Range<usize>,
+    b: &MatrixF32,
+    w: impl Fn(usize) -> usize,
+) -> MatrixF32 {
+    let (m, n, w0) = (rows.len(), b.cols(), w(rows.start));
+    let mut c = if m == a.rows() && w0 == a.cols() {
+        gemm_nn(a, b)
+    } else if w0 == b.rows() {
+        gemm_nn(&a.block(rows.start, 0, m, w0), b)
+    } else {
+        gemm_nn(&a.block(rows.start, 0, m, w0), &b.block(0, 0, w0, n))
+    };
+    for (ci, i) in rows.enumerate() {
+        let c_row = c.row_mut(ci);
+        for k in w0..w(i) {
+            let x = a.get(i, k);
+            for (acc, &y) in c_row.iter_mut().zip(b.row(k)) {
+                *acc += x * y;
+            }
+        }
+    }
+    c
+}
+
+/// The fault pass of rows `rows` of a product in which row `i` of `a`
+/// sees only its first `kk` columns (and `b` its first `kk` rows) and
+/// fills its first `n` output columns, `(kk, n) = shape(i)`. Row `k` of
+/// `c` (row `rows.start + k` of `a`) draws at coordinate row
+/// `ctx.row_off + k` exactly as row 0 of a one-row `gemm_nn_inj` over
+/// those operands would: rows that see a block to different widths share
+/// one clean product and keep the draws each makes alone — a masked column
+/// is never offered to the injector, and a chain's fault step is drawn
+/// over its own length.
+pub(crate) fn ragged_fault_pass<I: FaultInjector>(
+    c: &mut MatrixF32,
+    a: &MatrixF32,
+    rows: Range<usize>,
+    b: &MatrixF32,
+    shape: impl Fn(usize) -> (usize, usize),
+    inj: &I,
+    ctx: GemmCtx,
+) {
+    if !inj.may_fire(ctx.site) {
+        return;
+    }
+    for (k, i) in rows.enumerate() {
+        let ctx = ctx.at(ctx.row_off + k, ctx.col_off);
+        let (kk, n) = shape(i);
+        if (kk, n) == (a.cols(), c.cols()) && k == i {
+            gemm_nn_fault_pass(c, a, i..i + 1, b, inj, ctx);
+        } else {
+            let mut c_k = c.block(k, 0, 1, n);
+            let (a_i, b_part) = (a.block(i, 0, 1, kk), b.block(0, 0, kk, n));
+            gemm_nn_fault_pass(&mut c_k, &a_i, 0..1, &b_part, inj, ctx);
+            c.set_block(k, 0, &c_k);
         }
     }
 }
@@ -138,7 +210,7 @@ pub(crate) fn flash_forward(
                         }
                     }
                 }
-                online_update(&mut state, 0, &s_blk, &v_blk);
+                online_update(&mut state, 0, &s_blk, &v_blk, |_| s_blk.cols());
             }
             finalize(&mut state);
             (slot, r0, state.o)

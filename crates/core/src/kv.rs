@@ -35,8 +35,9 @@
 //!   from-scratch encoder (`KvBlock::encode`, kept as the oracle the fold
 //!   is tested against): O(row), bit-identical, stored rows never read back.
 //! * **`heal`** is the verifying read in front of a write: re-fold the
-//!   resident rows and compare every lane of both operands of both
-//!   families with the stored bits. All equal means `stored ==
+//!   resident rows straight from the FP16 payload, `push_row`'s fold one K
+//!   lane or V row at a time, and compare every lane of both operands of
+//!   both families with the stored bits. All equal means `stored ==
 //!   encode(payload)` and nothing is touched; otherwise locate/correct
 //!   under the level's tolerance, poison the block for what cannot be
 //!   located, and re-encode over the healed rows.
@@ -95,7 +96,9 @@
 
 use crate::efta::{max_row_norm, row_norm};
 use crate::protect::ProtectionLevel;
-use ft_abft::strided::{encode_cols_strided, encode_rows_strided, locate_group, StridedChecksums};
+use ft_abft::strided::{
+    encode_cols_strided, encode_rows_strided, locate_group, strided_sums, StridedChecksums,
+};
 use ft_num::{MatrixF16, MatrixF32, Tensor4F16, F16};
 use ft_sim::{FaultInjector, FaultSite};
 
@@ -188,44 +191,64 @@ impl KvBlock {
         // than the stride folds at its row count, so the row opens a lane —
         // from zero, like the encoder's accumulator (`0.0 + -0.0`, no copy).
         let (t, l) = (rows % stride, rows / stride);
-        let kx: Vec<f32> = k.iter().map(|x| x.to_f32()).collect();
         if l == 0 {
-            let zero = vec![0.0; kx.len()];
-            self.k_cs.w1.push_row(&zero);
-            self.k_cs.w2.push_row(&zero);
+            self.k_cs.w1.push_zero_row();
+            self.k_cs.w2.push_zero_row();
         }
         (self.k_cs.stride, self.k_cs.groups) = (stride.min(rows + 1), l + 1);
         let (w1, w2) = (self.k_cs.w1.row_mut(t), self.k_cs.w2.row_mut(t));
-        for (c, &x) in kx.iter().enumerate() {
-            w1[c] += x;
-            w2[c] += (l + 1) as f32 * x;
-        }
-        self.k_max_norm = self.k_max_norm.max(row_norm(&kx));
+        fold_k_row(w1, w2, k, (l + 1) as f32);
+        self.k_max_norm = self.k_max_norm.max(row_norm(k.iter().map(|x| x.to_f32())));
         // V, column-folded: every payload row has a checksum row of its own.
+        self.v_cs.w1.push_zero_row();
+        self.v_cs.w2.push_zero_row();
+        fold_v_row(self.v_cs.w1.row_mut(rows), self.v_cs.w2.row_mut(rows), v);
         let sv = self.v_cs.w1.cols();
-        let (mut s1, mut s2) = (vec![0.0f32; sv], vec![0.0f32; sv]);
-        for (c, x) in v.iter().map(|x| x.to_f32()).enumerate() {
-            s1[c % sv] += x;
-            s2[c % sv] += (c / sv + 1) as f32 * x;
-        }
-        self.v_cs.w1.push_row(&s1);
-        self.v_cs.w2.push_row(&s2);
         (self.v_cs.stride, self.v_cs.groups) = (sv, v.len().div_ceil(sv));
     }
 
+    /// Whether the payload re-folds to every stored lane of both operands of
+    /// both families, bit for bit: `push_row`'s fold straight from the FP16
+    /// rows, one K lane or V row at a time into one scratch pair, compared
+    /// as it completes.
+    fn folds_to_stored(&self) -> bool {
+        let mut scratch = vec![0.0f32; 2 * self.k.cols()];
+        let (w1, w2) = scratch.split_at_mut(self.k.cols());
+        let s = self.k_cs.stride;
+        for t in 0..self.k_cs.w1.rows() {
+            w1.fill(0.0);
+            w2.fill(0.0);
+            for (l, r) in (t..self.k.rows()).step_by(s).enumerate() {
+                fold_k_row(w1, w2, self.k.row(r), (l + 1) as f32);
+            }
+            if !same_lanes(w1, self.k_cs.w1.row(t)) || !same_lanes(w2, self.k_cs.w2.row(t)) {
+                return false;
+            }
+        }
+        let (w1, w2) = (
+            &mut w1[..self.v_cs.w1.cols()],
+            &mut w2[..self.v_cs.w1.cols()],
+        );
+        (0..self.v.rows()).all(|r| {
+            w1.fill(0.0);
+            w2.fill(0.0);
+            fold_v_row(w1, w2, self.v.row(r));
+            same_lanes(w1, self.v_cs.w1.row(r)) && same_lanes(w2, self.v_cs.w2.row(r))
+        })
+    }
+
     /// The verifying read in front of a write. Re-fold the resident rows
-    /// and compare every lane of both operands of both families with the
-    /// stored bits (`w2` too: damage that cancels in a lane's plain sum, or
-    /// hides under the read-check floor, still moves what a re-encode
-    /// stores). All equal: the block is what `encode` would rebuild, and
-    /// nothing is touched. Otherwise locate and correct under `tol`, write
+    /// straight from the FP16 payload (`folds_to_stored`) and compare every
+    /// lane of both operands of both families with the stored bits (`w2`
+    /// too: damage that cancels in a lane's plain sum, or hides under the
+    /// read-check floor, still moves what a re-encode stores). All equal:
+    /// the block is what `encode` would rebuild, and nothing is touched.
+    /// Otherwise locate and correct under `tol`, write
     /// the re-quantised payload back and re-encode — destroying the
     /// evidence of what could not be located, so that count joins the
     /// sticky poison mark here, once. Returns the verification report.
     fn heal(&mut self, stride: usize, tol: Option<f32>) -> KvReadReport {
-        let k_fresh = encode_rows_strided(&self.k.to_f32(), self.k_cs.stride, false);
-        let v_fresh = encode_cols_strided(&self.v.to_f32(), self.v_cs.stride, false);
-        if same_bits(&k_fresh, &self.k_cs) && same_bits(&v_fresh, &self.v_cs) {
+        if self.folds_to_stored() {
             return KvReadReport::default();
         }
         let (kf, k_report) = verify(&self.k, &self.k_cs, Fold::Rows, tol);
@@ -897,7 +920,10 @@ impl KvCache {
     /// The payload copies are bit-identical to
     /// [`read_k_verified`](KvCache::read_k_verified) /
     /// [`read_v_verified`](KvCache::read_v_verified) — same stored rows
-    /// through the same deterministic locate-and-correct pass.
+    /// through the same deterministic locate-and-correct pass. A clean read
+    /// folds each family's `w1` lanes once and compares them; the `w2`
+    /// fold that locates an error is built only for a family whose `w1`
+    /// lanes mismatch.
     pub fn verified_block(&self, slot: usize, b: usize) -> VerifiedBlock<'_> {
         assert!(
             self.level.encodes_metadata(),
@@ -1000,17 +1026,48 @@ impl KvCache {
     }
 }
 
-/// Checksum lanes as raw bits, the way they are compared: a clean block
-/// re-folds to the exact same f32s (same loop over the same values) — the
-/// NaN lanes of an appended Inf/NaN row too, which `==` would fail against
-/// themselves and so read as permanent damage — and `-0.0` is not `0.0`.
-fn bits(m: &MatrixF32) -> impl Iterator<Item = u32> + '_ {
-    m.as_slice().iter().map(|x| x.to_bits())
+/// Checksum lanes compared as raw bits: a clean block re-folds to the exact
+/// same f32s (same loop over the same values) — the NaN lanes of an
+/// appended Inf/NaN row too, which `==` would fail against themselves and
+/// so read as permanent damage — and `-0.0` is not `0.0`. One OR over
+/// every lane's difference, no early exit, so the comparison vectorises.
+fn same_lanes(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .fold(0, |diff, (x, y)| diff | (x.to_bits() ^ y.to_bits()))
+            == 0
 }
 
 /// Bit-for-bit equality of both operands.
+#[cfg(test)]
 fn same_bits(a: &StridedChecksums, b: &StridedChecksums) -> bool {
-    bits(&a.w1).eq(bits(&b.w1)) && bits(&a.w2).eq(bits(&b.w2))
+    same_lanes(a.w1.as_slice(), b.w1.as_slice()) && same_lanes(a.w2.as_slice(), b.w2.as_slice())
+}
+
+/// Fold K row `x` of group `l` into its lane `(w1, w2)`, `wl = l + 1`:
+/// one add per element, the from-scratch row encoder's
+/// (`encode_rows_strided`) arithmetic.
+fn fold_k_row(w1: &mut [f32], w2: &mut [f32], x: &[F16], wl: f32) {
+    for ((a, b), x) in w1.iter_mut().zip(w2.iter_mut()).zip(x) {
+        let x = x.to_f32();
+        *a += x;
+        *b += wl * x;
+    }
+}
+
+/// Fold V row `x` into its own lanes `(w1, w2)` at stride `w1.len()`, one
+/// group of columns at a time in ascending order: the column encoder's
+/// (`encode_cols_strided`) arithmetic.
+fn fold_v_row(w1: &mut [f32], w2: &mut [f32], x: &[F16]) {
+    for (l, group) in x.chunks(w1.len()).enumerate() {
+        let wl = (l + 1) as f32;
+        for ((a, b), x) in w1.iter_mut().zip(w2.iter_mut()).zip(group) {
+            let x = x.to_f32();
+            *a += x;
+            *b += wl * x;
+        }
+    }
 }
 
 /// The axis a block's checksums fold: K rows (`w1[t][c] = Σ_l K[t+s·l][c]`)
@@ -1021,12 +1078,42 @@ enum Fold {
     Cols,
 }
 
+impl Fold {
+    /// The plain (`w1`) lanes of the re-fold of `m` at stride `s`, the ones
+    /// the read check compares: the encoder's, bit for bit.
+    fn w1(self, m: &MatrixF32, s: usize) -> MatrixF32 {
+        match self {
+            Fold::Cols => strided_sums(m, s),
+            Fold::Rows => {
+                let mut out = MatrixF32::zeros(s, m.cols());
+                for r in 0..m.rows() {
+                    for (acc, &x) in out.row_mut(r % s).iter_mut().zip(m.row(r)) {
+                        *acc += x;
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// Both operands of the re-fold of `m` at stride `s` (what locating an
+    /// error needs).
+    fn encode(self, m: &MatrixF32, s: usize) -> StridedChecksums {
+        match self {
+            Fold::Rows => encode_rows_strided(m, s, false),
+            Fold::Cols => encode_cols_strided(m, s, false),
+        }
+    }
+}
+
 /// Verified f32 copy of a block's payload: re-fold it, compare with the
 /// stored checksums, correct the copy. A corrupted element perturbs one
 /// lane — `w1` by `Δ`, `w2` by `(l+1)·Δ` — which locates its group `l`,
-/// hence the element `s·l` further along the fold axis. With
-/// `tol = Some(t)` (approximate protection), residuals `|Δ| ≤ t` above the
-/// floor are tolerated: counted, left uncorrected, never escalated.
+/// hence the element `s·l` further along the fold axis. The check reads
+/// `w1` alone, so a clean read folds `w1` only; `w2` is folded for a block
+/// whose `w1` lanes mismatch. With `tol = Some(t)` (approximate
+/// protection), residuals `|Δ| ≤ t` above the floor are tolerated: counted,
+/// left uncorrected, never escalated.
 fn verify(
     payload: &MatrixF16,
     cs: &StridedChecksums,
@@ -1034,16 +1121,13 @@ fn verify(
     tol: Option<f32>,
 ) -> (MatrixF32, KvReadReport) {
     let mut m = payload.to_f32();
-    let fresh = match axis {
-        Fold::Rows => encode_rows_strided(&m, cs.stride, false),
-        Fold::Cols => encode_cols_strided(&m, cs.stride, false),
-    };
     let mut report = KvReadReport::default();
     // The clean read leaves here: every attended block of every sweep takes
     // it, and inside the loop below it pays for locate/correct's registers.
-    if bits(&fresh.w1).eq(bits(&cs.w1)) {
+    if same_lanes(axis.w1(&m, cs.stride).as_slice(), cs.w1.as_slice()) {
         return (m, report);
     }
+    let fresh = axis.encode(&m, cs.stride);
     for i in 0..fresh.w1.rows() {
         for j in 0..fresh.w1.cols() {
             // The clean lanes of a damaged block, NaN ones included.

@@ -147,6 +147,13 @@ impl<T: Copy + Default> Matrix<T> {
         self.rows += 1;
     }
 
+    /// Append one row of `T::default()` in place (an accumulator row to be
+    /// filled through [`row_mut`](Matrix::row_mut)), without a source row.
+    pub fn push_zero_row(&mut self) {
+        self.data.resize(self.data.len() + self.cols, T::default());
+        self.rows += 1;
+    }
+
     /// Stack matrices vertically (same column count).
     pub fn vstack(parts: &[&Matrix<T>]) -> Matrix<T> {
         assert!(!parts.is_empty());
