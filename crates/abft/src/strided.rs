@@ -8,8 +8,9 @@
 //!
 //! * for GEMM I (`S = Q·Kᵀ`): K's **rows** are folded in groups of stride
 //!   `s` — `K_c1[t] = Σ_l K[t + s·l]`, `K_c2[t] = Σ_l (l+1)·K[t + s·l]` —
-//!   giving an `s × d` pair appended (transposed) as extra columns of Kᵀ.
-//!   After the GEMM, `S_c1[i][t] = Σ_l S[i][t + s·l]` must hold.
+//!   giving an `s × d` pair appended (transposed) as extra columns of Kᵀ:
+//!   the column fold of `Kᵀ` below, lane for lane. After the GEMM,
+//!   `S_c1[i][t] = Σ_l S[i][t + s·l]` must hold.
 //! * for GEMM II (`O = P·V`): V's **columns** are folded the same way,
 //!   giving `B × s` checksum operands and the invariant
 //!   `O_c1[i][t] = Σ_l O[i][t + s·l]`.
@@ -45,7 +46,9 @@ pub struct StridedChecksums {
 }
 
 /// Fold the **rows** of `k` (a `B × d` block) in stride-`s` groups:
-/// output operands are `s × d`. Used for GEMM I (QKᵀ).
+/// output operands are `s × d`, GEMM I's (QKᵀ) checksums by definition.
+/// Transposed, they are bit for bit the column fold of `kᵀ`
+/// ([`encode_cols_strided`]), which is how every kernel encodes them.
 ///
 /// `quantize` rounds the encoded operands through binary16, modelling their
 /// storage as FP16 tensor-core operands.
@@ -82,7 +85,8 @@ pub fn encode_rows_strided(k: &MatrixF32, s: usize, quantize: bool) -> StridedCh
 }
 
 /// Fold the **columns** of `v` (a `B × d` block) in stride-`s` groups:
-/// output operands are `B × s`. Used for GEMM II (PV). The fold is the
+/// output operands are `B × s`. Used for every k-major operand: V (GEMM
+/// II), `Kᵀ` (GEMM I) and `Wᵀ` (the linears). The fold is the
 /// verification-side one ([`strided_sums`], [`strided_sums_weighted`]), so
 /// encode and verify sum every lane in the same order.
 pub fn encode_cols_strided(v: &MatrixF32, s: usize, quantize: bool) -> StridedChecksums {

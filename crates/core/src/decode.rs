@@ -46,12 +46,11 @@
 //! rejects it as unsupported.
 //!
 //! GEMM I reads K k-major (`Kᵀ`, `dim × rows`), the layout whose product
-//! runs as register panels: both tiles transpose each attended block once
-//! per `(tile, block)`, right after its verified (or raw) read (the
-//! protected tile its stored K checksum pair too), and the one step
-//! against the block reads that one `Kᵀ` — the frontier rows included, no
-//! column copied per row. Each score is still the one ascending-k chain of
-//! `q · k_j`, so the layout changes no bit.
+//! runs as register panels, and that is the layout the cache stores: both
+//! tiles read each attended block's `Kᵀ` and its checksum pair as stored,
+//! with no transpose, and the one step against the block reads that one
+//! `Kᵀ` — the frontier rows included, no column copied per row. Each score
+//! is still the one ascending-k chain of `q · k_j`.
 //!
 //! Both kernels take a *visible length* — the causal prefix of the cache a
 //! query row may attend to — and are called from exactly one place, the
@@ -96,7 +95,7 @@
 
 use crate::backend::BackendError;
 use crate::efta::{
-    k_major, BlockOperands, DamageGroup, EftaOptions, Frontier, GemmProtection, Kernel, RowState,
+    BlockOperands, DamageGroup, EftaOptions, Frontier, GemmProtection, Kernel, RowState,
 };
 use crate::flash::ragged_fault_pass;
 use crate::kv::KvCache;
@@ -346,7 +345,7 @@ pub(crate) fn reference_decode_tile(
     let mut state = crate::flash::OnlineState::new(c, d);
     let (b0, nb) = attended_blocks(cache, vis0, c, window);
     for jb in b0[0]..nb[c - 1] {
-        let kt = cache.read_k_raw(slot, jb).transpose();
+        let kt = cache.read_kt_raw(slot, jb);
         let v = cache.read_v_raw(slot, jb);
         let (frontier, whole) = attending_rows(cache, vis0, (&b0, &nb), jb);
         let rows = frontier.start..whole.end;
@@ -450,22 +449,18 @@ pub(crate) fn efta_decode_tile(
         if vb.k_report.uncorrectable + vb.v_report.uncorrectable > 0 {
             state.mark_damaged(rows.clone());
         }
-        // GEMM I's k-major operands, built once per (tile, block) and read
-        // by the one step against the block.
-        let kt = vb.k.transpose();
-        let k_cs = protected.then(|| k_major(vb.k_cs));
         // A partial causal frontier's operands are folded over each row's
         // visible rows (the exact operands a `vis`-row cache would store).
         let width = |r: usize| vis_block_rows(cache, jb, vis0 + r);
         let frontier = (!frontier_rows.is_empty()).then(|| {
             let widths = width(frontier_rows.start)..width(frontier_rows.end - 1) + 1;
             let q = q.block(frontier_rows.start, 0, frontier_rows.len(), d);
-            Frontier::new(&q, (&vb.k, &kt, &vb.v), cache.stride(), widths)
+            Frontier::new(&q, (&vb.kt, &vb.v), cache.stride(), widths)
         });
         let blk = BlockOperands {
-            kt: &kt,
+            kt: &vb.kt,
             v: &vb.v,
-            checksums: k_cs.as_ref().map(|k_cs| (k_cs, vb.v_cs)),
+            checksums: protected.then_some((vb.kt_cs, vb.v_cs)),
             k_max_norm: vb.k_max_norm,
             jb,
             c0: jb * cache.block(),
@@ -483,12 +478,9 @@ pub(crate) fn efta_decode_tile(
         let r = rows.start;
         (b0[r]..nb[r]).map(move |jb| {
             let rows = vis_block_rows(cache, jb, vis0 + r);
-            let (k_blk, _) = cache.read_k_verified(slot, jb);
-            let (v_blk, _) = cache.read_v_verified(slot, jb);
-            (
-                k_blk.block(0, 0, rows, d).transpose(),
-                v_blk.block(0, 0, rows, d),
-            )
+            let (kt, _) = cache.read_kt_verified(slot, jb);
+            let (v, _) = cache.read_v_verified(slot, jb);
+            (kt.block(0, 0, d, rows), v.block(0, 0, rows, d))
         })
     };
     let (o, tile_report, _) = state.finish(&kernel, reread);
@@ -548,8 +540,8 @@ mod tests {
     use super::*;
     use crate::backend::{AttentionBackend, BackendKind};
     use crate::config::AttentionConfig;
-    use crate::efta::{efta_forward, max_row_norm, SoftmaxProtection, VerifyMode};
-    use ft_abft::strided::{encode_cols_strided, encode_rows_strided, StridedChecksums};
+    use crate::efta::{efta_forward, max_key_norm, SoftmaxProtection, VerifyMode};
+    use ft_abft::strided::{encode_cols_strided, StridedChecksums};
     use ft_num::rng::normal_tensor_f16;
     use ft_num::F16;
     use ft_sim::{BerInjector, OpCoord, SeuInjector};
@@ -672,17 +664,16 @@ mod tests {
             let vb = cache.verified_block(0, jb);
             if jb == 0 {
                 assert_eq!((vb.k_report.corrected, vb.v_report.corrected), (1, 1));
-                assert_ne!(bits(&vb.k), bits(&cache.read_k_raw(0, jb)));
+                assert_ne!(bits(&vb.kt), bits(&cache.read_kt_raw(0, jb)));
                 assert_ne!(bits(&vb.v), bits(&cache.read_v_raw(0, jb)));
             }
-            let (rows, d) = vb.k.shape();
+            let (d, rows) = vb.kt.shape();
             let q = q.slot_flat(0).block(0, 0, rows, d).to_f32();
-            let kt = vb.k.transpose();
-            let frontier = Frontier::new(&q, (&vb.k, &kt, &vb.v), cache.stride(), 1..rows + 1);
+            let frontier = Frontier::new(&q, (&vb.kt, &vb.v), cache.stride(), 1..rows + 1);
             for p in 1..=rows {
                 let (s_cs, v_cs, k_max_norm) = frontier.prefix(p - 1);
-                let (k_part, v_part) = (vb.k.block(0, 0, p, d), vb.v.block(0, 0, p, d));
-                let want_k = k_major(&encode_rows_strided(&k_part, cache.stride().min(p), false));
+                let (kt_part, v_part) = (vb.kt.block(0, 0, d, p), vb.v.block(0, 0, p, d));
+                let want_k = encode_cols_strided(&kt_part, cache.stride().min(p), false);
                 let want_v = encode_cols_strided(&v_part, cache.stride().min(d), false);
                 let q_row = q.block(p - 1, 0, 1, d);
                 let want_s = (gemm_nn(&q_row, &want_k.w1), gemm_nn(&q_row, &want_k.w2));
@@ -695,7 +686,7 @@ mod tests {
                 assert_eq!(operands(&v_cs), operands(&want_v), "V {what}");
                 assert_eq!(
                     k_max_norm.to_bits(),
-                    max_row_norm(&k_part).to_bits(),
+                    max_key_norm(&kt_part).to_bits(),
                     "{what}"
                 );
             }

@@ -50,8 +50,8 @@ use crate::flash::{ragged_fault_pass, ragged_product};
 use crate::snvr::{restrict_row_max, restrict_rowsum, Restriction};
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
 use ft_abft::strided::{
-    correct_strided, encode_cols_strided, encode_rows_strided, fold_row, strided_sums,
-    strided_sums_weighted, StridedChecksums, StridedMismatch,
+    correct_strided, encode_cols_strided, fold_row, strided_sums, strided_sums_weighted,
+    StridedChecksums, StridedMismatch,
 };
 use ft_abft::thresholds::{Check, Thresholds};
 use ft_num::{block_starts, quantize_f32, Matrix, MatrixF16, MatrixF32, Tensor4F16, Tensor4F32};
@@ -163,30 +163,20 @@ fn effective_stride(opts: &EftaOptions) -> usize {
 /// every per-call encode rounds them through binary16.
 const QUANTIZE_CHECKSUMS: bool = true;
 
-/// Encode K-row checksums for GEMM I under the configured scheme.
-/// Traditional encoding pays the inter-thread gather (emulated by an
-/// explicit transpose round-trip).
-fn encode_k(opts: &EftaOptions, k_blk: &MatrixF32, stride: usize) -> StridedChecksums {
+/// Encode the checksum operands of a GEMM's k-major operand — `Kᵀ` for
+/// GEMM I, V for GEMM II — by folding its columns at stride `s` under the
+/// configured scheme. Traditional encoding folds at width 1 and pays the
+/// inter-thread gather (emulated by an explicit transpose round-trip).
+fn encode_operand(opts: &EftaOptions, m: &MatrixF32, s: usize) -> StridedChecksums {
     match opts.gemm {
         GemmProtection::Traditional => {
             // Gather: data leaves the owning lanes (transpose), is folded,
             // and the result is scattered back — the communication the
             // strided design eliminates.
-            let gathered = k_blk.transpose().transpose();
-            encode_rows_strided(&gathered, 1, QUANTIZE_CHECKSUMS)
-        }
-        _ => encode_rows_strided(k_blk, stride, QUANTIZE_CHECKSUMS),
-    }
-}
-
-/// Encode V-column checksums for GEMM II under the configured scheme.
-fn encode_v(opts: &EftaOptions, v_blk: &MatrixF32) -> StridedChecksums {
-    match opts.gemm {
-        GemmProtection::Traditional => {
-            let gathered = v_blk.transpose().transpose();
+            let gathered = m.transpose().transpose();
             encode_cols_strided(&gathered, 1, QUANTIZE_CHECKSUMS)
         }
-        _ => encode_cols_strided(v_blk, opts.stride, QUANTIZE_CHECKSUMS),
+        _ => encode_cols_strided(m, s, QUANTIZE_CHECKSUMS),
     }
 }
 
@@ -308,28 +298,29 @@ fn row_sum(row: &[f32]) -> f32 {
     row.iter().fold(0.0f32, |acc, &e| acc + e)
 }
 
-/// K-row checksum operands transposed to GEMM I's k-major layout
-/// (`w1`/`w2` become `d × s`, like `Kᵀ`); stride and group count unchanged.
-pub(crate) fn k_major(cs: &StridedChecksums) -> StridedChecksums {
-    StridedChecksums {
-        w1: cs.w1.transpose(),
-        w2: cs.w2.transpose(),
-        stride: cs.stride,
-        groups: cs.groups,
+/// Largest Euclidean key norm of a K block held as `Kᵀ` (one key per
+/// column): with the query row norms it gives the Cauchy–Schwarz bound
+/// `|S[i][j]| ≤ |q_i|·|k_j|` the SNVR max-plausibility restriction checks.
+pub(crate) fn max_key_norm(kt: &MatrixF32) -> f32 {
+    // Every key's `row_norm` sum at once: `Kᵀ`'s rows are the keys' `c`-th
+    // elements, added in ascending `c` to a start of `0.0` (`Sum`'s `-0.0`
+    // gives the same bits, as no square is `-0.0`).
+    let mut squares = vec![0.0f32; kt.cols()];
+    for c in 0..kt.rows() {
+        for (sq, &x) in squares.iter_mut().zip(kt.row(c)) {
+            *sq += x * x;
+        }
     }
+    squares.iter().fold(0.0f32, |m, sq| m.max(sq.sqrt()))
 }
 
-/// Largest Euclidean row norm of a K block: with the query row norms it
-/// gives the Cauchy–Schwarz bound `|S[i][j]| ≤ |q_i|·|k_j|` the SNVR
-/// max-plausibility restriction checks.
-pub(crate) fn max_row_norm(k_blk: &MatrixF32) -> f32 {
-    (0..k_blk.rows())
-        .map(|j| row_norm(k_blk.row(j).iter().copied()))
-        .fold(0.0f32, f32::max)
+/// Euclidean norm of key `j` of `Kᵀ` (its column `j`).
+fn key_norm(kt: &MatrixF32, j: usize) -> f32 {
+    row_norm((0..kt.rows()).map(|c| kt.get(c, j)))
 }
 
-/// Euclidean norm of one K row — the one summation order every holder of a
-/// max-norm bound uses (the cache folds it in row by row).
+/// Euclidean norm of one key — the one summation order every holder of a
+/// max-norm bound uses (the cache folds it in key by key).
 pub(crate) fn row_norm(row: impl IntoIterator<Item = f32>) -> f32 {
     row.into_iter().map(|x| x * x).sum::<f32>().sqrt()
 }
@@ -378,14 +369,14 @@ pub(crate) struct Kernel<'a, I: FaultInjector> {
 /// prepared once per slot per call in prefill, read from the KV cache in
 /// decode.
 pub(crate) struct BlockOperands<'a> {
-    /// The K block transposed (`d × rows`): GEMM I's k-major operand.
+    /// The K block as `Kᵀ` (`d × rows`): GEMM I's k-major operand.
     pub kt: &'a MatrixF32,
     pub v: &'a MatrixF32,
-    /// GEMM I / GEMM II checksum operands `(k_cs, v_cs)` of the whole
-    /// block; `None` under [`GemmProtection::Unprotected`]. `k_cs` is
-    /// k-major like `kt` (its `w1`/`w2` are `d × s`, see [`k_major`]).
+    /// GEMM I / GEMM II checksum operands `(kt_cs, v_cs)` of the whole
+    /// block, the column folds of `kt` (`d × s`) and `v`; `None` under
+    /// [`GemmProtection::Unprotected`].
     pub checksums: Option<(&'a StridedChecksums, &'a StridedChecksums)>,
-    /// [`max_row_norm`] of the K block (read under SNVR only).
+    /// [`max_key_norm`] of the K block (read under SNVR only).
     pub k_max_norm: f32,
     /// Block index: the iteration id of fault coordinates.
     pub jb: usize,
@@ -428,11 +419,11 @@ impl BlockOperands<'_> {
 /// Each prefix's operands are the ones a cache holding only that prefix
 /// would store, bit for bit:
 ///
-/// * K's lanes fold one row at a time like `KvBlock::push_row` (row `j`
-///   into lane `j mod s`, each lane in ascending group order from `0.0`);
-///   a prefix shorter than the stride folds at its row count, one row per
-///   lane: its leading lanes. A row's GEMM I checksum GEMV against its own
-///   prefix operand (`S_c1 = q·w1`, `S_c2 = q·w2`, each lane one
+/// * `Kᵀ`'s lanes fold one key (column) at a time like `KvBlock::push_row`
+///   (key `j` into lane `j mod s`, each lane in ascending group order from
+///   `0.0`); a prefix shorter than the stride folds at its key count, one
+///   key per lane: its leading lanes. A row's GEMM I checksum GEMV against
+///   its own prefix operand (`S_c1 = q·w1`, `S_c2 = q·w2`, each lane one
 ///   ascending-k chain) runs as the fold reaches that prefix, so no prefix
 ///   operand is ever copied; the fault path rebuilds one on demand.
 /// * V's column fold is row-local, so one fold of the whole verified block
@@ -444,8 +435,8 @@ pub(crate) struct Frontier<'a> {
     widths: Range<usize>,
     /// Lanes of the K fold: the stride, or the block's rows if fewer.
     lanes: usize,
-    /// The verified K block the prefixes fold.
-    k: &'a MatrixF32,
+    /// The verified `Kᵀ` block the prefixes fold.
+    kt: &'a MatrixF32,
     /// Per frontier row, its `S_c1` / `S_c2` (the leading
     /// [`lanes`](Frontier::lanes) columns).
     s_c1: MatrixF32,
@@ -457,21 +448,21 @@ pub(crate) struct Frontier<'a> {
 }
 
 impl<'a> Frontier<'a> {
-    /// The frontier of the verified block `(k, v)` (with `kt = kᵀ`) at the
-    /// cache's `stride` whose rows, with scaled queries `q` (one per
-    /// width), see the prefixes `widths`, each shorter than the block.
+    /// The frontier of the verified block `(kt, v)` at the cache's `stride`
+    /// whose rows, with scaled queries `q` (one per width), see the
+    /// prefixes `widths`, each shorter than the block.
     pub(crate) fn new(
         q: &MatrixF32,
-        (k, kt, v): (&'a MatrixF32, &MatrixF32, &MatrixF32),
+        (kt, v): (&'a MatrixF32, &MatrixF32),
         stride: usize,
         widths: Range<usize>,
     ) -> Self {
-        let (rows, d) = k.shape();
+        let (d, rows) = kt.shape();
         let lanes = stride.min(rows);
         // The running fold, k-major (`d × lanes`) as GEMM I reads it. The
-        // whole groups ahead of the first prefix fold a group at a time off
-        // `kᵀ` (lane `t` of group `l` is row `l·lanes + t`, so every lane
-        // still adds its rows in ascending order); the rest row by row.
+        // whole groups ahead of the first prefix fold a group at a time
+        // (lane `t` of group `l` is key `l·lanes + t`, so every lane still
+        // adds its keys in ascending order); the rest key by key.
         let (mut w1, mut w2) = (Matrix::zeros(d, lanes), Matrix::zeros(d, lanes));
         let bulk = widths.start / lanes * lanes;
         for (l, j0) in (0..bulk).step_by(lanes).enumerate() {
@@ -486,8 +477,7 @@ impl<'a> Frontier<'a> {
                 }
             }
         }
-        let norm_of = |j: usize| row_norm(k.row(j).iter().copied());
-        let mut norm = (0..bulk).fold(0.0f32, |m, j| m.max(norm_of(j)));
+        let mut norm = (0..bulk).fold(0.0f32, |m, j| m.max(key_norm(kt, j)));
         let (mut s_c1, mut s_c2) = (
             Matrix::zeros(q.rows(), lanes),
             Matrix::zeros(q.rows(), lanes),
@@ -497,11 +487,12 @@ impl<'a> Frontier<'a> {
         for (i, width) in widths.clone().enumerate() {
             for j in folded..width {
                 let (t, wl) = (j % lanes, (j / lanes + 1) as f32);
-                for (c, &x) in k.row(j).iter().enumerate() {
+                for c in 0..d {
+                    let x = kt.get(c, j);
                     w1.row_mut(c)[t] += x;
                     w2.row_mut(c)[t] += wl * x;
                 }
-                norm = norm.max(norm_of(j));
+                norm = norm.max(key_norm(kt, j));
             }
             folded = width;
             let q_i = q.block(i, 0, 1, d);
@@ -512,7 +503,7 @@ impl<'a> Frontier<'a> {
         Frontier {
             widths,
             lanes,
-            k,
+            kt,
             s_c1,
             s_c2,
             k_max_norm,
@@ -543,10 +534,11 @@ impl<'a> Frontier<'a> {
     }
 
     /// Frontier row `i`'s K operand, k-major as GEMM I reads it: the
-    /// from-scratch row encode of its prefix, which the fold reproduces.
+    /// from-scratch column encode of its prefix of `Kᵀ`, which the fold
+    /// reproduces.
     fn k_operand(&self, i: usize) -> StridedChecksums {
-        let prefix = self.k.block(0, 0, self.widths.start + i, self.k.cols());
-        k_major(&encode_rows_strided(&prefix, self.lanes(i), false))
+        let prefix = self.kt.block(0, 0, self.kt.rows(), self.widths.start + i);
+        encode_cols_strided(&prefix, self.lanes(i), false)
     }
 }
 
@@ -1314,7 +1306,8 @@ struct PreparedBlock {
 impl PreparedBlock {
     /// Decode and prepare the column block at row `c0` of one slot, charging
     /// each preparation to the phase whose operand it is. The row-major K
-    /// block is needed only to prepare the others.
+    /// block is needed only to build `Kᵀ`, which every other K operand is
+    /// prepared from.
     fn new(
         opts: &EftaOptions,
         k: &MatrixF16,
@@ -1333,12 +1326,12 @@ impl PreparedBlock {
         let mut lap = Lap::start(true);
         let kt = k_blk.transpose();
         lap.to(&mut phases.gemm1);
-        let k_cs = protected.then(|| k_major(&encode_k(opts, &k_blk, s)));
+        let kt_cs = protected.then(|| encode_operand(opts, &kt, s));
         lap.to(&mut phases.gemm1_protect);
-        let v_cs = protected.then(|| encode_v(opts, &v_blk));
+        let v_cs = protected.then(|| encode_operand(opts, &v_blk, opts.stride));
         lap.to(&mut phases.gemm2_protect);
         let k_max_norm = if opts.softmax == SoftmaxProtection::Snvr {
-            max_row_norm(&k_blk)
+            max_key_norm(&kt)
         } else {
             0.0
         };
@@ -1346,7 +1339,7 @@ impl PreparedBlock {
         PreparedBlock {
             kt,
             v: v_blk,
-            checksums: k_cs.zip(v_cs),
+            checksums: kt_cs.zip(v_cs),
             k_max_norm,
         }
     }
@@ -1355,7 +1348,7 @@ impl PreparedBlock {
         BlockOperands {
             kt: &self.kt,
             v: &self.v,
-            checksums: self.checksums.as_ref().map(|(k_cs, v_cs)| (k_cs, v_cs)),
+            checksums: self.checksums.as_ref().map(|(kt_cs, v_cs)| (kt_cs, v_cs)),
             k_max_norm: self.k_max_norm,
             jb,
             c0,

@@ -7,15 +7,19 @@
 //! kernel; this module extends the same strided tensor-checksum algebra
 //! (§3.3, Eqs. 12–15) to cache residency:
 //!
-//! * every K block carries **row-folded** strided checksums
-//!   (`w1[t][c] = Σ_l K[t + s·l][c]`) — a corrupted `K[r][c]` perturbs
-//!   exactly lane `(r mod s, c)`, and the weighted/plain delta ratio
-//!   locates the group, hence the row;
-//! * every V block carries **column-folded** checksums
-//!   (`w1[r][t] = Σ_l V[r][t + s·l]`) — a corrupted `V[r][c]` is located
-//!   the same way along the row;
+//! * every block stores each operand in the layout its GEMM reads: K as
+//!   `Kᵀ` (`dim × rows`, GEMM I's k-major operand) and V as rows
+//!   (`rows × dim`, GEMM II's), so no reader transposes a block;
+//! * both carry **column-folded** checksums of that operand
+//!   (`w1[i][t] = Σ_l M[i][t + s·l]`, `M` = `Kᵀ` or V) — a corrupted
+//!   element perturbs exactly one lane of its operand row, and the
+//!   weighted/plain delta ratio locates the group, hence the column. K
+//!   and V are encoded, verified, healed and scrubbed through this one
+//!   fold ([`ft_abft::strided`]'s column fold and `correct_strided`); each
+//!   K lane sums the same elements in the same order as the paper's row
+//!   fold of K (§3.3), of which it is the transpose;
 //! * the *same* stored operand pairs double as the checksum GEMM operands
-//!   of the EFTA decode kernel (`S_c1 = q·w1ᵀ`, `O_c1 = p·w1`), so the
+//!   of the EFTA decode kernel (`S_c1 = q·w1`, `O_c1 = p·w1`), so the
 //!   per-block encode cost the prefill kernel pays on every call is paid
 //!   **once at append time** and amortised over every future decode step.
 //!
@@ -30,17 +34,20 @@
 //! A block's payload, checksum operands and max-norm change through two
 //! mutations, and every writer is built from them:
 //!
-//! * **`push_row`** folds one new row in. The checksums are per-lane
+//! * **`push_row`** folds one new row in: a V row and its own lanes, and
+//!   one new `Kᵀ` column, written in place (the `Kᵀ` storage is widened to
+//!   the whole block once, by the first append that finds it full) and
+//!   added to one lane of every `Kᵀ` row. The checksums are per-lane
 //!   *sums*, so a row costs one add per lane, made in the order of the
 //!   from-scratch encoder (`KvBlock::encode`, kept as the oracle the fold
-//!   is tested against): O(row), bit-identical, stored rows never read back.
-//! * **`heal`** is the verifying read in front of a write: re-fold the
-//!   resident rows straight from the FP16 payload, `push_row`'s fold one K
-//!   lane or V row at a time, and compare every lane of both operands of
-//!   both families with the stored bits. All equal means `stored ==
-//!   encode(payload)` and nothing is touched; otherwise locate/correct
-//!   under the level's tolerance, poison the block for what cannot be
-//!   located, and re-encode over the healed rows.
+//!   is tested against): O(row), bit-identical, stored rows never read
+//!   back.
+//! * **`heal`** is the verifying read in front of a write: re-fold both
+//!   resident operands with the encoder's fold and compare every lane of
+//!   both checksum operands of both with the stored bits. All equal means
+//!   `stored == encode(payload)` and nothing is touched; otherwise
+//!   locate/correct under the level's tolerance, poison the block for what
+//!   cannot be located, and re-encode over the healed rows.
 //!
 //! [`KvCache::append`] heals the ragged trailing block once per call, then
 //! pushes; [`KvCache::truncate_to`] heals, then re-encodes a row prefix.
@@ -89,15 +96,16 @@
 //! // An SEU lands in stored K[7][3] of slot 0 between decode steps…
 //! let seu = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 7, 3, 0), 14);
 //! cache.expose(&seu, 0);
-//! // …and the verified read locates and corrects it.
-//! let (_, report) = cache.read_k_verified(0, 0);
+//! // …and the verified read of `Kᵀ` locates and corrects it.
+//! let (_, report) = cache.read_kt_verified(0, 0);
 //! assert_eq!((report.detected, report.corrected, report.uncorrectable), (1, 1, 0));
 //! ```
 
-use crate::efta::{max_row_norm, row_norm};
+use crate::efta::{max_key_norm, row_norm};
 use crate::protect::ProtectionLevel;
 use ft_abft::strided::{
-    encode_cols_strided, encode_rows_strided, locate_group, strided_sums, StridedChecksums,
+    correct_strided, encode_cols_strided, fold_row, strided_sums, strided_sums_weighted,
+    StridedChecksums, StridedMismatch,
 };
 use ft_num::{MatrixF16, MatrixF32, Tensor4F16, F16};
 use ft_sim::{FaultInjector, FaultSite};
@@ -115,17 +123,20 @@ const READ_CHECK_FLOOR: f32 = 1e-6;
 /// the stored payload: `push_row` preserves that, `heal` restores it.
 #[derive(Clone, Debug)]
 struct KvBlock {
-    /// Cached key rows (FP16 payload, the fault surface).
-    k: MatrixF16,
-    /// Cached value rows.
+    /// Cached keys as GEMM I reads them, `Kᵀ` (FP16 payload, the fault
+    /// surface): the first `rows()` columns hold the block's keys. An
+    /// append that finds no spare column widens it to the whole block
+    /// once, so the rest of the block's keys are written in place.
+    kt: MatrixF16,
+    /// Cached value rows, `rows × dim` (GEMM II's operand).
     v: MatrixF16,
-    /// Row-folded checksums of `k` (shape `s × dim`): storage integrity
+    /// Column-folded checksums of `Kᵀ` (shape `dim × s`): storage integrity
     /// reference *and* GEMM I checksum operands.
-    k_cs: StridedChecksums,
+    kt_cs: StridedChecksums,
     /// Column-folded checksums of `v` (shape `rows × s`): storage integrity
     /// reference *and* GEMM II checksum operands.
     v_cs: StridedChecksums,
-    /// Largest Euclidean row norm of `k`, snapshotted at encode time —
+    /// Largest Euclidean norm of a key, snapshotted at encode time —
     /// the Cauchy–Schwarz bound the EFTA decode kernel uses to unmask
     /// max hijacks, amortised here like the checksum operands instead of
     /// rescanned every step.
@@ -141,36 +152,45 @@ impl KvBlock {
     /// A block with no rows yet. Without `metadata` ([`ProtectionLevel::Raw`])
     /// the operands stay 0 × 0: no checksum bytes, no lanes to verify.
     fn empty(dim: usize, stride: usize, metadata: bool) -> Self {
-        let lanes = |cols: usize| MatrixF32::zeros(0, if metadata { cols } else { 0 });
-        let operands = |cols: usize| StridedChecksums {
-            w1: lanes(cols),
-            w2: lanes(cols),
-            stride: 1,
-            groups: 0,
+        let operands = |rows: usize, cols: usize| {
+            let (rows, cols) = if metadata { (rows, cols) } else { (0, 0) };
+            let (w1, w2) = (MatrixF32::zeros(rows, cols), MatrixF32::zeros(rows, cols));
+            StridedChecksums {
+                w1,
+                w2,
+                stride: 1,
+                groups: 0,
+            }
         };
         KvBlock {
-            k: MatrixF16::zeros(0, dim),
+            kt: MatrixF16::zeros(dim, 0),
             v: MatrixF16::zeros(0, dim),
-            k_cs: operands(dim),
-            v_cs: operands(stride.min(dim)),
+            kt_cs: operands(dim, 0),
+            v_cs: operands(0, stride.min(dim)),
             k_max_norm: 0.0,
             poisoned: 0,
         }
     }
 
-    /// The from-scratch encoder: the oracle `push_row` is tested against,
-    /// and how an existing block whose operands can no longer be trusted,
-    /// or whose rows were cut, is rebuilt — carrying the mark `poisoned`.
-    fn encode(k: &MatrixF16, v: &MatrixF16, stride: usize, poisoned: u64) -> Self {
-        let (kf, vf) = (k.to_f32(), v.to_f32());
+    /// Rows (keys and values) the block holds.
+    fn rows(&self) -> usize {
+        self.v.rows()
+    }
+
+    /// The from-scratch encoder over `kt` (`dim × rows`) and `v`: the
+    /// oracle `push_row` is tested against, and how an existing block whose
+    /// operands can no longer be trusted, or whose rows were cut, is
+    /// rebuilt — carrying the mark `poisoned`.
+    fn encode(kt: &MatrixF16, v: &MatrixF16, stride: usize, poisoned: u64) -> Self {
+        let (ktf, vf) = (kt.to_f32(), v.to_f32());
         KvBlock {
-            // Row-fold stride adapts to ragged (still-filling) blocks; the
-            // column fold is over `dim`, which never changes.
-            k_cs: encode_rows_strided(&kf, stride.min(kf.rows()), false),
+            // Both fold their columns at the stride, or at fewer: the K
+            // fold adapts to a ragged (still-filling) block's row count.
+            kt_cs: encode_cols_strided(&ktf, stride.min(ktf.cols()), false),
             v_cs: encode_cols_strided(&vf, stride.min(vf.cols()), false),
-            k: k.clone(),
+            kt: kt.clone(),
             v: v.clone(),
-            k_max_norm: max_row_norm(&kf),
+            k_max_norm: max_key_norm(&ktf),
             poisoned,
         }
     }
@@ -180,65 +200,88 @@ impl KvBlock {
     /// the extended block makes, in its order: bit-identical to a re-encode
     /// of clean rows. Stored rows are not read back, so resident corruption
     /// is neither healed nor laundered: the next verifying read sees it.
-    fn push_row(&mut self, k: &[F16], v: &[F16], stride: usize, metadata: bool) {
-        let rows = self.k.rows();
-        self.k.push_row(k);
+    /// `block` is the most rows the block will hold.
+    fn push_row(&mut self, k: &[F16], v: &[F16], stride: usize, block: usize, metadata: bool) {
+        let rows = self.rows();
+        if rows == self.kt.cols() {
+            let mut kt = MatrixF16::zeros(self.kt.rows(), block);
+            kt.set_block(0, 0, &self.kt);
+            self.kt = kt;
+        }
+        let cap = self.kt.cols();
+        for (y, &x) in self.kt.as_mut_slice()[rows..]
+            .iter_mut()
+            .step_by(cap)
+            .zip(k)
+        {
+            *y = x;
+        }
         self.v.push_row(v);
         if !metadata {
             return;
         }
-        // K, row-folded: the new row is lane `t`, group `l`. A block shorter
-        // than the stride folds at its row count, so the row opens a lane —
-        // from zero, like the encoder's accumulator (`0.0 + -0.0`, no copy).
+        let widen = |x: &[F16]| x.iter().map(|x| x.to_f32()).collect::<Vec<f32>>();
+        let (k, v) = (widen(k), widen(v));
+        // Kᵀ: the new column is lane `t`, group `l`, of every row. A block
+        // shorter than the stride folds at its row count, so the column
+        // opens a lane — from zero, like the encoder's accumulator
+        // (`0.0 + -0.0`, no copy).
         let (t, l) = (rows % stride, rows / stride);
         if l == 0 {
-            self.k_cs.w1.push_zero_row();
-            self.k_cs.w2.push_zero_row();
+            for w in [&mut self.kt_cs.w1, &mut self.kt_cs.w2] {
+                let mut grown = MatrixF32::zeros(w.rows(), rows + 1);
+                grown.set_block(0, 0, w);
+                *w = grown;
+            }
         }
-        (self.k_cs.stride, self.k_cs.groups) = (stride.min(rows + 1), l + 1);
-        let (w1, w2) = (self.k_cs.w1.row_mut(t), self.k_cs.w2.row_mut(t));
-        fold_k_row(w1, w2, k, (l + 1) as f32);
-        self.k_max_norm = self.k_max_norm.max(row_norm(k.iter().map(|x| x.to_f32())));
-        // V, column-folded: every payload row has a checksum row of its own.
+        (self.kt_cs.stride, self.kt_cs.groups) = (stride.min(rows + 1), l + 1);
+        let (lanes, wl) = (self.kt_cs.stride, (l + 1) as f32);
+        let w1 = self.kt_cs.w1.as_mut_slice().chunks_exact_mut(lanes);
+        let w2 = self.kt_cs.w2.as_mut_slice().chunks_exact_mut(lanes);
+        for ((a, b), &x) in w1.zip(w2).zip(&k) {
+            a[t] += x;
+            b[t] += wl * x;
+        }
+        self.k_max_norm = self.k_max_norm.max(row_norm(k.iter().copied()));
+        // V: every payload row has a checksum row of its own.
         self.v_cs.w1.push_zero_row();
         self.v_cs.w2.push_zero_row();
-        fold_v_row(self.v_cs.w1.row_mut(rows), self.v_cs.w2.row_mut(rows), v);
+        fold_row(&v, self.v_cs.w1.row_mut(rows), |a, _, x| a + x);
+        fold_row(&v, self.v_cs.w2.row_mut(rows), |a, wl, x| a + wl * x);
         let sv = self.v_cs.w1.cols();
         (self.v_cs.stride, self.v_cs.groups) = (sv, v.len().div_ceil(sv));
     }
 
+    /// The two cached operands, each with its valid column count and its
+    /// checksums: `Kᵀ`'s first `rows()` columns, then V.
+    fn operands(&self) -> [(&MatrixF16, usize, &StridedChecksums); 2] {
+        [
+            (&self.kt, self.rows(), &self.kt_cs),
+            (&self.v, self.v.cols(), &self.v_cs),
+        ]
+    }
+
+    /// Verified f32 copies of `Kᵀ` and V (see [`verify`]).
+    fn verified(&self, tol: Option<f32>) -> [(MatrixF32, KvReadReport); 2] {
+        self.operands()
+            .map(|(payload, cols, cs)| verify(payload, cols, cs, tol))
+    }
+
     /// Whether the payload re-folds to every stored lane of both operands of
-    /// both families, bit for bit: `push_row`'s fold straight from the FP16
-    /// rows, one K lane or V row at a time into one scratch pair, compared
-    /// as it completes.
+    /// both families, bit for bit: the encoder's fold of the widened payload.
     fn folds_to_stored(&self) -> bool {
-        let mut scratch = vec![0.0f32; 2 * self.k.cols()];
-        let (w1, w2) = scratch.split_at_mut(self.k.cols());
-        let s = self.k_cs.stride;
-        for t in 0..self.k_cs.w1.rows() {
-            w1.fill(0.0);
-            w2.fill(0.0);
-            for (l, r) in (t..self.k.rows()).step_by(s).enumerate() {
-                fold_k_row(w1, w2, self.k.row(r), (l + 1) as f32);
-            }
-            if !same_lanes(w1, self.k_cs.w1.row(t)) || !same_lanes(w2, self.k_cs.w2.row(t)) {
-                return false;
-            }
-        }
-        let (w1, w2) = (
-            &mut w1[..self.v_cs.w1.cols()],
-            &mut w2[..self.v_cs.w1.cols()],
-        );
-        (0..self.v.rows()).all(|r| {
-            w1.fill(0.0);
-            w2.fill(0.0);
-            fold_v_row(w1, w2, self.v.row(r));
-            same_lanes(w1, self.v_cs.w1.row(r)) && same_lanes(w2, self.v_cs.w2.row(r))
+        self.operands().into_iter().all(|(payload, cols, cs)| {
+            let m = payload.prefix_to_f32(cols);
+            same_lanes(strided_sums(&m, cs.stride).as_slice(), cs.w1.as_slice())
+                && same_lanes(
+                    strided_sums_weighted(&m, cs.stride).as_slice(),
+                    cs.w2.as_slice(),
+                )
         })
     }
 
-    /// The verifying read in front of a write. Re-fold the resident rows
-    /// straight from the FP16 payload (`folds_to_stored`) and compare every
+    /// The verifying read in front of a write. Re-fold the resident payload
+    /// (`folds_to_stored`) and compare every
     /// lane of both operands of both families with the stored bits (`w2`
     /// too: damage that cancels in a lane's plain sum, or hides under the
     /// read-check floor, still moves what a re-encode stores). All equal:
@@ -251,25 +294,24 @@ impl KvBlock {
         if self.folds_to_stored() {
             return KvReadReport::default();
         }
-        let (kf, k_report) = verify(&self.k, &self.k_cs, Fold::Rows, tol);
-        let (vf, v_report) = verify(&self.v, &self.v_cs, Fold::Cols, tol);
+        let [(kt, k_report), (v, v_report)] = self.verified(tol);
         let report = k_report.merged(&v_report);
         let poisoned = self.poisoned + report.uncorrectable;
-        *self = KvBlock::encode(&kf.to_f16(), &vf.to_f16(), stride, poisoned);
+        *self = KvBlock::encode(&kt.to_f16(), &v.to_f16(), stride, poisoned);
         report
     }
 
     /// Cut the block back to its first `rows` rows and re-encode over
-    /// exactly those (the row-fold stride adapts): what a cache that never
+    /// exactly those (the K fold stride adapts): what a cache that never
     /// grew past them would store. The poison mark stays — unlocatable
     /// damage cannot be pinned to a row, so every survivor stays suspect.
     fn keep_rows(&mut self, rows: usize, stride: usize, metadata: bool) {
-        let k = self.k.block(0, 0, rows, self.k.cols());
         let v = self.v.block(0, 0, rows, self.v.cols());
         if metadata {
-            *self = KvBlock::encode(&k, &v, stride, self.poisoned);
+            let kt = self.kt.block(0, 0, self.kt.rows(), rows);
+            *self = KvBlock::encode(&kt, &v, stride, self.poisoned);
         } else {
-            (self.k, self.v) = (k, v);
+            self.v = v;
         }
     }
 }
@@ -347,21 +389,22 @@ impl SizeBreakdown {
 
 /// One cache block read through verification **once** and shared by every
 /// chunk row of a sweep tile (see [`KvCache::verified_block`]): corrected
-/// f32 payload plus borrowed checksum operands, so the tile's checksum
-/// GEMMs reuse the stored append-time encodes without re-deriving them
-/// per row.
+/// f32 payload plus borrowed checksum operands, all in the layout the
+/// tile's GEMMs read, so its checksum GEMMs reuse the stored append-time
+/// encodes without re-deriving them per row.
 #[derive(Debug)]
 pub struct VerifiedBlock<'a> {
-    /// Verified (located-and-corrected) f32 copy of the block's K rows.
-    pub k: MatrixF32,
+    /// Verified (located-and-corrected) f32 copy of the block's keys as
+    /// `Kᵀ` (`dim × rows`, GEMM I's operand).
+    pub kt: MatrixF32,
     /// Verified f32 copy of the block's V rows.
     pub v: MatrixF32,
-    /// Stored append-time K checksum operands (the GEMM I checksum
-    /// operands for fully visible blocks).
-    pub k_cs: &'a StridedChecksums,
+    /// Stored append-time `Kᵀ` checksum operands (`dim × s`: the GEMM I
+    /// checksum operands for fully visible blocks).
+    pub kt_cs: &'a StridedChecksums,
     /// Stored append-time V checksum operands (GEMM II).
     pub v_cs: &'a StridedChecksums,
-    /// Largest Euclidean K row norm, snapshotted at append time (the
+    /// Largest Euclidean key norm, snapshotted at append time (the
     /// Cauchy–Schwarz max-plausibility bound).
     pub k_max_norm: f32,
     /// K verification outcome — to be attributed once per sweep.
@@ -606,7 +649,7 @@ impl KvCache {
             .iter()
             .flatten()
             .map(|b| {
-                4 * (b.k_cs.w1.len() + b.k_cs.w2.len() + b.v_cs.w1.len() + b.v_cs.w2.len()) as u64
+                4 * (b.kt_cs.w1.len() + b.kt_cs.w2.len() + b.v_cs.w1.len() + b.v_cs.w2.len()) as u64
             })
             .sum()
     }
@@ -649,9 +692,9 @@ impl KvCache {
         let n = k.seq();
         assert_eq!(v.seq(), n, "k/v row counts differ");
         let mut report = KvReadReport::default();
-        let (level, stride) = (self.level, self.stride);
+        let (level, stride, block) = (self.level, self.stride, self.block);
         let metadata = level.encodes_metadata();
-        let ragged = !self.len.is_multiple_of(self.block);
+        let ragged = !self.len.is_multiple_of(block);
         for (slot, blocks) in self.slots.iter_mut().enumerate() {
             if ragged && metadata && !level.defers_append_heal() {
                 let last = blocks.last_mut().expect("ragged trailing block resident");
@@ -659,11 +702,11 @@ impl KvCache {
             }
             let (km, vm) = (k.slot_flat(slot), v.slot_flat(slot));
             for r in 0..n {
-                if (self.len + r).is_multiple_of(self.block) {
+                if (self.len + r).is_multiple_of(block) {
                     blocks.push(KvBlock::empty(self.dim, stride, metadata));
                 }
                 let last = blocks.last_mut().expect("trailing block just opened");
-                last.push_row(km.row(r), vm.row(r), stride, metadata);
+                last.push_row(km.row(r), vm.row(r), stride, block, metadata);
             }
         }
         self.len += n;
@@ -711,18 +754,17 @@ impl KvCache {
     /// once [`enforce_window`](KvCache::enforce_window) evicts the block,
     /// marks travelling with it).
     pub fn poisoned_attended(&self, window: Option<usize>) -> u64 {
+        self.attended(window).map(|(_, blk)| blk.poisoned).sum()
+    }
+
+    /// Every slot's blocks the next decode step would attend under
+    /// `window`, each with its global index.
+    fn attended(&self, window: Option<usize>) -> impl Iterator<Item = (usize, &KvBlock)> {
         let b0 = self.attended_start_block_at(self.len, window);
         let start = self.start_block();
-        self.slots
-            .iter()
-            .flat_map(|blocks| {
-                blocks
-                    .iter()
-                    .enumerate()
-                    .filter(move |(bi, _)| start + bi >= b0)
-                    .map(|(_, b)| b.poisoned)
-            })
-            .sum()
+        (self.slots.iter())
+            .flat_map(move |blocks| (start..).zip(blocks))
+            .filter(move |&(b, _)| b >= b0)
     }
 
     /// Sticky poison level of resident global block `b`, summed across
@@ -844,27 +886,20 @@ impl KvCache {
     /// block and everything after it (whole-block drops, marks retiring
     /// with their blocks) while keeping the clean prefix resident.
     pub fn first_poisoned_attended_block(&self, window: Option<usize>) -> Option<usize> {
-        let b0 = self.attended_start_block_at(self.len, window);
-        let start = self.start_block();
-        self.slots
-            .iter()
-            .flat_map(|blocks| {
-                blocks
-                    .iter()
-                    .enumerate()
-                    .filter(move |&(bi, b)| b.poisoned > 0 && start + bi >= b0)
-                    .map(move |(bi, _)| start + bi)
-            })
+        (self.attended(window))
+            .filter(|(_, blk)| blk.poisoned > 0)
+            .map(|(b, _)| b)
             .min()
     }
 
-    /// Unverified f32 copy of K block `b` in slot `slot` (the unprotected
-    /// read path: whatever sits in storage, corrupted or not). Like every
-    /// block accessor, `b` is a *global* block index and must be resident
-    /// (hard assert — an out-of-range or evicted index is a logic error,
-    /// not a recoverable condition).
-    pub fn read_k_raw(&self, slot: usize, b: usize) -> MatrixF32 {
-        self.slots[slot][self.resident_index(b)].k.to_f32()
+    /// Unverified f32 copy of K block `b` in slot `slot`, as `Kᵀ`
+    /// (`dim × rows`: the unprotected read path, whatever sits in storage,
+    /// corrupted or not). Like every block accessor, `b` is a *global*
+    /// block index and must be resident (hard assert — an out-of-range or
+    /// evicted index is a logic error, not a recoverable condition).
+    pub fn read_kt_raw(&self, slot: usize, b: usize) -> MatrixF32 {
+        let blk = &self.slots[slot][self.resident_index(b)];
+        blk.kt.prefix_to_f32(blk.rows())
     }
 
     /// Unverified f32 copy of V block `b` in slot `slot`.
@@ -872,9 +907,10 @@ impl KvCache {
         self.slots[slot][self.resident_index(b)].v.to_f32()
     }
 
-    /// Stored checksum operands of K block `b` (GEMM I operands).
-    pub fn k_checksums(&self, slot: usize, b: usize) -> &StridedChecksums {
-        &self.slots[slot][self.resident_index(b)].k_cs
+    /// Stored checksum operands of `Kᵀ` block `b` (GEMM I operands,
+    /// `dim × s`).
+    pub fn kt_checksums(&self, slot: usize, b: usize) -> &StridedChecksums {
+        &self.slots[slot][self.resident_index(b)].kt_cs
     }
 
     /// Stored checksum operands of V block `b` (GEMM II operands).
@@ -882,35 +918,37 @@ impl KvCache {
         &self.slots[slot][self.resident_index(b)].v_cs
     }
 
-    /// Largest K row norm of block `b`, snapshotted at append time (the
+    /// Largest key norm of block `b`, snapshotted at append time (the
     /// decode kernel's Cauchy–Schwarz max-plausibility bound).
     pub fn k_max_norm(&self, slot: usize, b: usize) -> f32 {
         self.slots[slot][self.resident_index(b)].k_max_norm
     }
 
-    /// Verified read of K block `b`: re-fold the stored rows, compare
-    /// against the append-time checksums, locate and correct corrupted
-    /// elements in the returned copy (storage itself is left untouched —
-    /// see [`scrub`](KvCache::scrub) for in-place repair).
-    pub fn read_k_verified(&self, slot: usize, b: usize) -> (MatrixF32, KvReadReport) {
-        let blk = &self.slots[slot][self.resident_index(b)];
-        if !self.level.encodes_metadata() {
-            return (blk.k.to_f32(), KvReadReport::default());
-        }
-        verify(&blk.k, &blk.k_cs, Fold::Rows, self.level.tolerance())
+    /// Verified read of K block `b` as `Kᵀ`: re-fold the stored columns,
+    /// compare against the append-time checksums, locate and correct
+    /// corrupted elements in the returned copy (storage itself is left
+    /// untouched — see [`scrub`](KvCache::scrub) for in-place repair).
+    pub fn read_kt_verified(&self, slot: usize, b: usize) -> (MatrixF32, KvReadReport) {
+        self.read_verified(slot, b, 0)
     }
 
-    /// Verified read of V block `b` (column-folded checksums).
+    /// Verified read of V block `b`.
     pub fn read_v_verified(&self, slot: usize, b: usize) -> (MatrixF32, KvReadReport) {
-        let blk = &self.slots[slot][self.resident_index(b)];
+        self.read_verified(slot, b, 1)
+    }
+
+    /// Verified read of operand `which` (0 = `Kᵀ`, 1 = V) of block `b`;
+    /// a [`Raw`](ProtectionLevel::Raw) cache reads it raw.
+    fn read_verified(&self, slot: usize, b: usize, which: usize) -> (MatrixF32, KvReadReport) {
+        let (payload, cols, cs) = self.slots[slot][self.resident_index(b)].operands()[which];
         if !self.level.encodes_metadata() {
-            return (blk.v.to_f32(), KvReadReport::default());
+            return (payload.prefix_to_f32(cols), KvReadReport::default());
         }
-        verify(&blk.v, &blk.v_cs, Fold::Cols, self.level.tolerance())
+        verify(payload, cols, cs, self.level.tolerance())
     }
 
     /// Verify block `b` of slot `slot` **once** and expose everything a
-    /// sweep tile needs from it: the corrected K/V payload, the stored
+    /// sweep tile needs from it: the corrected `Kᵀ`/V payload, the stored
     /// checksum operands, and the append-time max-norm snapshot — the
     /// fused multi-row sweep's verify-once, expose-many read path. The
     /// verification outcome rides along exactly once, so a tile serving
@@ -918,11 +956,11 @@ impl KvCache {
     /// stream's report once per sweep, not once per attending row.
     ///
     /// The payload copies are bit-identical to
-    /// [`read_k_verified`](KvCache::read_k_verified) /
+    /// [`read_kt_verified`](KvCache::read_kt_verified) /
     /// [`read_v_verified`](KvCache::read_v_verified) — same stored rows
     /// through the same deterministic locate-and-correct pass. A clean read
-    /// folds each family's `w1` lanes once and compares them; the `w2`
-    /// fold that locates an error is built only for a family whose `w1`
+    /// folds each operand's `w1` lanes once and compares them; the `w2`
+    /// fold that locates an error is built only for an operand whose `w1`
     /// lanes mismatch.
     pub fn verified_block(&self, slot: usize, b: usize) -> VerifiedBlock<'_> {
         assert!(
@@ -930,14 +968,12 @@ impl KvCache {
             "verified_block on a Raw cache: route Raw streams to the \
              unprotected (reference) tile instead",
         );
-        let tol = self.level.tolerance();
         let blk = &self.slots[slot][self.resident_index(b)];
-        let (k, k_report) = verify(&blk.k, &blk.k_cs, Fold::Rows, tol);
-        let (v, v_report) = verify(&blk.v, &blk.v_cs, Fold::Cols, tol);
+        let [(kt, k_report), (v, v_report)] = blk.verified(self.level.tolerance());
         VerifiedBlock {
-            k,
+            kt,
             v,
-            k_cs: &blk.k_cs,
+            kt_cs: &blk.kt_cs,
             v_cs: &blk.v_cs,
             k_max_norm: blk.k_max_norm,
             k_report,
@@ -950,32 +986,40 @@ impl KvCache {
     /// `(slot, global_row, col, 2·step + which)` (`which` = 0 for K, 1 for
     /// V). `step` keeps repeated exposure of the same element across decode
     /// steps from re-deriving the same stateless-hash decision. Rows are
-    /// offered whole ([`FaultInjector::corrupt_f16_row`]), and an injector
-    /// that cannot fire at the site is not asked at all.
+    /// offered whole ([`FaultInjector::corrupt_f16_row`]) — a K row is a
+    /// column of the stored `Kᵀ`, offered through one scratch row — and an
+    /// injector that cannot fire at the site is not asked at all.
     pub fn expose(&mut self, inj: &dyn FaultInjector, step: u64) {
         if !inj.may_fire(FaultSite::KvCache) {
             return;
         }
         let block = self.block;
         let start_block = self.start / self.block;
+        let mut key = vec![F16::default(); self.dim];
+        let mut was = key.clone();
         for (slot, blocks) in self.slots.iter_mut().enumerate() {
             for (bi, blk) in blocks.iter_mut().enumerate() {
                 // Fault coordinates address *global* rows, so a campaign
                 // targeting row 70 keeps hitting the same physical row
                 // whether or not earlier blocks have been evicted.
-                let b = start_block + bi;
-                for which in 0..2u64 {
-                    let m = if which == 0 { &mut blk.k } else { &mut blk.v };
-                    for r in 0..m.rows() {
-                        let i = (b * block + r) as u64;
-                        inj.corrupt_f16_row(
-                            FaultSite::KvCache,
-                            slot as u64,
-                            i,
-                            2 * step + which,
-                            m.row_mut(r),
-                        );
+                let i0 = (start_block + bi) * block;
+                let offer = |r: usize, which: u64, row: &mut [F16]| {
+                    let (slot, i) = (slot as u64, (i0 + r) as u64);
+                    inj.corrupt_f16_row(FaultSite::KvCache, slot, i, 2 * step + which, row);
+                };
+                let cap = blk.kt.cols();
+                for r in 0..blk.rows() {
+                    let column = blk.kt.as_slice()[r..].iter().step_by(cap);
+                    key.iter_mut().zip(column).for_each(|(x, &y)| *x = y);
+                    was.copy_from_slice(&key);
+                    offer(r, 0, &mut key);
+                    if key != was {
+                        let column = blk.kt.as_mut_slice()[r..].iter_mut().step_by(cap);
+                        column.zip(&key).for_each(|(y, &x)| *y = x);
                     }
+                }
+                for r in 0..blk.rows() {
+                    offer(r, 1, blk.v.row_mut(r));
                 }
             }
         }
@@ -1002,25 +1046,22 @@ impl KvCache {
             // Raw: nothing to verify against; the scrub is a no-op.
             return total;
         }
-        let stride = self.stride;
-        for slot in 0..self.num_slots() {
-            for b in self.start_block()..self.num_blocks() {
-                let (kf, krep) = self.read_k_verified(slot, b);
-                let (vf, vrep) = self.read_v_verified(slot, b);
-                let bi = self.resident_index(b);
-                if !krep.clean() {
-                    self.slots[slot][bi].k = kf.to_f16();
-                }
-                if !vrep.clean() {
-                    self.slots[slot][bi].v = vf.to_f16();
-                }
-                let uncorrectable = krep.uncorrectable + vrep.uncorrectable;
-                if uncorrectable > 0 {
-                    let blk = &mut self.slots[slot][bi];
-                    *blk = KvBlock::encode(&blk.k, &blk.v, stride, blk.poisoned + uncorrectable);
-                }
-                total = total.merged(&krep).merged(&vrep);
+        let (stride, tol) = (self.stride, self.level.tolerance());
+        for blk in self.slots.iter_mut().flatten() {
+            let [(kt, krep), (v, vrep)] = blk.verified(tol);
+            if !krep.clean() {
+                blk.kt.set_block(0, 0, &kt.to_f16());
             }
+            if !vrep.clean() {
+                blk.v = v.to_f16();
+            }
+            let uncorrectable = krep.uncorrectable + vrep.uncorrectable;
+            if uncorrectable > 0 {
+                let kt = blk.kt.block(0, 0, blk.kt.rows(), blk.rows());
+                let poisoned = blk.poisoned + uncorrectable;
+                *blk = KvBlock::encode(&kt, &blk.v, stride, poisoned);
+            }
+            total = total.merged(&krep).merged(&vrep);
         }
         total
     }
@@ -1045,120 +1086,57 @@ fn same_bits(a: &StridedChecksums, b: &StridedChecksums) -> bool {
     same_lanes(a.w1.as_slice(), b.w1.as_slice()) && same_lanes(a.w2.as_slice(), b.w2.as_slice())
 }
 
-/// Fold K row `x` of group `l` into its lane `(w1, w2)`, `wl = l + 1`:
-/// one add per element, the from-scratch row encoder's
-/// (`encode_rows_strided`) arithmetic.
-fn fold_k_row(w1: &mut [f32], w2: &mut [f32], x: &[F16], wl: f32) {
-    for ((a, b), x) in w1.iter_mut().zip(w2.iter_mut()).zip(x) {
-        let x = x.to_f32();
-        *a += x;
-        *b += wl * x;
-    }
-}
-
-/// Fold V row `x` into its own lanes `(w1, w2)` at stride `w1.len()`, one
-/// group of columns at a time in ascending order: the column encoder's
-/// (`encode_cols_strided`) arithmetic.
-fn fold_v_row(w1: &mut [f32], w2: &mut [f32], x: &[F16]) {
-    for (l, group) in x.chunks(w1.len()).enumerate() {
-        let wl = (l + 1) as f32;
-        for ((a, b), x) in w1.iter_mut().zip(w2.iter_mut()).zip(group) {
-            let x = x.to_f32();
-            *a += x;
-            *b += wl * x;
-        }
-    }
-}
-
-/// The axis a block's checksums fold: K rows (`w1[t][c] = Σ_l K[t+s·l][c]`)
-/// or V columns (`w1[r][t] = Σ_l V[r][t+s·l]`).
-#[derive(Clone, Copy)]
-enum Fold {
-    Rows,
-    Cols,
-}
-
-impl Fold {
-    /// The plain (`w1`) lanes of the re-fold of `m` at stride `s`, the ones
-    /// the read check compares: the encoder's, bit for bit.
-    fn w1(self, m: &MatrixF32, s: usize) -> MatrixF32 {
-        match self {
-            Fold::Cols => strided_sums(m, s),
-            Fold::Rows => {
-                let mut out = MatrixF32::zeros(s, m.cols());
-                for r in 0..m.rows() {
-                    for (acc, &x) in out.row_mut(r % s).iter_mut().zip(m.row(r)) {
-                        *acc += x;
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Both operands of the re-fold of `m` at stride `s` (what locating an
-    /// error needs).
-    fn encode(self, m: &MatrixF32, s: usize) -> StridedChecksums {
-        match self {
-            Fold::Rows => encode_rows_strided(m, s, false),
-            Fold::Cols => encode_cols_strided(m, s, false),
-        }
-    }
-}
-
-/// Verified f32 copy of a block's payload: re-fold it, compare with the
-/// stored checksums, correct the copy. A corrupted element perturbs one
-/// lane — `w1` by `Δ`, `w2` by `(l+1)·Δ` — which locates its group `l`,
-/// hence the element `s·l` further along the fold axis. The check reads
-/// `w1` alone, so a clean read folds `w1` only; `w2` is folded for a block
+/// Verified f32 copy of the first `cols` columns of a cached operand
+/// (`Kᵀ` or V): re-fold them, compare with the stored checksums, correct
+/// the copy. A corrupted element perturbs one lane of its row — `w1` by
+/// `Δ`, `w2` by `(l+1)·Δ` — which locates its group `l`, hence the element
+/// `s·l` further along the row (`correct_strided`). The check reads `w1`
+/// alone, so a clean read folds `w1` only; `w2` is folded for an operand
 /// whose `w1` lanes mismatch. With `tol = Some(t)` (approximate
 /// protection), residuals `|Δ| ≤ t` above the floor are tolerated: counted,
 /// left uncorrected, never escalated.
 fn verify(
     payload: &MatrixF16,
+    cols: usize,
     cs: &StridedChecksums,
-    axis: Fold,
     tol: Option<f32>,
 ) -> (MatrixF32, KvReadReport) {
-    let mut m = payload.to_f32();
+    let mut m = payload.prefix_to_f32(cols);
     let mut report = KvReadReport::default();
+    let s = cs.stride;
+    let w1 = strided_sums(&m, s);
     // The clean read leaves here: every attended block of every sweep takes
-    // it, and inside the loop below it pays for locate/correct's registers.
-    if same_lanes(axis.w1(&m, cs.stride).as_slice(), cs.w1.as_slice()) {
+    // it, and the loop below pays for locate/correct's registers.
+    if same_lanes(w1.as_slice(), cs.w1.as_slice()) {
         return (m, report);
     }
-    let fresh = axis.encode(&m, cs.stride);
-    for i in 0..fresh.w1.rows() {
-        for j in 0..fresh.w1.cols() {
-            // The clean lanes of a damaged block, NaN ones included.
-            if fresh.w1.get(i, j).to_bits() == cs.w1.get(i, j).to_bits() {
-                continue;
-            }
-            let d1 = fresh.w1.get(i, j) - cs.w1.get(i, j);
-            if d1.abs() <= READ_CHECK_FLOOR {
-                continue;
-            }
-            if tol.is_some_and(|tol| d1.abs() <= tol) {
-                report.tolerated += 1;
-                continue;
-            }
-            report.detected += 1;
-            let d2 = fresh.w2.get(i, j) - cs.w2.get(i, j);
-            let hit = locate_group(d1, d2)
-                .and_then(|l| cs.stride.checked_mul(l))
-                .and_then(|off| match axis {
-                    Fold::Rows => Some((i.checked_add(off)?, j)),
-                    Fold::Cols => Some((i, j.checked_add(off)?)),
-                })
-                .filter(|&(r, c)| r < m.rows() && c < m.cols());
-            if let Some((r, c)) = hit {
-                m.set(r, c, m.get(r, c) - d1);
-                report.corrected += 1;
-            } else {
-                report.uncorrectable += 1;
-            }
+    let w2 = strided_sums_weighted(&m, s);
+    let mut mismatches = Vec::new();
+    for (i, t, fresh) in w1.iter_indexed() {
+        // The clean lanes of a damaged block, NaN ones included.
+        if fresh.to_bits() == cs.w1.get(i, t).to_bits() {
+            continue;
         }
+        let delta1 = fresh - cs.w1.get(i, t);
+        if delta1.abs() <= READ_CHECK_FLOOR {
+            continue;
+        }
+        if tol.is_some_and(|tol| delta1.abs() <= tol) {
+            report.tolerated += 1;
+            continue;
+        }
+        let delta2 = w2.get(i, t) - cs.w2.get(i, t);
+        mismatches.push(StridedMismatch {
+            i,
+            t,
+            delta1,
+            delta2,
+        });
     }
+    let fixed = correct_strided(&mut m, &mismatches, s);
+    report.detected = fixed.detections as u64;
+    report.corrected = fixed.corrected.len() as u64;
+    report.uncorrectable = fixed.uncorrectable as u64;
     (m, report)
 }
 
@@ -1172,6 +1150,13 @@ mod tests {
         let k = normal_tensor_f16(100 + t as u64, 1, 2, 1, 16, 0.6);
         let v = normal_tensor_f16(500 + t as u64, 1, 2, 1, 16, 0.8);
         cache.append(&k, &v)
+    }
+
+    /// Adds `delta` to stored `K[r][c]` of slot 0, block 0 (re-quantised
+    /// through FP16).
+    pub(super) fn bump_k(cache: &mut KvCache, r: usize, c: usize, delta: f32) {
+        let kt = &mut cache.slots[0][0].kt;
+        kt.set(c, r, F16::from_f32(kt.get(c, r).to_f32() + delta));
     }
 
     fn filled_cache(tokens: usize, block: usize) -> KvCache {
@@ -1191,8 +1176,8 @@ mod tests {
         for slot in 0..a.num_slots() {
             for blk in a.start_block()..a.num_blocks() {
                 assert_eq!(
-                    a.read_k_raw(slot, blk),
-                    b.read_k_raw(slot, blk),
+                    a.read_kt_raw(slot, blk),
+                    b.read_kt_raw(slot, blk),
                     "K s{slot} b{blk}"
                 );
                 assert_eq!(
@@ -1200,8 +1185,8 @@ mod tests {
                     b.read_v_raw(slot, blk),
                     "V s{slot} b{blk}"
                 );
-                assert_eq!(a.k_checksums(slot, blk).w1, b.k_checksums(slot, blk).w1);
-                assert_eq!(a.k_checksums(slot, blk).w2, b.k_checksums(slot, blk).w2);
+                assert_eq!(a.kt_checksums(slot, blk).w1, b.kt_checksums(slot, blk).w1);
+                assert_eq!(a.kt_checksums(slot, blk).w2, b.kt_checksums(slot, blk).w2);
                 assert_eq!(a.v_checksums(slot, blk).w1, b.v_checksums(slot, blk).w1);
                 assert_eq!(a.v_checksums(slot, blk).w2, b.v_checksums(slot, blk).w2);
                 assert_eq!(
@@ -1220,7 +1205,7 @@ mod tests {
         assert_eq!(cache.num_blocks(), 3);
         assert_eq!(cache.block_rows(0), 8);
         assert_eq!(cache.block_rows(2), 5);
-        assert_eq!(cache.read_k_raw(1, 2).rows(), 5);
+        assert_eq!(cache.read_kt_raw(1, 2).cols(), 5);
     }
 
     #[test]
@@ -1228,9 +1213,9 @@ mod tests {
         let cache = filled_cache(13, 8);
         for slot in 0..2 {
             for b in 0..cache.num_blocks() {
-                let (k, rep) = cache.read_k_verified(slot, b);
+                let (k, rep) = cache.read_kt_verified(slot, b);
                 assert!(rep.clean(), "{rep:?}");
-                assert_eq!(k, cache.read_k_raw(slot, b));
+                assert_eq!(k, cache.read_kt_raw(slot, b));
                 let (v, rep) = cache.read_v_verified(slot, b);
                 assert!(rep.clean(), "{rep:?}");
                 assert_eq!(v, cache.read_v_raw(slot, b));
@@ -1241,13 +1226,13 @@ mod tests {
     #[test]
     fn exposed_k_flip_is_located_and_corrected_on_read() {
         let mut cache = filled_cache(16, 8);
-        let truth = cache.read_k_raw(1, 1);
+        let truth = cache.read_kt_raw(1, 1);
         // Exponent-range flip in stored K[12][5] of slot 1 (block 1, row 4).
         let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(1, 12, 5, 0), 13);
         cache.expose(&inj, 0);
         assert_eq!(inj.fired(), 1);
-        assert!(cache.read_k_raw(1, 1).max_abs_diff(&truth) > 1e-3);
-        let (k, rep) = cache.read_k_verified(1, 1);
+        assert!(cache.read_kt_raw(1, 1).max_abs_diff(&truth) > 1e-3);
+        let (k, rep) = cache.read_kt_verified(1, 1);
         assert_eq!(rep.detected, 1);
         assert_eq!(rep.corrected, 1);
         assert_eq!(rep.uncorrectable, 0);
@@ -1269,7 +1254,7 @@ mod tests {
     #[test]
     fn scrub_repairs_storage_in_place() {
         let mut cache = filled_cache(16, 8);
-        let truth = cache.read_k_raw(0, 0);
+        let truth = cache.read_kt_raw(0, 0);
         let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 2, 3, 0), 12);
         cache.expose(&inj, 5);
         assert_eq!(inj.fired(), 0, "step 5 exposure needs k = 2*5");
@@ -1278,7 +1263,7 @@ mod tests {
         assert_eq!(inj.fired(), 1);
         let rep = cache.scrub();
         assert_eq!((rep.detected, rep.corrected), (1, 1));
-        assert_eq!(cache.read_k_raw(0, 0), truth, "scrub restores payload");
+        assert_eq!(cache.read_kt_raw(0, 0), truth, "scrub restores payload");
         assert!(cache.scrub().clean(), "second scrub finds nothing");
     }
 
@@ -1287,13 +1272,10 @@ mod tests {
         let mut cache = filled_cache(16, 16);
         // Two equal-delta corruptions in the same lane (rows 0 and 8 share
         // residue 0 at stride 8, same column): ratio (1Δ+2Δ)/2Δ = 1.5.
-        let blk = cache.read_k_raw(0, 0);
         let d = 2.0f32;
-        let mut k16 = blk.clone();
-        k16.set(0, 4, blk.get(0, 4) + d);
-        k16.set(8, 4, blk.get(8, 4) + d);
-        cache.slots[0][0].k = k16.to_f16();
-        let (_, rep) = cache.read_k_verified(0, 0);
+        bump_k(&mut cache, 0, 4, d);
+        bump_k(&mut cache, 8, 4, d);
+        let (_, rep) = cache.read_kt_verified(0, 0);
         assert!(rep.detected >= 1);
         assert!(rep.uncorrectable >= 1, "{rep:?}");
     }
@@ -1305,11 +1287,9 @@ mod tests {
         // (ratio 1.5) is unlocatable; the next append re-encodes clean
         // checksums over the damage — the sticky counter must survive.
         let mut cache = filled_cache(12, 16);
-        let mut k16 = cache.read_k_raw(0, 0);
         let d = 2.0f32;
-        k16.set(0, 4, k16.get(0, 4) + d);
-        k16.set(8, 4, k16.get(8, 4) + d);
-        cache.slots[0][0].k = k16.to_f16();
+        bump_k(&mut cache, 0, 4, d);
+        bump_k(&mut cache, 8, 4, d);
         assert_eq!(cache.poisoned(), 0);
         let k = normal_tensor_f16(800, 1, 2, 1, 16, 0.6);
         let v = normal_tensor_f16(801, 1, 2, 1, 16, 0.8);
@@ -1317,7 +1297,7 @@ mod tests {
         assert!(rep.uncorrectable >= 1, "{rep:?}");
         assert!(cache.poisoned() >= 1);
         // The re-encoded block now verifies clean (laundered)…
-        let (_, rep) = cache.read_k_verified(0, 0);
+        let (_, rep) = cache.read_kt_verified(0, 0);
         assert!(rep.clean(), "{rep:?}");
         // …but the sticky signal persists, and the protected decode path
         // re-surfaces it on every subsequent step's report.
@@ -1349,8 +1329,8 @@ mod tests {
     #[test]
     fn evict_front_drops_whole_blocks_and_keeps_global_coordinates() {
         let mut cache = filled_cache(21, 8); // blocks of 8/8/5
-        let keep_k = cache.read_k_raw(1, 1);
-        let keep_cs = cache.k_checksums(1, 1).w1.clone();
+        let keep_k = cache.read_kt_raw(1, 1);
+        let keep_cs = cache.kt_checksums(1, 1).w1.clone();
         let full_bytes = cache.size_bytes();
         assert_eq!(cache.evict_front(1), 1);
         assert_eq!((cache.start(), cache.start_block()), (8, 1));
@@ -1359,8 +1339,8 @@ mod tests {
         assert_eq!(cache.block_rows(1), 8);
         assert_eq!(cache.block_rows(2), 5);
         // Block 1 is still block 1: payload and checksums untouched.
-        assert_eq!(cache.read_k_raw(1, 1), keep_k);
-        assert_eq!(cache.k_checksums(1, 1).w1, keep_cs);
+        assert_eq!(cache.read_kt_raw(1, 1), keep_k);
+        assert_eq!(cache.kt_checksums(1, 1).w1, keep_cs);
         assert!(cache.size_bytes() < full_bytes);
         // The trailing block is never evicted, however large the request.
         assert_eq!(cache.evict_front(10), 1);
@@ -1394,11 +1374,11 @@ mod tests {
         // locate and correct it.
         let mut cache = filled_cache(24, 8);
         cache.evict_front(1);
-        let truth = cache.read_k_raw(0, 1);
+        let truth = cache.read_kt_raw(0, 1);
         let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 12, 5, 0), 13);
         cache.expose(&inj, 0);
         assert_eq!(inj.fired(), 1, "global row 12 is resident in block 1");
-        let (k, rep) = cache.read_k_verified(0, 1);
+        let (k, rep) = cache.read_kt_verified(0, 1);
         assert_eq!((rep.detected, rep.corrected, rep.uncorrectable), (1, 1, 0));
         assert!(k.max_abs_diff(&truth) < 1e-5);
         // A coordinate inside the evicted range no longer fires.
@@ -1411,11 +1391,9 @@ mod tests {
     fn evicting_a_poisoned_block_retires_its_damage() {
         // Unrepairable damage laundered into block 0 by an append heal…
         let mut cache = filled_cache(12, 16);
-        let mut k16 = cache.read_k_raw(0, 0);
         let d = 2.0f32;
-        k16.set(0, 4, k16.get(0, 4) + d);
-        k16.set(8, 4, k16.get(8, 4) + d);
-        cache.slots[0][0].k = k16.to_f16();
+        bump_k(&mut cache, 0, 4, d);
+        bump_k(&mut cache, 8, 4, d);
         for t in 0..8 {
             cache.append(
                 &normal_tensor_f16(820 + t, 1, 2, 1, 16, 0.6),
@@ -1440,11 +1418,9 @@ mod tests {
         // is visible to a full-history query, invisible once the sliding
         // window has moved past block 0, and retired by eviction.
         let mut cache = filled_cache(12, 16);
-        let mut k16 = cache.read_k_raw(0, 0);
         let d = 2.0f32;
-        k16.set(0, 4, k16.get(0, 4) + d);
-        k16.set(8, 4, k16.get(8, 4) + d);
-        cache.slots[0][0].k = k16.to_f16();
+        bump_k(&mut cache, 0, 4, d);
+        bump_k(&mut cache, 8, 4, d);
         for t in 0..24 {
             cache.append(
                 &normal_tensor_f16(880 + t, 1, 2, 1, 16, 0.6),
@@ -1479,12 +1455,9 @@ mod tests {
         // the scrub must feed the sticky counter once — not zero times (the
         // old bug) and not once per scrub.
         let mut cache = filled_cache(16, 16);
-        let blk = cache.read_k_raw(0, 0);
         let d = 2.0f32;
-        let mut k16 = blk.clone();
-        k16.set(0, 4, blk.get(0, 4) + d);
-        k16.set(8, 4, blk.get(8, 4) + d);
-        cache.slots[0][0].k = k16.to_f16();
+        bump_k(&mut cache, 0, 4, d);
+        bump_k(&mut cache, 8, 4, d);
         let rep = cache.scrub();
         assert!(rep.uncorrectable >= 1, "{rep:?}");
         let poisoned = cache.poisoned();
@@ -1524,7 +1497,7 @@ mod tests {
         });
         let v = normal_tensor_f16(300, 1, 2, 1, 16, 0.8);
         assert!(cache.append(&bad_k, &v).clean(), "non-finite row appends");
-        let (_, rep) = cache.read_k_verified(0, 0);
+        let (_, rep) = cache.read_kt_verified(0, 0);
         assert!(
             rep.clean(),
             "re-fold reproduces the stored NaN bits: {rep:?}"
@@ -1544,10 +1517,9 @@ mod tests {
         // is detected but honestly unlocatable (the delta ratio is
         // non-finite) — the consistent-verify fix must not hide true
         // damage involving non-finite state.
-        let mut k16 = cache.slots[0][0].k.clone();
-        k16.set(3, 3, ft_num::F16::from_f32(9.0)); // the appended Inf element
-        cache.slots[0][0].k = k16;
-        let (_, rep) = cache.read_k_verified(0, 0);
+        // The appended Inf element, K[3][3].
+        cache.slots[0][0].kt.set(3, 3, ft_num::F16::from_f32(9.0));
+        let (_, rep) = cache.read_kt_verified(0, 0);
         assert!(rep.detected >= 1, "{rep:?}");
         assert!(rep.uncorrectable >= 1, "{rep:?}");
     }
@@ -1564,7 +1536,7 @@ mod tests {
     fn evicted_block_read_panics() {
         let mut cache = filled_cache(24, 8);
         cache.evict_front(2);
-        let _ = cache.read_k_raw(0, 0);
+        let _ = cache.read_kt_raw(0, 0);
     }
 
     #[test]
@@ -1664,11 +1636,9 @@ mod tests {
         // while truncating the whole block away retires the mark with it
         // (satellite regression for the attended-boundary audit).
         let mut cache = filled_cache(12, 16);
-        let mut k16 = cache.read_k_raw(0, 0);
         let d = 2.0f32;
-        k16.set(0, 4, k16.get(0, 4) + d);
-        k16.set(8, 4, k16.get(8, 4) + d);
-        cache.slots[0][0].k = k16.to_f16();
+        bump_k(&mut cache, 0, 4, d);
+        bump_k(&mut cache, 8, 4, d);
         append_token(&mut cache, 12); // launder: poison lands on block 0
         assert!(cache.poisoned() >= 1);
         let poisoned = cache.poisoned();
@@ -1698,11 +1668,9 @@ mod tests {
         // Poison block 0 (rows 0..16), then grow to 40 rows (blocks 0, 1,
         // 2 with a ragged 8-row tail).
         let mut cache = filled_cache(12, 16);
-        let mut k16 = cache.read_k_raw(0, 0);
         let d = 2.0f32;
-        k16.set(0, 4, k16.get(0, 4) + d);
-        k16.set(8, 4, k16.get(8, 4) + d);
-        cache.slots[0][0].k = k16.to_f16();
+        bump_k(&mut cache, 0, 4, d);
+        bump_k(&mut cache, 8, 4, d);
         for t in 12..40 {
             append_token(&mut cache, t);
         }
@@ -1745,6 +1713,7 @@ mod tests {
 
 #[cfg(test)]
 mod protect_tests {
+    use super::tests::bump_k;
     use super::*;
     use crate::protect::ProtectionLevel;
     use ft_num::rng::normal_tensor_f16;
@@ -1771,9 +1740,10 @@ mod protect_tests {
     /// operands, stride and group count of both families, max-norm, poison.
     fn assert_blocks_same_bits(a: &KvBlock, b: &KvBlock, what: &str) {
         let payload = |m: &MatrixF16| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let keys = |x: &KvBlock| x.kt.block(0, 0, x.kt.rows(), x.rows());
         assert_eq!(
-            (a.k.shape(), payload(&a.k)),
-            (b.k.shape(), payload(&b.k)),
+            (keys(a).shape(), payload(&keys(a))),
+            (keys(b).shape(), payload(&keys(b))),
             "K {what}"
         );
         assert_eq!(
@@ -1781,7 +1751,7 @@ mod protect_tests {
             (b.v.shape(), payload(&b.v)),
             "V {what}"
         );
-        for (x, y, family) in [(&a.k_cs, &b.k_cs, "K"), (&a.v_cs, &b.v_cs, "V")] {
+        for (x, y, family) in [(&a.kt_cs, &b.kt_cs, "K"), (&a.v_cs, &b.v_cs, "V")] {
             assert_eq!(
                 (x.stride, x.groups, x.w1.shape(), x.w2.shape()),
                 (y.stride, y.groups, y.w1.shape(), y.w2.shape()),
@@ -1811,7 +1781,9 @@ mod protect_tests {
     /// from its payload.
     fn assert_matches_oracle(cache: &KvCache) {
         for (i, blk) in cache.slots.iter().flatten().enumerate() {
-            let oracle = KvBlock::encode(&blk.k, &blk.v, cache.stride, blk.poisoned);
+            let kt = blk.kt.block(0, 0, blk.kt.rows(), blk.rows());
+            let oracle = KvBlock::encode(&kt, &blk.v, cache.stride, blk.poisoned);
+            assert!(blk.folds_to_stored(), "block {i} at len {}", cache.len());
             assert_blocks_same_bits(blk, &oracle, &format!("block {i} at len {}", cache.len()));
         }
     }
@@ -1855,9 +1827,9 @@ mod protect_tests {
                 cache.append(&k, &v);
                 assert_matches_oracle(&cache);
                 if t == 1 {
-                    let lanes = cache.k_checksums(0, 0);
-                    assert_eq!(lanes.w1.get(1, 3).to_bits(), 0, "{level}: w1 of row 1");
-                    assert_eq!(lanes.w2.get(1, 3).to_bits(), 0, "{level}: w2 of row 1");
+                    let lanes = cache.kt_checksums(0, 0);
+                    assert_eq!(lanes.w1.get(3, 1).to_bits(), 0, "{level}: w1 of row 1");
+                    assert_eq!(lanes.w2.get(3, 1).to_bits(), 0, "{level}: w2 of row 1");
                 }
             }
             cache
@@ -1954,7 +1926,7 @@ mod protect_tests {
             let k = normal_tensor_f16(900, 1, 2, 1, 16, 0.6);
             let v = normal_tensor_f16(901, 1, 2, 1, 16, 0.8);
             let heal = cache.append(&k, &v);
-            let (_, read) = cache.read_k_verified(0, 0);
+            let (_, read) = cache.read_kt_verified(0, 0);
             if level == ProtectionLevel::Full {
                 assert_eq!((heal.detected, heal.corrected), (1, 1), "heal at append");
                 assert!(read.clean(), "healed before the re-encode");
@@ -1969,23 +1941,19 @@ mod protect_tests {
     fn approximate_tolerates_small_residuals_and_escalates_large() {
         let mut cache = filled_level(8, 8, ProtectionLevel::Approximate { tol: 0.05 });
         // Within tolerance: counted as tolerated, not detected, left as is.
-        let mut k16 = cache.read_k_raw(0, 0);
-        k16.set(2, 3, k16.get(2, 3) + 0.01);
-        cache.slots[0][0].k = k16.to_f16();
-        let (payload, rep) = cache.read_k_verified(0, 0);
+        bump_k(&mut cache, 2, 3, 0.01);
+        let (payload, rep) = cache.read_kt_verified(0, 0);
         assert_eq!((rep.detected, rep.corrected, rep.uncorrectable), (0, 0, 0));
         assert_eq!(rep.tolerated, 1);
         assert!(rep.clean(), "tolerated residuals do not dirty the report");
         assert_eq!(
             payload,
-            cache.read_k_raw(0, 0),
+            cache.read_kt_raw(0, 0),
             "tolerated residual left uncorrected"
         );
         // Above tolerance: the normal locate/correct path fires.
-        let mut k16 = cache.read_k_raw(0, 0);
-        k16.set(5, 3, k16.get(5, 3) + 1.0);
-        cache.slots[0][0].k = k16.to_f16();
-        let (_, rep) = cache.read_k_verified(0, 0);
+        bump_k(&mut cache, 5, 3, 1.0);
+        let (_, rep) = cache.read_kt_verified(0, 0);
         assert_eq!((rep.detected, rep.corrected), (1, 1));
         assert_eq!(rep.tolerated, 1, "the small residual is still tolerated");
         assert_eq!(cache.poisoned(), 0);
@@ -2003,15 +1971,15 @@ mod protect_tests {
         let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 3, 2, 0), 13);
         cache.expose(&inj, 0);
         assert_eq!(inj.fired(), 1, "the payload is still a fault surface");
-        let (k, rep) = cache.read_k_verified(0, 0);
+        let (k, rep) = cache.read_kt_verified(0, 0);
         assert!(rep.clean() && rep.tolerated == 0);
-        assert_eq!(k, cache.read_k_raw(0, 0));
+        assert_eq!(k, cache.read_kt_raw(0, 0));
         assert!(cache.scrub().clean());
         assert_eq!(cache.poisoned(), 0);
         assert_eq!(cache.poisoned_attended(None), 0);
         // Ragged rollback and re-append keep working without metadata.
         assert!(cache.truncate_to(CacheMark::at(18)).clean());
-        assert_eq!((cache.len(), cache.read_k_raw(0, 2).rows()), (18, 2));
+        assert_eq!((cache.len(), cache.read_kt_raw(0, 2).cols()), (18, 2));
         let k = normal_tensor_f16(950, 1, 2, 1, 16, 0.6);
         let v = normal_tensor_f16(951, 1, 2, 1, 16, 0.8);
         assert!(cache.append(&k, &v).clean());

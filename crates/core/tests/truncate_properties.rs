@@ -5,10 +5,16 @@
 //! surviving row verifying clean and the `len`/`size_bytes`/`num_blocks`
 //! accounting consistent at every step. The degenerate marks (behind the
 //! eviction frontier, past the tail) are pinned as hard-assert rejections.
+//! The stored K checksum operands are tied to the paper's definition
+//! (§3.3): under append / heal / truncate / evict / scrub interleavings
+//! they are, bit for bit, the row fold of K transposed.
 
+use ft_abft::strided::encode_rows_strided;
 use ft_core::kv::{CacheMark, KvCache, KvReadReport};
-use ft_num::rng::normal_tensor_f16;
+use ft_num::rng::{mix64, normal_tensor_f16};
 use ft_num::tensor::Tensor4F16;
+use ft_num::MatrixF32;
+use ft_sim::{FaultInjector, FaultSite, OpCoord, SeuInjector};
 use proptest::prelude::*;
 
 const DIM: usize = 16;
@@ -35,10 +41,7 @@ fn append_id(cache: &mut KvCache, id: u64) -> KvReadReport {
 /// SplitMix64 — the op-sequence driver (the proptest shim draws the seed).
 fn mix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(*state)
 }
 
 /// Bit-identical comparison of everything the resident blocks store.
@@ -54,8 +57,8 @@ fn assert_matches_replay(cache: &KvCache, rows: &[u64], start: usize, block: usi
     for slot in 0..cache.num_slots() {
         for b in cache.start_block()..cache.num_blocks() {
             assert_eq!(
-                cache.read_k_raw(slot, b),
-                replay.read_k_raw(slot, b),
+                cache.read_kt_raw(slot, b),
+                replay.read_kt_raw(slot, b),
                 "K s{slot} b{b}"
             );
             assert_eq!(
@@ -64,12 +67,12 @@ fn assert_matches_replay(cache: &KvCache, rows: &[u64], start: usize, block: usi
                 "V s{slot} b{b}"
             );
             assert_eq!(
-                cache.k_checksums(slot, b).w1,
-                replay.k_checksums(slot, b).w1
+                cache.kt_checksums(slot, b).w1,
+                replay.kt_checksums(slot, b).w1
             );
             assert_eq!(
-                cache.k_checksums(slot, b).w2,
-                replay.k_checksums(slot, b).w2
+                cache.kt_checksums(slot, b).w2,
+                replay.kt_checksums(slot, b).w2
             );
             assert_eq!(
                 cache.v_checksums(slot, b).w1,
@@ -88,8 +91,84 @@ fn assert_matches_replay(cache: &KvCache, rows: &[u64], start: usize, block: usi
     }
 }
 
+/// Every resident block's stored `Kᵀ` checksum operands are the row fold
+/// of its K (`encode_rows_strided`, the §3.3 definition, at the stride or
+/// the block's row count if fewer) transposed, bit for bit.
+fn assert_k_checksums_are_the_row_encode(cache: &KvCache) {
+    let bits = |m: &MatrixF32| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for slot in 0..cache.num_slots() {
+        for b in cache.start_block()..cache.num_blocks() {
+            let k = cache.read_kt_raw(slot, b).transpose();
+            let want = encode_rows_strided(&k, STRIDE.min(k.rows()), false);
+            let got = cache.kt_checksums(slot, b);
+            let what = format!("s{slot} b{b} at len {}", cache.len());
+            assert_eq!(bits(&got.w1), bits(&want.w1.transpose()), "w1 {what}");
+            assert_eq!(bits(&got.w2), bits(&want.w2.transpose()), "w2 {what}");
+            assert_eq!(
+                (got.stride, got.groups),
+                (want.stride, want.groups),
+                "{what}"
+            );
+        }
+    }
+}
+
+/// One SEU in stored K at exposure `step`: a random slot, column and row
+/// from `first_row` to the tail, exponent bit 13 of the FP16 element.
+fn expose_k(cache: &mut KvCache, s: &mut u64, first_row: usize, step: usize) {
+    let row = first_row + mix(s) as usize % (cache.len() - first_row);
+    let at = OpCoord::new((mix(s) % 2) as usize, row, mix(s) as usize % DIM, 2 * step);
+    let seu = SeuInjector::new(FaultSite::KvCache, at, 13);
+    cache.expose(&seu, step as u64);
+    assert_eq!(seu.fired(), 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random interleavings of append, heal (an SEU in the ragged trailing
+    /// block, then an append), truncate, evict and scrub (an SEU anywhere
+    /// resident, then a scrub): after every operation the stored K
+    /// checksum operands are the row encode of K, transposed.
+    #[test]
+    fn stored_k_checksums_are_the_row_encode_of_k_transposed(
+        seed in 0u64..1_000_000,
+        block in prop::sample::select(vec![4usize, 8, 16, 24]),
+        ops in 6usize..22,
+    ) {
+        let mut cache = fresh(block);
+        let mut next_id = 0u64;
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ block as u64;
+        for step in 0..ops {
+            match mix(&mut s) % 5 {
+                1 if !cache.len().is_multiple_of(block) => {
+                    let tail = cache.len() / block * block;
+                    expose_k(&mut cache, &mut s, tail, step);
+                    append_id(&mut cache, next_id);
+                    next_id += 1;
+                }
+                2 if cache.resident_len() > 0 => {
+                    let target = cache.start() + mix(&mut s) as usize % (cache.resident_len() + 1);
+                    cache.truncate_to(CacheMark::at(target));
+                }
+                3 => {
+                    cache.evict_front((mix(&mut s) % 3) as usize);
+                }
+                4 if cache.resident_len() > 0 => {
+                    let start = cache.start();
+                    expose_k(&mut cache, &mut s, start, step);
+                    cache.scrub();
+                }
+                _ => {
+                    for _ in 0..1 + mix(&mut s) % 3 {
+                        append_id(&mut cache, next_id);
+                        next_id += 1;
+                    }
+                }
+            }
+            assert_k_checksums_are_the_row_encode(&cache);
+        }
+    }
 
     /// Random interleavings of append (1–3 tokens), truncate (to a random
     /// resident mark), and evict (0–2 front blocks): after every operation
@@ -147,7 +226,7 @@ proptest! {
         // Every surviving row verifies clean against its checksums.
         for slot in 0..cache.num_slots() {
             for b in cache.start_block()..cache.num_blocks() {
-                prop_assert!(cache.read_k_verified(slot, b).1.clean(), "K s{slot} b{b}");
+                prop_assert!(cache.read_kt_verified(slot, b).1.clean(), "K s{slot} b{b}");
                 prop_assert!(cache.read_v_verified(slot, b).1.clean(), "V s{slot} b{b}");
             }
         }
@@ -215,7 +294,7 @@ fn truncate_to_frontier_empties_residency_and_appends_resume() {
     assert_eq!(cache.poisoned(), 0);
     for slot in 0..cache.num_slots() {
         for b in cache.start_block()..cache.num_blocks() {
-            assert!(cache.read_k_verified(slot, b).1.clean());
+            assert!(cache.read_kt_verified(slot, b).1.clean());
         }
     }
 }

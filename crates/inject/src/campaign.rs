@@ -7,11 +7,11 @@
 //! algebra the kernels use — so millions of checksum lanes can be evaluated
 //! quickly.
 
-use ft_abft::strided::{correct_strided, encode_rows_strided, strided_sums, verify_strided};
+use ft_abft::strided::{correct_strided, encode_cols_strided, strided_sums, verify_strided};
 use ft_abft::thresholds::Check;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
 use ft_num::MatrixF32;
-use ft_sim::{gemm_nt, gemm_nt_inj, BerInjector, FaultInjector, FaultSite, GemmCtx};
+use ft_sim::{gemm_nn, gemm_nt, gemm_nt_inj, BerInjector, FaultInjector, FaultSite, GemmCtx};
 use rayon::prelude::*;
 
 /// Checksum scheme under test.
@@ -104,9 +104,9 @@ fn coverage_trial(seed: u64, ber: f64, s: usize, shape: GemmShape, chk: Check) -
     // accumulator precision — quantising w2 (whose entries scale with the
     // group count) through FP16 adds noise proportional to the fold width,
     // which destroys location for all but exponent-scale errors.
-    let cs = encode_rows_strided(&k, s, false);
-    let c1 = gemm_nt(&q, &cs.w1);
-    let c2 = gemm_nt(&q, &cs.w2);
+    let cs = encode_cols_strided(&k.transpose(), s, false);
+    let c1 = gemm_nn(&q, &cs.w1);
+    let c2 = gemm_nn(&q, &cs.w2);
 
     // Detection at the scheme's resolving power: FP16-quantised checksum
     // operands make a lane's checksum-vs-fold discrepancy noisy, and the
@@ -230,8 +230,8 @@ fn detection_trial(seed: u64, tau: f32, scheme: Scheme, shape: GemmShape) -> Det
     let q = normal_matrix_f16(&mut rng, shape.br, shape.d, 0.5).to_f32();
     let k = normal_matrix_f16(&mut rng, shape.bc, shape.d, 0.5).to_f32();
     let s_mat = gemm_nt(&q, &k);
-    let cs = encode_rows_strided(&k, s, true);
-    let c1 = gemm_nt(&q, &cs.w1);
+    let cs = encode_cols_strided(&k.transpose(), s, true);
+    let c1 = gemm_nn(&q, &cs.w1);
 
     // False alarms on the clean result.
     let sums_clean = strided_sums(&s_mat, s);
@@ -303,8 +303,8 @@ fn snvr_trial(seed: u64, tau: f32, shape: GemmShape) -> DetectionStats {
     let s_mat = gemm_nt(&q, &k);
     // Checksums in FP32 here: the transported product check is the paper's
     // ε₁ ≈ 7e-6 regime, which presumes accumulator-precision checksums.
-    let cs = encode_rows_strided(&k, s, false);
-    let mut c1 = gemm_nt(&q, &cs.w1);
+    let cs = encode_cols_strided(&k.transpose(), s, false);
+    let mut c1 = gemm_nn(&q, &cs.w1);
 
     let row_max: Vec<f32> = (0..shape.br)
         .map(|i| {

@@ -242,6 +242,22 @@ impl MatrixF16 {
         }
     }
 
+    /// Widen the first `cols` columns of every row to f32, in one pass.
+    pub fn prefix_to_f32(&self, cols: usize) -> MatrixF32 {
+        if cols == self.cols {
+            return self.to_f32();
+        }
+        let mut data = Vec::with_capacity(self.rows * cols);
+        for row in self.data.chunks_exact(self.cols) {
+            data.extend(row[..cols].iter().map(|v| v.to_f32()));
+        }
+        MatrixF32 {
+            rows: self.rows,
+            cols,
+            data,
+        }
+    }
+
     /// Size in bytes when resident in (simulated) HBM.
     pub fn size_bytes(&self) -> u64 {
         (self.data.len() * 2) as u64

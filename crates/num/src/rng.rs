@@ -15,7 +15,14 @@ use rand::{Rng, SeedableRng};
 /// Derive an independent stream from a root seed and a stream index.
 /// SplitMix64-style mixing so adjacent indices are uncorrelated.
 pub fn derive_seed(root: u64, stream: u64) -> u64 {
-    let mut z = root ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    mix64(root ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// The SplitMix64 finaliser: a bijective 64-bit mix, the workspace's one
+/// stateless hash step (seed derivation, fault-coordinate hashing,
+/// sampling draws).
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

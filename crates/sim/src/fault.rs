@@ -21,6 +21,7 @@
 //! counters use atomics.
 
 use core::sync::atomic::{AtomicU64, Ordering};
+use ft_num::rng::mix64;
 use ft_num::F16;
 
 /// Which functional unit produced the value being (possibly) corrupted.
@@ -124,14 +125,6 @@ impl OpCoord {
     }
 }
 
-/// Mix a 64-bit value (SplitMix64 finaliser).
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Stateless hash of (seed, site, coord) → u64.
 #[inline]
 fn coord_hash(seed: u64, site: FaultSite, c: OpCoord) -> u64 {
@@ -143,16 +136,16 @@ fn coord_hash(seed: u64, site: FaultSite, c: OpCoord) -> u64 {
 #[inline]
 fn coord_hash_prefix(seed: u64, site: FaultSite, slot: u64, i: u64) -> u64 {
     let mut h = seed ^ 0x5851_F42D_4C95_7F2D;
-    h = mix(h.wrapping_add(site.id().wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-    h = mix(h ^ slot.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    mix(h ^ i.wrapping_mul(0xA076_1D64_78BD_642F))
+    h = mix64(h.wrapping_add(site.id().wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    h = mix64(h ^ slot.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+    mix64(h ^ i.wrapping_mul(0xA076_1D64_78BD_642F))
 }
 
 /// The `(j, k)` tail of [`coord_hash`] over a prefix.
 #[inline]
 fn coord_hash_tail(prefix: u64, j: u64, k: u64) -> u64 {
-    let h = mix(prefix ^ j.wrapping_mul(0xE703_7ED1_A0B4_28DB));
-    mix(h ^ k.wrapping_mul(0x8EBC_6AF0_9C88_C6E3))
+    let h = mix64(prefix ^ j.wrapping_mul(0xE703_7ED1_A0B4_28DB));
+    mix64(h ^ k.wrapping_mul(0x8EBC_6AF0_9C88_C6E3))
 }
 
 /// A fault fired inside an accumulation chain: after FMA step `step`, bit
@@ -406,7 +399,7 @@ impl BerInjector {
         // Compare the top 53 bits against ber as a dyadic fraction.
         let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         if u < self.ber {
-            Some(mix(h ^ 0xC2B2_AE3D_27D4_EB4F))
+            Some(mix64(h ^ 0xC2B2_AE3D_27D4_EB4F))
         } else {
             None
         }
@@ -462,11 +455,11 @@ impl FaultInjector for BerInjector {
         let p_chain = -f64::exp_m1(k_len as f64 * f64::ln_1p(-self.ber));
         if u < p_chain {
             self.fired.fetch_add(1, Ordering::Relaxed);
-            let sel = mix(h ^ 0xC2B2_AE3D_27D4_EB4F);
+            let sel = mix64(h ^ 0xC2B2_AE3D_27D4_EB4F);
             Some(ChainFault {
                 step: (sel % k_len as u64) as usize,
                 bit: self.bit_range.0
-                    + (mix(sel) % (self.bit_range.1 - self.bit_range.0) as u64) as u32,
+                    + (mix64(sel) % (self.bit_range.1 - self.bit_range.0) as u64) as u32,
             })
         } else {
             None
@@ -664,7 +657,7 @@ mod tests {
     fn ber_row_override_matches_default_per_element_loop() {
         let mut state = 0x1234_5678u64;
         let mut next = || {
-            state = mix(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            state = mix64(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
             state
         };
         let sites = [FaultSite::KvCache, FaultSite::ExpUnit];

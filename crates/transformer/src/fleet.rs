@@ -57,7 +57,7 @@
 //!   multiplying.
 
 use crate::engine::{EngineConfig, StreamHandle};
-use crate::model::{ServeSession, TransformerModel};
+use crate::model::{Admission, ServeSession, TransformerModel};
 use ft_core::serve::{EngineEvent, GenerationRequest, RecoveryPolicy, StreamId, StreamState};
 use ft_core::types::FtReport;
 use ft_sim::{FaultInjector, NoFaults};
@@ -562,8 +562,7 @@ pub struct Fleet {
     next_id: AtomicU64,
     submitted: AtomicU64,
     engine: EngineConfig,
-    bytes_per_token: u64,
-    window_slack: usize,
+    admission: Admission,
     max_seq: usize,
     default_window: Option<usize>,
 }
@@ -619,8 +618,7 @@ impl Fleet {
             next_id: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             engine: cfg.engine,
-            bytes_per_token: (4 * model.config.hidden * model.config.layers) as u64,
-            window_slack: model.blocks.first().map_or(0, |b| b.mha.cache_block),
+            admission: model.admission(),
             max_seq: model.config.max_seq,
             default_window: model.window(),
         }
@@ -663,18 +661,13 @@ impl Fleet {
         Ok(handle)
     }
 
-    /// Admission projection: the same FP16 K+V payload estimate the
-    /// shard schedulers use for memory budgeting, capped by the stream's
-    /// sliding window (plus one evictable block of slack) when it has
-    /// one.
+    /// Admission projection: the model's, as the shard schedulers use it
+    /// for memory budgeting, over the stream's whole token budget.
     fn project(&self, req: &GenerationRequest) -> u64 {
         let prompt = req.prompt.len(); // ≤ max_seq: `try_submit` checked
         let rows = prompt + req.max_new_tokens.min(self.max_seq - prompt);
-        let rows = match req.window.or(self.default_window) {
-            Some(w) => rows.min(w + self.window_slack),
-            None => rows,
-        };
-        (rows as u64).max(1) * self.bytes_per_token
+        self.admission
+            .bytes(rows, req.window.or(self.default_window))
     }
 
     /// Snapshot the live per-shard ledgers without stopping the fleet.

@@ -76,5 +76,7 @@ pub use ft_core::serve::{
 pub use ft_core::types::FtReport;
 pub use linear::{Linear, LinearProtection};
 pub use mha::{BackendKind, KvCache, MultiHeadAttention};
-pub use model::{serve_expose_step, FinishedStream, ModelKvCache, ServeSession, TransformerModel};
+pub use model::{
+    serve_expose_step, Admission, FinishedStream, ModelKvCache, ServeSession, TransformerModel,
+};
 pub use norm::LayerNorm;

@@ -7,8 +7,9 @@
 //! The weight is a static operand, so — as the paper (§3.3) and ALBERTA
 //! encode the weight-side checksum offline — everything `forward` needs
 //! from it is prepared **once**, in the constructor: `Wᵀ` decoded from FP16
-//! to FP32 in k-major layout (`in × out`), and W's two strided row-checksum
-//! operands (`encode_rows_strided(W, s, true)`) transposed to `in × s`, all
+//! to FP32 in k-major layout (`in × out`), and the two strided
+//! column-checksum operands of that `Wᵀ` (`encode_cols_strided(Wᵀ, s,
+//! true)`, `in × s`: W's row checksums, transposed, lane for lane), all
 //! three then panel-packed ([`PackedB`]: contiguous `in × 8` panels, so a
 //! product reads each panel front to back instead of striding `out` floats
 //! per k-step). `forward` runs three packed GEMMs ([`gemm_packed`], each
@@ -36,7 +37,7 @@
 //! memory as a fault site, with a verify-on-read or scrub, is ROADMAP's
 //! open item.
 
-use ft_abft::strided::{correct_strided, encode_rows_strided, verify_strided, StridedMismatch};
+use ft_abft::strided::{correct_strided, encode_cols_strided, verify_strided, StridedMismatch};
 use ft_abft::thresholds::Thresholds;
 use ft_core::types::FtReport;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
@@ -79,23 +80,23 @@ pub struct Linear {
 struct Prepared {
     /// `Wᵀ` in FP32, `in × out`.
     wt: PackedB,
-    /// Plain strided row-checksum of W, transposed: `in × s` with the
-    /// stride `s = min(8, out)`.
+    /// Plain strided column-checksum of `Wᵀ`: `in × s` with the stride
+    /// `s = min(8, out)`.
     w1t: PackedB,
-    /// Group-weighted strided row-checksum of W, transposed: `in × s`.
+    /// Group-weighted strided column-checksum of `Wᵀ`: `in × s`.
     w2t: PackedB,
 }
 
 impl Prepared {
     fn new(weight: &MatrixF16) -> Self {
-        let w = weight.to_f32();
-        let stride = 8.min(w.rows()).max(1);
-        // Fold W's rows (the output dimension) at the stride.
-        let cs = encode_rows_strided(&w, stride, true);
+        let wt = weight.to_f32().transpose();
+        let stride = 8.min(wt.cols()).max(1);
+        // Fold Wᵀ's columns (the output dimension) at the stride.
+        let cs = encode_cols_strided(&wt, stride, true);
         Prepared {
-            wt: PackedB::new(&w.transpose()),
-            w1t: PackedB::new(&cs.w1.transpose()),
-            w2t: PackedB::new(&cs.w2.transpose()),
+            wt: PackedB::new(&wt),
+            w1t: PackedB::new(&cs.w1),
+            w2t: PackedB::new(&cs.w2),
         }
     }
 }
@@ -317,6 +318,7 @@ fn work_units(segments: &[usize]) -> Vec<Vec<SegmentBlock>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_abft::strided::encode_rows_strided;
     use ft_sim::{gemm_nt, BerInjector, NoFaults, OpCoord, SeuInjector};
 
     #[test]
@@ -417,6 +419,30 @@ mod tests {
         assert_eq!(p.w1t, PackedB::new(&cs.w1.transpose()));
         assert_eq!(p.w2t, PackedB::new(&cs.w2.transpose()));
         assert!(Arc::ptr_eq(&layer.prepared, &layer.clone().prepared));
+    }
+
+    #[test]
+    fn checksum_panels_are_the_row_encode_of_w_transposed_bit_for_bit() {
+        // §3.3 defines the weight checksums as W's rows folded at the
+        // stride; `Prepared` folds the columns of the `Wᵀ` it packs. Every
+        // lane must be the same sum in the same order: narrow outputs
+        // (fewer rows than the stride), ragged last groups and whole ones.
+        for (out_f, in_f) in [(20, 24), (4, 16), (33, 17), (64, 8), (1, 5)] {
+            let layer = Linear::random(out_f as u64 * 31 + in_f as u64, in_f, out_f);
+            let w = layer.weight().to_f32();
+            let cs = encode_rows_strided(&w, 8.min(out_f), true);
+            let p = &layer.prepared;
+            let panels = |b: &PackedB| {
+                (0..b.cols())
+                    .flat_map(|j| b.column(j).map(f32::to_bits).collect::<Vec<_>>())
+                    .collect::<Vec<_>>()
+            };
+            // Column `t` of the transposed encode is its row `t`.
+            let want = |m: &MatrixF32| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(panels(&p.w1t), want(&cs.w1), "w1 of {out_f} × {in_f}");
+            assert_eq!(panels(&p.w2t), want(&cs.w2), "w2 of {out_f} × {in_f}");
+            assert_eq!((p.w1t.rows(), p.w1t.cols()), (in_f, 8.min(out_f)));
+        }
     }
 
     #[test]

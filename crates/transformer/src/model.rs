@@ -26,6 +26,29 @@ use ft_num::{Matrix, MatrixF32};
 use ft_sim::FaultInjector;
 use rayon::prelude::*;
 
+/// A model's cache-byte admission projection
+/// ([`TransformerModel::admission`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Admission {
+    /// FP16 K+V payload per token over every layer (2 tensors × hidden ×
+    /// 2 bytes per layer); checksum metadata rides along in the noted
+    /// totals once streams are resident.
+    pub bytes_per_token: u64,
+    /// Rows a windowed stream keeps resident past its window: block-granular
+    /// eviction leaves up to one partially evictable cache block.
+    pub window_slack: usize,
+}
+
+impl Admission {
+    /// Projected bytes of a stream that grows to `rows` tokens, capped
+    /// under a sliding `window` at `window + window_slack` rows, and never
+    /// below one row.
+    pub fn bytes(&self, rows: usize, window: Option<usize>) -> u64 {
+        let rows = window.map_or(rows, |w| rows.min(w + self.window_slack));
+        (rows as u64).max(1) * self.bytes_per_token
+    }
+}
+
 /// A complete transformer for inference experiments.
 #[derive(Clone, Debug)]
 pub struct TransformerModel {
@@ -178,6 +201,15 @@ impl TransformerModel {
     /// [`with_window`](TransformerModel::with_window), if any.
     pub fn window(&self) -> Option<usize> {
         self.blocks.first().and_then(|b| b.mha.window)
+    }
+
+    /// The cache-byte projection admission plans with — what a session
+    /// hands its scheduler and a fleet projects each submission by.
+    pub fn admission(&self) -> Admission {
+        Admission {
+            bytes_per_token: (4 * self.config.hidden * self.config.layers) as u64,
+            window_slack: self.blocks.first().map_or(0, |b| b.mha.cache_block),
+        }
     }
 
     /// Fresh decode state: one empty checksummed KV cache per block.

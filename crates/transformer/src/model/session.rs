@@ -12,6 +12,7 @@ use ft_core::serve::{
     SamplingMode, SchedulerConfig, StreamId, StreamState,
 };
 use ft_core::types::FtReport;
+use ft_num::rng::mix64;
 use ft_num::{Matrix, MatrixF32};
 use ft_sim::FaultInjector;
 
@@ -122,24 +123,12 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     /// scheduler sizing — the constructor behind
     /// [`TransformerModel::serve_with`].
     pub fn new(model: M, cfg: SchedulerConfig) -> Self {
-        let (bytes_per_token, block) = {
-            let m: &TransformerModel = model.borrow();
-            // Projection for admission: FP16 K+V payload per token per
-            // layer (2 tensors × hidden × 2 bytes); checksum metadata
-            // rides along in the noted totals once streams are resident.
-            (
-                (4 * m.config.hidden * m.config.layers) as u64,
-                m.blocks.first().map_or(0, |b| b.mha.cache_block),
-            )
-        };
+        let admission = model.borrow().admission();
         let mut scheduler = DecodeScheduler::new(cfg);
-        scheduler.set_bytes_per_token(bytes_per_token);
-        // Under a sliding window a stream keeps at most ~window +
-        // cache_block rows resident however long its prompt — the window
-        // is a per-request property now, so the scheduler derives each
-        // windowed stream's projection cap itself; we supply the
-        // block-granularity slack (one partially evictable block).
-        scheduler.set_window_slack(block);
+        scheduler.set_bytes_per_token(admission.bytes_per_token);
+        // The window is a per-request property, so the scheduler derives
+        // each windowed stream's projection cap itself from the slack.
+        scheduler.set_window_slack(admission.window_slack);
         ServeSession {
             model,
             scheduler,
@@ -675,11 +664,4 @@ fn sample_token(mode: SamplingMode, row: &[f32], stream: StreamId, position: usi
             idx[(h % k as u64) as usize] as u32
         }
     }
-}
-
-/// SplitMix64 finaliser (the stateless draw behind [`SamplingMode::TopK`]).
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
