@@ -90,3 +90,26 @@ fn detection_rate_floor_at_calibrated_threshold() {
     let loose = detection_campaign(TRIALS * 2, SEED ^ 3, 0.99, Scheme::Tensor, shape);
     assert!(loose.detection_rate() <= st.detection_rate());
 }
+
+#[test]
+fn coverage_campaign_is_pinned_exactly_per_scheme() {
+    // One fixed-seed campaign per scheme, every field exact. `injected` is
+    // the injector's `fired()` count summed over the trials, so a change
+    // that moves one fault draw, one corrupted chain or one repair shows.
+    let shape = GemmShape::default();
+    let chk = Thresholds::calibrated().gemm;
+    for (scheme, want) in [
+        (Scheme::Tensor, [16, 419, 317, 8, 411]),
+        (Scheme::Element, [16, 419, 248, 36, 383]),
+    ] {
+        let st = coverage_campaign(16, SEED ^ 4, 1e-4, scheme, shape, chk);
+        let got = [
+            st.trials,
+            st.injected,
+            st.detections,
+            st.residual_errors,
+            st.covered,
+        ];
+        assert_eq!(got, want, "{scheme:?} campaign moved");
+    }
+}

@@ -224,3 +224,52 @@ fn every_other_backend_stays_within_tolerance_of_the_golden_output() {
         }
     }
 }
+
+/// FNV-1a over the f32 bit patterns of a whole output, row-major.
+fn bit_digest(o: &ft_transformer_suite::num::Tensor4F32) -> u64 {
+    let slot = o.slot_flat(0);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in slot.as_slice() {
+        for byte in x.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Bit digests of every registered backend's prefill output on the
+/// fixture, then `flash` with the causal mask. Every kernel computes each
+/// GEMM element as one ascending-k chain, so a refactor of the kernel layer
+/// must leave every bit of every output where it was.
+const GOLDEN_DIGESTS: [(&str, u64); 8] = [
+    ("reference", 0x7d9b9f207e133667),
+    ("flash", 0xbc13281ae9fa8a8b),
+    ("decoupled", 0x56cfa32551c8e9ca),
+    ("decoupled-baseline", 0x56cfa32551c8e9ca),
+    ("efta", 0x27a1bce20dea25e5),
+    ("efta-o", 0x27a1bce20dea25e5),
+    ("efta-unprotected", 0x27a1bce20dea25e5),
+    ("flash causal", 0x7b7c2f3936f1c6a5),
+];
+
+#[test]
+fn every_backend_output_is_bit_pinned() {
+    let (cfg, q, k, v) = fixture();
+    let mut got: Vec<(String, u64)> = BackendKind::NAMES
+        .iter()
+        .map(|name| {
+            let kind: BackendKind = name.parse().unwrap();
+            let req = AttentionRequest::new(cfg, &q, &k, &v);
+            let out = kind.try_run(&req).unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name.to_string(), bit_digest(&out.o))
+        })
+        .collect();
+    let causal = cfg.with_causal(true);
+    let out = BackendKind::Flash.run(&AttentionRequest::new(causal, &q, &k, &v));
+    got.push(("flash causal".to_string(), bit_digest(&out.o)));
+    let want: Vec<(String, u64)> = GOLDEN_DIGESTS
+        .iter()
+        .map(|&(name, digest)| (name.to_string(), digest))
+        .collect();
+    assert_eq!(got, want, "a backend's output bits moved");
+}
