@@ -184,7 +184,7 @@ mod tests {
     use super::*;
     use crate::thresholds::rel_diff;
     use ft_num::rng::{normal_matrix_f16, rng_from_seed};
-    use ft_sim::gemm_nt;
+    use ft_sim::gemm_nn;
 
     /// Build S = Q·Kᵀ together with its exact checksum rows/cols computed
     /// from encoded operands (no quantisation → exact algebra).
@@ -192,18 +192,18 @@ mod tests {
         q: &MatrixF32,
         k: &MatrixF32,
     ) -> (MatrixF32, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
-        let s = gemm_nt(q, k);
+        let s = gemm_nn(q, &k.transpose());
         // Column checksums of S come from row-encoding Q: c1·(Q Kᵀ).
         let qc = encode_cols(q, false);
         let q_aug = augment_rows(q, &qc);
-        let full = gemm_nt(&q_aug, k);
+        let full = gemm_nn(&q_aug, &k.transpose());
         let m = q.rows();
         let row1: Vec<f32> = (0..k.rows()).map(|j| full.get(m, j)).collect();
         let row2: Vec<f32> = (0..k.rows()).map(|j| full.get(m + 1, j)).collect();
         // Row checksums of S come from row-encoding K (S·r = Q·(Kᵀ r)).
         let kc = encode_cols(k, false);
         let k_aug = augment_rows(k, &kc);
-        let full_r = gemm_nt(q, &k_aug);
+        let full_r = gemm_nn(q, &k_aug.transpose());
         let n = k.rows();
         let col1: Vec<f32> = (0..m).map(|i| full_r.get(i, n)).collect();
         let col2: Vec<f32> = (0..m).map(|i| full_r.get(i, n + 1)).collect();

@@ -110,7 +110,7 @@ mod tests {
     use crate::strided::{encode_rows_strided, strided_sums};
     use crate::thresholds::rel_diff;
     use ft_num::rng::{normal_matrix_f16, rng_from_seed};
-    use ft_sim::gemm_nt;
+    use ft_sim::gemm_nn;
     use proptest::prelude::*;
 
     #[test]
@@ -128,8 +128,8 @@ mod tests {
         let q = normal_matrix_f16(&mut rng, 8, 16, 0.4).to_f32();
         let k = normal_matrix_f16(&mut rng, 16, 16, 0.4).to_f32();
         let cs = encode_rows_strided(&k, 8, false);
-        let s_mat = gemm_nt(&q, &k);
-        let mut s_c1 = gemm_nt(&q, &cs.w1);
+        let s_mat = gemm_nn(&q, &k.transpose());
+        let mut s_c1 = gemm_nn(&q, &cs.w1.transpose());
 
         // Row max and stabilised softmax numerator.
         let row_max: Vec<f32> = (0..s_mat.rows())

@@ -257,16 +257,16 @@ pub fn correct_strided(c: &mut MatrixF32, mismatches: &[StridedMismatch], s: usi
 mod tests {
     use super::*;
     use ft_num::rng::{normal_matrix_f16, rng_from_seed};
-    use ft_sim::{gemm_nn, gemm_nt};
+    use ft_sim::gemm_nn;
     use proptest::prelude::*;
 
     /// S = Q·Kᵀ with exact strided checksum results S_c1, S_c2 computed the
     /// way the kernel does: GEMM against encoded operands.
     fn protected_qkt(q: &MatrixF32, k: &MatrixF32, s: usize) -> (MatrixF32, MatrixF32, MatrixF32) {
         let cs = encode_rows_strided(k, s, false);
-        let s_mat = gemm_nt(q, k);
-        let s_c1 = gemm_nt(q, &cs.w1);
-        let s_c2 = gemm_nt(q, &cs.w2);
+        let s_mat = gemm_nn(q, &k.transpose());
+        let s_c1 = gemm_nn(q, &cs.w1.transpose());
+        let s_c2 = gemm_nn(q, &cs.w2.transpose());
         (s_mat, s_c1, s_c2)
     }
 

@@ -36,6 +36,10 @@
 //! coordinates (a row's checksum-GEMM chains draw past its own `vis`
 //! columns), the SNVR bound, the checks and repairs, and the recomputation
 //! of a damaged row.
+//! Both tiles fault-pass GEMM I through `ft_sim::gemm_fault_pass`, each
+//! row at its own `(d, w_r)` shape, with no row copied out; the
+//! unprotected tile takes only the online-softmax state (`OnlineState`,
+//! `online_update`, `finalize`) from [`crate::flash`].
 //!
 //! Operands are the only thing that differs from prefill. The checksum GEMM
 //! operands and the max-norm bound are **not** re-encoded per call the way
@@ -97,14 +101,13 @@ use crate::backend::BackendError;
 use crate::efta::{
     BlockOperands, DamageGroup, EftaOptions, Frontier, GemmProtection, Kernel, RowState,
 };
-use crate::flash::ragged_fault_pass;
 use crate::kv::KvCache;
 use crate::serve::{sweep_tiles, StreamId, StreamSlice};
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
 use ft_abft::thresholds::Thresholds;
 use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::device::KernelStats;
-use ft_sim::{gemm_flops, gemm_nn, FaultInjector, FaultSite, GemmCtx, NoFaults};
+use ft_sim::{gemm_fault_pass, gemm_flops, gemm_nn, FaultInjector, FaultSite, GemmCtx, NoFaults};
 use std::ops::Range;
 
 static NO_FAULTS: NoFaults = NoFaults;
@@ -362,7 +365,7 @@ pub(crate) fn reference_decode_tile(
             .iter(3 * jb);
         let mut s_blk = gemm_nn(q_rows, &kt);
         let n = rows.len();
-        ragged_fault_pass(&mut s_blk, q_rows, 0..n, &kt, |i| (d, width(i)), &inj, ctx);
+        gemm_fault_pass(&mut s_blk, q_rows, 0..n, &kt, |i| (d, width(i)), &inj, ctx);
         crate::flash::online_update(&mut state, rows.start, &s_blk, &v, width);
     }
     crate::flash::finalize(&mut state);

@@ -19,7 +19,7 @@ use ft_abft::thresholds::Thresholds;
 use ft_num::{block_starts, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::{Device, KernelStats, OomError};
-use ft_sim::{gemm_flops, gemm_nn_inj, gemm_nt, gemm_nt_inj, FaultInjector, FaultSite, GemmCtx};
+use ft_sim::{gemm_chain, gemm_fault_pass, gemm_flops, gemm_nn, FaultInjector, FaultSite, GemmCtx};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -215,6 +215,20 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
             let qm = q.slot_flat(slot).to_f32();
             let km = k.slot_flat(slot).to_f32();
             let q_scaled = Matrix::from_fn(qm.rows(), qm.cols(), |i, j| qm.get(i, j) * cfg.scale);
+            // Each K block k-major, as GEMM I reads it: `Kᵀ`, with the row
+            // checksums of S_ij (encoded from K's rows) as two more
+            // columns when protected. Prepared once for every row block.
+            let kt_blocks: Vec<MatrixF32> = block_starts(cfg.seq, b)
+                .map(|c0| {
+                    let k_blk = km.block(c0, 0, b, d);
+                    if opts.protect {
+                        let k_cs = encode_cols(&k_blk, QUANTIZE_CHECKSUMS);
+                        augment_rows(&k_blk, &k_cs).transpose()
+                    } else {
+                        k_blk.transpose()
+                    }
+                })
+                .collect();
             let mut s_full = Matrix::zeros(cfg.seq, cfg.seq);
             for (ib, r0) in block_starts(cfg.seq, b).enumerate() {
                 let q_blk = q_scaled.block(r0, 0, b, d);
@@ -225,24 +239,14 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                 } else {
                     q_blk.clone()
                 };
-                for (jb, c0) in block_starts(cfg.seq, b).enumerate() {
-                    let k_blk = km.block(c0, 0, b, d);
-                    // Row checksums of S_ij come from encoding K's rows.
-                    let k_aug = if opts.protect {
-                        let k_cs = encode_cols(&k_blk, QUANTIZE_CHECKSUMS);
-                        augment_rows(&k_blk, &k_cs)
-                    } else {
-                        k_blk.clone()
-                    };
+                for (jb, (c0, kt_aug)) in block_starts(cfg.seq, b).zip(&kt_blocks).enumerate() {
                     let t0 = Instant::now();
-                    let full = gemm_nt_inj(
-                        &q_aug,
-                        &k_aug,
-                        inj,
-                        GemmCtx::new(FaultSite::GemmIAccum, slot)
-                            .at(r0, c0)
-                            .iter(ib * nb + jb),
-                    );
+                    let ctx = GemmCtx::new(FaultSite::GemmIAccum, slot)
+                        .at(r0, c0)
+                        .iter(ib * nb + jb);
+                    let mut full = gemm_nn(&q_aug, kt_aug);
+                    let shape = |_| (d, kt_aug.cols());
+                    gemm_fault_pass(&mut full, &q_aug, 0..q_aug.rows(), kt_aug, shape, inj, ctx);
                     phases.gemm1 += t0.elapsed().as_secs_f64();
 
                     if !opts.protect {
@@ -251,7 +255,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                     }
                     let t0 = Instant::now();
                     let br = q_blk.rows();
-                    let bc = k_blk.rows();
+                    let bc = kt_aug.cols() - 2;
                     let mut s_blk = full.block(0, 0, br, bc);
                     let row1: Vec<f32> = (0..bc).map(|j| full.get(br, j)).collect();
                     let row2: Vec<f32> = (0..bc).map(|j| full.get(br + 1, j)).collect();
@@ -263,11 +267,8 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                     // delta swamps f32, so subtraction alone cannot restore
                     // the true value.
                     for loc in rep_c.corrected.iter().chain(rep_r.corrected.iter()) {
-                        let mut acc = 0.0f32;
-                        for (a, bb) in q_blk.row(loc.row).iter().zip(k_blk.row(loc.col)) {
-                            acc += a * bb;
-                        }
-                        s_blk.set(loc.row, loc.col, acc);
+                        let exact = gemm_chain(q_blk.row(loc.row), kt_aug, loc.col);
+                        s_blk.set(loc.row, loc.col, exact);
                     }
                     report.gemm1_detected += (rep_c.detections + rep_r.detections) as u64;
                     report.gemm1_corrected +=
@@ -275,7 +276,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                     let uncorrectable = rep_c.uncorrectable + rep_r.uncorrectable;
                     if uncorrectable > 0 {
                         // Recompute the block without protection mishaps.
-                        s_blk = gemm_nt(&q_blk, &k_blk);
+                        s_blk = gemm_nn(&q_blk, kt_aug).block(0, 0, br, bc);
                         report.gemm1_recomputed += uncorrectable as u64;
                     }
                     phases.gemm1_protect += t0.elapsed().as_secs_f64();
@@ -342,14 +343,12 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                 };
 
                 let t0 = Instant::now();
-                let full = gemm_nn_inj(
-                    &p_aug,
-                    &vm,
-                    inj,
-                    GemmCtx::new(FaultSite::GemmIiAccum, slot)
-                        .at(r0, 0)
-                        .iter(ib),
-                );
+                let ctx = GemmCtx::new(FaultSite::GemmIiAccum, slot)
+                    .at(r0, 0)
+                    .iter(ib);
+                let mut full = gemm_nn(&p_aug, &vm);
+                let shape = |_| (cfg.seq, d);
+                gemm_fault_pass(&mut full, &p_aug, 0..p_aug.rows(), &vm, shape, inj, ctx);
                 phases.gemm2 += t0.elapsed().as_secs_f64();
 
                 if !opts.protect {
@@ -363,17 +362,13 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                 let row2: Vec<f32> = (0..d).map(|j| full.get(br + 1, j)).collect();
                 let rep = verify_correct_by_cols(&mut o_blk, &row1, &row2, opts.thresholds.output);
                 for loc in &rep.corrected {
-                    let mut acc = 0.0f32;
-                    for (kk, a) in p_blk.row(loc.row).iter().enumerate() {
-                        acc += a * vm.get(kk, loc.col);
-                    }
-                    o_blk.set(loc.row, loc.col, acc);
+                    let exact = gemm_chain(p_blk.row(loc.row), &vm, loc.col);
+                    o_blk.set(loc.row, loc.col, exact);
                 }
                 report.gemm2_detected += rep.detections as u64;
                 report.gemm2_corrected += rep.corrected.len() as u64;
                 if rep.uncorrectable > 0 {
-                    let clean = ft_sim::gemm_nn(&p_blk, &vm);
-                    o_blk = clean;
+                    o_blk = gemm_nn(&p_blk, &vm);
                     report.gemm2_recomputed += rep.uncorrectable as u64;
                 }
                 phases.gemm2_protect += t0.elapsed().as_secs_f64();

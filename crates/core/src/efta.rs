@@ -35,6 +35,14 @@
 //! reach of damage (`DamageGroup`) are inputs to the step; nothing else
 //! differs between the two.
 //!
+//! The step computes no GEMM chain itself: every product, fault pass and
+//! exact recompute is `ft_sim`'s (`gemm_nn` / `ragged_product`, the one
+//! `gemm_fault_pass`, the one `gemm_chain`), and the step only decides
+//! their shapes and fault coordinates — a row's visible width, a frontier
+//! row's own checksum operand, a checksum chain's column base. From
+//! `crate::flash` it takes only the online-softmax state its
+//! recomputation fallback runs.
+//!
 //! [`VerifyMode::PerStep`] is the unoptimised "EFTA" of Tables 1–2 (verify
 //! after every operation); [`VerifyMode::Unified`] is the optimised "EFTA-o"
 //! with the reordered, batched verification described above. The
@@ -46,7 +54,6 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::config::AttentionConfig;
-use crate::flash::{ragged_fault_pass, ragged_product};
 use crate::snvr::{restrict_row_max, restrict_rowsum, Restriction};
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
 use ft_abft::strided::{
@@ -57,7 +64,10 @@ use ft_abft::thresholds::{Check, Thresholds};
 use ft_num::{block_starts, quantize_f32, Matrix, MatrixF16, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
-use ft_sim::{gemm_flops, gemm_nn, gemm_nn_fault_pass, FaultInjector, FaultSite, GemmCtx, OpCoord};
+use ft_sim::{
+    gemm_chain, gemm_fault_pass, gemm_flops, gemm_nn, ragged_product, FaultInjector, FaultSite,
+    GemmCtx, OpCoord,
+};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
@@ -323,19 +333,6 @@ fn key_norm(kt: &MatrixF32, j: usize) -> f32 {
 /// max-norm bound uses (the cache folds it in key by key).
 pub(crate) fn row_norm(row: impl IntoIterator<Item = f32>) -> f32 {
     row.into_iter().map(|x| x * x).sum::<f32>().sqrt()
-}
-
-/// One S element recomputed exactly (a d-MAC dot product over column `col`
-/// of `Kᵀ`: GEMM I's chain for that element). Checksum *location* is exact,
-/// but delta-subtraction cannot restore a value swamped by a 2^100-scale
-/// corruption (the delta's f32 ulp exceeds the true value), so located
-/// elements are recomputed instead.
-fn exact_s(q: &MatrixF32, kt: &MatrixF32, row: usize, col: usize) -> f32 {
-    let k_col = kt.as_slice()[col..].iter().step_by(kt.cols());
-    q.row(row)
-        .iter()
-        .zip(k_col)
-        .fold(0.0f32, |acc, (a, b)| acc + a * b)
 }
 
 /// Phase stopwatch: `to` charges the time since the previous mark to one
@@ -673,8 +670,11 @@ impl<'a> RowState<'a> {
                 s_blk.set_block(i, 0, &row);
                 rep
             };
+            // Location is exact, but delta subtraction cannot restore a
+            // value swamped by a 2^100-scale corruption (the delta's ulp
+            // exceeds the true value), so located elements are recomputed.
             for loc in &rep.corrected {
-                s_blk.set(loc.row, loc.col, exact_s(q, kt, loc.row, loc.col));
+                s_blk.set(loc.row, loc.col, gemm_chain(q.row(loc.row), kt, loc.col));
             }
             self.report.gemm1_detected += rep.detections as u64;
             self.report.gemm1_corrected += rep.corrected.len() as u64;
@@ -779,7 +779,7 @@ impl<'a> RowState<'a> {
         };
         let mut s_blk = gemm_nn(q, blk.kt);
         let shape1 = |i| (d, width(i));
-        ragged_fault_pass(&mut s_blk, q, 0..nr, blk.kt, shape1, inj, ctx1(row0, c0, 0));
+        gemm_fault_pass(&mut s_blk, q, 0..nr, blk.kt, shape1, inj, ctx1(row0, c0, 0));
         lap.to(&mut self.phases.gemm1);
 
         // ---- GEMM I protection: checksum GEMMs ----------------------
@@ -809,18 +809,17 @@ impl<'a> RowState<'a> {
                     }
                 }
                 if inj.may_fire(FaultSite::GemmIAccum) {
+                    let shape = |n: usize| move |_: usize| (d, n);
                     for (i, &col0) in cs_col0.iter().enumerate() {
                         let ctx = ctx1(row0 + i, col0 + c0, it);
                         match blk.frontier {
                             Some(f) if i < nf => {
                                 let own = f.k_operand(i);
                                 let own = if it == 1 { &own.w1 } else { &own.w2 };
-                                let (mut c_i, q_i) =
-                                    (c.block(i, 0, 1, own.cols()), q.block(i, 0, 1, d));
-                                gemm_nn_fault_pass(&mut c_i, &q_i, 0..1, own, inj, ctx);
-                                c.set_block(i, 0, &c_i);
+                                let shape = shape(own.cols());
+                                gemm_fault_pass(&mut c, q, i..i + 1, own, shape, inj, ctx);
                             }
-                            _ => gemm_nn_fault_pass(&mut c, q, i..i + 1, w, inj, ctx),
+                            _ => gemm_fault_pass(&mut c, q, i..i + 1, w, shape(w.cols()), inj, ctx),
                         }
                     }
                 }
@@ -898,7 +897,7 @@ impl<'a> RowState<'a> {
                             arg = j;
                         }
                     }
-                    let exact = exact_s(q, blk.kt, i, arg);
+                    let exact = gemm_chain(q.row(i), blk.kt, arg);
                     if s_blk.get(i, arg) != exact {
                         // The argmax itself was the corrupted element.
                         s_blk.set(i, arg, exact);
@@ -1078,8 +1077,17 @@ impl<'a> RowState<'a> {
             let ctx = GemmCtx::new(FaultSite::GemmIiAccum, slot)
                 .at(row0 + rows.start, col0)
                 .iter(3 * jb + it);
-            let mut c = ragged_product(&p, rows.clone(), w, width);
-            ragged_fault_pass(&mut c, &p, rows, w, |i| (width(i), w.cols()), inj, ctx);
+            let p_part;
+            let p = if rows.len() == nr {
+                &p
+            } else {
+                p_part = p.block(rows.start, 0, rows.len(), p.cols());
+                &p_part
+            };
+            let width = |i: usize| width(rows.start + i);
+            let mut c = ragged_product(p, w, width);
+            let shape = |i| (width(i), w.cols());
+            gemm_fault_pass(&mut c, p, 0..rows.len(), w, shape, inj, ctx);
             c
         };
         let pv = gemm2(0..nr, blk.v, 0, 0);

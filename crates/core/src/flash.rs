@@ -4,6 +4,13 @@
 //! This is the "E2E Attention" baseline every overhead percentage in
 //! Figs. 10–13 and Tables 1–2 is measured against. The EFTA kernel in
 //! [`crate::efta`] is this computation plus the hybrid protection scheme.
+//!
+//! GEMM I reads each column block as `Kᵀ`, the k-major operand every GEMM
+//! in `ft_sim` reads, decoded and transposed once per slot per call for
+//! every row block (as the EFTA kernel prepares its operands). The
+//! online-softmax state (`OnlineState`, `online_update`, `finalize`) is
+//! the one thing this module lends the other kernels: the unprotected
+//! decode tile runs it, and so does EFTA's recomputation fallback.
 
 // Index-based loops are kept deliberately: they mirror the thread/lane
 // structure of the GPU kernels this module models.
@@ -14,9 +21,8 @@ use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
 use ft_num::{block_starts, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
-use ft_sim::{gemm_flops, gemm_nn, gemm_nn_fault_pass, gemm_nt, FaultInjector, GemmCtx};
+use ft_sim::{gemm_flops, gemm_nn, ragged_product};
 use rayon::prelude::*;
-use std::ops::Range;
 
 /// State of one row-block's online softmax accumulation.
 pub(crate) struct OnlineState {
@@ -79,80 +85,11 @@ pub(crate) fn online_update(
         factors[i] = factor;
     }
     // O = diag(factor)·O + P·V.
-    let pv = ragged_product(&p, 0..rows, v_blk, w);
+    let pv = ragged_product(&p, v_blk, w);
     for i in 0..rows {
         let f = factors[i];
         for (o, &d) in state.o.row_mut(r0 + i).iter_mut().zip(pv.row(i)) {
             *o = f * *o + d;
-        }
-    }
-}
-
-/// Rows `rows` of `a · b` in which row `i` runs every chain over exactly
-/// its first `w(i)` columns of `a` (rows of `b`), `w` non-decreasing: one
-/// GEMM over the `w(rows.start)` columns every row sees, then each row
-/// continues its chains in ascending order over its own tail. Every
-/// element is the one ascending-k chain from `0.0` that row `i` alone
-/// against the first `w(i)` rows of `b` computes, and a column past a
-/// row's width — whose `b` row may hold a later chunk row's ±Inf, so that
-/// `0 · Inf` would be NaN — is never multiplied in.
-pub(crate) fn ragged_product(
-    a: &MatrixF32,
-    rows: Range<usize>,
-    b: &MatrixF32,
-    w: impl Fn(usize) -> usize,
-) -> MatrixF32 {
-    let (m, n, w0) = (rows.len(), b.cols(), w(rows.start));
-    let mut c = if m == a.rows() && w0 == a.cols() {
-        gemm_nn(a, b)
-    } else if w0 == b.rows() {
-        gemm_nn(&a.block(rows.start, 0, m, w0), b)
-    } else {
-        gemm_nn(&a.block(rows.start, 0, m, w0), &b.block(0, 0, w0, n))
-    };
-    for (ci, i) in rows.enumerate() {
-        let c_row = c.row_mut(ci);
-        for k in w0..w(i) {
-            let x = a.get(i, k);
-            for (acc, &y) in c_row.iter_mut().zip(b.row(k)) {
-                *acc += x * y;
-            }
-        }
-    }
-    c
-}
-
-/// The fault pass of rows `rows` of a product in which row `i` of `a`
-/// sees only its first `kk` columns (and `b` its first `kk` rows) and
-/// fills its first `n` output columns, `(kk, n) = shape(i)`. Row `k` of
-/// `c` (row `rows.start + k` of `a`) draws at coordinate row
-/// `ctx.row_off + k` exactly as row 0 of a one-row `gemm_nn_inj` over
-/// those operands would: rows that see a block to different widths share
-/// one clean product and keep the draws each makes alone — a masked column
-/// is never offered to the injector, and a chain's fault step is drawn
-/// over its own length.
-pub(crate) fn ragged_fault_pass<I: FaultInjector>(
-    c: &mut MatrixF32,
-    a: &MatrixF32,
-    rows: Range<usize>,
-    b: &MatrixF32,
-    shape: impl Fn(usize) -> (usize, usize),
-    inj: &I,
-    ctx: GemmCtx,
-) {
-    if !inj.may_fire(ctx.site) {
-        return;
-    }
-    for (k, i) in rows.enumerate() {
-        let ctx = ctx.at(ctx.row_off + k, ctx.col_off);
-        let (kk, n) = shape(i);
-        if (kk, n) == (a.cols(), c.cols()) && k == i {
-            gemm_nn_fault_pass(c, a, i..i + 1, b, inj, ctx);
-        } else {
-            let mut c_k = c.block(k, 0, 1, n);
-            let (a_i, b_part) = (a.block(i, 0, 1, kk), b.block(0, 0, kk, n));
-            gemm_nn_fault_pass(&mut c_k, &a_i, 0..1, &b_part, inj, ctx);
-            c.set_block(k, 0, &c_k);
         }
     }
 }
@@ -179,6 +116,20 @@ pub(crate) fn flash_forward(
     let nb = cfg.num_blocks();
     let d = cfg.head_dim;
 
+    // Each slot's `Kᵀ` blocks (GEMM I's k-major operand), decoded and
+    // transposed once for every row block that reads them. V blocks are
+    // decoded where they are read: preparing them too measured slower
+    // (a V block fresh from its decode is still in cache for GEMM II).
+    let kt_blocks: Vec<Vec<MatrixF32>> = (0..cfg.num_slots())
+        .into_par_iter()
+        .map(|slot| {
+            let km = k.slot_flat(slot);
+            block_starts(cfg.seq, b)
+                .map(|c0| km.block(c0, 0, b, d).to_f32().transpose())
+                .collect()
+        })
+        .collect();
+
     // All (slot, row-block) pairs are independent CTAs.
     let tasks: Vec<(usize, usize)> = (0..cfg.num_slots())
         .flat_map(|s| block_starts(cfg.seq, b).map(move |r0| (s, r0)))
@@ -187,20 +138,16 @@ pub(crate) fn flash_forward(
     let results: Vec<(usize, usize, MatrixF32)> = tasks
         .into_par_iter()
         .map(|(slot, r0)| {
-            let qm = q.slot_flat(slot);
-            let km = k.slot_flat(slot);
-            let vm = v.slot_flat(slot);
-            let q_blk_raw = qm.block(r0, 0, b, d).to_f32();
+            let q_blk_raw = q.slot_flat(slot).block(r0, 0, b, d).to_f32();
             let rows = q_blk_raw.rows();
             let q_blk = Matrix::from_fn(rows, d, |i, j| q_blk_raw.get(i, j) * cfg.scale);
             let mut state = OnlineState::new(rows, d);
-            for c0 in block_starts(cfg.seq, b) {
+            let vm = v.slot_flat(slot);
+            for (c0, kt) in block_starts(cfg.seq, b).zip(&kt_blocks[slot]) {
                 if cfg.causal && c0 > r0 + rows - 1 {
                     break; // block entirely above the diagonal
                 }
-                let k_blk = km.block(c0, 0, b, d).to_f32();
-                let v_blk = vm.block(c0, 0, b, d).to_f32();
-                let mut s_blk = gemm_nt(&q_blk, &k_blk);
+                let mut s_blk = gemm_nn(&q_blk, kt);
                 if cfg.causal {
                     for i in 0..s_blk.rows() {
                         for j in 0..s_blk.cols() {
@@ -210,6 +157,7 @@ pub(crate) fn flash_forward(
                         }
                     }
                 }
+                let v_blk = vm.block(c0, 0, b, d).to_f32();
                 online_update(&mut state, 0, &s_blk, &v_blk, |_| s_blk.cols());
             }
             finalize(&mut state);

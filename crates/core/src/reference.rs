@@ -6,7 +6,7 @@
 
 use crate::config::AttentionConfig;
 use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
-use ft_sim::{gemm_nn, gemm_nt};
+use ft_sim::gemm_nn;
 use rayon::prelude::*;
 
 /// Stable row softmax of `s`, in place; returns (row_max, row_sum) pairs.
@@ -43,7 +43,8 @@ pub fn causal_mask(s: &mut MatrixF32) {
     }
 }
 
-/// Exact attention on one (batch, head) slot.
+/// Exact attention on one (batch, head) slot, `k` row-major (one key per
+/// row); GEMM I reads it as `Kᵀ`.
 pub fn reference_attention_slot(
     q: &MatrixF32,
     k: &MatrixF32,
@@ -52,7 +53,7 @@ pub fn reference_attention_slot(
     causal: bool,
 ) -> MatrixF32 {
     let q_scaled = Matrix::from_fn(q.rows(), q.cols(), |i, j| q.get(i, j) * scale);
-    let mut s = gemm_nt(&q_scaled, k);
+    let mut s = gemm_nn(&q_scaled, &k.transpose());
     if causal {
         causal_mask(&mut s);
     }

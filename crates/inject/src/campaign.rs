@@ -11,7 +11,10 @@ use ft_abft::strided::{correct_strided, encode_cols_strided, strided_sums, verif
 use ft_abft::thresholds::Check;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
 use ft_num::MatrixF32;
-use ft_sim::{gemm_nn, gemm_nt, gemm_nt_inj, BerInjector, FaultInjector, FaultSite, GemmCtx};
+use ft_sim::{
+    gemm_chain, gemm_fault_pass, gemm_nn, BerInjector, FaultInjector, FaultSite, GemmCtx,
+};
+use rand::rngs::SmallRng;
 use rayon::prelude::*;
 
 /// Checksum scheme under test.
@@ -80,15 +83,22 @@ impl CoverageStats {
     }
 }
 
+/// A trial's `Q` (`br × d`) and `Kᵀ` (`d × bc`, GEMM I's k-major operand),
+/// drawn in that order from `rng`.
+fn operands(rng: &mut SmallRng, shape: GemmShape) -> (MatrixF32, MatrixF32) {
+    let q = normal_matrix_f16(rng, shape.br, shape.d, 0.5).to_f32();
+    let k = normal_matrix_f16(rng, shape.bc, shape.d, 0.5).to_f32();
+    (q, k.transpose())
+}
+
 /// One coverage trial: inject at `ber` across the data GEMM, verify +
 /// correct with the scheme's checksums (element recompute on locate, no
 /// block-recompute fallback — the experiment measures the *checksum's* own
 /// repair ability), and compare against the clean product.
 fn coverage_trial(seed: u64, ber: f64, s: usize, shape: GemmShape, chk: Check) -> CoverageStats {
     let mut rng = rng_from_seed(seed);
-    let q = normal_matrix_f16(&mut rng, shape.br, shape.d, 0.5).to_f32();
-    let k = normal_matrix_f16(&mut rng, shape.bc, shape.d, 0.5).to_f32();
-    let clean = gemm_nt(&q, &k);
+    let (q, kt) = operands(&mut rng, shape);
+    let clean = gemm_nn(&q, &kt);
 
     // Faults are drawn from the FP16-visible bit range (relative error
     // ≥ 2^-10): the paper's tensors are FP16, so corruptions below half
@@ -96,7 +106,11 @@ fn coverage_trial(seed: u64, ber: f64, s: usize, shape: GemmShape, chk: Check) -
     let inj = BerInjector::new(seed ^ 0xABCD, ber)
         .with_sites(&[FaultSite::GemmIAccum])
         .with_bit_range(13, 32);
-    let mut dirty = gemm_nt_inj(&q, &k, &inj, GemmCtx::new(FaultSite::GemmIAccum, 0));
+    let mut dirty = clean.clone();
+    let (ctx, all) = (GemmCtx::new(FaultSite::GemmIAccum, 0), |_| {
+        (shape.d, shape.bc)
+    });
+    gemm_fault_pass(&mut dirty, &q, 0..shape.br, &kt, all, &inj, ctx);
     let injected = inj.fired();
 
     // Checksums encoded from clean operands (faults target the data GEMM).
@@ -104,7 +118,7 @@ fn coverage_trial(seed: u64, ber: f64, s: usize, shape: GemmShape, chk: Check) -
     // accumulator precision — quantising w2 (whose entries scale with the
     // group count) through FP16 adds noise proportional to the fold width,
     // which destroys location for all but exponent-scale errors.
-    let cs = encode_cols_strided(&k.transpose(), s, false);
+    let cs = encode_cols_strided(&kt, s, false);
     let c1 = gemm_nn(&q, &cs.w1);
     let c2 = gemm_nn(&q, &cs.w2);
 
@@ -127,11 +141,7 @@ fn coverage_trial(seed: u64, ber: f64, s: usize, shape: GemmShape, chk: Check) -
     let rep = correct_strided(&mut dirty, &mismatches, s);
     // Located elements are recomputed exactly (as the kernels do).
     for loc in &rep.corrected {
-        let mut acc = 0.0f32;
-        for (a, b) in q.row(loc.row).iter().zip(k.row(loc.col)) {
-            acc += a * b;
-        }
-        dirty.set(loc.row, loc.col, acc);
+        dirty.set(loc.row, loc.col, gemm_chain(q.row(loc.row), &kt, loc.col));
     }
 
     // Residual corrupted elements: deviations that remain meaningful in
@@ -227,10 +237,9 @@ fn detection_trial(seed: u64, tau: f32, scheme: Scheme, shape: GemmShape) -> Det
     let s = scheme.stride();
     let chk = Check::new(tau, 0.0);
     let mut rng = rng_from_seed(seed);
-    let q = normal_matrix_f16(&mut rng, shape.br, shape.d, 0.5).to_f32();
-    let k = normal_matrix_f16(&mut rng, shape.bc, shape.d, 0.5).to_f32();
-    let s_mat = gemm_nt(&q, &k);
-    let cs = encode_cols_strided(&k.transpose(), s, true);
+    let (q, kt) = operands(&mut rng, shape);
+    let s_mat = gemm_nn(&q, &kt);
+    let cs = encode_cols_strided(&kt, s, true);
     let c1 = gemm_nn(&q, &cs.w1);
 
     // False alarms on the clean result.
@@ -298,12 +307,11 @@ fn snvr_trial(seed: u64, tau: f32, shape: GemmShape) -> DetectionStats {
     let s = 8usize;
     let chk = Check::new(tau, 0.0);
     let mut rng = rng_from_seed(seed);
-    let q = normal_matrix_f16(&mut rng, shape.br, shape.d, 0.5).to_f32();
-    let k = normal_matrix_f16(&mut rng, shape.bc, shape.d, 0.5).to_f32();
-    let s_mat = gemm_nt(&q, &k);
+    let (q, kt) = operands(&mut rng, shape);
+    let s_mat = gemm_nn(&q, &kt);
     // Checksums in FP32 here: the transported product check is the paper's
     // ε₁ ≈ 7e-6 regime, which presumes accumulator-precision checksums.
-    let cs = encode_cols_strided(&k.transpose(), s, false);
+    let cs = encode_cols_strided(&kt, s, false);
     let mut c1 = gemm_nn(&q, &cs.w1);
 
     let row_max: Vec<f32> = (0..shape.br)

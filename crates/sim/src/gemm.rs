@@ -1,4 +1,5 @@
-//! Block GEMM engine with fault-injection hooks.
+//! Block GEMM engine with fault-injection hooks: the only place a GEMM
+//! element is computed.
 //!
 //! These are the routines every kernel in `ft-core`/`ft-transformer` builds
 //! on. Numerics replicate the tensor-core mixed-precision path exactly:
@@ -11,35 +12,34 @@
 //! **The chain contract.** Every output element is one *chain*: it starts
 //! at `0.0` and adds `a[i][k]·b[k][j]` for ascending k, one rounding per
 //! product and one per addition, never fused into an FMA — exactly
-//! `dot_plain`. The kernels below may *interleave* independent chains
+//! [`gemm_chain`]. The kernels below may *interleave* independent chains
 //! (that is where their speed comes from) but never reorder, split or
 //! reassociate the additions within one, so every layout and loop order
 //! here produces the same bits, and the path-vs-path bit-identity suites
 //! hold by construction rather than by tolerance.
 //!
+//! **One operand layout.** Every product reads its B k-major (`k × n`:
+//! output column `j` is column `j` of B), either in place ([`gemm_nn`]:
+//! `Kᵀ` for GEMM I, V or a checksum operand for GEMM II) or packed once
+//! ([`PackedB`], [`gemm_packed`]); [`KMajor`] names the two for the fault
+//! pass and the exact recompute. No kernel transposes an operand.
+//!
 //! **Register panels.** The kernels keep an `MR × NR` (4 × 16) block of
 //! chains in registers and walk k once for all of them: per k they read
-//! `MR` elements of A and one `NR`-wide row of a k-major *panel* of op(B),
-//! `panel[j0 + k·ld + j]`. At the x86-64-v3 build floor (8-lane vectors) a
-//! 16-wide row is two vectors, so a group keeps eight vector chains in
-//! flight, enough to cover the add latency. [`gemm_nn`] reads its panels
-//! straight out of B (row stride `ld = n`); [`gemm_nt`] first packs each 16
-//! rows of B into a contiguous `k × 16` panel (`ld = 16`), unless A has
-//! fewer than `MR` rows to share it, in which case each element is one
-//! `dot_plain`. Past the last full panel, 8–15 leftover columns run one
-//! 8-wide panel (so the 8-wide checksum GEMMs keep a kernel of their own
-//! shape) and fewer run single chains. Rows left over below a full group
-//! run one-row kernels; `gemm_nn`'s one-row products (decode GEMVs) have no
-//! other rows to share a panel with, so they run 64 columns wide, then 32,
-//! then 8, then single chains.
+//! `MR` elements of A and one `NR`-wide row of a k-major *panel* of B,
+//! `b[j0 + k·n + j]`, read straight out of B. At the x86-64-v3 build floor
+//! (8-lane vectors) a 16-wide row is two vectors, so a group keeps eight
+//! vector chains in flight, enough to cover the add latency. Past the last
+//! full panel, 8–15 leftover columns run one 8-wide panel (so the 8-wide
+//! checksum GEMMs keep a kernel of their own shape) and fewer run single
+//! chains. Rows left over below a full group have no other rows to share a
+//! panel with (decode GEMVs), so they run 64 columns wide, then 32, then
+//! 8, then single chains.
 //!
 //! Measured at the floor (2-vCPU x86-64, µs, min of six alternating runs,
-//! `m×k×n`, 4 × 8 panels → 4 × 16): `gemm_nn` 16×64×64 2.81 → 2.31,
-//! 64×64×64 10.8 → 8.9, 4×256×256 12.5 → 10.1, 8×256×1024 117 → 93;
-//! `gemm_nt` 16×64×64 4.7 → 3.0, 4×256×256 43 → 23, 8×256×1024 215 → 125,
-//! where most of the gain is the packing, which gathers one contiguous
-//! panel row at a time instead of scattering one B row across the panel.
-//! `NR_ROW` gives the one-row measurement.
+//! `m×k×n`, 4 × 8 panels → 4 × 16): 16×64×64 2.81 → 2.31, 64×64×64
+//! 10.8 → 8.9, 4×256×256 12.5 → 10.1, 8×256×1024 117 → 93. `NR_ROW` gives
+//! the one-row measurement.
 //!
 //! **Packed static operands.** [`gemm_nn`] reads B in place, so each k-step
 //! of a panel lands `n` floats past the last: at the LM head's n = 8192
@@ -53,21 +53,29 @@
 //! left over past the last group run together against all `QUAD` (up to 96
 //! chains). `QUAD` records why these panels stayed 8 wide at the floor and
 //! what sharing them across left-over rows bought.
-//! Packing a per-call operand costs a full copy for one use; `gemm_nn` and
-//! `gemm_nt` stay the kernels for those.
+//! Packing a per-call operand costs a full copy for one use; `gemm_nn`
+//! stays the kernel for those.
 //!
-//! Fault injection: each output element's accumulation chain asks the
+//! **Ragged rows.** [`ragged_product`] is the product in which row `i`
+//! sees only the first `w(i)` columns of A (a causal chunk's frontier rows
+//! against a block): one `gemm_nn` over the columns every row sees, then
+//! each row's own tail, chain by chain.
+//!
+//! **Fault injection.** Each output element's accumulation chain asks the
 //! injector *once* whether a transient fault occurs and at which FMA step;
 //! the accumulator bit-flips mid-chain and the corrupted partial sum
 //! propagates through the remaining FMAs, exactly like a transient fault in
-//! a tensor-core accumulator. The injected GEMMs run the clean kernel
-//! first; then, unless the injector cannot fire at the context's site
-//! ([`FaultInjector::may_fire`]), they make the per-chain queries in
-//! row-major order and recompute only the chains that fire. A recomputed
-//! chain starts from `0.0` and adds in ascending k like the clean one, so
-//! the result is bit-identical to running every chain individually.
+//! a tensor-core accumulator. Kernels compute clean; [`gemm_fault_pass`] is
+//! the one fault path, run afterwards over a row range of the clean
+//! product, each row at its own `(k_len, n)` shape. Unless the injector
+//! cannot fire at the context's site ([`FaultInjector::may_fire`]), it makes
+//! the per-chain queries in row-major order and recomputes only the chains
+//! that fire. A recomputed chain starts from `0.0` and adds in ascending k
+//! like the clean one, so the result is bit-identical to running every
+//! chain individually. [`gemm_chain`] is the one exact recompute of an
+//! element (a located checksum mismatch).
 
-use crate::fault::{FaultInjector, FaultSite, OpCoord};
+use crate::fault::{ChainFault, FaultInjector, FaultSite, OpCoord};
 use core::ops::Range;
 use ft_num::{Matrix, MatrixF32};
 
@@ -114,28 +122,6 @@ impl GemmCtx {
     }
 }
 
-#[inline]
-fn dot_plain(a_row: &[f32], b_row: &[f32]) -> f32 {
-    debug_assert_eq!(a_row.len(), b_row.len());
-    let mut acc = 0.0f32;
-    for (x, y) in a_row.iter().zip(b_row) {
-        acc += x * y;
-    }
-    acc
-}
-
-#[inline]
-fn dot_faulty(a_row: &[f32], b_row: &[f32], step: usize, bit: u32) -> f32 {
-    let mut acc = 0.0f32;
-    for (k, (x, y)) in a_row.iter().zip(b_row).enumerate() {
-        acc += x * y;
-        if k == step {
-            acc = f32::from_bits(acc.to_bits() ^ (1u32 << bit));
-        }
-    }
-    acc
-}
-
 /// Rows of A one register micro-kernel carries.
 const MR: usize = 4;
 /// Columns of one register panel: two 8-lane vectors per row at the
@@ -159,7 +145,7 @@ const NR_ROW: usize = 64;
 
 /// `R × W` chains in registers over the whole k range: chain `(r, j)`
 /// accumulates `a[r][k] · panel[j0 + k·ld + j]` for ascending k from `0.0`
-/// — `dot_plain`'s chain, `R · W` of them side by side.
+/// — [`gemm_chain`]'s chain, `R · W` of them side by side.
 #[inline(always)]
 fn micro<const R: usize, const W: usize>(
     a: [&[f32]; R],
@@ -206,25 +192,6 @@ fn rows_times_panel<const W: usize>(
     }
 }
 
-/// `C[.., j0 .. j0 + W] = A · Bᵀ` over a `k × W` panel packed from rows
-/// `j0 .. j0 + W` of B into `panel`.
-fn nt_panel<const W: usize>(
-    a: &MatrixF32,
-    b: &MatrixF32,
-    j0: usize,
-    panel: &mut [f32],
-    c: &mut MatrixF32,
-) {
-    let panel = &mut panel[..a.cols() * W];
-    let rows: [&[f32]; W] = core::array::from_fn(|jj| b.row(j0 + jj));
-    for (kk, dst) in panel.chunks_exact_mut(W).enumerate() {
-        for (p, row) in dst.iter_mut().zip(&rows) {
-            *p = row[kk];
-        }
-    }
-    rows_times_panel::<W>(a, 0..a.rows(), (panel, W, 0), c, j0);
-}
-
 /// One row of A against `W`-wide panels read in place from row-major `B`
 /// (`ld` columns wide), from column `*j0` while a full panel fits; `*j0`
 /// ends at the first column left over.
@@ -242,58 +209,7 @@ fn row_panels<const W: usize>(
     }
 }
 
-/// Column `j` of `a_row · B` for row-major `B` with row stride `ld`: one
-/// chain read down the column.
-fn column_chain(a_row: &[f32], b: &[f32], ld: usize, j: usize) -> f32 {
-    let column = b.iter().skip(j).step_by(ld);
-    a_row
-        .iter()
-        .zip(column)
-        .fold(0.0f32, |acc, (x, y)| acc + x * y)
-}
-
-/// `C = A · Bᵀ` (both row-major; the QKᵀ shape). No fault injection.
-pub fn gemm_nt(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
-    assert_eq!(a.cols(), b.cols(), "inner dims (k) must match");
-    let (m, n, k_len) = (a.rows(), b.rows(), a.cols());
-    if m < MR {
-        // Too few rows to repay packing a panel: one chain per element.
-        return Matrix::from_fn(m, n, |i, j| dot_plain(a.row(i), b.row(j)));
-    }
-    let mut c = Matrix::zeros(m, n);
-    let mut panel = vec![0.0f32; k_len * NR];
-    let mut j0 = 0;
-    while j0 + NR <= n {
-        nt_panel::<NR>(a, b, j0, &mut panel, &mut c);
-        j0 += NR;
-    }
-    if j0 + NR_NARROW <= n {
-        nt_panel::<NR_NARROW>(a, b, j0, &mut panel, &mut c);
-        j0 += NR_NARROW;
-    }
-    for i in 0..m {
-        for j in j0..n {
-            c.set(i, j, dot_plain(a.row(i), b.row(j)));
-        }
-    }
-    c
-}
-
-/// `C = A · Bᵀ` with fault injection under `ctx`.
-pub fn gemm_nt_inj<I: FaultInjector>(
-    a: &MatrixF32,
-    b: &MatrixF32,
-    inj: &I,
-    ctx: GemmCtx,
-) -> MatrixF32 {
-    let mut c = gemm_nt(a, b);
-    recompute_fired(&mut c, a, 0..a.rows(), inj, ctx, |j, col| {
-        col.copy_from_slice(b.row(j))
-    });
-    c
-}
-
-/// `C = A · B` (row-major; the PV shape). No fault injection.
+/// `C = A · B` for a k-major `B` read in place. No fault injection.
 pub fn gemm_nn(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
     assert_eq!(a.cols(), b.rows(), "inner dims (k) must match");
     let (m, n) = (a.rows(), b.cols());
@@ -311,7 +227,7 @@ pub fn gemm_nn(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
     }
     for i in 0..grouped {
         for j in j0..n {
-            c.set(i, j, column_chain(a.row(i), bs, n, j));
+            c.set(i, j, gemm_chain(a.row(i), b, j));
         }
     }
     for i in grouped..m {
@@ -321,43 +237,10 @@ pub fn gemm_nn(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
         row_panels::<{ NR_ROW / 2 }>(a_row, bs, n, c_row, &mut j0);
         row_panels::<NR_NARROW>(a_row, bs, n, c_row, &mut j0);
         for (j, out) in c_row.iter_mut().enumerate().skip(j0) {
-            *out = column_chain(a_row, bs, n, j);
+            *out = gemm_chain(a_row, b, j);
         }
     }
     c
-}
-
-/// `C = A · B` with fault injection under `ctx`.
-pub fn gemm_nn_inj<I: FaultInjector>(
-    a: &MatrixF32,
-    b: &MatrixF32,
-    inj: &I,
-    ctx: GemmCtx,
-) -> MatrixF32 {
-    let mut c = gemm_nn(a, b);
-    gemm_nn_fault_pass(&mut c, a, 0..a.rows(), b, inj, ctx);
-    c
-}
-
-/// The fault pass of [`gemm_nn_inj`] alone, over rows `rows` of a clean
-/// product `c = A · B` computed with other rows: chain `(i, j)` for `i` in
-/// `rows` draws at coordinate `(ctx.row_off + i − rows.start, ctx.col_off +
-/// j)`, as row `i − rows.start` of a `gemm_nn_inj` under `ctx` would. So
-/// rows whose coordinates differ (each its own column base, say) share one
-/// clean product and keep their own draws.
-pub fn gemm_nn_fault_pass<I: FaultInjector>(
-    c: &mut MatrixF32,
-    a: &MatrixF32,
-    rows: Range<usize>,
-    b: &MatrixF32,
-    inj: &I,
-    ctx: GemmCtx,
-) {
-    recompute_fired(c, a, rows, inj, ctx, |j, col| {
-        for (k, v) in col.iter_mut().enumerate() {
-            *v = b.get(k, j);
-        }
-    });
 }
 
 /// A static k-major operand `B` (`k × n`) packed once for [`gemm_packed`]:
@@ -447,7 +330,7 @@ const QUAD: usize = 4;
 const PAIR: usize = 2;
 
 /// `R` rows of A against `P` adjacent packed `k × NP` panels (`panels`
-/// holds them back to back): `R · P · NP` chains, each `dot_plain`'s.
+/// holds them back to back): `R · P · NP` chains, each [`gemm_chain`]'s.
 #[inline(always)]
 fn micro_panels<const R: usize, const P: usize>(
     a: [&[f32]; R],
@@ -542,68 +425,128 @@ pub fn gemm_packed(a: &MatrixF32, b: &PackedB) -> MatrixF32 {
     c
 }
 
-/// `C = A · B` for a packed static operand, with fault injection under
-/// `ctx`: the coordinates and draws of [`gemm_nn_inj`] on the unpacked
-/// operand.
-pub fn gemm_packed_inj<I: FaultInjector>(
-    a: &MatrixF32,
-    b: &PackedB,
-    inj: &I,
-    ctx: GemmCtx,
-) -> MatrixF32 {
-    let mut c = gemm_packed(a, b);
-    gemm_packed_fault_pass(&mut c, a, 0..a.rows(), b, inj, ctx);
+/// `A · B` in which row `i` runs every chain over exactly its first `w(i)`
+/// columns of A (rows of B), `w` non-decreasing: one [`gemm_nn`] over the
+/// `w(0)` columns every row sees, then each row continues its chains in
+/// ascending order over its own tail. Every element is the one
+/// ascending-k chain from `0.0` that row `i` alone against the first `w(i)`
+/// rows of B computes, and a column past a row's width — whose B row may
+/// hold a later chunk row's ±Inf, so that `0 · Inf` would be NaN — is
+/// never multiplied in.
+pub fn ragged_product(a: &MatrixF32, b: &MatrixF32, w: impl Fn(usize) -> usize) -> MatrixF32 {
+    assert_eq!(a.cols(), b.rows(), "inner dims (k) must match");
+    let (m, n, w0) = (a.rows(), b.cols(), w(0));
+    let mut c = if w0 == a.cols() {
+        gemm_nn(a, b)
+    } else {
+        gemm_nn(&a.block(0, 0, m, w0), &b.block(0, 0, w0, n))
+    };
+    for i in 0..m {
+        let c_row = c.row_mut(i);
+        for k in w0..w(i) {
+            let x = a.get(i, k);
+            for (acc, &y) in c_row.iter_mut().zip(b.row(k)) {
+                *acc += x * y;
+            }
+        }
+    }
     c
 }
 
-/// The fault pass of [`gemm_packed_inj`] alone, over rows `rows` of a
-/// clean product `c = A · B` computed with other rows: chain `(i, j)` for
-/// `i` in `rows` draws at coordinate `(ctx.row_off + i − rows.start,
-/// ctx.col_off + j)`, as row `i − rows.start` of a `gemm_packed_inj` under
-/// `ctx` would. So rows stacked from several callers share one pass over
-/// `B` and keep their own draws.
-pub fn gemm_packed_fault_pass<I: FaultInjector>(
-    c: &mut MatrixF32,
-    a: &MatrixF32,
-    rows: Range<usize>,
-    b: &PackedB,
-    inj: &I,
-    ctx: GemmCtx,
-) {
-    recompute_fired(c, a, rows, inj, ctx, |j, col| {
-        for (v, x) in col.iter_mut().zip(b.column(j)) {
-            *v = x;
-        }
-    });
+/// A k-major GEMM operand `B` (`k × n`) as [`gemm_fault_pass`] and
+/// [`gemm_chain`] read it: column `j` of B feeds output column `j`.
+#[derive(Clone, Copy, Debug)]
+pub enum KMajor<'a> {
+    /// Row-major, read in place (what [`gemm_nn`] multiplies).
+    InPlace(&'a MatrixF32),
+    /// Packed once (what [`gemm_packed`] multiplies).
+    Packed(&'a PackedB),
 }
 
-/// The fault path shared by the injected GEMMs, run over rows `rows` of
-/// the clean product `c = A·op(B)`: unless `inj` cannot fire at
-/// `ctx.site`, ask [`FaultInjector::decide_chain`] once per output element
-/// in row-major order, row `i` at coordinate row `ctx.row_off + i −
-/// rows.start`, and recompute each chain that fires with the flip at its
-/// step. `b_col(j, buf)` writes the `k`-vector of `op(B)` feeding column
-/// `j`.
-fn recompute_fired<I: FaultInjector>(
+impl<'a> From<&'a MatrixF32> for KMajor<'a> {
+    fn from(b: &'a MatrixF32) -> Self {
+        KMajor::InPlace(b)
+    }
+}
+
+impl<'a> From<&'a PackedB> for KMajor<'a> {
+    fn from(b: &'a PackedB) -> Self {
+        KMajor::Packed(b)
+    }
+}
+
+impl KMajor<'_> {
+    /// Chain `a_row · B[.., j]` over `a_row.len()` steps, the accumulator's
+    /// bit `fault.bit` flipped after step `fault.step`.
+    fn chain(self, a_row: &[f32], j: usize, fault: Option<ChainFault>) -> f32 {
+        match self {
+            KMajor::InPlace(b) => {
+                assert!(a_row.len() <= b.rows() && j < b.cols(), "chain outside B");
+                let column = b.as_slice().iter().skip(j).step_by(b.cols()).copied();
+                run_chain(a_row, column, fault)
+            }
+            KMajor::Packed(b) => {
+                assert!(a_row.len() <= b.k, "chain outside B");
+                run_chain(a_row, b.column(j), fault)
+            }
+        }
+    }
+}
+
+/// One chain from `0.0` over `a_row` and `column` in ascending k.
+fn run_chain(a_row: &[f32], column: impl Iterator<Item = f32>, fault: Option<ChainFault>) -> f32 {
+    let mut acc = 0.0f32;
+    for (k, (x, y)) in a_row.iter().zip(column).enumerate() {
+        acc += x * y;
+        if let Some(f) = fault.filter(|f| f.step == k) {
+            acc = f32::from_bits(acc.to_bits() ^ (1u32 << f.bit));
+        }
+    }
+    acc
+}
+
+/// One GEMM element exactly: row `a_row` of A against column `j` of the
+/// k-major `b` over `a_row.len()` steps (a prefix of B's rows when A's row
+/// is), the same chain every kernel here computes for that element.
+pub fn gemm_chain<'b>(a_row: &[f32], b: impl Into<KMajor<'b>>, j: usize) -> f32 {
+    b.into().chain(a_row, j, None)
+}
+
+/// The fault pass of a clean product `c = A · B` over rows `rows` of A,
+/// row `i` of `c` holding row `i` of the product. Row `i` runs its chains
+/// over its first `k_len` columns of A and fills its first `n` output
+/// columns, `(k_len, n) = shape(i)`. Unless `inj` cannot fire at
+/// `ctx.site`, ask [`FaultInjector::decide_chain`] once per chain of
+/// those rows in row-major order, chain `(i, j)` at coordinate
+/// `(ctx.slot, ctx.row_off + i − rows.start, ctx.col_off + j, ctx.iter)`
+/// with its fault step drawn over its own `k_len`, and recompute each
+/// chain that fires with the flip at its step.
+///
+/// So rows stacked from several callers share one clean product and keep
+/// the draws each makes alone (one pass per caller, each at its own
+/// origin), and rows that see an operand to different widths share one
+/// product too: a masked column is never offered to the injector.
+pub fn gemm_fault_pass<'b, I: FaultInjector>(
     c: &mut MatrixF32,
     a: &MatrixF32,
     rows: Range<usize>,
+    b: impl Into<KMajor<'b>>,
+    shape: impl Fn(usize) -> (usize, usize),
     inj: &I,
     ctx: GemmCtx,
-    b_col: impl Fn(usize, &mut [f32]),
 ) {
     if !inj.may_fire(ctx.site) {
         return;
     }
-    let k_len = a.cols();
-    let mut col = vec![0.0f32; k_len];
+    let b = b.into();
     for i in rows.clone() {
-        for j in 0..c.cols() {
-            let row = ctx.row_off + i - rows.start;
+        let (k_len, n) = shape(i);
+        let a_row = &a.row(i)[..k_len];
+        let row = ctx.row_off + i - rows.start;
+        for j in 0..n {
             let coord = OpCoord::new(ctx.slot, row, ctx.col_off + j, ctx.iter);
             if let Some(f) = inj.decide_chain(ctx.site, coord, k_len) {
-                b_col(j, &mut col);
-                c.set(i, j, dot_faulty(a.row(i), &col, f.step, f.bit));
+                c.set(i, j, b.chain(a_row, j, Some(f)));
             }
         }
     }
@@ -622,15 +565,38 @@ mod tests {
     use crate::tiled::tiled_gemm;
     use ft_num::rng::{normal_matrix_f16, rng_from_seed};
 
-    #[test]
-    fn gemm_nn_matches_nt_on_transposed_operand() {
-        let mut rng = rng_from_seed(1);
-        let a = normal_matrix_f16(&mut rng, 8, 12, 1.0).to_f32();
-        let b = normal_matrix_f16(&mut rng, 12, 10, 1.0).to_f32();
-        let c1 = gemm_nn(&a, &b);
-        let c2 = gemm_nt(&a, &b.transpose());
-        // Same ascending-k accumulation order → bit identical.
-        assert_eq!(c1, c2);
+    /// The per-element chain every kernel must reproduce.
+    fn dot_plain(a_row: &[f32], b_col: &[f32]) -> f32 {
+        let mut acc = 0.0f32;
+        for (x, y) in a_row.iter().zip(b_col) {
+            acc += x * y;
+        }
+        acc
+    }
+
+    /// [`dot_plain`] with the accumulator's bit `bit` flipped after `step`.
+    fn dot_faulty(a_row: &[f32], b_col: &[f32], step: usize, bit: u32) -> f32 {
+        let mut acc = 0.0f32;
+        for (k, (x, y)) in a_row.iter().zip(b_col).enumerate() {
+            acc += x * y;
+            if k == step {
+                acc = f32::from_bits(acc.to_bits() ^ (1u32 << bit));
+            }
+        }
+        acc
+    }
+
+    /// `A · B` with every chain of every row fault-passed under `ctx`.
+    fn injected<I: FaultInjector>(
+        a: &MatrixF32,
+        b: &MatrixF32,
+        inj: &I,
+        ctx: GemmCtx,
+    ) -> MatrixF32 {
+        let mut c = gemm_nn(a, b);
+        let shape = |_| (a.cols(), b.cols());
+        gemm_fault_pass(&mut c, a, 0..a.rows(), b, shape, inj, ctx);
+        c
     }
 
     #[test]
@@ -648,10 +614,11 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let a = normal_matrix_f16(&mut rng, 16, 32, 1.0).to_f32();
         let b = normal_matrix_f16(&mut rng, 16, 32, 1.0).to_f32();
-        let clean = gemm_nt(&a, &b);
+        let clean = gemm_nn(&a, &b.transpose());
         let inj =
             SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(0, 3, 5, 0), 30).at_chain_step(31);
-        let dirty = gemm_nt_inj(&a, &b, &inj, GemmCtx::new(FaultSite::GemmIAccum, 0));
+        let ctx = GemmCtx::new(FaultSite::GemmIAccum, 0);
+        let dirty = injected(&a, &b.transpose(), &inj, ctx);
         let mut diffs = 0;
         for i in 0..16 {
             for j in 0..16 {
@@ -671,10 +638,11 @@ mod tests {
         let mut rng = rng_from_seed(3);
         let a = normal_matrix_f16(&mut rng, 4, 8, 1.0).to_f32();
         let b = normal_matrix_f16(&mut rng, 4, 8, 1.0).to_f32();
-        let clean = gemm_nt(&a, &b);
+        let clean = gemm_nn(&a, &b.transpose());
         let inj =
             SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(0, 1, 2, 0), 20).at_chain_step(7);
-        let dirty = gemm_nt_inj(&a, &b, &inj, GemmCtx::new(FaultSite::GemmIAccum, 0));
+        let ctx = GemmCtx::new(FaultSite::GemmIAccum, 0);
+        let dirty = injected(&a, &b.transpose(), &inj, ctx);
         assert_eq!(
             dirty.get(1, 2).to_bits() ^ clean.get(1, 2).to_bits(),
             1 << 20
@@ -689,11 +657,12 @@ mod tests {
         // scale-matched values — verify the error is nonzero and finite).
         let a = MatrixF32::from_fn(1, 16, |_, _| 1.0);
         let b = MatrixF32::from_fn(1, 16, |_, _| 1.0);
-        let clean = gemm_nt(&a, &b);
+        let clean = gemm_nn(&a, &b.transpose());
         assert_eq!(clean.get(0, 0), 16.0);
         let inj =
             SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(0, 0, 0, 0), 23).at_chain_step(3);
-        let dirty = gemm_nt_inj(&a, &b, &inj, GemmCtx::new(FaultSite::GemmIAccum, 0));
+        let ctx = GemmCtx::new(FaultSite::GemmIAccum, 0);
+        let dirty = injected(&a, &b.transpose(), &inj, ctx);
         // After step 3 the accumulator is 4.0 (bits 0x40800000); bit 23 is
         // the exponent LSB, so 4.0 becomes 2.0 and the −2 delta propagates
         // through the remaining 12 additions: 16 − 2 = 14.
@@ -706,7 +675,12 @@ mod tests {
         let inj = BerInjector::new(77, ber);
         let a = MatrixF32::zeros(64, 256);
         let b = MatrixF32::zeros(64, 256);
-        let _ = gemm_nt_inj(&a, &b, &inj, GemmCtx::new(FaultSite::GemmIAccum, 0));
+        let _ = injected(
+            &a,
+            &b.transpose(),
+            &inj,
+            GemmCtx::new(FaultSite::GemmIAccum, 0),
+        );
         let chains = 64.0 * 64.0;
         let expect = chains * 256.0 * ber; // ≈ chains * p_chain
         let got = inj.fired() as f64;
@@ -720,49 +694,43 @@ mod tests {
     fn noop_injector_takes_fast_path() {
         let a = MatrixF32::from_fn(4, 4, |i, j| (i + j) as f32);
         let b = MatrixF32::from_fn(4, 4, |i, j| (i * j) as f32);
-        let c1 = gemm_nt(&a, &b);
-        let c2 = gemm_nt_inj(&a, &b, &NoFaults, GemmCtx::new(FaultSite::GemmIAccum, 0));
+        let c1 = gemm_nn(&a, &b.transpose());
+        let c2 = injected(
+            &a,
+            &b.transpose(),
+            &NoFaults,
+            GemmCtx::new(FaultSite::GemmIAccum, 0),
+        );
         assert_eq!(c1, c2);
     }
 
-    /// The per-element `gemm_nt_inj` loop the clean-then-recompute path
-    /// replaced, kept as the oracle it is pinned against.
-    fn gemm_nt_inj_reference<I: FaultInjector>(
-        a: &MatrixF32,
+    /// The per-element fault pass the one clean-then-recompute pass
+    /// replaces: every chain of rows `rows` of `clean` within its shape
+    /// drawn and computed alone, `dot_plain` or `dot_faulty`.
+    fn fault_pass_reference<I: FaultInjector>(
+        clean: &MatrixF32,
+        (a, rows): (&MatrixF32, Range<usize>),
         b: &MatrixF32,
+        shape: impl Fn(usize) -> (usize, usize),
         inj: &I,
         ctx: GemmCtx,
     ) -> MatrixF32 {
-        let k_len = a.cols();
-        Matrix::from_fn(a.rows(), b.rows(), |i, j| {
-            let coord = OpCoord::new(ctx.slot, ctx.row_off + i, ctx.col_off + j, ctx.iter);
-            match inj.decide_chain(ctx.site, coord, k_len) {
-                None => dot_plain(a.row(i), b.row(j)),
-                Some(f) => dot_faulty(a.row(i), b.row(j), f.step, f.bit),
+        let mut c = clean.clone();
+        for i in rows.clone() {
+            let (k_len, n) = shape(i);
+            let a_row = &a.row(i)[..k_len];
+            for j in 0..n {
+                let col: Vec<f32> = (0..k_len).map(|k| b.get(k, j)).collect();
+                let row = ctx.row_off + i - rows.start;
+                let coord = OpCoord::new(ctx.slot, row, ctx.col_off + j, ctx.iter);
+                let value = match inj.decide_chain(ctx.site, coord, k_len) {
+                    None => dot_plain(a_row, &col),
+                    Some(f) => dot_faulty(a_row, &col, f.step, f.bit),
+                };
+                c.set(i, j, value);
             }
-        })
-    }
-
-    /// The per-element strided `gemm_nn_inj` loop, likewise.
-    fn gemm_nn_inj_reference<I: FaultInjector>(
-        a: &MatrixF32,
-        b: &MatrixF32,
-        inj: &I,
-        ctx: GemmCtx,
-    ) -> MatrixF32 {
-        let k_len = a.cols();
-        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
-            let coord = OpCoord::new(ctx.slot, ctx.row_off + i, ctx.col_off + j, ctx.iter);
-            let fault = inj.decide_chain(ctx.site, coord, k_len);
-            let mut acc = 0.0f32;
-            for (k, &av) in a.row(i).iter().enumerate() {
-                acc += av * b.get(k, j);
-                if let Some(f) = fault.filter(|f| f.step == k) {
-                    acc = f32::from_bits(acc.to_bits() ^ (1u32 << f.bit));
-                }
-            }
-            acc
-        })
+        }
+        c
     }
 
     fn assert_bits_eq(x: &MatrixF32, y: &MatrixF32, what: &str) {
@@ -775,38 +743,42 @@ mod tests {
         assert!(same, "{what}: bits differ");
     }
 
-    /// Run both injected GEMMs and their references under fresh injectors
-    /// from `make`, and the packed one against `gemm_nn_inj` on the
-    /// unpacked operand; assert equal bits and `fired()`; return the fired
-    /// count of the first pair.
-    fn check_against_reference<I: FaultInjector>(
+    /// One fault pass of rows `rows` of the clean product `c0` under fresh
+    /// injectors from `make`, over the in-place and the packed operand,
+    /// against the per-element reference: equal bits and equal `fired()`,
+    /// which it returns.
+    fn check_pass<I: FaultInjector>(
         make: impl Fn() -> I,
-        a: &MatrixF32,
-        bt: &MatrixF32,
+        (c0, a, rows): (&MatrixF32, &MatrixF32, Range<usize>),
+        b: &MatrixF32,
+        shape: impl Fn(usize) -> (usize, usize) + Copy,
         ctx: GemmCtx,
         what: &str,
     ) -> u64 {
-        let (fast, slow) = (make(), make());
-        let got = gemm_nt_inj(a, bt, &fast, ctx);
-        assert_bits_eq(&got, &gemm_nt_inj_reference(a, bt, &slow, ctx), what);
-        assert_eq!(fast.fired(), slow.fired(), "nt {what}");
-        let b = bt.transpose();
-        let got = gemm_nn_inj(a, &b, &fast, ctx);
-        assert_bits_eq(&got, &gemm_nn_inj_reference(a, &b, &slow, ctx), what);
-        assert_eq!(fast.fired(), slow.fired(), "nn {what}");
-        let (packed, unpacked) = (make(), make());
-        let got = gemm_packed_inj(a, &PackedB::new(&b), &packed, ctx);
-        assert_bits_eq(&got, &gemm_nn_inj(a, &b, &unpacked, ctx), what);
-        assert_eq!(packed.fired(), unpacked.fired(), "packed {what}");
-        fast.fired()
+        let slow = make();
+        let want = fault_pass_reference(c0, (a, rows.clone()), b, shape, &slow, ctx);
+        let packed = PackedB::new(b);
+        for operand in [KMajor::InPlace(b), KMajor::Packed(&packed)] {
+            let fast = make();
+            let mut got = c0.clone();
+            gemm_fault_pass(&mut got, a, rows.clone(), operand, shape, &fast, ctx);
+            let what = format!("{what}, packed: {}", matches!(operand, KMajor::Packed(_)));
+            assert_bits_eq(&got, &want, &what);
+            assert_eq!(fast.fired(), slow.fired(), "{what}");
+        }
+        slow.fired()
     }
 
     #[test]
-    fn injected_gemms_match_per_element_reference() {
-        // Ragged shapes and the register panels, at a nonzero origin
-        // and iteration, under every injector regime: an SEU (hit, and aimed
+    fn fault_pass_matches_per_element_reference() {
+        // Ragged per-row shapes (each row its own chain length over a
+        // prefix of A's columns and its own output width), row ranges that
+        // start at 0 and past it, at a nonzero origin and iteration, over
+        // the in-place and the packed operand, under an SEU (hit, and aimed
         // at another site), BER over all sites, and a site-restricted BER
-        // whose `may_fire` is false here.
+        // whose `may_fire` is false here. Same bits and same `fired()` as
+        // the per-element reference; and the exact chain against
+        // `dot_plain` for every element within each row's shape.
         let site = FaultSite::LinearAccum;
         let ctx = GemmCtx::new(site, 3).at(64, 8).iter(2);
         let mut ber_fired = 0;
@@ -823,61 +795,51 @@ mod tests {
         {
             let mut rng = rng_from_seed(40 + s as u64);
             let a = normal_matrix_f16(&mut rng, m, k, 1.0).to_f32();
-            let bt = normal_matrix_f16(&mut rng, n, k, 1.0).to_f32();
-            let what = format!("{m}x{k}x{n}");
-            let hit = OpCoord::new(3, 64 + m / 2, 8 + n / 2, 2);
-            let seu = || SeuInjector::new(site, hit, 27).at_chain_step(k as u32 / 2);
-            let fired = check_against_reference(seu, &a, &bt, ctx, &format!("seu {what}"));
-            assert_eq!(fired, 2, "the SEU hits once per GEMM");
-            let miss = || SeuInjector::new(FaultSite::ExpUnit, hit, 27);
-            assert_eq!(check_against_reference(miss, &a, &bt, ctx, &what), 0);
-            let ber = || BerInjector::new(9, 1e-3);
-            ber_fired += check_against_reference(ber, &a, &bt, ctx, &format!("ber {what}"));
-            let restricted = || BerInjector::new(9, 0.5).with_sites(&[FaultSite::ExpUnit]);
-            assert_eq!(check_against_reference(restricted, &a, &bt, ctx, &what), 0);
+            let b = normal_matrix_f16(&mut rng, k, n, 1.0).to_f32();
+            let packed = PackedB::new(&b);
+            let k_len = |i: usize| k - (m - 1 - i).min(k / 2);
+            let ragged = |i: usize| (k_len(i), n - (i % 3).min(n - 1));
+            let whole = |_| (k, n);
+            let ragged_c = ragged_product(&a, &b, k_len);
+            let whole_c = gemm_nn(&a, &b);
+            for rows in [0..m, m / 2..m, m / 3..m / 3 + 1] {
+                let hit = OpCoord::new(3, 64 + rows.len() / 2, 8, 2);
+                let seu = || SeuInjector::new(site, hit, 27).at_chain_step(k as u32 / 3);
+                let miss = || SeuInjector::new(FaultSite::ExpUnit, hit, 27);
+                let ber = || BerInjector::new(9, 2e-3);
+                let restricted = || BerInjector::new(9, 0.5).with_sites(&[FaultSite::ExpUnit]);
+                let what = format!("{m}x{k}x{n} rows {rows:?}");
+                let pass = (&ragged_c, &a, rows.clone());
+                let what_r = format!("ragged {what}");
+                assert_eq!(check_pass(seu, pass.clone(), &b, ragged, ctx, &what_r), 1);
+                assert_eq!(check_pass(miss, pass.clone(), &b, ragged, ctx, &what_r), 0);
+                ber_fired += check_pass(ber, pass.clone(), &b, ragged, ctx, &what_r);
+                assert_eq!(check_pass(restricted, pass, &b, ragged, ctx, &what_r), 0);
+                let pass = (&whole_c, &a, rows.clone());
+                assert_eq!(check_pass(seu, pass.clone(), &b, whole, ctx, &what), 1);
+                assert_eq!(check_pass(miss, pass.clone(), &b, whole, ctx, &what), 0);
+                ber_fired += check_pass(ber, pass.clone(), &b, whole, ctx, &what);
+                assert_eq!(check_pass(restricted, pass, &b, whole, ctx, &what), 0);
+            }
+            for i in 0..m {
+                for (c0, (k_len, n)) in [(&ragged_c, ragged(i)), (&whole_c, whole(i))] {
+                    let a_row = &a.row(i)[..k_len];
+                    for j in 0..n {
+                        let col: Vec<f32> = (0..k_len).map(|kk| b.get(kk, j)).collect();
+                        let want = dot_plain(a_row, &col).to_bits();
+                        assert_eq!(gemm_chain(a_row, &b, j).to_bits(), want);
+                        assert_eq!(gemm_chain(a_row, &packed, j).to_bits(), want);
+                        assert_eq!(c0.get(i, j).to_bits(), want, "clean ({i}, {j})");
+                    }
+                }
+            }
         }
         assert!(ber_fired > 0, "BER must exercise the recompute path");
     }
 
     #[test]
-    fn stacked_fault_passes_match_per_segment_injection() {
-        // Segments of several callers stacked into one A: one clean product
-        // plus a fault pass per segment, each at its own origin, draws and
-        // repairs exactly what a separate injected GEMM per segment does.
-        let mut rng = rng_from_seed(61);
-        let segments = [3usize, 1, 5, 4];
-        let m: usize = segments.iter().sum();
-        let a = normal_matrix_f16(&mut rng, m, 40, 1.0).to_f32();
-        let b = normal_matrix_f16(&mut rng, 40, 37, 1.0).to_f32();
-        let packed = PackedB::new(&b);
-        let ctx = |s: usize| GemmCtx::new(FaultSite::LinearAccum, 5).at(8 * s, 3).iter(1);
-        let (stacked_inj, split_inj) = (BerInjector::new(3, 2e-3), BerInjector::new(3, 2e-3));
-        let mut nn = gemm_nn(&a, &b);
-        let mut packed_c = gemm_packed(&a, &packed);
-        let mut start = 0;
-        for (s, &len) in segments.iter().enumerate() {
-            let rows = start..start + len;
-            gemm_nn_fault_pass(&mut nn, &a, rows.clone(), &b, &stacked_inj, ctx(s));
-            gemm_packed_fault_pass(&mut packed_c, &a, rows, &packed, &stacked_inj, ctx(s));
-            let seg = a.block(start, 0, len, a.cols());
-            let want_nn = gemm_nn_inj(&seg, &b, &split_inj, ctx(s));
-            let want_packed = gemm_packed_inj(&seg, &packed, &split_inj, ctx(s));
-            let what = format!("segment {s}");
-            assert_bits_eq(&nn.block(start, 0, len, b.cols()), &want_nn, &what);
-            assert_bits_eq(
-                &packed_c.block(start, 0, len, b.cols()),
-                &want_packed,
-                &what,
-            );
-            start += len;
-        }
-        assert_eq!(stacked_inj.fired(), split_inj.fired());
-        assert!(stacked_inj.fired() > 0, "the BER rate must fire");
-    }
-
-    #[test]
     fn panel_kernels_match_per_element_chains() {
-        // Every path of the three kernels: row groups and left-over rows
+        // Every path of the two kernels: row groups and left-over rows
         // (packed, 1–3 left-over rows sharing one read of each panel group),
         // 16-wide panels, the narrow 8-wide one and ragged tail columns,
         // the one-row 64-, 32- and 8-wide panels (a width on each side of
@@ -900,7 +862,6 @@ mod tests {
                     let want = Matrix::from_fn(m, n, |i, j| dot_plain(a.row(i), bt.row(j)));
                     let what = format!("{m}x{k}x{n}");
                     let b = bt.transpose();
-                    assert_bits_eq(&gemm_nt(&a, &bt), &want, &format!("nt {what}"));
                     assert_bits_eq(&gemm_nn(&a, &b), &want, &format!("nn {what}"));
                     let packed = gemm_packed(&a, &PackedB::new(&b));
                     assert_bits_eq(&packed, &want, &format!("packed {what}"));

@@ -9,7 +9,10 @@
 //! * [`tiled`] — the 64×16×16 TiledMMA of four warps (paper Fig. 7) and a
 //!   layout-faithful block-GEMM executor;
 //! * [`gemm`] — fast block GEMM numerically identical to the fragment
-//!   executor, with transient-fault hooks in every accumulation chain;
+//!   executor over one k-major operand layout, the one fault pass that
+//!   injects transient faults into its accumulation chains, and the one
+//!   exact recompute of an element: the only place a GEMM chain is
+//!   computed;
 //! * [`device`] — HBM with traffic accounting and a 40 GB capacity (the
 //!   OOM of Fig. 9), kernel-launch bookkeeping;
 //! * [`cost`] — an A100-calibrated roofline model converting kernel stats
@@ -32,6 +35,6 @@ pub use fault::{
     BerInjector, ChainFault, FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector,
 };
 pub use gemm::{
-    gemm_flops, gemm_nn, gemm_nn_fault_pass, gemm_nn_inj, gemm_nt, gemm_nt_inj, gemm_packed,
-    gemm_packed_fault_pass, gemm_packed_inj, GemmCtx, PackedB,
+    gemm_chain, gemm_fault_pass, gemm_flops, gemm_nn, gemm_packed, ragged_product, GemmCtx, KMajor,
+    PackedB,
 };

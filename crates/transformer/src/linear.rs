@@ -24,11 +24,12 @@
 //! and repaired in its own 64-row blocks, and its events land in its own
 //! ledger. [`Linear::forward`] is the one-segment case.
 //!
-//! Bit identity with the per-call decode + `gemm_nt` it replaced: every
-//! kernel in `ft_sim::gemm` produces each output element by the same
-//! ascending-k chain from `0.0` (pinned there against a per-element
-//! `dot_plain` oracle for all three layouts), and the prepared checksum
-//! operands are the very values the per-call encode made.
+//! Bit identity with the per-call decode + transposed-B GEMM it replaced:
+//! every kernel in `ft_sim::gemm` (its fault pass and exact recompute of a
+//! located element included) produces each output element by the same
+//! ascending-k chain from `0.0`, on the packed operand as in place, and
+//! the prepared checksum operands are the very values the per-call encode
+//! made.
 //!
 //! Because the checksums are no longer re-derived from the weight each call,
 //! a flip in the resident `Wᵀ` is now *detected* (the old re-encode folded it
@@ -42,7 +43,9 @@ use ft_abft::thresholds::Thresholds;
 use ft_core::types::FtReport;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
 use ft_num::{block_starts, Matrix, MatrixF16, MatrixF32};
-use ft_sim::{gemm_packed, gemm_packed_fault_pass, FaultInjector, FaultSite, GemmCtx, PackedB};
+use ft_sim::{
+    gemm_chain, gemm_fault_pass, gemm_packed, FaultInjector, FaultSite, GemmCtx, PackedB,
+};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -215,9 +218,11 @@ impl Linear {
         let (stride, out_f) = (w1t.cols(), self.out_features());
         let local = |b: &SegmentBlock| b.start - unit0..b.start - unit0 + b.len;
         let ctx = GemmCtx::new(FaultSite::LinearAccum, layer_slot);
+        let shape = |n: usize| move |_: usize| (x_unit.cols(), n);
         let mut y = gemm_packed(x_unit, wt);
         for b in unit {
-            gemm_packed_fault_pass(&mut y, x_unit, local(b), wt, inj, ctx.at(b.r0, 0));
+            let ctx = ctx.at(b.r0, 0);
+            gemm_fault_pass(&mut y, x_unit, local(b), wt, shape(out_f), inj, ctx);
         }
         let mut reports = vec![FtReport::default(); unit.len()];
         if self.protection == LinearProtection::StridedAbft {
@@ -225,7 +230,7 @@ impl Linear {
                 let mut c = gemm_packed(x_unit, w);
                 for b in unit {
                     let ctx = ctx.at(b.r0, out_f).iter(it);
-                    gemm_packed_fault_pass(&mut c, x_unit, local(b), w, inj, ctx);
+                    gemm_fault_pass(&mut c, x_unit, local(b), w, shape(stride), inj, ctx);
                 }
                 c
             };
@@ -243,13 +248,13 @@ impl Linear {
                     continue;
                 }
                 let rep = correct_strided(&mut y, &block, stride);
-                // Located elements are recomputed exactly: the same
-                // ascending-k chain over column `col` of Wᵀ.
+                // Located elements are recomputed exactly.
                 for loc in &rep.corrected {
-                    let column = wt.column(loc.col);
-                    let acc = (x_unit.row(loc.row).iter().zip(column))
-                        .fold(0.0f32, |acc, (a, w)| acc + a * w);
-                    y.set(loc.row, loc.col, acc);
+                    y.set(
+                        loc.row,
+                        loc.col,
+                        gemm_chain(x_unit.row(loc.row), wt, loc.col),
+                    );
                 }
                 if rep.uncorrectable > 0 {
                     let x_blk = x_unit.block(rows.start, 0, rows.len(), x_unit.cols());
@@ -319,7 +324,7 @@ fn work_units(segments: &[usize]) -> Vec<Vec<SegmentBlock>> {
 mod tests {
     use super::*;
     use ft_abft::strided::encode_rows_strided;
-    use ft_sim::{gemm_nt, BerInjector, NoFaults, OpCoord, SeuInjector};
+    use ft_sim::{gemm_nn, BerInjector, NoFaults, OpCoord, SeuInjector};
 
     #[test]
     fn forward_matches_plain_gemm_when_clean() {
@@ -329,7 +334,7 @@ mod tests {
         let (y, rep) = layer.forward(&x, &NoFaults, 0, &Thresholds::calibrated());
         assert_eq!(rep, FtReport::default());
         let w = layer.weight().to_f32();
-        let expect = gemm_nt(&x, &w);
+        let expect = gemm_nn(&x, &w.transpose());
         assert!(y.max_abs_diff(&expect) < 1e-6);
         assert_eq!(y.shape(), (80, 48));
     }

@@ -20,7 +20,7 @@ use ft_transformer_suite::attention::backend::{AttentionBackend, AttentionReques
 use ft_transformer_suite::attention::config::AttentionConfig;
 use ft_transformer_suite::num::rng::normal_tensor_f16;
 use ft_transformer_suite::num::Tensor4F16;
-use ft_transformer_suite::sim::gemm_nt;
+use ft_transformer_suite::sim::gemm_nn;
 
 /// The fixture: 1 batch, 1 head, 12 tokens (ragged over 8-wide blocks),
 /// head dim 8, seeds 1001/1002/1003, scale 1/sqrt(8).
@@ -140,7 +140,7 @@ const GOLDEN_O: [f32; 96] = [
 fn scaled_scores(cfg: &AttentionConfig, q: &Tensor4F16, k: &Tensor4F16) -> Vec<u32> {
     let qs = q.slot_flat(0).to_f32();
     let qm = ft_transformer_suite::num::MatrixF32::from_fn(12, 8, |i, j| qs.get(i, j) * cfg.scale);
-    let s = gemm_nt(&qm, &k.slot_flat(0).to_f32());
+    let s = gemm_nn(&qm, &k.slot_flat(0).to_f32().transpose());
     let mut bits = Vec::new();
     for &row in &[0usize, 11] {
         for col in 0..4 {
