@@ -447,7 +447,7 @@ impl DecodeScheduler {
         let remainder = |s: &StreamState| {
             // Per-stream cap from the request's own window; full-attention
             // streams project their whole budget.
-            let cap = s.window.map_or(usize::MAX, |w| w + slack);
+            let cap = s.window.map_or(usize::MAX, |w| w.saturating_add(slack));
             let target = s.max_total.min(cap);
             let materialized = s.materialized().min(cap);
             target.saturating_sub(materialized) as u64 * bpt

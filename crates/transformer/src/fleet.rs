@@ -305,8 +305,9 @@ impl Outbox {
             | RecoveryPolicy::ReprefillPartial { max_attempts } => max_attempts as usize,
         };
         let sweeps = 1 + (1 + attempts) * total.div_ceil(prefill_chunk);
+        // A sweep commits at most the tokens left in the budget.
         let draft_len = req.speculation.as_ref().map_or(0, |sp| sp.draft_len);
-        1 + 4 * sweeps + (1 + draft_len) + 1
+        1 + 4 * sweeps + (1 + draft_len.min(total)) + 1
     }
 
     /// Push as much buffered backlog into the channel as fits.

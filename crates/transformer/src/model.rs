@@ -44,7 +44,7 @@ impl Admission {
     /// under a sliding `window` at `window + window_slack` rows, and never
     /// below one row.
     pub fn bytes(&self, rows: usize, window: Option<usize>) -> u64 {
-        let rows = window.map_or(rows, |w| rows.min(w + self.window_slack));
+        let rows = window.map_or(rows, |w| rows.min(w.saturating_add(self.window_slack)));
         (rows as u64).max(1) * self.bytes_per_token
     }
 }

@@ -9,9 +9,10 @@ mod common;
 
 use common::{prompt, stepwise_generate, tiny_config};
 use ft_transformer_suite::attention::efta::EftaOptions;
+use ft_transformer_suite::sim::NoFaults;
 use ft_transformer_suite::transformer::{
     BackendKind, EngineConfig, EngineEvent, FinishReason, Fleet, FleetConfig, GenerationRequest,
-    Priority, SchedulerConfig, StreamHandle, SubmitError, TransformerModel,
+    Priority, SchedulerConfig, SpeculationPolicy, StreamHandle, SubmitError, TransformerModel,
 };
 use std::time::{Duration, Instant};
 
@@ -241,6 +242,52 @@ fn a_malformed_request_is_refused_without_touching_the_shard() {
     assert_eq!(outcome.tokens, want, "the shard survived the bad requests");
     assert_eq!(outcome.finish, Some(FinishReason::MaxTokens));
     assert_eq!(engine.shutdown().streams_submitted, 1);
+}
+
+/// Requests at the edge of what `check` accepts — a window of `usize::MAX`
+/// rows, a draft of `usize::MAX` tokens, and both — are served, not
+/// panicked on, through `Fleet::try_submit` and through a `ServeSession`:
+/// each finishes `MaxTokens` with the tokens of the same request without
+/// the window or the speculation. (The admission projection, the outbox
+/// bound and the plan's per-stream cap each add to one of these values.)
+#[test]
+fn extreme_windows_and_drafts_finish_like_plain_requests() {
+    let model = tiny_model(65, 48);
+    let (p, new_tokens) = (prompt(11, 3), 6);
+    let want = oracle(&model, &p, new_tokens);
+    let extreme = || {
+        let plain = GenerationRequest::new(p.clone(), new_tokens);
+        let draft = SpeculationPolicy::new(usize::MAX);
+        [
+            plain.clone().with_window(usize::MAX),
+            plain.clone().with_speculation(draft.clone()),
+            plain.with_window(usize::MAX).with_speculation(draft),
+        ]
+    };
+    let engine = Fleet::spawn(model.clone(), FleetConfig::single(EngineConfig::default()));
+    for (i, req) in extreme().into_iter().enumerate() {
+        let out = engine.try_submit(req).expect("a checked request").wait();
+        assert_eq!(out.tokens, want, "fleet request {i}");
+        assert_eq!(
+            out.finish,
+            Some(FinishReason::MaxTokens),
+            "fleet request {i}"
+        );
+    }
+    assert_eq!(engine.shutdown().streams_submitted, 3);
+    let mut session = model.serve();
+    let ids: Vec<_> = (extreme().into_iter())
+        .map(|req| session.submit_request(req))
+        .collect();
+    while !session.idle() {
+        session.sweep_events(&NoFaults);
+    }
+    let finished = session.take_finished();
+    for (i, id) in ids.into_iter().enumerate() {
+        let f = finished.iter().find(|f| f.id == id).expect("finished");
+        assert_eq!(f.tokens[p.len()..], want[..], "session request {i}");
+        assert_eq!(f.finish, FinishReason::MaxTokens, "session request {i}");
+    }
 }
 
 /// A `Latency` arrival parks long-running `Batch` work (observable as
