@@ -809,18 +809,15 @@ impl<'a> RowState<'a> {
                     }
                 }
                 if inj.may_fire(FaultSite::GemmIAccum) {
-                    let shape = |n: usize| move |_: usize| (d, n);
                     for (i, &col0) in cs_col0.iter().enumerate() {
                         let ctx = ctx1(row0 + i, col0 + c0, it);
-                        match blk.frontier {
-                            Some(f) if i < nf => {
-                                let own = f.k_operand(i);
-                                let own = if it == 1 { &own.w1 } else { &own.w2 };
-                                let shape = shape(own.cols());
-                                gemm_fault_pass(&mut c, q, i..i + 1, own, shape, inj, ctx);
-                            }
-                            _ => gemm_fault_pass(&mut c, q, i..i + 1, w, shape(w.cols()), inj, ctx),
-                        }
+                        // A frontier row's chains run over its own prefix
+                        // operand.
+                        let own = blk.frontier.filter(|_| i < nf).map(|f| f.k_operand(i));
+                        let w = own
+                            .as_ref()
+                            .map_or(w, |o| if it == 1 { &o.w1 } else { &o.w2 });
+                        gemm_fault_pass(&mut c, q, i..i + 1, w, |_| (d, w.cols()), inj, ctx);
                     }
                 }
                 c

@@ -218,11 +218,11 @@ impl Linear {
         let (stride, out_f) = (w1t.cols(), self.out_features());
         let local = |b: &SegmentBlock| b.start - unit0..b.start - unit0 + b.len;
         let ctx = GemmCtx::new(FaultSite::LinearAccum, layer_slot);
-        let shape = |n: usize| move |_: usize| (x_unit.cols(), n);
+        let k = x_unit.cols();
         let mut y = gemm_packed(x_unit, wt);
         for b in unit {
             let ctx = ctx.at(b.r0, 0);
-            gemm_fault_pass(&mut y, x_unit, local(b), wt, shape(out_f), inj, ctx);
+            gemm_fault_pass(&mut y, x_unit, local(b), wt, |_| (k, out_f), inj, ctx);
         }
         let mut reports = vec![FtReport::default(); unit.len()];
         if self.protection == LinearProtection::StridedAbft {
@@ -230,7 +230,7 @@ impl Linear {
                 let mut c = gemm_packed(x_unit, w);
                 for b in unit {
                     let ctx = ctx.at(b.r0, out_f).iter(it);
-                    gemm_fault_pass(&mut c, x_unit, local(b), w, shape(stride), inj, ctx);
+                    gemm_fault_pass(&mut c, x_unit, local(b), w, |_| (k, stride), inj, ctx);
                 }
                 c
             };
