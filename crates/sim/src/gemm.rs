@@ -169,26 +169,20 @@ fn micro<const R: usize, const W: usize>(
     acc
 }
 
-/// `c[rows][j0 .. j0 + W] = A[rows] · panel` (panel columns from `p0`):
-/// groups of `MR` rows, then one row at a time.
-fn rows_times_panel<const W: usize>(
+/// Columns `j0 .. j0 + W` of rows `0 .. rows` (a multiple of `MR`) of
+/// `C = A · B`, B read in place (row stride `ld`): `MR` rows at a time.
+fn groups_times_panel<const W: usize>(
     a: &MatrixF32,
-    rows: Range<usize>,
-    (panel, ld, p0): (&[f32], usize, usize),
+    rows: usize,
+    (b, ld): (&[f32], usize),
     c: &mut MatrixF32,
     j0: usize,
 ) {
-    let mut i = rows.start;
-    while i + MR <= rows.end {
-        let acc = micro::<MR, W>(core::array::from_fn(|r| a.row(i + r)), panel, ld, p0);
+    for i in (0..rows).step_by(MR) {
+        let acc = micro::<MR, W>(core::array::from_fn(|r| a.row(i + r)), b, ld, j0);
         for (r, acc_r) in acc.iter().enumerate() {
             c.row_mut(i + r)[j0..j0 + W].copy_from_slice(acc_r);
         }
-        i += MR;
-    }
-    for i in i..rows.end {
-        let [acc] = micro::<1, W>([a.row(i)], panel, ld, p0);
-        c.row_mut(i)[j0..j0 + W].copy_from_slice(&acc);
     }
 }
 
@@ -218,11 +212,11 @@ pub fn gemm_nn(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
     let grouped = m - m % MR;
     let mut j0 = 0;
     while j0 + NR <= n {
-        rows_times_panel::<NR>(a, 0..grouped, (bs, n, j0), &mut c, j0);
+        groups_times_panel::<NR>(a, grouped, (bs, n), &mut c, j0);
         j0 += NR;
     }
     if j0 + NR_NARROW <= n {
-        rows_times_panel::<NR_NARROW>(a, 0..grouped, (bs, n, j0), &mut c, j0);
+        groups_times_panel::<NR_NARROW>(a, grouped, (bs, n), &mut c, j0);
         j0 += NR_NARROW;
     }
     for i in 0..grouped {
