@@ -1,14 +1,17 @@
 //! # ft-bench — experiment harness for the FT-Transformer reproduction
 //!
-//! One binary per table/figure of the paper's evaluation section (run with
-//! `cargo run -p ft-bench --release --bin figNN`), repo-native benches for
-//! the serving path (`backend`, `decode`, `serve`, `ablations`), and
-//! criterion micro-benches — see `docs/benches.md` for what each one
-//! reproduces. Every binary accepts:
+//! One `paper` binary reproduces the paper's evaluation section (Figs.
+//! 9–15, Tables 1–2: `cargo run -p ft-bench --release --bin paper [--
+//! fig11 table1 …]`, built on the [`paper`] module); the repo-native
+//! benches cover the serving path (`backend`, `decode`, `serve`,
+//! `ablations`, `campaign`), beside criterion micro-benches — see
+//! `docs/benches.md` for what each one reproduces. Every binary accepts:
 //!
 //! * `--full` — run the paper's exact sizes (seq 512…16k, 16k total
 //!   tokens). Hours of CPU; the default is a geometry-preserving 1/8
 //!   scale whose *ratios* match.
+//! * `--smoke` — CI sizes: scale 1/128 and [`SMOKE_TRIALS`] campaign
+//!   trials unless `--trials` is given.
 //! * `--scale <f>` — custom scale factor.
 //! * `--trials <n>` — statistical campaign size.
 //! * `--seed <n>` — RNG seed.
@@ -22,9 +25,23 @@
 use ft_core::config::AttentionConfig;
 use ft_num::rng::normal_tensor_f16;
 use ft_num::Tensor4F16;
+use std::str::FromStr;
 use std::time::Instant;
 
 pub use ft_inject::report::{bar, ms, pct, TextTable};
+
+pub mod paper;
+
+/// The paper's sequence-length sweep (Figs. 9–11, 13, Tables 1–2).
+pub const PAPER_SEQS: [usize; 6] = [512, 1024, 2048, 4096, 8192, 16384];
+
+/// The paper's axis labels for [`PAPER_SEQS`].
+pub const PAPER_LABELS: [&str; 6] = ["512", "1k", "2k", "4k", "8k", "16k"];
+
+/// Campaign trials under `--smoke` unless `--trials` is given.
+pub const SMOKE_TRIALS: u64 = 8;
+
+const USAGE: &str = "usage: [--full | --smoke | --scale <float> | --trials <u64> | --seed <u64>]";
 
 /// Parsed command-line arguments shared by all bench binaries.
 #[derive(Clone, Copy, Debug)]
@@ -54,51 +71,70 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parse from `std::env::args`.
+    /// The CI smoke configuration: scale 1/128 (the sequence sweep floors
+    /// at 64 rows, so the smallest scale that still runs every row) and
+    /// [`SMOKE_TRIALS`] campaign trials.
+    pub fn smoke() -> Self {
+        HarnessArgs {
+            scale: 1.0 / 128.0,
+            trials: SMOKE_TRIALS,
+            smoke: true,
+            ..Self::default()
+        }
+    }
+
+    /// Parse from `std::env::args`, warning about anything else.
     pub fn parse() -> Self {
+        let (args, rest) = Self::parse_with_names();
+        for other in rest {
+            eprintln!("ignoring unknown argument {other}");
+        }
+        args
+    }
+
+    /// Parse from `std::env::args`, returning the arguments that are not
+    /// flags (the `paper` binary's figure names) beside the flags. A flag
+    /// with a missing or malformed value prints the usage and exits 2.
+    pub fn parse_with_names() -> (Self, Vec<String>) {
         let mut out = HarnessArgs::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut trials = None;
+        let mut rest = Vec::new();
+        let mut it = std::env::args().skip(1);
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
                 "--full" => {
                     out.full = true;
                     out.scale = 1.0;
                 }
                 "--smoke" => {
-                    // The sequence sweep floors at 64 rows, so 1/128 is
-                    // the smallest scale that still runs every row.
                     out.smoke = true;
-                    out.scale = 1.0 / 128.0;
+                    out.scale = Self::smoke().scale;
                 }
-                "--scale" => {
-                    i += 1;
-                    out.scale = args[i].parse().expect("--scale <float>");
-                }
-                "--trials" => {
-                    i += 1;
-                    out.trials = args[i].parse().expect("--trials <u64>");
-                }
-                "--seed" => {
-                    i += 1;
-                    out.seed = args[i].parse().expect("--seed <u64>");
-                }
-                // Binary-specific switches (parsed by the binaries via
-                // `has_flag`); listed here so the shared parser does not
-                // warn about them.
-                "--bounded-only" | "--recovery-only" | "--latency-only" | "--spec-only" => {}
-                other => {
-                    eprintln!("ignoring unknown argument {other}");
-                }
+                "--scale" => out.scale = flag_value(&mut it, "--scale <float>"),
+                "--trials" => trials = Some(flag_value(&mut it, "--trials <u64>")),
+                "--seed" => out.seed = flag_value(&mut it, "--seed <u64>"),
+                other if other.starts_with("--") => eprintln!("ignoring unknown argument {other}"),
+                _ => rest.push(arg),
             }
-            i += 1;
         }
-        out
+        if let Some(t) = trials.or(out.smoke.then_some(SMOKE_TRIALS)) {
+            out.trials = t;
+        }
+        (out, rest)
+    }
+
+    /// Rounds each timed arm runs in [`time_arms`]: 5, or 3 under `--smoke`.
+    pub fn rounds(&self) -> usize {
+        if self.smoke {
+            3
+        } else {
+            5
+        }
     }
 
     /// The paper's sequence-length sweep, scaled.
     pub fn sweep_seqs(&self) -> Vec<usize> {
-        [512usize, 1024, 2048, 4096, 8192, 16384]
+        PAPER_SEQS
             .iter()
             .map(|&s| ((s as f64 * self.scale) as usize).max(64))
             .collect()
@@ -106,10 +142,9 @@ impl HarnessArgs {
 
     /// Labels for the sweep (paper's axis labels).
     pub fn sweep_labels(&self) -> Vec<String> {
-        let paper = ["512", "1k", "2k", "4k", "8k", "16k"];
         self.sweep_seqs()
             .iter()
-            .zip(paper)
+            .zip(PAPER_LABELS)
             .map(|(s, p)| {
                 if self.full {
                     p.to_string()
@@ -138,9 +173,16 @@ impl HarnessArgs {
     /// The full-size (paper) twin of a swept config, for the analytic
     /// simulated-A100 numbers.
     pub fn full_cfg(&self, cfg: &AttentionConfig, idx: usize) -> AttentionConfig {
-        let paper_seq = [512usize, 1024, 2048, 4096, 8192, 16384][idx];
-        AttentionConfig::new(1, cfg.heads, paper_seq, cfg.head_dim).with_total_tokens(16 * 1024)
+        AttentionConfig::new(1, cfg.heads, PAPER_SEQS[idx], cfg.head_dim)
+            .with_total_tokens(16 * 1024)
     }
+}
+
+fn flag_value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("error: expected {flag}\n{USAGE}");
+        std::process::exit(2)
+    })
 }
 
 /// Generate a seeded attention workload for `cfg`.
@@ -166,6 +208,79 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
         out = Some(r);
     }
     (out.unwrap(), best)
+}
+
+/// Wall-clock spread of one arm over its rounds, in seconds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Timing {
+    /// Fastest round.
+    pub min: f64,
+    /// Interquartile range of the rounds.
+    pub iqr: f64,
+}
+
+impl Timing {
+    fn of(mut secs: Vec<f64>) -> Self {
+        secs.sort_by(f64::total_cmp);
+        let quartile = |q: f64| {
+            let pos = q * (secs.len() - 1) as f64;
+            let (lo, hi) = (secs[pos.floor() as usize], secs[pos.ceil() as usize]);
+            lo + (hi - lo) * pos.fract()
+        };
+        Timing {
+            min: secs[0],
+            iqr: quartile(0.75) - quartile(0.25),
+        }
+    }
+
+    /// `self.min - base.min`, or `None` when that gap is no larger than
+    /// the larger of the two IQRs: the rounds cannot tell the arms apart.
+    pub fn gap_over(self, base: Timing) -> Option<f64> {
+        let gap = self.min - base.min;
+        (gap.abs() > self.iqr.max(base.iqr)).then_some(gap)
+    }
+
+    /// Overhead over `base` as a fraction of it (negative when faster),
+    /// or `None` when unresolved (see [`Timing::gap_over`]).
+    pub fn overhead(self, base: Timing) -> Option<f64> {
+        self.gap_over(base).map(|gap| gap / base.min)
+    }
+
+    /// How many times faster `fast` is than `self`, or `None` when
+    /// unresolved (see [`Timing::gap_over`]).
+    pub fn speedup(self, fast: Timing) -> Option<f64> {
+        self.gap_over(fast).map(|_| self.min / fast.min)
+    }
+}
+
+/// Time `arms` arms over `rounds` rounds: inside a round each arm runs
+/// once (`run(i)` runs arm `i`), and the order rotates by one arm per
+/// round, so no arm always runs first or after the same neighbour. An arm
+/// that returns `Err` is not run again and reports that error; every
+/// other arm reports its last result and its [`Timing`].
+pub fn time_arms<T, E>(
+    rounds: usize,
+    arms: usize,
+    mut run: impl FnMut(usize) -> Result<T, E>,
+) -> Vec<Result<(T, Timing), E>> {
+    assert!(rounds >= 1 && arms >= 1);
+    let mut secs = vec![Vec::with_capacity(rounds); arms];
+    let mut last: Vec<Option<Result<T, E>>> = (0..arms).map(|_| None).collect();
+    for round in 0..rounds {
+        for i in (0..arms).map(|j| (round + j) % arms) {
+            if let Some(Err(_)) = last[i] {
+                continue;
+            }
+            let t0 = Instant::now();
+            let out = run(i);
+            secs[i].push(t0.elapsed().as_secs_f64());
+            last[i] = Some(out);
+        }
+    }
+    last.into_iter()
+        .zip(secs)
+        .map(|(out, secs)| Ok((out.expect("every arm ran")?, Timing::of(secs))))
+        .collect()
 }
 
 /// Header banner shared by the binaries.
@@ -216,6 +331,50 @@ mod tests {
         assert_eq!(full.seq, 512);
         assert_eq!(full.batch * full.seq, 16 * 1024);
         assert_eq!(full.heads, 16);
+    }
+
+    #[test]
+    fn timing_quartiles_and_resolution() {
+        let t = Timing::of(vec![5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!(t, Timing { min: 1.0, iqr: 2.0 });
+        let three = Timing::of(vec![3.0, 1.0, 2.0]);
+        assert_eq!(three, Timing { min: 1.0, iqr: 1.0 });
+        let fast = Timing {
+            min: 10.0,
+            iqr: 1.0,
+        };
+        let slow = Timing {
+            min: 12.0,
+            iqr: 0.5,
+        };
+        assert_eq!(slow.overhead(fast), Some(0.2));
+        assert_eq!(fast.overhead(slow), Some(-2.0 / 12.0));
+        assert_eq!(slow.speedup(fast), Some(1.2));
+        let noisy = Timing {
+            min: 12.0,
+            iqr: 2.0,
+        };
+        assert_eq!(noisy.overhead(fast), None);
+        assert_eq!(noisy.speedup(fast), None);
+    }
+
+    #[test]
+    fn time_arms_rotates_and_drops_failed_arms() {
+        let mut order = Vec::new();
+        let out = time_arms(3, 3, |i| {
+            order.push(i);
+            if i == 2 && order.len() > 2 {
+                Err("oom")
+            } else {
+                Ok(i * 10)
+            }
+        });
+        // Round 0 runs 0,1,2 (arm 2 fails); round 1 starts at arm 1;
+        // round 2 at arm 2, which is skipped.
+        assert_eq!(order, [0, 1, 2, 1, 0, 0, 1]);
+        assert_eq!(out[0].as_ref().map(|r| r.0), Ok(0));
+        assert_eq!(out[1].as_ref().map(|r| r.0), Ok(10));
+        assert_eq!(out[2].as_ref().map(|r| r.0), Err(&"oom"));
     }
 
     #[test]
