@@ -1,45 +1,39 @@
-//! Criterion benches for the attention kernels: the wall-clock companions
-//! of Fig. 9 and Tables 1–2 at a fixed small shape, driven through the
-//! unified backend API.
+//! Micro-benches for the attention kernels on one worker: the wall-clock
+//! companions of Fig. 9 and Tables 1–2 at a fixed small shape, driven
+//! through the unified backend API.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use ft_bench::bench_arms;
 use ft_core::backend::{AttentionBackend, AttentionRequest, BackendKind};
 use ft_core::config::AttentionConfig;
 use ft_core::decoupled::DecoupledOptions;
 use ft_core::efta::EftaOptions;
 use ft_num::rng::normal_tensor_f16;
 use ft_sim::device::Device;
-use std::time::Duration;
+use std::hint::black_box;
 
-fn bench_attention(c: &mut Criterion) {
+/// Rounds of the group: every arm takes milliseconds.
+const ROUNDS: usize = 10;
+
+fn main() {
+    rayon::set_thread_workers(1);
     let cfg = AttentionConfig::new(1, 4, 256, 64);
     let q = normal_tensor_f16(1, cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, 0.6);
     let k = normal_tensor_f16(2, cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, 0.6);
     let v = normal_tensor_f16(3, cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, 0.8);
     let dev = Device::a100_40gb();
-    let req = AttentionRequest::new(cfg, &q, &k, &v);
-    let dec_req = req.with_device(&dev);
+    let req = AttentionRequest::new(cfg, &q, &k, &v).with_device(&dev);
 
-    let mut g = c.benchmark_group("attention_256x64x4h");
-    g.sample_size(10).measurement_time(Duration::from_secs(3));
-    g.bench_function("flash_unprotected", |b| {
-        b.iter(|| BackendKind::Flash.run(&req))
+    let arms = [
+        ("flash_unprotected", BackendKind::Flash),
+        ("efta_unified", BackendKind::Efta(EftaOptions::optimized())),
+        ("efta_per_step", BackendKind::Efta(EftaOptions::per_step())),
+        (
+            "decoupled_ft",
+            BackendKind::Decoupled(DecoupledOptions::default()),
+        ),
+    ];
+    let names = arms.map(|a| a.0);
+    bench_arms("attention_256x64x4h", ROUNDS, &names, |i| {
+        black_box(arms[i].1.try_run(&req).expect("fits the device"));
     });
-    g.bench_function("efta_unified", |b| {
-        b.iter(|| BackendKind::Efta(EftaOptions::optimized()).run(&req))
-    });
-    g.bench_function("efta_per_step", |b| {
-        b.iter(|| BackendKind::Efta(EftaOptions::per_step()).run(&req))
-    });
-    g.bench_function("decoupled_ft", |b| {
-        b.iter(|| {
-            BackendKind::Decoupled(DecoupledOptions::default())
-                .try_run(&dec_req)
-                .unwrap()
-        })
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_attention);
-criterion_main!(benches);

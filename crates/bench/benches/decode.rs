@@ -1,4 +1,4 @@
-//! Criterion micro-benches for the decode tile and the KV cache at the
+//! Micro-benches for the decode tile and the KV cache at the
 //! chunked-prefill geometry of ftbench's `prefill_long`, on one core: a
 //! 768-row prefill in 16-row chunks, 4 slots × head-dim 64, 64-row blocks,
 //! stride 8, one layer.
@@ -13,14 +13,17 @@
 //!
 //! Run with `cargo bench -p ft-bench --bench decode`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ft_bench::bench_arms;
 use ft_core::efta::EftaOptions;
 use ft_core::kv::KvCache;
 use ft_core::serve::{sweep_efta, StreamId, StreamSlice};
 use ft_num::rng::normal_tensor_f16;
 use ft_num::Tensor4F16;
 use ft_sim::NoFaults;
-use std::time::Duration;
+use std::hint::black_box;
+
+/// Rounds of the group: the chunked sweeps take tens of milliseconds.
+const ROUNDS: usize = 100;
 
 const HEADS: usize = 4;
 const DIM: usize = 64;
@@ -32,7 +35,7 @@ fn rows(t: &Tensor4F16, r0: usize, n: usize) -> Tensor4F16 {
     Tensor4F16::from_fn(1, HEADS, n, DIM, |b, h, r, c| t.slot(b, h).get(r0 + r, c))
 }
 
-fn bench_decode(c: &mut Criterion) {
+fn main() {
     rayon::set_thread_workers(1);
     let q = normal_tensor_f16(1, 1, HEADS, ROWS, DIM, 0.6);
     let k = normal_tensor_f16(2, 1, HEADS, ROWS, DIM, 0.6);
@@ -57,43 +60,39 @@ fn bench_decode(c: &mut Criterion) {
         sweep_efta(&[slice], &NoFaults, None, opts).expect("a supported sweep")
     };
 
-    let mut g = c.benchmark_group("decode_768x64x4h");
-    g.sample_size(200).measurement_time(Duration::from_secs(3));
-    for (arm, opts) in [
-        ("protected", EftaOptions::optimized()),
-        ("unprotected", EftaOptions::unprotected()),
-    ] {
-        g.bench_function(&format!("sweep_c16_{arm}"), |b| {
-            b.iter(|| {
-                for (cache, q) in &chunks {
-                    black_box(sweep(cache, q, &opts));
-                }
-            })
-        });
-        g.bench_function(&format!("sweep_c1_{arm}"), |b| {
-            b.iter(|| sweep(&cache, &last_q, &opts))
-        });
-    }
-    g.bench_function("verified_block", |b| {
-        b.iter(|| {
+    let [protected, unprotected] = [EftaOptions::optimized(), EftaOptions::unprotected()];
+    let chunked = |opts| {
+        for (cache, q) in &chunks {
+            black_box(sweep(cache, q, opts));
+        }
+    };
+
+    let names = [
+        "sweep_c16_protected",
+        "sweep_c1_protected",
+        "sweep_c16_unprotected",
+        "sweep_c1_unprotected",
+        "verified_block",
+        "append_c1_64",
+    ];
+    bench_arms("decode_768x64x4h", ROUNDS, &names, |i| match i {
+        0 => chunked(&protected),
+        1 => drop(black_box(sweep(&cache, &last_q, &protected))),
+        2 => chunked(&unprotected),
+        3 => drop(black_box(sweep(&cache, &last_q, &unprotected))),
+        4 => {
             for slot in 0..cache.num_slots() {
                 for blk in 0..cache.num_blocks() {
                     black_box(cache.verified_block(slot, blk));
                 }
             }
-        })
-    });
-    g.bench_function("append_c1_64", |b| {
-        b.iter(|| {
+        }
+        _ => {
             let mut fresh = KvCache::for_geometry(1, HEADS, DIM);
             for (k, v) in &appends {
                 black_box(fresh.append(k, v));
             }
-            fresh
-        })
+            black_box(fresh);
+        }
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench_decode);
-criterion_main!(benches);

@@ -1,28 +1,25 @@
-//! Criterion micro-benches for the software binary16 substrate.
+//! Micro-benches for the software binary16 substrate.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ft_bench::bench_arms;
 use ft_num::F16;
-use std::time::Duration;
+use std::hint::black_box;
 
-fn bench_f16(c: &mut Criterion) {
+/// Rounds of the group: every arm takes microseconds.
+const ROUNDS: usize = 200;
+
+fn main() {
+    rayon::set_thread_workers(1);
     let values: Vec<f32> = (0..4096).map(|i| (i as f32 - 2048.0) * 0.37).collect();
     let halves: Vec<F16> = values.iter().map(|&v| F16::from_f32(v)).collect();
 
-    let mut g = c.benchmark_group("f16");
-    g.sample_size(50).measurement_time(Duration::from_secs(2));
-    g.bench_function("from_f32_4096", |b| {
-        b.iter(|| {
-            values
-                .iter()
-                .map(|&v| F16::from_f32(black_box(v)))
-                .fold(0u16, |acc, h| acc ^ h.to_bits())
-        })
+    let names = ["from_f32_4096", "to_f32_4096"];
+    bench_arms("f16", ROUNDS, &names, |i| match i {
+        0 => {
+            let halves = values.iter().map(|&v| F16::from_f32(black_box(v)));
+            black_box(halves.fold(0u16, |acc, h| acc ^ h.to_bits()));
+        }
+        _ => {
+            black_box(halves.iter().map(|h| black_box(*h).to_f32()).sum::<f32>());
+        }
     });
-    g.bench_function("to_f32_4096", |b| {
-        b.iter(|| halves.iter().map(|h| black_box(*h).to_f32()).sum::<f32>())
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_f16);
-criterion_main!(benches);

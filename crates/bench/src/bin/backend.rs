@@ -11,12 +11,16 @@
 //! cargo run -p ft-bench --release --bin backend -- --backend all
 //! ```
 
-use ft_bench::{ms, TextTable};
+use ft_bench::paper::Cell;
+use ft_bench::{flag_value, ms, time_arms, HarnessArgs, TextTable};
 use ft_core::backend::{AttentionBackend, AttentionRequest, BackendKind};
 use ft_core::config::AttentionConfig;
 use ft_num::rng::normal_tensor_f16;
 use ft_sim::cost::CostModel;
 use ft_sim::device::Device;
+
+const USAGE: &str = "usage: backend [--backend <name|all>]... [--batch N] [--heads N] \
+                     [--seq N] [--dim N] [--seed N]";
 
 struct CliArgs {
     backends: Vec<BackendKind>,
@@ -27,6 +31,8 @@ struct CliArgs {
     seed: u64,
 }
 
+/// Parse the flags; a missing or malformed value prints the usage and
+/// exits 2, as an unknown backend name does.
 fn parse_args() -> CliArgs {
     let mut out = CliArgs {
         backends: Vec::new(),
@@ -36,20 +42,11 @@ fn parse_args() -> CliArgs {
         dim: 64,
         seed: 2025,
     };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = || {
-            i += 1;
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flag {
+    let mut it = std::env::args().skip(1);
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
             "--backend" => {
-                let name = value();
+                let name: String = flag_value(&mut it, "--backend <name|all>", USAGE);
                 if name == "all" {
                     out.backends.extend(BackendKind::all());
                 } else {
@@ -62,22 +59,17 @@ fn parse_args() -> CliArgs {
                     }
                 }
             }
-            "--batch" => out.batch = value().parse().expect("--batch <usize>"),
-            "--heads" => out.heads = value().parse().expect("--heads <usize>"),
-            "--seq" => out.seq = value().parse().expect("--seq <usize>"),
-            "--dim" => out.dim = value().parse().expect("--dim <usize>"),
-            "--seed" => out.seed = value().parse().expect("--seed <u64>"),
+            "--batch" => out.batch = flag_value(&mut it, "--batch <usize>", USAGE),
+            "--heads" => out.heads = flag_value(&mut it, "--heads <usize>", USAGE),
+            "--seq" => out.seq = flag_value(&mut it, "--seq <usize>", USAGE),
+            "--dim" => out.dim = flag_value(&mut it, "--dim <usize>", USAGE),
+            "--seed" => out.seed = flag_value(&mut it, "--seed <u64>", USAGE),
             "--help" | "-h" => {
-                println!(
-                    "usage: backend [--backend <name|all>]... [--batch N] [--heads N] \
-                     [--seq N] [--dim N] [--seed N]\nbackends: {}",
-                    BackendKind::NAMES.join(", ")
-                );
+                println!("{USAGE}\nbackends: {}", BackendKind::NAMES.join(", "));
                 std::process::exit(0);
             }
             other => eprintln!("ignoring unknown argument {other}"),
         }
-        i += 1;
     }
     if out.backends.is_empty() {
         out.backends = vec![
@@ -121,6 +113,8 @@ fn main() {
     // Warm the thread pool so the first backend is not penalised.
     let _ = BackendKind::Flash.run(&req);
 
+    let rounds = HarnessArgs::default().rounds();
+    println!("wall: ms, min±IQR over {rounds} rounds with the backends alternating\n");
     let mut table = TextTable::new(&[
         "backend",
         "wall (ms)",
@@ -130,13 +124,16 @@ fn main() {
         "detected",
         "repaired",
     ]);
-    for kind in &args.backends {
-        match ft_bench::time_best(2, || kind.try_run(&req)) {
-            (Ok(out), t) => {
+    let arms = time_arms(rounds, args.backends.len(), |i| {
+        args.backends[i].try_run(&req)
+    });
+    for (kind, arm) in args.backends.iter().zip(arms) {
+        match arm {
+            Ok((out, t)) => {
                 let total = out.timeline.total();
                 table.row(&[
                     kind.to_string(),
-                    ms(t),
+                    Cell::Time(t).to_string(),
                     ms(out.timeline.simulated_time(&model)),
                     total.launches.to_string(),
                     format!("{:.1}", total.hbm_total() as f64 / (1 << 20) as f64),
@@ -144,16 +141,10 @@ fn main() {
                     out.report.total_repaired().to_string(),
                 ]);
             }
-            (Err(e), _) => {
-                table.row(&[
-                    kind.to_string(),
-                    format!("failed: {e}"),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ]);
+            Err(e) => {
+                let mut row = vec![kind.to_string(), format!("failed: {e}")];
+                row.resize(7, "-".into());
+                table.row(&row);
             }
         }
     }

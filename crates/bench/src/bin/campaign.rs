@@ -16,7 +16,10 @@
 //! Reported per cell, against the same-level undamaged oracle:
 //!
 //! * token-match rate (position-wise over the generated continuation);
-//! * aggregate tokens/sec;
+//! * wall time (`min±IQR` over [`HarnessArgs::rounds`] rounds in which
+//!   the four levels of a rung alternate; every round must return the
+//!   first round's streams), aggregate tokens/sec from the fastest
+//!   round, and the time overhead over `Raw`;
 //! * peak cache bytes split into FP16 payload vs FP32 protection
 //!   metadata (checksums + max-norm snapshots);
 //! * the fault ledger: detected / corrected / tolerated / recoveries.
@@ -30,7 +33,8 @@
 //!   `Full` ≥ `Approximate` ≥ `Raw`;
 //! * every stream retires with a typed finish reason in every cell.
 
-use ft_bench::{banner, HarnessArgs, TextTable};
+use ft_bench::paper::{Cell, Unit};
+use ft_bench::{banner, time_arms, HarnessArgs, TextTable};
 use ft_core::efta::EftaOptions;
 use ft_core::protect::DEFAULT_APPROX_TOL;
 use ft_sim::{BerInjector, FaultInjector, FaultSite, NoFaults};
@@ -38,12 +42,11 @@ use ft_transformer::{
     BackendKind, FinishedStream, GenerationRequest, ModelConfig, ProtectionLevel, RecoveryPolicy,
     SchedulerConfig, SizeBreakdown, TransformerModel,
 };
-use std::time::Instant;
+use std::convert::Infallible;
 
 /// One (BER, level) cell of the campaign.
-struct Cell {
+struct Run {
     finished: Vec<FinishedStream>,
-    secs: f64,
     peak: SizeBreakdown,
 }
 
@@ -56,7 +59,7 @@ fn run_cell<I: FaultInjector>(
     new_tokens: usize,
     level: ProtectionLevel,
     inj: &I,
-) -> Cell {
+) -> Run {
     let mut session = model.serve_with(sched_cfg);
     for p in prompts {
         session.submit_request(
@@ -65,20 +68,14 @@ fn run_cell<I: FaultInjector>(
                 .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 2 }),
         );
     }
-    let t0 = Instant::now();
     let finished = session.run(inj);
-    let secs = t0.elapsed().as_secs_f64();
     let peak = session.peak_cache_breakdown();
     assert_eq!(
         finished.len(),
         prompts.len(),
         "every stream must retire with a typed reason at level {level}"
     );
-    Cell {
-        finished,
-        secs,
-        peak,
-    }
+    Run { finished, peak }
 }
 
 /// Position-wise token-match rate of the generated continuations against
@@ -151,7 +148,7 @@ fn main() {
     };
 
     // Undamaged oracles, one per level (greedy decode is deterministic).
-    let oracles: Vec<Cell> = levels
+    let oracles: Vec<Run> = levels
         .iter()
         .map(|&l| run_cell(&model, &prompts, sched_cfg, new_tokens, l, &NoFaults))
         .collect();
@@ -211,7 +208,9 @@ fn main() {
         "cache BER",
         "protection",
         "tok match",
+        "ms",
         "tok/s",
+        "vs raw",
         "detected",
         "corrected",
         "tolerated",
@@ -220,16 +219,37 @@ fn main() {
     let mut top_rung: Vec<f64> = Vec::new();
     let generated = (n_streams * new_tokens) as f64;
     for (bi, &ber) in bers.iter().enumerate() {
-        for (li, &level) in levels.iter().enumerate() {
+        // The rung's four levels alternate; each round must return the
+        // first round's streams.
+        let mut first: Vec<Option<Vec<_>>> = vec![None; levels.len()];
+        let arms = time_arms(args.rounds(), levels.len(), |li| {
             let inj = BerInjector::new(6000 + bi as u64, ber).with_sites(&[FaultSite::KvCache]);
-            let cell = run_cell(&model, &prompts, sched_cfg, new_tokens, level, &inj);
-            let rate = match_rate(&cell.finished, &oracles[li].finished, &prompts);
-            let sum = |f: fn(&FinishedStream) -> u64| cell.finished.iter().map(f).sum::<u64>();
+            let run = run_cell(&model, &prompts, sched_cfg, new_tokens, levels[li], &inj);
+            let streams: Vec<_> = run
+                .finished
+                .iter()
+                .map(|f| (f.id, f.tokens.clone(), f.attention, f.finish, f.recoveries))
+                .collect();
+            let first = first[li].get_or_insert_with(|| streams.clone());
+            assert_eq!(&streams, first, "timing rounds must be deterministic");
+            Ok::<_, Infallible>(run)
+        });
+        let arms: Vec<_> = arms.into_iter().map(|Ok(arm)| arm).collect();
+        let t_raw = arms[3].1;
+        for (li, (&level, (run, t))) in levels.iter().zip(&arms).enumerate() {
+            let rate = match_rate(&run.finished, &oracles[li].finished, &prompts);
+            let sum = |f: fn(&FinishedStream) -> u64| run.finished.iter().map(f).sum::<u64>();
+            let vs_raw = match level {
+                ProtectionLevel::Raw => Cell::Text("-".into()),
+                _ => Cell::Num(t.overhead(t_raw), Unit::Pct),
+            };
             table.row(&[
                 format!("{ber:.0e}"),
                 format!("{level}"),
                 format!("{:.3}", rate),
-                format!("{:.1}", generated / cell.secs),
+                Cell::Time(*t).to_string(),
+                format!("{:.1}", generated / t.min),
+                vs_raw.to_string(),
                 format!("{}", sum(|f| f.attention.cache_detected)),
                 format!("{}", sum(|f| f.attention.cache_corrected)),
                 format!("{}", sum(|f| f.attention.cache_tolerated)),

@@ -14,11 +14,12 @@
 //!   arithmetic), its overhead %, and its behaviour under a cache-resident
 //!   BER campaign.
 
-use ft_bench::{banner, time_best, HarnessArgs, TextTable};
+use ft_bench::paper::{Cell, Unit};
+use ft_bench::{banner, time_arms, HarnessArgs, TextTable};
 use ft_core::efta::EftaOptions;
 use ft_sim::{BerInjector, FaultInjector, FaultSite, NoFaults};
 use ft_transformer::{BackendKind, ModelConfig, TransformerModel};
-use std::time::Instant;
+use std::convert::Infallible;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -27,10 +28,10 @@ fn main() {
 
     // A GPT-2-shaped model scaled to keep wall-clock sane; causal so the
     // two generation paths compute the same function.
-    let (hidden, layers, prompt_len, new_tokens, reps) = if smoke {
-        (96, 2, 8, 8, 1)
+    let (hidden, layers, prompt_len, new_tokens) = if smoke {
+        (96, 2, 8, 8)
     } else {
-        (192, 2, 16, 48, 3)
+        (192, 2, 16, 48)
     };
     let cfg = ModelConfig::gpt2().scaled(hidden, layers);
     let prompt: Vec<u32> = (0..prompt_len)
@@ -49,32 +50,42 @@ fn main() {
         "cached decode must reproduce prefill-per-token generation"
     );
 
-    let (_, t_prefill) = time_best(reps, || {
-        flash.generate_prefill(&prompt, new_tokens, &NoFaults)
+    let paths = [
+        "prefill-per-token (flash)",
+        "kv-cache decode (flash)",
+        "kv-cache decode (efta-o)",
+    ];
+    let arms = time_arms(args.rounds(), paths.len(), |i| {
+        Ok::<_, Infallible>(match i {
+            0 => flash.generate_prefill(&prompt, new_tokens, &NoFaults),
+            1 => flash.generate(&prompt, new_tokens, &NoFaults),
+            _ => efta.generate(&prompt, new_tokens, &NoFaults),
+        })
     });
-    let (_, t_cached) = time_best(reps, || flash.generate(&prompt, new_tokens, &NoFaults));
-    let (_, t_efta) = time_best(reps, || efta.generate(&prompt, new_tokens, &NoFaults));
+    let t: Vec<_> = arms.into_iter().map(|Ok((_, t))| t).collect();
 
-    let tps = |t: f64| new_tokens as f64 / t;
-    let mut table = TextTable::new(&["path", "tokens/s", "vs prefill", "ft overhead"]);
-    table.row(&[
-        "prefill-per-token (flash)".into(),
-        format!("{:.1}", tps(t_prefill)),
-        "1.00x".into(),
-        "-".into(),
-    ]);
-    table.row(&[
-        "kv-cache decode (flash)".into(),
-        format!("{:.1}", tps(t_cached)),
-        format!("{:.2}x", t_prefill / t_cached),
-        "-".into(),
-    ]);
-    table.row(&[
-        "kv-cache decode (efta-o)".into(),
-        format!("{:.1}", tps(t_efta)),
-        format!("{:.2}x", t_prefill / t_efta),
-        format!("{:+.1}%", 100.0 * (t_efta / t_cached - 1.0)),
-    ]);
+    println!(
+        "ms per generation: min±IQR over {} rounds, paths alternating",
+        args.rounds()
+    );
+    let mut table = TextTable::new(&["path", "ms", "tokens/s", "vs prefill", "ft overhead"]);
+    for (i, path) in paths.iter().enumerate() {
+        let vs_prefill = match i {
+            0 => Cell::Text("1.00x".into()),
+            _ => Cell::Num(t[0].speedup(t[i]), Unit::Times),
+        };
+        let ft = match i {
+            2 => Cell::Num(t[2].overhead(t[1]), Unit::Pct),
+            _ => Cell::Text("-".into()),
+        };
+        table.row(&[
+            path.to_string(),
+            Cell::Time(t[i]).to_string(),
+            format!("{:.1}", new_tokens as f64 / t[i].min),
+            vs_prefill.to_string(),
+            ft.to_string(),
+        ]);
+    }
     print!("{}", table.render());
 
     // Cache memory accounting.
@@ -97,7 +108,6 @@ fn main() {
     let mut matched = 0u64;
     let mut fired = 0u64;
     let mut detected = 0u64;
-    let t0 = Instant::now();
     for trial in 0..trials {
         let inj = BerInjector::new(9000 + trial, ber)
             .with_sites(&[
@@ -113,7 +123,6 @@ fn main() {
     }
     println!(
         "fault campaign: {trials} trials, {fired} faults fired, {detected} detected, \
-         {matched}/{trials} outputs fault-free ({:.1}s)",
-        t0.elapsed().as_secs_f64()
+         {matched}/{trials} outputs fault-free"
     );
 }

@@ -1,7 +1,8 @@
-//! The paper's evaluation — Figs. 9–15 and Tables 1–2 — from one binary.
+//! The paper's evaluation — Figs. 9–15 and Tables 1–2 — and the stride
+//! and block-size ablations, from one binary.
 //!
 //! ```text
-//! cargo run --release -p ft-bench --bin paper                      # all nine, in paper order
+//! cargo run --release -p ft-bench --bin paper                      # all, in paper order, ablations last
 //! cargo run --release -p ft-bench --bin paper -- fig11 table1 --smoke  # the named ones
 //! ```
 //!

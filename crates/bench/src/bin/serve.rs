@@ -6,8 +6,8 @@
 //! token because the step API always produces logits.
 //!
 //! ```sh
-//! cargo run --release -p ft-bench --bin serve            # prompt 192 + 96 tokens, min of 3
-//! cargo run --release -p ft-bench --bin serve -- --smoke # CI: prompt 96 + 48 tokens, min of 2
+//! cargo run --release -p ft-bench --bin serve            # prompt 192 + 96 tokens, 5 rounds
+//! cargo run --release -p ft-bench --bin serve -- --smoke # CI: prompt 96 + 48 tokens, 3 rounds
 //! ```
 //!
 //! Its two speed gates (≥ 1.3× plain at accept ≥ 0.75, ≥ 1.0× the
@@ -17,14 +17,15 @@
 //! recovery under a BER ladder — is pinned by the test suites; see
 //! `docs/benches.md` for where each assertion lives.
 
-use ft_bench::{banner, HarnessArgs, TextTable};
+use ft_bench::paper::{Cell, Unit};
+use ft_bench::{banner, time_arms, HarnessArgs, TextTable};
 use ft_core::efta::EftaOptions;
 use ft_sim::NoFaults;
 use ft_transformer::{
     BackendKind, DraftSource, GenerationRequest, ModelConfig, SchedulerConfig, SpeculationPolicy,
     TransformerModel,
 };
-use std::time::Instant;
+use std::convert::Infallible;
 
 /// Index of the first largest logit (the rows here hold no NaN).
 fn argmax(row: &[f32]) -> u32 {
@@ -53,29 +54,11 @@ fn main() {
         "serve — speculative decode vs plain scheduled and sequential decode",
         &args,
     );
-    spec_sweep(args.smoke);
+    spec_sweep(&args);
 }
 
 /// One decode run's result: tokens, drafted, accepted.
 type Run = (Vec<u32>, u64, u64);
-
-/// Run each of `runs` `reps` times, interleaved (one rep of each in turn,
-/// so both sides of a ratio see the same host load), hard-asserting
-/// determinism, and return each one's result with its minimum wall time
-/// (min-of-reps filters scheduler noise).
-fn timed_interleaved<const N: usize>(reps: u32, runs: [&dyn Fn() -> Run; N]) -> [(Run, f64); N] {
-    let mut best: [(Option<Run>, f64); N] = std::array::from_fn(|_| (None, f64::INFINITY));
-    for _ in 0..reps {
-        for (f, (first, t_min)) in runs.iter().zip(&mut best) {
-            let t0 = Instant::now();
-            let got = f();
-            *t_min = t_min.min(t0.elapsed().as_secs_f64());
-            let first = first.get_or_insert_with(|| got.clone());
-            assert_eq!(&got, first, "timing reps must be deterministic");
-        }
-    }
-    best.map(|(run, t)| (run.expect("reps >= 1"), t))
-}
 
 /// The speculative-decoding sweep: draft-then-verify decode with
 /// checksum-protected rollback, at forced accept rates.
@@ -100,12 +83,12 @@ fn timed_interleaved<const N: usize>(reps: u32, runs: [&dyn Fn() -> Run; N]) -> 
 ///   same-engine ratio is printed alongside, a few percent under 1.0 by
 ///   exactly the pre-backoff verify sweeps' extra rows (the bounded,
 ///   self-limiting cost of trying speculation on an adversarial stream).
-fn spec_sweep(smoke: bool) {
+fn spec_sweep(args: &HarnessArgs) {
     println!("\nspeculative decode (draft/verify/rollback, forced accept rates):");
     // Generation-heavy split: the timed region covers the whole request,
     // so the prefill (identical in both paths) must not dilute the
     // decode-phase speedup being gated.
-    let (prompt_len, gen_tokens, reps) = if smoke { (96, 48, 2) } else { (192, 96, 3) };
+    let (prompt_len, gen_tokens) = if args.smoke { (96, 48) } else { (192, 96) };
     let draft_len = 4usize;
     // Verification-dominated geometry: long attended history, small vocab,
     // ragged 16-row cache blocks (the rollback boundary case).
@@ -150,8 +133,9 @@ fn spec_sweep(smoke: bool) {
         "forced accept",
         "drafted",
         "accepted",
-        "spec tok/s",
-        "plain tok/s",
+        "spec (ms)",
+        "plain (ms)",
+        "sequential (ms)",
         "speedup",
         "vs sequential",
     ]);
@@ -177,10 +161,22 @@ fn spec_sweep(smoke: bool) {
             .with_source(DraftSource::Scripted(script))
             .with_backoff(Some(2));
         let spec = || run_with(Some(policy.clone()));
-        // Plain, sequential and speculative reps alternate, so every gated
-        // ratio compares runs made under the same host load.
-        let [(_, t_plain), ((seq_tokens, _, _), t_seq), ((tokens, drafted, accepted), t_spec)] =
-            timed_interleaved(reps, [&plain, &sequential, &spec]);
+        // Plain, sequential and speculative runs alternate, so every gated
+        // ratio compares runs made under the same host load; every round
+        // must return its arm's first result.
+        let mut first: [Option<Run>; 3] = Default::default();
+        let arms = time_arms(args.rounds(), 3, |i| {
+            let got = match i {
+                0 => plain(),
+                1 => sequential(),
+                _ => spec(),
+            };
+            let first = first[i].get_or_insert_with(|| got.clone());
+            assert_eq!(&got, first, "timing rounds must be deterministic");
+            Ok::<_, Infallible>(got)
+        });
+        let [Ok((_, t_plain)), Ok(((seq_tokens, _, _), t_seq)), Ok(((tokens, drafted, accepted), t_spec))] =
+            <[_; 3]>::try_from(arms).expect("three arms");
         assert_eq!(
             seq_tokens, plain_tokens,
             "plain scheduled decode must match the sequential baseline"
@@ -189,9 +185,10 @@ fn spec_sweep(smoke: bool) {
             tokens, plain_tokens,
             "forced accept {rate}: speculative decode must be bit-identical to plain decode"
         );
-        let plain_tps = gen_tokens as f64 / t_plain;
-        let seq_tps = gen_tokens as f64 / t_seq;
-        let spec_tps = gen_tokens as f64 / t_spec;
+        // The gates read each arm's fastest round.
+        let plain_tps = gen_tokens as f64 / t_plain.min;
+        let seq_tps = gen_tokens as f64 / t_seq.min;
+        let spec_tps = gen_tokens as f64 / t_spec.min;
         let speedup = spec_tps / plain_tps;
         if rate >= 0.75 {
             assert!(
@@ -207,7 +204,7 @@ fn spec_sweep(smoke: bool) {
                 "accept-rate-0 floor: zero-accept speculation ({spec_tps:.1} tok/s) must stay \
                  >= 1.0x the plain-decode baseline ({seq_tps:.1} tok/s)"
             );
-            floor_ratio = Some(speedup);
+            floor_ratio = Some(t_plain.speedup(t_spec));
         }
         if rate == 1.0 {
             assert_eq!(accepted, drafted, "rate 1: every draft must verify");
@@ -216,20 +213,22 @@ fn spec_sweep(smoke: bool) {
             format!("{rate:.2}"),
             format!("{drafted}"),
             format!("{accepted}"),
-            format!("{spec_tps:.1}"),
-            format!("{plain_tps:.1}"),
-            format!("{speedup:.2}x"),
-            format!("{:.2}x", spec_tps / seq_tps),
+            Cell::Time(t_spec).to_string(),
+            Cell::Time(t_plain).to_string(),
+            Cell::Time(t_seq).to_string(),
+            Cell::Num(t_plain.speedup(t_spec), Unit::Times).to_string(),
+            Cell::Num(t_seq.speedup(t_spec), Unit::Times).to_string(),
         ]);
     }
     print!("{}", table.render());
     println!(
         "draft_len {draft_len}, zero-accept backoff after 2 sweeps; prompt {prompt_len}, \
-         {gen_tokens} new tokens, min of {reps} interleaved reps each"
+         {gen_tokens} new tokens; ms min±IQR over {} rounds, arms alternating",
+        args.rounds()
     );
     println!(
-        "hard-asserted: bit-identity at every rate, >= 1.3x plain at accept >= 0.75, \
-         >= 1.0x plain-decode baseline at accept 0 (same-engine ratio {:.2}x)",
-        floor_ratio.expect("rate 0 measured")
+        "hard-asserted on the minimums: bit-identity at every rate, >= 1.3x plain at accept \
+         >= 0.75, >= 1.0x plain-decode baseline at accept 0 (same-engine ratio {})",
+        Cell::Num(floor_ratio.expect("rate 0 measured"), Unit::Times)
     );
 }

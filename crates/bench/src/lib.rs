@@ -1,11 +1,12 @@
 //! # ft-bench — experiment harness for the FT-Transformer reproduction
 //!
 //! One `paper` binary reproduces the paper's evaluation section (Figs.
-//! 9–15, Tables 1–2: `cargo run -p ft-bench --release --bin paper [--
-//! fig11 table1 …]`, built on the [`paper`] module); the repo-native
-//! benches cover the serving path (`backend`, `decode`, `serve`,
-//! `ablations`, `campaign`), beside criterion micro-benches — see
-//! `docs/benches.md` for what each one reproduces. Every binary accepts:
+//! 9–15, Tables 1–2, and the stride and block-size ablations: `cargo run
+//! -p ft-bench --release --bin paper [-- fig11 table1 …]`, built on the
+//! [`paper`] module); the repo-native benches cover the serving path
+//! (`backend`, `decode`, `serve`, `campaign`), beside the micro-benches
+//! (`cargo bench -p ft-bench`) — see `docs/benches.md` for what each one
+//! reproduces. Every binary except `backend` accepts:
 //!
 //! * `--full` — run the paper's exact sizes (seq 512…16k, 16k total
 //!   tokens). Hours of CPU; the default is a geometry-preserving 1/8
@@ -18,13 +19,16 @@
 //!
 //! Simulated-A100 roofline numbers are always computed at the full paper
 //! sizes (they are analytic in the shapes); wall-clock numbers come from
-//! the actual Rust kernels at the chosen scale.
+//! the actual Rust kernels at the chosen scale. Every wall-clock number is
+//! timed by [`time_arms`] and printed as `min±IQR` over rounds in which the
+//! compared arms alternate.
 
 #![warn(missing_docs)]
 
 use ft_core::config::AttentionConfig;
 use ft_num::rng::normal_tensor_f16;
 use ft_num::Tensor4F16;
+use std::convert::Infallible;
 use std::str::FromStr;
 use std::time::Instant;
 
@@ -110,9 +114,9 @@ impl HarnessArgs {
                     out.smoke = true;
                     out.scale = Self::smoke().scale;
                 }
-                "--scale" => out.scale = flag_value(&mut it, "--scale <float>"),
-                "--trials" => trials = Some(flag_value(&mut it, "--trials <u64>")),
-                "--seed" => out.seed = flag_value(&mut it, "--seed <u64>"),
+                "--scale" => out.scale = flag_value(&mut it, "--scale <float>", USAGE),
+                "--trials" => trials = Some(flag_value(&mut it, "--trials <u64>", USAGE)),
+                "--seed" => out.seed = flag_value(&mut it, "--seed <u64>", USAGE),
                 other if other.starts_with("--") => eprintln!("ignoring unknown argument {other}"),
                 _ => rest.push(arg),
             }
@@ -178,9 +182,11 @@ impl HarnessArgs {
     }
 }
 
-fn flag_value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+/// The next argument parsed as a `flag`'s value; when it is missing or
+/// malformed, print `flag` and `usage` and exit 2.
+pub fn flag_value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str, usage: &str) -> T {
     it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-        eprintln!("error: expected {flag}\n{USAGE}");
+        eprintln!("error: expected {flag}\n{usage}");
         std::process::exit(2)
     })
 }
@@ -194,20 +200,6 @@ pub fn attention_workload(
     let k = normal_tensor_f16(seed + 1, cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, 0.6);
     let v = normal_tensor_f16(seed + 2, cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, 0.8);
     (q, k, v)
-}
-
-/// Run `f` `reps` times and return (last result, best wall-clock seconds).
-pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    assert!(reps >= 1);
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (out.unwrap(), best)
 }
 
 /// Wall-clock spread of one arm over its rounds, in seconds.
@@ -251,6 +243,12 @@ impl Timing {
     pub fn speedup(self, fast: Timing) -> Option<f64> {
         self.gap_over(fast).map(|_| self.min / fast.min)
     }
+
+    /// `min±IQR` with three decimals, in units of `1 / per_sec` seconds
+    /// (`1e3`: milliseconds).
+    pub fn render(self, per_sec: f64) -> String {
+        format!("{:.3}±{:.3}", self.min * per_sec, self.iqr * per_sec)
+    }
 }
 
 /// Time `arms` arms over `rounds` rounds: inside a round each arm runs
@@ -281,6 +279,23 @@ pub fn time_arms<T, E>(
         .zip(secs)
         .map(|(out, secs)| Ok((out.expect("every arm ran")?, Timing::of(secs))))
         .collect()
+}
+
+/// Time one micro-bench group and print it: each of the named arms
+/// (`run(i)` runs arm `i`) runs once untimed, then `rounds` rounds of
+/// [`time_arms`], and each arm prints its name and `min±IQR` in µs
+/// (milliseconds' three decimals would round a microsecond arm away).
+pub fn bench_arms(group: &str, rounds: usize, names: &[&str], mut run: impl FnMut(usize)) {
+    (0..names.len()).for_each(&mut run);
+    let timed = time_arms(rounds, names.len(), |i| {
+        run(i);
+        Ok::<_, Infallible>(())
+    });
+    let mut table = TextTable::new(&["arm", "µs (min±IQR)"]);
+    for (name, Ok(((), t))) in names.iter().zip(timed) {
+        table.row(&[name.to_string(), t.render(1e6)]);
+    }
+    println!("--- {group}: {rounds} rounds ---\n{}", table.render());
 }
 
 /// Header banner shared by the binaries.
@@ -375,13 +390,5 @@ mod tests {
         assert_eq!(out[0].as_ref().map(|r| r.0), Ok(0));
         assert_eq!(out[1].as_ref().map(|r| r.0), Ok(10));
         assert_eq!(out[2].as_ref().map(|r| r.0), Err(&"oom"));
-    }
-
-    #[test]
-    fn time_best_returns_min() {
-        let (_, t) = time_best(3, || {
-            std::thread::sleep(std::time::Duration::from_millis(1))
-        });
-        assert!(t >= 0.001);
     }
 }

@@ -1,5 +1,6 @@
-//! The paper's evaluation — Figs. 9–15 and Tables 1–2 — as data. Each
-//! entry of [`FIGURES`] returns [`Section`]s of typed [`Cell`]s: our
+//! The paper's evaluation — Figs. 9–15 and Tables 1–2 — and the ablations
+//! of its two design constants (checksum stride, block size) as data.
+//! Each entry of [`FIGURES`] returns [`Section`]s of typed [`Cell`]s: our
 //! measurement, the simulated-A100 number at paper size, and the paper's
 //! own figures in the notes. The `paper` binary prints them, and
 //! `tests/paper_claims.rs` asserts the deterministic claims through the
@@ -17,7 +18,8 @@ use ft_core::decoupled::{hbm_demand, DecoupledOptions};
 use ft_core::efta::{EftaOptions, GemmProtection, SoftmaxProtection};
 use ft_core::{decoupled_analytic_timeline, efta_analytic_stats, AttentionConfig};
 use ft_core::{AttentionOutput, PhaseBreakdown};
-use ft_inject::{abft_threshold_sweep, coverage_campaign, restriction_error_distribution};
+use ft_inject::restriction_error_distribution;
+use ft_inject::{abft_threshold_sweep, coverage_campaign, coverage_campaign_stride};
 use ft_inject::{snvr_threshold_sweep, CoverageStats, DetectionStats, GemmShape, Scheme};
 use ft_inject::{RestrictionComparison, ThresholdSweep};
 use ft_sim::cost::{CostModel, Timeline};
@@ -30,9 +32,9 @@ use std::fmt;
 /// A figure's command-line name, its title, and the function computing it.
 pub type Figure = (&'static str, &'static str, fn(&HarnessArgs) -> Vec<Section>);
 
-/// Every figure and table, in the paper's order.
+/// Every figure and table, in the paper's order, then the ablations.
 #[rustfmt::skip]
-pub const FIGURES: [Figure; 9] = [
+pub const FIGURES: [Figure; 10] = [
     ("fig09", "Figure 9: E2E FT attention vs decoupled FT attention", fig09),
     ("fig10", "Figure 10: FT overhead breakdown of EFTA with traditional protection", fig10),
     ("fig11", "Figure 11: strided ABFT vs traditional ABFT inside EFTA", fig11),
@@ -44,6 +46,7 @@ pub const FIGURES: [Figure; 9] = [
         "paper: overhead 53% → 15.3% avg, 1.32x speedup, 7.56x vs decoupled")),
     ("table2", "Table 2: EFTA vs optimized EFTA (head=32, dim=128)", |args| table(args, SETTINGS[1],
         "paper: overhead 22.7% → 12.5% avg, 3.69x vs decoupled")),
+    ("ablations", "Ablations: checksum stride and block size (EFTA-o)", ablations),
 ];
 
 /// One table cell, typed so a caller can read the number behind it.
@@ -74,7 +77,7 @@ impl fmt::Display for Cell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Cell::Text(s) => f.write_str(s),
-            Cell::Time(t) => write!(f, "{}±{}", ms(t.min), ms(t.iqr)),
+            Cell::Time(t) => f.write_str(&t.render(1e3)),
             Cell::Num(None, _) => f.write_str("unresolved"),
             Cell::Num(Some(x), Unit::Ms) => f.write_str(&ms(*x)),
             Cell::Num(Some(x), Unit::Pct) => f.write_str(&pct(*x)),
@@ -571,4 +574,104 @@ fn fig15(args: &HarnessArgs) -> Vec<Section> {
     let averages = format!("averages: detect {detect} correct {correct} — paper: 4.7% / 9.1%");
     section.notes.push(averages);
     vec![section]
+}
+
+/// The two constants the paper fixes, swept with EFTA-o in the medium
+/// setting: the checksum stride (coverage at BER 1e-7 against overhead,
+/// at the fourth swept length; the paper's MMA layout fixes s = 8) and
+/// the block size (at the fifth).
+fn ablations(args: &HarnessArgs) -> Vec<Section> {
+    let time = |cfg: AttentionConfig, opts: &[EftaOptions]| -> Vec<Timing> {
+        let (q, k, v) = attention_workload(&cfg, args.seed);
+        let req = AttentionRequest::new(cfg, &q, &k, &v);
+        let run = |i: usize| Ok::<_, Infallible>(BackendKind::Efta(opts[i]).run(&req));
+        let arms = time_arms(args.rounds(), opts.len(), run);
+        arms.into_iter().map(|Ok((_, t))| t).collect()
+    };
+
+    let idx = 3;
+    let strides = [1, 2, 4, 8, 16];
+    let mut opts = vec![EftaOptions::unprotected()];
+    opts.extend(strides.map(|s| EftaOptions::optimized().with_stride(s)));
+    let t = time(args.medium_cfg(args.sweep_seqs()[idx]), &opts);
+    // Same collision regime as Fig. 12: 4096-wide rows, per-bit BER.
+    let shape = GemmShape {
+        br: 64,
+        bc: 4096,
+        d: 64,
+    };
+    let chk = Thresholds::calibrated().gemm;
+    let rows: Vec<_> = strides
+        .iter()
+        .zip(&t[1..])
+        .map(|(&s, &ts)| {
+            let cov = coverage_campaign_stride(args.trials, args.seed, 1e-7 * 32.0, s, shape, chk);
+            (s, cov.coverage(), ts)
+        })
+        .collect();
+    let cols: [Column<(usize, f64, Timing)>; 4] = [
+        ("stride", &|r| text(r.0.to_string())),
+        ("coverage", &|r| percent(Some(r.1))),
+        ("EFTA-o (ms)", &|r| Cell::Time(r.2)),
+        ("overhead", &|r| percent(r.2.overhead(t[0]))),
+    ];
+    let title = format!(
+        "Checksum stride (coverage at BER 1e-7; EFTA-o at seq {})",
+        args.sweep_labels()[idx]
+    );
+    let base = format!("unprotected: {} ms", Cell::Time(t[0]));
+    let stride = Section::new(&title, &rows, &cols, vec![base]);
+
+    let idx = 4;
+    let seq = args.sweep_seqs()[idx];
+    let rows: Vec<_> = [32, 64, 128]
+        .into_iter()
+        .filter(|&block| block <= seq)
+        .map(|block| {
+            let cfg = args.medium_cfg(seq).with_block(block);
+            let t = time(cfg, &[EftaOptions::optimized(), EftaOptions::unprotected()]);
+            (block, t[0], t[1])
+        })
+        .collect();
+    let cols: [Column<(usize, Timing, Timing)>; 4] = [
+        ("block", &|r| text(r.0.to_string())),
+        ("EFTA-o (ms)", &|r| Cell::Time(r.1)),
+        ("unprotected (ms)", &|r| Cell::Time(r.2)),
+        ("overhead", &|r| percent(r.1.overhead(r.2))),
+    ];
+    let title = format!("Block size (seq {})", args.sweep_labels()[idx]);
+    vec![stride, Section::new(&title, &rows, &cols, vec![])]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timed_cells_print_min_and_iqr_in_ms_or_unresolved() {
+        let fast = Timing {
+            min: 0.0125,
+            iqr: 0.00025,
+        };
+        assert_eq!(Cell::Time(fast).to_string(), "12.500±0.250");
+        assert_eq!(fast.render(1e6), "12500.000±250.000");
+        let slow = Timing {
+            min: 0.015,
+            iqr: 0.0005,
+        };
+        assert_eq!(percent(slow.overhead(fast)).to_string(), "20.0%");
+        assert_eq!(
+            Cell::Num(slow.speedup(fast), Unit::Times).to_string(),
+            "1.20x"
+        );
+        let noisy = Timing {
+            min: 0.013,
+            iqr: 0.001,
+        };
+        assert_eq!(percent(noisy.overhead(fast)).to_string(), "unresolved");
+        assert_eq!(
+            Cell::Num(noisy.speedup(fast), Unit::Times).to_string(),
+            "unresolved"
+        );
+    }
 }
