@@ -1,4 +1,4 @@
-//! Graded-protection fault campaign: cache-resident BER × protection
+//! Cache-protection fault campaign: cache-resident BER × protection
 //! level over scheduled serving runs — the serving analogue of the
 //! paper's accuracy/overhead frontier (Fig. 12).
 //!
@@ -17,26 +17,22 @@
 //!
 //! * token-match rate (position-wise over the generated continuation);
 //! * wall time (`min±IQR` over [`HarnessArgs::rounds`] rounds in which
-//!   the four levels of a rung alternate; every round must return the
+//!   the two levels of a rung alternate; every round must return the
 //!   first round's streams), aggregate tokens/sec from the fastest
 //!   round, and the time overhead over `Raw`;
 //! * peak cache bytes split into FP16 payload vs FP32 protection
 //!   metadata (checksums + max-norm snapshots);
-//! * the fault ledger: detected / corrected / tolerated / recoveries.
+//! * the fault ledger: detected / corrected / recoveries.
 //!
 //! Hard asserts (CI gates, all deterministic):
 //!
-//! * clean `Lazy` and `Approximate` runs are token-identical to the
-//!   clean `Full` run (the lattice's bit-identity invariant);
-//! * metadata bytes order `Raw` (= 0) < `Lazy`/`Approximate` ≤ `Full`;
-//! * at the highest BER rung the accuracy frontier orders
-//!   `Full` ≥ `Approximate` ≥ `Raw`;
+//! * metadata bytes order `Raw` (= 0) < `Full`;
+//! * at the highest BER rung token match orders `Full` ≥ `Raw`;
 //! * every stream retires with a typed finish reason in every cell.
 
 use ft_bench::paper::{Cell, Unit};
 use ft_bench::{banner, time_arms, HarnessArgs, TextTable};
 use ft_core::efta::EftaOptions;
-use ft_core::protect::DEFAULT_APPROX_TOL;
 use ft_sim::{BerInjector, FaultInjector, FaultSite, NoFaults};
 use ft_transformer::{
     BackendKind, FinishedStream, GenerationRequest, ModelConfig, ProtectionLevel, RecoveryPolicy,
@@ -96,14 +92,11 @@ fn match_rate(faulted: &[FinishedStream], clean: &[FinishedStream], prompts: &[V
 fn main() {
     let args = HarnessArgs::parse();
     let smoke = args.smoke;
-    banner(
-        "campaign — KV-cache BER × graded protection level frontier",
-        &args,
-    );
+    banner("campaign — KV-cache BER × protection level frontier", &args);
 
     // GPT-2-shaped and causal like the serve bench; small cache blocks
-    // keep ragged appends (the Lazy deferral window) and per-block
-    // metadata both in play.
+    // keep ragged appends (the append heal) and per-block metadata both in
+    // play.
     let (hidden, layers, new_tokens, prompt_cycle, n_streams): (
         usize,
         usize,
@@ -133,14 +126,7 @@ fn main() {
         ..Default::default()
     };
 
-    let levels = [
-        ProtectionLevel::Full,
-        ProtectionLevel::Lazy,
-        ProtectionLevel::Approximate {
-            tol: DEFAULT_APPROX_TOL,
-        },
-        ProtectionLevel::Raw,
-    ];
+    let levels = [ProtectionLevel::Full, ProtectionLevel::Raw];
     let bers: Vec<f64> = if smoke {
         vec![5e-5, 1e-3]
     } else {
@@ -153,27 +139,14 @@ fn main() {
         .map(|&l| run_cell(&model, &prompts, sched_cfg, new_tokens, l, &NoFaults))
         .collect();
 
-    // Lattice invariant: below Raw, a clean stream's tokens are
-    // bit-identical to the Full (legacy) path at every level.
-    for (l, o) in levels.iter().zip(&oracles).skip(1) {
-        if !matches!(l, ProtectionLevel::Raw) {
-            for (f, c) in o.finished.iter().zip(&oracles[0].finished) {
-                assert_eq!(
-                    f.tokens, c.tokens,
-                    "clean {l} stream {} must match the clean full run",
-                    f.id
-                );
-            }
-        }
-    }
-    let raw_clean_matches = oracles[3]
+    let raw_clean_matches = oracles[1]
         .finished
         .iter()
         .zip(&oracles[0].finished)
         .all(|(f, c)| f.tokens == c.tokens);
 
-    // Metadata overhead across the lattice (peak of the clean runs).
-    println!("cache footprint across the lattice (clean runs):");
+    // Metadata overhead per level (peak of the clean runs).
+    println!("cache footprint per level (clean runs):");
     let mut table = TextTable::new(&["protection", "payload B", "metadata B", "overhead"]);
     for (l, o) in levels.iter().zip(&oracles) {
         table.row(&[
@@ -188,19 +161,9 @@ fn main() {
     }
     print!("{}", table.render());
     let meta = |i: usize| oracles[i].peak.metadata_bytes();
-    assert_eq!(meta(3), 0, "raw must store no protection metadata");
-    assert!(
-        meta(3) < meta(1) && meta(1) <= meta(0),
-        "metadata bytes must order raw < lazy <= full"
-    );
-    assert!(
-        meta(3) < meta(2) && meta(2) <= meta(0),
-        "metadata bytes must order raw < approx <= full"
-    );
-    println!(
-        "clean-run bit-identity: lazy/approx == full (hard-asserted); raw == full: {}\n",
-        raw_clean_matches
-    );
+    assert_eq!(meta(1), 0, "raw must store no protection metadata");
+    assert!(meta(1) < meta(0), "metadata bytes must order raw < full");
+    println!("clean raw run == clean full run: {raw_clean_matches}\n");
 
     // The frontier: BER × level.
     println!("accuracy/overhead frontier (token match vs same-level clean oracle):");
@@ -213,13 +176,12 @@ fn main() {
         "vs raw",
         "detected",
         "corrected",
-        "tolerated",
         "recoveries",
     ]);
     let mut top_rung: Vec<f64> = Vec::new();
     let generated = (n_streams * new_tokens) as f64;
     for (bi, &ber) in bers.iter().enumerate() {
-        // The rung's four levels alternate; each round must return the
+        // The rung's two levels alternate; each round must return the
         // first round's streams.
         let mut first: Vec<Option<Vec<_>>> = vec![None; levels.len()];
         let arms = time_arms(args.rounds(), levels.len(), |li| {
@@ -235,7 +197,7 @@ fn main() {
             Ok::<_, Infallible>(run)
         });
         let arms: Vec<_> = arms.into_iter().map(|Ok(arm)| arm).collect();
-        let t_raw = arms[3].1;
+        let t_raw = arms[1].1;
         for (li, (&level, (run, t))) in levels.iter().zip(&arms).enumerate() {
             let rate = match_rate(&run.finished, &oracles[li].finished, &prompts);
             let sum = |f: fn(&FinishedStream) -> u64| run.finished.iter().map(f).sum::<u64>();
@@ -252,7 +214,6 @@ fn main() {
                 vs_raw.to_string(),
                 format!("{}", sum(|f| f.attention.cache_detected)),
                 format!("{}", sum(|f| f.attention.cache_corrected)),
-                format!("{}", sum(|f| f.attention.cache_tolerated)),
                 format!("{}", sum(|f| f.recoveries as u64)),
             ]);
             if bi + 1 == bers.len() {
@@ -262,19 +223,16 @@ fn main() {
     }
     print!("{}", table.render());
 
-    // The acceptance gate: at the highest BER rung the frontier must be
-    // monotone down the lattice — Full >= Approximate >= Raw.
-    let (m_full, m_approx, m_raw) = (top_rung[0], top_rung[2], top_rung[3]);
+    // The acceptance gate: at the highest BER rung protection must not
+    // lose tokens against no protection — Full >= Raw.
+    let (m_full, m_raw) = (top_rung[0], top_rung[1]);
+    let top_ber = bers[bers.len() - 1];
     assert!(
-        m_full >= m_approx && m_approx >= m_raw,
-        "accuracy frontier must order full ({m_full:.3}) >= approx \
-         ({m_approx:.3}) >= raw ({m_raw:.3}) at BER {:.0e}",
-        bers[bers.len() - 1]
+        m_full >= m_raw,
+        "token match must order full ({m_full:.3}) >= raw ({m_raw:.3}) at BER {top_ber:.0e}"
     );
     println!(
-        "\nfrontier at BER {:.0e}: full {m_full:.3} >= approx {m_approx:.3} \
-         >= raw {m_raw:.3} (hard-asserted); metadata bytes raw < lazy/approx \
-         <= full (hard-asserted)",
-        bers[bers.len() - 1]
+        "\nat BER {top_ber:.0e}: token match full {m_full:.3} >= raw {m_raw:.3} \
+         (hard-asserted); metadata bytes raw < full (hard-asserted)"
     );
 }

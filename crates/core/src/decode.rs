@@ -445,7 +445,6 @@ pub(crate) fn efta_decode_tile(
             report.cache_detected += rep.detected;
             report.cache_corrected += rep.corrected;
             report.cache_uncorrectable += rep.uncorrectable;
-            report.cache_tolerated += rep.tolerated;
         }
         let (frontier_rows, whole) = attending_rows(cache, vis0, (&b0, &nb), jb);
         let rows = frontier_rows.start..whole.end;

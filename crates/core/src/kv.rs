@@ -46,8 +46,8 @@
 //!   resident operands with the encoder's fold and compare every lane of
 //!   both checksum operands of both with the stored bits. All equal means
 //!   `stored == encode(payload)` and nothing is touched; otherwise
-//!   locate/correct under the level's tolerance, poison the block for what
-//!   cannot be located, and re-encode over the healed rows.
+//!   locate/correct, poison the block for what cannot be located, and
+//!   re-encode over the healed rows.
 //!
 //! [`KvCache::append`] heals the ragged trailing block once per call, then
 //! pushes; [`KvCache::truncate_to`] heals, then re-encodes a row prefix.
@@ -262,9 +262,9 @@ impl KvBlock {
     }
 
     /// Verified f32 copies of `Kᵀ` and V (see [`verify`]).
-    fn verified(&self, tol: Option<f32>) -> [(MatrixF32, KvReadReport); 2] {
+    fn verified(&self) -> [(MatrixF32, KvReadReport); 2] {
         self.operands()
-            .map(|(payload, cols, cs)| verify(payload, cols, cs, tol))
+            .map(|(payload, cols, cs)| verify(payload, cols, cs))
     }
 
     /// Whether the payload re-folds to every stored lane of both operands of
@@ -286,15 +286,15 @@ impl KvBlock {
     /// too: damage that cancels in a lane's plain sum, or hides under the
     /// read-check floor, still moves what a re-encode stores). All equal:
     /// the block is what `encode` would rebuild, and nothing is touched.
-    /// Otherwise locate and correct under `tol`, write
-    /// the re-quantised payload back and re-encode — destroying the
-    /// evidence of what could not be located, so that count joins the
-    /// sticky poison mark here, once. Returns the verification report.
-    fn heal(&mut self, stride: usize, tol: Option<f32>) -> KvReadReport {
+    /// Otherwise locate and correct, write the re-quantised payload back
+    /// and re-encode — destroying the evidence of what could not be
+    /// located, so that count joins the sticky poison mark here, once.
+    /// Returns the verification report.
+    fn heal(&mut self, stride: usize) -> KvReadReport {
         if self.folds_to_stored() {
             return KvReadReport::default();
         }
-        let [(kt, k_report), (v, v_report)] = self.verified(tol);
+        let [(kt, k_report), (v, v_report)] = self.verified();
         let report = k_report.merged(&v_report);
         let poisoned = self.poisoned + report.uncorrectable;
         *self = KvBlock::encode(&kt.to_f16(), &v.to_f16(), stride, poisoned);
@@ -327,12 +327,6 @@ pub struct KvReadReport {
     /// lane). The cached data cannot be recomputed — callers must treat the
     /// sequence as damaged (re-prefill).
     pub uncorrectable: u64,
-    /// Residuals above the read-check floor but within an
-    /// [`Approximate`](crate::protect::ProtectionLevel::Approximate)
-    /// stream's tolerance: absorbed uncorrected by policy. Counted for the
-    /// ledger, but deliberate — does not dirty
-    /// [`clean`](KvReadReport::clean) and never poisons.
-    pub tolerated: u64,
 }
 
 impl KvReadReport {
@@ -342,7 +336,6 @@ impl KvReadReport {
             detected: self.detected + other.detected,
             corrected: self.corrected + other.corrected,
             uncorrectable: self.uncorrectable + other.uncorrectable,
-            tolerated: self.tolerated + other.tolerated,
         }
     }
 
@@ -581,22 +574,17 @@ impl KvCache {
         self.level
     }
 
-    /// Set the protection level. Only meaningful on an *empty* cache
-    /// (hard assert): the level governs what metadata each block encodes,
-    /// so flipping it mid-life would leave blocks inconsistent with the
-    /// policy. Streams apply their level at cache creation (admission,
-    /// re-prefill recovery, migration re-adoption).
-    pub fn set_protection(&mut self, level: ProtectionLevel) {
+    /// This cache at protection `level`. Only meaningful on an *empty*
+    /// cache (hard assert): the level governs what metadata each block
+    /// encodes, so flipping it mid-life would leave blocks inconsistent
+    /// with the policy. Streams apply their level at cache creation
+    /// (admission, re-prefill recovery, migration re-adoption).
+    pub fn with_protection(mut self, level: ProtectionLevel) -> Self {
         assert!(
             self.is_empty(),
             "protection level must be set before the first append"
         );
         self.level = level;
-    }
-
-    /// Builder-style [`set_protection`](KvCache::set_protection).
-    pub fn with_protection(mut self, level: ProtectionLevel) -> Self {
-        self.set_protection(level);
         self
     }
 
@@ -676,9 +664,9 @@ impl KvCache {
     /// by `push_row`'s fold: the encode is paid once per row, never again
     /// per block. A trailing block that is ragged on entry is first read
     /// back and verified (`heal`), so corruption that landed in it is
-    /// repaired, or poisons it, instead of being folded under;
-    /// [`Lazy`](ProtectionLevel::Lazy) leaves that to the next attended
-    /// read. Once per call verifies what once per row would: rows this call
+    /// repaired, or poisons it, instead of being folded under (a
+    /// [`Raw`](ProtectionLevel::Raw) cache has nothing to verify against).
+    /// Once per call verifies what once per row would: rows this call
     /// pushes cannot be exposed before it returns, and what the fold writes
     /// re-folds to the stored bits. Returns that verification's report.
     pub fn append(&mut self, k: &Tensor4F16, v: &Tensor4F16) -> KvReadReport {
@@ -692,13 +680,13 @@ impl KvCache {
         let n = k.seq();
         assert_eq!(v.seq(), n, "k/v row counts differ");
         let mut report = KvReadReport::default();
-        let (level, stride, block) = (self.level, self.stride, self.block);
-        let metadata = level.encodes_metadata();
+        let (stride, block) = (self.stride, self.block);
+        let metadata = self.level.encodes_metadata();
         let ragged = !self.len.is_multiple_of(block);
         for (slot, blocks) in self.slots.iter_mut().enumerate() {
-            if ragged && metadata && !level.defers_append_heal() {
+            if ragged && metadata {
                 let last = blocks.last_mut().expect("ragged trailing block resident");
-                report = report.merged(&last.heal(stride, level.tolerance()));
+                report = report.merged(&last.heal(stride));
             }
             let (km, vm) = (k.slot_flat(slot), v.slot_flat(slot));
             for r in 0..n {
@@ -860,20 +848,20 @@ impl KvCache {
         let keep_resident = mark.len.div_ceil(self.block) - self.start_block();
         // Rows the mark leaves in its own block (none on a block boundary).
         let boundary_rows = mark.len % self.block;
-        let (level, stride) = (self.level, self.stride);
+        let (metadata, stride) = (self.level.encodes_metadata(), self.stride);
         for blocks in &mut self.slots {
             blocks.truncate(keep_resident);
             if boundary_rows == 0 {
                 continue;
             }
             let last = blocks.last_mut().expect("ragged boundary block resident");
-            // Heal before the old checksums are replaced, at every level
-            // that has any (`Lazy` too): re-encoding a prefix of unverified
-            // payload would launder resident damage for good.
-            if level.encodes_metadata() {
-                report = report.merged(&last.heal(stride, level.tolerance()));
+            // Heal before the old checksums are replaced: re-encoding a
+            // prefix of unverified payload would launder resident damage
+            // for good.
+            if metadata {
+                report = report.merged(&last.heal(stride));
             }
-            last.keep_rows(boundary_rows, stride, level.encodes_metadata());
+            last.keep_rows(boundary_rows, stride, metadata);
         }
         self.len = mark.len;
         report
@@ -944,7 +932,7 @@ impl KvCache {
         if !self.level.encodes_metadata() {
             return (payload.prefix_to_f32(cols), KvReadReport::default());
         }
-        verify(payload, cols, cs, self.level.tolerance())
+        verify(payload, cols, cs)
     }
 
     /// Verify block `b` of slot `slot` **once** and expose everything a
@@ -969,7 +957,7 @@ impl KvCache {
              unprotected (reference) tile instead",
         );
         let blk = &self.slots[slot][self.resident_index(b)];
-        let [(kt, k_report), (v, v_report)] = blk.verified(self.level.tolerance());
+        let [(kt, k_report), (v, v_report)] = blk.verified();
         VerifiedBlock {
             kt,
             v,
@@ -1046,9 +1034,9 @@ impl KvCache {
             // Raw: nothing to verify against; the scrub is a no-op.
             return total;
         }
-        let (stride, tol) = (self.stride, self.level.tolerance());
+        let stride = self.stride;
         for blk in self.slots.iter_mut().flatten() {
-            let [(kt, krep), (v, vrep)] = blk.verified(tol);
+            let [(kt, krep), (v, vrep)] = blk.verified();
             if !krep.clean() {
                 blk.kt.set_block(0, 0, &kt.to_f16());
             }
@@ -1092,15 +1080,8 @@ fn same_bits(a: &StridedChecksums, b: &StridedChecksums) -> bool {
 /// `Δ`, `w2` by `(l+1)·Δ` — which locates its group `l`, hence the element
 /// `s·l` further along the row (`correct_strided`). The check reads `w1`
 /// alone, so a clean read folds `w1` only; `w2` is folded for an operand
-/// whose `w1` lanes mismatch. With `tol = Some(t)` (approximate
-/// protection), residuals `|Δ| ≤ t` above the floor are tolerated: counted,
-/// left uncorrected, never escalated.
-fn verify(
-    payload: &MatrixF16,
-    cols: usize,
-    cs: &StridedChecksums,
-    tol: Option<f32>,
-) -> (MatrixF32, KvReadReport) {
+/// whose `w1` lanes mismatch.
+fn verify(payload: &MatrixF16, cols: usize, cs: &StridedChecksums) -> (MatrixF32, KvReadReport) {
     let mut m = payload.prefix_to_f32(cols);
     let mut report = KvReadReport::default();
     let s = cs.stride;
@@ -1119,10 +1100,6 @@ fn verify(
         }
         let delta1 = fresh - cs.w1.get(i, t);
         if delta1.abs() <= READ_CHECK_FLOOR {
-            continue;
-        }
-        if tol.is_some_and(|tol| delta1.abs() <= tol) {
-            report.tolerated += 1;
             continue;
         }
         let delta2 = w2.get(i, t) - cs.w2.get(i, t);
@@ -1154,7 +1131,7 @@ mod tests {
 
     /// Adds `delta` to stored `K[r][c]` of slot 0, block 0 (re-quantised
     /// through FP16).
-    pub(super) fn bump_k(cache: &mut KvCache, r: usize, c: usize, delta: f32) {
+    fn bump_k(cache: &mut KvCache, r: usize, c: usize, delta: f32) {
         let kt = &mut cache.slots[0][0].kt;
         kt.set(c, r, F16::from_f32(kt.get(c, r).to_f32() + delta));
     }
@@ -1713,7 +1690,6 @@ mod tests {
 
 #[cfg(test)]
 mod protect_tests {
-    use super::tests::bump_k;
     use super::*;
     use crate::protect::ProtectionLevel;
     use ft_num::rng::normal_tensor_f16;
@@ -1789,22 +1765,18 @@ mod protect_tests {
     }
 
     #[test]
-    fn lazy_append_matches_full_bit_for_bit() {
+    fn append_fold_matches_the_encoder_bit_for_bit() {
         // The incremental fold must replay the from-scratch encoder's
         // accumulation order exactly, at every length: sub-stride blocks
         // (8), two whole groups (16), a ragged last group (24) and the
-        // paper's 64-row tile, all at stride 8. After every append `Full`
-        // and `Lazy` store the same bits, and those are the oracle's.
+        // paper's 64-row tile, all at stride 8.
         for block in [8, 16, 24, 64] {
-            let mut full = KvCache::new(1, 2, 16, block, 8, 0.25);
-            let mut lazy = full.clone().with_protection(ProtectionLevel::Lazy);
+            let mut cache = KvCache::new(1, 2, 16, block, 8, 0.25);
             for t in 0..2 * block + 5 {
                 let (k, v) = token(t);
-                assert!(full.append(&k, &v).clean() && lazy.append(&k, &v).clean());
-                assert_caches_same_bits(&full, &lazy);
-                assert_matches_oracle(&lazy);
+                assert!(cache.append(&k, &v).clean());
+                assert_matches_oracle(&cache);
             }
-            assert_eq!(full.checksum_bytes(), lazy.checksum_bytes());
         }
     }
 
@@ -1815,26 +1787,22 @@ mod protect_tests {
         // `0.0 + -0.0 = +0.0`; a fold that *copies* the row into a fresh
         // lane stores the sign bit instead. Rows 0 (opens the block), 1
         // (opens a lane) and `stride` (first add into a lane) carry one.
-        let caches = [ProtectionLevel::Full, ProtectionLevel::Lazy].map(|level| {
-            let mut cache = KvCache::new(1, 2, 16, 16, 8, 0.25).with_protection(level);
-            for t in 0..12 {
-                let (mut k, mut v) = token(t);
-                if [0, 1, 8].contains(&t) {
-                    for m in k.slots_mut().iter_mut().chain(v.slots_mut()) {
-                        m.set(0, 3, F16::from_f32(-0.0));
-                    }
-                }
-                cache.append(&k, &v);
-                assert_matches_oracle(&cache);
-                if t == 1 {
-                    let lanes = cache.kt_checksums(0, 0);
-                    assert_eq!(lanes.w1.get(3, 1).to_bits(), 0, "{level}: w1 of row 1");
-                    assert_eq!(lanes.w2.get(3, 1).to_bits(), 0, "{level}: w2 of row 1");
+        let mut cache = KvCache::new(1, 2, 16, 16, 8, 0.25);
+        for t in 0..12 {
+            let (mut k, mut v) = token(t);
+            if [0, 1, 8].contains(&t) {
+                for m in k.slots_mut().iter_mut().chain(v.slots_mut()) {
+                    m.set(0, 3, F16::from_f32(-0.0));
                 }
             }
-            cache
-        });
-        assert_caches_same_bits(&caches[0], &caches[1]);
+            cache.append(&k, &v);
+            assert_matches_oracle(&cache);
+            if t == 1 {
+                let lanes = cache.kt_checksums(0, 0);
+                assert_eq!(lanes.w1.get(3, 1).to_bits(), 0, "w1 of row 1");
+                assert_eq!(lanes.w2.get(3, 1).to_bits(), 0, "w2 of row 1");
+            }
+        }
     }
 
     /// Adds 2.0 to `K[0][4]` and `K[8][4]` of slot 0: equal deltas in two
@@ -1866,15 +1834,9 @@ mod protect_tests {
             block in prop::sample::select(vec![16usize, 24]),
             base in 9usize..16,
             c in 1usize..20,
-            approximate in prop::bool::ANY,
             aliased in prop::bool::ANY,
         ) {
-            let level = if approximate {
-                ProtectionLevel::Approximate { tol: 0.05 }
-            } else {
-                ProtectionLevel::Full
-            };
-            let mut chunked = filled_level(base, block, level);
+            let mut chunked = filled_level(base, block, ProtectionLevel::Full);
             if aliased {
                 chunked.expose(&AliasedPair, 0);
             } else {
@@ -1912,54 +1874,6 @@ mod protect_tests {
     }
 
     #[test]
-    fn lazy_defers_ragged_heal_to_read() {
-        // Corrupt the still-filling block, then append one row: Full heals
-        // at append time (dirty heal report, clean subsequent read); Lazy
-        // appends without reading the payload back, so the damage stays
-        // detectable and is caught at the next verified read instead —
-        // deferred, not laundered.
-        for level in [ProtectionLevel::Full, ProtectionLevel::Lazy] {
-            let mut cache = filled_level(5, 8, level);
-            let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 3, 2, 0), 13);
-            cache.expose(&inj, 0);
-            assert_eq!(inj.fired(), 1);
-            let k = normal_tensor_f16(900, 1, 2, 1, 16, 0.6);
-            let v = normal_tensor_f16(901, 1, 2, 1, 16, 0.8);
-            let heal = cache.append(&k, &v);
-            let (_, read) = cache.read_kt_verified(0, 0);
-            if level == ProtectionLevel::Full {
-                assert_eq!((heal.detected, heal.corrected), (1, 1), "heal at append");
-                assert!(read.clean(), "healed before the re-encode");
-            } else {
-                assert!(heal.clean(), "lazy skips the append-time heal");
-                assert_eq!((read.detected, read.corrected), (1, 1), "caught on read");
-            }
-        }
-    }
-
-    #[test]
-    fn approximate_tolerates_small_residuals_and_escalates_large() {
-        let mut cache = filled_level(8, 8, ProtectionLevel::Approximate { tol: 0.05 });
-        // Within tolerance: counted as tolerated, not detected, left as is.
-        bump_k(&mut cache, 2, 3, 0.01);
-        let (payload, rep) = cache.read_kt_verified(0, 0);
-        assert_eq!((rep.detected, rep.corrected, rep.uncorrectable), (0, 0, 0));
-        assert_eq!(rep.tolerated, 1);
-        assert!(rep.clean(), "tolerated residuals do not dirty the report");
-        assert_eq!(
-            payload,
-            cache.read_kt_raw(0, 0),
-            "tolerated residual left uncorrected"
-        );
-        // Above tolerance: the normal locate/correct path fires.
-        bump_k(&mut cache, 5, 3, 1.0);
-        let (_, rep) = cache.read_kt_verified(0, 0);
-        assert_eq!((rep.detected, rep.corrected), (1, 1));
-        assert_eq!(rep.tolerated, 1, "the small residual is still tolerated");
-        assert_eq!(cache.poisoned(), 0);
-    }
-
-    #[test]
     fn raw_stores_no_metadata_and_never_flags() {
         let mut cache = filled_level(21, 8, ProtectionLevel::Raw);
         assert_eq!(cache.checksum_bytes(), 0);
@@ -1972,7 +1886,7 @@ mod protect_tests {
         cache.expose(&inj, 0);
         assert_eq!(inj.fired(), 1, "the payload is still a fault surface");
         let (k, rep) = cache.read_kt_verified(0, 0);
-        assert!(rep.clean() && rep.tolerated == 0);
+        assert!(rep.clean());
         assert_eq!(k, cache.read_kt_raw(0, 0));
         assert!(cache.scrub().clean());
         assert_eq!(cache.poisoned(), 0);
@@ -1988,19 +1902,12 @@ mod protect_tests {
 
     #[test]
     fn metadata_bytes_order_across_the_lattice() {
-        // The campaign's structural overhead assert: Raw < Lazy/Approx ≤
-        // Full (Lazy and Approximate carry Full's exact metadata).
+        // The campaign's structural overhead assert: Raw (= 0) < Full.
         let full = filled_level(21, 8, ProtectionLevel::Full).size_breakdown();
-        let lazy = filled_level(21, 8, ProtectionLevel::Lazy).size_breakdown();
-        let approx =
-            filled_level(21, 8, ProtectionLevel::Approximate { tol: 0.01 }).size_breakdown();
         let raw = filled_level(21, 8, ProtectionLevel::Raw).size_breakdown();
         assert_eq!(full.payload_bytes, raw.payload_bytes);
-        assert_eq!(lazy.metadata_bytes(), full.metadata_bytes());
-        assert_eq!(approx.metadata_bytes(), full.metadata_bytes());
         assert_eq!(raw.metadata_bytes(), 0);
-        assert!(raw.metadata_bytes() < lazy.metadata_bytes());
-        assert!(full.metadata_bytes() > 0);
+        assert!(raw.metadata_bytes() < full.metadata_bytes());
         assert_eq!(
             full.total_bytes(),
             full.payload_bytes + full.metadata_bytes()
@@ -2011,14 +1918,13 @@ mod protect_tests {
 
     #[test]
     fn protection_level_is_creation_time_only() {
-        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
-        cache.set_protection(ProtectionLevel::Lazy);
-        assert_eq!(cache.protection(), ProtectionLevel::Lazy);
+        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25).with_protection(ProtectionLevel::Full);
+        assert_eq!(cache.protection(), ProtectionLevel::Full);
         let k = normal_tensor_f16(1000, 1, 2, 1, 16, 0.6);
         let v = normal_tensor_f16(1001, 1, 2, 1, 16, 0.8);
         cache.append(&k, &v);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.set_protection(ProtectionLevel::Raw)
+            cache.with_protection(ProtectionLevel::Raw)
         }));
         assert!(result.is_err(), "level flips on a non-empty cache are bugs");
     }

@@ -310,8 +310,8 @@ pub struct GenerationRequest {
     pub priority: Priority,
     /// Speculative draft-then-verify decode (`None` = plain decode).
     pub speculation: Option<SpeculationPolicy>,
-    /// Graded KV-cache protection level for this stream's caches (see
-    /// [`ProtectionLevel`]; defaults to `Full`, the legacy behavior).
+    /// KV-cache protection level for this stream's caches (see
+    /// [`ProtectionLevel`]; defaults to `Full`).
     pub protection: ProtectionLevel,
 }
 
@@ -366,11 +366,11 @@ impl GenerationRequest {
         self
     }
 
-    /// Graded KV-cache protection for this stream: every cache the engine
+    /// KV-cache protection for this stream: every cache the engine
     /// creates for it — at admission, re-prefill recovery, or migration
-    /// re-adoption — is built at this level. `Full` (the default) is
-    /// bit-identical to the pre-lattice behavior; see [`ProtectionLevel`]
-    /// for the weaker rungs and what each trades away.
+    /// re-adoption — is built at this level. `Full` is the default;
+    /// `Raw` stores no checksums and never detects (see
+    /// [`ProtectionLevel`]).
     pub fn with_protection(mut self, protection: ProtectionLevel) -> Self {
         self.protection = protection;
         self

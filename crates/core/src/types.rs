@@ -12,11 +12,10 @@
 //! | linear layers          | `linear_detected` | `linear_corrected` | `linear_recomputed`                |
 //! | activation             | = restricted      |                    | `activation_restricted`            |
 //!
-//! `cache_tolerated` and `cache_evicted_blocks` are policy events, not
-//! faults. Ledgers combine by exactly two folds: [`FtReport::merged`] for
-//! distinct physical sources inside one sweep (kernel tasks, slots, layers,
-//! streams, shards) and [`FtReport::accumulate`] for successive sweeps of
-//! one stream.
+//! `cache_evicted_blocks` is a policy event, not a fault. Ledgers combine
+//! by exactly two folds: [`FtReport::merged`] for distinct physical
+//! sources inside one sweep (kernel tasks, slots, layers, streams, shards)
+//! and [`FtReport::accumulate`] for successive sweeps of one stream.
 
 use ft_num::Tensor4F32;
 use ft_sim::cost::Timeline;
@@ -54,13 +53,6 @@ pub struct FtReport {
     pub cache_corrected: u64,
     /// Cache-resident mismatches that could not be located.
     pub cache_uncorrectable: u64,
-    /// Checksum residuals tolerated (absorbed uncorrected) under
-    /// approximate protection. Deliberate policy, not a repair: like
-    /// eviction these do not count toward
-    /// [`total_detected`](FtReport::total_detected) and do not dirty
-    /// [`clean`](FtReport::clean) — a stream that opted into tolerance
-    /// is behaving as configured.
-    pub cache_tolerated: u64,
     /// KV-cache blocks evicted by the sliding-window storage policy.
     /// An *event* count, not a fault count: eviction is deliberate
     /// bounded-memory bookkeeping, so it does not dirty
@@ -132,7 +124,6 @@ impl FtReport {
             cache_detected: self.cache_detected + other.cache_detected,
             cache_corrected: self.cache_corrected + other.cache_corrected,
             cache_uncorrectable: self.cache_uncorrectable + other.cache_uncorrectable,
-            cache_tolerated: self.cache_tolerated + other.cache_tolerated,
             cache_evicted_blocks: self.cache_evicted_blocks + other.cache_evicted_blocks,
             linear_detected: self.linear_detected + other.linear_detected,
             linear_corrected: self.linear_corrected + other.linear_corrected,

@@ -217,10 +217,9 @@ impl TransformerModel {
         self.new_cache_with(ProtectionLevel::Full)
     }
 
-    /// Fresh decode state at a graded protection level: one empty KV cache
-    /// per block, each created at `level` (see [`ProtectionLevel`]).
-    /// [`new_cache`](TransformerModel::new_cache) is the `Full` case —
-    /// bit-identical to the pre-lattice behavior.
+    /// Fresh decode state at a protection level: one empty KV cache per
+    /// block, each created at `level` (see [`ProtectionLevel`]).
+    /// [`new_cache`](TransformerModel::new_cache) is the `Full` case.
     pub fn new_cache_with(&self, level: ProtectionLevel) -> ModelKvCache {
         ModelKvCache {
             layers: self

@@ -590,8 +590,8 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
 
     /// Current cache footprint split into FP16 payload vs FP32 protection
     /// metadata, summed over resident streams (see
-    /// [`ModelKvCache::size_breakdown`]) — how the graded protection
-    /// lattice's byte overhead shows up in a live session.
+    /// [`ModelKvCache::size_breakdown`]) — how protection's byte overhead
+    /// shows up in a live session.
     pub fn cache_breakdown(&self) -> SizeBreakdown {
         self.caches
             .iter()

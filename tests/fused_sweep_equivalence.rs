@@ -110,7 +110,7 @@ fn assert_rows_match(fused: &StreamSweepOutput, oracle: &[StreamSweepOutput], wh
 /// Fused tile sweep ≡ stepwise oracle, bit-for-bit, on every backend — over
 /// a batch mixing decode (c = 1) with mid-flight chunked prefill (c > 1),
 /// ragged trailing blocks, a sliding window, and a front-evicted cache, at
-/// both ends of the protection lattice.
+/// both protection levels.
 #[test]
 fn fused_sweep_bit_matches_stepwise_oracle_on_every_backend() {
     // (len, block, chunk, window, evict_front): one stream per row.

@@ -1,4 +1,4 @@
-//! Protection-survival suite: a stream's graded [`ProtectionLevel`] is a
+//! Protection-survival suite: a stream's [`ProtectionLevel`] is a
 //! *request* property, so every cache the serving machinery rebuilds for
 //! it — park/resume re-prefill, work-stealing migration between sessions,
 //! and `ReprefillBounded` / `ReprefillPartial` fault recovery — must come
@@ -11,7 +11,7 @@ mod common;
 
 use common::{prompt, tiny_config};
 use ft_transformer_suite::attention::efta::EftaOptions;
-use ft_transformer_suite::attention::protect::{ProtectionLevel, DEFAULT_APPROX_TOL};
+use ft_transformer_suite::attention::protect::ProtectionLevel;
 use ft_transformer_suite::attention::serve::StreamState;
 use ft_transformer_suite::num::F16;
 use ft_transformer_suite::sim::{FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector};
@@ -24,16 +24,9 @@ fn tiny(max_seq: usize) -> ModelConfig {
     tiny_config("protect-tiny", max_seq)
 }
 
-/// One stream per rung of the lattice.
-fn lattice() -> [ProtectionLevel; 4] {
-    [
-        ProtectionLevel::Full,
-        ProtectionLevel::Lazy,
-        ProtectionLevel::Approximate {
-            tol: DEFAULT_APPROX_TOL,
-        },
-        ProtectionLevel::Raw,
-    ]
+/// One stream per protection level.
+fn lattice() -> [ProtectionLevel; 2] {
+    [ProtectionLevel::Full, ProtectionLevel::Raw]
 }
 
 fn sched() -> SchedulerConfig {
@@ -96,8 +89,8 @@ fn export_all<M: std::borrow::Borrow<TransformerModel>>(
 
 /// Parking a stream drops its cache; the resume re-prefill must rebuild it
 /// at the stream's own level, and the interruption stays invisible in the
-/// tokens at every rung of the lattice. The streams park by leaving
-/// through `export_stream` and resume by being adopted back.
+/// tokens at both levels. The streams park by leaving through
+/// `export_stream` and resume by being adopted back.
 #[test]
 fn protection_survives_park_and_resume() {
     let model = TransformerModel::random(71, tiny(96), BackendKind::Efta(EftaOptions::optimized()))
@@ -237,11 +230,9 @@ impl FaultInjector for PairInjector {
 }
 
 /// Re-prefill recovery rebuilds the dropped cache at the stream's own
-/// level, for both bounded and partial policies, at every protected rung
-/// — and the recovered tokens match the same-level undamaged run
-/// bit-for-bit. `Full` detects the damage at append time; `Lazy` defers
-/// it to the attended read; `Approximate`'s tolerance is far below an
-/// exponent-bit flip, so it escalates like `Full`.
+/// level, under both the partial and the bounded policy — and the
+/// recovered tokens match the same-level undamaged run bit-for-bit.
+/// `Full` detects the damage at append time.
 #[test]
 fn protection_survives_reprefill_recovery() {
     let model = TransformerModel::random(73, tiny(64), BackendKind::Efta(EftaOptions::optimized()))
@@ -254,28 +245,16 @@ fn protection_survives_reprefill_recovery() {
     // damage is detected but unlocatable → poison → re-prefill.
     let step = serve_expose_step(StreamId(0), 47, 2, 0);
 
-    let cases: [(ProtectionLevel, RecoveryPolicy); 3] = [
-        (
-            ProtectionLevel::Full,
-            RecoveryPolicy::ReprefillPartial { max_attempts: 3 },
-        ),
-        (
-            ProtectionLevel::Lazy,
-            RecoveryPolicy::ReprefillBounded { max_attempts: 3 },
-        ),
-        (
-            ProtectionLevel::Approximate {
-                tol: DEFAULT_APPROX_TOL,
-            },
-            RecoveryPolicy::ReprefillBounded { max_attempts: 3 },
-        ),
+    let level = ProtectionLevel::Full;
+    let mut clean_session = model.serve_with(sched());
+    clean_session
+        .submit_request(GenerationRequest::new(p.clone(), new_tokens).with_protection(level));
+    let clean = clean_session.run(&NoFaults);
+    let policies = [
+        RecoveryPolicy::ReprefillPartial { max_attempts: 3 },
+        RecoveryPolicy::ReprefillBounded { max_attempts: 3 },
     ];
-    for (level, policy) in cases {
-        let mut clean_session = model.serve_with(sched());
-        clean_session
-            .submit_request(GenerationRequest::new(p.clone(), new_tokens).with_protection(level));
-        let clean = clean_session.run(&NoFaults);
-
+    for policy in policies {
         let inj = PairInjector::aliased_k_rows(step, 3, 32);
         let mut session = model.serve_with(sched());
         let id = session.submit_request(
@@ -286,17 +265,17 @@ fn protection_survives_reprefill_recovery() {
         while !session.idle() {
             session.sweep_events(&inj);
             if let Some(got) = session.stream_cache_protection(id) {
-                assert_eq!(got, level, "{level}: rebuilt cache drifted off-level");
+                assert_eq!(got, level, "{policy:?}: rebuilt cache drifted off-level");
             }
         }
         let finished = session.take_finished();
-        assert_eq!(inj.fired(), 2, "{level}: both aliased flips must land");
+        assert_eq!(inj.fired(), 2, "{policy:?}: both aliased flips must land");
         let f = &finished[0];
-        assert!(f.recoveries >= 1, "{level}: recovery must actually fire");
-        assert_eq!(f.finish, FinishReason::Recovered, "{level}");
+        assert!(f.recoveries >= 1, "{policy:?}: recovery must actually fire");
+        assert_eq!(f.finish, FinishReason::Recovered, "{policy:?}");
         assert_eq!(
             f.tokens, clean[0].tokens,
-            "{level}: recovery diverged from the undamaged same-level run"
+            "{policy:?}: recovery diverged from the undamaged same-level run"
         );
         assert_eq!(f.protection, level);
     }
