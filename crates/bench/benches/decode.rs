@@ -3,7 +3,8 @@
 //! 768-row prefill in 16-row chunks, 4 slots × head-dim 64, 64-row blocks,
 //! stride 8, one layer.
 //!
-//! * `sweep_c16_*` — the whole prefill's 48 chunk sweeps (`sweep_efta`),
+//! * `sweep_c16_*` — the whole prefill's 48 chunk sweeps
+//!   (`BackendKind::Efta(..).decode_sweep`),
 //!   each against the cache as it stood after its chunk was appended;
 //! * `sweep_c1_*` — one decode step against the full 768-row cache;
 //! * `verified_block` — every resident block of every slot read through
@@ -14,9 +15,10 @@
 //! Run with `cargo bench -p ft-bench --bench decode`.
 
 use ft_bench::bench_arms;
+use ft_core::backend::{AttentionBackend, BackendKind};
 use ft_core::efta::EftaOptions;
 use ft_core::kv::KvCache;
-use ft_core::serve::{sweep_efta, StreamId, StreamSlice};
+use ft_core::serve::{StreamId, StreamSlice};
 use ft_num::rng::normal_tensor_f16;
 use ft_num::Tensor4F16;
 use ft_sim::NoFaults;
@@ -50,20 +52,21 @@ fn main() {
         .collect();
     let last_q = rows(&q, ROWS - 1, 1);
     let appends: Vec<_> = (0..64).map(|r| (rows(&k, r, 1), rows(&v, r, 1))).collect();
-    let sweep = |cache: &KvCache, q: &Tensor4F16, opts: &EftaOptions| {
+    let sweep = |cache: &KvCache, q: &Tensor4F16, kind: &BackendKind| {
         let slice = StreamSlice {
             stream: StreamId(0),
             cache,
             q,
             window: None,
         };
-        sweep_efta(&[slice], &NoFaults, None, opts).expect("a supported sweep")
+        kind.decode_sweep(&[slice], &NoFaults, None)
     };
 
-    let [protected, unprotected] = [EftaOptions::optimized(), EftaOptions::unprotected()];
-    let chunked = |opts| {
+    let protected = BackendKind::Efta(EftaOptions::optimized());
+    let unprotected = BackendKind::Efta(EftaOptions::unprotected());
+    let chunked = |kind| {
         for (cache, q) in &chunks {
-            black_box(sweep(cache, q, opts));
+            black_box(sweep(cache, q, kind));
         }
     };
 

@@ -10,7 +10,7 @@
 //! Every cell of the sweep runs the same mixed-prompt-length workload
 //! through a [`ServeSession`](ft_transformer::ServeSession) with all
 //! streams pinned to one [`ProtectionLevel`] and a
-//! cache-resident `BerInjector` at one bit-error rate, with bounded
+//! cache-resident `BerInjector` at one bit-error rate, with partial
 //! re-prefill recovery requested (the full detect → correct → recover
 //! loop — which `Raw` streams can never enter, since nothing detects).
 //! Reported per cell, against the same-level undamaged oracle:
@@ -61,7 +61,7 @@ fn run_cell<I: FaultInjector>(
         session.submit_request(
             GenerationRequest::new(p.clone(), new_tokens)
                 .with_protection(level)
-                .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 2 }),
+                .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 2 }),
         );
     }
     let finished = session.run(inj);

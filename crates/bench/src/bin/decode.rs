@@ -91,7 +91,7 @@ fn main() {
     // Cache memory accounting.
     let mut cache = efta.new_cache();
     for &t in &prompt {
-        let _ = efta.decode_step(t, &mut cache, &NoFaults);
+        let _ = efta.decode_step(t, &mut cache, None, &NoFaults);
     }
     println!(
         "\ncache after {} tokens: {} payload bytes + {} checksum bytes ({:.1}%)",

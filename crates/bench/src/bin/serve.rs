@@ -7,7 +7,7 @@
 //!
 //! ```sh
 //! cargo run --release -p ft-bench --bin serve            # prompt 192 + 96 tokens, 5 rounds
-//! cargo run --release -p ft-bench --bin serve -- --smoke # CI: prompt 96 + 48 tokens, 3 rounds
+//! cargo run --release -p ft-bench --bin serve -- --smoke # CI: prompt 96 + 48 tokens, 5 rounds
 //! ```
 //!
 //! Its two speed gates (≥ 1.3× plain at accept ≥ 0.75, ≥ 1.0× the
@@ -27,6 +27,11 @@ use ft_transformer::{
 };
 use std::convert::Infallible;
 
+/// Rounds per forced accept rate, `--smoke` included: every rate carries a
+/// hard gate, and the speed gates read each arm's fastest round, which 3
+/// rounds on a shared host left too noisy to hold run after run.
+const ROUNDS: usize = 5;
+
 /// Index of the first largest logit (the rows here hold no NaN).
 fn argmax(row: &[f32]) -> u32 {
     (0..row.len()).fold(0, |best, i| if row[i] > row[best] { i } else { best }) as u32
@@ -40,7 +45,7 @@ fn sequential_generate(model: &TransformerModel, prompt: &[u32], new_tokens: usi
     let mut tokens = prompt.to_vec();
     let end = (prompt.len() + new_tokens).min(model.config.max_seq);
     for fed in 0..end - 1 {
-        let (logits, _) = model.decode_step(tokens[fed], &mut cache, &NoFaults);
+        let (logits, _) = model.decode_step(tokens[fed], &mut cache, None, &NoFaults);
         if fed + 1 == tokens.len() {
             tokens.push(argmax(logits.row(0)));
         }
@@ -165,7 +170,7 @@ fn spec_sweep(args: &HarnessArgs) {
         // ratio compares runs made under the same host load; every round
         // must return its arm's first result.
         let mut first: [Option<Run>; 3] = Default::default();
-        let arms = time_arms(args.rounds(), 3, |i| {
+        let arms = time_arms(ROUNDS, 3, |i| {
             let got = match i {
                 0 => plain(),
                 1 => sequential(),
@@ -223,8 +228,7 @@ fn spec_sweep(args: &HarnessArgs) {
     print!("{}", table.render());
     println!(
         "draft_len {draft_len}, zero-accept backoff after 2 sweeps; prompt {prompt_len}, \
-         {gen_tokens} new tokens; ms min±IQR over {} rounds, arms alternating",
-        args.rounds()
+         {gen_tokens} new tokens; ms min±IQR over {ROUNDS} rounds, arms alternating"
     );
     println!(
         "hard-asserted on the minimums: bit-identity at every rate, >= 1.3x plain at accept \

@@ -11,7 +11,7 @@
 //! * `--full` — run the paper's exact sizes (seq 512…16k, 16k total
 //!   tokens). Hours of CPU; the default is a geometry-preserving 1/8
 //!   scale whose *ratios* match.
-//! * `--smoke` — CI sizes: scale 1/128 and [`SMOKE_TRIALS`] campaign
+//! * `--smoke` — CI sizes: scale 1/64 and [`SMOKE_TRIALS`] campaign
 //!   trials unless `--trials` is given.
 //! * `--scale <f>` — custom scale factor.
 //! * `--trials <n>` — statistical campaign size.
@@ -75,12 +75,11 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// The CI smoke configuration: scale 1/128 (the sequence sweep floors
-    /// at 64 rows, so the smallest scale that still runs every row) and
-    /// [`SMOKE_TRIALS`] campaign trials.
+    /// The CI smoke configuration: scale 1/64 (six distinct sweep lengths,
+    /// 8…256) and [`SMOKE_TRIALS`] campaign trials.
     pub fn smoke() -> Self {
         HarnessArgs {
-            scale: 1.0 / 128.0,
+            scale: 1.0 / 64.0,
             trials: SMOKE_TRIALS,
             smoke: true,
             ..Self::default()
@@ -136,11 +135,12 @@ impl HarnessArgs {
         }
     }
 
-    /// The paper's sequence-length sweep, scaled.
+    /// The paper's sequence-length sweep, scaled; floored at the checksum
+    /// stride, since EFTA refuses a shorter sequence.
     pub fn sweep_seqs(&self) -> Vec<usize> {
         PAPER_SEQS
             .iter()
-            .map(|&s| ((s as f64 * self.scale) as usize).max(64))
+            .map(|&s| ((s as f64 * self.scale) as usize).max(ft_abft::strided::DEFAULT_STRIDE))
             .collect()
     }
 
@@ -327,6 +327,12 @@ mod tests {
         for w in seqs.windows(2) {
             assert_eq!(w[1] / w[0], 2);
         }
+    }
+
+    #[test]
+    fn smoke_sweep_lengths_are_distinct() {
+        let seqs = HarnessArgs::smoke().sweep_seqs();
+        assert_eq!(seqs, [8, 16, 32, 64, 128, 256]);
     }
 
     #[test]

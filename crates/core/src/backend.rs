@@ -5,8 +5,8 @@
 //! that comparison a first-class API seam:
 //!
 //! * [`AttentionRequest`] — one request type carrying the configuration,
-//!   the Q/K/V operands, a fault-injector handle, and optional per-request
-//!   overrides (detection thresholds, simulated device);
+//!   the Q/K/V operands, a fault-injector handle, and an optional simulated
+//!   device;
 //! * [`AttentionBackend`] — one trait for prefill, decode and the batched
 //!   decode sweep, implemented once, by [`BackendKind`];
 //! * [`BackendKind`] — every kernel family as one enum variant, selectable
@@ -32,6 +32,7 @@ use crate::config::AttentionConfig;
 use crate::decode::DecodeRequest;
 use crate::decoupled::DecoupledOptions;
 use crate::efta::EftaOptions;
+use crate::serve::{sweep_tiles, StreamId, StreamSlice};
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
 use ft_abft::thresholds::Thresholds;
 use ft_num::Tensor4F16;
@@ -43,7 +44,7 @@ use std::str::FromStr;
 
 static NO_FAULTS: NoFaults = NoFaults;
 
-/// One attention computation: configuration, operands, injector, overrides.
+/// One attention computation: configuration, operands, injector, device.
 ///
 /// Built with [`AttentionRequest::new`] and the `with_*` builder methods;
 /// consumed by any [`AttentionBackend`].
@@ -64,14 +65,10 @@ pub struct AttentionRequest<'a> {
     /// decoupled pipeline materialises O(n²) state and can OOM). `None`
     /// means an unconstrained private [`Device::a100_40gb`].
     pub device: Option<&'a Device>,
-    /// Per-request detection-threshold override; `None` keeps each
-    /// backend's calibrated defaults.
-    pub thresholds: Option<Thresholds>,
 }
 
 impl<'a> AttentionRequest<'a> {
-    /// Request over `q`/`k`/`v` with no faults, no device constraint, and
-    /// the backend's default thresholds.
+    /// Request over `q`/`k`/`v` with no faults and no device constraint.
     ///
     /// Panics if a tensor's shape disagrees with `cfg` — a shape mismatch
     /// is a programming error every backend would otherwise surface as an
@@ -96,7 +93,6 @@ impl<'a> AttentionRequest<'a> {
             v,
             injector: &NO_FAULTS,
             device: None,
-            thresholds: None,
         }
     }
 
@@ -111,12 +107,6 @@ impl<'a> AttentionRequest<'a> {
         self.device = Some(device);
         self
     }
-
-    /// Override the detection thresholds for this request.
-    pub fn with_thresholds(mut self, thresholds: Thresholds) -> Self {
-        self.thresholds = Some(thresholds);
-        self
-    }
 }
 
 impl fmt::Debug for AttentionRequest<'_> {
@@ -124,7 +114,6 @@ impl fmt::Debug for AttentionRequest<'_> {
         f.debug_struct("AttentionRequest")
             .field("cfg", &self.cfg)
             .field("device", &self.device.is_some())
-            .field("thresholds", &self.thresholds)
             .finish_non_exhaustive()
     }
 }
@@ -188,9 +177,11 @@ pub trait AttentionBackend: Sync {
     /// over its [`KvCache`](crate::kv::KvCache) and return a
     /// `batch × heads × 1 × dim` output.
     ///
-    /// Every backend serves decode traffic through
-    /// [`efta_decode`](crate::decode::efta_decode); only EFTA kinds protect
-    /// it, verifying cache-resident state and the decode arithmetic itself.
+    /// Every backend serves decode traffic through the one sweep body of
+    /// [`try_decode_sweep`](AttentionBackend::try_decode_sweep), over one
+    /// one-row slice at the request's [`step`](DecodeRequest::step); only
+    /// EFTA kinds protect it, verifying cache-resident state and the decode
+    /// arithmetic itself.
     /// The others run it [`unprotected`](EftaOptions::unprotected): raw
     /// cache reads, no checks — the baseline that *visibly corrupts* when
     /// cached state is hit.
@@ -260,9 +251,9 @@ pub trait AttentionBackend: Sync {
 /// Every attention kernel family, selectable by name: the one
 /// [`AttentionBackend`].
 ///
-/// `FromStr` accepts the canonical names listed in [`BackendKind::NAMES`]
-/// (case-insensitive) plus a few aliases; `Display` emits the canonical
-/// name, so parse → display round-trips.
+/// `FromStr` accepts exactly the names listed in [`BackendKind::NAMES`]
+/// (case-insensitive); `Display` emits the same name, so parse → display
+/// round-trips.
 #[derive(Clone, Copy, Debug)]
 pub enum BackendKind {
     /// Naive exact attention (correctness oracle).
@@ -332,18 +323,14 @@ impl FromStr for BackendKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Ok(match s.to_ascii_lowercase().as_str() {
-            "reference" | "ref" | "naive" => BackendKind::Reference,
-            "flash" | "e2e" => BackendKind::Flash,
-            "decoupled" | "decoupled-ft" => BackendKind::Decoupled(DecoupledOptions::default()),
-            "decoupled-baseline" | "decoupled-unprotected" => {
-                BackendKind::Decoupled(DecoupledOptions::unprotected())
-            }
+            "reference" => BackendKind::Reference,
+            "flash" => BackendKind::Flash,
+            "decoupled" => BackendKind::Decoupled(DecoupledOptions::default()),
+            "decoupled-baseline" => BackendKind::Decoupled(DecoupledOptions::unprotected()),
             // Paper naming: "EFTA" is per-step verification (Tables 1–2),
             // "EFTA-o" the optimised unified verification.
-            "efta" | "efta-per-step" => BackendKind::Efta(EftaOptions::per_step()),
-            "efta-o" | "efta-optimized" | "efta-unified" => {
-                BackendKind::Efta(EftaOptions::optimized())
-            }
+            "efta" => BackendKind::Efta(EftaOptions::per_step()),
+            "efta-o" => BackendKind::Efta(EftaOptions::optimized()),
             "efta-unprotected" => BackendKind::Efta(EftaOptions::unprotected()),
             _ => {
                 return Err(ParseBackendError {
@@ -416,10 +403,6 @@ impl AttentionBackend for BackendKind {
                         "the decoupled pipeline protects unmasked attention only".into(),
                     ));
                 }
-                let opts = DecoupledOptions {
-                    thresholds: req.thresholds.unwrap_or(options.thresholds),
-                    ..*options
-                };
                 let fallback;
                 let device = match req.device {
                     Some(d) => d,
@@ -434,7 +417,7 @@ impl AttentionBackend for BackendKind {
                     req.k,
                     req.v,
                     &req.injector,
-                    &opts,
+                    options,
                     device,
                 )
                 .map_err(BackendError::from)
@@ -451,25 +434,35 @@ impl AttentionBackend for BackendKind {
                         cfg.seq, options.stride
                     )));
                 }
-                let opts = EftaOptions {
-                    thresholds: req.thresholds.unwrap_or(options.thresholds),
-                    ..*options
-                };
                 Ok(crate::efta::efta_forward(
                     cfg,
                     req.q,
                     req.k,
                     req.v,
                     &req.injector,
-                    &opts,
+                    options,
                 ))
             }
         }
     }
 
     fn try_decode(&self, req: &DecodeRequest<'_>) -> Result<AttentionOutput, BackendError> {
-        // efta_decode resolves req.thresholds itself.
-        crate::decode::efta_decode(req, &self.decode_options())
+        let slice = StreamSlice {
+            stream: StreamId(0),
+            cache: req.cache,
+            q: req.q,
+            window: req.window,
+        };
+        let opts = self.decode_options();
+        let out = sweep_tiles(&[slice], Some(req.step), req.injector, None, &opts)?
+            .pop()
+            .expect("one slice in, one output out");
+        Ok(AttentionOutput {
+            o: out.o,
+            timeline: out.timeline,
+            report: out.report,
+            phases: PhaseBreakdown::default(),
+        })
     }
 
     fn try_decode_sweep(
@@ -478,7 +471,7 @@ impl AttentionBackend for BackendKind {
         injector: &dyn FaultInjector,
         thresholds: Option<Thresholds>,
     ) -> Result<Vec<crate::serve::StreamSweepOutput>, BackendError> {
-        crate::serve::sweep_efta(slices, injector, thresholds, &self.decode_options())
+        sweep_tiles(slices, None, injector, thresholds, &self.decode_options())
     }
 }
 
@@ -503,16 +496,17 @@ mod tests {
     }
 
     #[test]
-    fn aliases_and_case_insensitivity() {
+    fn names_are_case_insensitive_and_aliases_are_refused() {
         assert_eq!(
             "EFTA-O".parse::<BackendKind>().unwrap().to_string(),
             "efta-o"
         );
-        assert_eq!(
-            "ref".parse::<BackendKind>().unwrap().to_string(),
-            "reference"
+        let err = "ref".parse::<BackendKind>().unwrap_err();
+        assert_eq!(err.input, "ref");
+        assert!(
+            err.to_string().ends_with(&BackendKind::NAMES.join(", ")),
+            "error must list NAMES: {err}"
         );
-        assert_eq!("e2e".parse::<BackendKind>().unwrap().to_string(), "flash");
     }
 
     #[test]
@@ -542,18 +536,20 @@ mod tests {
     }
 
     #[test]
-    fn thresholds_override_is_honoured() {
+    fn thresholds_in_the_options_are_honoured() {
         // An absurdly tight threshold on clean data must raise false alarms
-        // through the request override (proving the override reaches the
-        // kernel).
+        // (proving the options' thresholds reach the kernel).
         let cfg = AttentionConfig::new(1, 1, 64, 32).with_block(32);
         let (q, k, v) = workload(&cfg, 93);
         let paranoid = Thresholds {
             gemm: ft_abft::thresholds::Check::new(0.0, 1e-12),
             ..Thresholds::calibrated()
         };
-        let out = BackendKind::Efta(EftaOptions::per_step())
-            .run(&AttentionRequest::new(cfg, &q, &k, &v).with_thresholds(paranoid));
+        let out = BackendKind::Efta(EftaOptions {
+            thresholds: paranoid,
+            ..EftaOptions::per_step()
+        })
+        .run(&AttentionRequest::new(cfg, &q, &k, &v));
         assert!(
             out.report.total_detected() > 0,
             "tight thresholds must fire on FP16 checksum noise: {:?}",

@@ -59,12 +59,12 @@
 //! Both kernels take a *visible length* — the causal prefix of the cache a
 //! query row may attend to — and are called from exactly one place, the
 //! `(stream, slot)` sweep in [`crate::serve`]. Single-query decode
-//! ([`efta_decode`], behind [`AttentionBackend::try_decode`]) is that sweep
-//! over one one-row slice; chunked prefill is the same sweep over `c`-row
-//! slices, where a chunk's interior rows see only their own prefix of the
-//! trailing block (whose checksum operands are then folded over the visible
-//! rows of its verified copy, once per tile for every such row, exactly as
-//! a cache holding that prefix stores them).
+//! ([`AttentionBackend::try_decode`]) is that sweep over one one-row
+//! slice; chunked prefill is the same sweep over `c`-row slices, where a
+//! chunk's interior rows see only their own prefix of the trailing block
+//! (whose checksum operands are then folded over the visible rows of its
+//! verified copy, once per tile for every such row, exactly as a cache
+//! holding that prefix stores them).
 //!
 //! The same visible-length machinery is what makes speculative decoding
 //! ([`SpeculationPolicy`](crate::serve::SpeculationPolicy)) free at this
@@ -76,7 +76,8 @@
 //! speculative.
 //!
 //! ```
-//! use ft_core::decode::{efta_decode, DecodeRequest};
+//! use ft_core::backend::{AttentionBackend, BackendKind};
+//! use ft_core::decode::DecodeRequest;
 //! use ft_core::efta::EftaOptions;
 //! use ft_core::kv::KvCache;
 //! use ft_num::rng::normal_tensor_f16;
@@ -90,21 +91,19 @@
 //! }
 //! // Decode the newest token's query against the protected cache.
 //! let q = normal_tensor_f16(30, 1, 2, 1, 16, 0.6);
-//! let out = efta_decode(&DecodeRequest::new(&cache, &q), &EftaOptions::optimized()).unwrap();
+//! let efta = BackendKind::Efta(EftaOptions::optimized());
+//! let out = efta.try_decode(&DecodeRequest::new(&cache, &q)).unwrap();
 //! assert_eq!((out.o.seq(), out.o.dim()), (1, 16));
 //! assert!(out.report.clean());
 //! ```
 //!
 //! [`AttentionBackend::try_decode`]: crate::backend::AttentionBackend::try_decode
 
-use crate::backend::BackendError;
 use crate::efta::{
     BlockOperands, DamageGroup, EftaOptions, Frontier, GemmProtection, Kernel, RowState,
 };
 use crate::kv::KvCache;
-use crate::serve::{sweep_tiles, StreamId, StreamSlice};
-use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
-use ft_abft::thresholds::Thresholds;
+use crate::types::FtReport;
 use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::device::KernelStats;
 use ft_sim::{gemm_fault_pass, gemm_flops, gemm_nn, FaultInjector, FaultSite, GemmCtx, NoFaults};
@@ -112,8 +111,9 @@ use std::ops::Range;
 
 static NO_FAULTS: NoFaults = NoFaults;
 
-/// One decode step: the cache, the new per-slot query row, an injector and
-/// optional threshold override.
+/// One decode step: the cache, the new per-slot query row, an injector, a
+/// step index and an optional sliding window. Detection thresholds are the
+/// backend's own ([`EftaOptions::thresholds`]).
 ///
 /// Built with [`DecodeRequest::new`] plus the `with_*` builders; consumed by
 /// [`AttentionBackend::try_decode`](crate::backend::AttentionBackend::try_decode).
@@ -128,8 +128,6 @@ pub struct DecodeRequest<'a> {
     pub q: &'a Tensor4F16,
     /// Fault injector consulted by protected operations.
     pub injector: &'a dyn FaultInjector,
-    /// Per-request detection-threshold override.
-    pub thresholds: Option<Thresholds>,
     /// Decode step index (namespaces fault coordinates across steps).
     pub step: usize,
     /// Sliding-window attention: attend only the cache blocks holding the
@@ -156,7 +154,6 @@ impl<'a> DecodeRequest<'a> {
             cache,
             q,
             injector: &NO_FAULTS,
-            thresholds: None,
             step: cache.len() - 1,
             window: None,
         }
@@ -165,12 +162,6 @@ impl<'a> DecodeRequest<'a> {
     /// Attach a fault injector.
     pub fn with_injector(mut self, injector: &'a dyn FaultInjector) -> Self {
         self.injector = injector;
-        self
-    }
-
-    /// Override the detection thresholds.
-    pub fn with_thresholds(mut self, thresholds: Thresholds) -> Self {
-        self.thresholds = Some(thresholds);
         self
     }
 
@@ -196,7 +187,6 @@ impl core::fmt::Debug for DecodeRequest<'_> {
         f.debug_struct("DecodeRequest")
             .field("cache_len", &self.cache.len())
             .field("step", &self.step)
-            .field("thresholds", &self.thresholds)
             .finish_non_exhaustive()
     }
 }
@@ -480,39 +470,12 @@ pub(crate) fn efta_decode_tile(
         let r = rows.start;
         (b0[r]..nb[r]).map(move |jb| {
             let rows = vis_block_rows(cache, jb, vis0 + r);
-            let (kt, _) = cache.read_kt_verified(slot, jb);
-            let (v, _) = cache.read_v_verified(slot, jb);
-            (kt.block(0, 0, d, rows), v.block(0, 0, rows, d))
+            let vb = cache.verified_block(slot, jb);
+            (vb.kt.block(0, 0, d, rows), vb.v.block(0, 0, rows, d))
         })
     };
     let (o, tile_report, _) = state.finish(&kernel, reread);
     (o, report.merged(&tile_report))
-}
-
-/// EFTA-protected single-query decode (see the module docs for the
-/// protection layout): the serving sweep over one one-row slice, with the
-/// request's explicit step as the fault-coordinate namespace. Reads
-/// unprotected when `opts` disables both GEMM and softmax protection or
-/// the cache is [`Raw`](crate::protect::ProtectionLevel::Raw).
-pub fn efta_decode(
-    req: &DecodeRequest<'_>,
-    opts: &EftaOptions,
-) -> Result<AttentionOutput, BackendError> {
-    let slice = StreamSlice {
-        stream: StreamId(0),
-        cache: req.cache,
-        q: req.q,
-        window: req.window,
-    };
-    let out = sweep_tiles(&[slice], Some(req.step), req.injector, req.thresholds, opts)?
-        .pop()
-        .expect("one slice in, one output out");
-    Ok(AttentionOutput {
-        o: out.o,
-        timeline: out.timeline,
-        report: out.report,
-        phases: PhaseBreakdown::default(),
-    })
 }
 
 /// Prefill-equivalent oracle for decode tests: row `t` of causal exact
@@ -576,8 +539,8 @@ mod tests {
             fill(&mut cache, &k, &v, t + 1);
             let qt = q_row(&q, t);
             let req = DecodeRequest::new(&cache, &qt).at_step(t);
-            let reference = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
-            let efta = efta_decode(&req, &EftaOptions::optimized()).unwrap();
+            let reference = BackendKind::Efta(EftaOptions::unprotected()).decode(&req);
+            let efta = BackendKind::Efta(EftaOptions::optimized()).decode(&req);
             assert!(efta.report.clean(), "step {t}: {:?}", efta.report);
             for slot in 0..2 {
                 for c in 0..16 {
@@ -611,8 +574,8 @@ mod tests {
             fill(&mut short, &k, &v, vis);
             let qt = q_row(&q, vis - 1);
             let req = DecodeRequest::new(&short, &qt).at_step(vis - 1);
-            let want_ref = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
-            let want_efta = efta_decode(&req, &EftaOptions::optimized()).unwrap();
+            let want_ref = BackendKind::Efta(EftaOptions::unprotected()).decode(&req);
+            let want_efta = BackendKind::Efta(EftaOptions::optimized()).decode(&req);
             for slot in 0..2 {
                 let q_raw = qt.slot_flat(slot).to_f32();
                 let got_ref =
@@ -990,12 +953,12 @@ mod tests {
         fill(&mut cache, &k, &v, 24);
         let qt = q_row(&q, 23);
         let req = DecodeRequest::new(&cache, &qt).at_step(23);
-        let clean = efta_decode(&req, &EftaOptions::optimized()).unwrap();
+        let clean = BackendKind::Efta(EftaOptions::optimized()).decode(&req);
         // Exponent flip in the GEMM I chain of cached column 10 (block 1).
         let inj = SeuInjector::new(FaultSite::GemmIAccum, OpCoord::new(1, 23, 10, 3), 30)
             .at_chain_step(8);
         let req = req.with_injector(&inj);
-        let out = efta_decode(&req, &EftaOptions::optimized()).unwrap();
+        let out = BackendKind::Efta(EftaOptions::optimized()).decode(&req);
         assert_eq!(inj.fired(), 1);
         assert!(out.report.total_detected() > 0, "{:?}", out.report);
         assert!(out.o.max_abs_diff(&clean.o) < 5e-2);
@@ -1055,7 +1018,7 @@ mod tests {
                 let req = DecodeRequest::new(&cache, &qt)
                     .at_step(last)
                     .with_injector(&dec_inj);
-                let decode = efta_decode(&req, opts).unwrap();
+                let decode = BackendKind::Efta(*opts).decode(&req);
                 assert_eq!((pre_inj.fired(), dec_inj.fired()), (1, 1), "{site:?}");
                 assert_eq!(
                     prefill.report, decode.report,
@@ -1072,13 +1035,13 @@ mod tests {
         fill(&mut cache, &k, &v, 20);
         let qt = q_row(&q, 19);
         let clean_req = DecodeRequest::new(&cache, &qt).at_step(19);
-        let clean = efta_decode(&clean_req, &EftaOptions::optimized()).unwrap();
+        let clean = BackendKind::Efta(EftaOptions::optimized()).decode(&clean_req);
 
         let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 7, 3, 0), 14);
         cache.expose(&inj, 0);
         assert_eq!(inj.fired(), 1);
         let req = DecodeRequest::new(&cache, &qt).at_step(19);
-        let protected = efta_decode(&req, &EftaOptions::optimized()).unwrap();
+        let protected = BackendKind::Efta(EftaOptions::optimized()).decode(&req);
         assert!(
             protected.report.cache_detected > 0,
             "{:?}",
@@ -1087,7 +1050,7 @@ mod tests {
         assert!(protected.report.cache_corrected > 0);
         assert!(protected.o.max_abs_diff(&clean.o) < 5e-2);
 
-        let bare = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
+        let bare = BackendKind::Efta(EftaOptions::unprotected()).decode(&req);
         assert!(bare.report.clean());
         assert!(
             bare.o.max_abs_diff(&clean.o) > 1e-2,
@@ -1103,8 +1066,8 @@ mod tests {
         fill(&mut cache, &k, &v, 12);
         let qt = q_row(&q, 11);
         let req = DecodeRequest::new(&cache, &qt).at_step(11);
-        let a = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
-        let b = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
+        let a = BackendKind::Efta(EftaOptions::unprotected()).decode(&req);
+        let b = BackendKind::Efta(EftaOptions::unprotected()).decode(&req);
         assert_eq!(a.o.max_abs_diff(&b.o), 0.0);
     }
 
@@ -1115,7 +1078,7 @@ mod tests {
         fill(&mut cache, &k, &v, 10);
         let qt = q_row(&q, 9);
         let req = DecodeRequest::new(&cache, &qt).at_step(9);
-        let oracle = efta_decode(&req, &EftaOptions::unprotected()).unwrap();
+        let oracle = BackendKind::Efta(EftaOptions::unprotected()).decode(&req);
         for kind in BackendKind::all() {
             let out = kind
                 .try_decode(&req)

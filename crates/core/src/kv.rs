@@ -96,8 +96,8 @@
 //! // An SEU lands in stored K[7][3] of slot 0 between decode steps…
 //! let seu = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 7, 3, 0), 14);
 //! cache.expose(&seu, 0);
-//! // …and the verified read of `Kᵀ` locates and corrects it.
-//! let (_, report) = cache.read_kt_verified(0, 0);
+//! // …and the verified read of block 0 locates and corrects it in `Kᵀ`.
+//! let report = cache.verified_block(0, 0).k_report;
 //! assert_eq!((report.detected, report.corrected, report.uncorrectable), (1, 1, 0));
 //! ```
 
@@ -912,29 +912,6 @@ impl KvCache {
         self.slots[slot][self.resident_index(b)].k_max_norm
     }
 
-    /// Verified read of K block `b` as `Kᵀ`: re-fold the stored columns,
-    /// compare against the append-time checksums, locate and correct
-    /// corrupted elements in the returned copy (storage itself is left
-    /// untouched — see [`scrub`](KvCache::scrub) for in-place repair).
-    pub fn read_kt_verified(&self, slot: usize, b: usize) -> (MatrixF32, KvReadReport) {
-        self.read_verified(slot, b, 0)
-    }
-
-    /// Verified read of V block `b`.
-    pub fn read_v_verified(&self, slot: usize, b: usize) -> (MatrixF32, KvReadReport) {
-        self.read_verified(slot, b, 1)
-    }
-
-    /// Verified read of operand `which` (0 = `Kᵀ`, 1 = V) of block `b`;
-    /// a [`Raw`](ProtectionLevel::Raw) cache reads it raw.
-    fn read_verified(&self, slot: usize, b: usize, which: usize) -> (MatrixF32, KvReadReport) {
-        let (payload, cols, cs) = self.slots[slot][self.resident_index(b)].operands()[which];
-        if !self.level.encodes_metadata() {
-            return (payload.prefix_to_f32(cols), KvReadReport::default());
-        }
-        verify(payload, cols, cs)
-    }
-
     /// Verify block `b` of slot `slot` **once** and expose everything a
     /// sweep tile needs from it: the corrected `Kᵀ`/V payload, the stored
     /// checksum operands, and the append-time max-norm snapshot — the
@@ -943,10 +920,11 @@ impl KvCache {
     /// many chunk rows attributes each physical cache fault to its
     /// stream's report once per sweep, not once per attending row.
     ///
-    /// The payload copies are bit-identical to
-    /// [`read_kt_verified`](KvCache::read_kt_verified) /
-    /// [`read_v_verified`](KvCache::read_v_verified) — same stored rows
-    /// through the same deterministic locate-and-correct pass. A clean read
+    /// The payload copies are corrected, not storage: storage itself is
+    /// left untouched (see [`scrub`](KvCache::scrub) for in-place repair),
+    /// so every read of an unchanged block returns bit-identical payload —
+    /// the same stored rows through the same deterministic
+    /// locate-and-correct pass. A clean read
     /// folds each operand's `w1` lanes once and compares them; the `w2`
     /// fold that locates an error is built only for an operand whose `w1`
     /// lanes mismatch.
@@ -1120,6 +1098,8 @@ fn verify(payload: &MatrixF16, cols: usize, cs: &StridedChecksums) -> (MatrixF32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{AttentionBackend, BackendKind};
+    use crate::efta::EftaOptions;
     use ft_num::rng::normal_tensor_f16;
     use ft_sim::{BerInjector, NoFaults, OpCoord, SeuInjector};
 
@@ -1190,12 +1170,12 @@ mod tests {
         let cache = filled_cache(13, 8);
         for slot in 0..2 {
             for b in 0..cache.num_blocks() {
-                let (k, rep) = cache.read_kt_verified(slot, b);
-                assert!(rep.clean(), "{rep:?}");
-                assert_eq!(k, cache.read_kt_raw(slot, b));
-                let (v, rep) = cache.read_v_verified(slot, b);
-                assert!(rep.clean(), "{rep:?}");
-                assert_eq!(v, cache.read_v_raw(slot, b));
+                let vb = cache.verified_block(slot, b);
+                for rep in [vb.k_report, vb.v_report] {
+                    assert!(rep.clean(), "{rep:?}");
+                }
+                assert_eq!(vb.kt, cache.read_kt_raw(slot, b));
+                assert_eq!(vb.v, cache.read_v_raw(slot, b));
             }
         }
     }
@@ -1209,7 +1189,11 @@ mod tests {
         cache.expose(&inj, 0);
         assert_eq!(inj.fired(), 1);
         assert!(cache.read_kt_raw(1, 1).max_abs_diff(&truth) > 1e-3);
-        let (k, rep) = cache.read_kt_verified(1, 1);
+        let VerifiedBlock {
+            kt: k,
+            k_report: rep,
+            ..
+        } = cache.verified_block(1, 1);
         assert_eq!(rep.detected, 1);
         assert_eq!(rep.corrected, 1);
         assert_eq!(rep.uncorrectable, 0);
@@ -1223,7 +1207,9 @@ mod tests {
         let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 3, 9, 1), 14);
         cache.expose(&inj, 0);
         assert_eq!(inj.fired(), 1);
-        let (v, rep) = cache.read_v_verified(0, 0);
+        let VerifiedBlock {
+            v, v_report: rep, ..
+        } = cache.verified_block(0, 0);
         assert_eq!((rep.detected, rep.corrected), (1, 1));
         assert!(v.max_abs_diff(&truth) < 1e-5);
     }
@@ -1252,7 +1238,7 @@ mod tests {
         let d = 2.0f32;
         bump_k(&mut cache, 0, 4, d);
         bump_k(&mut cache, 8, 4, d);
-        let (_, rep) = cache.read_kt_verified(0, 0);
+        let VerifiedBlock { k_report: rep, .. } = cache.verified_block(0, 0);
         assert!(rep.detected >= 1);
         assert!(rep.uncorrectable >= 1, "{rep:?}");
     }
@@ -1274,14 +1260,14 @@ mod tests {
         assert!(rep.uncorrectable >= 1, "{rep:?}");
         assert!(cache.poisoned() >= 1);
         // The re-encoded block now verifies clean (laundered)…
-        let (_, rep) = cache.read_kt_verified(0, 0);
+        let VerifiedBlock { k_report: rep, .. } = cache.verified_block(0, 0);
         assert!(rep.clean(), "{rep:?}");
         // …but the sticky signal persists, and the protected decode path
         // re-surfaces it on every subsequent step's report.
         assert!(cache.poisoned() >= 1);
         let q = normal_tensor_f16(802, 1, 2, 1, 16, 0.6);
         let req = crate::decode::DecodeRequest::new(&cache, &q);
-        let out = crate::decode::efta_decode(&req, &crate::efta::EftaOptions::optimized()).unwrap();
+        let out = BackendKind::Efta(EftaOptions::optimized()).decode(&req);
         assert!(out.report.cache_uncorrectable >= 1, "{:?}", out.report);
         assert!(
             !out.report.clean(),
@@ -1355,7 +1341,11 @@ mod tests {
         let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 12, 5, 0), 13);
         cache.expose(&inj, 0);
         assert_eq!(inj.fired(), 1, "global row 12 is resident in block 1");
-        let (k, rep) = cache.read_kt_verified(0, 1);
+        let VerifiedBlock {
+            kt: k,
+            k_report: rep,
+            ..
+        } = cache.verified_block(0, 1);
         assert_eq!((rep.detected, rep.corrected, rep.uncorrectable), (1, 1, 0));
         assert!(k.max_abs_diff(&truth) < 1e-5);
         // A coordinate inside the evicted range no longer fires.
@@ -1384,7 +1374,7 @@ mod tests {
         // …and decode over the remaining window reports clean.
         let q = normal_tensor_f16(860, 1, 2, 1, 16, 0.6);
         let req = crate::decode::DecodeRequest::new(&cache, &q);
-        let out = crate::decode::efta_decode(&req, &crate::efta::EftaOptions::optimized()).unwrap();
+        let out = BackendKind::Efta(EftaOptions::optimized()).decode(&req);
         assert!(out.report.clean(), "{:?}", out.report);
     }
 
@@ -1413,11 +1403,11 @@ mod tests {
         assert_eq!(cache.poisoned_attended(Some(16)), 0);
         // The EFTA decode report follows the same scoping.
         let q = normal_tensor_f16(950, 1, 2, 1, 16, 0.6);
-        let opts = crate::efta::EftaOptions::optimized();
+        let efta = BackendKind::Efta(EftaOptions::optimized());
         let req = crate::decode::DecodeRequest::new(&cache, &q);
-        let full = crate::decode::efta_decode(&req, &opts).unwrap();
+        let full = efta.decode(&req);
         assert!(full.report.cache_uncorrectable >= 1, "{:?}", full.report);
-        let windowed = crate::decode::efta_decode(&req.with_window(Some(16)), &opts).unwrap();
+        let windowed = efta.decode(&req.with_window(Some(16)));
         assert!(windowed.report.clean(), "{:?}", windowed.report);
         // Eviction retires the mark entirely.
         assert_eq!(cache.evict_front(1), 1);
@@ -1446,7 +1436,7 @@ mod tests {
         // Don't launder: scrub-then-decode still reports the damage.
         let q = normal_tensor_f16(870, 1, 2, 1, 16, 0.6);
         let req = crate::decode::DecodeRequest::new(&cache, &q);
-        let out = crate::decode::efta_decode(&req, &crate::efta::EftaOptions::optimized()).unwrap();
+        let out = BackendKind::Efta(EftaOptions::optimized()).decode(&req);
         assert!(out.report.cache_uncorrectable >= 1, "{:?}", out.report);
         assert!(!out.report.clean());
     }
@@ -1474,12 +1464,12 @@ mod tests {
         });
         let v = normal_tensor_f16(300, 1, 2, 1, 16, 0.8);
         assert!(cache.append(&bad_k, &v).clean(), "non-finite row appends");
-        let (_, rep) = cache.read_kt_verified(0, 0);
+        let VerifiedBlock { k_report: rep, .. } = cache.verified_block(0, 0);
         assert!(
             rep.clean(),
             "re-fold reproduces the stored NaN bits: {rep:?}"
         );
-        let (_, rep) = cache.read_v_verified(1, 0);
+        let VerifiedBlock { v_report: rep, .. } = cache.verified_block(1, 0);
         assert!(rep.clean(), "{rep:?}");
         // Further appends to the same ragged block re-verify it — still no
         // false alarms, and nothing lands in the sticky counter.
@@ -1496,7 +1486,7 @@ mod tests {
         // damage involving non-finite state.
         // The appended Inf element, K[3][3].
         cache.slots[0][0].kt.set(3, 3, ft_num::F16::from_f32(9.0));
-        let (_, rep) = cache.read_kt_verified(0, 0);
+        let VerifiedBlock { k_report: rep, .. } = cache.verified_block(0, 0);
         assert!(rep.detected >= 1, "{rep:?}");
         assert!(rep.uncorrectable >= 1, "{rep:?}");
     }
@@ -1880,14 +1870,13 @@ mod protect_tests {
         let bd = cache.size_breakdown();
         assert_eq!(bd.metadata_bytes(), 0);
         assert_eq!(bd.payload_bytes, cache.size_bytes());
-        // Corruption flows through unflagged: raw-equal verified reads,
+        // Corruption flows through unflagged: the raw read carries it,
         // no-op scrub, no poison — and no recovery trigger ever.
+        let truth = cache.read_kt_raw(0, 0);
         let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, 3, 2, 0), 13);
         cache.expose(&inj, 0);
         assert_eq!(inj.fired(), 1, "the payload is still a fault surface");
-        let (k, rep) = cache.read_kt_verified(0, 0);
-        assert!(rep.clean());
-        assert_eq!(k, cache.read_kt_raw(0, 0));
+        assert_ne!(cache.read_kt_raw(0, 0), truth);
         assert!(cache.scrub().clean());
         assert_eq!(cache.poisoned(), 0);
         assert_eq!(cache.poisoned_attended(None), 0);

@@ -6,9 +6,9 @@
 //! crate's `ServeSession`). It holds three concerns, one file each:
 //!
 //! * `sweep.rs`, the kernel side — [`StreamSlice`] / [`StreamSweepOutput`]
-//!   and [`sweep_efta`], which runs every `(stream, slot)` tile of every
-//!   stream's chunk through one parallel fan-out and attributes fault
-//!   events to per-stream [`FtReport`](crate::types::FtReport)s.
+//!   and `sweep_tiles`, the one parallel fan-out over every stream's
+//!   `(stream, slot)` tiles behind `BackendKind`'s decode methods, with
+//!   fault events attributed to per-stream [`FtReport`](crate::types::FtReport)s.
 //! * `request.rs`, the typed request/response vocabulary —
 //!   [`GenerationRequest`] and its [`check`](GenerationRequest::check),
 //!   [`SamplingMode`], [`RecoveryPolicy`] and its pure
@@ -28,4 +28,4 @@ pub use request::{
 };
 pub use scheduler::{DecodeScheduler, PlanItem, SchedulerConfig, StreamState};
 pub(crate) use sweep::sweep_tiles;
-pub use sweep::{sweep_efta, StreamSlice, StreamSweepOutput};
+pub use sweep::{StreamSlice, StreamSweepOutput};

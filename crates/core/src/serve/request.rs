@@ -53,38 +53,29 @@ pub enum SamplingMode {
 ///
 /// Recovery is a *per-request* policy, not an engine-wide switch (the
 /// ApproxABFT observation: workloads price a wrong token very differently),
-/// and the bounded re-execution variant is the ALBERTA recipe applied to
-/// serving: re-run the damaged unit — here the stream's whole cache, by
-/// chunked re-prefill of everything already emitted — at most `max_attempts`
-/// times before giving up.
+/// and its attempt budget is the ALBERTA recipe applied to serving:
+/// re-execute the damaged unit at most `max_attempts` times before giving
+/// up.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// Report the damage in the stream's fault history and keep decoding
-    /// (the pre-lifecycle behavior; tokens may be wrong).
+    /// (tokens may be wrong).
     #[default]
     None,
-    /// Drop the stream's cache and re-prefill its prompt *plus every token
-    /// already emitted*, then resume decoding — at most `max_attempts`
-    /// times, after which the stream finishes with
-    /// [`FinishReason::AbortedPoisoned`]. Deterministic sampling makes a
-    /// successful recovery bit-identical to an undamaged run.
-    ReprefillBounded {
-        /// Re-prefill attempts before the stream is aborted.
-        max_attempts: u32,
-    },
-    /// Like [`ReprefillBounded`](RecoveryPolicy::ReprefillBounded), but
-    /// exploit the per-block sticky poison marks to *locate* the damage
-    /// first: truncate the cache to the last clean block boundary before
-    /// the first poisoned attended block (`KvCache::truncate_to` — whole
-    /// tail blocks drop O(1), poison marks retiring with them) and
-    /// re-prefill only the history suffix, so recovery cost is
-    /// proportional to the attended window rather than the whole emitted
-    /// history. Falls back to the full re-prefill when the damage cannot
-    /// be exploited partially — the poisoned block is the first attended
-    /// block, the suffix's own attention windows would reach behind the
-    /// eviction frontier, or the sweep saw unrepairable damage that no
-    /// sticky block mark localises. Either way a successful recovery is
-    /// bit-identical to an undamaged run.
+    /// Use the per-block sticky poison marks to *locate* the damage:
+    /// truncate the cache to the last clean block boundary before the
+    /// first poisoned attended block (`KvCache::truncate_to` — whole tail
+    /// blocks drop O(1), poison marks retiring with them) and re-prefill
+    /// only the history suffix, so recovery cost is proportional to the
+    /// attended window rather than the whole emitted history. Falls back
+    /// to dropping the cache and re-prefilling the prompt *plus every
+    /// token already emitted* when the damage cannot be rolled back
+    /// partially — the poisoned block is the first attended block, the
+    /// suffix's own attention windows would reach behind the eviction
+    /// frontier, or the sweep saw unrepairable damage that no sticky block
+    /// mark localises. After `max_attempts` recoveries the stream finishes
+    /// with [`FinishReason::AbortedPoisoned`]. Deterministic sampling makes
+    /// a successful recovery bit-identical to an undamaged run.
     ReprefillPartial {
         /// Recovery attempts (partial or fallback-full) before the stream
         /// is aborted.
@@ -102,25 +93,23 @@ impl RecoveryPolicy {
     ///
     /// A clean stream continues, and so does every stream under
     /// [`RecoveryPolicy::None`]. A poisoned stream whose budget is spent
-    /// aborts. Otherwise the partial policy replays the suffix past its
-    /// target when there is one, and every other case replays the whole
-    /// emitted history.
+    /// aborts. Otherwise the stream replays the suffix past its target
+    /// when there is one, and the whole emitted history when there is not.
     pub fn decide(
         self,
         attempts: u32,
         poisoned: u64,
         rollback_target: Option<usize>,
     ) -> RecoveryAction {
-        let (max_attempts, partial) = match self {
+        let max_attempts = match self {
             RecoveryPolicy::None => return RecoveryAction::Continue,
-            RecoveryPolicy::ReprefillBounded { max_attempts } => (max_attempts, false),
-            RecoveryPolicy::ReprefillPartial { max_attempts } => (max_attempts, true),
+            RecoveryPolicy::ReprefillPartial { max_attempts } => max_attempts,
         };
         match rollback_target {
             _ if poisoned == 0 => RecoveryAction::Continue,
             _ if attempts >= max_attempts => RecoveryAction::Abort { attempts },
-            Some(p) if partial => RecoveryAction::ReplaySuffix(p),
-            _ => RecoveryAction::ReplayAll,
+            Some(p) => RecoveryAction::ReplaySuffix(p),
+            None => RecoveryAction::ReplayAll,
         }
     }
 }
@@ -253,11 +242,10 @@ pub enum FinishReason {
     /// `max_seq`) was met without any recovery.
     MaxTokens,
     /// The token budget was met after one or more re-prefill recoveries
-    /// ([`RecoveryPolicy::ReprefillBounded`] or
-    /// [`RecoveryPolicy::ReprefillPartial`]).
+    /// ([`RecoveryPolicy::ReprefillPartial`]).
     Recovered,
     /// Unrepairable cache damage persisted through `attempts` re-prefills
-    /// and the bounded policy gave up; the token history may be wrong from
+    /// and the recovery policy gave up; the token history may be wrong from
     /// the last poisoned position onward.
     AbortedPoisoned {
         /// Re-prefill attempts consumed before aborting.
@@ -289,7 +277,7 @@ impl core::fmt::Display for FinishReason {
 /// let req = GenerationRequest::new(vec![1, 2, 3], 16)
 ///     .with_window(64)
 ///     .with_sampling(SamplingMode::Greedy)
-///     .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 2 });
+///     .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 2 });
 /// assert_eq!(req.max_new_tokens, 16);
 /// assert_eq!(req.window, Some(64));
 /// ```
@@ -299,8 +287,8 @@ pub struct GenerationRequest {
     pub prompt: Vec<u32>,
     /// Sampled continuation budget.
     pub max_new_tokens: usize,
-    /// Per-stream sliding attention window (`None` = attend everything, or
-    /// inherit the model default when submitted through a serving engine).
+    /// Per-stream sliding attention window (`None` = attend and retain
+    /// everything): the only window a served stream has.
     pub window: Option<usize>,
     /// Token selection rule.
     pub sampling: SamplingMode,
@@ -638,7 +626,6 @@ mod tests {
     fn recovery_decision_table() {
         use RecoveryAction::{Abort, Continue, ReplayAll, ReplaySuffix};
         let none = RecoveryPolicy::None;
-        let bounded = RecoveryPolicy::ReprefillBounded { max_attempts: 2 };
         let partial = RecoveryPolicy::ReprefillPartial { max_attempts: 2 };
         let spent = Abort { attempts: 2 };
         #[rustfmt::skip]
@@ -652,14 +639,6 @@ mod tests {
             (none, 2, 0, Some(32), Continue),
             (none, 2, 3, None, Continue),
             (none, 2, 3, Some(32), Continue),
-            (bounded, 1, 0, None, Continue),
-            (bounded, 1, 0, Some(32), Continue),
-            (bounded, 1, 3, None, ReplayAll),
-            (bounded, 1, 3, Some(32), ReplayAll),
-            (bounded, 2, 0, None, Continue),
-            (bounded, 2, 0, Some(32), Continue),
-            (bounded, 2, 3, None, spent),
-            (bounded, 2, 3, Some(32), spent),
             (partial, 1, 0, None, Continue),
             (partial, 1, 0, Some(32), Continue),
             (partial, 1, 3, None, ReplayAll),

@@ -79,7 +79,7 @@ pub struct StreamState {
     /// Tokens of the current prefill source (the leading prefill-length
     /// tokens of [`tokens`](StreamState::tokens) — the prompt on a fresh
     /// stream, the whole emitted history after a recovery) fed into the
-    /// *current* cache so far. Reset to 0 by [`DecodeScheduler::requeue`].
+    /// *current* cache so far. Reset to the kept rows by [`DecodeScheduler::requeue`].
     pub fed: usize,
     /// Tokens sampled so far.
     pub generated: Vec<u32>,
@@ -641,26 +641,18 @@ impl DecodeScheduler {
     /// Recovery requeue (instead of [`record`](DecodeScheduler::record)):
     /// the engine found the stream's attended cache poisoned this sweep,
     /// discarded whatever the sweep produced (a token sampled over damaged
-    /// state must not enter the history), and dropped the stream's cache.
-    /// The stream keeps its slot; its whole emitted history — prompt plus
-    /// every *previously* recorded token — becomes the new prefill source,
-    /// so the next plans feed it back through chunked prefill and decode
-    /// resumes where it left off. Returns the 1-based attempt number.
+    /// state must not enter the history), and rolled the stream's cache
+    /// back to `keep` rows — a clean block boundary before the first
+    /// poisoned attended block, or 0 when it dropped the cache (see
+    /// [`RecoveryPolicy::ReprefillPartial`]). The stream keeps its slot;
+    /// the history suffix `keep..` — prompt plus every *previously*
+    /// recorded token — becomes the new prefill source, so the next plans
+    /// feed it back through chunked prefill and decode resumes where it
+    /// left off. Returns the 1-based attempt number.
     ///
     /// The sweep's fault ledger is still folded in: the detection that
     /// triggered the recovery is part of the stream's history.
-    pub fn requeue(&mut self, stream: StreamId, report: &FtReport) -> u32 {
-        self.requeue_suffix(stream, report, 0)
-    }
-
-    /// Partial-recovery variant of [`requeue`](DecodeScheduler::requeue):
-    /// the engine rolled the stream's cache back to `keep` rows (a clean
-    /// block boundary before the first poisoned attended block — see
-    /// [`RecoveryPolicy::ReprefillPartial`]), so only the history suffix
-    /// `keep..` needs re-feeding; the kept prefix stays materialized.
-    /// `keep = 0` is exactly the full requeue. Returns the 1-based attempt
-    /// number.
-    pub fn requeue_suffix(&mut self, stream: StreamId, report: &FtReport, keep: usize) -> u32 {
+    pub fn requeue(&mut self, stream: StreamId, report: &FtReport, keep: usize) -> u32 {
         let idx = self.active_index(stream);
         let s = &mut self.active[idx];
         assert!(s.inflight, "{stream}: requeue without a planned sweep");
@@ -903,7 +895,7 @@ mod tests {
         let a = sched.submit_request(
             GenerationRequest::new(vec![1, 2, 3], 3)
                 .with_window(8)
-                .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 2 }),
+                .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 2 }),
         );
         let plan = sched.plan();
         assert_eq!(plan[0].feed, vec![1, 2, 3]);
@@ -917,7 +909,7 @@ mod tests {
         // of recording — the token sampled over damaged state is discarded.
         let plan = sched.plan();
         assert_eq!(plan[0].feed, vec![11]);
-        assert_eq!(sched.requeue(a, &FtReport::default()), 1);
+        assert_eq!(sched.requeue(a, &FtReport::default(), 0), 1);
         assert_eq!(sched.active_stream(a).unwrap().recoveries, 1);
         // Re-prefill: prompt plus both *recorded* tokens, in chunks.
         let plan = sched.plan();
@@ -943,7 +935,7 @@ mod tests {
         let mut sched = DecodeScheduler::new(SchedulerConfig::default());
         let a = sched.submit_request(
             GenerationRequest::new(vec![1, 2], 5)
-                .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 1 }),
+                .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 1 }),
         );
         let plan = sched.plan();
         assert_eq!(plan.len(), 1);
@@ -1439,7 +1431,7 @@ mod tests {
     }
 
     #[test]
-    fn requeue_suffix_feeds_only_the_kept_tail() {
+    fn requeue_feeds_only_the_kept_tail() {
         let mut sched = DecodeScheduler::new(SchedulerConfig {
             prefill_chunk: 8,
             ..Default::default()
@@ -1449,7 +1441,7 @@ mod tests {
         sched.record(a, Some(50), &FtReport::default());
         // Poison located late: keep 4 rows, re-feed rows 4..7 only.
         sched.plan();
-        let attempt = sched.requeue_suffix(a, &FtReport::default(), 4);
+        let attempt = sched.requeue(a, &FtReport::default(), 4);
         assert_eq!(attempt, 1);
         let plan = sched.plan();
         assert_eq!(plan[0].feed, vec![5, 6, 50]);
@@ -1459,7 +1451,7 @@ mod tests {
         sched.record(a, Some(51), &FtReport::default());
         // Full requeue for comparison: the whole history re-feeds.
         sched.plan();
-        sched.requeue(a, &FtReport::default());
+        sched.requeue(a, &FtReport::default(), 0);
         let s = sched.active_stream(a).unwrap();
         assert_eq!(s.recovery_fed, 3 + 8, "full requeue re-feeds everything");
     }

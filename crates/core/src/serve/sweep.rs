@@ -7,8 +7,9 @@
 //!   chunk for a stream still consuming its prompt); row `r` attends the
 //!   causal prefix `0 .. cache.len() − c + r + 1` of that stream's own
 //!   [`KvCache`].
-//! * [`sweep_efta`] — the one decode path, under protecting and
-//!   unprotected options alike: every `(stream, slot)` **tile** of every
+//! * `sweep_tiles`, behind [`AttentionBackend::try_decode_sweep`] — the
+//!   one decode path, under protecting and unprotected options alike:
+//!   every `(stream, slot)` **tile** of every
 //!   slice is flattened into **one** parallel sweep. A tile spans all of
 //!   its stream's chunk rows, reads and verifies each attended cache block
 //!   once, and runs every row's online-softmax accumulation against the
@@ -19,10 +20,11 @@
 //!   once per sweep. Each row's accumulation order inside the tile is the
 //!   one a one-row tile over its own causal prefix runs, so a scheduled
 //!   stream is bit-identical to the same stream decoded alone — and
-//!   single-query decode ([`efta_decode`]) *is* this sweep over one one-row
-//!   slice.
+//!   single-query decode ([`AttentionBackend::try_decode`]) *is* this sweep
+//!   over one one-row slice.
 //!
-//! [`efta_decode`]: crate::decode::efta_decode
+//! [`AttentionBackend::try_decode_sweep`]: crate::backend::AttentionBackend::try_decode_sweep
+//! [`AttentionBackend::try_decode`]: crate::backend::AttentionBackend::try_decode
 
 use super::request::StreamId;
 use crate::backend::BackendError;
@@ -167,32 +169,24 @@ fn assemble(
     out
 }
 
-/// Batched sweep: one multi-row tile per `(stream, slot)` work unit. Under
-/// protecting options each tile verifies every attended cache block of its
-/// stream **once** per sweep ([`KvCache::verified_block`]), exposes the
-/// corrected payload and stored checksum operands to all chunk rows, and
-/// runs the protected per-row pipeline against the shared buffer; fault
-/// events land in that stream's [`FtReport`] only, with per-block cache
-/// events attributed once per sweep. When `opts` disables both GEMM and
-/// softmax protection every tile reads the cache raw and runs plain online
-/// softmax (see `ft_core::decode::reference_decode_tile`), ignoring
-/// `thresholds`; a [`Raw`](crate::protect::ProtectionLevel::Raw) stream's
-/// slice (alone) reads unprotected inside a protected sweep.
-pub fn sweep_efta(
-    slices: &[StreamSlice<'_>],
-    inj: &dyn FaultInjector,
-    thresholds: Option<Thresholds>,
-    opts: &EftaOptions,
-) -> Result<Vec<StreamSweepOutput>, BackendError> {
-    sweep_tiles(slices, None, inj, thresholds, opts)
-}
-
 /// The one decode body: every `(stream, slot)` tile of every slice through
 /// one parallel fan-out. Chunk row `r` of a slice attends the causal prefix
 /// `0 .. base + r + 1` at fault-coordinate step `step0 + r`, where `step0`
 /// defaults to the slice's `base` (the sweep convention) and single-query
 /// decode passes its request's explicit
 /// [`DecodeRequest::step`](crate::decode::DecodeRequest::step).
+///
+/// Under protecting options each tile verifies every attended cache block
+/// of its stream **once** per sweep ([`KvCache::verified_block`]), exposes
+/// the corrected payload and stored checksum operands to all chunk rows,
+/// and runs the protected per-row pipeline against the shared buffer
+/// (`thresholds`, when given, replacing `opts.thresholds`); fault events
+/// land in that stream's [`FtReport`] only, with per-block cache events
+/// attributed once per sweep. When `opts` disables both GEMM and softmax
+/// protection every tile reads the cache raw and runs plain online softmax
+/// (see `ft_core::decode::reference_decode_tile`), ignoring `thresholds`;
+/// a [`Raw`](crate::protect::ProtectionLevel::Raw) stream's slice (alone)
+/// reads unprotected inside a protected sweep.
 pub(crate) fn sweep_tiles(
     slices: &[StreamSlice<'_>],
     step0: Option<usize>,
@@ -262,6 +256,7 @@ fn efta_sweep_prologue(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{AttentionBackend, BackendKind};
     use ft_num::rng::normal_tensor_f16;
 
     fn filled_cache(tokens: usize, seed: u64) -> KvCache {
@@ -275,44 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_independent_decode_per_stream() {
-        use crate::decode::{efta_decode, DecodeRequest};
-        // Three streams at ragged, different lengths, single-row chunks.
-        let caches = [
-            filled_cache(5, 100),
-            filled_cache(12, 200),
-            filled_cache(21, 300),
-        ];
-        let qs: Vec<_> = (0..3)
-            .map(|i| normal_tensor_f16(900 + i, 1, 2, 1, 16, 0.6))
-            .collect();
-        let slices: Vec<StreamSlice> = caches
-            .iter()
-            .zip(&qs)
-            .enumerate()
-            .map(|(i, (cache, q))| StreamSlice {
-                stream: StreamId(i as u64),
-                cache,
-                q,
-                window: None,
-            })
-            .collect();
-        let opts = EftaOptions::optimized();
-        let outs = sweep_efta(&slices, &ft_sim::NoFaults, None, &opts).unwrap();
-        for (i, out) in outs.iter().enumerate() {
-            let want = efta_decode(&DecodeRequest::new(&caches[i], &qs[i]), &opts).unwrap();
-            assert_eq!(
-                out.o.max_abs_diff(&want.o),
-                0.0,
-                "stream {i}: sweep output diverged from independent decode"
-            );
-            assert!(out.report.clean());
-        }
-    }
-
-    #[test]
     fn chunked_prefill_rows_match_incremental_steps() {
-        use crate::decode::{efta_decode, DecodeRequest};
+        use crate::decode::DecodeRequest;
         // A 4-row chunk appended to a 9-row cache must reproduce the four
         // single-row decode steps of an incrementally grown cache.
         let mut incremental = filled_cache(9, 400);
@@ -336,12 +295,12 @@ mod tests {
             q: &q_chunk,
             window: None,
         }];
-        let opts = EftaOptions::optimized();
-        let out = &sweep_efta(&slices, &ft_sim::NoFaults, None, &opts).unwrap()[0];
+        let efta = BackendKind::Efta(EftaOptions::optimized());
+        let out = &efta.decode_sweep(&slices, &ft_sim::NoFaults, None)[0];
         assert!(out.report.clean());
         for (r, (kr, (vr, qr))) in k_rows.iter().zip(v_rows.iter().zip(&q_rows)).enumerate() {
             incremental.append(kr, vr);
-            let want = efta_decode(&DecodeRequest::new(&incremental, qr), &opts).unwrap();
+            let want = efta.decode(&DecodeRequest::new(&incremental, qr));
             for slot in 0..2 {
                 for c in 0..16 {
                     assert_eq!(
@@ -380,7 +339,11 @@ mod tests {
                 window: None,
             },
         ];
-        let outs = sweep_efta(&slices, &ft_sim::NoFaults, None, &EftaOptions::optimized()).unwrap();
+        let outs = BackendKind::Efta(EftaOptions::optimized()).decode_sweep(
+            &slices,
+            &ft_sim::NoFaults,
+            None,
+        );
         assert!(outs[0].report.clean(), "{:?}", outs[0].report);
         assert_eq!(outs[1].stream, StreamId(7));
         assert!(outs[1].report.cache_detected > 0, "{:?}", outs[1].report);

@@ -226,8 +226,9 @@ proptest! {
         // Every surviving row verifies clean against its checksums.
         for slot in 0..cache.num_slots() {
             for b in cache.start_block()..cache.num_blocks() {
-                prop_assert!(cache.read_kt_verified(slot, b).1.clean(), "K s{slot} b{b}");
-                prop_assert!(cache.read_v_verified(slot, b).1.clean(), "V s{slot} b{b}");
+                let vb = cache.verified_block(slot, b);
+                prop_assert!(vb.k_report.clean(), "K s{slot} b{b}");
+                prop_assert!(vb.v_report.clean(), "V s{slot} b{b}");
             }
         }
     }
@@ -294,7 +295,7 @@ fn truncate_to_frontier_empties_residency_and_appends_resume() {
     assert_eq!(cache.poisoned(), 0);
     for slot in 0..cache.num_slots() {
         for b in cache.start_block()..cache.num_blocks() {
-            assert!(cache.read_kt_verified(slot, b).1.clean());
+            assert!(cache.verified_block(slot, b).k_report.clean());
         }
     }
 }

@@ -301,8 +301,7 @@ impl Outbox {
         let total = (req.prompt.len().saturating_add(req.max_new_tokens)).min(max_seq);
         let attempts = match req.recovery {
             RecoveryPolicy::None => 0,
-            RecoveryPolicy::ReprefillBounded { max_attempts }
-            | RecoveryPolicy::ReprefillPartial { max_attempts } => max_attempts as usize,
+            RecoveryPolicy::ReprefillPartial { max_attempts } => max_attempts as usize,
         };
         let sweeps = 1 + (1 + attempts) * total.div_ceil(prefill_chunk);
         // A sweep commits at most the tokens left in the budget.
@@ -565,7 +564,6 @@ pub struct Fleet {
     engine: EngineConfig,
     admission: Admission,
     max_seq: usize,
-    default_window: Option<usize>,
 }
 
 impl Fleet {
@@ -621,7 +619,6 @@ impl Fleet {
             engine: cfg.engine,
             admission: model.admission(),
             max_seq: model.config.max_seq,
-            default_window: model.window(),
         }
     }
 
@@ -667,8 +664,7 @@ impl Fleet {
     fn project(&self, req: &GenerationRequest) -> u64 {
         let prompt = req.prompt.len(); // ≤ max_seq: `try_submit` checked
         let rows = prompt + req.max_new_tokens.min(self.max_seq - prompt);
-        self.admission
-            .bytes(rows, req.window.or(self.default_window))
+        self.admission.bytes(rows, req.window)
     }
 
     /// Snapshot the live per-shard ledgers without stopping the fleet.
@@ -1405,7 +1401,7 @@ mod tests {
             0,
             1,
             GenerationRequest::new(long.clone(), new)
-                .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 3 }),
+                .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 3 }),
         );
         steal_midflight(&mut fleet);
         let reports = fleet.shutdown();

@@ -18,9 +18,9 @@
 //! [`GenerationRequest`]s (per-stream window, sampling mode, recovery
 //! policy), each sweep emits [`EngineEvent`]s, and retired streams carry a
 //! [`FinishReason`]. The headline recovery behavior —
-//! [`RecoveryPolicy::ReprefillBounded`] — closes the paper's
+//! [`RecoveryPolicy::ReprefillPartial`] — closes the paper's
 //! detect → correct → *recover* loop: a stream whose attended cache window
-//! is poisoned is re-prefilled (prompt plus already-emitted tokens) and
+//! is poisoned re-prefills its history past the last clean cache block and
 //! resumes bit-identically to an undamaged run.
 //! [`TransformerModel::generate`] is the session's one-stream special
 //! case, and [`TransformerModel::decode_step`] remains the explicit

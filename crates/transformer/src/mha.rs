@@ -34,20 +34,6 @@ pub struct MultiHeadAttention {
     /// too for the two to produce the same activations. Unmasked prefill
     /// (the paper's benchmark setting) remains the default.
     pub causal: bool,
-    /// *Default* sliding-window attention for the decode paths: each step
-    /// attends only the cache blocks holding the most recent `window` rows
-    /// (block-granular), and storage behind the window is front-evicted
-    /// *before* each append — bounded cache memory per stream. `None`
-    /// (the default) attends and retains the full history.
-    ///
-    /// Since the typed-request redesign the window is a *per-stream*
-    /// property: the batched serving path
-    /// ([`forward_decode_batch`](MultiHeadAttention::forward_decode_batch))
-    /// takes one window per stream (resolved by the engine from each
-    /// `GenerationRequest`, with this field as the default); single-stream
-    /// `TransformerModel::decode_step` feeds this field as its one
-    /// stream's window. Decode-only: the prefill path ignores it.
-    pub window: Option<usize>,
     /// Rows per KV-cache block ([`KvCache::block`]); also the granularity
     /// of sliding-window eviction. Defaults to the paper's 64-row CTA
     /// tile; benches and tests shrink it to exercise eviction at small
@@ -70,7 +56,6 @@ impl MultiHeadAttention {
             heads,
             kernel,
             causal: false,
-            window: None,
             cache_block: DEFAULT_CACHE_BLOCK,
         }
     }
@@ -168,12 +153,10 @@ impl MultiHeadAttention {
     /// ([`Linear::forward_stacked`]), so every stream sees exactly the
     /// events its own per-stream projections would.
     ///
-    /// `windows[i]` is stream `i`'s sliding attention window (a per-stream
-    /// request property; the serving engine resolves it from each
-    /// `GenerationRequest`, falling back to the module-level
-    /// [`window`](MultiHeadAttention::window) default): it drives both that
-    /// stream's pre-append storage eviction and its rows'
-    /// [`StreamSlice::window`] in the kernel sweep.
+    /// `windows[i]` is stream `i`'s sliding attention window (its
+    /// `GenerationRequest::window`): it drives both that stream's
+    /// pre-append storage eviction and its rows' [`StreamSlice::window`] in
+    /// the kernel sweep.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_decode_batch<I: FaultInjector>(
         &self,

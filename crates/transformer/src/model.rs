@@ -158,32 +158,6 @@ impl TransformerModel {
         self
     }
 
-    /// *Default* sliding-window attention for the decode paths: each step
-    /// attends only the cache blocks holding the most recent `window`
-    /// rows, and storage behind the window is front-evicted before each
-    /// append — per-stream cache memory is bounded by roughly
-    /// `window + cache_block` rows per layer instead of growing with the
-    /// sequence. Token-at-a-time decode, chunked prefill, and scheduled
-    /// serving all compute the same windowed function (pinned by
-    /// `tests/eviction_equivalence.rs`). Decode-only: the prefill path is
-    /// unaffected.
-    ///
-    /// Since the typed-request redesign the window is a **per-stream**
-    /// property: this builder is the compatibility shim that sets the
-    /// default a [`GenerationRequest`] without its own
-    /// [`window`](ft_core::serve::GenerationRequest::window) inherits at
-    /// [`ServeSession::submit_request`] time. Requests that do set one
-    /// override it, so one session can serve full-attention and windowed
-    /// streams side by side. [`TransformerModel::decode_step`] (the raw
-    /// token-at-a-time loop, which has no request) always uses the default.
-    pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "a zero-row window cannot serve decode");
-        for b in &mut self.blocks {
-            b.mha.window = Some(window);
-        }
-        self
-    }
-
     /// Rows per KV-cache block on every block's attention (the granularity
     /// of sliding-window eviction; default 64, the paper's CTA tile).
     /// Affects caches created *after* the call ([`new_cache`]).
@@ -195,12 +169,6 @@ impl TransformerModel {
             b.mha.cache_block = cache_block;
         }
         self
-    }
-
-    /// The decode sliding window configured via
-    /// [`with_window`](TransformerModel::with_window), if any.
-    pub fn window(&self) -> Option<usize> {
-        self.blocks.first().and_then(|b| b.mha.window)
     }
 
     /// The cache-byte projection admission plans with — what a session
@@ -242,10 +210,17 @@ impl TransformerModel {
     /// [`ft_sim::FaultSite::KvCache`]: cache-resident SEUs accumulate
     /// *between* steps, which is exactly the residency window the
     /// checksummed cache protects.
+    ///
+    /// `window` is the step's sliding attention window, exactly as a
+    /// [`GenerationRequest::window`] sets it for a served stream: attend
+    /// only the cache blocks holding the most recent `window` rows, and
+    /// front-evict storage behind it before the append (`None` attends and
+    /// retains the whole history). Panics on `Some(0)`.
     pub fn decode_step<I: FaultInjector>(
         &self,
         token: u32,
         cache: &mut ModelKvCache,
+        window: Option<usize>,
         inj: &I,
     ) -> (MatrixF32, FtReport) {
         let feed = SweepFeed {
@@ -253,7 +228,7 @@ impl TransformerModel {
             tokens: vec![token],
             sample_rows: 1,
             speculate: 0,
-            window: self.window(),
+            window,
             protection: cache.protection(),
         };
         let (h, report) = self
@@ -348,7 +323,7 @@ impl TransformerModel {
     /// let mut session = model.serve();
     /// let id = session.submit_request(
     ///     GenerationRequest::new(vec![1, 2, 3], 2)
-    ///         .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 2 }),
+    ///         .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 2 }),
     /// );
     /// // Drive sweep by sweep, observing the typed lifecycle.
     /// let mut tokens = Vec::new();
@@ -661,7 +636,7 @@ mod tests {
     ) -> (MatrixF32, FtReport) {
         let mut out = None;
         for &t in &prefix[cache.positions()..] {
-            out = Some(model.decode_step(t, cache, &NoFaults));
+            out = Some(model.decode_step(t, cache, None, &NoFaults));
         }
         out.expect("non-empty suffix")
     }
@@ -734,24 +709,27 @@ mod tests {
         )
         .with_causal(true)
         .with_cache_block(4);
-        let windowed = base.clone().with_window(8);
-        assert_eq!(windowed.window(), Some(8));
         let prompt: Vec<u32> = (0..12).map(|i| (i * 7) % 101).collect();
 
-        let run = |model: &TransformerModel| {
-            let mut session = model.serve_with(SchedulerConfig {
+        let run = |window: Option<usize>| {
+            let mut session = base.serve_with(SchedulerConfig {
                 max_active: 4,
                 prefill_chunk: 6,
                 ..Default::default()
             });
             let ids: Vec<_> = (0..3)
-                .map(|_| session.submit_request(GenerationRequest::new(prompt.clone(), 12)))
+                .map(|_| {
+                    session.submit_request(GenerationRequest {
+                        window,
+                        ..GenerationRequest::new(prompt.clone(), 12)
+                    })
+                })
                 .collect();
             let finished = session.run(&NoFaults);
             (ids, finished, session.peak_cache_bytes())
         };
-        let (_, unbounded, peak_unbounded) = run(&base);
-        let (_, bounded, peak_bounded) = run(&windowed);
+        let (_, unbounded, peak_unbounded) = run(None);
+        let (_, bounded, peak_bounded) = run(Some(8));
         assert!(
             peak_bounded < peak_unbounded,
             "window must bound the footprint: {peak_bounded} vs {peak_unbounded}"
@@ -765,7 +743,7 @@ mod tests {
             assert_eq!(f.attention.cache_evicted_blocks, 0);
         }
         // Windowed serving is deterministic run to run.
-        let (_, bounded2, _) = run(&windowed);
+        let (_, bounded2, _) = run(Some(8));
         for (a, b) in bounded.iter().zip(&bounded2) {
             assert_eq!(a.tokens, b.tokens);
         }
@@ -1017,10 +995,10 @@ mod tests {
     }
 
     #[test]
-    fn per_request_window_overrides_the_model_default() {
+    fn per_request_windows_each_match_their_solo_run() {
         // One session, two streams: a full-attention stream and a
         // request-windowed stream. Each must match its own single-stream
-        // oracle (the model-default knob drives the stepwise loop).
+        // run.
         let base = TransformerModel::random(
             15,
             tiny_config(),
@@ -1028,7 +1006,6 @@ mod tests {
         )
         .with_causal(true)
         .with_cache_block(4);
-        let windowed = base.clone().with_window(6);
         let prompt: Vec<u32> = (0..14).map(|i| (i * 5) % 101).collect();
         let mut session = base.serve_with(SchedulerConfig {
             max_active: 4,
@@ -1048,7 +1025,9 @@ mod tests {
                 .clone()
         };
         let (full_want, _) = base.generate(&prompt, 6, &NoFaults);
-        let (win_want, _) = windowed.generate(&prompt, 6, &NoFaults);
+        let mut solo = base.serve();
+        solo.submit_request(GenerationRequest::new(prompt.clone(), 6).with_window(6));
+        let win_want = solo.run(&NoFaults).pop().unwrap().tokens;
         assert_eq!(tokens_of(full), full_want);
         assert_eq!(tokens_of(win), win_want);
         let evicted = finished

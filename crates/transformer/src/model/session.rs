@@ -86,10 +86,11 @@ pub struct FinishedStream {
 /// The recovery half is the paper's detect → correct → **recover** story
 /// closed end to end: when a stream's attended window carries unrepairable
 /// cache damage and its request asked for
-/// [`RecoveryPolicy::ReprefillBounded`](ft_core::serve::RecoveryPolicy::ReprefillBounded),
-/// `settle` discards the suspect sweep output, drops the stream's cache,
-/// replays its prompt *plus every already-emitted token* through chunked
-/// prefill, and resumes decoding — deterministic sampling makes a
+/// [`RecoveryPolicy::ReprefillPartial`](ft_core::serve::RecoveryPolicy::ReprefillPartial),
+/// `settle` discards the suspect sweep output, rolls the stream's cache
+/// back to the last clean block boundary (or drops it), replays the
+/// history past it through chunked prefill, and resumes decoding —
+/// deterministic sampling makes a
 /// successful recovery bit-identical to an undamaged run (pinned by
 /// `tests/engine_recovery.rs`).
 ///
@@ -142,8 +143,7 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         }
     }
     /// Submit a typed [`GenerationRequest`]. `max_new_tokens` is clamped to
-    /// the model's `max_seq`; a request without its own window inherits the
-    /// model default ([`TransformerModel::with_window`]). The stream joins
+    /// the model's `max_seq`. The stream joins
     /// the next sweep with a free slot — mid-flight, without stalling
     /// streams already decoding.
     pub fn submit_request(&mut self, req: GenerationRequest) -> StreamId {
@@ -162,9 +162,8 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     }
 
     /// Hold the request to [`GenerationRequest::check`] at the model's
-    /// `max_seq` (panicking with the refusal), clamp the token budget to
-    /// `max_seq`, and resolve the model-default window for requests without
-    /// their own.
+    /// `max_seq` (panicking with the refusal) and clamp the token budget to
+    /// `max_seq`.
     fn resolve_request(&self, mut req: GenerationRequest) -> GenerationRequest {
         let model = self.model.borrow();
         if let Err(e) = req.check(model.config.max_seq) {
@@ -173,7 +172,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         req.max_new_tokens = req
             .max_new_tokens
             .min(model.config.max_seq - req.prompt.len());
-        req.window = req.window.or(model.window());
         req
     }
 
@@ -372,12 +370,12 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
                 // evidence, and surviving marks stay sticky.
                 RecoveryAction::ReplaySuffix(p) => {
                     let _ = self.caches[slot].1.truncate_to(CacheMark::at(p));
-                    self.scheduler.requeue_suffix(id, &ledger, p)
+                    self.scheduler.requeue(id, &ledger, p)
                 }
                 // Fresh cache, full replay.
                 RecoveryAction::ReplayAll => {
                     self.caches[slot].1 = self.model.borrow().new_cache_with(feed.protection);
-                    self.scheduler.requeue(id, &ledger)
+                    self.scheduler.requeue(id, &ledger, 0)
                 }
             };
             self.recoveries += 1;

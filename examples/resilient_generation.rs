@@ -40,7 +40,7 @@ fn main() {
     let mut cache = flash.new_cache();
     let mut decode_logits = None;
     for &t in &prompt {
-        decode_logits = Some(flash.decode_step(t, &mut cache, &NoFaults).0);
+        decode_logits = Some(flash.decode_step(t, &mut cache, None, &NoFaults).0);
     }
     let decode_logits = decode_logits.expect("non-empty prompt");
     let logit_diff: f32 = decode_logits

@@ -11,13 +11,14 @@ use ft_transformer_suite::attention::backend::{
     AttentionBackend, AttentionRequest, BackendError, BackendKind,
 };
 use ft_transformer_suite::attention::config::AttentionConfig;
+use ft_transformer_suite::attention::decode::DecodeRequest;
 use ft_transformer_suite::attention::kv::KvCache;
 use ft_transformer_suite::attention::serve::{StreamId, StreamSlice};
 use ft_transformer_suite::attention::types::{FtReport, PhaseBreakdown};
 use ft_transformer_suite::num::rng::normal_tensor_f16;
-use ft_transformer_suite::num::{Tensor4F16, F16};
+use ft_transformer_suite::num::{Tensor4F16, Tensor4F32, F16};
 use ft_transformer_suite::sim::{
-    ChainFault, FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector,
+    BerInjector, ChainFault, FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector,
 };
 
 fn workload(cfg: &AttentionConfig, seed: u64) -> (Tensor4F16, Tensor4F16, Tensor4F16) {
@@ -286,6 +287,72 @@ fn decode_sweep_ledgers_are_exact_per_stream() {
         reports,
         vec![cache(0, 0, 0), cache(1, 1, 0), cache(1, 1, 1)]
     );
+}
+
+/// Single-query decode is the sweep over one one-row slice: for every
+/// backend, `decode` of a default request (step = the cache's last row)
+/// and `decode_sweep` over the same one-row slice (step = the slice's
+/// base, the same row) give the same output bits and the same ledger —
+/// clean, and under a fresh BER injector per call at every GEMM I,
+/// GEMM II and exponent site.
+#[test]
+fn decode_is_the_sweep_over_one_one_row_slice() {
+    const DIM: usize = 16;
+    let bits = |t: &Tensor4F32| -> Vec<u32> {
+        (0..t.num_slots())
+            .flat_map(|i| t.slot_flat(i).as_slice().iter().map(|x| x.to_bits()))
+            .collect()
+    };
+    let caches: Vec<KvCache> = [5u64, 12, 21]
+        .into_iter()
+        .map(|len| {
+            let mut cache = KvCache::new(1, 2, DIM, 8, 8, 0.25);
+            for t in 0..len {
+                let k = normal_tensor_f16(100 * len + t, 1, 2, 1, DIM, 0.6);
+                let v = normal_tensor_f16(100 * len + 50 + t, 1, 2, 1, DIM, 0.8);
+                assert!(cache.append(&k, &v).clean());
+            }
+            cache
+        })
+        .collect();
+    let sites = [
+        None,
+        Some(FaultSite::GemmIAccum),
+        Some(FaultSite::GemmIiAccum),
+        Some(FaultSite::ExpUnit),
+    ];
+    let (mut fired, mut detected) = (0, 0);
+    for kind in BackendKind::all() {
+        for (i, cache) in caches.iter().enumerate() {
+            let q = normal_tensor_f16(900 + i as u64, 1, 2, 1, DIM, 0.6);
+            for site in sites {
+                let inj = || -> Box<dyn FaultInjector> {
+                    match site {
+                        Some(site) => Box::new(BerInjector::new(77, 2e-2).with_sites(&[site])),
+                        None => Box::new(NoFaults),
+                    }
+                };
+                let (decode_inj, sweep_inj) = (inj(), inj());
+                let req = DecodeRequest::new(cache, &q).with_injector(&*decode_inj);
+                let decoded = kind.decode(&req);
+                let slice = StreamSlice {
+                    stream: StreamId(0),
+                    cache,
+                    q: &q,
+                    window: None,
+                };
+                let swept = kind.decode_sweep(&[slice], &*sweep_inj, None).remove(0);
+                let what = format!("{kind}, cache {}, {site:?}", cache.len());
+                assert_eq!(bits(&decoded.o), bits(&swept.o), "{what}");
+                assert_eq!(decoded.report, swept.report, "{what}");
+                assert_eq!(decode_inj.fired(), sweep_inj.fired(), "{what}");
+                fired += decode_inj.fired();
+                detected += decoded.report.total_detected();
+            }
+        }
+    }
+    assert!(fired > 0, "the BER injectors must fire");
+    assert!(detected > 0, "the protected kinds must detect");
 }
 
 #[test]

@@ -27,15 +27,20 @@ pub fn prompt(len: usize, salt: usize) -> Vec<u32> {
 
 /// Token-at-a-time oracle: the explicit `decode_step` loop (every token,
 /// prompt included, one step; greedy sampling) — the pre-scheduler serving
-/// strategy whose per-step logits the batched paths must reproduce. Runs
-/// whatever decode policy the model is configured with (sliding window
-/// included), so it doubles as the windowed oracle.
-pub fn stepwise_generate(model: &TransformerModel, prompt: &[u32], new_tokens: usize) -> Vec<u32> {
+/// strategy whose per-step logits the batched paths must reproduce. Every
+/// step attends under `window` (`None` = the whole history), so it doubles
+/// as the windowed oracle.
+pub fn stepwise_generate(
+    model: &TransformerModel,
+    prompt: &[u32],
+    new_tokens: usize,
+    window: Option<usize>,
+) -> Vec<u32> {
     let mut cache = model.new_cache();
     let mut tokens = prompt.to_vec();
     let mut logits = None;
     for &t in prompt {
-        let (l, _) = model.decode_step(t, &mut cache, &NoFaults);
+        let (l, _) = model.decode_step(t, &mut cache, window, &NoFaults);
         logits = Some(l);
     }
     for i in 0..new_tokens {
@@ -52,7 +57,7 @@ pub fn stepwise_generate(model: &TransformerModel, prompt: &[u32], new_tokens: u
             .unwrap();
         tokens.push(next);
         if i + 1 < new_tokens && tokens.len() < model.config.max_seq {
-            let (l, _) = model.decode_step(next, &mut cache, &NoFaults);
+            let (l, _) = model.decode_step(next, &mut cache, window, &NoFaults);
             logits = Some(l);
         }
     }

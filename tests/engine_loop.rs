@@ -28,7 +28,7 @@ fn tiny_model(seed: u64, max_seq: usize) -> TransformerModel {
 /// The generated suffix the engine should emit for this workload (the
 /// stepwise oracle echoes the prompt; `TokenEmitted` events do not).
 fn oracle(model: &TransformerModel, p: &[u32], new_tokens: usize) -> Vec<u32> {
-    stepwise_generate(model, p, new_tokens)[p.len()..].to_vec()
+    stepwise_generate(model, p, new_tokens, None)[p.len()..].to_vec()
 }
 
 /// Drain a handle to `Finished`. Returns (tokens, finish, preemptions).

@@ -1,6 +1,6 @@
 //! Engine-lifecycle recovery suite: the typed `GenerationRequest` →
 //! `EngineEvent` API's headline behavior, auto re-prefill
-//! (`RecoveryPolicy::ReprefillBounded`), proven end to end.
+//! (`RecoveryPolicy::ReprefillPartial`), proven end to end.
 //!
 //! The contracts:
 //! * a stream whose cache is poisoned mid-decode and recovered emits a
@@ -14,14 +14,14 @@
 //!   sits behind the attended window) triggers **no** recovery;
 //! * `RecoveryPolicy::None` preserves the pre-lifecycle behavior: the
 //!   damage stays on the report, nothing acts on it;
-//! * `RecoveryPolicy::ReprefillPartial` exploits the sticky block marks to
-//!   roll back to the last clean boundary and re-feed only the suffix —
-//!   bit-identical to the full re-prefill with strictly fewer re-fed
-//!   tokens when the poison sits near the tail, and falling back to the
-//!   full replay when the poisoned block is the first attended one.
+//! * the sticky block marks let recovery roll back to the last clean
+//!   boundary and re-feed only the suffix — bit-identical to the undamaged
+//!   run with strictly fewer re-fed tokens than the whole history when the
+//!   poison sits near the tail — and it falls back to the full replay when
+//!   the poisoned block is the first attended one.
 //! * under a random cache-resident BER ladder on a GPT-2-shaped model,
-//!   `ReprefillBounded` retires every stream at every rung and the ladder
-//!   runs at least one recovery.
+//!   recovery retires every stream at every rung and the ladder runs at
+//!   least one recovery.
 
 mod common;
 
@@ -147,7 +147,7 @@ fn count_recovering(events: &[EngineEvent]) -> usize {
         .count()
 }
 
-/// Mid-decode cache poisoning recovered by `ReprefillBounded` reproduces
+/// Mid-decode cache poisoning recovered by `ReprefillPartial` reproduces
 /// the undamaged greedy run bit for bit — on **every** backend in the
 /// registry. The damage is two aliased flips in the trailing *ragged*
 /// block (15 of 16 rows), laundered into a sticky per-block mark by the
@@ -168,7 +168,7 @@ fn recovered_stream_is_bit_identical_to_undamaged_run_on_every_backend() {
             .with_cache_block(16);
         let request = || {
             GenerationRequest::new(p.clone(), new_tokens)
-                .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 3 })
+                .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 3 })
         };
 
         let mut clean_session = model.serve();
@@ -223,7 +223,7 @@ fn persistent_poison_aborts_after_bounded_attempts() {
     let mut session = model.serve();
     let id = session.submit_request(
         GenerationRequest::new(prompt(13, 1), 6)
-            .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 2 }),
+            .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 2 }),
     );
     let (finished, events) = run_with_events(&mut session, &inj);
     assert!(inj.fired() > 0);
@@ -273,7 +273,7 @@ fn poison_retired_by_eviction_is_not_reprefilled() {
     let request = || {
         GenerationRequest::new(p.clone(), 3)
             .with_window(4)
-            .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 3 })
+            .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 3 })
     };
 
     let mut clean_session = model.serve_with(cfg);
@@ -419,7 +419,7 @@ fn neighbor_streams_are_undisturbed_by_a_recovery() {
     let mut session = model.serve();
     let victim = session.submit_request(
         GenerationRequest::new(prompt(13, 0), 6)
-            .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 3 }),
+            .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 3 }),
     );
     let neighbor = session.submit_request(GenerationRequest::new(neighbor_prompt, 5));
     let (finished, events) = run_with_events(&mut session, &inj);
@@ -444,9 +444,11 @@ fn neighbor_streams_are_undisturbed_by_a_recovery() {
 /// `ReprefillPartial` with poison near the tail: the sticky block marks
 /// localize the damage, so recovery truncates to the last clean block
 /// boundary and re-feeds only the suffix. The recovered stream is
-/// bit-identical to both the undamaged run and the full re-prefill twin —
-/// and its `recovery_fed` (history tokens scheduled for re-feeding) is
-/// strictly lower, the measurable O(window)-vs-O(history) saving.
+/// bit-identical to the undamaged run — which the full replay also
+/// reproduces (see the fallback test below) — and its `recovery_fed`
+/// (history tokens scheduled for re-feeding) is strictly lower than the
+/// whole history a full replay re-feeds, the measurable
+/// O(window)-vs-O(history) saving.
 #[test]
 fn partial_reprefill_matches_full_and_clean_and_feeds_strictly_less() {
     let model = TransformerModel::random(46, tiny(96), BackendKind::Efta(EftaOptions::optimized()))
@@ -459,7 +461,10 @@ fn partial_reprefill_matches_full_and_clean_and_feeds_strictly_less() {
     };
     let p = prompt(44, 5);
     let new_tokens = 6;
-    let request = |recovery| GenerationRequest::new(p.clone(), new_tokens).with_recovery(recovery);
+    let request = || {
+        GenerationRequest::new(p.clone(), new_tokens)
+            .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 3 })
+    };
     // First decode sweep (base position 44): 44 rows resident, block 2
     // ragged with rows 32..44 — global rows 32 and 40 share a stride-8
     // lane there, and the prefill exposures (bases 0/16/32) never see
@@ -467,44 +472,39 @@ fn partial_reprefill_matches_full_and_clean_and_feeds_strictly_less() {
     let step = serve_expose_step(StreamId(0), 44, 2, 0);
 
     let mut clean_session = model.serve_with(cfg);
-    clean_session.submit_request(request(RecoveryPolicy::ReprefillPartial {
-        max_attempts: 3,
-    }));
+    clean_session.submit_request(request());
     let (clean, clean_events) = run_with_events(&mut clean_session, &NoFaults);
     assert_eq!(count_recovering(&clean_events), 0);
 
-    let run = |recovery| {
-        let inj = PairInjector::aliased_k_rows(step, 3, 32);
-        let mut session = model.serve_with(cfg);
-        let id = session.submit_request(request(recovery));
-        let (finished, events) = run_with_events(&mut session, &inj);
-        assert_eq!(inj.fired(), 2, "both aliased flips must land");
-        assert_eq!(count_recovering(&events), 1, "{events:?}");
-        finished.into_iter().find(|f| f.id == id).unwrap()
-    };
-    let partial = run(RecoveryPolicy::ReprefillPartial { max_attempts: 3 });
-    let full = run(RecoveryPolicy::ReprefillBounded { max_attempts: 3 });
+    let inj = PairInjector::aliased_k_rows(step, 3, 32);
+    let mut session = model.serve_with(cfg);
+    let id = session.submit_request(request());
+    let (finished, events) = run_with_events(&mut session, &inj);
+    assert_eq!(inj.fired(), 2, "both aliased flips must land");
+    assert_eq!(count_recovering(&events), 1, "{events:?}");
+    let partial = finished.into_iter().find(|f| f.id == id).unwrap();
 
-    for (label, f) in [("partial", &partial), ("full", &full)] {
-        assert_eq!(f.tokens, clean[0].tokens, "{label} diverged from clean");
-        assert_eq!(f.finish, FinishReason::Recovered, "{label}");
-        assert_eq!(f.recoveries, 1, "{label}");
-    }
-    // History at recovery time: 44 prompt rows + 1 committed token. The
-    // full twin replays all 45; the partial rollback keeps blocks 0 and 1
+    assert_eq!(
+        partial.tokens, clean[0].tokens,
+        "partial diverged from clean"
+    );
+    assert_eq!(partial.finish, FinishReason::Recovered);
+    assert_eq!(partial.recoveries, 1);
+    // History at recovery time: 44 prompt rows + 1 committed token. A full
+    // replay re-feeds all 45; the partial rollback keeps blocks 0 and 1
     // (32 rows) materialized and re-feeds only the 13-row suffix.
-    assert_eq!(full.recovery_fed, 45);
-    assert_eq!(partial.recovery_fed, 45 - 32);
+    let history = 45;
+    assert_eq!(partial.recovery_fed, history - 32);
     assert!(
-        partial.recovery_fed < full.recovery_fed,
+        partial.recovery_fed < history,
         "partial re-prefill must schedule strictly fewer re-fed tokens"
     );
 }
 
 /// `ReprefillPartial` with poison in the *first attended* block: there is
 /// no clean prefix to keep, so the policy must fall back to the full
-/// re-prefill — same re-fed token count as the bounded twin, still
-/// bit-identical to the undamaged run.
+/// re-prefill — the whole history re-fed, still bit-identical to the
+/// undamaged run.
 #[test]
 fn partial_reprefill_falls_back_to_full_when_first_attended_block_is_poisoned() {
     let model = TransformerModel::random(41, tiny(64), BackendKind::Efta(EftaOptions::optimized()))
@@ -512,34 +512,32 @@ fn partial_reprefill_falls_back_to_full_when_first_attended_block_is_poisoned() 
         .with_cache_block(16);
     let p = prompt(13, 0);
     let new_tokens = 6;
-    let request = |recovery| GenerationRequest::new(p.clone(), new_tokens).with_recovery(recovery);
+    let request = || {
+        GenerationRequest::new(p.clone(), new_tokens)
+            .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 3 })
+    };
     // Damage rows 0 and 8 of block 0 — the first attended block of an
     // unwindowed stream — at decode base 15 (15-row ragged block).
     let step = serve_expose_step(StreamId(0), 15, 2, 0);
 
     let mut clean_session = model.serve();
-    clean_session.submit_request(request(RecoveryPolicy::ReprefillPartial {
-        max_attempts: 3,
-    }));
+    clean_session.submit_request(request());
     let (clean, _) = run_with_events(&mut clean_session, &NoFaults);
 
-    let run = |recovery| {
-        let inj = PairInjector::aliased_k(step, 3);
-        let mut session = model.serve();
-        let id = session.submit_request(request(recovery));
-        let (finished, events) = run_with_events(&mut session, &inj);
-        assert_eq!(inj.fired(), 2);
-        assert_eq!(count_recovering(&events), 1, "{events:?}");
-        finished.into_iter().find(|f| f.id == id).unwrap()
-    };
-    let partial = run(RecoveryPolicy::ReprefillPartial { max_attempts: 3 });
-    let full = run(RecoveryPolicy::ReprefillBounded { max_attempts: 3 });
+    let inj = PairInjector::aliased_k(step, 3);
+    let mut session = model.serve();
+    let id = session.submit_request(request());
+    let (finished, events) = run_with_events(&mut session, &inj);
+    assert_eq!(inj.fired(), 2);
+    assert_eq!(count_recovering(&events), 1, "{events:?}");
+    let partial = finished.into_iter().find(|f| f.id == id).unwrap();
 
     assert_eq!(partial.tokens, clean[0].tokens);
     assert_eq!(partial.finish, FinishReason::Recovered);
     assert_eq!(partial.recoveries, 1);
+    // History at recovery time: 13 prompt rows + 3 committed tokens.
     assert_eq!(
-        partial.recovery_fed, full.recovery_fed,
+        partial.recovery_fed, 16,
         "no clean prefix to exploit: the fallback must replay the whole history"
     );
     assert!(
@@ -550,7 +548,7 @@ fn partial_reprefill_falls_back_to_full_when_first_attended_block_is_poisoned() 
 
 /// Cache-resident BER high enough to poison caches (aliased multi-bit hits
 /// that checksum location cannot untangle) on a GPT-2-shaped model, with
-/// every stream asking for `ReprefillBounded`: bounded recovery never
+/// every stream asking for `ReprefillPartial`: bounded recovery never
 /// wedges the session — every stream retires at every rung — and the
 /// ladder really exercises recovery. Random draws, not scripted pairs:
 /// the one whole-session recovery run under a BER ladder.
@@ -580,7 +578,7 @@ fn ber_ladder_with_bounded_recovery_finishes_every_stream() {
         for p in &prompts {
             session.submit_request(
                 GenerationRequest::new(p.clone(), 6)
-                    .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 2 }),
+                    .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 2 }),
             );
         }
         let (finished, _) = run_with_events(&mut session, &inj);

@@ -139,7 +139,7 @@ fn windowed_decode_bit_matches_fresh_cache_of_the_attended_blocks() {
 /// across eviction.
 #[test]
 fn seu_in_surviving_block_after_eviction_is_corrected_and_attributed() {
-    use ft_transformer_suite::attention::serve::sweep_efta;
+    let efta = BackendKind::Efta(EftaOptions::optimized());
     let cache_a = cache_over(100, 0, 20, 8);
     let mut cache_b = cache_over(200, 0, 20, 8);
     assert_eq!(cache_b.evict_front(1), 1);
@@ -166,7 +166,7 @@ fn seu_in_surviving_block_after_eviction_is_corrected_and_attributed() {
             window: None,
         },
     ];
-    let outs = sweep_efta(&slices, &NoFaults, None, &EftaOptions::optimized()).unwrap();
+    let outs = efta.decode_sweep(&slices, &NoFaults, None);
     assert!(outs[0].report.clean(), "{:?}", outs[0].report);
     assert_eq!(outs[1].stream, StreamId(5));
     assert!(outs[1].report.cache_detected > 0, "{:?}", outs[1].report);
@@ -183,7 +183,7 @@ fn seu_in_surviving_block_after_eviction_is_corrected_and_attributed() {
         q: &qb,
         window: None,
     }];
-    let clean_out = sweep_efta(&clean_slice, &NoFaults, None, &EftaOptions::optimized()).unwrap();
+    let clean_out = efta.decode_sweep(&clean_slice, &NoFaults, None);
     let diff = outs[1].o.max_abs_diff(&clean_out[0].o);
     assert!(diff < 5e-3, "corrected output drifted: {diff}");
 }
@@ -196,23 +196,15 @@ fn tiny(max_seq: usize) -> ModelConfig {
     tiny_config("evict-tiny", max_seq)
 }
 
-/// Mid-flight eviction during scheduled serving: streams long enough to
-/// evict several blocks while decoding must reproduce the token-at-a-time
-/// windowed oracle exactly, for the protected EFTA sweep and the
-/// unprotected flash sweep alike — chunk boundaries cutting cache blocks
-/// included. Eviction events land in the per-stream reports.
-/// The window is a per-*request* property now: one session serves a
+/// The window is a per-*request* property: one session serves a
 /// full-attention stream and two windowed streams side by side, and each
-/// reproduces the stepwise oracle of a model configured with *its* window
-/// — the old model-level `with_window` knob is just the default a request
-/// without a window inherits.
+/// reproduces the stepwise oracle run under *its* window.
 #[test]
 fn mixed_per_request_windows_each_match_their_own_oracle() {
     use ft_transformer_suite::transformer::GenerationRequest;
     let base = TransformerModel::random(33, tiny(96), BackendKind::Efta(EftaOptions::optimized()))
         .with_causal(true)
         .with_cache_block(4);
-    let windowed = base.clone().with_window(9);
     let new_tokens = 6;
     let lens = [26usize, 16, 31];
     let windows = [None, Some(9), Some(9)];
@@ -236,8 +228,7 @@ fn mixed_per_request_windows_each_match_their_own_oracle() {
     let finished = session.run(&NoFaults);
     for (i, ((id, &len), &w)) in ids.iter().zip(&lens).zip(&windows).enumerate() {
         let f = finished.iter().find(|f| f.id == *id).unwrap();
-        let oracle_model = if w.is_some() { &windowed } else { &base };
-        let want = stepwise_generate(oracle_model, &prompt(len, i), new_tokens);
+        let want = stepwise_generate(&base, &prompt(len, i), new_tokens, w);
         assert_eq!(
             f.tokens, want,
             "stream {i} (window {w:?}): diverged from its own oracle"
@@ -256,6 +247,11 @@ fn mixed_per_request_windows_each_match_their_own_oracle() {
     }
 }
 
+/// Mid-flight eviction during scheduled serving: streams long enough to
+/// evict several blocks while decoding must reproduce the token-at-a-time
+/// windowed oracle exactly, for the protected EFTA sweep and the
+/// unprotected flash sweep alike — chunk boundaries cutting cache blocks
+/// included. Eviction events land in the per-stream reports.
 #[test]
 fn windowed_scheduled_streams_match_windowed_stepwise_decode() {
     let lens = [26usize, 16, 7, 32];
@@ -266,8 +262,7 @@ fn windowed_scheduled_streams_match_windowed_stepwise_decode() {
     ] {
         let model = TransformerModel::random(31, tiny(96), kind)
             .with_causal(true)
-            .with_cache_block(4)
-            .with_window(9);
+            .with_cache_block(4);
         let mut session = model.serve_with(SchedulerConfig {
             max_active: 3,
             prefill_chunk: 5,
@@ -277,7 +272,9 @@ fn windowed_scheduled_streams_match_windowed_stepwise_decode() {
             .iter()
             .enumerate()
             .map(|(i, &len)| {
-                session.submit_request(GenerationRequest::new(prompt(len, i), new_tokens))
+                session.submit_request(
+                    GenerationRequest::new(prompt(len, i), new_tokens).with_window(9),
+                )
             })
             .collect();
         let finished = session.run(&NoFaults);
@@ -285,7 +282,7 @@ fn windowed_scheduled_streams_match_windowed_stepwise_decode() {
         let mut any_evicted = 0;
         for (i, (id, &len)) in ids.iter().zip(&lens).enumerate() {
             let f = finished.iter().find(|f| f.id == *id).unwrap();
-            let want = stepwise_generate(&model, &prompt(len, i), new_tokens);
+            let want = stepwise_generate(&model, &prompt(len, i), new_tokens, Some(9));
             assert_eq!(
                 f.tokens, want,
                 "backend {kind}, stream {i} (prompt {len}): windowed \

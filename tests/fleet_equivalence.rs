@@ -27,7 +27,7 @@ fn tiny(max_seq: usize) -> ModelConfig {
 /// Continuation-only greedy oracle (`stepwise_generate` echoes the
 /// prompt; stream handles do not).
 fn oracle(model: &TransformerModel, p: &[u32], new_tokens: usize) -> Vec<u32> {
-    stepwise_generate(model, p, new_tokens)[p.len()..].to_vec()
+    stepwise_generate(model, p, new_tokens, None)[p.len()..].to_vec()
 }
 
 fn fleet_cfg(workers: usize) -> FleetConfig {

@@ -90,8 +90,8 @@ fn preempted_and_resumed_stream_is_bit_identical_on_every_backend() {
         let model = TransformerModel::random(51, tiny(64), kind)
             .with_causal(true)
             .with_cache_block(16);
-        let want_victim = stepwise_generate(&model, &victim_prompt, 6);
-        let want_urgent = stepwise_generate(&model, &urgent_prompt, 3);
+        let want_victim = stepwise_generate(&model, &victim_prompt, 6, None);
+        let want_urgent = stepwise_generate(&model, &urgent_prompt, 3, None);
 
         let mut session = model.serve_with(one_slot());
         let victim = session.submit_request(
@@ -141,7 +141,7 @@ fn preempted_and_resumed_stream_is_bit_identical_on_every_backend() {
 
 /// Recovery still works on a *rebuilt* cache: aliased SEUs that land only
 /// after the victim was parked and resumed poison the re-prefilled cache,
-/// and `ReprefillBounded` recovers it bit-identically — park/resume and
+/// and `ReprefillPartial` recovers it bit-identically — park/resume and
 /// fault recovery compose because they share the same re-prefill path.
 #[test]
 fn seu_landing_after_resume_still_recovers_bit_identically() {
@@ -158,14 +158,14 @@ fn seu_landing_after_resume_still_recovers_bit_identically() {
         let model = TransformerModel::random(52, tiny(64), kind)
             .with_causal(true)
             .with_cache_block(16);
-        let want = stepwise_generate(&model, &victim_prompt, 6);
+        let want = stepwise_generate(&model, &victim_prompt, 6, None);
 
         let inj = PairInjector::aliased_k(step, 3);
         let mut session = model.serve_with(one_slot());
         let victim = session.submit_request(
             GenerationRequest::new(victim_prompt.clone(), 6)
                 .with_priority(Priority::Batch)
-                .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 3 }),
+                .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 3 }),
         );
         session.sweep_events(&inj);
         session.sweep_events(&inj);

@@ -1,7 +1,7 @@
 //! Protection-survival suite: a stream's [`ProtectionLevel`] is a
 //! *request* property, so every cache the serving machinery rebuilds for
 //! it — park/resume re-prefill, work-stealing migration between sessions,
-//! and `ReprefillBounded` / `ReprefillPartial` fault recovery — must come
+//! and `ReprefillPartial` fault recovery, rollback and full replay — must come
 //! back at the requested level, with tokens bit-identical to an
 //! uninterrupted same-level run. `Raw` streams must sail through the same
 //! damage recipes with empty ledgers: nothing verifies, so nothing can
@@ -229,8 +229,8 @@ impl FaultInjector for PairInjector {
     }
 }
 
-/// Re-prefill recovery rebuilds the dropped cache at the stream's own
-/// level, under both the partial and the bounded policy — and the
+/// Re-prefill recovery keeps the stream's own level, whether it rolls the
+/// cache back to a clean block or drops and rebuilds it — and the
 /// recovered tokens match the same-level undamaged run bit-for-bit.
 /// `Full` detects the damage at append time.
 #[test]
@@ -250,32 +250,35 @@ fn protection_survives_reprefill_recovery() {
     clean_session
         .submit_request(GenerationRequest::new(p.clone(), new_tokens).with_protection(level));
     let clean = clean_session.run(&NoFaults);
-    let policies = [
-        RecoveryPolicy::ReprefillPartial { max_attempts: 3 },
-        RecoveryPolicy::ReprefillBounded { max_attempts: 3 },
+    // The same damage at decode base 15 lands on rows 0/8 of the ragged
+    // block 0, the first attended block: recovery falls back to dropping
+    // the cache and replaying the whole history into a rebuilt one.
+    let first_block = PairInjector::aliased_k_rows(serve_expose_step(StreamId(0), 15, 2, 0), 3, 0);
+    let recipes = [
+        ("rollback", PairInjector::aliased_k_rows(step, 3, 32)),
+        ("full replay", first_block),
     ];
-    for policy in policies {
-        let inj = PairInjector::aliased_k_rows(step, 3, 32);
+    for (recipe, inj) in recipes {
         let mut session = model.serve_with(sched());
         let id = session.submit_request(
             GenerationRequest::new(p.clone(), new_tokens)
                 .with_protection(level)
-                .with_recovery(policy),
+                .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 3 }),
         );
         while !session.idle() {
             session.sweep_events(&inj);
             if let Some(got) = session.stream_cache_protection(id) {
-                assert_eq!(got, level, "{policy:?}: rebuilt cache drifted off-level");
+                assert_eq!(got, level, "{recipe}: rebuilt cache drifted off-level");
             }
         }
         let finished = session.take_finished();
-        assert_eq!(inj.fired(), 2, "{policy:?}: both aliased flips must land");
+        assert_eq!(inj.fired(), 2, "{recipe}: both aliased flips must land");
         let f = &finished[0];
-        assert!(f.recoveries >= 1, "{policy:?}: recovery must actually fire");
-        assert_eq!(f.finish, FinishReason::Recovered, "{policy:?}");
+        assert!(f.recoveries >= 1, "{recipe}: recovery must actually fire");
+        assert_eq!(f.finish, FinishReason::Recovered, "{recipe}");
         assert_eq!(
             f.tokens, clean[0].tokens,
-            "{policy:?}: recovery diverged from the undamaged same-level run"
+            "{recipe}: recovery diverged from the undamaged same-level run"
         );
         assert_eq!(f.protection, level);
     }
@@ -288,7 +291,7 @@ fn protection_survives_reprefill_recovery() {
     session.submit_request(
         GenerationRequest::new(p.clone(), new_tokens)
             .with_protection(ProtectionLevel::Raw)
-            .with_recovery(RecoveryPolicy::ReprefillBounded { max_attempts: 3 }),
+            .with_recovery(RecoveryPolicy::ReprefillPartial { max_attempts: 3 }),
     );
     while !session.idle() {
         session.sweep_events(&inj);

@@ -50,7 +50,7 @@ fn scheduled_streams_match_independent_decode() {
         assert_eq!(finished.len(), lens.len());
         for (i, (id, &len)) in ids.iter().zip(&lens).enumerate() {
             let f = finished.iter().find(|f| f.id == *id).unwrap();
-            let want = stepwise_generate(&model, &prompt(len, i), new_tokens);
+            let want = stepwise_generate(&model, &prompt(len, i), new_tokens, None);
             assert_eq!(
                 f.tokens, want,
                 "backend {kind}, stream {i} (prompt {len}): scheduled tokens diverged"
@@ -88,7 +88,7 @@ fn streams_joining_mid_flight_do_not_disturb_the_batch() {
     assert_eq!(finished.len(), 3);
     for (id, len, salt, new) in [(a, 20, 0, 5), (b, 33, 1, 3), (c, 5, 2, 6)] {
         let f = finished.iter().find(|f| f.id == id).unwrap();
-        let want = stepwise_generate(&model, &prompt(len, salt), new);
+        let want = stepwise_generate(&model, &prompt(len, salt), new, None);
         assert_eq!(
             f.tokens, want,
             "stream {id} diverged after mid-flight joins"
@@ -172,5 +172,5 @@ fn generate_is_the_one_stream_special_case() {
     let f = finished.iter().find(|f| f.id == id).unwrap();
     assert_eq!(f.tokens, tokens);
     assert_eq!(f.attention.total_detected(), report.total_detected());
-    assert_eq!(tokens, stepwise_generate(&model, &p, 6));
+    assert_eq!(tokens, stepwise_generate(&model, &p, 6, None));
 }

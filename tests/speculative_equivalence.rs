@@ -227,8 +227,8 @@ fn rollback_then_continue_matches_a_never_speculated_cache() {
     let mut spec_cache = model.new_cache();
     let mut logits = None;
     for &t in &p {
-        let (a, _) = model.decode_step(t, &mut plain_cache, &NoFaults);
-        let (b, _) = model.decode_step(t, &mut spec_cache, &NoFaults);
+        let (a, _) = model.decode_step(t, &mut plain_cache, None, &NoFaults);
+        let (b, _) = model.decode_step(t, &mut spec_cache, None, &NoFaults);
         assert_eq!(a, b);
         logits = Some(a);
     }
@@ -236,7 +236,7 @@ fn rollback_then_continue_matches_a_never_speculated_cache() {
     let mark = spec_cache.checkpoint();
     assert_eq!(mark.position(), p.len());
     for draft in [90u32, 91, 92, 93] {
-        model.decode_step(draft, &mut spec_cache, &NoFaults);
+        model.decode_step(draft, &mut spec_cache, None, &NoFaults);
     }
     assert_eq!(spec_cache.positions(), p.len() + 4);
     let heal = spec_cache.truncate_to(mark);
@@ -249,8 +249,8 @@ fn rollback_then_continue_matches_a_never_speculated_cache() {
 
     for _ in 0..6 {
         let t = greedy(logits.as_ref().unwrap());
-        let (a, _) = model.decode_step(t, &mut plain_cache, &NoFaults);
-        let (b, rep) = model.decode_step(t, &mut spec_cache, &NoFaults);
+        let (a, _) = model.decode_step(t, &mut plain_cache, None, &NoFaults);
+        let (b, rep) = model.decode_step(t, &mut spec_cache, None, &NoFaults);
         assert_eq!(a, b, "post-rollback logits diverged from never-speculated");
         assert_eq!(rep.cache_uncorrectable, 0);
         logits = Some(a);
@@ -273,8 +273,8 @@ fn seu_in_a_rolled_back_draft_row_leaves_no_trace_after_truncation() {
     let mut spec_cache = model.new_cache();
     let mut logits = None;
     for &t in &p {
-        let (a, _) = model.decode_step(t, &mut plain_cache, &NoFaults);
-        model.decode_step(t, &mut spec_cache, &NoFaults);
+        let (a, _) = model.decode_step(t, &mut plain_cache, None, &NoFaults);
+        model.decode_step(t, &mut spec_cache, None, &NoFaults);
         logits = Some(a);
     }
 
@@ -292,8 +292,8 @@ fn seu_in_a_rolled_back_draft_row_leaves_no_trace_after_truncation() {
     let inj = SeuInjector::new(FaultSite::KvCache, coord, 13);
 
     let mark = spec_cache.checkpoint();
-    model.decode_step(90, &mut spec_cache, &inj);
-    let (_, detour_rep) = model.decode_step(91, &mut spec_cache, &inj);
+    model.decode_step(90, &mut spec_cache, None, &inj);
+    let (_, detour_rep) = model.decode_step(91, &mut spec_cache, None, &inj);
     assert_eq!(inj.fired(), 1, "the SEU must land in the drafted row");
     assert!(
         detour_rep.total_detected() >= 1,
@@ -312,8 +312,8 @@ fn seu_in_a_rolled_back_draft_row_leaves_no_trace_after_truncation() {
     // nothing on any report.
     for _ in 0..6 {
         let t = greedy(logits.as_ref().unwrap());
-        let (a, ra) = model.decode_step(t, &mut plain_cache, &NoFaults);
-        let (b, rb) = model.decode_step(t, &mut spec_cache, &NoFaults);
+        let (a, ra) = model.decode_step(t, &mut plain_cache, None, &NoFaults);
+        let (b, rb) = model.decode_step(t, &mut spec_cache, None, &NoFaults);
         assert_eq!(a, b, "the rolled-back SEU left a trace in the logits");
         assert_eq!(rb.total_detected(), ra.total_detected());
         assert_eq!(rb.cache_uncorrectable, 0);
