@@ -8,7 +8,9 @@
 //!   FP32 (accumulator) precision, with the block/tiling helpers every
 //!   kernel uses;
 //! * [`tensor::Tensor4`] — `batch × heads × seq × dim` attention tensors;
-//! * [`rng`] — seeded, reproducible workload generation.
+//! * [`rng`] — seeded, reproducible workload generation;
+//! * [`tanhf`] — fdlibm's `tanhf`, branch-free so that loops over it
+//!   vectorise, with the same bits on every platform.
 //!
 //! No GPU, BLAS or `half` dependencies: the numerics are from scratch so the
 //! checksum thresholds and fault-injection behaviour studied by the paper
@@ -19,8 +21,10 @@
 pub mod f16;
 pub mod matrix;
 pub mod rng;
+pub mod tanh;
 pub mod tensor;
 
 pub use f16::{quantize_f32, F16};
 pub use matrix::{block_starts, num_blocks, Matrix, MatrixF16, MatrixF32};
+pub use tanh::tanhf;
 pub use tensor::{Tensor4, Tensor4F16, Tensor4F32};

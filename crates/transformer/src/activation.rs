@@ -6,8 +6,15 @@
 //! non-negative, GELU is bounded below by ≈ −0.1700 — so an out-of-range
 //! result is necessarily a computational error and is repaired by
 //! recomputation (here: clamping to the recomputed true value).
+//!
+//! GELU's `tanh` is [`ft_num::tanhf`], an in-repo port of fdlibm's `tanhf`:
+//! the same bits as glibc's `tanhf` (which `f32::tanh` calls on x86-64
+//! Linux), but from IEEE add, multiply and divide only, so GELU's bits do
+//! not depend on the platform's libm or the target CPU. It has no branches,
+//! so the clean pass of [`apply_restricted`] runs at vector width.
 
 use ft_core::types::FtReport;
+use ft_num::tanhf;
 use ft_sim::{FaultInjector, FaultSite, OpCoord};
 
 /// Supported activation functions.
@@ -31,8 +38,17 @@ impl Activation {
             Activation::Gelu => {
                 // tanh approximation: 0.5x(1 + tanh(√(2/π)(x + 0.044715x³)))
                 let inner = 0.797_884_6 * (x + 0.044_715 * x * x * x);
-                0.5 * x * (1.0 + inner.tanh())
+                0.5 * x * (1.0 + tanhf(inner))
             }
+        }
+    }
+
+    /// [`apply`](Activation::apply) to every element of `xs` in place; the
+    /// match is outside the loop, so each arm's loop vectorises.
+    fn apply_all(self, xs: &mut [f32]) {
+        match self {
+            Activation::Relu => xs.iter_mut().for_each(|v| *v = Activation::Relu.apply(*v)),
+            Activation::Gelu => xs.iter_mut().for_each(|v| *v = Activation::Gelu.apply(*v)),
         }
     }
 
@@ -54,6 +70,11 @@ impl Activation {
 ///
 /// `slot` identifies the layer for fault coordinates; `max_abs_input` bounds
 /// the input (callers can pass the actual block max).
+///
+/// Two passes: the clean activation over the whole row (vectorised), then,
+/// in ascending `j`, the injector's chance at each result and the range
+/// check. A result outside the range is put back to its clean value, which
+/// the first pass already computed.
 pub fn apply_restricted<I: FaultInjector>(
     act: Activation,
     x: &mut [f32],
@@ -64,19 +85,14 @@ pub fn apply_restricted<I: FaultInjector>(
 ) -> FtReport {
     let (lo, hi) = act.output_range(max_abs_input);
     let slack = 1e-3 * max_abs_input.max(1.0);
+    act.apply_all(x);
     let mut report = FtReport::default();
     for (j, v) in x.iter_mut().enumerate() {
-        let input = *v;
-        let out = inj.corrupt_f32(
-            FaultSite::Activation,
-            OpCoord::new(slot, row, j, 0),
-            act.apply(input),
-        );
+        let out = inj.corrupt_f32(FaultSite::Activation, OpCoord::new(slot, row, j, 0), *v);
         if out.is_finite() && out >= lo - slack && out <= hi + slack {
             *v = out;
         } else {
-            // Out of theoretical range: recompute (fault-free unit).
-            *v = act.apply(input);
+            // Out of theoretical range: keep the fault-free value.
             report.activation_restricted += 1;
         }
     }

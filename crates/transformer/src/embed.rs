@@ -32,10 +32,16 @@ impl Embedding {
         self.table.cols()
     }
 
-    /// Sinusoidal positional value for (position, channel).
-    fn positional(&self, pos: usize, ch: usize, hidden: usize) -> f32 {
+    /// Denominator of channel `ch`'s sinusoid, `10000^(2⌊ch/2⌋ / hidden)`.
+    fn denominator(ch: usize, hidden: usize) -> f32 {
         let i = (ch / 2) as f32;
-        let angle = pos as f32 / 10_000f32.powf(2.0 * i / hidden as f32);
+        10_000f32.powf(2.0 * i / hidden as f32)
+    }
+
+    /// Sinusoidal positional value at `pos` for channel `ch`, whose
+    /// [`denominator`](Embedding::denominator) is `denom`.
+    fn positional(pos: usize, ch: usize, denom: f32) -> f32 {
+        let angle = pos as f32 / denom;
         if ch.is_multiple_of(2) {
             angle.sin()
         } else {
@@ -57,9 +63,12 @@ impl Embedding {
             "sequence exceeds max_seq"
         );
         let hidden = self.hidden();
+        let denoms: Vec<f32> = (0..hidden)
+            .map(|ch| Self::denominator(ch, hidden))
+            .collect();
         Matrix::from_fn(tokens.len(), hidden, |i, j| {
             let tok = tokens[i] as usize % self.vocab();
-            self.table.get(tok, j).to_f32() + self.positional(start_pos + i, j, hidden)
+            self.table.get(tok, j).to_f32() + Self::positional(start_pos + i, j, denoms[j])
         })
     }
 }
@@ -96,6 +105,28 @@ mod tests {
         let x = e.forward(&(0..100).map(|i| i % 10).collect::<Vec<_>>());
         for (_, _, v) in x.iter_indexed() {
             assert!(v.abs() < 2.0, "embedding value {v} out of expected range");
+        }
+    }
+
+    #[test]
+    fn forward_at_matches_the_per_element_formula() {
+        for hidden in [16, 256] {
+            let e = Embedding::random(5, 10, hidden, 96);
+            let tokens: Vec<u32> = (0..96).map(|i| i % 10).collect();
+            for start in [0, 37, 95] {
+                let x = e.forward_at(&tokens[..96 - start], start);
+                for (i, j, v) in x.iter_indexed() {
+                    let (pos, k) = ((start + i) as f32, (j / 2) as f32);
+                    let angle = pos / 10_000f32.powf(2.0 * k / hidden as f32);
+                    let p = if j % 2 == 0 { angle.sin() } else { angle.cos() };
+                    let want = e.table.get(tokens[i] as usize, j).to_f32() + p;
+                    assert_eq!(
+                        v.to_bits(),
+                        want.to_bits(),
+                        "hidden {hidden} pos {pos} ch {j}"
+                    );
+                }
+            }
         }
     }
 
