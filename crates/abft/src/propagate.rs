@@ -20,7 +20,7 @@
 
 use crate::strided::{fold_row, StridedMismatch};
 use crate::thresholds::Check;
-use ft_num::{Matrix, MatrixF32};
+use ft_num::{expf_slice, Matrix, MatrixF32};
 
 /// Number of elements folded into residue class `t` when an extent of
 /// `extent` columns is folded at stride `s`:
@@ -53,7 +53,9 @@ pub fn transport_subtract_max(check: &mut MatrixF32, row_max: &[f32], counts: &[
 /// Element-wise exponential of a checksum matrix (the transported checksum
 /// enters the product domain).
 pub fn transport_exp(check: &MatrixF32) -> MatrixF32 {
-    Matrix::from_fn(check.rows(), check.cols(), |i, t| check.get(i, t).exp())
+    let mut out = check.clone();
+    expf_slice(out.as_mut_slice());
+    out
 }
 
 /// Strided *products* of `p`: `out[i][t] = ∏_l p[i][t + s·l]`, each lane

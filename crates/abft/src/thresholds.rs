@@ -40,13 +40,16 @@ impl Check {
         Check { rel, abs_floor }
     }
 
-    /// Does the pair (observed, expected) constitute a detection?
+    /// Does the pair (observed, expected) constitute a detection? A
+    /// non-finite value always does.
+    ///
+    /// Evaluated without short-circuits or branches, so that a loop of
+    /// checks runs at vector width.
     #[inline]
     pub fn detects(&self, observed: f32, expected: f32) -> bool {
-        if !observed.is_finite() || !expected.is_finite() {
-            return true;
-        }
-        (observed - expected).abs() > self.abs_floor && rel_diff(observed, expected) > self.rel
+        let non_finite = !observed.is_finite() | !expected.is_finite();
+        let above_floor = (observed - expected).abs() > self.abs_floor;
+        non_finite | (above_floor & (rel_diff(observed, expected) > self.rel))
     }
 }
 

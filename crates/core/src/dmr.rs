@@ -8,7 +8,7 @@
 //! index enters the injection coordinate), so a transient fault makes the
 //! replicas disagree and triggers re-execution, up to `max_rounds`.
 
-use ft_num::{Matrix, MatrixF32};
+use ft_num::{expf, Matrix, MatrixF32};
 use ft_sim::{FaultInjector, FaultSite, OpCoord};
 
 /// DMR tuning parameters.
@@ -65,7 +65,7 @@ fn softmax_replica<I: FaultInjector>(
         let mut sum = 0.0f32;
         let prow = p.row_mut(i);
         for (j, &v) in s.row(i).iter().enumerate() {
-            let e = (v - max).exp();
+            let e = expf(v - max);
             let e = inj.corrupt_f32(FaultSite::ExpUnit, OpCoord::new(slot, gi, j, replica), e);
             prow[j] = e;
             sum += e;

@@ -36,12 +36,20 @@
 //! differs between the two.
 //!
 //! The step computes no GEMM chain itself: every product, fault pass and
-//! exact recompute is `ft_sim`'s (`gemm_nn` / `ragged_product`, the one
+//! exact recompute is `ft_sim`'s (`gemm_nn` / `ragged_product`, their
+//! `_pair` forms for a fold's two checksum operands side by side, the one
 //! `gemm_fault_pass`, the one `gemm_chain`), and the step only decides
 //! their shapes and fault coordinates — a row's visible width, a frontier
 //! row's own checksum operand, a checksum chain's column base. From
 //! `crate::flash` it takes only the online-softmax state its
 //! recomputation fallback runs.
+//!
+//! Every exponential — P, the transported checksums of the product check,
+//! the rescale factors and the rowsum bounds — is `ft_num::expf`, an
+//! in-repo port of glibc's `expf` with the same bits on every platform:
+//! the clean P block and the product check's transported checksums go
+//! through its slice form `expf_slice` at vector width, and the
+//! per-element fault sites and recomputes through the scalar form.
 //!
 //! [`VerifyMode::PerStep`] is the unoptimised "EFTA" of Tables 1–2 (verify
 //! after every operation); [`VerifyMode::Unified`] is the optimised "EFTA-o"
@@ -61,14 +69,18 @@ use ft_abft::strided::{
     StridedChecksums, StridedMismatch,
 };
 use ft_abft::thresholds::{Check, Thresholds};
-use ft_num::{block_starts, quantize_f32, Matrix, MatrixF16, MatrixF32, Tensor4F16, Tensor4F32};
+use ft_num::{
+    block_starts, expf, expf_slice, quantize_f32, Matrix, MatrixF16, MatrixF32, Tensor4F16,
+    Tensor4F32,
+};
 use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
 use ft_sim::{
-    gemm_chain, gemm_fault_pass, gemm_flops, gemm_nn, ragged_product, FaultInjector, FaultSite,
-    GemmCtx, OpCoord,
+    gemm_chain, gemm_fault_pass, gemm_flops, gemm_nn, gemm_nn_pair, ragged_product,
+    ragged_product_pair, FaultInjector, FaultSite, GemmCtx, OpCoord,
 };
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -190,6 +202,20 @@ fn encode_operand(opts: &EftaOptions, m: &MatrixF32, s: usize) -> StridedChecksu
     }
 }
 
+/// A fold's two checksum operands as its checksum GEMMs read them.
+/// Traditional 1-wide checksums are padded to the 8-wide MMA tile a tensor
+/// core must dedicate to them anyway — their checksum GEMM costs the same
+/// as the strided design's, plus the gather; this is the hardware
+/// economics of Fig. 11.
+fn mma_operands<'a>(opts: &EftaOptions, cs: &'a StridedChecksums) -> [Cow<'a, MatrixF32>; 2] {
+    [&cs.w1, &cs.w2].map(|w| match opts.gemm {
+        GemmProtection::Traditional => {
+            Cow::Owned(Matrix::hstack(&[w, &Matrix::zeros(w.rows(), 7)]))
+        }
+        _ => Cow::Borrowed(w),
+    })
+}
+
 /// Strided sums under the configured scheme; the traditional path pays the
 /// gather on verification too.
 fn scheme_sums(opts: &EftaOptions, c: &MatrixF32, s: usize) -> (MatrixF32, MatrixF32) {
@@ -260,42 +286,69 @@ fn runs<K: PartialEq + Copy>(
     })
 }
 
-/// Row `i`'s product check (Algorithm 1 line 13): its carried GEMM I
-/// checksum `c1` (one value per residue class of its `se = c1.len()`
-/// lanes), transported through the subtraction of the row max `m` and the
-/// exponential, against the strided products of its `p` — the arithmetic
-/// of `ft_abft::propagate`'s `transport_subtract_max`, `transport_exp` and
-/// `verify_products` over one row, lane for lane, without their matrices.
-/// `prods` is scratch of at least `se` lanes. Appends the row's mismatches
-/// to `out`.
+/// The product check (Algorithm 1 line 13) of every row of `p`: row `i`'s
+/// carried GEMM I checksum (the first `se` lanes of row `i` of `c1`, one
+/// value per residue class), transported through the subtraction of its
+/// row max `m[i]` and the exponential, against the strided products of its
+/// first `w` columns of `p`, `(w, se) = shape(i)` — the arithmetic of
+/// `ft_abft::propagate`'s `transport_subtract_max`, `transport_exp` and
+/// `verify_products`, lane for lane. Returns the mismatches row-major.
 fn product_mismatches(
-    i: usize,
-    (p, c1): (&[f32], &[f32]),
-    m: f32,
+    (p, c1): (&MatrixF32, &MatrixF32),
+    m: &[f32],
+    shape: impl Fn(usize) -> (usize, usize),
     chk: Check,
-    prods: &mut [f32],
-    out: &mut Vec<StridedMismatch>,
-) {
-    let se = c1.len();
-    let prods = &mut prods[..se];
-    prods.fill(1.0);
-    fold_row(p, prods, |acc, _, x| acc * x);
-    for (t, (&c, &got)) in c1.iter().zip(prods.iter()).enumerate() {
-        let count = p.len().saturating_sub(t).div_ceil(se);
-        let want = (c - count as f32 * m).exp();
-        if chk.detects(got, want) {
-            out.push(StridedMismatch {
-                i,
-                t,
-                delta1: got - want,
-                delta2: if want != 0.0 {
-                    got / want
-                } else {
-                    f32::INFINITY
-                },
-            });
+) -> Vec<StridedMismatch> {
+    // Row-major `rows × lanes` scratch; a lane past a row's `se` keeps a
+    // product of 1 against a transported `exp(0) = 1`, which never fires.
+    let (rows, lanes) = c1.shape();
+    let mut prods = vec![1.0f32; rows * lanes];
+    let mut want = vec![0.0f32; rows * lanes];
+    let scratch = prods
+        .chunks_exact_mut(lanes)
+        .zip(want.chunks_exact_mut(lanes));
+    for (i, (prods, want)) in scratch.enumerate() {
+        let (w, se) = shape(i);
+        fold_row(&p.row(i)[..w], &mut prods[..se], |acc, _, x| acc * x);
+        // Lane `t` holds ⌈(w − t)/se⌉ of the row's columns: ⌊w/se⌋, and one
+        // more below `w mod se`.
+        let (full, extra) = (w / se, w % se);
+        let (sub_lo, sub_hi) = (full as f32 * m[i], (full + 1) as f32 * m[i]);
+        for (t, (v, &c)) in want[..se].iter_mut().zip(c1.row(i)).enumerate() {
+            *v = c - if t < extra { sub_hi } else { sub_lo };
         }
     }
+    // Every row's transported checksums through the exponential at once,
+    // then every lane checked at once; only a block with a mismatch is
+    // walked lane by lane.
+    expf_slice(&mut want);
+    let fired = |(&got, &want): (&f32, &f32)| chk.detects(got, want);
+    if !prods
+        .iter()
+        .zip(&want)
+        .fold(false, |any, lane| any | fired(lane))
+    {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for i in 0..rows {
+        let at = i * lanes..i * lanes + shape(i).1;
+        for (t, (&got, &want)) in prods[at.clone()].iter().zip(&want[at]).enumerate() {
+            if chk.detects(got, want) {
+                out.push(StridedMismatch {
+                    i,
+                    t,
+                    delta1: got - want,
+                    delta2: if want != 0.0 {
+                        got / want
+                    } else {
+                        f32::INFINITY
+                    },
+                });
+            }
+        }
+    }
+    out
 }
 
 fn row_max(row: &[f32]) -> f32 {
@@ -790,17 +843,24 @@ impl<'a> RowState<'a> {
         // row's chains draw faults past its own visible columns.
         let cs_col0 = &self.cs_col0[rows.clone()];
         let s_cs = blk.checksums.map(|(kcs, _)| {
-            let checksum_gemm = |w: &MatrixF32, it: usize| {
-                let mut c = match nf {
-                    0 => gemm_nn(q, w),
-                    _ => {
-                        let mut c = Matrix::zeros(nr, w.cols());
-                        if nf < nr {
-                            c.set_block(nf, 0, &gemm_nn(&q.block(nf, 0, nr - nf, d), w));
-                        }
-                        c
+            // Both operands' clean products side by side, then each
+            // operand's own rows and fault pass.
+            let [w1, w2] = mma_operands(opts, kcs);
+            let (w1, w2) = (&*w1, &*w2);
+            let (c1, c2) = match nf {
+                0 => gemm_nn_pair(q, (w1, w2)),
+                _ => {
+                    let mut c = [Matrix::zeros(nr, w1.cols()), Matrix::zeros(nr, w1.cols())];
+                    if nf < nr {
+                        let (c1, c2) = gemm_nn_pair(&q.block(nf, 0, nr - nf, d), (w1, w2));
+                        c[0].set_block(nf, 0, &c1);
+                        c[1].set_block(nf, 0, &c2);
                     }
-                };
+                    let [c1, c2] = c;
+                    (c1, c2)
+                }
+            };
+            let checksum_gemm = |mut c: MatrixF32, w: &MatrixF32, it: usize| {
                 if let Some(f) = blk.frontier {
                     let own = if it == 1 { &f.s_c1 } else { &f.s_c2 };
                     for i in 0..nf {
@@ -820,23 +880,15 @@ impl<'a> RowState<'a> {
                         gemm_fault_pass(&mut c, q, i..i + 1, w, |_| (d, w.cols()), inj, ctx);
                     }
                 }
-                c
-            };
-            // Traditional 1-wide checksums are padded to the 8-wide MMA
-            // tile a tensor core must dedicate to them anyway — their
-            // checksum GEMM costs the same as the strided design's, plus
-            // the gather; this is the hardware economics of Fig. 11.
-            let checksum_gemm = |w: &MatrixF32, it: usize| {
                 if traditional {
-                    let padded = Matrix::hstack(&[w, &Matrix::zeros(w.rows(), 7)]);
-                    checksum_gemm(&padded, it).block(0, 0, nr, 1)
+                    c.block(0, 0, nr, 1)
                 } else {
-                    checksum_gemm(w, it)
+                    c
                 }
             };
             (
-                checksum_gemm(&kcs.w1, 1),
-                checksum_gemm(&kcs.w2, 2),
+                checksum_gemm(c1, w1, 1),
+                checksum_gemm(c2, w2, 2),
                 kcs.stride,
             )
         });
@@ -931,12 +983,14 @@ impl<'a> RowState<'a> {
                 for (j, &sv) in srow.iter().enumerate() {
                     let coord = OpCoord::new(slot, row0 + i, c0 + j, jb);
                     let diff = inj.corrupt_f32(FaultSite::Subtract, coord, sv - m_new[i]);
-                    prow[j] = inj.corrupt_f32(FaultSite::ExpUnit, coord, diff.exp());
+                    prow[j] = inj.corrupt_f32(FaultSite::ExpUnit, coord, expf(diff));
                 }
             } else {
+                let prow = &mut prow[..srow.len()];
                 for (pv, &sv) in prow.iter_mut().zip(srow) {
-                    *pv = (sv - m_new[i]).exp();
+                    *pv = sv - m_new[i];
                 }
+                expf_slice(prow);
             }
         }
         lap.to(&mut self.phases.softmax);
@@ -945,13 +999,7 @@ impl<'a> RowState<'a> {
         if let (true, Some((c1, c2, _))) = (snvr, &s_cs) {
             // Checksum reuse: transport S_c1 through subtraction + exp
             // and verify GEMM I + subtract + exp in one product check.
-            let (mut mismatches, mut prods) = (Vec::new(), vec![1.0; c1.cols()]);
-            for i in 0..nr {
-                let (w, se) = shape(i);
-                let row = (&p.row(i)[..w], &c1.row(i)[..se]);
-                let chk = thr.exp_product;
-                product_mismatches(i, row, m_new[i], chk, &mut prods, &mut mismatches);
-            }
+            let mismatches = product_mismatches((&p, c1), &m_new, shape, thr.exp_product);
             self.report.exp_detected += mismatches.len() as u64;
             if !mismatches.is_empty() {
                 // Case 2: the product check already established an error
@@ -985,7 +1033,7 @@ impl<'a> RowState<'a> {
                 for mm in &mismatches {
                     let (w, se) = shape(mm.i);
                     for col in (mm.t..w).step_by(se) {
-                        p.set(mm.i, col, (s_blk.get(mm.i, col) - m_new[mm.i]).exp());
+                        p.set(mm.i, col, expf(s_blk.get(mm.i, col) - m_new[mm.i]));
                     }
                 }
             }
@@ -998,11 +1046,11 @@ impl<'a> RowState<'a> {
                     let sv = s_blk.get(i, j);
                     let coord = OpCoord::new(slot, row0 + i, c0 + j, 1000 + jb);
                     let diff2 = inj.corrupt_f32(FaultSite::Subtract, coord, sv - mi);
-                    let e2 = inj.corrupt_f32(FaultSite::ExpUnit, coord, diff2.exp());
+                    let e2 = inj.corrupt_f32(FaultSite::ExpUnit, coord, expf(diff2));
                     let e1 = p.get(i, j);
                     if (e1 - e2).abs() > 1e-6 * e1.abs().max(e2.abs()).max(1e-12) {
                         // Third, fault-free execution arbitrates.
-                        p.set(i, j, (sv - mi).exp());
+                        p.set(i, j, expf(sv - mi));
                         disagreements += 1;
                     }
                 }
@@ -1017,7 +1065,7 @@ impl<'a> RowState<'a> {
         for i in 0..nr {
             let (r, gi) = (ra + i, row0 + i);
             let factor = if self.m[r].is_finite() {
-                (self.m[r] - m_new[i]).exp()
+                expf(self.m[r] - m_new[i])
             } else {
                 0.0
             };
@@ -1054,9 +1102,9 @@ impl<'a> RowState<'a> {
                     // ℓ may already be poisoned from the corrupted
                     // accumulate: rebuild it from the restriction bound of
                     // the earlier blocks plus a clean rowsum of this one.
-                    let lower: f32 = hist.iter().map(|&mk| (mk - m).exp()).sum();
+                    let lower: f32 = hist.iter().map(|&mk| expf(mk - m)).sum();
                     let rs = row_sum(prow);
-                    self.ell[r] = (lower - (blk_max[i] - m).exp()).max(0.0) + rs;
+                    self.ell[r] = (lower - expf(blk_max[i] - m)).max(0.0) + rs;
                     self.report.sum_restricted += 1;
                 }
             }
@@ -1070,24 +1118,21 @@ impl<'a> RowState<'a> {
         for v in p.as_mut_slice() {
             *v = quantize_f32(*v);
         }
-        let gemm2 = |rows: Range<usize>, w: &MatrixF32, col0: usize, it: usize| {
+        // The fault pass of `c`, the product of P's rows `rows` (`p`)
+        // with `w`, at output column `col0` of the step's iteration `it`.
+        let gemm2_faults = |c: &mut MatrixF32,
+                            (p, rows): (&MatrixF32, Range<usize>),
+                            w: &MatrixF32,
+                            col0: usize,
+                            it: usize| {
             let ctx = GemmCtx::new(FaultSite::GemmIiAccum, slot)
                 .at(row0 + rows.start, col0)
                 .iter(3 * jb + it);
-            let p_part;
-            let p = if rows.len() == nr {
-                &p
-            } else {
-                p_part = p.block(rows.start, 0, rows.len(), p.cols());
-                &p_part
-            };
-            let width = |i: usize| width(rows.start + i);
-            let mut c = ragged_product(p, w, width);
-            let shape = |i| (width(i), w.cols());
-            gemm_fault_pass(&mut c, p, 0..rows.len(), w, shape, inj, ctx);
-            c
+            let shape = |i| (width(rows.start + i), w.cols());
+            gemm_fault_pass(c, p, 0..rows.len(), w, shape, inj, ctx);
         };
-        let pv = gemm2(0..nr, blk.v, 0, 0);
+        let mut pv = ragged_product(&p, blk.v, width);
+        gemm2_faults(&mut pv, (&p, 0..nr), blk.v, 0, 0);
         let rescale_site = inj.may_fire(FaultSite::Rescale);
         for i in 0..nr {
             let f = factors[i];
@@ -1108,25 +1153,36 @@ impl<'a> RowState<'a> {
         // ---- GEMM II protection: O_c1/O_c2 ride the rescale ---------
         if let Some((_, vcs)) = blk.checksums {
             // The frontier rows read the verified block's own V fold, the
-            // whole-block rows the stored one. Traditional checksums pay
-            // the full 8-wide MMA tile too.
-            let checksum_gemm = |cs: &StridedChecksums, rows: Range<usize>, it: usize| {
-                let w = if it == 1 { &cs.w1 } else { &cs.w2 };
-                if traditional {
-                    let padded = Matrix::hstack(&[w, &Matrix::zeros(w.rows(), 7)]);
-                    gemm2(rows.clone(), &padded, d, it).block(0, 0, rows.len(), 1)
+            // whole-block rows the stored one, each pair of operands side
+            // by side.
+            let checksum_gemms = |cs: &StridedChecksums, rows: Range<usize>| {
+                let [w1, w2] = mma_operands(opts, cs);
+                let (w1, w2) = (&*w1, &*w2);
+                let p_part;
+                let p = if rows.len() == nr {
+                    &p
                 } else {
-                    gemm2(rows, w, d, it)
+                    p_part = p.block(rows.start, 0, rows.len(), p.cols());
+                    &p_part
+                };
+                let (mut c1, mut c2) = ragged_product_pair(p, (w1, w2), |i| width(rows.start + i));
+                gemm2_faults(&mut c1, (p, rows.clone()), w1, d, 1);
+                gemm2_faults(&mut c2, (p, rows.clone()), w2, d, 2);
+                if traditional {
+                    [c1, c2].map(|c| c.block(0, 0, rows.len(), 1))
+                } else {
+                    [c1, c2]
                 }
             };
-            let pcs = [1, 2].map(|it| match blk.frontier {
-                None => checksum_gemm(vcs, 0..nr, it),
-                Some(f) if nf == nr => checksum_gemm(&f.v_cs, 0..nr, it),
-                Some(f) => Matrix::vstack(&[
-                    &checksum_gemm(&f.v_cs, 0..nf, it),
-                    &checksum_gemm(vcs, nf..nr, it),
-                ]),
-            });
+            let pcs = match blk.frontier {
+                None => checksum_gemms(vcs, 0..nr),
+                Some(f) if nf == nr => checksum_gemms(&f.v_cs, 0..nr),
+                Some(f) => {
+                    let (head, tail) =
+                        (checksum_gemms(&f.v_cs, 0..nf), checksum_gemms(vcs, nf..nr));
+                    [0, 1].map(|k| Matrix::vstack(&[&head[k], &tail[k]]))
+                }
+            };
             for (o_c, pc) in [&mut self.o_c1, &mut self.o_c2].into_iter().zip(&pcs) {
                 for i in 0..nr {
                     for (ov, &dv) in o_c.row_mut(ra + i).iter_mut().zip(pc.row(i)) {
@@ -1482,7 +1538,7 @@ mod tests {
     #[test]
     fn row_product_check_is_the_matrix_pipeline() {
         // `product_mismatches` replays `transport_subtract_max` →
-        // `transport_exp` → `verify_products` over one row: the same
+        // `transport_exp` → `verify_products` row by row: the same
         // mismatches, deltas bit for bit, at every width and lane count a
         // step meets (a frontier prefix shorter than the stride included),
         // on clean rows and on rows with a corrupted or non-finite score.
@@ -1500,10 +1556,7 @@ mod tests {
             let mut tc1 = c1.clone();
             transport_subtract_max(&mut tc1, &m, &residue_counts(w, se));
             let want = verify_products(&p, &transport_exp(&tc1), se, chk);
-            let (mut got, mut prods) = (Vec::new(), vec![0.0; se]);
-            for i in 0..4 {
-                product_mismatches(i, (p.row(i), c1.row(i)), m[i], chk, &mut prods, &mut got);
-            }
+            let got = product_mismatches((&p, &c1), &m, |_| (w, se), chk);
             let key = |v: &[StridedMismatch]| {
                 v.iter()
                     .map(|mm| (mm.i, mm.t, mm.delta1.to_bits(), mm.delta2.to_bits()))

@@ -10,7 +10,9 @@
 //! every row block (as the EFTA kernel prepares its operands). The
 //! online-softmax state (`OnlineState`, `online_update`, `finalize`) is
 //! the one thing this module lends the other kernels: the unprotected
-//! decode tile runs it, and so does EFTA's recomputation fallback.
+//! decode tile runs it, and so does EFTA's recomputation fallback. Its
+//! exponentials are `ft_num::expf` (a port of glibc's `expf`), each row
+//! of P through the slice form `expf_slice`, as the EFTA step's are.
 
 // Index-based loops are kept deliberately: they mirror the thread/lane
 // structure of the GPU kernels this module models.
@@ -18,7 +20,7 @@
 
 use crate::config::AttentionConfig;
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
-use ft_num::{block_starts, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
+use ft_num::{block_starts, expf, expf_slice, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::KernelStats;
 use ft_sim::{gemm_flops, gemm_nn, ragged_product};
@@ -69,17 +71,16 @@ pub(crate) fn online_update(
         let blk_max = s_row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let m_new = state.m[r].max(blk_max);
         let factor = if state.m[r].is_finite() {
-            (state.m[r] - m_new).exp()
+            expf(state.m[r] - m_new)
         } else {
             0.0
         };
-        let mut rowsum = 0.0f32;
-        let prow = p.row_mut(i);
-        for (j, &s) in s_row.iter().enumerate() {
-            let e = (s - m_new).exp();
-            prow[j] = e;
-            rowsum += e;
+        let prow = &mut p.row_mut(i)[..s_row.len()];
+        for (e, &s) in prow.iter_mut().zip(s_row) {
+            *e = s - m_new;
         }
+        expf_slice(prow);
+        let rowsum = prow.iter().fold(0.0f32, |sum, &e| sum + e);
         state.ell[r] = factor * state.ell[r] + rowsum;
         state.m[r] = m_new;
         factors[i] = factor;

@@ -5,7 +5,7 @@
 //! inputs. Every other kernel in this crate is tested against this one.
 
 use crate::config::AttentionConfig;
-use ft_num::{Matrix, MatrixF32, Tensor4F16, Tensor4F32};
+use ft_num::{expf_slice, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::gemm_nn;
 use rayon::prelude::*;
 
@@ -16,11 +16,11 @@ pub fn row_softmax(s: &mut MatrixF32) -> Vec<(f32, f32)> {
     for i in 0..m {
         let row = s.row_mut(i);
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+            *v -= max;
         }
+        expf_slice(row);
+        let sum = row.iter().fold(0.0f32, |sum, &e| sum + e);
         let inv = 1.0 / sum;
         for v in row.iter_mut() {
             *v *= inv;

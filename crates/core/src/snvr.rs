@@ -22,6 +22,8 @@
 //! in Fig. 14-right: clamping only the final normalised weights to their
 //! theoretical [0, 1] range.
 
+use ft_num::expf;
+
 /// Outcome of one range-restriction check.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Restriction {
@@ -60,7 +62,7 @@ pub fn restrict_row_max(scores: &[f32], m: f32) -> Restriction {
 /// block maxima and `m_final` the global row max (paper §3.4 and
 /// Algorithm 1 lines 22–24).
 pub fn rowsum_bounds(block_maxes: &[f32], m_final: f32, n: usize) -> (f32, f32) {
-    let lower: f32 = block_maxes.iter().map(|&mk| (mk - m_final).exp()).sum();
+    let lower: f32 = block_maxes.iter().map(|&mk| expf(mk - m_final)).sum();
     (lower, n as f32)
 }
 

@@ -10,7 +10,7 @@
 use ft_abft::strided::{correct_strided, encode_cols_strided, strided_sums, verify_strided};
 use ft_abft::thresholds::Check;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
-use ft_num::MatrixF32;
+use ft_num::{expf, MatrixF32};
 use ft_sim::{
     gemm_chain, gemm_fault_pass, gemm_nn, BerInjector, FaultInjector, FaultSite, GemmCtx,
 };
@@ -324,7 +324,7 @@ fn snvr_trial(seed: u64, tau: f32, shape: GemmShape) -> DetectionStats {
         })
         .collect();
     let p = MatrixF32::from_fn(shape.br, shape.bc, |i, j| {
-        (s_mat.get(i, j) - row_max[i]).exp()
+        expf(s_mat.get(i, j) - row_max[i])
     });
     let counts = residue_counts(shape.bc, s);
     transport_subtract_max(&mut c1, &row_max, &counts);

@@ -7,6 +7,7 @@ use crate::campaign::{
 };
 use ft_abft::thresholds::Check;
 use ft_core::snvr::{restrict_rowsum, traditional_restrict_weight, Restriction};
+use ft_num::expf;
 use ft_num::rng::rng_from_seed;
 use rand::Rng;
 use rayon::prelude::*;
@@ -182,7 +183,7 @@ fn restriction_trial(seed: u64, hist_bins: usize, bin_w: f32) -> RestrictionComp
     let stride = 8usize;
     let scores: Vec<f32> = (0..n).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
     let m_global = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = scores.iter().map(|s| (s - m_global).exp()).collect();
+    let exps: Vec<f32> = scores.iter().map(|s| expf(s - m_global)).collect();
     let ell_true: f32 = exps.iter().sum();
     let p_true: Vec<f32> = exps.iter().map(|e| e / ell_true).collect();
 
@@ -239,7 +240,7 @@ fn restriction_trial(seed: u64, hist_bins: usize, bin_w: f32) -> RestrictionComp
             // Recompute the residue class from the (clean) scores.
             let mut j = t;
             while j < n {
-                exps_snvr[j] = (scores[j] - m_global).exp();
+                exps_snvr[j] = expf(scores[j] - m_global);
                 j += stride;
             }
         }

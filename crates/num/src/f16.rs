@@ -75,64 +75,37 @@ impl F16 {
     }
 
     /// Convert from `f32` with round-to-nearest-even, the IEEE default mode
-    /// used by CUDA's `__float2half_rn` and by tensor-core operand loads.
+    /// used by CUDA's `__float2half_rn` and by tensor-core operand loads:
+    /// subnormal results round at binary16's subnormal step, magnitudes
+    /// from 65520 on overflow to infinity, and a NaN keeps its top 10
+    /// payload bits, quieted.
+    ///
+    /// Branch-free, so a loop over a slice of them vectorises: the
+    /// magnitude rounds as in [`quantize_f32`], to a binary32 that binary16
+    /// holds exactly, and a finite one is narrowed the way [`F16::to_f32`]
+    /// widens, backwards — scaled by 2⁻¹¹² (exact: its mantissa fits, and
+    /// a binary16 subnormal lands on a binary32 subnormal) and shifted down
+    /// 13 bits. Infinity and NaN keep the top of binary32's mantissa under
+    /// binary16's all-ones exponent. [`MatrixF32::to_f16`] of a 64 × 64
+    /// block takes 0.72 ns per element at the x86-64-v3 build floor,
+    /// against 1.55 with the field-by-field conversion it replaced (2-vCPU
+    /// x86-64, min of two alternating runs); the `#[ignore]`d test below
+    /// pins the two against each other on all 2³² inputs.
+    ///
+    /// [`MatrixF32::to_f16`]: crate::MatrixF32::to_f16
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
+        const TWO_POW_MINUS_112: f32 = f32::from_bits((127 - 112) << 23);
         let bits = value.to_bits();
-        let sign = ((bits >> 16) & 0x8000) as u16;
-        let exp = ((bits >> 23) & 0xFF) as i32;
-        let mantissa = bits & 0x007F_FFFF;
-
-        if exp == 0xFF {
-            // Inf or NaN. Preserve NaN-ness; quiet the payload into the top
-            // mantissa bit like hardware converters do.
-            return if mantissa == 0 {
-                F16(sign | 0x7C00)
-            } else {
-                F16(sign | 0x7E00 | ((mantissa >> 13) as u16 & 0x03FF) | 0x0200)
-            };
-        }
-
-        // Unbiased exponent of the f32 value.
-        let unbiased = exp - 127;
-        if unbiased > 15 {
-            // Overflows binary16 → ±Inf (matches RN conversion).
-            return F16(sign | 0x7C00);
-        }
-        if unbiased >= -14 {
-            // Normal range. Keep 10 mantissa bits, round the lower 13 to
-            // nearest-even.
-            let half_exp = (unbiased + EXPONENT_BIAS) as u16;
-            let mut half_man = (mantissa >> 13) as u16;
-            let round_bits = mantissa & 0x1FFF;
-            if round_bits > 0x1000 || (round_bits == 0x1000 && (half_man & 1) == 1) {
-                half_man += 1;
-            }
-            // Mantissa carry may bump the exponent; 0x7C00 (Inf) is reached
-            // correctly when rounding 65519.999… up.
-            return F16((sign | (half_exp << MANTISSA_BITS)).wrapping_add(half_man));
-        }
-        if unbiased >= -25 {
-            // Subnormal range: shift the implicit bit into the mantissa and
-            // round. `shift` is how many extra bits we drop relative to the
-            // normal case.
-            let full_man = mantissa | 0x0080_0000; // implicit leading 1
-            let shift = (-14 - unbiased) as u32; // 1..=11
-            let drop = 13 + shift;
-            let half_man = (full_man >> drop) as u16;
-            let round_mask = 1u32 << (drop - 1);
-            let rem_mask = (1u32 << drop) - 1;
-            let rem = full_man & rem_mask;
-            let rounded = if rem > round_mask || (rem == round_mask && (half_man & 1) == 1) {
-                half_man + 1
-            } else {
-                half_man
-            };
-            // `rounded` may carry into the normal range (0x0400) — that bit
-            // pattern is exactly the smallest normal, so plain addition works.
-            return F16(sign | rounded);
-        }
-        // Too small: underflow to signed zero.
-        F16(sign)
+        let rounded = round_to_f16(bits & 0x7FFF_FFFF);
+        let finite = (f32::from_bits(rounded) * TWO_POW_MINUS_112).to_bits() >> 13;
+        let special = 0x7C00 | ((rounded >> 13) & 0x03FF);
+        let half = if rounded >= 0x7F80_0000 {
+            special
+        } else {
+            finite
+        };
+        F16((((bits >> 16) & 0x8000) | half) as u16)
     }
 
     /// Exact widening conversion to `f32` (every binary16 value is
@@ -346,12 +319,17 @@ impl Sum for F16 {
 #[inline]
 pub fn quantize_f32(v: f32) -> f32 {
     let bits = v.to_bits();
-    let sign = bits & 0x8000_0000;
-    let magnitude = bits & 0x7FFF_FFFF;
+    f32::from_bits((bits & 0x8000_0000) | round_to_f16(bits & 0x7FFF_FFFF))
+}
+
+/// The bits of a binary32 magnitude (sign bit clear) rounded to binary16
+/// and widened back, as [`quantize_f32`] describes.
+#[inline(always)]
+fn round_to_f16(magnitude: u32) -> u32 {
     let normal = (magnitude + 0x0FFF + ((magnitude >> 13) & 1)) & !0x1FFF;
     let subnormal = ((f32::from_bits(magnitude) + 0.75) - 0.75).to_bits();
     let nan = (magnitude & !0x1FFF) | 0x0040_0000;
-    let rounded = if magnitude < 0x3880_0000 {
+    if magnitude < 0x3880_0000 {
         subnormal
     } else if magnitude < 0x477F_F000 {
         normal
@@ -359,8 +337,7 @@ pub fn quantize_f32(v: f32) -> f32 {
         0x7F80_0000
     } else {
         nan
-    };
-    f32::from_bits(sign | rounded)
+    }
 }
 
 #[cfg(test)]
@@ -400,6 +377,80 @@ mod tests {
         sign | best
     }
 
+    /// The field-by-field narrowing `from_f32` ran before its branch-free
+    /// form, kept as the oracle that form is pinned against.
+    fn from_f32_by_fields(value: f32) -> F16 {
+        let bits = value.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp = ((bits >> 23) & 0xFF) as i32;
+        let mantissa = bits & 0x007F_FFFF;
+
+        if exp == 0xFF {
+            // Inf or NaN. Preserve NaN-ness; quiet the payload into the top
+            // mantissa bit like hardware converters do.
+            return if mantissa == 0 {
+                F16(sign | 0x7C00)
+            } else {
+                F16(sign | 0x7E00 | ((mantissa >> 13) as u16 & 0x03FF) | 0x0200)
+            };
+        }
+
+        // Unbiased exponent of the f32 value.
+        let unbiased = exp - 127;
+        if unbiased > 15 {
+            // Overflows binary16 → ±Inf (matches RN conversion).
+            return F16(sign | 0x7C00);
+        }
+        if unbiased >= -14 {
+            // Normal range. Keep 10 mantissa bits, round the lower 13 to
+            // nearest-even.
+            let half_exp = (unbiased + EXPONENT_BIAS) as u16;
+            let mut half_man = (mantissa >> 13) as u16;
+            let round_bits = mantissa & 0x1FFF;
+            if round_bits > 0x1000 || (round_bits == 0x1000 && (half_man & 1) == 1) {
+                half_man += 1;
+            }
+            // Mantissa carry may bump the exponent; 0x7C00 (Inf) is reached
+            // correctly when rounding 65519.999… up.
+            return F16((sign | (half_exp << MANTISSA_BITS)).wrapping_add(half_man));
+        }
+        if unbiased >= -25 {
+            // Subnormal range: shift the implicit bit into the mantissa and
+            // round. `shift` is how many extra bits we drop relative to the
+            // normal case.
+            let full_man = mantissa | 0x0080_0000; // implicit leading 1
+            let shift = (-14 - unbiased) as u32; // 1..=11
+            let drop = 13 + shift;
+            let half_man = (full_man >> drop) as u16;
+            let round_mask = 1u32 << (drop - 1);
+            let rem_mask = (1u32 << drop) - 1;
+            let rem = full_man & rem_mask;
+            let rounded = if rem > round_mask || (rem == round_mask && (half_man & 1) == 1) {
+                half_man + 1
+            } else {
+                half_man
+            };
+            // `rounded` may carry into the normal range (0x0400) — that bit
+            // pattern is exactly the smallest normal, so plain addition works.
+            return F16(sign | rounded);
+        }
+        // Too small: underflow to signed zero.
+        F16(sign)
+    }
+
+    #[test]
+    #[ignore = "exhaustive over all 2^32 inputs, ~30 s in release"]
+    fn from_f32_matches_field_by_field_conversion_on_every_input() {
+        for bits in 0..=u32::MAX {
+            let v = f32::from_bits(bits);
+            assert_eq!(
+                F16::from_f32(v).to_bits(),
+                from_f32_by_fields(v).to_bits(),
+                "{bits:#010x}"
+            );
+        }
+    }
+
     /// The field-by-field widening `to_f32` ran before its branch-free
     /// form, kept as the oracle that form is pinned against.
     fn to_f32_by_fields(h: F16) -> f32 {
@@ -431,12 +482,14 @@ mod tests {
         }
     }
 
-    /// `quantize_f32` must return the round trip through `F16` bit for bit.
+    /// `quantize_f32` must return the round trip through `F16` bit for bit
+    /// (through the field-by-field conversion, which shares no code with
+    /// it).
     fn assert_quantize_exact(bits: u32) {
         let v = f32::from_bits(bits);
         assert_eq!(
             quantize_f32(v).to_bits(),
-            F16::from_f32(v).to_f32().to_bits(),
+            from_f32_by_fields(v).to_f32().to_bits(),
             "{bits:#010x}"
         );
     }

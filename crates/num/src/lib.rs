@@ -9,6 +9,8 @@
 //!   kernel uses;
 //! * [`tensor::Tensor4`] — `batch × heads × seq × dim` attention tensors;
 //! * [`rng`] — seeded, reproducible workload generation;
+//! * [`expf`] / [`expf_slice`] — glibc's `expf`, whose slice form runs
+//!   at vector width, with the same bits on every platform;
 //! * [`tanhf`] — fdlibm's `tanhf`, branch-free so that loops over it
 //!   vectorise, with the same bits on every platform.
 //!
@@ -18,12 +20,14 @@
 
 #![warn(missing_docs)]
 
+pub mod exp;
 pub mod f16;
 pub mod matrix;
 pub mod rng;
 pub mod tanh;
 pub mod tensor;
 
+pub use exp::{expf, expf_slice};
 pub use f16::{quantize_f32, F16};
 pub use matrix::{block_starts, num_blocks, Matrix, MatrixF16, MatrixF32};
 pub use tanh::tanhf;

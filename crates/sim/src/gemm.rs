@@ -30,11 +30,13 @@
 //! `b[j0 + k·n + j]`, read straight out of B. At the x86-64-v3 build floor
 //! (8-lane vectors) a 16-wide row is two vectors, so a group keeps eight
 //! vector chains in flight, enough to cover the add latency. Past the last
-//! full panel, 8–15 leftover columns run one 8-wide panel (so the 8-wide
-//! checksum GEMMs keep a kernel of their own shape) and fewer run single
-//! chains. Rows left over below a full group have no other rows to share a
-//! panel with (decode GEMVs), so they run 64 columns wide, then 32, then
-//! 8, then single chains.
+//! full panel, 8–15 leftover columns run one 8-wide panel and fewer run
+//! single chains. Rows left over below a full group have no other rows to
+//! share a panel with (decode GEMVs), so they run 64 columns wide, then
+//! 32, then 8, then single chains. An 8-wide product keeps only four
+//! vector chains per group, so a checksum fold's two 8-wide operands run
+//! side by side as one 16-wide panel ([`gemm_nn_pair`],
+//! [`ragged_product_pair`]).
 //!
 //! Measured at the floor (2-vCPU x86-64, µs, min of six alternating runs,
 //! `m×k×n`, 4 × 8 panels → 4 × 16): 16×64×64 2.81 → 2.31, 64×64×64
@@ -143,26 +145,33 @@ const NP: usize = 8;
 /// 19.9 → 16.8; k = 256, n = 1024 24.0 → 18.6.
 const NR_ROW: usize = 64;
 
-/// `R × W` chains in registers over the whole k range: chain `(r, j)`
-/// accumulates `a[r][k] · panel[j0 + k·ld + j]` for ascending k from `0.0`
-/// — [`gemm_chain`]'s chain, `R · W` of them side by side.
+/// `R × P·W` chains in registers over the whole k range, over `P`
+/// operands of one row stride `ld`: chain `(r, p, j)` accumulates
+/// `a[r][k] · panels[p][j0 + k·ld + j]` for ascending k from `0.0` —
+/// [`gemm_chain`]'s chain, `R · P · W` of them side by side.
 #[inline(always)]
-fn micro<const R: usize, const W: usize>(
+fn micro<const R: usize, const P: usize, const W: usize>(
     a: [&[f32]; R],
-    panel: &[f32],
+    panels: [&[f32]; P],
     ld: usize,
     j0: usize,
-) -> [[f32; W]; R] {
+) -> [[[f32; W]; P]; R] {
     let k_len = a[0].len();
     assert!(a.iter().all(|row| row.len() == k_len));
-    let mut acc = [[0.0f32; W]; R];
+    let mut acc = [[[0.0f32; W]; P]; R];
     for k in 0..k_len {
         let at = j0 + k * ld;
-        let b: &[f32; W] = panel[at..at + W].try_into().expect("a panel row is W wide");
+        let b: [&[f32; W]; P] = core::array::from_fn(|p| {
+            panels[p][at..at + W]
+                .try_into()
+                .expect("a panel row is W wide")
+        });
         for (acc_r, a_r) in acc.iter_mut().zip(&a) {
             let av = a_r[k];
-            for (s, &bv) in acc_r.iter_mut().zip(b) {
-                *s += av * bv;
+            for (acc_p, b) in acc_r.iter_mut().zip(b) {
+                for (s, &bv) in acc_p.iter_mut().zip(b) {
+                    *s += av * bv;
+                }
             }
         }
     }
@@ -179,8 +188,8 @@ fn groups_times_panel<const W: usize>(
     j0: usize,
 ) {
     for i in (0..rows).step_by(MR) {
-        let acc = micro::<MR, W>(core::array::from_fn(|r| a.row(i + r)), b, ld, j0);
-        for (r, acc_r) in acc.iter().enumerate() {
+        let acc = micro::<MR, 1, W>(core::array::from_fn(|r| a.row(i + r)), [b], ld, j0);
+        for (r, [acc_r]) in acc.iter().enumerate() {
             c.row_mut(i + r)[j0..j0 + W].copy_from_slice(acc_r);
         }
     }
@@ -197,7 +206,7 @@ fn row_panels<const W: usize>(
     j0: &mut usize,
 ) {
     while *j0 + W <= ld {
-        let [acc] = micro::<1, W>([a_row], b, ld, *j0);
+        let [[acc]] = micro::<1, 1, W>([a_row], [b], ld, *j0);
         c_row[*j0..*j0 + W].copy_from_slice(&acc);
         *j0 += W;
     }
@@ -235,6 +244,45 @@ pub fn gemm_nn(a: &MatrixF32, b: &MatrixF32) -> MatrixF32 {
         }
     }
     c
+}
+
+/// `(A · B1, A · B2)` for two k-major operands of one shape, side by side:
+/// two 8-wide operands (a checksum fold's `w1` and `w2`) run as one
+/// 16-wide panel, so an `MR`-row group keeps eight vector chains in flight
+/// where one 8-wide product keeps four, and a left-over row two where it
+/// keeps one. Every element is its own chain, so the bits are those of
+/// `(gemm_nn(a, b1), gemm_nn(a, b2))`, which is how other widths run.
+///
+/// Measured at the floor (`checksum_products_64x8` in `benches/attention.rs`:
+/// one worker, 2-vCPU x86-64, µs, min of three alternating runs, both
+/// products of a 64 × 8 fold, two `gemm_nn` → pair): m = 64 3.28 → 2.52,
+/// m = 16 0.92 → 0.71, m = 1 0.21 → 0.16.
+pub fn gemm_nn_pair(a: &MatrixF32, (b1, b2): (&MatrixF32, &MatrixF32)) -> (MatrixF32, MatrixF32) {
+    assert_eq!(b1.shape(), b2.shape(), "the pair shares one shape");
+    if b1.cols() != NR_NARROW {
+        return (gemm_nn(a, b1), gemm_nn(a, b2));
+    }
+    assert_eq!(a.cols(), b1.rows(), "inner dims (k) must match");
+    let m = a.rows();
+    let mut c = [Matrix::zeros(m, NR_NARROW), Matrix::zeros(m, NR_NARROW)];
+    let b = [b1.as_slice(), b2.as_slice()];
+    let mut store = |i: usize, acc: &[[[f32; NR_NARROW]; 2]]| {
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (c, acc_p) in c.iter_mut().zip(acc_r) {
+                c.row_mut(i + r).copy_from_slice(acc_p);
+            }
+        }
+    };
+    let grouped = m - m % MR;
+    for i in (0..grouped).step_by(MR) {
+        let rows = core::array::from_fn(|r| a.row(i + r));
+        store(i, &micro::<MR, 2, NR_NARROW>(rows, b, NR_NARROW, 0));
+    }
+    for i in grouped..m {
+        store(i, &micro::<1, 2, NR_NARROW>([a.row(i)], b, NR_NARROW, 0));
+    }
+    let [c1, c2] = c;
+    (c1, c2)
 }
 
 /// A static k-major operand `B` (`k × n`) packed once for [`gemm_packed`]:
@@ -287,7 +335,7 @@ impl PackedB {
 /// Measured (one row, 2-vCPU x86-64, SSE2 build, µs, four panels at once
 /// vs one at a time): k = 256, n = 8192 285 vs 332; k = 256,
 /// n = 1024 18 vs 29; k = 1024, n = 256 18 vs 28; k = 256, n = 256 4.7 vs
-/// 7.6. Packing 32-wide panels instead (so `micro::<1, 32>` reads them)
+/// 7.6. Packing 32-wide panels instead (so `micro::<1, 1, 32>` reads them)
 /// ties on one row but slows the 4-row groups at n = 8192 from 635 to 750.
 ///
 /// Re-measured at the x86-64-v3 floor against 16-wide panels (`MR × 16`
@@ -435,7 +483,40 @@ pub fn ragged_product(a: &MatrixF32, b: &MatrixF32, w: impl Fn(usize) -> usize) 
     } else {
         gemm_nn(&a.block(0, 0, m, w0), &b.block(0, 0, w0, n))
     };
-    for i in 0..m {
+    ragged_tails(a, b, &mut c, w0, w);
+    c
+}
+
+/// [`ragged_product`] against two k-major operands of one shape, the
+/// columns every row sees through [`gemm_nn_pair`].
+pub fn ragged_product_pair(
+    a: &MatrixF32,
+    (b1, b2): (&MatrixF32, &MatrixF32),
+    w: impl Fn(usize) -> usize,
+) -> (MatrixF32, MatrixF32) {
+    assert_eq!(a.cols(), b1.rows(), "inner dims (k) must match");
+    let (m, n, w0) = (a.rows(), b1.cols(), w(0));
+    let (mut c1, mut c2) = if w0 == a.cols() {
+        gemm_nn_pair(a, (b1, b2))
+    } else {
+        let (b1, b2) = (b1.block(0, 0, w0, n), b2.block(0, 0, w0, n));
+        gemm_nn_pair(&a.block(0, 0, m, w0), (&b1, &b2))
+    };
+    ragged_tails(a, b1, &mut c1, w0, &w);
+    ragged_tails(a, b2, &mut c2, w0, &w);
+    (c1, c2)
+}
+
+/// Continue every row `i` of `c`, the product over A's first `w0` columns,
+/// over its own columns `w0 .. w(i)`, chain by chain in ascending order.
+fn ragged_tails(
+    a: &MatrixF32,
+    b: &MatrixF32,
+    c: &mut MatrixF32,
+    w0: usize,
+    w: impl Fn(usize) -> usize,
+) {
+    for i in 0..a.rows() {
         let c_row = c.row_mut(i);
         for k in w0..w(i) {
             let x = a.get(i, k);
@@ -444,7 +525,6 @@ pub fn ragged_product(a: &MatrixF32, b: &MatrixF32, w: impl Fn(usize) -> usize) 
             }
         }
     }
-    c
 }
 
 /// A k-major GEMM operand `B` (`k × n`) as [`gemm_fault_pass`] and
@@ -829,6 +909,48 @@ mod tests {
             }
         }
         assert!(ber_fired > 0, "BER must exercise the recompute path");
+    }
+
+    #[test]
+    fn pair_products_are_the_two_products() {
+        // Two operands side by side give each operand's own product, bit
+        // for bit: the 8-wide pair kernel over row groups and one to three
+        // left-over rows, the fallback at other widths, an empty k, and the
+        // ragged form (each row over its own prefix of A's columns).
+        let operand = |rows: usize, cols: usize, seed: usize| {
+            MatrixF32::from_fn(rows, cols, |i, j| {
+                ((i * 7919 + j * 104_729 + seed) as f32).sin()
+            })
+        };
+        for (m, k, n) in [
+            (1, 64, 8),
+            (3, 17, 8),
+            (4, 64, 8),
+            (7, 40, 8),
+            (64, 64, 8),
+            (2, 0, 8),
+            (5, 33, 1),
+            (6, 24, 16),
+        ] {
+            let a = operand(m, k, 1);
+            let (b1, b2) = (operand(k, n, 2), operand(k, n, 3));
+            let what = format!("{m}x{k}x{n}");
+            let (c1, c2) = gemm_nn_pair(&a, (&b1, &b2));
+            assert_bits_eq(&c1, &gemm_nn(&a, &b1), &format!("pair 1 {what}"));
+            assert_bits_eq(&c2, &gemm_nn(&a, &b2), &format!("pair 2 {what}"));
+            let w = |i: usize| k - (m - 1 - i).min(k / 2);
+            let (r1, r2) = ragged_product_pair(&a, (&b1, &b2), w);
+            assert_bits_eq(
+                &r1,
+                &ragged_product(&a, &b1, w),
+                &format!("ragged 1 {what}"),
+            );
+            assert_bits_eq(
+                &r2,
+                &ragged_product(&a, &b2, w),
+                &format!("ragged 2 {what}"),
+            );
+        }
     }
 
     #[test]

@@ -35,6 +35,6 @@ pub use fault::{
     BerInjector, ChainFault, FaultInjector, FaultSite, NoFaults, OpCoord, SeuInjector,
 };
 pub use gemm::{
-    gemm_chain, gemm_fault_pass, gemm_flops, gemm_nn, gemm_packed, ragged_product, GemmCtx, KMajor,
-    PackedB,
+    gemm_chain, gemm_fault_pass, gemm_flops, gemm_nn, gemm_nn_pair, gemm_packed, ragged_product,
+    ragged_product_pair, GemmCtx, KMajor, PackedB,
 };

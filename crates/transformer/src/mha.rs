@@ -69,8 +69,9 @@ impl MultiHeadAttention {
         for h in 0..self.heads {
             let slot = t.slot_mut(0, h);
             for (i, r) in rows.clone().enumerate() {
-                for j in 0..hd {
-                    slot.set(i, j, ft_num::F16::from_f32(x.get(r, h * hd + j)));
+                let src = &x.row(r)[h * hd..(h + 1) * hd];
+                for (dst, &v) in slot.row_mut(i).iter_mut().zip(src) {
+                    *dst = ft_num::F16::from_f32(v);
                 }
             }
         }
