@@ -299,15 +299,15 @@ fn product_mismatches(
     shape: impl Fn(usize) -> (usize, usize),
     chk: Check,
 ) -> Vec<StridedMismatch> {
-    // Row-major `rows × lanes` scratch; a lane past a row's `se` keeps a
+    // Row-major `rows × lanes` buffers; a lane past a row's `se` keeps a
     // product of 1 against a transported `exp(0) = 1`, which never fires.
     let (rows, lanes) = c1.shape();
     let mut prods = vec![1.0f32; rows * lanes];
     let mut want = vec![0.0f32; rows * lanes];
-    let scratch = prods
+    let per_row = prods
         .chunks_exact_mut(lanes)
         .zip(want.chunks_exact_mut(lanes));
-    for (i, (prods, want)) in scratch.enumerate() {
+    for (i, (prods, want)) in per_row.enumerate() {
         let (w, se) = shape(i);
         fold_row(&p.row(i)[..w], &mut prods[..se], |acc, _, x| acc * x);
         // Lane `t` holds ⌈(w − t)/se⌉ of the row's columns: ⌊w/se⌋, and one
@@ -850,13 +850,13 @@ impl<'a> RowState<'a> {
             let (c1, c2) = match nf {
                 0 => gemm_nn_pair(q, (w1, w2)),
                 _ => {
-                    let mut c = [Matrix::zeros(nr, w1.cols()), Matrix::zeros(nr, w1.cols())];
+                    let (mut c1, mut c2) =
+                        (Matrix::zeros(nr, w1.cols()), Matrix::zeros(nr, w1.cols()));
                     if nf < nr {
-                        let (c1, c2) = gemm_nn_pair(&q.block(nf, 0, nr - nf, d), (w1, w2));
-                        c[0].set_block(nf, 0, &c1);
-                        c[1].set_block(nf, 0, &c2);
+                        let whole = gemm_nn_pair(&q.block(nf, 0, nr - nf, d), (w1, w2));
+                        c1.set_block(nf, 0, &whole.0);
+                        c2.set_block(nf, 0, &whole.1);
                     }
-                    let [c1, c2] = c;
                     (c1, c2)
                 }
             };
@@ -1118,21 +1118,19 @@ impl<'a> RowState<'a> {
         for v in p.as_mut_slice() {
             *v = quantize_f32(*v);
         }
-        // The fault pass of `c`, the product of P's rows `rows` (`p`)
-        // with `w`, at output column `col0` of the step's iteration `it`.
-        let gemm2_faults = |c: &mut MatrixF32,
-                            (p, rows): (&MatrixF32, Range<usize>),
-                            w: &MatrixF32,
-                            col0: usize,
-                            it: usize| {
+        // The fault pass of `c = p · w`, `p` holding P's rows from `r0` on:
+        // iteration `it` 0 is the data product, 1 and 2 the checksum
+        // products, whose columns sit past the `d` data columns.
+        let gemm2_faults = |c: &mut MatrixF32, p: &MatrixF32, r0: usize, w: &MatrixF32, it| {
+            let col0 = if it == 0 { 0 } else { d };
             let ctx = GemmCtx::new(FaultSite::GemmIiAccum, slot)
-                .at(row0 + rows.start, col0)
+                .at(row0 + r0, col0)
                 .iter(3 * jb + it);
-            let shape = |i| (width(rows.start + i), w.cols());
-            gemm_fault_pass(c, p, 0..rows.len(), w, shape, inj, ctx);
+            let shape = |i| (width(r0 + i), w.cols());
+            gemm_fault_pass(c, p, 0..p.rows(), w, shape, inj, ctx);
         };
         let mut pv = ragged_product(&p, blk.v, width);
-        gemm2_faults(&mut pv, (&p, 0..nr), blk.v, 0, 0);
+        gemm2_faults(&mut pv, &p, 0, blk.v, 0);
         let rescale_site = inj.may_fire(FaultSite::Rescale);
         for i in 0..nr {
             let f = factors[i];
@@ -1166,8 +1164,8 @@ impl<'a> RowState<'a> {
                     &p_part
                 };
                 let (mut c1, mut c2) = ragged_product_pair(p, (w1, w2), |i| width(rows.start + i));
-                gemm2_faults(&mut c1, (p, rows.clone()), w1, d, 1);
-                gemm2_faults(&mut c2, (p, rows.clone()), w2, d, 2);
+                gemm2_faults(&mut c1, p, rows.start, w1, 1);
+                gemm2_faults(&mut c2, p, rows.start, w2, 2);
                 if traditional {
                     [c1, c2].map(|c| c.block(0, 0, rows.len(), 1))
                 } else {
