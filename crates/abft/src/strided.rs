@@ -20,12 +20,17 @@
 //! residue classes mod `s` — the paper's "up to a factor of 8" multi-error
 //! claim, pinned by tests below.
 //!
+//! At `s = 1` the fold is the traditional Huang–Abraham element checksum
+//! (§3.1, Eqs. 8–9): one plain and one index-weighted sum per row or
+//! column. The decoupled baseline checks its products that way, through
+//! the same encoders, [`verify_strided`] / [`verify_correct_cols_strided`]
+//! and the one locate rule, [`locate_group`].
+//!
 //! Note on the locate ratio: with 0-based group index `l` and second-weight
 //! `l+1`, a single error in group `l₀` yields `Δ2/Δ1 = l₀ + 1`, so the
 //! corrupted column is `t + s·(round(Δ2/Δ1) − 1)`. (The paper's Eq. in
 //! §3.3 omits the −1 under its own weight definition; see DESIGN.md §4.)
 
-use crate::element::{AbftReport, ErrorLoc};
 use crate::thresholds::Check;
 use ft_num::{quantize_f32, Matrix, MatrixF32};
 
@@ -118,9 +123,18 @@ pub fn strided_sums_weighted(c: &MatrixF32, s: usize) -> MatrixF32 {
 }
 
 /// `out[i][t] = Σ_l term(l+1, c[i][t + s·l])`, each lane summed in
-/// ascending `l` from `0.0`, one row at a time through [`fold_row`].
+/// ascending `l` from `0.0`, one row at a time through [`fold_row`]. At
+/// `s = 1` (the element checksum) each row is one chain, folded directly:
+/// `fold_row`'s general lane loop is several times slower there.
 fn fold_groups(c: &MatrixF32, s: usize, term: impl Fn(f32, f32) -> f32 + Copy) -> MatrixF32 {
     let mut out = Matrix::zeros(c.rows(), s);
+    if s == 1 {
+        for (i, lane) in out.as_mut_slice().iter_mut().enumerate() {
+            let row = c.row(i).iter().enumerate();
+            *lane = row.fold(0.0, |acc, (j, &v)| acc + term((j + 1) as f32, v));
+        }
+        return out;
+    }
     for i in 0..c.rows() {
         fold_row(c.row(i), out.row_mut(i), |acc, w, v| acc + term(w, v));
     }
@@ -166,17 +180,50 @@ pub fn fold_row(row: &[f32], lanes: &mut [f32], op: impl Fn(f32, f32, f32) -> f3
     }
 }
 
-/// One strided-checksum mismatch: row `i`, residue class `t`.
+/// One strided-checksum mismatch: line `i`, residue class `t`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StridedMismatch {
-    /// Output row.
+    /// Checked line: the output row of a row check ([`verify_strided`]),
+    /// the output column of a column check ([`verify_correct_cols_strided`]).
     pub i: usize,
-    /// Residue class (column of the checksum).
+    /// Residue class: the checksum lane (its column in a row check, its row
+    /// in a column check).
     pub t: usize,
     /// Plain discrepancy (observed strided sum − checksum).
     pub delta1: f32,
     /// Weighted discrepancy.
     pub delta2: f32,
+}
+
+/// Location and magnitude of one detected error.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ErrorLoc {
+    /// Row of the corrupted element.
+    pub row: usize,
+    /// Column of the corrupted element.
+    pub col: usize,
+    /// Signed discrepancy (observed − true).
+    pub delta: f32,
+}
+
+/// Result of a verification + correction pass.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct AbftReport {
+    /// Checksum mismatches observed.
+    pub detections: usize,
+    /// Errors located and corrected in place.
+    pub corrected: Vec<ErrorLoc>,
+    /// Mismatches that could not be attributed to a single element (located
+    /// index out of range, or several errors aliasing one checksum lane).
+    /// The caller must recompute the affected region.
+    pub uncorrectable: usize,
+}
+
+impl AbftReport {
+    /// True when no mismatch was observed.
+    pub fn clean(&self) -> bool {
+        self.detections == 0
+    }
 }
 
 /// Compare the strided sums of `c` against checksum results `check1` /
@@ -228,21 +275,68 @@ pub fn locate_group(delta1: f32, delta2: f32) -> Option<usize> {
 /// correct it in place. Mismatches whose ratio does not identify a valid
 /// column are counted `uncorrectable` (the caller recomputes).
 pub fn correct_strided(c: &mut MatrixF32, mismatches: &[StridedMismatch], s: usize) -> AbftReport {
-    let n = c.cols();
+    correct_lines(c, mismatches, s, c.cols(), |m, col| (m.i, col))
+}
+
+/// Column-direction dual of [`verify_strided`] + [`correct_strided`]: fold
+/// `c`'s rows in stride-`s` groups ([`encode_rows_strided`], the encoder of
+/// the checksum rows `check1` / `check2`, each `s × cols`), flag the lanes
+/// `chk` detects, then locate each flagged lane's row with [`locate_group`]
+/// and correct it in place. At `s = 1` this is the element checksum's
+/// column check (paper Eqs. 8–9).
+pub fn verify_correct_cols_strided(
+    c: &mut MatrixF32,
+    check1: &MatrixF32,
+    check2: &MatrixF32,
+    s: usize,
+    chk: Check,
+) -> AbftReport {
+    let sums = encode_rows_strided(c, s, false);
+    assert_eq!(check1.shape(), sums.w1.shape(), "checksum shape mismatch");
+    assert_eq!(check2.shape(), sums.w2.shape(), "checksum shape mismatch");
+    let mut mismatches = Vec::new();
+    for j in 0..c.cols() {
+        for t in 0..s {
+            let (got, want) = (sums.w1.get(t, j), check1.get(t, j));
+            if chk.detects(got, want) {
+                mismatches.push(StridedMismatch {
+                    i: j,
+                    t,
+                    delta1: got - want,
+                    delta2: sums.w2.get(t, j) - check2.get(t, j),
+                });
+            }
+        }
+    }
+    correct_lines(c, &mismatches, s, c.rows(), |m, row| (row, m.i))
+}
+
+/// The one correction loop: each mismatch's element `t + s·l` along its
+/// line of `extent` elements (`l` from [`locate_group`], with checked
+/// arithmetic), placed in `c` by `at(mismatch, index) → (row, col)`, is
+/// corrected by its plain discrepancy; the rest count `uncorrectable`.
+fn correct_lines(
+    c: &mut MatrixF32,
+    mismatches: &[StridedMismatch],
+    s: usize,
+    extent: usize,
+    at: impl Fn(&StridedMismatch, usize) -> (usize, usize),
+) -> AbftReport {
     let mut report = AbftReport {
         detections: mismatches.len(),
         ..Default::default()
     };
     for m in mismatches {
-        let col = locate_group(m.delta1, m.delta2)
+        let index = locate_group(m.delta1, m.delta2)
             .and_then(|l| s.checked_mul(l))
             .and_then(|off| off.checked_add(m.t))
-            .filter(|&col| col < n);
-        if let Some(col) = col {
-            let fixed = c.get(m.i, col) - m.delta1;
-            c.set(m.i, col, fixed);
+            .filter(|&x| x < extent);
+        if let Some(index) = index {
+            let (row, col) = at(m, index);
+            let fixed = c.get(row, col) - m.delta1;
+            c.set(row, col, fixed);
             report.corrected.push(ErrorLoc {
-                row: m.i,
+                row,
                 col,
                 delta: m.delta1,
             });
@@ -268,6 +362,18 @@ mod tests {
         let s_c1 = gemm_nn(q, &cs.w1.transpose());
         let s_c2 = gemm_nn(q, &cs.w2.transpose());
         (s_mat, s_c1, s_c2)
+    }
+
+    /// S = Q·Kᵀ with its column-check rows, computed the same way from
+    /// Q's row fold: `(Q_c1·Kᵀ, Q_c2·Kᵀ)`, each `s × n`.
+    fn protected_qkt_cols(
+        q: &MatrixF32,
+        k: &MatrixF32,
+        s: usize,
+    ) -> (MatrixF32, MatrixF32, MatrixF32) {
+        let cs = encode_rows_strided(q, s, false);
+        let kt = k.transpose();
+        (gemm_nn(q, &kt), gemm_nn(&cs.w1, &kt), gemm_nn(&cs.w2, &kt))
     }
 
     /// Verify `c` against its checksum results, then correct it in place.
@@ -297,6 +403,12 @@ mod tests {
             sums1.max_abs_diff(&s_c1)
         );
         assert!(sums2.max_abs_diff(&s_c2) < 1e-2);
+        // Stride 1, column direction: (c1·Q)·Kᵀ = c1·(Q·Kᵀ) — the element
+        // checksum's encoding commutes with the GEMM.
+        let (s_mat, r1, r2) = protected_qkt_cols(&q, &k, 1);
+        let folded = encode_rows_strided(&s_mat, 1, false);
+        assert!(folded.w1.max_abs_diff(&r1) < 1e-3);
+        assert!(folded.w2.max_abs_diff(&r2) < 1e-2);
     }
 
     #[test]
@@ -304,8 +416,13 @@ mod tests {
         let mut rng = rng_from_seed(21);
         let q = normal_matrix_f16(&mut rng, 16, 16, 0.5).to_f32();
         let k = normal_matrix_f16(&mut rng, 16, 16, 0.5).to_f32();
-        let (s_mat, c1, c2) = protected_qkt(&q, &k, 8);
-        assert!(verify_strided(&s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0)).is_empty());
+        for s in [8, 1] {
+            let (s_mat, c1, c2) = protected_qkt(&q, &k, s);
+            assert!(verify_strided(&s_mat, &c1, &c2, s, Check::new(1e-2, 0.0)).is_empty());
+            let (mut s_mat, r1, r2) = protected_qkt_cols(&q, &k, s);
+            let rep = verify_correct_cols_strided(&mut s_mat, &r1, &r2, s, Check::new(1e-2, 0.0));
+            assert!(rep.clean(), "stride {s}: {rep:?}");
+        }
     }
 
     #[test]
@@ -313,15 +430,27 @@ mod tests {
         let mut rng = rng_from_seed(22);
         let q = normal_matrix_f16(&mut rng, 16, 16, 0.5).to_f32();
         let k = normal_matrix_f16(&mut rng, 32, 16, 0.5).to_f32();
-        let (mut s_mat, c1, c2) = protected_qkt(&q, &k, 8);
+        // At stride 8, column 19 = residue 3, group 2 (l0 = 2, ratio 3); at
+        // stride 1 (the element checksum) the row check's ratio is 20 and
+        // the column check's 7.
+        for s in [8, 1] {
+            let (mut s_mat, c1, c2) = protected_qkt(&q, &k, s);
+            let truth = s_mat.clone();
+            s_mat.set(6, 19, s_mat.get(6, 19) + 4.0);
+            let rep = verify_and_correct(&mut s_mat, &c1, &c2, s, Check::new(1e-2, 0.0));
+            assert_eq!(rep.detections, 1);
+            assert_eq!(rep.corrected.len(), 1);
+            assert_eq!((rep.corrected[0].row, rep.corrected[0].col), (6, 19));
+            assert!(s_mat.max_abs_diff(&truth) < 1e-2);
+        }
+        let (mut s_mat, r1, r2) = protected_qkt_cols(&q, &k, 1);
         let truth = s_mat.clone();
-        // Column 19 = residue 3, group 2 (l0 = 2, ratio 3).
-        s_mat.set(6, 19, s_mat.get(6, 19) + 4.0);
-        let rep = verify_and_correct(&mut s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0));
-        assert_eq!(rep.detections, 1);
+        s_mat.set(6, 19, s_mat.get(6, 19) - 3.25);
+        let rep = verify_correct_cols_strided(&mut s_mat, &r1, &r2, 1, Check::new(1e-3, 0.0));
+        assert_eq!((rep.detections, rep.uncorrectable), (1, 0));
         assert_eq!(rep.corrected.len(), 1);
         assert_eq!((rep.corrected[0].row, rep.corrected[0].col), (6, 19));
-        assert!(s_mat.max_abs_diff(&truth) < 1e-2);
+        assert!(s_mat.max_abs_diff(&truth) < 1e-3);
     }
 
     #[test]
@@ -341,6 +470,16 @@ mod tests {
         assert_eq!(rep.corrected.len(), 8);
         assert_eq!(rep.uncorrectable, 0);
         assert!(s_mat.max_abs_diff(&truth) < 1e-2);
+        // The element checksum's one lane per line, column direction: one
+        // error in each of three columns, all corrected.
+        let (mut s_mat, r1, r2) = protected_qkt_cols(&q, &k, 1);
+        let truth = s_mat.clone();
+        s_mat.set(0, 0, s_mat.get(0, 0) + 2.0);
+        s_mat.set(7, 5, s_mat.get(7, 5) - 4.0);
+        s_mat.set(15, 11, s_mat.get(15, 11) + 9.0);
+        let rep = verify_correct_cols_strided(&mut s_mat, &r1, &r2, 1, Check::new(1e-3, 0.0));
+        assert_eq!((rep.corrected.len(), rep.uncorrectable), (3, 0));
+        assert!(s_mat.max_abs_diff(&truth) < 1e-3);
     }
 
     #[test]
@@ -357,6 +496,15 @@ mod tests {
         let rep = verify_and_correct(&mut s_mat, &c1, &c2, 8, Check::new(1e-2, 0.0));
         assert_eq!(rep.detections, 1);
         assert_eq!(rep.uncorrectable, 1);
+        assert!(rep.corrected.is_empty());
+        // The element checksum's known weakness, column direction: rows 1
+        // and 9 of column 4 alias one lane with ratio (2·5 + 10·11)/16 =
+        // 7.5, which would round to a bogus row 6. Flagged, not "corrected".
+        let (mut s_mat, r1, r2) = protected_qkt_cols(&q, &k, 1);
+        s_mat.set(1, 4, s_mat.get(1, 4) + 5.0);
+        s_mat.set(9, 4, s_mat.get(9, 4) + 11.0);
+        let rep = verify_correct_cols_strided(&mut s_mat, &r1, &r2, 1, Check::new(1e-3, 0.0));
+        assert_eq!((rep.detections, rep.uncorrectable), (1, 1));
         assert!(rep.corrected.is_empty());
     }
 
@@ -410,6 +558,11 @@ mod tests {
         for c in 0..8 {
             let direct: f32 = (0..16).map(|r| k.get(r, c)).sum();
             assert!((cs.w1.get(0, c) - direct).abs() < 1e-4);
+        }
+        // FP16-quantised checksum operands stay within binary16 noise.
+        let quant = encode_rows_strided(&k, 1, true);
+        for (e, q) in cs.w1.as_slice().iter().zip(quant.w1.as_slice()) {
+            assert!(crate::thresholds::rel_diff(*e, *q) < 1e-3, "{e} vs {q}");
         }
     }
 

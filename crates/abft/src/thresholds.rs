@@ -81,15 +81,6 @@ impl Thresholds {
     pub fn calibrated() -> Self {
         Self::default()
     }
-
-    /// The paper's reported optima, for side-by-side sweeps.
-    pub fn paper() -> Self {
-        Thresholds {
-            gemm: Check::new(0.48, 0.0),
-            exp_product: Check::new(7e-6, 0.0),
-            output: Check::new(0.05, 0.0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -136,12 +127,5 @@ mod tests {
         assert!(c.detects(f32::NAN, 1.0));
         assert!(c.detects(f32::INFINITY, 1.0));
         assert!(c.detects(1.0, f32::NEG_INFINITY));
-    }
-
-    #[test]
-    fn paper_thresholds_expose_reported_optima() {
-        let t = Thresholds::paper();
-        assert!((t.gemm.rel - 0.48).abs() < 1e-6);
-        assert!((t.exp_product.rel - 7e-6).abs() < 1e-12);
     }
 }

@@ -222,6 +222,12 @@ pub trait AttentionBackend: Sync {
     /// afterwards. That neutrality is what pins speculative decode
     /// bit-identical to plain decode on every backend in the registry
     /// (`tests/speculative_equivalence.rs`).
+    ///
+    /// `thresholds`, when given, replace the kernel options' own. Every
+    /// library caller passes `None`, so decode checks under the thresholds
+    /// prefill uses; the one caller that passes `Some` is the benchmark's
+    /// shadow sweep (`ftbench/src/shadow.rs`), and the parameter goes when
+    /// that caller does.
     fn try_decode_sweep(
         &self,
         slices: &[crate::serve::StreamSlice<'_>],

@@ -10,12 +10,30 @@
 //! 2. **DMR-RSM** — row softmax with dual modular redundancy (Eqs. 10–11);
 //!    P is materialised in HBM.
 //! 3. **ABFT-GEMM II** — `O = P·V`, row-tiled, element-checksum protected.
+//!
+//! The element checksum is [`ft_abft::strided`] at stride 1, so every
+//! check here is one the rest of the repo makes:
+//! * **encode** — each operand's rows fold with `encode_rows_strided(·, 1,
+//!   true)` (FP16-quantised) and the two sums stack under it: Q and P
+//!   blocks gain two checksum rows, K blocks two checksum columns of `Kᵀ`;
+//! * **column check** (GEMMs I and II) — `verify_correct_cols_strided(·,
+//!   1)` against the product's two checksum rows;
+//! * **row check** (GEMM I, after the column check) — `verify_strided(·,
+//!   1)` against its two checksum columns, then `correct_strided(·, 1)`.
+//!
+//! Both checks locate through `locate_group`, so several errors aliasing
+//! one line are flagged (the block is recomputed) rather than "corrected"
+//! at a bogus index. The detection criteria (`GEMM_CHECK`, `OUTPUT_CHECK`)
+//! and the DMR settings (`dmr`'s `EPSILON`, `MAX_ROUNDS`) are constants;
+//! the one option is whether to protect at all.
 
 use crate::config::AttentionConfig;
-use crate::dmr::{dmr_row_softmax, DmrConfig};
+use crate::dmr::dmr_row_softmax;
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
-use ft_abft::element::{augment_rows, encode_cols, verify_correct_by_cols, verify_correct_by_rows};
-use ft_abft::thresholds::Thresholds;
+use ft_abft::strided::{
+    correct_strided, encode_rows_strided, verify_correct_cols_strided, verify_strided,
+};
+use ft_abft::thresholds::Check;
 use ft_num::{block_starts, Matrix, MatrixF32, Tensor4F16, Tensor4F32};
 use ft_sim::cost::Timeline;
 use ft_sim::device::{Device, KernelStats, OomError};
@@ -27,13 +45,19 @@ use std::time::Instant;
 /// through binary16.
 const QUANTIZE_CHECKSUMS: bool = true;
 
+/// GEMM I's element-checksum criterion, both directions. Element checksums
+/// fold whole block rows and columns through FP16-quantised checksum
+/// vectors, so their rounding-noise floor sits an order of magnitude above
+/// the stride-8 lanes'; the floors here are calibrated to that wider fold.
+const GEMM_CHECK: Check = Check::new(0.48, 0.05);
+
+/// GEMM II's element-checksum criterion (its column check), calibrated
+/// like `GEMM_CHECK`.
+const OUTPUT_CHECK: Check = Check::new(0.05, 0.02);
+
 /// Options for the decoupled pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct DecoupledOptions {
-    /// Detection thresholds (element checksums use the `gemm` check).
-    pub thresholds: Thresholds,
-    /// DMR settings for the softmax kernel.
-    pub dmr: DmrConfig,
     /// Apply fault tolerance. `false` runs the same three-kernel pipeline
     /// without checksums or DMR — the "Baseline" bars of Fig. 9.
     pub protect: bool,
@@ -41,43 +65,29 @@ pub struct DecoupledOptions {
 
 impl Default for DecoupledOptions {
     fn default() -> Self {
-        DecoupledOptions {
-            // Element checksums fold whole block rows/columns through
-            // FP16-quantised checksum vectors, so their rounding-noise
-            // floor sits an order of magnitude above the stride-8 lanes';
-            // the floors here are calibrated to that wider fold.
-            thresholds: Thresholds {
-                gemm: ft_abft::thresholds::Check::new(0.48, 0.05),
-                output: ft_abft::thresholds::Check::new(0.05, 0.02),
-                ..Thresholds::calibrated()
-            },
-            dmr: DmrConfig::default(),
-            protect: true,
-        }
+        DecoupledOptions { protect: true }
     }
 }
 
 impl DecoupledOptions {
     /// The unprotected three-kernel baseline.
     pub fn unprotected() -> Self {
-        DecoupledOptions {
-            protect: false,
-            ..Self::default()
-        }
+        DecoupledOptions { protect: false }
     }
+}
+
+/// HBM bytes of the per-block checksum rows and columns kernel I writes.
+fn checksum_bytes(cfg: &AttentionConfig) -> u64 {
+    let nb = cfg.num_blocks();
+    (cfg.num_slots() * nb * nb * (4 * cfg.block + 4) * 2) as u64
 }
 
 /// Simulated-HBM residency the pipeline needs for `cfg` (Q/K/V/O tensors,
 /// FP32 S, per-block checksums, FP16 P). Exceeding the device capacity is
 /// the Fig. 9 OOM.
 pub fn hbm_demand(cfg: &AttentionConfig, protect: bool) -> u64 {
-    let nb = cfg.num_blocks();
-    let checksum_bytes = if protect {
-        (cfg.num_slots() * nb * nb * (4 * cfg.block + 4) * 2) as u64
-    } else {
-        0
-    };
-    4 * cfg.tensor_bytes() + 2 * cfg.score_bytes() + checksum_bytes + cfg.score_bytes()
+    let checksums = if protect { checksum_bytes(cfg) } else { 0 };
+    4 * cfg.tensor_bytes() + 2 * cfg.score_bytes() + checksums + cfg.score_bytes()
 }
 
 /// Analytic kernel statistics of the three-kernel pipeline — shape-derived,
@@ -91,16 +101,12 @@ pub fn analytic_timeline(cfg: &AttentionConfig, protect: bool) -> Timeline {
     let seq2 = seq * seq;
     let blk_bytes = (b * d * 2) as u64;
     let nb_u = nb as u64;
-    let checksum_bytes = if protect {
-        (cfg.num_slots() * nb * nb * (4 * b + 4) * 2) as u64
-    } else {
-        0
-    };
+    let checksums = if protect { checksum_bytes(cfg) } else { 0 };
     let aug = if protect { 2 * nb } else { 0 };
     let k1 = KernelStats {
         launches: 1,
         hbm_read: slots_u * (nb_u * nb_u * 2 * blk_bytes),
-        hbm_written: slots_u * (seq2 * 4) + checksum_bytes,
+        hbm_written: slots_u * (seq2 * 4) + checksums,
         tc_flops: slots_u * gemm_flops(cfg.seq + aug, cfg.seq + aug, d),
         fp32_flops: 0,
         sfu_ops: 0,
@@ -142,6 +148,24 @@ pub fn analytic_timeline(cfg: &AttentionConfig, protect: bool) -> Timeline {
     timeline.push("kernel2/dmr-softmax", k2);
     timeline.push("kernel3/abft-gemm-pv", k3);
     timeline
+}
+
+/// `a` with its element checksum rows stacked under it when `protect`: the
+/// stride-1 row fold of `a`, plain then index-weighted, FP16-quantised.
+fn augment(a: &MatrixF32, protect: bool) -> MatrixF32 {
+    if !protect {
+        return a.clone();
+    }
+    let cs = encode_rows_strided(a, 1, QUANTIZE_CHECKSUMS);
+    Matrix::vstack(&[a, &cs.w1, &cs.w2])
+}
+
+/// The column check of a product block `c` (its top-left part of `full`)
+/// against the two checksum rows `full` carries under it.
+fn verify_cols(c: &mut MatrixF32, full: &MatrixF32, chk: Check) -> ft_abft::AbftReport {
+    let (br, bc) = c.shape();
+    let (row1, row2) = (full.block(br, 0, 1, bc), full.block(br + 1, 0, 1, bc));
+    verify_correct_cols_strided(c, &row1, &row2, 1, chk)
 }
 
 /// One slot task's result: its matrix, fault ledger and phase times.
@@ -190,7 +214,6 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
     let b = cfg.block;
     let d = cfg.head_dim;
     let nb = cfg.num_blocks();
-    let chk = opts.thresholds.gemm;
 
     // Input/output tensors resident in HBM.
     let _qkv_alloc = device
@@ -199,8 +222,9 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
     // Kernel I materialises S in FP32 (accumulator precision — the softmax
     // kernel and the checksum comparisons consume it directly), plus the
     // per-block checksum rows/cols.
-    let checksum_bytes = (cfg.num_slots() * nb * nb * (4 * b + 4) * 2) as u64;
-    let s_alloc = device.hbm.alloc(2 * cfg.score_bytes() + checksum_bytes)?;
+    let s_alloc = device
+        .hbm
+        .alloc(2 * cfg.score_bytes() + checksum_bytes(cfg))?;
     // Kernel II materialises P (FP16, the GEMM III operand precision).
     let p_alloc = device.hbm.alloc(cfg.score_bytes())?;
 
@@ -219,26 +243,13 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
             // checksums of S_ij (encoded from K's rows) as two more
             // columns when protected. Prepared once for every row block.
             let kt_blocks: Vec<MatrixF32> = block_starts(cfg.seq, b)
-                .map(|c0| {
-                    let k_blk = km.block(c0, 0, b, d);
-                    if opts.protect {
-                        let k_cs = encode_cols(&k_blk, QUANTIZE_CHECKSUMS);
-                        augment_rows(&k_blk, &k_cs).transpose()
-                    } else {
-                        k_blk.transpose()
-                    }
-                })
+                .map(|c0| augment(&km.block(c0, 0, b, d), opts.protect).transpose())
                 .collect();
             let mut s_full = Matrix::zeros(cfg.seq, cfg.seq);
             for (ib, r0) in block_starts(cfg.seq, b).enumerate() {
                 let q_blk = q_scaled.block(r0, 0, b, d);
                 // Column checksums of S_ij come from encoding Q's rows.
-                let q_aug = if opts.protect {
-                    let q_cs = encode_cols(&q_blk, QUANTIZE_CHECKSUMS);
-                    augment_rows(&q_blk, &q_cs)
-                } else {
-                    q_blk.clone()
-                };
+                let q_aug = augment(&q_blk, opts.protect);
                 for (jb, (c0, kt_aug)) in block_starts(cfg.seq, b).zip(&kt_blocks).enumerate() {
                     let t0 = Instant::now();
                     let ctx = GemmCtx::new(FaultSite::GemmIAccum, slot)
@@ -257,12 +268,10 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                     let br = q_blk.rows();
                     let bc = kt_aug.cols() - 2;
                     let mut s_blk = full.block(0, 0, br, bc);
-                    let row1: Vec<f32> = (0..bc).map(|j| full.get(br, j)).collect();
-                    let row2: Vec<f32> = (0..bc).map(|j| full.get(br + 1, j)).collect();
-                    let col1: Vec<f32> = (0..br).map(|i| full.get(i, bc)).collect();
-                    let col2: Vec<f32> = (0..br).map(|i| full.get(i, bc + 1)).collect();
-                    let rep_c = verify_correct_by_cols(&mut s_blk, &row1, &row2, chk);
-                    let rep_r = verify_correct_by_rows(&mut s_blk, &col1, &col2, chk);
+                    let rep_c = verify_cols(&mut s_blk, &full, GEMM_CHECK);
+                    let (col1, col2) = (full.block(0, bc, br, 1), full.block(0, bc + 1, br, 1));
+                    let mismatches = verify_strided(&s_blk, &col1, &col2, 1, GEMM_CHECK);
+                    let rep_r = correct_strided(&mut s_blk, &mismatches, 1);
                     // Located elements are recomputed exactly: a 2^100-scale
                     // delta swamps f32, so subtraction alone cannot restore
                     // the true value.
@@ -301,7 +310,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                 let mut s_blk = s_mat.block(r0, 0, b, cfg.seq);
                 if opts.protect {
                     let t0 = Instant::now();
-                    let (p_blk, outcome) = dmr_row_softmax(&s_blk, inj, slot, r0, &opts.dmr);
+                    let (p_blk, outcome) = dmr_row_softmax(&s_blk, inj, slot, r0);
                     // First replica is "compute", the rest is protection.
                     let elapsed = t0.elapsed().as_secs_f64();
                     let per_exec = elapsed / outcome.executions as f64;
@@ -332,15 +341,11 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
             let mut o_full = Matrix::zeros(cfg.seq, d);
             for (ib, r0) in block_starts(cfg.seq, b).enumerate() {
                 let p_blk = p_mat.block(r0, 0, b, cfg.seq);
-                let p_aug = if opts.protect {
-                    let t0 = Instant::now();
-                    let p_cs = encode_cols(&p_blk, QUANTIZE_CHECKSUMS);
-                    let aug = augment_rows(&p_blk, &p_cs);
+                let t0 = Instant::now();
+                let p_aug = augment(&p_blk, opts.protect);
+                if opts.protect {
                     phases.gemm2_protect += t0.elapsed().as_secs_f64();
-                    aug
-                } else {
-                    p_blk.clone()
-                };
+                }
 
                 let t0 = Instant::now();
                 let ctx = GemmCtx::new(FaultSite::GemmIiAccum, slot)
@@ -358,9 +363,7 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
                 let t0 = Instant::now();
                 let br = p_blk.rows();
                 let mut o_blk = full.block(0, 0, br, d);
-                let row1: Vec<f32> = (0..d).map(|j| full.get(br, j)).collect();
-                let row2: Vec<f32> = (0..d).map(|j| full.get(br + 1, j)).collect();
-                let rep = verify_correct_by_cols(&mut o_blk, &row1, &row2, opts.thresholds.output);
+                let rep = verify_cols(&mut o_blk, &full, OUTPUT_CHECK);
                 for loc in &rep.corrected {
                     let exact = gemm_chain(p_blk.row(loc.row), &vm, loc.col);
                     o_blk.set(loc.row, loc.col, exact);
@@ -534,6 +537,60 @@ mod tests {
         assert_eq!(inj.fired(), 1);
         assert!(out.report.gemm2_detected > 0, "{:?}", out.report);
         assert!(out.o.max_abs_diff(&clean.o) < 5e-2);
+    }
+
+    /// Two SEUs through one injector.
+    struct Both(SeuInjector, SeuInjector);
+
+    impl FaultInjector for Both {
+        fn corrupt_f32(&self, site: FaultSite, coord: OpCoord, value: f32) -> f32 {
+            let value = self.0.corrupt_f32(site, coord, value);
+            self.1.corrupt_f32(site, coord, value)
+        }
+        fn corrupt_f16(&self, site: FaultSite, coord: OpCoord, value: ft_num::F16) -> ft_num::F16 {
+            let value = self.0.corrupt_f16(site, coord, value);
+            self.1.corrupt_f16(site, coord, value)
+        }
+        fn decide_chain(
+            &self,
+            site: FaultSite,
+            coord: OpCoord,
+            k_len: usize,
+        ) -> Option<ft_sim::ChainFault> {
+            let first = self.0.decide_chain(site, coord, k_len);
+            first.or(self.1.decide_chain(site, coord, k_len))
+        }
+        fn fired(&self) -> u64 {
+            self.0.fired() + self.1.fired()
+        }
+    }
+
+    #[test]
+    fn aliased_gemm2_column_errors_are_recomputed_not_miscorrected() {
+        // Two faults at the last chain step of column 3, rows 2 and 12 of
+        // slot 0's first block: the column's one element-checksum lane
+        // sees their sum, and its weighted ratio falls between rows. The
+        // shared locate rule flags the lane and the block is recomputed to
+        // the clean bits; rounding the ratio would "correct" a third row.
+        let cfg = AttentionConfig::new(1, 1, 64, 32).with_block(32);
+        let (q, k, v) = qkv(&cfg, 74);
+        let dev = Device::a100_40gb();
+        let opts = DecoupledOptions::default();
+        let clean = decoupled_forward(&cfg, &q, &k, &v, &NoFaults, &opts, &dev).unwrap();
+        let seu = |row| {
+            SeuInjector::new(FaultSite::GemmIiAccum, OpCoord::new(0, row, 3, 0), 26)
+                .at_chain_step(u32::MAX)
+        };
+        let inj = Both(seu(2), seu(12));
+        let out = decoupled_forward(&cfg, &q, &k, &v, &inj, &opts, &dev).unwrap();
+        assert_eq!(inj.fired(), 2);
+        let r = &out.report;
+        assert_eq!(
+            (r.gemm2_detected, r.gemm2_corrected, r.gemm2_recomputed),
+            (1, 0, 1),
+            "{r:?}"
+        );
+        assert_eq!(out.o.max_abs_diff(&clean.o), 0.0);
     }
 
     #[test]

@@ -6,28 +6,17 @@
 //! is accepted when consecutive replicas agree within ε and the row sums of
 //! P are consistent. Replicas see *independent* fault draws (the replica
 //! index enters the injection coordinate), so a transient fault makes the
-//! replicas disagree and triggers re-execution, up to `max_rounds`.
+//! replicas disagree and triggers re-execution, up to `MAX_ROUNDS`. Both
+//! settings (`EPSILON`, `MAX_ROUNDS`) are constants.
 
 use ft_num::{expf, Matrix, MatrixF32};
 use ft_sim::{FaultInjector, FaultSite, OpCoord};
 
-/// DMR tuning parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct DmrConfig {
-    /// Element-wise agreement tolerance (ε in Eq. 10).
-    pub epsilon: f32,
-    /// Maximum re-execution rounds before accepting the last replica.
-    pub max_rounds: usize,
-}
+/// Element-wise agreement tolerance (ε in Eq. 10).
+const EPSILON: f32 = 1e-4;
 
-impl Default for DmrConfig {
-    fn default() -> Self {
-        DmrConfig {
-            epsilon: 1e-4,
-            max_rounds: 3,
-        }
-    }
-}
+/// Maximum re-execution rounds before accepting the last replica.
+const MAX_ROUNDS: usize = 3;
 
 /// Outcome of a DMR-protected computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,7 +25,7 @@ pub struct DmrOutcome {
     pub executions: usize,
     /// Disagreement events observed.
     pub retries: usize,
-    /// False when `max_rounds` was exhausted without agreement.
+    /// False when `MAX_ROUNDS` were exhausted without agreement.
     pub stable: bool,
 }
 
@@ -105,15 +94,14 @@ pub fn dmr_row_softmax<I: FaultInjector>(
     inj: &I,
     slot: usize,
     row_off: usize,
-    cfg: &DmrConfig,
 ) -> (MatrixF32, DmrOutcome) {
     let mut prev = softmax_replica(s, inj, slot, row_off, 0);
     let mut executions = 1;
     let mut retries = 0;
-    for round in 1..=cfg.max_rounds {
+    for round in 1..=MAX_ROUNDS {
         let next = softmax_replica(s, inj, slot, row_off, round);
         executions += 1;
-        if replicas_agree(&prev, &next, cfg.epsilon) {
+        if replicas_agree(&prev, &next, EPSILON) {
             return (
                 next,
                 DmrOutcome {
@@ -146,7 +134,7 @@ mod tests {
     fn fault_free_dmr_runs_exactly_two_replicas() {
         let mut rng = rng_from_seed(40);
         let s = normal_matrix_f16(&mut rng, 8, 16, 1.0).to_f32();
-        let (p, out) = dmr_row_softmax(&s, &NoFaults, 0, 0, &DmrConfig::default());
+        let (p, out) = dmr_row_softmax(&s, &NoFaults, 0, 0);
         assert_eq!(out.executions, 2);
         assert_eq!(out.retries, 0);
         assert!(out.stable);
@@ -162,11 +150,11 @@ mod tests {
         let s = normal_matrix_f16(&mut rng, 8, 16, 1.0).to_f32();
         // Fault in replica 0's exp at (2, 5): exponent-bit flip.
         let inj = SeuInjector::new(FaultSite::ExpUnit, OpCoord::new(0, 2, 5, 0), 28);
-        let (p, out) = dmr_row_softmax(&s, &inj, 0, 0, &DmrConfig::default());
+        let (p, out) = dmr_row_softmax(&s, &inj, 0, 0);
         assert!(out.stable);
         assert!(out.retries >= 1, "disagreement must be observed");
         // Final P matches the clean softmax.
-        let (clean, _) = dmr_row_softmax(&s, &NoFaults, 0, 0, &DmrConfig::default());
+        let (clean, _) = dmr_row_softmax(&s, &NoFaults, 0, 0);
         assert!(p.max_abs_diff(&clean) < 1e-5);
     }
 
@@ -175,9 +163,9 @@ mod tests {
         let mut rng = rng_from_seed(42);
         let s = normal_matrix_f16(&mut rng, 4, 8, 1.0).to_f32();
         let inj = SeuInjector::new(FaultSite::MaxReduce, OpCoord::new(0, 1, 0, 100), 27);
-        let (p, out) = dmr_row_softmax(&s, &inj, 0, 0, &DmrConfig::default());
+        let (p, out) = dmr_row_softmax(&s, &inj, 0, 0);
         assert!(out.stable);
-        let (clean, _) = dmr_row_softmax(&s, &NoFaults, 0, 0, &DmrConfig::default());
+        let (clean, _) = dmr_row_softmax(&s, &NoFaults, 0, 0);
         assert!(p.max_abs_diff(&clean) < 1e-4);
     }
 
@@ -187,7 +175,7 @@ mod tests {
         let mut rng = rng_from_seed(43);
         let s = normal_matrix_f16(&mut rng, 4, 8, 1.0).to_f32();
         let inj = SeuInjector::new(FaultSite::ExpUnit, OpCoord::new(3, 1, 1, 0), 28);
-        let (_, out) = dmr_row_softmax(&s, &inj, 0, 0, &DmrConfig::default());
+        let (_, out) = dmr_row_softmax(&s, &inj, 0, 0);
         assert_eq!(out.retries, 0);
         assert_eq!(inj.fired(), 0);
     }

@@ -21,6 +21,6 @@ pub use campaign::{
     DetectionStats, GemmShape, Scheme,
 };
 pub use sweep::{
-    abft_threshold_sweep, coverage_vs_ber, restriction_error_distribution, snvr_threshold_sweep,
-    CoverageSweep, ErrorHistogram, RestrictionComparison, ThresholdSweep,
+    abft_threshold_sweep, restriction_error_distribution, snvr_threshold_sweep, ErrorHistogram,
+    RestrictionComparison, ThresholdSweep,
 };

@@ -1,43 +1,13 @@
 //! Parameter sweeps and the post-restriction error-distribution experiment
 //! (Fig. 14-right).
 
-use crate::campaign::{
-    coverage_campaign, detection_campaign, snvr_campaign, CoverageStats, DetectionStats, GemmShape,
-    Scheme,
-};
+use crate::campaign::{detection_campaign, snvr_campaign, DetectionStats, GemmShape, Scheme};
 use ft_abft::thresholds::Check;
 use ft_core::snvr::{restrict_rowsum, traditional_restrict_weight, Restriction};
 use ft_num::expf;
 use ft_num::rng::rng_from_seed;
 use rand::Rng;
 use rayon::prelude::*;
-
-/// Coverage-vs-BER series (Fig. 12-left).
-#[derive(Clone, Debug)]
-pub struct CoverageSweep {
-    /// Swept bit-error rates.
-    pub bers: Vec<f64>,
-    /// Coverage per BER for the tensor checksum.
-    pub tensor: Vec<CoverageStats>,
-    /// Coverage per BER for the element checksum.
-    pub element: Vec<CoverageStats>,
-}
-
-/// Run the Fig. 12-left sweep.
-pub fn coverage_vs_ber(trials: u64, seed: u64, bers: &[f64], chk: Check) -> CoverageSweep {
-    let shape = GemmShape::default();
-    CoverageSweep {
-        bers: bers.to_vec(),
-        tensor: bers
-            .iter()
-            .map(|&b| coverage_campaign(trials, seed, b, Scheme::Tensor, shape, chk))
-            .collect(),
-        element: bers
-            .iter()
-            .map(|&b| coverage_campaign(trials, seed, b, Scheme::Element, shape, chk))
-            .collect(),
-    }
-}
 
 /// Detection/false-alarm-vs-threshold series (Figs. 12-right and 14-left).
 #[derive(Clone, Debug)]
@@ -298,14 +268,6 @@ pub fn restriction_error_distribution(trials: u64, seed: u64) -> RestrictionComp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_abft::thresholds::Thresholds;
-
-    #[test]
-    fn coverage_sweep_shapes() {
-        let sw = coverage_vs_ber(4, 1, &[1e-5, 1e-4], Thresholds::calibrated().gemm);
-        assert_eq!(sw.tensor.len(), 2);
-        assert_eq!(sw.element.len(), 2);
-    }
 
     #[test]
     fn threshold_sweep_finds_interior_optimum() {

@@ -278,16 +278,6 @@ impl SeuInjector {
         self.chain_step = step;
         self
     }
-
-    /// The targeted site.
-    pub fn site(&self) -> FaultSite {
-        self.site
-    }
-
-    /// The targeted coordinate.
-    pub fn coord(&self) -> OpCoord {
-        self.coord
-    }
 }
 
 impl FaultInjector for SeuInjector {

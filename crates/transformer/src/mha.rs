@@ -158,6 +158,9 @@ impl MultiHeadAttention {
     /// `GenerationRequest::window`): it drives both that stream's
     /// pre-append storage eviction and its rows' [`StreamSlice::window`] in
     /// the kernel sweep.
+    ///
+    /// `thresholds` are the projections' only: the kernel checks under its
+    /// own options' thresholds, as [`forward`](Self::forward) does.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_decode_batch<I: FaultInjector>(
         &self,
@@ -215,7 +218,7 @@ impl MultiHeadAttention {
                 window: windows[i],
             })
             .collect();
-        let outs = self.kernel.decode_sweep(&slices, inj, Some(*thresholds));
+        let outs = self.kernel.decode_sweep(&slices, inj, None);
         drop(slices);
         let mut merged = Matrix::zeros(x.rows(), x.cols());
         let mut start = 0;

@@ -62,7 +62,9 @@ pub struct TransformerModel {
     pub final_norm: LayerNorm,
     /// Language-model head (hidden → vocab).
     pub lm_head: Linear,
-    /// Detection thresholds used by all protected layers.
+    /// Detection thresholds of the linears (projections, FFN and LM head).
+    /// Attention checks under its kernel's own options (e.g.
+    /// `EftaOptions::thresholds`), in prefill and decode alike.
     pub thresholds: Thresholds,
 }
 
@@ -595,6 +597,47 @@ mod tests {
         let (le, rep) = efta.forward(&tokens, &NoFaults);
         assert_eq!(rep.total_detected(), 0);
         assert!(lf.max_abs_diff(&le) < 0.05, "diff {}", lf.max_abs_diff(&le));
+    }
+
+    #[test]
+    fn attention_checks_under_its_kernels_thresholds_in_prefill_and_decode() {
+        // Thresholds with no tolerance flag the FP16 checksum noise of a
+        // clean run. Set on the kernel, prefill and decode both detect; set
+        // on the model, they reach the linears only.
+        let exact = ft_abft::thresholds::Check::new(0.0, 1e-12);
+        let paranoid = Thresholds {
+            gemm: exact,
+            exp_product: exact,
+            output: exact,
+        };
+        let attention = |r: &FtReport| r.gemm1_detected + r.exp_detected + r.gemm2_detected;
+        let tokens: Vec<u32> = (0..12).map(|i| i * 7 % 101).collect();
+        let run = |model: &TransformerModel| {
+            let (_, prefill) = model.forward(&tokens, &NoFaults);
+            let mut cache = model.new_cache();
+            let mut decode = FtReport::default();
+            for &t in &tokens {
+                decode = decode.merged(&model.decode_step(t, &mut cache, None, &NoFaults).1);
+            }
+            (attention(&prefill), attention(&decode))
+        };
+        let efta = |thresholds| {
+            let kernel = BackendKind::Efta(EftaOptions {
+                thresholds,
+                ..EftaOptions::optimized()
+            });
+            TransformerModel::random(4, tiny_config(), kernel)
+        };
+        let (prefill, decode) = run(&efta(paranoid));
+        assert!(
+            prefill > 0 && decode > 0,
+            "prefill {prefill}, decode {decode}"
+        );
+        let strict_linears = TransformerModel {
+            thresholds: paranoid,
+            ..efta(Thresholds::calibrated())
+        };
+        assert_eq!(run(&strict_linears), (0, 0));
     }
 
     #[test]

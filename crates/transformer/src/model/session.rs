@@ -113,8 +113,6 @@ pub struct ServeSession<M: core::borrow::Borrow<TransformerModel> = TransformerM
     caches: Vec<(StreamId, ModelKvCache)>,
     finished: Vec<FinishedStream>,
     events: Vec<EngineEvent>,
-    recoveries: u64,
-    preemptions: u64,
     peak_cache_bytes: u64,
     peak_cache_breakdown: SizeBreakdown,
 }
@@ -136,8 +134,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
             caches: Vec::new(),
             finished: Vec::new(),
             events: Vec::new(),
-            recoveries: 0,
-            preemptions: 0,
             peak_cache_bytes: 0,
             peak_cache_breakdown: SizeBreakdown::default(),
         }
@@ -378,7 +374,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
                     self.scheduler.requeue(id, &ledger, 0)
                 }
             };
-            self.recoveries += 1;
             self.events.push(EngineEvent::Recovering {
                 stream: id,
                 attempt,
@@ -506,12 +501,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         self.scheduler.adopt_pending(state);
     }
 
-    /// Total park transitions (preemption + backpressure) across the
-    /// session; per-stream counts ride on [`FinishedStream::preemptions`].
-    pub fn preemptions(&self) -> u64 {
-        self.preemptions
-    }
-
     /// The protection level of `stream`'s *resident* cache — `None` while
     /// the stream holds no cache (pending, parked, or retired). Every
     /// cache the session builds for a stream — admission, re-prefill
@@ -531,20 +520,11 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
     fn absorb_park_resume(&mut self) {
         for id in self.scheduler.drain_parked() {
             self.caches.retain(|(cid, _)| *cid != id);
-            self.preemptions += 1;
             self.events.push(EngineEvent::Preempted { stream: id });
         }
         for id in self.scheduler.drain_resumed() {
             self.events.push(EngineEvent::Resumed { stream: id });
         }
-    }
-
-    /// Total re-prefill recovery attempts across the session — the
-    /// serving report's headline recovery count. Attempts by streams that
-    /// later aborted are included; per-stream detail (attempts + outcome)
-    /// rides on [`FinishedStream::recoveries`] / [`FinishedStream::finish`].
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries
     }
 
     /// True when no stream is active or queued.
