@@ -1,12 +1,16 @@
-//! Statistical campaign regression (pins the Fig. 12 behaviour): a
-//! fixed-seed BER sweep asserting a coverage *lower bound* for the width-8
-//! tensor checksum and a false-alarm *upper bound* (plus a detection floor)
-//! for the checksum schemes. Campaigns are deterministic in their seeds, so
-//! these are exact regression gates, with bounds set far enough from the
-//! observed values to survive intentional re-tuning of unrelated constants.
+//! Statistical campaign regression (pins the Fig. 12 and Fig. 14-left
+//! behaviour): a fixed-seed BER sweep asserting a coverage *lower bound*
+//! for the width-8 tensor checksum and a false-alarm *upper bound* (plus a
+//! detection floor) for the checksum schemes. Campaigns are deterministic
+//! in their seeds, so these are exact regression gates, with bounds set far
+//! enough from the observed values to survive intentional re-tuning of
+//! unrelated constants; one coverage campaign per scheme, and the
+//! threshold campaigns of both checks, are also pinned field for field.
 
 use ft_transformer_suite::abft::thresholds::Thresholds;
-use ft_transformer_suite::inject::{coverage_campaign, detection_campaign, GemmShape, Scheme};
+use ft_transformer_suite::inject::{
+    coverage_campaign, detection_campaign, snvr_campaign, DetectionStats, GemmShape, Scheme,
+};
 
 const TRIALS: u64 = 48;
 const SEED: u64 = 20250726;
@@ -111,5 +115,39 @@ fn coverage_campaign_is_pinned_exactly_per_scheme() {
             st.covered,
         ];
         assert_eq!(got, want, "{scheme:?} campaign moved");
+    }
+}
+
+#[test]
+fn detection_and_snvr_campaigns_are_pinned_exactly() {
+    // Figs. 12-right and 14-left, one fixed-seed campaign each at a tight
+    // and at the calibrated threshold, every field exact: a change to the
+    // row check or the product check that moves one lane's verdict shows.
+    let shape = GemmShape::default();
+    let tau = Thresholds::calibrated().gemm.rel;
+    let fields = |st: DetectionStats| {
+        [
+            st.fault_trials,
+            st.detected,
+            st.clean_lanes,
+            st.false_alarms,
+        ]
+    };
+    for (scheme, tau, want) in [
+        (Scheme::Tensor, 1e-3, [16, 16, 8192, 1098]),
+        (Scheme::Tensor, tau, [16, 2, 8192, 1]),
+        (Scheme::Element, 1e-3, [16, 16, 1024, 151]),
+        (Scheme::Element, tau, [16, 2, 1024, 1]),
+    ] {
+        let st = detection_campaign(16, SEED ^ 5, tau, scheme, shape);
+        assert_eq!(
+            fields(st),
+            want,
+            "{scheme:?} detection campaign at {tau} moved"
+        );
+    }
+    for (tau, want) in [(1e-7, [16, 16, 8192, 1587]), (1e-5, [16, 4, 8192, 0])] {
+        let st = snvr_campaign(16, SEED ^ 6, tau, shape);
+        assert_eq!(fields(st), want, "SNVR campaign at {tau} moved");
     }
 }
