@@ -1,4 +1,5 @@
-//! Checksum transport through the non-GEMM steps of Algorithm 1.
+//! The product check: checksum transport through the non-GEMM steps of
+//! Algorithm 1.
 //!
 //! The unified-verification optimisation (paper §3.4) reuses one tensor
 //! checksum across a chain of operations instead of re-encoding after each:
@@ -12,83 +13,68 @@
 //! * **rescale / normalise** — both are row-wise scalar multiplies, which
 //!   commute with strided column sums, so the same transformation applied to
 //!   `O` and `O_c1` preserves the invariant until the single final check
-//!   (lines 19–20, 25–28).
-
-// Index-based loops are kept deliberately: they mirror the thread/lane
-// structure of the GPU kernels this module models.
-#![allow(clippy::needless_range_loop)]
+//!   (lines 19–20, 25–28), the row check of [`crate::strided`].
+//!
+//! The first two steps and the comparison are one function,
+//! [`verify_products`]: the EFTA step and the Fig. 14 campaigns both call
+//! it.
 
 use crate::strided::{fold_row, StridedMismatch};
 use crate::thresholds::Check;
-use ft_num::{expf_slice, Matrix, MatrixF32};
+use ft_num::{expf_slice, MatrixF32};
 
-/// Number of elements folded into residue class `t` when an extent of
-/// `extent` columns is folded at stride `s`:
-/// `count[t] = |{l : t + s·l < extent}|`.
-pub fn residue_counts(extent: usize, s: usize) -> Vec<usize> {
-    (0..s)
-        .map(|t| {
-            if t < extent {
-                (extent - t).div_ceil(s)
-            } else {
-                0
-            }
-        })
-        .collect()
-}
-
-/// Apply the max-subtraction transport: `check[i][t] −= count_t · m_i`.
-pub fn transport_subtract_max(check: &mut MatrixF32, row_max: &[f32], counts: &[usize]) {
-    assert_eq!(check.rows(), row_max.len());
-    assert_eq!(check.cols(), counts.len());
-    for i in 0..check.rows() {
-        let m = row_max[i];
-        let row = check.row_mut(i);
-        for (t, v) in row.iter_mut().enumerate() {
-            *v -= counts[t] as f32 * m;
-        }
-    }
-}
-
-/// Element-wise exponential of a checksum matrix (the transported checksum
-/// enters the product domain).
-pub fn transport_exp(check: &MatrixF32) -> MatrixF32 {
-    let mut out = check.clone();
-    expf_slice(out.as_mut_slice());
-    out
-}
-
-/// Strided *products* of `p`: `out[i][t] = ∏_l p[i][t + s·l]`, each lane
-/// multiplied in ascending `l` from `1.0`, one row at a time through
-/// [`fold_row`].
-pub fn strided_products(p: &MatrixF32, s: usize) -> MatrixF32 {
-    let mut out = Matrix::from_fn(p.rows(), s, |_, _| 1.0f32);
-    for i in 0..p.rows() {
-        fold_row(p.row(i), out.row_mut(i), |acc, _, v| acc * v);
-    }
-    out
-}
-
-/// Compare strided products of `p` against the transported checksum
-/// `p_check` and report residue classes whose product diverges beyond `tau`
-/// (the ε₁ check of Algorithm 1 line 13).
+/// The product check (Algorithm 1 line 13) of every row of `p`: row `i`'s
+/// carried GEMM I checksum (the first `se` lanes of row `i` of `c1`, one
+/// value per residue class), transported through the subtraction of its
+/// row max `m[i]` and the exponential, against the strided products of its
+/// first `w` columns of `p`, `(w, se) = shape(i)`. Returns the mismatches
+/// row-major, each with `delta1 = product − transported` and `delta2 =
+/// product / transported`.
 ///
 /// Product-domain checks *detect* but cannot linearly *locate* an erroneous
 /// exponential — the paper corrects EXP faults by recomputation, so the
 /// mismatch carries the residue class for targeted recompute.
 pub fn verify_products(
-    p: &MatrixF32,
-    p_check: &MatrixF32,
-    s: usize,
+    (p, c1): (&MatrixF32, &MatrixF32),
+    m: &[f32],
+    shape: impl Fn(usize) -> (usize, usize),
     chk: Check,
 ) -> Vec<StridedMismatch> {
-    let prods = strided_products(p, s);
-    assert_eq!(prods.shape(), p_check.shape());
+    // Row-major `rows × lanes` buffers; a lane past a row's `se` keeps a
+    // product of 1 against a transported `exp(0) = 1`, which never fires.
+    let (rows, lanes) = c1.shape();
+    let mut prods = vec![1.0f32; rows * lanes];
+    let mut want = vec![0.0f32; rows * lanes];
+    let per_row = prods
+        .chunks_exact_mut(lanes)
+        .zip(want.chunks_exact_mut(lanes));
+    for (i, (prods, want)) in per_row.enumerate() {
+        let (w, se) = shape(i);
+        fold_row(&p.row(i)[..w], &mut prods[..se], |acc, _, x| acc * x);
+        // Lane `t` holds ⌈(w − t)/se⌉ of the row's columns: ⌊w/se⌋, and one
+        // more below `w mod se`.
+        let (full, extra) = (w / se, w % se);
+        let (sub_lo, sub_hi) = (full as f32 * m[i], (full + 1) as f32 * m[i]);
+        for (t, (v, &c)) in want[..se].iter_mut().zip(c1.row(i)).enumerate() {
+            *v = c - if t < extra { sub_hi } else { sub_lo };
+        }
+    }
+    // Every row's transported checksums through the exponential at once,
+    // then every lane checked at once; only a block with a mismatch is
+    // walked lane by lane.
+    expf_slice(&mut want);
+    let fired = |(&got, &want): (&f32, &f32)| chk.detects(got, want);
+    if !prods
+        .iter()
+        .zip(&want)
+        .fold(false, |any, lane| any | fired(lane))
+    {
+        return Vec::new();
+    }
     let mut out = Vec::new();
-    for i in 0..prods.rows() {
-        for t in 0..s {
-            let got = prods.get(i, t);
-            let want = p_check.get(i, t);
+    for i in 0..rows {
+        let at = i * lanes..i * lanes + shape(i).1;
+        for (t, (&got, &want)) in prods[at.clone()].iter().zip(&want[at]).enumerate() {
             if chk.detects(got, want) {
                 out.push(StridedMismatch {
                     i,
@@ -109,18 +95,82 @@ pub fn verify_products(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strided::{encode_rows_strided, strided_sums};
-    use crate::thresholds::rel_diff;
+    use crate::strided::encode_rows_strided;
+    use crate::thresholds::Thresholds;
     use ft_num::rng::{normal_matrix_f16, rng_from_seed};
+    use ft_num::{expf, Matrix};
     use ft_sim::gemm_nn;
     use proptest::prelude::*;
 
+    /// The product check as a matrix pipeline, one step per pass: every
+    /// row's first `se` checksum lanes lose `count_t · m_i`, go through the
+    /// exponential, and are compared with the strided products of the row's
+    /// first `w` columns — the oracle [`verify_products`] is pinned to.
+    fn matrix_pipeline(
+        (p, c1): (&MatrixF32, &MatrixF32),
+        m: &[f32],
+        (w, se): (usize, usize),
+        chk: Check,
+    ) -> Vec<StridedMismatch> {
+        let counts: Vec<usize> = (0..se)
+            .map(|t| if t < w { (w - t).div_ceil(se) } else { 0 })
+            .collect();
+        let mut want =
+            Matrix::from_fn(c1.rows(), se, |i, t| c1.get(i, t) - counts[t] as f32 * m[i]);
+        expf_slice(want.as_mut_slice());
+        let mut prods = Matrix::from_fn(p.rows(), se, |_, _| 1.0f32);
+        for i in 0..p.rows() {
+            fold_row(&p.row(i)[..w], prods.row_mut(i), |acc, _, v| acc * v);
+        }
+        let mut out = Vec::new();
+        for i in 0..prods.rows() {
+            for t in 0..se {
+                let (got, want) = (prods.get(i, t), want.get(i, t));
+                if chk.detects(got, want) {
+                    out.push(StridedMismatch {
+                        i,
+                        t,
+                        delta1: got - want,
+                        delta2: if want != 0.0 {
+                            got / want
+                        } else {
+                            f32::INFINITY
+                        },
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    fn row_max(row: &[f32]) -> f32 {
+        row.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
+    }
+
     #[test]
-    fn residue_counts_exact() {
-        assert_eq!(residue_counts(16, 8), vec![2; 8]);
-        assert_eq!(residue_counts(20, 8), vec![3, 3, 3, 3, 2, 2, 2, 2]);
-        assert_eq!(residue_counts(8, 8), vec![1; 8]);
-        assert_eq!(residue_counts(4, 8), vec![1, 1, 1, 1, 0, 0, 0, 0]);
+    fn row_product_check_is_the_matrix_pipeline() {
+        // The same mismatches, deltas bit for bit, at every width and lane
+        // count an EFTA step meets (a frontier prefix shorter than the
+        // stride included), on clean rows and on rows with a corrupted or
+        // non-finite exponential.
+        let chk = Thresholds::calibrated().exp_product;
+        for (w, se) in [(64, 8), (20, 8), (8, 8), (5, 5), (1, 1), (37, 3)] {
+            let s = Matrix::from_fn(4, w, |i, j| ((i * 31 + j * 7) % 17) as f32 * 0.3 - 2.0);
+            let m: Vec<f32> = (0..4).map(|i| row_max(s.row(i))).collect();
+            let mut p = Matrix::from_fn(4, w, |i, j| (s.get(i, j) - m[i]).exp());
+            let c1 = Matrix::from_fn(4, se, |i, t| (t..w).step_by(se).map(|j| s.get(i, j)).sum());
+            p.set(1, w / 2, p.get(1, w / 2) * 3.0);
+            p.set(2, w - 1, f32::NAN);
+            let want = matrix_pipeline((&p, &c1), &m, (w, se), chk);
+            let got = verify_products((&p, &c1), &m, |_| (w, se), chk);
+            let key = |v: &[StridedMismatch]| {
+                v.iter()
+                    .map(|mm| (mm.i, mm.t, mm.delta1.to_bits(), mm.delta2.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(key(&got), key(&want), "width {w}, lanes {se}");
+            assert!(!want.is_empty());
+        }
     }
 
     /// Full transport chain: S → S−m → exp, checked against direct P.
@@ -131,50 +181,23 @@ mod tests {
         let k = normal_matrix_f16(&mut rng, 16, 16, 0.4).to_f32();
         let cs = encode_rows_strided(&k, 8, false);
         let s_mat = gemm_nn(&q, &k.transpose());
-        let mut s_c1 = gemm_nn(&q, &cs.w1.transpose());
+        let s_c1 = gemm_nn(&q, &cs.w1.transpose());
 
         // Row max and stabilised softmax numerator.
-        let row_max: Vec<f32> = (0..s_mat.rows())
-            .map(|i| {
-                s_mat
-                    .row(i)
-                    .iter()
-                    .cloned()
-                    .fold(f32::NEG_INFINITY, f32::max)
-            })
-            .collect();
+        let m: Vec<f32> = (0..s_mat.rows()).map(|i| row_max(s_mat.row(i))).collect();
         let p = MatrixF32::from_fn(s_mat.rows(), s_mat.cols(), |i, j| {
-            (s_mat.get(i, j) - row_max[i]).exp()
+            expf(s_mat.get(i, j) - m[i])
         });
-
-        let counts = residue_counts(s_mat.cols(), 8);
-        transport_subtract_max(&mut s_c1, &row_max, &counts);
-        let p_c1 = transport_exp(&s_c1);
-        let direct = strided_products(&p, 8);
-        // Multiplicative invariant holds within fp noise.
-        for i in 0..direct.rows() {
-            for t in 0..8 {
-                assert!(
-                    rel_diff(direct.get(i, t), p_c1.get(i, t)) < 1e-4,
-                    "({i},{t}): {} vs {}",
-                    direct.get(i, t),
-                    p_c1.get(i, t)
-                );
-            }
-        }
+        let shape = |_| (s_mat.cols(), 8);
+        // Multiplicative invariant holds within fp noise on every lane.
+        let tight = Check::new(1e-4, 0.0);
+        assert!(verify_products((&p, &s_c1), &m, shape, tight).is_empty());
         // And a corrupted exponential is caught.
         let mut p_bad = p.clone();
         p_bad.set(3, 5, p_bad.get(3, 5) * 1.5);
-        let mism = verify_products(&p_bad, &p_c1, 8, Check::new(1e-3, 0.0));
+        let mism = verify_products((&p_bad, &s_c1), &m, shape, Check::new(1e-3, 0.0));
         assert_eq!(mism.len(), 1);
         assert_eq!((mism[0].i, mism[0].t), (3, 5));
-    }
-
-    #[test]
-    fn verify_products_clean_is_silent() {
-        let p = MatrixF32::from_fn(4, 16, |i, j| 0.1 + 0.01 * (i * 16 + j) as f32);
-        let check = strided_products(&p, 8);
-        assert!(verify_products(&p, &check, 8, Check::new(1e-6, 0.0)).is_empty());
     }
 
     proptest! {
@@ -195,23 +218,14 @@ mod tests {
             for (i, j, v) in p.iter_indexed() {
                 want.set(i, j % s, want.get(i, j % s) * v);
             }
-            let bits = |x: &MatrixF32| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&strided_products(&p, s)), bits(&want));
+            // A zero checksum at a zero row max transports to exp(0) = 1,
+            // so a check that always fires reports each product itself.
+            let (c1, m) = (MatrixF32::zeros(rows, s), vec![0.0; rows]);
+            let always = Check::new(-1.0, -1.0);
+            let got = verify_products((&p, &c1), &m, |_| (cols, s), always);
+            let bits: Vec<u32> = got.iter().map(|mm| mm.delta2.to_bits()).collect();
+            let want: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(bits, want);
         }
-    }
-
-    #[test]
-    fn transport_subtract_handles_ragged_counts() {
-        // 12 columns, stride 8: residues 0..4 have 2 elements, 4..8 have 1.
-        let s_mat = MatrixF32::from_fn(2, 12, |i, j| (i * 12 + j) as f32 * 0.1);
-        let check = strided_sums(&s_mat, 8);
-        let mut transported = check.clone();
-        let row_max = vec![1.0, 2.0];
-        let counts = residue_counts(12, 8);
-        transport_subtract_max(&mut transported, &row_max, &counts);
-        // Direct: fold the subtracted matrix.
-        let sub = MatrixF32::from_fn(2, 12, |i, j| s_mat.get(i, j) - row_max[i]);
-        let direct = strided_sums(&sub, 8);
-        assert!(transported.max_abs_diff(&direct) < 1e-5);
     }
 }

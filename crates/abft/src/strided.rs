@@ -20,19 +20,26 @@
 //! residue classes mod `s` — the paper's "up to a factor of 8" multi-error
 //! claim, pinned by tests below.
 //!
+//! The row check is [`verify_rows_strided`] (whole matrices through
+//! [`verify_strided`]), the column check [`verify_correct_cols_strided`]:
+//! the EFTA step, the ABFT linears, the decoupled baseline and the Fig. 12
+//! campaigns all check through them. Detection reads only the plain sums;
+//! a row's weighted sums are folded only to locate a flagged lane.
+//!
 //! At `s = 1` the fold is the traditional Huang–Abraham element checksum
 //! (§3.1, Eqs. 8–9): one plain and one index-weighted sum per row or
 //! column. The decoupled baseline checks its products that way, through
-//! the same encoders, [`verify_strided`] / [`verify_correct_cols_strided`]
-//! and the one locate rule, [`locate_group`].
+//! the same encoders, checks and the one locate rule, [`locate_group`].
 //!
 //! Note on the locate ratio: with 0-based group index `l` and second-weight
 //! `l+1`, a single error in group `l₀` yields `Δ2/Δ1 = l₀ + 1`, so the
 //! corrupted column is `t + s·(round(Δ2/Δ1) − 1)`. (The paper's Eq. in
-//! §3.3 omits the −1 under its own weight definition; see DESIGN.md §4.)
+//! §3.3 drops the −1, which its own weights `l+1` need; the location tests
+//! below pin the rule as written here.)
 
 use crate::thresholds::Check;
 use ft_num::{quantize_f32, Matrix, MatrixF32};
+use std::ops::Range;
 
 /// Stride aligned to the MMA atom N dimension (8 for m16n8k16).
 pub const DEFAULT_STRIDE: usize = 8;
@@ -122,23 +129,30 @@ pub fn strided_sums_weighted(c: &MatrixF32, s: usize) -> MatrixF32 {
     fold_groups(c, s, |w, v| w * v)
 }
 
-/// `out[i][t] = Σ_l term(l+1, c[i][t + s·l])`, each lane summed in
-/// ascending `l` from `0.0`, one row at a time through [`fold_row`]. At
-/// `s = 1` (the element checksum) each row is one chain, folded directly:
-/// `fold_row`'s general lane loop is several times slower there.
+/// `out[i][t] = Σ_l term(l+1, c[i][t + s·l])`, each row through
+/// [`fold_lanes`].
 fn fold_groups(c: &MatrixF32, s: usize, term: impl Fn(f32, f32) -> f32 + Copy) -> MatrixF32 {
     let mut out = Matrix::zeros(c.rows(), s);
-    if s == 1 {
-        for (i, lane) in out.as_mut_slice().iter_mut().enumerate() {
-            let row = c.row(i).iter().enumerate();
-            *lane = row.fold(0.0, |acc, (j, &v)| acc + term((j + 1) as f32, v));
-        }
-        return out;
-    }
     for i in 0..c.rows() {
-        fold_row(c.row(i), out.row_mut(i), |acc, w, v| acc + term(w, v));
+        fold_lanes(c.row(i), out.row_mut(i), term);
     }
     out
+}
+
+/// Overwrite `lanes` with the fold of `row`:
+/// `lanes[t] = Σ_l term(l+1, row[t + s·l])`, `s = lanes.len()`, each lane
+/// summed in ascending `l` from `0.0` through [`fold_row`]. At `s = 1`
+/// (the element checksum) the row is one chain, folded directly:
+/// `fold_row`'s general lane loop is several times slower there.
+#[inline]
+fn fold_lanes(row: &[f32], lanes: &mut [f32], term: impl Fn(f32, f32) -> f32 + Copy) {
+    if let [lane] = lanes {
+        let row = row.iter().enumerate();
+        *lane = row.fold(0.0, |acc, (j, &v)| acc + term((j + 1) as f32, v));
+    } else {
+        lanes.fill(0.0);
+        fold_row(row, lanes, |acc, w, v| acc + term(w, v));
+    }
 }
 
 /// Fold `row` into `lanes` one group of `s = lanes.len()` columns at a
@@ -227,7 +241,8 @@ impl AbftReport {
 }
 
 /// Compare the strided sums of `c` against checksum results `check1` /
-/// `check2` (each `rows × s`) and report mismatches above `tau`.
+/// `check2` (each `rows × s`) and report the lanes `chk` detects: the
+/// whole-matrix form of [`verify_rows_strided`].
 pub fn verify_strided(
     c: &MatrixF32,
     check1: &MatrixF32,
@@ -235,22 +250,47 @@ pub fn verify_strided(
     s: usize,
     chk: Check,
 ) -> Vec<StridedMismatch> {
-    let sums1 = strided_sums(c, s);
-    let sums2 = strided_sums_weighted(c, s);
-    assert_eq!(check1.shape(), sums1.shape(), "checksum shape mismatch");
-    assert_eq!(check2.shape(), sums2.shape(), "checksum shape mismatch");
+    let want = (c.rows(), s);
+    assert_eq!(check1.shape(), want, "checksum shape mismatch");
+    assert_eq!(check2.shape(), want, "checksum shape mismatch");
+    verify_rows_strided(c, (check1, check2), 0..c.rows(), |_| (c.cols(), s), |_| chk)
+}
+
+/// The row check: every (row, residue class) of rows `rows` of `c` where
+/// the strided sums of row `i`'s first `w` columns at stride `s`,
+/// `(w, s) = shape(i)`, leave the first `s` lanes of row `i` of `check1`
+/// by more than `chk(i)`, row-major. Detection reads only the plain sums;
+/// a row folds its weighted sums, for the mismatches' `delta2` against
+/// `check2`, only when one of its lanes is flagged. Both folds are
+/// [`strided_sums`] / [`strided_sums_weighted`]'s, lane for lane.
+pub fn verify_rows_strided(
+    c: &MatrixF32,
+    (check1, check2): (&MatrixF32, &MatrixF32),
+    rows: Range<usize>,
+    shape: impl Fn(usize) -> (usize, usize),
+    chk: impl Fn(usize) -> Check,
+) -> Vec<StridedMismatch> {
+    let mut lanes = vec![0.0f32; check1.cols()];
     let mut out = Vec::new();
-    for i in 0..sums1.rows() {
-        for t in 0..s {
-            let got = sums1.get(i, t);
-            let want = check1.get(i, t);
+    for i in rows {
+        let (w, s) = shape(i);
+        let (row, lanes) = (&c.row(i)[..w], &mut lanes[..s]);
+        fold_lanes(row, lanes, |_, v| v);
+        let (chk, flagged) = (chk(i), out.len());
+        for (t, (&got, &want)) in lanes.iter().zip(&check1.row(i)[..s]).enumerate() {
             if chk.detects(got, want) {
                 out.push(StridedMismatch {
                     i,
                     t,
                     delta1: got - want,
-                    delta2: sums2.get(i, t) - check2.get(i, t),
+                    delta2: 0.0,
                 });
+            }
+        }
+        if out.len() > flagged {
+            fold_lanes(row, lanes, |w, v| w * v);
+            for m in &mut out[flagged..] {
+                m.delta2 = lanes[m.t] - check2.get(i, m.t);
             }
         }
     }
@@ -374,6 +414,43 @@ mod tests {
         let cs = encode_rows_strided(q, s, false);
         let kt = k.transpose();
         (gemm_nn(q, &kt), gemm_nn(&cs.w1, &kt), gemm_nn(&cs.w2, &kt))
+    }
+
+    /// The eager row check, the oracle of [`verify_rows_strided`]: both
+    /// folds of every row, then every lane compared.
+    fn eager_verify(
+        c: &MatrixF32,
+        check1: &MatrixF32,
+        check2: &MatrixF32,
+        s: usize,
+        chk: Check,
+    ) -> Vec<StridedMismatch> {
+        let sums1 = strided_sums(c, s);
+        let sums2 = strided_sums_weighted(c, s);
+        assert_eq!(check1.shape(), sums1.shape(), "checksum shape mismatch");
+        assert_eq!(check2.shape(), sums2.shape(), "checksum shape mismatch");
+        let mut out = Vec::new();
+        for i in 0..sums1.rows() {
+            for t in 0..s {
+                let got = sums1.get(i, t);
+                let want = check1.get(i, t);
+                if chk.detects(got, want) {
+                    out.push(StridedMismatch {
+                        i,
+                        t,
+                        delta1: got - want,
+                        delta2: sums2.get(i, t) - check2.get(i, t),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    fn mismatch_bits(v: &[StridedMismatch]) -> Vec<(usize, usize, u32, u32)> {
+        v.iter()
+            .map(|m| (m.i, m.t, m.delta1.to_bits(), m.delta2.to_bits()))
+            .collect()
     }
 
     /// Verify `c` against its checksum results, then correct it in place.
@@ -628,6 +705,49 @@ mod tests {
                 let (want1, want2) = (want1.transpose(), want2.transpose());
                 prop_assert_eq!((bits(&cs.w1), bits(&cs.w2)), (bits(&want1), bits(&want2)));
             }
+        }
+
+        #[test]
+        fn prop_row_check_is_the_eager_check_bit_for_bit(
+            rows in 1usize..7,
+            cols in 1usize..40,
+            pick in 0usize..3,
+            first in 0usize..4,
+            special in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            // Ragged widths (row `i` sees all but its last `i mod 3`
+            // columns), a row sub-range, a per-row criterion from never to
+            // often firing, and a ±Inf or NaN element: the on-demand check
+            // reports what the eager check of each row's own block does,
+            // deltas bit for bit.
+            let s = [1, 3, 8][pick];
+            let mut rng = rng_from_seed(seed);
+            let mut c = normal_matrix_f16(&mut rng, rows, cols, 2.0).to_f32();
+            let noise = normal_matrix_f16(&mut rng, rows, 2 * s, 0.5).to_f32();
+            let c1 = MatrixF32::from_fn(rows, s, |i, t| strided_sums(&c, s).get(i, t) + noise.get(i, t));
+            let c2 = MatrixF32::from_fn(rows, s, |i, t| {
+                strided_sums_weighted(&c, s).get(i, t) + noise.get(i, s + t)
+            });
+            let bad = [0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN][special];
+            if special > 0 {
+                c.set(seed as usize % rows, seed as usize % cols, bad);
+            }
+            let width = |i: usize| cols - (i % 3).min(cols - 1);
+            let chk = |i: usize| Check::new([0.01, 0.3, 3.0][i % 3], 0.05 * (i % 2) as f32);
+            let range = first.min(rows - 1)..rows;
+            let got = verify_rows_strided(&c, (&c1, &c2), range.clone(), |i| (width(i), s), chk);
+            let mut want = Vec::new();
+            for i in range {
+                let block = |m: &MatrixF32, w| m.block(i, 0, 1, w);
+                let row = eager_verify(&block(&c, width(i)), &block(&c1, s), &block(&c2, s), s, chk(i));
+                want.extend(row.into_iter().map(|m| StridedMismatch { i, ..m }));
+            }
+            prop_assert_eq!(mismatch_bits(&got), mismatch_bits(&want));
+            // The whole-matrix form is the eager check of the whole matrix.
+            let got = verify_strided(&c, &c1, &c2, s, chk(0));
+            let want = eager_verify(&c, &c1, &c2, s, chk(0));
+            prop_assert_eq!(mismatch_bits(&got), mismatch_bits(&want));
         }
 
         #[test]

@@ -7,8 +7,8 @@
 //! strided ABFT over GEMM results (Fig. 12) and ≈ 7e-6 for the SNVR product
 //! check (Fig. 14); the sweep harness in `ft-bench` reproduces those curves
 //! on this implementation's noise profile (whose optima differ — checksum
-//! operands here are quantised through our software binary16; see
-//! EXPERIMENTS.md).
+//! operands here are quantised through our software binary16; the `fig12`
+//! and `fig14` sections of `docs/benches.md` say how to read them).
 //!
 //! Each check combines a relative threshold with an absolute floor: the
 //! floor suppresses the degenerate case where both the checksum and the

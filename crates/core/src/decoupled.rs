@@ -82,12 +82,19 @@ fn checksum_bytes(cfg: &AttentionConfig) -> u64 {
     (cfg.num_slots() * nb * nb * (4 * cfg.block + 4) * 2) as u64
 }
 
-/// Simulated-HBM residency the pipeline needs for `cfg` (Q/K/V/O tensors,
-/// FP32 S, per-block checksums, FP16 P). Exceeding the device capacity is
-/// the Fig. 9 OOM.
-pub fn hbm_demand(cfg: &AttentionConfig, protect: bool) -> u64 {
+/// The pipeline's simulated-HBM reservations for `cfg`, in the order
+/// [`decoupled_forward`] makes them: the Q/K/V/O tensors, FP32 S with the
+/// per-block checksums when protected, and FP16 P.
+fn hbm_reservations(cfg: &AttentionConfig, protect: bool) -> [u64; 3] {
     let checksums = if protect { checksum_bytes(cfg) } else { 0 };
-    4 * cfg.tensor_bytes() + 2 * cfg.score_bytes() + checksums + cfg.score_bytes()
+    let s = 2 * cfg.score_bytes() + checksums;
+    [4 * cfg.tensor_bytes(), s, cfg.score_bytes()]
+}
+
+/// Simulated-HBM residency the pipeline needs for `cfg`: the sum of what
+/// it reserves. Exceeding the device capacity is the Fig. 9 OOM.
+pub fn hbm_demand(cfg: &AttentionConfig, protect: bool) -> u64 {
+    hbm_reservations(cfg, protect).iter().sum()
 }
 
 /// Analytic kernel statistics of the three-kernel pipeline — shape-derived,
@@ -215,18 +222,15 @@ pub(crate) fn decoupled_forward<I: FaultInjector>(
     let d = cfg.head_dim;
     let nb = cfg.num_blocks();
 
-    // Input/output tensors resident in HBM.
-    let _qkv_alloc = device
-        .hbm
-        .alloc(3 * cfg.tensor_bytes() + cfg.tensor_bytes())?;
-    // Kernel I materialises S in FP32 (accumulator precision — the softmax
-    // kernel and the checksum comparisons consume it directly), plus the
-    // per-block checksum rows/cols.
-    let s_alloc = device
-        .hbm
-        .alloc(2 * cfg.score_bytes() + checksum_bytes(cfg))?;
-    // Kernel II materialises P (FP16, the GEMM III operand precision).
-    let p_alloc = device.hbm.alloc(cfg.score_bytes())?;
+    // Input/output tensors resident in HBM. Kernel I materialises S in
+    // FP32 (accumulator precision — the softmax kernel and the checksum
+    // comparisons consume it directly), plus the per-block checksum
+    // rows/cols when protected; kernel II materialises P (FP16, the GEMM
+    // III operand precision).
+    let [qkvo_bytes, s_bytes, p_bytes] = hbm_reservations(cfg, opts.protect);
+    let _qkv_alloc = device.hbm.alloc(qkvo_bytes)?;
+    let s_alloc = device.hbm.alloc(s_bytes)?;
+    let p_alloc = device.hbm.alloc(p_bytes)?;
 
     let slots = cfg.num_slots();
 
@@ -591,6 +595,25 @@ mod tests {
             "{r:?}"
         );
         assert_eq!(out.o.max_abs_diff(&clean.o), 0.0);
+    }
+
+    #[test]
+    fn unprotected_run_fits_its_own_demand() {
+        // The unprotected pipeline reserves no checksum bytes: a device
+        // sized by `hbm_demand(cfg, false)` runs it without OOM, and its
+        // peak is that demand exactly.
+        let cfg = AttentionConfig::new(1, 2, 256, 32).with_block(32);
+        let (q, k, v) = qkv(&cfg, 76);
+        for protect in [false, true] {
+            let dev = Device::with_capacity(hbm_demand(&cfg, protect));
+            let opts = DecoupledOptions { protect };
+            decoupled_forward(&cfg, &q, &k, &v, &NoFaults, &opts, &dev).unwrap();
+            assert_eq!(
+                dev.hbm.peak(),
+                hbm_demand(&cfg, protect),
+                "protect {protect}"
+            );
+        }
     }
 
     #[test]

@@ -64,9 +64,9 @@
 use crate::config::AttentionConfig;
 use crate::snvr::{restrict_row_max, restrict_rowsum, Restriction};
 use crate::types::{AttentionOutput, FtReport, PhaseBreakdown};
+use ft_abft::propagate::verify_products;
 use ft_abft::strided::{
-    correct_strided, encode_cols_strided, fold_row, strided_sums, strided_sums_weighted,
-    StridedChecksums, StridedMismatch,
+    correct_strided, encode_cols_strided, verify_rows_strided, StridedChecksums, StridedMismatch,
 };
 use ft_abft::thresholds::{Check, Thresholds};
 use ft_num::{
@@ -216,139 +216,14 @@ fn mma_operands<'a>(opts: &EftaOptions, cs: &'a StridedChecksums) -> [Cow<'a, Ma
     })
 }
 
-/// Strided sums under the configured scheme; the traditional path pays the
-/// gather on verification too.
-fn scheme_sums(opts: &EftaOptions, c: &MatrixF32, s: usize) -> (MatrixF32, MatrixF32) {
+/// The matrix a check folds: the traditional scheme pays the inter-thread
+/// gather on verification too (emulated, like its encode, by an explicit
+/// transpose round-trip).
+fn gathered<'a>(opts: &EftaOptions, c: &'a MatrixF32) -> Cow<'a, MatrixF32> {
     match opts.gemm {
-        GemmProtection::Traditional => {
-            let gathered = c.transpose().transpose();
-            (
-                strided_sums(&gathered, s),
-                strided_sums_weighted(&gathered, s),
-            )
-        }
-        _ => (strided_sums(c, s), strided_sums_weighted(c, s)),
+        GemmProtection::Traditional => Cow::Owned(c.transpose().transpose()),
+        _ => Cow::Borrowed(c),
     }
-}
-
-/// Every (row, residue class) of rows `rows` of `c` where the strided sums
-/// of row `i`'s first `w` columns at stride `s`, `(w, s) = shape(i)`, leave
-/// its carried checksum results `(c1, c2)` by more than `chk(i)`.
-fn checksum_mismatches(
-    opts: &EftaOptions,
-    c: &MatrixF32,
-    (c1, c2): (&MatrixF32, &MatrixF32),
-    rows: Range<usize>,
-    shape: impl Fn(usize) -> (usize, usize),
-    chk: impl Fn(usize) -> Check,
-) -> Vec<StridedMismatch> {
-    let mut out = Vec::new();
-    for (run, (w, s)) in runs(rows, shape) {
-        let part;
-        let c_run = if run == (0..c.rows()) && w == c.cols() {
-            c
-        } else {
-            part = c.block(run.start, 0, run.len(), w);
-            &part
-        };
-        let (sums1, sums2) = scheme_sums(opts, c_run, s);
-        for (k, i) in run.enumerate() {
-            let chk = chk(i);
-            for t in 0..s {
-                if chk.detects(sums1.get(k, t), c1.get(i, t)) {
-                    out.push(StridedMismatch {
-                        i,
-                        t,
-                        delta1: sums1.get(k, t) - c1.get(i, t),
-                        delta2: sums2.get(k, t) - c2.get(i, t),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// `rows` cut into maximal runs of rows with equal `key`.
-fn runs<K: PartialEq + Copy>(
-    rows: Range<usize>,
-    key: impl Fn(usize) -> K,
-) -> impl Iterator<Item = (Range<usize>, K)> {
-    let mut start = rows.start;
-    core::iter::from_fn(move || {
-        let k = (start < rows.end).then(|| key(start))?;
-        let end = (start + 1..rows.end)
-            .find(|&i| key(i) != k)
-            .unwrap_or(rows.end);
-        let run = start..end;
-        start = end;
-        Some((run, k))
-    })
-}
-
-/// The product check (Algorithm 1 line 13) of every row of `p`: row `i`'s
-/// carried GEMM I checksum (the first `se` lanes of row `i` of `c1`, one
-/// value per residue class), transported through the subtraction of its
-/// row max `m[i]` and the exponential, against the strided products of its
-/// first `w` columns of `p`, `(w, se) = shape(i)` — the arithmetic of
-/// `ft_abft::propagate`'s `transport_subtract_max`, `transport_exp` and
-/// `verify_products`, lane for lane. Returns the mismatches row-major.
-fn product_mismatches(
-    (p, c1): (&MatrixF32, &MatrixF32),
-    m: &[f32],
-    shape: impl Fn(usize) -> (usize, usize),
-    chk: Check,
-) -> Vec<StridedMismatch> {
-    // Row-major `rows × lanes` buffers; a lane past a row's `se` keeps a
-    // product of 1 against a transported `exp(0) = 1`, which never fires.
-    let (rows, lanes) = c1.shape();
-    let mut prods = vec![1.0f32; rows * lanes];
-    let mut want = vec![0.0f32; rows * lanes];
-    let per_row = prods
-        .chunks_exact_mut(lanes)
-        .zip(want.chunks_exact_mut(lanes));
-    for (i, (prods, want)) in per_row.enumerate() {
-        let (w, se) = shape(i);
-        fold_row(&p.row(i)[..w], &mut prods[..se], |acc, _, x| acc * x);
-        // Lane `t` holds ⌈(w − t)/se⌉ of the row's columns: ⌊w/se⌋, and one
-        // more below `w mod se`.
-        let (full, extra) = (w / se, w % se);
-        let (sub_lo, sub_hi) = (full as f32 * m[i], (full + 1) as f32 * m[i]);
-        for (t, (v, &c)) in want[..se].iter_mut().zip(c1.row(i)).enumerate() {
-            *v = c - if t < extra { sub_hi } else { sub_lo };
-        }
-    }
-    // Every row's transported checksums through the exponential at once,
-    // then every lane checked at once; only a block with a mismatch is
-    // walked lane by lane.
-    expf_slice(&mut want);
-    let fired = |(&got, &want): (&f32, &f32)| chk.detects(got, want);
-    if !prods
-        .iter()
-        .zip(&want)
-        .fold(false, |any, lane| any | fired(lane))
-    {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for i in 0..rows {
-        let at = i * lanes..i * lanes + shape(i).1;
-        for (t, (&got, &want)) in prods[at.clone()].iter().zip(&want[at]).enumerate() {
-            if chk.detects(got, want) {
-                out.push(StridedMismatch {
-                    i,
-                    t,
-                    delta1: got - want,
-                    delta2: if want != 0.0 {
-                        got / want
-                    } else {
-                        f32::INFINITY
-                    },
-                });
-            }
-        }
-    }
-    out
 }
 
 fn row_max(row: &[f32]) -> f32 {
@@ -757,9 +632,8 @@ impl<'a> RowState<'a> {
         let (d, s) = (self.o.cols(), self.o_c1.cols());
         let out = kn.opts.thresholds.output;
         let ell = &self.ell;
-        let mismatches = checksum_mismatches(
-            kn.opts,
-            &self.o,
+        let mismatches = verify_rows_strided(
+            &gathered(kn.opts, &self.o),
             (&self.o_c1, &self.o_c2),
             rows,
             |_| (d, s),
@@ -900,8 +774,8 @@ impl<'a> RowState<'a> {
         };
         if let (true, Some((c1, c2, _))) = (per_step, &s_cs) {
             // "EFTA": verify the GEMM result immediately.
-            let mismatches =
-                checksum_mismatches(opts, &s_blk, (c1, c2), 0..nr, shape, |_| thr.gemm);
+            let s_seen = gathered(opts, &s_blk);
+            let mismatches = verify_rows_strided(&s_seen, (c1, c2), 0..nr, shape, |_| thr.gemm);
             if !mismatches.is_empty() {
                 self.repair_s(q, blk.kt, &mut s_blk, &mismatches, shape);
             }
@@ -930,8 +804,8 @@ impl<'a> RowState<'a> {
                     blk_max[i] = repaired;
                     self.report.max_restricted += 1;
                 }
-                // Extension beyond the paper (DESIGN.md §4): a huge
-                // *positive* GEMM error becomes the row max, after which
+                // Extension beyond the paper: a huge *positive* GEMM
+                // error becomes the row max, after which
                 // every exp underflows to zero on both the data and the
                 // transported checksum — the product check is blind. The
                 // Cauchy–Schwarz bound |S[i][j]| ≤ |q_i|·|k_j| is cheap to
@@ -999,32 +873,30 @@ impl<'a> RowState<'a> {
         if let (true, Some((c1, c2, _))) = (snvr, &s_cs) {
             // Checksum reuse: transport S_c1 through subtraction + exp
             // and verify GEMM I + subtract + exp in one product check.
-            let mismatches = product_mismatches((&p, c1), &m_new, shape, thr.exp_product);
+            let mismatches = verify_products((&p, c1), &m_new, shape, thr.exp_product);
             self.report.exp_detected += mismatches.len() as u64;
             if !mismatches.is_empty() {
                 // Case 2: the product check already established an error
                 // in GEMM I ∪ subtract ∪ EXP; classify via the *linear* S
-                // invariant of the flagged row's own columns. The
-                // classifier floor sits above the FP16-checksum
-                // quantisation noise so a clean S (EXP fault) is not
-                // "corrected" into a corrupted one.
-                let classify_floor = thr.gemm.abs_floor.max(1e-2);
+                // invariant: the row check of each flagged row's own
+                // columns, at an absolute floor alone (relative threshold
+                // 0; a non-finite lane always fires), keeping the lanes
+                // the product check flagged. The floor sits above the
+                // FP16-checksum quantisation noise so a clean S (EXP
+                // fault) is not "corrected" into a corrupted one.
+                let classify = Check::new(0.0, thr.gemm.abs_floor.max(1e-2));
+                let s_seen = gathered(opts, &s_blk);
                 let mut linear = Vec::new();
-                for mm in &mismatches {
-                    let (w, se) = shape(mm.i);
-                    let (sums1, sums2) = scheme_sums(opts, &s_blk.block(mm.i, 0, 1, w), se);
-                    let d1 = sums1.get(0, mm.t) - c1.get(mm.i, mm.t);
-                    if d1.abs() > classify_floor || !d1.is_finite() {
-                        linear.push(StridedMismatch {
-                            delta1: d1,
-                            delta2: sums2.get(0, mm.t) - c2.get(mm.i, mm.t),
-                            ..*mm
-                        });
-                    } else {
-                        // EXP fault: S is clean, recomputing P suffices.
-                        self.report.exp_recomputed += 1;
-                    }
+                for flagged in mismatches.chunk_by(|a, b| a.i == b.i) {
+                    let i = flagged[0].i;
+                    let row = verify_rows_strided(&s_seen, (c1, c2), i..i + 1, shape, |_| classify);
+                    let row = row
+                        .into_iter()
+                        .filter(|m| flagged.iter().any(|f| f.t == m.t));
+                    linear.extend(row);
                 }
+                // The rest are EXP faults: S is clean, recomputing P suffices.
+                self.report.exp_recomputed += (mismatches.len() - linear.len()) as u64;
                 if !linear.is_empty() {
                     self.repair_s(q, blk.kt, &mut s_blk, &linear, shape);
                 }
@@ -1534,38 +1406,6 @@ mod tests {
     }
 
     #[test]
-    fn row_product_check_is_the_matrix_pipeline() {
-        // `product_mismatches` replays `transport_subtract_max` →
-        // `transport_exp` → `verify_products` row by row: the same
-        // mismatches, deltas bit for bit, at every width and lane count a
-        // step meets (a frontier prefix shorter than the stride included),
-        // on clean rows and on rows with a corrupted or non-finite score.
-        use ft_abft::propagate::{
-            residue_counts, transport_exp, transport_subtract_max, verify_products,
-        };
-        let chk = Thresholds::calibrated().exp_product;
-        for (w, se) in [(64, 8), (20, 8), (8, 8), (5, 5), (1, 1), (37, 3)] {
-            let s = Matrix::from_fn(4, w, |i, j| ((i * 31 + j * 7) % 17) as f32 * 0.3 - 2.0);
-            let m: Vec<f32> = (0..4).map(|i| row_max(s.row(i))).collect();
-            let mut p = Matrix::from_fn(4, w, |i, j| (s.get(i, j) - m[i]).exp());
-            let c1 = Matrix::from_fn(4, se, |i, t| (t..w).step_by(se).map(|j| s.get(i, j)).sum());
-            p.set(1, w / 2, p.get(1, w / 2) * 3.0);
-            p.set(2, w - 1, f32::NAN);
-            let mut tc1 = c1.clone();
-            transport_subtract_max(&mut tc1, &m, &residue_counts(w, se));
-            let want = verify_products(&p, &transport_exp(&tc1), se, chk);
-            let got = product_mismatches((&p, &c1), &m, |_| (w, se), chk);
-            let key = |v: &[StridedMismatch]| {
-                v.iter()
-                    .map(|mm| (mm.i, mm.t, mm.delta1.to_bits(), mm.delta2.to_bits()))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(key(&got), key(&want), "width {w}, lanes {se}");
-            assert!(!want.is_empty());
-        }
-    }
-
-    #[test]
     fn clean_efta_matches_reference() {
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 50);
@@ -1766,7 +1606,8 @@ mod tests {
     fn positive_max_hijack_is_unmasked_by_plausibility_bound() {
         // A +2^128-scale GEMM error becomes the row max and silences the
         // product check (every exp underflows on both sides). The
-        // Cauchy–Schwarz restriction catches it (extension; DESIGN.md §4).
+        // Cauchy–Schwarz restriction catches it (an extension beyond the
+        // paper, whose product check alone is blind here).
         let cfg = small_cfg();
         let (q, k, v) = qkv(&cfg, 62);
         let clean = efta_forward(&cfg, &q, &k, &v, &NoFaults, &EftaOptions::optimized());

@@ -1059,6 +1059,12 @@ fn same_bits(a: &StridedChecksums, b: &StridedChecksums) -> bool {
 /// `s·l` further along the row (`correct_strided`). The check reads `w1`
 /// alone, so a clean read folds `w1` only; `w2` is folded for an operand
 /// whose `w1` lanes mismatch.
+///
+/// This is a storage check, not `ft_abft::strided`'s row check: a stored
+/// operand folds to its stored checksum bit for bit, so a lane is clean
+/// when its bits match — a NaN lane included — and a dirty lane counts
+/// only past `READ_CHECK_FLOOR`, while `Check::detects` always fires on a
+/// non-finite value.
 fn verify(payload: &MatrixF16, cols: usize, cs: &StridedChecksums) -> (MatrixF32, KvReadReport) {
     let mut m = payload.prefix_to_f32(cols);
     let mut report = KvReadReport::default();

@@ -3,11 +3,14 @@
 //! These campaigns regenerate the statistical experiments of the paper:
 //! error coverage vs bit-error-rate (Fig. 12-left), detection / false-alarm
 //! rate vs threshold (Fig. 12-right), and the SNVR product-check sweep
-//! (Fig. 14-left). They work directly on protected GEMMs — the same
-//! algebra the kernels use — so millions of checksum lanes can be evaluated
-//! quickly.
+//! (Fig. 14-left). They work directly on protected GEMMs and check them
+//! through the kernels' own checks — `ft_abft::strided::verify_strided`
+//! for the row check, `ft_abft::propagate::verify_products` for the
+//! product check — so the figures measure what the kernels run, and
+//! millions of checksum lanes can be evaluated quickly.
 
-use ft_abft::strided::{correct_strided, encode_cols_strided, strided_sums, verify_strided};
+use ft_abft::propagate::verify_products;
+use ft_abft::strided::{correct_strided, encode_cols_strided, verify_strided};
 use ft_abft::thresholds::Check;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
 use ft_num::{expf, MatrixF32};
@@ -74,6 +77,17 @@ pub struct CoverageStats {
 }
 
 impl CoverageStats {
+    /// The field-wise sum of two campaigns' statistics.
+    pub fn merged(self, other: CoverageStats) -> CoverageStats {
+        CoverageStats {
+            trials: self.trials + other.trials,
+            injected: self.injected + other.injected,
+            detections: self.detections + other.detections,
+            residual_errors: self.residual_errors + other.residual_errors,
+            covered: self.covered + other.covered,
+        }
+    }
+
     /// Error coverage: repaired faults / injected faults.
     pub fn coverage(&self) -> f64 {
         if self.injected == 0 {
@@ -190,13 +204,7 @@ pub fn coverage_campaign_stride(
     (0..trials)
         .into_par_iter()
         .map(|t| coverage_trial(ft_num::rng::derive_seed(seed, t), ber, stride, shape, chk))
-        .reduce(CoverageStats::default, |a, b| CoverageStats {
-            trials: a.trials + b.trials,
-            injected: a.injected + b.injected,
-            detections: a.detections + b.detections,
-            residual_errors: a.residual_errors + b.residual_errors,
-            covered: a.covered + b.covered,
-        })
+        .reduce(CoverageStats::default, CoverageStats::merged)
 }
 
 /// Detection / false-alarm statistics at one threshold.
@@ -213,6 +221,16 @@ pub struct DetectionStats {
 }
 
 impl DetectionStats {
+    /// The field-wise sum of two campaigns' statistics.
+    pub fn merged(self, other: DetectionStats) -> DetectionStats {
+        DetectionStats {
+            fault_trials: self.fault_trials + other.fault_trials,
+            detected: self.detected + other.detected,
+            clean_lanes: self.clean_lanes + other.clean_lanes,
+            false_alarms: self.false_alarms + other.false_alarms,
+        }
+    }
+
     /// Fraction of injected faults detected.
     pub fn detection_rate(&self) -> f64 {
         if self.fault_trials == 0 {
@@ -240,41 +258,25 @@ fn detection_trial(seed: u64, tau: f32, scheme: Scheme, shape: GemmShape) -> Det
     let (q, kt) = operands(&mut rng, shape);
     let s_mat = gemm_nn(&q, &kt);
     let cs = encode_cols_strided(&kt, s, true);
-    let c1 = gemm_nn(&q, &cs.w1);
+    let (c1, c2) = (gemm_nn(&q, &cs.w1), gemm_nn(&q, &cs.w2));
 
     // False alarms on the clean result.
-    let sums_clean = strided_sums(&s_mat, s);
-    let mut fa = 0u64;
-    for i in 0..shape.br {
-        for t in 0..s {
-            if chk.detects(sums_clean.get(i, t), c1.get(i, t)) {
-                fa += 1;
-            }
-        }
-    }
+    let false_alarms = verify_strided(&s_mat, &c1, &c2, s, chk).len();
 
     // One random bit flip in one random element.
     use rand::Rng;
     let (fi, fj) = (rng.gen_range(0..shape.br), rng.gen_range(0..shape.bc));
     let bit = rng.gen_range(0..32u32);
-    let mut dirty = s_mat.clone();
+    let mut dirty = s_mat;
     let corrupted = f32::from_bits(dirty.get(fi, fj).to_bits() ^ (1u32 << bit));
     dirty.set(fi, fj, corrupted);
-    let sums_dirty = strided_sums(&dirty, s);
-    let mut detected = false;
-    for i in 0..shape.br {
-        for t in 0..s {
-            if chk.detects(sums_dirty.get(i, t), c1.get(i, t)) {
-                detected = true;
-            }
-        }
-    }
+    let detected = !verify_strided(&dirty, &c1, &c2, s, chk).is_empty();
 
     DetectionStats {
         fault_trials: 1,
         detected: detected as u64,
         clean_lanes: (shape.br * s) as u64,
-        false_alarms: fa,
+        false_alarms: false_alarms as u64,
     }
 }
 
@@ -289,21 +291,13 @@ pub fn detection_campaign(
     (0..trials)
         .into_par_iter()
         .map(|t| detection_trial(ft_num::rng::derive_seed(seed, t), tau, scheme, shape))
-        .reduce(DetectionStats::default, |a, b| DetectionStats {
-            fault_trials: a.fault_trials + b.fault_trials,
-            detected: a.detected + b.detected,
-            clean_lanes: a.clean_lanes + b.clean_lanes,
-            false_alarms: a.false_alarms + b.false_alarms,
-        })
+        .reduce(DetectionStats::default, DetectionStats::merged)
 }
 
 /// One SNVR product-check trial (Fig. 14-left): transport checksums through
 /// subtract + exp, inject one bit flip into one exponential output, measure
 /// detection at `tau`; false alarms from the clean product lanes.
 fn snvr_trial(seed: u64, tau: f32, shape: GemmShape) -> DetectionStats {
-    use ft_abft::propagate::{
-        residue_counts, strided_products, transport_exp, transport_subtract_max,
-    };
     let s = 8usize;
     let chk = Check::new(tau, 0.0);
     let mut rng = rng_from_seed(seed);
@@ -312,7 +306,7 @@ fn snvr_trial(seed: u64, tau: f32, shape: GemmShape) -> DetectionStats {
     // Checksums in FP32 here: the transported product check is the paper's
     // ε₁ ≈ 7e-6 regime, which presumes accumulator-precision checksums.
     let cs = encode_cols_strided(&kt, s, false);
-    let mut c1 = gemm_nn(&q, &cs.w1);
+    let c1 = gemm_nn(&q, &cs.w1);
 
     let row_max: Vec<f32> = (0..shape.br)
         .map(|i| {
@@ -326,46 +320,28 @@ fn snvr_trial(seed: u64, tau: f32, shape: GemmShape) -> DetectionStats {
     let p = MatrixF32::from_fn(shape.br, shape.bc, |i, j| {
         expf(s_mat.get(i, j) - row_max[i])
     });
-    let counts = residue_counts(shape.bc, s);
-    transport_subtract_max(&mut c1, &row_max, &counts);
-    let p_c1 = transport_exp(&c1);
+    let check = |p: &MatrixF32| verify_products((p, &c1), &row_max, |_| (shape.bc, s), chk);
 
     // Clean false alarms.
-    let prods = strided_products(&p, s);
-    let mut fa = 0u64;
-    for i in 0..shape.br {
-        for t in 0..s {
-            if chk.detects(prods.get(i, t), p_c1.get(i, t)) {
-                fa += 1;
-            }
-        }
-    }
+    let false_alarms = check(&p).len();
 
     // One bit flip in one exponential output.
     use rand::Rng;
     let (fi, fj) = (rng.gen_range(0..shape.br), rng.gen_range(0..shape.bc));
     let bit = rng.gen_range(0..32u32);
-    let mut dirty = p.clone();
+    let mut dirty = p;
     dirty.set(
         fi,
         fj,
         f32::from_bits(dirty.get(fi, fj).to_bits() ^ (1u32 << bit)),
     );
-    let prods_dirty = strided_products(&dirty, s);
-    let mut detected = false;
-    for i in 0..shape.br {
-        for t in 0..s {
-            if chk.detects(prods_dirty.get(i, t), p_c1.get(i, t)) {
-                detected = true;
-            }
-        }
-    }
+    let detected = !check(&dirty).is_empty();
 
     DetectionStats {
         fault_trials: 1,
         detected: detected as u64,
         clean_lanes: (shape.br * s) as u64,
-        false_alarms: fa,
+        false_alarms: false_alarms as u64,
     }
 }
 
@@ -374,12 +350,7 @@ pub fn snvr_campaign(trials: u64, seed: u64, tau: f32, shape: GemmShape) -> Dete
     (0..trials)
         .into_par_iter()
         .map(|t| snvr_trial(ft_num::rng::derive_seed(seed, t), tau, shape))
-        .reduce(DetectionStats::default, |a, b| DetectionStats {
-            fault_trials: a.fault_trials + b.fault_trials,
-            detected: a.detected + b.detected,
-            clean_lanes: a.clean_lanes + b.clean_lanes,
-            false_alarms: a.false_alarms + b.false_alarms,
-        })
+        .reduce(DetectionStats::default, DetectionStats::merged)
 }
 
 #[cfg(test)]

@@ -2,10 +2,12 @@
 //! (Fig. 14-right).
 
 use crate::campaign::{detection_campaign, snvr_campaign, DetectionStats, GemmShape, Scheme};
+use ft_abft::propagate::verify_products;
+use ft_abft::strided::strided_sums;
 use ft_abft::thresholds::Check;
 use ft_core::snvr::{restrict_rowsum, traditional_restrict_weight, Restriction};
-use ft_num::expf;
 use ft_num::rng::rng_from_seed;
+use ft_num::{expf, MatrixF32};
 use rand::Rng;
 use rayon::prelude::*;
 
@@ -195,24 +197,21 @@ fn restriction_trial(seed: u64, hist_bins: usize, bin_w: f32) -> RestrictionComp
     };
 
     // ---- SNVR: product check on the numerator, range check on ℓ --------
-    let chk = Check::new(0.02, 0.0);
+    // The row's GEMM checksum is the strided sums of its scores, carried
+    // through the max subtraction and the exponential.
+    let row = |v: &[f32]| MatrixF32::from_fn(1, n, |_, j| v[j]);
+    let c1 = strided_sums(&row(&scores), stride);
     let mut exps_snvr = exps_faulty.clone();
-    for t in 0..stride {
-        let mut prod_obs = 1.0f32;
-        let mut prod_ref = 1.0f32;
-        let mut j = t;
-        while j < n {
-            prod_obs *= exps_snvr[j];
-            prod_ref *= exps[j]; // transported checksum (exact transport)
-            j += stride;
-        }
-        if chk.detects(prod_obs, prod_ref) {
-            // Recompute the residue class from the (clean) scores.
-            let mut j = t;
-            while j < n {
-                exps_snvr[j] = expf(scores[j] - m_global);
-                j += stride;
-            }
+    let flagged = verify_products(
+        (&row(&exps_snvr), &c1),
+        &[m_global],
+        |_| (n, stride),
+        Check::new(0.02, 0.0),
+    );
+    for mm in flagged {
+        // Recompute the residue class from the (clean) scores.
+        for j in (mm.t..n).step_by(stride) {
+            exps_snvr[j] = expf(scores[j] - m_global);
         }
     }
     let ell_snvr_input: f32 = if op == n {

@@ -9,7 +9,8 @@ pub struct ModelConfig {
     /// Number of transformer blocks. For T5-Small this counts encoder plus
     /// decoder blocks: the paper measures per-step *time overhead*, for
     /// which a 12-block stack of the same per-block shape is equivalent
-    /// work (see DESIGN.md).
+    /// work — a simplification: the decoder blocks' cross-attention is not
+    /// modelled.
     pub layers: usize,
     /// Attention heads per block.
     pub heads: usize,

@@ -38,7 +38,7 @@
 //! memory as a fault site, with a verify-on-read or scrub, is ROADMAP's
 //! open item.
 
-use ft_abft::strided::{correct_strided, encode_cols_strided, verify_strided, StridedMismatch};
+use ft_abft::strided::{correct_strided, encode_cols_strided, verify_rows_strided};
 use ft_abft::thresholds::Thresholds;
 use ft_core::types::FtReport;
 use ft_num::rng::{normal_matrix_f16, rng_from_seed};
@@ -235,15 +235,12 @@ impl Linear {
                 c
             };
             let (y_c1, y_c2) = (checksum(w1t, 1), checksum(w2t, 2));
-            // Rows are checked independently, so one check of the unit finds
-            // every block's mismatches; each block then repairs its own.
-            let mismatches = verify_strided(&y, &y_c1, &y_c2, stride, thresholds.gemm);
+            // Each block checks and repairs its own rows.
             for (b, report) in unit.iter().zip(&mut reports) {
                 let rows = local(b);
-                let block: Vec<StridedMismatch> = (mismatches.iter())
-                    .filter(|m| rows.contains(&m.i))
-                    .copied()
-                    .collect();
+                let shape = |_| (out_f, stride);
+                let chk = |_| thresholds.gemm;
+                let block = verify_rows_strided(&y, (&y_c1, &y_c2), rows.clone(), shape, chk);
                 if block.is_empty() {
                     continue;
                 }
