@@ -34,6 +34,7 @@ use ft_num::{expf_slice, MatrixF32};
 /// Product-domain checks *detect* but cannot linearly *locate* an erroneous
 /// exponential — the paper corrects EXP faults by recomputation, so the
 /// mismatch carries the residue class for targeted recompute.
+#[inline]
 pub fn verify_products(
     (p, c1): (&MatrixF32, &MatrixF32),
     m: &[f32],

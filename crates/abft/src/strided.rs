@@ -129,21 +129,29 @@ pub fn strided_sums_weighted(c: &MatrixF32, s: usize) -> MatrixF32 {
     fold_groups(c, s, |w, v| w * v)
 }
 
-/// `out[i][t] = Σ_l term(l+1, c[i][t + s·l])`, each row through
-/// [`fold_lanes`].
+/// `out[i][t] = Σ_l term(l+1, c[i][t + s·l])`, each row as
+/// [`fold_lanes`] folds it, with the stride tested once per matrix.
 fn fold_groups(c: &MatrixF32, s: usize, term: impl Fn(f32, f32) -> f32 + Copy) -> MatrixF32 {
     let mut out = Matrix::zeros(c.rows(), s);
+    if s == 1 {
+        for (i, lane) in out.as_mut_slice().iter_mut().enumerate() {
+            let row = c.row(i).iter().enumerate();
+            *lane = row.fold(0.0, |acc, (j, &v)| acc + term((j + 1) as f32, v));
+        }
+        return out;
+    }
     for i in 0..c.rows() {
-        fold_lanes(c.row(i), out.row_mut(i), term);
+        fold_row(c.row(i), out.row_mut(i), |acc, w, v| acc + term(w, v));
     }
     out
 }
 
 /// Overwrite `lanes` with the fold of `row`:
 /// `lanes[t] = Σ_l term(l+1, row[t + s·l])`, `s = lanes.len()`, each lane
-/// summed in ascending `l` from `0.0` through [`fold_row`]. At `s = 1`
-/// (the element checksum) the row is one chain, folded directly:
-/// `fold_row`'s general lane loop is several times slower there.
+/// summed in ascending `l` from `0.0` through [`fold_row`] — one row of
+/// [`fold_groups`], bit for bit. At `s = 1` (the element checksum) the row
+/// is one chain, folded directly: `fold_row`'s general lane loop is
+/// several times slower there.
 #[inline]
 fn fold_lanes(row: &[f32], lanes: &mut [f32], term: impl Fn(f32, f32) -> f32 + Copy) {
     if let [lane] = lanes {
@@ -263,6 +271,7 @@ pub fn verify_strided(
 /// a row folds its weighted sums, for the mismatches' `delta2` against
 /// `check2`, only when one of its lanes is flagged. Both folds are
 /// [`strided_sums`] / [`strided_sums_weighted`]'s, lane for lane.
+#[inline]
 pub fn verify_rows_strided(
     c: &MatrixF32,
     (check1, check2): (&MatrixF32, &MatrixF32),
