@@ -83,7 +83,7 @@
 //! use ft_num::rng::normal_tensor_f16;
 //!
 //! // A (batch=1, heads=2) cache at head dim 16; append four token rows.
-//! let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+//! let mut cache = KvCache::new(1, 2, 16, 8);
 //! for t in 0..4 {
 //!     let k = normal_tensor_f16(10 + t, 1, 2, 1, 16, 0.6);
 //!     let v = normal_tensor_f16(20 + t, 1, 2, 1, 16, 0.8);
@@ -191,27 +191,10 @@ impl core::fmt::Debug for DecodeRequest<'_> {
     }
 }
 
-/// Number of cache blocks a `vis`-row causal prefix touches.
-pub(crate) fn vis_blocks(cache: &KvCache, vis: usize) -> usize {
-    vis.div_ceil(cache.block())
-}
-
-/// First block a `vis`-row causal prefix attends under an optional sliding
-/// window: the most recent `window` rows, rounded *down* to a block
-/// boundary, so the attended block set is exactly the blocks a fresh cache
-/// holding only the window would contain — this is what makes windowed
-/// decode bit-identical to decoding against such a cache. Clamped to the
-/// eviction frontier (evicted blocks cannot be read; storage policies must
-/// keep eviction at or behind the attention window — see
-/// [`KvCache::enforce_window`]).
-pub(crate) fn window_start_block(cache: &KvCache, vis: usize, window: Option<usize>) -> usize {
-    cache.attended_start_block_at(vis, window)
-}
-
 /// Rows attended by a `vis`-row prefix under `window` (for SNVR bounds and
 /// the analytic cost model).
 pub(crate) fn attended_rows(cache: &KvCache, vis: usize, window: Option<usize>) -> usize {
-    vis - window_start_block(cache, vis, window) * cache.block()
+    vis - cache.attended_start_block_at(vis, window) * cache.block()
 }
 
 /// Rows of block `b` visible under a `vis`-row causal prefix.
@@ -241,9 +224,9 @@ pub(crate) fn sweep_tile_stats(
     // Shared reads: every row's attended span is a prefix of the last
     // row's, so the union of attended blocks is the last row's range.
     let vis_last = base + c;
-    let b0_min = window_start_block(cache, base + 1, window);
+    let b0_min = cache.attended_start_block_at(base + 1, window);
     let union_rows = (vis_last - b0_min * cache.block()) as u64;
-    let union_blocks = (vis_blocks(cache, vis_last) - b0_min) as u64;
+    let union_blocks = (vis_last.div_ceil(cache.block()) - b0_min) as u64;
     stats.hbm_read = slots * 2 * union_rows * d * 2;
     stats.hbm_written = slots * c as u64 * d * 2;
     if protected {
@@ -263,7 +246,8 @@ pub(crate) fn sweep_tile_stats(
         stats.sfu_ops += slots * attended as u64;
         if protected {
             let s = cache.stride().max(8);
-            let blocks_r = (vis_blocks(cache, vis) - window_start_block(cache, vis, window)) as u64;
+            let b0 = cache.attended_start_block_at(vis, window);
+            let blocks_r = (vis.div_ceil(cache.block()) - b0) as u64;
             stats.tc_flops += slots * 2 * 2 * gemm_flops(1, s, cache.dim());
             stats.serial_flops += slots * (attended as u64 + 2 * d + 4 * blocks_r);
         }
@@ -300,9 +284,9 @@ fn attended_blocks(
     window: Option<usize>,
 ) -> (Vec<usize>, Vec<usize>) {
     let b0 = (0..c)
-        .map(|r| window_start_block(cache, vis0 + r, window))
+        .map(|r| cache.attended_start_block_at(vis0 + r, window))
         .collect();
-    let nb = (0..c).map(|r| vis_blocks(cache, vis0 + r)).collect();
+    let nb = (0..c).map(|r| (vis0 + r).div_ceil(cache.block())).collect();
     (b0, nb)
 }
 
@@ -534,7 +518,7 @@ mod tests {
     fn decode_steps_match_causal_prefill_rows() {
         let (q, k, v) = workload(21, 16, 70);
         let oracle = causal_reference_rows(&q, &k, &v, 0.25);
-        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 8);
         for t in 0..21 {
             fill(&mut cache, &k, &v, t + 1);
             let qt = q_row(&q, t);
@@ -567,10 +551,10 @@ mod tests {
         // a cache that simply stops at L rows — including mid-block
         // prefixes, whose checksum operands are re-encoded on the fly.
         let (q, k, v) = workload(21, 16, 75);
-        let mut long = KvCache::new(1, 2, 16, 8, 8, 0.25);
+        let mut long = KvCache::new(1, 2, 16, 8);
         fill(&mut long, &k, &v, 21);
         for vis in [3usize, 8, 11, 16, 21] {
-            let mut short = KvCache::new(1, 2, 16, 8, 8, 0.25);
+            let mut short = KvCache::new(1, 2, 16, 8);
             fill(&mut short, &k, &v, vis);
             let qt = q_row(&q, vis - 1);
             let req = DecodeRequest::new(&short, &qt).at_step(vis - 1);
@@ -616,7 +600,7 @@ mod tests {
         // corrected after a K and a V flip, so the fold must read the
         // corrected rows, not the stored ones.
         let (q, k, v) = workload(20, 16, 77);
-        let mut cache = KvCache::new(1, 2, 16, 16, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 16);
         fill(&mut cache, &k, &v, 20);
         for (row, col, which) in [(5, 3, 0), (9, 2, 1)] {
             let inj = SeuInjector::new(FaultSite::KvCache, OpCoord::new(0, row, col, which), 14);
@@ -697,7 +681,7 @@ mod tests {
         // a GEMM II chain of the group seeing block 3 whole. The chunk tile
         // must give the output, ledger and fired count of 16 one-row tiles.
         let (q, k, v) = workload(37, 16, 78);
-        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 8);
         fill(&mut cache, &k, &v, 37);
         let (base, c, step0, window) = (21, 16, 500, Some(20));
         let (vis_8, jb) = (base + 1 + 8, 2);
@@ -774,7 +758,7 @@ mod tests {
             m.set(40, 3, F16::from_f32(f32::INFINITY));
             m.set(40, 7, F16::from_f32(f32::NEG_INFINITY));
         }
-        let mut cache = KvCache::new(1, 2, 16, 16, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 16);
         let caches = (1..=46)
             .map(|len| {
                 fill(&mut cache, &k, &v, len);
@@ -949,7 +933,7 @@ mod tests {
     #[test]
     fn gemm_seu_in_decode_is_detected_and_repaired() {
         let (q, k, v) = workload(24, 16, 71);
-        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 8);
         fill(&mut cache, &k, &v, 24);
         let qt = q_row(&q, 23);
         let req = DecodeRequest::new(&cache, &qt).at_step(23);
@@ -1002,7 +986,7 @@ mod tests {
             (FaultSite::Normalize, 9, 1000, 29, None),
         ];
         for opts in &options {
-            let mut cache = KvCache::new(1, 2, 16, cfg.block, opts.stride, cfg.scale);
+            let mut cache = KvCache::new(1, 2, 16, cfg.block);
             fill(&mut cache, &k, &v, seq);
             let qt = q_row(&q, last);
             for (site, j, it, bit, chain) in sites {
@@ -1031,7 +1015,7 @@ mod tests {
     #[test]
     fn cache_resident_seu_corrected_by_efta_but_corrupts_reference() {
         let (q, k, v) = workload(20, 16, 72);
-        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 8);
         fill(&mut cache, &k, &v, 20);
         let qt = q_row(&q, 19);
         let clean_req = DecodeRequest::new(&cache, &qt).at_step(19);
@@ -1062,7 +1046,7 @@ mod tests {
     #[test]
     fn unprotected_options_fall_back_to_reference() {
         let (q, k, v) = workload(12, 16, 73);
-        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 8);
         fill(&mut cache, &k, &v, 12);
         let qt = q_row(&q, 11);
         let req = DecodeRequest::new(&cache, &qt).at_step(11);
@@ -1074,7 +1058,7 @@ mod tests {
     #[test]
     fn every_backend_kind_decodes_through_the_trait() {
         let (q, k, v) = workload(10, 16, 74);
-        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 8);
         fill(&mut cache, &k, &v, 10);
         let qt = q_row(&q, 9);
         let req = DecodeRequest::new(&cache, &qt).at_step(9);

@@ -441,23 +441,6 @@ impl<'a> Frontier<'a> {
         self.lanes.min(self.widths.start + i)
     }
 
-    /// Frontier row `i`'s checksum GEMM results `(S_c1, S_c2)`, its V
-    /// operand and its max-norm.
-    #[cfg(test)]
-    pub(crate) fn prefix(&self, i: usize) -> ((MatrixF32, MatrixF32), StridedChecksums, f32) {
-        let (rows, lanes) = (self.widths.start + i, self.lanes(i));
-        let s_cs = (
-            self.s_c1.block(i, 0, 1, lanes),
-            self.s_c2.block(i, 0, 1, lanes),
-        );
-        let v_cs = StridedChecksums {
-            w1: self.v_cs.w1.block(0, 0, rows, self.v_cs.stride),
-            w2: self.v_cs.w2.block(0, 0, rows, self.v_cs.stride),
-            ..self.v_cs
-        };
-        (s_cs, v_cs, self.k_max_norm[i])
-    }
-
     /// Frontier row `i`'s K operand, k-major as GEMM I reads it: the
     /// from-scratch column encode of its prefix of `Kᵀ`, which the fold
     /// reproduces.
@@ -1393,6 +1376,24 @@ mod tests {
     use crate::reference::reference_forward;
     use ft_num::rng::normal_tensor_f16;
     use ft_sim::{NoFaults, SeuInjector};
+
+    impl Frontier<'_> {
+        /// Frontier row `i`'s checksum GEMM results `(S_c1, S_c2)`, its V
+        /// operand and its max-norm.
+        pub(crate) fn prefix(&self, i: usize) -> ((MatrixF32, MatrixF32), StridedChecksums, f32) {
+            let (rows, lanes) = (self.widths.start + i, self.lanes(i));
+            let s_cs = (
+                self.s_c1.block(i, 0, 1, lanes),
+                self.s_c2.block(i, 0, 1, lanes),
+            );
+            let v_cs = StridedChecksums {
+                w1: self.v_cs.w1.block(0, 0, rows, self.v_cs.stride),
+                w2: self.v_cs.w2.block(0, 0, rows, self.v_cs.stride),
+                ..self.v_cs
+            };
+            (s_cs, v_cs, self.k_max_norm[i])
+        }
+    }
 
     fn qkv(cfg: &AttentionConfig, seed: u64) -> (Tensor4F16, Tensor4F16, Tensor4F16) {
         let q = normal_tensor_f16(seed, cfg.batch, cfg.heads, cfg.seq, cfg.head_dim, 0.6);

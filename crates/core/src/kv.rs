@@ -42,15 +42,21 @@
 //!   from-scratch encoder (`KvBlock::encode`, kept as the oracle the fold
 //!   is tested against): O(row), bit-identical, stored rows never read
 //!   back.
-//! * **`heal`** is the verifying read in front of a write: re-fold both
-//!   resident operands with the encoder's fold and compare every lane of
-//!   both checksum operands of both with the stored bits. All equal means
-//!   `stored == encode(payload)` and nothing is touched; otherwise
-//!   locate/correct, poison the block for what cannot be located, and
-//!   re-encode over the healed rows.
+//! * **`heal`** is the one in-place repair, the verifying read in front
+//!   of a write: re-fold both resident operands with the encoder's fold
+//!   and compare every lane of both checksum operands of both with the
+//!   stored bits. All equal means `stored == encode(payload)` and nothing
+//!   is touched; otherwise locate/correct, poison the block for what
+//!   cannot be located, and re-encode over the healed rows.
 //!
 //! [`KvCache::append`] heals the ragged trailing block once per call, then
-//! pushes; [`KvCache::truncate_to`] heals, then re-encodes a row prefix.
+//! pushes; [`KvCache::truncate_to`] heals, then re-encodes a row prefix;
+//! [`KvCache::scrub`] is `heal` over every resident block. `heal` is the
+//! only code that writes a corrected payload back.
+//!
+//! The cache owns this policy whole: [`KvCache::new`] takes the geometry
+//! only (slots, head dim, block rows), and every block folds at
+//! [`DEFAULT_STRIDE`], the paper's stride.
 //!
 //! # Eviction
 //!
@@ -87,7 +93,7 @@
 //! use ft_num::rng::normal_tensor_f16;
 //! use ft_sim::{FaultSite, OpCoord, SeuInjector};
 //!
-//! let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+//! let mut cache = KvCache::new(1, 2, 16, 8);
 //! for t in 0..10 {
 //!     let k = normal_tensor_f16(100 + t, 1, 2, 1, 16, 0.6);
 //!     let v = normal_tensor_f16(200 + t, 1, 2, 1, 16, 0.8);
@@ -105,7 +111,7 @@ use crate::efta::{max_key_norm, row_norm};
 use crate::protect::ProtectionLevel;
 use ft_abft::strided::{
     correct_strided, encode_cols_strided, fold_row, strided_sums, strided_sums_weighted,
-    StridedChecksums, StridedMismatch,
+    StridedChecksums, StridedMismatch, DEFAULT_STRIDE,
 };
 use ft_num::{MatrixF16, MatrixF32, Tensor4F16, F16};
 use ft_sim::{FaultInjector, FaultSite};
@@ -151,7 +157,7 @@ struct KvBlock {
 impl KvBlock {
     /// A block with no rows yet. Without `metadata` ([`ProtectionLevel::Raw`])
     /// the operands stay 0 × 0: no checksum bytes, no lanes to verify.
-    fn empty(dim: usize, stride: usize, metadata: bool) -> Self {
+    fn empty(dim: usize, metadata: bool) -> Self {
         let operands = |rows: usize, cols: usize| {
             let (rows, cols) = if metadata { (rows, cols) } else { (0, 0) };
             let (w1, w2) = (MatrixF32::zeros(rows, cols), MatrixF32::zeros(rows, cols));
@@ -166,7 +172,7 @@ impl KvBlock {
             kt: MatrixF16::zeros(dim, 0),
             v: MatrixF16::zeros(0, dim),
             kt_cs: operands(dim, 0),
-            v_cs: operands(0, stride.min(dim)),
+            v_cs: operands(0, DEFAULT_STRIDE.min(dim)),
             k_max_norm: 0.0,
             poisoned: 0,
         }
@@ -181,13 +187,13 @@ impl KvBlock {
     /// oracle `push_row` is tested against, and how an existing block whose
     /// operands can no longer be trusted, or whose rows were cut, is
     /// rebuilt — carrying the mark `poisoned`.
-    fn encode(kt: &MatrixF16, v: &MatrixF16, stride: usize, poisoned: u64) -> Self {
+    fn encode(kt: &MatrixF16, v: &MatrixF16, poisoned: u64) -> Self {
         let (ktf, vf) = (kt.to_f32(), v.to_f32());
         KvBlock {
             // Both fold their columns at the stride, or at fewer: the K
             // fold adapts to a ragged (still-filling) block's row count.
-            kt_cs: encode_cols_strided(&ktf, stride.min(ktf.cols()), false),
-            v_cs: encode_cols_strided(&vf, stride.min(vf.cols()), false),
+            kt_cs: encode_cols_strided(&ktf, DEFAULT_STRIDE.min(ktf.cols()), false),
+            v_cs: encode_cols_strided(&vf, DEFAULT_STRIDE.min(vf.cols()), false),
             kt: kt.clone(),
             v: v.clone(),
             k_max_norm: max_key_norm(&ktf),
@@ -201,7 +207,7 @@ impl KvBlock {
     /// of clean rows. Stored rows are not read back, so resident corruption
     /// is neither healed nor laundered: the next verifying read sees it.
     /// `block` is the most rows the block will hold.
-    fn push_row(&mut self, k: &[F16], v: &[F16], stride: usize, block: usize, metadata: bool) {
+    fn push_row(&mut self, k: &[F16], v: &[F16], block: usize, metadata: bool) {
         let rows = self.rows();
         if rows == self.kt.cols() {
             let mut kt = MatrixF16::zeros(self.kt.rows(), block);
@@ -226,7 +232,7 @@ impl KvBlock {
         // shorter than the stride folds at its row count, so the column
         // opens a lane — from zero, like the encoder's accumulator
         // (`0.0 + -0.0`, no copy).
-        let (t, l) = (rows % stride, rows / stride);
+        let (t, l) = (rows % DEFAULT_STRIDE, rows / DEFAULT_STRIDE);
         if l == 0 {
             for w in [&mut self.kt_cs.w1, &mut self.kt_cs.w2] {
                 let mut grown = MatrixF32::zeros(w.rows(), rows + 1);
@@ -234,7 +240,7 @@ impl KvBlock {
                 *w = grown;
             }
         }
-        (self.kt_cs.stride, self.kt_cs.groups) = (stride.min(rows + 1), l + 1);
+        (self.kt_cs.stride, self.kt_cs.groups) = (DEFAULT_STRIDE.min(rows + 1), l + 1);
         let (lanes, wl) = (self.kt_cs.stride, (l + 1) as f32);
         let w1 = self.kt_cs.w1.as_mut_slice().chunks_exact_mut(lanes);
         let w2 = self.kt_cs.w2.as_mut_slice().chunks_exact_mut(lanes);
@@ -280,8 +286,8 @@ impl KvBlock {
         })
     }
 
-    /// The verifying read in front of a write. Re-fold the resident payload
-    /// (`folds_to_stored`) and compare every
+    /// The one in-place repair, run in front of a write and by the scrub.
+    /// Re-fold the resident payload (`folds_to_stored`) and compare every
     /// lane of both operands of both families with the stored bits (`w2`
     /// too: damage that cancels in a lane's plain sum, or hides under the
     /// read-check floor, still moves what a re-encode stores). All equal:
@@ -290,14 +296,14 @@ impl KvBlock {
     /// and re-encode — destroying the evidence of what could not be
     /// located, so that count joins the sticky poison mark here, once.
     /// Returns the verification report.
-    fn heal(&mut self, stride: usize) -> KvReadReport {
+    fn heal(&mut self) -> KvReadReport {
         if self.folds_to_stored() {
             return KvReadReport::default();
         }
         let [(kt, k_report), (v, v_report)] = self.verified();
         let report = k_report.merged(&v_report);
         let poisoned = self.poisoned + report.uncorrectable;
-        *self = KvBlock::encode(&kt.to_f16(), &v.to_f16(), stride, poisoned);
+        *self = KvBlock::encode(&kt.to_f16(), &v.to_f16(), poisoned);
         report
     }
 
@@ -305,11 +311,11 @@ impl KvBlock {
     /// exactly those (the K fold stride adapts): what a cache that never
     /// grew past them would store. The poison mark stays — unlocatable
     /// damage cannot be pinned to a row, so every survivor stays suspect.
-    fn keep_rows(&mut self, rows: usize, stride: usize, metadata: bool) {
+    fn keep_rows(&mut self, rows: usize, metadata: bool) {
         let v = self.v.block(0, 0, rows, self.v.cols());
         if metadata {
             let kt = self.kt.block(0, 0, self.kt.rows(), rows);
-            *self = KvBlock::encode(&kt, &v, stride, self.poisoned);
+            *self = KvBlock::encode(&kt, &v, self.poisoned);
         } else {
             self.v = v;
         }
@@ -449,8 +455,6 @@ pub struct KvCache {
     heads: usize,
     dim: usize,
     block: usize,
-    stride: usize,
-    scale: f32,
     /// Logical tokens appended per slot — *including* evicted rows, so
     /// token positions stay stable across eviction.
     len: usize,
@@ -467,24 +471,16 @@ pub struct KvCache {
 
 impl KvCache {
     /// Empty cache for `batch × heads` slots of `dim`-wide rows, tiled in
-    /// `block`-row blocks with checksum stride `stride` and score scale
-    /// `scale` (conventionally `1/sqrt(dim)`).
-    pub fn new(
-        batch: usize,
-        heads: usize,
-        dim: usize,
-        block: usize,
-        stride: usize,
-        scale: f32,
-    ) -> Self {
-        assert!(block > 0 && stride > 0 && dim > 0);
+    /// `block`-row blocks. The cache owns the rest of its block policy:
+    /// checksums fold at [`DEFAULT_STRIDE`] (the paper's tensor-core
+    /// stride) and decode scales scores by `1/sqrt(dim)`.
+    pub fn new(batch: usize, heads: usize, dim: usize, block: usize) -> Self {
+        assert!(block > 0 && dim > 0);
         KvCache {
             batch,
             heads,
             dim,
             block,
-            stride,
-            scale,
             len: 0,
             start: 0,
             slots: vec![Vec::new(); batch * heads],
@@ -492,18 +488,10 @@ impl KvCache {
         }
     }
 
-    /// Cache for `batch × heads` slots at head dimension `dim` with the
-    /// paper's defaults: 64-row blocks (the CTA tile), stride-8 checksums,
-    /// `1/sqrt(dim)` score scale. The cache grows dynamically.
+    /// Cache for `batch × heads` slots at head dimension `dim` in the
+    /// paper's 64-row blocks (the CTA tile). The cache grows dynamically.
     pub fn for_geometry(batch: usize, heads: usize, dim: usize) -> Self {
-        Self::new(
-            batch,
-            heads,
-            dim,
-            64,
-            ft_abft::strided::DEFAULT_STRIDE,
-            1.0 / (dim as f32).sqrt(),
-        )
+        Self::new(batch, heads, dim, 64)
     }
 
     /// Logical tokens appended per slot, *including* evicted rows — the
@@ -530,7 +518,7 @@ impl KvCache {
     }
 
     /// Blocks currently resident per slot.
-    pub fn resident_blocks(&self) -> usize {
+    fn resident_blocks(&self) -> usize {
         self.num_blocks() - self.start_block()
     }
 
@@ -559,14 +547,14 @@ impl KvCache {
         self.block
     }
 
-    /// Checksum stride.
+    /// Checksum stride ([`DEFAULT_STRIDE`]).
     pub fn stride(&self) -> usize {
-        self.stride
+        DEFAULT_STRIDE
     }
 
-    /// Score scale applied to queries by the decode kernels.
+    /// Score scale applied to queries by the decode kernels, `1/sqrt(dim)`.
     pub fn scale(&self) -> f32 {
-        self.scale
+        1.0 / (self.dim as f32).sqrt()
     }
 
     /// This cache's graded protection level.
@@ -680,21 +668,21 @@ impl KvCache {
         let n = k.seq();
         assert_eq!(v.seq(), n, "k/v row counts differ");
         let mut report = KvReadReport::default();
-        let (stride, block) = (self.stride, self.block);
+        let block = self.block;
         let metadata = self.level.encodes_metadata();
         let ragged = !self.len.is_multiple_of(block);
         for (slot, blocks) in self.slots.iter_mut().enumerate() {
             if ragged && metadata {
                 let last = blocks.last_mut().expect("ragged trailing block resident");
-                report = report.merged(&last.heal(stride));
+                report = report.merged(&last.heal());
             }
             let (km, vm) = (k.slot_flat(slot), v.slot_flat(slot));
             for r in 0..n {
                 if (self.len + r).is_multiple_of(block) {
-                    blocks.push(KvBlock::empty(self.dim, stride, metadata));
+                    blocks.push(KvBlock::empty(self.dim, metadata));
                 }
                 let last = blocks.last_mut().expect("trailing block just opened");
-                last.push_row(km.row(r), vm.row(r), stride, block, metadata);
+                last.push_row(km.row(r), vm.row(r), block, metadata);
             }
         }
         self.len += n;
@@ -702,8 +690,8 @@ impl KvCache {
     }
 
     /// Sticky count of unlocatable corruption events among *resident*
-    /// blocks, absorbed by checksum re-encodes (append heals over a ragged
-    /// block, scrubs over unrepairable damage): once a re-encode stamps
+    /// blocks, absorbed by `heal`'s re-encodes (run by `append` over a
+    /// ragged block, by `truncate_to` and by `scrub`): once a re-encode stamps
     /// clean checksums over unrepairable rows, per-read reports look clean
     /// while the payload is wrong, and this counter is the only surviving
     /// damage signal — the EFTA decode path folds it into every step's
@@ -848,7 +836,7 @@ impl KvCache {
         let keep_resident = mark.len.div_ceil(self.block) - self.start_block();
         // Rows the mark leaves in its own block (none on a block boundary).
         let boundary_rows = mark.len % self.block;
-        let (metadata, stride) = (self.level.encodes_metadata(), self.stride);
+        let metadata = self.level.encodes_metadata();
         for blocks in &mut self.slots {
             blocks.truncate(keep_resident);
             if boundary_rows == 0 {
@@ -859,9 +847,9 @@ impl KvCache {
             // prefix of unverified payload would launder resident damage
             // for good.
             if metadata {
-                report = report.merged(&last.heal(stride));
+                report = report.merged(&last.heal());
             }
-            last.keep_rows(boundary_rows, stride, metadata);
+            last.keep_rows(boundary_rows, metadata);
         }
         self.len = mark.len;
         report
@@ -893,23 +881,6 @@ impl KvCache {
     /// Unverified f32 copy of V block `b` in slot `slot`.
     pub fn read_v_raw(&self, slot: usize, b: usize) -> MatrixF32 {
         self.slots[slot][self.resident_index(b)].v.to_f32()
-    }
-
-    /// Stored checksum operands of `Kᵀ` block `b` (GEMM I operands,
-    /// `dim × s`).
-    pub fn kt_checksums(&self, slot: usize, b: usize) -> &StridedChecksums {
-        &self.slots[slot][self.resident_index(b)].kt_cs
-    }
-
-    /// Stored checksum operands of V block `b` (GEMM II operands).
-    pub fn v_checksums(&self, slot: usize, b: usize) -> &StridedChecksums {
-        &self.slots[slot][self.resident_index(b)].v_cs
-    }
-
-    /// Largest key norm of block `b`, snapshotted at append time (the
-    /// decode kernel's Cauchy–Schwarz max-plausibility bound).
-    pub fn k_max_norm(&self, slot: usize, b: usize) -> f32 {
-        self.slots[slot][self.resident_index(b)].k_max_norm
     }
 
     /// Verify block `b` of slot `slot` **once** and expose everything a
@@ -991,45 +962,29 @@ impl KvCache {
         }
     }
 
-    /// In-place integrity pass over the whole cache: verify every resident
-    /// block and write located corrections back to the FP16 payload (the
-    /// maintenance scrub a serving loop runs between requests).
+    /// In-place integrity pass over the whole cache (the maintenance scrub
+    /// a serving loop runs between requests): `heal` every resident block
+    /// — the repair `append` and `truncate_to` run on their boundary block
+    /// — and merge the reports. A damaged block gets its located
+    /// corrections written back and is re-encoded from the corrected
+    /// payload; a clean one is not touched.
     ///
-    /// Contract for unlocatable damage (count once, don't launder): when a
-    /// block verifies with `uncorrectable > 0`, the damage cannot be
-    /// repaired from checksums, so the scrub (1) folds the count into the
-    /// block's sticky [`poisoned`](KvCache::poisoned) mark and only *then*
-    /// (2) re-encodes that block's checksums over the partially-healed
-    /// payload. The re-encode silences further per-read alarms for an
-    /// event nothing can act on twice — each physical event lands in
+    /// Contract for unlocatable damage (count once, don't launder): the
+    /// count joins the block's sticky [`poisoned`](KvCache::poisoned) mark
+    /// before the re-encode silences further per-read alarms for an event
+    /// nothing can act on twice — each physical event lands in
     /// `poisoned()` exactly once, at the moment its checksum evidence is
     /// destroyed, and the protected decode path re-surfaces the sticky
     /// count as `cache_uncorrectable` on every subsequent step, so the
-    /// damage is never silently forgotten.
+    /// damage is never silently forgotten. A [`Raw`](ProtectionLevel::Raw)
+    /// cache has nothing to verify against: its scrub is a no-op.
     pub fn scrub(&mut self) -> KvReadReport {
-        let mut total = KvReadReport::default();
         if !self.level.encodes_metadata() {
-            // Raw: nothing to verify against; the scrub is a no-op.
-            return total;
+            return KvReadReport::default();
         }
-        let stride = self.stride;
-        for blk in self.slots.iter_mut().flatten() {
-            let [(kt, krep), (v, vrep)] = blk.verified();
-            if !krep.clean() {
-                blk.kt.set_block(0, 0, &kt.to_f16());
-            }
-            if !vrep.clean() {
-                blk.v = v.to_f16();
-            }
-            let uncorrectable = krep.uncorrectable + vrep.uncorrectable;
-            if uncorrectable > 0 {
-                let kt = blk.kt.block(0, 0, blk.kt.rows(), blk.rows());
-                let poisoned = blk.poisoned + uncorrectable;
-                *blk = KvBlock::encode(&kt, &blk.v, stride, poisoned);
-            }
-            total = total.merged(&krep).merged(&vrep);
-        }
-        total
+        (self.slots.iter_mut().flatten())
+            .map(KvBlock::heal)
+            .fold(KvReadReport::default(), |a, b| a.merged(&b))
     }
 }
 
@@ -1044,12 +999,6 @@ fn same_lanes(a: &[f32], b: &[f32]) -> bool {
             .zip(b)
             .fold(0, |diff, (x, y)| diff | (x.to_bits() ^ y.to_bits()))
             == 0
-}
-
-/// Bit-for-bit equality of both operands.
-#[cfg(test)]
-fn same_bits(a: &StridedChecksums, b: &StridedChecksums) -> bool {
-    same_lanes(a.w1.as_slice(), b.w1.as_slice()) && same_lanes(a.w2.as_slice(), b.w2.as_slice())
 }
 
 /// Verified f32 copy of the first `cols` columns of a cached operand
@@ -1123,7 +1072,7 @@ mod tests {
     }
 
     fn filled_cache(tokens: usize, block: usize) -> KvCache {
-        let mut cache = KvCache::new(1, 2, 16, block, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, block);
         for t in 0..tokens {
             append_token(&mut cache, t);
         }
@@ -1148,13 +1097,14 @@ mod tests {
                     b.read_v_raw(slot, blk),
                     "V s{slot} b{blk}"
                 );
-                assert_eq!(a.kt_checksums(slot, blk).w1, b.kt_checksums(slot, blk).w1);
-                assert_eq!(a.kt_checksums(slot, blk).w2, b.kt_checksums(slot, blk).w2);
-                assert_eq!(a.v_checksums(slot, blk).w1, b.v_checksums(slot, blk).w1);
-                assert_eq!(a.v_checksums(slot, blk).w2, b.v_checksums(slot, blk).w2);
+                let (x, y) = (a.verified_block(slot, blk), b.verified_block(slot, blk));
+                assert_eq!(x.kt_cs.w1, y.kt_cs.w1);
+                assert_eq!(x.kt_cs.w2, y.kt_cs.w2);
+                assert_eq!(x.v_cs.w1, y.v_cs.w1);
+                assert_eq!(x.v_cs.w2, y.v_cs.w2);
                 assert_eq!(
-                    a.k_max_norm(slot, blk).to_bits(),
-                    b.k_max_norm(slot, blk).to_bits(),
+                    x.k_max_norm.to_bits(),
+                    y.k_max_norm.to_bits(),
                     "max-norm s{slot} b{blk}",
                 );
             }
@@ -1299,7 +1249,7 @@ mod tests {
     fn evict_front_drops_whole_blocks_and_keeps_global_coordinates() {
         let mut cache = filled_cache(21, 8); // blocks of 8/8/5
         let keep_k = cache.read_kt_raw(1, 1);
-        let keep_cs = cache.kt_checksums(1, 1).w1.clone();
+        let keep_cs = cache.verified_block(1, 1).kt_cs.w1.clone();
         let full_bytes = cache.size_bytes();
         assert_eq!(cache.evict_front(1), 1);
         assert_eq!((cache.start(), cache.start_block()), (8, 1));
@@ -1309,7 +1259,7 @@ mod tests {
         assert_eq!(cache.block_rows(2), 5);
         // Block 1 is still block 1: payload and checksums untouched.
         assert_eq!(cache.read_kt_raw(1, 1), keep_k);
-        assert_eq!(cache.kt_checksums(1, 1).w1, keep_cs);
+        assert_eq!(cache.verified_block(1, 1).kt_cs.w1, keep_cs);
         assert!(cache.size_bytes() < full_bytes);
         // The trailing block is never evicted, however large the request.
         assert_eq!(cache.evict_front(10), 1);
@@ -1453,7 +1403,7 @@ mod tests {
         // re-folded checksums both non-finite; the old finite-delta check
         // flagged a permanent false `detected + uncorrectable` on every
         // read, which the next append baked into `poisoned`.
-        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 8);
         for t in 0..3 {
             let k = normal_tensor_f16(100 + t, 1, 2, 1, 16, 0.6);
             let v = normal_tensor_f16(200 + t, 1, 2, 1, 16, 0.8);
@@ -1519,7 +1469,7 @@ mod tests {
         assert!(cache.scrub().clean());
         // At the paper's head dim (64) the FP32 metadata of stride-8
         // checksums stays a modest fraction of the FP16 payload.
-        let mut cache = KvCache::new(1, 2, 64, 64, 8, 0.125);
+        let mut cache = KvCache::new(1, 2, 64, 64);
         for t in 0..64 {
             let k = normal_tensor_f16(900 + t, 1, 2, 1, 64, 0.6);
             let v = normal_tensor_f16(990 + t, 1, 2, 1, 64, 0.8);
@@ -1692,6 +1642,11 @@ mod protect_tests {
     use ft_sim::{OpCoord, SeuInjector};
     use proptest::prelude::*;
 
+    /// Bit-for-bit equality of both operands.
+    fn same_bits(a: &StridedChecksums, b: &StridedChecksums) -> bool {
+        same_lanes(a.w1.as_slice(), b.w1.as_slice()) && same_lanes(a.w2.as_slice(), b.w2.as_slice())
+    }
+
     fn token(t: usize) -> (Tensor4F16, Tensor4F16) {
         (
             normal_tensor_f16(100 + t as u64, 1, 2, 1, 16, 0.6),
@@ -1700,7 +1655,7 @@ mod protect_tests {
     }
 
     fn filled_level(tokens: usize, block: usize, level: ProtectionLevel) -> KvCache {
-        let mut cache = KvCache::new(1, 2, 16, block, 8, 0.25).with_protection(level);
+        let mut cache = KvCache::new(1, 2, 16, block).with_protection(level);
         for t in 0..tokens {
             let (k, v) = token(t);
             cache.append(&k, &v);
@@ -1754,7 +1709,7 @@ mod protect_tests {
     fn assert_matches_oracle(cache: &KvCache) {
         for (i, blk) in cache.slots.iter().flatten().enumerate() {
             let kt = blk.kt.block(0, 0, blk.kt.rows(), blk.rows());
-            let oracle = KvBlock::encode(&kt, &blk.v, cache.stride, blk.poisoned);
+            let oracle = KvBlock::encode(&kt, &blk.v, blk.poisoned);
             assert!(blk.folds_to_stored(), "block {i} at len {}", cache.len());
             assert_blocks_same_bits(blk, &oracle, &format!("block {i} at len {}", cache.len()));
         }
@@ -1767,7 +1722,7 @@ mod protect_tests {
         // (8), two whole groups (16), a ragged last group (24) and the
         // paper's 64-row tile, all at stride 8.
         for block in [8, 16, 24, 64] {
-            let mut cache = KvCache::new(1, 2, 16, block, 8, 0.25);
+            let mut cache = KvCache::new(1, 2, 16, block);
             for t in 0..2 * block + 5 {
                 let (k, v) = token(t);
                 assert!(cache.append(&k, &v).clean());
@@ -1783,7 +1738,7 @@ mod protect_tests {
         // `0.0 + -0.0 = +0.0`; a fold that *copies* the row into a fresh
         // lane stores the sign bit instead. Rows 0 (opens the block), 1
         // (opens a lane) and `stride` (first add into a lane) carry one.
-        let mut cache = KvCache::new(1, 2, 16, 16, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 16);
         for t in 0..12 {
             let (mut k, mut v) = token(t);
             if [0, 1, 8].contains(&t) {
@@ -1794,7 +1749,7 @@ mod protect_tests {
             cache.append(&k, &v);
             assert_matches_oracle(&cache);
             if t == 1 {
-                let lanes = cache.kt_checksums(0, 0);
+                let lanes = &cache.slots[0][0].kt_cs;
                 assert_eq!(lanes.w1.get(3, 1).to_bits(), 0, "w1 of row 1");
                 assert_eq!(lanes.w2.get(3, 1).to_bits(), 0, "w2 of row 1");
             }
@@ -1913,7 +1868,7 @@ mod protect_tests {
 
     #[test]
     fn protection_level_is_creation_time_only() {
-        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25).with_protection(ProtectionLevel::Full);
+        let mut cache = KvCache::new(1, 2, 16, 8).with_protection(ProtectionLevel::Full);
         assert_eq!(cache.protection(), ProtectionLevel::Full);
         let k = normal_tensor_f16(1000, 1, 2, 1, 16, 0.6);
         let v = normal_tensor_f16(1001, 1, 2, 1, 16, 0.8);

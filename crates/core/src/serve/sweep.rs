@@ -260,7 +260,7 @@ mod tests {
     use ft_num::rng::normal_tensor_f16;
 
     fn filled_cache(tokens: usize, seed: u64) -> KvCache {
-        let mut cache = KvCache::new(1, 2, 16, 8, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, 16, 8);
         for t in 0..tokens {
             let k = normal_tensor_f16(seed + t as u64, 1, 2, 1, 16, 0.6);
             let v = normal_tensor_f16(seed + 500 + t as u64, 1, 2, 1, 16, 0.8);

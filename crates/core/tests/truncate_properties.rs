@@ -1,5 +1,5 @@
 //! Property suite for the tail-rollback primitive: under random
-//! append/truncate/evict interleavings, a [`KvCache`] must stay exactly
+//! append/truncate/evict/scrub interleavings, a [`KvCache`] must stay exactly
 //! the cache that a straight-line replay of its surviving history builds —
 //! payload, checksums, and max-norm snapshots bit-identical — with every
 //! surviving row verifying clean and the `len`/`size_bytes`/`num_blocks`
@@ -30,7 +30,7 @@ fn token_rows(id: u64) -> (Tensor4F16, Tensor4F16) {
 }
 
 fn fresh(block: usize) -> KvCache {
-    KvCache::new(1, 2, DIM, block, STRIDE, 0.25)
+    KvCache::new(1, 2, DIM, block)
 }
 
 fn append_id(cache: &mut KvCache, id: u64) -> KvReadReport {
@@ -66,25 +66,17 @@ fn assert_matches_replay(cache: &KvCache, rows: &[u64], start: usize, block: usi
                 replay.read_v_raw(slot, b),
                 "V s{slot} b{b}"
             );
-            assert_eq!(
-                cache.kt_checksums(slot, b).w1,
-                replay.kt_checksums(slot, b).w1
+            let (got, want) = (
+                cache.verified_block(slot, b),
+                replay.verified_block(slot, b),
             );
+            assert_eq!(got.kt_cs.w1, want.kt_cs.w1);
+            assert_eq!(got.kt_cs.w2, want.kt_cs.w2);
+            assert_eq!(got.v_cs.w1, want.v_cs.w1);
+            assert_eq!(got.v_cs.w2, want.v_cs.w2);
             assert_eq!(
-                cache.kt_checksums(slot, b).w2,
-                replay.kt_checksums(slot, b).w2
-            );
-            assert_eq!(
-                cache.v_checksums(slot, b).w1,
-                replay.v_checksums(slot, b).w1
-            );
-            assert_eq!(
-                cache.v_checksums(slot, b).w2,
-                replay.v_checksums(slot, b).w2
-            );
-            assert_eq!(
-                cache.k_max_norm(slot, b).to_bits(),
-                replay.k_max_norm(slot, b).to_bits(),
+                got.k_max_norm.to_bits(),
+                want.k_max_norm.to_bits(),
                 "max-norm s{slot} b{b}"
             );
         }
@@ -100,7 +92,7 @@ fn assert_k_checksums_are_the_row_encode(cache: &KvCache) {
         for b in cache.start_block()..cache.num_blocks() {
             let k = cache.read_kt_raw(slot, b).transpose();
             let want = encode_rows_strided(&k, STRIDE.min(k.rows()), false);
-            let got = cache.kt_checksums(slot, b);
+            let got = cache.verified_block(slot, b).kt_cs;
             let what = format!("s{slot} b{b} at len {}", cache.len());
             assert_eq!(bits(&got.w1), bits(&want.w1.transpose()), "w1 {what}");
             assert_eq!(bits(&got.w2), bits(&want.w2.transpose()), "w2 {what}");
@@ -171,10 +163,12 @@ proptest! {
     }
 
     /// Random interleavings of append (1–3 tokens), truncate (to a random
-    /// resident mark), and evict (0–2 front blocks): after every operation
-    /// the bookkeeping invariants hold and nothing is poisoned; at the end
-    /// the cache is bit-identical to a straight-line replay of the
-    /// surviving rows, and every surviving row verifies clean.
+    /// resident mark), evict (0–2 front blocks) and scrub (after a flip of
+    /// one resident K or V element's top mantissa bit): after every
+    /// operation the bookkeeping invariants hold and nothing is poisoned;
+    /// after each scrub, and at the end, the cache is bit-identical to a
+    /// straight-line replay of the surviving rows, and every surviving row
+    /// verifies clean.
     #[test]
     fn interleaved_append_truncate_evict_matches_straight_line_replay(
         seed in 0u64..1_000_000,
@@ -186,8 +180,8 @@ proptest! {
         let mut start = 0usize;
         let mut next_id = 0u64;
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ block as u64;
-        for _ in 0..ops {
-            match mix(&mut s) % 4 {
+        for step in 0..ops {
+            match mix(&mut s) % 5 {
                 0 | 1 => {
                     let n = 1 + (mix(&mut s) % 3) as usize;
                     for _ in 0..n {
@@ -208,6 +202,21 @@ proptest! {
                 3 => {
                     let evicted = cache.evict_front((mix(&mut s) % 3) as usize);
                     start += evicted * block;
+                }
+                4 if rows.len() > start => {
+                    // The top mantissa bit (FP16 bit 9): a flip moves the
+                    // element by a quarter to a half of its magnitude, far
+                    // above the read-check floor, and keeps it finite.
+                    let row = start + mix(&mut s) as usize % (rows.len() - start);
+                    let (slot, col) = ((mix(&mut s) % 2) as usize, mix(&mut s) as usize % DIM);
+                    let which = mix(&mut s) % 2;
+                    let at = OpCoord::new(slot, row, col, 2 * step + which as usize);
+                    let seu = SeuInjector::new(FaultSite::KvCache, at, 9);
+                    cache.expose(&seu, step as u64);
+                    prop_assert_eq!(seu.fired(), 1);
+                    let rep = cache.scrub();
+                    prop_assert_eq!((rep.detected, rep.corrected, rep.uncorrectable), (1, 1, 0));
+                    assert_matches_replay(&cache, &rows, start, block);
                 }
                 _ => {}
             }

@@ -130,14 +130,7 @@ impl MultiHeadAttention {
     /// configured [`cache_block`](MultiHeadAttention::cache_block) size.
     pub fn new_cache(&self) -> KvCache {
         let hd = self.wq.out_features() / self.heads;
-        KvCache::new(
-            1,
-            self.heads,
-            hd,
-            self.cache_block,
-            ft_abft::strided::DEFAULT_STRIDE,
-            1.0 / (hd as f32).sqrt(),
-        )
+        KvCache::new(1, self.heads, hd, self.cache_block)
     }
 
     /// One continuous-batching sweep over many streams' activations,

@@ -113,7 +113,6 @@ pub struct ServeSession<M: core::borrow::Borrow<TransformerModel> = TransformerM
     caches: Vec<(StreamId, ModelKvCache)>,
     finished: Vec<FinishedStream>,
     events: Vec<EngineEvent>,
-    peak_cache_bytes: u64,
     peak_cache_breakdown: SizeBreakdown,
 }
 
@@ -134,7 +133,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
             caches: Vec::new(),
             finished: Vec::new(),
             events: Vec::new(),
-            peak_cache_bytes: 0,
             peak_cache_breakdown: SizeBreakdown::default(),
         }
     }
@@ -273,7 +271,6 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
             .map(|(_, (_, cache))| cache)
             .collect();
         let results = self.model.borrow().run_sweep(feeds, &mut caches, inj);
-        self.peak_cache_bytes = self.peak_cache_bytes.max(self.cache_bytes());
         let split = self.cache_breakdown();
         if split.total_bytes() > self.peak_cache_breakdown.total_bytes() {
             self.peak_cache_breakdown = split;
@@ -542,26 +539,24 @@ impl<M: core::borrow::Borrow<TransformerModel>> ServeSession<M> {
         self.scheduler.pending_len()
     }
 
-    /// Current total cache footprint across resident streams: FP16 K/V
-    /// payload plus FP32 checksum metadata, all layers.
+    /// Current total cache footprint across resident streams, all layers:
+    /// the [`cache_breakdown`](ServeSession::cache_breakdown)'s total (FP16
+    /// K/V payload plus FP32 checksums and max-norms).
     pub fn cache_bytes(&self) -> u64 {
-        self.caches
-            .iter()
-            .map(|(_, c)| c.size_bytes() + c.checksum_bytes())
-            .sum()
+        self.cache_breakdown().total_bytes()
     }
 
     /// Largest [`cache_bytes`](ServeSession::cache_bytes) observed after
     /// any sweep — the bounded-memory serving metric: under a sliding
-    /// window this flattens instead of growing with generated length.
+    /// window this flattens instead of growing with generated length. The
+    /// total of [`peak_cache_breakdown`](ServeSession::peak_cache_breakdown).
     pub fn peak_cache_bytes(&self) -> u64 {
-        self.peak_cache_bytes
+        self.peak_cache_breakdown.total_bytes()
     }
 
-    /// The footprint split at the peak-occupancy sweep (sampled at the
-    /// same instant as [`peak_cache_bytes`](ServeSession::peak_cache_bytes),
-    /// before that sweep's retiring streams drop their caches): how much
-    /// of the peak was FP16 payload vs FP32 protection metadata.
+    /// The footprint split at the peak-occupancy sweep (sampled after the
+    /// sweep, before its retiring streams drop their caches): how much of
+    /// the peak was FP16 payload vs FP32 protection metadata.
     pub fn peak_cache_breakdown(&self) -> SizeBreakdown {
         self.peak_cache_breakdown
     }

@@ -230,7 +230,7 @@ fn decoupled_ledger_is_exact_across_slot_tasks() {
 fn decode_sweep_ledgers_are_exact_per_stream() {
     const DIM: usize = 16;
     let cache_over = |seed: u64, len: usize| {
-        let mut cache = KvCache::new(1, 2, DIM, 16, 8, 0.25);
+        let mut cache = KvCache::new(1, 2, DIM, 16);
         for t in 0..len as u64 {
             let k = normal_tensor_f16(seed + t, 1, 2, 1, DIM, 0.6);
             let v = normal_tensor_f16(seed + 500 + t, 1, 2, 1, DIM, 0.8);
@@ -306,7 +306,7 @@ fn decode_is_the_sweep_over_one_one_row_slice() {
     let caches: Vec<KvCache> = [5u64, 12, 21]
         .into_iter()
         .map(|len| {
-            let mut cache = KvCache::new(1, 2, DIM, 8, 8, 0.25);
+            let mut cache = KvCache::new(1, 2, DIM, 8);
             for t in 0..len {
                 let k = normal_tensor_f16(100 * len + t, 1, 2, 1, DIM, 0.6);
                 let v = normal_tensor_f16(100 * len + 50 + t, 1, 2, 1, DIM, 0.8);

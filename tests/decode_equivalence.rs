@@ -41,7 +41,7 @@ fn decode_rows(
     steps: usize,
     block: usize,
 ) -> Tensor4F32 {
-    let mut cache = KvCache::new(1, HEADS, DIM, block, 8, SCALE);
+    let mut cache = KvCache::new(1, HEADS, DIM, block);
     let mut out = Tensor4F32::zeros(1, HEADS, steps, DIM);
     for t in 0..steps {
         cache.append(&token_row(k, t), &token_row(v, t));
@@ -98,7 +98,7 @@ fn every_backend_decodes_equal_to_causal_prefill_ragged_and_even() {
 fn cached_kv_fault_corrected_by_efta_but_corrupts_reference_backend() {
     let steps = 20;
     let (q, k, v) = workload(steps, 0xFA17);
-    let mut cache = KvCache::new(1, HEADS, DIM, 8, 8, SCALE);
+    let mut cache = KvCache::new(1, HEADS, DIM, 8);
     for t in 0..steps {
         cache.append(&token_row(&k, t), &token_row(&v, t));
     }
@@ -144,7 +144,7 @@ fn cached_kv_fault_corrected_by_efta_but_corrupts_reference_backend() {
 fn cached_v_fault_is_also_covered() {
     let steps = 12;
     let (q, k, v) = workload(steps, 0xFA18);
-    let mut cache = KvCache::new(1, HEADS, DIM, 8, 8, SCALE);
+    let mut cache = KvCache::new(1, HEADS, DIM, 8);
     for t in 0..steps {
         cache.append(&token_row(&k, t), &token_row(&v, t));
     }
@@ -168,7 +168,7 @@ fn cached_v_fault_is_also_covered() {
 fn gemm_seu_inside_decode_step_is_repaired() {
     let steps = 16;
     let (q, k, v) = workload(steps, 0xFA19);
-    let mut cache = KvCache::new(1, HEADS, DIM, 8, 8, SCALE);
+    let mut cache = KvCache::new(1, HEADS, DIM, 8);
     for t in 0..steps {
         cache.append(&token_row(&k, t), &token_row(&v, t));
     }

@@ -28,7 +28,6 @@ use ft_transformer_suite::transformer::{
 
 const HEADS: usize = 2;
 const DIM: usize = 16;
-const SCALE: f32 = 0.25; // 1/sqrt(16)
 
 /// Single-token K/V rows, deterministic per (seed, position).
 fn kv_row(seed: u64, t: usize) -> (Tensor4F16, Tensor4F16) {
@@ -41,7 +40,7 @@ fn kv_row(seed: u64, t: usize) -> (Tensor4F16, Tensor4F16) {
 /// Cache holding token rows `from..to` of the (seed-derived) sequence,
 /// appended one at a time exactly like decode does.
 fn cache_over(seed: u64, from: usize, to: usize, block: usize) -> KvCache {
-    let mut cache = KvCache::new(1, HEADS, DIM, block, 8, SCALE);
+    let mut cache = KvCache::new(1, HEADS, DIM, block);
     for t in from..to {
         let (k, v) = kv_row(seed, t);
         assert!(cache.append(&k, &v).clean());

@@ -23,7 +23,6 @@ use ft_transformer_suite::sim::{FaultInjector, FaultSite, NoFaults, OpCoord, Seu
 
 const HEADS: usize = 2;
 const DIM: usize = 16;
-const SCALE: f32 = 0.25; // 1/sqrt(16)
 
 /// Single-token K/V rows, deterministic per (seed, position).
 fn kv_row(seed: u64, t: usize) -> (Tensor4F16, Tensor4F16) {
@@ -37,7 +36,7 @@ fn kv_row(seed: u64, t: usize) -> (Tensor4F16, Tensor4F16) {
 /// incremental decode does (chunked prefill shares block contents with
 /// this, so the sweep geometry is all that varies).
 fn cache_over(seed: u64, len: usize, block: usize, level: ProtectionLevel) -> KvCache {
-    let mut cache = KvCache::new(1, HEADS, DIM, block, 8, SCALE).with_protection(level);
+    let mut cache = KvCache::new(1, HEADS, DIM, block).with_protection(level);
     for t in 0..len {
         let (k, v) = kv_row(seed, t);
         assert!(cache.append(&k, &v).clean());
