@@ -982,7 +982,9 @@ impl KvCache {
         if !self.level.encodes_metadata() {
             return KvReadReport::default();
         }
-        (self.slots.iter_mut().flatten())
+        self.slots
+            .iter_mut()
+            .flatten()
             .map(KvBlock::heal)
             .fold(KvReadReport::default(), |a, b| a.merged(&b))
     }

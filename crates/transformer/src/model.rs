@@ -769,6 +769,11 @@ mod tests {
                 })
                 .collect();
             let finished = session.run(&NoFaults);
+            // One footprint: the peak is the peak split's total, max-norms
+            // included.
+            let peak = session.peak_cache_breakdown();
+            assert!(peak.max_norm_bytes > 0, "{peak:?}");
+            assert_eq!(session.peak_cache_bytes(), peak.total_bytes());
             (ids, finished, session.peak_cache_bytes())
         };
         let (_, unbounded, peak_unbounded) = run(None);
@@ -790,38 +795,6 @@ mod tests {
         for (a, b) in bounded.iter().zip(&bounded2) {
             assert_eq!(a.tokens, b.tokens);
         }
-    }
-
-    #[test]
-    fn cache_bytes_and_the_peak_are_the_breakdown_totals() {
-        // One footprint: what admission is told, the peak, and the split
-        // all count the same bytes (max-norms included) at the same sweep.
-        let model = TransformerModel::random(
-            12,
-            tiny_config(),
-            BackendKind::Efta(EftaOptions::optimized()),
-        )
-        .with_causal(true)
-        .with_cache_block(4);
-        let prompt: Vec<u32> = (0..12).map(|i| (i * 7) % 101).collect();
-        let mut session = model.serve_with(SchedulerConfig {
-            max_active: 4,
-            prefill_chunk: 6,
-            ..Default::default()
-        });
-        for _ in 0..3 {
-            session.submit_request(GenerationRequest::new(prompt.clone(), 12).with_window(8));
-        }
-        while !session.idle() {
-            session.sweep_events(&NoFaults);
-            assert_eq!(
-                session.cache_bytes(),
-                session.cache_breakdown().total_bytes()
-            );
-        }
-        let peak = session.peak_cache_breakdown();
-        assert!(peak.max_norm_bytes > 0, "{peak:?}");
-        assert_eq!(session.peak_cache_bytes(), peak.total_bytes());
     }
 
     #[test]
