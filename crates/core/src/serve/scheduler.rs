@@ -46,7 +46,9 @@ pub struct SchedulerConfig {
     /// stream is blocked at the head of the run queue by a full slot table
     /// or the byte budget. Parking drops the stream's cache and requeues
     /// it; resumption replays its history through the bit-identical chunked
-    /// re-prefill path. Off by default: pre-existing callers see FIFO.
+    /// re-prefill path. Off by default, so a pull-mode session keeps FIFO
+    /// service: it never takes a slot back from a stream it admitted. The
+    /// fleet's `EngineConfig` (`ft-transformer`) turns it on.
     pub preempt: bool,
     /// Deadline-aware aging: a queued stream is promoted one priority class
     /// per this many plan ticks of waiting (capped at

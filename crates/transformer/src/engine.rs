@@ -6,7 +6,10 @@
 //! flow: each worker thread owns a session and sweeps continuously on its
 //! own, [`Fleet::submit`](crate::Fleet::submit) hands back a
 //! [`StreamHandle`], and the stream's [`EngineEvent`]s arrive over a
-//! bounded per-stream channel (loop diagram: [`crate::fleet`]).
+//! bounded per-stream channel (loop diagram: [`crate::fleet`]). When the
+//! stream retires, [`StreamHandle::wait`] hands over the same
+//! [`FinishedStream`] a pull-mode session returns — one record of a
+//! retired stream, fault ledger included, whichever door it left by.
 //!
 //! Three policies make it a *server* rather than a threaded loop, and all
 //! three live in one place — the scheduler's
@@ -44,8 +47,10 @@
 //! No async runtime: plain `std::thread` + `std::sync::mpsc`, per the
 //! repo's no-new-dependencies policy.
 
-use ft_core::serve::{EngineEvent, FinishReason, Priority, SchedulerConfig, StreamId};
+use crate::model::FinishedStream;
+use ft_core::serve::{EngineEvent, Priority, SchedulerConfig, StreamId};
 use std::sync::mpsc::Receiver;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Sizing and policy knobs of each shard of a [`Fleet`](crate::Fleet).
@@ -78,9 +83,10 @@ impl Default for EngineConfig {
 }
 
 /// The receiving side of one stream: yields the stream's [`EngineEvent`]s
-/// in order, ending after [`EngineEvent::Finished`]. Dropping a handle
-/// early discards that stream's remaining events (the stream itself still
-/// runs to completion).
+/// in order, ending after [`EngineEvent::Finished`], then its
+/// [`FinishedStream`] record ([`wait`](StreamHandle::wait)). Dropping a
+/// handle early discards that stream's remaining events (the stream itself
+/// still runs to completion).
 ///
 /// ```no_run
 /// # use ft_transformer::{Fleet, GenerationRequest, Priority};
@@ -96,16 +102,24 @@ pub struct StreamHandle {
     id: StreamId,
     priority: Priority,
     events: Receiver<EngineEvent>,
+    /// Filled by the worker, once, when the stream retires.
+    record: Arc<OnceLock<FinishedStream>>,
 }
 
 impl StreamHandle {
-    /// Bind a handle to its worker-side event channel — the router's
-    /// half of the pair.
-    pub(crate) fn attach(id: StreamId, priority: Priority, events: Receiver<EngineEvent>) -> Self {
+    /// Bind a handle to its worker-side event channel and record slot —
+    /// the router's half of each pair.
+    pub(crate) fn attach(
+        id: StreamId,
+        priority: Priority,
+        events: Receiver<EngineEvent>,
+        record: Arc<OnceLock<FinishedStream>>,
+    ) -> Self {
         StreamHandle {
             id,
             priority,
             events,
+            record,
         }
     }
 
@@ -143,52 +157,21 @@ impl StreamHandle {
         std::iter::from_fn(move || self.recv())
     }
 
-    /// Drain the stream to completion and fold its lifecycle into a
-    /// [`StreamOutcome`].
-    pub fn wait(self) -> StreamOutcome {
-        let mut outcome = StreamOutcome {
-            id: self.id,
-            priority: self.priority,
-            tokens: Vec::new(),
-            finish: None,
-            recoveries: 0,
-            preemptions: 0,
-            events: Vec::new(),
-        };
-        for ev in self.iter() {
-            match ev {
-                EngineEvent::TokenEmitted { token, .. } => outcome.tokens.push(token),
-                EngineEvent::Recovering { .. } => outcome.recoveries += 1,
-                EngineEvent::Preempted { .. } => outcome.preemptions += 1,
-                EngineEvent::Finished { reason, .. } => outcome.finish = Some(reason),
-                _ => {}
-            }
-            outcome.events.push(ev);
-        }
-        outcome
+    /// Drain the stream to completion and return the record the shard
+    /// retired it with — the session's own [`FinishedStream`]: prompt and
+    /// continuation tokens, the fault ledger, finish reason, recoveries,
+    /// parks, re-fed rows, speculation counters and protection level.
+    /// `None` only if the shard serving the stream panicked (or every shard
+    /// had when it was submitted): the handle then ends without
+    /// [`EngineEvent::Finished`] instead of waiting forever. Dropping or
+    /// shutting down the [`Fleet`](crate::Fleet) never cuts a stream short.
+    ///
+    /// A consumer that wants the event log collects [`iter`](Self::iter)
+    /// first; `wait` discards whatever events are still undelivered.
+    pub fn wait(self) -> Option<FinishedStream> {
+        self.iter().for_each(drop);
+        // The channel hung up, so the worker dropped its outbox and its
+        // share of the slot with it (the slot drops first).
+        Arc::into_inner(self.record)?.into_inner()
     }
-}
-
-/// A completed stream's lifecycle, folded by [`StreamHandle::wait`].
-#[derive(Clone, Debug)]
-pub struct StreamOutcome {
-    /// The stream's identity.
-    pub id: StreamId,
-    /// The class it was submitted under.
-    pub priority: Priority,
-    /// Sampled continuation tokens, in emission order (the prompt is not
-    /// echoed).
-    pub tokens: Vec<u32>,
-    /// Terminal reason; `None` only if the shard serving the stream
-    /// panicked (or every shard had when it was submitted): the handle then
-    /// ends without [`EngineEvent::Finished`] instead of waiting forever.
-    /// Dropping or shutting down the [`Fleet`](crate::Fleet) never cuts a
-    /// stream short.
-    pub finish: Option<FinishReason>,
-    /// Re-prefill recovery attempts observed ([`EngineEvent::Recovering`]).
-    pub recoveries: u32,
-    /// Park transitions observed ([`EngineEvent::Preempted`]).
-    pub preemptions: u32,
-    /// The full ordered event log.
-    pub events: Vec<EngineEvent>,
 }

@@ -46,7 +46,11 @@
 //!   [`ShardReport`]; [`FleetReport::total`] is a plain sum. Event-level
 //!   counters (tokens, recoveries, parks) are attributed to the shard
 //!   where they happened; stream-level ledgers (the [`FtReport`] fault
-//!   ledger, speculation) to the shard that retired the stream.
+//!   ledger, speculation) to the shard that retired the stream. The
+//!   stream's own record, the session's [`FinishedStream`], is not kept:
+//!   the retiring shard moves it to the stream's handle
+//!   ([`StreamHandle::wait`]), so a report stays the same size however
+//!   many streams the fleet retires.
 //! * **No caller waits on a dead shard.** A shard that panics leaves the
 //!   board on its way out: its routed submissions and its streams' handles
 //!   end without [`EngineEvent::Finished`], later submissions go to the
@@ -57,7 +61,7 @@
 //!   multiplying.
 
 use crate::engine::{EngineConfig, StreamHandle};
-use crate::model::{Admission, ServeSession, TransformerModel};
+use crate::model::{Admission, FinishedStream, ServeSession, TransformerModel};
 use ft_core::serve::{EngineEvent, GenerationRequest, RecoveryPolicy, StreamId, StreamState};
 use ft_core::types::FtReport;
 use ft_sim::{FaultInjector, NoFaults};
@@ -65,7 +69,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -120,11 +124,12 @@ impl Default for FleetConfig {
     }
 }
 
-/// One shard's serving ledger. Event-level counters (tokens, recoveries,
-/// parks, migrations) count where they *happened*; stream-level ledgers
-/// (fault totals, speculation, finished ids) count on the shard that
-/// *retired* the stream — recovery of a migrated stream is therefore
-/// attributed to the shard that owned it when the fault hit.
+/// One shard's serving ledger: fixed-size counters, no per-stream history
+/// (each retired stream's record goes to its handle). Event-level
+/// counters (tokens, recoveries, parks, migrations) count where they
+/// *happened*; stream-level ledgers (fault totals, speculation) count on
+/// the shard that *retired* the stream — recovery of a migrated stream is
+/// therefore attributed to the shard that owned it when the fault hit.
 #[derive(Clone, Debug, Default)]
 pub struct ShardReport {
     /// Which shard (or the synthetic total row — see
@@ -156,18 +161,15 @@ pub struct ShardReport {
     pub spec_accepted: u64,
     /// Peak resident cache bytes of this shard's session.
     pub peak_cache_bytes: u64,
-    /// Ids of the streams that retired here, in retirement order.
-    pub finished_streams: Vec<StreamId>,
 }
 
 impl ShardReport {
-    fn fold_finished(&mut self, f: &crate::model::FinishedStream) {
+    fn fold_finished(&mut self, f: &FinishedStream) {
         self.streams_finished += 1;
         self.faults = self.faults.merged(&f.attention);
         self.recovery_fed += f.recovery_fed as u64;
         self.spec_drafted += f.spec_drafted;
         self.spec_accepted += f.spec_accepted;
-        self.finished_streams.push(f.id);
     }
 
     fn absorb(&mut self, other: &ShardReport) {
@@ -182,8 +184,6 @@ impl ShardReport {
         self.spec_drafted += other.spec_drafted;
         self.spec_accepted += other.spec_accepted;
         self.peak_cache_bytes += other.peak_cache_bytes;
-        self.finished_streams
-            .extend_from_slice(&other.finished_streams);
     }
 }
 
@@ -225,8 +225,7 @@ impl FleetReport {
     /// Sum the per-shard ledgers into one fleet-level row. The synthetic
     /// row carries `ShardId(shards.len())`; `peak_cache_bytes` is the sum
     /// of per-shard peaks (an upper bound on the fleet-wide peak, since
-    /// shards do not peak simultaneously), and `finished_streams` is the
-    /// concatenation sorted by id.
+    /// shards do not peak simultaneously).
     pub fn total(&self) -> ShardReport {
         let mut out = ShardReport {
             shard: ShardId(self.shards.len()),
@@ -235,7 +234,6 @@ impl FleetReport {
         for s in &self.shards {
             out.absorb(s);
         }
-        out.finished_streams.sort_unstable();
         out
     }
 }
@@ -259,15 +257,20 @@ struct Submission {
 }
 
 /// Worker-side event queue of one stream: everything the bounded channel
-/// could not absorb yet, plus the stream's routing projection (released
-/// when it retires or migrates). Migration ships the whole outbox, so
-/// buffered events stay ordered across the move.
+/// could not absorb yet, the stream's routing projection (released when it
+/// retires or migrates), and the slot its retired record goes to.
+/// Migration ships the whole outbox, so buffered events stay ordered across
+/// the move and the record reaches the handle from whichever shard retires
+/// the stream.
 struct Outbox {
+    /// Shared with the handle, set once when the stream retires. Declared
+    /// before `tx`, so it drops first: once the channel hangs up, the
+    /// handle holds the only reference ([`StreamHandle::wait`]).
+    record: Arc<OnceLock<FinishedStream>>,
     tx: SyncSender<EngineEvent>,
     buf: VecDeque<EngineEvent>,
     /// See [`Outbox::bound`].
     bound: usize,
-    finished: bool,
     dead: bool,
     projection: u64,
 }
@@ -275,10 +278,10 @@ struct Outbox {
 impl Outbox {
     fn new(tx: SyncSender<EngineEvent>, bound: usize, projection: u64) -> Outbox {
         Outbox {
+            record: Arc::default(),
             tx,
             buf: VecDeque::new(),
             bound,
-            finished: false,
             dead: false,
             projection,
         }
@@ -337,9 +340,6 @@ impl Outbox {
     fn push(&mut self, ev: EngineEvent) {
         if self.dead {
             return;
-        }
-        if matches!(ev, EngineEvent::Finished { .. }) {
-            self.finished = true;
         }
         self.buf.push_back(ev);
         self.flush();
@@ -552,7 +552,7 @@ impl FleetShared {
 /// let handles: Vec<_> = (0..64)
 ///     .map(|i| fleet.submit(GenerationRequest::new(vec![1, 2, i], 8)))
 ///     .collect();
-/// let outcomes: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
+/// let records: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
 /// let report = fleet.shutdown(); // per-shard attribution + lossless total
 /// println!("{report}");
 /// ```
@@ -645,9 +645,9 @@ impl Fleet {
         let id = StreamId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let (tx, events) = mpsc::sync_channel(self.engine.channel_capacity);
-        let handle = StreamHandle::attach(id, req.priority, events);
         let bound = Outbox::bound(&req, self.max_seq, self.engine.scheduler.prefill_chunk);
         let outbox = Outbox::new(tx, bound, self.project(&req));
+        let handle = StreamHandle::attach(id, req.priority, events, Arc::clone(&outbox.record));
         let mut board = self.shared.board();
         // With every shard gone the submission drops here, and its handle
         // ends without `Finished` instead of waiting forever.
@@ -819,7 +819,7 @@ impl Shard {
         // An abandoned (dead) outbox stays until its stream retires — it
         // still carries the stream's routing projection.
         self.outboxes
-            .retain(|_, ob| !(ob.finished && (ob.dead || ob.buf.is_empty())));
+            .retain(|_, ob| !(ob.record.get().is_some() && (ob.dead || ob.buf.is_empty())));
         if self.session.idle() {
             return self.idle_step(shared);
         }
@@ -827,17 +827,16 @@ impl Shard {
         let events = self.session.sweep_events(&inj);
         let swept = !events.is_empty();
         route(events, &mut self.outboxes, &mut self.report);
-        // Fold retirements into the shard ledger and release their
-        // routing projections.
+        // Fold retirements into the shard ledger, release their routing
+        // projections, and move each record to its handle: a set record
+        // is what lets the retain above drop the outbox.
         let mut released = 0;
         for f in self.session.take_finished() {
+            self.report.fold_finished(&f);
             if let Some(ob) = self.outboxes.get_mut(&f.id.0) {
                 released += std::mem::take(&mut ob.projection);
-                // A dead outbox never sees its Finished event; mark it
-                // done here so the retain above can drop it.
-                ob.finished = true;
+                ob.record.set(f).expect("a stream retires once");
             }
-            self.report.fold_finished(&f);
         }
         // Work export, decided on the state this sweep left (its
         // retirements gone, its arrivals served once where the router put
@@ -1017,7 +1016,7 @@ fn publish(shared: &FleetShared, me: ShardId, report: &ShardReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BackendKind, FinishReason, ModelConfig, StreamOutcome};
+    use crate::{BackendKind, FinishReason, ModelConfig};
     use ft_core::efta::EftaOptions;
     use ft_num::F16;
     use ft_sim::{FaultSite, OpCoord, SeuInjector};
@@ -1025,7 +1024,7 @@ mod tests {
     #[test]
     fn shard_and_report_display() {
         assert_eq!(format!("{}", ShardId(3)), "shard3");
-        let mut fr = FleetReport {
+        let fr = FleetReport {
             shards: vec![
                 ShardReport {
                     shard: ShardId(0),
@@ -1043,18 +1042,11 @@ mod tests {
             ],
             streams_submitted: 3,
         };
-        fr.shards[0].finished_streams = vec![StreamId(2), StreamId(0)];
-        fr.shards[1].finished_streams = vec![StreamId(1)];
         let total = fr.total();
         assert_eq!(total.shard, ShardId(2), "synthetic total row");
         assert_eq!(total.streams_finished, 3);
         assert_eq!(total.tokens_emitted, 15);
         assert_eq!(total.recoveries, 1);
-        assert_eq!(
-            total.finished_streams,
-            vec![StreamId(0), StreamId(1), StreamId(2)],
-            "total concatenates sorted by id"
-        );
         let text = format!("{fr}");
         assert!(text.contains("shard0:"), "{text}");
         assert!(text.contains("shard1:"), "{text}");
@@ -1067,9 +1059,14 @@ mod tests {
     /// thread ever waits on a consumer.
     fn submission(id: u64, req: GenerationRequest) -> (Submission, StreamHandle) {
         let (tx, events) = mpsc::sync_channel(256);
-        let handle = StreamHandle::attach(StreamId(id), req.priority, events);
         let bound = Outbox::bound(&req, 64, 16);
         let outbox = Outbox::new(tx, bound, 1 + id);
+        let handle = StreamHandle::attach(
+            StreamId(id),
+            req.priority,
+            events,
+            Arc::clone(&outbox.record),
+        );
         (
             Submission {
                 id: StreamId(id),
@@ -1324,26 +1321,38 @@ mod tests {
         steal_midflight(&mut fleet);
         let reports = fleet.shutdown();
         let (thief, donor) = thief_and_donor(&reports);
+        // The victim (stream 1) emitted one token on the donor before the
+        // export; the thief emits the rest and retires it.
         assert_eq!(
-            thief.finished_streams,
-            [StreamId(1)],
+            (thief.streams_finished, thief.tokens_emitted),
+            (1, new as u64 - 1),
             "the victim retires on the thief"
         );
-        assert_eq!(donor.finished_streams, [StreamId(0)]);
+        assert_eq!(
+            (donor.streams_finished, donor.tokens_emitted),
+            (1, new as u64 + 1)
+        );
         assert_eq!(
             (donor.preemptions, thief.preemptions),
             (1, 0),
             "the export park is on the donor's ledger"
         );
-        let (a1, a2): (StreamOutcome, StreamOutcome) = (a1.wait(), a2.wait());
-        assert_eq!(a1.tokens, want);
-        assert_eq!(a2.tokens, want, "the migrated stream diverged");
+        let a1 = a1.wait().expect("the donor retires stream 0");
+        let a2 = a2.wait().expect("the thief retires stream 1");
+        assert_eq!(a1.tokens[long.len()..], want);
+        assert_eq!(
+            a2.tokens[long.len()..],
+            want,
+            "the migrated stream diverged"
+        );
+        // The park happened on the donor; its count reaches the handle on
+        // the record the thief retired, carried by the migrant's outbox.
         assert_eq!(a2.preemptions, 1, "the victim was active when parked");
         assert_eq!(
             (a1.finish, a2.finish),
-            (Some(FinishReason::MaxTokens), Some(FinishReason::MaxTokens))
+            (FinishReason::MaxTokens, FinishReason::MaxTokens)
         );
-        let tokens = (a1.tokens.len() + a2.tokens.len()) as u64;
+        let tokens = (a1.tokens.len() + a2.tokens.len() - 2 * long.len()) as u64;
         assert_eq!(donor.tokens_emitted + thief.tokens_emitted, tokens);
     }
 
@@ -1407,7 +1416,7 @@ mod tests {
         let reports = fleet.shutdown();
         let (thief, donor) = thief_and_donor(&reports);
         assert_eq!(inj.fired(), 2, "both aliased flips land");
-        assert_eq!(thief.finished_streams, [StreamId(1)]);
+        assert_eq!(thief.streams_finished, 1, "the victim retires on the thief");
         assert_eq!(thief.recoveries, 1, "the recovery ran on the thief");
         assert!(
             thief.faults.cache_uncorrectable >= 1,
@@ -1415,11 +1424,16 @@ mod tests {
         );
         assert_eq!(donor.recoveries, 0, "the donor stays clean");
         assert_eq!(donor.faults.cache_uncorrectable, 0);
-        let (a1, a2) = (a1.wait(), a2.wait());
-        assert_eq!(a2.tokens, want, "recovery on the stolen stream diverged");
+        let a1 = a1.wait().expect("the donor retires stream 0");
+        let a2 = a2.wait().expect("the thief retires stream 1");
+        assert_eq!(
+            a2.tokens[long.len()..],
+            want,
+            "recovery on the stolen stream diverged"
+        );
         assert_eq!(a2.recoveries, 1);
-        assert_eq!(a2.finish, Some(FinishReason::Recovered));
-        assert_eq!(a1.tokens, want);
+        assert_eq!(a2.finish, FinishReason::Recovered);
+        assert_eq!(a1.tokens[long.len()..], want);
         assert_eq!(a1.recoveries, 0);
     }
 }

@@ -31,7 +31,9 @@
 //! [`FeedForward`], [`MultiHeadAttention`], [`TransformerBlock`], the model
 //! and the session — reports its fault events in one vocabulary, the
 //! [`FtReport`] ledger of `ft-core`; a stream's ledger lives in its
-//! scheduler state and comes back on [`FinishedStream`].
+//! scheduler state and comes back on [`FinishedStream`], the one record of
+//! a retired stream — from [`ServeSession::take_finished`] and from
+//! [`StreamHandle::wait`] alike.
 //!
 //! On top of the pull-mode session sits the push-based serving loop,
 //! [`Fleet`] ([`crate::fleet`], [`crate::engine`]): N worker threads each
@@ -64,7 +66,7 @@ pub use activation::Activation;
 pub use block::TransformerBlock;
 pub use configs::ModelConfig;
 pub use embed::Embedding;
-pub use engine::{EngineConfig, StreamHandle, StreamOutcome};
+pub use engine::{EngineConfig, StreamHandle};
 pub use ffn::FeedForward;
 pub use fleet::{Fleet, FleetConfig, FleetReport, ShardId, ShardReport, SubmitError};
 pub use ft_core::kv::SizeBreakdown;

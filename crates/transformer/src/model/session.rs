@@ -17,8 +17,10 @@ use ft_num::{Matrix, MatrixF32};
 use ft_sim::FaultInjector;
 
 /// A retired serving stream: its full token history, fault accounting, and
-/// lifecycle outcome.
-#[derive(Clone, Debug)]
+/// lifecycle outcome — the one record of a retired stream, returned by
+/// [`ServeSession::take_finished`] and, for a stream served by a
+/// [`Fleet`](crate::Fleet), by [`StreamHandle::wait`](crate::StreamHandle::wait).
+#[derive(Clone, Debug, PartialEq)]
 pub struct FinishedStream {
     /// Stream identity (as returned by [`ServeSession::submit_request`]).
     pub id: StreamId,

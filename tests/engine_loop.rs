@@ -137,11 +137,17 @@ fn engine_handles_deliver_oracle_tokens() {
         .collect();
     for (i, h) in handles.into_iter().enumerate() {
         assert_eq!(h.priority(), Priority::Normal);
-        let outcome = h.wait();
-        assert_eq!(outcome.tokens, want[i], "stream {i} diverged from oracle");
-        assert_eq!(outcome.finish, Some(FinishReason::MaxTokens), "stream {i}");
+        let events: Vec<_> = h.iter().collect();
+        let f = h.wait().expect("the shard retires the stream");
+        let prompt_len = jobs[i].0.len();
+        assert_eq!(
+            f.tokens[prompt_len..],
+            want[i],
+            "stream {i} diverged from oracle"
+        );
+        assert_eq!(f.finish, FinishReason::MaxTokens, "stream {i}");
         assert!(
-            matches!(outcome.events.last(), Some(EngineEvent::Finished { .. })),
+            matches!(events.last(), Some(EngineEvent::Finished { .. })),
             "stream {i}: Finished must be the last event"
         );
     }
@@ -235,12 +241,17 @@ fn a_malformed_request_is_refused_without_touching_the_shard() {
         ..GenerationRequest::new(good.clone(), 4)
     };
     assert_eq!(refused(zero_window), Some(SubmitError::ZeroWindow));
-    let outcome = engine
-        .try_submit(GenerationRequest::new(good, 4))
+    let f = engine
+        .try_submit(GenerationRequest::new(good.clone(), 4))
         .expect("a well-formed request is accepted")
-        .wait();
-    assert_eq!(outcome.tokens, want, "the shard survived the bad requests");
-    assert_eq!(outcome.finish, Some(FinishReason::MaxTokens));
+        .wait()
+        .expect("the shard retires the stream");
+    assert_eq!(
+        f.tokens[good.len()..],
+        want,
+        "the shard survived the bad requests"
+    );
+    assert_eq!(f.finish, FinishReason::MaxTokens);
     assert_eq!(engine.shutdown().streams_submitted, 1);
 }
 
@@ -266,13 +277,10 @@ fn extreme_windows_and_drafts_finish_like_plain_requests() {
     };
     let engine = Fleet::spawn(model.clone(), FleetConfig::single(EngineConfig::default()));
     for (i, req) in extreme().into_iter().enumerate() {
-        let out = engine.try_submit(req).expect("a checked request").wait();
-        assert_eq!(out.tokens, want, "fleet request {i}");
-        assert_eq!(
-            out.finish,
-            Some(FinishReason::MaxTokens),
-            "fleet request {i}"
-        );
+        let f = (engine.try_submit(req).expect("a checked request").wait())
+            .expect("the shard retires the stream");
+        assert_eq!(f.tokens[p.len()..], want[..], "fleet request {i}");
+        assert_eq!(f.finish, FinishReason::MaxTokens, "fleet request {i}");
     }
     assert_eq!(engine.shutdown().streams_submitted, 3);
     let mut session = model.serve();
@@ -335,12 +343,13 @@ fn latency_arrival_preempts_batch_work_without_changing_output() {
     let urgent = engine
         .submit(GenerationRequest::new(urgent_prompt.clone(), 4).with_priority(Priority::Latency));
 
-    let urgent_outcome = urgent.wait();
-    assert_eq!(urgent_outcome.tokens, urgent_want, "urgent stream diverged");
+    let urgent = urgent.wait().expect("the shard retires the stream");
     assert_eq!(
-        urgent_outcome.preemptions, 0,
-        "the urgent stream never parks"
+        urgent.tokens[urgent_prompt.len()..],
+        urgent_want,
+        "urgent stream diverged"
     );
+    assert_eq!(urgent.preemptions, 0, "the urgent stream never parks");
 
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut total_preemptions = 0;

@@ -3,7 +3,8 @@
 //! bit-identical to a single-engine (and independent-decode) run on every
 //! `BackendKind` — with fleet-unique stream ids under concurrent
 //! submission, and a shard that panics must neither hang nor panic a
-//! caller. The per-shard ledgers must roll up losslessly. Steals are
+//! caller. A handle's record is the session's own `FinishedStream`, and
+//! the per-shard ledgers roll up losslessly to the records. Steals are
 //! proven step by step, without threads, by the unit tests in
 //! `crates/transformer/src/fleet.rs`.
 
@@ -11,11 +12,12 @@ mod common;
 
 use common::{prompt, stepwise_generate, tiny_config};
 use ft_transformer_suite::attention::backend::BackendKind;
+use ft_transformer_suite::attention::efta::EftaOptions;
 use ft_transformer_suite::num::F16;
-use ft_transformer_suite::sim::{FaultInjector, FaultSite, OpCoord};
+use ft_transformer_suite::sim::{FaultInjector, FaultSite, NoFaults, OpCoord};
 use ft_transformer_suite::transformer::{
-    serve_expose_step, EngineConfig, FinishReason, Fleet, FleetConfig, FleetReport,
-    GenerationRequest, ModelConfig, ShardId, StreamId, TransformerModel,
+    serve_expose_step, EngineConfig, FinishReason, FinishedStream, Fleet, FleetConfig, FleetReport,
+    FtReport, GenerationRequest, ModelConfig, ShardId, StreamHandle, StreamId, TransformerModel,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -38,10 +40,20 @@ fn fleet_cfg(workers: usize) -> FleetConfig {
     }
 }
 
+/// The record a handle's shard retired the stream with.
+fn retired(h: StreamHandle) -> FinishedStream {
+    h.wait().expect("the shard retires the stream")
+}
+
 /// Sum-of-shards == fleet-level invariants every test re-checks: the
-/// roll-up loses nothing and every retired stream appears on exactly one
-/// shard.
-fn assert_lossless(report: &FleetReport, want_streams: u64, want_tokens: u64) {
+/// roll-up loses nothing, every stream retires exactly once, and the
+/// stream-level ledgers sum to the handles' records.
+fn assert_lossless(
+    report: &FleetReport,
+    records: &[FinishedStream],
+    want_streams: u64,
+    want_tokens: u64,
+) {
     let total = report.total();
     assert_eq!(report.streams_submitted, want_streams, "{report}");
     assert_eq!(total.streams_finished, want_streams, "{report}");
@@ -49,17 +61,27 @@ fn assert_lossless(report: &FleetReport, want_streams: u64, want_tokens: u64) {
         total.tokens_emitted, want_tokens,
         "per-shard token counts must sum to the delivered total: {report}"
     );
+    let mut ids: Vec<u64> = records.iter().map(|f| f.id.0).collect();
+    ids.sort_unstable();
     assert_eq!(
-        total.finished_streams.len() as u64,
-        want_streams,
-        "{report}"
+        ids,
+        (0..want_streams).collect::<Vec<_>>(),
+        "every stream retires exactly once: {report}"
     );
-    let mut ids = total.finished_streams.clone();
-    ids.dedup();
+    let ledgers = (records.iter()).fold(FtReport::default(), |acc, f| acc.merged(&f.attention));
     assert_eq!(
-        ids.len() as u64,
-        want_streams,
-        "every stream retires on exactly one shard: {report}"
+        total.faults, ledgers,
+        "the fault ledger is the records' sum: {report}"
+    );
+    let sum = |field: fn(&FinishedStream) -> u64| records.iter().map(field).sum::<u64>();
+    assert_eq!(
+        (total.recovery_fed, total.spec_drafted, total.spec_accepted),
+        (
+            sum(|f| f.recovery_fed as u64),
+            sum(|f| f.spec_drafted),
+            sum(|f| f.spec_accepted)
+        ),
+        "{report}"
     );
     assert_eq!(
         total.migrations_in, total.migrations_out,
@@ -91,7 +113,7 @@ fn fleet_matches_single_engine_on_every_backend() {
             .enumerate()
             .map(|(i, &len)| engine.submit(GenerationRequest::new(prompt(len, i), new_tokens)))
             .collect();
-        let engine_out: Vec<_> = engine_handles.into_iter().map(|h| h.wait()).collect();
+        let engine_out: Vec<_> = engine_handles.into_iter().map(retired).collect();
         engine.shutdown();
 
         let fleet = Fleet::spawn(model.clone(), fleet_cfg(3));
@@ -100,28 +122,25 @@ fn fleet_matches_single_engine_on_every_backend() {
             .enumerate()
             .map(|(i, &len)| fleet.submit(GenerationRequest::new(prompt(len, i), new_tokens)))
             .collect();
-        let fleet_out: Vec<_> = fleet_handles.into_iter().map(|h| h.wait()).collect();
+        let fleet_out: Vec<_> = fleet_handles.into_iter().map(retired).collect();
         let report = fleet.shutdown();
 
         let mut tokens = 0u64;
         for (i, (e, f)) in engine_out.iter().zip(&fleet_out).enumerate() {
             let want = oracle(&model, &prompt(lens[i], i), new_tokens);
+            let got = &f.tokens[lens[i]..];
             assert_eq!(
-                f.tokens, want,
+                got, want,
                 "{kind}, stream {i}: fleet diverged from independent decode"
             );
             assert_eq!(
                 f.tokens, e.tokens,
                 "{kind}, stream {i}: fleet diverged from the single engine"
             );
-            assert_eq!(
-                f.finish,
-                Some(FinishReason::MaxTokens),
-                "{kind}, stream {i}"
-            );
-            tokens += f.tokens.len() as u64;
+            assert_eq!(f.finish, FinishReason::MaxTokens, "{kind}, stream {i}");
+            tokens += got.len() as u64;
         }
-        assert_lossless(&report, lens.len() as u64, tokens);
+        assert_lossless(&report, &fleet_out, lens.len() as u64, tokens);
     }
 }
 
@@ -136,7 +155,7 @@ fn concurrent_submissions_get_unique_ids_across_shards() {
     let model = TransformerModel::random(62, tiny(64), BackendKind::Flash).with_causal(true);
     let fleet = Fleet::spawn(model.clone(), fleet_cfg(4));
 
-    let results: Vec<(StreamId, Vec<u32>, Vec<u32>)> = std::thread::scope(|s| {
+    let results: Vec<(StreamId, Vec<u32>, FinishedStream)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let fleet = &fleet;
@@ -147,7 +166,7 @@ fn concurrent_submissions_get_unique_ids_across_shards() {
                             let p = prompt(4 + salt % 9, salt);
                             let h = fleet.submit(GenerationRequest::new(p.clone(), 3));
                             let id = h.id();
-                            (id, p, h.wait().tokens)
+                            (id, p, retired(h))
                         })
                         .collect::<Vec<_>>()
                 })
@@ -168,13 +187,15 @@ fn concurrent_submissions_get_unique_ids_across_shards() {
         "fleet-wide ids must be exactly 0..{n} with no collisions"
     );
     let mut tokens = 0u64;
-    for (id, p, got) in &results {
+    for (id, p, f) in &results {
         let want = oracle(&model, p, 3);
-        assert_eq!(got, &want, "{id}: concurrent submission diverged");
+        let got = &f.tokens[p.len()..];
+        assert_eq!(got, want, "{id}: concurrent submission diverged");
         tokens += got.len() as u64;
     }
     let report = fleet.shutdown();
-    assert_lossless(&report, n, tokens);
+    let records: Vec<_> = results.into_iter().map(|(_, _, f)| f).collect();
+    assert_lossless(&report, &records, n, tokens);
 
     // Display coverage: shard rows, the synthetic total row, and ShardId.
     assert_eq!(format!("{}", ShardId(3)), "shard3");
@@ -228,23 +249,69 @@ fn a_panicked_shard_never_hangs_or_panics_a_caller() {
     // Least-loaded routing: stream 0 to shard 0, stream 1 to shard 1.
     let victim = fleet.submit(GenerationRequest::new(prompt(9, 0), 8));
     let peer = fleet.submit(GenerationRequest::new(prompt(9, 1), 8));
-    let victim = victim.wait();
-    assert_eq!(
-        victim.finish, None,
+    assert!(
+        victim.wait().is_none(),
         "the dead shard's stream ends unfinished"
     );
     // Both shards carry one stream's projected load, and ties go to
     // shard 0: only a router that dropped the dead shard serves this.
-    let later = fleet.submit(GenerationRequest::new(prompt(9, 2), 8)).wait();
-    assert_eq!(later.tokens, oracle(&model, &prompt(9, 2), 8));
-    assert_eq!(later.finish, Some(FinishReason::MaxTokens));
-    let peer = peer.wait();
-    assert_eq!(peer.tokens, oracle(&model, &prompt(9, 1), 8));
-    assert_eq!(peer.finish, Some(FinishReason::MaxTokens));
+    let later = retired(fleet.submit(GenerationRequest::new(prompt(9, 2), 8)));
+    assert_eq!(later.tokens[9..], oracle(&model, &prompt(9, 2), 8));
+    assert_eq!(later.finish, FinishReason::MaxTokens);
+    let peer = retired(peer);
+    assert_eq!(peer.tokens[9..], oracle(&model, &prompt(9, 1), 8));
+    assert_eq!(peer.finish, FinishReason::MaxTokens);
     let payload = catch_unwind(AssertUnwindSafe(|| fleet.shutdown()))
         .expect_err("shutdown re-raises the shard's panic");
     assert_eq!(
         payload.downcast_ref::<&str>(),
         Some(&"injected shard failure")
     );
+}
+
+/// A fleet consumer gets the session's own record: each handle's `wait`
+/// equals, field for field, what a pull-mode session retires for the same
+/// request under the same id and scheduler — tokens, fault ledger
+/// (evicted blocks included), finish, recoveries, parks, re-fed rows,
+/// speculation counters and protection level.
+#[test]
+fn handles_return_the_sessions_record() {
+    let model = TransformerModel::random(66, tiny(64), BackendKind::Efta(EftaOptions::optimized()))
+        .with_causal(true)
+        .with_cache_block(4);
+    // Streams short enough that no 64-event channel fills while the
+    // consumers drain one after another: no backpressure park.
+    let requests = || {
+        [(12usize, 0usize), (20, 1), (7, 2)].map(|(len, salt)| {
+            let req = GenerationRequest::new(prompt(len, salt), 6);
+            if salt == 1 {
+                req.with_window(9)
+            } else {
+                req
+            }
+        })
+    };
+    let engine = EngineConfig::default();
+    let fleet = Fleet::spawn(model.clone(), FleetConfig::single(engine));
+    let handles: Vec<_> = requests().map(|req| fleet.submit(req)).into();
+    let ids: Vec<_> = handles.iter().map(StreamHandle::id).collect();
+    let records: Vec<_> = handles.into_iter().map(retired).collect();
+    let report = fleet.shutdown();
+
+    let mut session = model.serve_with(engine.scheduler);
+    for (req, &id) in requests().into_iter().zip(&ids) {
+        session.submit_request_with_id(req, id);
+    }
+    let want = session.run(&NoFaults);
+    assert_eq!(records, want, "the fleet's records are the session's");
+    assert!(
+        records[1].attention.cache_evicted_blocks > 0,
+        "the windowed stream must evict: {:?}",
+        records[1].attention
+    );
+    let tokens = (records.iter())
+        .zip(requests())
+        .map(|(f, req)| (f.tokens.len() - req.prompt.len()) as u64)
+        .sum();
+    assert_lossless(&report, &records, 3, tokens);
 }
