@@ -282,14 +282,11 @@ fn handles_return_the_sessions_record() {
     // Streams short enough that no 64-event channel fills while the
     // consumers drain one after another: no backpressure park.
     let requests = || {
-        [(12usize, 0usize), (20, 1), (7, 2)].map(|(len, salt)| {
-            let req = GenerationRequest::new(prompt(len, salt), 6);
-            if salt == 1 {
-                req.with_window(9)
-            } else {
-                req
-            }
-        })
+        [
+            GenerationRequest::new(prompt(12, 0), 6),
+            GenerationRequest::new(prompt(20, 1), 6).with_window(9),
+            GenerationRequest::new(prompt(7, 2), 6),
+        ]
     };
     let engine = EngineConfig::default();
     let fleet = Fleet::spawn(model.clone(), FleetConfig::single(engine));
